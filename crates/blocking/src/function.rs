@@ -32,12 +32,38 @@ impl PrefixFunction {
     /// Blocking key of `entity`. Entities whose attribute is shorter than
     /// the prefix keep the whole value; a missing attribute keys to `""`.
     pub fn key(&self, entity: &Entity) -> String {
-        entity
-            .attr(self.attr)
-            .chars()
-            .take(self.chars)
-            .collect::<String>()
-            .to_lowercase()
+        let value = entity.attr(self.attr);
+        match self.ascii_prefix(value) {
+            Some(prefix) => prefix.to_ascii_lowercase(),
+            None => value
+                .chars()
+                .take(self.chars)
+                .collect::<String>()
+                .to_lowercase(),
+        }
+    }
+
+    /// `self.key(entity) == key`, without building the key when the prefix
+    /// is ASCII (job 2 asks this of every tree entity for every block).
+    pub fn key_is(&self, entity: &Entity, key: &str) -> bool {
+        match self.ascii_prefix(entity.attr(self.attr)) {
+            Some(prefix) => prefix
+                .bytes()
+                .map(|b| b.to_ascii_lowercase())
+                .eq(key.bytes()),
+            None => self.key(entity) == key,
+        }
+    }
+
+    /// The first `chars` characters of `value` when they are all ASCII —
+    /// one byte each, and lowercased by `to_ascii_lowercase` exactly as by
+    /// `to_lowercase`. `None` sends the caller down the general Unicode path
+    /// (multi-char lowercase mappings, final sigma).
+    fn ascii_prefix<'v>(&self, value: &'v str) -> Option<&'v str> {
+        let head = &value.as_bytes()[..value.len().min(self.chars)];
+        // An all-ASCII head ends on a char boundary: a continuation byte
+        // only ever follows a non-ASCII lead byte.
+        head.is_ascii().then(|| &value[..head.len()])
     }
 }
 
@@ -81,6 +107,12 @@ impl BlockingFamily {
     /// Key of `entity` at `level` (0 = root key).
     pub fn key_at(&self, entity: &Entity, level: usize) -> String {
         self.levels[level].key(entity)
+    }
+
+    /// Whether `entity`'s key at `level` is `key` (allocation-free for
+    /// ASCII prefixes, see [`PrefixFunction::key_is`]).
+    pub fn key_is(&self, entity: &Entity, level: usize, key: &str) -> bool {
+        self.levels[level].key_is(entity, key)
     }
 
     /// Root (main-function) key of `entity`.
@@ -167,6 +199,50 @@ mod tests {
         assert_eq!(fam.root_key(&e), "pr");
         assert_eq!(fam.key_at(&e, 1), "prog");
         assert_eq!(fam.key_at(&e, 2), "progress");
+    }
+
+    /// The definition `key` had before its ASCII fast path.
+    fn reference_key(f: &PrefixFunction, entity: &Entity) -> String {
+        entity
+            .attr(f.attr)
+            .chars()
+            .take(f.chars)
+            .collect::<String>()
+            .to_lowercase()
+    }
+
+    #[test]
+    fn key_is_rejects_keys_that_only_match_case_insensitively() {
+        let f = PrefixFunction::new(0, 2);
+        assert!(f.key_is(&ent(&["John"]), "jo"));
+        assert!(!f.key_is(&ent(&["John"]), "JO"));
+        assert!(!f.key_is(&ent(&["John"]), "j"));
+        assert!(f.key_is(&ent(&["J"]), "j"));
+        assert!(f.key_is(&ent(&[]), ""));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 2_000, ..Default::default() })]
+        // Alphabet: ASCII of both cases plus the characters whose lowercase
+        // mapping is not one char for one char — İ (two chars), ẞ, K (the
+        // Kelvin sign, lowercases to ASCII k), and Σ next to letters and
+        // spaces so `to_lowercase` meets both the medial and the final sigma.
+        #[test]
+        fn prop_key_and_key_is_match_the_reference_definition(
+            value in "[abkABZİẞKΣσς 0]{0,10}",
+            other in "[abkABZİẞKΣσς 0]{0,10}",
+            chars in 0usize..8,
+        ) {
+            let f = PrefixFunction::new(0, chars);
+            let (e, o) = (ent(&[&value]), ent(&[&other]));
+            let expected = reference_key(&f, &e);
+            proptest::prop_assert_eq!(f.key(&e), expected.clone());
+            // Probe with its own key, another entity's key, and raw strings
+            // (uppercase, non-ASCII) that no key function would produce.
+            for probe in [expected.clone(), reference_key(&f, &o), other.clone(), value.clone()] {
+                proptest::prop_assert_eq!(f.key_is(&e, &probe), expected == probe);
+            }
+        }
     }
 
     #[test]

@@ -44,34 +44,41 @@ impl SpillCodec for SpillEntity {
     }
 }
 
-struct AnnotateMapper<'a> {
-    families: &'a [BlockingFamily],
+/// In-memory map side: the shuffle value is a borrow of the dataset's own
+/// entity, so routing an entity to its families copies a pointer.
+struct AnnotateMapper<'d> {
+    families: &'d [BlockingFamily],
 }
 
 /// Shared map logic: emit one `(family, root key)` record per main blocking
-/// function. `wrap` adapts the emitted value for the in-memory (`Entity`)
+/// function. `wrap` adapts the emitted value for the in-memory (`&Entity`)
 /// and spilling (`SpillEntity`) shuffles without duplicating the charges.
-fn annotate<V>(
+fn annotate<'d, V>(
     families: &[BlockingFamily],
-    entity: &Entity,
+    entity: &'d Entity,
     ctx: &mut TaskContext,
     out: &mut Emitter<BlockKey, V>,
-    wrap: impl Fn(Entity) -> V,
+    wrap: impl Fn(&'d Entity) -> V,
 ) {
     for (f, family) in families.iter().enumerate() {
         // Key extraction is a char-scan: charge it like an entity read.
         ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-        out.emit((f as u8, family.root_key(entity)), wrap(entity.clone()));
+        out.emit((f as u8, family.root_key(entity)), wrap(entity));
     }
     ctx.counters.incr("job1_entities_annotated");
 }
 
-impl Mapper for AnnotateMapper<'_> {
-    type Input = Entity;
+impl<'d> Mapper for AnnotateMapper<'d> {
+    type Input = &'d Entity;
     type Key = BlockKey;
-    type Value = Entity;
+    type Value = &'d Entity;
 
-    fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<BlockKey, Entity>) {
+    fn map(
+        &self,
+        entity: &&'d Entity,
+        ctx: &mut TaskContext,
+        out: &mut Emitter<BlockKey, &'d Entity>,
+    ) {
         annotate(self.families, entity, ctx, out, |e| e);
     }
 }
@@ -91,16 +98,17 @@ impl Mapper for AnnotateSpillMapper<'_> {
         ctx: &mut TaskContext,
         out: &mut Emitter<BlockKey, SpillEntity>,
     ) {
-        annotate(self.families, entity, ctx, out, SpillEntity);
+        // The spill codec serializes owned values: this path keeps its copy.
+        annotate(self.families, entity, ctx, out, |e| SpillEntity(e.clone()));
     }
 }
 
-struct StatsReducer<'a> {
-    families: &'a [BlockingFamily],
+struct StatsReducer<'d> {
+    families: &'d [BlockingFamily],
 }
 
 /// Shared reduce logic for one root block, generic over how the values are
-/// borrowed so the in-memory (`&[Entity]`) and spilling (`&[SpillEntity]`)
+/// borrowed so the in-memory (`&[&Entity]`) and spilling (`&[SpillEntity]`)
 /// paths produce identical trees, statistics, charges, and counters.
 fn reduce_root_block<'v>(
     families: &[BlockingFamily],
@@ -145,19 +153,19 @@ fn reduce_root_block<'v>(
     out.push(stats);
 }
 
-impl Reducer for StatsReducer<'_> {
+impl<'d> Reducer for StatsReducer<'d> {
     type Key = BlockKey;
-    type Value = Entity;
+    type Value = &'d Entity;
     type Output = TreeStats;
 
     fn reduce(
         &self,
         key: &BlockKey,
-        values: &[Entity],
+        values: &[&'d Entity],
         ctx: &mut TaskContext,
         out: &mut Vec<TreeStats>,
     ) {
-        reduce_root_block(self.families, key, values.iter(), ctx, out);
+        reduce_root_block(self.families, key, values.iter().copied(), ctx, out);
     }
 }
 
@@ -221,7 +229,8 @@ pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> 
         let reducer = GroupReducer::new(StatsReducer {
             families: &config.families,
         });
-        run_job(&cfg, &mapper, &reducer, &ds.entities)?
+        let entities: Vec<&Entity> = ds.entities.iter().collect();
+        run_job(&cfg, &mapper, &reducer, &entities)?
     };
 
     let mut trees = result.outputs;

@@ -16,7 +16,12 @@
 //!   fires — skipping pairs another tree is responsible for
 //!   (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
 //!   blocks. Root blocks resolve fully. Duplicates stream through an
-//!   [`IncrementalWriter`] cut every α cost units.
+//!   [`IncrementalWriter`] cut every α cost units. Inside a task every
+//!   entity goes by its *tree-local index* (its position in the tree's
+//!   id-sorted member vector): the mechanism, `SHOULD-RESOLVE`, the
+//!   resolved-pair set and the prepared signatures are all reached by
+//!   position, and global ids reappear only in duplicate events, result
+//!   records and checkpoints.
 //!
 //! ## Crash and resume
 //!
@@ -30,34 +35,38 @@
 //! blocks. Because execution is deterministic, crash + resume reproduces
 //! the uninterrupted run's duplicate set and timeline bit for bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
+use pper_blocking::forest::EntityLookup;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
+use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_mapreduce::runtime::run_job_with_partitioner;
 use pper_progressive::{LevelPolicy, PairSource, StopState};
 use pper_schedule::{should_resolve, DomList, Schedule, TreeLocator};
-use pper_simil::{MatchRule, PreparedCache, PreparedRule, SimScratch};
+use pper_simil::{MatchRule, PreparedEntity, PreparedRule, SimScratch, TokenInterner};
 
 use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::config::ErConfig;
 use crate::EVENT_DUPLICATE;
 
-/// Map output value: the entity and its dominance list for the target tree.
-type Routed = (Entity, DomList);
+/// Map output value: the dataset's own entity (borrowed — routing an entity
+/// to its trees copies a pointer) and its dominance list for the target
+/// tree.
+type Routed<'d> = (&'d Entity, DomList);
 
-struct RouteMapper<'a> {
-    families: &'a [BlockingFamily],
-    schedule: &'a Arc<Schedule>,
-    locator: &'a Arc<TreeLocator>,
+struct RouteMapper<'d> {
+    families: &'d [BlockingFamily],
+    schedule: &'d Schedule,
+    locator: &'d TreeLocator,
 }
 
-impl Mapper for RouteMapper<'_> {
-    type Input = Entity;
+impl<'d> Mapper for RouteMapper<'d> {
+    type Input = &'d Entity;
     type Key = u64;
-    type Value = Routed;
+    type Value = Routed<'d>;
 
     fn setup(&self, ctx: &mut TaskContext) {
         // Every map task generates the progressive schedule from the
@@ -67,27 +76,167 @@ impl Mapper for RouteMapper<'_> {
         ctx.counters.incr("job2_schedules_generated");
     }
 
-    fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed>) {
+    fn map(&self, entity: &&'d Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed<'d>>) {
+        let entity = *entity;
         for tree in self.locator.trees_of_entity(self.families, entity) {
             ctx.charge(ctx.cost_model.read_per_entity * 0.25);
             let list = self
                 .locator
                 .dom_list(self.schedule, self.families, entity, tree);
-            out.emit(self.schedule.tree_sq[tree], (entity.clone(), list));
+            out.emit(self.schedule.tree_sq[tree], (entity, list));
         }
     }
 }
 
-/// Per-tree reduce-side state.
+/// An entity's position in its tree's id-sorted member vector. The resolve
+/// loop works on these *tree-local indices* throughout — the mechanism is
+/// started on them and every per-pair access is a slice index — and converts
+/// to global [`EntityId`]s only where something leaves the task: duplicate
+/// events, result records and checkpoints. Ascending local index is
+/// ascending entity id, so id tie-breaks and `(min, max)` pair keys order
+/// exactly as they would on global ids.
+type Local = u32;
+
+/// Marks a tree member not yet compared in this tree (see
+/// [`TreeState::slots`]).
+const NO_SLOT: u32 = u32::MAX;
+
 /// Per-tree resolve state. Entities and dominance lists stay borrowed from
 /// the job's flat shuffle partition — a task restoring from checkpoint or
 /// re-running after a fault reads the same arena, no copies.
 struct TreeState<'p> {
-    entities: HashMap<EntityId, &'p Entity>,
-    doms: HashMap<EntityId, &'p DomList>,
-    /// Pairs already *compared* in this tree (normalized `a < b`), so a
-    /// parent block never repeats its children's work (§III-A).
-    resolved: HashSet<(EntityId, EntityId)>,
+    /// The tree's members, ascending by entity id; indexed by [`Local`].
+    entities: Vec<&'p Entity>,
+    /// `doms[l]` is the dominance list routed with `entities[l]`.
+    doms: Vec<&'p DomList>,
+    /// `slots[l]` is the member's slot in the task's [`PreparedTask`], or
+    /// [`NO_SLOT`] until its first comparison in this tree.
+    slots: Vec<u32>,
+    /// Pairs already *compared* in this tree, so a parent block never
+    /// repeats its children's work (§III-A): local indices through
+    /// [`crate::pack_pair`], smaller index in the high half, so packed keys
+    /// sort like the `(a, b)` id pairs they stand for.
+    resolved: FxHashSet<u64>,
+}
+
+impl<'p> TreeState<'p> {
+    fn ingest(values: &'p [Routed<'_>]) -> Self {
+        let mut members: Vec<&'p Routed<'_>> = values.iter().collect();
+        members.sort_unstable_by_key(|(entity, _)| entity.id);
+        debug_assert!(
+            members.windows(2).all(|w| w[0].0.id < w[1].0.id),
+            "a tree receives each of its entities once"
+        );
+        Self {
+            entities: members.iter().map(|(entity, _)| *entity).collect(),
+            doms: members.iter().map(|(_, dom)| dom).collect(),
+            slots: vec![NO_SLOT; members.len()],
+            resolved: FxHashSet::default(),
+        }
+    }
+
+    /// Global id of a member.
+    #[inline]
+    fn id(&self, local: Local) -> EntityId {
+        self.entities[local as usize].id
+    }
+
+    /// The compared pairs as the checkpoint stores them: global ids,
+    /// normalized `a < b`, sorted.
+    fn resolved_global(&self) -> Vec<(EntityId, EntityId)> {
+        // lint:allow(hash_iter) set order discarded by the sort below.
+        let mut packed: Vec<u64> = self.resolved.iter().copied().collect();
+        packed.sort_unstable();
+        packed
+            .into_iter()
+            .map(|key| {
+                let (a, b) = crate::unpack_pair(key);
+                (self.id(a), self.id(b))
+            })
+            .collect()
+    }
+
+    /// Take a checkpoint's pairs back in.
+    fn restore_resolved(&mut self, pairs: &[(EntityId, EntityId)]) {
+        let entities = &self.entities;
+        let local = |id: EntityId| entities.binary_search_by_key(&id, |e| e.id).ok();
+        // A pair naming an entity this tree never received can never be
+        // generated here either: nothing to skip, so it is dropped.
+        self.resolved.extend(
+            pairs.iter().filter_map(|&(a, b)| {
+                Some(crate::pack_pair(local(a)? as Local, local(b)? as Local))
+            }),
+        );
+    }
+}
+
+/// Block sorting looks members up by their local index.
+impl EntityLookup for TreeState<'_> {
+    fn entity(&self, local: Local) -> &Entity {
+        self.entities[local as usize]
+    }
+}
+
+/// Per-reduce-task prepared state: an entity's signatures are built on its
+/// first comparison in the task and reused across every block, of any tree,
+/// the task resolves it in. A tree reaches them through its slot vector, so
+/// the id map is probed once per entity per tree, never per pair.
+#[derive(Default)]
+struct PreparedTask {
+    interner: TokenInterner,
+    slot_of: FxHashMap<EntityId, u32>,
+    entities: Vec<PreparedEntity>,
+}
+
+impl PreparedTask {
+    /// The task-wide slot of `entity`, memoized in the tree's `slot`.
+    #[inline]
+    fn slot(&mut self, rule: &PreparedRule, slot: &mut u32, entity: &Entity) -> usize {
+        if *slot == NO_SLOT {
+            *slot = match self.slot_of.entry(entity.id) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(vacant) => {
+                    self.entities
+                        .push(rule.prepare(&entity.attrs, &mut self.interner));
+                    *vacant.insert(self.entities.len() as u32 - 1)
+                }
+            };
+        }
+        *slot as usize
+    }
+}
+
+/// Everything one reduce task holds while it resolves its block schedule.
+struct TaskState<'p> {
+    /// Resolve state of each tree routed to the task, by tree id.
+    trees: FxHashMap<usize, TreeState<'p>>,
+    prepared: PreparedTask,
+}
+
+/// Per-pair counters of one block, added to the task's [`Counters`] once
+/// when the block ends instead of one string-keyed probe per pair.
+#[derive(Default)]
+struct BlockTally {
+    compared: u64,
+    skipped_resolved: u64,
+    skipped_redundant: u64,
+    duplicates: u64,
+}
+
+impl BlockTally {
+    fn flush(&self, counters: &mut Counters) {
+        // A counter exists from its first increment on, so zeros stay out.
+        for (name, n) in [
+            ("pairs_compared", self.compared),
+            ("pairs_skipped_already_resolved", self.skipped_resolved),
+            ("pairs_skipped_redundant", self.skipped_redundant),
+            ("duplicates_found", self.duplicates),
+        ] {
+            if n > 0 {
+                counters.add(name, n);
+            }
+        }
+    }
 }
 
 /// How the reduce phase executes (see the module docs' crash/resume
@@ -121,7 +270,9 @@ enum Job2Out {
 
 struct ResolveReducer<'a> {
     families: &'a [BlockingFamily],
-    schedule: &'a Arc<Schedule>,
+    schedule: &'a Schedule,
+    /// `SQ → tree id`, the inverse of `schedule.tree_sq`.
+    sq_to_tree: &'a FxHashMap<u64, usize>,
     policy: &'a LevelPolicy,
     rule: &'a MatchRule,
     /// Compiled prepared rule; `None` forces the original string path.
@@ -131,46 +282,72 @@ struct ResolveReducer<'a> {
     mode: ReduceMode<'a>,
 }
 
-impl PartitionReducer for ResolveReducer<'_> {
+impl<'a> PartitionReducer for ResolveReducer<'a> {
     type Key = u64;
-    type Value = Routed;
+    type Value = Routed<'a>;
     type Output = Job2Out;
 
     fn reduce_partition(
         &self,
-        partition: &pper_mapreduce::GroupedPartition<u64, Routed>,
+        partition: &pper_mapreduce::GroupedPartition<u64, Routed<'a>>,
         ctx: &mut TaskContext,
         out: &mut Vec<Job2Out>,
     ) {
-        let task = ctx.id.index;
-        let n_families = self.families.len();
+        let mut state = self.ingest(partition, ctx);
+        self.resolve(&mut state, ctx, out);
+    }
+}
 
-        // Invert SQ → tree id for this task's groups.
-        let sq_to_tree: HashMap<u64, usize> = self
-            .schedule
-            .tree_sq
-            .iter()
-            .enumerate()
-            .map(|(t, &sq)| (sq, t))
-            .collect();
+impl<'a> ResolveReducer<'a> {
+    fn new(
+        config: &'a ErConfig,
+        schedule: &'a Schedule,
+        sq_to_tree: &'a FxHashMap<u64, usize>,
+        mode: ReduceMode<'a>,
+    ) -> Self {
+        Self {
+            families: &config.families,
+            schedule,
+            sq_to_tree,
+            policy: &config.policy,
+            rule: &config.rule,
+            prepared: config
+                .use_prepared
+                .then(|| PreparedRule::new(config.rule.clone())),
+            mechanism: config.mechanism,
+            alpha: config.alpha,
+            mode,
+        }
+    }
 
-        let mut states: HashMap<usize, TreeState<'_>> = HashMap::new();
-        for (&sq, values) in partition.iter() {
-            let Some(&tree) = sq_to_tree.get(&sq) else {
+    /// Ingest the task's trees from its shuffle partition.
+    fn ingest<'p>(
+        &self,
+        partition: &'p pper_mapreduce::GroupedPartition<u64, Routed<'_>>,
+        ctx: &mut TaskContext,
+    ) -> TaskState<'p> {
+        let mut trees = FxHashMap::default();
+        for (sq, values) in partition.iter() {
+            let Some(&tree) = self.sq_to_tree.get(sq) else {
                 ctx.counters.incr("job2_unroutable_groups");
                 continue;
             };
-            let mut state = TreeState {
-                entities: HashMap::with_capacity(values.len()),
-                doms: HashMap::with_capacity(values.len()),
-                resolved: HashSet::new(),
-            };
-            for (entity, dom) in values {
-                state.doms.insert(entity.id, dom);
-                state.entities.insert(entity.id, entity);
-            }
-            states.insert(tree, state);
+            trees.insert(tree, TreeState::ingest(values));
         }
+        TaskState {
+            trees,
+            prepared: PreparedTask::default(),
+        }
+    }
+
+    /// Walk the task's block schedule over the ingested trees.
+    fn resolve(&self, state: &mut TaskState<'_>, ctx: &mut TaskContext, out: &mut Vec<Job2Out>) {
+        let task = ctx.id.index;
+        let n_families = self.families.len();
+        let TaskState {
+            trees: states,
+            prepared,
+        } = state;
 
         let mut writer: IncrementalWriter<(EntityId, EntityId)> =
             IncrementalWriter::new(self.alpha, ctx.now());
@@ -192,11 +369,11 @@ impl PartitionReducer for ResolveReducer<'_> {
             // Restore the resolved-pair sets so blocks resolved after the
             // resume still skip work the checkpointed blocks already did.
             // lint:allow(hash_iter) `tc.resolved` is the checkpoint's Vec
-            // (same name as the per-tree HashSet field, but a sorted list);
-            // and extending disjoint per-tree sets commutes anyway.
-            for &(tree, ref pairs) in &tc.resolved {
-                if let Some(state) = states.get_mut(&tree) {
-                    state.resolved.extend(pairs.iter().copied());
+            // (same name as the per-tree set field, but a sorted list); and
+            // extending disjoint per-tree sets commutes anyway.
+            for (tree, pairs) in &tc.resolved {
+                if let Some(state) = states.get_mut(tree) {
+                    state.restore_resolved(pairs);
                 }
             }
             // Replay checkpointed duplicates at their original task-local
@@ -231,10 +408,6 @@ impl PartitionReducer for ResolveReducer<'_> {
         };
         let mut dups_at_boundary = dup_log.len();
 
-        // Per-reduce-task prepared state: an entity's signatures are built
-        // on its first comparison in this task and reused across every
-        // block (of any tree) the task resolves it in.
-        let mut cache: PreparedCache<EntityId> = PreparedCache::new();
         let mut scratch = SimScratch::new();
 
         'blocks: for (block_idx, block) in self.schedule.block_order[task].iter().enumerate() {
@@ -264,14 +437,10 @@ impl PartitionReducer for ResolveReducer<'_> {
 
             // Materialize the block: members of the tree whose key at the
             // node's level equals the node's key (prefix nesting makes the
-            // level key sufficient).
-            let mut members: Vec<EntityId> = state
-                .entities
-                .values() // lint:allow(hash_iter) members are sorted before use, right below
-                .filter(|e| family.key_at(e, node.level) == node.key)
-                .map(|e| e.id)
+            // level key sufficient). Ascending local index, i.e. by id.
+            let members: Vec<Local> = (0..state.entities.len() as Local)
+                .filter(|&l| family.key_is(state.entities[l as usize], node.level, &node.key))
                 .collect();
-            members.sort_unstable();
             ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
             if members.len() < 2 {
                 blocks_done = block_idx + 1;
@@ -283,11 +452,8 @@ impl PartitionReducer for ResolveReducer<'_> {
             // Hint generation: sort by the blocking attribute.
             // Compound SNM sort key: the blocking attribute, ties broken
             // by the most discriminative attribute (index 0, the title).
-            let sorted = pper_progressive::sort_by_attrs(
-                &members,
-                &[family.levels[0].attr, 0],
-                &state.entities,
-            );
+            let sorted =
+                pper_progressive::sort_by_attrs(&members, &[family.levels[0].attr, 0], &*state);
             ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
 
             // Root-ness follows the scheduling tree: a split sub-tree's root
@@ -300,7 +466,8 @@ impl PartitionReducer for ResolveReducer<'_> {
             let window = self.policy.window(is_root, is_leaf);
             let mut run = self.mechanism.start(sorted, window);
             let mut stop = StopState::new(self.policy.stop_rule(is_root, members.len()));
-            let mut block_added: Vec<(EntityId, EntityId)> = Vec::new();
+            let mut block_added: Vec<u64> = Vec::new();
+            let mut tally = BlockTally::default();
 
             while let Some((a, b)) = run.next_pair() {
                 if let Some(limit) = crash_at {
@@ -312,44 +479,42 @@ impl PartitionReducer for ResolveReducer<'_> {
                             state.resolved.remove(key);
                         }
                         dup_log.truncate(dups_at_boundary);
+                        tally.flush(&mut ctx.counters);
                         break 'blocks;
                     }
                 }
-                let key = (a.min(b), a.max(b));
+                let key = crate::pack_pair(a, b);
                 if state.resolved.contains(&key) {
-                    ctx.counters.incr("pairs_skipped_already_resolved");
+                    tally.skipped_resolved += 1;
                     continue;
                 }
-                let responsible =
-                    should_resolve(state.doms[&a], state.doms[&b], plan_tree.family, n_families);
-                if !responsible {
-                    ctx.counters.incr("pairs_skipped_redundant");
+                let (ia, ib) = (a as usize, b as usize);
+                if !should_resolve(state.doms[ia], state.doms[ib], plan_tree.family, n_families) {
+                    tally.skipped_redundant += 1;
                     continue;
                 }
                 ctx.charge(ctx.cost_model.resolve_pair);
-                ctx.counters.incr("pairs_compared");
+                tally.compared += 1;
                 state.resolved.insert(key);
                 if crash_at.is_some() {
                     block_added.push(key);
                 }
+                let (ea, eb) = (state.entities[ia], state.entities[ib]);
                 let is_dup = match &self.prepared {
-                    Some(pr) => cache.matches_pair(
-                        pr,
-                        &mut scratch,
-                        (a, state.entities[&a].attrs.as_slice()),
-                        (b, state.entities[&b].attrs.as_slice()),
-                    ),
-                    None => self
-                        .rule
-                        .matches(&state.entities[&a].attrs, &state.entities[&b].attrs),
+                    Some(pr) => {
+                        let sa = prepared.slot(pr, &mut state.slots[ia], ea);
+                        let sb = prepared.slot(pr, &mut state.slots[ib], eb);
+                        pr.matches(&prepared.entities[sa], &prepared.entities[sb], &mut scratch)
+                    }
+                    None => self.rule.matches(&ea.attrs, &eb.attrs),
                 };
                 run.feedback(is_dup);
                 if is_dup {
-                    ctx.counters.incr("duplicates_found");
-                    ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(a, b));
-                    writer.write(ctx.now(), key);
+                    tally.duplicates += 1;
+                    ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
+                    writer.write(ctx.now(), (ea.id.min(eb.id), ea.id.max(eb.id)));
                     if crash_at.is_some() {
-                        dup_log.push((ctx.now(), a, b));
+                        dup_log.push((ctx.now(), ea.id, eb.id));
                     }
                 } else {
                     writer.advance(ctx.now());
@@ -359,6 +524,7 @@ impl PartitionReducer for ResolveReducer<'_> {
                     break;
                 }
             }
+            tally.flush(&mut ctx.counters);
             ctx.counters.incr("blocks_resolved");
             blocks_done = block_idx + 1;
             ckpt_clock = ctx.now();
@@ -371,12 +537,7 @@ impl PartitionReducer for ResolveReducer<'_> {
             let mut resolved: Vec<(usize, Vec<(EntityId, EntityId)>)> = states
                 .iter()
                 .filter(|(_, s)| !s.resolved.is_empty())
-                .map(|(&tree, s)| {
-                    // lint:allow(hash_iter) set order discarded by the sort below.
-                    let mut pairs: Vec<_> = s.resolved.iter().copied().collect();
-                    pairs.sort_unstable();
-                    (tree, pairs)
-                })
+                .map(|(&tree, s)| (tree, s.resolved_global()))
                 .collect();
             resolved.sort_unstable_by_key(|&(tree, _)| tree);
             out.push(Job2Out::Ckpt(TaskCheckpoint {
@@ -407,13 +568,25 @@ pub struct Job2Result {
     pub counters: Counters,
 }
 
+/// `SQ → tree id` for the reduce side: the inverse of `schedule.tree_sq`,
+/// built once per job and shared by every reduce task.
+fn sq_to_tree(schedule: &Schedule) -> FxHashMap<u64, usize> {
+    schedule
+        .tree_sq
+        .iter()
+        .enumerate()
+        .map(|(t, &sq)| (sq, t))
+        .collect()
+}
+
 fn run_job2_inner(
     ds: &Dataset,
     config: &ErConfig,
-    schedule: &Arc<Schedule>,
+    schedule: &Schedule,
     mode: ReduceMode<'_>,
 ) -> Result<pper_mapreduce::runtime::JobResult<Job2Out>, MrError> {
-    let locator = Arc::new(TreeLocator::new(schedule, config.families.len()));
+    let locator = TreeLocator::new(schedule, config.families.len());
+    let sq_to_tree = sq_to_tree(schedule);
     let mut cfg = JobConfig::new("pper-job2-resolution", config.cluster());
     cfg.cost_model = config.cost_model.clone();
     cfg.worker_threads = config.worker_threads;
@@ -428,20 +601,10 @@ fn run_job2_inner(
         schedule,
         locator: &locator,
     };
-    let reducer = ResolveReducer {
-        families: &config.families,
-        schedule,
-        policy: &config.policy,
-        rule: &config.rule,
-        prepared: config
-            .use_prepared
-            .then(|| PreparedRule::new(config.rule.clone())),
-        mechanism: config.mechanism,
-        alpha: config.alpha,
-        mode,
-    };
+    let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, mode);
     let partitioner = RangePartitioner::new(schedule.sq_bounds(), |sq: &u64| *sq);
-    run_job_with_partitioner(&cfg, &mapper, &reducer, &partitioner, &ds.entities)
+    let entities: Vec<&Entity> = ds.entities.iter().collect();
+    run_job_with_partitioner(&cfg, &mapper, &reducer, &partitioner, &entities)
 }
 
 fn assemble(result: pper_mapreduce::runtime::JobResult<Job2Out>) -> Job2Result {
@@ -638,6 +801,172 @@ mod tests {
             result.segments.len() > 1,
             "alpha should cut multiple segments"
         );
+    }
+
+    fn json(tasks: &[TaskCheckpoint]) -> String {
+        serde_json::to_string(tasks).unwrap()
+    }
+
+    /// Ids of the entities routed to `tree`, ascending.
+    fn tree_members(
+        ds: &Dataset,
+        config: &ErConfig,
+        locator: &TreeLocator,
+        tree: usize,
+    ) -> Vec<EntityId> {
+        ds.entities
+            .iter()
+            .filter(|e| locator.trees_of_entity(&config.families, e).contains(&tree))
+            .map(|e| e.id)
+            .collect()
+    }
+
+    #[test]
+    fn mid_block_kill_checkpoints_the_last_block_boundary_in_global_ids() {
+        let ds = pper_datagen::BookGen::new(2_500, 75).generate();
+        let config = ErConfig::books(2); // PSNM
+        let schedule = schedule_for(&ds, &config);
+        let locator = TreeLocator::new(&schedule, config.families.len());
+        let cm = &config.cost_model;
+
+        let mut mid_block_kills = 0;
+        for limit in [900.0, 1_700.0, 2_600.0] {
+            let killed = run_job2_to_crash(&ds, &config, Arc::clone(&schedule), limit).unwrap();
+            for tc in &killed {
+                // The checkpoint format: trees ascending, pairs ascending,
+                // `a < b`, and every id a *global* id of a member of that
+                // tree (a tree-local index would name some other entity).
+                assert!(tc.resolved.windows(2).all(|w| w[0].0 < w[1].0));
+                for (tree, pairs) in &tc.resolved {
+                    let members = tree_members(&ds, &config, &locator, *tree);
+                    assert!(pairs.windows(2).all(|w| w[0] < w[1]), "pairs sorted");
+                    for &(a, b) in pairs {
+                        assert!(a < b);
+                        assert!(members.binary_search(&a).is_ok(), "{a} not in tree {tree}");
+                        assert!(members.binary_search(&b).is_ok(), "{b} not in tree {tree}");
+                    }
+                }
+
+                // Was this task killed inside a block, after comparing
+                // pairs of it? Its clock ran from the boundary past the
+                // block's set-up charges and ten comparisons more, and the
+                // block still had not completed.
+                let Some(block) = schedule.block_order[tc.task].get(tc.blocks_done) else {
+                    continue;
+                };
+                let plan_tree = &schedule.trees[block.tree];
+                let node = &plan_tree.nodes[block.node];
+                let family = &config.families[plan_tree.family];
+                let members = tree_members(&ds, &config, &locator, block.tree);
+                let in_block = members
+                    .iter()
+                    .filter(|&&id| family.key_is(ds.entity(id), node.level, &node.key))
+                    .count();
+                let setup =
+                    cm.read_per_entity * members.len() as f64 + cm.block_additional_cost(in_block);
+                if limit - tc.clock < setup + 10.0 * cm.resolve_pair {
+                    continue;
+                }
+                mid_block_kills += 1;
+
+                // Killing exactly at that boundary stops the task before
+                // the block starts: the rolled-back checkpoint must be it.
+                let at_boundary =
+                    run_job2_to_crash(&ds, &config, Arc::clone(&schedule), tc.clock).unwrap();
+                assert_eq!(
+                    json(std::slice::from_ref(&at_boundary[tc.task])),
+                    json(std::slice::from_ref(tc)),
+                    "task {} killed at {limit}",
+                    tc.task
+                );
+            }
+        }
+        assert!(
+            mid_block_kills >= 3,
+            "only {mid_block_kills} mid-block kills"
+        );
+    }
+
+    #[test]
+    fn staged_crash_equals_direct_crash_bit_for_bit() {
+        let ds = pper_datagen::BookGen::new(2_500, 76).generate();
+        let config = ErConfig::books(2);
+        let schedule = schedule_for(&ds, &config);
+        let (t1, t2) = (1_100.0, 2_300.0);
+        let first = Checkpoint {
+            schedule: (*schedule).clone(),
+            job1_cost: 0.0,
+            crash_at: t1,
+            machines: config.machines,
+            tasks: run_job2_to_crash(&ds, &config, Arc::clone(&schedule), t1).unwrap(),
+        };
+        assert!(
+            first.tasks.iter().any(|tc| !tc.resolved.is_empty()),
+            "the first stage must hand resolved pairs over"
+        );
+        let staged = run_job2_resume_to_crash(&ds, &config, &first, t2).unwrap();
+        let direct = run_job2_to_crash(&ds, &config, schedule, t2).unwrap();
+        assert_eq!(json(&staged), json(&direct));
+        assert_ne!(
+            json(&direct),
+            json(&first.tasks),
+            "the second stage advanced"
+        );
+    }
+
+    #[test]
+    fn entity_in_two_trees_of_a_task_is_prepared_once() {
+        let ds = PubGen::new(1_500, 77).generate();
+        let config = ErConfig::citeseer(1); // two reduce tasks: trees share them
+        let schedule = schedule_for(&ds, &config);
+        let locator = TreeLocator::new(&schedule, config.families.len());
+        let sq_to_tree = sq_to_tree(&schedule);
+        let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, ReduceMode::Normal);
+
+        // Task 0's shuffle partition, as the route mapper would fill it.
+        let mut records: Vec<(u64, Routed<'_>)> = Vec::new();
+        for entity in &ds.entities {
+            for tree in locator.trees_of_entity(&config.families, entity) {
+                if schedule.task_of_tree[tree] == 0 {
+                    let list = locator.dom_list(&schedule, &config.families, entity, tree);
+                    records.push((schedule.tree_sq[tree], (entity, list)));
+                }
+            }
+        }
+        let partition = pper_mapreduce::GroupedPartition::from_buckets(vec![records]);
+        let id = TaskId {
+            kind: TaskKind::Reduce,
+            index: 0,
+        };
+        let mut ctx = TaskContext::new(id, config.cost_model.clone());
+        let mut state = reducer.ingest(&partition, &mut ctx);
+        reducer.resolve(&mut state, &mut ctx, &mut Vec::new());
+
+        // Every (tree, member) that was compared holds a slot; the task
+        // prepared one entity per *distinct* id among them.
+        let mut slotted: Vec<(EntityId, u32)> = state
+            .trees
+            .values()
+            .flat_map(|tree| {
+                tree.entities
+                    .iter()
+                    .zip(&tree.slots)
+                    .filter(|(_, &slot)| slot != NO_SLOT)
+                    .map(|(e, &slot)| (e.id, slot))
+            })
+            .collect();
+        let uses = slotted.len();
+        slotted.sort_unstable();
+        slotted.dedup();
+        let distinct = slotted.len();
+        assert!(uses > distinct, "no entity was compared in two trees");
+        assert!(
+            slotted.windows(2).all(|w| w[0].0 != w[1].0),
+            "an entity reached two different slots"
+        );
+        assert_eq!(state.prepared.entities.len(), distinct);
+        assert_eq!(state.prepared.slot_of.len(), distinct);
+        assert!(ctx.counters.get("pairs_compared") > 0);
     }
 
     #[test]

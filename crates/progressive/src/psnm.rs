@@ -41,9 +41,12 @@ pub struct PsnmRun {
     i: usize,
     /// Promoted (index, index) pairs awaiting emission, highest priority first.
     boost: VecDeque<(usize, usize)>,
-    /// Index pairs already emitted (indices into `order`), to deduplicate the
-    /// base sweep against promotions.
-    emitted: std::collections::HashSet<(u32, u32)>,
+    /// Index pairs already emitted, to deduplicate the base sweep against
+    /// promotions: an `n × window` bitset, pair `(i, j)` at bit
+    /// `i·window + (j − i − 1)`. Every emitted pair has `1 ≤ j − i ≤ window`.
+    emitted: Vec<u64>,
+    /// Number of bits set in `emitted`.
+    emitted_count: u64,
     /// The last emitted index pair, for feedback.
     last: Option<(usize, usize)>,
 }
@@ -52,14 +55,16 @@ impl Mechanism for Psnm {
     type Run = PsnmRun;
 
     fn start(&self, sorted: Vec<EntityId>, window: usize) -> PsnmRun {
+        let window = window.min(sorted.len().saturating_sub(1));
         PsnmRun {
-            window: window.min(sorted.len().saturating_sub(1)),
+            emitted: vec![0; (sorted.len() * window).div_ceil(64)],
+            emitted_count: 0,
+            window,
             order: sorted,
             lookahead: self.lookahead,
             d: 1,
             i: 0,
             boost: VecDeque::new(),
-            emitted: std::collections::HashSet::new(),
             last: None,
         }
     }
@@ -70,10 +75,21 @@ impl Mechanism for Psnm {
 }
 
 impl PsnmRun {
+    /// Word index and mask of pair `(i, j)` in `emitted`.
+    #[inline]
+    fn bit(&self, i: usize, j: usize) -> (usize, u64) {
+        debug_assert!(i < j && j - i <= self.window && j < self.order.len());
+        let bit = i * self.window + (j - i - 1);
+        (bit / 64, 1 << (bit % 64))
+    }
+
     fn emit(&mut self, i: usize, j: usize) -> Option<(EntityId, EntityId)> {
-        if !self.emitted.insert((i as u32, j as u32)) {
+        let (word, mask) = self.bit(i, j);
+        if self.emitted[word] & mask != 0 {
             return None;
         }
+        self.emitted[word] |= mask;
+        self.emitted_count += 1;
         self.last = Some((i, j));
         Some((self.order[i], self.order[j]))
     }
@@ -130,7 +146,8 @@ impl PairSource for PsnmRun {
             if b - a > self.window {
                 continue;
             }
-            if self.emitted.contains(&(a as u32, b as u32)) {
+            let (word, mask) = self.bit(a, b);
+            if self.emitted[word] & mask != 0 {
                 continue;
             }
             self.boost.push_back((a, b));
@@ -144,7 +161,7 @@ impl PairSource for PsnmRun {
         }
         let n = self.order.len();
         let total = Psnm::default().full_pairs(n, self.window);
-        total.saturating_sub(self.emitted.len() as u64)
+        total.saturating_sub(self.emitted_count)
     }
 }
 
@@ -248,6 +265,137 @@ mod tests {
             psnm_found >= 7,
             "psnm should find most cluster pairs early, got {psnm_found}"
         );
+    }
+
+    /// Reference model: the same sweep-and-promote rules with the emitted
+    /// pairs in a `HashSet` of index pairs, as `PsnmRun` kept them before
+    /// the bitset.
+    struct SetModel {
+        n: usize,
+        window: usize,
+        d: usize,
+        i: usize,
+        boost: VecDeque<(usize, usize)>,
+        emitted: std::collections::HashSet<(usize, usize)>,
+        last: Option<(usize, usize)>,
+    }
+
+    impl SetModel {
+        fn new(n: usize, window: usize) -> Self {
+            Self {
+                n,
+                window: window.min(n.saturating_sub(1)),
+                d: 1,
+                i: 0,
+                boost: VecDeque::new(),
+                emitted: std::collections::HashSet::new(),
+                last: None,
+            }
+        }
+
+        fn next_pair(&mut self) -> Option<(usize, usize)> {
+            loop {
+                let (i, j) = if let Some(p) = self.boost.pop_front() {
+                    p
+                } else if self.d > self.window || self.n < 2 {
+                    return None;
+                } else if self.i + self.d < self.n {
+                    self.i += 1;
+                    (self.i - 1, self.i - 1 + self.d)
+                } else {
+                    self.d += 1;
+                    self.i = 0;
+                    continue;
+                };
+                if self.emitted.insert((i, j)) {
+                    self.last = Some((i, j));
+                    return Some((i, j));
+                }
+            }
+        }
+
+        fn feedback(&mut self, is_duplicate: bool) {
+            let Some((i, j)) = self.last.take() else {
+                return;
+            };
+            if !is_duplicate {
+                return;
+            }
+            let mut promoted = 0;
+            for (a, b) in [
+                (i, j + 1),
+                (i.wrapping_sub(1), j),
+                (i, j + 2),
+                (i.wrapping_sub(1), j.wrapping_sub(1)),
+            ] {
+                if promoted >= Psnm::default().lookahead {
+                    break;
+                }
+                if a >= self.n || b >= self.n || a >= b || b - a > self.window {
+                    continue;
+                }
+                if self.emitted.contains(&(a, b)) {
+                    continue;
+                }
+                self.boost.push_back((a, b));
+                promoted += 1;
+            }
+        }
+
+        fn remaining_hint(&self) -> u64 {
+            if self.n < 2 {
+                return 0;
+            }
+            Psnm::default()
+                .full_pairs(self.n, self.window)
+                .saturating_sub(self.emitted.len() as u64)
+        }
+    }
+
+    /// Drive the bitset run and the set model with one feedback stream
+    /// (cycled when the run outlasts it) and compare them step by step.
+    fn assert_matches_set_model(n: usize, window: usize, feedback: &[bool]) {
+        // Entity ids differ from ranks, so an index/id mix-up cannot pass.
+        let order: Vec<EntityId> = (0..n as u32).map(|r| 1_000 - r).collect();
+        let mut run = Psnm::default().start(order.clone(), window);
+        let mut model = SetModel::new(n, window);
+        assert_eq!(run.remaining_hint(), model.remaining_hint());
+        let mut step = 0;
+        loop {
+            let expected = model.next_pair().map(|(i, j)| (order[i], order[j]));
+            assert_eq!(run.next_pair(), expected, "n={n} w={window} step={step}");
+            assert_eq!(run.remaining_hint(), model.remaining_hint());
+            if expected.is_none() {
+                break;
+            }
+            let is_dup = feedback[step % feedback.len()];
+            run.feedback(is_dup);
+            model.feedback(is_dup);
+            step += 1;
+        }
+        assert_eq!(run.remaining_hint(), 0, "a drained run covers the window");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_bitset_run_matches_set_model(
+            n in 0usize..=200,
+            window in 0usize..=20,
+            feedback in proptest::collection::vec(0u8..4, 1..64),
+        ) {
+            // About one duplicate in four, in arbitrary runs.
+            let feedback: Vec<bool> = feedback.iter().map(|&b| b == 0).collect();
+            assert_matches_set_model(n, window, &feedback);
+        }
+
+        #[test]
+        fn prop_bitset_run_matches_set_model_under_maximal_churn(
+            n in 0usize..=200,
+            window in 0usize..=20,
+        ) {
+            // Every pair a duplicate: every emission promotes.
+            assert_matches_set_model(n, window, &[true]);
+        }
     }
 
     #[test]

@@ -45,40 +45,37 @@ fn sentinel(family: FamilyIndex, key: &str) -> u64 {
 /// Locates the trees of a [`Schedule`] from entity blocking keys.
 #[derive(Debug, Clone)]
 pub struct TreeLocator {
-    /// `(family, root_level, root_key) → tree index`.
-    roots: HashMap<(usize, usize, String), usize>,
-    /// Per family: sorted distinct levels at which tree roots exist.
-    levels: Vec<Vec<usize>>,
-    num_families: usize,
+    /// Per family, ascending by level: every level at which tree roots
+    /// exist, with its `root key → tree index` map. Keyed per level so a
+    /// lookup probes with the borrowed `&str`.
+    roots: Vec<Vec<(usize, HashMap<String, usize>)>>,
 }
 
 impl TreeLocator {
     /// Index all tree roots of `schedule` for `num_families` families.
     pub fn new(schedule: &Schedule, num_families: usize) -> Self {
-        let mut roots = HashMap::with_capacity(schedule.trees.len());
-        let mut levels = vec![Vec::new(); num_families];
+        let mut roots: Vec<Vec<(usize, HashMap<String, usize>)>> = vec![Vec::new(); num_families];
         for (t, tree) in schedule.trees.iter().enumerate() {
-            roots.insert(
-                (tree.family, tree.root_level, tree.root_key().to_string()),
-                t,
-            );
-            if !levels[tree.family].contains(&tree.root_level) {
-                levels[tree.family].push(tree.root_level);
-            }
+            let levels = &mut roots[tree.family];
+            let at = match levels.binary_search_by_key(&tree.root_level, |(level, _)| *level) {
+                Ok(at) => at,
+                Err(at) => {
+                    levels.insert(at, (tree.root_level, HashMap::new()));
+                    at
+                }
+            };
+            levels[at].1.insert(tree.root_key().to_string(), t);
         }
-        for l in &mut levels {
-            l.sort_unstable();
-        }
-        Self {
-            roots,
-            levels,
-            num_families,
-        }
+        Self { roots }
     }
 
     /// Tree containing the block rooted at `(family, level, key)`, if any.
     pub fn tree_at(&self, family: FamilyIndex, level: usize, key: &str) -> Option<usize> {
-        self.roots.get(&(family, level, key.to_string())).copied()
+        let levels = self.roots.get(family)?;
+        let at = levels
+            .binary_search_by_key(&level, |(level, _)| *level)
+            .ok()?;
+        levels[at].1.get(key).copied()
     }
 
     /// All trees containing `entity`: for each family, the root tree (if it
@@ -86,13 +83,12 @@ impl TreeLocator {
     /// entity.
     pub fn trees_of_entity(&self, families: &[BlockingFamily], entity: &Entity) -> Vec<usize> {
         let mut out = Vec::new();
-        for (f, family) in families.iter().enumerate() {
-            for &level in &self.levels[f] {
-                if level >= family.depth() {
+        for (family, levels) in families.iter().zip(&self.roots) {
+            for (level, by_key) in levels {
+                if *level >= family.depth() {
                     continue;
                 }
-                let key = family.key_at(entity, level);
-                if let Some(t) = self.tree_at(f, level, &key) {
+                if let Some(&t) = by_key.get(family.key_at(entity, *level).as_str()) {
                     out.push(t);
                 }
             }
@@ -112,7 +108,7 @@ impl TreeLocator {
         tree: usize,
     ) -> DomList {
         let own_family = schedule.trees[tree].family;
-        let mut list = Vec::with_capacity(self.num_families + 1);
+        let mut list = Vec::with_capacity(self.roots.len() + 1);
         for (f, family) in families.iter().enumerate() {
             if f == own_family {
                 list.push(schedule.dom[tree]);
@@ -127,12 +123,11 @@ impl TreeLocator {
         // Highest split-root descendant of `tree` containing the entity.
         let own_level = schedule.trees[tree].root_level;
         let family = &families[own_family];
-        for &level in &self.levels[own_family] {
-            if level <= own_level || level >= family.depth() {
+        for (level, by_key) in &self.roots[own_family] {
+            if *level <= own_level || *level >= family.depth() {
                 continue;
             }
-            let key = family.key_at(entity, level);
-            if let Some(t) = self.tree_at(own_family, level, &key) {
+            if let Some(&t) = by_key.get(family.key_at(entity, *level).as_str()) {
                 if t != tree {
                     list.push(schedule.dom[t]);
                     break; // smallest deeper level = highest descendant
