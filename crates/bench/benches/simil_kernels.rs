@@ -3,8 +3,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pper_simil::{
-    jaccard_tokens, jaro_winkler, levenshtein, levenshtein_bounded, qgram_similarity, AttributeSim,
-    MatchRule, PreparedRule, SimScratch, TokenInterner, WeightedAttr,
+    jaccard_tokens, jaro_winkler, levenshtein, qgram_similarity, AttributeSim, MatchRule,
+    PreparedRule, SimScratch, TokenInterner, WeightedAttr,
 };
 
 const TITLE_A: &str = "parallel progressive approach to entity resolution using mapreduce";
@@ -17,9 +17,6 @@ fn bench_levenshtein(c: &mut Criterion) {
         let b: String = TITLE_B.chars().cycle().take(len).collect();
         g.bench_with_input(BenchmarkId::new("full", len), &len, |bench, _| {
             bench.iter(|| levenshtein(black_box(&a), black_box(&b)))
-        });
-        g.bench_with_input(BenchmarkId::new("bounded8", len), &len, |bench, _| {
-            bench.iter(|| levenshtein_bounded(black_box(&a), black_box(&b), 8))
         });
     }
     g.finish();

@@ -31,6 +31,7 @@ fn kernel_records(
     let rule = MatchRule::new(vec![WeightedAttr::new(0, 1.0, sim)], 0.5);
     let va = vec![a.to_string()];
     let vb = vec![b.to_string()];
+    let rule_score = rule.score(&va, &vb);
     let string = BenchRecord::time(format!("{label}/string"), iters, || rule.score(&va, &vb));
 
     let prepared = PreparedRule::new(rule);
@@ -38,8 +39,14 @@ fn kernel_records(
     let pa = prepared.prepare(&va, &mut interner);
     let pb = prepared.prepare(&vb, &mut interner);
     let mut scratch = SimScratch::new();
-    // Warm the scratch so the timed loop runs at steady state.
-    prepared.score(&pa, &pb, &mut scratch);
+    // Warm the scratch so the timed loop runs at steady state — and hold
+    // the timed kernel to the string path's result (for the abstract: the
+    // multi-word Myers distance against the two-row DP's).
+    assert_eq!(
+        prepared.score(&pa, &pb, &mut scratch).to_bits(),
+        rule_score.to_bits(),
+        "{label}: prepared and string kernels disagree"
+    );
     let prep = BenchRecord::time(format!("{label}/prepared"), iters, || {
         prepared.score(&pa, &pb, &mut scratch)
     });

@@ -5,10 +5,11 @@
 //! prepared path ([`PreparedRule::score`]) is already allocation-free, but
 //! it still redoes per-probe work for every candidate:
 //!
-//! * **Batched Myers** — a Levenshtein term rebuilds the probe's Myers
-//!   character-class table for each pair. [`BlockScorer`] fills the table
-//!   once per probe per block and runs only the O(|candidate|) bit-parallel
-//!   scan per pair ([`crate::myers`]'s fill/scan/clear split).
+//! * **Batched Myers** — a Levenshtein term rebuilds the pattern's Myers
+//!   character-class table for each pair. [`BlockScorer`] fills the probe's
+//!   table once per block and runs only the bit-parallel scan per pair
+//!   ([`crate::myers`]'s fill/scan/clear split), for an ASCII probe of any
+//!   length against ASCII candidates of any length.
 //! * **Bitset Jaccard** — a token-Jaccard term re-merges sorted id lists
 //!   per pair. [`BlockScorer`] maps the block's distinct interned token ids
 //!   onto a dense bit universe and compares fixed-width `u64` signatures
@@ -25,10 +26,11 @@
 //!   final `score / used_weight`). The loops here are term-major for
 //!   cache-friendliness, but each candidate's accumulator sees the same
 //!   additions in the same order as the scalar pair loop.
-//! * Batched Myers produces the same integer distance as the scalar path:
-//!   it engages exactly when the scalar kernel would pick the probe as the
-//!   Myers pattern (both ASCII, probe length in `1..=64`, candidate at
-//!   least as long), and otherwise falls back to the scalar kernel itself.
+//! * Batched Myers produces the same integer distance as the scalar path.
+//!   The probe is always the pattern, whichever side is shorter: the
+//!   distance is symmetric and exact, and the normaliser is `max(len)`
+//!   either way. A non-ASCII candidate takes the two-row DP, as it does on
+//!   the scalar path.
 //! * Bitset Jaccard produces the same integer intersection/union counts as
 //!   the sorted-merge kernel — both count distinct shared ids — feeding
 //!   the identical `inter as f64 / union as f64` division.
@@ -38,7 +40,7 @@
 //! [`MatchRule::matches`](crate::MatchRule::matches) and
 //! [`PreparedRule::matches`] return.
 
-use crate::myers::{myers_clear_peq, myers_fill_peq, myers_scan_prebuilt};
+use crate::levenshtein::levenshtein_chars_scratch;
 use crate::prepared::{term_score, PreparedAttr, PreparedEntity, PreparedRule, SimScratch};
 use crate::rule::AttributeSim;
 
@@ -47,14 +49,9 @@ use crate::rule::AttributeSim;
 /// allocates nothing per block.
 #[derive(Debug, Default)]
 pub struct BlockScorer {
-    /// Scalar-kernel scratch for fallback terms (Jaro, q-gram, DP
-    /// Levenshtein, ...).
+    /// Scalar-kernel scratch: fallback terms (Jaro, q-gram, ...) and the
+    /// Myers table a batched Levenshtein term fills with its probe.
     scratch: SimScratch,
-    /// The probe's prebuilt Myers table. Deliberately separate from
-    /// `scratch.kernels`' table: a scalar fallback inside a batched
-    /// Levenshtein term (candidate shorter than the probe) runs its own
-    /// fill/clear cycle, which would corrupt a shared table.
-    probe_peq: Option<Box<[u64; 128]>>,
     /// Per-candidate `used_weight` accumulators.
     acc_w: Vec<f64>,
     /// Per-candidate weighted-score accumulators.
@@ -107,8 +104,8 @@ impl BlockScorer {
                         chars: pc,
                         ascii: true,
                     },
-                ) if (1..=64).contains(&pc.len()) => {
-                    self.batched_levenshtein(term.weight, &term.sim, pt, pc, cands, i);
+                ) if !pc.is_empty() => {
+                    self.batched_levenshtein(term.weight, pc, cands, i);
                 }
                 (AttributeSim::JaccardTokens, PreparedAttr::Tokens(pids)) => {
                     self.bitset_jaccard(term.weight, pids, cands, i);
@@ -156,47 +153,38 @@ impl BlockScorer {
         self.scores = scores;
     }
 
-    /// One Levenshtein term: probe's Myers table built once, one scan per
-    /// eligible candidate. A candidate is eligible when the scalar kernel
-    /// would use the probe as the Myers pattern — ASCII on both sides and
-    /// `cand.len() >= probe.len()` (the scalar kernel patterns on the
-    /// shorter buffer, ties going to the `a` side, which is the probe
-    /// here). Everything else goes through the scalar kernel unchanged.
+    /// One Levenshtein term with a non-empty ASCII probe: the probe's Myers
+    /// table is built once and every ASCII candidate, longer or shorter,
+    /// costs one scan against it. Nothing else touches the table while it
+    /// is filled: a non-ASCII candidate goes to the two-row DP.
     fn batched_levenshtein(
         &mut self,
         weight: f64,
-        sim_kind: &AttributeSim,
-        pt: &PreparedAttr,
         pc: &[char],
         cands: &[PreparedEntity],
         i: usize,
     ) {
-        let mut peq = self
-            .probe_peq
-            .take()
-            .unwrap_or_else(|| Box::new([0u64; 128]));
-        myers_fill_peq(pc, &mut peq);
+        let kernels = &mut self.scratch.kernels;
+        kernels.myers.fill(pc);
         for (j, cand) in cands.iter().enumerate() {
             let ct = &cand.terms[i];
-            if matches!(ct, PreparedAttr::Missing) {
+            let PreparedAttr::Chars { chars: cc, ascii } = ct else {
+                debug_assert!(
+                    matches!(ct, PreparedAttr::Missing),
+                    "entity prepared for a different rule"
+                );
                 continue;
-            }
-            let sim = match ct {
-                PreparedAttr::Chars {
-                    chars: cc,
-                    ascii: true,
-                } if cc.len() >= pc.len() => {
-                    let d = myers_scan_prebuilt(pc.len(), cc, &peq);
-                    // max_len == cc.len() since cc is at least as long.
-                    1.0 - d as f64 / cc.len() as f64
-                }
-                _ => term_score(sim_kind, pt, ct, &mut self.scratch.kernels),
             };
+            let d = if *ascii {
+                kernels.myers.scan(pc.len(), cc)
+            } else {
+                levenshtein_chars_scratch(pc, cc, &mut kernels.row)
+            };
+            let sim = 1.0 - d as f64 / pc.len().max(cc.len()) as f64;
             self.acc_w[j] += weight;
             self.acc_s[j] += weight * sim;
         }
-        myers_clear_peq(pc, &mut peq);
-        self.probe_peq = Some(peq);
+        kernels.myers.clear(pc);
     }
 
     /// One token-Jaccard term: the block's distinct ids become a dense bit
@@ -370,13 +358,13 @@ mod tests {
                 "EN",
                 "hardcover",
             ],
-            // Candidate shorter than the probe (scalar fallback inside the
-            // batched Levenshtein term).
+            // Candidate shorter than the probe (the probe stays the Myers
+            // pattern).
             ["pro", "alice", "J", "ic", "EN", "x"],
             // Empty attributes (Missing on the candidate side).
             ["", "", "", "", "", ""],
-            // Non-ASCII forces the DP fallback and tests batched-Myers
-            // eligibility gating.
+            // Non-ASCII: the DP, as a candidate inside a batched term and
+            // as a probe through the scalar kernel.
             [
                 "progrèssive entity resolution",
                 "alicé smith",
@@ -385,8 +373,8 @@ mod tests {
                 "EN",
                 "softcovér",
             ],
-            // Longer-than-64-chars title (probe-side gate is on probe
-            // length, candidate stays eligible for scanning).
+            // Longer-than-64-chars title: a two-word probe table, and a
+            // candidate longer than every other probe.
             [
                 "a very long title that keeps going and going and going and going and going",
                 "tok tok tok",
@@ -468,8 +456,60 @@ mod tests {
         assert_eq!(bits(&warm_scores), bits(&fresh_scores));
     }
 
+    #[test]
+    fn ascii_block_never_reaches_the_dp() {
+        // Probes and candidates of one to six words, in both length orders:
+        // the DP row buffer (only the DP touches it) must never grow.
+        let rule = mixed_rule();
+        let pr = PreparedRule::new(rule.clone());
+        let mut interner = TokenInterner::new();
+        let rows: Vec<Vec<String>> = [3usize, 64, 65, 200, 350, 40]
+            .iter()
+            .map(|&n| {
+                let long: String = "progressive entity resolution, "
+                    .chars()
+                    .cycle()
+                    .take(n)
+                    .collect();
+                let mut row = vec![long; 6];
+                row[1] = "alice bob".to_string();
+                row
+            })
+            .collect();
+        let prepared = prepare_all(&pr, &mut interner, &rows);
+        let mut scorer = BlockScorer::new();
+        let mut scores = Vec::new();
+        for probe in &prepared {
+            scorer.score_block(&pr, probe, &prepared, &mut scores);
+        }
+        assert_eq!(
+            scorer.scratch.kernels.row.capacity(),
+            0,
+            "DP ran on ASCII input"
+        );
+        for probe_idx in 0..rows.len() {
+            assert_block_parity(&rule, &rows, probe_idx);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        // Abstract-sized probes against candidates on both sides of the
+        // probe's length, down to empty and up to seven words.
+        #[test]
+        fn prop_block_parity_long_probes(
+            probe in proptest::collection::vec("[a-e ]{65,400}", 6..7),
+            rows in proptest::collection::vec(
+                proptest::collection::vec("[a-e ]{0,420}", 6..7), 1..6),
+            short_rows in proptest::collection::vec(
+                proptest::collection::vec("[a-e ]{0,64}", 6..7), 1..4),
+        ) {
+            let mut all: Vec<Vec<String>> = vec![probe];
+            all.extend(rows);
+            all.extend(short_rows);
+            assert_block_parity(&mixed_rule(), &all, 0);
+        }
 
         #[test]
         fn prop_block_parity_random_rows(

@@ -1,7 +1,9 @@
-//! Levenshtein edit distance: classic two-row DP plus a banded variant with
-//! an early-exit bound, which is what the hot resolve path uses (pairs whose
-//! distance exceeds the decision-relevant bound can be rejected without
-//! filling the whole matrix).
+//! Levenshtein edit distance as the classic two-row DP over Unicode scalar
+//! values. It serves the string path ([`crate::MatchRule::score`]), which
+//! tests and the benchmark's verification use as the oracle, and the
+//! prepared and batch paths whenever either side is non-ASCII; every
+//! ASCII/ASCII term on those paths runs the bit-parallel scan in
+//! `crate::myers` instead, which returns the same integer.
 
 /// Unbounded Levenshtein distance between `a` and `b` (Unicode scalar
 /// values, two-row dynamic program, O(|a|·|b|) time, O(min) space).
@@ -17,8 +19,8 @@ pub(crate) fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
 }
 
 /// Two-row DP over pre-collected char slices, reusing `row` as the DP
-/// buffer (the prepared hot path calls this with a per-task scratch so a
-/// pair comparison performs no heap allocation).
+/// buffer (the prepared path calls this with a per-task scratch so a
+/// non-ASCII pair comparison performs no heap allocation).
 pub(crate) fn levenshtein_chars_scratch(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
     // Keep the shorter string in the inner dimension for less memory.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -38,58 +40,6 @@ pub(crate) fn levenshtein_chars_scratch(a: &[char], b: &[char], row: &mut Vec<us
         }
     }
     row[short.len()]
-}
-
-/// Levenshtein distance with an inclusive upper bound: returns
-/// `Some(distance)` if `distance <= bound`, else `None`, spending only
-/// O(bound · min(|a|,|b|)) time by confining the DP to a diagonal band.
-pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() {
-        (&a, &b)
-    } else {
-        (&b, &a)
-    };
-    if long.len() - short.len() > bound {
-        return None;
-    }
-    if short.is_empty() {
-        return Some(long.len());
-    }
-    let n = short.len();
-    const INF: usize = usize::MAX / 2;
-    let mut row = vec![INF; n + 1];
-    for (j, slot) in row.iter_mut().enumerate().take(bound.min(n) + 1) {
-        *slot = j;
-    }
-    for (i, &lc) in long.iter().enumerate() {
-        let lo = (i + 1).saturating_sub(bound).max(1);
-        let hi = (i + 1 + bound).min(n);
-        if lo > hi {
-            return None;
-        }
-        let mut prev_diag = row[lo - 1];
-        row[lo - 1] = if i < bound { i + 1 } else { INF };
-        let mut best = row[lo - 1];
-        for j in lo..=hi {
-            let cost = usize::from(lc != short[j - 1]);
-            let val = (prev_diag + cost)
-                .min(row[j - 1] + 1)
-                .min(row[j].saturating_add(1));
-            prev_diag = row[j];
-            row[j] = val;
-            best = best.min(val);
-        }
-        if hi < n {
-            row[hi + 1] = INF; // cells right of the band are unreachable
-        }
-        if best > bound {
-            return None;
-        }
-    }
-    let d = row[n];
-    (d <= bound).then_some(d)
 }
 
 /// Normalized Levenshtein similarity: `1 - distance / max(len)`, in `[0,1]`.
@@ -128,30 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_agrees_when_within_bound() {
-        let cases = [("kitten", "sitting"), ("charles", "gharles"), ("a", "b")];
-        for (a, b) in cases {
-            let full = levenshtein(a, b);
-            assert_eq!(levenshtein_bounded(a, b, full), Some(full));
-            assert_eq!(levenshtein_bounded(a, b, full + 3), Some(full));
-            if full > 0 {
-                assert_eq!(levenshtein_bounded(a, b, full - 1), None);
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_rejects_on_length_gap() {
-        assert_eq!(levenshtein_bounded("ab", "abcdefgh", 3), None);
-    }
-
-    #[test]
-    fn bounded_zero_bound() {
-        assert_eq!(levenshtein_bounded("abc", "abc", 0), Some(0));
-        assert_eq!(levenshtein_bounded("abc", "abd", 0), None);
-    }
-
-    #[test]
     fn similarity_range_and_extremes() {
         assert_eq!(levenshtein_similarity("", ""), 1.0);
         assert_eq!(levenshtein_similarity("x", "x"), 1.0);
@@ -177,17 +103,6 @@ mod tests {
             let bc = levenshtein(&b, &c);
             let ac = levenshtein(&a, &c);
             prop_assert!(ac <= ab + bc);
-        }
-
-        #[test]
-        fn prop_bounded_matches_full(a in "[a-d]{0,14}", b in "[a-d]{0,14}", bound in 0usize..8) {
-            let full = levenshtein(&a, &b);
-            let got = levenshtein_bounded(&a, &b, bound);
-            if full <= bound {
-                prop_assert_eq!(got, Some(full));
-            } else {
-                prop_assert_eq!(got, None);
-            }
         }
 
         #[test]

@@ -25,8 +25,8 @@
 //! allocation**. `score` is bit-identical to the string path; `matches`
 //! additionally early-exits in descending weight order once the decision
 //! is forced, while still returning identical decisions. Levenshtein terms
-//! use a Myers bit-parallel fast path for ASCII inputs whose shorter side
-//! fits one 64-bit word.
+//! on ASCII inputs of any length run the blocked (multi-word) Myers
+//! bit-parallel scan; the two-row DP is left for non-ASCII input.
 //!
 //! ```
 //! use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
@@ -54,7 +54,7 @@ pub mod tokens;
 
 pub use batch::BlockScorer;
 pub use jaro::{jaro, jaro_winkler};
-pub use levenshtein::{levenshtein, levenshtein_bounded, levenshtein_similarity};
+pub use levenshtein::{levenshtein, levenshtein_similarity};
 pub use phonetic::{soundex, soundex_similarity};
 pub use prepared::{PreparedCache, PreparedEntity, PreparedRule, SimScratch, TokenInterner};
 pub use rule::{AttributeSim, MatchRule, WeightedAttr};

@@ -41,17 +41,18 @@
 //!   full score is re-accumulated in declaration order, making the
 //!   boundary comparison bit-identical to the string path.
 //!
-//! Levenshtein terms additionally take a Myers bit-parallel fast path
-//! (single `u64` block) when both capped buffers are ASCII and the shorter
-//! one fits in 64 characters, falling back to the existing two-row DP
-//! otherwise; both produce the same exact integer distance.
+//! Levenshtein terms run the blocked Myers bit-parallel scan
+//! ([`crate::myers`]: `⌈len/64⌉` words per column, the shorter buffer as
+//! the pattern) whenever both capped buffers are ASCII, at any length; only
+//! non-ASCII input reaches the two-row DP. Both produce the same exact
+//! integer distance.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::jaro::{jaro_winkler_chars_scratch, JaroScratch};
 use crate::levenshtein::levenshtein_chars_scratch;
-use crate::myers::myers_distance_ascii;
+use crate::myers::MyersScratch;
 use crate::phonetic::soundex;
 use crate::rule::{truncate, AttributeSim, MatchRule};
 use crate::tokens::qgrams;
@@ -133,25 +134,16 @@ impl PreparedEntity {
 /// Reusable kernel buffers: everything the per-pair path needs beyond the
 /// two [`PreparedEntity`]s. Buffers grow to a high-water mark and are
 /// reused, so a warm scratch makes pair comparison allocation-free.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct KernelScratch {
-    /// Two-row DP buffer for the Levenshtein fallback.
-    row: Vec<usize>,
-    /// Myers character-class table (filled and re-cleared per call by
-    /// touching only the pattern's characters).
-    peq: Box<[u64; 128]>,
+    /// Two-row DP buffer for the non-ASCII Levenshtein fallback.
+    pub(crate) row: Vec<usize>,
+    /// Blocked-Myers character-class table and column state (the table is
+    /// filled and re-cleared per call by touching only the pattern's
+    /// characters).
+    pub(crate) myers: MyersScratch,
     /// Jaro match/transposition buffers.
     jaro: JaroScratch,
-}
-
-impl Default for KernelScratch {
-    fn default() -> Self {
-        Self {
-            row: Vec::new(),
-            peq: Box::new([0u64; 128]),
-            jaro: JaroScratch::default(),
-        }
-    }
 }
 
 /// Reusable per-task scratch for [`PreparedRule::score`] /
@@ -420,8 +412,8 @@ pub(crate) fn term_score(
             };
             let d = if short.is_empty() {
                 long.len()
-            } else if *aa && *ab && short.len() <= 64 {
-                myers_distance_ascii(short, long, &mut s.peq)
+            } else if *aa && *ab {
+                s.myers.distance(short, long)
             } else {
                 levenshtein_chars_scratch(ca, cb, &mut s.row)
             };
@@ -619,32 +611,54 @@ mod tests {
         assert_eq!(pr.matches(&a, &b, &mut scratch), rule.matches(&sa, &sb));
     }
 
-    #[test]
-    fn myers_and_fallback_pick_same_distances() {
-        // >64-char ASCII strings must hit the DP fallback and still agree.
-        let long_a =
-            "the quick brown fox jumps over the lazy dog again and again forever".repeat(2);
-        let long_b = long_a.replace("quick", "quik");
-        let rule = MatchRule::new(
+    fn single_levenshtein_rule() -> MatchRule {
+        MatchRule::new(
             vec![WeightedAttr::new(
                 0,
                 1.0,
                 AttributeSim::Levenshtein { max_chars: None },
             )],
             0.5,
-        );
+        )
+    }
+
+    #[test]
+    fn ascii_terms_never_reach_the_dp_at_any_length() {
+        // The DP is the only user of `kernels.row`, so a row buffer that
+        // never grew proves no ASCII/ASCII term reached it — one word,
+        // several words, either side shorter, `score` and `matches`.
+        let rule = single_levenshtein_rule();
         let pr = PreparedRule::new(rule.clone());
         let mut interner = TokenInterner::new();
         let mut scratch = SimScratch::new();
-        let sa = vec![long_a.clone()];
-        let sb = vec![long_b.clone()];
-        let pa = pr.prepare(&sa, &mut interner);
-        let pb = pr.prepare(&sb, &mut interner);
-        assert_eq!(
-            pr.score(&pa, &pb, &mut scratch).to_bits(),
-            rule.score(&sa, &sb).to_bits()
-        );
-        // Unicode forces the fallback too.
+        let base = "the quick brown fox jumps over the lazy dog again and again forever ";
+        let values: Vec<Vec<String>> = [1usize, 20, 64, 65, 130, 350]
+            .iter()
+            .map(|&n| vec![base.chars().cycle().take(n).collect::<String>()])
+            .chain([vec![base.repeat(3).replace("quick", "quik")]])
+            .collect();
+        let prepared: Vec<_> = values
+            .iter()
+            .map(|v| pr.prepare(v, &mut interner))
+            .collect();
+        for (va, pa) in values.iter().zip(&prepared) {
+            for (vb, pb) in values.iter().zip(&prepared) {
+                assert_eq!(
+                    pr.score(pa, pb, &mut scratch).to_bits(),
+                    rule.score(va, vb).to_bits()
+                );
+                assert_eq!(pr.matches(pa, pb, &mut scratch), rule.matches(va, vb));
+            }
+        }
+        assert_eq!(scratch.kernels.row.capacity(), 0, "DP ran on ASCII input");
+    }
+
+    #[test]
+    fn non_ascii_input_takes_the_dp_and_agrees() {
+        let rule = single_levenshtein_rule();
+        let pr = PreparedRule::new(rule.clone());
+        let mut interner = TokenInterner::new();
+        let mut scratch = SimScratch::new();
         let sa = vec!["café au lait".to_string()];
         let sb = vec!["cafe au lait".to_string()];
         let pa = pr.prepare(&sa, &mut interner);
@@ -653,6 +667,7 @@ mod tests {
             pr.score(&pa, &pb, &mut scratch).to_bits(),
             rule.score(&sa, &sb).to_bits()
         );
+        assert!(scratch.kernels.row.capacity() > 0, "DP did not run");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based parity suite: the prepared path must reproduce the
 //! string path exactly — bit-identical `score` values and identical
 //! `matches` decisions — across all six [`AttributeSim`] kernels,
-//! including Unicode inputs and strings past the 64-char Myers limit
-//! (which exercise the DP fallback).
+//! including Unicode inputs (the DP fallback) and ASCII strings on both
+//! sides of the 64-char Myers word boundary.
 
 use proptest::prelude::*;
 
@@ -96,10 +96,10 @@ proptest! {
         assert_parity(&rule, &a, &b);
     }
 
-    // Long ASCII strings (> 64 chars) on an uncapped Levenshtein term hit
-    // the DP fallback; near the boundary both sides of the 64 limit occur.
+    // ASCII strings around the 64-char word boundary on an uncapped
+    // Levenshtein term: one-word and two-word Myers patterns both occur.
     #[test]
-    fn myers_fallback_boundary(
+    fn myers_word_boundary(
         a in "[a-d]{50,90}",
         b in "[a-d]{50,90}",
         threshold in 0.0f64..1.0,

@@ -1,14 +1,18 @@
-//! Proof of the tentpole's zero-allocation contract: once entities are
-//! prepared and the scratch buffers are warm, `PreparedRule::score` and
-//! `PreparedRule::matches` perform **no heap allocation per pair**.
+//! Proof of the prepared path's zero-allocation contract: once entities
+//! are prepared and the scratch buffers are warm, `PreparedRule::score`,
+//! `PreparedRule::matches` and `BlockScorer::score_block` perform **no heap
+//! allocation per pair** — including Levenshtein values on both sides of
+//! the 64-char word boundary, alternating on one scratch.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the scratch to its high-water mark, snapshots the allocation
 //! counter, runs thousands of pair comparisons, and asserts the counter
 //! never moved. The counter is per thread (see `common/counting_alloc.rs`),
-//! so the two tests below hold under the default parallel harness.
+//! so the tests below hold under the default parallel harness.
 
-use pper_simil::{AttributeSim, MatchRule, PreparedRule, SimScratch, TokenInterner, WeightedAttr};
+use pper_simil::{
+    AttributeSim, BlockScorer, MatchRule, PreparedRule, SimScratch, TokenInterner, WeightedAttr,
+};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -38,9 +42,27 @@ fn six_kernel_rule() -> MatchRule {
     )
 }
 
+/// The Levenshtein attribute cycles through the multi-word Myers regimes:
+/// ~55 chars (one word), 65–80 chars (just past the boundary) and
+/// abstract-sized 150–350 chars (three to six words), so consecutive pairs
+/// on one scratch change word count in both directions.
+fn levenshtein_value(i: usize) -> String {
+    let filler = "a parallel progressive approach to entity resolution using mapreduce; ";
+    match i % 3 {
+        0 => format!("progressive entity resolution with mapreduce number {i}"),
+        1 => filler.chars().cycle().skip(i).take(65 + i % 16).collect(),
+        _ => filler
+            .chars()
+            .cycle()
+            .skip(i)
+            .take(150 + (i * 37) % 201)
+            .collect(),
+    }
+}
+
 fn entity(i: usize) -> Vec<String> {
     vec![
-        format!("progressive entity resolution with mapreduce number {i}"),
+        levenshtein_value(i),
         format!("author name {i}"),
         format!("alpha beta gamma token{}", i % 7),
         format!("qgram material {i} with shared substrings"),
@@ -85,6 +107,39 @@ fn prepared_pair_path_allocates_nothing() {
         after - before,
         0,
         "prepared score/matches must not allocate per pair (sink {sink})"
+    );
+}
+
+#[test]
+fn block_scorer_allocates_nothing_once_warm() {
+    let prepared = PreparedRule::new(six_kernel_rule());
+    let mut interner = TokenInterner::new();
+    let entities: Vec<_> = (0..32)
+        .map(|i| prepared.prepare(&entity(i), &mut interner))
+        .collect();
+    let mut scorer = BlockScorer::new();
+    let mut scores = Vec::new();
+
+    // Warm-up: every probe once, so the widest probe table, the Jaccard
+    // universe and the accumulators are at their high-water mark.
+    let mut sink = 0.0f64;
+    for probe in &entities {
+        scorer.score_block(&prepared, probe, &entities, &mut scores);
+        sink += scores.iter().sum::<f64>();
+    }
+
+    let before = allocations();
+    for _ in 0..4 {
+        // Short and long probes alternate (see `levenshtein_value`).
+        for probe in &entities {
+            scorer.score_block(&prepared, probe, &entities, &mut scores);
+            sink += scores.iter().sum::<f64>();
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "BlockScorer::score_block must not allocate once warm (sink {sink})"
     );
 }
 
