@@ -1,5 +1,5 @@
-//! Executor-backend benchmark: wall-clock scaling of the three task-dispatch
-//! backends (`cursor`, `chunked:K`, `stealing`) across thread counts and
+//! Executor-backend benchmark: wall-clock scaling of the two task-dispatch
+//! backends (`cursor`, `stealing`) across thread counts and
 //! workload shapes. Emits `BENCH_exec.json` so `bench_check` can gate
 //! scaling regressions in CI.
 //!
@@ -9,10 +9,8 @@
 //!   scaling. No backend should lose here.
 //! * `skewed`  — one task dominates (Zipf-ish tail); the shape where
 //!   work-stealing rebalances what static chunking cannot.
-//! * `tiny`    — thousands of near-empty tasks; the shape where the
-//!   historical one-`fetch_add`-per-task cursor (`chunked:1`) pays one
-//!   contended RMW per task and the adaptive chunked claim (`cursor`)
-//!   amortizes it away.
+//! * `tiny`    — thousands of near-empty tasks; dispatch overhead
+//!   dominates, which is what `cursor`'s adaptive chunked claim amortizes.
 //! * `spill`   — an end-to-end spilling MapReduce job driven through
 //!   `JobConfig::executor`, so the gate also covers the real runtime path.
 //!
@@ -25,12 +23,7 @@ use std::time::Instant;
 use pper_bench::{BenchRecord, BenchReport, ExpOptions};
 use pper_mapreduce::prelude::*;
 
-const BACKENDS: &[ExecutorKind] = &[
-    ExecutorKind::Cursor,
-    ExecutorKind::Chunked(1),
-    ExecutorKind::Chunked(16),
-    ExecutorKind::WorkStealing,
-];
+const BACKENDS: &[ExecutorKind] = &[ExecutorKind::Cursor, ExecutorKind::WorkStealing];
 
 const THREADS: &[usize] = &[1, 2, 8];
 
@@ -170,12 +163,10 @@ fn main() -> std::io::Result<()> {
     for workload in ["uniform", "skewed", "tiny", "spill"] {
         let cursor = ops(&report, &format!("{workload}/cursor@8"));
         let stealing = ops(&report, &format!("{workload}/stealing@8"));
-        let chunked1 = ops(&report, &format!("{workload}/chunked:1@8"));
         if cursor > 0.0 {
             report.note(format!(
-                "{workload}@8: stealing/cursor = {:.2}x, chunked:1/cursor = {:.2}x",
-                stealing / cursor,
-                chunked1 / cursor
+                "{workload}@8: stealing/cursor = {:.2}x",
+                stealing / cursor
             ));
         }
     }

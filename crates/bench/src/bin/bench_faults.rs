@@ -167,14 +167,22 @@ fn main() -> std::io::Result<()> {
     let crash_at = if opts.quick { 1_000.0 } else { 4_000.0 };
     eprintln!("crash at {crash_at} + resume…");
     let er = ProgressiveEr::new(base.clone());
-    let checkpoint = er.run_to_crash(&ds, crash_at).expect("crash run");
+    let checkpoint = er
+        .run_stage(&ds, None, Some(crash_at))
+        .expect("crash run")
+        .cut()
+        .expect("a stage with a threshold is cut");
     eprintln!(
         "  checkpoint: {} blocks done, {} remaining, {} duplicates banked",
         checkpoint.blocks_done(),
         checkpoint.blocks_remaining(),
         checkpoint.duplicates_found()
     );
-    let resumed = er.resume(&ds, &checkpoint).expect("resume run");
+    let resumed = er
+        .run_stage(&ds, Some(&checkpoint), None)
+        .expect("resume run")
+        .finished()
+        .expect("a stage without a threshold finishes");
     assert_eq!(
         resumed.duplicates, clean.duplicates,
         "resume must reproduce the duplicate set exactly"

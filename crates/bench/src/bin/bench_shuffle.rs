@@ -254,7 +254,7 @@ fn bench_shape<K: Ord + Eq + std::hash::Hash + Send + Sync + Clone>(
                     make_buckets(records, maps, partitions, key_of),
                     partitions,
                     |per| {
-                        let out = shuffle_partitions(per, threads);
+                        let out = shuffle_partitions(ExecutorKind::Cursor, per, threads);
                         let groups = out.iter().map(|p| p.num_groups()).sum();
                         let recs = out.iter().map(|p| p.num_records()).sum();
                         (groups, recs, out)

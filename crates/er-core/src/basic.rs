@@ -25,7 +25,6 @@ use pper_simil::{MatchRule, PreparedCache, PreparedRule, SimScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ErConfig, MechanismKind};
-use crate::metrics::RecallCurve;
 use crate::pipeline::ErRunResult;
 use crate::EVENT_DUPLICATE;
 
@@ -240,14 +239,9 @@ impl BasicApproach {
 
     /// Run the baseline and report the same result shape as the pipeline.
     pub fn run(&self, ds: &Dataset) -> Result<ErRunResult, MrError> {
-        let mut cfg = JobConfig::new("pper-basic", self.er.cluster());
-        cfg.cost_model = self.er.cost_model.clone();
-        cfg.worker_threads = self.er.worker_threads;
+        let mut cfg = self.er.job_config("pper-basic");
         cfg.shuffle_balance = self.er.shuffle_balance;
         cfg.faults = self.er.faults.clone();
-        cfg.speculation = self.er.speculation;
-        cfg.observer = self.er.observer.clone();
-        cfg.executor = self.er.executor;
 
         let mapper = BasicMapper {
             families: &self.er.families,
@@ -268,41 +262,14 @@ impl BasicApproach {
         duplicates.sort_unstable();
         duplicates.dedup();
 
-        let truth = &ds.truth;
-        let total_truth = truth.total_duplicate_pairs();
-        let curve = RecallCurve::from_timeline_where(&result.timeline, total_truth, |v| {
-            let (a, b) = crate::unpack_pair(v);
-            truth.is_duplicate(a, b)
-        });
-        let correct = duplicates
-            .iter()
-            .filter(|&&(a, b)| truth.is_duplicate(a, b))
-            .count();
-        let precision = if duplicates.is_empty() {
-            1.0
-        } else {
-            correct as f64 / duplicates.len() as f64
-        };
-
-        let found_events = result
-            .timeline
-            .iter()
-            .filter(|e| e.kind == EVENT_DUPLICATE)
-            .map(|e| {
-                let (a, b) = crate::unpack_pair(e.value);
-                (e.cost, a, b)
-            })
-            .collect();
-
-        Ok(ErRunResult {
-            curve,
+        Ok(ErRunResult::from_timeline(
+            ds,
+            &result.timeline,
             duplicates,
-            found_events,
-            total_cost: result.total_virtual_cost,
-            overhead_cost: cfg.cost_model.job_startup + result.map_phase.makespan,
-            counters: result.counters,
-            precision,
-            label: format!(
+            result.total_virtual_cost,
+            cfg.cost_model.job_startup + result.map_phase.makespan,
+            result.counters,
+            format!(
                 "basic-{}-w{}-{}",
                 self.er.mechanism.name(),
                 self.basic.window,
@@ -310,7 +277,7 @@ impl BasicApproach {
                     .popcorn_threshold
                     .map_or("F".to_string(), |t| t.to_string())
             ),
-        })
+        ))
     }
 }
 

@@ -2,7 +2,7 @@
 
 use pper_blocking::{presets, BlockingFamily};
 use pper_datagen::Dataset;
-use pper_mapreduce::{ClusterSpec, CostModel};
+use pper_mapreduce::{ClusterSpec, CostModel, JobConfig};
 use pper_progressive::{LevelPolicy, Mechanism, PairSource};
 use pper_schedule::{
     DupProbability, HeuristicProb, ScheduleConfig, TrainedProb, TreeScheduler, Weighting,
@@ -316,6 +316,19 @@ impl ErConfig {
     /// Number of reduce tasks `r`.
     pub fn reduce_tasks(&self) -> usize {
         self.cluster().reduce_slots()
+    }
+
+    /// Runtime configuration of the job `name` on this pipeline's cluster,
+    /// with the settings every job of a run shares; a job adds only what
+    /// is its own (fault plan, shuffle balancing, reduce-task count).
+    pub fn job_config(&self, name: &str) -> JobConfig {
+        let mut cfg = JobConfig::new(name, self.cluster());
+        cfg.cost_model = self.cost_model.clone();
+        cfg.worker_threads = self.worker_threads;
+        cfg.speculation = self.speculation;
+        cfg.observer = self.observer.clone();
+        cfg.executor = self.executor;
+        cfg
     }
 }
 

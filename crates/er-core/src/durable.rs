@@ -1,17 +1,18 @@
 //! Durable job execution: journal every lifecycle event, checkpoint on a
 //! fixed virtual-cost grid, and resume or reprocess in a *fresh process*.
 //!
-//! The in-process crash/resume of [`crate::checkpoint`] proves the
-//! determinism story; this module turns it into the operational model of a
-//! real MapReduce deployment. [`run_durable`] drives the pipeline in
-//! *stages*: statistics job, schedule generation, then the resolution job
-//! executed as a chain of `run-to-crash` steps on a `checkpoint_every`
-//! virtual-cost grid, each cutting a [`Checkpoint`] that is appended to the
-//! job's [`pper_journal`] log and then *re-read from the journal by byte
-//! offset* before the next stage — the journal record, not process memory,
-//! is the checkpoint of record. Every task completion (with its attempt
-//! history) and every attempt-budget exhaustion is journaled through the
-//! runtime's [`TaskObserver`] hook.
+//! The in-process stages of [`ProgressiveEr::run_stage`] prove the
+//! determinism story; this module turns the same primitive
+//! ([`run_job2_stage`]) into the operational model of a real MapReduce
+//! deployment. [`run_durable`] drives the pipeline in *stages*: statistics
+//! job, schedule generation, then the resolution job executed as a chain of
+//! killed stages on a `checkpoint_every` virtual-cost grid, each cutting a
+//! [`Checkpoint`] that is appended to the job's [`pper_journal`] log and
+//! then *re-read from the journal by byte offset* before the next cut —
+//! the journal record, not process memory, is the checkpoint of record.
+//! Every task completion (with its attempt history) and every
+//! attempt-budget exhaustion is journaled through the runtime's
+//! [`TaskObserver`] hook.
 //!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
 //! but the journal (plus the dataset file named in the `JobStarted`
@@ -38,7 +39,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::Checkpoint;
 use crate::job1::run_job1;
-use crate::job2::{run_job2_resume, run_job2_resume_to_crash, run_job2_to_crash};
+use crate::job2::{run_job2_stage, Stage, StageOutcome};
 use crate::pipeline::{ErRunResult, ProgressiveEr};
 
 /// Knobs for a durable run.
@@ -272,6 +273,17 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
     })
 }
 
+/// The reprocessing context recorded with a dead-lettered task. Field order
+/// is the order of the keys in the journaled JSON.
+#[derive(Serialize)]
+struct DlqContext<'a> {
+    stage: &'a str,
+    dataset: &'a str,
+    task: &'a str,
+    crash_at: Option<f64>,
+    checkpoint_offset: Option<u64>,
+}
+
 /// Finish a pipeline stage: surface parked journal errors, and on task
 /// exhaustion capture the observed tasks into the dead-letter queue with a
 /// JSON reprocessing context before failing.
@@ -307,16 +319,18 @@ fn finish_stage<T>(
                     *s += 1;
                     seq
                 };
-                task_names.push(format!("{}-{}", ex.kind.name(), ex.index));
-                let context_json = format!(
-                    "{{\"stage\":\"{stage}\",\"dataset\":\"{}\",\"task\":\"{}-{}\",\
-                     \"crash_at\":{},\"checkpoint_offset\":{}}}",
-                    ds.name,
-                    ex.kind.name(),
-                    ex.index,
-                    crash_at.map_or_else(|| "null".to_string(), |c| format!("{c}")),
-                    checkpoint_offset.map_or_else(|| "null".to_string(), |o| o.to_string()),
-                );
+                let task = format!("{}-{}", ex.kind.name(), ex.index);
+                // The dataset name is outside input (the data file's
+                // header), so the context goes through the JSON encoder.
+                let context_json = serde_json::to_string(&DlqContext {
+                    stage,
+                    dataset: &ds.name,
+                    task: &task,
+                    crash_at,
+                    checkpoint_offset,
+                })
+                .map_err(|e| MrError::Internal(format!("dead-letter context: {e}")))?;
+                task_names.push(task);
                 shared.append(&JournalEvent::DeadLettered {
                     seq,
                     job: ex.job,
@@ -335,12 +349,28 @@ fn finish_stage<T>(
     }
 }
 
+/// Re-read the checkpoint cut at journal offset `offset`.
+fn read_checkpoint(
+    store: &Arc<dyn JournalStore>,
+    job_id: &str,
+    offset: u64,
+) -> Result<Checkpoint, DurableError> {
+    match read_event_at(store, job_id, offset)? {
+        JournalEvent::CheckpointCut { checkpoint_json } => {
+            Ok(Checkpoint::from_json(&checkpoint_json)?)
+        }
+        other => Err(DurableError::Journal(JournalError::BadState(format!(
+            "offset {offset} holds a {} event, expected checkpoint-cut",
+            other.name()
+        )))),
+    }
+}
+
 /// Drive the staged pipeline to completion, journaling as it goes.
 ///
-/// `resume_from` carries the journal offset and decoded checkpoint to pick
-/// up from; `None` starts from the statistics job. The `er` passed here
-/// must already have the journaling observer installed.
-#[allow(clippy::too_many_arguments)]
+/// `resume_from` carries the journal offset of the checkpoint cut to pick
+/// up from and that cut, decoded; `None` starts from the statistics job.
+/// The `er` passed here must already have the journaling observer installed.
 fn drive(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -351,8 +381,11 @@ fn drive(
     resume_from: Option<(u64, Checkpoint)>,
 ) -> Result<ErRunResult, DurableError> {
     let config = &er.config;
-    let (job1_counters, mut cp, mut cp_offset) = match resume_from {
-        Some((offset, cp)) => (Counters::new(), cp, offset),
+    // `cut` is the journal offset of the latest checkpoint cut and `cp` its
+    // decoded record; before the first cut, `cp` is the starting line — the
+    // schedule, nothing resolved, threshold zero — and is not resumable.
+    let (job1_counters, mut cp, mut cut) = match resume_from {
+        Some((offset, cp)) => (Counters::new(), cp, Some(offset)),
         None => {
             // ---- Stage: statistics job --------------------------------
             let job1 = finish_stage(
@@ -375,80 +408,56 @@ fn drive(
                 num_tasks: schedule.num_tasks as u32,
                 total_blocks,
             })?;
-
-            // ---- Stage: first crash-and-checkpoint step ---------------
-            let schedule = Arc::new(schedule);
-            let tasks = finish_stage(
-                shared,
-                job_id,
-                ds,
-                "job2-crash",
-                Some(every),
-                None,
-                run_job2_to_crash(ds, config, Arc::clone(&schedule), every),
-            )?;
-            let cp = Checkpoint {
-                schedule: Arc::try_unwrap(schedule).unwrap_or_else(|s| (*s).clone()),
+            let start = Checkpoint {
+                schedule,
                 job1_cost: job1.virtual_cost,
-                crash_at: every,
+                crash_at: 0.0,
                 machines: config.machines,
-                tasks,
+                tasks: Vec::new(),
             };
-            let offset = shared.append(&JournalEvent::CheckpointCut {
-                checkpoint_json: cp.to_json()?,
-            })?;
-            (job1.counters, cp, offset)
+            (job1.counters, start, None)
         }
     };
 
-    // ---- Staged resume-and-checkpoint loop ---------------------------
-    while cp.blocks_remaining() > 0 {
-        // The journal record — not the in-memory value — is the checkpoint
-        // of record: dereference the offset and continue from what a fresh
-        // process would see.
-        let reloaded = match read_event_at(store, job_id, cp_offset)? {
-            JournalEvent::CheckpointCut { checkpoint_json } => {
-                Checkpoint::from_json(&checkpoint_json)?
-            }
-            other => {
-                return Err(DurableError::Journal(JournalError::BadState(format!(
-                    "offset {cp_offset} holds a {} event, expected checkpoint-cut",
-                    other.name()
-                ))));
-            }
+    // ---- Resolution job: cut on the grid until no block remains, then ---
+    // ---- replay the completed checkpoint into the result ---------------
+    let job2 = loop {
+        let next_cut = cp.crash_at + every;
+        let stage = Stage {
+            resume: cut.map(|_| &cp),
+            crash_at: (cut.is_none() || cp.blocks_remaining() > 0).then_some(next_cut),
         };
-        let crash_at = reloaded.crash_at + every;
-        let tasks = finish_stage(
+        let outcome = finish_stage(
             shared,
             job_id,
             ds,
-            "job2-resume-crash",
-            Some(crash_at),
-            Some(cp_offset),
-            run_job2_resume_to_crash(ds, config, &reloaded, crash_at),
+            match (stage.crash_at, stage.resume) {
+                (None, _) => "job2-final",
+                (Some(_), None) => "job2-crash",
+                (Some(_), Some(_)) => "job2-resume-crash",
+            },
+            stage.crash_at,
+            cut,
+            run_job2_stage(ds, config, &cp.schedule, stage),
         )?;
-        cp = Checkpoint {
-            schedule: reloaded.schedule,
-            job1_cost: reloaded.job1_cost,
-            crash_at,
-            machines: config.machines,
-            tasks,
-        };
-        cp_offset = shared.append(&JournalEvent::CheckpointCut {
-            checkpoint_json: cp.to_json()?,
-        })?;
-    }
-
-    // ---- Final stage: replay the completed checkpoint into the result -
-    let job2 = finish_stage(
-        shared,
-        job_id,
-        ds,
-        "job2-final",
-        None,
-        Some(cp_offset),
-        run_job2_resume(ds, config, &cp),
-    )?;
+        match outcome {
+            StageOutcome::Finished(job2) => break job2,
+            StageOutcome::Checkpoints(tasks) => {
+                cp.crash_at = next_cut;
+                cp.tasks = tasks;
+                let offset = shared.append(&JournalEvent::CheckpointCut {
+                    checkpoint_json: cp.to_json()?,
+                })?;
+                cut = Some(offset);
+                if cp.blocks_remaining() > 0 {
+                    // The journal record — not the in-memory value — is the
+                    // checkpoint of record: dereference the offset and cut
+                    // the next stage from what a fresh process would see.
+                    cp = read_checkpoint(store, job_id, offset)?;
+                }
+            }
+        }
+    };
     let result = er.assemble(ds, job2, cp.job1_cost, job1_counters);
 
     let mut entries: Vec<(String, u64)> = result

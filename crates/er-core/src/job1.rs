@@ -202,13 +202,8 @@ pub struct Job1Result {
 
 /// Run the first job on the simulated cluster.
 pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> {
-    let mut cfg = JobConfig::new("pper-job1-blocking", config.cluster());
-    cfg.cost_model = config.cost_model.clone();
-    cfg.worker_threads = config.worker_threads;
+    let mut cfg = config.job_config("pper-job1-blocking");
     cfg.shuffle_balance = config.shuffle_balance;
-    cfg.speculation = config.speculation;
-    cfg.observer = config.observer.clone();
-    cfg.executor = config.executor;
 
     // The spilling path re-routes oversized shuffle partitions through a
     // disk-backed external sort; the grouped output is bit-identical to the

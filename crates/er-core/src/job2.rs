@@ -23,17 +23,20 @@
 //!   position, and global ids reappear only in duplicate events, result
 //!   records and checkpoints.
 //!
-//! ## Crash and resume
+//! ## Staged execution
 //!
-//! The reduce phase can additionally run in two fault-tolerance modes (see
-//! [`crate::checkpoint`]): *crash mode* executes each task only until its
-//! virtual clock crosses a kill threshold and emits a [`TaskCheckpoint`]
-//! cut at the last completed block boundary, and *resume mode* seeds each
-//! task from a checkpoint — replaying recorded duplicates at their original
-//! virtual costs, restoring the resolved-pair sets, continuing the clock
-//! from the checkpointed watermark, and resolving only the remaining
-//! blocks. Because execution is deterministic, crash + resume reproduces
-//! the uninterrupted run's duplicate set and timeline bit for bit.
+//! One primitive, [`run_job2_stage`], runs the reduce phase over any
+//! stretch of the block schedule (see [`crate::checkpoint`]). A [`Stage`]
+//! with a `crash_at` threshold executes each task only until its virtual
+//! clock crosses it and emits a [`TaskCheckpoint`] cut at the last
+//! completed block boundary; a stage with a `resume` checkpoint seeds each
+//! task from it — replaying recorded duplicates at their original virtual
+//! costs, restoring the resolved-pair sets, continuing the clock from the
+//! checkpointed watermark, and resolving only the remaining blocks. The
+//! two compose (resume at `T1`, cut again at `T2`), and [`run_job2`] is the
+//! stage with neither. Because execution is deterministic, any chain of
+//! stages reproduces the uninterrupted run's duplicate set and timeline
+//! bit for bit.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -239,29 +242,36 @@ impl BlockTally {
     }
 }
 
-/// How the reduce phase executes (see the module docs' crash/resume
-/// section).
-#[derive(Clone, Copy)]
-enum ReduceMode<'a> {
-    /// Ordinary resolution: resolve every scheduled block.
-    Normal,
-    /// Kill each reduce task once its virtual clock crosses the threshold;
-    /// emit a [`TaskCheckpoint`] cut at the last completed block.
-    CrashAt(f64),
-    /// Restore each task from the checkpoint and resolve only the
-    /// remaining blocks.
-    Resume(&'a Checkpoint),
-    /// Restore from the checkpoint like [`ReduceMode::Resume`], but kill
-    /// each task again once its clock crosses the (later) threshold and
-    /// emit a fresh [`TaskCheckpoint`]. This is the staged periodic-
-    /// checkpointing step: by determinism, resuming checkpoint `T1` and
-    /// crashing at `T2` yields the same checkpoint as crashing the
-    /// uninterrupted run at `T2`.
-    ResumeToCrash(&'a Checkpoint, f64),
+/// The stretch of the resolution job one [`run_job2_stage`] call executes
+/// (see the module docs' staged-execution section). The default stage is
+/// the whole job.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Stage<'a> {
+    /// Restore each task from this checkpoint and resolve only the blocks
+    /// past its watermark; `None` starts every task from its first block.
+    pub resume: Option<&'a Checkpoint>,
+    /// Kill each reduce task once its task-local virtual clock crosses this
+    /// threshold and cut a [`TaskCheckpoint`] at the last completed block;
+    /// `None` runs every task to the end of its schedule. By determinism,
+    /// resuming a checkpoint cut at `T1` and crashing at `T2` yields the
+    /// same checkpoint as crashing the uninterrupted run at `T2`.
+    pub crash_at: Option<f64>,
 }
 
-/// Reduce output: result segments in normal/resume modes, one task
-/// checkpoint per reduce task in crash mode.
+/// What a stage leaves behind; [`Stage::crash_at`] decides which.
+#[derive(Debug)]
+pub enum StageOutcome {
+    /// The stage was killed at its threshold: one checkpoint per reduce
+    /// task, in task order. The killed stage's own outputs are discarded —
+    /// only the checkpoints survive, exactly as if the cluster died and the
+    /// checkpoint files were all that was left.
+    Checkpoints(Vec<TaskCheckpoint>),
+    /// The stage ran every remaining block.
+    Finished(Job2Result),
+}
+
+/// Reduce output: result segments from a stage that runs to the end, one
+/// task checkpoint per reduce task from a stage that is killed.
 #[derive(Debug)]
 enum Job2Out {
     Seg(Segment<(EntityId, EntityId)>),
@@ -279,7 +289,7 @@ struct ResolveReducer<'a> {
     prepared: Option<PreparedRule>,
     mechanism: crate::config::MechanismKind,
     alpha: f64,
-    mode: ReduceMode<'a>,
+    stage: Stage<'a>,
 }
 
 impl<'a> PartitionReducer for ResolveReducer<'a> {
@@ -303,7 +313,7 @@ impl<'a> ResolveReducer<'a> {
         config: &'a ErConfig,
         schedule: &'a Schedule,
         sq_to_tree: &'a FxHashMap<u64, usize>,
-        mode: ReduceMode<'a>,
+        stage: Stage<'a>,
     ) -> Self {
         Self {
             families: &config.families,
@@ -316,7 +326,7 @@ impl<'a> ResolveReducer<'a> {
                 .then(|| PreparedRule::new(config.rule.clone())),
             mechanism: config.mechanism,
             alpha: config.alpha,
-            mode,
+            stage,
         }
     }
 
@@ -352,14 +362,8 @@ impl<'a> ResolveReducer<'a> {
         let mut writer: IncrementalWriter<(EntityId, EntityId)> =
             IncrementalWriter::new(self.alpha, ctx.now());
 
-        let resume = match self.mode {
-            ReduceMode::Resume(cp) | ReduceMode::ResumeToCrash(cp, _) => Some(&cp.tasks[task]),
-            _ => None,
-        };
-        let crash_at = match self.mode {
-            ReduceMode::CrashAt(limit) | ReduceMode::ResumeToCrash(_, limit) => Some(limit),
-            _ => None,
-        };
+        let resume = self.stage.resume.map(|cp| &cp.tasks[task]);
+        let crash_at = self.stage.crash_at;
 
         if let Some(tc) = resume {
             // Work redone before the clock override (startup, shuffle,
@@ -393,15 +397,15 @@ impl<'a> ResolveReducer<'a> {
             ctx.clock = CostClock::with_offset(tc.clock);
         }
 
-        // Crash-mode bookkeeping: the checkpoint is cut at the last
+        // Bookkeeping of a killed stage: the checkpoint is cut at the last
         // completed block boundary, so a mid-block kill rolls the partial
         // block back below.
         let mut blocks_done = resume.map_or(0, |tc| tc.blocks_done);
         let mut ckpt_clock = ctx.now();
-        // In combined resume+crash mode the next checkpoint must carry the
-        // replayed duplicates forward, so the log is seeded from the one
-        // being resumed; restored resolved-pair sets are likewise already
-        // in `states` and are never rolled back (only `block_added` is).
+        // A resumed stage that is killed again must carry the replayed
+        // duplicates forward, so the log is seeded from the one being
+        // resumed; restored resolved-pair sets are likewise already in
+        // `states` and are never rolled back (only `block_added` is).
         let mut dup_log: Vec<(f64, EntityId, EntityId)> = match (resume, crash_at) {
             (Some(tc), Some(_)) => tc.duplicates.clone(),
             _ => Vec::new(),
@@ -583,25 +587,20 @@ fn run_job2_inner(
     ds: &Dataset,
     config: &ErConfig,
     schedule: &Schedule,
-    mode: ReduceMode<'_>,
+    stage: Stage<'_>,
 ) -> Result<pper_mapreduce::runtime::JobResult<Job2Out>, MrError> {
     let locator = TreeLocator::new(schedule, config.families.len());
     let sq_to_tree = sq_to_tree(schedule);
-    let mut cfg = JobConfig::new("pper-job2-resolution", config.cluster());
-    cfg.cost_model = config.cost_model.clone();
-    cfg.worker_threads = config.worker_threads;
+    let mut cfg = config.job_config("pper-job2-resolution");
     cfg.num_reduce_tasks = Some(schedule.num_tasks);
     cfg.faults = config.faults.clone();
-    cfg.speculation = config.speculation;
-    cfg.observer = config.observer.clone();
-    cfg.executor = config.executor;
 
     let mapper = RouteMapper {
         families: &config.families,
         schedule,
         locator: &locator,
     };
-    let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, mode);
+    let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, stage);
     let partitioner = RangePartitioner::new(schedule.sq_bounds(), |sq: &u64| *sq);
     let entities: Vec<&Entity> = ds.entities.iter().collect();
     run_job_with_partitioner(&cfg, &mapper, &reducer, &partitioner, &entities)
@@ -632,36 +631,57 @@ fn assemble(result: pper_mapreduce::runtime::JobResult<Job2Out>) -> Job2Result {
     }
 }
 
-/// Run the second job against a generated schedule.
+/// Run the second job against a generated schedule: the default [`Stage`],
+/// start to finish.
 pub fn run_job2(
     ds: &Dataset,
     config: &ErConfig,
     schedule: Arc<Schedule>,
 ) -> Result<Job2Result, MrError> {
-    run_job2_inner(ds, config, &schedule, ReduceMode::Normal).map(assemble)
+    run_job2_inner(ds, config, &schedule, Stage::default()).map(assemble)
 }
 
-/// Run the second job but kill every reduce task once its task-local
-/// virtual clock crosses `crash_at`, returning the per-task checkpoints cut
-/// at the last completed block boundaries (in task order). The crashed
-/// run's own outputs are discarded — only the checkpoints survive, exactly
-/// as if the cluster died and the checkpoint files were all that was left.
-pub fn run_job2_to_crash(
+/// Run one [`Stage`] of the second job against `schedule`. A resumed stage
+/// runs the schedule its checkpoint carries — the watermarks index into it
+/// — so it must be handed `&checkpoint.schedule` itself.
+///
+/// Rejected with [`MrError::Checkpoint`] before any task starts: a
+/// checkpoint that fails [`Checkpoint::validate`] for this configuration or
+/// arrives with another schedule, and a threshold that is not finite, is
+/// negative, or lies before the checkpoint's own.
+pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
-    schedule: Arc<Schedule>,
-    crash_at: f64,
-) -> Result<Vec<TaskCheckpoint>, MrError> {
-    if !crash_at.is_finite() || crash_at < 0.0 {
-        return Err(MrError::Checkpoint(format!(
-            "crash threshold must be finite and non-negative, got {crash_at}"
-        )));
+    schedule: &Schedule,
+    stage: Stage<'_>,
+) -> Result<StageOutcome, MrError> {
+    if let Some(checkpoint) = stage.resume {
+        checkpoint.validate(config.machines)?;
+        if !std::ptr::eq(schedule, &checkpoint.schedule) {
+            return Err(MrError::Checkpoint(
+                "a resumed stage runs the schedule its checkpoint carries".into(),
+            ));
+        }
     }
-    let result = run_job2_inner(ds, config, &schedule, ReduceMode::CrashAt(crash_at))?;
-    collect_checkpoints(result, schedule.num_tasks)
+    if let Some(crash_at) = stage.crash_at {
+        let floor = stage.resume.map_or(0.0, |checkpoint| checkpoint.crash_at);
+        if !crash_at.is_finite() || crash_at < floor {
+            return Err(MrError::Checkpoint(format!(
+                "crash threshold {crash_at} must be finite and not before {floor} \
+                 (zero, or the threshold of the checkpoint being resumed)"
+            )));
+        }
+    }
+
+    let result = run_job2_inner(ds, config, schedule, stage)?;
+    Ok(if stage.crash_at.is_some() {
+        StageOutcome::Checkpoints(collect_checkpoints(result, schedule.num_tasks)?)
+    } else {
+        StageOutcome::Finished(assemble(result))
+    })
 }
 
-/// Extract and order the per-task checkpoints of a crashed run.
+/// Extract and order the per-task checkpoints of a killed stage.
 fn collect_checkpoints(
     result: pper_mapreduce::runtime::JobResult<Job2Out>,
     num_tasks: usize,
@@ -682,49 +702,6 @@ fn collect_checkpoints(
         )));
     }
     Ok(tasks)
-}
-
-/// Resume the second job from a checkpoint and crash it again at the later
-/// threshold `crash_at` — one step of staged periodic checkpointing. By
-/// determinism the returned checkpoints are bit-identical to what
-/// [`run_job2_to_crash`] at `crash_at` would have produced on the
-/// uninterrupted run (asserted in this module's tests).
-pub fn run_job2_resume_to_crash(
-    ds: &Dataset,
-    config: &ErConfig,
-    checkpoint: &Checkpoint,
-    crash_at: f64,
-) -> Result<Vec<TaskCheckpoint>, MrError> {
-    checkpoint.validate(config.machines)?;
-    if !crash_at.is_finite() || crash_at < checkpoint.crash_at {
-        return Err(MrError::Checkpoint(format!(
-            "staged crash threshold {crash_at} must be finite and not before \
-             the checkpoint's own ({})",
-            checkpoint.crash_at
-        )));
-    }
-    let schedule = Arc::new(checkpoint.schedule.clone());
-    let result = run_job2_inner(
-        ds,
-        config,
-        &schedule,
-        ReduceMode::ResumeToCrash(checkpoint, crash_at),
-    )?;
-    collect_checkpoints(result, schedule.num_tasks)
-}
-
-/// Resume the second job from a validated [`Checkpoint`]: replay the
-/// checkpointed duplicates and resolve only the remaining blocks. The
-/// returned result is bit-identical to an uninterrupted [`run_job2`] in its
-/// duplicate set, segments, and timeline.
-pub fn run_job2_resume(
-    ds: &Dataset,
-    config: &ErConfig,
-    checkpoint: &Checkpoint,
-) -> Result<Job2Result, MrError> {
-    checkpoint.validate(config.machines)?;
-    let schedule = Arc::new(checkpoint.schedule.clone());
-    run_job2_inner(ds, config, &schedule, ReduceMode::Resume(checkpoint)).map(assemble)
 }
 
 #[cfg(test)]
@@ -807,6 +784,24 @@ mod tests {
         serde_json::to_string(tasks).unwrap()
     }
 
+    /// The task checkpoints of a stage killed at `crash_at`.
+    fn killed_at(
+        ds: &Dataset,
+        config: &ErConfig,
+        schedule: &Schedule,
+        resume: Option<&Checkpoint>,
+        crash_at: f64,
+    ) -> Vec<TaskCheckpoint> {
+        let stage = Stage {
+            resume,
+            crash_at: Some(crash_at),
+        };
+        match run_job2_stage(ds, config, schedule, stage).unwrap() {
+            StageOutcome::Checkpoints(tasks) => tasks,
+            StageOutcome::Finished(_) => panic!("a stage with a threshold cuts checkpoints"),
+        }
+    }
+
     /// Ids of the entities routed to `tree`, ascending.
     fn tree_members(
         ds: &Dataset,
@@ -831,7 +826,7 @@ mod tests {
 
         let mut mid_block_kills = 0;
         for limit in [900.0, 1_700.0, 2_600.0] {
-            let killed = run_job2_to_crash(&ds, &config, Arc::clone(&schedule), limit).unwrap();
+            let killed = killed_at(&ds, &config, &schedule, None, limit);
             for tc in &killed {
                 // The checkpoint format: trees ascending, pairs ascending,
                 // `a < b`, and every id a *global* id of a member of that
@@ -871,8 +866,7 @@ mod tests {
 
                 // Killing exactly at that boundary stops the task before
                 // the block starts: the rolled-back checkpoint must be it.
-                let at_boundary =
-                    run_job2_to_crash(&ds, &config, Arc::clone(&schedule), tc.clock).unwrap();
+                let at_boundary = killed_at(&ds, &config, &schedule, None, tc.clock);
                 assert_eq!(
                     json(std::slice::from_ref(&at_boundary[tc.task])),
                     json(std::slice::from_ref(tc)),
@@ -898,14 +892,14 @@ mod tests {
             job1_cost: 0.0,
             crash_at: t1,
             machines: config.machines,
-            tasks: run_job2_to_crash(&ds, &config, Arc::clone(&schedule), t1).unwrap(),
+            tasks: killed_at(&ds, &config, &schedule, None, t1),
         };
         assert!(
             first.tasks.iter().any(|tc| !tc.resolved.is_empty()),
             "the first stage must hand resolved pairs over"
         );
-        let staged = run_job2_resume_to_crash(&ds, &config, &first, t2).unwrap();
-        let direct = run_job2_to_crash(&ds, &config, schedule, t2).unwrap();
+        let staged = killed_at(&ds, &config, &first.schedule, Some(&first), t2);
+        let direct = killed_at(&ds, &config, &schedule, None, t2);
         assert_eq!(json(&staged), json(&direct));
         assert_ne!(
             json(&direct),
@@ -915,13 +909,46 @@ mod tests {
     }
 
     #[test]
+    fn stage_rejects_bad_thresholds_and_foreign_schedules() {
+        let ds = PubGen::new(600, 78).generate();
+        let config = ErConfig::citeseer(2);
+        let schedule = schedule_for(&ds, &config);
+        let rejected = |schedule: &Schedule, resume, crash_at| {
+            let stage = Stage { resume, crash_at };
+            matches!(
+                run_job2_stage(&ds, &config, schedule, stage),
+                Err(MrError::Checkpoint(_))
+            )
+        };
+        assert!(rejected(&schedule, None, Some(f64::NAN)));
+        assert!(rejected(&schedule, None, Some(-1.0)));
+
+        let cp = Checkpoint {
+            schedule: (*schedule).clone(),
+            job1_cost: 0.0,
+            crash_at: 800.0,
+            machines: config.machines,
+            tasks: killed_at(&ds, &config, &schedule, None, 800.0),
+        };
+        // Not before the checkpoint's own threshold; at it is a no-op stage.
+        assert!(rejected(&cp.schedule, Some(&cp), Some(799.0)));
+        assert!(rejected(&cp.schedule, Some(&cp), Some(f64::INFINITY)));
+        assert!(!rejected(&cp.schedule, Some(&cp), Some(800.0)));
+        // The watermarks index into the checkpoint's schedule, no other.
+        assert!(rejected(&schedule, Some(&cp), None));
+        let mut foreign = cp.clone();
+        foreign.machines += 1;
+        assert!(rejected(&foreign.schedule, Some(&foreign), None));
+    }
+
+    #[test]
     fn entity_in_two_trees_of_a_task_is_prepared_once() {
         let ds = PubGen::new(1_500, 77).generate();
         let config = ErConfig::citeseer(1); // two reduce tasks: trees share them
         let schedule = schedule_for(&ds, &config);
         let locator = TreeLocator::new(&schedule, config.families.len());
         let sq_to_tree = sq_to_tree(&schedule);
-        let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, ReduceMode::Normal);
+        let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, Stage::default());
 
         // Task 0's shuffle partition, as the route mapper would fill it.
         let mut records: Vec<(u64, Routed<'_>)> = Vec::new();

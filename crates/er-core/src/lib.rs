@@ -20,7 +20,7 @@
 //!   results exposed as a [`metrics::RecallCurve`];
 //! * [`checkpoint`] — crash/resume support: kill the resolution job
 //!   mid-flight, persist a [`checkpoint::Checkpoint`], and resume to a
-//!   bit-identical result (see [`pipeline::ProgressiveEr::run_to_crash`]);
+//!   bit-identical result (see [`pipeline::ProgressiveEr::run_stage`]);
 //! * [`metrics`] — duplicate recall curves, the `Qty` quality measure
 //!   (Eq. 1), and recall speedup (§VI-B4).
 //!
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::incremental::{BatchOutcome, IncrementalEr};
     pub use crate::job1::run_job1;
     pub use crate::metrics::{quality, speedup_at, RecallCurve};
-    pub use crate::pipeline::{ErRunResult, ProgressiveEr};
+    pub use crate::pipeline::{ErRunResult, ProgressiveEr, StageResult};
 }
 
 pub use prelude::*;

@@ -2,8 +2,6 @@
 //! schedule generation → second job, with timelines merged onto one global
 //! virtual clock.
 
-use std::sync::Arc;
-
 use pper_datagen::Dataset;
 use pper_mapreduce::{Counters, MrError, ProgressEvent};
 use pper_schedule::{generate_schedule, EstimationContext, Schedule};
@@ -11,9 +9,7 @@ use pper_schedule::{generate_schedule, EstimationContext, Schedule};
 use crate::checkpoint::Checkpoint;
 use crate::config::ErConfig;
 use crate::job1::run_job1;
-use crate::job2::{
-    run_job2, run_job2_resume, run_job2_resume_to_crash, run_job2_to_crash, Job2Result,
-};
+use crate::job2::{run_job2_stage, Job2Result, Stage, StageOutcome};
 use crate::metrics::RecallCurve;
 
 /// Result of one ER run (ours or a baseline) — everything the experiment
@@ -46,6 +42,81 @@ impl ErRunResult {
     pub fn recall_at(&self, cost: f64) -> f64 {
         self.curve.recall_at(cost)
     }
+
+    /// Score a run against `ds`'s ground truth: the recall curve and found
+    /// events from its global `timeline`, the precision from its
+    /// deduplicated `duplicates`.
+    pub(crate) fn from_timeline(
+        ds: &Dataset,
+        timeline: &[ProgressEvent],
+        duplicates: Vec<(u32, u32)>,
+        total_cost: f64,
+        overhead_cost: f64,
+        counters: Counters,
+        label: String,
+    ) -> Self {
+        let truth = &ds.truth;
+        let curve =
+            RecallCurve::from_timeline_where(timeline, truth.total_duplicate_pairs(), |v| {
+                let (a, b) = crate::unpack_pair(v);
+                truth.is_duplicate(a, b)
+            });
+        let correct = duplicates
+            .iter()
+            .filter(|&&(a, b)| truth.is_duplicate(a, b))
+            .count();
+        let precision = if duplicates.is_empty() {
+            1.0
+        } else {
+            correct as f64 / duplicates.len() as f64
+        };
+        let found_events = timeline
+            .iter()
+            .filter(|e| e.kind == crate::EVENT_DUPLICATE)
+            .map(|e| {
+                let (a, b) = crate::unpack_pair(e.value);
+                (e.cost, a, b)
+            })
+            .collect();
+        Self {
+            curve,
+            duplicates,
+            found_events,
+            total_cost,
+            overhead_cost,
+            counters,
+            precision,
+            label,
+        }
+    }
+}
+
+/// What one [`ProgressiveEr::run_stage`] call leaves behind.
+#[derive(Debug)]
+pub enum StageResult {
+    /// The stage was killed at its threshold; this is what a real
+    /// deployment would have persisted. Feed it to the next stage.
+    Cut(Checkpoint),
+    /// The stage ran the resolution job to its end.
+    Finished(ErRunResult),
+}
+
+impl StageResult {
+    /// The checkpoint, if the stage was cut (it had a threshold).
+    pub fn cut(self) -> Option<Checkpoint> {
+        match self {
+            StageResult::Cut(checkpoint) => Some(checkpoint),
+            StageResult::Finished(_) => None,
+        }
+    }
+
+    /// The run's result, if the stage finished (it had no threshold).
+    pub fn finished(self) -> Option<ErRunResult> {
+        match self {
+            StageResult::Finished(result) => Some(result),
+            StageResult::Cut(_) => None,
+        }
+    }
 }
 
 /// The paper's approach, end to end.
@@ -68,83 +139,71 @@ impl ProgressiveEr {
         self.try_run(ds).expect("pipeline run failed")
     }
 
-    /// Run both jobs.
+    /// Run both jobs: the stage that starts fresh and is never killed.
     pub fn try_run(&self, ds: &Dataset) -> Result<ErRunResult, MrError> {
-        let config = &self.config;
-
-        // ---- First job: progressive blocking + statistics --------------
-        let job1 = run_job1(ds, config)?;
-
-        // ---- Schedule generation (replicated in each map task's setup;
-        // computed once here and shared, §III-B) -------------------------
-        let schedule = Arc::new(self.generate_schedule(ds, &job1.stats));
-
-        // ---- Second job: schedule-driven resolution ---------------------
-        let job2 = run_job2(ds, config, Arc::clone(&schedule))?;
-
-        Ok(self.assemble(ds, job2, job1.virtual_cost, job1.counters))
+        self.run_stage(ds, None, None)?
+            .finished()
+            .ok_or_else(|| MrError::Internal("a stage without a threshold was cut".into()))
     }
 
-    /// Run the pipeline but kill every reduce task of the resolution job
-    /// once its task-local virtual clock crosses `crash_at`, returning the
-    /// [`Checkpoint`] a real deployment would have persisted: the schedule,
-    /// the first job's completion time, and per-task resume state cut at
-    /// the last completed block boundaries. The crashed run's results are
-    /// otherwise discarded. Feed the checkpoint to
-    /// [`ProgressiveEr::resume`] to finish the run.
-    pub fn run_to_crash(&self, ds: &Dataset, crash_at: f64) -> Result<Checkpoint, MrError> {
-        let config = &self.config;
-        let job1 = run_job1(ds, config)?;
-        let schedule = Arc::new(self.generate_schedule(ds, &job1.stats));
-        let tasks = run_job2_to_crash(ds, config, Arc::clone(&schedule), crash_at)?;
-        Ok(Checkpoint {
-            schedule: Arc::try_unwrap(schedule).unwrap_or_else(|s| (*s).clone()),
-            job1_cost: job1.virtual_cost,
-            crash_at,
-            machines: config.machines,
-            tasks,
-        })
-    }
-
-    /// Resume a killed run from its [`Checkpoint`]: the first job and
-    /// schedule generation are *not* re-run (their outputs live in the
-    /// checkpoint); the resolution job replays the checkpointed duplicates
-    /// and resolves only the remaining blocks. The result is bit-identical
-    /// to the uninterrupted [`ProgressiveEr::try_run`] in its duplicate
-    /// set, found events, recall curve, and total cost.
-    pub fn resume(&self, ds: &Dataset, checkpoint: &Checkpoint) -> Result<ErRunResult, MrError> {
-        let config = &self.config;
-        checkpoint.validate(config.machines)?;
-        let job2 = run_job2_resume(ds, config, checkpoint)?;
-        Ok(self.assemble(ds, job2, checkpoint.job1_cost, Counters::new()))
-    }
-
-    /// One step of staged periodic checkpointing: resume the resolution job
-    /// from `checkpoint`, run until every task's clock crosses the later
-    /// threshold `crash_at`, and return the fresh [`Checkpoint`]. By
-    /// determinism this equals [`ProgressiveEr::run_to_crash`] at
-    /// `crash_at` on an uninterrupted run, so a chain of these steps makes
-    /// progress while each step stays cheap to redo after a kill.
-    pub fn resume_to_crash(
+    /// Run one stage of the pipeline — the one primitive behind
+    /// uninterrupted runs, crash simulation, resume, and staged periodic
+    /// checkpointing.
+    ///
+    /// * `from` — `None` starts fresh: first job, schedule generation
+    ///   (replicated in each map task's setup; computed once here and
+    ///   shared, §III-B), then the resolution job from its first block.
+    ///   `Some(checkpoint)` re-runs neither (their outputs live in the
+    ///   checkpoint): the resolution job replays the checkpointed
+    ///   duplicates and resolves only the remaining blocks.
+    /// * `crash_at` — `Some(t)` kills every reduce task of the resolution
+    ///   job once its task-local virtual clock crosses `t` and returns the
+    ///   [`Checkpoint`] cut at the last completed block boundaries (the
+    ///   stage's results are otherwise discarded); `None` runs to the end
+    ///   and returns the [`ErRunResult`].
+    ///
+    /// Execution is deterministic, so however a run is cut into stages, the
+    /// checkpoint cut at `t` and the final result — duplicate set, found
+    /// events, recall curve, total cost — are bit-identical to those of the
+    /// uninterrupted run; a chain of stages makes progress while each stage
+    /// stays cheap to redo after a kill.
+    pub fn run_stage(
         &self,
         ds: &Dataset,
-        checkpoint: &Checkpoint,
-        crash_at: f64,
-    ) -> Result<Checkpoint, MrError> {
+        from: Option<&Checkpoint>,
+        crash_at: Option<f64>,
+    ) -> Result<StageResult, MrError> {
         let config = &self.config;
-        let tasks = run_job2_resume_to_crash(ds, config, checkpoint, crash_at)?;
-        Ok(Checkpoint {
-            schedule: checkpoint.schedule.clone(),
-            job1_cost: checkpoint.job1_cost,
+        let fresh;
+        let (schedule, job1_cost, job1_counters) = match from {
+            Some(checkpoint) => (&checkpoint.schedule, checkpoint.job1_cost, Counters::new()),
+            None => {
+                let job1 = run_job1(ds, config)?;
+                fresh = self.generate_schedule(ds, &job1.stats);
+                (&fresh, job1.virtual_cost, job1.counters)
+            }
+        };
+        let stage = Stage {
+            resume: from,
             crash_at,
-            machines: config.machines,
-            tasks,
+        };
+        Ok(match run_job2_stage(ds, config, schedule, stage)? {
+            StageOutcome::Checkpoints(tasks) => StageResult::Cut(Checkpoint {
+                schedule: schedule.clone(),
+                job1_cost,
+                // A stage cuts checkpoints only when it has a threshold.
+                crash_at: crash_at.unwrap_or_default(),
+                machines: config.machines,
+                tasks,
+            }),
+            StageOutcome::Finished(job2) => {
+                StageResult::Finished(self.assemble(ds, job2, job1_cost, job1_counters))
+            }
         })
     }
 
-    /// Shared tail of [`ProgressiveEr::try_run`] and
-    /// [`ProgressiveEr::resume`]: splice the resolution job's timeline onto
-    /// the global clock at `offset` and derive curve/precision/counters.
+    /// Splice the resolution job's timeline onto the global clock at
+    /// `offset` (job 2 starts where job 1 finished) and score the run.
     /// `pub(crate)` for the durable runner, which drives the jobs itself.
     pub(crate) fn assemble(
         &self,
@@ -154,8 +213,6 @@ impl ProgressiveEr {
         mut counters: Counters,
     ) -> ErRunResult {
         let config = &self.config;
-
-        // Merge timelines: job 2 starts where job 1 finished.
         let timeline: Vec<ProgressEvent> = job2
             .timeline
             .iter()
@@ -164,51 +221,21 @@ impl ProgressiveEr {
                 ..*e
             })
             .collect();
-
-        let truth = &ds.truth;
-        let total_truth = truth.total_duplicate_pairs();
-        let curve = RecallCurve::from_timeline_where(&timeline, total_truth, |v| {
-            let (a, b) = crate::unpack_pair(v);
-            truth.is_duplicate(a, b)
-        });
-
-        let correct = job2
-            .duplicates
-            .iter()
-            .filter(|&&(a, b)| truth.is_duplicate(a, b))
-            .count();
-        let precision = if job2.duplicates.is_empty() {
-            1.0
-        } else {
-            correct as f64 / job2.duplicates.len() as f64
-        };
-
         counters.merge(&job2.counters);
-
-        let found_events = timeline
-            .iter()
-            .filter(|e| e.kind == crate::EVENT_DUPLICATE)
-            .map(|e| {
-                let (a, b) = crate::unpack_pair(e.value);
-                (e.cost, a, b)
-            })
-            .collect();
-
-        ErRunResult {
-            curve,
-            duplicates: job2.duplicates,
-            found_events,
-            total_cost: offset + job2.virtual_cost,
-            overhead_cost: offset + config.cost_model.job_startup,
+        ErRunResult::from_timeline(
+            ds,
+            &timeline,
+            job2.duplicates,
+            offset + job2.virtual_cost,
+            offset + config.cost_model.job_startup,
             counters,
-            precision,
-            label: format!(
+            format!(
                 "ours-{}-{:?}-mu{}",
                 config.mechanism.name(),
                 config.schedule.scheduler,
                 config.machines
             ),
-        }
+        )
     }
 
     /// Generate the progressive schedule from first-job statistics.

@@ -58,13 +58,15 @@ fn durable_run_matches_plain_run() {
 }
 
 #[test]
-fn staged_resume_to_crash_equals_direct_run_to_crash() {
+fn staged_cut_equals_direct_cut() {
     let er = small_pipeline();
     let ds = dataset();
-    let staged = er
-        .resume_to_crash(&ds, &er.run_to_crash(&ds, 1_000.0).unwrap(), 2_200.0)
-        .unwrap();
-    let direct = er.run_to_crash(&ds, 2_200.0).unwrap();
+    let cut = |from: Option<&Checkpoint>, at| {
+        let stage = er.run_stage(&ds, from, Some(at)).unwrap();
+        stage.cut().expect("a stage with a threshold is cut")
+    };
+    let staged = cut(Some(&cut(None, 1_000.0)), 2_200.0);
+    let direct = cut(None, 2_200.0);
     assert_eq!(staged.to_json().unwrap(), direct.to_json().unwrap());
 }
 
@@ -191,8 +193,15 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
     assert_eq!(entry.attempts, 4);
     assert_eq!(entry.failures.len(), 4);
     assert!(entry.failures.iter().all(|f| !f.error.is_empty()));
-    assert!(entry.context_json.contains("\"task\":\"reduce-0\""));
-    assert!(entry.context_json.contains("\"stage\":"));
+    // Byte for byte what journals have always recorded for a plain name.
+    assert_eq!(
+        entry.context_json,
+        format!(
+            "{{\"stage\":\"job2-crash\",\"dataset\":\"{}\",\"task\":\"reduce-0\",\
+             \"crash_at\":1500,\"checkpoint_offset\":null}}",
+            ds.name
+        )
+    );
 
     // Drain the queue with the fault gone: bit-identical to fault-free.
     let reprocessed = reprocess_dlq(&faulty, &ds, &store, "job-dlq", &opts(1_500.0)).unwrap();
@@ -205,4 +214,31 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
 
     // A second reprocess has nothing to drain.
     assert!(reprocess_dlq(&faulty, &ds, &store, "job-dlq", &opts(1_500.0)).is_err());
+}
+
+/// The dataset name is outside input (the JSONL header `pper run --data`
+/// reads): whatever it holds, the dead-letter context must stay valid JSON
+/// that carries the name back intact.
+#[test]
+fn dlq_context_escapes_the_dataset_name() {
+    let mut ds = PubGen::new(600, 418).generate();
+    ds.name = "we\"ird\\name\n".to_string();
+    let mut faulty = small_pipeline();
+    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
+
+    let store = MemStore::shared();
+    run_durable(&faulty, &ds, &store, "job-name", &[], &opts(1_500.0))
+        .expect_err("exhausted task must fail the durable run");
+    let state = JournalState::replay(&recover(&store, "job-name").unwrap().events);
+    let context = serde_json::parse_value_str(&state.dlq[0].context_json)
+        .expect("context_json must parse as JSON");
+    let serde::Value::Map(fields) = context else {
+        panic!("context_json must be an object, got {context:?}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["stage", "dataset", "task", "crash_at", "checkpoint_offset"]
+    );
+    assert_eq!(fields[1].1, serde::Value::Str(ds.name.clone()));
 }

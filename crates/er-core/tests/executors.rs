@@ -6,8 +6,8 @@
 //! be bit-identical across backends and thread counts. These tests sweep
 //! the progressive pipeline, the basic approach, and the durable runner
 //! (including a kill-point journal prefix resumed under a *different*
-//! backend) over the cursor, chunked, and work-stealing executors at 1/2/8
-//! worker threads.
+//! backend) over the cursor and work-stealing executors at 1/2/8 worker
+//! threads.
 
 use std::sync::Arc;
 
@@ -16,11 +16,7 @@ use pper_er::prelude::*;
 use pper_journal::{recover, JournalStore, MemStore};
 use pper_mapreduce::{ExecutorKind, FaultPlan, ShuffleSpillConfig};
 
-const BACKENDS: &[ExecutorKind] = &[
-    ExecutorKind::Cursor,
-    ExecutorKind::Chunked(1),
-    ExecutorKind::WorkStealing,
-];
+const BACKENDS: &[ExecutorKind] = &[ExecutorKind::Cursor, ExecutorKind::WorkStealing];
 
 const THREADS: &[usize] = &[1, 2, 8];
 

@@ -9,6 +9,22 @@ use pper_datagen::PubGen;
 use pper_er::checkpoint::Checkpoint;
 use pper_er::{ErConfig, ErRunResult, ProgressiveEr};
 
+/// The checkpoint of a fresh stage killed at `crash_at`.
+fn run_to_crash(er: &ProgressiveEr, ds: &pper_datagen::Dataset, crash_at: f64) -> Checkpoint {
+    er.run_stage(ds, None, Some(crash_at))
+        .unwrap()
+        .cut()
+        .expect("a stage with a threshold is cut")
+}
+
+/// The result of the stage that resumes `cp` and runs to the end.
+fn resume(er: &ProgressiveEr, ds: &pper_datagen::Dataset, cp: &Checkpoint) -> ErRunResult {
+    er.run_stage(ds, Some(cp), None)
+        .unwrap()
+        .finished()
+        .expect("a stage without a threshold finishes")
+}
+
 fn assert_same_run(resumed: &ErRunResult, clean: &ErRunResult, what: &str) {
     assert_eq!(
         resumed.duplicates, clean.duplicates,
@@ -59,11 +75,11 @@ fn crash_and_resume_is_bit_identical_at_every_kill_point() {
     // rollback) overwhelmingly likely.
     let mut saw_mid_flight = false;
     for crash_at in [333.3, 777.7, 1_555.5, 3_111.1, 6_222.2, 12_444.4] {
-        let cp = er.run_to_crash(&ds, crash_at).unwrap();
+        let cp = run_to_crash(&er, &ds, crash_at);
         if cp.blocks_done() > 0 && cp.blocks_remaining() > 0 {
             saw_mid_flight = true;
         }
-        let resumed = er.resume(&ds, &cp).unwrap();
+        let resumed = resume(&er, &ds, &cp);
         assert_same_run(&resumed, &clean, &format!("crash_at={crash_at}"));
     }
     assert!(
@@ -78,14 +94,14 @@ fn checkpoint_survives_json_persistence() {
     let er = ProgressiveEr::new(ErConfig::citeseer(2));
     let clean = er.run(&ds);
 
-    let cp = er.run_to_crash(&ds, 2_000.0).unwrap();
+    let cp = run_to_crash(&er, &ds, 2_000.0);
     let json = cp.to_json().unwrap();
     let restored = Checkpoint::from_json(&json).unwrap();
     assert_eq!(restored.tasks.len(), cp.tasks.len());
     assert_eq!(restored.duplicates_found(), cp.duplicates_found());
     assert_eq!(restored.job1_cost.to_bits(), cp.job1_cost.to_bits());
 
-    let resumed = er.resume(&ds, &restored).unwrap();
+    let resumed = resume(&er, &ds, &restored);
     assert_same_run(&resumed, &clean, "resume from persisted JSON");
 }
 
@@ -95,8 +111,8 @@ fn resume_counters_account_for_replayed_work() {
     let er = ProgressiveEr::new(ErConfig::citeseer(2));
     let clean = er.run(&ds);
 
-    let cp = er.run_to_crash(&ds, 2_500.0).unwrap();
-    let resumed = er.resume(&ds, &cp).unwrap();
+    let cp = run_to_crash(&er, &ds, 2_500.0);
+    let resumed = resume(&er, &ds, &cp);
 
     // Every checkpointed duplicate is replayed, and every checkpointed
     // block is skipped rather than re-resolved.
@@ -128,16 +144,16 @@ fn extreme_kill_points_still_round_trip() {
 
     // Killed before any block completed: the checkpoint is empty and
     // resume re-runs everything.
-    let early = er.run_to_crash(&ds, 0.0).unwrap();
+    let early = run_to_crash(&er, &ds, 0.0);
     assert_eq!(early.blocks_done(), 0);
     assert_eq!(early.duplicates_found(), 0);
-    assert_same_run(&er.resume(&ds, &early).unwrap(), &clean, "crash_at=0");
+    assert_same_run(&resume(&er, &ds, &early), &clean, "crash_at=0");
 
     // Killed after all blocks completed: the checkpoint holds the full
     // run and resume only replays it.
-    let late = er.run_to_crash(&ds, 1e15).unwrap();
+    let late = run_to_crash(&er, &ds, 1e15);
     assert_eq!(late.blocks_remaining(), 0);
-    let resumed = er.resume(&ds, &late).unwrap();
+    let resumed = resume(&er, &ds, &late);
     assert_same_run(&resumed, &clean, "crash_at=max");
     assert_eq!(
         resumed.counters.get("resume_replayed_duplicates"),
@@ -150,22 +166,26 @@ fn invalid_checkpoints_and_thresholds_are_rejected() {
     let ds = PubGen::new(800, 737).generate();
     let er = ProgressiveEr::new(ErConfig::citeseer(2));
 
-    assert!(er.run_to_crash(&ds, f64::NAN).is_err());
-    assert!(er.run_to_crash(&ds, -1.0).is_err());
+    assert!(er.run_stage(&ds, None, Some(f64::NAN)).is_err());
+    assert!(er.run_stage(&ds, None, Some(-1.0)).is_err());
 
-    let cp = er.run_to_crash(&ds, 1_000.0).unwrap();
+    let cp = run_to_crash(&er, &ds, 1_000.0);
 
     // Machine-count mismatch: the wave layout would differ.
     let other = ProgressiveEr::new(ErConfig::citeseer(3));
-    assert!(other.resume(&ds, &cp).is_err());
+    assert!(other.run_stage(&ds, Some(&cp), None).is_err());
 
     // Corrupted watermark.
     let mut bad = cp.clone();
     bad.tasks[0].blocks_done = usize::MAX;
-    assert!(er.resume(&ds, &bad).is_err());
+    assert!(er.run_stage(&ds, Some(&bad), None).is_err());
 
     // Task entries out of order.
     let mut swapped = cp.clone();
     swapped.tasks.swap(0, 1);
-    assert!(er.resume(&ds, &swapped).is_err());
+    assert!(er.run_stage(&ds, Some(&swapped), None).is_err());
+
+    // A staged threshold before the checkpoint's own, or not a number.
+    assert!(er.run_stage(&ds, Some(&cp), Some(999.0)).is_err());
+    assert!(er.run_stage(&ds, Some(&cp), Some(f64::INFINITY)).is_err());
 }

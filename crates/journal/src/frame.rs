@@ -9,6 +9,8 @@
 //! longest valid prefix plus a report of what (if anything) was dropped.
 //! Nothing in this module panics on malformed input.
 
+use pper_vfs::crc32;
+
 /// File magic + format version ("PPERJNL" + version 1).
 pub const MAGIC: [u8; 8] = *b"PPERJNL\x01";
 
@@ -37,38 +39,6 @@ pub(crate) fn len_u32(len: usize) -> u32 {
 pub(crate) fn off_u64(pos: usize) -> u64 {
     // lint:allow(lossy_cast) usize -> u64 is a lossless widening on all supported targets
     pos as u64
-}
-
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        // lint:allow(lossy_cast) const context (try_from unavailable); i < 256 fits u32
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        let idx = usize::from((crc ^ u32::from(b)).to_le_bytes()[0]);
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
-    }
-    !crc
 }
 
 /// Append one framed record for `payload` to `out`.
@@ -221,13 +191,6 @@ mod tests {
             write_frame(&mut out, p);
         }
         out
-    }
-
-    #[test]
-    fn crc_known_vector() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -9,26 +9,25 @@
 //! audited `unsafe`, and truncation-free codec arithmetic. See [`rules`]
 //! for the rule table and the `lint:allow` annotation grammar.
 //!
-//! Two analysis depths exist:
+//! The check is two layers of scoping over the same sinks:
 //!
-//! - [`lint_source`] / [`lint_tree`]: the legacy single-file scoping —
-//!   each rule fires only in its designated crates/files.
+//! - [`lint_source`]: the single-file scoping — each rule fires in its
+//!   designated crates/files.
 //! - [`analyze`] / [`analyze_tree`]: the whole-workspace analysis — on top
-//!   of the legacy scoping it parses every file into functions and calls
+//!   of the file scoping it parses every file into functions and calls
 //!   ([`parser`]), builds a cross-crate call graph ([`taint`]), and
 //!   promotes any sink *reachable* from a deterministic entry point
 //!   (map/reduce task bodies, `Executor::run`, the shuffle builders,
 //!   journal replay), reporting the full call chain in the diagnostic.
+//!   [`Options::reachability`] turns the second layer off so the fixtures
+//!   can pin each layer on its own; the CLI always runs both.
 //!
 //! Run it as `cargo run -p pper-lint -- crates/ src/` (add `--format json`
 //! or `--format sarif` for CI, `--check-allows` to flag stale
-//! suppressions, `--baseline <file>` to adopt rules incrementally). The
-//! binary exits nonzero on any unsuppressed diagnostic.
+//! suppressions). The binary exits nonzero on any unsuppressed diagnostic.
 
 pub mod analysis;
-pub mod baseline;
 mod casts;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -112,18 +111,6 @@ pub fn read_sources(roots: &[PathBuf]) -> (Vec<SourceFile>, Vec<Diagnostic>) {
 pub fn analyze_tree(roots: &[PathBuf], opts: &Options) -> Vec<Diagnostic> {
     let (sources, mut diags) = read_sources(roots);
     diags.extend(analyze(&sources, opts));
-    diags.sort();
-    diags
-}
-
-/// Lint every `.rs` file under the given roots with the legacy single-file
-/// scoping (no call-graph promotion). Kept for comparison runs and
-/// back-compat; prefer [`analyze_tree`].
-pub fn lint_tree(roots: &[PathBuf]) -> Vec<Diagnostic> {
-    let (sources, mut diags) = read_sources(roots);
-    for f in &sources {
-        diags.extend(lint_source(&f.path, &f.src));
-    }
     diags.sort();
     diags
 }

@@ -1,24 +1,20 @@
 //! CLI for the workspace invariant linter.
 //!
 //! ```text
-//! pper-lint [--format text|json|sarif] [--quiet] [--legacy-scope]
-//!           [--check-allows] [--baseline FILE] [--write-baseline FILE]
-//!           <path>...
+//! pper-lint [--format text|json|sarif] [--quiet] [--check-allows] <path>...
 //! ```
 //!
 //! Exits 0 when every path is clean, 1 on any diagnostic, 2 on usage
 //! errors. `--format json` prints a machine-readable array, `--format
-//! sarif` a SARIF 2.1.0 document for code-scanning upload. The default
-//! analysis is call-graph-aware; `--legacy-scope` restores the pre-v2
-//! single-file scoping for comparison runs.
+//! sarif` a SARIF 2.1.0 document for code-scanning upload.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pper_lint::{analyze_tree, baseline, to_json, to_sarif, Options};
+use pper_lint::{analyze_tree, to_json, to_sarif, Options};
 
-const USAGE: &str = "usage: pper-lint [--format text|json|sarif] [--quiet] [--legacy-scope] \
-                     [--check-allows] [--baseline FILE] [--write-baseline FILE] <path>...";
+const USAGE: &str =
+    "usage: pper-lint [--format text|json|sarif] [--quiet] [--check-allows] <path>...";
 
 #[derive(PartialEq)]
 enum Format {
@@ -32,8 +28,6 @@ fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut quiet = false;
     let mut opts = Options::default();
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -46,22 +40,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(p),
-                None => {
-                    eprintln!("--baseline expects a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => match args.next() {
-                Some(p) => write_baseline = Some(p),
-                None => {
-                    eprintln!("--write-baseline expects a file path");
-                    return ExitCode::from(2);
-                }
-            },
             "--check-allows" => opts.check_allows = true,
-            "--legacy-scope" => opts.reachability = false,
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -80,45 +59,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut diags = analyze_tree(&roots, &opts);
-
-    if let Some(path) = write_baseline {
-        let text = baseline::render(&diags);
-        if let Err(err) = std::fs::write(&path, text) {
-            eprintln!("cannot write baseline {path}: {err}");
-            return ExitCode::from(2);
-        }
-        if !quiet {
-            eprintln!(
-                "pper-lint: wrote baseline covering {} diagnostic{} to {path}",
-                diags.len(),
-                if diags.len() == 1 { "" } else { "s" },
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut suppressed = 0usize;
-    if let Some(path) = baseline_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("cannot read baseline {path}: {err}");
-                return ExitCode::from(2);
-            }
-        };
-        let entries = match baseline::parse(&text) {
-            Ok(entries) => entries,
-            Err(err) => {
-                eprintln!("{err}");
-                return ExitCode::from(2);
-            }
-        };
-        let (kept, n) = baseline::apply(diags, &entries, &path);
-        diags = kept;
-        suppressed = n;
-        diags.sort();
-    }
+    let diags = analyze_tree(&roots, &opts);
 
     match format {
         Format::Json => println!("{}", to_json(&diags)),
@@ -129,16 +70,11 @@ fn main() -> ExitCode {
             }
             if !quiet {
                 eprintln!(
-                    "pper-lint: {} diagnostic{} across {} path{}{}",
+                    "pper-lint: {} diagnostic{} across {} path{}",
                     diags.len(),
                     if diags.len() == 1 { "" } else { "s" },
                     roots.len(),
                     if roots.len() == 1 { "" } else { "s" },
-                    if suppressed > 0 {
-                        format!(" ({suppressed} baselined)")
-                    } else {
-                        String::new()
-                    },
                 );
             }
         }

@@ -3,8 +3,8 @@
 //! Emits the minimal static-analysis interchange document GitHub code
 //! scanning ingests: one `run` with a `tool.driver` describing every rule
 //! and one `result` per diagnostic. The structure is validated offline by
-//! a self-test that re-parses the output with [`crate::json`] and checks
-//! the fields the SARIF 2.1.0 schema marks required.
+//! a self-test that re-parses the output with the workspace's `serde_json`
+//! and checks the fields the SARIF 2.1.0 schema marks required.
 
 use crate::rules::{Diagnostic, RULE_IDS};
 
@@ -21,7 +21,6 @@ pub fn rule_description(rule: &str) -> &'static str {
         "allow_unknown" => "lint:allow naming an unknown rule",
         "allow_reason" => "lint:allow without a reason",
         "dead_allow" => "lint:allow that suppresses nothing",
-        "baseline_stale" => "baseline entry that no longer matches any diagnostic",
         _ => "pper determinism lint",
     }
 }
@@ -57,12 +56,7 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
     out.push_str("          \"rules\": [\n");
     // Advertise every rule the driver knows plus the meta-rules that can
     // appear in results, so each result's ruleId resolves.
-    let meta_rules = [
-        "allow_unknown",
-        "allow_reason",
-        "dead_allow",
-        "baseline_stale",
-    ];
+    let meta_rules = ["allow_unknown", "allow_reason", "dead_allow"];
     let all: Vec<&str> = RULE_IDS.iter().copied().chain(meta_rules).collect();
     for (i, rule) in all.iter().enumerate() {
         out.push_str(&format!(
@@ -105,7 +99,28 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{self, Value};
+    use serde_json::{parse_value_str, Value};
+
+    fn get<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
+        match v {
+            Value::Map(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn as_str(v: &Value) -> Option<&str> {
+        match v {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn as_arr(v: &Value) -> Option<&[Value]> {
+        match v {
+            Value::Seq(items) => Some(items),
+            _ => None,
+        }
+    }
 
     fn sample() -> Vec<Diagnostic> {
         vec![
@@ -126,78 +141,64 @@ mod tests {
 
     #[test]
     fn emits_required_sarif_210_structure() {
-        let doc = json::parse(&to_sarif(&sample())).expect("sarif must be valid JSON");
-        assert_eq!(doc.get("version").and_then(Value::as_str), Some("2.1.0"));
-        assert!(doc
-            .get("$schema")
-            .and_then(Value::as_str)
+        let doc = parse_value_str(&to_sarif(&sample())).expect("sarif must be valid JSON");
+        assert_eq!(get(&doc, "version").and_then(as_str), Some("2.1.0"));
+        assert!(get(&doc, "$schema")
+            .and_then(as_str)
             .is_some_and(|s| s.contains("sarif-schema-2.1.0")));
-        let runs = doc.get("runs").and_then(Value::as_arr).expect("runs");
+        let runs = get(&doc, "runs").and_then(as_arr).expect("runs");
         assert_eq!(runs.len(), 1);
-        let driver = runs[0]
-            .get("tool")
-            .and_then(|t| t.get("driver"))
+        let driver = get(&runs[0], "tool")
+            .and_then(|t| get(t, "driver"))
             .expect("driver");
-        assert_eq!(
-            driver.get("name").and_then(Value::as_str),
-            Some("pper-lint")
-        );
-        let rules = driver.get("rules").and_then(Value::as_arr).expect("rules");
+        assert_eq!(get(driver, "name").and_then(as_str), Some("pper-lint"));
+        let rules = get(driver, "rules").and_then(as_arr).expect("rules");
         assert!(rules.len() >= RULE_IDS.len());
         for r in rules {
-            assert!(r.get("id").and_then(Value::as_str).is_some());
-            assert!(r
-                .get("shortDescription")
-                .and_then(|d| d.get("text"))
-                .and_then(Value::as_str)
+            assert!(get(r, "id").and_then(as_str).is_some());
+            assert!(get(r, "shortDescription")
+                .and_then(|d| get(d, "text"))
+                .and_then(as_str)
                 .is_some());
         }
-        let results = runs[0]
-            .get("results")
-            .and_then(Value::as_arr)
-            .expect("results");
+        let results = get(&runs[0], "results").and_then(as_arr).expect("results");
         assert_eq!(results.len(), 2);
         let rule_ids: Vec<&str> = rules
             .iter()
-            .filter_map(|r| r.get("id").and_then(Value::as_str))
+            .filter_map(|r| get(r, "id").and_then(as_str))
             .collect();
         for res in results {
-            let rid = res.get("ruleId").and_then(Value::as_str).expect("ruleId");
+            let rid = get(res, "ruleId").and_then(as_str).expect("ruleId");
             assert!(rule_ids.contains(&rid), "result ruleId {rid} not declared");
-            assert_eq!(res.get("level").and_then(Value::as_str), Some("error"));
-            assert!(res
-                .get("message")
-                .and_then(|m| m.get("text"))
-                .and_then(Value::as_str)
+            assert_eq!(get(res, "level").and_then(as_str), Some("error"));
+            assert!(get(res, "message")
+                .and_then(|m| get(m, "text"))
+                .and_then(as_str)
                 .is_some());
-            let loc = &res
-                .get("locations")
-                .and_then(Value::as_arr)
-                .expect("locations")[0];
-            let phys = loc.get("physicalLocation").expect("physicalLocation");
-            let uri = phys
-                .get("artifactLocation")
-                .and_then(|a| a.get("uri"))
-                .and_then(Value::as_str)
+            let loc = &get(res, "locations").and_then(as_arr).expect("locations")[0];
+            let phys = get(loc, "physicalLocation").expect("physicalLocation");
+            let uri = get(phys, "artifactLocation")
+                .and_then(|a| get(a, "uri"))
+                .and_then(as_str)
                 .expect("uri");
             assert!(!uri.contains('\\'), "SARIF uris use forward slashes");
-            let line = phys
-                .get("region")
-                .and_then(|r| r.get("startLine"))
-                .and_then(Value::as_num)
+            let line = get(phys, "region")
+                .and_then(|r| get(r, "startLine"))
                 .expect("startLine");
-            assert!(line >= 1.0, "startLine must be >= 1, got {line}");
+            assert!(
+                matches!(line, Value::U64(n) if *n >= 1),
+                "startLine must be >= 1, got {line:?}"
+            );
         }
     }
 
     #[test]
     fn empty_run_is_still_valid() {
-        let doc = json::parse(&to_sarif(&[])).expect("valid");
-        let runs = doc.get("runs").and_then(Value::as_arr).expect("runs");
+        let doc = parse_value_str(&to_sarif(&[])).expect("valid");
+        let runs = get(&doc, "runs").and_then(as_arr).expect("runs");
         assert_eq!(
-            runs[0]
-                .get("results")
-                .and_then(Value::as_arr)
+            get(&runs[0], "results")
+                .and_then(as_arr)
                 .map(<[Value]>::len),
             Some(0)
         );

@@ -45,9 +45,7 @@ const ENTRY_TYPE_METHODS: &[(&str, &str)] = &[
 /// Free-function entry points, `(crate_dir, fn_name)`.
 const ENTRY_FREE_FNS: &[(&str, &str)] = &[
     ("mapreduce", "shuffle_partitions"),
-    ("mapreduce", "shuffle_partitions_with"),
     ("mapreduce", "shuffle_partitions_spilling"),
-    ("mapreduce", "shuffle_partitions_spilling_with"),
     ("journal", "recover"),
     ("journal", "read_event_at"),
 ];

@@ -11,7 +11,7 @@
 //! every index in `0..count` **exactly once** and returns only after all of
 //! them completed produces bit-identical job results.
 //!
-//! Three backends ship behind the [`Executor`] trait:
+//! Two backends ship behind the [`Executor`] trait:
 //!
 //! * [`CursorExecutor`] — the reference backend: a shared atomic cursor,
 //!   claimed in small adaptive chunks (`fetch_add(chunk)`). Chunking is the
@@ -19,10 +19,6 @@
 //!   many-small-task map phases every worker hammered one cache line once
 //!   per task; claiming a few tasks per RMW amortizes that without giving
 //!   up dynamic balance.
-//! * [`ChunkedExecutor`] — the same shared cursor with a caller-fixed chunk
-//!   size `K`. `K = 1` reproduces the historical per-task claim bit for bit
-//!   (kept for A/B benchmarking of the contention fix); larger `K` trades
-//!   balance for fewer RMWs.
 //! * [`WorkStealingExecutor`] — per-worker contiguous index ranges with
 //!   Chase-Lev-style two-ended access: the owner takes small chunks from
 //!   the bottom of its own range, idle workers steal the top half of a
@@ -46,43 +42,33 @@ pub enum ExecutorKind {
     /// Shared atomic cursor claimed in adaptive chunks (the reference).
     #[default]
     Cursor,
-    /// Shared atomic cursor claimed in fixed chunks of the given size
-    /// (`0` is normalized to `1`, the historical per-task claim).
-    Chunked(usize),
     /// Per-worker ranges with Chase-Lev-style stealing.
     WorkStealing,
 }
 
 impl ExecutorKind {
-    /// Stable identifier: `cursor`, `chunked:<K>`, or `stealing`.
+    /// Stable identifier: `cursor` or `stealing`.
     pub fn name(&self) -> String {
         match self {
             ExecutorKind::Cursor => "cursor".to_string(),
-            ExecutorKind::Chunked(k) => format!("chunked:{}", (*k).max(1)),
             ExecutorKind::WorkStealing => "stealing".to_string(),
         }
     }
 
     /// Parse the CLI / journal-parameter form accepted by `--executor`:
-    /// `cursor`, `chunked`, `chunked:<K>`, or `stealing` (alias
-    /// `work-stealing`).
+    /// `cursor` or `stealing` (alias `work-stealing`). `chunked` and
+    /// `chunked:<K>` name a retired fixed-chunk variant of the cursor pool
+    /// and parse as [`ExecutorKind::Cursor`] — dispatch never reaches an
+    /// observable, so a journal whose `JobStarted` recorded one still
+    /// resumes to the same result.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
-            "cursor" => Ok(ExecutorKind::Cursor),
-            "chunked" => Ok(ExecutorKind::Chunked(0)),
+            "cursor" | "chunked" => Ok(ExecutorKind::Cursor),
             "stealing" | "work-stealing" => Ok(ExecutorKind::WorkStealing),
-            other => {
-                if let Some(k) = other.strip_prefix("chunked:") {
-                    let k: usize = k
-                        .parse()
-                        .map_err(|_| format!("chunked:<K> wants a number, got '{other}'"))?;
-                    Ok(ExecutorKind::Chunked(k))
-                } else {
-                    Err(format!(
-                        "unknown executor '{other}' (cursor|chunked[:K]|stealing)"
-                    ))
-                }
-            }
+            other => match other.strip_prefix("chunked:") {
+                Some(k) if k.parse::<usize>().is_ok() => Ok(ExecutorKind::Cursor),
+                _ => Err(format!("unknown executor '{other}' (cursor|stealing)")),
+            },
         }
     }
 
@@ -91,7 +77,6 @@ impl ExecutorKind {
     pub fn run(&self, count: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
         match self {
             ExecutorKind::Cursor => CursorExecutor.run(count, threads, task),
-            ExecutorKind::Chunked(k) => ChunkedExecutor::new(*k).run(count, threads, task),
             ExecutorKind::WorkStealing => WorkStealingExecutor.run(count, threads, task),
         }
     }
@@ -129,8 +114,8 @@ fn adaptive_chunk(count: usize, threads: usize) -> usize {
     (count / (threads * 4).max(1)).clamp(1, 64)
 }
 
-/// Shared-cursor dispatch loop used by both cursor backends.
-fn run_cursor_pool(count: usize, threads: usize, chunk: usize, task: &(dyn Fn(usize) + Sync)) {
+/// Shared-cursor dispatch loop.
+fn run_cursor_pool(count: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
     let threads = effective_threads(count, threads);
     if threads == 1 {
         for i in 0..count {
@@ -138,7 +123,7 @@ fn run_cursor_pool(count: usize, threads: usize, chunk: usize, task: &(dyn Fn(us
         }
         return;
     }
-    let chunk = chunk.max(1);
+    let chunk = adaptive_chunk(count, threads);
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -168,32 +153,7 @@ pub struct CursorExecutor;
 
 impl Executor for CursorExecutor {
     fn run(&self, count: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
-        let chunk = adaptive_chunk(count, effective_threads(count, threads));
-        run_cursor_pool(count, threads, chunk, task);
-    }
-}
-
-/// Shared atomic cursor with a fixed claim size. `ChunkedExecutor::new(1)`
-/// is the historical per-task claim, kept so `bench_exec` can measure the
-/// contention delta against [`CursorExecutor`]'s adaptive chunking.
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkedExecutor {
-    /// Indices claimed per `fetch_add` (normalized to at least 1).
-    pub chunk: usize,
-}
-
-impl ChunkedExecutor {
-    /// A fixed-chunk executor claiming `chunk` tasks per RMW.
-    pub fn new(chunk: usize) -> Self {
-        Self {
-            chunk: chunk.max(1),
-        }
-    }
-}
-
-impl Executor for ChunkedExecutor {
-    fn run(&self, count: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
-        run_cursor_pool(count, threads, self.chunk, task);
+        run_cursor_pool(count, threads, task);
     }
 }
 
@@ -323,8 +283,8 @@ impl Executor for WorkStealingExecutor {
         if count >= u32::MAX as usize {
             // The packed-range deque addresses 32-bit indices; phases this
             // large (never reached by the simulated jobs) fall back to the
-            // chunked cursor, which has no such bound.
-            run_cursor_pool(count, threads, adaptive_chunk(count, threads), task);
+            // shared cursor, which has no such bound.
+            run_cursor_pool(count, threads, task);
             return;
         }
         let chunk = adaptive_chunk(count, threads) as u32;
@@ -388,12 +348,7 @@ mod tests {
     }
 
     fn all_kinds() -> Vec<ExecutorKind> {
-        vec![
-            ExecutorKind::Cursor,
-            ExecutorKind::Chunked(1),
-            ExecutorKind::Chunked(7),
-            ExecutorKind::WorkStealing,
-        ]
+        vec![ExecutorKind::Cursor, ExecutorKind::WorkStealing]
     }
 
     #[test]
@@ -430,21 +385,13 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip_through_parse() {
-        for kind in [
-            ExecutorKind::Cursor,
-            ExecutorKind::Chunked(1),
-            ExecutorKind::Chunked(16),
-            ExecutorKind::WorkStealing,
-        ] {
-            assert_eq!(
-                ExecutorKind::parse(&kind.name()).unwrap().name(),
-                kind.name()
-            );
+        for kind in all_kinds() {
+            assert_eq!(ExecutorKind::parse(&kind.name()).unwrap(), kind);
         }
-        assert_eq!(
-            ExecutorKind::parse("chunked").unwrap(),
-            ExecutorKind::Chunked(0)
-        );
+        // The retired fixed-chunk spellings still parse, as the cursor pool.
+        for retired in ["chunked", "chunked:1", "chunked:16"] {
+            assert_eq!(ExecutorKind::parse(retired).unwrap(), ExecutorKind::Cursor);
+        }
         assert_eq!(
             ExecutorKind::parse("work-stealing").unwrap(),
             ExecutorKind::WorkStealing
@@ -487,12 +434,8 @@ mod tests {
         // Exactly-once over randomized shapes: every backend, any count ×
         // thread combination, each index claimed once.
         #[test]
-        fn prop_exactly_once(count in 0usize..200, threads in 1usize..12, chunk in 0usize..20) {
-            for kind in [
-                ExecutorKind::Cursor,
-                ExecutorKind::Chunked(chunk),
-                ExecutorKind::WorkStealing,
-            ] {
+        fn prop_exactly_once(count in 0usize..200, threads in 1usize..12) {
+            for kind in all_kinds() {
                 let c = claims(kind, count, threads);
                 prop_assert!(c.iter().all(|&n| n == 1), "{}: {c:?}", kind.name());
             }

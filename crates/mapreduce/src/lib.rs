@@ -122,9 +122,7 @@ pub mod prelude {
     pub use crate::counters::Counters;
     pub use crate::driver::{Driver, StageReport};
     pub use crate::error::MrError;
-    pub use crate::exec::{
-        ChunkedExecutor, CursorExecutor, Executor, ExecutorKind, WorkStealingExecutor,
-    };
+    pub use crate::exec::{CursorExecutor, Executor, ExecutorKind, WorkStealingExecutor};
     pub use crate::extsort::{ExternalSorter, SortedStream, SpillFullPolicy};
     pub use crate::faults::{AttemptFault, FaultPlan, InjectedAbort, SpeculationConfig};
     // Storage-fault vocabulary, re-exported so spill consumers configure
@@ -148,8 +146,8 @@ pub mod prelude {
         PhaseReport, WallPhases,
     };
     pub use crate::shuffle::{
-        shuffle_partitions, shuffle_partitions_spilling, shuffle_partitions_spilling_with,
-        shuffle_partitions_with, GroupedPartition, ShuffleSpillConfig, ShuffleSpillStats,
+        shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, ShuffleSpillConfig,
+        ShuffleSpillStats,
     };
     pub use crate::spill::SpillCodec;
     pub use pper_vfs::{

@@ -2,8 +2,8 @@
 //! tasks, and assembles virtual-time reports.
 //!
 //! Simulated tasks are executed on a pool of OS threads through the job's
-//! pluggable [`crate::exec::Executor`] backend (shared-cursor chunked claim
-//! by default, work stealing on request), so wall-clock parallelism is
+//! pluggable [`crate::exec::Executor`] backend (shared cursor claimed in adaptive
+//! chunks by default, work stealing on request), so wall-clock parallelism is
 //! real; but the *reported* phase durations come from the per-task virtual
 //! clocks combined with list scheduling over the simulated cluster's slots
 //! ([`crate::cost::virtual_makespan`]). This separation lets a laptop
@@ -43,7 +43,7 @@ use crate::observe::{AttemptRecord, TaskEvent};
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::progress::ProgressEvent;
 use crate::shuffle::{
-    shuffle_partitions_spilling_with, shuffle_partitions_with, GroupedPartition, PartitionBuckets,
+    shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, PartitionBuckets,
     ShuffleSpillConfig, ShuffleSpillStats,
 };
 
@@ -554,7 +554,7 @@ where
             &HashPartitioner,
             None::<&IdentityCombiner<M::Key, M::Value>>,
             inputs,
-            |per, threads| shuffle_partitions_spilling_with(cfg.executor, per, threads, spill),
+            |per, threads| shuffle_partitions_spilling(cfg.executor, per, threads, spill),
         );
         match result {
             Err(MrError::Io(fault)) if !fault.is_permanent() && reruns + 1 < attempts => {
@@ -634,7 +634,7 @@ where
     V: Send,
 {
     Ok((
-        shuffle_partitions_with(executor, per_partition, threads),
+        shuffle_partitions(executor, per_partition, threads),
         ShuffleSpillStats::default(),
     ))
 }

@@ -221,19 +221,6 @@ impl<K: Eq, V> GroupedPartition<K, V> {
     }
 }
 
-/// Sort+group every partition on up to `threads` worker threads with the
-/// default [`ExecutorKind::Cursor`] backend. See [`shuffle_partitions_with`].
-pub fn shuffle_partitions<K, V>(
-    per_partition: Vec<PartitionBuckets<K, V>>,
-    threads: usize,
-) -> Vec<GroupedPartition<K, V>>
-where
-    K: Ord + Hash + Eq + Send,
-    V: Send,
-{
-    shuffle_partitions_with(ExecutorKind::default(), per_partition, threads)
-}
-
 /// Sort+group every partition on up to `threads` worker threads.
 ///
 /// `per_partition[p]` holds partition `p`'s buckets in map-task order.
@@ -242,7 +229,7 @@ where
 /// regardless of the backend (per-index slots, collected post-barrier).
 /// Deliberately *no* [`crate::job::TaskContext`] and no virtual charges —
 /// see the module docs.
-pub fn shuffle_partitions_with<K, V>(
+pub fn shuffle_partitions<K, V>(
     executor: ExecutorKind,
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
@@ -495,25 +482,11 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
     }
 }
 
-/// [`shuffle_partitions_spilling_with`] on the default
-/// [`ExecutorKind::Cursor`] backend.
-pub fn shuffle_partitions_spilling<K, V>(
-    per_partition: Vec<PartitionBuckets<K, V>>,
-    threads: usize,
-    cfg: &ShuffleSpillConfig,
-) -> Result<(Vec<GroupedPartition<K, V>>, ShuffleSpillStats), MrError>
-where
-    K: Ord + Hash + Eq + Send + SpillCodec,
-    V: Send + SpillCodec,
-{
-    shuffle_partitions_spilling_with(ExecutorKind::default(), per_partition, threads, cfg)
-}
-
-/// [`shuffle_partitions_with`] under a memory budget: per-partition
+/// [`shuffle_partitions`] under a memory budget: per-partition
 /// grouping routes through [`GroupedPartition::from_buckets_spilling`],
 /// fanned out through the given executor backend. Bit-identical partitions
 /// to the in-memory shuffle at any thread count and on any backend.
-pub fn shuffle_partitions_spilling_with<K, V>(
+pub fn shuffle_partitions_spilling<K, V>(
     executor: ExecutorKind,
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
@@ -628,8 +601,8 @@ mod tests {
                 })
                 .collect::<Vec<Vec<Vec<(u64, u64)>>>>()
         };
-        let serial = shuffle_partitions(mk(), 1);
-        let parallel = shuffle_partitions(mk(), 8);
+        let serial = shuffle_partitions(ExecutorKind::Cursor, mk(), 1);
+        let parallel = shuffle_partitions(ExecutorKind::Cursor, mk(), 8);
         assert_eq!(serial, parallel);
     }
 
@@ -663,9 +636,10 @@ mod tests {
             run_capacity: 7,
             ..ShuffleSpillConfig::new(50)
         };
-        let reference = shuffle_partitions(mk(), 1);
+        let reference = shuffle_partitions(ExecutorKind::Cursor, mk(), 1);
         for threads in [1usize, 2, 8] {
-            let (spilled, stats) = shuffle_partitions_spilling(mk(), threads, &cfg).unwrap();
+            let (spilled, stats) =
+                shuffle_partitions_spilling(ExecutorKind::Cursor, mk(), threads, &cfg).unwrap();
             assert_eq!(spilled, reference, "threads={threads}");
             assert_eq!(stats.spilled_partitions, 12, "threads={threads}");
             assert!(stats.spill_runs >= 12, "threads={threads}");

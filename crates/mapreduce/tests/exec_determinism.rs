@@ -17,15 +17,9 @@ use proptest::prelude::*;
 
 use pper_mapreduce::prelude::*;
 
-/// Every backend the matrix covers: the adaptive-chunk cursor (default),
-/// the historical one-index-per-claim cursor, a fixed mid-size chunk, and
-/// the work-stealing deques.
-const BACKENDS: &[ExecutorKind] = &[
-    ExecutorKind::Cursor,
-    ExecutorKind::Chunked(1),
-    ExecutorKind::Chunked(16),
-    ExecutorKind::WorkStealing,
-];
+/// Every backend the matrix covers: the adaptive-chunk cursor (default)
+/// and the work-stealing deques.
+const BACKENDS: &[ExecutorKind] = &[ExecutorKind::Cursor, ExecutorKind::WorkStealing];
 
 const THREADS: &[usize] = &[1, 2, 8];
 

@@ -1,7 +1,7 @@
 //! Loom models of the two lock-free claim protocols in `exec.rs`:
 //!
-//! 1. the atomic-cursor task pool (`CursorExecutor`/`ChunkedExecutor`, also
-//!    mirrored by `shuffle::shuffle_partitions_with`): worker threads loop
+//! 1. the atomic-cursor task pool (`CursorExecutor`, which
+//!    `shuffle::shuffle_partitions` dispatches through too): worker threads loop
 //!    on `cursor.fetch_add(chunk, Ordering::Relaxed)` and exit once the
 //!    ticket is past the end;
 //! 2. the work-stealing range deque (`WorkStealingExecutor`): one packed

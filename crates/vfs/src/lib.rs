@@ -501,9 +501,9 @@ pub fn retry_io<T>(
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — the same polynomial the journal's
-/// frame layer uses, rebuilt here so integrity checking lives beside the
-/// fault taxonomy without a dependency edge.
+/// CRC-32 (IEEE 802.3, reflected): the workspace's one checksum — journal
+/// frames, external-sort runs and store sections all call it — kept beside
+/// the fault taxonomy that classifies a mismatch.
 const CRC32_TABLE: [u32; 256] = build_crc32_table();
 
 const fn build_crc32_table() -> [u32; 256] {

@@ -66,14 +66,14 @@ USAGE:
   pper gen    --kind pubs|books --entities N [--seed S] --out FILE
   pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
               [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-              [--executor cursor|chunked[:K]|stealing]
+              [--executor cursor|stealing]
               [--durable --journal DIR --job-id ID [--checkpoint-every COST]
                [--kill-after-events N] [--fail-reduce IDX:N] [--result-out FILE]]
   pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
               [--kill-after-events N]
   pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
   pper basic  --data FILE [--machines M] [--window W] [--threshold T]
-              [--executor cursor|chunked[:K]|stealing]
+              [--executor cursor|stealing]
   pper help
 
 Durable mode journals every job event (fsync'd per append) under
