@@ -1,7 +1,8 @@
 //! Executor-backend benchmark: wall-clock scaling of the two task-dispatch
 //! backends (`cursor`, `stealing`) across thread counts and
-//! workload shapes. Emits `BENCH_exec.json` so `bench_check` can gate
-//! scaling regressions in CI.
+//! workload shapes. An un-gated measuring tool: it emits `BENCH_exec.json`
+//! stamped with the host's core count and refuses to record a `…@N` row
+//! from fewer than `N` cores.
 //!
 //! Workloads:
 //!
@@ -12,7 +13,7 @@
 //! * `tiny`    — thousands of near-empty tasks; dispatch overhead
 //!   dominates, which is what `cursor`'s adaptive chunked claim amortizes.
 //! * `spill`   — an end-to-end spilling MapReduce job driven through
-//!   `JobConfig::executor`, so the gate also covers the real runtime path.
+//!   `JobConfig::executor`, so the real runtime path is measured too.
 //!
 //! ```sh
 //! cargo run --release -p pper-bench --bin bench_exec -- --quick
@@ -100,14 +101,10 @@ fn time_spill_job(kind: ExecutorKind, threads: usize, corpus: &[String]) -> std:
     start.elapsed()
 }
 
-/// ops_per_sec of the named record, for note-building.
-fn ops(report: &BenchReport, name: &str) -> f64 {
-    report
-        .records
-        .iter()
-        .find(|r| r.name == name)
-        .map(|r| r.ops_per_sec)
-        .unwrap_or(0.0)
+/// ops_per_sec of the named record, if that row was measured.
+fn ops(report: &BenchReport, name: &str) -> Option<f64> {
+    let r = report.records.iter().find(|r| r.name == name)?;
+    Some(r.ops_per_sec)
 }
 
 fn main() -> std::io::Result<()> {
@@ -131,19 +128,27 @@ fn main() -> std::io::Result<()> {
         .map(|i| format!("the of w{} the w{} tail{i}", i % 7, i % 63))
         .collect();
 
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut report = BenchReport::new(
         "exec",
         format!(
             "executor backends × threads {THREADS:?} × workloads \
              (uniform 256 tasks, skewed 64 tasks, tiny 4096 tasks, \
-             spilling wordcount {} lines); ops = tasks (lines for spill)",
+             spilling wordcount {} lines); ops = tasks (lines for spill); \
+             available_parallelism = {cores}",
             corpus.len()
         ),
     );
+    // A `…@N` row taken on fewer than N cores measures oversubscription,
+    // not scaling, so it is not recorded.
+    let (measured, skipped): (Vec<usize>, Vec<usize>) = THREADS.iter().partition(|&&t| t <= cores);
+    for threads in skipped {
+        report.note(format!("@{threads} rows skipped: host has {cores} core(s)"));
+    }
 
     for (workload, costs) in [("uniform", &uniform), ("skewed", &skewed), ("tiny", &tiny)] {
         for &kind in BACKENDS {
-            for &threads in THREADS {
+            for &threads in &measured {
                 let elapsed = time_dispatch(kind, threads, costs);
                 let name = format!("{workload}/{}@{threads}", kind.name());
                 eprintln!("{name}: {elapsed:?}");
@@ -152,7 +157,7 @@ fn main() -> std::io::Result<()> {
         }
     }
     for &kind in BACKENDS {
-        for &threads in THREADS {
+        for &threads in &measured {
             let elapsed = time_spill_job(kind, threads, &corpus);
             let name = format!("spill/{}@{threads}", kind.name());
             eprintln!("{name}: {elapsed:?}");
@@ -163,7 +168,7 @@ fn main() -> std::io::Result<()> {
     for workload in ["uniform", "skewed", "tiny", "spill"] {
         let cursor = ops(&report, &format!("{workload}/cursor@8"));
         let stealing = ops(&report, &format!("{workload}/stealing@8"));
-        if cursor > 0.0 {
+        if let (Some(cursor), Some(stealing)) = (cursor, stealing) {
             report.note(format!(
                 "{workload}@8: stealing/cursor = {:.2}x",
                 stealing / cursor
@@ -172,7 +177,7 @@ fn main() -> std::io::Result<()> {
     }
     let s1 = ops(&report, "skewed/stealing@1");
     let s8 = ops(&report, "skewed/stealing@8");
-    if s1 > 0.0 {
+    if let (Some(s1), Some(s8)) = (s1, s8) {
         report.note(format!("skewed stealing 8-thread scaling: {:.2}x", s8 / s1));
     }
 

@@ -1,6 +1,5 @@
 //! Fault-tolerance overhead: what do task re-execution, speculative backup
-//! attempts, and checkpointed resume cost on the virtual clock — and what
-//! does *disk*-fault recovery cost on the wall clock?
+//! attempts, and checkpointed resume cost on the virtual clock?
 //!
 //! Runs the full progressive pipeline clean and under 1 and 3 injected
 //! reduce/map failures (mixed flavours: discarded attempts, attempts killed
@@ -9,27 +8,20 @@
 //! duplicate set is asserted invariant in every scenario; the figure
 //! reports the recall-vs-cost retardation and the wasted-cost accounting.
 //!
-//! A second sweep spills the shuffle to disk through a fault-injecting
-//! VFS (transient-write retry, corrupt-run quarantine + re-run, ENOSPC
-//! degradation to memory) and records the wall-clock overhead of each
-//! recovery path as [`BenchRecord`]s, so `bench_check --reports faults`
-//! can flag recovery-cost regressions.
+//! Disk-fault recovery (retry, quarantine + re-run, ENOSPC degradation) is
+//! asserted in `tests/conformance_smoke.rs`; what the spilling shuffle
+//! costs on the wall clock is the harness's `books-durable` workload.
 //!
 //! ```sh
 //! cargo run --release -p pper-bench --bin bench_faults -- --entities 12000
 //! ```
 
 use std::io::Write;
-use std::sync::Arc;
-use std::time::Instant;
 
-use pper_bench::{BenchRecord, ExpOptions};
+use pper_bench::ExpOptions;
 use pper_datagen::PubGen;
 use pper_er::{ErConfig, ErRunResult, ProgressiveEr};
-use pper_mapreduce::{
-    FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, ShuffleSpillConfig, SpeculationConfig,
-    SpillFullPolicy, TaskKind, Vfs,
-};
+use pper_mapreduce::{FaultPlan, SpeculationConfig, TaskKind};
 
 #[derive(Debug, serde::Serialize)]
 struct ScenarioReport {
@@ -56,11 +48,6 @@ struct FaultsFigure {
     machines: usize,
     crash_at: f64,
     scenarios: Vec<ScenarioReport>,
-    /// Wall-clock cost of the disk-fault recovery paths, in the shape
-    /// `bench_check` consumes (the figure doubles as a bench report).
-    records: Vec<BenchRecord>,
-    /// Derived observations (recovery overhead ratios).
-    notes: Vec<String>,
 }
 
 fn report(scenario: &'static str, run: &ErRunResult, clean_cost: f64) -> ScenarioReport {
@@ -96,26 +83,6 @@ fn straggler() -> FaultPlan {
     let mut plan = FaultPlan::fail_reduce(0, 3);
     plan.failure_fraction = 0.9;
     plan
-}
-
-/// One spilled-shuffle run through a fault-injecting VFS; returns the
-/// result and the wall time.
-fn spilled_run(
-    base: &ErConfig,
-    ds: &pper_datagen::Dataset,
-    dir: &std::path::Path,
-    plan: IoFaultPlan,
-    on_full: SpillFullPolicy,
-) -> (ErRunResult, std::time::Duration) {
-    let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan).expect("valid fault plan"));
-    let spill = ShuffleSpillConfig::new(40)
-        .with_dir(dir)
-        .with_vfs(vfs)
-        .with_full_policy(on_full);
-    let config = base.clone().with_shuffle_spill(spill);
-    let start = Instant::now();
-    let run = ProgressiveEr::new(config).run(ds);
-    (run, start.elapsed())
 }
 
 fn main() -> std::io::Result<()> {
@@ -212,72 +179,6 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // ---- Disk-fault recovery sweep: wall-clock overhead ----------------
-    let spill_dir = std::env::temp_dir().join(format!("pper-bench-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&spill_dir)?;
-    let disk_cases: [(&str, IoFaultPlan, SpillFullPolicy); 4] = [
-        (
-            "disk/spill-clean",
-            IoFaultPlan::new(),
-            SpillFullPolicy::Error,
-        ),
-        (
-            "disk/transient-retry",
-            IoFaultPlan::new().with_at(
-                IoOp::Write,
-                "pper-extsort",
-                0,
-                FaultKind::Transient { times: 2 },
-            ),
-            SpillFullPolicy::Error,
-        ),
-        (
-            "disk/corrupt-rerun",
-            IoFaultPlan::new().with_at(IoOp::Read, "pper-extsort", 0, FaultKind::CorruptRead),
-            SpillFullPolicy::Error,
-        ),
-        (
-            "disk/enospc-degrade",
-            IoFaultPlan::new().with_at(IoOp::Write, "pper-extsort", 0, FaultKind::Enospc),
-            SpillFullPolicy::InMemory,
-        ),
-    ];
-    let mut records = Vec::new();
-    let mut notes = Vec::new();
-    let mut clean_wall = None;
-    for (name, plan, on_full) in disk_cases {
-        eprintln!("{name}…");
-        let (run, wall) = spilled_run(&base, &ds, &spill_dir, plan, on_full);
-        assert_eq!(
-            run.duplicates, clean.duplicates,
-            "{name}: disk-fault recovery must not change the duplicate set"
-        );
-        match name {
-            "disk/spill-clean" => clean_wall = Some(wall),
-            "disk/transient-retry" => assert!(
-                run.counters.get("shuffle_spill_io_retries") > 0,
-                "transient fault must be recovered by retry"
-            ),
-            "disk/corrupt-rerun" => assert!(
-                run.counters.get("shuffle_spill_reruns") > 0,
-                "corrupt run must trigger a stage re-run"
-            ),
-            "disk/enospc-degrade" => assert!(
-                run.counters.get("shuffle_spill_degraded_partitions") > 0,
-                "ENOSPC must degrade a partition to memory"
-            ),
-            _ => unreachable!(),
-        }
-        if let Some(base_wall) = clean_wall.filter(|_| name != "disk/spill-clean") {
-            notes.push(format!(
-                "{name}: {:.2}x wall clock of clean spilled run",
-                wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9)
-            ));
-        }
-        records.push(BenchRecord::from_total(name, 1, wall));
-    }
-    std::fs::remove_dir_all(&spill_dir).ok();
-
     let figure = FaultsFigure {
         name: "bench-faults".into(),
         caption: format!(
@@ -288,12 +189,7 @@ fn main() -> std::io::Result<()> {
         machines,
         crash_at,
         scenarios,
-        records,
-        notes,
     };
-    for n in &figure.notes {
-        println!("-- {n}");
-    }
     std::fs::create_dir_all(&opts.out_dir)?;
     let path = opts.out_dir.join("BENCH_faults.json");
     let mut f = std::fs::File::create(&path)?;

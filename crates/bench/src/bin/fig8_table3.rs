@@ -11,20 +11,9 @@
 //! cargo run --release -p pper-bench --bin fig8_table3 -- --entities 20000
 //! ```
 
-use std::time::Instant;
-
-use pper_bench::{common_max_cost, BenchRecord, BenchReport, ExpOptions, Figure, Series};
+use pper_bench::{common_max_cost, ExpOptions, Figure, Series};
 use pper_datagen::PubGen;
 use pper_er::{BasicApproach, BasicConfig, ErConfig, ErRunResult, ProgressiveEr};
-
-/// Wall-clock pairs/sec record for one finished run.
-fn run_record(
-    name: impl Into<String>,
-    run: &ErRunResult,
-    elapsed: std::time::Duration,
-) -> BenchRecord {
-    BenchRecord::from_total(name, run.counters.get("pairs_compared"), elapsed)
-}
 
 fn main() -> std::io::Result<()> {
     let opts = ExpOptions::from_args(20_000);
@@ -32,18 +21,9 @@ fn main() -> std::io::Result<()> {
     eprintln!("generating {} publication entities…", opts.entities);
     let ds = PubGen::new(opts.entities, opts.seed).generate();
     let er = ErConfig::citeseer(machines);
-    let mut bench = BenchReport::new(
-        "fig8_table3",
-        format!(
-            "wall-clock pair throughput per configuration ({} entities, μ={machines})",
-            opts.entities
-        ),
-    );
 
     eprintln!("running our approach…");
-    let started = Instant::now();
     let ours = ProgressiveEr::new(er.clone()).run(&ds);
-    bench.push(run_record("ours", &ours, started.elapsed()));
 
     let thresholds_w15_a = [0.1, 0.07, 0.04, 0.01];
     let thresholds_w15_b = [0.007, 0.004, 0.001, 0.00001];
@@ -54,7 +34,7 @@ fn main() -> std::io::Result<()> {
         .copied()
         .collect();
 
-    let run_basic = |window: usize, threshold: Option<f64>| -> (ErRunResult, std::time::Duration) {
+    let run_basic = |window: usize, threshold: Option<f64>| -> ErRunResult {
         let cfg = match threshold {
             Some(t) => BasicConfig::popcorn(window, t),
             None => BasicConfig::full(window),
@@ -64,36 +44,28 @@ fn main() -> std::io::Result<()> {
             window,
             threshold.map_or("F".into(), |t| t.to_string())
         );
-        let started = Instant::now();
-        let run = BasicApproach::new(er.clone(), cfg)
+        BasicApproach::new(er.clone(), cfg)
             .run(&ds)
-            .expect("basic run");
-        (run, started.elapsed())
+            .expect("basic run")
     };
 
-    let (basic_f_15, t) = run_basic(15, None);
-    bench.push(run_record("basic-F-w15", &basic_f_15, t));
-    let (basic_f_5, t) = run_basic(5, None);
-    bench.push(run_record("basic-F-w5", &basic_f_5, t));
-    let time_sweep = |window: usize, thresholds: &[f64], bench: &mut BenchReport| {
+    let basic_f_15 = run_basic(15, None);
+    let basic_f_5 = run_basic(5, None);
+    let sweep = |window: usize, thresholds: &[f64]| {
         thresholds
             .iter()
-            .map(|&t| {
-                let (run, elapsed) = run_basic(window, Some(t));
-                bench.push(run_record(format!("basic-{t}-w{window}"), &run, elapsed));
-                (t, run)
-            })
+            .map(|&t| (t, run_basic(window, Some(t))))
             .collect::<Vec<(f64, ErRunResult)>>()
     };
     let runs_w15 = if opts.quick {
-        time_sweep(15, &[0.01], &mut bench)
+        sweep(15, &[0.01])
     } else {
-        time_sweep(15, &all_w15, &mut bench)
+        sweep(15, &all_w15)
     };
     let runs_w5 = if opts.quick {
-        time_sweep(5, &[0.01], &mut bench)
+        sweep(5, &[0.01])
     } else {
-        time_sweep(5, &thresholds_w5, &mut bench)
+        sweep(5, &thresholds_w5)
     };
 
     // ---- Fig. 8: three sub-figures, recall vs cost ----------------------
@@ -182,7 +154,5 @@ fn main() -> std::io::Result<()> {
         "-",
         ours.total_cost
     );
-
-    bench.emit(&opts.out_dir)?;
     Ok(())
 }

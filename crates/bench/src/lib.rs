@@ -1,7 +1,8 @@
 //! # pper-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§VI), plus Criterion micro-benchmarks of the substrates.
+//! evaluation (§VI). Performance is measured and gated by the end-to-end
+//! harness under `benchmark/`, not here.
 //!
 //! One binary per paper artifact (see `src/bin/`):
 //!
@@ -22,8 +23,6 @@ use std::path::PathBuf;
 
 use pper_er::metrics::RecallCurve;
 
-pub mod check;
-
 /// Parsed common CLI options for experiment binaries.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
@@ -39,38 +38,37 @@ pub struct ExpOptions {
 
 impl ExpOptions {
     /// Parse from `std::env::args`, with the given default entity count.
+    /// A malformed command line panics with the offending flag's name.
     pub fn from_args(default_entities: usize) -> Self {
+        Self::parse(default_entities, std::env::args().skip(1)).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn parse(
+        default_entities: usize,
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<Self, String> {
         let mut opts = Self {
             entities: default_entities,
             seed: 42,
             quick: false,
             out_dir: PathBuf::from("target/experiments"),
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} takes a value"));
+            match flag.as_str() {
                 "--entities" => {
-                    i += 1;
-                    opts.entities = args[i].parse().expect("--entities takes a number");
+                    opts.entities = value()?.parse().map_err(|_| "--entities takes a number")?;
                 }
-                "--seed" => {
-                    i += 1;
-                    opts.seed = args[i].parse().expect("--seed takes a number");
-                }
-                "--quick" => {
-                    opts.quick = true;
-                    opts.entities = opts.entities.min(2_000);
-                }
-                "--out" => {
-                    i += 1;
-                    opts.out_dir = PathBuf::from(&args[i]);
-                }
-                other => panic!("unknown argument: {other}"),
+                "--seed" => opts.seed = value()?.parse().map_err(|_| "--seed takes a number")?,
+                "--quick" => opts.quick = true,
+                "--out" => opts.out_dir = PathBuf::from(value()?),
+                other => return Err(format!("unknown argument: {other}")),
             }
-            i += 1;
         }
-        opts
+        if opts.quick {
+            opts.entities = opts.entities.min(2_000);
+        }
+        Ok(opts)
     }
 }
 
@@ -182,7 +180,7 @@ impl Figure {
 }
 
 /// One timed measurement inside a [`BenchReport`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchRecord {
     /// Measurement identifier, e.g. `"pairs/string"` or `"levenshtein/prepared"`.
     pub name: String,
@@ -215,20 +213,10 @@ impl BenchRecord {
             },
         }
     }
-
-    /// Time `op` for `iterations` calls and build a record.
-    pub fn time<O>(name: impl Into<String>, iterations: u64, mut op: impl FnMut() -> O) -> Self {
-        let start = std::time::Instant::now();
-        for _ in 0..iterations {
-            std::hint::black_box(op());
-        }
-        Self::from_total(name, iterations, start.elapsed())
-    }
 }
 
-/// A machine-readable micro-benchmark report, persisted as
-/// `BENCH_<name>.json` so CI and scripts can track throughput over time.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// A machine-readable measurement report, persisted as `BENCH_<name>.json`.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct BenchReport {
     /// Report identifier, e.g. "kernels".
     pub name: String,
@@ -315,6 +303,35 @@ pub fn common_max_cost(costs: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<ExpOptions, String> {
+        ExpOptions::parse(500_000, args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn quick_clamps_entities_in_either_order_and_missing_values_are_named() {
+        assert_eq!(
+            parse(&["--quick", "--entities", "500000"])
+                .unwrap()
+                .entities,
+            2_000
+        );
+        assert_eq!(
+            parse(&["--entities", "500000", "--quick"])
+                .unwrap()
+                .entities,
+            2_000
+        );
+        assert_eq!(parse(&["--entities", "700"]).unwrap().entities, 700);
+        for flag in ["--entities", "--seed", "--out"] {
+            let err = parse(&["--quick", flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} takes a value"));
+        }
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown argument: --bogus"
+        );
+    }
+
     #[test]
     fn figure_renders_aligned_rows() {
         let curve = RecallCurve::from_increments(&[(10.0, 5), (20.0, 5)], 10);
@@ -349,14 +366,6 @@ mod tests {
         // Zero iterations must not divide by zero.
         let z = BenchRecord::from_total("z", 0, std::time::Duration::from_nanos(10));
         assert_eq!(z.iterations, 1);
-    }
-
-    #[test]
-    fn bench_record_time_runs_op() {
-        let mut calls = 0u64;
-        let r = BenchRecord::time("t", 5, || calls += 1);
-        assert_eq!(calls, 5);
-        assert_eq!(r.iterations, 5);
     }
 
     #[test]

@@ -96,7 +96,7 @@ const ORDER_INSENSITIVE_COLLECTS: &[&str] = &[
 
 /// Files whose hot paths must route errors through `MrError` (rule D4),
 /// relative suffixes under the mapreduce crate.
-const D4_FILES: &[&str] = &["runtime.rs", "shuffle.rs", "driver.rs", "exec.rs"];
+const D4_FILES: &[&str] = &["runtime.rs", "shuffle.rs", "exec.rs"];
 
 /// Crates whose production code must route file I/O through the
 /// fault-injectable `pper_vfs::Vfs` seam (rule D5): the out-of-core

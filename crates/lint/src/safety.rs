@@ -167,7 +167,7 @@ mod tests {
     fn applies_in_every_crate_including_bench() {
         let src = "unsafe impl GlobalAlloc for CountingAlloc {}";
         assert_eq!(
-            rules_of("crates/bench/src/bin/bench_shuffle.rs", src),
+            rules_of("crates/bench/src/bin/bench_scale.rs", src),
             vec!["safety_comment"]
         );
     }

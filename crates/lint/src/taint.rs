@@ -26,7 +26,6 @@ use crate::parser::{CallSite, FnDef, ParsedFile};
 /// deterministic task body or dispatch site.
 const ENTRY_TRAIT_METHODS: &[(&str, &str)] = &[
     ("Mapper", "map"),
-    ("Combiner", "combine"),
     ("Reducer", "reduce"),
     ("PartitionReducer", "reduce_partition"),
     ("Executor", "run"),

@@ -1,4 +1,4 @@
-//@ path: crates/mapreduce/src/driver.rs
+//@ path: crates/mapreduce/src/runtime.rs
 //! D4 `panic_path` negatives: an annotated invariant passes, and the same
 //! operations are always fine outside the hot-path file set (covered by the
 //! scoping tests in `rules.rs`).

@@ -1,6 +1,6 @@
-//@ path: crates/mapreduce/src/driver.rs
+//@ path: crates/mapreduce/src/runtime.rs
 //! D4 `panic_path` positives: unwrap/expect/panic! in a runtime hot-path
-//! file (`driver.rs` here) must be reported.
+//! file (`runtime.rs` here) must be reported.
 
 fn lookup(table: &[Option<usize>], key: usize) -> usize {
     let first = table.first().unwrap();

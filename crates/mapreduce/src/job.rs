@@ -273,8 +273,8 @@ pub trait Mapper: Sync {
     /// One input record.
     type Input: Sync;
     /// Intermediate key. Must be totally ordered for the shuffle sort and
-    /// hashable for shuffle grouping; `Clone` covers combiner fan-out.
-    type Key: Ord + std::hash::Hash + Clone + Send + Sync;
+    /// hashable for shuffle grouping.
+    type Key: Ord + std::hash::Hash + Send + Sync;
     /// Intermediate value. Values are never cloned by the runtime: reduce
     /// attempts (including fault-plan re-executions) borrow the grouped
     /// partition, so `Clone` is not required.
@@ -294,21 +294,6 @@ pub trait Mapper: Sync {
 
     /// Called once per task after the last input record.
     fn cleanup(&self, _ctx: &mut TaskContext) {}
-}
-
-/// Map-side pre-aggregation (Hadoop's combiner): applied per map task to
-/// each key group of each partition bucket before the shuffle, shrinking
-/// shuffle volume for aggregatable values.
-pub trait Combiner: Sync {
-    /// Intermediate key (must match the mapper's).
-    type Key: Ord + Send + Sync;
-    /// Intermediate value (must match the mapper's).
-    type Value: Send + Sync;
-
-    /// Combine the buffered values of one key in place, usually shrinking
-    /// `values`. The buffer is a reusable scratch owned by the runtime:
-    /// whatever remains in it after this call crosses the shuffle.
-    fn combine(&self, key: &Self::Key, values: &mut Vec<Self::Value>);
 }
 
 /// Classic per-group reduce function: called once per distinct key with all

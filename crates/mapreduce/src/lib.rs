@@ -101,7 +101,6 @@
 
 pub mod cost;
 pub mod counters;
-pub mod driver;
 pub mod error;
 pub mod exec;
 pub mod extsort;
@@ -120,7 +119,6 @@ pub mod spill;
 pub mod prelude {
     pub use crate::cost::{virtual_makespan, CostClock, CostModel};
     pub use crate::counters::Counters;
-    pub use crate::driver::{Driver, StageReport};
     pub use crate::error::MrError;
     pub use crate::exec::{CursorExecutor, Executor, ExecutorKind, WorkStealingExecutor};
     pub use crate::extsort::{ExternalSorter, SortedStream, SpillFullPolicy};
@@ -128,7 +126,7 @@ pub mod prelude {
     // Storage-fault vocabulary, re-exported so spill consumers configure
     // fault plans and retries without naming pper-vfs directly.
     pub use crate::job::{
-        ClusterSpec, Combiner, Emitter, GroupReducer, JobConfig, Mapper, PartitionReducer, Reducer,
+        ClusterSpec, Emitter, GroupReducer, JobConfig, Mapper, PartitionReducer, Reducer,
         TaskContext, TaskId, TaskKind,
     };
     pub use crate::loadbalance::{
@@ -142,8 +140,7 @@ pub mod prelude {
     };
     pub use crate::progress::{EventLog, IncrementalWriter, ProgressEvent, Segment};
     pub use crate::runtime::{
-        run_job, run_job_spilling, run_job_with_combiner, run_job_with_partitioner, JobResult,
-        PhaseReport, WallPhases,
+        run_job, run_job_spilling, run_job_with_partitioner, JobResult, PhaseReport, WallPhases,
     };
     pub use crate::shuffle::{
         shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, ShuffleSpillConfig,

@@ -35,9 +35,7 @@ use crate::counters::Counters;
 use crate::error::MrError;
 use crate::exec::ExecutorKind;
 use crate::faults::InjectedAbort;
-use crate::job::{
-    Combiner, Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind,
-};
+use crate::job::{Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind};
 use crate::loadbalance::lpt_assign;
 use crate::observe::{AttemptRecord, TaskEvent};
 use crate::partition::{HashPartitioner, Partitioner};
@@ -488,22 +486,6 @@ fn check_fault_plan(cfg: &JobConfig, num_map: usize, num_reduce: usize) -> Resul
         .map_err(|msg| MrError::InvalidFaultPlan(format!("job '{}': {msg}", cfg.name)))
 }
 
-/// A combiner that passes values through untouched (used internally when no
-/// combiner is configured).
-pub struct IdentityCombiner<K, V>(std::marker::PhantomData<fn(K, V)>);
-
-impl<K, V> Default for IdentityCombiner<K, V> {
-    fn default() -> Self {
-        Self(std::marker::PhantomData)
-    }
-}
-
-impl<K: Ord + Send + Sync, V: Send + Sync> Combiner for IdentityCombiner<K, V> {
-    type Key = K;
-    type Value = V;
-    fn combine(&self, _key: &K, _values: &mut Vec<V>) {}
-}
-
 /// Run a job with the default [`HashPartitioner`].
 pub fn run_job<M, R>(
     cfg: &JobConfig,
@@ -552,7 +534,6 @@ where
             mapper,
             reducer,
             &HashPartitioner,
-            None::<&IdentityCombiner<M::Key, M::Value>>,
             inputs,
             |per, threads| shuffle_partitions_spilling(cfg.executor, per, threads, spill),
         );
@@ -571,30 +552,6 @@ where
     }
 }
 
-/// Run a job with a map-side [`Combiner`] and the default hash partitioner.
-pub fn run_job_with_combiner<M, R, C>(
-    cfg: &JobConfig,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    inputs: &[M::Input],
-) -> Result<JobResult<R::Output>, MrError>
-where
-    M: Mapper,
-    R: PartitionReducer<Key = M::Key, Value = M::Value>,
-    C: Combiner<Key = M::Key, Value = M::Value>,
-{
-    execute(
-        cfg,
-        mapper,
-        reducer,
-        &HashPartitioner,
-        Some(combiner),
-        inputs,
-        |per, threads| in_memory_shuffle(cfg.executor, per, threads),
-    )
-}
-
 /// Run a job with a custom partitioner (the paper's second job routes blocks
 /// to their scheduled reduce task with a range partitioner over sequence
 /// values, §III-B).
@@ -610,15 +567,9 @@ where
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
     P: Partitioner<M::Key>,
 {
-    execute(
-        cfg,
-        mapper,
-        reducer,
-        partitioner,
-        None::<&IdentityCombiner<M::Key, M::Value>>,
-        inputs,
-        |per, threads| in_memory_shuffle(cfg.executor, per, threads),
-    )
+    execute(cfg, mapper, reducer, partitioner, inputs, |per, threads| {
+        in_memory_shuffle(cfg.executor, per, threads)
+    })
 }
 
 /// The default grouping strategy for [`execute`]: the fully in-memory
@@ -644,12 +595,11 @@ where
 /// tag sort by default, the spilling external sort for
 /// [`run_job_spilling`]. Keeping it a closure parameter keeps
 /// [`crate::spill::SpillCodec`] bounds off the non-spilling entry points.
-fn execute<M, R, P, C, G>(
+fn execute<M, R, P, G>(
     cfg: &JobConfig,
     mapper: &M,
     reducer: &R,
     partitioner: &P,
-    combiner: Option<&C>,
     inputs: &[M::Input],
     group_fn: G,
 ) -> Result<JobResult<R::Output>, MrError>
@@ -657,7 +607,6 @@ where
     M: Mapper,
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
     P: Partitioner<M::Key>,
-    C: Combiner<Key = M::Key, Value = M::Value>,
     G: FnOnce(
         Vec<PartitionBuckets<M::Key, M::Value>>,
         usize,
@@ -728,42 +677,6 @@ where
                 p
             };
             buckets[p].push((k, v));
-        }
-        let mut records = records;
-        if let Some(combiner) = combiner {
-            // Map-side pre-aggregation: sort + group + combine each
-            // bucket before it crosses the shuffle. One scratch buffer
-            // serves every group, and the group's key is moved into its
-            // last output record — cloned only for extra fan-out.
-            let mut combined_records = 0u64;
-            let mut scratch: Vec<M::Value> = Vec::new();
-            for bucket in &mut buckets {
-                let mut taken = std::mem::take(bucket);
-                taken.sort_by(|a, b| a.0.cmp(&b.0));
-                ctx.charge(ctx.cost_model.sort_cost(taken.len()));
-                let mut out: Vec<(M::Key, M::Value)> = Vec::with_capacity(taken.len());
-                let mut iter = taken.into_iter().peekable();
-                while let Some((key, first)) = iter.next() {
-                    scratch.push(first);
-                    while let Some((_, v)) = iter.next_if(|(k, _)| *k == key) {
-                        scratch.push(v);
-                    }
-                    combiner.combine(&key, &mut scratch);
-                    let last = scratch.pop();
-                    for v in scratch.drain(..) {
-                        out.push((key.clone(), v));
-                    }
-                    if let Some(v) = last {
-                        out.push((key, v));
-                    }
-                }
-                combined_records += out.len() as u64;
-                *bucket = out;
-            }
-            ctx.counters.add("combiner_input_records", records);
-            ctx.counters
-                .add("combiner_output_records", combined_records);
-            records = combined_records;
         }
         Ok(MapTaskOutput { buckets, records })
     })?;
@@ -1141,17 +1054,6 @@ mod tests {
         assert!(result.timeline.windows(2).all(|w| w[0].cost <= w[1].cost));
     }
 
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = u64;
-        type Value = u64;
-        fn combine(&self, _key: &u64, values: &mut Vec<u64>) {
-            let sum: u64 = values.iter().sum();
-            values.clear();
-            values.push(sum);
-        }
-    }
-
     struct SumReducer;
     impl Reducer for SumReducer {
         type Key = u64;
@@ -1167,37 +1069,6 @@ mod tests {
             ctx.charge(values.len() as f64);
             out.push((*key, values.iter().sum()));
         }
-    }
-
-    #[test]
-    fn combiner_shrinks_shuffle_without_changing_results() {
-        let inputs: Vec<u64> = (0..1000).collect();
-        let cfg = job(2);
-        let plain = run_job(&cfg, &KeyMod, &GroupReducer::new(SumReducer), &inputs).unwrap();
-        let combined = crate::runtime::run_job_with_combiner(
-            &cfg,
-            &KeyMod,
-            &SumCombiner,
-            &GroupReducer::new(SumReducer),
-            &inputs,
-        )
-        .unwrap();
-        let mut a = plain.outputs.clone();
-        let mut b = combined.outputs.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner must not change results");
-        assert!(
-            combined.shuffle_records < plain.shuffle_records,
-            "combiner should shrink the shuffle: {} vs {}",
-            combined.shuffle_records,
-            plain.shuffle_records
-        );
-        assert!(combined.counters.get("combiner_input_records") > 0);
-        assert!(
-            combined.counters.get("combiner_output_records")
-                < combined.counters.get("combiner_input_records")
-        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! publishes results into caller-owned per-index slots and the driver
 //! collects them in index order after the barrier. So the one property that
 //! makes the backends interchangeable is: nothing observable may depend on
-//! the backend or the thread count. These tests run the same five job
-//! shapes — plain, with a combiner, with whole-key shuffle balancing, under
-//! a fault plan, and with a spilling shuffle — across the full
+//! the backend or the thread count. These tests run the same four job
+//! shapes — plain, with whole-key shuffle balancing, under a fault plan,
+//! and with a spilling shuffle — across the full
 //! backend × thread-count matrix and demand byte-identical outputs,
 //! counters, timelines, and virtual costs, plus a property test that steal
 //! order never leaks into observables.
@@ -33,17 +33,6 @@ impl Mapper for WordMapper {
             ctx.charge(1.0);
             out.emit(w.to_string(), 1);
         }
-    }
-}
-
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type Key = String;
-    type Value = u64;
-    fn combine(&self, _key: &String, values: &mut Vec<u64>) {
-        let sum: u64 = values.iter().sum();
-        values.clear();
-        values.push(sum);
     }
 }
 
@@ -141,24 +130,6 @@ fn plain_job_identical_across_backends() {
             run_job(
                 &cfg(backend, threads),
                 &WordMapper,
-                &GroupReducer::new(Sum),
-                &input,
-            )
-            .unwrap()
-        },
-        false,
-    );
-}
-
-#[test]
-fn combiner_job_identical_across_backends() {
-    let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            run_job_with_combiner(
-                &cfg(backend, threads),
-                &WordMapper,
-                &SumCombiner,
                 &GroupReducer::new(Sum),
                 &input,
             )

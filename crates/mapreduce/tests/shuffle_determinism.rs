@@ -3,9 +3,9 @@
 //! The shuffle sorts and groups partitions on the worker pool, so the one
 //! property that keeps experiments reproducible is: the number of OS threads
 //! executing a job must never leak into any reported quantity. These tests
-//! run the same job at 1, 2, and 8 worker threads — plain, with a combiner,
-//! with whole-key shuffle balancing, and under a fault plan — and demand
-//! byte-identical outputs, counters, timelines, and virtual costs.
+//! run the same job at 1, 2, and 8 worker threads — plain, with whole-key
+//! shuffle balancing, and under a fault plan — and demand byte-identical
+//! outputs, counters, timelines, and virtual costs.
 
 use pper_mapreduce::prelude::*;
 
@@ -19,17 +19,6 @@ impl Mapper for WordMapper {
             ctx.charge(1.0);
             out.emit(w.to_string(), 1);
         }
-    }
-}
-
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type Key = String;
-    type Value = u64;
-    fn combine(&self, _key: &String, values: &mut Vec<u64>) {
-        let sum: u64 = values.iter().sum();
-        values.clear();
-        values.push(sum);
     }
 }
 
@@ -101,29 +90,6 @@ fn plain_job_identical_across_thread_counts() {
         assert_eq!(
             observables(&base),
             observables(&r),
-            "worker_threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn combiner_job_identical_across_thread_counts() {
-    let input = corpus();
-    let run = |threads| {
-        run_job_with_combiner(
-            &cfg(threads),
-            &WordMapper,
-            &SumCombiner,
-            &GroupReducer::new(Sum),
-            &input,
-        )
-        .unwrap()
-    };
-    let base = run(1);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            observables(&base),
-            observables(&run(threads)),
             "worker_threads={threads}"
         );
     }

@@ -1,10 +1,15 @@
-//! Tier-1 smokes of two conformance families whose full sweeps live in the
-//! member crates (`crates/er-core/tests/{resume_checkpoint,durable,executors}.rs`):
+//! Tier-1 smokes of four conformance families whose full sweeps live in the
+//! member crates (`crates/er-core/tests/{resume_checkpoint,durable,executors,
+//! chaos_invariance,io_chaos}.rs`):
 //!
 //! * **resume** — however a run is cut into stages, in process or through
 //!   the durable journal, it ends in the uninterrupted run's fingerprint;
 //! * **executors** — the dispatch backend and the thread count reach no
-//!   observable.
+//!   observable;
+//! * **chaos** — task attempts that die below the attempt budget change
+//!   nothing but the clock; an exhausted budget is a typed error;
+//! * **chaos-io** — every rung of the spill's storage-fault ladder ends in
+//!   the fault-free fingerprint.
 
 use std::sync::Arc;
 
@@ -12,7 +17,10 @@ use pper::datagen::{BookGen, Dataset};
 use pper::er::checkpoint::Checkpoint;
 use pper::er::prelude::*;
 use pper::journal::{recover, JournalState, JournalStore, MemStore};
-use pper::mapreduce::ExecutorKind;
+use pper::mapreduce::{
+    ExecutorKind, FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, MrError, ShuffleSpillConfig,
+    SpillFullPolicy, TaskKind, Vfs,
+};
 
 fn dataset() -> Dataset {
     BookGen::new(1_200, 611).generate()
@@ -137,4 +145,88 @@ fn backend_and_thread_count_reach_no_observable() {
     assert_eq!(recorded, ExecutorKind::Cursor);
     let resumed = resume_durable(&configured(recorded, 2), &ds, &killed, "old", &DURABLE).unwrap();
     assert_eq!(ResultFingerprint::of(&resumed), golden);
+}
+
+#[test]
+fn task_faults_below_the_budget_change_only_the_clock() {
+    let ds = dataset();
+    let golden = fingerprint(&pipeline(), &ds);
+    let faulted = |plan| {
+        let mut er = pipeline();
+        er.config.faults = Some(plan);
+        er.try_run(&ds)
+    };
+
+    // One attempt of each flavour dies: discarded after half its work,
+    // killed at its start, panicking mid-flight.
+    let plan = FaultPlan::fail_reduce(0, 1)
+        .with_crash(TaskKind::Reduce, 1, 1)
+        .with_abort(TaskKind::Map, 0, 1, 50.0);
+    let run = faulted(plan).unwrap();
+    assert!(run.counters.get("task_retries") >= 3);
+    assert!(run.counters.get("wasted_virtual_cost") > 0);
+    // Re-execution delays the retried tasks' events, so the fingerprint is
+    // the clean one in everything but its clock readings.
+    let fp = ResultFingerprint::of(&run);
+    assert!(run.total_cost >= f64::from_bits(golden.total_cost_bits));
+    let untimed = |fp: &ResultFingerprint| {
+        let mut found: Vec<(u32, u32)> = fp.found_events.iter().map(|e| (e.1, e.2)).collect();
+        found.sort_unstable();
+        (
+            fp.duplicates.clone(),
+            found,
+            fp.precision_bits,
+            fp.final_recall_bits,
+            fp.curve_len,
+        )
+    };
+    assert_eq!(untimed(&fp), untimed(&golden));
+
+    let exhausted = FaultPlan::fail_reduce(1, 3).with_crash(TaskKind::Reduce, 1, 4);
+    match faulted(exhausted) {
+        Err(MrError::TaskFailed { attempts, .. }) => assert_eq!(attempts, 4),
+        other => panic!("expected TaskFailed, got {other:?}"),
+    }
+}
+
+#[test]
+fn spill_storage_faults_end_in_the_fault_free_fingerprint() {
+    let ds = dataset();
+    let golden = fingerprint(&pipeline(), &ds);
+    let dir = std::env::temp_dir().join(format!("pper-smoke-io-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let ladder = [
+        (
+            IoOp::Write,
+            FaultKind::Transient { times: 2 },
+            SpillFullPolicy::Error,
+            "shuffle_spill_io_retries",
+        ),
+        (
+            IoOp::Read,
+            FaultKind::CorruptRead,
+            SpillFullPolicy::Error,
+            "shuffle_spill_reruns",
+        ),
+        (
+            IoOp::Write,
+            FaultKind::Enospc,
+            SpillFullPolicy::InMemory,
+            "shuffle_spill_degraded_partitions",
+        ),
+    ];
+    for (op, fault, on_full, counter) in ladder {
+        let plan = IoFaultPlan::new().with_at(op, "pper-extsort", 0, fault);
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan).unwrap());
+        let spill = ShuffleSpillConfig::new(40)
+            .with_dir(&dir)
+            .with_vfs(vfs)
+            .with_full_policy(on_full);
+        let er = ProgressiveEr::new(ErConfig::books(2).with_shuffle_spill(spill));
+        let run = er.try_run(&ds).unwrap();
+        assert!(run.counters.get(counter) > 0, "{counter} did not record");
+        assert_eq!(ResultFingerprint::of(&run), golden, "{counter}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

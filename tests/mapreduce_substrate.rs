@@ -1,9 +1,7 @@
 //! Substrate-level integration: the MapReduce runtime features exercised
 //! through the public facade, independent of the ER pipeline.
 
-use pper::mapreduce::driver::Driver;
 use pper::mapreduce::prelude::*;
-use pper::mapreduce::runtime::run_job_with_combiner;
 
 struct Tokenize;
 impl Mapper for Tokenize {
@@ -35,56 +33,10 @@ impl Reducer for Sum {
     }
 }
 
-struct SumCombiner;
-impl Combiner for SumCombiner {
-    type Key = String;
-    type Value = u64;
-    fn combine(&self, _key: &String, values: &mut Vec<u64>) {
-        let sum: u64 = values.iter().sum();
-        values.clear();
-        values.push(sum);
-    }
-}
-
 fn corpus() -> Vec<String> {
     (0..500)
         .map(|i| format!("alpha beta w{} alpha", i % 20))
         .collect()
-}
-
-#[test]
-fn word_count_with_combiner_matches_plain() {
-    let cfg = JobConfig::new("wc", ClusterSpec::paper(2));
-    let inputs = corpus();
-    let plain = run_job(&cfg, &Tokenize, &GroupReducer::new(Sum), &inputs).unwrap();
-    let combined = run_job_with_combiner(
-        &cfg,
-        &Tokenize,
-        &SumCombiner,
-        &GroupReducer::new(Sum),
-        &inputs,
-    )
-    .unwrap();
-    let mut a = plain.outputs.clone();
-    let mut b = combined.outputs.clone();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-    assert!(combined.shuffle_records < plain.shuffle_records / 10);
-}
-
-#[test]
-fn driver_chains_two_jobs() {
-    let cfg = JobConfig::new("wc", ClusterSpec::paper(2));
-    let inputs = corpus();
-    let r1 = run_job(&cfg, &Tokenize, &GroupReducer::new(Sum), &inputs).unwrap();
-    let r2 = run_job(&cfg, &Tokenize, &GroupReducer::new(Sum), &inputs).unwrap();
-    let mut driver = Driver::new();
-    driver.record("count-1", &r1);
-    driver.record("count-2", &r2);
-    assert_eq!(driver.stages().len(), 2);
-    assert!(driver.now() > r1.total_virtual_cost);
-    assert!(driver.report().contains("count-2"));
 }
 
 #[test]
