@@ -2,7 +2,7 @@
 //!
 //! The paper notes that the total order `⊵F` "can be specified even more
 //! easily if the set of blocking functions is automatically determined
-//! using approaches such as [20]": estimate, per main blocking function,
+//! using approaches such as \[20\]": estimate, per main blocking function,
 //! the number of duplicate and distinct pairs in its blocks, and "set
 //! `X¹ ⊵ Y¹` if its estimated number of duplicate pairs divided by its
 //! total number of pairs is greater than that of `Y¹`". This module

@@ -44,4 +44,4 @@ pub use citeseer::PubGen;
 pub use corrupt::{CorruptionConfig, Corruptor};
 pub use entity::{Dataset, Entity, EntityId, GroundTruth};
 pub use toy::toy_people;
-pub use zipf::{SkewedBlocksGen, SkewedRecord, Zipf};
+pub use zipf::Zipf;

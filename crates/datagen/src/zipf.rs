@@ -50,88 +50,11 @@ impl Zipf {
     }
 }
 
-/// One record of a [`SkewedBlocksGen`] workload: a blocking key plus an
-/// opaque payload for match predicates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkewedRecord {
-    /// Blocking key; its frequency follows the generator's Zipf law.
-    pub key: String,
-    /// Deterministic pseudo-random payload in `0..1_000_000`.
-    pub payload: u64,
-}
-
-/// Seeded generator of a *skewed shuffle workload*: `n` records whose
-/// blocking keys are drawn from `Zipf(keys, exponent)`, so the head key's
-/// block holds a large share of all pair comparisons — the adversarial
-/// input for reduce-side load balancing (the paper's "severe skewness in
-/// block sizes"; Kolb et al., arXiv:1108.1631 §2).
-///
-/// Identical `(n, keys, exponent, seed)` always produce identical records.
-#[derive(Debug, Clone)]
-pub struct SkewedBlocksGen {
-    /// Number of records.
-    pub n: usize,
-    /// Number of distinct blocking keys.
-    pub keys: usize,
-    /// Zipf exponent; larger = more skew (1.0–2.0 is realistic).
-    pub exponent: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl SkewedBlocksGen {
-    /// A generator of `n` records over `keys` keys with the given skew.
-    pub fn new(n: usize, keys: usize, exponent: f64, seed: u64) -> Self {
-        Self {
-            n,
-            keys,
-            exponent,
-            seed,
-        }
-    }
-
-    /// Generate the records.
-    pub fn generate(&self) -> Vec<SkewedRecord> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let zipf = Zipf::new(self.keys.max(1), self.exponent);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.n)
-            .map(|_| {
-                let rank = zipf.sample(&mut rng);
-                SkewedRecord {
-                    key: format!("blk{rank:05}"),
-                    payload: rng.random_range(0..1_000_000u64),
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn skewed_gen_is_deterministic_and_skewed() {
-        let g = SkewedBlocksGen::new(2_000, 200, 1.4, 7);
-        let a = g.generate();
-        let b = g.generate();
-        assert_eq!(a, b, "same seed must reproduce the workload");
-        assert_eq!(a.len(), 2_000);
-        let mut counts = std::collections::HashMap::new();
-        for r in &a {
-            *counts.entry(r.key.as_str()).or_insert(0usize) += 1;
-        }
-        let max = *counts.values().max().unwrap();
-        let mean = a.len() / counts.len();
-        assert!(
-            max > 5 * mean,
-            "head block ({max}) should dwarf the mean ({mean})"
-        );
-    }
 
     #[test]
     fn samples_in_range() {

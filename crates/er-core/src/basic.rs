@@ -9,7 +9,7 @@
 //! (or fully, for "Basic F").
 //!
 //! As in the paper's experiments, the redundancy-elimination technique of
-//! Kolb et al. (ref. [14]) is incorporated: a pair co-occurring in several
+//! Kolb et al. (ref. \[14\]) is incorporated: a pair co-occurring in several
 //! blocks is resolved only in the common block with the smallest blocking
 //! key value. The §II-C limitations this baseline exhibits by construction:
 //! schedule oblivious to duplicate distribution, single visit per block
@@ -240,7 +240,6 @@ impl BasicApproach {
     /// Run the baseline and report the same result shape as the pipeline.
     pub fn run(&self, ds: &Dataset) -> Result<ErRunResult, MrError> {
         let mut cfg = self.er.job_config("pper-basic");
-        cfg.shuffle_balance = self.er.shuffle_balance;
         cfg.faults = self.er.faults.clone();
 
         let mapper = BasicMapper {

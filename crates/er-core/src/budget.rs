@@ -45,6 +45,11 @@ pub struct BudgetReport {
 /// The budget is a *cluster* budget in the same units as
 /// [`ErRunResult::total_cost`]; the per-task share handed to the scheduler
 /// divides it by the reduce task count.
+///
+/// # Panics
+/// Panics if `budget` is not greater than zero (NaN included). Callers
+/// taking the budget from outside the program check it first, as `pper run
+/// --budget` does.
 pub fn run_with_budget(
     config: &ErConfig,
     ds: &Dataset,

@@ -1,5 +1,5 @@
 //! Clustering of resolved duplicate pairs (§II-A): "a clustering technique
-//! such as transitive closure [1] or correlation clustering [22] may be
+//! such as transitive closure \[1\] or correlation clustering \[22\] may be
 //! applied at the end to group duplicate entities into disjoint clusters
 //! such that each cluster uniquely represents a single real-world object".
 //!

@@ -13,11 +13,11 @@ use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
 /// for CiteSeerX, PSNM for OL-Books).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MechanismKind {
-    /// Sorted Neighbor with the sorted-list hint of ref. [5].
+    /// Sorted Neighbor with the sorted-list hint of ref. \[5\].
     Sn,
-    /// Progressive Sorted Neighborhood Method of ref. [6].
+    /// Progressive Sorted Neighborhood Method of ref. \[6\].
     Psnm,
-    /// The hierarchical-partitioning hint of ref. [5] as a mechanism
+    /// The hierarchical-partitioning hint of ref. \[5\] as a mechanism
     /// (§III-A's closing remark).
     Hierarchy,
 }
@@ -134,13 +134,6 @@ pub struct ErConfig {
     /// tasks) for both jobs. `None` disables speculation, like
     /// `mapred.map.tasks.speculative.execution=false`.
     pub speculation: Option<pper_mapreduce::SpeculationConfig>,
-    /// Opt-in skew-aware shuffle balancing for the hash-partitioned jobs
-    /// (Basic's single job, the pipeline's statistics job). `None` keeps
-    /// Hadoop's default hash routing; `Some(ShuffleBalance::Pairs)` places
-    /// blocking keys on reduce tasks by pair workload instead (see
-    /// `pper_mapreduce::loadbalance`). The scheduled resolution job is
-    /// unaffected — its range partitioner already encodes a placement.
-    pub shuffle_balance: Option<pper_mapreduce::ShuffleBalance>,
     /// Resolve pairs through the prepared-signature fast path
     /// (`pper_simil::prepared`): entities are prepared once per reduce task
     /// and compared with zero per-pair allocation and threshold-aware early
@@ -211,7 +204,6 @@ impl ErConfig {
             worker_threads: None,
             faults: None,
             speculation: None,
-            shuffle_balance: None,
             use_prepared: true,
             observer: None,
             executor: pper_mapreduce::ExecutorKind::default(),
@@ -249,7 +241,6 @@ impl ErConfig {
             worker_threads: None,
             faults: None,
             speculation: None,
-            shuffle_balance: None,
             use_prepared: true,
             observer: None,
             executor: pper_mapreduce::ExecutorKind::default(),
@@ -266,12 +257,6 @@ impl ErConfig {
     /// Replace the weighting function.
     pub fn with_weighting(mut self, weighting: Weighting) -> Self {
         self.schedule.weighting = weighting;
-        self
-    }
-
-    /// Enable skew-aware shuffle balancing on the hash-partitioned jobs.
-    pub fn with_shuffle_balance(mut self, balance: pper_mapreduce::ShuffleBalance) -> Self {
-        self.shuffle_balance = Some(balance);
         self
     }
 
@@ -301,13 +286,6 @@ impl ErConfig {
         self
     }
 
-    /// Set the machine count, keeping reduce tasks = 2·μ.
-    pub fn with_machines(mut self, machines: usize) -> Self {
-        self.machines = machines;
-        self.schedule.reduce_tasks = machines * 2;
-        self
-    }
-
     /// The simulated cluster (paper config: 2+2 slots per machine).
     pub fn cluster(&self) -> ClusterSpec {
         ClusterSpec::paper(self.machines)
@@ -320,7 +298,7 @@ impl ErConfig {
 
     /// Runtime configuration of the job `name` on this pipeline's cluster,
     /// with the settings every job of a run shares; a job adds only what
-    /// is its own (fault plan, shuffle balancing, reduce-task count).
+    /// is its own (fault plan, reduce-task count).
     pub fn job_config(&self, name: &str) -> JobConfig {
         let mut cfg = JobConfig::new(name, self.cluster());
         cfg.cost_model = self.cost_model.clone();
@@ -345,13 +323,6 @@ mod tests {
         let b = ErConfig::books(5);
         assert_eq!(b.mechanism.name(), "psnm");
         assert_eq!(b.rule.attrs.len(), 8);
-    }
-
-    #[test]
-    fn with_machines_updates_reduce_tasks() {
-        let c = ErConfig::citeseer(10).with_machines(25);
-        assert_eq!(c.machines, 25);
-        assert_eq!(c.schedule.reduce_tasks, 50);
     }
 
     #[test]

@@ -502,7 +502,7 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// it needs to rebuild the configuration for [`resume_durable`].
 ///
 /// Counters follow the crash/resume convention of
-/// [`ProgressiveEr::resume`]: they count work the final stage actually
+/// [`ProgressiveEr::run_stage`]: they count work the final stage actually
 /// executed, not work replayed from checkpoints, so a staged run reports
 /// far fewer comparisons than [`ProgressiveEr::try_run`] even though the
 /// result fingerprint is bit-identical.

@@ -202,8 +202,7 @@ pub struct Job1Result {
 
 /// Run the first job on the simulated cluster.
 pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> {
-    let mut cfg = config.job_config("pper-job1-blocking");
-    cfg.shuffle_balance = config.shuffle_balance;
+    let cfg = config.job_config("pper-job1-blocking");
 
     // The spilling path re-routes oversized shuffle partitions through a
     // disk-backed external sort; the grouped output is bit-identical to the

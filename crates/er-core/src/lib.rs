@@ -15,7 +15,7 @@
 //!   resolved in child blocks;
 //! * [`basic`] — the Basic baseline of §II-C: one MR job, hash
 //!   partitioning by blocking key, Popcorn stopping, and the smallest-key
-//!   redundancy elimination of Kolb et al. (ref. [14]);
+//!   redundancy elimination of Kolb et al. (ref. \[14\]);
 //! * [`pipeline`] — orchestration: the two jobs chained, timelines merged,
 //!   results exposed as a [`metrics::RecallCurve`];
 //! * [`checkpoint`] — crash/resume support: kill the resolution job

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use pper_datagen::{Dataset, PubGen};
 use pper_er::{BasicApproach, BasicConfig, ErConfig, ErRunResult, ProgressiveEr};
-use pper_mapreduce::{FaultPlan, MrError, ShuffleBalance, TaskKind};
+use pper_mapreduce::{FaultPlan, MrError, TaskKind};
 use proptest::prelude::*;
 
 fn dataset() -> &'static Dataset {
@@ -167,20 +167,4 @@ fn basic_baseline_is_chaos_invariant() {
         .run(ds)
         .unwrap();
     assert_chaos_invariant(&faulty, &clean, "basic baseline");
-}
-
-#[test]
-fn balanced_shuffle_is_chaos_invariant() {
-    let ds = dataset();
-    let clean_er = ErConfig::citeseer(2).with_shuffle_balance(ShuffleBalance::Pairs);
-    let clean = BasicApproach::new(clean_er.clone(), BasicConfig::full(15))
-        .run(ds)
-        .unwrap();
-
-    let mut faulty_er = clean_er;
-    faulty_er.faults = Some(FaultPlan::fail_reduce(3, 1).with_abort(TaskKind::Reduce, 0, 1, 500.0));
-    let faulty = BasicApproach::new(faulty_er, BasicConfig::full(15))
-        .run(ds)
-        .unwrap();
-    assert_chaos_invariant(&faulty, &clean, "balanced shuffle");
 }

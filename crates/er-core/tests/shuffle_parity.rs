@@ -1,12 +1,12 @@
 //! Virtual-time parity regression for the shuffle layer.
 //!
-//! The shuffle is pure plumbing: however records are gathered, sorted,
-//! grouped, or balanced, the *virtual-time* results of a job — duplicates,
-//! recall curve, counters, total cost — must be bit-identical. These tests
-//! pin the quick CiteSeerX-shaped configuration to fingerprints captured
-//! from the original driver-thread nested-`Vec` shuffle, across worker
-//! thread counts and with shuffle-balance and fault plans enabled, so any
-//! shuffle rewrite that shifts a single bit of virtual time fails here.
+//! The shuffle is pure plumbing: however records are gathered, sorted or
+//! grouped, the *virtual-time* results of a job — duplicates, recall curve,
+//! counters, total cost — must be bit-identical. These tests pin the quick
+//! CiteSeerX-shaped configuration to fingerprints captured from the
+//! original driver-thread nested-`Vec` shuffle, across worker thread counts
+//! and with fault plans enabled, so any shuffle rewrite that shifts a single
+//! bit of virtual time fails here.
 
 use pper_datagen::PubGen;
 use pper_er::prelude::*;
@@ -63,14 +63,9 @@ fn pipeline_run(threads: usize, faults: Option<FaultPlan>) -> ErRunResult {
     ProgressiveEr::new(config).run(&quick_dataset())
 }
 
-fn basic_run(
-    threads: usize,
-    balance: Option<ShuffleBalance>,
-    faults: Option<FaultPlan>,
-) -> ErRunResult {
+fn basic_run(threads: usize, faults: Option<FaultPlan>) -> ErRunResult {
     let mut config = ErConfig::citeseer(2);
     config.worker_threads = Some(threads);
-    config.shuffle_balance = balance;
     config.faults = faults;
     BasicApproach::new(config, BasicConfig::popcorn(15, 0.01))
         .run(&quick_dataset())
@@ -104,7 +99,7 @@ const GOLDEN_BASIC: Fingerprint = Fingerprint {
 #[ignore = "golden capture helper: prints fingerprints to embed above"]
 fn print_golden_fingerprints() {
     println!("pipeline t1: {:?}", fingerprint(&pipeline_run(1, None)));
-    println!("basic t1:    {:?}", fingerprint(&basic_run(1, None, None)));
+    println!("basic t1:    {:?}", fingerprint(&basic_run(1, None)));
 }
 
 #[test]
@@ -132,34 +127,15 @@ fn pipeline_parity_with_fault_plan() {
 #[test]
 fn basic_parity_across_worker_threads() {
     for threads in [1usize, 2, 8] {
-        let fp = fingerprint(&basic_run(threads, None, None));
+        let fp = fingerprint(&basic_run(threads, None));
         assert_eq!(fp, GOLDEN_BASIC, "worker_threads={threads}");
     }
 }
 
 #[test]
-fn basic_balanced_shuffle_keeps_duplicates_and_counters() {
-    // LPT whole-key balancing moves keys between reduce tasks, so per-task
-    // costs shift; the duplicate set and global work counters must not.
-    let plain = basic_run(1, None, None);
-    for threads in [1usize, 8] {
-        let balanced = basic_run(threads, Some(ShuffleBalance::Pairs), None);
-        assert_eq!(plain.duplicates, balanced.duplicates, "threads={threads}");
-        assert_eq!(
-            plain.counters.get("pairs_compared"),
-            balanced.counters.get("pairs_compared")
-        );
-        assert_eq!(
-            plain.counters.get("duplicates_found"),
-            balanced.counters.get("duplicates_found")
-        );
-    }
-}
-
-#[test]
 fn basic_parity_with_fault_plan() {
-    let clean = basic_run(1, None, None);
-    let faulty = basic_run(8, None, Some(FaultPlan::fail_reduce(0, 2)));
+    let clean = basic_run(1, None);
+    let faulty = basic_run(8, Some(FaultPlan::fail_reduce(0, 2)));
     assert_eq!(clean.duplicates, faulty.duplicates);
     assert_eq!(
         clean.counters.get("duplicates_found"),

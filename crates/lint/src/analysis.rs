@@ -3,7 +3,7 @@
 //!
 //! [`analyze`] is the one entry point the CLI and the conformance tests
 //! use. Per file it runs every rule's sink detector
-//! ([`crate::rules::collect_sinks`]); across files it builds the workspace
+//! (`crate::rules::collect_sinks`); across files it builds the workspace
 //! call graph ([`crate::taint::CallGraph`]) and promotes any
 //! reach-eligible sink whose enclosing function is reachable from a
 //! deterministic entry point — wherever the file sits. A sink that fires

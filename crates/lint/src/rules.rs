@@ -15,9 +15,9 @@
 //! |             | the out-of-core crates — file I/O must route through the         |
 //! |             | fault-injectable `pper_vfs::Vfs` seam                            |
 //! |`safety_comment`| U1: every `unsafe` block/fn/impl carries a `// SAFETY:`       |
-//! |             | justification (see [`crate::safety`])                            |
+//! |             | justification (see `crate::safety`)                              |
 //! | `lossy_cast`| C1: no bare `as` integer casts in codec/framing code             |
-//! |             | (`journal`, `store`, `extsort.rs` — see [`crate::casts`])        |
+//! |             | (`journal`, `store`, `extsort.rs` — see `crate::casts`)          |
 //!
 //! Each rule detects *sinks* on every non-exempt file; whether a sink
 //! becomes a diagnostic is decided by scope. The legacy file/crate scoping

@@ -113,11 +113,6 @@ impl CostModel {
     pub fn block_additional_cost(&self, n: usize) -> f64 {
         self.read_per_entity * n as f64 + self.sort_cost(n) + self.hint_per_entity * n as f64
     }
-
-    /// Cost of resolving `pairs` entity pairs.
-    pub fn pairs_cost(&self, pairs: u64) -> f64 {
-        self.resolve_pair * pairs as f64
-    }
 }
 
 /// Virtual completion time of a phase whose tasks have the given costs, run

@@ -147,7 +147,7 @@ fn run_cursor_pool(count: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) 
 }
 
 /// The reference backend: a shared atomic cursor claimed in adaptive
-/// chunks (see [`adaptive_chunk`]).
+/// chunks (see `adaptive_chunk`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CursorExecutor;
 

@@ -7,7 +7,6 @@ use crate::cost::{CostClock, CostModel};
 use crate::counters::Counters;
 use crate::exec::ExecutorKind;
 use crate::faults::{FaultPlan, InjectedAbort, SpeculationConfig};
-use crate::loadbalance::ShuffleBalance;
 use crate::observe::TaskObserver;
 use crate::progress::EventLog;
 use crate::shuffle::GroupedPartition;
@@ -102,9 +101,6 @@ pub struct JobConfig {
     /// "use available parallelism". This affects wall-clock speed only, never
     /// the virtual-time results.
     pub worker_threads: Option<usize>,
-    /// Whether mappers/reducers are charged the per-record emit/shuffle costs
-    /// automatically by the runtime (on by default).
-    pub charge_framework_costs: bool,
     /// Deterministic task-failure injection (None = no failures).
     pub faults: Option<FaultPlan>,
     /// Speculative execution on the virtual clock (None = off): stragglers
@@ -112,13 +108,6 @@ pub struct JobConfig {
     /// backup attempt; the first finisher wins and the loser's cost is
     /// charged to the `speculative_wasted` counter.
     pub speculation: Option<SpeculationConfig>,
-    /// Opt-in whole-key shuffle balancing: when set, the runtime ignores the
-    /// job's partitioner, counts records per key after the map phase, and
-    /// places keys on reduce tasks with a weighted LPT greedy instead of
-    /// hashing (see `crate::loadbalance`). Grouping semantics are unchanged —
-    /// every key still lands on exactly one reduce task — only the key→task
-    /// mapping moves, so any keyed job can turn this on safely.
-    pub shuffle_balance: Option<ShuffleBalance>,
     /// Task lifecycle observer (None = no observation). Notified from the
     /// driver thread in task-index order after each phase's barrier — see
     /// [`crate::observe`] — so a journal built from the notifications is
@@ -142,10 +131,8 @@ impl JobConfig {
             num_reduce_tasks: None,
             cost_model: CostModel::default(),
             worker_threads: None,
-            charge_framework_costs: true,
             faults: None,
             speculation: None,
-            shuffle_balance: None,
             observer: None,
             executor: ExecutorKind::default(),
         }

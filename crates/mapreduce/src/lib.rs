@@ -31,29 +31,6 @@
 //! wall-clock benefits of parallelism are also real; but all *reported*
 //! quantities derive from the virtual clocks.
 //!
-//! ## Shuffle skew and load balancing
-//!
-//! Hash partitioning sends a whole key group to one reduce task, so a
-//! Zipf-skewed key distribution (typical of blocking keys in entity
-//! resolution) leaves the reduce makespan dominated by the single hottest
-//! task. The [`loadbalance`] module provides three skew-aware remedies:
-//!
-//! * [`loadbalance::BlockSplitPlan`] — split over-budget blocks into
-//!   sub-blocks and enumerate self/cross match tasks so every pair is still
-//!   compared exactly once (Kolb, Thor & Rahm, arXiv:1108.1631);
-//! * [`loadbalance::PairRangePlan`] — enumerate the global pair space and
-//!   range-partition it into equal slices, replicating each entity only to
-//!   the ranges that need it;
-//! * [`job::JobConfig::shuffle_balance`] — a runtime option for ordinary
-//!   keyed jobs that counts records per key after the map phase and places
-//!   whole keys on reduce tasks with a weighted LPT pass
-//!   ([`loadbalance::ShuffleBalance`]), preserving grouping semantics.
-//!
-//! [`loadbalance::run_pair_job`] runs a complete pairwise-comparison job
-//! under any [`loadbalance::PairStrategy`]; [`runtime::JobResult`] exposes
-//! the resulting per-task cost spread via `reduce_max_mean_ratio`, per-phase
-//! cost histograms, and a `shuffle_skew_milli` counter.
-//!
 //! ## Example
 //!
 //! ```
@@ -107,7 +84,6 @@ pub mod extsort;
 pub mod faults;
 pub mod fxhash;
 pub mod job;
-pub mod loadbalance;
 pub mod observe;
 pub mod partition;
 pub mod progress;
@@ -129,15 +105,8 @@ pub mod prelude {
         ClusterSpec, Emitter, GroupReducer, JobConfig, Mapper, PartitionReducer, Reducer,
         TaskContext, TaskId, TaskKind,
     };
-    pub use crate::loadbalance::{
-        run_pair_job, run_pair_job_with, BlockDistribution, BlockSplitPlan, PairJobReport,
-        PairRangePlan, PairStrategy, ShuffleBalance,
-    };
     pub use crate::observe::{AttemptRecord, TaskEvent, TaskObserver};
-    pub use crate::partition::{
-        AssignedPartitioner, HashPartitioner, IndexPartitioner, KeyMapPartitioner, Partitioner,
-        RangePartitioner,
-    };
+    pub use crate::partition::{HashPartitioner, Partitioner, RangePartitioner};
     pub use crate::progress::{EventLog, IncrementalWriter, ProgressEvent, Segment};
     pub use crate::runtime::{
         run_job, run_job_spilling, run_job_with_partitioner, JobResult, PhaseReport, WallPhases,

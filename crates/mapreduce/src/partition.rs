@@ -65,95 +65,10 @@ impl<K: Sync> Partitioner<K> for RangePartitioner<K> {
     }
 }
 
-/// Explicit table lookup for dense `u64` index keys: key `k` goes to
-/// `assign[k]`. The load-balancing planners (`crate::loadbalance`) use this
-/// to place their match tasks on the reduce tasks an LPT pass picked.
-/// Out-of-table keys fall back to hashing, so stray keys still land in range.
-#[derive(Debug, Clone)]
-pub struct AssignedPartitioner {
-    assign: Vec<usize>,
-}
-
-impl AssignedPartitioner {
-    /// Build from a per-key partition table.
-    pub fn new(assign: Vec<usize>) -> Self {
-        Self { assign }
-    }
-
-    /// Number of keys in the table.
-    pub fn len(&self) -> usize {
-        self.assign.len()
-    }
-
-    /// True if the table is empty (all keys fall back to hashing).
-    pub fn is_empty(&self) -> bool {
-        self.assign.is_empty()
-    }
-}
-
-impl Partitioner<u64> for AssignedPartitioner {
-    #[inline]
-    fn partition(&self, key: &u64, num_partitions: usize) -> usize {
-        let r = num_partitions.max(1);
-        match self.assign.get(*key as usize) {
-            Some(&p) => p.min(r - 1),
-            None => (hash_one(key) % r as u64) as usize,
-        }
-    }
-}
-
-/// The key *is* the partition index (clamped). PairRange jobs key records by
-/// their reduce range, which makes routing the identity function.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IndexPartitioner;
-
-impl Partitioner<u64> for IndexPartitioner {
-    #[inline]
-    fn partition(&self, key: &u64, num_partitions: usize) -> usize {
-        (*key as usize).min(num_partitions.max(1) - 1)
-    }
-}
-
-/// Whole-key placement table: each known key routes to its planned
-/// partition, unknown keys fall back to hashing. The runtime's balanced
-/// shuffle (`JobConfig::shuffle_balance`) builds one of these after the map
-/// phase, once the key distribution is known.
-#[derive(Debug, Clone)]
-pub struct KeyMapPartitioner<K> {
-    map: std::collections::HashMap<K, usize>,
-}
-
-impl<K: Hash + Eq> KeyMapPartitioner<K> {
-    /// Build from an explicit key → partition map.
-    pub fn new(map: std::collections::HashMap<K, usize>) -> Self {
-        Self { map }
-    }
-
-    /// Number of keys with a planned placement.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no key has a planned placement.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl<K: Hash + Eq + Sync> Partitioner<K> for KeyMapPartitioner<K> {
-    #[inline]
-    fn partition(&self, key: &K, num_partitions: usize) -> usize {
-        let r = num_partitions.max(1);
-        match self.map.get(key) {
-            Some(&p) => p.min(r - 1),
-            None => (hash_one(key) % r as u64) as usize,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hash_partitioner_in_range() {
@@ -228,48 +143,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn assigned_partitioner_uses_table_then_hash_fallback() {
-        let p = AssignedPartitioner::new(vec![2, 0, 1]);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.partition(&0u64, 4), 2);
-        assert_eq!(p.partition(&1u64, 4), 0);
-        assert_eq!(p.partition(&2u64, 4), 1);
-        // Beyond the table: deterministic hash fallback, still in range.
-        let fallback = p.partition(&17u64, 4);
-        assert_eq!(fallback, p.partition(&17u64, 4));
-        assert!(fallback < 4);
-    }
-
-    #[test]
-    fn assigned_partitioner_clamps_stale_assignments() {
-        // A table built for 8 partitions but run with 2 must clamp.
-        let p = AssignedPartitioner::new(vec![7, 5, 0]);
-        assert_eq!(p.partition(&0u64, 2), 1);
-        assert_eq!(p.partition(&1u64, 2), 1);
-        assert_eq!(p.partition(&2u64, 2), 0);
-    }
-
-    #[test]
-    fn index_partitioner_is_identity_with_clamp() {
-        let p = IndexPartitioner;
-        assert_eq!(p.partition(&3u64, 8), 3);
-        assert_eq!(p.partition(&99u64, 8), 7);
-        assert_eq!(p.partition(&0u64, 1), 0);
-    }
-
-    #[test]
-    fn key_map_partitioner_routes_known_keys() {
-        let mut map = std::collections::HashMap::new();
-        map.insert("hot", 3);
-        map.insert("cold", 0);
-        let p = KeyMapPartitioner::new(map);
-        assert_eq!(p.partition(&"hot", 4), 3);
-        assert_eq!(p.partition(&"cold", 4), 0);
-        let unseen = p.partition(&"new", 4);
-        assert!(unseen < 4);
-        assert_eq!(unseen, p.partition(&"new", 4));
-        // Clamped when the runtime has fewer partitions than planned.
-        assert_eq!(p.partition(&"hot", 2), 1);
+    proptest! {
+        // Partitioner contract: index always `< num_partitions` and
+        // deterministic, for both partitioner types on random keys.
+        #[test]
+        fn prop_partitioners_stay_in_range_and_deterministic(
+            keys in proptest::collection::vec(0u64..50_000, 1..200),
+            partitions in 1usize..32,
+            bounds_raw in proptest::collection::vec(1u64..40_000, 1..16),
+        ) {
+            let hash = HashPartitioner;
+            let mut bounds = bounds_raw;
+            bounds.sort_unstable();
+            bounds.dedup();
+            let range = RangePartitioner::new(bounds, |k: &u64| *k);
+            for k in &keys {
+                let (h, r) = (hash.partition(k, partitions), range.partition(k, partitions));
+                prop_assert!(h < partitions && r < partitions);
+                prop_assert_eq!(h, hash.partition(k, partitions));
+                prop_assert_eq!(r, range.partition(k, partitions));
+            }
+        }
     }
 }

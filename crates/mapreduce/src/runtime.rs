@@ -24,7 +24,6 @@
 //! first finisher wins, the loser's consumed cost is charged to the
 //! `speculative_wasted` counter, and committed outputs are unchanged.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -36,7 +35,6 @@ use crate::error::MrError;
 use crate::exec::ExecutorKind;
 use crate::faults::InjectedAbort;
 use crate::job::{Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind};
-use crate::loadbalance::lpt_assign;
 use crate::observe::{AttemptRecord, TaskEvent};
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::progress::ProgressEvent;
@@ -61,25 +59,6 @@ impl PhaseReport {
             task_costs,
             makespan,
         }
-    }
-
-    /// Histogram of the per-task virtual costs over `bins` equal-width bins
-    /// spanning `[0, max_cost]` — a quick visual of shuffle skew (a balanced
-    /// phase piles every task into the top bin; a skewed one puts a lone
-    /// straggler there and everyone else near zero).
-    pub fn cost_histogram(&self, bins: usize) -> Vec<usize> {
-        let bins = bins.max(1);
-        let mut hist = vec![0usize; bins];
-        let max = self.task_costs.iter().cloned().fold(0.0_f64, f64::max);
-        if max <= 0.0 {
-            hist[0] = self.task_costs.len();
-            return hist;
-        }
-        for &c in &self.task_costs {
-            let b = ((c / max) * bins as f64) as usize;
-            hist[b.min(bins - 1)] += 1;
-        }
-        hist
     }
 }
 
@@ -139,13 +118,6 @@ impl<O> JobResult<O> {
         }
         let var = costs.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / costs.len() as f64;
         var.sqrt() / mean
-    }
-
-    /// `max / mean` of the reduce tasks' virtual costs — the load-balancing
-    /// literature's skew ratio (Kolb et al., arXiv:1108.1631): 1.0 means a
-    /// perfectly even reduce phase, `r` means one task did all the work.
-    pub fn reduce_max_mean_ratio(&self) -> f64 {
-        max_mean_ratio(&self.reduce_phase.task_costs)
     }
 }
 
@@ -636,46 +608,27 @@ where
     let ranges = split_ranges(inputs.len(), num_map);
     let raw_map_runs = run_tasks(cfg, num_map, threads, TaskKind::Map, |idx, ctx| {
         let (start, end) = ranges[idx];
-        if cfg.charge_framework_costs {
-            ctx.charge(ctx.cost_model.task_startup);
-        }
+        ctx.charge(ctx.cost_model.task_startup);
         mapper.setup(ctx);
         let mut emitter = Emitter::new();
         for input in &inputs[start..end] {
-            if cfg.charge_framework_costs {
-                ctx.charge(ctx.cost_model.read_per_entity);
-            }
+            ctx.charge(ctx.cost_model.read_per_entity);
             mapper.map(input, ctx, &mut emitter);
         }
         mapper.cleanup(ctx);
         let records = emitter.len() as u64;
-        if cfg.charge_framework_costs {
-            ctx.charge(ctx.cost_model.emit_per_record * records as f64);
-        }
-        // Balanced shuffles defer partitioning until the key
-        // distribution is known (after the map phase), so their map
-        // tasks keep everything in one bucket.
-        let bucket_count = if cfg.shuffle_balance.is_some() {
-            1
-        } else {
-            num_reduce
-        };
+        ctx.charge(ctx.cost_model.emit_per_record * records as f64);
         let mut buckets: Vec<Vec<(M::Key, M::Value)>> =
-            (0..bucket_count).map(|_| Vec::new()).collect();
+            (0..num_reduce).map(|_| Vec::new()).collect();
         for (k, v) in emitter.into_records() {
-            let p = if bucket_count == 1 {
-                0
-            } else {
-                let p = partitioner.partition(&k, num_reduce);
-                if p >= num_reduce {
-                    return Err(MrError::InvalidPartition {
-                        job: cfg.name.clone(),
-                        partition: p,
-                        num_reduce,
-                    });
-                }
-                p
-            };
+            let p = partitioner.partition(&k, num_reduce);
+            if p >= num_reduce {
+                return Err(MrError::InvalidPartition {
+                    job: cfg.name.clone(),
+                    partition: p,
+                    num_reduce,
+                });
+            }
             buckets[p].push((k, v));
         }
         Ok(MapTaskOutput { buckets, records })
@@ -728,73 +681,19 @@ where
         map_runs.into_iter().map(|r| r.value).collect();
 
     // ---- Shuffle ---------------------------------------------------------
-    // Route every record to its reduce partition (moving Vec handles in the
-    // plain path, whole-key LPT placement when balancing), then sort+group
-    // each partition into its flat arena on the worker pool. Grouping is
-    // stable on (key, map-output order), reproducing the old driver-thread
-    // stable sort bit for bit — see [`crate::shuffle`].
-    let per_partition: Vec<PartitionBuckets<M::Key, M::Value>> =
-        if let Some(balance) = cfg.shuffle_balance {
-            // Whole-key balanced scatter: weigh each distinct key under the
-            // configured model and place keys on reduce tasks heaviest-first
-            // (LPT). BTreeMap iteration gives a deterministic plan. The routing
-            // table borrows keys still sitting in the map outputs, so each
-            // record's target is resolved by index before anything moves — no
-            // key clones.
-            let mut key_records: BTreeMap<&M::Key, u64> = BTreeMap::new();
-            for m in &map_outputs {
-                for bucket in &m.buckets {
-                    for (k, _) in bucket {
-                        *key_records.entry(k).or_insert(0) += 1;
-                    }
-                }
-            }
-            let weights: Vec<u64> = key_records.values().map(|&c| balance.weight(c)).collect();
-            let assign = lpt_assign(&weights, num_reduce);
-            let table: BTreeMap<&M::Key, usize> = key_records.keys().copied().zip(assign).collect();
-            let mut routes: Vec<Vec<usize>> = Vec::with_capacity(map_outputs.len());
-            for m in &map_outputs {
-                let mut route = Vec::with_capacity(m.buckets.iter().map(Vec::len).sum());
-                for (k, _) in m.buckets.iter().flatten() {
-                    // Every key was counted above, so the table is total.
-                    let Some(&p) = table.get(k) else {
-                        return Err(MrError::Internal(format!(
-                            "job '{}': balanced shuffle routing table is missing a key \
-                             it was built from",
-                            cfg.name
-                        )));
-                    };
-                    route.push(p);
-                }
-                routes.push(route);
-            }
-            drop(table);
-            drop(key_records);
-            let mut counts = vec![0usize; num_reduce];
-            for &p in routes.iter().flatten() {
-                counts[p] += 1;
-            }
-            let mut scattered: Vec<Vec<(M::Key, M::Value)>> =
-                counts.into_iter().map(Vec::with_capacity).collect();
-            for (m, route) in map_outputs.into_iter().zip(routes) {
-                for ((k, v), p) in m.buckets.into_iter().flatten().zip(route) {
-                    scattered[p].push((k, v));
-                }
-            }
-            scattered.into_iter().map(|b| vec![b]).collect()
-        } else {
-            // Plain path: map tasks already bucketed per partition; the
-            // transpose moves Vec handles only, never records.
-            let mut per: Vec<PartitionBuckets<M::Key, M::Value>> = (0..num_reduce)
-                .map(|_| Vec::with_capacity(map_outputs.len()))
-                .collect();
-            for m in map_outputs {
-                for (p, bucket) in m.buckets.into_iter().enumerate() {
-                    per[p].push(bucket);
-                }
-            }
-            per
-        };
+    // Map tasks already bucketed their records per reduce partition; the
+    // transpose moves Vec handles only, never records. Then sort+group each
+    // partition into its flat arena on the worker pool. Grouping is stable on
+    // (key, map-output order), reproducing the old driver-thread stable sort
+    // bit for bit — see [`crate::shuffle`].
+    let mut per_partition: Vec<PartitionBuckets<M::Key, M::Value>> = (0..num_reduce)
+        .map(|_| Vec::with_capacity(map_outputs.len()))
+        .collect();
+    for m in map_outputs {
+        for (p, bucket) in m.buckets.into_iter().enumerate() {
+            per_partition[p].push(bucket);
+        }
+    }
     let (grouped, spill_stats) = group_fn(per_partition, threads)?;
     if spill_stats.spilled_partitions > 0 {
         counters.add(
@@ -826,10 +725,8 @@ where
     let mut reduce_runs: Vec<TaskRun<Vec<R::Output>>> =
         run_tasks(cfg, num_reduce, threads, TaskKind::Reduce, |idx, ctx| {
             let partition = &grouped[idx];
-            if cfg.charge_framework_costs {
-                ctx.charge(ctx.cost_model.task_startup);
-                ctx.charge(ctx.cost_model.shuffle_per_record * partition.num_records() as f64);
-            }
+            ctx.charge(ctx.cost_model.task_startup);
+            ctx.charge(ctx.cost_model.shuffle_per_record * partition.num_records() as f64);
             let mut out = Vec::new();
             reducer.reduce_partition(partition, ctx, &mut out);
             out

@@ -6,12 +6,11 @@
 //! publishes results into caller-owned per-index slots and the driver
 //! collects them in index order after the barrier. So the one property that
 //! makes the backends interchangeable is: nothing observable may depend on
-//! the backend or the thread count. These tests run the same four job
-//! shapes — plain, with whole-key shuffle balancing, under a fault plan,
-//! and with a spilling shuffle — across the full
-//! backend × thread-count matrix and demand byte-identical outputs,
-//! counters, timelines, and virtual costs, plus a property test that steal
-//! order never leaks into observables.
+//! the backend or the thread count. These tests run the same three job
+//! shapes — plain, under a fault plan, and with a spilling shuffle — across
+//! the full backend × thread-count matrix and demand byte-identical
+//! outputs, counters, timelines, and virtual costs, plus a property test
+//! that steal order never leaks into observables.
 
 use proptest::prelude::*;
 
@@ -134,19 +133,6 @@ fn plain_job_identical_across_backends() {
                 &input,
             )
             .unwrap()
-        },
-        false,
-    );
-}
-
-#[test]
-fn balanced_shuffle_identical_across_backends() {
-    let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            let mut c = cfg(backend, threads);
-            c.shuffle_balance = Some(ShuffleBalance::Pairs);
-            run_job(&c, &WordMapper, &GroupReducer::new(Sum), &input).unwrap()
         },
         false,
     );

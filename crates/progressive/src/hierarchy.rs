@@ -1,5 +1,5 @@
 //! The hierarchical-partitioning hint of Whang et al. (the paper's
-//! ref. [5]) used as a progressive mechanism.
+//! ref. \[5\]) used as a progressive mechanism.
 //!
 //! The hint recursively divides a (sorted) block into a hierarchy of
 //! partitions; entities sharing a deeper partition are more likely to be

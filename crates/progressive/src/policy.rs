@@ -4,7 +4,7 @@
 //! non-duplicate/distinct pairs exceeds a termination threshold Th(X)";
 //! root blocks are resolved fully. §VI-A5 sets the window `w` per level
 //! (15 root / 10 mid / 5 leaf) and `Th(X) = |X|`. The Basic baseline instead
-//! uses the Popcorn scheme of ref. [5]: stop when the rate of newly found
+//! uses the Popcorn scheme of ref. \[5\]: stop when the rate of newly found
 //! duplicates over recent comparisons drops below a threshold.
 
 use serde::{Deserialize, Serialize};

@@ -1,4 +1,4 @@
-//! The Progressive Sorted Neighborhood Method (the paper's ref. [6],
+//! The Progressive Sorted Neighborhood Method (the paper's ref. \[6\],
 //! Papenbrock, Heise & Naumann, TKDE 2015).
 //!
 //! Like the SN hint, PSNM sorts the block and walks pairs in increasing rank

@@ -2,7 +2,7 @@
 //!
 //! Estimates are computed per tree in a single bottom-up pass (children
 //! before parents), exactly as the paper's computation algorithm prescribes,
-//! and stored on the [`PlanNode`]s. Re-running the pass after a structural
+//! and stored on the [`PlanNode`](crate::plan::PlanNode)s. Re-running the pass after a structural
 //! change (a sub-tree split) reproduces the paper's split-update equations,
 //! because those are just Eq. 2–5 re-evaluated on the new structure.
 

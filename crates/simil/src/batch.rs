@@ -8,7 +8,7 @@
 //! * **Batched Myers** — a Levenshtein term rebuilds the pattern's Myers
 //!   character-class table for each pair. [`BlockScorer`] fills the probe's
 //!   table once per block and runs only the bit-parallel scan per pair
-//!   ([`crate::myers`]'s fill/scan/clear split), for an ASCII probe of any
+//!   (`crate::myers`'s fill/scan/clear split), for an ASCII probe of any
 //!   length against ASCII candidates of any length.
 //! * **Bitset Jaccard** — a token-Jaccard term re-merges sorted id lists
 //!   per pair. [`BlockScorer`] maps the block's distinct interned token ids

@@ -1,6 +1,6 @@
 //! Jaro and Jaro-Winkler similarity — the classic record-linkage kernels for
 //! short name-like strings (Hernández & Stolfo's merge/purge line of work,
-//! the paper's reference [3], popularized these for person names).
+//! the paper's reference \[3\], popularized these for person names).
 
 /// Reusable buffers for [`jaro_chars_scratch`], so the prepared hot path
 /// performs no heap allocation per pair (buffers grow to a high-water mark

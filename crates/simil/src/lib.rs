@@ -3,7 +3,7 @@
 //! String-similarity kernels and weighted match rules for entity resolution.
 //!
 //! The paper resolves a pair of entities by applying "similarity functions on
-//! multiple individual attributes and then [using] the weighted summation of
+//! multiple individual attributes and then \[using\] the weighted summation of
 //! the attribute similarities to decide whether the two entities co-refer"
 //! (§VI-A2): edit distance for free-text attributes (with the abstract
 //! attribute capped at its first 350 characters) and exact matching for

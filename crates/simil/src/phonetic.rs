@@ -1,5 +1,5 @@
 //! Phonetic encodings — Soundex, the classic merge/purge-era key (the
-//! paper's ref. [3] lineage uses phonetic keys both for blocking and as a
+//! paper's ref. \[3\] lineage uses phonetic keys both for blocking and as a
 //! similarity signal on person names).
 
 /// American Soundex code of `s`: first letter + three digits (zero-padded).

@@ -42,7 +42,7 @@
 //!   boundary comparison bit-identical to the string path.
 //!
 //! Levenshtein terms run the blocked Myers bit-parallel scan
-//! ([`crate::myers`]: `⌈len/64⌉` words per column, the shorter buffer as
+//! (`crate::myers`: `⌈len/64⌉` words per column, the shorter buffer as
 //! the pattern) whenever both capped buffers are ASCII, at any length; only
 //! non-ASCII input reaches the two-row DP. Both produce the same exact
 //! integer distance.

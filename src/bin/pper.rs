@@ -1,15 +1,25 @@
 //! `pper` — command-line front end for the parallel progressive ER pipeline.
 //!
 //! ```text
-//! pper gen  --kind pubs|books --entities N --seed S --out data.jsonl
-//! pper run  --data data.jsonl [--machines M] [--mechanism sn|psnm|hierarchy]
-//!           [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-//! pper basic --data data.jsonl [--window W] [--threshold T] [--machines M]
+//! pper gen    --kind pubs|books --entities N [--seed S] --out FILE
+//! pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
+//!             [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
+//!             [--executor cursor|stealing] [--result-out FILE]
+//!             [--durable --journal DIR --job-id ID [--checkpoint-every COST]
+//!              [--kill-after-events N] [--fail-reduce IDX:N]]
+//! pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
+//!             [--kill-after-events N]
+//! pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
+//! pper basic  --data FILE [--machines M] [--window W] [--threshold T]
+//!             [--executor cursor|stealing]
 //! ```
 //!
 //! `gen` writes a synthetic dataset (entities + exact ground truth) as
 //! JSON-lines; `run` executes the paper's two-job pipeline and prints the
-//! recall curve; `basic` runs the §II-C baseline for comparison.
+//! recall curve, with `--durable` journaling every job event so that
+//! `resume` can continue a killed job in a fresh process and `dlq` can list
+//! or reprocess tasks that exhausted their attempt budget; `basic` runs the
+//! §II-C baseline for comparison.
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -66,9 +76,9 @@ USAGE:
   pper gen    --kind pubs|books --entities N [--seed S] --out FILE
   pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
               [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-              [--executor cursor|stealing]
+              [--executor cursor|stealing] [--result-out FILE]
               [--durable --journal DIR --job-id ID [--checkpoint-every COST]
-               [--kill-after-events N] [--fail-reduce IDX:N] [--result-out FILE]]
+               [--kill-after-events N] [--fail-reduce IDX:N]]
   pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
               [--kill-after-events N]
   pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
@@ -277,6 +287,11 @@ fn durable_options(opts: &Opts, every: f64) -> DurableOptions {
 }
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
+    if let Some(budget) = opts.budget.filter(|b| !(b.is_finite() && *b > 0.0)) {
+        return Err(format!(
+            "--budget must be a positive, finite cost, got {budget}"
+        ));
+    }
     let ds = load(opts)?;
     let machines = opts.machines.unwrap_or(4);
     let config = build_run_config(
@@ -296,7 +311,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         config.schedule.scheduler,
     );
 
-    if opts.durable {
+    let result = if opts.durable {
         if opts.budget.is_some() {
             return Err("--durable and --budget cannot be combined".into());
         }
@@ -320,13 +335,8 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         }
         let dopts = durable_options(opts, 2_000.0);
         let er = ProgressiveEr::new(config);
-        let result =
-            run_durable(&er, &ds, &store, &job_id, &params, &dopts).map_err(|e| e.to_string())?;
-        print_curve(&result);
-        return write_result_out(opts, &result);
-    }
-
-    let result = if let Some(budget) = opts.budget {
+        run_durable(&er, &ds, &store, &job_id, &params, &dopts).map_err(|e| e.to_string())?
+    } else if let Some(budget) = opts.budget {
         let report = run_with_budget(&config, &ds, budget).map_err(|e| e.to_string())?;
         println!(
             "budget {budget:.0}: delivered {} pairs, recall {:.3} ({}% of budget was overhead)",
@@ -357,7 +367,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             metrics.f1()
         );
     }
-    Ok(())
+    write_result_out(opts, &result)
 }
 
 /// Recover a job's journal (dropping any torn tail from a mid-append kill)

@@ -9,6 +9,10 @@
 //! reduce task exhausts its attempt budget dead-letters it, `pper dlq`
 //! lists the capture, and `pper dlq --reprocess` drains it to the
 //! fault-free golden result.
+//!
+//! And `pper run`'s own contract at the process boundary: the plain and the
+//! durable run write the same fingerprint, `--cluster` and `--result-out`
+//! apply to both, and a bad `--budget` is an error message, not a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -223,4 +227,91 @@ fn dlq_process_round_trip() {
     // Now empty.
     let list = run_ok(&["dlq", "--journal", journal, "--job-id", "faulty"]);
     assert!(String::from_utf8_lossy(&list.stdout).contains("empty"));
+}
+
+/// The durable golden the sweep above compares against is itself a durable
+/// run; this pins it to the plain pipeline through the same CLI.
+#[test]
+fn plain_run_writes_the_durable_fingerprint() {
+    let dir = tmp_dir("plain-vs-durable");
+    let data = write_dataset(&dir);
+    let data = data.to_str().unwrap();
+    let journal = dir.join("journal");
+    let durable_path = dir.join("durable.json");
+    let plain_path = dir.join("plain.json");
+
+    run_ok(&[
+        "run",
+        "--data",
+        data,
+        "--machines",
+        MACHINES,
+        "--durable",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--job-id",
+        "golden",
+        "--checkpoint-every",
+        CHECKPOINT_EVERY,
+        "--result-out",
+        durable_path.to_str().unwrap(),
+    ]);
+    run_ok(&[
+        "run",
+        "--data",
+        data,
+        "--machines",
+        MACHINES,
+        "--result-out",
+        plain_path.to_str().unwrap(),
+    ]);
+    let durable = std::fs::read(&durable_path).unwrap();
+    assert!(!durable.is_empty());
+    assert_eq!(std::fs::read(&plain_path).unwrap(), durable);
+}
+
+#[test]
+fn durable_run_reports_clustering() {
+    let dir = tmp_dir("durable-cluster");
+    let data = write_dataset(&dir);
+    let journal = dir.join("journal");
+    let out = run_ok(&[
+        "run",
+        "--data",
+        data.to_str().unwrap(),
+        "--machines",
+        MACHINES,
+        "--durable",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--job-id",
+        "clustered",
+        "--checkpoint-every",
+        CHECKPOINT_EVERY,
+        "--cluster",
+        "tc",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("clustering (tc):"), "stdout: {stdout}");
+}
+
+#[test]
+fn bad_budget_is_an_error_not_a_panic() {
+    let dir = tmp_dir("bad-budget");
+    let data = write_dataset(&dir);
+    for budget in ["-5", "0", "nan", "inf"] {
+        let out = pper(&[
+            "run",
+            "--data",
+            data.to_str().unwrap(),
+            "--machines",
+            MACHINES,
+            "--budget",
+            budget,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--budget {budget}: {stderr}");
+        assert!(stderr.contains("error:"), "--budget {budget}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--budget {budget}: {stderr}");
+    }
 }
