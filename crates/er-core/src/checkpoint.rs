@@ -14,23 +14,39 @@
 //!   (parents must still skip work their checkpointed children already
 //!   did), and the duplicates found so far with their task-local costs.
 //!
-//! Checkpoints are cut at block granularity: a crash mid-block rolls the
-//! partial block back (its resolved-pair insertions and duplicates are
-//! discarded), so the resumed run re-executes that block from the
-//! checkpointed clock and — execution being deterministic — lands on
-//! exactly the virtual times the uninterrupted run would have produced.
-//! The e2e contract, proven by `tests/resume_checkpoint.rs`: crash + resume
-//! yields a bit-identical duplicate set and recall curve.
+//! Checkpoints sit on block boundaries, and each task has its own: nothing
+//! ties one task's watermark to another's. They come into being two ways
+//! (see [`crate::job2`], "Staged execution"):
 //!
-//! The format is plain serde (JSON via `serde_json`), mirroring how a real
-//! deployment would persist it next to the incremental result files.
+//! * **Folded from in-line cuts** — the durable path. A running task hands
+//!   over a *delta* each time its clock crosses the checkpoint grid: a
+//!   [`TaskCheckpoint`] whose `resolved` and `duplicates` hold only what
+//!   was added since the task's previous cut. The journal stores the deltas
+//!   (binary, one record each, the schedule once) and folds them per task;
+//!   [`crate::durable::journaled_checkpoint`] rebuilds the [`Checkpoint`].
+//! * **Cut by a kill** — `Stage::crash_at`, the in-process oracle. A crash
+//!   mid-block rolls the partial block back (its resolved-pair insertions
+//!   and duplicates are discarded), so the resumed run re-executes that
+//!   block from the checkpointed clock.
+//!
+//! Either way — execution being deterministic — the resumed run lands on
+//! exactly the virtual times the uninterrupted run would have produced, and
+//! the fold of a task's deltas up to clock `c` *is* the checkpoint a kill at
+//! `c` cuts. The contract, proven by `tests/resume_checkpoint.rs` and
+//! `tests/durable.rs`: crash + resume yields a bit-identical duplicate set
+//! and recall curve.
+//!
+//! The types are plain serde; the JSON form ([`Checkpoint::to_json`]) is
+//! what the oracle comparisons and in-process persistence use.
 
 use pper_schedule::Schedule;
 use serde::{Deserialize, Serialize};
 
 use pper_mapreduce::MrError;
 
-/// Resume state of one reduce task of the resolution job.
+/// Resume state of one reduce task of the resolution job — or, handed to a
+/// cut sink, the delta between two of them (`resolved` and `duplicates`
+/// holding only what the task added since its previous cut).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskCheckpoint {
     /// Reduce task index.
@@ -61,7 +77,9 @@ pub struct Checkpoint {
     /// the resumed job-2 timeline is offset by this, exactly like an
     /// uninterrupted pipeline run.
     pub job1_cost: f64,
-    /// The task-local virtual cost at which each reduce task was killed.
+    /// The task-local virtual cost at which each reduce task was killed;
+    /// zero for a checkpoint folded from in-line cuts, whose tasks each
+    /// stand at their own clock.
     pub crash_at: f64,
     /// Machine count μ of the killed run (resume must match it — the wave
     /// layout determines the global timeline).

@@ -1,26 +1,35 @@
 //! Durable job execution: journal every lifecycle event, checkpoint on a
 //! fixed virtual-cost grid, and resume or reprocess in a *fresh process*.
 //!
-//! The in-process stages of [`ProgressiveEr::run_stage`] prove the
-//! determinism story; this module turns the same primitive
-//! ([`run_job2_stage`]) into the operational model of a real MapReduce
-//! deployment. [`run_durable`] drives the pipeline in *stages*: statistics
-//! job, schedule generation, then the resolution job executed as a chain of
-//! killed stages on a `checkpoint_every` virtual-cost grid, each cutting a
-//! [`Checkpoint`] that is appended to the job's [`pper_journal`] log and
-//! then *re-read from the journal by byte offset* before the next cut —
-//! the journal record, not process memory, is the checkpoint of record.
-//! Every task completion (with its attempt history) and every
-//! attempt-budget exhaustion is journaled through the runtime's
-//! [`TaskObserver`] hook.
+//! [`run_durable`] runs the pipeline once, start to finish — statistics
+//! job, schedule generation, resolution job — appending to the job's
+//! [`pper_journal`] log as it goes. The schedule is journaled once, when it
+//! is generated. The resolution job then cuts its checkpoints *in-line*:
+//! this module installs a [`CutSink`] on the job's one [`Stage`], and every
+//! reduce task, as its own clock crosses the `checkpoint_every` grid (and at
+//! its last block), hands over a delta — blocks done, clock, pairs compared
+//! and duplicates found since its previous cut — which is appended and
+//! synced as a `CheckpointCut` record before the task moves on (§III-B's
+//! per-task α-incremental result files, made the unit of recovery). Every
+//! task completion (with its attempt history) and every attempt-budget
+//! exhaustion is journaled through the runtime's [`TaskObserver`] hook. A
+//! healthy run executes each job exactly once and its counters are the
+//! uninterrupted run's.
 //!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
 //! but the journal (plus the dataset file named in the `JobStarted`
-//! parameters): it folds the event stream with [`JournalState`], picks up
-//! from the latest checkpoint offset (or re-runs the deterministic early
-//! stages if the kill landed before the first cut), and continues the grid
-//! to the bit-identical final result — same duplicates, curve, timeline,
-//! and total virtual cost as the uninterrupted run.
+//! parameters): [`JournalState`] folds each task's deltas in `seq` order,
+//! [`journaled_checkpoint`] turns the fold into a [`Checkpoint`] (a task
+//! with no cut starts from scratch; with no schedule journaled the
+//! deterministic early stages re-run), and one more resolution stage
+//! resumes it — still cutting in-line, so a resumed run can be killed and
+//! resumed again — to the bit-identical final result: same duplicates,
+//! curve, timeline, and total virtual cost as the uninterrupted run. A
+//! task's deltas depend only on its own deterministic execution, so a
+//! retried or discarded attempt re-emits records its dead predecessor
+//! already wrote; those are recognised by `(task, seq)` and not appended
+//! again, and the fold never depends on how the worker threads interleaved
+//! their appends.
 //!
 //! Tasks that exhaust their attempt budget are captured into the journal's
 //! dead-letter queue with full failure history and a JSON reprocessing
@@ -31,23 +40,24 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pper_datagen::Dataset;
 use pper_journal::{
-    read_event_at, recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState,
-    JournalStore, TaskClass,
+    recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
+    TaskClass,
 };
 use pper_mapreduce::{Counters, MrError, TaskEvent, TaskKind, TaskObserver};
+use pper_schedule::Schedule;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::job1::run_job1;
-use crate::job2::{run_job2_stage, Stage, StageOutcome};
+use crate::job2::{run_job2_stage, CutSink, Stage, StageOutcome};
 use crate::pipeline::{ErRunResult, ProgressiveEr};
 
 /// Knobs for a durable run.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
-    /// Virtual-cost spacing of the checkpoint grid: the resolution job is
-    /// crashed-and-checkpointed at `every`, `2·every`, ... until every
-    /// scheduled block is done.
+    /// Virtual-cost spacing of the checkpoint grid on each reduce task's own
+    /// clock: a task of the resolution job cuts a checkpoint at the first
+    /// block boundary past `every`, `2·every`, ..., and at its last block.
     pub checkpoint_every: f64,
     /// Conformance-harness hook: abort the process (as if `kill -9`) right
     /// after the N-th journal event is durably appended. `None` disables.
@@ -168,16 +178,20 @@ struct ExhaustedTask {
     failures: Vec<AttemptFailure>,
 }
 
-/// State shared between the durable driver and the observer closure.
+/// State shared between the durable driver and the callbacks it installs
+/// (the task observer and the cut sink).
 struct Shared {
     journal: Mutex<JobJournal>,
-    /// First journal I/O error hit inside the observer (the observer
-    /// cannot return errors through the runtime, so it parks them here).
+    /// First journal I/O error hit inside a callback (callbacks cannot
+    /// return errors through the runtime, so they park them here).
     io_error: Mutex<Option<JournalError>>,
     /// Exhausted tasks seen by the observer, drained on stage failure.
     exhausted: Mutex<Vec<ExhaustedTask>>,
     /// Next dead-letter sequence number.
     next_dlq_seq: Mutex<u32>,
+    /// Per reduce task of the resolution job: the `seq` of the next
+    /// checkpoint cut the journal does not hold yet.
+    next_cut_seq: Mutex<Vec<u32>>,
 }
 
 impl Shared {
@@ -187,10 +201,11 @@ impl Shared {
             io_error: Mutex::new(None),
             exhausted: Mutex::new(Vec::new()),
             next_dlq_seq: Mutex::new(next_dlq_seq),
+            next_cut_seq: Mutex::new(Vec::new()),
         })
     }
 
-    /// Append one event, surfacing any parked observer I/O error first.
+    /// Append one event, surfacing any parked callback I/O error first.
     fn append(&self, event: &JournalEvent) -> Result<u64, DurableError> {
         if let Some(e) = self.io_error.lock().take() {
             return Err(DurableError::Journal(e));
@@ -199,6 +214,44 @@ impl Shared {
             .lock()
             .append(event)
             .map_err(DurableError::Journal)
+    }
+
+    /// Append one event from a callback, parking the first failure.
+    fn append_from_callback(&self, event: &JournalEvent) -> bool {
+        match self.journal.lock().append(event) {
+            Ok(_) => true,
+            Err(e) => {
+                self.io_error.lock().get_or_insert(e);
+                false
+            }
+        }
+    }
+
+    /// The cut sink: make a reduce task's delta durable before the task
+    /// moves on. Only the record next in line for its task is appended — an
+    /// attempt re-running after its predecessor died re-emits what that one
+    /// already wrote, and after a failed append nothing of the task may
+    /// follow the gap.
+    fn cut(&self, seq: u32, delta: TaskCheckpoint) {
+        let mut next = self.next_cut_seq.lock();
+        if next.get(delta.task) != Some(&seq) {
+            return;
+        }
+        let event = JournalEvent::CheckpointCut {
+            task: delta.task as u32,
+            seq,
+            blocks_done: delta.blocks_done as u64,
+            clock: delta.clock,
+            resolved: delta
+                .resolved
+                .into_iter()
+                .map(|(tree, pairs)| (tree as u32, pairs))
+                .collect(),
+            duplicates: delta.duplicates,
+        };
+        if self.append_from_callback(&event) {
+            next[delta.task] += 1;
+        }
     }
 }
 
@@ -264,12 +317,7 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
                 }
             }
         };
-        if let Err(e) = shared.journal.lock().append(&event) {
-            let mut slot = shared.io_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
+        shared.append_from_callback(&event);
     })
 }
 
@@ -280,8 +328,6 @@ struct DlqContext<'a> {
     stage: &'a str,
     dataset: &'a str,
     task: &'a str,
-    crash_at: Option<f64>,
-    checkpoint_offset: Option<u64>,
 }
 
 /// Finish a pipeline stage: surface parked journal errors, and on task
@@ -292,8 +338,6 @@ fn finish_stage<T>(
     job_id: &str,
     ds: &Dataset,
     stage: &str,
-    crash_at: Option<f64>,
-    checkpoint_offset: Option<u64>,
     result: Result<T, MrError>,
 ) -> Result<T, DurableError> {
     if let Some(e) = shared.io_error.lock().take() {
@@ -326,8 +370,6 @@ fn finish_stage<T>(
                     stage,
                     dataset: &ds.name,
                     task: &task,
-                    crash_at,
-                    checkpoint_offset,
                 })
                 .map_err(|e| MrError::Internal(format!("dead-letter context: {e}")))?;
                 task_names.push(task);
@@ -349,116 +391,111 @@ fn finish_stage<T>(
     }
 }
 
-/// Re-read the checkpoint cut at journal offset `offset`.
-fn read_checkpoint(
-    store: &Arc<dyn JournalStore>,
-    job_id: &str,
-    offset: u64,
-) -> Result<Checkpoint, DurableError> {
-    match read_event_at(store, job_id, offset)? {
-        JournalEvent::CheckpointCut { checkpoint_json } => {
-            Ok(Checkpoint::from_json(&checkpoint_json)?)
-        }
-        other => Err(DurableError::Journal(JournalError::BadState(format!(
-            "offset {offset} holds a {} event, expected checkpoint-cut",
-            other.name()
-        )))),
-    }
+/// The [`Checkpoint`] a job's journal holds: the schedule as journaled and,
+/// per reduce task, the fold of its checkpoint cuts (pairs sorted, as a
+/// checkpoint stores them; a task with no cut is at block zero). `None`
+/// before the schedule was journaled — there is nothing to resume yet.
+///
+/// For every cut record, this checkpoint's entry for the record's task,
+/// taken from the journal up to and including it, equals the
+/// [`TaskCheckpoint`] that [`ProgressiveEr::run_stage`] cuts when killed at
+/// the record's clock.
+pub fn journaled_checkpoint(
+    state: &JournalState,
+    machines: usize,
+) -> Result<Option<Checkpoint>, MrError> {
+    let (Some(json), Some(job1_cost)) = (&state.schedule_json, state.job1_cost) else {
+        return Ok(None);
+    };
+    let schedule: Schedule = serde_json::from_str(json)
+        .map_err(|e| MrError::Checkpoint(format!("journaled schedule: {e}")))?;
+    let tasks = state
+        .tasks
+        .iter()
+        .enumerate()
+        .map(|(task, progress)| TaskCheckpoint {
+            task,
+            blocks_done: progress.blocks_done as usize,
+            clock: progress.clock,
+            resolved: progress
+                .resolved
+                .iter()
+                .map(|(tree, pairs)| {
+                    let mut pairs = pairs.clone();
+                    pairs.sort_unstable();
+                    (*tree as usize, pairs)
+                })
+                .collect(),
+            duplicates: progress.duplicates.clone(),
+        })
+        .collect();
+    Ok(Some(Checkpoint {
+        schedule,
+        job1_cost,
+        // No one threshold: each task's own clock is its watermark.
+        crash_at: 0.0,
+        machines,
+        tasks,
+    }))
 }
 
-/// Drive the staged pipeline to completion, journaling as it goes.
+/// Drive the pipeline to completion, journaling as it goes.
 ///
-/// `resume_from` carries the journal offset of the checkpoint cut to pick
-/// up from and that cut, decoded; `None` starts from the statistics job.
-/// The `er` passed here must already have the journaling observer installed.
+/// `resume` is the checkpoint the journal holds and, per task, how many cut
+/// records went into it; `None` starts from the statistics job. The `er`
+/// passed here must already have the journaling observer installed.
 fn drive(
     er: &ProgressiveEr,
     ds: &Dataset,
-    store: &Arc<dyn JournalStore>,
     job_id: &str,
     shared: &Arc<Shared>,
     every: f64,
-    resume_from: Option<(u64, Checkpoint)>,
+    resume: Option<(Checkpoint, Vec<u32>)>,
 ) -> Result<ErRunResult, DurableError> {
     let config = &er.config;
-    // `cut` is the journal offset of the latest checkpoint cut and `cp` its
-    // decoded record; before the first cut, `cp` is the starting line — the
-    // schedule, nothing resolved, threshold zero — and is not resumable.
-    let (job1_counters, mut cp, mut cut) = match resume_from {
-        Some((offset, cp)) => (Counters::new(), cp, Some(offset)),
+    let fresh;
+    let (schedule, job1_cost, job1_counters, first_seq) = match &resume {
+        Some((cp, cuts)) => (&cp.schedule, cp.job1_cost, Counters::new(), cuts.clone()),
         None => {
-            // ---- Stage: statistics job --------------------------------
-            let job1 = finish_stage(
-                shared,
-                job_id,
-                ds,
-                "job1-blocking",
-                None,
-                None,
-                run_job1(ds, config),
-            )?;
+            // ---- Statistics job ---------------------------------------
+            let job1 = finish_stage(shared, job_id, ds, "job1-blocking", run_job1(ds, config))?;
             shared.append(&JournalEvent::Job1Finished {
                 virtual_cost: job1.virtual_cost,
             })?;
 
-            // ---- Stage: schedule generation ---------------------------
-            let schedule = er.generate_schedule(ds, &job1.stats);
-            let total_blocks: u64 = schedule.block_order.iter().map(|b| b.len() as u64).sum();
+            // ---- Schedule generation: journaled here, and only here ---
+            fresh = er.generate_schedule(ds, &job1.stats);
             shared.append(&JournalEvent::ScheduleGenerated {
-                num_tasks: schedule.num_tasks as u32,
-                total_blocks,
+                task_blocks: fresh.block_order.iter().map(|b| b.len() as u64).collect(),
+                schedule_json: serde_json::to_string(&fresh)
+                    .map_err(|e| MrError::Checkpoint(format!("schedule: {e}")))?,
             })?;
-            let start = Checkpoint {
-                schedule,
-                job1_cost: job1.virtual_cost,
-                crash_at: 0.0,
-                machines: config.machines,
-                tasks: Vec::new(),
-            };
-            (job1.counters, start, None)
+            let first_seq = vec![0; fresh.num_tasks];
+            (&fresh, job1.virtual_cost, job1.counters, first_seq)
         }
     };
 
-    // ---- Resolution job: cut on the grid until no block remains, then ---
-    // ---- replay the completed checkpoint into the result ---------------
-    let job2 = loop {
-        let next_cut = cp.crash_at + every;
-        let stage = Stage {
-            resume: cut.map(|_| &cp),
-            crash_at: (cut.is_none() || cp.blocks_remaining() > 0).then_some(next_cut),
-        };
-        let outcome = finish_stage(
-            shared,
-            job_id,
-            ds,
-            match (stage.crash_at, stage.resume) {
-                (None, _) => "job2-final",
-                (Some(_), None) => "job2-crash",
-                (Some(_), Some(_)) => "job2-resume-crash",
-            },
-            stage.crash_at,
-            cut,
-            run_job2_stage(ds, config, &cp.schedule, stage),
-        )?;
-        match outcome {
-            StageOutcome::Finished(job2) => break job2,
-            StageOutcome::Checkpoints(tasks) => {
-                cp.crash_at = next_cut;
-                cp.tasks = tasks;
-                let offset = shared.append(&JournalEvent::CheckpointCut {
-                    checkpoint_json: cp.to_json()?,
-                })?;
-                cut = Some(offset);
-                if cp.blocks_remaining() > 0 {
-                    // The journal record — not the in-memory value — is the
-                    // checkpoint of record: dereference the offset and cut
-                    // the next stage from what a fresh process would see.
-                    cp = read_checkpoint(store, job_id, offset)?;
-                }
-            }
+    // ---- Resolution job: one pass, cutting checkpoints in-line ---------
+    *shared.next_cut_seq.lock() = first_seq.clone();
+    let emit = |seq, delta| shared.cut(seq, delta);
+    let sink = CutSink {
+        every,
+        first_seq: &first_seq,
+        emit: &emit,
+    };
+    let stage = Stage {
+        resume: resume.as_ref().map(|(cp, _)| cp),
+        crash_at: None,
+        cuts: Some(&sink),
+    };
+    let outcome = run_job2_stage(ds, config, schedule, stage);
+    let job2 = match finish_stage(shared, job_id, ds, "job2-resolution", outcome)? {
+        StageOutcome::Finished(job2) => job2,
+        StageOutcome::Checkpoints(_) => {
+            return Err(MrError::Internal("a stage without a threshold was cut".into()).into())
         }
     };
-    let result = er.assemble(ds, job2, cp.job1_cost, job1_counters);
+    let result = er.assemble(ds, job2, job1_cost, job1_counters);
 
     let mut entries: Vec<(String, u64)> = result
         .counters
@@ -494,18 +531,12 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// Run the pipeline durably: journal every lifecycle event to `store`
 /// under `job_id`, checkpoint the resolution job on the
 /// [`DurableOptions::checkpoint_every`] grid, and return the final result —
-/// bit-identical (as a [`ResultFingerprint`]) to an uninterrupted
-/// [`ProgressiveEr::try_run`].
+/// bit-identical (as a [`ResultFingerprint`]), counters included, to an
+/// uninterrupted [`ProgressiveEr::try_run`].
 ///
 /// `params` is recorded verbatim in the `JobStarted` event (plus a
 /// `checkpoint_every` entry if absent), giving a fresh process everything
 /// it needs to rebuild the configuration for [`resume_durable`].
-///
-/// Counters follow the crash/resume convention of
-/// [`ProgressiveEr::run_stage`]: they count work the final stage actually
-/// executed, not work replayed from checkpoints, so a staged run reports
-/// far fewer comparisons than [`ProgressiveEr::try_run`] even though the
-/// result fingerprint is bit-identical.
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -533,7 +564,7 @@ pub fn run_durable(
         job_id: job_id.to_string(),
         params: all_params,
     })?;
-    drive(&er, ds, store, job_id, &shared, opts.checkpoint_every, None)
+    drive(&er, ds, job_id, &shared, opts.checkpoint_every, None)
 }
 
 /// Recover a job's journal and fold it to the resume state, truncating any
@@ -562,10 +593,52 @@ fn grid_spacing(state: &JournalState, opts: &DurableOptions) -> Result<f64, Dura
     Ok(every)
 }
 
+/// Recover, fold, and run the job on from what the journal holds: the
+/// body of [`resume_durable`] and, with `drain_dlq`, of [`reprocess_dlq`].
+fn redrive(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    store: &Arc<dyn JournalStore>,
+    job_id: &str,
+    opts: &DurableOptions,
+    drain_dlq: bool,
+) -> Result<ErRunResult, DurableError> {
+    let state = recover_state(store, job_id)?;
+    let bad_state = |what: &str| {
+        Err(DurableError::Journal(JournalError::BadState(format!(
+            "job '{job_id}' has no {what}"
+        ))))
+    };
+    if state.job_id.is_none() {
+        return bad_state("job-started record to resume from");
+    }
+    if drain_dlq && state.dlq.is_empty() {
+        return bad_state("dead-lettered tasks to reprocess");
+    }
+    let every = grid_spacing(&state, opts)?;
+    let resume = journaled_checkpoint(&state, er.config.machines)?
+        .map(|cp| (cp, state.tasks.iter().map(|task| task.cuts).collect()));
+    let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
+    journal.set_kill_after(opts.kill_after_events);
+    let shared = Shared::new(journal, state.next_dlq_seq);
+    let mut er = with_observer(er, &shared);
+    if drain_dlq {
+        // The captured tasks re-enter the attempt loop without the fault
+        // that killed them (the operational fix a DLQ exists for).
+        er.config.faults = None;
+        for entry in &state.dlq {
+            shared.append(&JournalEvent::DlqDrained { seq: entry.seq })?;
+        }
+    }
+    drive(&er, ds, job_id, &shared, every, resume)
+}
+
 /// Resume a durable job in a fresh process from nothing but its journal
-/// (and the dataset): continue from the latest checkpoint offset, or — if
-/// the kill landed before the first cut — re-run the deterministic early
-/// stages. The final result is bit-identical to the uninterrupted run.
+/// (and the dataset): every reduce task of the resolution job picks up at
+/// its own latest checkpoint cut, or — if the kill landed before the
+/// schedule was journaled — the deterministic early stages re-run. The
+/// final result is bit-identical to the uninterrupted run; the resumed run
+/// keeps cutting checkpoints and can itself be killed and resumed.
 pub fn resume_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -573,28 +646,13 @@ pub fn resume_durable(
     job_id: &str,
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
-    let state = recover_state(store, job_id)?;
-    if state.job_id.is_none() {
-        return Err(DurableError::Journal(JournalError::BadState(format!(
-            "journal for '{job_id}' has no job-started record to resume from"
-        ))));
-    }
-    let every = grid_spacing(&state, opts)?;
-    let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
-    journal.set_kill_after(opts.kill_after_events);
-    let shared = Shared::new(journal, state.next_dlq_seq);
-    let er = with_observer(er, &shared);
-    let resume_from = match &state.last_checkpoint {
-        Some((offset, json)) => Some((*offset, Checkpoint::from_json(json)?)),
-        None => None,
-    };
-    drive(&er, ds, store, job_id, &shared, every, resume_from)
+    redrive(er, ds, store, job_id, opts, false)
 }
 
 /// Drain the job's dead-letter queue back into the attempt loop: append a
 /// `DlqDrained` record per captured task, clear the fault injection from
-/// the configuration, and re-drive the job to completion. With the fault
-/// gone the result equals the fault-free run bit for bit.
+/// the configuration, and run the job on from its checkpoint cuts. With the
+/// fault gone the result equals the fault-free run bit for bit.
 pub fn reprocess_dlq(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -602,31 +660,5 @@ pub fn reprocess_dlq(
     job_id: &str,
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
-    let state = recover_state(store, job_id)?;
-    if state.job_id.is_none() {
-        return Err(DurableError::Journal(JournalError::BadState(format!(
-            "journal for '{job_id}' has no job-started record"
-        ))));
-    }
-    if state.dlq.is_empty() {
-        return Err(DurableError::Journal(JournalError::BadState(format!(
-            "job '{job_id}' has no dead-lettered tasks to reprocess"
-        ))));
-    }
-    let every = grid_spacing(&state, opts)?;
-    let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
-    journal.set_kill_after(opts.kill_after_events);
-    let shared = Shared::new(journal, state.next_dlq_seq);
-    let mut er = with_observer(er, &shared);
-    // The captured tasks re-enter the attempt loop without the fault that
-    // killed them (the operational fix a DLQ exists for).
-    er.config.faults = None;
-    for entry in &state.dlq {
-        shared.append(&JournalEvent::DlqDrained { seq: entry.seq })?;
-    }
-    let resume_from = match &state.last_checkpoint {
-        Some((offset, json)) => Some((*offset, Checkpoint::from_json(json)?)),
-        None => None,
-    };
-    drive(&er, ds, store, job_id, &shared, every, resume_from)
+    redrive(er, ds, store, job_id, opts, true)
 }

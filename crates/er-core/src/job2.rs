@@ -27,16 +27,32 @@
 //!
 //! One primitive, [`run_job2_stage`], runs the reduce phase over any
 //! stretch of the block schedule (see [`crate::checkpoint`]). A [`Stage`]
-//! with a `crash_at` threshold executes each task only until its virtual
-//! clock crosses it and emits a [`TaskCheckpoint`] cut at the last
-//! completed block boundary; a stage with a `resume` checkpoint seeds each
-//! task from it — replaying recorded duplicates at their original virtual
-//! costs, restoring the resolved-pair sets, continuing the clock from the
-//! checkpointed watermark, and resolving only the remaining blocks. The
-//! two compose (resume at `T1`, cut again at `T2`), and [`run_job2`] is the
-//! stage with neither. Because execution is deterministic, any chain of
-//! stages reproduces the uninterrupted run's duplicate set and timeline
-//! bit for bit.
+//! with a `resume` checkpoint seeds each task from it — replaying recorded
+//! duplicates at their original virtual costs, restoring the resolved-pair
+//! sets, continuing the clock from the checkpointed watermark, and
+//! resolving only the remaining blocks; a task the checkpoint holds no
+//! completed block of starts from scratch. Checkpoints come out of a stage
+//! in one of two ways:
+//!
+//! * **in-line**, through a [`CutSink`] — what the durable runner
+//!   ([`crate::durable`]) installs. The stage runs to its end; whenever a
+//!   task finishes a block with its clock past the next grid line (and once
+//!   more at its last block) it hands the sink a *delta*: blocks done, the
+//!   clock, and the pairs compared and duplicates found since its previous
+//!   cut. A task's deltas are numbered 0, 1, 2, … and depend on nothing but
+//!   the task's own deterministic execution, so a retried attempt, a
+//!   resumed task and the uninterrupted run all emit the same records.
+//!   Without a sink the resolve loop tracks nothing.
+//! * **by a kill**, through `crash_at` — the in-process oracle. Every task
+//!   stops once its clock crosses the threshold and the stage returns one
+//!   whole [`TaskCheckpoint`] per task, cut at the last completed block
+//!   boundary. The fold of a task's deltas up to the one cut at clock `c`
+//!   equals the checkpoint a kill at `c` produces, which is how the durable
+//!   journal is tested against this path.
+//!
+//! [`run_job2`] is the stage with none of the three. Because execution is
+//! deterministic, any chain of stages reproduces the uninterrupted run's
+//! duplicate set and timeline bit for bit.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -245,17 +261,120 @@ impl BlockTally {
 /// The stretch of the resolution job one [`run_job2_stage`] call executes
 /// (see the module docs' staged-execution section). The default stage is
 /// the whole job.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Clone, Copy, Default)]
 pub struct Stage<'a> {
     /// Restore each task from this checkpoint and resolve only the blocks
-    /// past its watermark; `None` starts every task from its first block.
+    /// past its watermark; `None` (or a task entry with no completed block)
+    /// starts from the first block.
     pub resume: Option<&'a Checkpoint>,
     /// Kill each reduce task once its task-local virtual clock crosses this
-    /// threshold and cut a [`TaskCheckpoint`] at the last completed block;
-    /// `None` runs every task to the end of its schedule. By determinism,
-    /// resuming a checkpoint cut at `T1` and crashing at `T2` yields the
-    /// same checkpoint as crashing the uninterrupted run at `T2`.
+    /// threshold — before the first block set-up or comparison it would
+    /// charge at or past it — and cut a [`TaskCheckpoint`] at the last
+    /// completed block; `None` runs every task to the end of its schedule.
+    /// A threshold equal to a block boundary's clock cuts at that boundary.
+    /// By determinism, resuming a checkpoint cut at `T1` and crashing at
+    /// `T2` yields the same checkpoint as crashing the uninterrupted run at
+    /// `T2`.
     pub crash_at: Option<f64>,
+    /// Cut checkpoints in-line, as per-task deltas, while the stage runs on.
+    /// Installed by [`crate::durable`] only.
+    pub cuts: Option<&'a CutSink<'a>>,
+}
+
+/// Where a stage's reduce tasks hand the checkpoint deltas they cut in-line
+/// (see the module docs' staged-execution section).
+pub struct CutSink<'a> {
+    /// Spacing of the grid on each task's own virtual clock: a task cuts at
+    /// the first block boundary at or past each line it crosses.
+    pub every: f64,
+    /// Per task, the number its first delta carries: how many of the task's
+    /// deltas the checkpoint being resumed already holds, zero without one.
+    pub first_seq: &'a [u32],
+    /// Receives `(seq, delta)` on the reduce task's worker thread. The
+    /// delta is a [`TaskCheckpoint`] whose `resolved` and `duplicates` hold
+    /// only what was added since the task's previous cut, the pairs in
+    /// comparison order.
+    pub emit: &'a (dyn Fn(u32, TaskCheckpoint) + Sync),
+}
+
+impl CutSink<'_> {
+    /// The first grid line past `clock`: where a task's last cut (or its
+    /// start) stands decides its next, so a resumed task cuts where the
+    /// uninterrupted one would have.
+    fn line_after(&self, clock: f64) -> f64 {
+        ((clock / self.every).floor() + 1.0) * self.every
+    }
+}
+
+/// One reduce task's side of a [`CutSink`]: what it has compared and found
+/// since its last cut, and where the next one is due.
+struct Cutter<'a> {
+    sink: &'a CutSink<'a>,
+    /// Number of the next delta.
+    seq: u32,
+    /// The grid line the task's clock has to reach for the next cut.
+    next_line: f64,
+    /// Pairs compared since the last cut, per tree.
+    pending: Vec<(usize, Vec<(EntityId, EntityId)>)>,
+    /// How much of the task's duplicate log earlier cuts handed over.
+    dups_cut: usize,
+}
+
+impl<'a> Cutter<'a> {
+    fn new(sink: &'a CutSink<'a>, task: usize, clock: f64, dups_cut: usize) -> Self {
+        Self {
+            sink,
+            seq: sink.first_seq[task],
+            next_line: sink.line_after(clock),
+            pending: Vec::new(),
+            dups_cut,
+        }
+    }
+
+    /// Take in the pairs a finished block compared (packed local indices).
+    fn compared(&mut self, tree: usize, state: &TreeState<'_>, block: &[u64]) {
+        if block.is_empty() {
+            return;
+        }
+        let at = match self.pending.iter().position(|&(t, _)| t == tree) {
+            Some(at) => at,
+            None => {
+                self.pending.push((tree, Vec::new()));
+                self.pending.len() - 1
+            }
+        };
+        self.pending[at].1.extend(block.iter().map(|&key| {
+            let (a, b) = crate::unpack_pair(key);
+            (state.id(a), state.id(b))
+        }));
+    }
+
+    /// A block boundary: cut if a grid line was crossed or the task is done.
+    fn block_done(
+        &mut self,
+        task: usize,
+        blocks_done: usize,
+        clock: f64,
+        last: bool,
+        dup_log: &[(f64, EntityId, EntityId)],
+    ) {
+        if clock < self.next_line && !last {
+            return;
+        }
+        let mut resolved = std::mem::take(&mut self.pending);
+        resolved.sort_unstable_by_key(|&(tree, _)| tree);
+        let delta = TaskCheckpoint {
+            task,
+            blocks_done,
+            clock,
+            resolved,
+            duplicates: dup_log[self.dups_cut..].to_vec(),
+        };
+        (self.sink.emit)(self.seq, delta);
+        self.seq += 1;
+        self.dups_cut = dup_log.len();
+        self.next_line = self.sink.line_after(clock);
+    }
 }
 
 /// What a stage leaves behind; [`Stage::crash_at`] decides which.
@@ -362,7 +481,13 @@ impl<'a> ResolveReducer<'a> {
         let mut writer: IncrementalWriter<(EntityId, EntityId)> =
             IncrementalWriter::new(self.alpha, ctx.now());
 
-        let resume = self.stage.resume.map(|cp| &cp.tasks[task]);
+        // A task the checkpoint holds no completed block of has nothing to
+        // restore: it starts from scratch, on its natural clock.
+        let resume = self
+            .stage
+            .resume
+            .map(|cp| &cp.tasks[task])
+            .filter(|tc| tc.blocks_done > 0);
         let crash_at = self.stage.crash_at;
 
         if let Some(tc) = resume {
@@ -400,7 +525,8 @@ impl<'a> ResolveReducer<'a> {
         // Bookkeeping of a killed stage: the checkpoint is cut at the last
         // completed block boundary, so a mid-block kill rolls the partial
         // block back below.
-        let mut blocks_done = resume.map_or(0, |tc| tc.blocks_done);
+        let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done);
+        let mut blocks_done = resumed_blocks;
         let mut ckpt_clock = ctx.now();
         // A resumed stage that is killed again must carry the replayed
         // duplicates forward, so the log is seeded from the one being
@@ -411,128 +537,144 @@ impl<'a> ResolveReducer<'a> {
             _ => Vec::new(),
         };
         let mut dups_at_boundary = dup_log.len();
+        // In-line cuts hand over what happened since the previous one:
+        // whatever the log was seeded with is durable already.
+        let mut cutter = self
+            .stage
+            .cuts
+            .map(|sink| Cutter::new(sink, task, ckpt_clock, dup_log.len()));
+        // Pairs and duplicates are logged only for a checkpoint to take.
+        let tracking = crash_at.is_some() || cutter.is_some();
 
         let mut scratch = SimScratch::new();
 
-        'blocks: for (block_idx, block) in self.schedule.block_order[task].iter().enumerate() {
-            if let Some(tc) = resume {
-                if block_idx < tc.blocks_done {
-                    // Already resolved before the crash; its charges are
-                    // part of the checkpointed clock.
-                    ctx.counters.incr("job2_blocks_skipped_resumed");
-                    continue;
-                }
+        let blocks = &self.schedule.block_order[task];
+        'blocks: for (block_idx, block) in blocks.iter().enumerate() {
+            if block_idx < resumed_blocks {
+                // Already resolved before the crash; its charges are part
+                // of the checkpointed clock.
+                ctx.counters.incr("job2_blocks_skipped_resumed");
+                continue;
             }
             if let Some(limit) = crash_at {
                 if ctx.now() >= limit {
                     break 'blocks;
                 }
             }
-            let Some(state) = states.get_mut(&block.tree) else {
-                // Tree received no entities (cannot happen for real trees).
-                blocks_done = block_idx + 1;
-                ckpt_clock = ctx.now();
-                dups_at_boundary = dup_log.len();
-                continue;
-            };
-            let plan_tree = &self.schedule.trees[block.tree];
-            let node = &plan_tree.nodes[block.node];
-            let family = &self.families[plan_tree.family];
-
-            // Materialize the block: members of the tree whose key at the
-            // node's level equals the node's key (prefix nesting makes the
-            // level key sufficient). Ascending local index, i.e. by id.
-            let members: Vec<Local> = (0..state.entities.len() as Local)
-                .filter(|&l| family.key_is(state.entities[l as usize], node.level, &node.key))
-                .collect();
-            ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
-            if members.len() < 2 {
-                blocks_done = block_idx + 1;
-                ckpt_clock = ctx.now();
-                dups_at_boundary = dup_log.len();
-                continue;
-            }
-
-            // Hint generation: sort by the blocking attribute.
-            // Compound SNM sort key: the blocking attribute, ties broken
-            // by the most discriminative attribute (index 0, the title).
-            let sorted =
-                pper_progressive::sort_by_attrs(&members, &[family.levels[0].attr, 0], &*state);
-            ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
-
-            // Root-ness follows the scheduling tree: a split sub-tree's root
-            // is promoted to full root-style resolution (§IV-C2). Leaf-ness
-            // follows the blocking hierarchy: a parent whose children were
-            // split away keeps its mid-level window — its sub-blocks still
-            // exist, they are just resolved in another task.
-            let is_root = node.is_root();
-            let is_leaf = node.hier_leaf;
-            let window = self.policy.window(is_root, is_leaf);
-            let mut run = self.mechanism.start(sorted, window);
-            let mut stop = StopState::new(self.policy.stop_rule(is_root, members.len()));
-            let mut block_added: Vec<u64> = Vec::new();
-            let mut tally = BlockTally::default();
-
-            while let Some((a, b)) = run.next_pair() {
-                if let Some(limit) = crash_at {
-                    if ctx.now() >= limit {
-                        // Killed mid-block: roll the partial block back so
-                        // the checkpoint sits exactly on the last completed
-                        // block boundary.
-                        for key in &block_added {
-                            state.resolved.remove(key);
-                        }
-                        dup_log.truncate(dups_at_boundary);
-                        tally.flush(&mut ctx.counters);
-                        break 'blocks;
-                    }
-                }
-                let key = crate::pack_pair(a, b);
-                if state.resolved.contains(&key) {
-                    tally.skipped_resolved += 1;
-                    continue;
-                }
-                let (ia, ib) = (a as usize, b as usize);
-                if !should_resolve(state.doms[ia], state.doms[ib], plan_tree.family, n_families) {
-                    tally.skipped_redundant += 1;
-                    continue;
-                }
-                ctx.charge(ctx.cost_model.resolve_pair);
-                tally.compared += 1;
-                state.resolved.insert(key);
-                if crash_at.is_some() {
-                    block_added.push(key);
-                }
-                let (ea, eb) = (state.entities[ia], state.entities[ib]);
-                let is_dup = match &self.prepared {
-                    Some(pr) => {
-                        let sa = prepared.slot(pr, &mut state.slots[ia], ea);
-                        let sb = prepared.slot(pr, &mut state.slots[ib], eb);
-                        pr.matches(&prepared.entities[sa], &prepared.entities[sb], &mut scratch)
-                    }
-                    None => self.rule.matches(&ea.attrs, &eb.attrs),
+            'block: {
+                let Some(state) = states.get_mut(&block.tree) else {
+                    // Tree received no entities (cannot happen for real trees).
+                    break 'block;
                 };
-                run.feedback(is_dup);
-                if is_dup {
-                    tally.duplicates += 1;
-                    ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
-                    writer.write(ctx.now(), (ea.id.min(eb.id), ea.id.max(eb.id)));
-                    if crash_at.is_some() {
-                        dup_log.push((ctx.now(), ea.id, eb.id));
-                    }
-                } else {
-                    writer.advance(ctx.now());
+                let plan_tree = &self.schedule.trees[block.tree];
+                let node = &plan_tree.nodes[block.node];
+                let family = &self.families[plan_tree.family];
+
+                // Materialize the block: members of the tree whose key at the
+                // node's level equals the node's key (prefix nesting makes the
+                // level key sufficient). Ascending local index, i.e. by id.
+                let members: Vec<Local> = (0..state.entities.len() as Local)
+                    .filter(|&l| family.key_is(state.entities[l as usize], node.level, &node.key))
+                    .collect();
+                ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
+                if members.len() < 2 {
+                    break 'block;
                 }
-                if stop.observe(is_dup) {
-                    ctx.counters.incr("blocks_stopped_early");
-                    break;
+
+                // Hint generation: sort by the blocking attribute.
+                // Compound SNM sort key: the blocking attribute, ties broken
+                // by the most discriminative attribute (index 0, the title).
+                let sorted =
+                    pper_progressive::sort_by_attrs(&members, &[family.levels[0].attr, 0], &*state);
+                ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
+
+                // Root-ness follows the scheduling tree: a split sub-tree's root
+                // is promoted to full root-style resolution (§IV-C2). Leaf-ness
+                // follows the blocking hierarchy: a parent whose children were
+                // split away keeps its mid-level window — its sub-blocks still
+                // exist, they are just resolved in another task.
+                let is_root = node.is_root();
+                let is_leaf = node.hier_leaf;
+                let window = self.policy.window(is_root, is_leaf);
+                let mut run = self.mechanism.start(sorted, window);
+                let mut stop = StopState::new(self.policy.stop_rule(is_root, members.len()));
+                let mut block_added: Vec<u64> = Vec::new();
+                let mut tally = BlockTally::default();
+
+                while let Some((a, b)) = run.next_pair() {
+                    let key = crate::pack_pair(a, b);
+                    if state.resolved.contains(&key) {
+                        tally.skipped_resolved += 1;
+                        continue;
+                    }
+                    let (ia, ib) = (a as usize, b as usize);
+                    if !should_resolve(state.doms[ia], state.doms[ib], plan_tree.family, n_families)
+                    {
+                        tally.skipped_redundant += 1;
+                        continue;
+                    }
+                    if let Some(limit) = crash_at {
+                        if ctx.now() >= limit {
+                            // Killed mid-block, before the comparison that
+                            // would spend past the threshold: roll the
+                            // partial block back so the checkpoint sits
+                            // exactly on the last completed block boundary.
+                            // (Skipped pairs cost nothing and kill nothing,
+                            // so a threshold that is a block's final clock
+                            // lets that block complete.)
+                            for key in &block_added {
+                                state.resolved.remove(key);
+                            }
+                            dup_log.truncate(dups_at_boundary);
+                            tally.flush(&mut ctx.counters);
+                            break 'blocks;
+                        }
+                    }
+                    ctx.charge(ctx.cost_model.resolve_pair);
+                    tally.compared += 1;
+                    state.resolved.insert(key);
+                    if tracking {
+                        block_added.push(key);
+                    }
+                    let (ea, eb) = (state.entities[ia], state.entities[ib]);
+                    let is_dup = match &self.prepared {
+                        Some(pr) => {
+                            let sa = prepared.slot(pr, &mut state.slots[ia], ea);
+                            let sb = prepared.slot(pr, &mut state.slots[ib], eb);
+                            pr.matches(&prepared.entities[sa], &prepared.entities[sb], &mut scratch)
+                        }
+                        None => self.rule.matches(&ea.attrs, &eb.attrs),
+                    };
+                    run.feedback(is_dup);
+                    if is_dup {
+                        tally.duplicates += 1;
+                        ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
+                        writer.write(ctx.now(), (ea.id.min(eb.id), ea.id.max(eb.id)));
+                        if tracking {
+                            dup_log.push((ctx.now(), ea.id, eb.id));
+                        }
+                    } else {
+                        writer.advance(ctx.now());
+                    }
+                    if stop.observe(is_dup) {
+                        ctx.counters.incr("blocks_stopped_early");
+                        break;
+                    }
+                }
+                tally.flush(&mut ctx.counters);
+                ctx.counters.incr("blocks_resolved");
+                if let Some(cutter) = &mut cutter {
+                    cutter.compared(block.tree, state, &block_added);
                 }
             }
-            tally.flush(&mut ctx.counters);
-            ctx.counters.incr("blocks_resolved");
+            // The block boundary a checkpoint can sit on.
             blocks_done = block_idx + 1;
             ckpt_clock = ctx.now();
             dups_at_boundary = dup_log.len();
+            if let Some(cutter) = &mut cutter {
+                let last = blocks_done == blocks.len();
+                cutter.block_done(task, blocks_done, ckpt_clock, last, &dup_log);
+            }
         }
 
         if crash_at.is_some() {
@@ -647,8 +789,9 @@ pub fn run_job2(
 ///
 /// Rejected with [`MrError::Checkpoint`] before any task starts: a
 /// checkpoint that fails [`Checkpoint::validate`] for this configuration or
-/// arrives with another schedule, and a threshold that is not finite, is
-/// negative, or lies before the checkpoint's own.
+/// arrives with another schedule, a threshold that is not finite, is
+/// negative, or lies before the checkpoint's own, and a cut sink whose grid
+/// is not finite and positive or that does not number every task.
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
@@ -669,6 +812,22 @@ pub fn run_job2_stage(
             return Err(MrError::Checkpoint(format!(
                 "crash threshold {crash_at} must be finite and not before {floor} \
                  (zero, or the threshold of the checkpoint being resumed)"
+            )));
+        }
+    }
+
+    if let Some(sink) = stage.cuts {
+        if !(sink.every.is_finite() && sink.every > 0.0) {
+            return Err(MrError::Checkpoint(format!(
+                "checkpoint grid spacing must be finite and positive, got {}",
+                sink.every
+            )));
+        }
+        if sink.first_seq.len() != schedule.num_tasks {
+            return Err(MrError::Checkpoint(format!(
+                "the cut sink numbers {} tasks, the schedule has {}",
+                sink.first_seq.len(),
+                schedule.num_tasks
             )));
         }
     }
@@ -795,6 +954,7 @@ mod tests {
         let stage = Stage {
             resume,
             crash_at: Some(crash_at),
+            cuts: None,
         };
         match run_job2_stage(ds, config, schedule, stage).unwrap() {
             StageOutcome::Checkpoints(tasks) => tasks,
@@ -914,7 +1074,11 @@ mod tests {
         let config = ErConfig::citeseer(2);
         let schedule = schedule_for(&ds, &config);
         let rejected = |schedule: &Schedule, resume, crash_at| {
-            let stage = Stage { resume, crash_at };
+            let stage = Stage {
+                resume,
+                crash_at,
+                cuts: None,
+            };
             matches!(
                 run_job2_stage(&ds, &config, schedule, stage),
                 Err(MrError::Checkpoint(_))

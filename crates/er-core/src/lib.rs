@@ -56,7 +56,8 @@ pub mod prelude {
     };
     pub use crate::config::{ErConfig, MechanismKind, ProbModelKind};
     pub use crate::durable::{
-        reprocess_dlq, resume_durable, run_durable, DurableError, DurableOptions, ResultFingerprint,
+        journaled_checkpoint, reprocess_dlq, resume_durable, run_durable, DurableError,
+        DurableOptions, ResultFingerprint,
     };
     pub use crate::incremental::{BatchOutcome, IncrementalEr};
     pub use crate::job1::run_job1;

@@ -186,6 +186,7 @@ impl ProgressiveEr {
         let stage = Stage {
             resume: from,
             crash_at,
+            cuts: None,
         };
         Ok(match run_job2_stage(ds, config, schedule, stage)? {
             StageOutcome::Checkpoints(tasks) => StageResult::Cut(Checkpoint {

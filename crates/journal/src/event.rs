@@ -79,11 +79,13 @@ pub enum JournalEvent {
         virtual_cost: f64,
     },
     /// The progressive schedule was generated from the job-1 statistics.
+    /// It is journaled here, once: the checkpoint cuts that follow only
+    /// index into it.
     ScheduleGenerated {
-        /// Reduce tasks the schedule targets.
-        num_tasks: u32,
-        /// Total scheduled blocks across all tasks.
-        total_blocks: u64,
+        /// Scheduled blocks per reduce task, by task index.
+        task_blocks: Vec<u64>,
+        /// Serialized `pper_schedule::Schedule` (opaque to this crate).
+        schedule_json: String,
     },
     /// A task committed (possibly after failed attempts).
     TaskFinished {
@@ -115,13 +117,27 @@ pub enum JournalEvent {
         /// History of every dead attempt, in order.
         failures: Vec<AttemptFailure>,
     },
-    /// A consistent checkpoint was cut; `checkpoint_json` is the er-core
-    /// `Checkpoint` serialization. The durable runner treats the journal
-    /// record — not process memory — as the checkpoint of record: the next
-    /// stage re-reads it by offset.
+    /// One reduce task of the resolution job cut a checkpoint at a block
+    /// boundary: a *delta* against the task's previous cut. A task's
+    /// records carry `seq` 0, 1, 2, … and are appended in that order;
+    /// [`crate::JournalState`] folds them per task, so how the worker
+    /// threads interleaved their appends never shows.
     CheckpointCut {
-        /// Serialized `pper_er::Checkpoint`.
-        checkpoint_json: String,
+        /// Reduce task index.
+        task: u32,
+        /// Position of this record among the task's cuts.
+        seq: u32,
+        /// Watermark: the task's first `blocks_done` scheduled blocks are
+        /// fully resolved.
+        blocks_done: u64,
+        /// The task's virtual clock at that block boundary.
+        clock: f64,
+        /// Per tree (ascending tree id): the pairs compared since the last
+        /// cut, in comparison order, as `(smaller id, larger id)`.
+        resolved: Vec<(u32, Vec<(u32, u32)>)>,
+        /// Duplicates found since the last cut as `(task-local cost, a, b)`,
+        /// in discovery order.
+        duplicates: Vec<(f64, u32, u32)>,
     },
     /// Counters snapshot (sorted key order) at a stable point.
     CountersSnapshot {
@@ -207,12 +223,15 @@ impl JournalEvent {
                 put_f64(&mut out, *virtual_cost);
             }
             JournalEvent::ScheduleGenerated {
-                num_tasks,
-                total_blocks,
+                task_blocks,
+                schedule_json,
             } => {
                 out.push(TAG_SCHEDULE);
-                put_u32(&mut out, *num_tasks);
-                put_u64(&mut out, *total_blocks);
+                put_u32(&mut out, crate::frame::len_u32(task_blocks.len()));
+                for blocks in task_blocks {
+                    put_u64(&mut out, *blocks);
+                }
+                put_str(&mut out, schedule_json);
             }
             JournalEvent::TaskFinished {
                 job,
@@ -246,9 +265,36 @@ impl JournalEvent {
                 put_u32(&mut out, *attempts);
                 put_failures(&mut out, failures);
             }
-            JournalEvent::CheckpointCut { checkpoint_json } => {
+            JournalEvent::CheckpointCut {
+                task,
+                seq,
+                blocks_done,
+                clock,
+                resolved,
+                duplicates,
+            } => {
+                let pairs: usize = resolved.iter().map(|(_, pairs)| pairs.len()).sum();
+                out.reserve(8 * pairs + 8 * resolved.len() + 16 * duplicates.len() + 32);
                 out.push(TAG_CHECKPOINT);
-                put_str(&mut out, checkpoint_json);
+                put_u32(&mut out, *task);
+                put_u32(&mut out, *seq);
+                put_u64(&mut out, *blocks_done);
+                put_f64(&mut out, *clock);
+                put_u32(&mut out, crate::frame::len_u32(resolved.len()));
+                for (tree, pairs) in resolved {
+                    put_u32(&mut out, *tree);
+                    put_u32(&mut out, crate::frame::len_u32(pairs.len()));
+                    for &(a, b) in pairs {
+                        put_u32(&mut out, a);
+                        put_u32(&mut out, b);
+                    }
+                }
+                put_u32(&mut out, crate::frame::len_u32(duplicates.len()));
+                for &(cost, a, b) in duplicates {
+                    put_f64(&mut out, cost);
+                    put_u32(&mut out, a);
+                    put_u32(&mut out, b);
+                }
             }
             JournalEvent::CountersSnapshot { entries } => {
                 out.push(TAG_COUNTERS);
@@ -297,23 +343,16 @@ impl JournalEvent {
         let mut r = Reader { bytes, pos: 0 };
         let tag = r.u8()?;
         let ev = match tag {
-            TAG_JOB_STARTED => {
-                let job_id = r.str()?;
-                let n = r.ulen()?;
-                let mut params = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let k = r.str()?;
-                    let v = r.str()?;
-                    params.push((k, v));
-                }
-                JournalEvent::JobStarted { job_id, params }
-            }
+            TAG_JOB_STARTED => JournalEvent::JobStarted {
+                job_id: r.str()?,
+                params: r.seq(|r| Ok((r.str()?, r.str()?)))?,
+            },
             TAG_JOB1_FINISHED => JournalEvent::Job1Finished {
                 virtual_cost: r.f64()?,
             },
             TAG_SCHEDULE => JournalEvent::ScheduleGenerated {
-                num_tasks: r.u32()?,
-                total_blocks: r.u64()?,
+                task_blocks: r.seq(Reader::u64)?,
+                schedule_json: r.str()?,
             },
             TAG_TASK_FINISHED => JournalEvent::TaskFinished {
                 job: r.str()?,
@@ -332,18 +371,16 @@ impl JournalEvent {
                 failures: r.failures()?,
             },
             TAG_CHECKPOINT => JournalEvent::CheckpointCut {
-                checkpoint_json: r.str()?,
+                task: r.u32()?,
+                seq: r.u32()?,
+                blocks_done: r.u64()?,
+                clock: r.f64()?,
+                resolved: r.seq(|r| Ok((r.u32()?, r.seq(|r| Ok((r.u32()?, r.u32()?)))?)))?,
+                duplicates: r.seq(|r| Ok((r.f64()?, r.u32()?, r.u32()?)))?,
             },
-            TAG_COUNTERS => {
-                let n = r.ulen()?;
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let k = r.str()?;
-                    let v = r.u64()?;
-                    entries.push((k, v));
-                }
-                JournalEvent::CountersSnapshot { entries }
-            }
+            TAG_COUNTERS => JournalEvent::CountersSnapshot {
+                entries: r.seq(|r| Ok((r.str()?, r.u64()?)))?,
+            },
             TAG_DEAD_LETTERED => JournalEvent::DeadLettered {
                 seq: r.u32()?,
                 job: r.str()?,
@@ -455,17 +492,29 @@ impl Reader<'_> {
             .map_err(|e| JournalError::BadEvent(format!("non-UTF-8 string: {e}")))
     }
 
-    fn failures(&mut self) -> Result<Vec<AttemptFailure>, JournalError> {
+    /// A `u32` count, then that many elements. The count is outside input:
+    /// it bounds the loop, and the allocation only as far as the payload
+    /// could hold (no element takes fewer than 8 bytes on the wire).
+    fn seq<T>(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<T, JournalError>,
+    ) -> Result<Vec<T>, JournalError> {
         let n = self.ulen()?;
-        let mut out = Vec::with_capacity(n.min(1024));
+        let mut out = Vec::with_capacity(n.min((self.bytes.len() - self.pos) / 8));
         for _ in 0..n {
-            out.push(AttemptFailure {
-                attempt: self.u32()?,
-                wasted_cost: self.f64()?,
-                error: self.str()?,
-            });
+            out.push(element(self)?);
         }
         Ok(out)
+    }
+
+    fn failures(&mut self) -> Result<Vec<AttemptFailure>, JournalError> {
+        self.seq(|r| {
+            Ok(AttemptFailure {
+                attempt: r.u32()?,
+                wasted_cost: r.f64()?,
+                error: r.str()?,
+            })
+        })
     }
 }
 
@@ -483,8 +532,16 @@ mod tests {
                 virtual_cost: 1234.567,
             },
             JournalEvent::ScheduleGenerated {
-                num_tasks: 4,
-                total_blocks: 99,
+                task_blocks: vec![60, 0, 39],
+                schedule_json: "{\"num_tasks\":3}".into(),
+            },
+            JournalEvent::CheckpointCut {
+                task: 2,
+                seq: 5,
+                blocks_done: 17,
+                clock: 0.1 + 0.2,
+                resolved: vec![(3, vec![(1, 9), (1, 4)]), (8, vec![])],
+                duplicates: vec![(1499.75, 1, 4)],
             },
             JournalEvent::TaskFinished {
                 job: "pper-job2-resolution".into(),
@@ -539,16 +596,19 @@ mod tests {
 
     #[test]
     fn truncated_and_trailing_bytes_error() {
-        let bytes = samples()[3].encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                JournalEvent::decode(&bytes[..cut]).is_err(),
-                "cut at {cut} must not decode"
-            );
+        for ev in samples() {
+            let bytes = ev.encode();
+            for cut in 0..bytes.len() {
+                assert!(
+                    JournalEvent::decode(&bytes[..cut]).is_err(),
+                    "{} cut at {cut} must not decode",
+                    ev.name()
+                );
+            }
+            let mut extended = bytes.clone();
+            extended.push(0);
+            assert!(JournalEvent::decode(&extended).is_err());
         }
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(JournalEvent::decode(&extended).is_err());
     }
 
     #[test]

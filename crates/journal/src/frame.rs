@@ -11,8 +11,15 @@
 
 use pper_vfs::crc32;
 
-/// File magic + format version ("PPERJNL" + version 1).
-pub const MAGIC: [u8; 8] = *b"PPERJNL\x01";
+/// Format version this build reads and writes. Version 1 journaled every
+/// checkpoint as one JSON document carrying the whole schedule; version 2
+/// journals the schedule once and each checkpoint cut as a per-task binary
+/// delta (see [`crate::event`]). There is no second reader: a log of any
+/// other version is [`crate::JournalError::UnsupportedVersion`].
+pub const VERSION: u8 = 2;
+
+/// File magic + format version ("PPERJNL" + [`VERSION`]).
+pub const MAGIC: [u8; 8] = *b"PPERJNL\x02";
 
 /// Per-record framing overhead: 4-byte length + 4-byte CRC.
 pub const FRAME_HEADER: usize = 8;
@@ -74,28 +81,40 @@ impl RecoveryReport {
 /// ended, as returned by [`read_frames`].
 pub type ParsedFrames<'a> = (Vec<(u64, &'a [u8])>, RecoveryReport);
 
-/// Parse a journal byte stream into `(byte offset, payload)` records.
-///
-/// The offset is the position of the record's frame header within the
-/// stream, usable with [`read_frame_at`]. Returns an error only when the
-/// header itself is missing or unrecognized — a valid header followed by
-/// garbage yields the longest valid (possibly empty) record prefix.
-pub fn read_frames(bytes: &[u8]) -> Result<ParsedFrames<'_>, crate::JournalError> {
-    if bytes.len() < MAGIC.len() {
+/// Check that `bytes` starts with this build's [`MAGIC`]: a pper journal of
+/// another format version is [`crate::JournalError::UnsupportedVersion`],
+/// anything else [`crate::JournalError::BadHeader`].
+pub fn check_header(bytes: &[u8]) -> Result<(), crate::JournalError> {
+    let Some(header) = bytes.get(..MAGIC.len()) else {
         return Err(crate::JournalError::BadHeader(format!(
             "{} bytes is shorter than the {}-byte magic",
             bytes.len(),
             MAGIC.len()
         )));
-    }
-    let Some(header) = bytes.get(..MAGIC.len()) else {
-        return Err(crate::JournalError::BadHeader("unreadable header".into()));
     };
-    if header != MAGIC {
-        return Err(crate::JournalError::BadHeader(format!(
+    let (name, version) = header.split_at(MAGIC.len() - 1);
+    if name != &MAGIC[..MAGIC.len() - 1] {
+        Err(crate::JournalError::BadHeader(format!(
             "magic mismatch: expected {MAGIC:02x?}, found {header:02x?}"
-        )));
+        )))
+    } else if version != [VERSION] {
+        Err(crate::JournalError::UnsupportedVersion {
+            found: version[0],
+            supported: VERSION,
+        })
+    } else {
+        Ok(())
     }
+}
+
+/// Parse a journal byte stream into `(byte offset, payload)` records.
+///
+/// The offset is the position of the record's frame header within the
+/// stream. Returns an error only when the header itself is missing or
+/// unrecognized — a valid header followed by garbage yields the longest
+/// valid (possibly empty) record prefix.
+pub fn read_frames(bytes: &[u8]) -> Result<ParsedFrames<'_>, crate::JournalError> {
+    check_header(bytes)?;
     let mut records = Vec::new();
     let mut report = RecoveryReport::default();
     let mut pos = MAGIC.len();
@@ -121,29 +140,6 @@ pub fn read_frames(bytes: &[u8]) -> Result<ParsedFrames<'_>, crate::JournalError
     report.valid_bytes = off_u64(pos);
     report.dropped_bytes = off_u64(bytes.len() - pos);
     Ok((records, report))
-}
-
-/// Read the single frame starting at byte `offset` of the stream.
-///
-/// Used to dereference durable pointers (e.g. "the checkpoint lives at
-/// journal offset N") without re-parsing the whole log.
-pub fn read_frame_at(bytes: &[u8], offset: u64) -> Result<&[u8], crate::JournalError> {
-    let pos = usize::try_from(offset)
-        .map_err(|_| crate::JournalError::BadState(format!("offset {offset} out of range")))?;
-    if pos < MAGIC.len() {
-        return Err(crate::JournalError::BadState(format!(
-            "offset {offset} points inside the journal header"
-        )));
-    }
-    match frame_at(bytes, pos) {
-        FrameParse::Ok { payload, .. } => Ok(payload),
-        FrameParse::Torn => Err(crate::JournalError::BadState(format!(
-            "no complete record at offset {offset}"
-        ))),
-        FrameParse::Corrupt => Err(crate::JournalError::BadState(format!(
-            "record at offset {offset} fails its checksum"
-        ))),
-    }
 }
 
 enum FrameParse<'a> {
@@ -204,10 +200,9 @@ mod tests {
             payloads,
             vec![&b"alpha"[..], &b""[..], &b"gamma-longer-payload"[..]]
         );
-        // Offsets dereference back to the same payloads.
-        for &(off, p) in &records {
-            assert_eq!(read_frame_at(&s, off).unwrap(), p);
-        }
+        // Offsets are where each frame header starts.
+        assert_eq!(records[0].0, MAGIC.len() as u64);
+        assert_eq!(records[1].0, (MAGIC.len() + FRAME_HEADER + 5) as u64);
     }
 
     #[test]
@@ -254,6 +249,22 @@ mod tests {
     }
 
     #[test]
+    fn other_format_versions_are_a_typed_error() {
+        // A hand-built version-1 log: the old magic, then a record.
+        let mut v1 = b"PPERJNL\x01".to_vec();
+        write_frame(&mut v1, b"whatever version 1 wrote");
+        for log in [&v1[..], &v1[..MAGIC.len()], b"PPERJNL\x03"] {
+            assert_eq!(
+                read_frames(log).unwrap_err(),
+                crate::JournalError::UnsupportedVersion {
+                    found: log[7],
+                    supported: VERSION,
+                }
+            );
+        }
+    }
+
+    #[test]
     fn absurd_length_is_corruption_not_torn() {
         let mut s = MAGIC.to_vec();
         s.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -261,12 +272,5 @@ mod tests {
         let (records, report) = read_frames(&s).unwrap();
         assert!(records.is_empty());
         assert!(report.corrupt && !report.torn_tail);
-    }
-
-    #[test]
-    fn read_frame_at_rejects_header_offsets() {
-        let s = stream(&[b"x"]);
-        assert!(read_frame_at(&s, 0).is_err());
-        assert!(read_frame_at(&s, s.len() as u64).is_err());
     }
 }

@@ -6,8 +6,9 @@
 //! parses the longest valid record prefix (tolerating the torn tail a
 //! killed writer leaves) and decodes it to `(offset, event)` pairs.
 //! [`JournalState`] folds that stream into "where was this job" — enough
-//! for a fresh process to reconstruct the run and continue, and the source
-//! of the job's live dead-letter queue.
+//! for a fresh process to reconstruct the run and continue (the schedule,
+//! and per reduce task the fold of its checkpoint-cut deltas), and the
+//! source of the job's live dead-letter queue.
 
 use std::sync::Arc;
 
@@ -39,21 +40,11 @@ impl JobJournal {
     ///
     /// A brand-new journal gets the magic header written and synced before
     /// this returns; an existing one has its header validated so appending
-    /// to a foreign or corrupt file fails fast.
+    /// to a foreign, corrupt or other-version file fails fast.
     pub fn create(store: Arc<dyn JournalStore>, job_id: &str) -> Result<Self, JournalError> {
         match store.read(job_id) {
-            Ok(bytes) if bytes.is_empty() => {
-                store.append(job_id, &MAGIC)?;
-                store.sync(job_id)?;
-            }
-            Ok(bytes) => {
-                if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
-                    return Err(JournalError::BadHeader(format!(
-                        "existing log for '{job_id}' is not a pper journal"
-                    )));
-                }
-            }
-            Err(JournalError::NotFound(_)) => {
+            Ok(bytes) if !bytes.is_empty() => frame::check_header(&bytes)?,
+            Ok(_) | Err(JournalError::NotFound(_)) => {
                 store.append(job_id, &MAGIC)?;
                 store.sync(job_id)?;
             }
@@ -87,7 +78,7 @@ impl JobJournal {
     }
 
     /// Frame, append, and sync one event; returns the byte offset of the
-    /// record's frame header, usable with [`read_event_at`].
+    /// record's frame header.
     pub fn append(&mut self, event: &JournalEvent) -> Result<u64, JournalError> {
         let payload = event.encode();
         let mut framed = Vec::with_capacity(frame::FRAME_HEADER + payload.len());
@@ -144,21 +135,6 @@ pub fn recover(
     Ok(RecoveredJournal { events, report })
 }
 
-/// Decode the single event at byte `offset` of a job's journal.
-///
-/// This is how durable pointers are dereferenced: a later event (or a
-/// fresh process) holds "checkpoint at offset N" and re-reads the record
-/// itself rather than trusting process memory.
-pub fn read_event_at(
-    store: &Arc<dyn JournalStore>,
-    job_id: &str,
-    offset: u64,
-) -> Result<JournalEvent, JournalError> {
-    let bytes = store.read(job_id)?;
-    let payload = frame::read_frame_at(&bytes, offset)?;
-    JournalEvent::decode(payload)
-}
-
 /// One task sitting in the dead-letter queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DlqEntry {
@@ -178,6 +154,26 @@ pub struct DlqEntry {
     pub context_json: String,
 }
 
+/// What the journal holds of one reduce task of the resolution job: the
+/// fold of the task's `CheckpointCut` records in `seq` order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TaskProgress {
+    /// Blocks the schedule assigns to the task.
+    pub blocks: u64,
+    /// Records folded — the `seq` the task's next record carries.
+    pub cuts: u32,
+    /// Watermark of the latest cut (0 before the first).
+    pub blocks_done: u64,
+    /// The task's virtual clock at that watermark.
+    pub clock: f64,
+    /// Per tree (ascending tree id): every pair compared up to the
+    /// watermark, in comparison order.
+    pub resolved: Vec<(u32, Vec<(u32, u32)>)>,
+    /// Every duplicate found up to the watermark as `(task-local cost, a,
+    /// b)`, in discovery order.
+    pub duplicates: Vec<(f64, u32, u32)>,
+}
+
 /// The fold of a job's event stream: everything a fresh process needs to
 /// know to list, resume, or reprocess the job.
 #[derive(Debug, Default)]
@@ -188,10 +184,11 @@ pub struct JournalState {
     pub params: Vec<(String, String)>,
     /// Virtual cost of the finished statistics job, if journaled.
     pub job1_cost: Option<f64>,
-    /// `(num_tasks, total_blocks)` once the schedule was generated.
-    pub schedule: Option<(u32, u64)>,
-    /// Offset and serialized checkpoint of the *latest* `CheckpointCut`.
-    pub last_checkpoint: Option<(u64, String)>,
+    /// The serialized schedule, once it was generated.
+    pub schedule_json: Option<String>,
+    /// Per reduce task of the resolution job (empty until the schedule was
+    /// generated): the fold of its checkpoint cuts.
+    pub tasks: Vec<TaskProgress>,
     /// `(duplicates, total_cost)` once the job finished.
     pub finished: Option<(u64, f64)>,
     /// Count of `TaskFinished` events seen.
@@ -208,7 +205,7 @@ impl JournalState {
     /// Fold an event stream (as produced by [`recover`]) into a state.
     pub fn replay(events: &[(u64, JournalEvent)]) -> Self {
         let mut st = Self::default();
-        for (offset, ev) in events {
+        for (_, ev) in events {
             match ev {
                 JournalEvent::JobStarted { job_id, params } => {
                     st.job_id = Some(job_id.clone());
@@ -218,13 +215,54 @@ impl JournalState {
                     st.job1_cost = Some(*virtual_cost);
                 }
                 JournalEvent::ScheduleGenerated {
-                    num_tasks,
-                    total_blocks,
-                } => st.schedule = Some((*num_tasks, *total_blocks)),
+                    task_blocks,
+                    schedule_json,
+                } => {
+                    // Watermarks index into the schedule they were cut
+                    // against: a new schedule starts every task over.
+                    st.schedule_json = Some(schedule_json.clone());
+                    st.tasks = task_blocks
+                        .iter()
+                        .map(|&blocks| TaskProgress {
+                            blocks,
+                            ..TaskProgress::default()
+                        })
+                        .collect();
+                }
                 JournalEvent::TaskFinished { .. } => st.tasks_finished += 1,
                 JournalEvent::TaskExhausted { .. } => {}
-                JournalEvent::CheckpointCut { checkpoint_json } => {
-                    st.last_checkpoint = Some((*offset, checkpoint_json.clone()));
+                JournalEvent::CheckpointCut {
+                    task,
+                    seq,
+                    blocks_done,
+                    clock,
+                    resolved,
+                    duplicates,
+                } => {
+                    // A task's records are appended in `seq` order and
+                    // never twice; one that is not the next in line (a
+                    // repeat, a gap, an unknown task) carries nothing the
+                    // deterministic re-execution will not produce again.
+                    let next = usize::try_from(*task)
+                        .ok()
+                        .and_then(|task| st.tasks.get_mut(task))
+                        .filter(|progress| progress.cuts == *seq);
+                    if let Some(progress) = next {
+                        progress.cuts += 1;
+                        progress.blocks_done = *blocks_done;
+                        progress.clock = *clock;
+                        for (tree, pairs) in resolved {
+                            let at = match progress.resolved.binary_search_by_key(tree, |e| e.0) {
+                                Ok(at) => at,
+                                Err(at) => {
+                                    progress.resolved.insert(at, (*tree, Vec::new()));
+                                    at
+                                }
+                            };
+                            progress.resolved[at].1.extend_from_slice(pairs);
+                        }
+                        progress.duplicates.extend_from_slice(duplicates);
+                    }
                 }
                 JournalEvent::CountersSnapshot { entries } => {
                     st.counters = entries.clone();
@@ -259,6 +297,20 @@ impl JournalState {
             }
         }
         st
+    }
+
+    /// How far the checkpoint cuts reach over all reduce tasks, as the one
+    /// line `pper resume` and `pper jobs` print.
+    pub fn progress(&self) -> String {
+        let sum = |of: fn(&TaskProgress) -> u64| self.tasks.iter().map(of).sum::<u64>();
+        format!(
+            "{} of {} blocks and {} duplicates checkpointed across {} tasks, furthest clock {:.0}",
+            sum(|task| task.blocks_done),
+            sum(|task| task.blocks),
+            sum(|task| frame::off_u64(task.duplicates.len())),
+            self.tasks.len(),
+            self.tasks.iter().map(|t| t.clock).fold(0.0, f64::max)
+        )
     }
 
     /// Look up a `JobStarted` configuration parameter.
@@ -297,8 +349,7 @@ mod tests {
         assert!(rec.report.clean());
         assert_eq!(rec.events.len(), 2);
         assert_eq!(rec.events[0], (off1, ev1));
-        assert_eq!(rec.events[1].1, ev2);
-        assert_eq!(read_event_at(&store, "rt", off2).unwrap(), ev2);
+        assert_eq!(rec.events[1], (off2, ev2));
     }
 
     #[test]
@@ -319,6 +370,17 @@ mod tests {
             JobJournal::create(Arc::clone(&store), "alien"),
             Err(JournalError::BadHeader(_))
         ));
+        // So is a journal of another format version — typed, by both ends.
+        store.append("old", b"PPERJNL\x01").unwrap();
+        let unsupported = JournalError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        };
+        assert_eq!(
+            JobJournal::create(Arc::clone(&store), "old").unwrap_err(),
+            unsupported
+        );
+        assert_eq!(recover(&store, "old").unwrap_err(), unsupported);
     }
 
     #[test]
@@ -352,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn state_replay_tracks_checkpoints_and_dlq() {
+    fn state_replay_tracks_dlq() {
         let store = mem();
         let mut j = JobJournal::create(Arc::clone(&store), "state").unwrap();
         j.append(&JournalEvent::JobStarted {
@@ -361,15 +423,6 @@ mod tests {
         })
         .unwrap();
         j.append(&JournalEvent::Job1Finished { virtual_cost: 3.0 })
-            .unwrap();
-        j.append(&JournalEvent::CheckpointCut {
-            checkpoint_json: "{\"v\":1}".into(),
-        })
-        .unwrap();
-        let ck2 = j
-            .append(&JournalEvent::CheckpointCut {
-                checkpoint_json: "{\"v\":2}".into(),
-            })
             .unwrap();
         j.append(&JournalEvent::DeadLettered {
             seq: 0,
@@ -402,11 +455,90 @@ mod tests {
         assert_eq!(st.job_id.as_deref(), Some("state"));
         assert_eq!(st.param("dataset"), Some("ds.jsonl"));
         assert_eq!(st.job1_cost, Some(3.0));
-        assert_eq!(st.last_checkpoint, Some((ck2, "{\"v\":2}".to_string())));
+        assert!(st.schedule_json.is_none() && st.tasks.is_empty());
         assert_eq!(st.dlq.len(), 1);
         assert_eq!(st.dlq[0].seq, 1);
         assert_eq!(st.dlq[0].index, 5);
         assert_eq!(st.next_dlq_seq, 2);
         assert!(st.finished.is_none());
+    }
+
+    fn cut(task: u32, seq: u32, blocks_done: u64, pair: (u32, u32)) -> JournalEvent {
+        JournalEvent::CheckpointCut {
+            task,
+            seq,
+            blocks_done,
+            clock: 100.0 * blocks_done as f64,
+            resolved: vec![(task + 7, vec![pair]), (task + 9, vec![])],
+            duplicates: vec![(99.5 * blocks_done as f64, pair.0, pair.1)],
+        }
+    }
+
+    fn fold(events: &[JournalEvent]) -> JournalState {
+        let numbered: Vec<(u64, JournalEvent)> = events.iter().cloned().map(|e| (0, e)).collect();
+        JournalState::replay(&numbered)
+    }
+
+    #[test]
+    fn cuts_fold_per_task_whatever_the_interleaving() {
+        let schedule = JournalEvent::ScheduleGenerated {
+            task_blocks: vec![5, 3, 0],
+            schedule_json: "{}".into(),
+        };
+        let t0 = [cut(0, 0, 2, (1, 2)), cut(0, 1, 5, (3, 4))];
+        let t1 = [cut(1, 0, 1, (5, 6)), cut(1, 1, 3, (7, 8))];
+        let one = fold(&[
+            schedule.clone(),
+            t0[0].clone(),
+            t0[1].clone(),
+            t1[0].clone(),
+            t1[1].clone(),
+        ]);
+        let other = fold(&[
+            schedule.clone(),
+            t1[0].clone(),
+            t0[0].clone(),
+            t1[1].clone(),
+            t0[1].clone(),
+        ]);
+        assert_eq!(one.tasks, other.tasks);
+        assert_eq!(one.tasks[0].cuts, 2);
+        assert_eq!(one.tasks[0].blocks_done, 5);
+        assert_eq!(one.tasks[0].clock, 500.0);
+        assert_eq!(
+            one.tasks[0].resolved,
+            vec![(7, vec![(1, 2), (3, 4)]), (9, vec![])]
+        );
+        assert_eq!(one.tasks[0].duplicates, vec![(199.0, 1, 2), (497.5, 3, 4)]);
+        assert_eq!(one.tasks[2], TaskProgress::default());
+        assert_eq!(
+            one.progress(),
+            "8 of 8 blocks and 4 duplicates checkpointed across 3 tasks, furthest clock 500"
+        );
+
+        // A repeated record, one past a gap, and one for a task the
+        // schedule does not have change nothing.
+        let noisy = fold(&[
+            schedule.clone(),
+            t0[0].clone(),
+            t0[0].clone(),
+            cut(0, 2, 4, (9, 9)),
+            cut(3, 0, 1, (9, 9)),
+            t0[1].clone(),
+        ]);
+        assert_eq!(noisy.tasks[0], one.tasks[0]);
+        assert_eq!(
+            noisy.tasks[1],
+            TaskProgress {
+                blocks: 3,
+                ..TaskProgress::default()
+            }
+        );
+
+        // Cuts before any schedule have nothing to index into; a second
+        // schedule voids the cuts taken against the first.
+        assert!(fold(&[t0[0].clone()]).tasks.is_empty());
+        let again = fold(&[schedule.clone(), t0[0].clone(), schedule]);
+        assert_eq!(again.tasks[0].cuts, 0);
     }
 }

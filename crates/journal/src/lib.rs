@@ -21,7 +21,8 @@
 //! * [`journal`] — the [`JobJournal`] writer (with an optional
 //!   kill-after-N-events crash hook for conformance harnesses),
 //!   [`recover`], and the [`JournalState`] fold that reduces an event
-//!   stream to "where was this job, and what is in its dead-letter queue".
+//!   stream to "where was this job, how far had each reduce task's
+//!   checkpoint cuts got, and what is in its dead-letter queue".
 //!
 //! The crate is deliberately dependency-light and panic-free in production
 //! paths: a corrupt journal yields a [`JournalError`] or a truncated
@@ -37,7 +38,7 @@ pub mod store;
 
 pub use event::{AttemptFailure, JournalEvent, TaskClass};
 pub use frame::{RecoveryReport, MAGIC};
-pub use journal::{read_event_at, recover, DlqEntry, JobJournal, JournalState, RecoveredJournal};
+pub use journal::{recover, DlqEntry, JobJournal, JournalState, RecoveredJournal, TaskProgress};
 pub use store::{FileStore, JournalStore, MemStore};
 
 /// Everything that can go wrong reading or writing a journal.
@@ -55,8 +56,16 @@ pub enum JournalError {
     NotFound(String),
     /// A job id contains characters the store cannot map to a file name.
     BadJobId(String),
-    /// The journal's header is missing or from an unknown format version.
+    /// The journal's header is missing or not a pper journal's.
     BadHeader(String),
+    /// A pper journal of a format version this build does not read. There
+    /// is one reader; an old job is finished with the build that started it.
+    UnsupportedVersion {
+        /// Version byte of the log.
+        found: u8,
+        /// The version this build reads and writes.
+        supported: u8,
+    },
     /// A record failed to decode even though its checksum matched — a
     /// schema mismatch, not bit rot.
     BadEvent(String),
@@ -76,6 +85,11 @@ impl std::fmt::Display for JournalError {
                 "job id '{job}' is not storable (use letters, digits, '.', '_', '-')"
             ),
             JournalError::BadHeader(m) => write!(f, "bad journal header: {m}"),
+            JournalError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "journal format version {found} is not supported (this build reads version \
+                 {supported}); finish the job with the build that started it"
+            ),
             JournalError::BadEvent(m) => write!(f, "undecodable journal event: {m}"),
             JournalError::BadState(m) => write!(f, "journal state error: {m}"),
         }

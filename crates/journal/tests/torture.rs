@@ -45,8 +45,8 @@ fn build_event(
         },
         1 => JournalEvent::Job1Finished { virtual_cost: cost },
         2 => JournalEvent::ScheduleGenerated {
-            num_tasks: n32,
-            total_blocks: n64,
+            task_blocks: vec![n64; (n32 % 5) as usize],
+            schedule_json: s2,
         },
         3 => JournalEvent::TaskFinished {
             job: s1,
@@ -65,7 +65,16 @@ fn build_event(
             failures,
         },
         5 => JournalEvent::CheckpointCut {
-            checkpoint_json: s2,
+            task: n32 % 64,
+            seq: n32 % 9,
+            blocks_done: n64,
+            clock: cost,
+            resolved: pairs
+                .iter()
+                .enumerate()
+                .map(|(i, (k, v))| (i as u32 + n32 % 3, vec![(k.len() as u32, n32); v.len()]))
+                .collect(),
+            duplicates: vec![(cost / 3.0, n32, n32.wrapping_add(1)); pairs.len()],
         },
         6 => JournalEvent::CountersSnapshot {
             entries: pairs.into_iter().map(|(k, _)| (k, n64)).collect(),
@@ -197,6 +206,51 @@ proptest! {
     }
 }
 
+/// A checkpoint cut as a reduce task writes it: two trees, one of them with
+/// nothing compared since the last cut, and a duplicate.
+fn cut_record() -> JournalEvent {
+    JournalEvent::CheckpointCut {
+        task: 1,
+        seq: 3,
+        blocks_done: 12,
+        clock: 1_507.25,
+        resolved: vec![(4, vec![(10, 31), (10, 12), (12, 31)]), (6, vec![])],
+        duplicates: vec![(1_499.0, 10, 12)],
+    }
+}
+
+/// The two events format version 2 re-shaped: every strict prefix of the
+/// payload and every extension of it is an error, never a shorter event —
+/// their nested counts must not let a truncated record decode.
+#[test]
+fn reshaped_events_decode_only_whole() {
+    let schedule = JournalEvent::ScheduleGenerated {
+        task_blocks: vec![60, 0, 39],
+        schedule_json: "{\"trees\":[]}".into(),
+    };
+    for ev in [cut_record(), schedule] {
+        let bytes = ev.encode();
+        assert_eq!(JournalEvent::decode(&bytes).unwrap(), ev);
+        for cut in 0..bytes.len() {
+            assert!(
+                JournalEvent::decode(&bytes[..cut]).is_err(),
+                "{} cut at {cut} of {}",
+                ev.name(),
+                bytes.len()
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.extend_from_slice(&[0; 8]);
+        assert!(JournalEvent::decode(&longer).is_err());
+    }
+    // A count larger than the payload could hold is an error, not an
+    // allocation: 4 billion trees announced, none present.
+    let mut lying = cut_record().encode();
+    lying.truncate(1 + 4 + 4 + 8 + 8);
+    lying.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(JournalEvent::decode(&lying).is_err());
+}
+
 /// Deterministic (non-prop) sweep mirroring the conformance suite's shape:
 /// append a realistic event sequence, then confirm that recovery after a
 /// cut at every single byte yields exactly the durable prefix.
@@ -214,8 +268,8 @@ fn realistic_sequence_truncation_sweep() {
             virtual_cost: 1234.5678,
         },
         JournalEvent::ScheduleGenerated {
-            num_tasks: 2,
-            total_blocks: 17,
+            task_blocks: vec![9, 8],
+            schedule_json: "{\"num_tasks\":2}".into(),
         },
         JournalEvent::TaskFinished {
             job: "pper-job2-resolution".into(),
@@ -230,9 +284,7 @@ fn realistic_sequence_truncation_sweep() {
                 error: "injected crash at 100".into(),
             }],
         },
-        JournalEvent::CheckpointCut {
-            checkpoint_json: "{\"crash_at\":1500.0}".into(),
-        },
+        cut_record(),
         JournalEvent::JobFinished {
             duplicates: 99,
             total_cost: 2222.25,

@@ -46,7 +46,6 @@ const ENTRY_FREE_FNS: &[(&str, &str)] = &[
     ("mapreduce", "shuffle_partitions"),
     ("mapreduce", "shuffle_partitions_spilling"),
     ("journal", "recover"),
-    ("journal", "read_event_at"),
 ];
 
 /// One function node in the workspace graph.

@@ -1,25 +1,14 @@
 //! `pper` — command-line front end for the parallel progressive ER pipeline.
 //!
-//! ```text
-//! pper gen    --kind pubs|books --entities N [--seed S] --out FILE
-//! pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
-//!             [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-//!             [--executor cursor|stealing] [--result-out FILE]
-//!             [--durable --journal DIR --job-id ID [--checkpoint-every COST]
-//!              [--kill-after-events N] [--fail-reduce IDX:N]]
-//! pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
-//!             [--kill-after-events N]
-//! pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
-//! pper basic  --data FILE [--machines M] [--window W] [--threshold T]
-//!             [--executor cursor|stealing]
-//! ```
+//! The subcommands and their flags are in [`USAGE`] (`pper help`).
 //!
 //! `gen` writes a synthetic dataset (entities + exact ground truth) as
 //! JSON-lines; `run` executes the paper's two-job pipeline and prints the
 //! recall curve, with `--durable` journaling every job event so that
-//! `resume` can continue a killed job in a fresh process and `dlq` can list
-//! or reprocess tasks that exhausted their attempt budget; `basic` runs the
-//! §II-C baseline for comparison.
+//! `resume` can continue a killed job in a fresh process, `dlq` can list or
+//! reprocess tasks that exhausted their attempt budget and `jobs` can say how
+//! far every journaled job got; `basic` runs the §II-C baseline for
+//! comparison.
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -54,6 +43,7 @@ fn main() -> ExitCode {
         "basic" => cmd_basic(&opts),
         "resume" => cmd_resume(&opts),
         "dlq" => cmd_dlq(&opts),
+        "jobs" => cmd_jobs(&opts),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -82,14 +72,15 @@ USAGE:
   pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
               [--kill-after-events N]
   pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
+  pper jobs   --journal DIR
   pper basic  --data FILE [--machines M] [--window W] [--threshold T]
               [--executor cursor|stealing]
   pper help
 
 Durable mode journals every job event (fsync'd per append) under
 --journal DIR; `resume` continues a killed job bit-identically in a fresh
-process, and `dlq` lists or reprocesses tasks that exhausted their attempt
-budget.";
+process, `dlq` lists or reprocesses tasks that exhausted their attempt
+budget, and `jobs` lists every job with how far its checkpoints reach.";
 
 #[derive(Default)]
 struct Opts {
@@ -182,8 +173,8 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn load(opts: &Opts) -> Result<Dataset, String> {
-    let path = opts.data.as_deref().ok_or("need --data FILE")?;
+fn load(path: Option<&str>) -> Result<Dataset, String> {
+    let path = path.ok_or("no dataset named; pass --data FILE")?;
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     Dataset::read_jsonl(BufReader::new(file)).map_err(|e| e.to_string())
 }
@@ -279,9 +270,9 @@ fn open_journal(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String), String> 
     Ok((store, job_id.to_string()))
 }
 
-fn durable_options(opts: &Opts, every: f64) -> DurableOptions {
+fn durable_options(opts: &Opts) -> DurableOptions {
     DurableOptions {
-        checkpoint_every: opts.checkpoint_every.unwrap_or(every),
+        checkpoint_every: opts.checkpoint_every.unwrap_or(2_000.0),
         kill_after_events: opts.kill_after_events,
     }
 }
@@ -292,7 +283,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             "--budget must be a positive, finite cost, got {budget}"
         ));
     }
-    let ds = load(opts)?;
+    let ds = load(opts.data.as_deref())?;
     let machines = opts.machines.unwrap_or(4);
     let config = build_run_config(
         &ds,
@@ -333,7 +324,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
                 params.push((key.into(), v.to_string()));
             }
         }
-        let dopts = durable_options(opts, 2_000.0);
+        let dopts = durable_options(opts);
         let er = ProgressiveEr::new(config);
         run_durable(&er, &ds, &store, &job_id, &params, &dopts).map_err(|e| e.to_string())?
     } else if let Some(budget) = opts.budget {
@@ -393,17 +384,8 @@ fn recover_job(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String, JournalSta
 /// `JobStarted` parameters (with `--data` as an override for relocated
 /// dataset files).
 fn rebuild_pipeline(opts: &Opts, state: &JournalState) -> Result<(Dataset, ProgressiveEr), String> {
-    let data = opts
-        .data
-        .clone()
-        .or_else(|| state.param("data").map(str::to_string))
-        .ok_or("journal records no dataset path; pass --data FILE")?;
-    let file = std::fs::File::open(&data).map_err(|e| format!("{data}: {e}"))?;
-    let ds = Dataset::read_jsonl(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let machines = match state.param("machines") {
-        Some(m) => parse(m)?,
-        None => 4,
-    };
+    let ds = load(opts.data.as_deref().or_else(|| state.param("data")))?;
+    let machines = state.param("machines").map_or(Ok(4), parse)?;
     let config = build_run_config(
         &ds,
         machines,
@@ -419,15 +401,11 @@ fn cmd_resume(opts: &Opts) -> Result<(), String> {
     let (store, job_id, state) = recover_job(opts)?;
     let (ds, er) = rebuild_pipeline(opts, &state)?;
     println!(
-        "resuming job '{job_id}': {} task event(s) journaled, checkpoint {}",
+        "resuming job '{job_id}': {} task event(s) journaled; {}",
         state.tasks_finished,
-        if state.last_checkpoint.is_some() {
-            "present"
-        } else {
-            "not yet cut"
-        }
+        state.progress()
     );
-    let dopts = durable_options(opts, 2_000.0);
+    let dopts = durable_options(opts);
     let result = resume_durable(&er, &ds, &store, &job_id, &dopts).map_err(|e| e.to_string())?;
     print_curve(&result);
     write_result_out(opts, &result)
@@ -459,14 +437,35 @@ fn cmd_dlq(opts: &Opts) -> Result<(), String> {
         "job '{job_id}': reprocessing {} dead-lettered task(s) with fault injection cleared",
         state.dlq.len()
     );
-    let dopts = durable_options(opts, 2_000.0);
+    let dopts = durable_options(opts);
     let result = reprocess_dlq(&er, &ds, &store, &job_id, &dopts).map_err(|e| e.to_string())?;
     print_curve(&result);
     write_result_out(opts, &result)
 }
 
+/// One line per job under `--journal DIR`: where it stands and how far its
+/// checkpoint cuts reach. A log that cannot be read says why instead.
+fn cmd_jobs(opts: &Opts) -> Result<(), String> {
+    let dir = opts.journal.as_deref().ok_or("need --journal DIR")?;
+    let store = FileStore::shared(dir).map_err(|e| e.to_string())?;
+    for job in store.list_jobs().map_err(|e| e.to_string())? {
+        match recover(&store, &job) {
+            Err(e) => println!("{job}: {e}"),
+            Ok(rec) => {
+                let state = JournalState::replay(&rec.events);
+                let status = match state.finished {
+                    Some((duplicates, _)) => format!("finished with {duplicates} duplicates"),
+                    None => format!("unfinished, {} task(s) dead-lettered", state.dlq.len()),
+                };
+                println!("{job}: {status}; {}", state.progress());
+            }
+        }
+    }
+    Ok(())
+}
+
 fn cmd_basic(opts: &Opts) -> Result<(), String> {
-    let ds = load(opts)?;
+    let ds = load(opts.data.as_deref())?;
     let machines = opts.machines.unwrap_or(4);
     let mut er = config_for(&ds, machines)?;
     if let Some(e) = opts.executor.as_deref() {

@@ -2,8 +2,10 @@
 //! member crates (`crates/er-core/tests/{resume_checkpoint,durable,executors,
 //! chaos_invariance,io_chaos}.rs`):
 //!
-//! * **resume** — however a run is cut into stages, in process or through
-//!   the durable journal, it ends in the uninterrupted run's fingerprint;
+//! * **resume** — however a run is cut into stages in process, and wherever
+//!   the durable journal is cut back to (between the jobs, or inside a
+//!   running reduce task that was cutting its checkpoints in-line), it ends
+//!   in the uninterrupted run's fingerprint;
 //! * **executors** — the dispatch backend and the thread count reach no
 //!   observable;
 //! * **chaos** — task attempts that die below the attempt budget change
@@ -92,24 +94,30 @@ fn staged_and_durable_runs_end_in_the_uninterrupted_fingerprint() {
     );
     assert_eq!(finish(&er, &ds, &second), golden, "chained");
 
-    // Durable: killed in job 1, right after a cut, and in the final stage.
-    let store = MemStore::shared();
-    let run = run_durable(&er, &ds, &store, "smoke", &[], &DURABLE).unwrap();
-    assert_eq!(ResultFingerprint::of(&run), golden, "durable");
-    let events = recover(&store, "smoke").unwrap().events;
-    let first_cut = events
-        .iter()
-        .position(|(_, e)| e.name() == "checkpoint-cut")
-        .expect("the run cuts checkpoints");
-    for kill in [2, first_cut + 1, events.len() - 2] {
-        let prefix = killed_after(&store, "smoke", kill);
-        let resumed = resume_durable(&er, &ds, &prefix, "smoke", &DURABLE).unwrap();
-        assert_eq!(
-            ResultFingerprint::of(&resumed),
-            golden,
-            "killed after event {kill} of {}",
-            events.len()
-        );
+    // Durable, one pass cutting in-line, on one worker thread and on two:
+    // killed in job 1, right after the first cut and the middle one (both
+    // inside running reduce tasks), and after the last task event.
+    for threads in [1, 2] {
+        let mut er = pipeline();
+        er.config.worker_threads = Some(threads);
+        let store = MemStore::shared();
+        let run = run_durable(&er, &ds, &store, "smoke", &[], &DURABLE).unwrap();
+        assert_eq!(ResultFingerprint::of(&run), golden, "durable");
+        let events = recover(&store, "smoke").unwrap().events;
+        let cuts: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].1.name() == "checkpoint-cut")
+            .collect();
+        assert!(cuts.len() >= 4, "the run cuts checkpoints: {cuts:?}");
+        for kill in [2, cuts[0] + 1, cuts[cuts.len() / 2] + 1, events.len() - 2] {
+            let prefix = killed_after(&store, "smoke", kill);
+            let resumed = resume_durable(&er, &ds, &prefix, "smoke", &DURABLE).unwrap();
+            assert_eq!(
+                ResultFingerprint::of(&resumed),
+                golden,
+                "{threads} thread(s), killed after event {kill} of {}",
+                events.len()
+            );
+        }
     }
 }
 

@@ -1,14 +1,19 @@
 //! Kill-point conformance suite: spawn real `pper` child processes, abort
 //! them at *every* journal-event boundary (`--kill-after-events N` calls
 //! `std::process::abort()` — a simulated `kill -9` — right after the N-th
-//! event is durably appended), resume each aborted job with `pper resume`
-//! in a fresh process, and require the resumed result fingerprint to match
-//! the uninterrupted golden run byte for byte.
+//! event is durably appended; since the resolution job cuts its checkpoints
+//! in-line, that N-th event can be a cut appended by a reduce task in
+//! mid-run), resume each aborted job with `pper resume` in a fresh process,
+//! and require the resumed result fingerprint to match the uninterrupted
+//! golden run byte for byte.
 //!
 //! Also covers the process-level dead-letter round trip: a run whose
 //! reduce task exhausts its attempt budget dead-letters it, `pper dlq`
 //! lists the capture, and `pper dlq --reprocess` drains it to the
 //! fault-free golden result.
+//!
+//! A journal of another format version is refused by every subcommand that
+//! opens one, with the typed error's message.
 //!
 //! And `pper run`'s own contract at the process boundary: the plain and the
 //! durable run write the same fingerprint, `--cluster` and `--result-out`
@@ -92,9 +97,14 @@ fn kill_at_every_event_boundary_resumes_bit_identically() {
     let rec = recover(&store, "golden").unwrap();
     assert!(rec.report.clean());
     let total_events = rec.events.len();
+    let cuts = rec
+        .events
+        .iter()
+        .filter(|(_, e)| e.name() == "checkpoint-cut")
+        .count();
     assert!(
-        total_events >= 10,
-        "want a meaningful sweep, journaled only {total_events} events"
+        total_events >= 10 && cuts >= 3,
+        "want a meaningful sweep, journaled only {total_events} events, {cuts} of them cuts"
     );
 
     for n in 1..=total_events {
@@ -227,6 +237,55 @@ fn dlq_process_round_trip() {
     // Now empty.
     let list = run_ok(&["dlq", "--journal", journal, "--job-id", "faulty"]);
     assert!(String::from_utf8_lossy(&list.stdout).contains("empty"));
+}
+
+/// A version-1 journal (the old magic; what it held does not matter) gets
+/// the typed unsupported-version error from every subcommand that opens a
+/// journal, and is left untouched.
+#[test]
+fn version_1_journal_is_refused_by_every_subcommand() {
+    let dir = tmp_dir("v1-journal");
+    let data = write_dataset(&dir);
+    let data = data.to_str().unwrap();
+    let journal = dir.join("journal");
+    std::fs::create_dir_all(&journal).unwrap();
+    let store = FileStore::open(&journal).unwrap();
+    let log = store.path_for("old");
+    let v1 = b"PPERJNL\x01\x05\0\0\0not a v2 record".to_vec();
+    std::fs::write(&log, &v1).unwrap();
+    let journal = journal.to_str().unwrap();
+
+    let at_old = ["--journal", journal, "--job-id", "old"];
+    let with_data = |command: &'static str, extra: &[&'static str]| {
+        let mut args = vec![command];
+        args.extend(at_old);
+        args.extend(["--data", data]);
+        args.extend(extra);
+        args
+    };
+    let mut jobs = vec!["jobs"];
+    jobs.extend(&at_old[..2]);
+    for args in [
+        with_data("resume", &[]),
+        with_data("dlq", &[]),
+        with_data("dlq", &["--reprocess"]),
+        with_data("run", &["--durable", "--machines", MACHINES]),
+        jobs,
+    ] {
+        let out = pper(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            format!("{stderr}{stdout}").contains("journal format version 1 is not supported"),
+            "pper {args:?}: {stderr}{stdout}"
+        );
+        assert!(
+            !stderr.contains("magic mismatch"),
+            "pper {args:?}: {stderr}"
+        );
+        assert_eq!(args[0] != "jobs", !out.status.success(), "pper {args:?}");
+    }
+    assert_eq!(std::fs::read(&log).unwrap(), v1);
 }
 
 /// The durable golden the sweep above compares against is itself a durable
