@@ -68,11 +68,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// `Pairs(|X|) = |X|·(|X|−1)/2`.
-    pub fn pair_count(&self) -> u64 {
-        crate::stats::pairs(self.members.len())
-    }
-
     /// Number of members.
     pub fn size(&self) -> usize {
         self.members.len()

@@ -35,13 +35,10 @@
 //! assert_eq!(forests[0].trees.len(), 2);
 //! ```
 
-pub mod autoorder;
 pub mod forest;
 pub mod function;
 pub mod presets;
 pub mod stats;
-
-pub use autoorder::{auto_order, estimate_family_quality, FamilyQuality};
 
 pub use forest::{build_forests, Block, Forest, Tree};
 pub use function::{BlockingFamily, PrefixFunction};

@@ -139,11 +139,6 @@ impl Dataset {
         &self.entities[id as usize]
     }
 
-    /// Index of the named schema attribute.
-    pub fn attr_index(&self, name: &str) -> Option<usize> {
-        self.schema.iter().position(|s| s == name)
-    }
-
     /// Serialize as JSON-lines: a header object, then one entity per line.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         #[derive(Serialize)]

@@ -192,11 +192,6 @@ pub const FORMATS: &[&str] = &[
     "library binding",
 ];
 
-/// US state abbreviations (used by the toy people dataset).
-pub const STATES: &[&str] = &[
-    "AZ", "CA", "HI", "LA", "NY", "TX", "WA", "FL", "IL", "OH", "GA", "NC", "MI", "NJ", "VA",
-];
-
 /// Sentence fragments for abstracts.
 pub const ABSTRACT_FRAGMENTS: &[&str] = &[
     "we propose a new approach to",

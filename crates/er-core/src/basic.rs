@@ -17,16 +17,17 @@
 //! no hierarchy to cut large-block overhead, and shared pairs resolved
 //! late in whatever block happens to have the smallest key.
 
+use pper_blocking::forest::EntityLookup;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{PairSource, StopRule, StopState};
-use pper_simil::{MatchRule, PreparedCache, PreparedRule, SimScratch};
+use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{ErConfig, MechanismKind};
 use crate::pipeline::ErRunResult;
-use crate::EVENT_DUPLICATE;
+use crate::{memo_slot, EVENT_DUPLICATE, NO_SLOT};
 
 /// Basic-baseline knobs (§VI-B1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -111,27 +112,19 @@ impl Mapper for BasicMapper<'_> {
 
 struct BasicReducer<'a> {
     families: &'a [BlockingFamily],
-    rule: &'a MatchRule,
-    /// Compiled prepared rule; `None` forces the original string path.
-    prepared: Option<PreparedRule>,
+    rule: PreparedRule,
     mechanism: MechanismKind,
     basic: &'a BasicConfig,
 }
 
-/// Per-reduce-task resolve state: entities are prepared once per task (an
-/// entity recurring across this task's blocks reuses its signatures) and
-/// every pair comparison goes through the same reusable scratch.
-struct TaskSimState {
-    cache: PreparedCache<EntityId>,
-    scratch: SimScratch,
-}
+/// One block's members, ascending by entity id. As in job 2, the resolve
+/// loop names a member by its position here, so ids tie-break and order as
+/// they would themselves and every per-pair access is a slice index.
+struct Members<'p>(Vec<&'p Keyed>);
 
-impl TaskSimState {
-    fn new() -> Self {
-        Self {
-            cache: PreparedCache::new(),
-            scratch: SimScratch::new(),
-        }
+impl EntityLookup for Members<'_> {
+    fn entity(&self, local: u32) -> &Entity {
+        &self.0[local as usize].0
     }
 }
 
@@ -146,7 +139,10 @@ impl PartitionReducer for BasicReducer<'_> {
         ctx: &mut TaskContext,
         out: &mut Vec<(EntityId, EntityId)>,
     ) {
-        let mut sim = TaskSimState::new();
+        // Entities are prepared once per task (one recurring across the
+        // task's blocks reuses its signatures) and every pair comparison
+        // goes through the same reusable scratch.
+        let mut sim = (PreparedCache::new(), SimScratch::new());
         for (key, values) in partition.iter() {
             self.reduce_block(key, values, ctx, out, &mut sim);
         }
@@ -160,26 +156,21 @@ impl BasicReducer<'_> {
         values: &[Keyed],
         ctx: &mut TaskContext,
         out: &mut Vec<(EntityId, EntityId)>,
-        sim: &mut TaskSimState,
+        (cache, scratch): &mut (PreparedCache<EntityId>, SimScratch),
     ) {
         if values.len() < 2 {
             return;
         }
         let family = &self.families[key.1 as usize];
-        let mut entities: std::collections::HashMap<EntityId, &Entity> =
-            std::collections::HashMap::with_capacity(values.len());
-        let mut key_lists: std::collections::HashMap<EntityId, &[(String, u8)]> =
-            std::collections::HashMap::with_capacity(values.len());
-        let mut members = Vec::with_capacity(values.len());
-        for (e, keys) in values {
-            members.push(e.id);
-            key_lists.insert(e.id, keys.as_slice());
-            entities.insert(e.id, e);
-        }
-        members.sort_unstable();
+        let mut members = Members(values.iter().collect());
+        members.0.sort_unstable_by_key(|(e, _)| e.id);
+        let locals: Vec<u32> = (0..members.0.len() as u32).collect();
+        // `slots[l]` is member `l`'s slot in the task's cache, or `NO_SLOT`
+        // until its first comparison in this block.
+        let mut slots = vec![NO_SLOT; locals.len()];
 
         let sorted =
-            pper_progressive::sort_by_attrs(&members, &[family.levels[0].attr, 0], &entities);
+            pper_progressive::sort_by_attrs(&locals, &[family.levels[0].attr, 0], &members);
         ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
 
         let mut run = self.mechanism.start(sorted, self.basic.window);
@@ -187,31 +178,23 @@ impl BasicReducer<'_> {
         while let Some((a, b)) = run.next_pair() {
             // Kolb-style smallest-key rule: resolve the pair only in the
             // common block with the smallest (key, function) value.
-            let smallest_common = key_lists[&a]
-                .iter()
-                .filter(|k| key_lists[&b].contains(k))
-                .min()
-                .cloned();
-            if smallest_common.as_ref() != Some(key) {
+            let (ia, ib) = (a as usize, b as usize);
+            let ((ea, keys_a), (eb, keys_b)) = (members.0[ia], members.0[ib]);
+            let smallest_common = keys_a.iter().filter(|k| keys_b.contains(k)).min();
+            if smallest_common != Some(key) {
                 ctx.counters.incr("pairs_skipped_redundant");
                 continue;
             }
             ctx.charge(ctx.cost_model.resolve_pair);
             ctx.counters.incr("pairs_compared");
-            let is_dup = match &self.prepared {
-                Some(pr) => sim.cache.matches_pair(
-                    pr,
-                    &mut sim.scratch,
-                    (a, entities[&a].attrs.as_slice()),
-                    (b, entities[&b].attrs.as_slice()),
-                ),
-                None => self.rule.matches(&entities[&a].attrs, &entities[&b].attrs),
-            };
+            let sa = memo_slot(cache, &self.rule, &mut slots[ia], ea);
+            let sb = memo_slot(cache, &self.rule, &mut slots[ib], eb);
+            let is_dup = self.rule.matches(cache.at(sa), cache.at(sb), scratch);
             run.feedback(is_dup);
             if is_dup {
                 ctx.counters.incr("duplicates_found");
-                ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(a, b));
-                out.push((a.min(b), a.max(b)));
+                ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
+                out.push((ea.id.min(eb.id), ea.id.max(eb.id)));
             }
             if stop.observe(is_dup) {
                 ctx.counters.incr("blocks_stopped_early");
@@ -247,11 +230,7 @@ impl BasicApproach {
         };
         let reducer = BasicReducer {
             families: &self.er.families,
-            rule: &self.er.rule,
-            prepared: self
-                .er
-                .use_prepared
-                .then(|| PreparedRule::new(self.er.rule.clone())),
+            rule: PreparedRule::new(self.er.rule.clone()),
             mechanism: self.er.mechanism,
             basic: &self.basic,
         };

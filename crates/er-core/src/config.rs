@@ -134,13 +134,6 @@ pub struct ErConfig {
     /// tasks) for both jobs. `None` disables speculation, like
     /// `mapred.map.tasks.speculative.execution=false`.
     pub speculation: Option<pper_mapreduce::SpeculationConfig>,
-    /// Resolve pairs through the prepared-signature fast path
-    /// (`pper_simil::prepared`): entities are prepared once per reduce task
-    /// and compared with zero per-pair allocation and threshold-aware early
-    /// exit. Decisions are identical to the string path (see the parity
-    /// contract in `pper_simil::prepared`); `false` forces the original
-    /// string path, kept for A/B regression tests.
-    pub use_prepared: bool,
     /// Task lifecycle observer threaded into every MR job this config
     /// launches (statistics, resolution, and Basic). The durable runner
     /// (`crate::durable`) uses it to journal task completions, attempt
@@ -204,7 +197,6 @@ impl ErConfig {
             worker_threads: None,
             faults: None,
             speculation: None,
-            use_prepared: true,
             observer: None,
             executor: pper_mapreduce::ExecutorKind::default(),
             shuffle_spill: None,
@@ -241,7 +233,6 @@ impl ErConfig {
             worker_threads: None,
             faults: None,
             speculation: None,
-            use_prepared: true,
             observer: None,
             executor: pper_mapreduce::ExecutorKind::default(),
             shuffle_spill: None,
@@ -276,13 +267,6 @@ impl ErConfig {
     /// Select the executor backend for every MR job this config launches.
     pub fn with_executor(mut self, executor: pper_mapreduce::ExecutorKind) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// Force the original string-path pair resolution (disable the prepared
-    /// fast path). Used by regression tests to A/B the two paths.
-    pub fn with_string_path(mut self) -> Self {
-        self.use_prepared = false;
         self
     }
 

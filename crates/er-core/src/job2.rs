@@ -54,7 +54,6 @@
 //! deterministic, any chain of stages reproduces the uninterrupted run's
 //! duplicate set and timeline bit for bit.
 
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use pper_blocking::forest::EntityLookup;
@@ -65,11 +64,11 @@ use pper_mapreduce::prelude::*;
 use pper_mapreduce::runtime::run_job_with_partitioner;
 use pper_progressive::{LevelPolicy, PairSource, StopState};
 use pper_schedule::{should_resolve, DomList, Schedule, TreeLocator};
-use pper_simil::{MatchRule, PreparedEntity, PreparedRule, SimScratch, TokenInterner};
+use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
 use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::config::ErConfig;
-use crate::EVENT_DUPLICATE;
+use crate::{memo_slot, EVENT_DUPLICATE, NO_SLOT};
 
 /// Map output value: the dataset's own entity (borrowed — routing an entity
 /// to its trees copies a pointer) and its dominance list for the target
@@ -116,10 +115,6 @@ impl<'d> Mapper for RouteMapper<'d> {
 /// exactly as they would on global ids.
 type Local = u32;
 
-/// Marks a tree member not yet compared in this tree (see
-/// [`TreeState::slots`]).
-const NO_SLOT: u32 = u32::MAX;
-
 /// Per-tree resolve state. Entities and dominance lists stay borrowed from
 /// the job's flat shuffle partition — a task restoring from checkpoint or
 /// re-running after a fault reads the same arena, no copies.
@@ -128,7 +123,7 @@ struct TreeState<'p> {
     entities: Vec<&'p Entity>,
     /// `doms[l]` is the dominance list routed with `entities[l]`.
     doms: Vec<&'p DomList>,
-    /// `slots[l]` is the member's slot in the task's [`PreparedTask`], or
+    /// `slots[l]` is the member's slot in the task's [`PreparedCache`], or
     /// [`NO_SLOT`] until its first comparison in this tree.
     slots: Vec<u32>,
     /// Pairs already *compared* in this tree, so a parent block never
@@ -196,40 +191,14 @@ impl EntityLookup for TreeState<'_> {
     }
 }
 
-/// Per-reduce-task prepared state: an entity's signatures are built on its
-/// first comparison in the task and reused across every block, of any tree,
-/// the task resolves it in. A tree reaches them through its slot vector, so
-/// the id map is probed once per entity per tree, never per pair.
-#[derive(Default)]
-struct PreparedTask {
-    interner: TokenInterner,
-    slot_of: FxHashMap<EntityId, u32>,
-    entities: Vec<PreparedEntity>,
-}
-
-impl PreparedTask {
-    /// The task-wide slot of `entity`, memoized in the tree's `slot`.
-    #[inline]
-    fn slot(&mut self, rule: &PreparedRule, slot: &mut u32, entity: &Entity) -> usize {
-        if *slot == NO_SLOT {
-            *slot = match self.slot_of.entry(entity.id) {
-                Entry::Occupied(known) => *known.get(),
-                Entry::Vacant(vacant) => {
-                    self.entities
-                        .push(rule.prepare(&entity.attrs, &mut self.interner));
-                    *vacant.insert(self.entities.len() as u32 - 1)
-                }
-            };
-        }
-        *slot as usize
-    }
-}
-
 /// Everything one reduce task holds while it resolves its block schedule.
 struct TaskState<'p> {
     /// Resolve state of each tree routed to the task, by tree id.
     trees: FxHashMap<usize, TreeState<'p>>,
-    prepared: PreparedTask,
+    /// An entity's signatures are built on its first comparison in the
+    /// task and reused across every block, of any tree, the task resolves
+    /// it in; a tree reaches them through its slot vector.
+    prepared: PreparedCache<EntityId>,
 }
 
 /// Per-pair counters of one block, added to the task's [`Counters`] once
@@ -403,9 +372,7 @@ struct ResolveReducer<'a> {
     /// `SQ → tree id`, the inverse of `schedule.tree_sq`.
     sq_to_tree: &'a FxHashMap<u64, usize>,
     policy: &'a LevelPolicy,
-    rule: &'a MatchRule,
-    /// Compiled prepared rule; `None` forces the original string path.
-    prepared: Option<PreparedRule>,
+    rule: PreparedRule,
     mechanism: crate::config::MechanismKind,
     alpha: f64,
     stage: Stage<'a>,
@@ -439,10 +406,7 @@ impl<'a> ResolveReducer<'a> {
             schedule,
             sq_to_tree,
             policy: &config.policy,
-            rule: &config.rule,
-            prepared: config
-                .use_prepared
-                .then(|| PreparedRule::new(config.rule.clone())),
+            rule: PreparedRule::new(config.rule.clone()),
             mechanism: config.mechanism,
             alpha: config.alpha,
             stage,
@@ -465,7 +429,7 @@ impl<'a> ResolveReducer<'a> {
         }
         TaskState {
             trees,
-            prepared: PreparedTask::default(),
+            prepared: PreparedCache::new(),
         }
     }
 
@@ -637,14 +601,11 @@ impl<'a> ResolveReducer<'a> {
                         block_added.push(key);
                     }
                     let (ea, eb) = (state.entities[ia], state.entities[ib]);
-                    let is_dup = match &self.prepared {
-                        Some(pr) => {
-                            let sa = prepared.slot(pr, &mut state.slots[ia], ea);
-                            let sb = prepared.slot(pr, &mut state.slots[ib], eb);
-                            pr.matches(&prepared.entities[sa], &prepared.entities[sb], &mut scratch)
-                        }
-                        None => self.rule.matches(&ea.attrs, &eb.attrs),
-                    };
+                    let sa = memo_slot(prepared, &self.rule, &mut state.slots[ia], ea);
+                    let sb = memo_slot(prepared, &self.rule, &mut state.slots[ib], eb);
+                    let is_dup = self
+                        .rule
+                        .matches(prepared.at(sa), prepared.at(sb), &mut scratch);
                     run.feedback(is_dup);
                     if is_dup {
                         tally.duplicates += 1;
@@ -1155,8 +1116,7 @@ mod tests {
             slotted.windows(2).all(|w| w[0].0 != w[1].0),
             "an entity reached two different slots"
         );
-        assert_eq!(state.prepared.entities.len(), distinct);
-        assert_eq!(state.prepared.slot_of.len(), distinct);
+        assert_eq!(state.prepared.len(), distinct);
         assert!(ctx.counters.get("pairs_compared") > 0);
     }
 

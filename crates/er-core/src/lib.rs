@@ -24,6 +24,13 @@
 //! * [`metrics`] — duplicate recall curves, the `Qty` quality measure
 //!   (Eq. 1), and recall speedup (§VI-B4).
 //!
+//! Both reducers — [`basic`]'s and [`job2`]'s — compare a pair one way:
+//! through `pper_simil`'s prepared path, each reduce task holding one
+//! [`pper_simil::PreparedCache`] and memoizing an entity's slot in it per
+//! block or tree member. The string path ([`pper_simil::MatchRule::matches`])
+//! is the reference, not a mode: `tests/prepared_regression.rs` re-decides
+//! every pair job 2 compared with it and checks Basic F against brute force.
+//!
 //! ```no_run
 //! use pper_er::prelude::*;
 //! use pper_datagen::PubGen;
@@ -40,7 +47,6 @@ pub mod checkpoint;
 pub mod clustering;
 pub mod config;
 pub mod durable;
-pub mod incremental;
 pub mod job1;
 pub mod job2;
 pub mod metrics;
@@ -59,7 +65,6 @@ pub mod prelude {
         journaled_checkpoint, reprocess_dlq, resume_durable, run_durable, DurableError,
         DurableOptions, ResultFingerprint,
     };
-    pub use crate::incremental::{BatchOutcome, IncrementalEr};
     pub use crate::job1::run_job1;
     pub use crate::metrics::{quality, speedup_at, RecallCurve};
     pub use crate::pipeline::{ErRunResult, ProgressiveEr, StageResult};
@@ -83,6 +88,26 @@ pub fn pack_pair(a: u32, b: u32) -> u64 {
 #[inline]
 pub fn unpack_pair(v: u64) -> (u32, u32) {
     ((v >> 32) as u32, v as u32)
+}
+
+/// Marks a block or tree member whose slot in its task's
+/// [`PreparedCache`](pper_simil::PreparedCache) is not known yet.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// `entity`'s slot in the reduce task's signature store, memoized in the
+/// member's `memo`: the store's id map is probed on the member's first
+/// comparison in its block (Basic) or tree (job 2), never per pair.
+#[inline]
+pub(crate) fn memo_slot(
+    cache: &mut pper_simil::PreparedCache<pper_datagen::EntityId>,
+    rule: &pper_simil::PreparedRule,
+    memo: &mut u32,
+    entity: &pper_datagen::Entity,
+) -> u32 {
+    if *memo == NO_SLOT {
+        *memo = cache.slot(rule, entity.id, &entity.attrs);
+    }
+    *memo
 }
 
 #[cfg(test)]

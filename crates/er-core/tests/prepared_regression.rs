@@ -1,143 +1,123 @@
-//! End-to-end regression: the prepared-signature fast path must leave the
-//! pipeline's observable behaviour untouched. For both the Basic baseline
-//! and the full progressive pipeline on seeded generated data, the prepared
-//! and string paths must produce the identical duplicate set, identical
-//! virtual-cost accounting (total and overhead, bit-for-bit), identical
-//! comparison counters, and identical discovery timelines.
+//! The pipeline compares pairs through the prepared path only
+//! (`pper_simil::prepared`); the string path, `MatchRule::matches`, is the
+//! reference it is held to. These tests are that hold at the pipeline level,
+//! and they stand on an independent oracle rather than a second pipeline:
+//!
+//! * **job 2** — a stage killed past the end of the run returns a checkpoint
+//!   listing every pair the job compared and every pair it accepted, so each
+//!   decision can be re-taken by the string rule;
+//! * **Basic** — Basic F with an unbounded window compares every co-blocked
+//!   pair exactly once (the smallest-key rule of Kolb et al. picks the one
+//!   block), so the expected result is brute force over the blocking keys.
+//!
+//! Either fails if the reducer's wiring — slot memo, signature store,
+//! local-index bookkeeping — hands the kernel the wrong entity.
 
-use pper_datagen::PubGen;
-use pper_er::{BasicApproach, BasicConfig, ErConfig, ErRunResult, ProgressiveEr};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Assert every observable of two runs is identical.
-fn assert_runs_identical(prepared: &ErRunResult, string: &ErRunResult, what: &str) {
-    assert_eq!(
-        prepared.duplicates, string.duplicates,
-        "{what}: duplicate sets must be identical"
-    );
-    assert_eq!(
-        prepared.total_cost.to_bits(),
-        string.total_cost.to_bits(),
-        "{what}: total virtual cost must be bit-identical ({} vs {})",
-        prepared.total_cost,
-        string.total_cost
-    );
-    assert_eq!(
-        prepared.overhead_cost.to_bits(),
-        string.overhead_cost.to_bits(),
-        "{what}: overhead cost must be bit-identical"
-    );
-    assert_eq!(
-        prepared.counters.get("pairs_compared"),
-        string.counters.get("pairs_compared"),
-        "{what}: comparison counts must agree"
-    );
-    assert_eq!(
-        prepared.counters.get("duplicates_found"),
-        string.counters.get("duplicates_found"),
-        "{what}: duplicate event counts must agree"
-    );
-    assert_eq!(
-        prepared.found_events.len(),
-        string.found_events.len(),
-        "{what}: discovery timelines must have equal length"
-    );
-    for (p, s) in prepared.found_events.iter().zip(&string.found_events) {
-        assert_eq!(
-            (p.0.to_bits(), p.1, p.2),
-            (s.0.to_bits(), s.1, s.2),
-            "{what}: discovery events must be identical"
-        );
-    }
-    assert_eq!(
-        prepared.precision.to_bits(),
-        string.precision.to_bits(),
-        "{what}: precision must be bit-identical"
-    );
+use pper_datagen::{BookGen, Dataset, PubGen};
+use pper_er::{BasicApproach, BasicConfig, ErConfig, ProgressiveEr};
+
+type Pair = (u32, u32);
+
+fn string_rule(config: &ErConfig, ds: &Dataset, (a, b): Pair) -> bool {
+    config
+        .rule
+        .matches(&ds.entity(a).attrs, &ds.entity(b).attrs)
 }
 
-#[test]
-fn basic_baseline_identical_across_paths() {
-    let ds = PubGen::new(2_000, 421).generate();
-    let basic = BasicConfig::full(15);
-    let with_prepared = BasicApproach::new(ErConfig::citeseer(2), basic.clone())
-        .run(&ds)
-        .unwrap();
-    let with_strings = BasicApproach::new(ErConfig::citeseer(2).with_string_path(), basic)
-        .run(&ds)
-        .unwrap();
-    assert!(
-        !with_prepared.duplicates.is_empty(),
-        "run must find duplicates for the comparison to mean anything"
-    );
-    assert_runs_identical(&with_prepared, &with_strings, "basic/citeseer");
-}
+fn job2_decides_every_compared_pair_as_the_string_rule(ds: &Dataset, config: ErConfig) {
+    let pipeline = ProgressiveEr::new(config.clone());
+    let run = pipeline.try_run(ds).unwrap();
+    // Killed at a threshold no task's clock reaches: every block completes
+    // and the checkpoint holds the whole run.
+    let checkpoint = pipeline
+        .run_stage(ds, None, Some(1e15))
+        .unwrap()
+        .cut()
+        .expect("a stage with a threshold is cut");
+    assert_eq!(checkpoint.blocks_remaining(), 0);
 
-#[test]
-fn basic_popcorn_identical_across_paths() {
-    // Early stopping depends on per-pair decisions *in order*, so any
-    // decision divergence would cascade into different stopping points.
-    let ds = PubGen::new(2_000, 422).generate();
-    let basic = BasicConfig::popcorn(15, 0.05);
-    let with_prepared = BasicApproach::new(ErConfig::citeseer(2), basic.clone())
-        .run(&ds)
-        .unwrap();
-    let with_strings = BasicApproach::new(ErConfig::citeseer(2).with_string_path(), basic)
-        .run(&ds)
-        .unwrap();
-    assert_runs_identical(&with_prepared, &with_strings, "basic-popcorn/citeseer");
-}
-
-#[test]
-fn progressive_pipeline_identical_across_paths() {
-    let ds = PubGen::new(2_500, 423).generate();
-    let with_prepared = ProgressiveEr::new(ErConfig::citeseer(2)).run(&ds);
-    let with_strings = ProgressiveEr::new(ErConfig::citeseer(2).with_string_path()).run(&ds);
-    assert!(
-        !with_prepared.duplicates.is_empty(),
-        "pipeline must find duplicates for the comparison to mean anything"
-    );
-    assert_runs_identical(&with_prepared, &with_strings, "progressive/citeseer");
-}
-
-#[test]
-fn incremental_identical_across_paths() {
-    use pper_er::IncrementalEr;
-    let ds = PubGen::new(1_200, 424).generate();
-    let batches: Vec<Vec<(Vec<String>, u32)>> = ds
-        .entities
-        .chunks(300)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .map(|e| (e.attrs.clone(), ds.truth.cluster(e.id)))
-                .collect()
-        })
+    let compared: Vec<Pair> = checkpoint
+        .tasks
+        .iter()
+        .flat_map(|task| task.resolved.iter())
+        .flat_map(|(_, pairs)| pairs.iter().copied())
+        .collect();
+    let accepted: BTreeSet<Pair> = checkpoint
+        .tasks
+        .iter()
+        .flat_map(|task| task.duplicates.iter())
+        .map(|&(_, a, b)| (a.min(b), a.max(b)))
         .collect();
 
-    let cfg = ErConfig::citeseer(2);
-    let mut with_prepared = IncrementalEr::new(
-        cfg.families.clone(),
-        cfg.rule.clone(),
-        cfg.policy.clone(),
-        cfg.mechanism,
+    assert_eq!(
+        compared.len() as u64,
+        run.counters.get("pairs_compared"),
+        "the checkpoint lists every comparison of the run"
     );
-    let mut with_strings = IncrementalEr::new(
-        cfg.families.clone(),
-        cfg.rule.clone(),
-        cfg.policy.clone(),
-        cfg.mechanism,
-    )
-    .with_string_path();
-
-    for batch in batches {
-        let p = with_prepared.ingest(batch.clone());
-        let s = with_strings.ingest(batch);
-        assert_eq!(p.new_duplicates, s.new_duplicates, "batch {}", p.batch);
-        assert_eq!(p.comparisons, s.comparisons, "batch {}", p.batch);
-    }
-    assert_eq!(with_prepared.duplicates(), with_strings.duplicates());
     assert!(
-        !with_prepared.duplicates().is_empty(),
-        "incremental run must find duplicates"
+        accepted.iter().copied().eq(run.duplicates.iter().copied()),
+        "the checkpoint's duplicates are the run's"
     );
+    assert!(!accepted.is_empty(), "nothing accepted, nothing checked");
+    for pair in compared {
+        assert_eq!(
+            string_rule(&config, ds, pair),
+            accepted.contains(&pair),
+            "job 2 and MatchRule::matches disagree on {pair:?}"
+        );
+    }
+}
+
+fn basic_full_is_brute_force_over_co_blocked_pairs(ds: &Dataset, config: ErConfig) {
+    let mut co_blocked: BTreeSet<Pair> = BTreeSet::new();
+    for family in &config.families {
+        let mut blocks: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+        for entity in &ds.entities {
+            blocks
+                .entry(family.root_key(entity))
+                .or_default()
+                .push(entity.id);
+        }
+        for members in blocks.values() {
+            for (i, &a) in members.iter().enumerate() {
+                co_blocked.extend(members[i + 1..].iter().map(|&b| (a.min(b), a.max(b))));
+            }
+        }
+    }
+    let expected: Vec<Pair> = co_blocked
+        .iter()
+        .copied()
+        .filter(|&pair| string_rule(&config, ds, pair))
+        .collect();
+    assert!(!expected.is_empty(), "nothing to find, nothing checked");
+
+    let run = BasicApproach::new(config, BasicConfig::full(10_000))
+        .run(ds)
+        .unwrap();
+    assert_eq!(
+        run.counters.get("pairs_compared"),
+        co_blocked.len() as u64,
+        "every co-blocked pair is compared exactly once"
+    );
+    assert_eq!(run.duplicates, expected);
+}
+
+#[test]
+fn job2_matches_the_string_rule_pair_by_pair() {
+    // SN over the rule whose cost is the multi-word edit distance, then
+    // PSNM over the eight-attribute books rule.
+    let pubs = PubGen::new(600, 207).generate();
+    job2_decides_every_compared_pair_as_the_string_rule(&pubs, ErConfig::citeseer(2));
+    let books = BookGen::new(600, 208).generate();
+    job2_decides_every_compared_pair_as_the_string_rule(&books, ErConfig::books(2));
+}
+
+#[test]
+fn basic_full_matches_brute_force_under_the_string_rule() {
+    let pubs = PubGen::new(400, 207).generate();
+    basic_full_is_brute_force_over_co_blocked_pairs(&pubs, ErConfig::citeseer(2));
+    let books = BookGen::new(400, 208).generate();
+    basic_full_is_brute_force_over_co_blocked_pairs(&books, ErConfig::books(2));
 }

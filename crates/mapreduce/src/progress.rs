@@ -147,11 +147,6 @@ impl<T> IncrementalWriter<T> {
         }
         self.segments
     }
-
-    /// Number of segments completed so far (excluding the open buffer).
-    pub fn completed_segments(&self) -> usize {
-        self.segments.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Binary spill codec for intermediate records.
 //!
 //! Hadoop serializes every intermediate record to disk between the map and
-//! reduce phases. The simulator keeps records in memory, but jobs that want
-//! realistic shuffle-byte accounting (and a guard against accidentally
-//! emitting unserializable state) can round-trip their records through this
-//! codec. The format is a simple length-delimited little-endian binary
-//! encoding with LEB128 varints.
+//! reduce phases. The simulator keeps records in memory until a shuffle
+//! partition outgrows its memory budget; the external sorter
+//! ([`crate::extsort`]) then writes its runs in this codec. The format is a
+//! simple length-delimited little-endian binary encoding with LEB128
+//! varints.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -123,68 +123,22 @@ impl<A: SpillCodec, B: SpillCodec> SpillCodec for (A, B) {
     }
 }
 
-/// In-memory spill file: encoded records for one reduce partition.
-///
-/// Tracks total encoded bytes, which jobs surface as a shuffle-size counter.
-#[derive(Debug, Default)]
-pub struct SpillStore {
-    buf: BytesMut,
-    records: usize,
-}
-
-impl SpillStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one record.
-    pub fn push<T: SpillCodec>(&mut self, record: &T) {
-        record.encode(&mut self.buf);
-        self.records += 1;
-    }
-
-    /// Total encoded bytes so far.
-    pub fn bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Number of records stored.
-    pub fn len(&self) -> usize {
-        self.records
-    }
-
-    /// True if no record was stored.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Decode all records back out.
-    pub fn drain<T: SpillCodec>(self) -> Result<Vec<T>, MrError> {
-        let mut bytes = self.buf.freeze();
-        let mut out = Vec::with_capacity(self.records);
-        for _ in 0..self.records {
-            out.push(T::decode(&mut bytes)?);
-        }
-        if bytes.has_remaining() {
-            return Err(MrError::Spill("trailing bytes after decode".into()));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn round_trip<T: SpillCodec + PartialEq + std::fmt::Debug + Clone>(values: Vec<T>) {
-        let mut store = SpillStore::new();
+        let mut buf = BytesMut::new();
         for v in &values {
-            store.push(v);
+            v.encode(&mut buf);
         }
-        assert_eq!(store.len(), values.len());
-        let back: Vec<T> = store.drain().unwrap();
+        let mut bytes = buf.freeze();
+        let back: Vec<T> = values
+            .iter()
+            .map(|_| T::decode(&mut bytes).unwrap())
+            .collect();
         assert_eq!(back, values);
+        assert!(!bytes.has_remaining(), "trailing bytes after decode");
     }
 
     #[test]
@@ -213,19 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn bytes_accounting_grows() {
-        let mut store = SpillStore::new();
-        store.push(&"abc".to_string());
-        let b1 = store.bytes();
-        store.push(&"defgh".to_string());
-        assert!(store.bytes() > b1);
-    }
-
-    #[test]
     fn truncated_decode_errors() {
-        let mut store = SpillStore::new();
-        store.push(&"hello".to_string());
-        let mut bytes = store.buf.freeze().slice(0..3); // cut mid-record
+        let mut buf = BytesMut::new();
+        "hello".to_string().encode(&mut buf);
+        let mut bytes = buf.freeze().slice(0..3); // cut mid-record
         assert!(String::decode(&mut bytes).is_err());
     }
 

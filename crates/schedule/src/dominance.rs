@@ -70,7 +70,7 @@ impl TreeLocator {
     }
 
     /// Tree containing the block rooted at `(family, level, key)`, if any.
-    pub fn tree_at(&self, family: FamilyIndex, level: usize, key: &str) -> Option<usize> {
+    fn tree_at(&self, family: FamilyIndex, level: usize, key: &str) -> Option<usize> {
         let levels = self.roots.get(family)?;
         let at = levels
             .binary_search_by_key(&level, |(level, _)| *level)

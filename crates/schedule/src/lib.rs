@@ -57,4 +57,4 @@ pub use dominance::{should_resolve, DomList, TreeLocator};
 pub use estimate::{recompute_tree, EstimationContext};
 pub use generate::{generate_schedule, CostVectorSpec, ScheduleConfig, TreeScheduler, Weighting};
 pub use plan::{PlanNode, PlanTree, Schedule};
-pub use probmodel::{DupProbability, HeuristicProb, SampledProb, TrainedProb};
+pub use probmodel::{DupProbability, HeuristicProb, TrainedProb};

@@ -104,11 +104,6 @@ impl PlanTree {
         self.nodes.iter().map(|n| n.cost).sum()
     }
 
-    /// Total estimated duplicates of all blocks.
-    pub fn total_dup(&self) -> f64 {
-        self.nodes.iter().map(|n| n.dup).sum()
-    }
-
     /// Indices of all descendants of `idx` within this tree.
     pub fn descendants(&self, idx: usize) -> Vec<usize> {
         let mut out = Vec::new();

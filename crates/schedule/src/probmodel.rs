@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use pper_blocking::{build_forests, compute_signatures, pairs, BlockingFamily, FamilyIndex};
+use pper_blocking::{build_forests, compute_signatures, BlockingFamily, FamilyIndex};
 use pper_datagen::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -189,98 +189,6 @@ impl DupProbability for TrainedProb {
     }
 }
 
-/// Unsupervised sampling estimator: `Prob(|X|)` measured by *sampling* pairs
-/// from the target dataset's own blocks and running the actual match rule —
-/// no labeled training data required. ("Our approach is agnostic to the way
-/// the function d(.) is implemented", §IV-B.)
-///
-/// The measured densities land in the same fraction-bucket tables as
-/// [`TrainedProb`], so lookup behaviour (nearest non-empty bucket, heuristic
-/// fallback) is identical; only the supervision differs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SampledProb {
-    inner: TrainedProb,
-}
-
-impl SampledProb {
-    /// Sample up to `pairs_per_block` random within-block pairs per block of
-    /// `ds` (seeded by `seed`), label them with `rule`, and learn the
-    /// fraction-bucket densities.
-    pub fn sample(
-        ds: &Dataset,
-        families: &[BlockingFamily],
-        rule: &pper_simil::MatchRule,
-        pairs_per_block: usize,
-        seed: u64,
-    ) -> Self {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bounds = default_bounds();
-        let forests = build_forests(ds, families);
-        let mut tables: HashMap<(usize, usize), Vec<BucketStat>> = HashMap::new();
-        let n = ds.len().max(1);
-        for forest in &forests {
-            for tree in &forest.trees {
-                for block in &tree.blocks {
-                    let m = block.members.len();
-                    if m < 2 {
-                        continue;
-                    }
-                    let fraction = m as f64 / n as f64;
-                    let bucket = bounds
-                        .partition_point(|&b| b < fraction)
-                        .min(bounds.len() - 1);
-                    let samples = pairs_per_block.min(m * (m - 1) / 2);
-                    let mut dup = 0u64;
-                    for _ in 0..samples {
-                        let i = rng.random_range(0..m);
-                        let mut j = rng.random_range(0..m - 1);
-                        if j >= i {
-                            j += 1;
-                        }
-                        let (a, b) = (block.members[i], block.members[j]);
-                        dup += u64::from(rule.matches(&ds.entity(a).attrs, &ds.entity(b).attrs));
-                    }
-                    let entry = tables
-                        .entry((forest.family, block.level))
-                        .or_insert_with(|| vec![BucketStat::default(); bounds.len()]);
-                    entry[bucket].dup_pairs += dup;
-                    entry[bucket].total_pairs += samples as u64;
-                }
-            }
-        }
-        // lint:allow(hash_iter) drain order discarded by the sort below.
-        let mut tables: Vec<_> = tables.into_iter().collect();
-        tables.sort_by_key(|(k, _)| *k);
-        Self {
-            inner: TrainedProb {
-                tables,
-                bounds,
-                fallback: HeuristicProb::default(),
-            },
-        }
-    }
-}
-
-impl DupProbability for SampledProb {
-    fn prob(&self, family: FamilyIndex, level: usize, size: usize, dataset_size: usize) -> f64 {
-        self.inner.prob(family, level, size, dataset_size)
-    }
-}
-
-/// Convenience: total estimated duplicates in a block via any model.
-pub fn block_dup_estimate(
-    model: &dyn DupProbability,
-    family: FamilyIndex,
-    level: usize,
-    size: usize,
-    dataset_size: usize,
-) -> f64 {
-    model.estimate_dups(family, level, size, dataset_size, pairs(size))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,49 +252,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sampled_model_learns_without_labels() {
-        use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
-        let ds = PubGen::new(2_000, 81).generate();
-        let families = presets::citeseer_families();
-        let rule = MatchRule::new(
-            vec![WeightedAttr::new(
-                0,
-                1.0,
-                AttributeSim::Levenshtein { max_chars: None },
-            )],
-            0.8,
-        );
-        let model = SampledProb::sample(&ds, &families, &rule, 10, 7);
-        // Small blocks denser than huge ones, as with the supervised model.
-        let p_small = model.prob(0, 2, 4, 2_000);
-        let p_large = model.prob(0, 0, 600, 2_000);
-        assert!((0.0..=1.0).contains(&p_small));
-        assert!((0.0..=1.0).contains(&p_large));
-        assert!(
-            p_small >= p_large,
-            "small {p_small:.4} vs large {p_large:.4}"
-        );
-    }
-
-    #[test]
-    fn sampled_model_deterministic_per_seed() {
-        use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
-        let ds = PubGen::new(500, 82).generate();
-        let families = presets::citeseer_families();
-        let rule = MatchRule::new(
-            vec![WeightedAttr::new(
-                0,
-                1.0,
-                AttributeSim::Levenshtein { max_chars: None },
-            )],
-            0.8,
-        );
-        let a = SampledProb::sample(&ds, &families, &rule, 5, 3);
-        let b = SampledProb::sample(&ds, &families, &rule, 5, 3);
-        assert_eq!(a.prob(0, 0, 40, 500), b.prob(0, 0, 40, 500));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! [`MatchRule::score`] re-derives char buffers, token sets and q-gram
 //! multisets on every pair. The [`prepared`] module amortizes that work per
 //! *entity*: [`PreparedRule::prepare`] builds a [`PreparedEntity`] once
-//! (per reduce task, via [`PreparedCache`]), and
+//! (per reduce task, in the task's [`PreparedCache`]), and
 //! [`PreparedRule::score`]/[`PreparedRule::matches`] compare two prepared
 //! entities through a reusable [`SimScratch`] with **zero per-pair heap
 //! allocation**. `score` is bit-identical to the string path; `matches`
@@ -27,6 +27,12 @@
 //! is forced, while still returning identical decisions. Levenshtein terms
 //! on ASCII inputs of any length run the blocked (multi-word) Myers
 //! bit-parallel scan; the two-row DP is left for non-ASCII input.
+//!
+//! The pipeline compares pairs through the prepared path only. The string
+//! path — [`MatchRule::score`] and [`MatchRule::matches`] — is the
+//! reference the prepared path is held to: by this crate's parity suites
+//! score for score, and by the pipeline's oracle tests, which re-decide
+//! every pair a run compared.
 //!
 //! ```
 //! use pper_simil::{AttributeSim, MatchRule, WeightedAttr};

@@ -17,8 +17,9 @@
 //!   allocation** after scratch buffers reach their high-water mark.
 //! * [`TokenInterner`] — per-task string→id table shared by every entity a
 //!   task prepares; token/q-gram comparisons become sorted-id merges.
-//! * [`PreparedCache`] — a keyed memo (entity id → [`PreparedEntity`])
-//!   bundling the interner, for the "prepare once per reduce task" wiring.
+//! * [`PreparedCache`] — the per-reduce-task signature store (interner,
+//!   entity id → slot, [`PreparedEntity`] by slot) both reducers of the
+//!   pipeline resolve through: prepare once per task, compare by slot.
 //!
 //! # Parity contract
 //!
@@ -47,7 +48,7 @@
 //! non-ASCII input reaches the two-row DP. Both produce the same exact
 //! integer distance.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 use crate::jaro::{jaro_winkler_chars_scratch, JaroScratch};
@@ -122,13 +123,6 @@ pub(crate) enum PreparedAttr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedEntity {
     pub(crate) terms: Vec<PreparedAttr>,
-}
-
-impl PreparedEntity {
-    /// Number of rule terms this entity was prepared for.
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 /// Reusable kernel buffers: everything the per-pair path needs beyond the
@@ -444,41 +438,61 @@ pub(crate) fn term_score(
     }
 }
 
-/// Per-task memo of prepared entities keyed by an entity id, bundling the
-/// task's [`TokenInterner`]. The "prepare once per reduce task" wiring:
-/// `ensure` each side of a pair (a no-op after the first block containing
-/// the entity), then score through `get`.
+/// The one per-task signature store: the task's [`TokenInterner`], a
+/// `key → slot` map and the prepared entities by slot. An entity is prepared
+/// the first time the task sees its key; a reducer memoizes the returned
+/// slot per block or tree member, so the map is probed once per member and
+/// every pair comparison is two slice indexes ([`at`](Self::at)).
 #[derive(Debug, Default)]
 pub struct PreparedCache<K> {
     interner: TokenInterner,
-    map: HashMap<K, PreparedEntity>,
+    slot_of: HashMap<K, u32>,
+    entities: Vec<PreparedEntity>,
 }
 
-impl<K: Eq + Hash + Clone> PreparedCache<K> {
+impl<K: Eq + Hash> PreparedCache<K> {
     /// An empty cache.
     pub fn new() -> Self {
         Self {
             interner: TokenInterner::new(),
-            map: HashMap::new(),
+            slot_of: HashMap::new(),
+            entities: Vec::new(),
         }
     }
 
     /// Number of entities prepared so far.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entities.len()
     }
 
     /// True if no entity has been prepared yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entities.is_empty()
+    }
+
+    /// The slot of `key`, preparing `attrs` under it on first sight.
+    pub fn slot(&mut self, rule: &PreparedRule, key: K, attrs: &[String]) -> u32 {
+        match self.slot_of.entry(key) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(vacant) => {
+                self.entities.push(rule.prepare(attrs, &mut self.interner));
+                *vacant.insert(self.entities.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// The prepared signatures in `slot`.
+    ///
+    /// # Panics
+    /// Panics if [`slot`](Self::slot) never returned `slot`.
+    #[inline]
+    pub fn at(&self, slot: u32) -> &PreparedEntity {
+        &self.entities[slot as usize]
     }
 
     /// Prepare `attrs` under `key` unless already cached.
     pub fn ensure(&mut self, rule: &PreparedRule, key: K, attrs: &[String]) {
-        if !self.map.contains_key(&key) {
-            let prepared = rule.prepare(attrs, &mut self.interner);
-            self.map.insert(key, prepared);
-        }
+        self.slot(rule, key, attrs);
     }
 
     /// The prepared signatures of a cached entity.
@@ -487,25 +501,7 @@ impl<K: Eq + Hash + Clone> PreparedCache<K> {
     /// Panics if `key` was never [`ensure`](Self::ensure)d.
     pub fn get(&self, key: &K) -> &PreparedEntity {
         // lint:allow(panic_path) documented panicking accessor (see # Panics); misuse is a caller bug, not a runtime fault
-        self.map.get(key).expect("entity not prepared")
-    }
-
-    /// Convenience: ensure both sides and evaluate the match decision.
-    pub fn matches_pair(
-        &mut self,
-        rule: &PreparedRule,
-        scratch: &mut SimScratch,
-        a: (K, &[String]),
-        b: (K, &[String]),
-    ) -> bool {
-        self.ensure(rule, a.0.clone(), a.1);
-        self.ensure(rule, b.0.clone(), b.1);
-        // Both keys were just ensured; the unreachable miss arm returns a
-        // non-match instead of panicking on an internal bug.
-        let (Some(pa), Some(pb)) = (self.map.get(&a.0), self.map.get(&b.0)) else {
-            return false;
-        };
-        rule.matches(pa, pb, scratch)
+        self.at(*self.slot_of.get(key).expect("entity not prepared"))
     }
 }
 
@@ -674,12 +670,14 @@ mod tests {
     fn cache_prepares_each_entity_once() {
         let pr = PreparedRule::new(citeseer_rule());
         let mut cache: PreparedCache<u32> = PreparedCache::new();
-        let mut scratch = SimScratch::new();
         let a = vec!["title one".to_string(), "abs".to_string(), "v".to_string()];
         let b = vec!["title two".to_string(), "abs".to_string(), "v".to_string()];
         for _ in 0..3 {
-            cache.matches_pair(&pr, &mut scratch, (1, &a), (2, &b));
+            assert_eq!(cache.slot(&pr, 1, &a), 0);
+            assert_eq!(cache.slot(&pr, 2, &b), 1);
         }
         assert_eq!(cache.len(), 2);
+        assert_eq!(cache.at(1), cache.get(&2));
+        assert_ne!(cache.at(0), cache.at(1));
     }
 }

@@ -465,6 +465,14 @@ fn cmd_jobs(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_basic(opts: &Opts) -> Result<(), String> {
+    if let Some(t) = opts.threshold.filter(|t| !(*t > 0.0 && *t <= 1.0)) {
+        return Err(format!(
+            "--threshold is a duplicate rate and must be in (0, 1], got {t}"
+        ));
+    }
+    if opts.window == Some(0) {
+        return Err("--window must be at least 1".into());
+    }
     let ds = load(opts.data.as_deref())?;
     let machines = opts.machines.unwrap_or(4);
     let mut er = config_for(&ds, machines)?;

@@ -117,33 +117,57 @@ fn incremental_segments_cover_all_duplicates() {
 #[test]
 fn prepared_and_string_paths_agree_on_long_attributes() {
     // Fast smoke of the prepared-vs-string conformance family on the rule
-    // whose cost is the multi-word edit distance: same duplicates, same
-    // virtual clock, through the two-job pipeline and the Basic baseline.
+    // whose cost is the multi-word edit distance. The pipeline compares
+    // through the prepared path only, so each approach is held to the
+    // string rule, `MatchRule::matches`, pair by pair (the full form is
+    // `crates/er-core/tests/prepared_regression.rs`).
     let ds = PubGen::new(300, 207).generate();
     let er = ErConfig::citeseer(2);
+    let string_rule = |a: u32, b: u32| er.rule.matches(&ds.entity(a).attrs, &ds.entity(b).attrs);
 
-    let ours = ProgressiveEr::new(er.clone()).run(&ds);
-    let ours_string = ProgressiveEr::new(er.clone().with_string_path()).run(&ds);
-    assert_eq!(ours.duplicates, ours_string.duplicates);
-    assert_eq!(
-        ours.total_cost.to_bits(),
-        ours_string.total_cost.to_bits(),
-        "virtual cost {} vs {}",
-        ours.total_cost,
-        ours_string.total_cost
-    );
+    // Ours: a stage killed past the end of the run hands back every pair
+    // job 2 compared and every pair it accepted.
+    let pipeline = ProgressiveEr::new(er.clone());
+    let ours = pipeline.run(&ds);
+    let checkpoint = pipeline
+        .run_stage(&ds, None, Some(1e15))
+        .unwrap()
+        .cut()
+        .unwrap();
+    let mut compared = 0;
+    for &(a, b) in checkpoint
+        .tasks
+        .iter()
+        .flat_map(|task| task.resolved.iter())
+        .flat_map(|(_, pairs)| pairs)
+    {
+        compared += 1;
+        assert_eq!(
+            string_rule(a, b),
+            ours.duplicates.binary_search(&(a, b)).is_ok(),
+            "job 2 and the string rule disagree on ({a}, {b})"
+        );
+    }
+    assert_eq!(compared, ours.counters.get("pairs_compared"));
 
-    let basic = BasicApproach::new(er.clone(), BasicConfig::full(15))
+    // Basic F with an unbounded window compares every co-blocked pair once:
+    // brute force over the blocking keys, decided by the string rule.
+    let basic = BasicApproach::new(er.clone(), BasicConfig::full(10_000))
         .run(&ds)
         .unwrap();
-    let basic_string = BasicApproach::new(er.with_string_path(), BasicConfig::full(15))
-        .run(&ds)
-        .unwrap();
-    assert_eq!(basic.duplicates, basic_string.duplicates);
-    assert_eq!(
-        basic.total_cost.to_bits(),
-        basic_string.total_cost.to_bits()
-    );
+    let (mut co_blocked, mut expected) = (0, Vec::new());
+    for (i, ea) in ds.entities.iter().enumerate() {
+        for eb in &ds.entities[i + 1..] {
+            if er.families.iter().any(|f| f.root_key(ea) == f.root_key(eb)) {
+                co_blocked += 1;
+                if string_rule(ea.id, eb.id) {
+                    expected.push((ea.id, eb.id));
+                }
+            }
+        }
+    }
+    assert_eq!(basic.counters.get("pairs_compared"), co_blocked);
+    assert_eq!(basic.duplicates, expected);
 
     // The smoke must keep covering the multi-word kernel. Accepting a pair
     // under the CiteSeerX rule takes all three terms (title + abstract

@@ -374,3 +374,31 @@ fn bad_budget_is_an_error_not_a_panic() {
         assert!(!stderr.contains("panicked"), "--budget {budget}: {stderr}");
     }
 }
+
+#[test]
+fn bad_basic_knobs_are_errors_not_mislabelled_runs() {
+    let dir = tmp_dir("bad-basic");
+    let data = write_dataset(&dir);
+    for (flag, value) in [
+        ("--threshold", "nan"),
+        ("--threshold", "-1"),
+        ("--threshold", "0"),
+        ("--threshold", "1.5"),
+        ("--threshold", "inf"),
+        ("--window", "0"),
+    ] {
+        let out = pper(&[
+            "basic",
+            "--data",
+            data.to_str().unwrap(),
+            "--machines",
+            MACHINES,
+            flag,
+            value,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("error:"), "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value} ran the baseline");
+    }
+}
