@@ -17,6 +17,8 @@
 //! no hierarchy to cut large-block overhead, and shared pairs resolved
 //! late in whatever block happens to have the smallest key.
 
+use std::sync::Arc;
+
 use pper_blocking::forest::EntityLookup;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
@@ -27,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{ErConfig, MechanismKind};
 use crate::pipeline::ErRunResult;
-use crate::{memo_slot, EVENT_DUPLICATE, NO_SLOT};
+use crate::{memo_slot, BlockTally, EVENT_DUPLICATE, NO_SLOT};
 
 /// Basic-baseline knobs (§VI-B1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,33 +81,40 @@ impl BasicConfig {
     }
 }
 
-/// Map value: the entity plus its full `(key, family)` block-key list for
-/// the smallest-key redundancy check.
-type Keyed = (Entity, Vec<(String, u8)>);
+/// Map value: the dataset's own entity (borrowed, as in job 2) plus its full
+/// `(key, family)` block-key list for the smallest-key redundancy check —
+/// one list per entity, shared by the records of all its families.
+type Keyed<'d> = (&'d Entity, Arc<[BasicKey]>);
 
 /// Map key: `(blocking key value, function id)` — ordered by key value
 /// first, exactly the order the smallest-key rule compares by.
 type BasicKey = (String, u8);
 
-struct BasicMapper<'a> {
-    families: &'a [BlockingFamily],
+struct BasicMapper<'d> {
+    families: &'d [BlockingFamily],
 }
 
-impl Mapper for BasicMapper<'_> {
-    type Input = Entity;
+impl<'d> Mapper for BasicMapper<'d> {
+    type Input = &'d Entity;
     type Key = BasicKey;
-    type Value = Keyed;
+    type Value = Keyed<'d>;
 
-    fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<BasicKey, Keyed>) {
-        let keys: Vec<(String, u8)> = self
+    fn map(
+        &self,
+        entity: &&'d Entity,
+        ctx: &mut TaskContext,
+        out: &mut Emitter<BasicKey, Keyed<'d>>,
+    ) {
+        let entity = *entity;
+        let keys: Arc<[BasicKey]> = self
             .families
             .iter()
             .enumerate()
             .map(|(f, fam)| (fam.root_key(entity), f as u8))
             .collect();
-        for key in &keys {
+        for key in keys.iter() {
             ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-            out.emit(key.clone(), (entity.clone(), keys.clone()));
+            out.emit(key.clone(), (entity, Arc::clone(&keys)));
         }
     }
 }
@@ -120,22 +129,22 @@ struct BasicReducer<'a> {
 /// One block's members, ascending by entity id. As in job 2, the resolve
 /// loop names a member by its position here, so ids tie-break and order as
 /// they would themselves and every per-pair access is a slice index.
-struct Members<'p>(Vec<&'p Keyed>);
+struct Members<'p>(Vec<&'p Keyed<'p>>);
 
 impl EntityLookup for Members<'_> {
     fn entity(&self, local: u32) -> &Entity {
-        &self.0[local as usize].0
+        self.0[local as usize].0
     }
 }
 
-impl PartitionReducer for BasicReducer<'_> {
+impl<'a> PartitionReducer for BasicReducer<'a> {
     type Key = BasicKey;
-    type Value = Keyed;
+    type Value = Keyed<'a>;
     type Output = (EntityId, EntityId);
 
     fn reduce_partition(
         &self,
-        partition: &pper_mapreduce::GroupedPartition<BasicKey, Keyed>,
+        partition: &pper_mapreduce::GroupedPartition<BasicKey, Keyed<'a>>,
         ctx: &mut TaskContext,
         out: &mut Vec<(EntityId, EntityId)>,
     ) {
@@ -153,7 +162,7 @@ impl BasicReducer<'_> {
     fn reduce_block(
         &self,
         key: &BasicKey,
-        values: &[Keyed],
+        values: &[Keyed<'_>],
         ctx: &mut TaskContext,
         out: &mut Vec<(EntityId, EntityId)>,
         (cache, scratch): &mut (PreparedCache<EntityId>, SimScratch),
@@ -175,24 +184,25 @@ impl BasicReducer<'_> {
 
         let mut run = self.mechanism.start(sorted, self.basic.window);
         let mut stop = StopState::new(self.basic.stop_rule());
+        let mut tally = BlockTally::default();
         while let Some((a, b)) = run.next_pair() {
             // Kolb-style smallest-key rule: resolve the pair only in the
             // common block with the smallest (key, function) value.
             let (ia, ib) = (a as usize, b as usize);
-            let ((ea, keys_a), (eb, keys_b)) = (members.0[ia], members.0[ib]);
+            let (&(ea, ref keys_a), &(eb, ref keys_b)) = (members.0[ia], members.0[ib]);
             let smallest_common = keys_a.iter().filter(|k| keys_b.contains(k)).min();
             if smallest_common != Some(key) {
-                ctx.counters.incr("pairs_skipped_redundant");
+                tally.skipped_redundant += 1;
                 continue;
             }
             ctx.charge(ctx.cost_model.resolve_pair);
-            ctx.counters.incr("pairs_compared");
+            tally.compared += 1;
             let sa = memo_slot(cache, &self.rule, &mut slots[ia], ea);
             let sb = memo_slot(cache, &self.rule, &mut slots[ib], eb);
             let is_dup = self.rule.matches(cache.at(sa), cache.at(sb), scratch);
             run.feedback(is_dup);
             if is_dup {
-                ctx.counters.incr("duplicates_found");
+                tally.duplicates += 1;
                 ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
                 out.push((ea.id.min(eb.id), ea.id.max(eb.id)));
             }
@@ -201,6 +211,7 @@ impl BasicReducer<'_> {
                 break;
             }
         }
+        tally.flush(&mut ctx.counters);
         ctx.counters.incr("blocks_resolved");
     }
 }
@@ -234,7 +245,8 @@ impl BasicApproach {
             mechanism: self.er.mechanism,
             basic: &self.basic,
         };
-        let result = run_job(&cfg, &mapper, &reducer, &ds.entities)?;
+        let entities: Vec<&Entity> = ds.entities.iter().collect();
+        let result = run_job(&cfg, &mapper, &reducer, &entities)?;
 
         let mut duplicates = result.outputs;
         duplicates.sort_unstable();

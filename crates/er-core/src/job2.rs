@@ -68,7 +68,7 @@ use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
 use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::config::ErConfig;
-use crate::{memo_slot, EVENT_DUPLICATE, NO_SLOT};
+use crate::{memo_slot, BlockTally, EVENT_DUPLICATE, NO_SLOT};
 
 /// Map output value: the dataset's own entity (borrowed — routing an entity
 /// to its trees copies a pointer) and its dominance list for the target
@@ -126,6 +126,12 @@ struct TreeState<'p> {
     /// `slots[l]` is the member's slot in the task's [`PreparedCache`], or
     /// [`NO_SLOT`] until its first comparison in this tree.
     slots: Vec<u32>,
+    /// The members in the tree's sort order, built at the first block the
+    /// task resolves of the tree (empty until then). Every block of a tree
+    /// sorts by the same total order — the family's blocking attribute, then
+    /// the title, then local index — so a block's sorted member list is this
+    /// one filtered by the block's key.
+    order: Vec<Local>,
     /// Pairs already *compared* in this tree, so a parent block never
     /// repeats its children's work (§III-A): local indices through
     /// [`crate::pack_pair`], smaller index in the high half, so packed keys
@@ -145,8 +151,25 @@ impl<'p> TreeState<'p> {
             entities: members.iter().map(|(entity, _)| *entity).collect(),
             doms: members.iter().map(|(_, dom)| dom).collect(),
             slots: vec![NO_SLOT; members.len()],
+            order: Vec::new(),
             resolved: FxHashSet::default(),
         }
+    }
+
+    /// The members of the block `key` names at `level`, in sort order.
+    fn sorted_block(&mut self, family: &BlockingFamily, level: usize, key: &str) -> Vec<Local> {
+        if self.order.is_empty() {
+            // Compound SNM sort key: the blocking attribute, ties broken by
+            // the most discriminative attribute (index 0, the title).
+            let all: Vec<Local> = (0..self.entities.len() as Local).collect();
+            self.order = pper_progressive::sort_by_attrs(&all, &[family.levels[0].attr, 0], &*self);
+        }
+        // Prefix nesting makes the level key sufficient.
+        self.order
+            .iter()
+            .copied()
+            .filter(|&l| family.key_is(self.entities[l as usize], level, key))
+            .collect()
     }
 
     /// Global id of a member.
@@ -199,32 +222,6 @@ struct TaskState<'p> {
     /// task and reused across every block, of any tree, the task resolves
     /// it in; a tree reaches them through its slot vector.
     prepared: PreparedCache<EntityId>,
-}
-
-/// Per-pair counters of one block, added to the task's [`Counters`] once
-/// when the block ends instead of one string-keyed probe per pair.
-#[derive(Default)]
-struct BlockTally {
-    compared: u64,
-    skipped_resolved: u64,
-    skipped_redundant: u64,
-    duplicates: u64,
-}
-
-impl BlockTally {
-    fn flush(&self, counters: &mut Counters) {
-        // A counter exists from its first increment on, so zeros stay out.
-        for (name, n) in [
-            ("pairs_compared", self.compared),
-            ("pairs_skipped_already_resolved", self.skipped_resolved),
-            ("pairs_skipped_redundant", self.skipped_redundant),
-            ("duplicates_found", self.duplicates),
-        ] {
-            if n > 0 {
-                counters.add(name, n);
-            }
-        }
-    }
 }
 
 /// The stretch of the resolution job one [`run_job2_stage`] call executes
@@ -534,22 +531,14 @@ impl<'a> ResolveReducer<'a> {
                 let node = &plan_tree.nodes[block.node];
                 let family = &self.families[plan_tree.family];
 
-                // Materialize the block: members of the tree whose key at the
-                // node's level equals the node's key (prefix nesting makes the
-                // level key sufficient). Ascending local index, i.e. by id.
-                let members: Vec<Local> = (0..state.entities.len() as Local)
-                    .filter(|&l| family.key_is(state.entities[l as usize], node.level, &node.key))
-                    .collect();
+                // Materialize the block — members of the tree whose key at
+                // the node's level equals the node's key — already in hint
+                // order (sorted by the blocking attribute).
+                let sorted = state.sorted_block(family, node.level, &node.key);
                 ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
-                if members.len() < 2 {
+                if sorted.len() < 2 {
                     break 'block;
                 }
-
-                // Hint generation: sort by the blocking attribute.
-                // Compound SNM sort key: the blocking attribute, ties broken
-                // by the most discriminative attribute (index 0, the title).
-                let sorted =
-                    pper_progressive::sort_by_attrs(&members, &[family.levels[0].attr, 0], &*state);
                 ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
 
                 // Root-ness follows the scheduling tree: a split sub-tree's root
@@ -560,8 +549,8 @@ impl<'a> ResolveReducer<'a> {
                 let is_root = node.is_root();
                 let is_leaf = node.hier_leaf;
                 let window = self.policy.window(is_root, is_leaf);
+                let mut stop = StopState::new(self.policy.stop_rule(is_root, sorted.len()));
                 let mut run = self.mechanism.start(sorted, window);
-                let mut stop = StopState::new(self.policy.stop_rule(is_root, members.len()));
                 let mut block_added: Vec<u64> = Vec::new();
                 let mut tally = BlockTally::default();
 

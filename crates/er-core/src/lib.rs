@@ -110,6 +110,34 @@ pub(crate) fn memo_slot(
     *memo
 }
 
+/// Per-pair counters of one block, added to the task's
+/// [`Counters`](pper_mapreduce::prelude::Counters) once when the block ends instead
+/// of one string-keyed probe per pair.
+#[derive(Default)]
+pub(crate) struct BlockTally {
+    pub(crate) compared: u64,
+    /// Job 2 only: pairs a child block of the tree already compared.
+    pub(crate) skipped_resolved: u64,
+    pub(crate) skipped_redundant: u64,
+    pub(crate) duplicates: u64,
+}
+
+impl BlockTally {
+    pub(crate) fn flush(&self, counters: &mut pper_mapreduce::prelude::Counters) {
+        // A counter exists from its first increment on, so zeros stay out.
+        for (name, n) in [
+            ("pairs_compared", self.compared),
+            ("pairs_skipped_already_resolved", self.skipped_resolved),
+            ("pairs_skipped_redundant", self.skipped_redundant),
+            ("duplicates_found", self.duplicates),
+        ] {
+            if n > 0 {
+                counters.add(name, n);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod pack_tests {
     use super::*;

@@ -40,8 +40,10 @@
 //! [`MatchRule::matches`](crate::MatchRule::matches) and
 //! [`PreparedRule::matches`] return.
 
-use crate::levenshtein::levenshtein_chars_scratch;
-use crate::prepared::{term_score, PreparedAttr, PreparedEntity, PreparedRule, SimScratch};
+use crate::levenshtein::levenshtein_scratch;
+use crate::prepared::{
+    term_score, LevSig, LevText, PreparedAttr, PreparedEntity, PreparedRule, SimScratch,
+};
 use crate::rule::AttributeSim;
 
 /// Reusable state for probe-vs-block scoring. Create one per task/worker;
@@ -100,10 +102,10 @@ impl BlockScorer {
             match (&term.sim, pt) {
                 (
                     AttributeSim::Levenshtein { .. },
-                    PreparedAttr::Chars {
-                        chars: pc,
-                        ascii: true,
-                    },
+                    PreparedAttr::Lev(LevSig {
+                        text: LevText::Ascii(pc),
+                        ..
+                    }),
                 ) if !pc.is_empty() => {
                     self.batched_levenshtein(term.weight, pc, cands, i);
                 }
@@ -157,30 +159,23 @@ impl BlockScorer {
     /// table is built once and every ASCII candidate, longer or shorter,
     /// costs one scan against it. Nothing else touches the table while it
     /// is filled: a non-ASCII candidate goes to the two-row DP.
-    fn batched_levenshtein(
-        &mut self,
-        weight: f64,
-        pc: &[char],
-        cands: &[PreparedEntity],
-        i: usize,
-    ) {
+    fn batched_levenshtein(&mut self, weight: f64, pc: &[u8], cands: &[PreparedEntity], i: usize) {
         let kernels = &mut self.scratch.kernels;
         kernels.myers.fill(pc);
         for (j, cand) in cands.iter().enumerate() {
             let ct = &cand.terms[i];
-            let PreparedAttr::Chars { chars: cc, ascii } = ct else {
+            let PreparedAttr::Lev(cand) = ct else {
                 debug_assert!(
                     matches!(ct, PreparedAttr::Missing),
                     "entity prepared for a different rule"
                 );
                 continue;
             };
-            let d = if *ascii {
-                kernels.myers.scan(pc.len(), cc)
-            } else {
-                levenshtein_chars_scratch(pc, cc, &mut kernels.row)
+            let d = match &cand.text {
+                LevText::Ascii(cc) => kernels.myers.scan(pc.len(), cc),
+                LevText::Wide(cc) => levenshtein_scratch(pc, cc, &mut kernels.row),
             };
-            let sim = 1.0 - d as f64 / pc.len().max(cc.len()) as f64;
+            let sim = 1.0 - d as f64 / pc.len().max(cand.text.len()) as f64;
             self.acc_w[j] += weight;
             self.acc_s[j] += weight * sim;
         }

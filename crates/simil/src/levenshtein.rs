@@ -1,8 +1,9 @@
 //! Levenshtein edit distance as the classic two-row DP over Unicode scalar
 //! values. It serves the string path ([`crate::MatchRule::score`]), which
 //! tests and the benchmark's verification use as the oracle, and the
-//! prepared and batch paths whenever either side is non-ASCII; every
-//! ASCII/ASCII term on those paths runs the bit-parallel scan in
+//! prepared and batch paths whenever either side is non-ASCII (generic over
+//! the two element types a prepared value comes in, bytes and `char`s);
+//! every ASCII/ASCII term on those paths runs the bit-parallel scan in
 //! `crate::myers` instead, which returns the same integer.
 
 /// Unbounded Levenshtein distance between `a` and `b` (Unicode scalar
@@ -15,15 +16,32 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 
 pub(crate) fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     let mut row = Vec::new();
-    levenshtein_chars_scratch(a, b, &mut row)
+    levenshtein_scratch(a, b, &mut row)
 }
 
-/// Two-row DP over pre-collected char slices, reusing `row` as the DP
-/// buffer (the prepared path calls this with a per-task scratch so a
-/// non-ASCII pair comparison performs no heap allocation).
-pub(crate) fn levenshtein_chars_scratch(a: &[char], b: &[char], row: &mut Vec<usize>) -> usize {
+/// Two-row DP over pre-collected slices of bytes or `char`s — a prepared
+/// signature holds an ASCII value as bytes and any other as `char`s, and a
+/// pair may mix the two — reusing `row` as the DP buffer (the prepared path
+/// calls this with a per-task scratch so a non-ASCII pair comparison
+/// performs no heap allocation, whichever side — or both — is non-ASCII).
+pub(crate) fn levenshtein_scratch<A: Copy + Into<u32>, B: Copy + Into<u32>>(
+    a: &[A],
+    b: &[B],
+    row: &mut Vec<usize>,
+) -> usize {
     // Keep the shorter string in the inner dimension for less memory.
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if a.len() <= b.len() {
+        two_row_dp(a, b, row)
+    } else {
+        two_row_dp(b, a, row)
+    }
+}
+
+fn two_row_dp<S: Copy + Into<u32>, L: Copy + Into<u32>>(
+    short: &[S],
+    long: &[L],
+    row: &mut Vec<usize>,
+) -> usize {
     if short.is_empty() {
         return long.len();
     }
@@ -33,7 +51,7 @@ pub(crate) fn levenshtein_chars_scratch(a: &[char], b: &[char], row: &mut Vec<us
         let mut prev_diag = row[0];
         row[0] = i + 1;
         for (j, &sc) in short.iter().enumerate() {
-            let cost = usize::from(lc != sc);
+            let cost = usize::from(lc.into() != sc.into());
             let val = (prev_diag + cost).min(row[j] + 1).min(row[j + 1] + 1);
             prev_diag = row[j + 1];
             row[j + 1] = val;

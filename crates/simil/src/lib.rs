@@ -26,7 +26,9 @@
 //! additionally early-exits in descending weight order once the decision
 //! is forced, while still returning identical decisions. Levenshtein terms
 //! on ASCII inputs of any length run the blocked (multi-word) Myers
-//! bit-parallel scan; the two-row DP is left for non-ASCII input.
+//! bit-parallel scan over one byte per character; the two-row DP is left
+//! for non-ASCII input. `matches` first tries to reject such a term on the
+//! two values' lengths and character histograms alone.
 //!
 //! The pipeline compares pairs through the prepared path only. The string
 //! path — [`MatchRule::score`] and [`MatchRule::matches`] — is the

@@ -1,6 +1,7 @@
 //! Myers' bit-parallel Levenshtein distance in its blocked (multi-word)
-//! form (Myers 1999, in Hyyrö's formulation), for ASCII patterns of any
-//! length.
+//! form (Myers 1999, in Hyyrö's formulation), for ASCII patterns and texts
+//! of any length, read as byte slices — one byte per character, the form a
+//! prepared signature keeps an ASCII value in.
 //!
 //! A pattern of `m` characters occupies `⌈m/64⌉` `u64` blocks per text
 //! column. Each block runs the same step; the horizontal delta (−1, 0 or
@@ -24,18 +25,8 @@
 //! every ASCII Levenshtein term.
 
 const WORD: usize = 64;
-/// Table rows: the 128 ASCII characters and one never-filled row.
-const ROWS: usize = 129;
-
-/// The table row of a text character (non-ASCII matches nothing).
-#[inline(always)]
-fn row_of(c: char) -> usize {
-    if c.is_ascii() {
-        c as usize
-    } else {
-        ROWS - 1
-    }
-}
+/// Table rows: one per ASCII character.
+const ROWS: usize = 128;
 
 /// Number of `u64` blocks a pattern of `m` characters occupies.
 fn words_for(m: usize) -> usize {
@@ -66,14 +57,17 @@ fn block_step(eq: u64, pv: &mut u64, mv: &mut u64, ph_in: u64, mh_in: u64) -> (u
 #[derive(Debug, Default)]
 pub(crate) struct MyersScratch {
     /// `peq[c * words + k]`: bit `i` set iff `pattern[64·k + i] == c`.
-    /// Holds `129 · words` slots for the widest pattern seen so far: a row
-    /// per ASCII character plus row 128, which no fill touches — the mask
-    /// of a text character that matches nothing.
+    /// Holds `128 · words` slots for the widest pattern seen so far, a row
+    /// per ASCII character.
     peq: Vec<u64>,
     /// Vertical positive deltas, one word per block (multi-word scan only).
     pv: Vec<u64>,
     /// Vertical negative deltas, one word per block.
     mv: Vec<u64>,
+    /// Scans run through this scratch: how tests see that a pair was
+    /// decided without one.
+    #[cfg(test)]
+    pub(crate) scans: usize,
 }
 
 impl MyersScratch {
@@ -81,7 +75,7 @@ impl MyersScratch {
     /// The table must be all-zero on entry; undo with [`Self::clear`] on the
     /// same pattern. Splitting fill/scan/clear lets the batch path build one
     /// probe's table once and scan a whole block of candidates against it.
-    pub(crate) fn fill(&mut self, pattern: &[char]) {
+    pub(crate) fn fill(&mut self, pattern: &[u8]) {
         debug_assert!(!pattern.is_empty());
         let words = words_for(pattern.len());
         if self.peq.len() < ROWS * words {
@@ -100,7 +94,7 @@ impl MyersScratch {
 
     /// Zero the table entries [`Self::fill`] touched, restoring the table to
     /// all-zero by visiting only the pattern's own characters.
-    pub(crate) fn clear(&mut self, pattern: &[char]) {
+    pub(crate) fn clear(&mut self, pattern: &[u8]) {
         let words = words_for(pattern.len());
         let peq = &mut self.peq[..ROWS * words];
         for (k, block) in pattern.chunks(WORD).enumerate() {
@@ -112,11 +106,16 @@ impl MyersScratch {
 
     /// The scan against the filled table: exact Levenshtein distance between
     /// the pattern the table was filled from (of length `pattern_len`) and
-    /// `text`, in either length order. Leaves the table untouched, so one
-    /// fill can serve many scans. A non-ASCII text character matches nothing.
-    pub(crate) fn scan(&mut self, pattern_len: usize, text: &[char]) -> usize {
+    /// `text` (ASCII), in either length order. Leaves the table untouched,
+    /// so one fill can serve many scans.
+    pub(crate) fn scan(&mut self, pattern_len: usize, text: &[u8]) -> usize {
         let m = pattern_len;
         debug_assert!(m >= 1, "empty pattern");
+        debug_assert!(text.is_ascii());
+        #[cfg(test)]
+        {
+            self.scans += 1;
+        }
         let words = words_for(m);
         let hibit = 1u64 << ((m - 1) % WORD);
         let mut score = m;
@@ -127,7 +126,7 @@ impl MyersScratch {
             let peq = &self.peq[..ROWS];
             let (mut pv, mut mv) = (!0u64, 0u64);
             for &c in text {
-                let (ph, mh) = block_step(peq[row_of(c)], &mut pv, &mut mv, 1, 0);
+                let (ph, mh) = block_step(peq[c as usize], &mut pv, &mut mv, 1, 0);
                 score += usize::from(ph & hibit != 0);
                 score -= usize::from(mh & hibit != 0);
             }
@@ -139,7 +138,7 @@ impl MyersScratch {
         pv.fill(!0); // column 0: D[i][0] = i
         mv.fill(0);
         for &c in text {
-            let eqs = &peq[row_of(c) * words..][..words];
+            let eqs = &peq[c as usize * words..][..words];
             let (mut ph_in, mut mh_in) = (1u64, 0u64);
             let (mut ph, mut mh) = (0u64, 0u64);
             for k in 0..words {
@@ -154,9 +153,9 @@ impl MyersScratch {
     }
 
     /// Exact Levenshtein distance between `pattern` (ASCII, non-empty) and
-    /// `text`. The table must be all-zero on entry and is all-zero again on
-    /// return.
-    pub(crate) fn distance(&mut self, pattern: &[char], text: &[char]) -> usize {
+    /// `text` (ASCII). The table must be all-zero on entry and is all-zero
+    /// again on return.
+    pub(crate) fn distance(&mut self, pattern: &[u8], text: &[u8]) -> usize {
         self.fill(pattern);
         let score = self.scan(pattern.len(), text);
         self.clear(pattern);
@@ -172,9 +171,7 @@ mod tests {
 
     /// Distance through `scratch`, asserting the table is all-zero again.
     fn myers_with(scratch: &mut MyersScratch, a: &str, b: &str) -> usize {
-        let a: Vec<char> = a.chars().collect();
-        let b: Vec<char> = b.chars().collect();
-        let d = scratch.distance(&a, &b);
+        let d = scratch.distance(a.as_bytes(), b.as_bytes());
         assert!(scratch.peq.iter().all(|&x| x == 0), "table must be cleared");
         d
     }
@@ -248,19 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn non_ascii_text_char_matches_nothing() {
-        for m in [5, 64, 65, 200] {
-            let a = text(m, 0);
-            let mut b: Vec<char> = a.chars().collect();
-            b[m / 2] = 'é';
-            b.push('ß');
-            let b: String = b.into_iter().collect();
-            assert_eq!(myers(&a, &b), 2, "m={m}");
-            assert_eq!(myers(&a, &b), levenshtein(&a, &b), "m={m}");
-        }
-    }
-
-    #[test]
     fn table_is_zero_across_changing_word_counts() {
         // One scratch, word counts 6 → 1 → 3 → 2 → 6: a stale bit from an
         // earlier stride would corrupt a later distance.
@@ -277,14 +261,13 @@ mod tests {
 
     #[test]
     fn one_fill_serves_many_scans() {
-        let pattern: Vec<char> = text(150, 0).chars().collect();
+        let pattern = text(150, 0).into_bytes();
         let mut scratch = MyersScratch::default();
         scratch.fill(&pattern);
         for n in [0, 1, 64, 149, 150, 151, 350] {
             let t = text(n, 9);
-            let tc: Vec<char> = t.chars().collect();
             assert_eq!(
-                scratch.scan(pattern.len(), &tc),
+                scratch.scan(pattern.len(), t.as_bytes()),
                 levenshtein(&text(150, 0), &t),
                 "n={n}"
             );

@@ -8,9 +8,10 @@
 //! This module amortizes all of that per *entity* instead of per *pair*:
 //!
 //! * [`PreparedEntity`] — per rule term, the signature that term's kernel
-//!   consumes: the char buffer (with any `max_chars` cap pre-applied, plus
-//!   an is-ASCII flag), sorted interned token ids, a sorted q-gram id
-//!   multiset, the raw value for `Exact`, or the Soundex code.
+//!   consumes: a Levenshtein value (any `max_chars` cap pre-applied) in one
+//!   of two representations with its character-class histogram (below), the
+//!   char buffer for Jaro-Winkler, sorted interned token ids, a sorted
+//!   q-gram id multiset, the raw value for `Exact`, or the Soundex code.
 //! * [`PreparedRule`] — scores/matches two [`PreparedEntity`]s using a
 //!   reusable [`SimScratch`] (DP rows, Myers character-class table, Jaro
 //!   match buffers), so the per-pair path performs **zero heap
@@ -42,17 +43,49 @@
 //!   full score is re-accumulated in declaration order, making the
 //!   boundary comparison bit-identical to the string path.
 //!
-//! Levenshtein terms run the blocked Myers bit-parallel scan
-//! (`crate::myers`: `⌈len/64⌉` words per column, the shorter buffer as
-//! the pattern) whenever both capped buffers are ASCII, at any length; only
-//! non-ASCII input reaches the two-row DP. Both produce the same exact
-//! integer distance.
+//! # Levenshtein values: two representations, and a bound before the scan
+//!
+//! An ASCII value is kept one byte per character (`LevText::Ascii`):
+//! preparing it is a copy of the attribute's bytes, and the blocked Myers
+//! bit-parallel scan (`crate::myers`: `⌈len/64⌉` words per column, the
+//! shorter value as the pattern) reads it as it is, at any length. Any
+//! other value is kept as Unicode scalar values (`LevText::Wide`) for the
+//! two-row DP, which is generic over the two element types, so a pair with
+//! one value of each kind compares without a converted copy. Both kernels
+//! produce the same exact integer distance.
+//!
+//! Beside the value sits a histogram of its characters over 32 folded
+//! classes (scalar value mod 32), `[u8; 32]`; a value with more than 255
+//! characters of one class has none. [`PreparedRule::matches`] — `score`
+//! never — uses it to decide a Levenshtein term *before* its kernel runs.
+//! Two lower bounds on the distance `d` cost nothing to read: the length
+//! difference, and the *bag distance* of the two histograms (an edit moves
+//! at most one occurrence into, out of, or between classes, so `d` edits
+//! cannot undo a surplus of more than `d` occurrences). `matches` evaluates
+//! the optimistic bound it evaluates after every term — this term and all
+//! remaining ones at their best — with the term's similarity taken at the
+//! lower bound instead of at `d`, and rejects if that already fails.
+//!
+//! This rejects only pairs the loop would have rejected at the same term.
+//! Let `d₀ ≤ d`. Every step from the distance to the bound's left-hand side
+//! is monotone under IEEE rounding: `d₀ as f64 ≤ d as f64` (exact
+//! integers), so `1 − d₀/len ≥ 1 − d/len` (division by a positive value and
+//! subtraction from a constant, each correctly rounded, preserve order),
+//! so `acc + w·sim(d₀) ≥ acc + w·sim(d)` for a weight `w ≥ 0`, so the two
+//! sums after adding the same remaining weights in the same order, and
+//! their quotients by the same `used_weight`, compare the same way. The
+//! value tested at `d₀` is therefore at least the value the loop tests
+//! after running the kernel; if it is below `threshold − 1e-9`, so is the
+//! loop's, and the loop returns `false` there (its accept test, on a
+//! smaller sum still, cannot have fired first). Both tests are one
+//! closure, so expression and margin cannot drift apart. A pair the bounds
+//! do not reject runs the exact kernel as before.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 use crate::jaro::{jaro_winkler_chars_scratch, JaroScratch};
-use crate::levenshtein::levenshtein_chars_scratch;
+use crate::levenshtein::levenshtein_scratch;
 use crate::myers::MyersScratch;
 use crate::phonetic::soundex;
 use crate::rule::{truncate, AttributeSim, MatchRule};
@@ -99,6 +132,93 @@ impl TokenInterner {
     }
 }
 
+/// Character classes of a [`LevSig`] histogram: a scalar value's low five
+/// bits, which folds the two cases of a letter into one class.
+const CLASSES: usize = 32;
+
+/// A Levenshtein value as the kernels read it, in one of two
+/// representations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum LevText {
+    /// An ASCII value, one byte per character: what the bit-parallel scan
+    /// reads, and a `memcpy` of the attribute to prepare.
+    Ascii(Box<[u8]>),
+    /// Any other value as Unicode scalar values, for the two-row DP.
+    Wide(Box<[char]>),
+}
+
+impl LevText {
+    /// Length in characters.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            LevText::Ascii(bytes) => bytes.len(),
+            LevText::Wide(chars) => chars.len(),
+        }
+    }
+}
+
+/// One Levenshtein term's signature: the value and what bounds its distance
+/// to another value from below without reading either.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LevSig {
+    pub(crate) text: LevText,
+    /// Occurrences of each character class in `text`; `None` when some
+    /// class occurs more often than a `u8` counts, and the value then takes
+    /// part in no histogram bound.
+    hist: Option<[u8; CLASSES]>,
+}
+
+impl LevSig {
+    fn new(value: &str) -> Self {
+        let mut counts = [0u32; CLASSES];
+        let text = if value.is_ascii() {
+            for &b in value.as_bytes() {
+                counts[usize::from(b) % CLASSES] += 1;
+            }
+            LevText::Ascii(value.as_bytes().into())
+        } else {
+            let chars: Box<[char]> = value.chars().collect();
+            for &c in chars.iter() {
+                counts[c as usize % CLASSES] += 1;
+            }
+            LevText::Wide(chars)
+        };
+        let hist = counts
+            .iter()
+            .all(|&n| n <= u32::from(u8::MAX))
+            .then(|| counts.map(|n| n as u8));
+        Self { text, hist }
+    }
+
+    /// A lower bound on the edit distance to `other` from the two
+    /// histograms (their *bag distance*), where both have one. One edit
+    /// adds an occurrence to a class, removes one, or moves one between two
+    /// classes, so it lowers the surplus of either value over the other —
+    /// summed over the classes — by at most one, and both surpluses are
+    /// zero between equal values.
+    fn bag_distance(&self, other: &Self) -> Option<usize> {
+        let (a, b) = (self.hist.as_ref()?, other.hist.as_ref()?);
+        // The two surpluses add up to the classes' absolute differences
+        // and differ by the length difference; this is the larger one.
+        let differences: u32 = a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| u32::from(x.abs_diff(y)))
+            .sum();
+        Some((differences as usize + self.text.len().abs_diff(other.text.len())) / 2)
+    }
+}
+
+/// Normalized Levenshtein similarity of two values at distance `d`, the
+/// longer of `max_len` characters — the string kernel's expression.
+#[inline]
+fn levenshtein_sim(d: usize, max_len: usize) -> f64 {
+    if max_len == 0 {
+        return 1.0;
+    }
+    1.0 - d as f64 / max_len as f64
+}
+
 /// One rule term's precomputed signature for one entity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PreparedAttr {
@@ -106,8 +226,11 @@ pub(crate) enum PreparedAttr {
     /// for any pair involving this entity (mirroring the string path's
     /// missing-value renormalization).
     Missing,
-    /// Char buffer for Levenshtein (cap pre-applied) and Jaro-Winkler.
-    Chars { chars: Vec<char>, ascii: bool },
+    /// Levenshtein value (cap pre-applied) with its character-class
+    /// histogram.
+    Lev(LevSig),
+    /// Char buffer for Jaro-Winkler.
+    Chars(Vec<char>),
     /// Sorted, deduplicated interned lowercase-token ids (Jaccard).
     Tokens(Vec<u32>),
     /// Sorted interned q-gram id multiset (q-gram Dice).
@@ -130,7 +253,8 @@ pub struct PreparedEntity {
 /// reused, so a warm scratch makes pair comparison allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct KernelScratch {
-    /// Two-row DP buffer for the non-ASCII Levenshtein fallback.
+    /// Two-row DP buffer for the non-ASCII Levenshtein fallback (either or
+    /// both sides non-ASCII: the DP reads bytes and chars alike).
     pub(crate) row: Vec<usize>,
     /// Blocked-Myers character-class table and column state (the table is
     /// filled and re-cleared per call by touching only the pattern's
@@ -225,15 +349,9 @@ impl PreparedRule {
                             Some(cap) => truncate(v, *cap),
                             None => v,
                         };
-                        PreparedAttr::Chars {
-                            chars: capped.chars().collect(),
-                            ascii: capped.is_ascii(),
-                        }
+                        PreparedAttr::Lev(LevSig::new(capped))
                     }
-                    AttributeSim::JaroWinkler => PreparedAttr::Chars {
-                        chars: v.chars().collect(),
-                        ascii: v.is_ascii(),
-                    },
+                    AttributeSim::JaroWinkler => PreparedAttr::Chars(v.chars().collect()),
                     AttributeSim::JaccardTokens => {
                         let mut ids: Vec<u32> = v
                             .split_whitespace()
@@ -289,7 +407,9 @@ impl PreparedRule {
     /// The co-reference decision — **identical** to [`MatchRule::matches`]
     /// but threshold-aware: terms are evaluated in descending weight order
     /// and evaluation stops as soon as the accept/reject decision is
-    /// forced (see the module docs for the exactness argument).
+    /// forced — for a Levenshtein term, already at the distance its
+    /// lengths and histograms bound it by from below, before its kernel
+    /// runs (see the module docs for the exactness arguments).
     pub fn matches(&self, a: &PreparedEntity, b: &PreparedEntity, s: &mut SimScratch) -> bool {
         let n = self.rule.attrs.len();
         debug_assert_eq!(a.terms.len(), n);
@@ -319,6 +439,38 @@ impl PreparedRule {
                 continue;
             }
             let term = &self.rule.attrs[i];
+            // Optimistic bound with the terms up to this one accumulated to
+            // `acc`: every remaining term scores 1, added in the same order
+            // the real accumulation would add them. Failing it forces
+            // REJECT.
+            let usable = &s.usable;
+            let cannot_reach = |acc: f64| {
+                let mut optimistic = acc;
+                for &oj in &self.order[pos + 1..] {
+                    if usable[oj as usize] {
+                        optimistic += self.rule.attrs[oj as usize].weight;
+                    }
+                }
+                optimistic / used_weight < threshold - DECISION_MARGIN
+            };
+
+            // Decide before scanning: the bound at a distance the term's
+            // real distance cannot be below (see the module docs).
+            if let (PreparedAttr::Lev(la), PreparedAttr::Lev(lb)) = (&a.terms[i], &b.terms[i]) {
+                let max_len = la.text.len().max(lb.text.len());
+                let at_best = |d: usize| acc + term.weight * levenshtein_sim(d, max_len);
+                let len_diff = la.text.len().abs_diff(lb.text.len());
+                if cannot_reach(at_best(len_diff)) {
+                    return false;
+                }
+                if la
+                    .bag_distance(lb)
+                    .is_some_and(|bag| bag > len_diff && cannot_reach(at_best(bag)))
+                {
+                    return false;
+                }
+            }
+
             let sim = term_score(&term.sim, &a.terms[i], &b.terms[i], &mut s.kernels);
             s.sims[i] = sim;
             acc += term.weight * sim;
@@ -329,15 +481,7 @@ impl PreparedRule {
             if acc / used_weight >= threshold + DECISION_MARGIN {
                 return true;
             }
-            // Optimistic bound: every remaining term scores 1, added in
-            // the same order the real accumulation would add them.
-            let mut optimistic = acc;
-            for &oj in &self.order[pos + 1..] {
-                if s.usable[oj as usize] {
-                    optimistic += self.rule.attrs[oj as usize].weight;
-                }
-            }
-            if optimistic / used_weight < threshold - DECISION_MARGIN {
+            if cannot_reach(acc) {
                 return false;
             }
         }
@@ -375,6 +519,24 @@ fn sorted_intersection(a: &[u32], b: &[u32]) -> usize {
     n
 }
 
+/// Exact edit distance of two prepared values: the blocked Myers scan when
+/// both are ASCII (the shorter as the pattern), the two-row DP otherwise.
+fn levenshtein_distance(a: &LevText, b: &LevText, s: &mut KernelScratch) -> usize {
+    match (a, b) {
+        (LevText::Ascii(x), LevText::Ascii(y)) => {
+            let (short, long) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+            if short.is_empty() {
+                long.len()
+            } else {
+                s.myers.distance(short, long)
+            }
+        }
+        (LevText::Ascii(x), LevText::Wide(y)) => levenshtein_scratch(x, y, &mut s.row),
+        (LevText::Wide(x), LevText::Ascii(y)) => levenshtein_scratch(x, y, &mut s.row),
+        (LevText::Wide(x), LevText::Wide(y)) => levenshtein_scratch(x, y, &mut s.row),
+    }
+}
+
 /// One term's kernel over prepared signatures — each arm reproduces the
 /// corresponding string kernel's exact arithmetic.
 pub(crate) fn term_score(
@@ -384,40 +546,13 @@ pub(crate) fn term_score(
     s: &mut KernelScratch,
 ) -> f64 {
     match (sim, a, b) {
-        (
-            AttributeSim::Levenshtein { .. },
-            PreparedAttr::Chars {
-                chars: ca,
-                ascii: aa,
-            },
-            PreparedAttr::Chars {
-                chars: cb,
-                ascii: ab,
-            },
-        ) => {
-            let max_len = ca.len().max(cb.len());
-            if max_len == 0 {
-                return 1.0;
-            }
-            let (short, long) = if ca.len() <= cb.len() {
-                (ca, cb)
-            } else {
-                (cb, ca)
-            };
-            let d = if short.is_empty() {
-                long.len()
-            } else if *aa && *ab {
-                s.myers.distance(short, long)
-            } else {
-                levenshtein_chars_scratch(ca, cb, &mut s.row)
-            };
-            1.0 - d as f64 / max_len as f64
+        (AttributeSim::Levenshtein { .. }, PreparedAttr::Lev(la), PreparedAttr::Lev(lb)) => {
+            let max_len = la.text.len().max(lb.text.len());
+            levenshtein_sim(levenshtein_distance(&la.text, &lb.text, s), max_len)
         }
-        (
-            AttributeSim::JaroWinkler,
-            PreparedAttr::Chars { chars: ca, .. },
-            PreparedAttr::Chars { chars: cb, .. },
-        ) => jaro_winkler_chars_scratch(ca, cb, &mut s.jaro),
+        (AttributeSim::JaroWinkler, PreparedAttr::Chars(ca), PreparedAttr::Chars(cb)) => {
+            jaro_winkler_chars_scratch(ca, cb, &mut s.jaro)
+        }
         (AttributeSim::JaccardTokens, PreparedAttr::Tokens(ta), PreparedAttr::Tokens(tb)) => {
             if ta.is_empty() && tb.is_empty() {
                 return 1.0;
@@ -508,7 +643,9 @@ impl<K: Eq + Hash> PreparedCache<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::levenshtein::levenshtein;
     use crate::rule::WeightedAttr;
+    use proptest::prelude::*;
 
     fn citeseer_rule() -> MatchRule {
         MatchRule::new(
@@ -664,6 +801,105 @@ mod tests {
             rule.score(&sa, &sb).to_bits()
         );
         assert!(scratch.kernels.row.capacity() > 0, "DP did not run");
+    }
+
+    /// What `matches` knows of the distance before any kernel runs.
+    fn distance_floor(a: &LevSig, b: &LevSig) -> usize {
+        let len_diff = a.text.len().abs_diff(b.text.len());
+        a.bag_distance(b).map_or(len_diff, |bag| bag.max(len_diff))
+    }
+
+    /// Signature and capped value, as `prepare` derives them.
+    fn capped_sig(value: &str, cap: Option<usize>) -> (LevSig, &str) {
+        let capped = cap.map_or(value, |cap| truncate(value, cap));
+        (LevSig::new(capped), capped)
+    }
+
+    proptest! {
+        #[test]
+        fn distance_floor_never_exceeds_the_distance(
+            a in ".{0,40}", b in ".{0,40}",
+            x in "[a-f ]{0,60}", y in "[a-f ]{0,60}",
+            cap in 0usize..50, capped in 0u8..2,
+        ) {
+            let cap = (capped == 1).then_some(cap);
+            // Unicode against Unicode, ASCII against ASCII, and mixed.
+            for (p, q) in [(&a, &b), (&x, &y), (&a, &y)] {
+                let ((sp, cp), (sq, cq)) = (capped_sig(p, cap), capped_sig(q, cap));
+                let d = levenshtein(cp, cq);
+                prop_assert!(distance_floor(&sp, &sq) <= d, "{cp:?} / {cq:?}");
+                prop_assert_eq!(distance_floor(&sp, &sq), distance_floor(&sq, &sp));
+                prop_assert_eq!(distance_floor(&sp, &sp), 0);
+            }
+        }
+
+        // More repeats of one class than a `u8` counts: the value has no
+        // histogram, and a pair with it falls back to the length bound —
+        // never to a bound read off a wrapped or clamped count.
+        #[test]
+        fn saturated_histogram_gives_no_bound_never_a_wrong_one(
+            run in 250usize..300,
+            other_run in 0usize..300,
+            tail in "[a-d]{0,12}",
+            other in "[a-d ]{0,40}",
+            wide in 0u8..2,
+            cap in 200usize..400, capped in 0u8..2,
+        ) {
+            let cap = (capped == 1).then_some(cap);
+            // 'a', 'A' and 'á' share class 1.
+            let long = format!("{}{tail}", if wide == 1 { "á" } else { "a" }.repeat(run));
+            let (sig, kept) = capped_sig(&long, cap);
+            let in_class = kept.chars().filter(|&c| c as usize % CLASSES == 1).count();
+            prop_assert_eq!(sig.hist.is_none(), in_class > usize::from(u8::MAX));
+            for q in [other, "A".repeat(other_run), "b".repeat(other_run)] {
+                let (sq, cq) = capped_sig(&q, cap);
+                let floor = distance_floor(&sig, &sq);
+                prop_assert!(floor <= levenshtein(kept, cq), "{run} / {cq:?}");
+                if sig.hist.is_none() || sq.hist.is_none() {
+                    prop_assert_eq!(floor, sig.text.len().abs_diff(sq.text.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bound_rejected_pairs_run_no_scan() {
+        let rule = MatchRule::new(
+            vec![WeightedAttr::new(
+                0,
+                1.0,
+                AttributeSim::Levenshtein { max_chars: None },
+            )],
+            0.8,
+        );
+        let pr = PreparedRule::new(rule.clone());
+        let mut interner = TokenInterner::new();
+        let mut scratch = SimScratch::new();
+        let mut decide = |a: &str, b: &str| {
+            let (va, vb) = (vec![a.to_string()], vec![b.to_string()]);
+            let pa = pr.prepare(&va, &mut interner);
+            let pb = pr.prepare(&vb, &mut interner);
+            let before = scratch.kernels.myers.scans;
+            let decision = pr.matches(&pa, &pb, &mut scratch);
+            assert_eq!(decision, rule.matches(&va, &vb), "{a:?} / {b:?}");
+            (decision, scratch.kernels.myers.scans - before)
+        };
+        // Too different in length to reach 0.8, whatever the characters.
+        assert_eq!(
+            decide("progressive entity resolution", "progressive"),
+            (false, 0)
+        );
+        // Equal lengths, so the length bound says nothing; no class in common.
+        assert_eq!(decide("abcdefghijklmnop", "qrstuvwxyzqrstuv"), (false, 0));
+        // Neither bound decides these two: one scan each, either outcome.
+        assert_eq!(
+            decide(
+                "progressive entity resolution",
+                "progresive entity resolution"
+            ),
+            (true, 1)
+        );
+        assert_eq!(decide("abcdefghijklmnop", "ponmlkjihgfedcba"), (false, 1));
     }
 
     #[test]

@@ -48,6 +48,15 @@ impl AttributeSim {
 }
 
 pub(crate) fn truncate(s: &str, max_chars: usize) -> &str {
+    // An all-ASCII head is one byte per character and ends on a character
+    // boundary (a continuation byte only follows a non-ASCII lead byte):
+    // cut at the byte, without decoding. Fewer bytes than `max_chars` are
+    // fewer characters too.
+    match s.as_bytes().get(..max_chars) {
+        None => return s,
+        Some(head) if head.is_ascii() => return &s[..max_chars],
+        Some(_) => {}
+    }
     match s.char_indices().nth(max_chars) {
         Some((byte_idx, _)) => &s[..byte_idx],
         None => s,
@@ -232,6 +241,14 @@ mod tests {
             let r = rule();
             let s = r.score(&ent(&a, &c), &ent(&b, &d));
             prop_assert!((0.0..=1.0).contains(&s));
+        }
+
+        // ASCII heads of every length around the cap (cut at the byte) in
+        // front of arbitrary tails (cut by decoding).
+        #[test]
+        fn prop_truncate_keeps_the_first_chars(head in "[a-z ]{0,12}", tail in ".{0,12}", cap in 0usize..30) {
+            let s = format!("{head}{tail}");
+            prop_assert_eq!(truncate(&s, cap), s.chars().take(cap).collect::<String>());
         }
 
         #[test]

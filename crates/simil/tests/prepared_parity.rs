@@ -160,6 +160,73 @@ proptest! {
     }
 }
 
+/// `base` with its first `k` characters replaced through `swap`.
+fn with_head(base: &str, k: usize, swap: impl Fn(char) -> char) -> String {
+    base.chars()
+        .enumerate()
+        .map(|(i, c)| if i < k { swap(c) } else { c })
+        .collect()
+}
+
+proptest! {
+    // The bounds `matches` takes before a Levenshtein kernel runs, under
+    // generated rules: random weights and threshold, an `Exact` term that
+    // the descending-weight order puts ahead of the Levenshtein term
+    // whenever it drew the larger weight, a token term behind, a cap or
+    // none, attributes missing on one side. Against one base value stand
+    // values at *every* distance `k` from equal to disjoint — so wherever
+    // the drawn rule puts the reject boundary, the pairs one edit to either
+    // side of it are among them — built four ways: `k` characters appended
+    // (the length bound sees `k`), replaced by a character of a class the
+    // base lacks (the histogram bound sees `k`, as bytes and — replaced by
+    // a non-ASCII one — as bytes against chars), and replaced within their
+    // class (both bounds see 0 and only the scan can tell).
+    #[test]
+    fn bounded_matches_agrees_at_every_distance(
+        base in "[a-h ]{1,40}",
+        w_exact in 0.0f64..1.0, w_lev in 0.01f64..1.0, w_tokens in 0.0f64..1.0,
+        threshold in 0.0f64..1.0,
+        cap in 0usize..3,
+        same_category in 0u8..2,
+        missing in 0u8..8,
+    ) {
+        let max_chars = [None, Some(16), Some(64)][cap];
+        let rule = MatchRule::new(
+            vec![
+                WeightedAttr::new(0, w_exact, AttributeSim::Exact),
+                WeightedAttr::new(1, w_lev, AttributeSim::Levenshtein { max_chars }),
+                WeightedAttr::new(2, w_tokens, AttributeSim::JaccardTokens),
+            ],
+            threshold,
+        );
+        let a = vec!["x".to_string(), base.clone(), "p q r".to_string()];
+        let len = base.chars().count();
+        for k in 0..=len {
+            for lev in [
+                format!("{base}{}", "~".repeat(k)),
+                with_head(&base, k, |_| '~'),
+                with_head(&base, k, |_| 'é'),
+                with_head(&base, k, |c| if c == ' ' { '@' } else { c.to_ascii_uppercase() }),
+            ] {
+                let mut b = vec![
+                    if same_category == 1 { "x" } else { "y" }.to_string(),
+                    lev,
+                    "p q s".to_string(),
+                ];
+                for (i, value) in b.iter_mut().enumerate() {
+                    // Never the Levenshtein value at every `k`: bit 1 drops
+                    // it only for the odd ones.
+                    if missing & (1 << i) != 0 && (i != 1 || k % 2 == 1) {
+                        value.clear();
+                    }
+                }
+                assert_parity(&rule, &a, &b);
+                assert_parity(&rule, &b, &a);
+            }
+        }
+    }
+}
+
 /// Interner sharing across many entities must not perturb results: prepare
 /// a batch against one interner and check each pair.
 #[test]

@@ -179,4 +179,37 @@ fn unicode_fallback_path_allocates_nothing() {
         0,
         "unicode fallback must not allocate per pair (sink {sink})"
     );
+
+    // The pair above is chars against bytes. The other mixes — bytes against
+    // chars, chars against chars of another length — go through the same
+    // scratch row, and a pair `matches` rejects on its length or histogram
+    // bound touches no buffer at all.
+    let c = prepared.prepare(
+        &["çafé résumé naïve übermäßig, encore".into(), "αβγ".into()],
+        &mut interner,
+    );
+    let short = prepared.prepare(&["caf".into(), "αβγδε".into()], &mut interner);
+    let disjoint = prepared.prepare(
+        &["0123456789 0123456789 01234".into(), "αβγδε".into()],
+        &mut interner,
+    );
+    let pairs = [(&b, &a), (&a, &c), (&c, &b), (&a, &short), (&a, &disjoint)];
+    assert!(!prepared.matches(&a, &short, &mut scratch));
+    assert!(!prepared.matches(&a, &disjoint, &mut scratch));
+    for (x, y) in pairs {
+        sink += prepared.score(x, y, &mut scratch);
+        sink += f64::from(prepared.matches(x, y, &mut scratch));
+    }
+    let before = allocations();
+    for _ in 0..1000 {
+        for (x, y) in pairs {
+            sink += prepared.score(x, y, &mut scratch);
+            sink += f64::from(prepared.matches(x, y, &mut scratch));
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "mixed and bound-rejected pairs must not allocate (sink {sink})"
+    );
 }
