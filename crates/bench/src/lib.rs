@@ -167,10 +167,8 @@ impl Figure {
     /// still printed above; the caller decides whether that's fatal).
     pub fn emit(&self, out_dir: &std::path::Path) -> std::io::Result<()> {
         println!("{}", self.render_text());
-        // lint:allow(direct_fs) bench result artifact, written outside any job; chaos coverage is not meaningful here
         std::fs::create_dir_all(out_dir)?;
         let path = out_dir.join(format!("{}.json", self.name));
-        // lint:allow(direct_fs) bench result artifact, written outside any job; chaos coverage is not meaningful here
         let mut f = std::fs::File::create(&path)?;
         serde_json::to_writer_pretty(&mut f, self).map_err(std::io::Error::other)?;
         writeln!(f)?;
@@ -274,10 +272,8 @@ impl BenchReport {
     /// aborting the process mid-report.
     pub fn emit(&self, out_dir: &std::path::Path) -> std::io::Result<()> {
         println!("{}", self.render_text());
-        // lint:allow(direct_fs) bench result artifact, written outside any job; chaos coverage is not meaningful here
         std::fs::create_dir_all(out_dir)?;
         let path = out_dir.join(format!("BENCH_{}.json", self.name));
-        // lint:allow(direct_fs) bench result artifact, written outside any job; chaos coverage is not meaningful here
         let mut f = std::fs::File::create(&path)?;
         serde_json::to_writer_pretty(&mut f, self).map_err(std::io::Error::other)?;
         writeln!(f)?;

@@ -140,10 +140,9 @@ pub struct ErConfig {
     /// histories, and exhaustion for the dead-letter queue. `None` (the
     /// default) observes nothing and costs nothing.
     pub observer: Option<pper_mapreduce::TaskObserver>,
-    /// Executor backend dispatching simulated tasks onto worker threads in
-    /// every MR job this config launches. Wall-clock scheduling only —
-    /// results are bit-identical across backends (see
-    /// `pper_mapreduce::exec`).
+    /// Read by nothing: every job dispatches through the one cursor pool
+    /// (`pper_mapreduce::exec`). Kept, with its one-valued type, until the
+    /// benchmark harness stops copying it (ROADMAP item 1(f)).
     pub executor: pper_mapreduce::ExecutorKind,
     /// Memory budget for the statistics job's shuffle. `None` (the default)
     /// groups every partition in memory; `Some(cfg)` spills partitions
@@ -264,12 +263,6 @@ impl ErConfig {
         self
     }
 
-    /// Select the executor backend for every MR job this config launches.
-    pub fn with_executor(mut self, executor: pper_mapreduce::ExecutorKind) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// The simulated cluster (paper config: 2+2 slots per machine).
     pub fn cluster(&self) -> ClusterSpec {
         ClusterSpec::paper(self.machines)
@@ -289,7 +282,6 @@ impl ErConfig {
         cfg.worker_threads = self.worker_threads;
         cfg.speculation = self.speculation;
         cfg.observer = self.observer.clone();
-        cfg.executor = self.executor;
         cfg
     }
 }

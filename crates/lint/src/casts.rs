@@ -12,8 +12,7 @@
 //! helper whose contract documents why the value fits (the helper carries
 //! the one audited `lint:allow(lossy_cast)`).
 
-use crate::lexer::{Token, TokenKind};
-use crate::parser::is_ident;
+use crate::lexer::{is_ident, Token, TokenKind};
 use crate::rules::Diagnostic;
 
 /// Integer target types C1 flags.
@@ -63,7 +62,10 @@ mod tests {
     use crate::rules::lint_source;
 
     fn rules_of(path: &str, src: &str) -> Vec<String> {
-        lint_source(path, src).into_iter().map(|d| d.rule).collect()
+        lint_source(path, src, false)
+            .into_iter()
+            .map(|d| d.rule)
+            .collect()
     }
 
     #[test]
@@ -102,7 +104,7 @@ mod tests {
     #[test]
     fn each_cast_reports_its_own_line() {
         let src = "fn f(x: u64) {\n    let a = x as u32;\n    let b = x as u16;\n}";
-        let diags = lint_source("crates/store/src/lib.rs", src);
+        let diags = lint_source("crates/store/src/lib.rs", src, false);
         assert_eq!(diags.len(), 2);
         assert_eq!(diags[0].line, 2);
         assert_eq!(diags[1].line, 3);

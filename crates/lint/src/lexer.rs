@@ -30,6 +30,14 @@ pub enum TokenKind {
     Punct,
 }
 
+pub(crate) fn is_ident(t: &Token, s: &str) -> bool {
+    t.kind == TokenKind::Ident && t.text == s
+}
+
+pub(crate) fn is_punct(t: &Token, c: char) -> bool {
+    t.kind == TokenKind::Punct && t.text.as_bytes() == [c as u8]
+}
+
 /// A `lint:allow(rule) reason` annotation harvested from a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowAnnotation {

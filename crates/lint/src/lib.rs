@@ -5,41 +5,27 @@
 //! counts, fault plans, and resume points — rests on invariants that unit
 //! tests only probe indirectly: no hash-order iteration feeding an emit, no
 //! wall-clock reads on virtual-time paths, justified relaxed atomics,
-//! `MrError`-routed failures in the runtime hot paths, VFS-routed file I/O,
+//! typed-error-routed failures in the pipeline crates, VFS-routed file I/O,
 //! audited `unsafe`, and truncation-free codec arithmetic. See [`rules`]
 //! for the rule table and the `lint:allow` annotation grammar.
 //!
-//! The check is two layers of scoping over the same sinks:
-//!
-//! - [`lint_source`]: the single-file scoping — each rule fires in its
-//!   designated crates/files.
-//! - [`analyze`] / [`analyze_tree`]: the whole-workspace analysis — on top
-//!   of the file scoping it parses every file into functions and calls
-//!   ([`parser`]), builds a cross-crate call graph ([`taint`]), and
-//!   promotes any sink *reachable* from a deterministic entry point
-//!   (map/reduce task bodies, `Executor::run`, the shuffle builders,
-//!   journal replay), reporting the full call chain in the diagnostic.
-//!   [`Options::reachability`] turns the second layer off so the fixtures
-//!   can pin each layer on its own; the CLI always runs both.
+//! [`lint_source`] checks one file: each rule fires in its designated
+//! crates/files, decided from the path alone. [`analyze_tree`] walks source
+//! roots and checks every `.rs` file under them; it is what the CLI and CI
+//! run.
 //!
 //! Run it as `cargo run -p pper-lint -- crates/ src/` (add `--format json`
-//! or `--format sarif` for CI, `--check-allows` to flag stale
-//! suppressions). The binary exits nonzero on any unsuppressed diagnostic.
+//! for CI, `--check-allows` to flag stale suppressions). The binary exits
+//! nonzero on any unsuppressed diagnostic.
 
-pub mod analysis;
 mod casts;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 mod safety;
-pub mod sarif;
-pub mod taint;
 
 use std::path::{Path, PathBuf};
 
-pub use analysis::{analyze, Options, SourceFile};
 pub use rules::{lint_source, Diagnostic, RULE_IDS};
-pub use sarif::to_sarif;
 
 /// Recursively collect the `.rs` files under `root` (or `root` itself for a
 /// file), skipping build output, VCS metadata, and lint test fixtures.
@@ -72,46 +58,38 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Read every `.rs` file under the given roots into [`SourceFile`]s.
-/// I/O failures surface as `io` pseudo-diagnostics rather than aborting.
-pub fn read_sources(roots: &[PathBuf]) -> (Vec<SourceFile>, Vec<Diagnostic>) {
-    let mut sources = Vec::new();
-    let mut io_diags = Vec::new();
+/// Lint every `.rs` file under the given roots; `check_allows` also
+/// reports stale `lint:allow` annotations. I/O failures surface as `io`
+/// pseudo-diagnostics rather than aborting.
+pub fn analyze_tree(roots: &[PathBuf], check_allows: bool) -> Vec<Diagnostic> {
+    let io_diag = |file: String, message: String| Diagnostic {
+        file,
+        line: 0,
+        rule: "io".into(),
+        message,
+    };
+    let mut diags = Vec::new();
     for root in roots {
         let files = match collect_rs_files(root) {
             Ok(files) => files,
             Err(err) => {
-                io_diags.push(Diagnostic {
-                    file: root.display().to_string(),
-                    line: 0,
-                    rule: "io".into(),
-                    message: format!("cannot walk: {err}"),
-                });
+                diags.push(io_diag(
+                    root.display().to_string(),
+                    format!("cannot walk: {err}"),
+                ));
                 continue;
             }
         };
         for file in files {
             let path = file.display().to_string();
             match std::fs::read_to_string(&file) {
-                Ok(src) => sources.push(SourceFile { path, src }),
-                Err(err) => io_diags.push(Diagnostic {
-                    file: path,
-                    line: 0,
-                    rule: "io".into(),
-                    message: format!("cannot read: {err}"),
-                }),
+                Ok(src) => diags.extend(lint_source(&path, &src, check_allows)),
+                Err(err) => diags.push(io_diag(path, format!("cannot read: {err}"))),
             }
         }
     }
-    (sources, io_diags)
-}
-
-/// Run the whole-workspace analysis over every `.rs` file under the given
-/// roots. This is what the CLI and CI use.
-pub fn analyze_tree(roots: &[PathBuf], opts: &Options) -> Vec<Diagnostic> {
-    let (sources, mut diags) = read_sources(roots);
-    diags.extend(analyze(&sources, opts));
     diags.sort();
+    diags.dedup();
     diags
 }
 

@@ -1,46 +1,36 @@
 //! CLI for the workspace invariant linter.
 //!
 //! ```text
-//! pper-lint [--format text|json|sarif] [--quiet] [--check-allows] <path>...
+//! pper-lint [--format text|json] [--quiet] [--check-allows] <path>...
 //! ```
 //!
 //! Exits 0 when every path is clean, 1 on any diagnostic, 2 on usage
-//! errors. `--format json` prints a machine-readable array, `--format
-//! sarif` a SARIF 2.1.0 document for code-scanning upload.
+//! errors. `--format json` prints a machine-readable array.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pper_lint::{analyze_tree, to_json, to_sarif, Options};
+use pper_lint::{analyze_tree, to_json};
 
-const USAGE: &str =
-    "usage: pper-lint [--format text|json|sarif] [--quiet] [--check-allows] <path>...";
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+const USAGE: &str = "usage: pper-lint [--format text|json] [--quiet] [--check-allows] <path>...";
 
 fn main() -> ExitCode {
     let mut roots: Vec<PathBuf> = Vec::new();
-    let mut format = Format::Text;
+    let mut json = false;
     let mut quiet = false;
-    let mut opts = Options::default();
+    let mut check_allows = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => match args.next().as_deref() {
-                Some("json") => format = Format::Json,
-                Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
+                Some("json") => json = true,
+                Some("text") => json = false,
                 other => {
-                    eprintln!("--format expects `text`, `json`, or `sarif`, got {other:?}");
+                    eprintln!("--format expects `text` or `json`, got {other:?}");
                     return ExitCode::from(2);
                 }
             },
-            "--check-allows" => opts.check_allows = true,
+            "--check-allows" => check_allows = true,
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -59,24 +49,22 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let diags = analyze_tree(&roots, &opts);
+    let diags = analyze_tree(&roots, check_allows);
 
-    match format {
-        Format::Json => println!("{}", to_json(&diags)),
-        Format::Sarif => print!("{}", to_sarif(&diags)),
-        Format::Text => {
-            for d in &diags {
-                println!("{}", d.render());
-            }
-            if !quiet {
-                eprintln!(
-                    "pper-lint: {} diagnostic{} across {} path{}",
-                    diags.len(),
-                    if diags.len() == 1 { "" } else { "s" },
-                    roots.len(),
-                    if roots.len() == 1 { "" } else { "s" },
-                );
-            }
+    if json {
+        println!("{}", to_json(&diags));
+    } else {
+        for d in &diags {
+            println!("{}", d.render());
+        }
+        if !quiet {
+            eprintln!(
+                "pper-lint: {} diagnostic{} across {} path{}",
+                diags.len(),
+                if diags.len() == 1 { "" } else { "s" },
+                roots.len(),
+                if roots.len() == 1 { "" } else { "s" },
+            );
         }
     }
     if diags.is_empty() {

@@ -3,28 +3,25 @@
 //!
 //! | id          | invariant                                                        |
 //! |-------------|------------------------------------------------------------------|
-//! | `hash_iter` | D1: no `HashMap`/`HashSet` iteration in deterministic crates     |
+//! | `hash_iter` | D1: no `HashMap`/`HashSet` iteration in the pipeline crates      |
 //! |             | unless the use is provably order-insensitive                     |
 //! | `wall_clock`| D2: no `Instant::now`/`SystemTime::now`/`thread_rng` outside the |
 //! |             | approved wall-clock modules (`cost.rs`, `bench`, `datagen`)      |
 //! | `relaxed`   | D3: every non-`SeqCst` ordering (`Relaxed`/`Acquire`/`Release`/  |
 //! |             | `AcqRel`) carries a written justification                        |
-//! | `panic_path`| D4: no `unwrap`/`expect`/`panic!` in the runtime hot paths       |
-//! |             | or anywhere in the durability-critical `journal` crate           |
+//! | `panic_path`| D4: no `unwrap`/`expect`/`panic!` in the pipeline crates         |
 //! | `direct_fs` | D5: no direct `std::fs` / `File::` / `OpenOptions::` access in   |
-//! |             | the out-of-core crates — file I/O must route through the         |
+//! |             | the pipeline crates — file I/O must route through the            |
 //! |             | fault-injectable `pper_vfs::Vfs` seam                            |
 //! |`safety_comment`| U1: every `unsafe` block/fn/impl carries a `// SAFETY:`       |
 //! |             | justification (see `crate::safety`)                              |
 //! | `lossy_cast`| C1: no bare `as` integer casts in codec/framing code             |
 //! |             | (`journal`, `store`, `extsort.rs` — see `crate::casts`)          |
 //!
-//! Each rule detects *sinks* on every non-exempt file; whether a sink
-//! becomes a diagnostic is decided by scope. The legacy file/crate scoping
-//! above is applied by [`lint_source`]; the whole-workspace analysis in
-//! [`crate::analysis`] additionally promotes sinks inside functions that
-//! are *reachable* from a deterministic entry point (see [`crate::taint`]),
-//! wherever they live.
+//! Scope is decided per file from its path alone. D1, D4 and D5 share one
+//! list, [`PIPELINE_CRATES`]: every non-test line of the crates a job's
+//! result passes through, rather than a per-rule list of the files a
+//! violation was once expected in.
 //!
 //! Any diagnostic can be suppressed with a `// lint:allow(<rule>) <reason>`
 //! comment on the same line or in the comment block directly above it; the
@@ -33,17 +30,21 @@
 //! `examples/`, or `benches/` are exempt — the invariants protect the
 //! production execution paths.
 
-use crate::lexer::{lex, LexedFile, Token, TokenKind};
-use crate::parser::{depth_delta, is_ident, is_path_sep, is_punct};
+use crate::lexer::{is_ident, is_punct, lex, LexedFile, Token, TokenKind};
 
-/// Crates whose emit-visible paths must be iteration-order deterministic
-/// (rule D1). Directory names under `crates/`.
-const D1_CRATES: &[&str] = &[
+/// The crates a job's result passes through, as directory names under
+/// `crates/`. Their production code must be iteration-order deterministic
+/// (D1), route failures through typed errors instead of panicking (D4), and
+/// do file I/O only through the fault-injectable `pper_vfs::Vfs` seam (D5).
+/// The `vfs` crate itself — the one place allowed to touch `std::fs` — is
+/// outside the list by construction.
+pub const PIPELINE_CRATES: &[&str] = &[
     "mapreduce",
     "er-core",
     "blocking",
     "schedule",
     "progressive",
+    "simil",
     "journal",
     "store",
 ];
@@ -94,20 +95,6 @@ const ORDER_INSENSITIVE_COLLECTS: &[&str] = &[
     "FxHashSet",
 ];
 
-/// Files whose hot paths must route errors through `MrError` (rule D4),
-/// relative suffixes under the mapreduce crate.
-const D4_FILES: &[&str] = &["runtime.rs", "shuffle.rs", "exec.rs"];
-
-/// Crates whose production code must route file I/O through the
-/// fault-injectable `pper_vfs::Vfs` seam (rule D5): the out-of-core
-/// storage crates, where the chaos suites have to be able to inject disk
-/// faults under every write. The `vfs` crate itself (the one place
-/// allowed to touch `std::fs`) is outside this list by construction.
-const D5_CRATES: &[&str] = &["store", "journal"];
-
-/// Mapreduce files under D5 (the external-sort spill path).
-const D5_FILES: &[&str] = &["extsort.rs"];
-
 /// Type names whose `X::…` associated calls D5 flags as direct
 /// filesystem access.
 const D5_FS_TYPES: &[&str] = &["File", "OpenOptions"];
@@ -142,16 +129,16 @@ impl Diagnostic {
 }
 
 /// Where a file sits in the workspace, as far as rule scoping cares.
-pub(crate) struct FileScope {
+struct FileScope {
     /// Directory name under `crates/` (or the top-level directory).
-    pub(crate) crate_dir: String,
+    crate_dir: String,
     /// Final file name.
-    pub(crate) file_name: String,
+    file_name: String,
     /// True for `tests/`, `examples/`, `benches/`, and fixture trees.
-    pub(crate) exempt: bool,
+    exempt: bool,
 }
 
-pub(crate) fn classify(path: &str) -> FileScope {
+fn classify(path: &str) -> FileScope {
     let norm = path.replace('\\', "/");
     let components: Vec<&str> = norm.split('/').filter(|c| !c.is_empty()).collect();
     let crate_dir = components
@@ -176,97 +163,48 @@ pub(crate) fn classify(path: &str) -> FileScope {
     }
 }
 
-/// One detected sink plus its scope verdicts. The detectors run on every
-/// non-exempt file; `legacy` says whether the historical file/crate scoping
-/// fires it, `reach` whether the call-graph analysis may promote it when
-/// its enclosing function is reachable from a deterministic entry point.
-pub(crate) struct Sink {
-    pub(crate) diag: Diagnostic,
-    pub(crate) legacy: bool,
-    pub(crate) reach: bool,
-}
-
-/// Run every rule's sink detector over one lexed file.
-pub(crate) fn collect_sinks(
-    path: &str,
-    lexed: &LexedFile,
-    mask: &[bool],
-    scope: &FileScope,
-) -> Vec<Sink> {
+/// Run every rule that is in scope for this file.
+fn run_rules(path: &str, lexed: &LexedFile, mask: &[bool], scope: &FileScope) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
-    let mut sinks: Vec<Sink> = Vec::new();
-    let mut stage = |raw: Vec<Diagnostic>, legacy: bool, reach: bool| {
-        sinks.extend(raw.into_iter().map(|diag| Sink {
-            diag,
-            legacy,
-            reach,
-        }));
-    };
-
     let mut raw = Vec::new();
-    rule_hash_iter(path, tokens, mask, &mut raw);
-    stage(raw, D1_CRATES.contains(&scope.crate_dir.as_str()), true);
+
+    // D1, D4, D5: a hash-order iteration can reorder a job's output, a
+    // panic turns a recoverable fault into a lost job, and a file access
+    // that bypasses the Vfs seam is invisible to the chaos suites.
+    if PIPELINE_CRATES.contains(&scope.crate_dir.as_str()) {
+        rule_hash_iter(path, tokens, mask, &mut raw);
+        rule_panic_path(path, tokens, mask, &mut raw);
+        rule_direct_fs(path, tokens, mask, &mut raw);
+    }
 
     // The bench/datagen crates measure and generate — wall-clock use is
-    // their purpose, so they are exempt outright. `cost.rs` is only exempt
-    // from the *file* scoping: a clock read there that is reachable from a
-    // deterministic entry point is still a determinism bug.
-    if scope.crate_dir != "bench" && scope.crate_dir != "datagen" {
-        let mut raw = Vec::new();
+    // their purpose — and `cost.rs` is the approved wall-clock module.
+    if scope.crate_dir != "bench" && scope.crate_dir != "datagen" && scope.file_name != "cost.rs" {
         rule_wall_clock(path, tokens, mask, &mut raw);
-        stage(raw, scope.file_name != "cost.rs", true);
     }
 
-    let mut raw = Vec::new();
     rule_relaxed(path, tokens, mask, &mut raw);
-    stage(raw, true, true);
-
-    // D4 guards the mapreduce hot paths and the whole journal crate: a
-    // panic while appending or recovering a job log turns a recoverable
-    // I/O hiccup into lost durability. Elsewhere a panic only matters if
-    // a deterministic entry point can actually reach it.
-    let d4_scope = (scope.crate_dir == "mapreduce" && D4_FILES.contains(&scope.file_name.as_str()))
-        || scope.crate_dir == "journal";
-    let mut raw = Vec::new();
-    rule_panic_path(path, tokens, mask, &mut raw);
-    stage(raw, d4_scope, true);
-
-    // D5 guards the out-of-core path: any file access that bypasses the
-    // Vfs seam is invisible to fault injection, so the chaos conformance
-    // sweep would silently stop covering it. The vfs crate IS the seam —
-    // its own `std::fs` calls are the implementation, never a bypass.
-    if scope.crate_dir != "vfs" {
-        let d5_scope = D5_CRATES.contains(&scope.crate_dir.as_str())
-            || (scope.crate_dir == "mapreduce" && D5_FILES.contains(&scope.file_name.as_str()));
-        let mut raw = Vec::new();
-        rule_direct_fs(path, tokens, mask, &mut raw);
-        stage(raw, d5_scope, true);
-    }
 
     // U1 applies everywhere: unsafety is audited wherever it lives.
-    let mut raw = Vec::new();
     crate::safety::rule_safety_comment(path, tokens, mask, lexed, &mut raw);
-    stage(raw, true, false);
 
-    // C1 is a codec-locality rule, not a reachability one: the danger is
-    // the serialized artifact, so only the framing/codec code is in scope.
-    let c1_scope = scope.crate_dir == "journal"
+    // C1 is a codec-locality rule: the danger is the serialized artifact,
+    // so only the framing/codec code is in scope.
+    if scope.crate_dir == "journal"
         || scope.crate_dir == "store"
-        || (scope.crate_dir == "mapreduce" && scope.file_name == "extsort.rs");
-    if c1_scope {
-        let mut raw = Vec::new();
+        || (scope.crate_dir == "mapreduce" && scope.file_name == "extsort.rs")
+    {
         crate::casts::rule_lossy_cast(path, tokens, mask, &mut raw);
-        stage(raw, true, false);
     }
 
-    sinks
+    raw
 }
 
 /// Apply the `lint:allow` layer to raw diagnostics: drop suppressed ones,
 /// validate the annotations themselves (`allow_unknown`/`allow_reason`),
 /// and — when `check_dead` — report valid annotations that suppressed
 /// nothing as `dead_allow`.
-pub(crate) fn apply_allows(
+fn apply_allows(
     path: &str,
     lexed: &LexedFile,
     raw: Vec<Diagnostic>,
@@ -328,27 +266,37 @@ pub(crate) fn apply_allows(
     out
 }
 
-/// Lint one file's source under the legacy single-file scoping. `path` is
-/// used both for scoping decisions and verbatim in the emitted
-/// diagnostics. The whole-workspace, call-graph-aware analysis lives in
-/// [`crate::analysis::analyze`].
-pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
+/// Lint one file's source. `path` is used both for scoping decisions and
+/// verbatim in the emitted diagnostics; `check_allows` additionally reports
+/// `lint:allow` annotations that suppress nothing (`dead_allow`).
+pub fn lint_source(path: &str, src: &str, check_allows: bool) -> Vec<Diagnostic> {
     let scope = classify(path);
     if scope.exempt {
         return Vec::new();
     }
     let lexed = lex(src);
     let mask = cfg_test_mask(&lexed.tokens);
-    let raw: Vec<Diagnostic> = collect_sinks(path, &lexed, &mask, &scope)
-        .into_iter()
-        .filter(|s| s.legacy)
-        .map(|s| s.diag)
-        .collect();
-    apply_allows(path, &lexed, raw, false)
+    let raw = run_rules(path, &lexed, &mask, &scope);
+    apply_allows(path, &lexed, raw, check_allows)
 }
 
 // ---------------------------------------------------------------------------
-// token helpers (the shared ones live in crate::parser)
+// token helpers
+
+fn is_path_sep(tokens: &[Token], i: usize) -> bool {
+    i + 1 < tokens.len() && is_punct(&tokens[i], ':') && is_punct(&tokens[i + 1], ':')
+}
+
+fn depth_delta(t: &Token) -> i32 {
+    if t.kind != TokenKind::Punct {
+        return 0;
+    }
+    match t.text.as_bytes().first() {
+        Some(b'(' | b'[' | b'{') => 1,
+        Some(b')' | b']' | b'}') => -1,
+        _ => 0,
+    }
+}
 
 /// Index one past the end of the statement starting at `from`: the next
 /// `;` at relative depth 0, a `{` opening a block at depth 0, or the point
@@ -370,7 +318,7 @@ fn statement_end(tokens: &[Token], from: usize) -> usize {
 
 /// Mark every token inside a `#[cfg(test)]`-gated item (attributes
 /// included) so the rules skip test code.
-pub(crate) fn cfg_test_mask(tokens: &[Token]) -> Vec<bool> {
+fn cfg_test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i + 6 < tokens.len() {
@@ -856,8 +804,8 @@ fn rule_panic_path(path: &str, tokens: &[Token], mask: &[bool], diags: &mut Vec<
                 t.line,
                 "panic_path",
                 format!(
-                    "`.{}()` in a runtime hot path aborts the whole job on an internal \
-                     bug; route the failure through `MrError` or justify with \
+                    "`.{}()` in a pipeline crate aborts the whole job on an internal \
+                     bug; route the failure through the crate's error type or justify with \
                      `// lint:allow(panic_path) <reason>`",
                     t.text
                 ),
@@ -869,8 +817,8 @@ fn rule_panic_path(path: &str, tokens: &[Token], mask: &[bool], diags: &mut Vec<
                 path,
                 t.line,
                 "panic_path",
-                "`panic!` in a runtime hot path aborts the whole job; route the \
-                 failure through `MrError` or justify with \
+                "`panic!` in a pipeline crate aborts the whole job; route the \
+                 failure through the crate's error type or justify with \
                  `// lint:allow(panic_path) <reason>`"
                     .to_string(),
             );
@@ -936,7 +884,10 @@ mod tests {
     const D1_PATH: &str = "crates/mapreduce/src/example.rs";
 
     fn rules_of(path: &str, src: &str) -> Vec<String> {
-        lint_source(path, src).into_iter().map(|d| d.rule).collect()
+        lint_source(path, src, false)
+            .into_iter()
+            .map(|d| d.rule)
+            .collect()
     }
 
     #[test]
@@ -982,10 +933,14 @@ mod tests {
     }
 
     #[test]
-    fn hash_iter_only_applies_to_deterministic_crates() {
+    fn hash_iter_only_applies_to_pipeline_crates() {
         let src = "fn f() { let m = HashMap::new(); for k in m.keys() { emit(k); } }";
-        assert!(rules_of("crates/simil/src/x.rs", src).is_empty());
-        assert_eq!(rules_of("crates/er-core/src/x.rs", src), vec!["hash_iter"]);
+        assert!(rules_of("crates/datagen/src/x.rs", src).is_empty());
+        assert!(rules_of("crates/bench/src/x.rs", src).is_empty());
+        for krate in PIPELINE_CRATES {
+            let path = format!("crates/{krate}/src/x.rs");
+            assert_eq!(rules_of(&path, src), vec!["hash_iter"], "{path}");
+        }
     }
 
     #[test]
@@ -1040,31 +995,35 @@ mod tests {
     }
 
     #[test]
-    fn panic_path_only_in_hot_files() {
+    fn panic_path_covers_every_pipeline_crate_file() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        assert_eq!(
-            rules_of("crates/mapreduce/src/runtime.rs", src),
-            vec!["panic_path"]
-        );
-        assert!(rules_of("crates/mapreduce/src/job.rs", src).is_empty());
+        for path in [
+            "crates/mapreduce/src/runtime.rs",
+            "crates/mapreduce/src/job.rs",
+            "crates/er-core/src/job2.rs",
+            "crates/schedule/src/plan.rs",
+            "crates/simil/src/prepared.rs",
+        ] {
+            assert_eq!(rules_of(path, src), vec!["panic_path"], "{path}");
+        }
         let src = "fn f() { panic!(\"boom\"); }";
         assert_eq!(
             rules_of("crates/mapreduce/src/shuffle.rs", src),
             vec!["panic_path"]
         );
-        // The executor backends dispatch every simulated task, so they are
-        // hot-path too.
         let src = "fn f(x: Option<u32>) -> u32 { x.expect(\"claimed\") }";
         assert_eq!(
             rules_of("crates/mapreduce/src/exec.rs", src),
             vec!["panic_path"]
         );
+        // Outside the pipeline a panic costs a tool run, not a job.
+        assert!(rules_of("crates/bench/src/lib.rs", src).is_empty());
+        assert!(rules_of("crates/datagen/src/books.rs", src).is_empty());
+        assert!(rules_of("src/bin/pper.rs", src).is_empty());
     }
 
     #[test]
-    fn panic_path_covers_every_journal_file() {
-        // The journal crate is durability-critical end to end, so D4
-        // applies to all of it, not just a file list.
+    fn journal_is_covered_by_every_scoped_rule() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
         assert_eq!(
             rules_of("crates/journal/src/frame.rs", src),
@@ -1074,7 +1033,6 @@ mod tests {
             rules_of("crates/journal/src/store.rs", src),
             vec!["panic_path"]
         );
-        // D1 and D2 cover it too.
         let src = "fn f() { let m = HashMap::new(); for k in m.keys() { emit(k); } \
                    let t = Instant::now(); }";
         assert_eq!(
@@ -1084,18 +1042,18 @@ mod tests {
     }
 
     #[test]
-    fn direct_fs_scopes_to_out_of_core_crates() {
-        let src = "fn f() { let bytes = std::fs::read(\"x\").unwrap(); }";
-        assert!(rules_of("crates/store/src/lib.rs", src).contains(&"direct_fs".to_string()));
-        assert!(rules_of("crates/journal/src/store.rs", src).contains(&"direct_fs".to_string()));
-        assert_eq!(
-            rules_of("crates/mapreduce/src/extsort.rs", src),
-            vec!["direct_fs"]
-        );
+    fn direct_fs_scopes_to_pipeline_crates() {
+        let src = "fn f() { let bytes = std::fs::read(\"x\").ok(); }";
+        for path in [
+            "crates/store/src/lib.rs",
+            "crates/journal/src/store.rs",
+            "crates/mapreduce/src/extsort.rs",
+            "crates/mapreduce/src/runtime.rs",
+            "crates/er-core/src/durable.rs",
+        ] {
+            assert_eq!(rules_of(path, src), vec!["direct_fs"], "{path}");
+        }
         // Elsewhere (and in the vfs crate itself) direct fs access is fine.
-        assert!(rules_of("crates/mapreduce/src/runtime.rs", src)
-            .iter()
-            .all(|r| r != "direct_fs"));
         assert!(rules_of("crates/vfs/src/lib.rs", src).is_empty());
         assert!(rules_of("crates/bench/src/lib.rs", src).is_empty());
     }
@@ -1144,9 +1102,23 @@ mod tests {
     }
 
     #[test]
+    fn dead_allows_are_reported_only_on_request() {
+        let src = "fn f() {\n\
+                   // lint:allow(wall_clock) coarse progress stamp, not in compare path\n\
+                   let t = Instant::now(); }\n\
+                   // lint:allow(hash_iter) nothing here iterates\n\
+                   fn unrelated() {}\n";
+        assert!(lint_source("crates/er-core/src/x.rs", src, false).is_empty());
+        let checked = lint_source("crates/er-core/src/x.rs", src, true);
+        assert_eq!(checked.len(), 1, "{checked:?}");
+        assert_eq!(checked[0].rule, "dead_allow");
+        assert!(checked[0].message.contains("hash_iter"));
+    }
+
+    #[test]
     fn diagnostics_carry_file_and_line() {
         let src = "fn a() {}\nfn f() {\n    let t = Instant::now();\n}\n";
-        let diags = lint_source("crates/er-core/src/basic.rs", src);
+        let diags = lint_source("crates/er-core/src/basic.rs", src, false);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 3);
         assert_eq!(diags[0].file, "crates/er-core/src/basic.rs");

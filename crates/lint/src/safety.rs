@@ -8,8 +8,7 @@
 //! above (attribute lines like `#[cfg(…)]` between the comment and the
 //! `unsafe` keyword are tolerated).
 
-use crate::lexer::{LexedFile, Token};
-use crate::parser::{is_ident, is_punct};
+use crate::lexer::{is_ident, is_punct, LexedFile, Token};
 use crate::rules::Diagnostic;
 
 /// What the `unsafe` keyword introduces, for the diagnostic text.
@@ -113,7 +112,10 @@ mod tests {
     use crate::rules::lint_source;
 
     fn rules_of(path: &str, src: &str) -> Vec<String> {
-        lint_source(path, src).into_iter().map(|d| d.rule).collect()
+        lint_source(path, src, false)
+            .into_iter()
+            .map(|d| d.rule)
+            .collect()
     }
 
     const P: &str = "crates/vfs/src/x.rs";

@@ -1,6 +1,6 @@
 //@ path: crates/mapreduce/src/runtime.rs
 //! D4 `panic_path` negatives: an annotated invariant passes, and the same
-//! operations are always fine outside the hot-path file set (covered by the
+//! operations are always fine outside the pipeline crates (covered by the
 //! scoping tests in `rules.rs`).
 
 fn lookup(table: &[Option<usize>]) -> usize {

@@ -1,6 +1,6 @@
 //@ path: crates/mapreduce/src/runtime.rs
-//! D4 `panic_path` positives: unwrap/expect/panic! in a runtime hot-path
-//! file (`runtime.rs` here) must be reported.
+//! D4 `panic_path` positives: unwrap/expect/panic! in a pipeline crate
+//! (`mapreduce` here) must be reported.
 
 fn lookup(table: &[Option<usize>], key: usize) -> usize {
     let first = table.first().unwrap();

@@ -1,47 +1,39 @@
-//! Fuzz properties for the linter front end: whatever bytes the lexer,
-//! parser, and whole-workspace analysis are fed — arbitrary garbage or
-//! mutated copies of the linter's own sources — they must return
-//! diagnostics, never panic. A panic here would turn a malformed source
-//! file into a broken CI gate instead of a report.
+//! Fuzz properties for the linter: whatever bytes the lexer and the rules
+//! are fed — arbitrary garbage or mutated copies of real workspace
+//! sources — they must return diagnostics, never panic. A panic here would
+//! turn a malformed source file into a broken CI gate instead of a report.
 
-use pper_lint::{analyze, lint_source, Options, SourceFile};
+use pper_lint::lint_source;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Paths that exercise every scoping branch: legacy-rule crates, exempt
+/// Paths that exercise every scoping branch: pipeline crates, exempt
 /// files, the VFS seam, and codec/framing files.
 const SCOPES: [&str; 6] = [
     "crates/mapreduce/src/runtime.rs",
     "crates/journal/src/frame.rs",
     "crates/store/src/lib.rs",
     "crates/vfs/src/file.rs",
-    "crates/simil/src/batch.rs",
+    "crates/bench/src/lib.rs",
     "crates/er-core/tests/it.rs",
 ];
 
-/// Run every analysis depth over one in-memory workspace.
-fn exercise(files: Vec<SourceFile>) {
-    for f in &files {
-        lint_source(&f.path, &f.src);
-    }
-    analyze(&files, &Options::default());
-    analyze(
-        &files,
-        &Options {
-            reachability: false,
-            check_allows: true,
-        },
-    );
+/// Lint `src` as if it lived at `path`, with and without the dead-allow
+/// check.
+fn exercise(path: &str, src: &str) {
+    lint_source(path, src, false);
+    lint_source(path, src, true);
 }
 
-/// Real workspace material to mutate: the linter's own sources, which use
-/// every construct the parser knows about.
+/// Real workspace material to mutate: the linter's own sources and the
+/// resolution job, which between them use every construct the rules look
+/// for.
 fn corpus() -> Vec<&'static str> {
     vec![
         include_str!("../src/rules.rs"),
-        include_str!("../src/parser.rs"),
-        include_str!("../src/taint.rs"),
-        include_str!("../src/analysis.rs"),
+        include_str!("../src/lexer.rs"),
+        include_str!("../src/safety.rs"),
+        include_str!("../../er-core/src/job2.rs"),
     ]
 }
 
@@ -51,15 +43,10 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(
         bytes in vec(0u8..=255, 0..768),
-        scope_a in 0usize..6,
-        scope_b in 0usize..6,
+        scope in 0usize..6,
     ) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let files = vec![
-            SourceFile { path: SCOPES[scope_a].to_string(), src: src.clone() },
-            SourceFile { path: SCOPES[scope_b].to_string(), src },
-        ];
-        exercise(files);
+        exercise(SCOPES[scope], &src);
     }
 
     #[test]
@@ -83,10 +70,7 @@ proptest! {
         let at = at.min(bytes.len());
         bytes.splice(at..at, splice);
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let files = vec![
-            SourceFile { path: "crates/mapreduce/src/exec.rs".to_string(), src: src.clone() },
-            SourceFile { path: "crates/simil/src/mutated.rs".to_string(), src },
-        ];
-        exercise(files);
+        exercise("crates/mapreduce/src/exec.rs", &src);
+        exercise("crates/journal/src/mutated.rs", &src);
     }
 }

@@ -11,7 +11,7 @@
 
 use std::path::{Path, PathBuf};
 
-use pper_lint::{analyze, lint_source, Options, SourceFile};
+use pper_lint::lint_source;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -50,7 +50,7 @@ fn fixtures_match_expected_diagnostics() {
     for fixture in &fixtures {
         let src = std::fs::read_to_string(fixture).expect("read fixture");
         let path = synthetic_path(fixture, &src);
-        let rendered: String = lint_source(&path, &src)
+        let rendered: String = lint_source(&path, &src, false)
             .iter()
             .map(|d| format!("{}\n", d.render()))
             .collect();
@@ -77,106 +77,6 @@ fn fixtures_match_expected_diagnostics() {
         "fixture diagnostics diverged from goldens \
          (UPDATE_EXPECT=1 re-blesses):\n{}",
         failures.join("\n")
-    );
-}
-
-/// Multi-file fixtures under `fixtures/reach/<case>/`: each case is a mini
-/// workspace (every `.rs` carries its own `//@ path:` header) run through
-/// the call-graph analysis. The golden `<case>/expected.txt` must match the
-/// full analysis — and, the point of the exercise, the legacy single-file
-/// scoping must produce a *different* (weaker) report for every case, with
-/// at least one case whose sink legacy scoping misses entirely.
-#[test]
-fn reach_fixtures_match_and_legacy_provably_misses() {
-    let dir = fixture_dir().join("reach");
-    let mut cases: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("reach fixtures directory")
-        .map(|e| e.expect("case entry").path())
-        .filter(|p| p.is_dir())
-        .collect();
-    cases.sort();
-    assert!(!cases.is_empty(), "no cases found in {}", dir.display());
-
-    let update = std::env::var_os("UPDATE_EXPECT").is_some();
-    let mut failures = Vec::new();
-    let mut provably_missed = 0usize;
-    for case in &cases {
-        let mut fixtures: Vec<PathBuf> = std::fs::read_dir(case)
-            .expect("case directory")
-            .map(|e| e.expect("case file").path())
-            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-            .collect();
-        fixtures.sort();
-        let files: Vec<SourceFile> = fixtures
-            .iter()
-            .map(|f| {
-                let src = std::fs::read_to_string(f).expect("read fixture");
-                let path = synthetic_path(f, &src);
-                SourceFile { path, src }
-            })
-            .collect();
-
-        let full = analyze(&files, &Options::default());
-        let legacy = analyze(
-            &files,
-            &Options {
-                reachability: false,
-                ..Options::default()
-            },
-        );
-        let rendered: String = full.iter().map(|d| format!("{}\n", d.render())).collect();
-
-        // Every case exists to demonstrate a multi-hop chain, so the full
-        // analysis must name an entry point at least once.
-        assert!(
-            rendered.contains("reachable from deterministic entry via"),
-            "{}: no call chain in the report:\n{rendered}",
-            case.display()
-        );
-        // The legacy report must be strictly weaker: either it misses the
-        // sink outright (counted below) or it lacks the chain.
-        let legacy_rendered: String = legacy.iter().map(|d| format!("{}\n", d.render())).collect();
-        assert_ne!(
-            rendered,
-            legacy_rendered,
-            "{}: legacy scoping already reports everything",
-            case.display()
-        );
-        if full.iter().any(|d| {
-            !legacy
-                .iter()
-                .any(|l| (&l.file, l.line, &l.rule) == (&d.file, d.line, &d.rule))
-        }) {
-            provably_missed += 1;
-        }
-
-        let expected_path = case.join("expected.txt");
-        if update {
-            std::fs::write(&expected_path, &rendered).expect("write golden");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&expected_path).unwrap_or_else(|_| {
-            panic!(
-                "missing golden file {} (run with UPDATE_EXPECT=1 to create it)",
-                expected_path.display()
-            )
-        });
-        if rendered != expected {
-            failures.push(format!(
-                "== {} ==\n-- expected --\n{expected}-- got --\n{rendered}",
-                case.file_name().and_then(|n| n.to_str()).unwrap_or("?"),
-            ));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "reach fixtures diverged from goldens (UPDATE_EXPECT=1 re-blesses):\n{}",
-        failures.join("\n")
-    );
-    assert!(
-        provably_missed >= 4,
-        "expected the D1/D2/D4/D5 sinks to be invisible to legacy scoping, \
-         got only {provably_missed} such cases"
     );
 }
 

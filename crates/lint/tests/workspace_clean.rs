@@ -1,15 +1,13 @@
 //! The linter's strongest test is the workspace itself: `cargo test` fails
 //! the moment anyone introduces an unsuppressed hash-order iteration,
-//! wall-clock read, bare `Ordering::Relaxed`, hot-path panic, bypassed VFS
-//! seam, unjustified `unsafe`, or truncating codec cast — including sinks
-//! that only matter because the call graph makes them *reachable* from a
-//! deterministic entry point. Dead `lint:allow` annotations fail too, so
-//! suppressions cannot outlive the code they excused. No CI wiring
-//! required.
+//! wall-clock read, bare `Ordering::Relaxed`, pipeline-crate panic, bypassed VFS
+//! seam, unjustified `unsafe`, or truncating codec cast. Dead `lint:allow`
+//! annotations fail too, so suppressions cannot outlive the code they
+//! excused. No CI wiring required.
 
 use std::path::{Path, PathBuf};
 
-use pper_lint::{analyze_tree, Options};
+use pper_lint::analyze_tree;
 
 #[test]
 fn workspace_has_no_unsuppressed_diagnostics() {
@@ -24,13 +22,7 @@ fn workspace_has_no_unsuppressed_diagnostics() {
         "no source roots under {}",
         root.display()
     );
-    let diags = analyze_tree(
-        &roots,
-        &Options {
-            reachability: true,
-            check_allows: true,
-        },
-    );
+    let diags = analyze_tree(&roots, true);
     assert!(
         diags.is_empty(),
         "pper-lint found {} unsuppressed diagnostic(s) in the workspace \

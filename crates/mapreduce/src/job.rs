@@ -113,11 +113,9 @@ pub struct JobConfig {
     /// [`crate::observe`] — so a journal built from the notifications is
     /// deterministic regardless of worker interleaving.
     pub observer: Option<TaskObserver>,
-    /// Executor backend dispatching simulated tasks (and shuffle grouping)
-    /// onto the worker threads. Every backend publishes into per-index
-    /// slots behind a barrier, so this knob affects wall-clock scheduling
-    /// only — results are bit-identical across backends (see
-    /// [`crate::exec`]).
+    /// Read by nothing: every job dispatches through the one cursor pool
+    /// ([`crate::exec`]). Kept, with its one-valued type, until the
+    /// benchmark harness stops assigning it (ROADMAP item 1(f)).
     pub executor: ExecutorKind,
 }
 

@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::cost::{virtual_makespan, CostClock, CostModel};
     pub use crate::counters::Counters;
     pub use crate::error::MrError;
-    pub use crate::exec::{CursorExecutor, Executor, ExecutorKind, WorkStealingExecutor};
+    pub use crate::exec::ExecutorKind;
     pub use crate::extsort::{ExternalSorter, SortedStream, SpillFullPolicy};
     pub use crate::faults::{AttemptFault, FaultPlan, InjectedAbort, SpeculationConfig};
     // Storage-fault vocabulary, re-exported so spill consumers configure
@@ -111,10 +111,7 @@ pub mod prelude {
     pub use crate::runtime::{
         run_job, run_job_spilling, run_job_with_partitioner, JobResult, PhaseReport, WallPhases,
     };
-    pub use crate::shuffle::{
-        shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, ShuffleSpillConfig,
-        ShuffleSpillStats,
-    };
+    pub use crate::shuffle::{GroupedPartition, ShuffleSpillConfig, ShuffleSpillStats};
     pub use crate::spill::SpillCodec;
     pub use pper_vfs::{
         std_vfs, FaultKind, FaultVfs, IoFault, IoFaultPlan, IoFaultRule, IoOp, RetryPolicy, Vfs,

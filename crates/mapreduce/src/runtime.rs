@@ -1,9 +1,8 @@
 //! The job executor: splits input, runs map tasks, shuffles, runs reduce
 //! tasks, and assembles virtual-time reports.
 //!
-//! Simulated tasks are executed on a pool of OS threads through the job's
-//! pluggable [`crate::exec::Executor`] backend (shared cursor claimed in adaptive
-//! chunks by default, work stealing on request), so wall-clock parallelism is
+//! Simulated tasks are executed on a pool of OS threads (a shared cursor
+//! claimed in adaptive chunks, [`crate::exec`]), so wall-clock parallelism is
 //! real; but the *reported* phase durations come from the per-task virtual
 //! clocks combined with list scheduling over the simulated cluster's slots
 //! ([`crate::cost::virtual_makespan`]). This separation lets a laptop
@@ -32,7 +31,7 @@ use parking_lot::Mutex;
 use crate::cost::{list_schedule_starts, virtual_makespan};
 use crate::counters::Counters;
 use crate::error::MrError;
-use crate::exec::ExecutorKind;
+use crate::exec::run_cursor_pool;
 use crate::faults::InjectedAbort;
 use crate::job::{Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind};
 use crate::observe::{AttemptRecord, TaskEvent};
@@ -302,11 +301,10 @@ fn run_one_task<T>(
 }
 
 /// Run `count` simulated tasks (index-addressed) on up to `threads` OS
-/// threads, collecting per-task [`TaskRun`]s in index order. Dispatch goes
-/// through the job's configured [`crate::exec::Executor`] backend; every
-/// backend runs each index exactly once and barriers before returning, so
-/// the index-order collection below (and therefore every observable) is
-/// identical across backends. Each task internally retries per the job's
+/// threads, collecting per-task [`TaskRun`]s in index order. The cursor
+/// pool runs each index exactly once and barriers before returning, so the
+/// index-order collection below (and therefore every observable) does not
+/// depend on dispatch order. Each task internally retries per the job's
 /// fault plan ([`run_one_task`]); the first task-level error aborts the job.
 fn run_tasks<T: Send>(
     cfg: &JobConfig,
@@ -318,7 +316,7 @@ fn run_tasks<T: Send>(
     // Per-index result slot a worker publishes into (None until its task ran).
     type TaskSlot<T> = Mutex<Option<Result<TaskRun<T>, TaskFailure>>>;
     let results: Vec<TaskSlot<T>> = (0..count).map(|_| Mutex::new(None)).collect();
-    cfg.executor.run(count, threads, &|idx| {
+    run_cursor_pool(count, threads, &|idx| {
         *results[idx].lock() = Some(run_one_task(cfg, kind, idx, &f));
     });
 
@@ -507,7 +505,7 @@ where
             reducer,
             &HashPartitioner,
             inputs,
-            |per, threads| shuffle_partitions_spilling(cfg.executor, per, threads, spill),
+            |per, threads| shuffle_partitions_spilling(per, threads, spill),
         );
         match result {
             Err(MrError::Io(fault)) if !fault.is_permanent() && reruns + 1 < attempts => {
@@ -539,16 +537,12 @@ where
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
     P: Partitioner<M::Key>,
 {
-    execute(cfg, mapper, reducer, partitioner, inputs, |per, threads| {
-        in_memory_shuffle(cfg.executor, per, threads)
-    })
+    execute(cfg, mapper, reducer, partitioner, inputs, in_memory_shuffle)
 }
 
 /// The default grouping strategy for [`execute`]: the fully in-memory
-/// parallel tag sort, never spilling, fanned out on the job's configured
-/// executor backend.
+/// parallel tag sort, never spilling.
 fn in_memory_shuffle<K, V>(
-    executor: ExecutorKind,
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
 ) -> Result<(Vec<GroupedPartition<K, V>>, ShuffleSpillStats), MrError>
@@ -557,7 +551,7 @@ where
     V: Send,
 {
     Ok((
-        shuffle_partitions(executor, per_partition, threads),
+        shuffle_partitions(per_partition, threads),
         ShuffleSpillStats::default(),
     ))
 }

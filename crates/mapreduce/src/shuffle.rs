@@ -45,13 +45,13 @@ use parking_lot::Mutex;
 use pper_vfs::{RetryPolicy, Vfs};
 
 use crate::error::MrError;
-use crate::exec::ExecutorKind;
+use crate::exec::run_cursor_pool;
 use crate::extsort::{ExternalSorter, SpillFullPolicy};
 use crate::fxhash::FxHashMap;
 use crate::spill::SpillCodec;
 
 /// One reduce partition's map-side buckets, in map-task order — the shape
-/// the map phase hands to [`shuffle_partitions`] / [`GroupedPartition::from_buckets`].
+/// the map phase hands to [`GroupedPartition::from_buckets`].
 pub type PartitionBuckets<K, V> = Vec<Vec<(K, V)>>;
 
 /// One reduce partition in flat form: `keys[g]` owns group `g`'s key,
@@ -224,13 +224,12 @@ impl<K: Eq, V> GroupedPartition<K, V> {
 /// Sort+group every partition on up to `threads` worker threads.
 ///
 /// `per_partition[p]` holds partition `p`'s buckets in map-task order.
-/// Partitions are dispatched through the given executor backend exactly
-/// like the runtime's task phases; results land in partition order
-/// regardless of the backend (per-index slots, collected post-barrier).
+/// Partitions are dispatched through the cursor pool exactly like the
+/// runtime's task phases; results land in partition order (per-index
+/// slots, collected post-barrier).
 /// Deliberately *no* [`crate::job::TaskContext`] and no virtual charges —
 /// see the module docs.
-pub fn shuffle_partitions<K, V>(
-    executor: ExecutorKind,
+pub(crate) fn shuffle_partitions<K, V>(
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
 ) -> Vec<GroupedPartition<K, V>>
@@ -252,8 +251,8 @@ where
         .collect();
     let done: Vec<Mutex<Option<GroupedPartition<K, V>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
-    executor.run(count, threads, &|idx| {
-        // The executor hands each index to exactly one worker, so the
+    run_cursor_pool(count, threads, &|idx| {
+        // The pool hands each index to exactly one worker, so the
         // slot is always occupied here; `from_buckets` on an empty
         // bucket list is the benign fallback rather than a panic.
         if let Some(buckets) = work[idx].lock().take() {
@@ -484,10 +483,9 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
 
 /// [`shuffle_partitions`] under a memory budget: per-partition
 /// grouping routes through [`GroupedPartition::from_buckets_spilling`],
-/// fanned out through the given executor backend. Bit-identical partitions
-/// to the in-memory shuffle at any thread count and on any backend.
-pub fn shuffle_partitions_spilling<K, V>(
-    executor: ExecutorKind,
+/// fanned out through the cursor pool. Bit-identical partitions to the
+/// in-memory shuffle at any thread count.
+pub(crate) fn shuffle_partitions_spilling<K, V>(
     per_partition: Vec<PartitionBuckets<K, V>>,
     threads: usize,
     cfg: &ShuffleSpillConfig,
@@ -514,7 +512,7 @@ where
         .collect();
     type SpillSlot<K, V> = Option<Result<(GroupedPartition<K, V>, ShuffleSpillStats), MrError>>;
     let done: Vec<Mutex<SpillSlot<K, V>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    executor.run(count, threads, &|idx| {
+    run_cursor_pool(count, threads, &|idx| {
         if let Some(buckets) = work[idx].lock().take() {
             *done[idx].lock() = Some(GroupedPartition::from_buckets_spilling(buckets, cfg));
         }
@@ -601,8 +599,8 @@ mod tests {
                 })
                 .collect::<Vec<Vec<Vec<(u64, u64)>>>>()
         };
-        let serial = shuffle_partitions(ExecutorKind::Cursor, mk(), 1);
-        let parallel = shuffle_partitions(ExecutorKind::Cursor, mk(), 8);
+        let serial = shuffle_partitions(mk(), 1);
+        let parallel = shuffle_partitions(mk(), 8);
         assert_eq!(serial, parallel);
     }
 
@@ -636,10 +634,9 @@ mod tests {
             run_capacity: 7,
             ..ShuffleSpillConfig::new(50)
         };
-        let reference = shuffle_partitions(ExecutorKind::Cursor, mk(), 1);
+        let reference = shuffle_partitions(mk(), 1);
         for threads in [1usize, 2, 8] {
-            let (spilled, stats) =
-                shuffle_partitions_spilling(ExecutorKind::Cursor, mk(), threads, &cfg).unwrap();
+            let (spilled, stats) = shuffle_partitions_spilling(mk(), threads, &cfg).unwrap();
             assert_eq!(spilled, reference, "threads={threads}");
             assert_eq!(stats.spilled_partitions, 12, "threads={threads}");
             assert!(stats.spill_runs >= 12, "threads={threads}");

@@ -1,24 +1,17 @@
-//! Bit-level determinism of whole jobs across executor backends *and*
-//! worker-thread counts.
+//! Bit-level determinism of whole jobs across worker-thread counts.
 //!
-//! The executor seam (`exec::ExecutorKind`) only decides which OS thread
-//! runs which simulated task and in what wall-clock order; every backend
-//! publishes results into caller-owned per-index slots and the driver
-//! collects them in index order after the barrier. So the one property that
-//! makes the backends interchangeable is: nothing observable may depend on
-//! the backend or the thread count. These tests run the same three job
-//! shapes — plain, under a fault plan, and with a spilling shuffle — across
-//! the full backend × thread-count matrix and demand byte-identical
-//! outputs, counters, timelines, and virtual costs, plus a property test
-//! that steal order never leaks into observables.
+//! The cursor pool (`exec.rs`) only decides which OS thread runs which
+//! simulated task and in what wall-clock order; workers publish results
+//! into caller-owned per-index slots and the driver collects them in index
+//! order after the barrier. So nothing observable may depend on the thread
+//! count. These tests run the same three job shapes — plain, under a fault
+//! plan, and with a spilling shuffle — at 1, 2 and 8 threads and demand
+//! byte-identical outputs, counters, timelines, and virtual costs, plus a
+//! property test that dispatch order never leaks into observables.
 
 use proptest::prelude::*;
 
 use pper_mapreduce::prelude::*;
-
-/// Every backend the matrix covers: the adaptive-chunk cursor (default)
-/// and the work-stealing deques.
-const BACKENDS: &[ExecutorKind] = &[ExecutorKind::Cursor, ExecutorKind::WorkStealing];
 
 const THREADS: &[usize] = &[1, 2, 8];
 
@@ -55,17 +48,16 @@ impl Reducer for Sum {
 }
 
 /// Zipf-ish corpus: a few very hot words plus a long tail, so per-task
-/// costs are skewed enough that stealing actually engages.
+/// costs are skewed enough that workers finish out of index order.
 fn corpus(lines: usize) -> Vec<String> {
     (0..lines)
         .map(|i| format!("the of w{} the w{} tail{}", i % 7, i % 63, i))
         .collect()
 }
 
-fn cfg(executor: ExecutorKind, threads: usize) -> JobConfig {
+fn cfg(threads: usize) -> JobConfig {
     let mut cfg = JobConfig::new("exec-determinism", ClusterSpec::paper(4));
     cfg.worker_threads = Some(threads);
-    cfg.executor = executor;
     cfg
 }
 
@@ -95,55 +87,44 @@ fn observables(r: &JobResult<(String, u64)>) -> impl PartialEq + std::fmt::Debug
     )
 }
 
-/// Run `job` across the whole backend × thread matrix and demand every cell
-/// matches the reference cell (cursor backend, one thread).
-fn assert_matrix_identical(
-    job: impl Fn(ExecutorKind, usize) -> JobResult<(String, u64)>,
+/// Run `job` at every thread count and demand each run matches the inline
+/// single-thread reference.
+fn assert_identical_across_threads(
+    job: impl Fn(usize) -> JobResult<(String, u64)>,
     spill_counters: bool,
 ) {
-    let base = job(ExecutorKind::Cursor, 1);
+    let base = job(1);
     if spill_counters {
         assert!(
             base.counters.get("shuffle_spilled_partitions") > 0,
             "spill never engaged; the spilling cell would be vacuous"
         );
     }
-    for &backend in BACKENDS {
-        for &threads in THREADS {
-            let r = job(backend, threads);
-            assert_eq!(
-                observables(&base),
-                observables(&r),
-                "backend={} worker_threads={threads}",
-                backend.name()
-            );
-        }
+    for &threads in THREADS {
+        let r = job(threads);
+        assert_eq!(
+            observables(&base),
+            observables(&r),
+            "worker_threads={threads}"
+        );
     }
 }
 
 #[test]
-fn plain_job_identical_across_backends() {
+fn plain_job_identical_across_thread_counts() {
     let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            run_job(
-                &cfg(backend, threads),
-                &WordMapper,
-                &GroupReducer::new(Sum),
-                &input,
-            )
-            .unwrap()
-        },
+    assert_identical_across_threads(
+        |threads| run_job(&cfg(threads), &WordMapper, &GroupReducer::new(Sum), &input).unwrap(),
         false,
     );
 }
 
 #[test]
-fn faulty_job_identical_across_backends() {
+fn faulty_job_identical_across_thread_counts() {
     let input = corpus(800);
-    assert_matrix_identical(
-        |backend, threads| {
-            let mut c = cfg(backend, threads);
+    assert_identical_across_threads(
+        |threads| {
+            let mut c = cfg(threads);
             c.faults = Some(FaultPlan::fail_reduce(0, 2));
             let r = run_job(&c, &WordMapper, &GroupReducer::new(Sum), &input).unwrap();
             assert_eq!(r.counters.get("task_retries"), 2);
@@ -154,15 +135,15 @@ fn faulty_job_identical_across_backends() {
 }
 
 #[test]
-fn spilling_job_identical_across_backends() {
+fn spilling_job_identical_across_thread_counts() {
     let input = corpus(400);
     // A 60-record budget forces most partitions of this corpus to spill,
-    // so the executor also drives the external-sort dispatch path.
+    // so the pool also drives the external-sort dispatch path.
     let spill = ShuffleSpillConfig::new(60);
-    assert_matrix_identical(
-        |backend, threads| {
+    assert_identical_across_threads(
+        |threads| {
             run_job_spilling(
-                &cfg(backend, threads),
+                &cfg(threads),
                 &WordMapper,
                 &GroupReducer::new(Sum),
                 &spill,
@@ -177,29 +158,16 @@ fn spilling_job_identical_across_backends() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    // Steal order is the one scheduling freedom the work-stealing backend
-    // adds over the cursor pool; whatever corpus shape the generator picks,
-    // a stolen-range execution at 8 threads must be bit-identical to the
-    // inline single-thread reference.
+    // Whatever corpus shape the generator picks, an 8-thread execution
+    // (chunks claimed in whatever order the workers race to the cursor)
+    // must be bit-identical to the inline single-thread reference.
     #[test]
-    fn prop_steal_order_never_leaks(lines in 1usize..300, hot in 1usize..9) {
+    fn prop_dispatch_order_never_leaks(lines in 1usize..300, hot in 1usize..9) {
         let input: Vec<String> = (0..lines)
             .map(|i| format!("hot{} mid{} tail{i}", i % hot, i % 31))
             .collect();
-        let base = run_job(
-            &cfg(ExecutorKind::Cursor, 1),
-            &WordMapper,
-            &GroupReducer::new(Sum),
-            &input,
-        )
-        .unwrap();
-        let stolen = run_job(
-            &cfg(ExecutorKind::WorkStealing, 8),
-            &WordMapper,
-            &GroupReducer::new(Sum),
-            &input,
-        )
-        .unwrap();
-        prop_assert_eq!(observables(&base), observables(&stolen));
+        let base = run_job(&cfg(1), &WordMapper, &GroupReducer::new(Sum), &input).unwrap();
+        let raced = run_job(&cfg(8), &WordMapper, &GroupReducer::new(Sum), &input).unwrap();
+        prop_assert_eq!(observables(&base), observables(&raced));
     }
 }

@@ -1,19 +1,14 @@
-//! Loom models of the two lock-free claim protocols in `exec.rs`:
+//! Loom model of the lock-free claim protocol in `exec.rs`: the
+//! atomic-cursor task pool (`run_cursor_pool`, which the runtime's task
+//! phases and the shuffle's partition grouping both dispatch through).
+//! Worker threads loop on `cursor.fetch_add(chunk, Ordering::Relaxed)` and
+//! exit once the ticket is past the end.
 //!
-//! 1. the atomic-cursor task pool (`CursorExecutor`, which
-//!    `shuffle::shuffle_partitions` dispatches through too): worker threads loop
-//!    on `cursor.fetch_add(chunk, Ordering::Relaxed)` and exit once the
-//!    ticket is past the end;
-//! 2. the work-stealing range deque (`WorkStealingExecutor`): one packed
-//!    `(lo << 32) | hi` word per worker, owner CASes `lo` up in chunks,
-//!    thieves CAS the top half off.
-//!
-//! The `lint:allow(relaxed)` annotations there claim that RMW/CAS atomicity
+//! The `lint:allow(relaxed)` annotation there claims that RMW atomicity
 //! alone — with no ordering — guarantees each index is handed to exactly one
-//! worker and none is skipped. These models check that claim under *every*
-//! interleaving, plus seeded mutants (a load-then-store cursor and a
-//! load-then-store steal) that must fail — so we know the checker can see
-//! the bug class.
+//! worker and none is skipped. The model checks that claim under *every*
+//! interleaving, plus a seeded mutant (a load-then-store cursor) that must
+//! fail — so we know the checker can see the bug class.
 //!
 //! Run with:
 //!
@@ -25,7 +20,7 @@
 //! plain `cargo test` suite never pays the model-checking cost.
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
@@ -51,7 +46,7 @@ fn relaxed_cursor_claims_each_index_exactly_once() {
                 let cursor = cursor.clone();
                 let claims = claims.clone();
                 thread::spawn(move || loop {
-                    // Mirrors runtime.rs / shuffle.rs exactly, including the
+                    // Mirrors exec.rs exactly (chunk = 1), including the
                     // Relaxed ordering under test.
                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
                     if idx >= TASKS {
@@ -110,149 +105,5 @@ fn load_store_cursor_double_claims_somewhere() {
     assert!(
         failed,
         "the load/store mutant must double-claim in some interleaving"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing range deque (exec.rs::RangeDeque)
-// ---------------------------------------------------------------------------
-
-fn pack(lo: u32, hi: u32) -> u64 {
-    (u64::from(lo) << 32) | u64::from(hi)
-}
-
-fn unpack(bits: u64) -> (u32, u32) {
-    ((bits >> 32) as u32, bits as u32)
-}
-
-/// Owner end of the deque, mirroring `RangeDeque::take` exactly (chunk = 1
-/// to keep the model's state space small).
-fn take(bits: &AtomicU64) -> Option<u32> {
-    let mut cur = bits.load(Ordering::Relaxed);
-    loop {
-        let (lo, hi) = unpack(cur);
-        if lo >= hi {
-            return None;
-        }
-        match bits.compare_exchange(cur, pack(lo + 1, hi), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return Some(lo),
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Thief end, mirroring `RangeDeque::steal` exactly: split off the top half,
-/// never the last remaining index.
-fn steal(bits: &AtomicU64) -> Option<(u32, u32)> {
-    let mut cur = bits.load(Ordering::Relaxed);
-    loop {
-        let (lo, hi) = unpack(cur);
-        let stolen = (hi.saturating_sub(lo)) / 2;
-        if stolen == 0 {
-            return None;
-        }
-        let mid = hi - stolen;
-        match bits.compare_exchange(cur, pack(lo, mid), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return Some((mid, hi)),
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// The invariant `WorkStealingExecutor` relies on: with a relaxed-CAS
-/// take/steal protocol over the packed range word, every index is claimed by
-/// exactly one thread — the owner draining the bottom or the thief running
-/// off with the top half — in every possible interleaving.
-#[test]
-fn relaxed_deque_take_and_steal_claim_exactly_once() {
-    loom::model(|| {
-        let deque = Arc::new(AtomicU64::new(pack(0, TASKS as u32)));
-        let claims = claim_array();
-
-        let owner = {
-            let deque = deque.clone();
-            let claims = claims.clone();
-            thread::spawn(move || {
-                while let Some(idx) = take(&deque) {
-                    claims[idx as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        };
-        let thief = {
-            let deque = deque.clone();
-            let claims = claims.clone();
-            thread::spawn(move || {
-                if let Some((lo, hi)) = steal(&deque) {
-                    // The thief executes its loot privately, like a worker
-                    // draining a stolen range.
-                    for idx in lo..hi {
-                        claims[idx as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-        };
-        owner.join().expect("owner completes");
-        thief.join().expect("thief completes");
-
-        for (idx, c) in claims.iter().enumerate() {
-            assert_eq!(
-                c.load(Ordering::Relaxed),
-                1,
-                "index {idx} must be claimed exactly once"
-            );
-        }
-    });
-}
-
-/// Seeded mutant: replace the steal CAS with a load-then-store split. An
-/// owner take between the thief's load and store is then resurrected (the
-/// store writes back the stale `lo`), so some index is claimed twice. The
-/// model must catch this — if it ever stops failing, the model has stopped
-/// exploring the schedules the real deque depends on.
-#[test]
-fn load_store_steal_mutant_double_claims_somewhere() {
-    let failed = std::panic::catch_unwind(|| {
-        loom::model(|| {
-            let deque = Arc::new(AtomicU64::new(pack(0, TASKS as u32)));
-            let claims = claim_array();
-
-            let owner = {
-                let deque = deque.clone();
-                let claims = claims.clone();
-                thread::spawn(move || {
-                    while let Some(idx) = take(&deque) {
-                        claims[idx as usize].fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-            };
-            let thief = {
-                let deque = deque.clone();
-                let claims = claims.clone();
-                thread::spawn(move || {
-                    let (lo, hi) = unpack(deque.load(Ordering::Relaxed));
-                    let stolen = (hi.saturating_sub(lo)) / 2;
-                    if stolen > 0 {
-                        let mid = hi - stolen;
-                        // The bug: a store instead of a CAS clobbers any
-                        // owner take that landed in between.
-                        deque.store(pack(lo, mid), Ordering::Relaxed);
-                        for idx in mid..hi {
-                            claims[idx as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                })
-            };
-            owner.join().expect("owner completes");
-            thief.join().expect("thief completes");
-
-            for c in claims.iter() {
-                assert_eq!(c.load(Ordering::Relaxed), 1);
-            }
-        });
-    })
-    .is_err();
-    assert!(
-        failed,
-        "the load/store steal mutant must double-claim in some interleaving"
     );
 }

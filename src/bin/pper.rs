@@ -66,7 +66,7 @@ USAGE:
   pper gen    --kind pubs|books --entities N [--seed S] --out FILE
   pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
               [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-              [--executor cursor|stealing] [--result-out FILE]
+              [--result-out FILE]
               [--durable --journal DIR --job-id ID [--checkpoint-every COST]
                [--kill-after-events N] [--fail-reduce IDX:N]]
   pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
@@ -74,7 +74,6 @@ USAGE:
   pper dlq    --journal DIR --job-id ID [--reprocess] [--result-out FILE]
   pper jobs   --journal DIR
   pper basic  --data FILE [--machines M] [--window W] [--threshold T]
-              [--executor cursor|stealing]
   pper help
 
 Durable mode journals every job event (fsync'd per append) under
@@ -104,7 +103,6 @@ struct Opts {
     fail_reduce: Option<String>,
     result_out: Option<String>,
     reprocess: bool,
-    executor: Option<String>,
 }
 
 impl Opts {
@@ -136,7 +134,11 @@ impl Opts {
                 "--checkpoint-every" => opts.checkpoint_every = Some(parse(&take()?)?),
                 "--kill-after-events" => opts.kill_after_events = Some(parse(&take()?)?),
                 "--fail-reduce" => opts.fail_reduce = Some(take()?),
-                "--executor" => opts.executor = Some(take()?),
+                // Retired: one dispatch backend is left, so the value is
+                // checked and dropped (old scripts keep working).
+                "--executor" => {
+                    ExecutorKind::parse(&take()?)?;
+                }
                 "--result-out" => opts.result_out = Some(take()?),
                 "--reprocess" => opts.reprocess = true,
                 other => return Err(format!("unknown flag '{other}'")),
@@ -220,7 +222,6 @@ fn build_run_config(
     mechanism: Option<&str>,
     scheduler: Option<&str>,
     fail_reduce: Option<&str>,
-    executor: Option<&str>,
 ) -> Result<ErConfig, String> {
     let mut config = config_for(ds, machines)?;
     if let Some(m) = mechanism {
@@ -244,9 +245,6 @@ fn build_run_config(
             .split_once(':')
             .ok_or_else(|| format!("--fail-reduce wants IDX:N, got '{spec}'"))?;
         config.faults = Some(FaultPlan::fail_reduce(parse(idx)?, parse(n)?));
-    }
-    if let Some(e) = executor {
-        config.executor = ExecutorKind::parse(e)?;
     }
     Ok(config)
 }
@@ -291,7 +289,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         opts.mechanism.as_deref(),
         opts.scheduler.as_deref(),
         opts.fail_reduce.as_deref(),
-        opts.executor.as_deref(),
     )?;
     println!(
         "dataset {} ({} entities, {} true pairs); μ = {machines}, mechanism {}, scheduler {:?}",
@@ -318,7 +315,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
             ("mechanism", opts.mechanism.as_deref()),
             ("scheduler", opts.scheduler.as_deref()),
             ("fail_reduce", opts.fail_reduce.as_deref()),
-            ("executor", opts.executor.as_deref()),
         ] {
             if let Some(v) = val {
                 params.push((key.into(), v.to_string()));
@@ -386,13 +382,17 @@ fn recover_job(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String, JournalSta
 fn rebuild_pipeline(opts: &Opts, state: &JournalState) -> Result<(Dataset, ProgressiveEr), String> {
     let ds = load(opts.data.as_deref().or_else(|| state.param("data")))?;
     let machines = state.param("machines").map_or(Ok(4), parse)?;
+    // Journals written before the second dispatch backend was retired
+    // carry its name; it selects nothing now but is still outside input.
+    if let Some(e) = state.param("executor") {
+        ExecutorKind::parse(e)?;
+    }
     let config = build_run_config(
         &ds,
         machines,
         state.param("mechanism"),
         state.param("scheduler"),
         state.param("fail_reduce"),
-        state.param("executor"),
     )?;
     Ok((ds, ProgressiveEr::new(config)))
 }
@@ -475,10 +475,7 @@ fn cmd_basic(opts: &Opts) -> Result<(), String> {
     }
     let ds = load(opts.data.as_deref())?;
     let machines = opts.machines.unwrap_or(4);
-    let mut er = config_for(&ds, machines)?;
-    if let Some(e) = opts.executor.as_deref() {
-        er = er.with_executor(ExecutorKind::parse(e)?);
-    }
+    let er = config_for(&ds, machines)?;
     let window = opts.window.unwrap_or(15);
     let basic = match opts.threshold {
         Some(t) => BasicConfig::popcorn(window, t),

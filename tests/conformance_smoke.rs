@@ -6,8 +6,8 @@
 //!   the durable journal is cut back to (between the jobs, or inside a
 //!   running reduce task that was cutting its checkpoints in-line), it ends
 //!   in the uninterrupted run's fingerprint;
-//! * **executors** — the dispatch backend and the thread count reach no
-//!   observable;
+//! * **executors** — the thread count reaches no observable, and a journal
+//!   that recorded a retired dispatch backend still resumes;
 //! * **chaos** — task attempts that die below the attempt budget change
 //!   nothing but the clock; an exhausted budget is a typed error;
 //! * **chaos-io** — every rung of the spill's storage-fault ladder ends in
@@ -125,34 +125,32 @@ fn staged_and_durable_runs_end_in_the_uninterrupted_fingerprint() {
 fn backend_and_thread_count_reach_no_observable() {
     let ds = dataset();
     let golden = fingerprint(&pipeline(), &ds);
-    let configured = |executor, threads| {
+    let configured = |threads| {
         let mut er = pipeline();
-        er.config.executor = executor;
         er.config.worker_threads = Some(threads);
         er
     };
-    for executor in [ExecutorKind::Cursor, ExecutorKind::WorkStealing] {
-        for threads in [1, 2] {
-            assert_eq!(
-                fingerprint(&configured(executor, threads), &ds),
-                golden,
-                "{} at {threads} thread(s)",
-                executor.name()
-            );
-        }
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            fingerprint(&configured(threads), &ds),
+            golden,
+            "{threads} thread(s)"
+        );
     }
 
-    // A journal whose `JobStarted` recorded the retired `chunked:<K>`
-    // backend still resumes: the name parses as the cursor pool.
-    let store = MemStore::shared();
-    let params = [("executor".to_string(), "chunked:4".to_string())];
-    run_durable(&pipeline(), &ds, &store, "old", &params, &DURABLE).unwrap();
-    let killed = killed_after(&store, "old", 5);
-    let state = JournalState::replay(&recover(&killed, "old").unwrap().events);
-    let recorded = ExecutorKind::parse(state.param("executor").unwrap()).unwrap();
-    assert_eq!(recorded, ExecutorKind::Cursor);
-    let resumed = resume_durable(&configured(recorded, 2), &ds, &killed, "old", &DURABLE).unwrap();
-    assert_eq!(ResultFingerprint::of(&resumed), golden);
+    // A journal whose `JobStarted` recorded a retired backend still
+    // resumes: the name parses as the cursor pool.
+    for retired in ["chunked:4", "stealing"] {
+        let store = MemStore::shared();
+        let params = [("executor".to_string(), retired.to_string())];
+        run_durable(&pipeline(), &ds, &store, "old", &params, &DURABLE).unwrap();
+        let killed = killed_after(&store, "old", 5);
+        let state = JournalState::replay(&recover(&killed, "old").unwrap().events);
+        let recorded = ExecutorKind::parse(state.param("executor").unwrap()).unwrap();
+        assert_eq!(recorded, ExecutorKind::Cursor, "{retired}");
+        let resumed = resume_durable(&configured(2), &ds, &killed, "old", &DURABLE).unwrap();
+        assert_eq!(ResultFingerprint::of(&resumed), golden, "{retired}");
+    }
 }
 
 #[test]

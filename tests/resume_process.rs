@@ -17,7 +17,8 @@
 //!
 //! And `pper run`'s own contract at the process boundary: the plain and the
 //! durable run write the same fingerprint, `--cluster` and `--result-out`
-//! apply to both, and a bad `--budget` is an error message, not a panic.
+//! apply to both, a bad `--budget` is an error message, not a panic, and the
+//! retired `--executor` flag is still checked.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -327,6 +328,47 @@ fn plain_run_writes_the_durable_fingerprint() {
     let durable = std::fs::read(&durable_path).unwrap();
     assert!(!durable.is_empty());
     assert_eq!(std::fs::read(&plain_path).unwrap(), durable);
+}
+
+/// `--executor` is retired: a known (old) backend name is accepted and
+/// changes nothing, an unknown one is a usage error.
+#[test]
+fn retired_executor_flag_is_checked_and_ignored() {
+    let dir = tmp_dir("executor-flag");
+    let data = write_dataset(&dir);
+    let data = data.to_str().unwrap();
+    let plain_path = dir.join("plain.json");
+    let flagged_path = dir.join("flagged.json");
+    let base = [
+        "run",
+        "--data",
+        data,
+        "--machines",
+        MACHINES,
+        "--result-out",
+    ];
+
+    run_ok(&[&base[..], &[plain_path.to_str().unwrap()]].concat());
+    run_ok(
+        &[
+            &base[..],
+            &[flagged_path.to_str().unwrap(), "--executor", "stealing"],
+        ]
+        .concat(),
+    );
+    let plain = std::fs::read(&plain_path).unwrap();
+    assert!(!plain.is_empty());
+    assert_eq!(std::fs::read(&flagged_path).unwrap(), plain);
+
+    let out = pper(&["run", "--data", data, "--executor", "fancy"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown executor 'fancy'"), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+    assert!(
+        !stderr.contains("--executor"),
+        "USAGE still lists it: {stderr}"
+    );
 }
 
 #[test]
