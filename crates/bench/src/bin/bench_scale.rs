@@ -22,7 +22,7 @@ use std::time::Instant;
 use pper_bench::{BenchRecord, BenchReport};
 use pper_datagen::BookGen;
 use pper_mapreduce::ExternalSorter;
-use pper_simil::{BlockScorer, PreparedRule, TokenInterner};
+use pper_simil::{BlockScorer, PreparedRule};
 use pper_store::{EntityStore, StoreBuilder};
 
 /// Estimated resident bytes per `(String, u32)` sort record (String header
@@ -253,7 +253,6 @@ struct ResolveStats {
 struct WindowResolver<'r> {
     rule: &'r PreparedRule,
     scorer: BlockScorer,
-    interner: TokenInterner,
     decisions: Vec<bool>,
 }
 
@@ -262,7 +261,6 @@ impl<'r> WindowResolver<'r> {
         Self {
             rule,
             scorer: BlockScorer::new(),
-            interner: TokenInterner::new(),
             decisions: Vec::new(),
         }
     }
@@ -297,7 +295,7 @@ impl<'r> WindowResolver<'r> {
                 store
                     .row(u64::from(block[fill]), &mut row)
                     .expect("entity row");
-                window.push(self.rule.prepare_refs(&row, &mut self.interner));
+                window.push(self.rule.prepare(&row));
                 fill += 1;
             }
             let probe = &window[0];

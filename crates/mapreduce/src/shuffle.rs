@@ -196,37 +196,51 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
     }
 }
 
-impl<K: Eq, V> GroupedPartition<K, V> {
-    /// Build from records *already sorted by key* (e.g. the output of
-    /// [`crate::extsort::ExternalSorter`]): a single boundary scan, no
-    /// re-sort. Records with equal keys must be contiguous; their order is
-    /// preserved.
-    pub fn from_sorted_pairs(records: Vec<(K, V)>) -> Self {
-        let mut keys = Vec::new();
-        let mut starts = Vec::new();
-        let mut values = Vec::with_capacity(records.len());
-        for (k, v) in records {
-            if keys.last() != Some(&k) {
-                starts.push(values.len());
-                keys.push(k);
-            }
-            values.push(v);
-        }
-        starts.push(values.len());
-        Self {
-            keys,
-            starts,
-            values,
-        }
+/// Run `group` over every partition's buckets on up to `threads` worker
+/// threads and collect the results in partition order.
+///
+/// Partitions are dispatched through the cursor pool exactly like the
+/// runtime's task phases; results land in per-index slots, collected
+/// post-barrier. On one thread `collect` drives `group` lazily, so a
+/// fallible grouping stops at its first error.
+fn fan_out<K, V, R, C>(
+    per_partition: Vec<PartitionBuckets<K, V>>,
+    threads: usize,
+    group: impl Fn(PartitionBuckets<K, V>) -> R + Sync,
+) -> C
+where
+    K: Send,
+    V: Send,
+    R: Send,
+    C: FromIterator<R>,
+{
+    let count = per_partition.len();
+    let threads = threads.max(1).min(count.max(1));
+    if threads == 1 {
+        return per_partition.into_iter().map(group).collect();
     }
+    let work: Vec<Mutex<Option<PartitionBuckets<K, V>>>> = per_partition
+        .into_iter()
+        .map(|p| Mutex::new(Some(p)))
+        .collect();
+    let done: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    run_cursor_pool(count, threads, &|idx| {
+        if let Some(buckets) = work[idx].lock().take() {
+            *done[idx].lock() = Some(group(buckets));
+        }
+    });
+    // The pool hands each index to exactly one worker, so every slot is
+    // filled here; grouping an empty bucket list (an empty partition) is
+    // the benign fallback rather than a panic.
+    done.into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(|| group(Vec::new())))
+        .collect()
 }
 
 /// Sort+group every partition on up to `threads` worker threads.
 ///
-/// `per_partition[p]` holds partition `p`'s buckets in map-task order.
-/// Partitions are dispatched through the cursor pool exactly like the
-/// runtime's task phases; results land in partition order (per-index
-/// slots, collected post-barrier).
+/// `per_partition[p]` holds partition `p`'s buckets in map-task order;
+/// results land in partition order.
 /// Deliberately *no* [`crate::job::TaskContext`] and no virtual charges —
 /// see the module docs.
 pub(crate) fn shuffle_partitions<K, V>(
@@ -237,31 +251,7 @@ where
     K: Ord + Hash + Eq + Send,
     V: Send,
 {
-    let count = per_partition.len();
-    let threads = threads.max(1).min(count.max(1));
-    if threads == 1 {
-        return per_partition
-            .into_iter()
-            .map(GroupedPartition::from_buckets)
-            .collect();
-    }
-    let work: Vec<Mutex<Option<PartitionBuckets<K, V>>>> = per_partition
-        .into_iter()
-        .map(|p| Mutex::new(Some(p)))
-        .collect();
-    let done: Vec<Mutex<Option<GroupedPartition<K, V>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    run_cursor_pool(count, threads, &|idx| {
-        // The pool hands each index to exactly one worker, so the
-        // slot is always occupied here; `from_buckets` on an empty
-        // bucket list is the benign fallback rather than a panic.
-        if let Some(buckets) = work[idx].lock().take() {
-            *done[idx].lock() = Some(GroupedPartition::from_buckets(buckets));
-        }
-    });
-    done.into_iter()
-        .map(|m| m.into_inner().unwrap_or_default())
-        .collect()
+    fan_out(per_partition, threads, GroupedPartition::from_buckets)
 }
 
 /// Memory-budget policy for shuffle grouping — when a partition's record
@@ -494,41 +484,19 @@ where
     K: Ord + Hash + Eq + Send + SpillCodec,
     V: Send + SpillCodec,
 {
-    let count = per_partition.len();
-    let threads = threads.max(1).min(count.max(1));
+    let grouped: Vec<(GroupedPartition<K, V>, ShuffleSpillStats)> =
+        fan_out::<_, _, _, Result<_, MrError>>(per_partition, threads, |buckets| {
+            GroupedPartition::from_buckets_spilling(buckets, cfg)
+        })?;
     let mut stats = ShuffleSpillStats::default();
-    if threads == 1 {
-        let mut out = Vec::with_capacity(count);
-        for buckets in per_partition {
-            let (grouped, s) = GroupedPartition::from_buckets_spilling(buckets, cfg)?;
-            stats.absorb(s);
-            out.push(grouped);
-        }
-        return Ok((out, stats));
-    }
-    let work: Vec<Mutex<Option<PartitionBuckets<K, V>>>> = per_partition
+    let partitions = grouped
         .into_iter()
-        .map(|p| Mutex::new(Some(p)))
+        .map(|(partition, spilled)| {
+            stats.absorb(spilled);
+            partition
+        })
         .collect();
-    type SpillSlot<K, V> = Option<Result<(GroupedPartition<K, V>, ShuffleSpillStats), MrError>>;
-    let done: Vec<Mutex<SpillSlot<K, V>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    run_cursor_pool(count, threads, &|idx| {
-        if let Some(buckets) = work[idx].lock().take() {
-            *done[idx].lock() = Some(GroupedPartition::from_buckets_spilling(buckets, cfg));
-        }
-    });
-    let mut out = Vec::with_capacity(count);
-    for slot in done {
-        match slot.into_inner() {
-            Some(Ok((grouped, s))) => {
-                stats.absorb(s);
-                out.push(grouped);
-            }
-            Some(Err(e)) => return Err(e),
-            None => out.push(GroupedPartition::default()),
-        }
-    }
-    Ok((out, stats))
+    Ok((partitions, stats))
 }
 
 #[cfg(test)]
@@ -577,15 +545,6 @@ mod tests {
         assert_eq!(p.group(1), (&2, &["b0", "b1"][..]));
         assert_eq!(p.group(2), (&3, &["c0"][..]));
         assert_eq!(p.keys(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn from_sorted_pairs_matches_from_pairs_on_sorted_input() {
-        let mut records: Vec<(u32, u32)> = (0..500).map(|i| (i % 37, i)).collect();
-        records.sort_by_key(|r| r.0);
-        let a = GroupedPartition::from_sorted_pairs(records.clone());
-        let b = GroupedPartition::from_pairs(records);
-        assert_eq!(flat_as_nested(&a), flat_as_nested(&b));
     }
 
     #[test]

@@ -3,17 +3,11 @@
 //! Blocking hands the resolver a *block* of entities; PSNM-style windows
 //! then compare one probe against the `w` entities before it. The scalar
 //! prepared path ([`PreparedRule::score`]) is already allocation-free, but
-//! it still redoes per-probe work for every candidate:
-//!
-//! * **Batched Myers** — a Levenshtein term rebuilds the pattern's Myers
-//!   character-class table for each pair. [`BlockScorer`] fills the probe's
-//!   table once per block and runs only the bit-parallel scan per pair
-//!   (`crate::myers`'s fill/scan/clear split), for an ASCII probe of any
-//!   length against ASCII candidates of any length.
-//! * **Bitset Jaccard** — a token-Jaccard term re-merges sorted id lists
-//!   per pair. [`BlockScorer`] maps the block's distinct interned token ids
-//!   onto a dense bit universe and compares fixed-width `u64` signatures
-//!   with `AND` + popcount.
+//! it still redoes per-probe work for every candidate: a Levenshtein term
+//! rebuilds the pattern's Myers character-class table for each pair.
+//! [`BlockScorer`] fills the probe's table once per block and runs only the
+//! bit-parallel scan per pair (`crate::myers`'s fill/scan/clear split), for
+//! an ASCII probe of any length against ASCII candidates of any length.
 //!
 //! # Parity contract
 //!
@@ -29,11 +23,9 @@
 //! * Batched Myers produces the same integer distance as the scalar path.
 //!   The probe is always the pattern, whichever side is shorter: the
 //!   distance is symmetric and exact, and the normaliser is `max(len)`
-//!   either way. A non-ASCII candidate takes the two-row DP, as it does on
-//!   the scalar path.
-//! * Bitset Jaccard produces the same integer intersection/union counts as
-//!   the sorted-merge kernel — both count distinct shared ids — feeding
-//!   the identical `inter as f64 / union as f64` division.
+//!   either way — one function, `prepared::levenshtein_sim`, on both
+//!   paths. A non-ASCII candidate takes the two-row DP, as it does on the
+//!   scalar path.
 //!
 //! [`BlockScorer::matches_block`] compares the (bit-identical) scores
 //! against the rule threshold, which is the decision
@@ -42,7 +34,8 @@
 
 use crate::levenshtein::levenshtein_scratch;
 use crate::prepared::{
-    term_score, LevSig, LevText, PreparedAttr, PreparedEntity, PreparedRule, SimScratch,
+    levenshtein_sim, term_score, LevSig, LevText, PreparedAttr, PreparedEntity, PreparedRule,
+    SimScratch,
 };
 use crate::rule::AttributeSim;
 
@@ -51,19 +44,13 @@ use crate::rule::AttributeSim;
 /// allocates nothing per block.
 #[derive(Debug, Default)]
 pub struct BlockScorer {
-    /// Scalar-kernel scratch: fallback terms (Jaro, q-gram, ...) and the
-    /// Myers table a batched Levenshtein term fills with its probe.
+    /// Scalar-kernel scratch: fallback terms (`Exact`, a non-ASCII probe)
+    /// and the Myers table a batched Levenshtein term fills with its probe.
     scratch: SimScratch,
     /// Per-candidate `used_weight` accumulators.
     acc_w: Vec<f64>,
     /// Per-candidate weighted-score accumulators.
     acc_s: Vec<f64>,
-    /// Sorted distinct token ids of the current Jaccard term's block.
-    universe: Vec<u32>,
-    /// Probe bitset signature over `universe`.
-    probe_sig: Vec<u64>,
-    /// Candidate bitset signature (rebuilt per candidate).
-    cand_sig: Vec<u64>,
     /// Score buffer backing `matches_block`.
     scores: Vec<f64>,
 }
@@ -108,9 +95,6 @@ impl BlockScorer {
                     }),
                 ) if !pc.is_empty() => {
                     self.batched_levenshtein(term.weight, pc, cands, i);
-                }
-                (AttributeSim::JaccardTokens, PreparedAttr::Tokens(pids)) => {
-                    self.bitset_jaccard(term.weight, pids, cands, i);
                 }
                 _ => {
                     for (j, cand) in cands.iter().enumerate() {
@@ -175,84 +159,11 @@ impl BlockScorer {
                 LevText::Ascii(cc) => kernels.myers.scan(pc.len(), cc),
                 LevText::Wide(cc) => levenshtein_scratch(pc, cc, &mut kernels.row),
             };
-            let sim = 1.0 - d as f64 / pc.len().max(cand.text.len()) as f64;
+            let sim = levenshtein_sim(d, pc.len().max(cand.text.len()));
             self.acc_w[j] += weight;
             self.acc_s[j] += weight * sim;
         }
         kernels.myers.clear(pc);
-    }
-
-    /// One token-Jaccard term: the block's distinct ids become a dense bit
-    /// universe; intersection is `AND` + popcount over fixed-width `u64`
-    /// signatures. Counts are identical to the sorted-merge kernel, so the
-    /// resulting `f64` is bit-identical.
-    fn bitset_jaccard(&mut self, weight: f64, pids: &[u32], cands: &[PreparedEntity], i: usize) {
-        self.universe.clear();
-        self.universe.extend_from_slice(pids);
-        for cand in cands {
-            if let PreparedAttr::Tokens(ids) = &cand.terms[i] {
-                self.universe.extend_from_slice(ids);
-            }
-        }
-        self.universe.sort_unstable();
-        self.universe.dedup();
-        let words = self.universe.len().div_ceil(64);
-
-        self.probe_sig.clear();
-        self.probe_sig.resize(words, 0);
-        for &id in pids {
-            set_bit(&mut self.probe_sig, universe_pos(&self.universe, id));
-        }
-
-        for (j, cand) in cands.iter().enumerate() {
-            let ct = &cand.terms[i];
-            let PreparedAttr::Tokens(ids) = ct else {
-                debug_assert!(
-                    matches!(ct, PreparedAttr::Missing),
-                    "entity prepared for a different rule"
-                );
-                continue;
-            };
-            let sim = if pids.is_empty() && ids.is_empty() {
-                1.0
-            } else {
-                self.cand_sig.clear();
-                self.cand_sig.resize(words, 0);
-                for &id in ids {
-                    set_bit(&mut self.cand_sig, universe_pos(&self.universe, id));
-                }
-                let inter: usize = self
-                    .probe_sig
-                    .iter()
-                    .zip(&self.cand_sig)
-                    .map(|(a, b)| (a & b).count_ones() as usize)
-                    .sum();
-                // Prepared token lists are sorted+deduped, so list length
-                // equals signature popcount and the union count matches
-                // the sorted-merge kernel exactly.
-                let union = pids.len() + ids.len() - inter;
-                inter as f64 / union as f64
-            };
-            self.acc_w[j] += weight;
-            self.acc_s[j] += weight * sim;
-        }
-    }
-}
-
-fn set_bit(sig: &mut [u64], pos: usize) {
-    sig[pos / 64] |= 1u64 << (pos % 64);
-}
-
-/// Bit position of `id` in the sorted distinct `universe`. Every id was
-/// folded into the universe before signatures are built, so the search
-/// always hits.
-fn universe_pos(universe: &[u32], id: u32) -> usize {
-    match universe.binary_search(&id) {
-        Ok(p) => p,
-        Err(p) => {
-            debug_assert!(false, "token id {id} missing from block universe");
-            p.min(universe.len().saturating_sub(1))
-        }
     }
 }
 
@@ -260,21 +171,18 @@ fn universe_pos(universe: &[u32], id: u32) -> usize {
 mod tests {
     use super::*;
     use crate::rule::{MatchRule, WeightedAttr};
-    use crate::TokenInterner;
     use proptest::prelude::*;
 
-    /// Every kernel family in one rule, books-like weights.
+    /// Every kernel shape in one rule: an uncapped and a capped Levenshtein
+    /// term (batched) around an `Exact` one (scalar fallback).
     fn mixed_rule() -> MatchRule {
         MatchRule::new(
             vec![
-                WeightedAttr::new(0, 0.30, AttributeSim::Levenshtein { max_chars: None }),
-                WeightedAttr::new(1, 0.20, AttributeSim::JaccardTokens),
-                WeightedAttr::new(2, 0.15, AttributeSim::JaroWinkler),
-                WeightedAttr::new(3, 0.15, AttributeSim::QGram { q: 2 }),
-                WeightedAttr::new(4, 0.10, AttributeSim::Exact),
+                WeightedAttr::new(0, 0.60, AttributeSim::Levenshtein { max_chars: None }),
+                WeightedAttr::new(1, 0.15, AttributeSim::Exact),
                 WeightedAttr::new(
-                    5,
-                    0.10,
+                    2,
+                    0.25,
                     AttributeSim::Levenshtein {
                         max_chars: Some(16),
                     },
@@ -284,18 +192,13 @@ mod tests {
         )
     }
 
-    fn prepare_all(
-        pr: &PreparedRule,
-        interner: &mut TokenInterner,
-        rows: &[Vec<String>],
-    ) -> Vec<PreparedEntity> {
-        rows.iter().map(|r| pr.prepare(r, interner)).collect()
+    fn prepare_all(pr: &PreparedRule, rows: &[Vec<String>]) -> Vec<PreparedEntity> {
+        rows.iter().map(|r| pr.prepare(r)).collect()
     }
 
     fn assert_block_parity(rule: &MatchRule, rows: &[Vec<String>], probe_idx: usize) {
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
-        let prepared = prepare_all(&pr, &mut interner, rows);
+        let prepared = prepare_all(&pr, rows);
         let mut scorer = BlockScorer::new();
         let mut scratch = SimScratch::new();
         let probe = &prepared[probe_idx];
@@ -336,50 +239,25 @@ mod tests {
     fn handcrafted_edge_cases() {
         let rows: Vec<Vec<String>> = [
             // Near-duplicate of the probe.
-            [
-                "progressive entity resolution",
-                "alice smith bob jones",
-                "Jon",
-                "icde 2017",
-                "EN",
-                "hardcover",
-            ],
+            ["progressive entity resolution", "EN", "hardcover"],
             // Probe row.
-            [
-                "progresive entity resolution",
-                "bob jones alice smith",
-                "John",
-                "icde 2017",
-                "EN",
-                "hardcover",
-            ],
+            ["progresive entity resolution", "EN", "hardcover"],
             // Candidate shorter than the probe (the probe stays the Myers
             // pattern).
-            ["pro", "alice", "J", "ic", "EN", "x"],
+            ["pro", "EN", "x"],
             // Empty attributes (Missing on the candidate side).
-            ["", "", "", "", "", ""],
+            ["", "", ""],
             // Non-ASCII: the DP, as a candidate inside a batched term and
             // as a probe through the scalar kernel.
-            [
-                "progrèssive entity resolution",
-                "alicé smith",
-                "Jöhn",
-                "icde 2017",
-                "EN",
-                "softcovér",
-            ],
+            ["progrèssive entity resolution", "EN", "softcovér"],
             // Longer-than-64-chars title: a two-word probe table, and a
-            // candidate longer than every other probe.
+            // candidate longer than every other probe; a format the cap
+            // cuts.
             [
                 "a very long title that keeps going and going and going and going and going",
-                "tok tok tok",
-                "Jo",
-                "qq",
                 "DE",
-                "paperback",
+                "paperback, second printing",
             ],
-            // Whitespace-only tokens attr (empty token set, not Missing).
-            ["probe-ish title", " ", "Jn", "ii", "EN", "h"],
         ]
         .iter()
         .map(|r| r.iter().map(|s| s.to_string()).collect())
@@ -395,48 +273,36 @@ mod tests {
     fn missing_probe_attr_skips_term_for_all_candidates() {
         // Probe with every attr empty: all terms Missing → score 0.0.
         let rows: Vec<Vec<String>> = vec![
-            vec![String::new(); 6],
-            ["t", "a b", "n", "g", "E", "f"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            vec![String::new(); 3],
+            ["t", "E", "f"].iter().map(|s| s.to_string()).collect(),
         ];
         assert_block_parity(&mixed_rule(), &rows, 0);
     }
 
     #[test]
-    fn prepare_refs_matches_prepare() {
+    fn prepare_is_the_same_over_owned_and_borrowed_values() {
         let pr = PreparedRule::new(mixed_rule());
-        let row = [
-            "progressive entity resolution",
-            "alice smith",
-            "John",
-            "icde",
-            "EN",
-            "hardcover",
-        ];
-        let owned: Vec<String> = row.iter().map(|s| s.to_string()).collect();
-        let refs: Vec<&str> = row.to_vec();
-        let mut i1 = TokenInterner::new();
-        let mut i2 = TokenInterner::new();
-        assert_eq!(pr.prepare(&owned, &mut i1), pr.prepare_refs(&refs, &mut i2));
+        let refs = ["progrèssive entity resolution", "EN", ""];
+        let owned: Vec<String> = refs.iter().map(|s| s.to_string()).collect();
+        assert_eq!(pr.prepare(&owned), pr.prepare(&refs));
+        // A row shorter than the rule is Missing terms either way.
+        assert_eq!(pr.prepare(&owned[..1]), pr.prepare(&refs[..1]));
     }
 
     #[test]
     fn reusable_scorer_leaves_no_state_behind() {
         // Score two different blocks through one scorer; results must match
-        // a fresh scorer's (catches peq/universe leakage between calls).
+        // a fresh scorer's (catches peq leakage between calls).
         let rule = mixed_rule();
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let block_a: Vec<Vec<String>> = (0..5)
-            .map(|k| (0..6).map(|a| format!("value {k} attr {a} xyz")).collect())
+            .map(|k| (0..3).map(|a| format!("value {k} attr {a} xyz")).collect())
             .collect();
         let block_b: Vec<Vec<String>> = (0..5)
-            .map(|k| (0..6).map(|a| format!("other {a} {k}")).collect())
+            .map(|k| (0..3).map(|a| format!("other {a} {k}")).collect())
             .collect();
-        let pa = prepare_all(&pr, &mut interner, &block_a);
-        let pb = prepare_all(&pr, &mut interner, &block_b);
+        let pa = prepare_all(&pr, &block_a);
+        let pb = prepare_all(&pr, &block_b);
 
         let mut warm = BlockScorer::new();
         let mut tmp = Vec::new();
@@ -457,7 +323,6 @@ mod tests {
         // the DP row buffer (only the DP touches it) must never grow.
         let rule = mixed_rule();
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let rows: Vec<Vec<String>> = [3usize, 64, 65, 200, 350, 40]
             .iter()
             .map(|&n| {
@@ -466,12 +331,10 @@ mod tests {
                     .cycle()
                     .take(n)
                     .collect();
-                let mut row = vec![long; 6];
-                row[1] = "alice bob".to_string();
-                row
+                vec![long; 3]
             })
             .collect();
-        let prepared = prepare_all(&pr, &mut interner, &rows);
+        let prepared = prepare_all(&pr, &rows);
         let mut scorer = BlockScorer::new();
         let mut scores = Vec::new();
         for probe in &prepared {
@@ -494,11 +357,11 @@ mod tests {
         // probe's length, down to empty and up to seven words.
         #[test]
         fn prop_block_parity_long_probes(
-            probe in proptest::collection::vec("[a-e ]{65,400}", 6..7),
+            probe in proptest::collection::vec("[a-e ]{65,400}", 3..4),
             rows in proptest::collection::vec(
-                proptest::collection::vec("[a-e ]{0,420}", 6..7), 1..6),
+                proptest::collection::vec("[a-e ]{0,420}", 3..4), 1..6),
             short_rows in proptest::collection::vec(
-                proptest::collection::vec("[a-e ]{0,64}", 6..7), 1..4),
+                proptest::collection::vec("[a-e ]{0,64}", 3..4), 1..4),
         ) {
             let mut all: Vec<Vec<String>> = vec![probe];
             all.extend(rows);
@@ -509,7 +372,7 @@ mod tests {
         #[test]
         fn prop_block_parity_random_rows(
             rows in proptest::collection::vec(
-                proptest::collection::vec(".{0,70}", 6..7), 1..9),
+                proptest::collection::vec(".{0,70}", 3..4), 1..9),
             probe_sel in 0usize..64,
         ) {
             let rows: Vec<Vec<String>> = rows;
@@ -520,7 +383,7 @@ mod tests {
         #[test]
         fn prop_block_parity_ascii_titles(
             rows in proptest::collection::vec(
-                proptest::collection::vec("[a-e ]{0,80}", 6..7), 2..12),
+                proptest::collection::vec("[a-e ]{0,80}", 3..4), 2..12),
             probe_sel in 0usize..64,
         ) {
             let rows: Vec<Vec<String>> = rows;

@@ -7,19 +7,19 @@
 //! the attribute similarities to decide whether the two entities co-refer"
 //! (§VI-A2): edit distance for free-text attributes (with the abstract
 //! attribute capped at its first 350 characters) and exact matching for
-//! categorical ones. This crate implements those kernels plus Jaro/
-//! Jaro-Winkler and token Jaccard alternatives, and the [`MatchRule`]
-//! combinator that turns per-attribute scores into a co-reference decision.
+//! categorical ones. This crate implements those two kernels and the
+//! [`MatchRule`] combinator that turns per-attribute scores into a
+//! co-reference decision.
 //!
 //! All similarity functions return scores in `[0, 1]` where `1.0` means
 //! identical.
 //!
 //! ## Prepared evaluation (the hot path)
 //!
-//! [`MatchRule::score`] re-derives char buffers, token sets and q-gram
-//! multisets on every pair. The [`prepared`] module amortizes that work per
-//! *entity*: [`PreparedRule::prepare`] builds a [`PreparedEntity`] once
-//! (per reduce task, in the task's [`PreparedCache`]), and
+//! [`MatchRule::score`] re-truncates and re-decodes both values on every
+//! pair. The [`prepared`] module amortizes that work per *entity*:
+//! [`PreparedRule::prepare`] builds a [`PreparedEntity`] once (per reduce
+//! task, in the task's [`PreparedCache`]), and
 //! [`PreparedRule::score`]/[`PreparedRule::matches`] compare two prepared
 //! entities through a reusable [`SimScratch`] with **zero per-pair heap
 //! allocation**. `score` is bit-identical to the string path; `matches`
@@ -52,18 +52,12 @@
 //! ```
 
 pub mod batch;
-pub mod jaro;
 pub mod levenshtein;
 mod myers;
-pub mod phonetic;
 pub mod prepared;
 pub mod rule;
-pub mod tokens;
 
 pub use batch::BlockScorer;
-pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_similarity};
-pub use phonetic::{soundex, soundex_similarity};
-pub use prepared::{PreparedCache, PreparedEntity, PreparedRule, SimScratch, TokenInterner};
+pub use prepared::{PreparedCache, PreparedEntity, PreparedRule, SimScratch};
 pub use rule::{AttributeSim, MatchRule, WeightedAttr};
-pub use tokens::{jaccard_tokens, qgram_similarity};

@@ -1,26 +1,23 @@
 //! Zero-allocation prepared similarity signatures and threshold-aware
 //! early-exit matching.
 //!
-//! The string-path [`MatchRule::score`] re-collects `Vec<char>` buffers,
-//! rebuilds token hash sets (with per-token lowercasing) and reconstructs
-//! q-gram multisets on *every* pair — yet an entity in a block of `n`
-//! participates in ~`n` comparisons and recurs across overlapping blocks.
-//! This module amortizes all of that per *entity* instead of per *pair*:
+//! The string-path [`MatchRule::score`] truncates both values to the
+//! term's cap and re-collects them into `Vec<char>` buffers on *every*
+//! pair — yet an entity in a block of `n` participates in ~`n` comparisons
+//! and recurs across overlapping blocks. This module amortizes all of that
+//! per *entity* instead of per *pair*:
 //!
 //! * [`PreparedEntity`] — per rule term, the signature that term's kernel
 //!   consumes: a Levenshtein value (any `max_chars` cap pre-applied) in one
-//!   of two representations with its character-class histogram (below), the
-//!   char buffer for Jaro-Winkler, sorted interned token ids, a sorted
-//!   q-gram id multiset, the raw value for `Exact`, or the Soundex code.
+//!   of two representations with its character-class histogram (below), or
+//!   the raw value for `Exact`.
 //! * [`PreparedRule`] — scores/matches two [`PreparedEntity`]s using a
-//!   reusable [`SimScratch`] (DP rows, Myers character-class table, Jaro
-//!   match buffers), so the per-pair path performs **zero heap
-//!   allocation** after scratch buffers reach their high-water mark.
-//! * [`TokenInterner`] — per-task string→id table shared by every entity a
-//!   task prepares; token/q-gram comparisons become sorted-id merges.
-//! * [`PreparedCache`] — the per-reduce-task signature store (interner,
-//!   entity id → slot, [`PreparedEntity`] by slot) both reducers of the
-//!   pipeline resolve through: prepare once per task, compare by slot.
+//!   reusable [`SimScratch`] (DP row, Myers character-class table), so the
+//!   per-pair path performs **zero heap allocation** after scratch buffers
+//!   reach their high-water mark.
+//! * [`PreparedCache`] — the per-reduce-task signature store (entity id →
+//!   slot, [`PreparedEntity`] by slot) both reducers of the pipeline
+//!   resolve through: prepare once per task, compare by slot.
 //!
 //! # Parity contract
 //!
@@ -84,12 +81,9 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
-use crate::jaro::{jaro_winkler_chars_scratch, JaroScratch};
 use crate::levenshtein::levenshtein_scratch;
 use crate::myers::MyersScratch;
-use crate::phonetic::soundex;
 use crate::rule::{truncate, AttributeSim, MatchRule};
-use crate::tokens::qgrams;
 
 /// Decision guard band for early exit: bounds must clear the threshold by
 /// this relative margin before a decision is taken early. Worst-case float
@@ -97,40 +91,6 @@ use crate::tokens::qgrams;
 /// weight, so `1e-9` is conservatively safe for any rule with fewer than
 /// ~10^6 terms while still firing on every non-borderline pair.
 const DECISION_MARGIN: f64 = 1e-9;
-
-/// Per-task string→id interner. Entities prepared against the same
-/// interner can compare token/q-gram signatures by id; ids are meaningless
-/// across interners.
-#[derive(Debug, Default)]
-pub struct TokenInterner {
-    ids: HashMap<String, u32>,
-}
-
-impl TokenInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True if nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    fn intern(&mut self, s: String) -> u32 {
-        if let Some(&id) = self.ids.get(s.as_str()) {
-            return id;
-        }
-        let id = self.ids.len() as u32;
-        self.ids.insert(s, id);
-        id
-    }
-}
 
 /// Character classes of a [`LevSig`] histogram: a scalar value's low five
 /// bits, which folds the two cases of a letter into one class.
@@ -212,7 +172,7 @@ impl LevSig {
 /// Normalized Levenshtein similarity of two values at distance `d`, the
 /// longer of `max_len` characters — the string kernel's expression.
 #[inline]
-fn levenshtein_sim(d: usize, max_len: usize) -> f64 {
+pub(crate) fn levenshtein_sim(d: usize, max_len: usize) -> f64 {
     if max_len == 0 {
         return 1.0;
     }
@@ -229,16 +189,8 @@ pub(crate) enum PreparedAttr {
     /// Levenshtein value (cap pre-applied) with its character-class
     /// histogram.
     Lev(LevSig),
-    /// Char buffer for Jaro-Winkler.
-    Chars(Vec<char>),
-    /// Sorted, deduplicated interned lowercase-token ids (Jaccard).
-    Tokens(Vec<u32>),
-    /// Sorted interned q-gram id multiset (q-gram Dice).
-    Grams(Vec<u32>),
-    /// The raw value (byte-equality kernels).
+    /// The raw value (`Exact`).
     Raw(String),
-    /// Four-byte Soundex code.
-    Phonetic([u8; 4]),
 }
 
 /// All of one entity's per-term signatures for one [`PreparedRule`]
@@ -260,8 +212,6 @@ pub(crate) struct KernelScratch {
     /// filled and re-cleared per call by touching only the pattern's
     /// characters).
     pub(crate) myers: MyersScratch,
-    /// Jaro match/transposition buffers.
-    jaro: JaroScratch,
 }
 
 /// Reusable per-task scratch for [`PreparedRule::score`] /
@@ -312,26 +262,11 @@ impl PreparedRule {
         &self.rule
     }
 
-    /// Build the per-term signatures of one entity. All allocation of the
-    /// prepared path happens here (and in the interner), once per entity
-    /// per task — never per pair.
-    pub fn prepare(&self, attrs: &[String], interner: &mut TokenInterner) -> PreparedEntity {
-        self.prepare_impl(attrs, interner)
-    }
-
-    /// [`PreparedRule::prepare`] over borrowed attribute values — the
-    /// zero-copy entry point for rows served straight out of an on-disk
-    /// store (no intermediate `Vec<String>` row). Produces an identical
-    /// [`PreparedEntity`] to `prepare` on the same values.
-    pub fn prepare_refs(&self, attrs: &[&str], interner: &mut TokenInterner) -> PreparedEntity {
-        self.prepare_impl(attrs, interner)
-    }
-
-    fn prepare_impl<S: AsRef<str>>(
-        &self,
-        attrs: &[S],
-        interner: &mut TokenInterner,
-    ) -> PreparedEntity {
+    /// Build the per-term signatures of one entity from owned or borrowed
+    /// attribute values (a row served straight out of an on-disk store
+    /// needs no intermediate `Vec<String>`). All allocation of the prepared
+    /// path happens here, once per entity per task — never per pair.
+    pub fn prepare<S: AsRef<str>>(&self, attrs: &[S]) -> PreparedEntity {
         let terms = self
             .rule
             .attrs
@@ -351,30 +286,7 @@ impl PreparedRule {
                         };
                         PreparedAttr::Lev(LevSig::new(capped))
                     }
-                    AttributeSim::JaroWinkler => PreparedAttr::Chars(v.chars().collect()),
-                    AttributeSim::JaccardTokens => {
-                        let mut ids: Vec<u32> = v
-                            .split_whitespace()
-                            .map(|t| interner.intern(t.to_lowercase()))
-                            .collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        PreparedAttr::Tokens(ids)
-                    }
-                    AttributeSim::QGram { q } => {
-                        let mut ids: Vec<u32> = qgrams(v, *q)
-                            .into_iter()
-                            .map(|g| interner.intern(g))
-                            .collect();
-                        ids.sort_unstable();
-                        PreparedAttr::Grams(ids)
-                    }
                     AttributeSim::Exact => PreparedAttr::Raw(v.to_string()),
-                    AttributeSim::Soundex => {
-                        let code = soundex(v);
-                        let b = code.as_bytes();
-                        PreparedAttr::Phonetic([b[0], b[1], b[2], b[3]])
-                    }
                 }
             })
             .collect();
@@ -501,24 +413,6 @@ impl PreparedRule {
     }
 }
 
-/// Count of common elements between two ascending id sequences; on
-/// multisets (duplicates allowed) this is the multiset-intersection size.
-fn sorted_intersection(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 /// Exact edit distance of two prepared values: the blocked Myers scan when
 /// both are ASCII (the shorter as the pattern), the two-row DP otherwise.
 fn levenshtein_distance(a: &LevText, b: &LevText, s: &mut KernelScratch) -> usize {
@@ -550,37 +444,18 @@ pub(crate) fn term_score(
             let max_len = la.text.len().max(lb.text.len());
             levenshtein_sim(levenshtein_distance(&la.text, &lb.text, s), max_len)
         }
-        (AttributeSim::JaroWinkler, PreparedAttr::Chars(ca), PreparedAttr::Chars(cb)) => {
-            jaro_winkler_chars_scratch(ca, cb, &mut s.jaro)
-        }
-        (AttributeSim::JaccardTokens, PreparedAttr::Tokens(ta), PreparedAttr::Tokens(tb)) => {
-            if ta.is_empty() && tb.is_empty() {
-                return 1.0;
-            }
-            let inter = sorted_intersection(ta, tb);
-            let union = ta.len() + tb.len() - inter;
-            inter as f64 / union as f64
-        }
-        (AttributeSim::QGram { .. }, PreparedAttr::Grams(ga), PreparedAttr::Grams(gb)) => {
-            let inter = sorted_intersection(ga, gb);
-            2.0 * inter as f64 / (ga.len() + gb.len()) as f64
-        }
         (AttributeSim::Exact, PreparedAttr::Raw(va), PreparedAttr::Raw(vb)) => f64::from(va == vb),
-        (AttributeSim::Soundex, PreparedAttr::Phonetic(pa), PreparedAttr::Phonetic(pb)) => {
-            f64::from(pa == pb)
-        }
         _ => unreachable!("entity prepared for a different rule"),
     }
 }
 
-/// The one per-task signature store: the task's [`TokenInterner`], a
-/// `key → slot` map and the prepared entities by slot. An entity is prepared
-/// the first time the task sees its key; a reducer memoizes the returned
-/// slot per block or tree member, so the map is probed once per member and
-/// every pair comparison is two slice indexes ([`at`](Self::at)).
+/// The one per-task signature store: a `key → slot` map and the prepared
+/// entities by slot. An entity is prepared the first time the task sees its
+/// key; a reducer memoizes the returned slot per block or tree member, so
+/// the map is probed once per member and every pair comparison is two slice
+/// indexes ([`at`](Self::at)).
 #[derive(Debug, Default)]
 pub struct PreparedCache<K> {
-    interner: TokenInterner,
     slot_of: HashMap<K, u32>,
     entities: Vec<PreparedEntity>,
 }
@@ -589,7 +464,6 @@ impl<K: Eq + Hash> PreparedCache<K> {
     /// An empty cache.
     pub fn new() -> Self {
         Self {
-            interner: TokenInterner::new(),
             slot_of: HashMap::new(),
             entities: Vec::new(),
         }
@@ -610,7 +484,7 @@ impl<K: Eq + Hash> PreparedCache<K> {
         match self.slot_of.entry(key) {
             Entry::Occupied(known) => *known.get(),
             Entry::Vacant(vacant) => {
-                self.entities.push(rule.prepare(attrs, &mut self.interner));
+                self.entities.push(rule.prepare(attrs));
                 *vacant.insert(self.entities.len() as u32 - 1)
             }
         }
@@ -664,11 +538,6 @@ mod tests {
         )
     }
 
-    fn prep(rule: &PreparedRule, interner: &mut TokenInterner, attrs: &[&str]) -> PreparedEntity {
-        let owned: Vec<String> = attrs.iter().map(|s| s.to_string()).collect();
-        rule.prepare(&owned, interner)
-    }
-
     #[test]
     fn order_is_descending_weight_stable() {
         let rule = MatchRule::new(
@@ -688,7 +557,6 @@ mod tests {
     fn prepared_score_bit_identical_on_citeseer_rule() {
         let rule = citeseer_rule();
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let mut scratch = SimScratch::new();
         let cases = [
             (
@@ -704,8 +572,8 @@ mod tests {
         for (a, b) in cases {
             let sa: Vec<String> = a.iter().map(|s| s.to_string()).collect();
             let sb: Vec<String> = b.iter().map(|s| s.to_string()).collect();
-            let pa = pr.prepare(&sa, &mut interner);
-            let pb = pr.prepare(&sb, &mut interner);
+            let pa = pr.prepare(&sa);
+            let pb = pr.prepare(&sb);
             assert_eq!(
                 pr.score(&pa, &pb, &mut scratch).to_bits(),
                 rule.score(&sa, &sb).to_bits()
@@ -718,19 +586,8 @@ mod tests {
     fn early_exit_decisions_match_string_path() {
         let rule = citeseer_rule();
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let mut scratch = SimScratch::new();
         // A pair whose first (heaviest) term alone forces the reject.
-        let a = prep(
-            &pr,
-            &mut interner,
-            &["totally unrelated words here", "x", "y"],
-        );
-        let b = prep(
-            &pr,
-            &mut interner,
-            &["progressive entity resolution", "x", "y"],
-        );
         let sa = vec![
             "totally unrelated words here".to_string(),
             "x".to_string(),
@@ -741,6 +598,7 @@ mod tests {
             "x".to_string(),
             "y".to_string(),
         ];
+        let (a, b) = (pr.prepare(&sa), pr.prepare(&sb));
         assert_eq!(pr.matches(&a, &b, &mut scratch), rule.matches(&sa, &sb));
     }
 
@@ -762,7 +620,6 @@ mod tests {
         // several words, either side shorter, `score` and `matches`.
         let rule = single_levenshtein_rule();
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let mut scratch = SimScratch::new();
         let base = "the quick brown fox jumps over the lazy dog again and again forever ";
         let values: Vec<Vec<String>> = [1usize, 20, 64, 65, 130, 350]
@@ -770,10 +627,7 @@ mod tests {
             .map(|&n| vec![base.chars().cycle().take(n).collect::<String>()])
             .chain([vec![base.repeat(3).replace("quick", "quik")]])
             .collect();
-        let prepared: Vec<_> = values
-            .iter()
-            .map(|v| pr.prepare(v, &mut interner))
-            .collect();
+        let prepared: Vec<_> = values.iter().map(|v| pr.prepare(v)).collect();
         for (va, pa) in values.iter().zip(&prepared) {
             for (vb, pb) in values.iter().zip(&prepared) {
                 assert_eq!(
@@ -790,12 +644,11 @@ mod tests {
     fn non_ascii_input_takes_the_dp_and_agrees() {
         let rule = single_levenshtein_rule();
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let mut scratch = SimScratch::new();
         let sa = vec!["café au lait".to_string()];
         let sb = vec!["cafe au lait".to_string()];
-        let pa = pr.prepare(&sa, &mut interner);
-        let pb = pr.prepare(&sb, &mut interner);
+        let pa = pr.prepare(&sa);
+        let pb = pr.prepare(&sb);
         assert_eq!(
             pr.score(&pa, &pb, &mut scratch).to_bits(),
             rule.score(&sa, &sb).to_bits()
@@ -873,12 +726,11 @@ mod tests {
             0.8,
         );
         let pr = PreparedRule::new(rule.clone());
-        let mut interner = TokenInterner::new();
         let mut scratch = SimScratch::new();
         let mut decide = |a: &str, b: &str| {
             let (va, vb) = (vec![a.to_string()], vec![b.to_string()]);
-            let pa = pr.prepare(&va, &mut interner);
-            let pb = pr.prepare(&vb, &mut interner);
+            let pa = pr.prepare(&va);
+            let pb = pr.prepare(&vb);
             let before = scratch.kernels.myers.scans;
             let decision = pr.matches(&pa, &pb, &mut scratch);
             assert_eq!(decision, rule.matches(&va, &vb), "{a:?} / {b:?}");

@@ -8,9 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::jaro::jaro_winkler;
 use crate::levenshtein::levenshtein_similarity;
-use crate::tokens::{jaccard_tokens, qgram_similarity};
 
 /// Similarity kernel applied to one attribute.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -18,16 +16,8 @@ pub enum AttributeSim {
     /// Normalized Levenshtein similarity; `max_chars` truncates both inputs
     /// first (the paper compares only the first 350 chars of abstracts).
     Levenshtein { max_chars: Option<usize> },
-    /// Jaro-Winkler similarity (good for short names).
-    JaroWinkler,
-    /// Token-set Jaccard (good for author lists).
-    JaccardTokens,
-    /// Dice over q-grams.
-    QGram { q: usize },
     /// 1.0 on byte equality, else 0.0 (categorical attributes).
     Exact,
-    /// 1.0 when the Soundex codes agree (phonetic name matching).
-    Soundex,
 }
 
 impl AttributeSim {
@@ -38,11 +28,7 @@ impl AttributeSim {
                 Some(cap) => levenshtein_similarity(truncate(a, *cap), truncate(b, *cap)),
                 None => levenshtein_similarity(a, b),
             },
-            AttributeSim::JaroWinkler => jaro_winkler(a, b),
-            AttributeSim::JaccardTokens => jaccard_tokens(a, b),
-            AttributeSim::QGram { q } => qgram_similarity(a, b, *q),
             AttributeSim::Exact => f64::from(a == b),
-            AttributeSim::Soundex => crate::phonetic::soundex_similarity(a, b),
         }
     }
 }

@@ -10,9 +10,7 @@
 //! never moved. The counter is per thread (see `common/counting_alloc.rs`),
 //! so the tests below hold under the default parallel harness.
 
-use pper_simil::{
-    AttributeSim, BlockScorer, MatchRule, PreparedRule, SimScratch, TokenInterner, WeightedAttr,
-};
+use pper_simil::{AttributeSim, BlockScorer, MatchRule, PreparedRule, SimScratch, WeightedAttr};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -21,22 +19,19 @@ use counting_alloc::{allocations, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A rule exercising every kernel at once.
-fn six_kernel_rule() -> MatchRule {
+/// A rule exercising every kernel shape at once.
+fn every_kernel_rule() -> MatchRule {
     MatchRule::new(
         vec![
             WeightedAttr::new(
                 0,
-                0.30,
+                0.50,
                 AttributeSim::Levenshtein {
                     max_chars: Some(350),
                 },
             ),
-            WeightedAttr::new(1, 0.20, AttributeSim::JaroWinkler),
-            WeightedAttr::new(2, 0.15, AttributeSim::JaccardTokens),
-            WeightedAttr::new(3, 0.15, AttributeSim::QGram { q: 2 }),
-            WeightedAttr::new(4, 0.10, AttributeSim::Exact),
-            WeightedAttr::new(5, 0.10, AttributeSim::Soundex),
+            WeightedAttr::new(1, 0.30, AttributeSim::Levenshtein { max_chars: None }),
+            WeightedAttr::new(2, 0.20, AttributeSim::Exact),
         ],
         0.8,
     )
@@ -64,24 +59,18 @@ fn entity(i: usize) -> Vec<String> {
     vec![
         levenshtein_value(i),
         format!("author name {i}"),
-        format!("alpha beta gamma token{}", i % 7),
-        format!("qgram material {i} with shared substrings"),
         format!("cat{}", i % 3),
-        format!("Robertson{i}"),
     ]
 }
 
 #[test]
 fn prepared_pair_path_allocates_nothing() {
-    let rule = six_kernel_rule();
+    let rule = every_kernel_rule();
     let prepared = PreparedRule::new(rule);
-    let mut interner = TokenInterner::new();
     let mut scratch = SimScratch::new();
 
-    // Preparation allocates (signatures, interner growth) — all up front.
-    let entities: Vec<_> = (0..32)
-        .map(|i| prepared.prepare(&entity(i), &mut interner))
-        .collect();
+    // Preparation allocates (the signatures) — all up front.
+    let entities: Vec<_> = (0..32).map(|i| prepared.prepare(&entity(i))).collect();
 
     // Warm the scratch buffers to their high-water mark.
     let mut sink = 0.0f64;
@@ -112,16 +101,13 @@ fn prepared_pair_path_allocates_nothing() {
 
 #[test]
 fn block_scorer_allocates_nothing_once_warm() {
-    let prepared = PreparedRule::new(six_kernel_rule());
-    let mut interner = TokenInterner::new();
-    let entities: Vec<_> = (0..32)
-        .map(|i| prepared.prepare(&entity(i), &mut interner))
-        .collect();
+    let prepared = PreparedRule::new(every_kernel_rule());
+    let entities: Vec<_> = (0..32).map(|i| prepared.prepare(&entity(i))).collect();
     let mut scorer = BlockScorer::new();
     let mut scores = Vec::new();
 
-    // Warm-up: every probe once, so the widest probe table, the Jaccard
-    // universe and the accumulators are at their high-water mark.
+    // Warm-up: every probe once, so the widest probe table and the
+    // accumulators are at their high-water mark.
     let mut sink = 0.0f64;
     for probe in &entities {
         scorer.score_block(&prepared, probe, &entities, &mut scores);
@@ -149,21 +135,14 @@ fn unicode_fallback_path_allocates_nothing() {
     let rule = MatchRule::new(
         vec![
             WeightedAttr::new(0, 0.7, AttributeSim::Levenshtein { max_chars: None }),
-            WeightedAttr::new(1, 0.3, AttributeSim::JaroWinkler),
+            WeightedAttr::new(1, 0.3, AttributeSim::Levenshtein { max_chars: Some(4) }),
         ],
         0.8,
     );
     let prepared = PreparedRule::new(rule);
-    let mut interner = TokenInterner::new();
     let mut scratch = SimScratch::new();
-    let a = prepared.prepare(
-        &["café résumé naïve übermäßig".into(), "αβγδε".into()],
-        &mut interner,
-    );
-    let b = prepared.prepare(
-        &["cafe resume naive ubermassig".into(), "αβγδζ".into()],
-        &mut interner,
-    );
+    let a = prepared.prepare(&["café résumé naïve übermäßig", "αβγδε"]);
+    let b = prepared.prepare(&["cafe resume naive ubermassig", "αβζδε"]);
 
     // Warm-up: both entry points, so every scratch buffer reaches its
     // high-water mark before counting starts.
@@ -184,15 +163,9 @@ fn unicode_fallback_path_allocates_nothing() {
     // chars, chars against chars of another length — go through the same
     // scratch row, and a pair `matches` rejects on its length or histogram
     // bound touches no buffer at all.
-    let c = prepared.prepare(
-        &["çafé résumé naïve übermäßig, encore".into(), "αβγ".into()],
-        &mut interner,
-    );
-    let short = prepared.prepare(&["caf".into(), "αβγδε".into()], &mut interner);
-    let disjoint = prepared.prepare(
-        &["0123456789 0123456789 01234".into(), "αβγδε".into()],
-        &mut interner,
-    );
+    let c = prepared.prepare(&["çafé résumé naïve übermäßig, encore", "αβγ"]);
+    let short = prepared.prepare(&["caf", "αβγδε"]);
+    let disjoint = prepared.prepare(&["0123456789 0123456789 01234", "αβγδε"]);
     let pairs = [(&b, &a), (&a, &c), (&c, &b), (&a, &short), (&a, &disjoint)];
     assert!(!prepared.matches(&a, &short, &mut scratch));
     assert!(!prepared.matches(&a, &disjoint, &mut scratch));

@@ -39,12 +39,12 @@ fn main() {
         }
     }
 
-    // A name-dominated match rule: Jaro-Winkler tolerates the
+    // A name-dominated match rule: edit distance tolerates the
     // Charles/Gharles typo, and the same person may move between states
     // (e1–e3 in Table I), so the state carries little weight.
     let rule = MatchRule::new(
         vec![
-            WeightedAttr::new(0, 0.9, AttributeSim::JaroWinkler),
+            WeightedAttr::new(0, 0.9, AttributeSim::Levenshtein { max_chars: None }),
             WeightedAttr::new(1, 0.1, AttributeSim::Exact),
         ],
         0.85,

@@ -10,7 +10,7 @@ fn toy_config() -> ErConfig {
     config.families = presets::toy_families();
     config.rule = MatchRule::new(
         vec![
-            WeightedAttr::new(0, 0.9, AttributeSim::JaroWinkler),
+            WeightedAttr::new(0, 0.9, AttributeSim::Levenshtein { max_chars: None }),
             WeightedAttr::new(1, 0.1, AttributeSim::Exact),
         ],
         0.85,
