@@ -1,12 +1,13 @@
-//! Fault-tolerance overhead: what do task re-execution, speculative backup
-//! attempts, and checkpointed resume cost on the virtual clock?
+//! Fault-tolerance overhead: what do task re-execution and checkpointed
+//! resume cost on the virtual clock?
 //!
-//! Runs the full progressive pipeline clean and under 1 and 3 injected
-//! reduce/map failures (mixed flavours: discarded attempts, attempts killed
-//! at start, attempts panicking mid-flight), once more with LATE-style
-//! speculation enabled, and finally a kill + checkpointed-resume cycle. The
-//! duplicate set is asserted invariant in every scenario; the figure
-//! reports the recall-vs-cost retardation and the wasted-cost accounting.
+//! Runs the full progressive pipeline clean, under 1 and 3 injected
+//! reduce/map failures (one of each death point: an attempt discarded at its
+//! end, one killed at its start, one panicking mid-flight), under a reduce
+//! task that loses three whole attempts, and finally through a kill +
+//! checkpointed-resume cycle. The duplicate set is asserted invariant in
+//! every scenario; the figure reports the recall-vs-cost retardation and the
+//! wasted-cost accounting.
 //!
 //! Disk-fault recovery (retry, quarantine + re-run, ENOSPC degradation) is
 //! asserted in `tests/conformance_smoke.rs`; what the spilling shuffle
@@ -21,7 +22,7 @@ use std::io::Write;
 use pper_bench::ExpOptions;
 use pper_datagen::PubGen;
 use pper_er::{ErConfig, ErRunResult, ProgressiveEr};
-use pper_mapreduce::{FaultPlan, SpeculationConfig, TaskKind};
+use pper_mapreduce::{FaultPlan, TaskKind};
 
 #[derive(Debug, serde::Serialize)]
 struct ScenarioReport {
@@ -32,9 +33,6 @@ struct ScenarioReport {
     duplicates: usize,
     task_retries: u64,
     wasted_virtual_cost: u64,
-    speculative_launched: u64,
-    speculative_wins: u64,
-    speculative_wasted: u64,
     resume_replay_cost: u64,
     time_to_half_recall: Option<f64>,
 }
@@ -59,9 +57,6 @@ fn report(scenario: &'static str, run: &ErRunResult, clean_cost: f64) -> Scenari
         duplicates: run.duplicates.len(),
         task_retries: run.counters.get("task_retries"),
         wasted_virtual_cost: run.counters.get("wasted_virtual_cost"),
-        speculative_launched: run.counters.get("speculative_launched"),
-        speculative_wins: run.counters.get("speculative_wins"),
-        speculative_wasted: run.counters.get("speculative_wasted"),
         resume_replay_cost: run.counters.get("resume_replay_cost"),
         time_to_half_recall: run.curve.time_to_recall(0.5),
     }
@@ -75,14 +70,6 @@ fn fail3() -> FaultPlan {
     FaultPlan::fail_reduce(0, 1)
         .with_crash(TaskKind::Reduce, 1, 1)
         .with_abort(TaskKind::Map, 0, 1, 50.0)
-}
-
-/// One reduce task loses its first three attempts nearly at completion —
-/// a ~4x straggler, the case LATE speculation exists for.
-fn straggler() -> FaultPlan {
-    let mut plan = FaultPlan::fail_reduce(0, 3);
-    plan.failure_fraction = 0.9;
-    plan
 }
 
 fn main() -> std::io::Result<()> {
@@ -103,7 +90,9 @@ fn main() -> std::io::Result<()> {
     for (name, plan) in [
         ("fail-1", fail1()),
         ("fail-3", fail3()),
-        ("straggler-3x", straggler()),
+        // One reduce task loses its first three attempts at completion: a
+        // 4x straggler.
+        ("straggler-3x", FaultPlan::fail_reduce(0, 3)),
     ] {
         eprintln!("{name}…");
         let mut config = base.clone();
@@ -115,20 +104,6 @@ fn main() -> std::io::Result<()> {
         );
         scenarios.push(report(name, &run, clean_cost));
     }
-
-    eprintln!("straggler-3x + speculation…");
-    // Job2's reduce costs are naturally uneven (LPT over whole trees), so
-    // use a LATE threshold tight enough to catch the injected straggler.
-    let mut config = base.clone().with_speculation(SpeculationConfig {
-        slowdown_threshold: 1.2,
-    });
-    config.faults = Some(straggler());
-    let spec_run = ProgressiveEr::new(config).run(&ds);
-    assert_eq!(
-        spec_run.duplicates, clean.duplicates,
-        "speculation must not change the duplicate set"
-    );
-    scenarios.push(report("straggler+speculation", &spec_run, clean_cost));
 
     // Kill the resolution mid-flight, resume from the checkpoint.
     let crash_at = if opts.quick { 1_000.0 } else { 4_000.0 };
@@ -162,19 +137,18 @@ fn main() -> std::io::Result<()> {
     scenarios.push(report("crash+resume", &resumed, clean_cost));
 
     println!(
-        "{:<20} {:>12} {:>9} {:>7} {:>8} {:>10} {:>8} {:>10}",
-        "scenario", "total cost", "ovhd %", "recall", "retries", "wasted", "spec", "replay"
+        "{:<20} {:>12} {:>9} {:>7} {:>8} {:>10} {:>10}",
+        "scenario", "total cost", "ovhd %", "recall", "retries", "wasted", "replay"
     );
     for s in &scenarios {
         println!(
-            "{:<20} {:>12.0} {:>9.2} {:>7.3} {:>8} {:>10} {:>8} {:>10}",
+            "{:<20} {:>12.0} {:>9.2} {:>7.3} {:>8} {:>10} {:>10}",
             s.scenario,
             s.total_cost,
             s.cost_overhead_pct,
             s.final_recall,
             s.task_retries,
             s.wasted_virtual_cost,
-            s.speculative_wins,
             s.resume_replay_cost
         );
     }
@@ -182,7 +156,7 @@ fn main() -> std::io::Result<()> {
     let figure = FaultsFigure {
         name: "bench-faults".into(),
         caption: format!(
-            "fault-tolerance overhead: retries, speculation, checkpointed resume, μ = {machines}"
+            "fault-tolerance overhead: retries and checkpointed resume, μ = {machines}"
         ),
         entities,
         seed: opts.seed,

@@ -24,8 +24,8 @@ use crate::FamilyIndex;
 
 /// Anything that can resolve an [`EntityId`] to its [`Entity`].
 ///
-/// Reduce tasks hold their received entities in a map rather than the whole
-/// dataset; both shapes implement this.
+/// The driver holds the whole dataset; a reduce task holds just the
+/// entities it received and names each by its position among them.
 pub trait EntityLookup {
     /// The entity with the given id. Panics if absent (absence is a pipeline
     /// logic error, not a data error).
@@ -38,17 +38,11 @@ impl EntityLookup for Dataset {
     }
 }
 
-impl EntityLookup for HashMap<EntityId, Entity> {
-    fn entity(&self, id: EntityId) -> &Entity {
-        &self[&id]
-    }
-}
-
-/// Borrowed form: reduce tasks that receive `&[Entity]` views from the flat
-/// shuffle index entities by reference instead of cloning them into the map.
-impl EntityLookup for HashMap<EntityId, &Entity> {
-    fn entity(&self, id: EntityId) -> &Entity {
-        self[&id]
+/// Positional form: the members of one root block as a reduce task
+/// received them, each addressed by its index in the vector.
+impl EntityLookup for Vec<&Entity> {
+    fn entity(&self, local: EntityId) -> &Entity {
+        self[local as usize]
     }
 }
 

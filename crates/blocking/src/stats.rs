@@ -38,8 +38,8 @@ pub fn pairs(n: usize) -> u64 {
 pub type Signature = Vec<String>;
 
 /// Resolves an [`EntityId`] to its [`Signature`]. The driver holds a dense
-/// `Vec` over the whole dataset; a reduce task holds a sparse map over just
-/// its received entities.
+/// `Vec` over the whole dataset; a reduce task holds one over just its
+/// received entities, indexed by their position among them.
 pub trait SignatureSource {
     /// Signature of entity `id`. Panics if absent (pipeline logic error).
     fn signature(&self, id: EntityId) -> &Signature;
@@ -54,12 +54,6 @@ impl SignatureSource for Vec<Signature> {
 impl SignatureSource for [Signature] {
     fn signature(&self, id: EntityId) -> &Signature {
         &self[id as usize]
-    }
-}
-
-impl SignatureSource for HashMap<EntityId, Signature> {
-    fn signature(&self, id: EntityId) -> &Signature {
-        &self[&id]
     }
 }
 

@@ -130,10 +130,6 @@ pub struct ErConfig {
     pub worker_threads: Option<usize>,
     /// Task-failure injection applied to the resolution (second) job.
     pub faults: Option<pper_mapreduce::FaultPlan>,
-    /// Speculative execution (LATE-style backup attempts for straggler
-    /// tasks) for both jobs. `None` disables speculation, like
-    /// `mapred.map.tasks.speculative.execution=false`.
-    pub speculation: Option<pper_mapreduce::SpeculationConfig>,
     /// Task lifecycle observer threaded into every MR job this config
     /// launches (statistics, resolution, and Basic). The durable runner
     /// (`crate::durable`) uses it to journal task completions, attempt
@@ -195,7 +191,6 @@ impl ErConfig {
             alpha: 2_000.0,
             worker_threads: None,
             faults: None,
-            speculation: None,
             observer: None,
             executor: pper_mapreduce::ExecutorKind::default(),
             shuffle_spill: None,
@@ -231,7 +226,6 @@ impl ErConfig {
             alpha: 2_000.0,
             worker_threads: None,
             faults: None,
-            speculation: None,
             observer: None,
             executor: pper_mapreduce::ExecutorKind::default(),
             shuffle_spill: None,
@@ -247,12 +241,6 @@ impl ErConfig {
     /// Replace the weighting function.
     pub fn with_weighting(mut self, weighting: Weighting) -> Self {
         self.schedule.weighting = weighting;
-        self
-    }
-
-    /// Enable LATE-style speculative execution for straggler tasks.
-    pub fn with_speculation(mut self, spec: pper_mapreduce::SpeculationConfig) -> Self {
-        self.speculation = Some(spec);
         self
     }
 
@@ -280,7 +268,6 @@ impl ErConfig {
         let mut cfg = JobConfig::new(name, self.cluster());
         cfg.cost_model = self.cost_model.clone();
         cfg.worker_threads = self.worker_threads;
-        cfg.speculation = self.speculation;
         cfg.observer = self.observer.clone();
         cfg
     }

@@ -13,8 +13,6 @@
 //! instead of materializing an intermediate file (a pure representation
 //! choice — the information content matches the paper's annotated dataset).
 
-use std::collections::HashMap;
-
 use pper_blocking::{BlockingFamily, DatasetStats, Signature, Tree, TreeStats};
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
@@ -124,15 +122,14 @@ fn reduce_root_block<'v>(
     let family_index = key.0 as usize;
     let family = &families[family_index];
 
-    let n = values.len();
-    let mut entities: HashMap<EntityId, &Entity> = HashMap::with_capacity(n);
-    let mut signatures: HashMap<EntityId, Signature> = HashMap::with_capacity(n);
-    let mut members = Vec::with_capacity(n);
-    for e in values {
-        members.push(e.id);
-        signatures.insert(e.id, families.iter().map(|f| f.root_key(e)).collect());
-        entities.insert(e.id, e);
-    }
+    // As in job 2 and Basic, a member is named by its position among the
+    // received values: the statistics carry sizes and pair counts, never ids.
+    let entities: Vec<&Entity> = values.collect();
+    let signatures: Vec<Signature> = entities
+        .iter()
+        .map(|e| families.iter().map(|f| f.root_key(e)).collect())
+        .collect();
+    let members: Vec<EntityId> = (0..entities.len() as EntityId).collect();
 
     // Tree construction: one key extraction per member per level.
     ctx.charge(ctx.cost_model.read_per_entity * (members.len() * family.depth()) as f64);

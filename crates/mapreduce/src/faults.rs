@@ -1,28 +1,24 @@
-//! Deterministic task-failure injection and speculative-execution policy.
+//! Deterministic task-failure injection.
 //!
 //! Hadoop re-executes failed tasks (up to `mapreduce.map.maxattempts`,
-//! default 4); a failure wastes the partial work of the crashed attempt and
-//! delays everything scheduled behind it. [`FaultPlan`] injects exactly such
-//! failures into a job, in two flavours:
+//! default 4); a failure wastes the work of the dead attempt and delays
+//! everything scheduled behind it. [`FaultPlan`] injects exactly such
+//! failures into a job as a list of [`AttemptFault`]s keyed by
+//! `(task, attempt)`, each naming one of three death points:
 //!
-//! * **legacy discard failures** (`map_failures` / `reduce_failures`): the
-//!   chosen task "crashes" after completing `failure_fraction` of its work
-//!   for the given number of attempts; the attempt actually runs, its output
-//!   is discarded, and the wasted virtual cost is accounted;
-//! * **attempt faults** (`attempt_faults`): keyed by `(task, attempt)`, these
-//!   make the attempt *really die* — either immediately at attempt start
-//!   (`abort_at: None`, wasting one task startup) or by panicking the moment
-//!   the attempt's virtual clock crosses `abort_at` (the runtime catches the
-//!   [`InjectedAbort`] panic, charges the partial work as wasted cost, and
-//!   re-runs the task as a fresh attempt).
+//! * **at start** ([`FaultPlan::with_crash`]): the attempt's first charge
+//!   kills it — "at clock 0";
+//! * **at clock `c`** ([`FaultPlan::with_abort`]): the attempt panics the
+//!   moment its virtual clock reaches `c` (the runtime catches the
+//!   [`InjectedAbort`] panic); an attempt that finishes under `c` survives;
+//! * **at end** ([`FaultPlan::with_discard`], [`FaultPlan::fail_map`],
+//!   [`FaultPlan::fail_reduce`]): the attempt runs to completion and its
+//!   output is discarded.
 //!
-//! Both flavours are specified per task index (and per attempt for the
-//! second), so chaos tests are fully deterministic. Only exhausting the
-//! attempt budget fails the job.
-//!
-//! [`SpeculationConfig`] enables Hadoop-style speculative execution on the
-//! virtual clock: tasks whose projected finish exceeds a multiple of the
-//! median task cost get a backup attempt (see `crate::runtime`).
+//! One waste rule covers all three: a dead attempt wastes its own clock at
+//! death, and the task is re-run as a fresh attempt. Plans are specified per
+//! task index and attempt, so chaos tests are fully deterministic. Only
+//! exhausting the attempt budget fails the job.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,25 +42,18 @@ pub struct AttemptFault {
     pub index: usize,
     /// Which attempt dies (1-based, like Hadoop attempt ids).
     pub attempt: u32,
-    /// `None`: the attempt dies before doing any work (wastes one task
-    /// startup). `Some(c)`: the attempt panics as soon as its virtual clock
-    /// crosses `c` cost units; if the attempt finishes under `c` it survives.
+    /// `Some(c)`: the attempt panics as soon as its virtual clock reaches
+    /// `c` cost units (`0` = at its start); if it finishes under `c` it
+    /// survives. `None`: the attempt is never aborted — it runs to
+    /// completion and its output is discarded.
     pub abort_at: Option<f64>,
 }
 
 /// Failure schedule for one job.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultPlan {
-    /// `(map task index, number of failing attempts)` — legacy discard mode.
-    pub map_failures: Vec<(usize, u32)>,
-    /// `(reduce task index, number of failing attempts)` — legacy discard mode.
-    pub reduce_failures: Vec<(usize, u32)>,
-    /// Attempt deaths keyed by `(task, attempt)` — these really kill the
-    /// running attempt (panic) instead of discarding a completed one.
+    /// Attempt deaths, at most one per `(task, attempt)`.
     pub attempt_faults: Vec<AttemptFault>,
-    /// Fraction of the task's work completed before each legacy crash
-    /// (wasted cost per failed attempt = fraction × task cost).
-    pub failure_fraction: f64,
     /// Attempts allowed per task (Hadoop's default is 4). A task whose
     /// injected failures reach this bound fails the job.
     pub max_attempts: u32,
@@ -73,84 +62,80 @@ pub struct FaultPlan {
 impl Default for FaultPlan {
     fn default() -> Self {
         Self {
-            map_failures: Vec::new(),
-            reduce_failures: Vec::new(),
             attempt_faults: Vec::new(),
-            failure_fraction: 0.5,
             max_attempts: 4,
         }
     }
 }
 
 impl FaultPlan {
-    /// A plan failing one map task's first `attempts` attempts.
+    /// A plan discarding one map task's first `attempts` attempts.
     pub fn fail_map(index: usize, attempts: u32) -> Self {
-        Self {
-            map_failures: vec![(index, attempts)],
-            ..Self::default()
-        }
+        Self::discarding(TaskKind::Map, index, attempts)
     }
 
-    /// A plan failing one reduce task's first `attempts` attempts.
+    /// A plan discarding one reduce task's first `attempts` attempts.
     pub fn fail_reduce(index: usize, attempts: u32) -> Self {
-        Self {
-            reduce_failures: vec![(index, attempts)],
-            ..Self::default()
-        }
+        Self::discarding(TaskKind::Reduce, index, attempts)
     }
 
-    /// Add an attempt that dies at its start (no work done, one task startup
-    /// wasted). Chainable.
-    pub fn with_crash(mut self, kind: TaskKind, index: usize, attempt: u32) -> Self {
+    fn discarding(kind: TaskKind, index: usize, attempts: u32) -> Self {
+        (1..=attempts).fold(Self::default(), |plan, attempt| {
+            plan.with_discard(kind, index, attempt)
+        })
+    }
+
+    fn with_fault(
+        mut self,
+        kind: TaskKind,
+        index: usize,
+        attempt: u32,
+        abort_at: Option<f64>,
+    ) -> Self {
         self.attempt_faults.push(AttemptFault {
             kind,
             index,
             attempt,
-            abort_at: None,
+            abort_at,
         });
         self
     }
 
-    /// Add an attempt that panics once its virtual clock crosses `at` cost
+    /// Add an attempt that dies at its start: its first charge kills it.
+    /// Chainable.
+    pub fn with_crash(self, kind: TaskKind, index: usize, attempt: u32) -> Self {
+        self.with_fault(kind, index, attempt, Some(0.0))
+    }
+
+    /// Add an attempt that panics once its virtual clock reaches `at` cost
     /// units. Chainable.
-    pub fn with_abort(mut self, kind: TaskKind, index: usize, attempt: u32, at: f64) -> Self {
-        self.attempt_faults.push(AttemptFault {
-            kind,
-            index,
-            attempt,
-            abort_at: Some(at),
-        });
-        self
+    pub fn with_abort(self, kind: TaskKind, index: usize, attempt: u32, at: f64) -> Self {
+        self.with_fault(kind, index, attempt, Some(at))
     }
 
-    /// Number of legacy (discard-mode) failing attempts injected for a task.
-    pub fn failures_for(&self, kind: TaskKind, index: usize) -> u32 {
-        let list = match kind {
-            TaskKind::Map => &self.map_failures,
-            TaskKind::Reduce => &self.reduce_failures,
-        };
-        list.iter()
-            .find(|(i, _)| *i == index)
-            .map_or(0, |(_, n)| *n)
+    /// Add an attempt that runs to completion and has its output discarded.
+    /// Chainable.
+    pub fn with_discard(self, kind: TaskKind, index: usize, attempt: u32) -> Self {
+        self.with_fault(kind, index, attempt, None)
+    }
+
+    fn faults_of(&self, kind: TaskKind, index: usize) -> impl Iterator<Item = &AttemptFault> {
+        self.attempt_faults
+            .iter()
+            .filter(move |f| f.kind == kind && f.index == index)
     }
 
     /// The injected death for `(task, attempt)`, if any.
     pub fn fault_for(&self, kind: TaskKind, index: usize, attempt: u32) -> Option<AttemptFault> {
-        self.attempt_faults
-            .iter()
-            .find(|f| f.kind == kind && f.index == index && f.attempt == attempt)
+        self.faults_of(kind, index)
+            .find(|f| f.attempt == attempt)
             .copied()
     }
 
-    /// Total injected deaths (either flavour) for a task. If this reaches
-    /// `max_attempts` the task — and hence the job — fails.
+    /// Total injected deaths for a task. If this reaches `max_attempts` the
+    /// task — and hence the job — fails.
     pub fn deaths_for(&self, kind: TaskKind, index: usize) -> u32 {
-        let keyed = self
-            .attempt_faults
-            .iter()
-            .filter(|f| f.kind == kind && f.index == index)
-            .count() as u32;
-        self.failures_for(kind, index) + keyed
+        self.faults_of(kind, index).count() as u32
     }
 
     /// True if the injected failures exhaust the attempt budget.
@@ -159,50 +144,23 @@ impl FaultPlan {
     }
 
     /// Validate the plan against the job's task counts: every referenced
-    /// task index must exist, the failure fraction must be a sane fraction,
-    /// and the attempt budget must allow at least one attempt. Returns a
-    /// human-readable description of the first violation.
+    /// task index must exist, attempts are 1-based, an abort clock must be
+    /// finite and non-negative, no two faults may share a `(task, attempt)`
+    /// key, and the attempt budget must allow at least one attempt. Returns
+    /// a human-readable description of the first violation.
     pub fn validate(&self, num_map: usize, num_reduce: usize) -> Result<(), String> {
         if self.max_attempts == 0 {
             return Err("max_attempts must be at least 1".into());
         }
-        if !(0.0..=1.0).contains(&self.failure_fraction) {
-            return Err(format!(
-                "failure_fraction must be within [0, 1], got {}",
-                self.failure_fraction
-            ));
-        }
-        let bound = |kind: TaskKind| match kind {
-            TaskKind::Map => num_map,
-            TaskKind::Reduce => num_reduce,
-        };
-        for (list, kind) in [
-            (&self.map_failures, TaskKind::Map),
-            (&self.reduce_failures, TaskKind::Reduce),
-        ] {
-            for &(index, _) in list.iter() {
-                if index >= bound(kind) {
-                    return Err(format!(
-                        "{} failure references task index {index}, but the job has only {} such tasks",
-                        match kind {
-                            TaskKind::Map => "map",
-                            TaskKind::Reduce => "reduce",
-                        },
-                        bound(kind)
-                    ));
-                }
-            }
-        }
         for fault in &self.attempt_faults {
-            if fault.index >= bound(fault.kind) {
+            let (side, bound) = match fault.kind {
+                TaskKind::Map => ("map", num_map),
+                TaskKind::Reduce => ("reduce", num_reduce),
+            };
+            if fault.index >= bound {
                 return Err(format!(
-                    "attempt fault references {} task index {}, but the job has only {} such tasks",
-                    match fault.kind {
-                        TaskKind::Map => "map",
-                        TaskKind::Reduce => "reduce",
-                    },
-                    fault.index,
-                    bound(fault.kind)
+                    "attempt fault references {side} task index {}, but the job has only {bound} such tasks",
+                    fault.index
                 ));
             }
             if fault.attempt == 0 {
@@ -211,38 +169,25 @@ impl FaultPlan {
                     fault.index
                 ));
             }
-            if let Some(at) = fault.abort_at {
-                if !at.is_finite() || at < 0.0 {
-                    return Err(format!(
-                        "attempt fault on task index {} has a non-finite or negative abort_at ({at})",
-                        fault.index
-                    ));
-                }
+            if fault.abort_at.is_some_and(|at| !at.is_finite() || at < 0.0) {
+                return Err(format!(
+                    "attempt fault on task index {} has a non-finite or negative abort_at ({:?})",
+                    fault.index, fault.abort_at
+                ));
+            }
+            // Only the first fault of a key would ever fire, while every one
+            // of them counts towards exhaustion.
+            let same_key = self
+                .faults_of(fault.kind, fault.index)
+                .filter(|f| f.attempt == fault.attempt);
+            if same_key.count() > 1 {
+                return Err(format!(
+                    "two attempt faults are keyed to attempt {} of {side} task index {}",
+                    fault.attempt, fault.index
+                ));
             }
         }
         Ok(())
-    }
-}
-
-/// Hadoop-style speculative execution policy (the LATE heuristic on the
-/// virtual clock): once the median task of a phase has finished, any task
-/// whose projected finish exceeds `slowdown_threshold × median` gets a
-/// backup attempt launched at the median finish time. The first finisher
-/// wins; the loser's consumed virtual cost is charged to the
-/// `speculative_wasted` counter. Committed outputs are bit-identical either
-/// way — speculation only re-times stragglers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SpeculationConfig {
-    /// A task is speculated when its cost exceeds this multiple of the
-    /// phase's median task cost. Hadoop's LATE paper uses ~1.5.
-    pub slowdown_threshold: f64,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        Self {
-            slowdown_threshold: 1.5,
-        }
     }
 }
 
@@ -252,25 +197,23 @@ mod tests {
 
     #[test]
     fn lookups() {
-        let plan = FaultPlan {
-            map_failures: vec![(2, 1), (5, 3)],
-            reduce_failures: vec![(0, 2)],
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.failures_for(TaskKind::Map, 2), 1);
-        assert_eq!(plan.failures_for(TaskKind::Map, 5), 3);
-        assert_eq!(plan.failures_for(TaskKind::Map, 0), 0);
-        assert_eq!(plan.failures_for(TaskKind::Reduce, 0), 2);
+        let plan = FaultPlan::fail_map(2, 1)
+            .with_discard(TaskKind::Map, 5, 1)
+            .with_discard(TaskKind::Map, 5, 2)
+            .with_discard(TaskKind::Map, 5, 3)
+            .with_discard(TaskKind::Reduce, 0, 1)
+            .with_discard(TaskKind::Reduce, 0, 2);
+        assert_eq!(plan.deaths_for(TaskKind::Map, 2), 1);
+        assert_eq!(plan.deaths_for(TaskKind::Map, 5), 3);
+        assert_eq!(plan.deaths_for(TaskKind::Map, 0), 0);
+        assert_eq!(plan.deaths_for(TaskKind::Reduce, 0), 2);
         assert!(!plan.exhausts_attempts(TaskKind::Map, 5));
     }
 
     #[test]
     fn attempt_exhaustion() {
-        let plan = FaultPlan {
-            map_failures: vec![(1, 4)],
-            max_attempts: 4,
-            ..FaultPlan::default()
-        };
+        let plan = FaultPlan::fail_map(1, 4);
+        assert_eq!(plan.max_attempts, 4);
         assert!(plan.exhausts_attempts(TaskKind::Map, 1));
         assert!(!plan.exhausts_attempts(TaskKind::Map, 0));
     }
@@ -278,9 +221,11 @@ mod tests {
     #[test]
     fn builders() {
         let m = FaultPlan::fail_map(3, 2);
-        assert_eq!(m.failures_for(TaskKind::Map, 3), 2);
+        assert_eq!(m.deaths_for(TaskKind::Map, 3), 2);
+        assert!(m.fault_for(TaskKind::Map, 3, 3).is_none());
         let r = FaultPlan::fail_reduce(1, 1);
-        assert_eq!(r.failures_for(TaskKind::Reduce, 1), 1);
+        let fault = r.fault_for(TaskKind::Reduce, 1, 1).unwrap();
+        assert_eq!(fault.abort_at, None, "discarded at its end, never aborted");
     }
 
     #[test]
@@ -289,7 +234,7 @@ mod tests {
             .with_crash(TaskKind::Map, 1, 1)
             .with_abort(TaskKind::Reduce, 0, 2, 123.0);
         let f = plan.fault_for(TaskKind::Map, 1, 1).unwrap();
-        assert_eq!(f.abort_at, None);
+        assert_eq!(f.abort_at, Some(0.0));
         assert!(plan.fault_for(TaskKind::Map, 1, 2).is_none());
         assert!(plan.fault_for(TaskKind::Map, 0, 1).is_none());
         let g = plan.fault_for(TaskKind::Reduce, 0, 2).unwrap();
@@ -328,11 +273,6 @@ mod tests {
     #[test]
     fn validate_rejects_bad_scalars() {
         let plan = FaultPlan {
-            failure_fraction: 1.5,
-            ..FaultPlan::default()
-        };
-        assert!(plan.validate(1, 1).is_err());
-        let plan = FaultPlan {
             max_attempts: 0,
             ..FaultPlan::default()
         };
@@ -344,13 +284,33 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_two_faults_on_one_attempt() {
+        // `fault_for` would apply the first and ignore the second while
+        // `deaths_for` counted both: with a budget of 2 this plan reports
+        // exhaustion for a task whose second attempt in fact survives.
+        let plan = FaultPlan {
+            max_attempts: 2,
+            ..FaultPlan::fail_reduce(0, 1)
+        }
+        .with_crash(TaskKind::Reduce, 0, 1);
+        assert!(plan.exhausts_attempts(TaskKind::Reduce, 0));
+        let err = plan.validate(1, 1).unwrap_err();
+        assert!(err.contains("attempt 1 of reduce task index 0"), "{err}");
+        // Same attempt number on another task or side is a different key.
+        let plan = FaultPlan::fail_reduce(0, 1)
+            .with_crash(TaskKind::Reduce, 1, 1)
+            .with_crash(TaskKind::Map, 0, 1);
+        assert!(plan.validate(2, 2).is_ok());
+    }
+
+    #[test]
     fn serde_round_trip() {
         let plan = FaultPlan::fail_map(1, 2).with_abort(TaskKind::Reduce, 0, 1, 55.5);
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.map_failures, plan.map_failures);
-        assert_eq!(back.attempt_faults.len(), 1);
-        assert_eq!(back.attempt_faults[0].abort_at, Some(55.5));
+        assert_eq!(back.attempt_faults.len(), 3);
+        assert_eq!(back.attempt_faults[0].abort_at, None);
+        assert_eq!(back.attempt_faults[2].abort_at, Some(55.5));
         assert_eq!(back.max_attempts, plan.max_attempts);
     }
 }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use crate::cost::{CostClock, CostModel};
 use crate::counters::Counters;
 use crate::exec::ExecutorKind;
-use crate::faults::{FaultPlan, InjectedAbort, SpeculationConfig};
+use crate::faults::{FaultPlan, InjectedAbort};
 use crate::observe::TaskObserver;
 use crate::progress::EventLog;
 use crate::shuffle::GroupedPartition;
@@ -88,11 +88,6 @@ pub struct JobConfig {
     pub name: String,
     /// Cluster to run on.
     pub cluster: ClusterSpec,
-    /// Number of map tasks. Defaults to the number of map slots, mirroring
-    /// the paper's block-size tweak that makes "the number of required map
-    /// tasks equal to the maximum number of map tasks that can be run
-    /// simultaneously" (§VI-A1). `None` means "use `cluster.map_slots()`".
-    pub num_map_tasks: Option<usize>,
     /// Number of reduce tasks. `None` means "use `cluster.reduce_slots()`".
     pub num_reduce_tasks: Option<usize>,
     /// Cost calibration shared by all tasks.
@@ -103,11 +98,6 @@ pub struct JobConfig {
     pub worker_threads: Option<usize>,
     /// Deterministic task-failure injection (None = no failures).
     pub faults: Option<FaultPlan>,
-    /// Speculative execution on the virtual clock (None = off): stragglers
-    /// past the configured multiple of the phase's median task cost get a
-    /// backup attempt; the first finisher wins and the loser's cost is
-    /// charged to the `speculative_wasted` counter.
-    pub speculation: Option<SpeculationConfig>,
     /// Task lifecycle observer (None = no observation). Notified from the
     /// driver thread in task-index order after each phase's barrier — see
     /// [`crate::observe`] — so a journal built from the notifications is
@@ -125,22 +115,21 @@ impl JobConfig {
         Self {
             name: name.into(),
             cluster,
-            num_map_tasks: None,
             num_reduce_tasks: None,
             cost_model: CostModel::default(),
             worker_threads: None,
             faults: None,
-            speculation: None,
             observer: None,
             executor: ExecutorKind::default(),
         }
     }
 
-    /// Effective number of map tasks.
+    /// Number of map tasks: the number of map slots, mirroring the paper's
+    /// block-size tweak that makes "the number of required map tasks equal
+    /// to the maximum number of map tasks that can be run simultaneously"
+    /// (§VI-A1).
     pub fn map_tasks(&self) -> usize {
-        self.num_map_tasks
-            .unwrap_or(self.cluster.map_slots())
-            .max(1)
+        self.cluster.map_slots().max(1)
     }
 
     /// Effective number of reduce tasks (r in the paper).
@@ -392,7 +381,6 @@ mod tests {
     #[test]
     fn job_task_counts_never_zero() {
         let mut cfg = JobConfig::new("j", ClusterSpec::new(0, 0, 0));
-        cfg.num_map_tasks = Some(0);
         cfg.num_reduce_tasks = Some(0);
         assert_eq!(cfg.map_tasks(), 1);
         assert_eq!(cfg.reduce_tasks(), 1);

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::error::MrError;
     pub use crate::exec::ExecutorKind;
     pub use crate::extsort::{ExternalSorter, SortedStream, SpillFullPolicy};
-    pub use crate::faults::{AttemptFault, FaultPlan, InjectedAbort, SpeculationConfig};
+    pub use crate::faults::{AttemptFault, FaultPlan, InjectedAbort};
     // Storage-fault vocabulary, re-exported so spill consumers configure
     // fault plans and retries without naming pper-vfs directly.
     pub use crate::job::{

@@ -7,10 +7,6 @@
 //! post-barrier keeps the hot path lock-free and makes the notification
 //! order (and therefore a journal built from it) deterministic regardless
 //! of worker-thread interleaving.
-//!
-//! Costs reported here are the attempt loop's: speculative re-timing (which
-//! runs after the phase barrier) is not folded in, so the same task always
-//! reports the same numbers for the same inputs.
 
 use std::sync::Arc;
 
@@ -40,8 +36,7 @@ pub enum TaskEvent<'a> {
         attempts: u32,
         /// History of the dead attempts, empty on a clean first run.
         failures: &'a [AttemptRecord],
-        /// Total virtual cost on the task's slot (clean + wasted),
-        /// pre-speculation.
+        /// Total virtual cost on the task's slot (clean + wasted).
         cost: f64,
         /// Portion of `cost` burned by dead attempts.
         wasted: f64,

@@ -17,11 +17,7 @@
 //! [`TaskContext`] — up to the plan's `max_attempts`. Only attempt
 //! exhaustion surfaces [`MrError::TaskFailed`]; a job without a fault plan
 //! keeps the historical single-attempt behaviour where a panic aborts the
-//! job with [`MrError::TaskPanicked`]. With
-//! [`crate::faults::SpeculationConfig`] set, stragglers additionally get a
-//! speculative backup attempt on the virtual clock (LATE heuristic): the
-//! first finisher wins, the loser's consumed cost is charged to the
-//! `speculative_wasted` counter, and committed outputs are unchanged.
+//! job with [`MrError::TaskPanicked`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -133,16 +129,13 @@ fn max_mean_ratio(costs: &[f64]) -> f64 {
 }
 
 /// One committed simulated task after retries: the surviving attempt's
-/// value, the task's virtual cost split into clean work and wasted
-/// (failed-attempt) time, plus counters and events — the latter already
-/// rebased past the wasted prefix.
+/// value, the task's virtual cost and the part of it wasted by dead
+/// attempts, plus counters and events — the latter already rebased past the
+/// wasted prefix.
 struct TaskRun<T> {
     value: T,
-    /// Total virtual cost occupied on the task's slot (`clean + wasted`;
-    /// re-timed if a speculative backup won).
+    /// Total virtual cost occupied on the task's slot (`clean + wasted`).
     cost: f64,
-    /// Cost of the surviving attempt alone.
-    clean_cost: f64,
     /// Virtual time burned by dead attempts before the surviving one.
     wasted: f64,
     /// Attempts consumed (1 = clean first run).
@@ -176,14 +169,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Execute one simulated task as attempts `1..=max_attempts`, Hadoop-style.
 ///
-/// Every attempt gets a fresh [`TaskContext`]; a caught panic (genuine or
-/// injected via [`crate::faults::FaultPlan::attempt_faults`]) adds the
-/// attempt's partial clock to `wasted` and re-runs. Legacy discard-mode
-/// failures (`failures_for`) run the attempt fully, throw its output away,
-/// and waste `failure_fraction × cost + startup`, preserving the historical
-/// accounting. The surviving attempt's events are shifted past the wasted
-/// prefix and its clock is charged for it, so the task occupies its slot
-/// for `clean + wasted` virtual time.
+/// Every attempt gets a fresh [`TaskContext`]. An attempt dies by panicking
+/// (genuinely, or at the clock an injected
+/// [`crate::faults::AttemptFault::abort_at`] names) or by running to
+/// completion under an injected discard; either way it adds its own clock
+/// at death to `wasted` and the task re-runs. The surviving attempt's
+/// events are shifted past the wasted prefix and its clock is charged for
+/// it, so the task occupies its slot for `clean + wasted` virtual time.
 fn run_one_task<T>(
     cfg: &JobConfig,
     kind: TaskKind,
@@ -191,70 +183,34 @@ fn run_one_task<T>(
     f: &(impl Fn(usize, &mut TaskContext) -> T + Sync),
 ) -> Result<TaskRun<T>, TaskFailure> {
     let budget = cfg.faults.as_ref().map_or(1, |p| p.max_attempts.max(1));
-    let legacy = cfg.faults.as_ref().map_or(0, |p| p.failures_for(kind, idx));
-    let legacy_waste_fraction = cfg.faults.as_ref().map_or(0.0, |p| p.failure_fraction);
     let id = TaskId { kind, index: idx };
     let mut wasted = 0.0_f64;
-    let mut retries = 0u32;
     let mut failures: Vec<AttemptRecord> = Vec::new();
-    let mut last_error = String::from("attempt budget exhausted");
     for attempt in 1..=budget {
         let injected = cfg
             .faults
             .as_ref()
             .and_then(|p| p.fault_for(kind, idx, attempt));
-        if let Some(fault) = injected {
-            if fault.abort_at.is_none() {
-                // The attempt dies before doing any work: it still occupied
-                // its slot for the startup.
-                wasted += cfg.cost_model.task_startup;
-                retries += 1;
-                last_error = format!("injected crash at start of attempt {attempt}");
-                failures.push(AttemptRecord {
-                    attempt,
-                    error: last_error.clone(),
-                    wasted_cost: cfg.cost_model.task_startup,
-                });
-                continue;
-            }
-        }
         let mut ctx = TaskContext::new(id, cfg.cost_model.clone());
         ctx.attempt = attempt;
         ctx.abort_at = injected.and_then(|fault| fault.abort_at);
-        match catch_unwind(AssertUnwindSafe(|| f(idx, &mut ctx))) {
-            Ok(value) => {
-                if attempt <= legacy {
-                    // Legacy discard-mode failure: the attempt ran fully but
-                    // its output is lost; a fraction of its work plus the
-                    // next attempt's startup is wasted. `legacy > 0` implies
-                    // a fault plan, whose fraction was captured above.
-                    let delta = legacy_waste_fraction * ctx.now() + cfg.cost_model.task_startup;
-                    wasted += delta;
-                    retries += 1;
-                    last_error = format!("injected failure discarded attempt {attempt}");
-                    failures.push(AttemptRecord {
-                        attempt,
-                        error: last_error.clone(),
-                        wasted_cost: delta,
-                    });
-                    continue;
-                }
+        let discarded = injected.is_some_and(|fault| fault.abort_at.is_none());
+        let error = match catch_unwind(AssertUnwindSafe(|| f(idx, &mut ctx))) {
+            Ok(value) if !discarded => {
                 ctx.events.rebase(wasted);
                 // Bypass `TaskContext::charge` so a still-armed `abort_at`
                 // cannot fire outside the catch_unwind above.
                 ctx.clock.charge(wasted);
-                if retries > 0 {
-                    ctx.counters.add("task_retries", u64::from(retries));
+                if !failures.is_empty() {
+                    ctx.counters.add("task_retries", failures.len() as u64);
                 }
                 if wasted > 0.0 {
                     ctx.counters
                         .add("wasted_virtual_cost", wasted.round() as u64);
                 }
-                let cost = ctx.now();
                 return Ok(TaskRun {
                     value,
-                    cost,
-                    clean_cost: cost - wasted,
+                    cost: ctx.now(),
                     wasted,
                     attempts: attempt,
                     failures,
@@ -262,38 +218,33 @@ fn run_one_task<T>(
                     events: ctx.events.into_events(),
                 });
             }
-            Err(payload) => {
-                // The borrow of `ctx` ended with the unwind; its clock holds
-                // the deterministic virtual time at which the attempt died.
-                let delta = ctx.now();
-                wasted += delta;
-                retries += 1;
-                last_error = panic_message(payload.as_ref());
-                failures.push(AttemptRecord {
-                    attempt,
-                    error: last_error.clone(),
-                    wasted_cost: delta,
-                });
-                if cfg.faults.is_none() {
-                    // No fault plan: keep the historical single-attempt
-                    // contract where any panic aborts the job.
-                    return Err(TaskFailure {
-                        error: MrError::TaskPanicked {
-                            task: id.to_string(),
-                            message: last_error,
-                        },
-                        attempts: attempt,
-                        failures,
-                    });
-                }
-            }
-        }
+            Ok(_) => format!("injected failure discarded attempt {attempt}"),
+            Err(payload) => panic_message(payload.as_ref()),
+        };
+        // The borrow of `ctx` ended with the attempt; its clock holds the
+        // deterministic virtual time at which it died.
+        wasted += ctx.now();
+        failures.push(AttemptRecord {
+            attempt,
+            error,
+            wasted_cost: ctx.now(),
+        });
     }
+    // Without a fault plan the budget is one attempt: the historical
+    // contract where any panic aborts the job.
+    let last_error = failures.last().map(|f| f.error.clone()).unwrap_or_default();
+    let task = id.to_string();
     Err(TaskFailure {
-        error: MrError::TaskFailed {
-            task: id.to_string(),
-            attempts: budget,
-            last_error,
+        error: match cfg.faults {
+            Some(_) => MrError::TaskFailed {
+                task,
+                attempts: budget,
+                last_error,
+            },
+            None => MrError::TaskPanicked {
+                task,
+                message: last_error,
+            },
         },
         attempts: budget,
         failures,
@@ -370,57 +321,6 @@ fn run_tasks<T: Send>(
         Some(err) => Err(err),
         None => Ok(runs),
     }
-}
-
-/// Speculative execution on the virtual clock (Hadoop's LATE heuristic).
-///
-/// Once the phase's median task has finished (virtual time `median`), every
-/// task projected past `slowdown_threshold × median` gets a backup attempt
-/// launched at `median` that redoes the clean work from scratch. Whichever
-/// attempt finishes first wins; the loser is killed at that moment and its
-/// consumed cost is charged to `speculative_wasted`. Committed outputs are
-/// untouched — speculation can only re-time a straggler, never change what
-/// it produced — and without injected faults a backup can never win
-/// (`median + clean > clean`), so clean runs are bit-identical.
-fn speculate<T>(cfg: &JobConfig, runs: &mut [TaskRun<T>]) -> Counters {
-    let mut counters = Counters::new();
-    let Some(spec) = &cfg.speculation else {
-        return counters;
-    };
-    if runs.len() < 2 {
-        return counters;
-    }
-    let mut costs: Vec<f64> = runs.iter().map(|r| r.cost).collect();
-    costs.sort_by(f64::total_cmp);
-    let median = costs[(costs.len() - 1) / 2];
-    if median <= 0.0 || !spec.slowdown_threshold.is_finite() {
-        return counters;
-    }
-    let threshold = spec.slowdown_threshold * median;
-    for run in runs.iter_mut() {
-        if run.cost <= threshold {
-            continue;
-        }
-        counters.add("speculative_launched", 1);
-        let backup_finish = median + run.clean_cost;
-        if backup_finish < run.cost {
-            // Backup wins; the original attempt is killed at backup_finish
-            // having burned that much slot time.
-            counters.add("speculative_wins", 1);
-            counters.add("speculative_wasted", backup_finish.round() as u64);
-            let shift = median - run.wasted;
-            for e in &mut run.events {
-                e.cost += shift;
-            }
-            run.cost = backup_finish;
-            run.wasted = median;
-        } else {
-            // Original finishes first; the backup is killed at that moment
-            // having run since `median`.
-            counters.add("speculative_wasted", (run.cost - median).round() as u64);
-        }
-    }
-    counters
 }
 
 /// Split `inputs` into `n` contiguous chunks of near-equal length.
@@ -635,7 +535,6 @@ where
         let TaskRun {
             value,
             cost,
-            clean_cost,
             wasted,
             attempts,
             failures,
@@ -645,7 +544,6 @@ where
         map_runs.push(TaskRun {
             value: value?,
             cost,
-            clean_cost,
             wasted,
             attempts,
             failures,
@@ -656,7 +554,6 @@ where
     let wall_map = started.elapsed();
 
     let mut counters = Counters::new();
-    counters.merge(&speculate(cfg, &mut map_runs));
     let shuffle_records: u64 = map_runs.iter().map(|m| m.value.records).sum();
     let map_costs: Vec<f64> = map_runs.iter().map(|m| m.cost).collect();
     let map_phase = PhaseReport::new(map_costs, cfg.cluster.map_slots());
@@ -716,7 +613,7 @@ where
     // Every attempt borrows its flat partition, so fault-plan re-execution
     // replays for free — no per-attempt copies, and fault-free runs never
     // copy at all.
-    let mut reduce_runs: Vec<TaskRun<Vec<R::Output>>> =
+    let reduce_runs: Vec<TaskRun<Vec<R::Output>>> =
         run_tasks(cfg, num_reduce, threads, TaskKind::Reduce, |idx, ctx| {
             let partition = &grouped[idx];
             ctx.charge(ctx.cost_model.task_startup);
@@ -728,7 +625,6 @@ where
     drop(grouped);
     let wall_reduce = started.elapsed().saturating_sub(wall_map + wall_shuffle);
 
-    counters.merge(&speculate(cfg, &mut reduce_runs));
     let reduce_costs: Vec<f64> = reduce_runs.iter().map(|r| r.cost).collect();
     let reduce_phase = PhaseReport::new(reduce_costs.clone(), cfg.cluster.reduce_slots());
     // Shuffle-skew counter: max/mean of the reduce-task virtual costs, in
@@ -1002,11 +898,7 @@ mod tests {
         use crate::faults::FaultPlan;
         let inputs: Vec<u64> = (0..50).collect();
         let mut cfg = job(1);
-        cfg.faults = Some(FaultPlan {
-            map_failures: vec![(0, 4)],
-            max_attempts: 4,
-            ..FaultPlan::default()
-        });
+        cfg.faults = Some(FaultPlan::fail_map(0, 4));
         let err = run_job(&cfg, &KeyMod, &GroupReducer::new(SumReducer), &inputs).unwrap_err();
         assert!(matches!(err, MrError::TaskFailed { .. }), "{err}");
     }
@@ -1154,52 +1046,59 @@ mod tests {
     }
 
     #[test]
-    fn speculation_is_noop_on_clean_runs() {
-        use crate::faults::SpeculationConfig;
+    fn every_death_point_wastes_the_dead_attempts_clock() {
+        use crate::faults::FaultPlan;
+        use crate::observe::TaskObserver;
+        use std::sync::Arc;
         let inputs: Vec<u64> = (0..500).collect();
-        let plain = run_job(&job(2), &KeyMod, &GroupReducer::new(SumReducer), &inputs).unwrap();
-        let mut cfg = job(2);
-        cfg.speculation = Some(SpeculationConfig::default());
-        let spec = run_job(&cfg, &KeyMod, &GroupReducer::new(SumReducer), &inputs).unwrap();
-        assert_eq!(plain.outputs, spec.outputs);
-        assert_eq!(plain.total_virtual_cost, spec.total_virtual_cost);
-        assert_eq!(plain.reduce_phase.task_costs, spec.reduce_phase.task_costs);
-        assert_eq!(spec.counters.get("speculative_wins"), 0);
-    }
+        let reducer = GroupReducer::new(SumReducer);
+        let clean = run_job(&job(2), &KeyMod, &reducer, &inputs).unwrap();
+        let clean_cost = clean.reduce_phase.task_costs[0];
+        let startup = job(2).cost_model.task_startup;
+        let mid = (startup + clean_cost) / 2.0;
 
-    #[test]
-    fn speculation_rescues_a_fault_slowed_straggler() {
-        use crate::faults::{FaultPlan, SpeculationConfig};
-        let inputs: Vec<u64> = (0..2000).collect();
-        let mut faulty = job(2);
-        faulty.faults = Some(FaultPlan::fail_reduce(0, 3));
-        let slow = run_job(&faulty, &KeyMod, &GroupReducer::new(SumReducer), &inputs).unwrap();
+        // The first attempt of reduce-0 dies at its start, at a clock, at
+        // its end; `died` bounds the clock the dead attempt stopped at (an
+        // abort fires on the first charge that reaches its clock).
+        let table = [
+            (
+                FaultPlan::default().with_crash(TaskKind::Reduce, 0, 1),
+                startup..=startup,
+            ),
+            (
+                FaultPlan::default().with_abort(TaskKind::Reduce, 0, 1, mid),
+                mid..=clean_cost,
+            ),
+            (FaultPlan::fail_reduce(0, 1), clean_cost..=clean_cost),
+        ];
+        for (plan, died) in table {
+            let dead: Arc<Mutex<Vec<AttemptRecord>>> = Arc::default();
+            let sink = Arc::clone(&dead);
+            let mut cfg = job(2);
+            cfg.faults = Some(plan.clone());
+            cfg.observer = Some(TaskObserver::new(move |event| {
+                if let TaskEvent::Finished { failures, .. } = event {
+                    sink.lock().extend_from_slice(failures);
+                }
+            }));
+            let faulty = run_job(&cfg, &KeyMod, &reducer, &inputs).unwrap();
+            assert_eq!(faulty.outputs, clean.outputs, "{plan:?}");
+            assert_eq!(faulty.outputs_per_task, clean.outputs_per_task, "{plan:?}");
+            assert_eq!(faulty.counters.get("task_retries"), 1, "{plan:?}");
 
-        let mut rescued_cfg = faulty.clone();
-        rescued_cfg.speculation = Some(SpeculationConfig::default());
-        let rescued = run_job(
-            &rescued_cfg,
-            &KeyMod,
-            &GroupReducer::new(SumReducer),
-            &inputs,
-        )
-        .unwrap();
-
-        let mut a = slow.outputs.clone();
-        let mut b = rescued.outputs.clone();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "speculation must not change committed outputs");
-        assert!(rescued.counters.get("speculative_launched") >= 1);
-        assert_eq!(rescued.counters.get("speculative_wins"), 1);
-        assert!(rescued.counters.get("speculative_wasted") > 0);
-        assert!(
-            rescued.reduce_phase.task_costs[0] < slow.reduce_phase.task_costs[0],
-            "a winning backup must finish before the fault-slowed original ({} vs {})",
-            rescued.reduce_phase.task_costs[0],
-            slow.reduce_phase.task_costs[0]
-        );
-        assert!(rescued.total_virtual_cost <= slow.total_virtual_cost);
+            let dead = dead.lock();
+            assert_eq!(dead.len(), 1, "{plan:?}");
+            let clock = dead[0].wasted_cost;
+            assert!(died.contains(&clock), "{plan:?}: died at {clock}");
+            assert_eq!(
+                faulty.counters.get("wasted_virtual_cost"),
+                clock.round() as u64,
+                "{plan:?}"
+            );
+            let mut costs = clean.reduce_phase.task_costs.clone();
+            costs[0] += clock;
+            assert_eq!(faulty.reduce_phase.task_costs, costs, "{plan:?}");
+        }
     }
 
     #[test]

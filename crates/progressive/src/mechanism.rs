@@ -95,7 +95,6 @@ pub fn sort_by_attrs(
 mod tests {
     use super::*;
     use pper_datagen::Entity;
-    use std::collections::HashMap;
 
     struct NoopSource;
     impl PairSource for NoopSource {
@@ -112,11 +111,13 @@ mod tests {
 
     #[test]
     fn sort_by_attr_orders_and_breaks_ties_by_id() {
-        let mut map: HashMap<EntityId, Entity> = HashMap::new();
-        map.insert(0, Entity::new(0, vec!["b".into()]));
-        map.insert(1, Entity::new(1, vec!["a".into()]));
-        map.insert(2, Entity::new(2, vec!["a".into()]));
-        let sorted = sort_by_attr(&[0, 1, 2], 0, &map);
+        let entities = [
+            Entity::new(0, vec!["b".into()]),
+            Entity::new(1, vec!["a".into()]),
+            Entity::new(2, vec!["a".into()]),
+        ];
+        let lookup: Vec<&Entity> = entities.iter().collect();
+        let sorted = sort_by_attr(&[0, 1, 2], 0, &lookup);
         assert_eq!(sorted, vec![1, 2, 0]);
     }
 

@@ -99,8 +99,6 @@ pub struct ScheduleConfig {
     pub split_batch: usize,
     /// Which scheduler to run.
     pub scheduler: TreeScheduler,
-    /// Safety cap on identify/split iterations.
-    pub max_split_rounds: usize,
     /// Cost-vector layout.
     pub cost_vector: CostVectorSpec,
 }
@@ -114,7 +112,6 @@ impl ScheduleConfig {
             weighting: Weighting::Linear,
             split_batch: 4,
             scheduler: TreeScheduler::Progressive,
-            max_split_rounds: 64,
             cost_vector: CostVectorSpec::FullRun,
         }
     }
@@ -215,13 +212,16 @@ pub fn generate_schedule(
     }
 }
 
+/// Safety cap on identify/split iterations.
+const MAX_SPLIT_ROUNDS: usize = 64;
+
 /// The identify/split loop (Fig. 6 lines 2–7).
 fn split_overflowed_trees(
     trees: &mut Vec<PlanTree>,
     ctx: &EstimationContext,
     cfg: &ScheduleConfig,
 ) {
-    for _round in 0..cfg.max_split_rounds {
+    for _round in 0..MAX_SPLIT_ROUNDS {
         let buckets = Buckets::build(trees, cfg.reduce_tasks, cfg.num_buckets, cfg.cost_vector);
         // IDENTIFY-TREES: overflowed *and splittable* (root has children).
         let mut overflowed: Vec<(usize, f64)> = (0..trees.len())

@@ -6,7 +6,7 @@ use pper::er::{
     correlation_clustering, run_with_budget, transitive_closure, ClusterMetrics, ErConfig,
     MechanismKind, ProgressiveEr,
 };
-use pper::mapreduce::FaultPlan;
+use pper::mapreduce::{FaultPlan, TaskKind};
 
 #[test]
 fn pipeline_survives_injected_task_failures() {
@@ -18,10 +18,9 @@ fn pipeline_survives_injected_task_failures() {
     // move the phase makespan — that is correct wave-scheduling behaviour.)
     let mut config = ErConfig::citeseer(2);
     let reduce_tasks = config.reduce_tasks();
-    config.faults = Some(FaultPlan {
-        reduce_failures: (0..reduce_tasks).map(|i| (i, 1)).collect(),
-        ..FaultPlan::default()
-    });
+    config.faults = Some((0..reduce_tasks).fold(FaultPlan::default(), |plan, i| {
+        plan.with_discard(TaskKind::Reduce, i, 1)
+    }));
     let faulty = ProgressiveEr::new(config).run(&ds);
 
     // Retried tasks reproduce the same results…
@@ -40,11 +39,7 @@ fn pipeline_survives_injected_task_failures() {
 fn exhausted_retries_surface_as_error() {
     let ds = PubGen::new(300, 402).generate();
     let mut config = ErConfig::citeseer(1);
-    config.faults = Some(FaultPlan {
-        reduce_failures: vec![(0, 9)],
-        max_attempts: 4,
-        ..FaultPlan::default()
-    });
+    config.faults = Some(FaultPlan::fail_reduce(0, 9));
     let err = ProgressiveEr::new(config).try_run(&ds).unwrap_err();
     assert!(err.to_string().contains("failed after"));
 }
