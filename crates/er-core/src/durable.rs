@@ -8,13 +8,24 @@
 //! this module installs a [`CutSink`] on the job's one [`Stage`], and every
 //! reduce task, as its own clock crosses the `checkpoint_every` grid (and at
 //! its last block), hands over a delta — blocks done, clock, pairs compared
-//! and duplicates found since its previous cut — which is appended and
-//! synced as a `CheckpointCut` record before the task moves on (§III-B's
-//! per-task α-incremental result files, made the unit of recovery). Every
-//! task completion (with its attempt history) and every attempt-budget
+//! and duplicates found since its previous cut — which is appended as a
+//! `CheckpointCut` record before the task moves on (§III-B's per-task
+//! α-incremental result files, made the unit of recovery). Every task
+//! completion (with its attempt history) and every attempt-budget
 //! exhaustion is journaled through the runtime's [`TaskObserver`] hook. A
 //! healthy run executes each job exactly once and its counters are the
 //! uninterrupted run's.
+//!
+//! Appended is not yet synced. [`JobJournal`] syncs by itself once a byte
+//! budget of records has accumulated; this module adds a barrier only where
+//! something starts to rest on the records: after `ScheduleGenerated`,
+//! before the resolution job cuts against that schedule (one barrier for
+//! the whole statistics job); before a dead-letter capture is reported; and
+//! on every return of [`run_durable`], [`resume_durable`] and
+//! [`reprocess_dlq`], `Ok` or `Err`. A killed process loses nothing past
+//! the record it was writing; a machine crash loses at most the unsynced
+//! tail, which the resumed stage re-executes. A sync that fails ends the
+//! run with the typed journal error — it is never retried.
 //!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
 //! but the journal (plus the dataset file named in the `JobStarted`
@@ -60,7 +71,8 @@ pub struct DurableOptions {
     /// block boundary past `every`, `2·every`, ..., and at its last block.
     pub checkpoint_every: f64,
     /// Conformance-harness hook: abort the process (as if `kill -9`) right
-    /// after the N-th journal event is durably appended. `None` disables.
+    /// after the N-th journal event is appended and the log synced, so that
+    /// event is durable and nothing after it is. `None` disables.
     pub kill_after_events: Option<u64>,
 }
 
@@ -216,6 +228,11 @@ impl Shared {
             .map_err(DurableError::Journal)
     }
 
+    /// The barrier: on `Ok`, every record appended so far is on disk.
+    fn sync(&self) -> Result<(), DurableError> {
+        self.journal.lock().sync().map_err(DurableError::Journal)
+    }
+
     /// Append one event from a callback, parking the first failure.
     fn append_from_callback(&self, event: &JournalEvent) -> bool {
         match self.journal.lock().append(event) {
@@ -227,8 +244,8 @@ impl Shared {
         }
     }
 
-    /// The cut sink: make a reduce task's delta durable before the task
-    /// moves on. Only the record next in line for its task is appended — an
+    /// The cut sink: journal a reduce task's delta before the task moves
+    /// on. Only the record next in line for its task is appended — an
     /// attempt re-running after its predecessor died re-emits what that one
     /// already wrote, and after a failed append nothing of the task may
     /// follow the gap.
@@ -332,7 +349,8 @@ struct DlqContext<'a> {
 
 /// Finish a pipeline stage: surface parked journal errors, and on task
 /// exhaustion capture the observed tasks into the dead-letter queue with a
-/// JSON reprocessing context before failing.
+/// JSON reprocessing context — synced, since the error names the captures —
+/// before failing.
 fn finish_stage<T>(
     shared: &Shared,
     job_id: &str,
@@ -383,6 +401,7 @@ fn finish_stage<T>(
                     context_json,
                 })?;
             }
+            shared.sync()?;
             Err(DurableError::DeadLettered {
                 job_id: job_id.to_string(),
                 tasks: task_names,
@@ -439,12 +458,36 @@ pub fn journaled_checkpoint(
     }))
 }
 
-/// Drive the pipeline to completion, journaling as it goes.
+/// Drive the pipeline to completion, journaling as it goes: `first` opens
+/// this process's stretch of the log (`JobStarted`, or the `DlqDrained`
+/// records of a reprocess), then the stages run.
 ///
 /// `resume` is the checkpoint the journal holds and, per task, how many cut
 /// records went into it; `None` starts from the statistics job. The `er`
 /// passed here must already have the journaling observer installed.
+///
+/// Once a durable entry point has a journal to append to, every exit is
+/// this function's, and it syncs on all of them: a result, and an error a
+/// caller may act on by resuming, is reported only once the records it
+/// rests on are on disk.
 fn drive(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    job_id: &str,
+    shared: &Arc<Shared>,
+    every: f64,
+    first: &[JournalEvent],
+    resume: Option<(Checkpoint, Vec<u32>)>,
+) -> Result<ErRunResult, DurableError> {
+    let outcome = first
+        .iter()
+        .try_for_each(|event| shared.append(event).map(drop))
+        .and_then(|()| run_stages(er, ds, job_id, shared, every, resume));
+    let synced = shared.sync();
+    outcome.and_then(|result| synced.map(|()| result))
+}
+
+fn run_stages(
     er: &ProgressiveEr,
     ds: &Dataset,
     job_id: &str,
@@ -470,6 +513,10 @@ fn drive(
                 schedule_json: serde_json::to_string(&fresh)
                     .map_err(|e| MrError::Checkpoint(format!("schedule: {e}")))?,
             })?;
+            // One barrier for everything up to here. The cuts that follow
+            // are deltas against this schedule, and from now on a crash
+            // must cost a budget of them, not the statistics job again.
+            shared.sync()?;
             let first_seq = vec![0; fresh.num_tasks];
             (&fresh, job1.virtual_cost, job1.counters, first_seq)
         }
@@ -560,11 +607,12 @@ pub fn run_durable(
             format!("{}", opts.checkpoint_every),
         ));
     }
-    shared.append(&JournalEvent::JobStarted {
+    let started = JournalEvent::JobStarted {
         job_id: job_id.to_string(),
         params: all_params,
-    })?;
-    drive(&er, ds, job_id, &shared, opts.checkpoint_every, None)
+    };
+    let every = opts.checkpoint_every;
+    drive(&er, ds, job_id, &shared, every, &[started], None)
 }
 
 /// Recover a job's journal and fold it to the resume state, truncating any
@@ -622,15 +670,19 @@ fn redrive(
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, state.next_dlq_seq);
     let mut er = with_observer(er, &shared);
+    let mut drained = Vec::new();
     if drain_dlq {
         // The captured tasks re-enter the attempt loop without the fault
         // that killed them (the operational fix a DLQ exists for).
         er.config.faults = None;
-        for entry in &state.dlq {
-            shared.append(&JournalEvent::DlqDrained { seq: entry.seq })?;
-        }
+        drained.extend(
+            state
+                .dlq
+                .iter()
+                .map(|entry| JournalEvent::DlqDrained { seq: entry.seq }),
+        );
     }
-    drive(&er, ds, job_id, &shared, every, resume)
+    drive(&er, ds, job_id, &shared, every, &drained, resume)
 }
 
 /// Resume a durable job in a fresh process from nothing but its journal

@@ -14,16 +14,23 @@
 //! a fresh store — exactly the bytes a `kill -9` after the N-th synced
 //! append would have left. A prefix that fails to resume is written under
 //! `target/tmp/durable-sweeps/` before the test panics.
+//!
+//! The journal groups its syncs, so a *machine* crash keeps less than a
+//! process kill: the log as of its last sync, plus whatever the filesystem
+//! made of the tail. The last three tests hold the sync placement itself,
+//! every sync of a run failing in turn, and the power-cut images.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use pper_datagen::{Dataset, PubGen};
 use pper_er::prelude::*;
 use pper_journal::{
-    recover, JournalError, JournalEvent, JournalState, JournalStore, MemStore, TaskProgress,
+    recover, FileStore, JournalError, JournalEvent, JournalState, JournalStore, MemStore,
+    TaskProgress,
 };
-use pper_mapreduce::{FaultPlan, TaskKind};
+use pper_mapreduce::{FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, TaskKind, Vfs};
 
 type Events = Vec<(u64, JournalEvent)>;
 
@@ -694,5 +701,275 @@ fn every_byte_prefix_resumes_bit_identically() {
             let what = format!("{threads} thread(s), {cut} of {} bytes", bytes.len());
             resume_from(&er, &ds, "job-bytes", &bytes[..cut], &golden, &what);
         }
+    }
+}
+
+/// A `MemStore` that notes the log's length at every sync: the bytes a
+/// machine crash at any later moment is sure to have kept.
+#[derive(Default)]
+struct SyncLog {
+    inner: MemStore,
+    synced: Mutex<Vec<usize>>,
+}
+
+impl SyncLog {
+    fn shared() -> (Arc<Self>, Arc<dyn JournalStore>) {
+        let log = Arc::new(Self::default());
+        let store: Arc<dyn JournalStore> = Arc::<Self>::clone(&log);
+        (log, store)
+    }
+
+    /// The log is synced to its end: nothing reported rests on less.
+    fn assert_fully_synced(&self, job: &str, what: &str) {
+        let len = self.inner.read(job).unwrap().len();
+        assert_eq!(self.synced.lock().last(), Some(&len), "{what}");
+    }
+}
+
+impl JournalStore for SyncLog {
+    fn append(&self, job: &str, bytes: &[u8]) -> Result<u64, JournalError> {
+        self.inner.append(job, bytes)
+    }
+
+    fn read(&self, job: &str) -> Result<Vec<u8>, JournalError> {
+        self.inner.read(job)
+    }
+
+    fn sync(&self, job: &str) -> Result<(), JournalError> {
+        let len = self.inner.read(job)?.len();
+        self.synced.lock().push(len);
+        Ok(())
+    }
+
+    fn truncate_log(&self, job: &str, len: u64) -> Result<(), JournalError> {
+        self.inner.truncate_log(job, len)
+    }
+
+    fn list_jobs(&self) -> Result<Vec<String>, JournalError> {
+        self.inner.list_jobs()
+    }
+}
+
+/// `JobJournal`'s private sync budget: the unsynced bytes at which an
+/// append syncs by itself.
+const SYNC_BUDGET: usize = 128 << 10;
+
+/// Where the syncs fall. A finished run's log is synced to its end when the
+/// call returns, and so is a resumed run's and one that ends dead-lettered;
+/// the schedule is on disk before the first cut is appended; in between, no
+/// more than one budget (and the record that crossed it) is ever unsynced;
+/// and all of it takes a small fraction of a sync per record.
+#[test]
+fn syncs_are_grouped_and_cover_everything_a_return_reports() {
+    let ds = dataset();
+    let golden = ResultFingerprint::of(&small_pipeline().try_run(&ds).unwrap());
+    for threads in [1, 2] {
+        let er = threaded_pipeline(threads);
+        let job = "job-syncs";
+        let (log, store) = SyncLog::shared();
+        run_durable(&er, &ds, &store, job, &[], &opts(EVERY)).unwrap();
+        log.assert_fully_synced(job, "run_durable returned");
+
+        let events = recover(&store, job).unwrap().events;
+        let bytes = store.read(job).unwrap();
+        let synced = log.synced.lock().clone();
+        let end_of = |i: usize| {
+            events
+                .get(i + 1)
+                .map_or(bytes.len(), |(off, _)| *off as usize)
+        };
+        let schedule = events
+            .iter()
+            .position(|(_, e)| matches!(e, JournalEvent::ScheduleGenerated { .. }))
+            .expect("a schedule record");
+        let first_cut = events[cut_positions(&events)[0]].0 as usize;
+        assert!(
+            synced
+                .iter()
+                .any(|&len| (end_of(schedule)..=first_cut).contains(&len)),
+            "{threads} thread(s): no sync between the schedule and the first cut in {synced:?}"
+        );
+        let largest = (0..events.len())
+            .map(|i| end_of(i) - events[i].0 as usize)
+            .max()
+            .unwrap();
+        for span in synced.windows(2) {
+            assert!(
+                span[1] - span[0] <= SYNC_BUDGET + largest,
+                "{threads} thread(s): {span:?} unsynced"
+            );
+        }
+        assert!(
+            synced
+                .iter()
+                .any(|&len| first_cut < len && len < bytes.len()),
+            "{threads} thread(s): the budget never triggered in {synced:?}"
+        );
+        assert!(
+            synced.len() * 8 <= events.len(),
+            "{threads} thread(s): {} syncs for {} records",
+            synced.len(),
+            events.len()
+        );
+
+        // A resumed run: killed mid-reduce, synced to its end on return.
+        let cuts = cut_positions(&events);
+        let kill = events[cuts[cuts.len() / 2] + 1].0 as usize;
+        let (log, store) = SyncLog::shared();
+        store.append(job, &bytes[..kill]).unwrap();
+        let resumed = resume_durable(&er, &ds, &store, job, &opts(EVERY)).unwrap();
+        assert_eq!(ResultFingerprint::of(&resumed), golden);
+        log.assert_fully_synced(job, "resume_durable returned");
+
+        // A dead-lettered one: the captures the error names are on disk.
+        let mut faulty = threaded_pipeline(threads);
+        faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
+        let (log, store) = SyncLog::shared();
+        let err = run_durable(&faulty, &ds, &store, job, &[], &opts(EVERY)).unwrap_err();
+        assert!(matches!(err, DurableError::DeadLettered { .. }), "{err}");
+        log.assert_fully_synced(job, "run_durable returned DeadLettered");
+        let state = JournalState::replay(&recover(&store, job).unwrap().events);
+        assert_eq!(state.dlq.len(), 1);
+    }
+}
+
+/// Every sync of a run fails in turn — the header's, the barrier behind the
+/// schedule, the budget-triggered ones, the one before the return: each
+/// ends the run in the typed fsync fault, and the run stops there (only a
+/// failed *last* sync leaves a log that holds `JobFinished`). The file left
+/// behind, reopened on the plain filesystem, resumes to the fault-free
+/// result.
+#[test]
+fn a_failed_sync_is_a_typed_error_and_the_log_left_behind_resumes() {
+    let er = small_pipeline();
+    let ds = dataset();
+    let golden = ResultFingerprint::of(&er.try_run(&ds).unwrap());
+    let job = "job-fsync";
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("durable-failed-sync");
+    let _ = std::fs::remove_dir_all(&root);
+
+    let mut finished_at = Vec::new();
+    let mut nth = 0;
+    loop {
+        let dir = root.join(nth.to_string());
+        let plan = IoFaultPlan::new().with_at(IoOp::Fsync, job, nth, FaultKind::FsyncFail);
+        let fvfs = FaultVfs::new(plan).unwrap();
+        let vfs: Arc<dyn Vfs> = Arc::new(fvfs.clone());
+        let store: Arc<dyn JournalStore> = Arc::new(FileStore::open_with(vfs, &dir).unwrap());
+        let outcome = run_durable(&er, &ds, &store, job, &[], &opts(EVERY));
+        drop(store);
+        if fvfs.faults_fired() == 0 {
+            // The run has no sync number `nth`: the sweep is over.
+            assert_eq!(ResultFingerprint::of(&outcome.unwrap()), golden);
+            break;
+        }
+        match outcome {
+            Err(DurableError::Journal(JournalError::Fault(fault))) => {
+                assert_eq!(fault.info().op, IoOp::Fsync, "sync {nth}: {fault}");
+                assert!(fault.is_permanent(), "sync {nth}: {fault}");
+            }
+            Err(other) => panic!("sync {nth}: expected the fsync fault, got {other}"),
+            Ok(_) => panic!("sync {nth} failed and the run reported success"),
+        }
+
+        let plain = FileStore::shared(&dir).unwrap();
+        let left = recover(&plain, job).unwrap();
+        assert!(left.report.clean(), "sync {nth}");
+        if matches!(
+            left.events.last(),
+            Some((_, JournalEvent::JobFinished { .. }))
+        ) {
+            finished_at.push(nth);
+        }
+        let rerun = if left.events.is_empty() {
+            // The header's own sync: the log holds no job yet.
+            run_durable(&er, &ds, &plain, job, &[], &opts(EVERY))
+        } else {
+            resume_durable(&er, &ds, &plain, job, &opts(EVERY))
+        };
+        assert_eq!(ResultFingerprint::of(&rerun.unwrap()), golden, "sync {nth}");
+        nth += 1;
+    }
+    // Header, schedule barrier, at least one budget-triggered, the last.
+    assert!(nth >= 4, "only {nth} syncs in the run");
+    assert_eq!(finished_at, [nth - 1]);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// What a machine crash leaves is the log as of some sync — here each one a
+/// finished run made, from the first that covers `JobStarted` — and,
+/// on a filesystem that extended the file before it wrote the blocks, a run
+/// of zeros behind it. (`crc32(b"") == 0`: the zeros parse as empty
+/// frames, and it is the event decoder that must stop at them.) Either
+/// image resumes to the uninterrupted result; the records lost with the
+/// tail are re-executed and journaled again exactly once, and the resume
+/// counters count what the image held, zeros or none.
+#[test]
+fn a_power_cut_at_any_sync_reexecutes_the_lost_tail_exactly_once() {
+    let er = threaded_pipeline(1);
+    let ds = dataset();
+    let plain = er.try_run(&ds).unwrap();
+    let golden = ResultFingerprint::of(&plain);
+    let job = "job-power";
+    let (log, store) = SyncLog::shared();
+    run_durable(&er, &ds, &store, job, &[], &opts(EVERY)).unwrap();
+    let events = recover(&store, job).unwrap().events;
+    let bytes = store.read(job).unwrap();
+    let synced: Vec<usize> = log
+        .synced
+        .lock()
+        .iter()
+        .copied()
+        .filter(|&len| len >= events[1].0 as usize)
+        .collect();
+    assert!(synced.len() >= 4, "synced at {synced:?}");
+
+    for &len in &synced {
+        let mut counters = Vec::new();
+        for zeros in [0, 4096] {
+            let what = format!("synced to {len}, {zeros} zeros behind");
+            let mut image = bytes[..len].to_vec();
+            image.resize(len + zeros, 0);
+
+            let store = store_holding(job, &image);
+            let held = recover(&store, job).unwrap();
+            assert_eq!(held.report.valid_bytes as usize, len, "{what}");
+            assert_eq!(held.report.corrupt, zeros > 0, "{what}");
+            assert!(!held.report.torn_tail, "{what}");
+            let state = JournalState::replay(&held.events);
+            let (blocks_held, _, duplicates_held) = checkpointed(&state);
+            let pairs_held: usize = state
+                .tasks
+                .iter()
+                .flat_map(|t| t.resolved.iter().map(|(_, pairs)| pairs.len()))
+                .sum();
+
+            let resumed = resume_durable(&er, &ds, &store, job, &opts(EVERY)).unwrap();
+            assert_eq!(ResultFingerprint::of(&resumed), golden, "{what}");
+            let count = |name| resumed.counters.get(name);
+            assert_eq!(count("job2_blocks_skipped_resumed"), blocks_held, "{what}");
+            assert_eq!(
+                count("resume_replayed_duplicates"),
+                duplicates_held,
+                "{what}"
+            );
+            assert_eq!(
+                count("pairs_compared") + pairs_held as u64,
+                plain.counters.get("pairs_compared"),
+                "{what}"
+            );
+            assert_eq!(
+                count("duplicates_found"),
+                plain.counters.get("duplicates_found"),
+                "{what}"
+            );
+
+            let after = recover(&store, job).unwrap();
+            assert!(after.report.clean(), "{what}");
+            assert_cuts_unique_and_ordered(&after.events);
+            assert_eq!(cuts_by_task(&after.events), cuts_by_task(&events), "{what}");
+            counters.push(counters_of(&resumed));
+        }
+        assert_eq!(counters[0], counters[1], "synced to {len}");
     }
 }

@@ -1,10 +1,16 @@
 //! The per-job journal writer, recovery, and the replayed job state.
 //!
 //! [`JobJournal`] is the write side: it frames and appends events through a
-//! [`JournalStore`], syncing after every append so an abrupt process death
-//! never loses an acknowledged event. [`recover`] is the read side: it
-//! parses the longest valid record prefix (tolerating the torn tail a
-//! killed writer leaves) and decodes it to `(offset, event)` pairs.
+//! [`JournalStore`] and owns the one sync policy. An appended record is
+//! *written* — a killed process loses nothing past the record it was
+//! writing — and it is *acknowledged* only once a sync has covered it:
+//! [`JobJournal::append`] syncs by itself whenever 128 KiB (`SYNC_BUDGET`)
+//! have gone unsynced, and the runner calls [`JobJournal::sync`] before it
+//! reports anything that rests on the records. A machine crash can
+//! therefore lose at most one budget of records, as a torn or garbage tail
+//! behind a valid prefix. [`recover`] is the read side: it parses the
+//! longest valid record prefix (tolerating that tail) and decodes it to
+//! `(offset, event)` pairs.
 //! [`JournalState`] folds that stream into "where was this job" — enough
 //! for a fresh process to reconstruct the run and continue (the schedule,
 //! and per reduce task the fold of its checkpoint-cut deltas), and the
@@ -17,12 +23,26 @@ use crate::frame::{self, RecoveryReport, MAGIC};
 use crate::store::JournalStore;
 use crate::JournalError;
 
+/// Unsynced bytes at which [`JobJournal::append`] syncs on its own. Checkpoint
+/// cuts carry the pairs compared since the task's previous cut, so journal
+/// bytes grow with pairs compared: a byte budget keeps the syncs — and what
+/// a machine crash can cost in re-execution — proportional to work done at
+/// any dataset size, where a record count would not (a cut is ~12 KiB, a
+/// `TaskFinished` ~60 bytes). 128 KiB is about ten cuts: large enough that
+/// the disk barrier stops dominating the append path, small enough that the
+/// re-executed tail is a few percent of a run.
+const SYNC_BUDGET: u64 = 128 << 10;
+
 /// Append-side handle for one job's journal.
 pub struct JobJournal {
     store: Arc<dyn JournalStore>,
     job_id: String,
     events_appended: u64,
     kill_after: Option<u64>,
+    /// Bytes appended since the last successful sync.
+    unsynced: u64,
+    /// The failed sync that closed this handle, if any.
+    sync_failed: Option<JournalError>,
 }
 
 impl std::fmt::Debug for JobJournal {
@@ -55,13 +75,15 @@ impl JobJournal {
             job_id: job_id.to_string(),
             events_appended: 0,
             kill_after: None,
+            unsynced: 0,
+            sync_failed: None,
         })
     }
 
-    /// Conformance-harness hook: after the `n`-th successful (appended and
-    /// synced) event, the process aborts as if killed. `None` disables.
+    /// Conformance-harness hook: once the `n`-th event is appended, the log
+    /// is synced and the process aborts as if killed. `None` disables.
     ///
-    /// Aborting *after* the sync is the strictest kill point: the event is
+    /// Aborting *after* a sync is the strictest kill point: the event is
     /// durable, nothing after it is, and resume must pick up exactly there.
     pub fn set_kill_after(&mut self, n: Option<u64>) {
         self.kill_after = n;
@@ -77,23 +99,56 @@ impl JobJournal {
         self.events_appended
     }
 
-    /// Frame, append, and sync one event; returns the byte offset of the
-    /// record's frame header.
+    /// Frame and append one event; returns the byte offset of the record's
+    /// frame header. The record is written, not yet acknowledged: it is
+    /// covered by the next sync — this call's own once `SYNC_BUDGET` bytes
+    /// have accumulated, or the caller's [`JobJournal::sync`].
     pub fn append(&mut self, event: &JournalEvent) -> Result<u64, JournalError> {
+        self.check_open()?;
         let payload = event.encode();
         let mut framed = Vec::with_capacity(frame::FRAME_HEADER + payload.len());
         frame::write_frame(&mut framed, &payload);
         let offset = self.store.append(&self.job_id, &framed)?;
-        self.store.sync(&self.job_id)?;
         self.events_appended += 1;
-        if let Some(n) = self.kill_after {
-            if self.events_appended >= n {
-                // Simulated `kill -9` for the kill-point conformance suite:
-                // no unwinding, no destructors, no further writes.
-                std::process::abort();
-            }
+        self.unsynced += frame::off_u64(framed.len());
+        let kill = self.kill_after.is_some_and(|n| self.events_appended >= n);
+        if kill || self.unsynced >= SYNC_BUDGET {
+            self.sync()?;
+        }
+        if kill {
+            // Simulated `kill -9` for the kill-point conformance suite:
+            // no unwinding, no destructors, no further writes.
+            std::process::abort();
         }
         Ok(offset)
+    }
+
+    /// Force every appended record to stable storage: on `Ok`, all of them
+    /// are acknowledged. Call it before reporting anything that rests on
+    /// the records.
+    ///
+    /// A failed sync closes the handle: this call and every later `append`
+    /// and `sync` return the same error. It is never retried, because the
+    /// kernel may drop the dirty pages of a failed `fsync` and report the
+    /// next one clean — success then would acknowledge records that are not
+    /// on disk. The log itself stays a valid prefix for a later resume.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
+        self.check_open()?;
+        if self.unsynced > 0 {
+            if let Err(e) = self.store.sync(&self.job_id) {
+                self.sync_failed = Some(e.clone());
+                return Err(e);
+            }
+            self.unsynced = 0;
+        }
+        Ok(())
+    }
+
+    fn check_open(&self) -> Result<(), JournalError> {
+        match &self.sync_failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
     }
 }
 
@@ -327,6 +382,7 @@ mod tests {
     use super::*;
     use crate::event::{AttemptFailure, TaskClass};
     use crate::store::MemStore;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn mem() -> Arc<dyn JournalStore> {
         MemStore::shared()
@@ -350,6 +406,92 @@ mod tests {
         assert_eq!(rec.events.len(), 2);
         assert_eq!(rec.events[0], (off1, ev1));
         assert_eq!(rec.events[1], (off2, ev2));
+    }
+
+    /// A `MemStore` that counts its syncs and fails the one numbered
+    /// `fail_at` — once: a retry would go through.
+    struct CountingStore {
+        inner: MemStore,
+        syncs: AtomicU64,
+        fail_at: u64,
+    }
+
+    impl CountingStore {
+        fn syncs(&self) -> u64 {
+            self.syncs.load(Ordering::SeqCst)
+        }
+    }
+
+    impl JournalStore for CountingStore {
+        fn append(&self, job: &str, bytes: &[u8]) -> Result<u64, JournalError> {
+            self.inner.append(job, bytes)
+        }
+        fn read(&self, job: &str) -> Result<Vec<u8>, JournalError> {
+            self.inner.read(job)
+        }
+        fn sync(&self, _job: &str) -> Result<(), JournalError> {
+            let n = self.syncs.fetch_add(1, Ordering::SeqCst);
+            if n == self.fail_at {
+                return Err(JournalError::Store("sync failed".into()));
+            }
+            Ok(())
+        }
+        fn truncate_log(&self, job: &str, len: u64) -> Result<(), JournalError> {
+            self.inner.truncate_log(job, len)
+        }
+        fn list_jobs(&self) -> Result<Vec<String>, JournalError> {
+            self.inner.list_jobs()
+        }
+    }
+
+    fn counting(fail_at: u64) -> (Arc<CountingStore>, JobJournal) {
+        let counted = Arc::new(CountingStore {
+            inner: MemStore::new(),
+            syncs: 0.into(),
+            fail_at,
+        });
+        let store: Arc<dyn JournalStore> = Arc::<CountingStore>::clone(&counted);
+        let journal = JobJournal::create(store, "grouped").unwrap();
+        assert_eq!(counted.syncs(), 1, "the header is synced by create");
+        (counted, journal)
+    }
+
+    #[test]
+    fn syncs_are_grouped_by_bytes_and_on_request() {
+        let (store, mut j) = counting(u64::MAX);
+        // A record of a little over a quarter of the budget.
+        let quarter = JournalEvent::ScheduleGenerated {
+            task_blocks: vec![],
+            schedule_json: "x".repeat(SYNC_BUDGET as usize / 4),
+        };
+        for _ in 0..3 {
+            j.append(&quarter).unwrap();
+        }
+        assert_eq!(store.syncs(), 1, "three quarters of the budget: unsynced");
+        j.append(&quarter).unwrap();
+        assert_eq!(store.syncs(), 2, "the append that crosses the budget syncs");
+        j.append(&quarter).unwrap();
+        assert_eq!(store.syncs(), 2, "and the count starts over");
+        j.sync().unwrap();
+        assert_eq!(store.syncs(), 3);
+        j.sync().unwrap();
+        assert_eq!(store.syncs(), 3, "nothing unsynced, nothing to do");
+    }
+
+    #[test]
+    fn a_failed_sync_closes_the_journal() {
+        let (store, mut j) = counting(1);
+        j.append(&JournalEvent::DlqDrained { seq: 0 }).unwrap();
+        let failed = j.sync().unwrap_err();
+        let written = store.read("grouped").unwrap();
+        // No retry (it would succeed), no further record.
+        assert_eq!(j.sync().unwrap_err(), failed);
+        assert_eq!(
+            j.append(&JournalEvent::DlqDrained { seq: 1 }).unwrap_err(),
+            failed
+        );
+        assert_eq!(store.syncs(), 2);
+        assert_eq!(store.read("grouped").unwrap(), written);
     }
 
     #[test]

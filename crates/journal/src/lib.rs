@@ -16,10 +16,12 @@
 //!   codec. Virtual costs are encoded as `f64::to_bits`, so a decode is
 //!   bit-identical to what was written.
 //! * [`store`] — the [`JournalStore`] trait with an in-memory
-//!   implementation for tests ([`MemStore`]) and an fsync'd file-per-job
+//!   implementation for tests ([`MemStore`]) and a file-per-job
 //!   implementation for real runs ([`FileStore`]).
-//! * [`journal`] — the [`JobJournal`] writer (with an optional
-//!   kill-after-N-events crash hook for conformance harnesses),
+//! * [`journal`] — the [`JobJournal`] writer, which owns the sync policy
+//!   (a record is acknowledged once a sync covers it: every 128 KiB, and
+//!   whenever the runner asks; with an optional kill-after-N-events crash
+//!   hook for conformance harnesses),
 //!   [`recover`], and the [`JournalState`] fold that reduces an event
 //!   stream to "where was this job, how far had each reduce task's
 //!   checkpoint cuts got, and what is in its dead-letter queue".

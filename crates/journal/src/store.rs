@@ -2,9 +2,11 @@
 //!
 //! The [`JournalStore`] trait is the only seam between the journal logic
 //! and the outside world. Tests use the in-memory [`MemStore`]; real runs
-//! use [`FileStore`], one fsync'd file per job, so a `kill -9` after a
-//! synced append can lose at most the record being written (a torn tail
-//! the frame layer recovers from).
+//! use [`FileStore`], one file per job. `append` writes and `sync` is the
+//! disk barrier; when to sync is [`crate::JobJournal`]'s policy, not the
+//! store's. A `kill -9` can lose at most the record being written, a
+//! machine crash at most what was appended since the last sync — either
+//! way a tail behind a valid prefix, which the frame layer recovers from.
 //!
 //! [`FileStore`] routes every file operation through a [`pper_vfs::Vfs`]
 //! (pper-lint rule D5 bans direct `std::fs` here), so chaos suites can
@@ -145,8 +147,8 @@ impl JournalStore for MemStore {
     }
 }
 
-/// One fsync'd `<job>.journal` file per job under a directory, written
-/// through a [`Vfs`].
+/// One `<job>.journal` file per job under a directory, written and
+/// fsync'd through a [`Vfs`].
 pub struct FileStore {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,

@@ -253,7 +253,8 @@ fn reshaped_events_decode_only_whole() {
 
 /// Deterministic (non-prop) sweep mirroring the conformance suite's shape:
 /// append a realistic event sequence, then confirm that recovery after a
-/// cut at every single byte yields exactly the durable prefix.
+/// cut at every single byte yields exactly the durable prefix — and so does
+/// a run of zeros behind any whole record.
 #[test]
 fn realistic_sequence_truncation_sweep() {
     let events = vec![
@@ -315,5 +316,28 @@ fn realistic_sequence_truncation_sweep() {
         }
         let on_boundary = cut == pper_journal::MAGIC.len() || ends.contains(&cut);
         assert_eq!(rec.report.clean(), on_boundary);
+    }
+    // A power cut on a filesystem that had extended the file before it
+    // wrote the blocks: whole records, then a run of zeros. `crc32(b"")` is
+    // 0, so the zeros are well-formed empty frames — the event decoder is
+    // what stops at them, and the prefix before them is recovered clean.
+    for (i, &end) in ends.iter().enumerate() {
+        let mut image = bytes[..end].to_vec();
+        image.resize(end + 4096, 0);
+        let s2 = MemStore::shared();
+        s2.append("sweep", &image).unwrap();
+        let rec = recover(&s2, "sweep").unwrap();
+        let got: Vec<&JournalEvent> = rec.events.iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            got,
+            events[..=i].iter().collect::<Vec<_>>(),
+            "zeros at {end}"
+        );
+        assert!(
+            rec.report.corrupt && !rec.report.torn_tail,
+            "zeros at {end}"
+        );
+        assert_eq!(rec.report.valid_bytes as usize, end, "zeros at {end}");
+        assert_eq!(rec.report.dropped_bytes, 4096, "zeros at {end}");
     }
 }

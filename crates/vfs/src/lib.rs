@@ -504,10 +504,15 @@ pub fn retry_io<T>(
 /// CRC-32 (IEEE 802.3, reflected): the workspace's one checksum — journal
 /// frames, external-sort runs and store sections all call it — kept beside
 /// the fault taxonomy that classifies a mismatch.
-const CRC32_TABLE: [u32; 256] = build_crc32_table();
+///
+/// Slicing-by-8: `CRC32_TABLES[0]` is the classic byte-at-a-time table,
+/// and `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight input bytes fold into the state with eight independent
+/// lookups instead of a chain of eight dependent ones.
+const CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
 
-const fn build_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -520,10 +525,20 @@ const fn build_crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Incremental CRC-32 over a byte stream.
@@ -546,9 +561,28 @@ impl Crc32 {
 
     /// Absorb `bytes`.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = self.state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            self.state = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
+        }
+        self.update_bytewise(chunks.remainder());
+    }
+
+    /// One byte per step: the tail of [`Crc32::update`], and the reference
+    /// its tests hold the sliced loop to.
+    fn update_bytewise(&mut self, bytes: &[u8]) {
         for &b in bytes {
             let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ CRC32_TABLE[idx];
+            self.state = (self.state >> 8) ^ CRC32_TABLES[0][idx];
         }
     }
 
@@ -583,6 +617,39 @@ mod tests {
         inc.update(b"56789");
         assert_eq!(inc.finish(), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = Crc32::new();
+        c.update_bytewise(bytes);
+        c.finish()
+    }
+
+    /// `pper-store` streams through one `Crc32`: wherever the stream is
+    /// split — so at every phase of the eight-byte stride — the digest is
+    /// the one-shot digest.
+    #[test]
+    fn crc32_split_at_every_offset_equals_one_shot() {
+        let input: Vec<u8> = (0..64u8)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        let whole = crc32(&input);
+        assert_eq!(whole, crc32_bytewise(&input));
+        for split in 0..=input.len() {
+            let mut inc = Crc32::new();
+            inc.update(&input[..split]);
+            inc.update(&input[split..]);
+            assert_eq!(inc.finish(), whole, "split at {split}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_sliced_equals_bytewise(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]

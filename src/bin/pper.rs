@@ -76,10 +76,11 @@ USAGE:
   pper basic  --data FILE [--machines M] [--window W] [--threshold T]
   pper help
 
-Durable mode journals every job event (fsync'd per append) under
---journal DIR; `resume` continues a killed job bit-identically in a fresh
-process, `dlq` lists or reprocesses tasks that exhausted their attempt
-budget, and `jobs` lists every job with how far its checkpoints reach.";
+Durable mode journals every job event under --journal DIR (fsync'd in
+groups, and before anything is reported); `resume` continues a killed job
+bit-identically in a fresh process, `dlq` lists or reprocesses tasks that
+exhausted their attempt budget, and `jobs` lists every job with how far its
+checkpoints reach.";
 
 #[derive(Default)]
 struct Opts {
