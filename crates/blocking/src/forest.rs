@@ -238,6 +238,7 @@ pub fn build_forests(ds: &Dataset, families: &[BlockingFamily]) -> Vec<Forest> {
             for e in &ds.entities {
                 by_key.entry(family.root_key(e)).or_default().push(e.id);
             }
+            #[expect(clippy::disallowed_methods, reason = "the keys are sorted below")]
             let mut keys: Vec<String> = by_key
                 .iter()
                 .filter(|(_, v)| v.len() >= 2)

@@ -107,6 +107,10 @@ pub fn uncovered_pairs(
         let subset: Vec<FamilyIndex> = (0..m).filter(|&f| mask & (1 << f) != 0).collect();
         let sign: i64 = if subset.len() % 2 == 1 { 1 } else { -1 };
         let olp_counts = olp(members, signatures, &subset);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an integer sum is order-insensitive"
+        )]
         let shared: i64 = olp_counts.values().map(|&c| pairs(c) as i64).sum();
         total += sign * shared;
     }

@@ -152,9 +152,13 @@ impl ClusterMetrics {
         }
         let mut together = 0u64;
         let mut correct = 0u64;
-        // lint:allow(hash_iter) commutative pair counting: together/correct
-        // are sums over unordered cluster-member pairs, so the totals are
-        // independent of the order clusters are visited in.
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "commutative pair counting: together/correct are sums over unordered \
+                      cluster-member pairs, so the totals are independent of the order \
+                      clusters are visited in"
+        )]
         for members in produced.values() {
             for (i, &a) in members.iter().enumerate() {
                 for &b in &members[i + 1..] {

@@ -29,12 +29,13 @@
 //!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
 //! but the journal (plus the dataset file named in the `JobStarted`
-//! parameters): [`JournalState`] folds each task's deltas in `seq` order,
-//! [`journaled_checkpoint`] turns the fold into a [`Checkpoint`] (a task
-//! with no cut starts from scratch; with no schedule journaled the
-//! deterministic early stages re-run), and one more resolution stage
-//! resumes it — still cutting in-line, so a resumed run can be killed and
-//! resumed again — to the bit-identical final result: same duplicates,
+//! parameters, which also pin its entity count and content hash — a resume
+//! against another dataset is refused): [`JournalState`] folds each task's
+//! deltas in `seq` order, [`journaled_checkpoint`] turns the fold into a
+//! [`Checkpoint`] (a task with no cut starts from scratch; with no schedule
+//! journaled the deterministic early stages re-run), and one more resolution
+//! stage resumes it — still cutting in-line, so a resumed run can be killed
+//! and resumed again — to the bit-identical final result: same duplicates,
 //! curve, timeline, and total virtual cost as the uninterrupted run. A
 //! task's deltas depend only on its own deterministic execution, so a
 //! retried or discarded attempt re-emits records its dead predecessor
@@ -46,6 +47,7 @@
 //! dead-letter queue with full failure history and a JSON reprocessing
 //! context; [`reprocess_dlq`] drains them back into the attempt loop.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -54,6 +56,7 @@ use pper_journal::{
     recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
     TaskClass,
 };
+use pper_mapreduce::fxhash::FxHasher;
 use pper_mapreduce::{Counters, MrError, TaskEvent, TaskKind, TaskObserver};
 use pper_schedule::Schedule;
 use serde::{Deserialize, Serialize};
@@ -581,9 +584,10 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// bit-identical (as a [`ResultFingerprint`]), counters included, to an
 /// uninterrupted [`ProgressiveEr::try_run`].
 ///
-/// `params` is recorded verbatim in the `JobStarted` event (plus a
-/// `checkpoint_every` entry if absent), giving a fresh process everything
-/// it needs to rebuild the configuration for [`resume_durable`].
+/// `params` is recorded verbatim in the `JobStarted` event (plus
+/// `checkpoint_every` and `dataset` entries if absent), giving a fresh
+/// process everything it needs to rebuild the configuration for
+/// [`resume_durable`] and to check it was handed the same dataset.
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -599,13 +603,15 @@ pub fn run_durable(
     let er = with_observer(er, &shared);
 
     let mut all_params: Vec<(String, String)> = params.to_vec();
-    if !all_params.iter().any(|(k, _)| k == "checkpoint_every") {
-        // Rust's float Display is shortest-round-trip, so the grid spacing
-        // survives the string trip exactly.
-        all_params.push((
-            "checkpoint_every".into(),
-            format!("{}", opts.checkpoint_every),
-        ));
+    // Rust's float Display is shortest-round-trip, so the grid spacing
+    // survives the string trip exactly.
+    for (key, value) in [
+        ("checkpoint_every", format!("{}", opts.checkpoint_every)),
+        ("dataset", dataset_digest(ds)),
+    ] {
+        if !all_params.iter().any(|(k, _)| k == key) {
+            all_params.push((key.into(), value));
+        }
     }
     let started = JournalEvent::JobStarted {
         job_id: job_id.to_string(),
@@ -613,6 +619,23 @@ pub fn run_durable(
     };
     let every = opts.checkpoint_every;
     drive(&er, ds, job_id, &shared, every, &[started], None)
+}
+
+/// The `dataset` parameter: the entity count and an FxHash of every
+/// attribute and cluster id. Checkpoints name entities by id, so resuming
+/// them against other data would index out of bounds or resolve the wrong
+/// records.
+fn dataset_digest(ds: &Dataset) -> String {
+    let mut h = FxHasher::default();
+    for e in &ds.entities {
+        h.write_usize(e.attrs.len());
+        for attr in &e.attrs {
+            h.write_usize(attr.len());
+            h.write(attr.as_bytes());
+        }
+        h.write_u32(ds.truth.cluster(e.id));
+    }
+    format!("{} entities, fxhash {:016x}", ds.entities.len(), h.finish())
 }
 
 /// Recover a job's journal and fold it to the resume state, truncating any
@@ -662,6 +685,16 @@ fn redrive(
     }
     if drain_dlq && state.dlq.is_empty() {
         return bad_state("dead-lettered tasks to reprocess");
+    }
+    // Journals written before the dataset was pinned carry no digest.
+    if let Some(journaled) = state.param("dataset") {
+        let given = dataset_digest(ds);
+        if journaled != given {
+            return Err(DurableError::Journal(JournalError::BadState(format!(
+                "job '{job_id}' was journaled against a dataset of {journaled}, \
+                 but was handed one of {given}"
+            ))));
+        }
     }
     let every = grid_spacing(&state, opts)?;
     let resume = journaled_checkpoint(&state, er.config.machines)?

@@ -181,7 +181,10 @@ impl<'p> TreeState<'p> {
     /// The compared pairs as the checkpoint stores them: global ids,
     /// normalized `a < b`, sorted.
     fn resolved_global(&self) -> Vec<(EntityId, EntityId)> {
-        // lint:allow(hash_iter) set order discarded by the sort below.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "set order discarded by the sort below"
+        )]
         let mut packed: Vec<u64> = self.resolved.iter().copied().collect();
         packed.sort_unstable();
         packed
@@ -458,9 +461,6 @@ impl<'a> ResolveReducer<'a> {
                 .add("resume_replay_cost", ctx.now().round() as u64);
             // Restore the resolved-pair sets so blocks resolved after the
             // resume still skip work the checkpointed blocks already did.
-            // lint:allow(hash_iter) `tc.resolved` is the checkpoint's Vec
-            // (same name as the per-tree set field, but a sorted list); and
-            // extending disjoint per-tree sets commutes anyway.
             for (tree, pairs) in &tc.resolved {
                 if let Some(state) = states.get_mut(tree) {
                     state.restore_resolved(pairs);
@@ -630,6 +630,10 @@ impl<'a> ResolveReducer<'a> {
         if crash_at.is_some() {
             // The crashed run's in-memory results are lost; only the
             // checkpoint (with its embedded duplicate log) survives.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "map order discarded by the sort below"
+            )]
             let mut resolved: Vec<(usize, Vec<(EntityId, EntityId)>)> = states
                 .iter()
                 .filter(|(_, s)| !s.resolved.is_empty())

@@ -41,6 +41,21 @@
 //! println!("final recall {:.3} at cost {:.0}", result.curve.final_recall(), result.total_cost);
 //! ```
 
+// Determinism invariants D1, D2, D4 and D5 in library code; the methods and
+// types are listed in `crates/clippy.toml` (DESIGN.md § "Determinism
+// invariants & static enforcement").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
+
 pub mod basic;
 pub mod budget;
 pub mod checkpoint;

@@ -135,7 +135,10 @@ impl ProgressiveEr {
     /// Run both jobs, panicking on runtime errors (convenient for
     /// experiments; see [`ProgressiveEr::try_run`] for error handling).
     pub fn run(&self, ds: &Dataset) -> ErRunResult {
-        // lint:allow(panic_path) documented panicking convenience wrapper; fallible callers use try_run
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking convenience wrapper; fallible callers use try_run"
+        )]
         self.try_run(ds).expect("pipeline run failed")
     }
 

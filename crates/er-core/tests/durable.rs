@@ -27,8 +27,8 @@ use parking_lot::Mutex;
 use pper_datagen::{Dataset, PubGen};
 use pper_er::prelude::*;
 use pper_journal::{
-    recover, FileStore, JournalError, JournalEvent, JournalState, JournalStore, MemStore,
-    TaskProgress,
+    recover, FileStore, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
+    MemStore, TaskProgress,
 };
 use pper_mapreduce::{FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, TaskKind, Vfs};
 
@@ -501,6 +501,55 @@ fn resume_of_empty_journal_is_an_error() {
     let store = MemStore::shared();
     let err = resume_durable(&er, &ds, &store, "job-none", &opts(EVERY));
     assert!(err.is_err(), "no journal should not resume");
+}
+
+/// A journal pins the dataset it was written against: a resume handed a
+/// smaller dataset, or the same one with one attribute edited, is refused
+/// with `BadState` before any stage runs and leaves the log as it was. A
+/// log written before the pin (no `dataset` parameter) still resumes.
+#[test]
+fn a_resume_against_another_dataset_is_refused() {
+    let er = small_pipeline();
+    let ds = dataset();
+    let golden = ResultFingerprint::of(&er.try_run(&ds).unwrap());
+    let (events, bytes) = finished_journal(&er, &ds, "job-pinned");
+    let JournalEvent::JobStarted { job_id, params } = &events[0].1 else {
+        panic!("the log starts with JobStarted");
+    };
+    assert!(params.iter().any(|(k, _)| k == "dataset"));
+    let kept = events.len() / 2;
+    let half = &bytes[..record_boundaries(&events, bytes.len())[kept - 1]];
+
+    let mut edited = ds.clone();
+    edited.entities[7].attrs[0].push('x');
+    for other in [PubGen::new(600, 417).generate(), edited] {
+        let store = store_holding("job-pinned", half);
+        let refused = resume_durable(&er, &other, &store, "job-pinned", &opts(EVERY));
+        let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
+            panic!("a resume against another dataset was not refused");
+        };
+        assert!(why.contains("journaled against a dataset"), "{why}");
+        assert_eq!(store.read("job-pinned").unwrap(), half);
+    }
+
+    // The same prefix as a binary from before the pin wrote it.
+    let store = MemStore::shared();
+    let mut journal = JobJournal::create(Arc::clone(&store), "job-pinned").unwrap();
+    journal
+        .append(&JournalEvent::JobStarted {
+            job_id: job_id.clone(),
+            params: params
+                .iter()
+                .filter(|(k, _)| k != "dataset")
+                .cloned()
+                .collect(),
+        })
+        .unwrap();
+    for (_, event) in &events[1..kept] {
+        journal.append(event).unwrap();
+    }
+    let unpinned = store.read("job-pinned").unwrap();
+    resume_from(&er, &ds, "job-pinned", &unpinned, &golden, "unpinned log");
 }
 
 /// A log written by format version 1 is refused with the typed error by

@@ -32,19 +32,21 @@ pub const MAX_PAYLOAD: usize = 64 << 20;
 /// bounded far below `u32::MAX` (see [`MAX_PAYLOAD`]); debug builds assert
 /// the invariant so a future over-long payload trips loudly instead of
 /// truncating silently.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "asserted in range first; payloads are capped at MAX_PAYLOAD"
+)]
 pub(crate) fn len_u32(len: usize) -> u32 {
     debug_assert!(
         u32::try_from(len).is_ok(),
         "payload length {len} overflows the u32 wire field"
     );
-    // lint:allow(lossy_cast) asserted in range above; payloads are capped at MAX_PAYLOAD
     len as u32
 }
 
 /// `usize` byte position → `u64` durable offset: a widening on every
 /// supported target (`usize` is at most 64 bits here).
 pub(crate) fn off_u64(pos: usize) -> u64 {
-    // lint:allow(lossy_cast) usize -> u64 is a lossless widening on all supported targets
     pos as u64
 }
 

@@ -28,9 +28,27 @@
 //!
 //! The crate is deliberately dependency-light and panic-free in production
 //! paths: a corrupt journal yields a [`JournalError`] or a truncated
-//! recovery, never an abort (`pper-lint`'s `panic_path` rule covers every
-//! file here).
+//! recovery, never an abort (clippy's `unwrap_used`, `expect_used` and
+//! `panic` are denied in every file here).
 
+// Determinism invariants D1, D2, D4 and D5 in library code; the methods and
+// types are listed in `crates/clippy.toml` (DESIGN.md § "Determinism
+// invariants & static enforcement"), and C1: a truncating cast in the codec
+// corrupts the artifact silently.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 #![forbid(unsafe_code)]
 
 pub mod event;

@@ -9,7 +9,7 @@
 //! way a tail behind a valid prefix, which the frame layer recovers from.
 //!
 //! [`FileStore`] routes every file operation through a [`pper_vfs::Vfs`]
-//! (pper-lint rule D5 bans direct `std::fs` here), so chaos suites can
+//! (invariant D5 bans direct `std::fs` here), so chaos suites can
 //! inject disk faults deterministically. Failed appends are rolled back
 //! with `set_len` so a transient fault's partial bytes never linger as a
 //! torn tail, and transient write faults are retried in place under a

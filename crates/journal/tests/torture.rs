@@ -14,7 +14,6 @@ use proptest::prelude::*;
 /// Build one event from generated raw material. The selector picks the
 /// variant; strings/numbers are reused across fields so every variant gets
 /// exercised with varied payloads (including non-ASCII and empty strings).
-#[allow(clippy::too_many_arguments)]
 fn build_event(
     sel: u8,
     s1: String,

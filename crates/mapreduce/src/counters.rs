@@ -42,8 +42,11 @@ impl Counters {
 
     /// Merge another counter set into this one (summing shared names).
     pub fn merge(&mut self, other: &Counters) {
-        // lint:allow(hash_iter) entry-wise commutative sums: the merged
-        // values are independent of the order entries are visited in.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "entry-wise commutative sums: the merged values are independent \
+                      of the order entries are visited in"
+        )]
         for (k, v) in &other.values {
             *self.values.entry(k).or_insert(0) += v;
         }
@@ -51,8 +54,10 @@ impl Counters {
 
     /// Iterate over `(name, value)` pairs in ascending name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        // lint:allow(hash_iter) drain order is irrelevant: the pairs are
-        // sorted by name immediately below, before anything observes them.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pairs are sorted by name immediately below, before anything observes them"
+        )]
         let mut entries: Vec<_> = self.values.iter().collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
         entries.into_iter().map(|(k, v)| (*k, *v))

@@ -81,7 +81,7 @@ pub(crate) fn run_cursor_pool(count: usize, threads: usize, task: &(dyn Fn(usize
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                // lint:allow(relaxed) pure ticket dispenser: fetch_add's RMW
+                // Relaxed (D3): a pure ticket dispenser — fetch_add's RMW
                 // atomicity alone hands each disjoint chunk to exactly one
                 // worker (model-checked in tests/loom_cursor.rs); task
                 // results are published via the caller's per-index slots,

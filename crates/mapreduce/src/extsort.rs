@@ -17,7 +17,7 @@
 //! not `O(records)` — and silent disk corruption is caught at read-back
 //! instead of surfacing as wrong results.
 //!
-//! All file operations go through a [`Vfs`] (pper-lint rule D5 bans direct
+//! All file operations go through a [`Vfs`] (invariant D5 bans direct
 //! `std::fs` here), which buys the fault ladder for free:
 //!
 //! * transient write faults retry in place under a bounded, deterministic
@@ -29,6 +29,16 @@
 //! * a CRC mismatch at merge time quarantines the poisoned run file
 //!   (renamed `*.quarantined`, left on disk for postmortem) and surfaces
 //!   [`IoFault::Corrupt`] so the runtime can re-run the producing stage.
+
+// C1: a truncating cast in the run-file framing corrupts a spill silently.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -102,8 +112,8 @@ impl<T: SpillCodec + Ord> ExternalSorter<T> {
             runs: Vec::new(),
             dir: std::env::temp_dir(),
             spilled_bytes: 0,
-            // lint:allow(relaxed) uniqueness counter: no ordering with other
-            // memory is required, every fetch_add still returns a distinct id.
+            // Relaxed (D3): a uniqueness counter needs no ordering with other
+            // memory; every fetch_add still returns a distinct id.
             sorter_id: NEXT_SORTER_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             vfs: pper_vfs::std_vfs(),
             retry: RetryPolicy::default(),
@@ -228,7 +238,6 @@ impl<T: SpillCodec + Ord> ExternalSorter<T> {
         self.backoff_units += stats.backoff_units;
         match result {
             Ok(()) => {
-                // lint:allow(lossy_cast) usize -> u64 is a lossless widening on all supported targets
                 self.spilled_bytes += encoded.len() as u64;
                 self.runs.push(SpilledRun {
                     path,

@@ -183,6 +183,10 @@ impl TaskContext {
         self.clock.charge(units);
         if let Some(limit) = self.abort_at {
             if self.clock.now() >= limit {
+                #[expect(
+                    clippy::panic,
+                    reason = "the injected kill of a fault plan; the runtime catches this payload"
+                )]
                 std::panic::panic_any(InjectedAbort {
                     at: self.clock.now(),
                 });

@@ -98,24 +98,6 @@ pub struct JobResult<O> {
     pub shuffle_records: u64,
 }
 
-impl<O> JobResult<O> {
-    /// Coefficient of variation (stddev / mean) of the reduce tasks' virtual
-    /// costs — the skew measure behind the paper's load-balancing
-    /// discussion: a perfectly balanced reduce phase scores 0.
-    pub fn reduce_skew(&self) -> f64 {
-        let costs = &self.reduce_phase.task_costs;
-        if costs.len() < 2 {
-            return 0.0;
-        }
-        let mean = costs.iter().sum::<f64>() / costs.len() as f64;
-        if mean <= f64::EPSILON {
-            return 0.0;
-        }
-        let var = costs.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / costs.len() as f64;
-        var.sqrt() / mean
-    }
-}
-
 /// `max / mean` over a cost vector; 1.0 for empty or all-zero phases.
 fn max_mean_ratio(costs: &[f64]) -> f64 {
     if costs.is_empty() {
@@ -488,8 +470,11 @@ where
         )));
     }
 
-    // lint:allow(wall_clock) informational elapsed-time counter for the job
-    // report only; scheduling and costs run entirely on virtual time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "informational elapsed-time counter for the job report only; \
+                  scheduling and costs run entirely on virtual time"
+    )]
     let started = Instant::now();
     let num_map = cfg.map_tasks().min(inputs.len()).max(1);
     let num_reduce = cfg.reduce_tasks();
@@ -1099,28 +1084,6 @@ mod tests {
             costs[0] += clock;
             assert_eq!(faulty.reduce_phase.task_costs, costs, "{plan:?}");
         }
-    }
-
-    #[test]
-    fn reduce_skew_measures_imbalance() {
-        let balanced = JobResult::<u32> {
-            outputs: vec![],
-            outputs_per_task: vec![],
-            counters: Counters::new(),
-            map_phase: PhaseReport::new(vec![1.0], 1),
-            reduce_phase: PhaseReport::new(vec![10.0, 10.0, 10.0], 3),
-            timeline: vec![],
-            total_virtual_cost: 0.0,
-            wall_clock: Duration::ZERO,
-            wall_phases: WallPhases::default(),
-            shuffle_records: 0,
-        };
-        assert_eq!(balanced.reduce_skew(), 0.0);
-        let skewed = JobResult::<u32> {
-            reduce_phase: PhaseReport::new(vec![1.0, 1.0, 28.0], 3),
-            ..balanced
-        };
-        assert!(skewed.reduce_skew() > 1.0);
     }
 
     #[test]

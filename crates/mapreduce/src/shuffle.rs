@@ -142,9 +142,12 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
         }
 
         // Pass 2: sort the distinct keys once; rank = position in key order.
-        // lint:allow(hash_iter) drain order is irrelevant: the very next line
-        // sorts the pairs by key, which fully determines the result.
-        let mut distinct: Vec<(K, u32)> = gids.into_iter().collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "drain order is irrelevant: the very next line sorts the pairs by key, \
+                      which fully determines the result"
+        )]
+        let mut distinct: Vec<(K, u32)> = gids.drain().collect();
         distinct.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut rank_of = vec![0u32; distinct.len()];
         for (rank, &(_, gid)) in distinct.iter().enumerate() {
@@ -173,12 +176,14 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
                 current = rank;
             }
             let arrival = (tag & u64::from(u32::MAX)) as usize;
-            #[allow(clippy::expect_used)]
-            // lint:allow(panic_path) local two-pass invariant: arrival
-            // indices are assigned densely in pass 1 and each tag carries a
-            // distinct one, so every slot is taken exactly once. Unreachable
-            // without a bug in this function; covered by the proptest
-            // equivalence suite below.
+            // Unreachable without a bug in this function; covered by the
+            // proptest equivalence suite below.
+            #[expect(
+                clippy::expect_used,
+                reason = "local two-pass invariant: arrival indices are assigned densely in \
+                          pass 1 and each tag carries a distinct one, so every slot is taken \
+                          exactly once"
+            )]
             values.push(slots[arrival].take().expect("unique arrival index"));
         }
         starts.push(values.len());

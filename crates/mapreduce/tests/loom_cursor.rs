@@ -4,7 +4,7 @@
 //! Worker threads loop on `cursor.fetch_add(chunk, Ordering::Relaxed)` and
 //! exit once the ticket is past the end.
 //!
-//! The `lint:allow(relaxed)` annotation there claims that RMW atomicity
+//! The `Relaxed (D3)` comment there claims that RMW atomicity
 //! alone — with no ordering — guarantees each index is handed to exactly one
 //! worker and none is skipped. The model checks that claim under *every*
 //! interleaving, plus a seeded mutant (a load-then-store cursor) that must

@@ -46,6 +46,21 @@
 //! assert_eq!(duplicates.len(), 5);
 //! ```
 
+// Determinism invariants D1, D2, D4 and D5 in library code; the methods and
+// types are listed in `crates/clippy.toml` (DESIGN.md § "Determinism
+// invariants & static enforcement").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
+
 pub mod hierarchy;
 pub mod mechanism;
 pub mod policy;

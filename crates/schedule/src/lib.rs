@@ -47,6 +47,21 @@
 //! assert_eq!(schedule.trees.len(), schedule.dom.len());
 //! ```
 
+// Determinism invariants D1, D2, D4 and D5 in library code; the methods and
+// types are listed in `crates/clippy.toml` (DESIGN.md § "Determinism
+// invariants & static enforcement").
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
+
 pub mod dominance;
 pub mod estimate;
 pub mod generate;

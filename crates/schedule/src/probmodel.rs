@@ -141,8 +141,11 @@ impl TrainedProb {
                 }
             }
         }
-        // lint:allow(hash_iter) drain order discarded by the sort below.
-        let mut tables: Vec<_> = tables.into_iter().collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "drain order discarded by the sort below"
+        )]
+        let mut tables: Vec<_> = tables.drain().collect();
         tables.sort_by_key(|(k, _)| *k);
         Self {
             tables,

@@ -509,7 +509,11 @@ impl<K: Eq + Hash> PreparedCache<K> {
     /// # Panics
     /// Panics if `key` was never [`ensure`](Self::ensure)d.
     pub fn get(&self, key: &K) -> &PreparedEntity {
-        // lint:allow(panic_path) documented panicking accessor (see # Panics); misuse is a caller bug, not a runtime fault
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking accessor (see # Panics); misuse is a caller bug, \
+                      not a runtime fault"
+        )]
         self.at(*self.slot_of.get(key).expect("entity not prepared"))
     }
 }

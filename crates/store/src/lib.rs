@@ -31,8 +31,8 @@
 //!   the mapping: no per-row `Vec<String>` materialization, feeding
 //!   `PreparedRule::prepare` zero-copy.
 //!
-//! All file operations route through [`pper_vfs::Vfs`] (pper-lint rule D5
-//! bans direct `std::fs` here), so chaos suites can inject disk faults;
+//! All file operations route through [`pper_vfs::Vfs`] (invariant D5 bans
+//! direct `std::fs` here), so chaos suites can inject disk faults;
 //! failures surface as the typed [`pper_vfs::IoFault`] taxonomy via
 //! [`StoreError::Fault`]. The header carries a CRC-32 of everything after
 //! it: heap-backed opens verify it eagerly (the bytes were just streamed
@@ -43,6 +43,25 @@
 //! always produced and consumed by the same build on the same machine, so
 //! integers are little-endian with no cross-version migration support
 //! beyond the magic/version check.
+
+// Determinism invariants D1, D2, D4 and D5 in library code; the methods and
+// types are listed in `crates/clippy.toml` (DESIGN.md § "Determinism
+// invariants & static enforcement"), and C1: a truncating cast in the codec
+// corrupts the artifact silently.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -633,16 +652,18 @@ fn read_u64(bytes: &[u8], pos: usize) -> u64 {
 /// established the value addresses the in-memory file image (which fits
 /// `usize` by construction); debug builds assert it.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "asserted in range first: value indexes the in-memory file image"
+)]
 fn ix(n: u64) -> usize {
     debug_assert!(usize::try_from(n).is_ok(), "index {n} exceeds usize");
-    // lint:allow(lossy_cast) asserted in range above: value indexes the in-memory file image
     n as usize
 }
 
 /// `usize` → `u64` file offset: a widening on every supported target.
 #[inline]
 fn off(n: usize) -> u64 {
-    // lint:allow(lossy_cast) usize -> u64 is a lossless widening on all supported targets
     n as u64
 }
 

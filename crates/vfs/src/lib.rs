@@ -5,7 +5,7 @@
 //! consumer in the workspace — the external sorter's spill runs, the
 //! shuffle spill path, the columnar store builder/reader, and the journal
 //! `FileStore` — routes its file operations through the [`Vfs`] trait
-//! instead of `std::fs` (enforced by pper-lint rule D5). Production code
+//! instead of `std::fs` (invariant D5, `crates/clippy.toml`). Production code
 //! uses the passthrough [`StdVfs`]; chaos suites substitute a
 //! [`fault::FaultVfs`] driven by a deterministic [`fault::IoFaultPlan`].
 //!
@@ -22,7 +22,13 @@
 //!
 //! The backoff is *accounted, not slept*: like the rest of the simulator,
 //! retries charge deterministic virtual backoff units instead of consulting
-//! the wall clock (pper-lint rule D2 forbids `Instant::now` here anyway).
+//! the wall clock (this crate's `clippy.toml` forbids `Instant::now` anyway).
+
+// D2 (`clippy.toml`) and no `unwrap`/`expect` in library code.
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::unwrap_used, clippy::expect_used)
+)]
 
 pub mod fault;
 mod mmap;

@@ -28,7 +28,7 @@
 //! model passes, so this checker finds interleaving bugs (lost updates,
 //! double-claims, deadlocks) but not relaxed-memory reordering bugs. That
 //! matches what the workspace models: single atomics whose RMW atomicity
-//! alone must carry the invariant (see `pper-lint`'s `relaxed` rule).
+//! alone must carry the invariant (D3 in DESIGN.md's determinism table).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc as StdArc, Condvar, Mutex};

@@ -10,6 +10,9 @@
 //! far every journaled job got; `basic` runs the §II-C baseline for
 //! comparison.
 
+// D2: no wall clock (the root `clippy.toml`).
+#![deny(clippy::disallowed_methods)]
+
 use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -18,6 +18,9 @@
 //! | [`er`] | `pper-er` | the two-job pipeline, baselines, quality metrics |
 //! | [`journal`] | `pper-journal` | durable job journal, recovery, dead-letter queue |
 
+// D2: no wall clock (the root `clippy.toml`).
+#![deny(clippy::disallowed_methods)]
+
 pub use pper_blocking as blocking;
 pub use pper_datagen as datagen;
 pub use pper_er as er;

@@ -59,6 +59,10 @@ fn skew_metric_visible_from_results() {
     let cfg = JobConfig::new("wc", ClusterSpec::paper(2));
     let inputs = corpus();
     let result = run_job(&cfg, &Tokenize, &GroupReducer::new(Sum), &inputs).unwrap();
-    let skew = result.reduce_skew();
-    assert!(skew >= 0.0, "skew {skew}");
+    let costs = &result.reduce_phase.task_costs;
+    let max = costs.iter().copied().fold(0.0, f64::max);
+    let mean = costs.iter().sum::<f64>() / costs.len() as f64;
+    let skew = result.counters.get("shuffle_skew_milli");
+    assert_eq!(skew, (max / mean * 1000.0).round() as u64);
+    assert!(skew >= 1000, "skew {skew}");
 }

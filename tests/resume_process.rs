@@ -13,7 +13,8 @@
 //! fault-free golden result.
 //!
 //! A journal of another format version is refused by every subcommand that
-//! opens one, with the typed error's message.
+//! opens one, with the typed error's message, and a resume handed another
+//! dataset than the journal was written against is refused too.
 //!
 //! And `pper run`'s own contract at the process boundary: the plain and the
 //! durable run write the same fingerprint, `--cluster` and `--result-out`
@@ -24,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::Arc;
 
-use pper::datagen::PubGen;
+use pper::datagen::{Dataset, PubGen};
 use pper::journal::{recover, FileStore, JournalStore};
 
 const MACHINES: &str = "1";
@@ -38,11 +39,13 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn write_dataset(dir: &Path) -> PathBuf {
-    let path = dir.join("data.jsonl");
-    let ds = PubGen::new(500, 23).generate();
-    let file = std::fs::File::create(&path).unwrap();
+    write_jsonl(&dir.join("data.jsonl"), &PubGen::new(500, 23).generate())
+}
+
+fn write_jsonl(path: &Path, ds: &Dataset) -> PathBuf {
+    let file = std::fs::File::create(path).unwrap();
     ds.write_jsonl(std::io::BufWriter::new(file)).unwrap();
-    path
+    path.to_path_buf()
 }
 
 fn pper(args: &[&str]) -> Output {
@@ -287,6 +290,60 @@ fn version_1_journal_is_refused_by_every_subcommand() {
         assert_eq!(args[0] != "jobs", !out.status.success(), "pper {args:?}");
     }
     assert_eq!(std::fs::read(&log).unwrap(), v1);
+}
+
+/// `resume` handed a smaller dataset, or the journaled one with one
+/// attribute edited, exits 1 naming the mismatch — no panic, no wrong
+/// result — and leaves the journal as it was.
+#[test]
+fn resume_against_another_dataset_is_refused() {
+    let dir = tmp_dir("other-dataset");
+    let data = write_dataset(&dir);
+    let journal = dir.join("journal");
+    let killed = pper(&[
+        "run",
+        "--data",
+        data.to_str().unwrap(),
+        "--machines",
+        MACHINES,
+        "--durable",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--job-id",
+        "pinned",
+        "--checkpoint-every",
+        CHECKPOINT_EVERY,
+        "--kill-after-events",
+        "5",
+    ]);
+    assert!(!killed.status.success());
+    let log = FileStore::open(&journal).unwrap().path_for("pinned");
+    let before = std::fs::read(&log).unwrap();
+
+    let mut edited = PubGen::new(500, 23).generate();
+    edited.entities[7].attrs[0].push('x');
+    for other in [
+        write_jsonl(&dir.join("smaller.jsonl"), &PubGen::new(300, 23).generate()),
+        write_jsonl(&dir.join("edited.jsonl"), &edited),
+    ] {
+        let out = pper(&[
+            "resume",
+            "--journal",
+            journal.to_str().unwrap(),
+            "--job-id",
+            "pinned",
+            "--data",
+            other.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{other:?}: {stderr}");
+        assert!(
+            stderr.contains("journaled against a dataset of 500 entities"),
+            "{other:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{other:?}: {stderr}");
+        assert_eq!(std::fs::read(&log).unwrap(), before, "{other:?}");
+    }
 }
 
 /// The durable golden the sweep above compares against is itself a durable
