@@ -5,9 +5,9 @@
 //! reduce/map failures (one of each death point: an attempt discarded at its
 //! end, one killed at its start, one panicking mid-flight), under a reduce
 //! task that loses three whole attempts, and finally through a kill +
-//! checkpointed-resume cycle. The duplicate set is asserted invariant in
-//! every scenario; the figure reports the recall-vs-cost retardation and the
-//! wasted-cost accounting.
+//! checkpointed-resume cycle on a durable run's journal. The duplicate set is
+//! asserted invariant in every scenario; the figure reports the
+//! recall-vs-cost retardation and the wasted-cost accounting.
 //!
 //! Disk-fault recovery (retry, quarantine + re-run, ENOSPC degradation) is
 //! asserted in `tests/conformance_smoke.rs`; what the spilling shuffle
@@ -21,7 +21,8 @@ use std::io::Write;
 
 use pper_bench::ExpOptions;
 use pper_datagen::PubGen;
-use pper_er::{ErConfig, ErRunResult, ProgressiveEr};
+use pper_er::{resume_durable, run_durable, DurableOptions, ErConfig, ErRunResult, ProgressiveEr};
+use pper_journal::{recover, JournalEvent, JournalState, MemStore};
 use pper_mapreduce::{FaultPlan, TaskKind};
 
 #[derive(Debug, serde::Serialize)]
@@ -44,7 +45,8 @@ struct FaultsFigure {
     entities: usize,
     seed: u64,
     machines: usize,
-    crash_at: f64,
+    /// The journal was cut back to its first this many events.
+    killed_after_event: usize,
     scenarios: Vec<ScenarioReport>,
 }
 
@@ -105,26 +107,29 @@ fn main() -> std::io::Result<()> {
         scenarios.push(report(name, &run, clean_cost));
     }
 
-    // Kill the resolution mid-flight, resume from the checkpoint.
-    let crash_at = if opts.quick { 1_000.0 } else { 4_000.0 };
-    eprintln!("crash at {crash_at} + resume…");
+    // Kill the resolution mid-flight — the journal of a durable run cut
+    // back to the record after its middle checkpoint cut — and resume it.
+    eprintln!("crash + resume…");
     let er = ProgressiveEr::new(base.clone());
-    let checkpoint = er
-        .run_stage(&ds, None, Some(crash_at))
-        .expect("crash run")
-        .cut()
-        .expect("a stage with a threshold is cut");
+    let durable = DurableOptions::default();
+    let store = MemStore::shared();
+    run_durable(&er, &ds, &store, "faults", &[], &durable).expect("durable run");
+    let events = recover(&store, "faults").expect("journal").events;
+    let cuts: Vec<usize> = (0..events.len())
+        .filter(|&i| matches!(events[i].1, JournalEvent::CheckpointCut { .. }))
+        .collect();
+    let killed_after_event = cuts[cuts.len() / 2] + 1;
+    let killed = MemStore::shared();
+    let log = store.read("faults").expect("journal");
+    killed
+        .append("faults", &log[..events[killed_after_event].0 as usize])
+        .expect("journal prefix");
+    let state = JournalState::replay(&events[..killed_after_event]);
     eprintln!(
-        "  checkpoint: {} blocks done, {} remaining, {} duplicates banked",
-        checkpoint.blocks_done(),
-        checkpoint.blocks_remaining(),
-        checkpoint.duplicates_found()
+        "  killed after event {killed_after_event}: {}",
+        state.progress()
     );
-    let resumed = er
-        .run_stage(&ds, Some(&checkpoint), None)
-        .expect("resume run")
-        .finished()
-        .expect("a stage without a threshold finishes");
+    let resumed = resume_durable(&er, &ds, &killed, "faults", &durable).expect("resume run");
     assert_eq!(
         resumed.duplicates, clean.duplicates,
         "resume must reproduce the duplicate set exactly"
@@ -161,7 +166,7 @@ fn main() -> std::io::Result<()> {
         entities,
         seed: opts.seed,
         machines,
-        crash_at,
+        killed_after_event,
         scenarios,
     };
     std::fs::create_dir_all(&opts.out_dir)?;

@@ -15,39 +15,28 @@
 //!   did), and the duplicates found so far with their task-local costs.
 //!
 //! Checkpoints sit on block boundaries, and each task has its own: nothing
-//! ties one task's watermark to another's. They come into being two ways
-//! (see [`crate::job2`], "Staged execution"):
+//! ties one task's watermark to another's. A checkpoint comes into being one
+//! way: folded from the journal's in-line cuts (see [`crate::job2`],
+//! "Durable execution"). A running task hands over a *delta* each time its
+//! clock crosses the checkpoint grid: a [`TaskCheckpoint`] whose `resolved`
+//! and `duplicates` hold only what was added since the task's previous cut.
+//! The journal stores the deltas (binary, one record each, the schedule
+//! once) and folds them per task; [`crate::durable::journaled_checkpoint`]
+//! rebuilds the [`Checkpoint`], and [`crate::durable::resume_durable`] hands
+//! it to the resolution job.
 //!
-//! * **Folded from in-line cuts** — the durable path. A running task hands
-//!   over a *delta* each time its clock crosses the checkpoint grid: a
-//!   [`TaskCheckpoint`] whose `resolved` and `duplicates` hold only what
-//!   was added since the task's previous cut. The journal stores the deltas
-//!   (binary, one record each, the schedule once) and folds them per task;
-//!   [`crate::durable::journaled_checkpoint`] rebuilds the [`Checkpoint`].
-//! * **Cut by a kill** — `Stage::crash_at`, the in-process oracle. A crash
-//!   mid-block rolls the partial block back (its resolved-pair insertions
-//!   and duplicates are discarded), so the resumed run re-executes that
-//!   block from the checkpointed clock.
-//!
-//! Either way — execution being deterministic — the resumed run lands on
-//! exactly the virtual times the uninterrupted run would have produced, and
-//! the fold of a task's deltas up to clock `c` *is* the checkpoint a kill at
-//! `c` cuts. The contract, proven by `tests/resume_checkpoint.rs` and
-//! `tests/durable.rs`: crash + resume yields a bit-identical duplicate set
-//! and recall curve.
-//!
-//! The types are plain serde; the JSON form ([`Checkpoint::to_json`]) is
-//! what the oracle comparisons and in-process persistence use.
-
-use pper_schedule::Schedule;
-use serde::{Deserialize, Serialize};
+//! Execution being deterministic, the resumed run lands on exactly the
+//! virtual times the uninterrupted run would have produced: crash + resume
+//! yields a bit-identical duplicate set and recall curve
+//! (`tests/durable.rs`, and `tests/resume_process.rs` across processes).
 
 use pper_mapreduce::MrError;
+use pper_schedule::Schedule;
 
 /// Resume state of one reduce task of the resolution job — or, handed to a
 /// cut sink, the delta between two of them (`resolved` and `duplicates`
 /// holding only what the task added since its previous cut).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskCheckpoint {
     /// Reduce task index.
     pub task: usize,
@@ -69,7 +58,7 @@ pub struct TaskCheckpoint {
 }
 
 /// Everything needed to resume a killed resolution job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The generated progressive schedule the killed run was executing.
     pub schedule: Schedule,
@@ -77,10 +66,6 @@ pub struct Checkpoint {
     /// the resumed job-2 timeline is offset by this, exactly like an
     /// uninterrupted pipeline run.
     pub job1_cost: f64,
-    /// The task-local virtual cost at which each reduce task was killed;
-    /// zero for a checkpoint folded from in-line cuts, whose tasks each
-    /// stand at their own clock.
-    pub crash_at: f64,
     /// Machine count μ of the killed run (resume must match it — the wave
     /// layout determines the global timeline).
     pub machines: usize,
@@ -153,36 +138,6 @@ impl Checkpoint {
         }
         Ok(())
     }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> Result<String, MrError> {
-        serde_json::to_string(self).map_err(|e| MrError::Checkpoint(e.to_string()))
-    }
-
-    /// Deserialize from JSON produced by [`Checkpoint::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, MrError> {
-        serde_json::from_str(json).map_err(|e| MrError::Checkpoint(e.to_string()))
-    }
-
-    /// Total duplicates recorded across all task checkpoints.
-    pub fn duplicates_found(&self) -> usize {
-        self.tasks.iter().map(|t| t.duplicates.len()).sum()
-    }
-
-    /// Total resolved blocks across all task checkpoints.
-    pub fn blocks_done(&self) -> usize {
-        self.tasks.iter().map(|t| t.blocks_done).sum()
-    }
-
-    /// Blocks the resumed run still has to resolve.
-    pub fn blocks_remaining(&self) -> usize {
-        self.schedule
-            .block_order
-            .iter()
-            .zip(&self.tasks)
-            .map(|(blocks, t)| blocks.len() - t.blocks_done)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -190,8 +145,8 @@ mod tests {
     use super::*;
 
     fn tiny_checkpoint() -> Checkpoint {
-        // A structurally minimal schedule: serde-round-trip and validation
-        // only look at `num_tasks`, `block_order`, and `trees` lengths.
+        // A structurally minimal schedule: validation only looks at
+        // `num_tasks`, `block_order`, and `trees` lengths.
         let schedule = Schedule {
             trees: Vec::new(),
             task_of_tree: Vec::new(),
@@ -203,7 +158,6 @@ mod tests {
         Checkpoint {
             schedule,
             job1_cost: 1234.5,
-            crash_at: 500.0,
             machines: 1,
             tasks: vec![
                 TaskCheckpoint {
@@ -225,24 +179,18 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
-        let cp = tiny_checkpoint();
-        let json = cp.to_json().unwrap();
-        let back = Checkpoint::from_json(&json).unwrap();
-        assert_eq!(back.job1_cost, cp.job1_cost);
-        assert_eq!(back.tasks.len(), 2);
-        assert_eq!(back.tasks[0].duplicates, vec![(55.0, 1, 2)]);
-        assert!(back.validate(1).is_ok());
-    }
-
-    #[test]
     fn validate_rejects_mismatches() {
         let cp = tiny_checkpoint();
+        assert!(cp.validate(1).is_ok());
         assert!(matches!(cp.validate(3), Err(MrError::Checkpoint(_))));
 
         let mut wrong_tasks = tiny_checkpoint();
         wrong_tasks.tasks.pop();
         assert!(wrong_tasks.validate(1).is_err());
+
+        let mut swapped = tiny_checkpoint();
+        swapped.tasks.swap(0, 1);
+        assert!(swapped.validate(1).is_err());
 
         let mut bad_watermark = tiny_checkpoint();
         bad_watermark.tasks[0].blocks_done = 7;
@@ -255,13 +203,5 @@ mod tests {
         let mut late_dup = tiny_checkpoint();
         late_dup.tasks[0].duplicates.push((100.0, 3, 4));
         assert!(late_dup.validate(1).is_err());
-    }
-
-    #[test]
-    fn garbage_json_is_a_checkpoint_error() {
-        assert!(matches!(
-            Checkpoint::from_json("{not json"),
-            Err(MrError::Checkpoint(_))
-        ));
     }
 }

@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::job1::run_job1;
-use crate::job2::{run_job2_stage, CutSink, Stage, StageOutcome};
+use crate::job2::{run_job2_stage, CutSink, Stage};
 use crate::pipeline::{ErRunResult, ProgressiveEr};
 
 /// Knobs for a durable run.
@@ -418,16 +418,25 @@ fn finish_stage<T>(
 /// checkpoint stores them; a task with no cut is at block zero). `None`
 /// before the schedule was journaled — there is nothing to resume yet.
 ///
-/// For every cut record, this checkpoint's entry for the record's task,
-/// taken from the journal up to and including it, equals the
-/// [`TaskCheckpoint`] that [`ProgressiveEr::run_stage`] cuts when killed at
-/// the record's clock.
+/// Taken from the journal up to and including any cut record, the entry for
+/// the record's task stands at that record's watermark and clock and holds
+/// every pair and duplicate the task's records up to it handed over.
+///
+/// The checkpoint's machine count is the one the `JobStarted` parameters
+/// record — a checkpoint resumes only on the cluster it was cut on — or, in
+/// a journal from before they recorded it, `machines`.
 pub fn journaled_checkpoint(
     state: &JournalState,
     machines: usize,
 ) -> Result<Option<Checkpoint>, MrError> {
     let (Some(json), Some(job1_cost)) = (&state.schedule_json, state.job1_cost) else {
         return Ok(None);
+    };
+    let machines = match state.param("machines") {
+        Some(m) => m
+            .parse()
+            .map_err(|_| MrError::Checkpoint(format!("journaled machines '{m}' is not a count")))?,
+        None => machines,
     };
     let schedule: Schedule = serde_json::from_str(json)
         .map_err(|e| MrError::Checkpoint(format!("journaled schedule: {e}")))?;
@@ -454,8 +463,6 @@ pub fn journaled_checkpoint(
     Ok(Some(Checkpoint {
         schedule,
         job1_cost,
-        // No one threshold: each task's own clock is its watermark.
-        crash_at: 0.0,
         machines,
         tasks,
     }))
@@ -485,12 +492,12 @@ fn drive(
     let outcome = first
         .iter()
         .try_for_each(|event| shared.append(event).map(drop))
-        .and_then(|()| run_stages(er, ds, job_id, shared, every, resume));
+        .and_then(|()| run_jobs(er, ds, job_id, shared, every, resume));
     let synced = shared.sync();
     outcome.and_then(|result| synced.map(|()| result))
 }
 
-fn run_stages(
+fn run_jobs(
     er: &ProgressiveEr,
     ds: &Dataset,
     job_id: &str,
@@ -535,16 +542,10 @@ fn run_stages(
     };
     let stage = Stage {
         resume: resume.as_ref().map(|(cp, _)| cp),
-        crash_at: None,
         cuts: Some(&sink),
     };
     let outcome = run_job2_stage(ds, config, schedule, stage);
-    let job2 = match finish_stage(shared, job_id, ds, "job2-resolution", outcome)? {
-        StageOutcome::Finished(job2) => job2,
-        StageOutcome::Checkpoints(_) => {
-            return Err(MrError::Internal("a stage without a threshold was cut".into()).into())
-        }
-    };
+    let job2 = finish_stage(shared, job_id, ds, "job2-resolution", outcome)?;
     let result = er.assemble(ds, job2, job1_cost, job1_counters);
 
     let mut entries: Vec<(String, u64)> = result
@@ -584,7 +585,7 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// bit-identical (as a [`ResultFingerprint`]), counters included, to an
 /// uninterrupted [`ProgressiveEr::try_run`].
 ///
-/// `params` is recorded verbatim in the `JobStarted` event (plus
+/// `params` is recorded verbatim in the `JobStarted` event (plus `machines`,
 /// `checkpoint_every` and `dataset` entries if absent), giving a fresh
 /// process everything it needs to rebuild the configuration for
 /// [`resume_durable`] and to check it was handed the same dataset.
@@ -606,6 +607,7 @@ pub fn run_durable(
     // Rust's float Display is shortest-round-trip, so the grid spacing
     // survives the string trip exactly.
     for (key, value) in [
+        ("machines", er.config.machines.to_string()),
         ("checkpoint_every", format!("{}", opts.checkpoint_every)),
         ("dataset", dataset_digest(ds)),
     ] {

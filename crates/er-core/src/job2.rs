@@ -23,35 +23,29 @@
 //!   position, and global ids reappear only in duplicate events, result
 //!   records and checkpoints.
 //!
-//! ## Staged execution
+//! ## Durable execution
 //!
-//! One primitive, [`run_job2_stage`], runs the reduce phase over any
-//! stretch of the block schedule (see [`crate::checkpoint`]). A [`Stage`]
-//! with a `resume` checkpoint seeds each task from it — replaying recorded
-//! duplicates at their original virtual costs, restoring the resolved-pair
-//! sets, continuing the clock from the checkpointed watermark, and
-//! resolving only the remaining blocks; a task the checkpoint holds no
-//! completed block of starts from scratch. Checkpoints come out of a stage
-//! in one of two ways:
+//! [`run_job2_stage`] is the resolution job as the durable runner
+//! ([`crate::durable`]) drives it: a [`Stage`] carries what that runner
+//! installs, and no other caller sets its fields.
 //!
-//! * **in-line**, through a [`CutSink`] — what the durable runner
-//!   ([`crate::durable`]) installs. The stage runs to its end; whenever a
+//! * **`cuts`**, a [`CutSink`]: the job runs to its end, and whenever a
 //!   task finishes a block with its clock past the next grid line (and once
-//!   more at its last block) it hands the sink a *delta*: blocks done, the
+//!   more at its last block) it hands the sink a *delta* — blocks done, the
 //!   clock, and the pairs compared and duplicates found since its previous
 //!   cut. A task's deltas are numbered 0, 1, 2, … and depend on nothing but
 //!   the task's own deterministic execution, so a retried attempt, a
 //!   resumed task and the uninterrupted run all emit the same records.
 //!   Without a sink the resolve loop tracks nothing.
-//! * **by a kill**, through `crash_at` — the in-process oracle. Every task
-//!   stops once its clock crosses the threshold and the stage returns one
-//!   whole [`TaskCheckpoint`] per task, cut at the last completed block
-//!   boundary. The fold of a task's deltas up to the one cut at clock `c`
-//!   equals the checkpoint a kill at `c` produces, which is how the durable
-//!   journal is tested against this path.
+//! * **`resume`**, the [`Checkpoint`] the journal's deltas fold to (see
+//!   [`crate::checkpoint`]): each task replays its recorded duplicates at
+//!   their original virtual costs, restores its resolved-pair sets,
+//!   continues its clock from the checkpointed watermark, and resolves only
+//!   the remaining blocks; a task the checkpoint holds no completed block of
+//!   starts from scratch.
 //!
-//! [`run_job2`] is the stage with none of the three. Because execution is
-//! deterministic, any chain of stages reproduces the uninterrupted run's
+//! [`run_job2`] is the stage with neither. Because execution is
+//! deterministic, a resumed job reproduces the uninterrupted run's
 //! duplicate set and timeline bit for bit.
 
 use std::sync::Arc;
@@ -110,7 +104,7 @@ impl<'d> Mapper for RouteMapper<'d> {
 /// loop works on these *tree-local indices* throughout — the mechanism is
 /// started on them and every per-pair access is a slice index — and converts
 /// to global [`EntityId`]s only where something leaves the task: duplicate
-/// events, result records and checkpoints. Ascending local index is
+/// events, result records and checkpoint cuts. Ascending local index is
 /// ascending entity id, so id tie-breaks and `(min, max)` pair keys order
 /// exactly as they would on global ids.
 type Local = u32;
@@ -178,24 +172,6 @@ impl<'p> TreeState<'p> {
         self.entities[local as usize].id
     }
 
-    /// The compared pairs as the checkpoint stores them: global ids,
-    /// normalized `a < b`, sorted.
-    fn resolved_global(&self) -> Vec<(EntityId, EntityId)> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "set order discarded by the sort below"
-        )]
-        let mut packed: Vec<u64> = self.resolved.iter().copied().collect();
-        packed.sort_unstable();
-        packed
-            .into_iter()
-            .map(|key| {
-                let (a, b) = crate::unpack_pair(key);
-                (self.id(a), self.id(b))
-            })
-            .collect()
-    }
-
     /// Take a checkpoint's pairs back in.
     fn restore_resolved(&mut self, pairs: &[(EntityId, EntityId)]) {
         let entities = &self.entities;
@@ -227,31 +203,20 @@ struct TaskState<'p> {
     prepared: PreparedCache<EntityId>,
 }
 
-/// The stretch of the resolution job one [`run_job2_stage`] call executes
-/// (see the module docs' staged-execution section). The default stage is
-/// the whole job.
+/// What the durable runner installs on the resolution job (see the module
+/// docs' durable-execution section). The default stage is the plain job.
 #[derive(Clone, Copy, Default)]
 pub struct Stage<'a> {
     /// Restore each task from this checkpoint and resolve only the blocks
     /// past its watermark; `None` (or a task entry with no completed block)
     /// starts from the first block.
     pub resume: Option<&'a Checkpoint>,
-    /// Kill each reduce task once its task-local virtual clock crosses this
-    /// threshold — before the first block set-up or comparison it would
-    /// charge at or past it — and cut a [`TaskCheckpoint`] at the last
-    /// completed block; `None` runs every task to the end of its schedule.
-    /// A threshold equal to a block boundary's clock cuts at that boundary.
-    /// By determinism, resuming a checkpoint cut at `T1` and crashing at
-    /// `T2` yields the same checkpoint as crashing the uninterrupted run at
-    /// `T2`.
-    pub crash_at: Option<f64>,
-    /// Cut checkpoints in-line, as per-task deltas, while the stage runs on.
-    /// Installed by [`crate::durable`] only.
+    /// Cut checkpoints in-line, as per-task deltas, while the job runs on.
     pub cuts: Option<&'a CutSink<'a>>,
 }
 
-/// Where a stage's reduce tasks hand the checkpoint deltas they cut in-line
-/// (see the module docs' staged-execution section).
+/// Where the resolution job's reduce tasks hand the checkpoint deltas they
+/// cut in-line (see the module docs' durable-execution section).
 pub struct CutSink<'a> {
     /// Spacing of the grid on each task's own virtual clock: a task cuts at
     /// the first block boundary at or past each line it crosses.
@@ -285,18 +250,18 @@ struct Cutter<'a> {
     next_line: f64,
     /// Pairs compared since the last cut, per tree.
     pending: Vec<(usize, Vec<(EntityId, EntityId)>)>,
-    /// How much of the task's duplicate log earlier cuts handed over.
-    dups_cut: usize,
+    /// Duplicates found since the last cut, as `(task-local cost, a, b)`.
+    duplicates: Vec<(f64, EntityId, EntityId)>,
 }
 
 impl<'a> Cutter<'a> {
-    fn new(sink: &'a CutSink<'a>, task: usize, clock: f64, dups_cut: usize) -> Self {
+    fn new(sink: &'a CutSink<'a>, task: usize, clock: f64) -> Self {
         Self {
             sink,
             seq: sink.first_seq[task],
             next_line: sink.line_after(clock),
             pending: Vec::new(),
-            dups_cut,
+            duplicates: Vec::new(),
         }
     }
 
@@ -319,14 +284,7 @@ impl<'a> Cutter<'a> {
     }
 
     /// A block boundary: cut if a grid line was crossed or the task is done.
-    fn block_done(
-        &mut self,
-        task: usize,
-        blocks_done: usize,
-        clock: f64,
-        last: bool,
-        dup_log: &[(f64, EntityId, EntityId)],
-    ) {
+    fn block_done(&mut self, task: usize, blocks_done: usize, clock: f64, last: bool) {
         if clock < self.next_line && !last {
             return;
         }
@@ -337,33 +295,12 @@ impl<'a> Cutter<'a> {
             blocks_done,
             clock,
             resolved,
-            duplicates: dup_log[self.dups_cut..].to_vec(),
+            duplicates: std::mem::take(&mut self.duplicates),
         };
         (self.sink.emit)(self.seq, delta);
         self.seq += 1;
-        self.dups_cut = dup_log.len();
         self.next_line = self.sink.line_after(clock);
     }
-}
-
-/// What a stage leaves behind; [`Stage::crash_at`] decides which.
-#[derive(Debug)]
-pub enum StageOutcome {
-    /// The stage was killed at its threshold: one checkpoint per reduce
-    /// task, in task order. The killed stage's own outputs are discarded —
-    /// only the checkpoints survive, exactly as if the cluster died and the
-    /// checkpoint files were all that was left.
-    Checkpoints(Vec<TaskCheckpoint>),
-    /// The stage ran every remaining block.
-    Finished(Job2Result),
-}
-
-/// Reduce output: result segments from a stage that runs to the end, one
-/// task checkpoint per reduce task from a stage that is killed.
-#[derive(Debug)]
-enum Job2Out {
-    Seg(Segment<(EntityId, EntityId)>),
-    Ckpt(TaskCheckpoint),
 }
 
 struct ResolveReducer<'a> {
@@ -381,13 +318,13 @@ struct ResolveReducer<'a> {
 impl<'a> PartitionReducer for ResolveReducer<'a> {
     type Key = u64;
     type Value = Routed<'a>;
-    type Output = Job2Out;
+    type Output = Segment<(EntityId, EntityId)>;
 
     fn reduce_partition(
         &self,
         partition: &pper_mapreduce::GroupedPartition<u64, Routed<'a>>,
         ctx: &mut TaskContext,
-        out: &mut Vec<Job2Out>,
+        out: &mut Vec<Segment<(EntityId, EntityId)>>,
     ) {
         let mut state = self.ingest(partition, ctx);
         self.resolve(&mut state, ctx, out);
@@ -434,7 +371,12 @@ impl<'a> ResolveReducer<'a> {
     }
 
     /// Walk the task's block schedule over the ingested trees.
-    fn resolve(&self, state: &mut TaskState<'_>, ctx: &mut TaskContext, out: &mut Vec<Job2Out>) {
+    fn resolve(
+        &self,
+        state: &mut TaskState<'_>,
+        ctx: &mut TaskContext,
+        out: &mut Vec<Segment<(EntityId, EntityId)>>,
+    ) {
         let task = ctx.id.index;
         let n_families = self.families.len();
         let TaskState {
@@ -452,7 +394,6 @@ impl<'a> ResolveReducer<'a> {
             .resume
             .map(|cp| &cp.tasks[task])
             .filter(|tc| tc.blocks_done > 0);
-        let crash_at = self.stage.crash_at;
 
         if let Some(tc) = resume {
             // Work redone before the clock override (startup, shuffle,
@@ -468,7 +409,7 @@ impl<'a> ResolveReducer<'a> {
             }
             // Replay checkpointed duplicates at their original task-local
             // costs: the writer was created at the same start cost as in
-            // the killed run and segments cut on a fixed α-grid, so the
+            // the interrupted run and segments cut on a fixed α-grid, so the
             // replay reproduces the original segment files and timeline.
             for &(cost, a, b) in &tc.duplicates {
                 ctx.events
@@ -483,44 +424,24 @@ impl<'a> ResolveReducer<'a> {
             ctx.clock = CostClock::with_offset(tc.clock);
         }
 
-        // Bookkeeping of a killed stage: the checkpoint is cut at the last
-        // completed block boundary, so a mid-block kill rolls the partial
-        // block back below.
         let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done);
-        let mut blocks_done = resumed_blocks;
-        let mut ckpt_clock = ctx.now();
-        // A resumed stage that is killed again must carry the replayed
-        // duplicates forward, so the log is seeded from the one being
-        // resumed; restored resolved-pair sets are likewise already in
-        // `states` and are never rolled back (only `block_added` is).
-        let mut dup_log: Vec<(f64, EntityId, EntityId)> = match (resume, crash_at) {
-            (Some(tc), Some(_)) => tc.duplicates.clone(),
-            _ => Vec::new(),
-        };
-        let mut dups_at_boundary = dup_log.len();
-        // In-line cuts hand over what happened since the previous one:
-        // whatever the log was seeded with is durable already.
+        // In-line cuts hand over what happened since the previous one: what
+        // was restored above is durable already. Pairs and duplicates are
+        // logged only for a cut to take.
         let mut cutter = self
             .stage
             .cuts
-            .map(|sink| Cutter::new(sink, task, ckpt_clock, dup_log.len()));
-        // Pairs and duplicates are logged only for a checkpoint to take.
-        let tracking = crash_at.is_some() || cutter.is_some();
+            .map(|sink| Cutter::new(sink, task, ctx.now()));
 
         let mut scratch = SimScratch::new();
 
         let blocks = &self.schedule.block_order[task];
-        'blocks: for (block_idx, block) in blocks.iter().enumerate() {
+        for (block_idx, block) in blocks.iter().enumerate() {
             if block_idx < resumed_blocks {
-                // Already resolved before the crash; its charges are part
-                // of the checkpointed clock.
+                // Already resolved before the interruption; its charges are
+                // part of the checkpointed clock.
                 ctx.counters.incr("job2_blocks_skipped_resumed");
                 continue;
-            }
-            if let Some(limit) = crash_at {
-                if ctx.now() >= limit {
-                    break 'blocks;
-                }
             }
             'block: {
                 let Some(state) = states.get_mut(&block.tree) else {
@@ -566,27 +487,10 @@ impl<'a> ResolveReducer<'a> {
                         tally.skipped_redundant += 1;
                         continue;
                     }
-                    if let Some(limit) = crash_at {
-                        if ctx.now() >= limit {
-                            // Killed mid-block, before the comparison that
-                            // would spend past the threshold: roll the
-                            // partial block back so the checkpoint sits
-                            // exactly on the last completed block boundary.
-                            // (Skipped pairs cost nothing and kill nothing,
-                            // so a threshold that is a block's final clock
-                            // lets that block complete.)
-                            for key in &block_added {
-                                state.resolved.remove(key);
-                            }
-                            dup_log.truncate(dups_at_boundary);
-                            tally.flush(&mut ctx.counters);
-                            break 'blocks;
-                        }
-                    }
                     ctx.charge(ctx.cost_model.resolve_pair);
                     tally.compared += 1;
                     state.resolved.insert(key);
-                    if tracking {
+                    if cutter.is_some() {
                         block_added.push(key);
                     }
                     let (ea, eb) = (state.entities[ia], state.entities[ib]);
@@ -600,8 +504,8 @@ impl<'a> ResolveReducer<'a> {
                         tally.duplicates += 1;
                         ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
                         writer.write(ctx.now(), (ea.id.min(eb.id), ea.id.max(eb.id)));
-                        if tracking {
-                            dup_log.push((ctx.now(), ea.id, eb.id));
+                        if let Some(cutter) = &mut cutter {
+                            cutter.duplicates.push((ctx.now(), ea.id, eb.id));
                         }
                     } else {
                         writer.advance(ctx.now());
@@ -618,38 +522,12 @@ impl<'a> ResolveReducer<'a> {
                 }
             }
             // The block boundary a checkpoint can sit on.
-            blocks_done = block_idx + 1;
-            ckpt_clock = ctx.now();
-            dups_at_boundary = dup_log.len();
             if let Some(cutter) = &mut cutter {
-                let last = blocks_done == blocks.len();
-                cutter.block_done(task, blocks_done, ckpt_clock, last, &dup_log);
+                let blocks_done = block_idx + 1;
+                cutter.block_done(task, blocks_done, ctx.now(), blocks_done == blocks.len());
             }
         }
-
-        if crash_at.is_some() {
-            // The crashed run's in-memory results are lost; only the
-            // checkpoint (with its embedded duplicate log) survives.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "map order discarded by the sort below"
-            )]
-            let mut resolved: Vec<(usize, Vec<(EntityId, EntityId)>)> = states
-                .iter()
-                .filter(|(_, s)| !s.resolved.is_empty())
-                .map(|(&tree, s)| (tree, s.resolved_global()))
-                .collect();
-            resolved.sort_unstable_by_key(|&(tree, _)| tree);
-            out.push(Job2Out::Ckpt(TaskCheckpoint {
-                task,
-                blocks_done,
-                clock: ckpt_clock,
-                resolved,
-                duplicates: dup_log,
-            }));
-        } else {
-            out.extend(writer.finish(ctx.now()).into_iter().map(Job2Out::Seg));
-        }
+        out.extend(writer.finish(ctx.now()));
     }
 }
 
@@ -679,38 +557,10 @@ fn sq_to_tree(schedule: &Schedule) -> FxHashMap<u64, usize> {
         .collect()
 }
 
-fn run_job2_inner(
-    ds: &Dataset,
-    config: &ErConfig,
-    schedule: &Schedule,
-    stage: Stage<'_>,
-) -> Result<pper_mapreduce::runtime::JobResult<Job2Out>, MrError> {
-    let locator = TreeLocator::new(schedule, config.families.len());
-    let sq_to_tree = sq_to_tree(schedule);
-    let mut cfg = config.job_config("pper-job2-resolution");
-    cfg.num_reduce_tasks = Some(schedule.num_tasks);
-    cfg.faults = config.faults.clone();
-
-    let mapper = RouteMapper {
-        families: &config.families,
-        schedule,
-        locator: &locator,
-    };
-    let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, stage);
-    let partitioner = RangePartitioner::new(schedule.sq_bounds(), |sq: &u64| *sq);
-    let entities: Vec<&Entity> = ds.entities.iter().collect();
-    run_job_with_partitioner(&cfg, &mapper, &reducer, &partitioner, &entities)
-}
-
-fn assemble(result: pper_mapreduce::runtime::JobResult<Job2Out>) -> Job2Result {
-    let segments: Vec<Segment<(EntityId, EntityId)>> = result
-        .outputs
-        .into_iter()
-        .filter_map(|o| match o {
-            Job2Out::Seg(s) => Some(s),
-            Job2Out::Ckpt(_) => None,
-        })
-        .collect();
+fn assemble(
+    result: pper_mapreduce::runtime::JobResult<Segment<(EntityId, EntityId)>>,
+) -> Job2Result {
+    let segments = result.outputs;
     let mut duplicates: Vec<(EntityId, EntityId)> = segments
         .iter()
         .flat_map(|s| s.records.iter().copied())
@@ -734,24 +584,23 @@ pub fn run_job2(
     config: &ErConfig,
     schedule: Arc<Schedule>,
 ) -> Result<Job2Result, MrError> {
-    run_job2_inner(ds, config, &schedule, Stage::default()).map(assemble)
+    run_job2_stage(ds, config, &schedule, Stage::default())
 }
 
-/// Run one [`Stage`] of the second job against `schedule`. A resumed stage
-/// runs the schedule its checkpoint carries — the watermarks index into it
-/// — so it must be handed `&checkpoint.schedule` itself.
+/// Run the second job against `schedule` with `stage` installed. A resumed
+/// job runs the schedule its checkpoint carries — the watermarks index into
+/// it — so it must be handed `&checkpoint.schedule` itself.
 ///
 /// Rejected with [`MrError::Checkpoint`] before any task starts: a
 /// checkpoint that fails [`Checkpoint::validate`] for this configuration or
-/// arrives with another schedule, a threshold that is not finite, is
-/// negative, or lies before the checkpoint's own, and a cut sink whose grid
-/// is not finite and positive or that does not number every task.
+/// arrives with another schedule, and a cut sink whose grid is not finite
+/// and positive or that does not number every task.
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
     schedule: &Schedule,
     stage: Stage<'_>,
-) -> Result<StageOutcome, MrError> {
+) -> Result<Job2Result, MrError> {
     if let Some(checkpoint) = stage.resume {
         checkpoint.validate(config.machines)?;
         if !std::ptr::eq(schedule, &checkpoint.schedule) {
@@ -760,16 +609,6 @@ pub fn run_job2_stage(
             ));
         }
     }
-    if let Some(crash_at) = stage.crash_at {
-        let floor = stage.resume.map_or(0.0, |checkpoint| checkpoint.crash_at);
-        if !crash_at.is_finite() || crash_at < floor {
-            return Err(MrError::Checkpoint(format!(
-                "crash threshold {crash_at} must be finite and not before {floor} \
-                 (zero, or the threshold of the checkpoint being resumed)"
-            )));
-        }
-    }
-
     if let Some(sink) = stage.cuts {
         if !(sink.every.is_finite() && sink.every > 0.0) {
             return Err(MrError::Checkpoint(format!(
@@ -786,35 +625,21 @@ pub fn run_job2_stage(
         }
     }
 
-    let result = run_job2_inner(ds, config, schedule, stage)?;
-    Ok(if stage.crash_at.is_some() {
-        StageOutcome::Checkpoints(collect_checkpoints(result, schedule.num_tasks)?)
-    } else {
-        StageOutcome::Finished(assemble(result))
-    })
-}
+    let locator = TreeLocator::new(schedule, config.families.len());
+    let sq_to_tree = sq_to_tree(schedule);
+    let mut cfg = config.job_config("pper-job2-resolution");
+    cfg.num_reduce_tasks = Some(schedule.num_tasks);
+    cfg.faults = config.faults.clone();
 
-/// Extract and order the per-task checkpoints of a killed stage.
-fn collect_checkpoints(
-    result: pper_mapreduce::runtime::JobResult<Job2Out>,
-    num_tasks: usize,
-) -> Result<Vec<TaskCheckpoint>, MrError> {
-    let mut tasks: Vec<TaskCheckpoint> = result
-        .outputs
-        .into_iter()
-        .filter_map(|o| match o {
-            Job2Out::Ckpt(tc) => Some(tc),
-            Job2Out::Seg(_) => None,
-        })
-        .collect();
-    tasks.sort_unstable_by_key(|tc| tc.task);
-    if tasks.len() != num_tasks {
-        return Err(MrError::Checkpoint(format!(
-            "crashed run produced {} task checkpoints, expected {num_tasks}",
-            tasks.len()
-        )));
-    }
-    Ok(tasks)
+    let mapper = RouteMapper {
+        families: &config.families,
+        schedule,
+        locator: &locator,
+    };
+    let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, stage);
+    let partitioner = RangePartitioner::new(schedule.sq_bounds(), |sq: &u64| *sq);
+    let entities: Vec<&Entity> = ds.entities.iter().collect();
+    run_job_with_partitioner(&cfg, &mapper, &reducer, &partitioner, &entities).map(assemble)
 }
 
 #[cfg(test)]
@@ -893,144 +718,28 @@ mod tests {
         );
     }
 
-    fn json(tasks: &[TaskCheckpoint]) -> String {
-        serde_json::to_string(tasks).unwrap()
-    }
-
-    /// The task checkpoints of a stage killed at `crash_at`.
-    fn killed_at(
-        ds: &Dataset,
-        config: &ErConfig,
-        schedule: &Schedule,
-        resume: Option<&Checkpoint>,
-        crash_at: f64,
-    ) -> Vec<TaskCheckpoint> {
-        let stage = Stage {
-            resume,
-            crash_at: Some(crash_at),
-            cuts: None,
-        };
-        match run_job2_stage(ds, config, schedule, stage).unwrap() {
-            StageOutcome::Checkpoints(tasks) => tasks,
-            StageOutcome::Finished(_) => panic!("a stage with a threshold cuts checkpoints"),
-        }
-    }
-
-    /// Ids of the entities routed to `tree`, ascending.
-    fn tree_members(
-        ds: &Dataset,
-        config: &ErConfig,
-        locator: &TreeLocator,
-        tree: usize,
-    ) -> Vec<EntityId> {
-        ds.entities
-            .iter()
-            .filter(|e| locator.trees_of_entity(&config.families, e).contains(&tree))
-            .map(|e| e.id)
-            .collect()
-    }
-
     #[test]
-    fn mid_block_kill_checkpoints_the_last_block_boundary_in_global_ids() {
-        let ds = pper_datagen::BookGen::new(2_500, 75).generate();
-        let config = ErConfig::books(2); // PSNM
-        let schedule = schedule_for(&ds, &config);
-        let locator = TreeLocator::new(&schedule, config.families.len());
-        let cm = &config.cost_model;
-
-        let mut mid_block_kills = 0;
-        for limit in [900.0, 1_700.0, 2_600.0] {
-            let killed = killed_at(&ds, &config, &schedule, None, limit);
-            for tc in &killed {
-                // The checkpoint format: trees ascending, pairs ascending,
-                // `a < b`, and every id a *global* id of a member of that
-                // tree (a tree-local index would name some other entity).
-                assert!(tc.resolved.windows(2).all(|w| w[0].0 < w[1].0));
-                for (tree, pairs) in &tc.resolved {
-                    let members = tree_members(&ds, &config, &locator, *tree);
-                    assert!(pairs.windows(2).all(|w| w[0] < w[1]), "pairs sorted");
-                    for &(a, b) in pairs {
-                        assert!(a < b);
-                        assert!(members.binary_search(&a).is_ok(), "{a} not in tree {tree}");
-                        assert!(members.binary_search(&b).is_ok(), "{b} not in tree {tree}");
-                    }
-                }
-
-                // Was this task killed inside a block, after comparing
-                // pairs of it? Its clock ran from the boundary past the
-                // block's set-up charges and ten comparisons more, and the
-                // block still had not completed.
-                let Some(block) = schedule.block_order[tc.task].get(tc.blocks_done) else {
-                    continue;
-                };
-                let plan_tree = &schedule.trees[block.tree];
-                let node = &plan_tree.nodes[block.node];
-                let family = &config.families[plan_tree.family];
-                let members = tree_members(&ds, &config, &locator, block.tree);
-                let in_block = members
-                    .iter()
-                    .filter(|&&id| family.key_is(ds.entity(id), node.level, &node.key))
-                    .count();
-                let setup =
-                    cm.read_per_entity * members.len() as f64 + cm.block_additional_cost(in_block);
-                if limit - tc.clock < setup + 10.0 * cm.resolve_pair {
-                    continue;
-                }
-                mid_block_kills += 1;
-
-                // Killing exactly at that boundary stops the task before
-                // the block starts: the rolled-back checkpoint must be it.
-                let at_boundary = killed_at(&ds, &config, &schedule, None, tc.clock);
-                assert_eq!(
-                    json(std::slice::from_ref(&at_boundary[tc.task])),
-                    json(std::slice::from_ref(tc)),
-                    "task {} killed at {limit}",
-                    tc.task
-                );
-            }
-        }
-        assert!(
-            mid_block_kills >= 3,
-            "only {mid_block_kills} mid-block kills"
-        );
-    }
-
-    #[test]
-    fn staged_crash_equals_direct_crash_bit_for_bit() {
-        let ds = pper_datagen::BookGen::new(2_500, 76).generate();
-        let config = ErConfig::books(2);
-        let schedule = schedule_for(&ds, &config);
-        let (t1, t2) = (1_100.0, 2_300.0);
-        let first = Checkpoint {
-            schedule: (*schedule).clone(),
-            job1_cost: 0.0,
-            crash_at: t1,
-            machines: config.machines,
-            tasks: killed_at(&ds, &config, &schedule, None, t1),
-        };
-        assert!(
-            first.tasks.iter().any(|tc| !tc.resolved.is_empty()),
-            "the first stage must hand resolved pairs over"
-        );
-        let staged = killed_at(&ds, &config, &first.schedule, Some(&first), t2);
-        let direct = killed_at(&ds, &config, &schedule, None, t2);
-        assert_eq!(json(&staged), json(&direct));
-        assert_ne!(
-            json(&direct),
-            json(&first.tasks),
-            "the second stage advanced"
-        );
-    }
-
-    #[test]
-    fn stage_rejects_bad_thresholds_and_foreign_schedules() {
+    fn stage_rejects_foreign_checkpoints() {
         let ds = PubGen::new(600, 78).generate();
         let config = ErConfig::citeseer(2);
         let schedule = schedule_for(&ds, &config);
-        let rejected = |schedule: &Schedule, resume, crash_at| {
+        let cp = Checkpoint {
+            schedule: (*schedule).clone(),
+            job1_cost: 0.0,
+            machines: config.machines,
+            tasks: (0..schedule.num_tasks)
+                .map(|task| TaskCheckpoint {
+                    task,
+                    blocks_done: 0,
+                    clock: 0.0,
+                    resolved: Vec::new(),
+                    duplicates: Vec::new(),
+                })
+                .collect(),
+        };
+        let rejected = |schedule: &Schedule, cp: &Checkpoint| {
             let stage = Stage {
-                resume,
-                crash_at,
+                resume: Some(cp),
                 cuts: None,
             };
             matches!(
@@ -1038,25 +747,12 @@ mod tests {
                 Err(MrError::Checkpoint(_))
             )
         };
-        assert!(rejected(&schedule, None, Some(f64::NAN)));
-        assert!(rejected(&schedule, None, Some(-1.0)));
-
-        let cp = Checkpoint {
-            schedule: (*schedule).clone(),
-            job1_cost: 0.0,
-            crash_at: 800.0,
-            machines: config.machines,
-            tasks: killed_at(&ds, &config, &schedule, None, 800.0),
-        };
-        // Not before the checkpoint's own threshold; at it is a no-op stage.
-        assert!(rejected(&cp.schedule, Some(&cp), Some(799.0)));
-        assert!(rejected(&cp.schedule, Some(&cp), Some(f64::INFINITY)));
-        assert!(!rejected(&cp.schedule, Some(&cp), Some(800.0)));
+        assert!(!rejected(&cp.schedule, &cp));
         // The watermarks index into the checkpoint's schedule, no other.
-        assert!(rejected(&schedule, Some(&cp), None));
+        assert!(rejected(&schedule, &cp));
         let mut foreign = cp.clone();
         foreign.machines += 1;
-        assert!(rejected(&foreign.schedule, Some(&foreign), None));
+        assert!(rejected(&foreign.schedule, &foreign));
     }
 
     #[test]

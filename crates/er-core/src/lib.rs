@@ -18,9 +18,10 @@
 //!   redundancy elimination of Kolb et al. (ref. \[14\]);
 //! * [`pipeline`] — orchestration: the two jobs chained, timelines merged,
 //!   results exposed as a [`metrics::RecallCurve`];
-//! * [`checkpoint`] — crash/resume support: kill the resolution job
-//!   mid-flight, persist a [`checkpoint::Checkpoint`], and resume to a
-//!   bit-identical result (see [`pipeline::ProgressiveEr::run_stage`]);
+//! * [`durable`] and [`checkpoint`] — crash/resume: journal every run
+//!   event, fold a killed run's in-line cuts into a
+//!   [`checkpoint::Checkpoint`], and resume from it in a fresh process to a
+//!   bit-identical result (see [`durable::resume_durable`]);
 //! * [`metrics`] — duplicate recall curves, the `Qty` quality measure
 //!   (Eq. 1), and recall speedup (§VI-B4).
 //!
@@ -82,7 +83,7 @@ pub mod prelude {
     };
     pub use crate::job1::run_job1;
     pub use crate::metrics::{quality, speedup_at, RecallCurve};
-    pub use crate::pipeline::{ErRunResult, ProgressiveEr, StageResult};
+    pub use crate::pipeline::{ErRunResult, ProgressiveEr};
 }
 
 pub use prelude::*;

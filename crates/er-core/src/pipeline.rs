@@ -2,14 +2,15 @@
 //! schedule generation → second job, with timelines merged onto one global
 //! virtual clock.
 
+use std::sync::Arc;
+
 use pper_datagen::Dataset;
 use pper_mapreduce::{Counters, MrError, ProgressEvent};
 use pper_schedule::{generate_schedule, EstimationContext, Schedule};
 
-use crate::checkpoint::Checkpoint;
 use crate::config::ErConfig;
 use crate::job1::run_job1;
-use crate::job2::{run_job2_stage, Job2Result, Stage, StageOutcome};
+use crate::job2::{run_job2, Job2Result};
 use crate::metrics::RecallCurve;
 
 /// Result of one ER run (ours or a baseline) — everything the experiment
@@ -91,34 +92,6 @@ impl ErRunResult {
     }
 }
 
-/// What one [`ProgressiveEr::run_stage`] call leaves behind.
-#[derive(Debug)]
-pub enum StageResult {
-    /// The stage was killed at its threshold; this is what a real
-    /// deployment would have persisted. Feed it to the next stage.
-    Cut(Checkpoint),
-    /// The stage ran the resolution job to its end.
-    Finished(ErRunResult),
-}
-
-impl StageResult {
-    /// The checkpoint, if the stage was cut (it had a threshold).
-    pub fn cut(self) -> Option<Checkpoint> {
-        match self {
-            StageResult::Cut(checkpoint) => Some(checkpoint),
-            StageResult::Finished(_) => None,
-        }
-    }
-
-    /// The run's result, if the stage finished (it had no threshold).
-    pub fn finished(self) -> Option<ErRunResult> {
-        match self {
-            StageResult::Finished(result) => Some(result),
-            StageResult::Cut(_) => None,
-        }
-    }
-}
-
 /// The paper's approach, end to end.
 #[derive(Debug, Clone)]
 pub struct ProgressiveEr {
@@ -142,68 +115,14 @@ impl ProgressiveEr {
         self.try_run(ds).expect("pipeline run failed")
     }
 
-    /// Run both jobs: the stage that starts fresh and is never killed.
+    /// Run both jobs: the statistics job, schedule generation (replicated
+    /// in each map task's setup; computed once here and shared, §III-B),
+    /// then the resolution job from its first block.
     pub fn try_run(&self, ds: &Dataset) -> Result<ErRunResult, MrError> {
-        self.run_stage(ds, None, None)?
-            .finished()
-            .ok_or_else(|| MrError::Internal("a stage without a threshold was cut".into()))
-    }
-
-    /// Run one stage of the pipeline — the one primitive behind
-    /// uninterrupted runs, crash simulation, resume, and staged periodic
-    /// checkpointing.
-    ///
-    /// * `from` — `None` starts fresh: first job, schedule generation
-    ///   (replicated in each map task's setup; computed once here and
-    ///   shared, §III-B), then the resolution job from its first block.
-    ///   `Some(checkpoint)` re-runs neither (their outputs live in the
-    ///   checkpoint): the resolution job replays the checkpointed
-    ///   duplicates and resolves only the remaining blocks.
-    /// * `crash_at` — `Some(t)` kills every reduce task of the resolution
-    ///   job once its task-local virtual clock crosses `t` and returns the
-    ///   [`Checkpoint`] cut at the last completed block boundaries (the
-    ///   stage's results are otherwise discarded); `None` runs to the end
-    ///   and returns the [`ErRunResult`].
-    ///
-    /// Execution is deterministic, so however a run is cut into stages, the
-    /// checkpoint cut at `t` and the final result — duplicate set, found
-    /// events, recall curve, total cost — are bit-identical to those of the
-    /// uninterrupted run; a chain of stages makes progress while each stage
-    /// stays cheap to redo after a kill.
-    pub fn run_stage(
-        &self,
-        ds: &Dataset,
-        from: Option<&Checkpoint>,
-        crash_at: Option<f64>,
-    ) -> Result<StageResult, MrError> {
-        let config = &self.config;
-        let fresh;
-        let (schedule, job1_cost, job1_counters) = match from {
-            Some(checkpoint) => (&checkpoint.schedule, checkpoint.job1_cost, Counters::new()),
-            None => {
-                let job1 = run_job1(ds, config)?;
-                fresh = self.generate_schedule(ds, &job1.stats);
-                (&fresh, job1.virtual_cost, job1.counters)
-            }
-        };
-        let stage = Stage {
-            resume: from,
-            crash_at,
-            cuts: None,
-        };
-        Ok(match run_job2_stage(ds, config, schedule, stage)? {
-            StageOutcome::Checkpoints(tasks) => StageResult::Cut(Checkpoint {
-                schedule: schedule.clone(),
-                job1_cost,
-                // A stage cuts checkpoints only when it has a threshold.
-                crash_at: crash_at.unwrap_or_default(),
-                machines: config.machines,
-                tasks,
-            }),
-            StageOutcome::Finished(job2) => {
-                StageResult::Finished(self.assemble(ds, job2, job1_cost, job1_counters))
-            }
-        })
+        let job1 = run_job1(ds, &self.config)?;
+        let schedule = Arc::new(self.generate_schedule(ds, &job1.stats));
+        let job2 = run_job2(ds, &self.config, schedule)?;
+        Ok(self.assemble(ds, job2, job1.virtual_cost, job1.counters))
     }
 
     /// Splice the resolution job's timeline onto the global clock at

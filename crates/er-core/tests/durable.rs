@@ -1,7 +1,7 @@
 //! Durable runner conformance: journaled runs equal to plain runs down to
 //! the counters, an in-process kill-point sweep over journal prefixes, the
-//! fold of the in-line checkpoint cuts against the in-process kill oracle,
-//! and the dead-letter round trip.
+//! fold of the in-line checkpoint cuts at every cut, and the dead-letter
+//! round trip.
 //!
 //! The unit of failure is a *record boundary*: `run_durable` executes the
 //! resolution job once and its reduce tasks append their checkpoint cuts
@@ -30,7 +30,7 @@ use pper_journal::{
     recover, FileStore, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
     MemStore, TaskProgress,
 };
-use pper_mapreduce::{FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, TaskKind, Vfs};
+use pper_mapreduce::{FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, MrError, TaskKind, Vfs};
 
 type Events = Vec<(u64, JournalEvent)>;
 
@@ -254,19 +254,6 @@ fn durable_run_matches_plain_run() {
 }
 
 #[test]
-fn staged_cut_equals_direct_cut() {
-    let er = small_pipeline();
-    let ds = dataset();
-    let cut = |from: Option<&Checkpoint>, at| {
-        let stage = er.run_stage(&ds, from, Some(at)).unwrap();
-        stage.cut().expect("a stage with a threshold is cut")
-    };
-    let staged = cut(Some(&cut(None, 1_000.0)), 2_200.0);
-    let direct = cut(None, 2_200.0);
-    assert_eq!(staged.to_json().unwrap(), direct.to_json().unwrap());
-}
-
-#[test]
 fn fingerprint_json_round_trips() {
     let er = small_pipeline();
     let ds = dataset();
@@ -275,21 +262,24 @@ fn fingerprint_json_round_trips() {
     assert_eq!(back, fp);
 }
 
-/// The oracle for the in-line cuts: for every task and every `seq`, the
-/// fold of the journal up to that record is the checkpoint the in-process
-/// kill (`run_stage` with a threshold) cuts for that task at the record's
-/// clock — byte for byte as JSON.
+/// The fold at every cut: taken from the journal up to and including any
+/// cut record, the checkpoint passes `Checkpoint::validate` and its entry for
+/// the record's task stands at the record's watermark and clock.
 #[test]
-fn fold_of_the_cuts_equals_the_killed_stage_checkpoint() {
+fn the_fold_up_to_every_cut_stands_at_that_cut() {
     let er = small_pipeline();
     let ds = dataset();
-    let (events, _) = finished_journal(&er, &ds, "job-oracle");
+    let (events, _) = finished_journal(&er, &ds, "job-fold");
 
     let mut checked = 0;
     let mut with_pairs = 0;
     for i in cut_positions(&events) {
         let JournalEvent::CheckpointCut {
-            task, seq, clock, ..
+            task,
+            seq,
+            blocks_done,
+            clock,
+            ..
         } = &events[i].1
         else {
             unreachable!()
@@ -301,23 +291,12 @@ fn fold_of_the_cuts_equals_the_killed_stage_checkpoint() {
             .unwrap()
             .expect("the schedule is journaled before any cut");
         folded.validate(er.config.machines).unwrap();
-        let killed = er
-            .run_stage(&ds, None, Some(*clock))
-            .unwrap()
-            .cut()
-            .expect("a stage with a threshold is cut");
-        assert_eq!(
-            serde_json::to_string(&folded.tasks[task]).unwrap(),
-            serde_json::to_string(&killed.tasks[task]).unwrap(),
-            "task {task}, record {seq}, clock {clock}"
-        );
-        assert_eq!(
-            serde_json::to_string(&folded.schedule).unwrap(),
-            serde_json::to_string(&killed.schedule).unwrap()
-        );
-        assert_eq!(folded.job1_cost.to_bits(), killed.job1_cost.to_bits());
+        let at = &folded.tasks[task];
+        let what = format!("task {task}, record {seq}");
+        assert_eq!(at.blocks_done as u64, *blocks_done, "{what}");
+        assert_eq!(at.clock.to_bits(), clock.to_bits(), "{what}");
         checked += 1;
-        with_pairs += usize::from(!folded.tasks[task].resolved.is_empty());
+        with_pairs += usize::from(!at.resolved.is_empty());
     }
     assert!(checked >= 8, "only {checked} cut records");
     assert!(with_pairs >= checked / 2, "the cuts carry no pairs");
@@ -550,6 +529,26 @@ fn a_resume_against_another_dataset_is_refused() {
     }
     let unpinned = store.read("job-pinned").unwrap();
     resume_from(&er, &ds, "job-pinned", &unpinned, &golden, "unpinned log");
+}
+
+/// A checkpoint is tied to the machine count it was cut on (the wave layout
+/// decides the global timeline): a journal written at μ = 2 and killed inside
+/// the reduce phase is refused by a resume configured for μ = 3, with the
+/// typed checkpoint error, before anything is appended.
+#[test]
+fn a_resume_on_another_machine_count_is_refused() {
+    let ds = dataset();
+    let (events, bytes) = finished_journal(&small_pipeline(), &ds, "job-mu");
+    let cuts = cut_positions(&events);
+    let killed = &bytes[..events[cuts[cuts.len() / 2] + 1].0 as usize];
+    let store = store_holding("job-mu", killed);
+    let other = ProgressiveEr::new(ErConfig::citeseer(3));
+    let refused = resume_durable(&other, &ds, &store, "job-mu", &opts(EVERY));
+    assert!(
+        matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
+        "{refused:?}"
+    );
+    assert_eq!(store.read("job-mu").unwrap(), killed);
 }
 
 /// A log written by format version 1 is refused with the typed error by

@@ -1,11 +1,10 @@
 //! Tier-1 smokes of four conformance families whose full sweeps live in the
-//! member crates (`crates/er-core/tests/{resume_checkpoint,durable,executors,
-//! chaos_invariance,io_chaos}.rs`):
+//! member crates (`crates/er-core/tests/{durable,executors,chaos_invariance,
+//! io_chaos}.rs`):
 //!
-//! * **resume** — however a run is cut into stages in process, and wherever
-//!   the durable journal is cut back to (between the jobs, or inside a
-//!   running reduce task that was cutting its checkpoints in-line), it ends
-//!   in the uninterrupted run's fingerprint;
+//! * **resume** — wherever the durable journal is cut back to (between the
+//!   jobs, or inside a running reduce task that was cutting its checkpoints
+//!   in-line), it ends in the uninterrupted run's fingerprint;
 //! * **executors** — the thread count reaches no observable, and a journal
 //!   that recorded a retired dispatch backend still resumes;
 //! * **chaos** — task attempts that die below the attempt budget change
@@ -16,7 +15,6 @@
 use std::sync::Arc;
 
 use pper::datagen::{BookGen, Dataset};
-use pper::er::checkpoint::Checkpoint;
 use pper::er::prelude::*;
 use pper::journal::{recover, JournalState, JournalStore, MemStore};
 use pper::mapreduce::{
@@ -34,22 +32,6 @@ fn pipeline() -> ProgressiveEr {
 
 fn fingerprint(er: &ProgressiveEr, ds: &Dataset) -> ResultFingerprint {
     ResultFingerprint::of(&er.try_run(ds).unwrap())
-}
-
-fn cut(er: &ProgressiveEr, ds: &Dataset, from: Option<&Checkpoint>, at: f64) -> Checkpoint {
-    er.run_stage(ds, from, Some(at))
-        .unwrap()
-        .cut()
-        .expect("a stage with a threshold is cut")
-}
-
-fn finish(er: &ProgressiveEr, ds: &Dataset, from: &Checkpoint) -> ResultFingerprint {
-    let stage = er.run_stage(ds, Some(from), None).unwrap();
-    ResultFingerprint::of(
-        &stage
-            .finished()
-            .expect("a stage without a threshold finishes"),
-    )
 }
 
 const DURABLE: DurableOptions = DurableOptions {
@@ -71,28 +53,9 @@ fn killed_after(store: &Arc<dyn JournalStore>, job: &str, events: usize) -> Arc<
 }
 
 #[test]
-fn staged_and_durable_runs_end_in_the_uninterrupted_fingerprint() {
+fn durable_runs_end_in_the_uninterrupted_fingerprint() {
     let ds = dataset();
-    let er = pipeline();
-    let golden = fingerprint(&er, &ds);
-
-    // One cut: before any block, mid-run, past the end.
-    let mut mid_run = false;
-    for at in [0.0, 1_500.0, 1e15] {
-        let cp = cut(&er, &ds, None, at);
-        mid_run |= cp.blocks_done() > 0 && cp.blocks_remaining() > 0;
-        assert_eq!(finish(&er, &ds, &cp), golden, "cut at {at}");
-    }
-    assert!(mid_run, "no threshold landed mid-run");
-
-    // Chained: T1 → T2 → finish, and the chained cut is the direct one.
-    let first = cut(&er, &ds, None, 800.0);
-    let second = cut(&er, &ds, Some(&first), 2_000.0);
-    assert_eq!(
-        second.to_json().unwrap(),
-        cut(&er, &ds, None, 2_000.0).to_json().unwrap()
-    );
-    assert_eq!(finish(&er, &ds, &second), golden, "chained");
+    let golden = fingerprint(&pipeline(), &ds);
 
     // Durable, one pass cutting in-line, on one worker thread and on two:
     // killed in job 1, right after the first cut and the middle one (both

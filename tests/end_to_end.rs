@@ -116,6 +116,9 @@ fn incremental_segments_cover_all_duplicates() {
 
 #[test]
 fn prepared_and_string_paths_agree_on_long_attributes() {
+    use pper::er::{journaled_checkpoint, run_durable};
+    use pper::journal::{recover, JournalState, MemStore};
+
     // Fast smoke of the prepared-vs-string conformance family on the rule
     // whose cost is the multi-word edit distance. The pipeline compares
     // through the prepared path only, so each approach is held to the
@@ -125,15 +128,13 @@ fn prepared_and_string_paths_agree_on_long_attributes() {
     let er = ErConfig::citeseer(2);
     let string_rule = |a: u32, b: u32| er.rule.matches(&ds.entity(a).attrs, &ds.entity(b).attrs);
 
-    // Ours: a stage killed past the end of the run hands back every pair
-    // job 2 compared and every pair it accepted.
+    // Ours: the fold of a finished durable run's journal hands back every
+    // pair job 2 compared and every pair it accepted.
+    let store = MemStore::shared();
     let pipeline = ProgressiveEr::new(er.clone());
-    let ours = pipeline.run(&ds);
-    let checkpoint = pipeline
-        .run_stage(&ds, None, Some(1e15))
-        .unwrap()
-        .cut()
-        .unwrap();
+    let ours = run_durable(&pipeline, &ds, &store, "smoke", &[], &Default::default()).unwrap();
+    let state = JournalState::replay(&recover(&store, "smoke").unwrap().events);
+    let checkpoint = journaled_checkpoint(&state, er.machines).unwrap().unwrap();
     let mut compared = 0;
     for &(a, b) in checkpoint
         .tasks
