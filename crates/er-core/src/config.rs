@@ -138,7 +138,7 @@ pub struct ErConfig {
     pub observer: Option<pper_mapreduce::TaskObserver>,
     /// Read by nothing: every job dispatches through the one cursor pool
     /// (`pper_mapreduce::exec`). Kept, with its one-valued type, until the
-    /// benchmark harness stops copying it (ROADMAP item 1(f)).
+    /// benchmark harness stops copying it (ROADMAP item 1(c)).
     pub executor: pper_mapreduce::ExecutorKind,
     /// Memory budget for the statistics job's shuffle. `None` (the default)
     /// groups every partition in memory; `Some(cfg)` spills partitions

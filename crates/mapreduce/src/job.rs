@@ -105,7 +105,7 @@ pub struct JobConfig {
     pub observer: Option<TaskObserver>,
     /// Read by nothing: every job dispatches through the one cursor pool
     /// ([`crate::exec`]). Kept, with its one-valued type, until the
-    /// benchmark harness stops assigning it (ROADMAP item 1(f)).
+    /// benchmark harness stops assigning it (ROADMAP item 1(c)).
     pub executor: ExecutorKind,
 }
 

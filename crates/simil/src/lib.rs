@@ -23,12 +23,12 @@
 //! [`PreparedRule::score`]/[`PreparedRule::matches`] compare two prepared
 //! entities through a reusable [`SimScratch`] with **zero per-pair heap
 //! allocation**. `score` is bit-identical to the string path; `matches`
-//! additionally early-exits in descending weight order once the decision
-//! is forced, while still returning identical decisions. Levenshtein terms
-//! on ASCII inputs of any length run the blocked (multi-word) Myers
-//! bit-parallel scan over one byte per character; the two-row DP is left
-//! for non-ASCII input. `matches` first tries to reject such a term on the
-//! two values' lengths and character histograms alone.
+//! returns identical decisions, bounding every Levenshtein term on the two
+//! values' lengths and character histograms alone and running kernels,
+//! heaviest term first, only while the whole rule's bounds leave the
+//! decision open. Levenshtein terms on ASCII inputs of any length run the
+//! blocked (multi-word) Myers bit-parallel scan over one byte per
+//! character; the two-row DP is left for non-ASCII input.
 //!
 //! The pipeline compares pairs through the prepared path only. The string
 //! path — [`MatchRule::score`] and [`MatchRule::matches`] — is the

@@ -120,9 +120,11 @@ impl MyersScratch {
         let hibit = 1u64 << ((m - 1) % WORD);
         let mut score = m;
         if words == 1 {
-            // One block: the vertical deltas stay in registers. Sending
-            // this case through the loop below costs the ≤ 64-char traffic
-            // (all but 0.02% of `books-ours`' terms) ~13% of its `wall_s`.
+            // One block: the vertical deltas stay in registers. Sent through
+            // the loop below instead, the ≤ 64-char traffic ran `pubs-basic`
+            // 1.5% slower, outside its run-to-run spread; the other three
+            // benchmark workloads moved by at most 1.7% either way (10
+            // alternating 20 s runs each, 2-vCPU host).
             let peq = &self.peq[..ROWS];
             let (mut pv, mut mv) = (!0u64, 0u64);
             for &c in text {

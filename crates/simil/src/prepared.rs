@@ -29,18 +29,11 @@
 //!   kernel reproduces the string kernel's exact arithmetic (integer
 //!   distance/overlap counts feeding the same normalization expression).
 //! * [`PreparedRule::matches`] returns **identical decisions** to
-//!   [`MatchRule::matches`]. It evaluates terms in descending weight order
-//!   and stops as soon as the accept/reject decision is forced: accept once
-//!   the pessimistic bound (remaining terms scoring 0) clears the
-//!   threshold, reject once the optimistic bound (remaining terms
-//!   scoring 1) cannot reach it. Both bounds carry a `1e-9` guard band
-//!   — orders of
-//!   magnitude above the worst-case float-summation error for any
-//!   realistic term count — and when neither bound forces a decision the
-//!   full score is re-accumulated in declaration order, making the
-//!   boundary comparison bit-identical to the string path.
+//!   [`MatchRule::matches`], with no margin: it runs a term's kernel only
+//!   while the whole rule's bounds (below) leave the decision open, and
+//!   both bounds are exact tests of the string path's score.
 //!
-//! # Levenshtein values: two representations, and a bound before the scan
+//! # Levenshtein values: two representations, and a distance floor
 //!
 //! An ASCII value is kept one byte per character (`LevText::Ascii`):
 //! preparing it is a copy of the attribute's bytes, and the blocked Myers
@@ -54,29 +47,41 @@
 //! Beside the value sits a histogram of its characters over 32 folded
 //! classes (scalar value mod 32), `[u8; 32]`; a value with more than 255
 //! characters of one class has none. [`PreparedRule::matches`] — `score`
-//! never — uses it to decide a Levenshtein term *before* its kernel runs.
-//! Two lower bounds on the distance `d` cost nothing to read: the length
-//! difference, and the *bag distance* of the two histograms (an edit moves
-//! at most one occurrence into, out of, or between classes, so `d` edits
-//! cannot undo a surplus of more than `d` occurrences). `matches` evaluates
-//! the optimistic bound it evaluates after every term — this term and all
-//! remaining ones at their best — with the term's similarity taken at the
-//! lower bound instead of at `d`, and rejects if that already fails.
+//! never — uses it to bound a Levenshtein term *before* its kernel runs.
+//! The distance `d` is at least the length difference, and at least the
+//! *bag distance* of the two histograms (an edit moves at most one
+//! occurrence into, out of, or between classes, so `d` edits cannot undo a
+//! surplus of more than `d` occurrences, and it is never below the length
+//! difference). That floor, `d₀` — the length difference alone where a
+//! value has no histogram — costs nothing to read.
 //!
-//! This rejects only pairs the loop would have rejected at the same term.
-//! Let `d₀ ≤ d`. Every step from the distance to the bound's left-hand side
-//! is monotone under IEEE rounding: `d₀ as f64 ≤ d as f64` (exact
-//! integers), so `1 − d₀/len ≥ 1 − d/len` (division by a positive value and
-//! subtraction from a constant, each correctly rounded, preserve order),
-//! so `acc + w·sim(d₀) ≥ acc + w·sim(d)` for a weight `w ≥ 0`, so the two
-//! sums after adding the same remaining weights in the same order, and
-//! their quotients by the same `used_weight`, compare the same way. The
-//! value tested at `d₀` is therefore at least the value the loop tests
-//! after running the kernel; if it is below `threshold − 1e-9`, so is the
-//! loop's, and the loop returns `false` there (its accept test, on a
-//! smaller sum still, cannot have fired first). Both tests are one
-//! closure, so expression and margin cannot drift apart. A pair the bounds
-//! do not reject runs the exact kernel as before.
+//! # The whole rule's bound
+//!
+//! `matches` gives every term a similarity before any kernel runs: an
+//! `Exact` term its exact one (byte equality), a Levenshtein term the upper
+//! bound `sim(d₀)`. Then, until the pair is decided:
+//!
+//! * it **rejects** if `upper / used_weight < threshold`, where `upper` is
+//!   `Σ w·bound` over the usable terms;
+//! * it **accepts** if `lower / used_weight ≥ threshold`, where `lower` is
+//!   `Σ w·sim` over the terms known exactly;
+//! * otherwise it runs the kernel of the heaviest Levenshtein term still
+//!   bounded (the first in declaration order on a tie), replaces its bound
+//!   with its exact similarity, and tests again. With no such term left,
+//!   `lower` is the string path's score and its test is the string path's.
+//!
+//! Both tests are exact, with no margin. `used_weight`, `upper` and `lower`
+//! are summed in declaration order — the string path's operation sequence —
+//! and every operand of `upper` is at least, every operand of `lower` at
+//! most, the string path's operand in the same place. Each step is monotone
+//! under IEEE rounding: `d₀ as f64 ≤ d as f64` (exact integers), so
+//! `1 − d₀/len ≥ 1 − d/len` (division by a positive value and subtraction
+//! from a constant, each correctly rounded, preserve order), so
+//! `w·sim(d₀) ≥ w·sim(d)` for a weight `w ≥ 0`; a term left out of `lower`
+//! is an addend of `0 ≤ w·sim`; and a correctly rounded sum or quotient of
+//! larger operands is no smaller. So `upper / used_weight` is at least, and
+//! `lower / used_weight` at most, the string path's score, and each test
+//! that fires gives the string path's answer.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
@@ -84,13 +89,6 @@ use std::hash::Hash;
 use crate::levenshtein::levenshtein_scratch;
 use crate::myers::MyersScratch;
 use crate::rule::{truncate, AttributeSim, MatchRule};
-
-/// Decision guard band for early exit: bounds must clear the threshold by
-/// this relative margin before a decision is taken early. Worst-case float
-/// summation error for a rule of `k` terms is ~`k · 2.2e-16` of the used
-/// weight, so `1e-9` is conservatively safe for any rule with fewer than
-/// ~10^6 terms while still firing on every non-borderline pair.
-const DECISION_MARGIN: f64 = 1e-9;
 
 /// Character classes of a [`LevSig`] histogram: a scalar value's low five
 /// bits, which folds the two cases of a letter into one class.
@@ -150,22 +148,26 @@ impl LevSig {
         Self { text, hist }
     }
 
-    /// A lower bound on the edit distance to `other` from the two
-    /// histograms (their *bag distance*), where both have one. One edit
-    /// adds an occurrence to a class, removes one, or moves one between two
-    /// classes, so it lowers the surplus of either value over the other —
-    /// summed over the classes — by at most one, and both surpluses are
-    /// zero between equal values.
-    fn bag_distance(&self, other: &Self) -> Option<usize> {
-        let (a, b) = (self.hist.as_ref()?, other.hist.as_ref()?);
+    /// A lower bound on the edit distance to `other` that reads neither
+    /// value: the *bag distance* of the two histograms where both have one,
+    /// the length difference otherwise. One edit adds an occurrence to a
+    /// class, removes one, or moves one between two classes, so it lowers
+    /// the surplus of either value over the other — summed over the classes
+    /// — by at most one, and both surpluses are zero between equal values.
+    fn distance_floor(&self, other: &Self) -> usize {
+        let len_diff = self.text.len().abs_diff(other.text.len());
+        let (Some(a), Some(b)) = (&self.hist, &other.hist) else {
+            return len_diff;
+        };
         // The two surpluses add up to the classes' absolute differences
-        // and differ by the length difference; this is the larger one.
+        // and differ by the length difference; this is the larger one, so
+        // never below the length difference.
         let differences: u32 = a
             .iter()
             .zip(b)
             .map(|(&x, &y)| u32::from(x.abs_diff(y)))
             .sum();
-        Some((differences as usize + self.text.len().abs_diff(other.text.len())) / 2)
+        (differences as usize + len_diff) / 2
     }
 }
 
@@ -214,16 +216,27 @@ pub(crate) struct KernelScratch {
     pub(crate) myers: MyersScratch,
 }
 
+/// What [`PreparedRule::matches`] knows of one term's similarity on the
+/// pair it is deciding.
+#[derive(Debug, Clone, Copy)]
+enum Known {
+    /// A value is missing on either side: the term is dropped.
+    Dropped,
+    /// At most this: a Levenshtein term whose kernel has not run, at the
+    /// similarity of its distance's lower bound.
+    AtMost(f64),
+    /// Exactly this.
+    Exact(f64),
+}
+
 /// Reusable per-task scratch for [`PreparedRule::score`] /
 /// [`PreparedRule::matches`]. Create one per reduce task (or worker) and
 /// pass it to every pair comparison.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     pub(crate) kernels: KernelScratch,
-    /// Per-term usability of the current pair (both sides present).
-    usable: Vec<bool>,
-    /// Per-term similarity cache for the early-exit fallback recompute.
-    sims: Vec<f64>,
+    /// Per term, what `matches` knows of the current pair's similarity.
+    known: Vec<Known>,
 }
 
 impl SimScratch {
@@ -239,22 +252,12 @@ impl SimScratch {
 #[derive(Debug, Clone)]
 pub struct PreparedRule {
     rule: MatchRule,
-    /// Term indices in descending weight order (stable on ties) — the
-    /// evaluation order that forces early-exit decisions soonest.
-    order: Vec<u32>,
 }
 
 impl PreparedRule {
     /// Compile a rule for prepared evaluation.
     pub fn new(rule: MatchRule) -> Self {
-        let mut order: Vec<u32> = (0..rule.attrs.len() as u32).collect();
-        order.sort_by(|&x, &y| {
-            let (wx, wy) = (rule.attrs[x as usize].weight, rule.attrs[y as usize].weight);
-            wy.partial_cmp(&wx)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.cmp(&y))
-        });
-        Self { rule, order }
+        Self { rule }
     }
 
     /// The underlying rule.
@@ -317,99 +320,72 @@ impl PreparedRule {
     }
 
     /// The co-reference decision — **identical** to [`MatchRule::matches`]
-    /// but threshold-aware: terms are evaluated in descending weight order
-    /// and evaluation stops as soon as the accept/reject decision is
-    /// forced — for a Levenshtein term, already at the distance its
-    /// lengths and histograms bound it by from below, before its kernel
-    /// runs (see the module docs for the exactness arguments).
+    /// but threshold-aware: every term starts at what costs nothing to know
+    /// (an `Exact` term's similarity, a Levenshtein term's similarity at
+    /// the distance its lengths and histograms bound it by from below), and
+    /// Levenshtein kernels run, heaviest term first, only while the whole
+    /// rule's bounds leave the decision open (see the module docs for why
+    /// both tests are exact).
     pub fn matches(&self, a: &PreparedEntity, b: &PreparedEntity, s: &mut SimScratch) -> bool {
-        let n = self.rule.attrs.len();
-        debug_assert_eq!(a.terms.len(), n);
-        debug_assert_eq!(b.terms.len(), n);
+        let terms = &self.rule.attrs;
+        debug_assert_eq!(a.terms.len(), terms.len());
+        debug_assert_eq!(b.terms.len(), terms.len());
         let threshold = self.rule.threshold;
 
-        s.usable.clear();
+        s.known.clear();
         let mut used_weight = 0.0;
-        for i in 0..n {
-            let usable = !matches!(a.terms[i], PreparedAttr::Missing)
-                && !matches!(b.terms[i], PreparedAttr::Missing);
-            s.usable.push(usable);
-            if usable {
-                used_weight += self.rule.attrs[i].weight;
+        for (term, (ta, tb)) in terms.iter().zip(a.terms.iter().zip(&b.terms)) {
+            let known = match (ta, tb) {
+                (PreparedAttr::Missing, _) | (_, PreparedAttr::Missing) => Known::Dropped,
+                (PreparedAttr::Lev(la), PreparedAttr::Lev(lb)) => Known::AtMost(levenshtein_sim(
+                    la.distance_floor(lb),
+                    la.text.len().max(lb.text.len()),
+                )),
+                _ => Known::Exact(term_score(&term.sim, ta, tb, &mut s.kernels)),
+            };
+            if !matches!(known, Known::Dropped) {
+                used_weight += term.weight;
             }
+            s.known.push(known);
         }
         if used_weight == 0.0 {
             return 0.0 >= threshold;
         }
 
-        s.sims.clear();
-        s.sims.resize(n, 0.0);
-        let mut acc = 0.0f64;
-        for (pos, &oi) in self.order.iter().enumerate() {
-            let i = oi as usize;
-            if !s.usable[i] {
-                continue;
-            }
-            let term = &self.rule.attrs[i];
-            // Optimistic bound with the terms up to this one accumulated to
-            // `acc`: every remaining term scores 1, added in the same order
-            // the real accumulation would add them. Failing it forces
-            // REJECT.
-            let usable = &s.usable;
-            let cannot_reach = |acc: f64| {
-                let mut optimistic = acc;
-                for &oj in &self.order[pos + 1..] {
-                    if usable[oj as usize] {
-                        optimistic += self.rule.attrs[oj as usize].weight;
+        loop {
+            // Both sums in declaration order, the string path's operation
+            // sequence: `upper` adds each term at its bound, `lower` only
+            // the terms known exactly.
+            let (mut upper, mut lower) = (0.0f64, 0.0f64);
+            let mut heaviest_open: Option<usize> = None;
+            for (i, (term, known)) in terms.iter().zip(&s.known).enumerate() {
+                match *known {
+                    Known::Dropped => {}
+                    Known::AtMost(sim) => {
+                        upper += term.weight * sim;
+                        if heaviest_open.is_none_or(|h| term.weight > terms[h].weight) {
+                            heaviest_open = Some(i);
+                        }
+                    }
+                    Known::Exact(sim) => {
+                        upper += term.weight * sim;
+                        lower += term.weight * sim;
                     }
                 }
-                optimistic / used_weight < threshold - DECISION_MARGIN
-            };
-
-            // Decide before scanning: the bound at a distance the term's
-            // real distance cannot be below (see the module docs).
-            if let (PreparedAttr::Lev(la), PreparedAttr::Lev(lb)) = (&a.terms[i], &b.terms[i]) {
-                let max_len = la.text.len().max(lb.text.len());
-                let at_best = |d: usize| acc + term.weight * levenshtein_sim(d, max_len);
-                let len_diff = la.text.len().abs_diff(lb.text.len());
-                if cannot_reach(at_best(len_diff)) {
-                    return false;
-                }
-                if la
-                    .bag_distance(lb)
-                    .is_some_and(|bag| bag > len_diff && cannot_reach(at_best(bag)))
-                {
-                    return false;
-                }
             }
-
-            let sim = term_score(&term.sim, &a.terms[i], &b.terms[i], &mut s.kernels);
-            s.sims[i] = sim;
-            acc += term.weight * sim;
-
-            // Pessimistic bound: every remaining term scores 0. Monotone
-            // float rounding makes the full accumulation at least `acc`,
-            // so clearing the threshold now forces ACCEPT.
-            if acc / used_weight >= threshold + DECISION_MARGIN {
-                return true;
-            }
-            if cannot_reach(acc) {
+            if upper / used_weight < threshold {
                 return false;
             }
-        }
-
-        // Neither bound fired: borderline pair. Re-accumulate the cached
-        // similarities in declaration order — the string path's exact
-        // float sequence — so the final comparison is bit-identical.
-        let mut uw = 0.0;
-        let mut sc = 0.0;
-        for (i, term) in self.rule.attrs.iter().enumerate() {
-            if s.usable[i] {
-                uw += term.weight;
-                sc += term.weight * s.sims[i];
+            if lower / used_weight >= threshold {
+                return true;
             }
+            // With no term open, `lower` is the string path's score.
+            let Some(i) = heaviest_open else {
+                return false;
+            };
+            let sim = term_score(&terms[i].sim, &a.terms[i], &b.terms[i], &mut s.kernels);
+            s.known[i] = Known::Exact(sim);
         }
-        sc / uw >= threshold
     }
 }
 
@@ -543,21 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn order_is_descending_weight_stable() {
-        let rule = MatchRule::new(
-            vec![
-                WeightedAttr::new(0, 0.2, AttributeSim::Exact),
-                WeightedAttr::new(1, 0.5, AttributeSim::Exact),
-                WeightedAttr::new(2, 0.2, AttributeSim::Exact),
-                WeightedAttr::new(3, 0.1, AttributeSim::Exact),
-            ],
-            0.5,
-        );
-        let pr = PreparedRule::new(rule);
-        assert_eq!(pr.order, vec![1, 0, 2, 3]);
-    }
-
-    #[test]
     fn prepared_score_bit_identical_on_citeseer_rule() {
         let rule = citeseer_rule();
         let pr = PreparedRule::new(rule.clone());
@@ -660,12 +621,6 @@ mod tests {
         assert!(scratch.kernels.row.capacity() > 0, "DP did not run");
     }
 
-    /// What `matches` knows of the distance before any kernel runs.
-    fn distance_floor(a: &LevSig, b: &LevSig) -> usize {
-        let len_diff = a.text.len().abs_diff(b.text.len());
-        a.bag_distance(b).map_or(len_diff, |bag| bag.max(len_diff))
-    }
-
     /// Signature and capped value, as `prepare` derives them.
     fn capped_sig(value: &str, cap: Option<usize>) -> (LevSig, &str) {
         let capped = cap.map_or(value, |cap| truncate(value, cap));
@@ -683,10 +638,11 @@ mod tests {
             // Unicode against Unicode, ASCII against ASCII, and mixed.
             for (p, q) in [(&a, &b), (&x, &y), (&a, &y)] {
                 let ((sp, cp), (sq, cq)) = (capped_sig(p, cap), capped_sig(q, cap));
-                let d = levenshtein(cp, cq);
-                prop_assert!(distance_floor(&sp, &sq) <= d, "{cp:?} / {cq:?}");
-                prop_assert_eq!(distance_floor(&sp, &sq), distance_floor(&sq, &sp));
-                prop_assert_eq!(distance_floor(&sp, &sp), 0);
+                let (d, floor) = (levenshtein(cp, cq), sp.distance_floor(&sq));
+                prop_assert!(floor <= d, "{cp:?} / {cq:?}");
+                prop_assert!(floor >= sp.text.len().abs_diff(sq.text.len()));
+                prop_assert_eq!(floor, sq.distance_floor(&sp));
+                prop_assert_eq!(sp.distance_floor(&sp), 0);
             }
         }
 
@@ -710,7 +666,7 @@ mod tests {
             prop_assert_eq!(sig.hist.is_none(), in_class > usize::from(u8::MAX));
             for q in [other, "A".repeat(other_run), "b".repeat(other_run)] {
                 let (sq, cq) = capped_sig(&q, cap);
-                let floor = distance_floor(&sig, &sq);
+                let floor = sig.distance_floor(&sq);
                 prop_assert!(floor <= levenshtein(kept, cq), "{run} / {cq:?}");
                 if sig.hist.is_none() || sq.hist.is_none() {
                     prop_assert_eq!(floor, sig.text.len().abs_diff(sq.text.len()));
@@ -719,27 +675,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bound_rejected_pairs_run_no_scan() {
-        let rule = MatchRule::new(
-            vec![WeightedAttr::new(
-                0,
-                1.0,
-                AttributeSim::Levenshtein { max_chars: None },
-            )],
-            0.8,
-        );
+    /// `matches` on one pair — checked against the string path — and the
+    /// Myers scans it ran.
+    fn decide_counting(rule: &MatchRule, a: &[&str], b: &[&str]) -> (bool, usize) {
+        let owned = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (va, vb) = (owned(a), owned(b));
         let pr = PreparedRule::new(rule.clone());
         let mut scratch = SimScratch::new();
-        let mut decide = |a: &str, b: &str| {
-            let (va, vb) = (vec![a.to_string()], vec![b.to_string()]);
-            let pa = pr.prepare(&va);
-            let pb = pr.prepare(&vb);
-            let before = scratch.kernels.myers.scans;
-            let decision = pr.matches(&pa, &pb, &mut scratch);
-            assert_eq!(decision, rule.matches(&va, &vb), "{a:?} / {b:?}");
-            (decision, scratch.kernels.myers.scans - before)
-        };
+        let decision = pr.matches(&pr.prepare(&va), &pr.prepare(&vb), &mut scratch);
+        assert_eq!(decision, rule.matches(&va, &vb), "{a:?} / {b:?}");
+        (decision, scratch.kernels.myers.scans)
+    }
+
+    #[test]
+    fn bound_rejected_pairs_run_no_scan() {
+        let rule = MatchRule::new(single_levenshtein_rule().attrs, 0.8);
+        let decide = |a, b| decide_counting(&rule, &[a], &[b]);
         // Too different in length to reach 0.8, whatever the characters.
         assert_eq!(
             decide("progressive entity resolution", "progressive"),
@@ -756,6 +707,75 @@ mod tests {
             (true, 1)
         );
         assert_eq!(decide("abcdefghijklmnop", "ponmlkjihgfedcba"), (false, 1));
+    }
+
+    /// `ErConfig::books`' rule over title, authors, publisher, year, isbn,
+    /// pages, language and format.
+    fn books_rule() -> MatchRule {
+        let lev = || AttributeSim::Levenshtein { max_chars: None };
+        MatchRule::new(
+            vec![
+                WeightedAttr::new(0, 0.35, lev()),
+                WeightedAttr::new(1, 0.20, lev()),
+                WeightedAttr::new(2, 0.10, lev()),
+                WeightedAttr::new(3, 0.05, AttributeSim::Exact),
+                WeightedAttr::new(4, 0.15, lev()),
+                WeightedAttr::new(5, 0.05, AttributeSim::Exact),
+                WeightedAttr::new(6, 0.05, AttributeSim::Exact),
+                WeightedAttr::new(7, 0.05, AttributeSim::Exact),
+            ],
+            0.80,
+        )
+    }
+
+    const BOOK: [&str; 8] = [
+        "the art of computer programming",
+        "knuth",
+        "addison wesley",
+        "1968",
+        "0201038013",
+        "650",
+        "english",
+        "hardcover",
+    ];
+
+    #[test]
+    fn whole_rule_bound_rejects_before_any_scan() {
+        let rule = books_rule();
+        // The title one edit away — its own bound, 30/31, rejects nothing —
+        // authors with no character class in common (a bound of 0),
+        // publisher and isbn equal, and every `Exact` term different.
+        let other = [
+            "the art of computer programing",
+            "sievers",
+            "addison wesley",
+            "1973",
+            "0201038013",
+            "672",
+            "german",
+            "paperback",
+        ];
+        assert_eq!(decide_counting(&rule, &BOOK, &other), (false, 0));
+        // The same with the language missing on one side. With the
+        // Levenshtein terms taken at 1, the rule could still reach 0.8 of
+        // the 0.95 left; at their bounds it reaches 0.62.
+        let mut other = other;
+        other[6] = "";
+        assert_eq!(decide_counting(&rule, &BOOK, &other), (false, 0));
+    }
+
+    #[test]
+    fn duplicates_scan_each_levenshtein_term_at_most_once() {
+        let rule = books_rule();
+        let mut typo = BOOK;
+        typo[0] = "the art of computer programing";
+        let mut no_publisher = typo;
+        no_publisher[2] = "";
+        for other in [BOOK, typo, no_publisher] {
+            let (decision, scans) = decide_counting(&rule, &BOOK, &other);
+            assert!(decision, "{other:?}");
+            assert!(scans <= 4, "{scans} scans for 4 Levenshtein terms");
+        }
     }
 
     #[test]

@@ -174,10 +174,10 @@ fn with_head(base: &str, k: usize, swap: impl Fn(char) -> char) -> String {
 
 proptest! {
     // The bounds `matches` takes before a Levenshtein kernel runs, under
-    // generated rules: random weights and threshold, an `Exact` term that
-    // the descending-weight order puts ahead of the Levenshtein term
-    // whenever it drew the larger weight, a second Levenshtein term behind,
-    // a cap or none, attributes missing on one side. Against one base value
+    // generated rules: random weights and threshold, an `Exact` term known
+    // from the start, a second Levenshtein term scanned ahead of the first
+    // whenever it drew the larger weight, a cap or none, attributes missing
+    // on one side. Against one base value
     // stand values at *every* distance `k` from equal to disjoint — so
     // wherever the drawn rule puts the reject boundary, the pairs one edit to
     // either side of it are among them — built four ways: `k` characters
@@ -231,8 +231,89 @@ proptest! {
     }
 }
 
-/// Thresholds sitting exactly on reachable score values: the borderline
-/// recompute path must agree with the string comparison.
+/// `ErConfig::books`' rule over title, authors, publisher, year, isbn,
+/// pages, language and format, at its real threshold.
+fn books_rule() -> MatchRule {
+    let lev = || AttributeSim::Levenshtein { max_chars: None };
+    MatchRule::new(
+        vec![
+            WeightedAttr::new(0, 0.35, lev()),
+            WeightedAttr::new(1, 0.20, lev()),
+            WeightedAttr::new(2, 0.10, lev()),
+            WeightedAttr::new(3, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(4, 0.15, lev()),
+            WeightedAttr::new(5, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(6, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(7, 0.05, AttributeSim::Exact),
+        ],
+        0.80,
+    )
+}
+
+/// `book` with the `Exact` values picked by the bits of `mask` changed.
+fn exacts_differing(book: &[String], mask: u8) -> Vec<String> {
+    let mut other = book.to_vec();
+    for (bit, i) in [3, 5, 6, 7].into_iter().enumerate() {
+        if mask & (1 << bit) != 0 {
+            other[i].push('9');
+        }
+    }
+    other
+}
+
+proptest! {
+    // The books rule on the three pair shapes its decisions turn on, each
+    // with one value missing on one side in half the cases: near-duplicates
+    // (the title one substitution away, the authors too or not); pairs that
+    // differ only in the `Exact` terms; and titles one substitution apart
+    // with authors that share no character class.
+    #[test]
+    fn books_shaped_pairs(
+        title in "[a-h ]{5,40}",
+        authors in "[a-h ]{3,24}",
+        far_authors in "[p-w]{3,24}",
+        publisher in "[a-e ]{2,16}",
+        isbn in "[0-9]{10}",
+        year in "[0-3]{1,2}",
+        at in 0usize..40,
+        letter in 0u8..8,
+        typo_authors in 0u8..2,
+        differ in 0u8..16,
+        missing in 0usize..16,
+    ) {
+        let rule = books_rule();
+        let book: Vec<String> = [
+            title.as_str(), &authors, &publisher, &year, &isbn, "350", "english", "hardcover",
+        ]
+        .map(str::to_string)
+        .to_vec();
+        // One substitution (none if `letter` is already there).
+        let substitute = |value: &str| {
+            let at = at % value.chars().count();
+            let swap = |(i, c)| if i == at { char::from(b'a' + letter) } else { c };
+            value.chars().enumerate().map(swap).collect::<String>()
+        };
+        let mut near = book.clone();
+        near[0] = substitute(&title);
+        if typo_authors == 1 {
+            near[1] = substitute(&authors);
+        }
+        let exact_only = exacts_differing(&book, differ);
+        let mut far = exacts_differing(&book, differ);
+        far[0] = substitute(&title);
+        far[1] = far_authors;
+        for mut other in [near, exact_only, far] {
+            if let Some(value) = other.get_mut(missing) {
+                value.clear();
+            }
+            assert_parity(&rule, &book, &other);
+            assert_parity(&rule, &other, &book);
+        }
+    }
+}
+
+/// Thresholds sitting exactly on reachable score values: with no margin
+/// in `matches`, equality is the edge case.
 #[test]
 fn exact_threshold_boundaries() {
     // Two equal-weight Exact terms → reachable scores {0, 0.5, 1}.
@@ -252,6 +333,56 @@ fn exact_threshold_boundaries() {
             let a: Vec<String> = a.iter().map(|s| s.to_string()).collect();
             let b: Vec<String> = b.iter().map(|s| s.to_string()).collect();
             assert_parity(&rule, &a, &b);
+        }
+    }
+
+    // A Levenshtein similarity alone (`abcd` / `abce`: 1 − 1/4 = 0.75), and
+    // an `Exact` term's weight plus a Levenshtein term's share
+    // (0.5 + 0.5·0.75 = 0.875): each pair at its own score and one ulp to
+    // either side. The pairs reach the threshold with the bounds `matches`
+    // starts from (one substitution between classes), with a bound of 1
+    // (a transposition), or with a length difference and a missing value.
+    let lev = || AttributeSim::Levenshtein { max_chars: None };
+    let rules = [
+        vec![WeightedAttr::new(0, 1.0, lev())],
+        vec![
+            WeightedAttr::new(1, 0.5, AttributeSim::Exact),
+            WeightedAttr::new(0, 0.5, lev()),
+        ],
+        vec![
+            WeightedAttr::new(0, 0.35, lev()),
+            WeightedAttr::new(1, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(2, 0.20, lev()),
+        ],
+    ];
+    let owned = |v: [&str; 3]| v.map(str::to_string).to_vec();
+    let a = owned(["abcd", "x", "pq"]);
+    assert_eq!(
+        MatchRule::new(rules[0].clone(), 0.75).score(&a, &owned(["abce", "x", "pq"])),
+        0.75
+    );
+    assert_eq!(
+        MatchRule::new(rules[1].clone(), 0.875).score(&a, &owned(["abce", "x", "pq"])),
+        0.875
+    );
+    for terms in rules {
+        for b in [
+            ["abce", "x", "pq"],
+            ["abce", "y", "pq"],
+            ["bacd", "x", "qp"],
+            ["abcdef", "x", ""],
+        ] {
+            let b = owned(b);
+            let score = MatchRule::new(terms.clone(), 0.0).score(&a, &b);
+            let below = f64::from_bits(score.to_bits().saturating_sub(1));
+            let above = f64::from_bits(score.to_bits() + 1);
+            for threshold in [below, score, above] {
+                if (0.0..=1.0).contains(&threshold) {
+                    let rule = MatchRule::new(terms.clone(), threshold);
+                    assert_parity(&rule, &a, &b);
+                    assert_parity(&rule, &b, &a);
+                }
+            }
         }
     }
 }
