@@ -14,7 +14,7 @@
 //!   into it — the split is retried at the next deeper level, so degenerate
 //!   levels never produce duplicate work.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pper_datagen::{Dataset, Entity, EntityId};
 use serde::{Deserialize, Serialize};
@@ -115,7 +115,7 @@ impl Tree {
             family: family_index,
             blocks,
         };
-        tree.split_block(0, 1, family, lookup);
+        tree.split_block(0, 1, family, lookup, &mut String::new());
         // `split_block` appends children depth-first, so the vector is
         // already in pre-order; verify in debug builds.
         debug_assert!(tree
@@ -127,25 +127,27 @@ impl Tree {
     }
 
     /// Recursively split block `idx` starting at split `level`, skipping
-    /// degenerate levels whose single child would equal the parent.
+    /// degenerate levels whose single child would equal the parent. Every
+    /// member's key is extracted into `key`, one buffer for the whole tree;
+    /// only a new child block gets a `String` of its own.
     fn split_block(
         &mut self,
         idx: usize,
         mut level: usize,
         family: &BlockingFamily,
         lookup: &impl EntityLookup,
+        key: &mut String,
     ) {
         while level < family.depth() {
-            let parent_members = &self.blocks[idx].members;
-            let mut groups: Vec<(String, Vec<EntityId>)> = Vec::new();
-            let mut index_of: HashMap<String, usize> = HashMap::new();
-            for &id in parent_members {
-                let key = family.key_at(lookup.entity(id), level);
-                match index_of.get(&key) {
-                    Some(&g) => groups[g].1.push(id),
+            // Children in ascending key order, the order they are stored in.
+            let mut groups: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
+            for &id in &self.blocks[idx].members {
+                key.clear();
+                family.levels[level].key_into(lookup.entity(id), key);
+                match groups.get_mut(key.as_str()) {
+                    Some(members) => members.push(id),
                     None => {
-                        index_of.insert(key.clone(), groups.len());
-                        groups.push((key, vec![id]));
+                        groups.insert(key.clone(), vec![id]);
                     }
                 }
             }
@@ -154,21 +156,20 @@ impl Tree {
                 level += 1;
                 continue;
             }
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-            for (key, members) in groups {
+            for (child_key, members) in groups {
                 if members.len() < 2 {
                     continue; // no pairs: eliminated
                 }
                 let child_idx = self.blocks.len();
                 self.blocks.push(Block {
-                    key,
+                    key: child_key,
                     level,
                     members,
                     parent: Some(idx),
                     children: Vec::new(),
                 });
                 self.blocks[idx].children.push(child_idx);
-                self.split_block(child_idx, level + 1, family, lookup);
+                self.split_block(child_idx, level + 1, family, lookup, key);
             }
             return;
         }

@@ -32,14 +32,31 @@ impl PrefixFunction {
     /// Blocking key of `entity`. Entities whose attribute is shorter than
     /// the prefix keep the whole value; a missing attribute keys to `""`.
     pub fn key(&self, entity: &Entity) -> String {
+        let mut key = String::new();
+        self.key_into(entity, &mut key);
+        key
+    }
+
+    /// Append [`PrefixFunction::key`] of `entity` to `out`: a caller that
+    /// extracts many keys reuses one buffer, and an ASCII prefix is copied
+    /// and lowercased in place without allocating.
+    pub fn key_into(&self, entity: &Entity, out: &mut String) {
         let value = entity.attr(self.attr);
         match self.ascii_prefix(value) {
-            Some(prefix) => prefix.to_ascii_lowercase(),
-            None => value
-                .chars()
-                .take(self.chars)
-                .collect::<String>()
-                .to_lowercase(),
+            Some(prefix) => {
+                let start = out.len();
+                out.push_str(prefix);
+                out[start..].make_ascii_lowercase();
+            }
+            // `to_lowercase` sees the cut prefix alone, not the buffer, so
+            // whether a Σ is final is decided at the prefix's end.
+            None => out.push_str(
+                &value
+                    .chars()
+                    .take(self.chars)
+                    .collect::<String>()
+                    .to_lowercase(),
+            ),
         }
     }
 
@@ -242,6 +259,19 @@ mod tests {
             for probe in [expected.clone(), reference_key(&f, &o), other.clone(), value.clone()] {
                 proptest::prop_assert_eq!(f.key_is(&e, &probe), expected == probe);
             }
+        }
+
+        #[test]
+        fn prop_key_into_appends_the_reference_key(
+            value in "[abkABZİẞKΣσς 0]{0,10}",
+            existing in "[abkABZİẞKΣσς 0]{0,6}",
+            chars in 0usize..8,
+        ) {
+            let f = PrefixFunction::new(0, chars);
+            let e = ent(&[&value]);
+            let mut buf = existing.clone();
+            f.key_into(&e, &mut buf);
+            proptest::prop_assert_eq!(buf, existing + &reference_key(&f, &e));
         }
     }
 

@@ -18,9 +18,10 @@
 //!   singleton blocks dropped, children identical to their parent merged);
 //! * [`stats::TreeStats`] — the per-block statistics the first MR job
 //!   gathers (sizes, child keys, and overlap information), including the
-//!   uncovered-pair computation of §IV-A both via the paper's
-//!   inclusion–exclusion formula over `OLP(·)` values and via an equivalent
-//!   direct signature-grouping method (each validates the other in tests).
+//!   uncovered-pair computation of §IV-A via the paper's
+//!   inclusion–exclusion formula over `OLP(·)` values, counted over
+//!   interned root-key ids ([`stats::Signatures`]) and held in tests to a
+//!   brute-force pair scan over the key strings.
 //!
 //! ```
 //! use pper_blocking::{presets, forest::build_forests};
@@ -58,8 +59,8 @@ pub mod stats;
 pub use forest::{build_forests, Block, Forest, Tree};
 pub use function::{BlockingFamily, PrefixFunction};
 pub use stats::{
-    compute_signatures, olp, pairs, uncovered_pairs, DatasetStats, NodeStats, Signature,
-    SignatureSource, TreeStats,
+    compute_signatures, olp, pairs, uncovered_pairs, DatasetStats, NodeStats, OlpScratch,
+    Signatures, TreeStats,
 };
 
 /// Index of a main blocking function within the `⊵F` dominance total order;

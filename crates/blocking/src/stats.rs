@@ -8,13 +8,13 @@
 //! belongs to the dominating family, so `X`'s cost/duplicate estimates must
 //! ignore it. The paper computes `Uncov(X)` by inclusion–exclusion over
 //! `OLP(·)` overlap counts; [`uncovered_pairs`] implements exactly that
-//! formula by grouping member signatures (the grouping *is* the `OLP`
-//! computation, see [`olp`]), and tests validate it against a brute-force
-//! pair scan.
+//! formula by grouping members by their root-key ids (the grouping *is* the
+//! `OLP` computation, see [`olp`]), and tests validate it against a
+//! brute-force pair scan over the key strings.
 
 use std::collections::HashMap;
 
-use pper_datagen::{Dataset, EntityId};
+use pper_datagen::{Dataset, Entity, EntityId};
 use serde::{Deserialize, Serialize};
 
 use crate::forest::{Forest, Tree};
@@ -32,55 +32,184 @@ pub fn pairs(n: usize) -> u64 {
     }
 }
 
-/// Per-entity root-key signature: `sig[f]` is the entity's root blocking key
-/// under family `f`. Computed once by the first job's map phase (the
-/// "annotated entity" e*, §III-B).
-pub type Signature = Vec<String>;
-
-/// Resolves an [`EntityId`] to its [`Signature`]. The driver holds a dense
-/// `Vec` over the whole dataset; a reduce task holds one over just its
-/// received entities, indexed by their position among them.
-pub trait SignatureSource {
-    /// Signature of entity `id`. Panics if absent (pipeline logic error).
-    fn signature(&self, id: EntityId) -> &Signature;
+/// Root-key ids of a set of entities: the annotated entity `e*` of the
+/// first job's map phase (§III-B), each key replaced by a `u32` id.
+///
+/// `row(e)[f]` names entity `e`'s root key under family `f`. Each family's
+/// ids are interned in first-seen order and dense from 0. They are only
+/// ever compared for equality: two entities share a root block of family
+/// `f` exactly when their ids under `f` are equal.
+#[derive(Debug, Clone)]
+pub struct Signatures {
+    /// Families interned per row.
+    width: usize,
+    /// Number of rows (entities).
+    rows: usize,
+    /// Row-major ids: row `e` is `ids[e * width..(e + 1) * width]`.
+    ids: Vec<u32>,
+    /// Per family, the number of distinct ids (they are `0..distinct[f]`).
+    distinct: Vec<u32>,
 }
 
-impl SignatureSource for Vec<Signature> {
-    fn signature(&self, id: EntityId) -> &Signature {
-        &self[id as usize]
+impl Signatures {
+    /// Intern the root keys of `families` over `entities`; the `i`-th
+    /// entity gets row `i`. Every key is extracted once into one reused
+    /// buffer, and a `String` is kept only per distinct key.
+    pub fn intern<'e>(
+        families: &[BlockingFamily],
+        entities: impl IntoIterator<Item = &'e Entity>,
+    ) -> Self {
+        let mut interners: Vec<HashMap<String, u32>> = vec![HashMap::new(); families.len()];
+        let mut ids = Vec::new();
+        let mut rows = 0;
+        let mut key = String::new();
+        for entity in entities {
+            for (family, interner) in families.iter().zip(&mut interners) {
+                key.clear();
+                family.levels[0].key_into(entity, &mut key);
+                let id = match interner.get(key.as_str()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = interner.len() as u32;
+                        interner.insert(key.clone(), id);
+                        id
+                    }
+                };
+                ids.push(id);
+            }
+            rows += 1;
+        }
+        Self {
+            width: families.len(),
+            rows,
+            ids,
+            distinct: interners.iter().map(|i| i.len() as u32).collect(),
+        }
     }
-}
 
-impl SignatureSource for [Signature] {
-    fn signature(&self, id: EntityId) -> &Signature {
-        &self[id as usize]
+    /// The ids of entity `id`, one per interned family.
+    #[inline]
+    pub fn row(&self, id: EntityId) -> &[u32] {
+        let at = id as usize * self.width;
+        &self.ids[at..at + self.width]
+    }
+
+    /// Number of entities.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when no entity was interned.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
     }
 }
 
 /// Compute every entity's signature under all families.
-pub fn compute_signatures(ds: &Dataset, families: &[BlockingFamily]) -> Vec<Signature> {
-    ds.entities
-        .iter()
-        .map(|e| families.iter().map(|f| f.root_key(e)).collect())
-        .collect()
+pub fn compute_signatures(ds: &Dataset, families: &[BlockingFamily]) -> Signatures {
+    Signatures::intern(families, &ds.entities)
+}
+
+/// Reusable buffers for [`olp`] and [`uncovered_pairs`]. The arrays are
+/// indexed by key id or group label; an entry a call touches is reset
+/// before the call returns, so one scratch serves any number of blocks.
+#[derive(Debug, Clone, Default)]
+pub struct OlpScratch {
+    /// Per member position: its group under the families grouped so far.
+    labels: Vec<u32>,
+    /// Member positions bucketed by label.
+    order: Vec<u32>,
+    /// Bucket ends into `order`, by label.
+    ends: Vec<u32>,
+    /// Per key id: the group it opened in the current bucket, or `NONE`.
+    opened: Vec<u32>,
+    /// Per group label: its size — the `OLP` counts [`olp`] returns.
+    sizes: Vec<u32>,
+}
+
+/// An [`OlpScratch::opened`] entry no group holds.
+const NONE: u32 = u32::MAX;
+
+impl OlpScratch {
+    /// Split every group of `labels` (dense, `< groups`) by the members'
+    /// ids under `family`, relabelling them densely; returns the new group
+    /// count. Members are bucketed by label with a counting sort, so a
+    /// bucket's ids go through `opened` with no map.
+    fn refine(
+        &mut self,
+        members: &[EntityId],
+        signatures: &Signatures,
+        family: FamilyIndex,
+        groups: u32,
+    ) -> u32 {
+        let Self {
+            labels,
+            order,
+            ends,
+            opened,
+            ..
+        } = self;
+        ends.clear();
+        ends.resize(groups as usize + 1, 0);
+        for &l in labels.iter() {
+            ends[l as usize + 1] += 1;
+        }
+        for g in 0..groups as usize {
+            ends[g + 1] += ends[g];
+        }
+        // Placing a member advances its bucket's start to its end, so
+        // `ends[g]` ends bucket `g` afterwards.
+        order.resize(members.len(), 0);
+        for (i, &l) in labels.iter().enumerate() {
+            order[ends[l as usize] as usize] = i as u32;
+            ends[l as usize] += 1;
+        }
+        opened.resize(opened.len().max(signatures.distinct[family] as usize), NONE);
+        let id = |i: u32| signatures.row(members[i as usize])[family] as usize;
+        let mut next = 0;
+        let mut start = 0;
+        for &end in &ends[..groups as usize] {
+            let bucket = &order[start..end as usize];
+            for &i in bucket {
+                let group = &mut opened[id(i)];
+                if *group == NONE {
+                    *group = next;
+                    next += 1;
+                }
+                labels[i as usize] = *group;
+            }
+            for &i in bucket {
+                opened[id(i)] = NONE;
+            }
+            start = end as usize;
+        }
+        next
+    }
 }
 
 /// `OLP({X} ∪ H)` for all combinations `H` of one root block per family in
-/// `subset`: the number of entities of `members` falling in each combination
-/// of dominating root blocks. Returned as a map from the key-tuple
-/// (projected onto `subset`, joined) to the shared-entity count.
-pub fn olp(
+/// `subset`: the number of entities of `members` falling in each
+/// combination of dominating root blocks that any member reaches, in no
+/// particular order.
+pub fn olp<'s>(
     members: &[EntityId],
-    signatures: &impl SignatureSource,
-    subset: &[FamilyIndex],
-) -> HashMap<Vec<String>, usize> {
-    let mut counts: HashMap<Vec<String>, usize> = HashMap::new();
-    for &id in members {
-        let sig = signatures.signature(id);
-        let key: Vec<String> = subset.iter().map(|&f| sig[f].clone()).collect();
-        *counts.entry(key).or_insert(0) += 1;
+    signatures: &Signatures,
+    subset: impl IntoIterator<Item = FamilyIndex>,
+    scratch: &'s mut OlpScratch,
+) -> &'s [u32] {
+    scratch.labels.clear();
+    scratch.labels.resize(members.len(), 0);
+    let mut groups = 1;
+    for family in subset {
+        groups = scratch.refine(members, signatures, family, groups);
     }
-    counts
+    let OlpScratch { labels, sizes, .. } = scratch;
+    sizes.clear();
+    sizes.resize(groups as usize, 0);
+    for &l in labels.iter() {
+        sizes[l as usize] += 1;
+    }
+    sizes
 }
 
 /// `Uncov(X)` for a block of family index `m` (0-based in the dominance
@@ -91,28 +220,28 @@ pub fn olp(
 /// Uncov(X) = Σ_{k=1}^{m} (−1)^{k+1} · Σ_{H ∈ BCK(l₁)×…×BCK(l_k)} Pairs(OLP({X}∪H))
 /// ```
 ///
-/// where each inner sum is realized by grouping `X`'s members by their key
-/// tuple under the chosen family subset.
+/// where each inner sum is realized by grouping `X`'s members by their ids
+/// under the chosen family subset ([`olp`]). `signatures` must intern at
+/// least the families `0..m`.
 pub fn uncovered_pairs(
     members: &[EntityId],
-    signatures: &impl SignatureSource,
+    signatures: &Signatures,
     m: FamilyIndex,
+    scratch: &mut OlpScratch,
 ) -> u64 {
-    if m == 0 {
-        return 0; // the most dominating family has no uncovered pairs
-    }
     let mut total: i64 = 0;
     // Enumerate non-empty subsets of {0, …, m-1} as bitmasks.
     for mask in 1u32..(1 << m) {
-        let subset: Vec<FamilyIndex> = (0..m).filter(|&f| mask & (1 << f) != 0).collect();
-        let sign: i64 = if subset.len() % 2 == 1 { 1 } else { -1 };
-        let olp_counts = olp(members, signatures, &subset);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "an integer sum is order-insensitive"
-        )]
-        let shared: i64 = olp_counts.values().map(|&c| pairs(c) as i64).sum();
-        total += sign * shared;
+        let subset = (0..m).filter(|&f| mask & (1 << f) != 0);
+        let shared: i64 = olp(members, signatures, subset, scratch)
+            .iter()
+            .map(|&c| pairs(c as usize) as i64)
+            .sum();
+        total += if mask.count_ones() % 2 == 1 {
+            shared
+        } else {
+            -shared
+        };
     }
     debug_assert!(total >= 0, "inclusion-exclusion must not go negative");
     total.max(0) as u64
@@ -155,8 +284,9 @@ pub struct TreeStats {
 }
 
 impl TreeStats {
-    /// Gather stats from a materialized tree.
-    pub fn from_tree(tree: &Tree, signatures: &impl SignatureSource) -> Self {
+    /// Gather stats from a materialized tree. `signatures` must intern at
+    /// least the families that dominate the tree's (`0..tree.family`).
+    pub fn from_tree(tree: &Tree, signatures: &Signatures, scratch: &mut OlpScratch) -> Self {
         let nodes = tree
             .blocks
             .iter()
@@ -166,7 +296,7 @@ impl TreeStats {
                 parent: b.parent,
                 children: b.children.clone(),
                 size: b.size(),
-                uncovered_pairs: uncovered_pairs(&b.members, signatures, tree.family),
+                uncovered_pairs: uncovered_pairs(&b.members, signatures, tree.family, scratch),
             })
             .collect();
         Self {
@@ -207,10 +337,11 @@ impl DatasetStats {
     /// Gather stats from materialized forests.
     pub fn from_forests(ds: &Dataset, families: &[BlockingFamily], forests: &[Forest]) -> Self {
         let signatures = compute_signatures(ds, families);
+        let mut scratch = OlpScratch::default();
         let trees = forests
             .iter()
             .flat_map(|f| f.trees.iter())
-            .map(|t| TreeStats::from_tree(t, &signatures))
+            .map(|t| TreeStats::from_tree(t, &signatures, &mut scratch))
             .collect();
         Self {
             num_entities: ds.len(),
@@ -223,8 +354,9 @@ impl DatasetStats {
 mod tests {
     use super::*;
     use crate::forest::build_forests;
+    use crate::function::PrefixFunction;
     use crate::presets;
-    use pper_datagen::{toy_people, PubGen};
+    use pper_datagen::{toy_people, BookGen, PubGen};
     use proptest::prelude::*;
 
     #[test]
@@ -236,12 +368,22 @@ mod tests {
         assert_eq!(pairs(30), 435);
     }
 
-    /// Brute-force oracle: count pairs sharing at least one dominating key.
-    fn uncovered_bruteforce(members: &[EntityId], sigs: &[Signature], m: usize) -> u64 {
+    /// Brute-force oracle on the key strings themselves: count pairs
+    /// sharing at least one dominating root key.
+    fn uncovered_bruteforce(
+        members: &[EntityId],
+        entities: &[Entity],
+        families: &[BlockingFamily],
+        m: usize,
+    ) -> u64 {
         let mut count = 0;
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
-                if (0..m).any(|f| sigs[a as usize][f] == sigs[b as usize][f]) {
+                let (ea, eb) = (&entities[a as usize], &entities[b as usize]);
+                if families[..m]
+                    .iter()
+                    .any(|f| f.root_key(ea) == f.root_key(eb))
+                {
                     count += 1;
                 }
             }
@@ -249,10 +391,31 @@ mod tests {
         count
     }
 
+    /// Entities whose attribute `f` is `rows[i][f]`, and one family per
+    /// column keying on its whole (lowercased) value.
+    fn keyed(rows: &[Vec<String>]) -> (Vec<Entity>, Vec<BlockingFamily>) {
+        let entities: Vec<Entity> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| Entity::new(i as EntityId, row.clone()))
+            .collect();
+        let width = rows.first().map_or(0, Vec::len);
+        let families = (0..width)
+            .map(|f| BlockingFamily::new(format!("F{f}"), vec![PrefixFunction::new(f, 16)]))
+            .collect();
+        (entities, families)
+    }
+
+    fn uncovered(members: &[EntityId], sigs: &Signatures, m: usize) -> u64 {
+        uncovered_pairs(members, sigs, m, &mut OlpScratch::default())
+    }
+
     #[test]
     fn uncovered_zero_for_most_dominating_family() {
-        let sigs = vec![vec!["a".into()], vec!["a".into()]];
-        assert_eq!(uncovered_pairs(&[0, 1], &sigs, 0), 0);
+        let (entities, families) = keyed(&[vec!["a".into()], vec!["a".into()]]);
+        let sigs = Signatures::intern(&families, &entities);
+        assert_eq!(uncovered(&[0, 1], &sigs, 0), 0);
+        assert_eq!(uncovered(&[0, 1], &sigs, 1), 1);
     }
 
     #[test]
@@ -260,14 +423,13 @@ mod tests {
         // Fig. 4: |Y¹₁|=30, |X¹₁∩Y¹₁|=10, |X¹₂∩Y¹₁|=20, X¹ ⊵ Y¹
         // ⇒ Uncov(Y¹₁) = Pairs(10) + Pairs(20) = 45 + 190 = 235.
         // Model: 30 entities; 10 share X-key "x1", 20 share "x2".
-        let mut sigs: Vec<Signature> = Vec::new();
-        let mut members = Vec::new();
-        for i in 0..30u32 {
-            let xkey = if i < 10 { "x1" } else { "x2" };
-            sigs.push(vec![xkey.into(), "y1".into()]);
-            members.push(i);
-        }
-        assert_eq!(uncovered_pairs(&members, &sigs, 1), 235);
+        let rows: Vec<Vec<String>> = (0..30)
+            .map(|i| vec![if i < 10 { "x1" } else { "x2" }.into(), "y1".into()])
+            .collect();
+        let (entities, families) = keyed(&rows);
+        let sigs = Signatures::intern(&families, &entities);
+        let members: Vec<EntityId> = (0..30).collect();
+        assert_eq!(uncovered(&members, &sigs, 1), 235);
         let n = NodeStats {
             key: "y1".into(),
             level: 0,
@@ -312,26 +474,105 @@ mod tests {
 
     #[test]
     fn inclusion_exclusion_matches_bruteforce_on_real_blocks() {
-        let ds = PubGen::new(2_000, 21).generate();
-        let families = presets::citeseer_families();
-        let forests = build_forests(&ds, &families);
-        let sigs = compute_signatures(&ds, &families);
-        for forest in &forests {
-            for tree in &forest.trees {
-                for b in tree.blocks.iter().take(5) {
-                    if b.size() > 300 {
-                        continue; // keep the O(n²) oracle cheap
+        let cases = [
+            (
+                PubGen::new(2_000, 21).generate(),
+                presets::citeseer_families(),
+            ),
+            (
+                BookGen::new(2_000, 21).generate(),
+                presets::books_families(),
+            ),
+        ];
+        for (ds, families) in &cases {
+            let forests = build_forests(ds, families);
+            let sigs = compute_signatures(ds, families);
+            let mut checked = 0;
+            for forest in &forests {
+                for tree in &forest.trees {
+                    for b in tree.blocks.iter().take(5) {
+                        if b.size() > 300 {
+                            continue; // keep the O(n²) oracle cheap
+                        }
+                        assert_eq!(
+                            uncovered(&b.members, &sigs, tree.family),
+                            uncovered_bruteforce(&b.members, &ds.entities, families, tree.family),
+                            "{} family {} key {}",
+                            ds.name,
+                            tree.family,
+                            b.key
+                        );
+                        checked += u64::from(tree.family > 0);
                     }
+                }
+            }
+            assert!(checked > 50, "{}: {checked} dominated blocks", ds.name);
+        }
+    }
+
+    #[test]
+    fn ids_collide_exactly_where_keys_do() {
+        // Keys that differ only in case, and keys that go through
+        // non-ASCII lowercasing: İ lowercases to two chars ("i̇", not "i"),
+        // and Σ lowercases to ς at a word's end but σ inside one — so
+        // "ΟΔΟΣ" and "ΟΔΟΣΑ" cut to three or four chars meet "οδος" only
+        // where the cut ends on the Σ.
+        let values = [
+            "Data",
+            "DATA",
+            "data",
+            "dAtum",
+            "İstanbul",
+            "istanbul",
+            "İSTANBUL",
+            "ISTANBUL",
+            "ΟΔΟΣ",
+            "ΟΔΟΣΑ",
+            "οδος",
+            "οδοσ",
+            "ὈΔΟΣ",
+            "",
+            "straße",
+            "STRASSE",
+        ];
+        let entities: Vec<Entity> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| Entity::new(i as EntityId, vec![v.to_string(); 4]))
+            .collect();
+        let families: Vec<BlockingFamily> = [1, 3, 4, 6]
+            .iter()
+            .enumerate()
+            .map(|(attr, &chars)| {
+                BlockingFamily::new(format!("F{chars}"), vec![PrefixFunction::new(attr, chars)])
+            })
+            .collect();
+        let sigs = Signatures::intern(&families, &entities);
+        assert_eq!(sigs.len(), entities.len());
+        let mut collisions = 0;
+        for (f, family) in families.iter().enumerate() {
+            for a in &entities {
+                for b in &entities {
+                    let same_key = family.root_key(a) == family.root_key(b);
                     assert_eq!(
-                        uncovered_pairs(&b.members, &sigs, tree.family),
-                        uncovered_bruteforce(&b.members, &sigs, tree.family),
-                        "family {} key {}",
-                        tree.family,
-                        b.key
+                        sigs.row(a.id)[f] == sigs.row(b.id)[f],
+                        same_key,
+                        "family {f}: {:?} vs {:?}",
+                        a.attr(f),
+                        b.attr(f)
                     );
+                    collisions += u32::from(same_key && a.id < b.id);
                 }
             }
         }
+        assert!(collisions > 20, "only {collisions} colliding pairs");
+        // Every member pair of one all-colliding block is uncovered under
+        // a dominating family whose ids collide where the keys do.
+        let members: Vec<EntityId> = (0..entities.len() as EntityId).collect();
+        assert_eq!(
+            uncovered(&members, &sigs, 3),
+            uncovered_bruteforce(&members, &entities, &families, 3)
+        );
     }
 
     #[test]
@@ -340,9 +581,10 @@ mod tests {
         let families = presets::citeseer_families();
         let forests = build_forests(&ds, &families);
         let sigs = compute_signatures(&ds, &families);
+        let mut scratch = OlpScratch::default();
         for forest in &forests {
             for tree in &forest.trees {
-                let stats = TreeStats::from_tree(tree, &sigs);
+                let stats = TreeStats::from_tree(tree, &sigs, &mut scratch);
                 assert_eq!(stats.nodes.len(), tree.blocks.len());
                 for (n, b) in stats.nodes.iter().zip(&tree.blocks) {
                     assert_eq!(n.key, b.key);
@@ -356,45 +598,65 @@ mod tests {
 
     #[test]
     fn olp_counts_shared_entities() {
-        let sigs: Vec<Signature> = vec![
+        let (entities, families) = keyed(&[
             vec!["a".into(), "p".into()],
             vec!["a".into(), "q".into()],
             vec!["b".into(), "p".into()],
-        ];
-        let counts = olp(&[0, 1, 2], &sigs, &[0]);
-        assert_eq!(counts[&vec!["a".to_string()]], 2);
-        assert_eq!(counts[&vec!["b".to_string()]], 1);
-        let counts2 = olp(&[0, 1, 2], &sigs, &[0, 1]);
-        assert_eq!(counts2.len(), 3);
+        ]);
+        let sigs = Signatures::intern(&families, &entities);
+        let mut scratch = OlpScratch::default();
+        let sorted = |counts: &[u32]| {
+            let mut counts = counts.to_vec();
+            counts.sort_unstable();
+            counts
+        };
+        // {a: 2, b: 1}
+        assert_eq!(sorted(olp(&[0, 1, 2], &sigs, [0], &mut scratch)), [1, 2]);
+        // {(a,p), (a,q), (b,p)}
+        assert_eq!(
+            sorted(olp(&[0, 1, 2], &sigs, [0, 1], &mut scratch)),
+            [1, 1, 1]
+        );
+        // A sub-block sees only its own members' combinations.
+        assert_eq!(sorted(olp(&[0, 2], &sigs, [1], &mut scratch)), [2]);
     }
 
     proptest! {
         #[test]
         fn prop_uncovered_matches_bruteforce(
             keys in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 2..40),
-            m in 0usize..3
+            m in 0usize..4
         ) {
-            let sigs: Vec<Signature> = keys
+            let rows: Vec<Vec<String>> = keys
                 .iter()
                 .map(|(a, b, c)| vec![a.to_string(), b.to_string(), c.to_string()])
                 .collect();
-            let members: Vec<EntityId> = (0..sigs.len() as u32).collect();
-            prop_assert_eq!(
-                uncovered_pairs(&members, &sigs, m),
-                uncovered_bruteforce(&members, &sigs, m)
-            );
+            let (entities, families) = keyed(&rows);
+            let sigs = Signatures::intern(&families, &entities);
+            // Every member set, not only whole datasets: the odd positions.
+            let all: Vec<EntityId> = (0..rows.len() as EntityId).collect();
+            let odd: Vec<EntityId> = all.iter().copied().filter(|i| i % 2 == 1).collect();
+            let mut scratch = OlpScratch::default();
+            for members in [&all, &odd] {
+                prop_assert_eq!(
+                    uncovered_pairs(members, &sigs, m, &mut scratch),
+                    uncovered_bruteforce(members, &entities, &families, m)
+                );
+            }
         }
 
         #[test]
         fn prop_uncovered_bounded_by_total_pairs(
             keys in proptest::collection::vec((0u8..3, 0u8..3), 2..30),
         ) {
-            let sigs: Vec<Signature> = keys
+            let rows: Vec<Vec<String>> = keys
                 .iter()
                 .map(|(a, b)| vec![a.to_string(), b.to_string()])
                 .collect();
-            let members: Vec<EntityId> = (0..sigs.len() as u32).collect();
-            let u = uncovered_pairs(&members, &sigs, 1);
+            let (entities, families) = keyed(&rows);
+            let sigs = Signatures::intern(&families, &entities);
+            let members: Vec<EntityId> = (0..rows.len() as u32).collect();
+            let u = uncovered(&members, &sigs, 1);
             prop_assert!(u <= pairs(members.len()));
         }
     }

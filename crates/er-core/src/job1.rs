@@ -8,12 +8,16 @@
 //!   statistics (sizes, child keys, overlap information for the
 //!   covered-pair computation of §IV-A).
 //!
-//! The map output doubles as the "annotated dataset": signatures are cheap
-//! to recompute from attribute values, so the second job re-derives them
-//! instead of materializing an intermediate file (a pure representation
-//! choice — the information content matches the paper's annotated dataset).
+//! The map output doubles as the "annotated dataset": keys are cheap to
+//! recompute from attribute values, so no intermediate file is
+//! materialized (a pure representation choice — the information content
+//! matches the paper's annotated dataset). Each consumer extracts a key
+//! once per entity into a reused buffer and compares ids from there: the
+//! reducer interns its members' dominating root keys as `u32`
+//! [`Signatures`] for the `OLP` counts, and job 2's mapper routes an entity
+//! with one lookup per `(family, level)` ([`pper_schedule::TreeLocator::route`]).
 
-use pper_blocking::{BlockingFamily, DatasetStats, Signature, Tree, TreeStats};
+use pper_blocking::{BlockingFamily, DatasetStats, OlpScratch, Signatures, Tree, TreeStats};
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
 
@@ -125,10 +129,8 @@ fn reduce_root_block<'v>(
     // As in job 2 and Basic, a member is named by its position among the
     // received values: the statistics carry sizes and pair counts, never ids.
     let entities: Vec<&Entity> = values.collect();
-    let signatures: Vec<Signature> = entities
-        .iter()
-        .map(|e| families.iter().map(|f| f.root_key(e)).collect())
-        .collect();
+    // Only the dominating families' keys decide a pair's coverage.
+    let signatures = Signatures::intern(&families[..family_index], entities.iter().copied());
     let members: Vec<EntityId> = (0..entities.len() as EntityId).collect();
 
     // Tree construction: one key extraction per member per level.
@@ -144,7 +146,7 @@ fn reduce_root_block<'v>(
         .sum();
     ctx.charge(stat_cost);
 
-    let stats = TreeStats::from_tree(&tree, &signatures);
+    let stats = TreeStats::from_tree(&tree, &signatures, &mut OlpScratch::default());
     ctx.counters.incr("job1_trees_built");
     ctx.counters.add("job1_blocks", tree.len() as u64);
     out.push(stats);
@@ -241,22 +243,35 @@ pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> 
 mod tests {
     use super::*;
     use pper_blocking::{build_forests, presets};
-    use pper_datagen::{toy_people, PubGen};
+    use pper_datagen::{toy_people, BookGen, PubGen};
 
     #[test]
     fn job1_matches_local_forest_construction() {
-        let ds = PubGen::new(1_500, 61).generate();
-        let config = ErConfig::citeseer(2);
-        let job = run_job1(&ds, &config).unwrap();
+        let spill = || ShuffleSpillConfig::new(40);
+        let cases = [
+            (PubGen::new(1_500, 61).generate(), ErConfig::citeseer(2)),
+            (BookGen::new(1_500, 61).generate(), ErConfig::books(2)),
+            (
+                PubGen::new(1_500, 61).generate(),
+                ErConfig::citeseer(2).with_shuffle_spill(spill()),
+            ),
+            (
+                BookGen::new(1_500, 61).generate(),
+                ErConfig::books(2).with_shuffle_spill(spill()),
+            ),
+        ];
+        for (ds, config) in &cases {
+            let job = run_job1(ds, config).unwrap();
 
-        let forests = build_forests(&ds, &config.families);
-        let local = DatasetStats::from_forests(&ds, &config.families, &forests);
+            let forests = build_forests(ds, &config.families);
+            let local = DatasetStats::from_forests(ds, &config.families, &forests);
 
-        assert_eq!(job.stats.trees.len(), local.trees.len());
-        for (a, b) in job.stats.trees.iter().zip(&local.trees) {
-            assert_eq!(a.family, b.family);
-            assert_eq!(a.root_key, b.root_key);
-            assert_eq!(a.nodes, b.nodes, "tree {}/{}", a.family, a.root_key);
+            assert_eq!(job.stats.trees.len(), local.trees.len());
+            for (a, b) in job.stats.trees.iter().zip(&local.trees) {
+                assert_eq!(a.family, b.family);
+                assert_eq!(a.root_key, b.root_key);
+                assert_eq!(a.nodes, b.nodes, "tree {}/{}", a.family, a.root_key);
+            }
         }
     }
 

@@ -90,13 +90,11 @@ impl<'d> Mapper for RouteMapper<'d> {
 
     fn map(&self, entity: &&'d Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed<'d>>) {
         let entity = *entity;
-        for tree in self.locator.trees_of_entity(self.families, entity) {
-            ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-            let list = self
-                .locator
-                .dom_list(self.schedule, self.families, entity, tree);
-            out.emit(self.schedule.tree_sq[tree], (entity, list));
-        }
+        self.locator
+            .route(self.schedule, self.families, entity, |tree, list| {
+                ctx.charge(ctx.cost_model.read_per_entity * 0.25);
+                out.emit(self.schedule.tree_sq[tree], (entity, list));
+            });
     }
 }
 
@@ -767,12 +765,11 @@ mod tests {
         // Task 0's shuffle partition, as the route mapper would fill it.
         let mut records: Vec<(u64, Routed<'_>)> = Vec::new();
         for entity in &ds.entities {
-            for tree in locator.trees_of_entity(&config.families, entity) {
+            locator.route(&schedule, &config.families, entity, |tree, list| {
                 if schedule.task_of_tree[tree] == 0 {
-                    let list = locator.dom_list(&schedule, &config.families, entity, tree);
                     records.push((schedule.tree_sq[tree], (entity, list)));
                 }
-            }
+            });
         }
         let partition = pper_mapreduce::GroupedPartition::from_buckets(vec![records]);
         let id = TaskId {

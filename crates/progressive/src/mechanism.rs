@@ -71,24 +71,28 @@ pub fn sort_by_attr(
 /// multi-pass SNM deployments therefore sort by the blocking attribute
 /// *extended with* a discriminative attribute; the pipeline passes
 /// `[blocking attr, title]`.
+///
+/// Each member's values are read once, up front, rather than looked up
+/// again in every comparison. Members are distinct ids, so the id
+/// tie-break makes the order total and the unstable sort returns exactly
+/// what a stable one would.
 pub fn sort_by_attrs(
     members: &[EntityId],
     attrs: &[usize],
     lookup: &impl EntityLookup,
 ) -> Vec<EntityId> {
-    let mut sorted = members.to_vec();
-    sorted.sort_by(|&a, &b| {
-        let ea = lookup.entity(a);
-        let eb = lookup.entity(b);
-        for &attr in attrs {
-            let ord = ea.attr(attr).cmp(eb.attr(attr));
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(&b)
-    });
-    sorted
+    let width = attrs.len();
+    let values: Vec<&str> = members
+        .iter()
+        .flat_map(|&m| {
+            let entity = lookup.entity(m);
+            attrs.iter().map(move |&attr| entity.attr(attr))
+        })
+        .collect();
+    let row = |i: usize| &values[i * width..(i + 1) * width];
+    let mut order: Vec<usize> = (0..members.len()).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)).then(members[a].cmp(&members[b])));
+    order.into_iter().map(|i| members[i]).collect()
 }
 
 #[cfg(test)]
@@ -119,6 +123,53 @@ mod tests {
         let lookup: Vec<&Entity> = entities.iter().collect();
         let sorted = sort_by_attr(&[0, 1, 2], 0, &lookup);
         assert_eq!(sorted, vec![1, 2, 0]);
+    }
+
+    /// The definition `sort_by_attrs` must reproduce: a stable sort that
+    /// looks both entities up in every comparison.
+    fn reference_sort(
+        members: &[EntityId],
+        attrs: &[usize],
+        lookup: &Vec<&Entity>,
+    ) -> Vec<EntityId> {
+        let mut sorted = members.to_vec();
+        sorted.sort_by(|&a, &b| {
+            let (ea, eb) = (lookup.entity(a), lookup.entity(b));
+            attrs
+                .iter()
+                .map(|&attr| ea.attr(attr).cmp(eb.attr(attr)))
+                .find(|ord| ord.is_ne())
+                .unwrap_or_else(|| a.cmp(&b))
+        });
+        sorted
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_sort_by_attrs_matches_the_stable_comparator_sort(
+            // Two-symbol alphabets with empty values: runs of ties on the
+            // first attribute, broken (or not) by the second, and
+            // non-ASCII bytes that sort after every ASCII one.
+            values in proptest::collection::vec(("[aé]{0,2}", "[bΣ]{0,1}"), 0..40),
+            shuffle in 0u32..1_000,
+        ) {
+            let entities: Vec<Entity> = values
+                .iter()
+                .enumerate()
+                .map(|(i, (a, b))| Entity::new(i as EntityId, vec![a.clone(), b.clone()]))
+                .collect();
+            let lookup: Vec<&Entity> = entities.iter().collect();
+            // Members in a scrambled order, as a block arrives.
+            let n = entities.len() as u32;
+            let mut members: Vec<EntityId> = (0..n).collect();
+            members.sort_by_key(|&m| (m * 7 + shuffle) % n.max(1));
+            for attrs in [&[0, 1][..], &[1][..], &[1, 0, 2][..]] {
+                proptest::prop_assert_eq!(
+                    sort_by_attrs(&members, attrs, &lookup),
+                    reference_sort(&members, attrs, &lookup)
+                );
+            }
+        }
     }
 
     struct Dummy;

@@ -11,16 +11,19 @@
 //!   of the highest split-off sub-tree below the current tree that still
 //!   contains the entity.
 //!
+//! [`TreeLocator::route`] builds every list of an entity in one pass: it
+//! extracts the entity's key at each `(family, level)` where trees are
+//! rooted once, looks it up once, and derives both the trees the entity is
+//! routed to and all their lists from those lookups.
+//!
 //! At the reduce side, `SHOULD-RESOLVE` compares two entities' lists: a pair
 //! is skipped when a more dominating family's tree owns it (loop over
 //! positions `0..family`), or when both entities fall into the same split
 //! sub-tree (which resolves the pair fully itself).
 
-use std::collections::HashMap;
-
 use pper_blocking::{BlockingFamily, FamilyIndex};
 use pper_datagen::Entity;
-use pper_mapreduce::fxhash::hash_one;
+use pper_mapreduce::fxhash::{hash_one, FxHashMap};
 use serde::{Deserialize, Serialize};
 
 use crate::plan::Schedule;
@@ -48,19 +51,19 @@ pub struct TreeLocator {
     /// Per family, ascending by level: every level at which tree roots
     /// exist, with its `root key → tree index` map. Keyed per level so a
     /// lookup probes with the borrowed `&str`.
-    roots: Vec<Vec<(usize, HashMap<String, usize>)>>,
+    roots: Vec<Vec<(usize, FxHashMap<String, usize>)>>,
 }
 
 impl TreeLocator {
     /// Index all tree roots of `schedule` for `num_families` families.
     pub fn new(schedule: &Schedule, num_families: usize) -> Self {
-        let mut roots: Vec<Vec<(usize, HashMap<String, usize>)>> = vec![Vec::new(); num_families];
+        let mut roots: Vec<Vec<(usize, FxHashMap<String, usize>)>> = vec![Vec::new(); num_families];
         for (t, tree) in schedule.trees.iter().enumerate() {
             let levels = &mut roots[tree.family];
             let at = match levels.binary_search_by_key(&tree.root_level, |(level, _)| *level) {
                 Ok(at) => at,
                 Err(at) => {
-                    levels.insert(at, (tree.root_level, HashMap::new()));
+                    levels.insert(at, (tree.root_level, FxHashMap::default()));
                     at
                 }
             };
@@ -69,72 +72,59 @@ impl TreeLocator {
         Self { roots }
     }
 
-    /// Tree containing the block rooted at `(family, level, key)`, if any.
-    fn tree_at(&self, family: FamilyIndex, level: usize, key: &str) -> Option<usize> {
-        let levels = self.roots.get(family)?;
-        let at = levels
-            .binary_search_by_key(&level, |(level, _)| *level)
-            .ok()?;
-        levels[at].1.get(key).copied()
-    }
-
-    /// All trees containing `entity`: for each family, the root tree (if it
-    /// exists) plus every split sub-tree whose root block contains the
-    /// entity.
-    pub fn trees_of_entity(&self, families: &[BlockingFamily], entity: &Entity) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (family, levels) in families.iter().zip(&self.roots) {
-            for (level, by_key) in levels {
-                if *level >= family.depth() {
-                    continue;
-                }
-                if let Some(&t) = by_key.get(family.key_at(entity, *level).as_str()) {
-                    out.push(t);
-                }
-            }
-        }
-        out
-    }
-
-    /// Build `List(entity, tree)` (§V).
+    /// Route `entity` (§V): call `emit(tree, List(entity, tree))` for every
+    /// tree whose root block holds the entity — per family its root tree,
+    /// if one exists, then every split sub-tree rooted at a deeper level —
+    /// in `(family, level)` order.
     ///
-    /// `tree` must contain the entity (i.e. come from
-    /// [`TreeLocator::trees_of_entity`]).
-    pub fn dom_list(
+    /// Each `(family, level)` key is extracted once, into one reused
+    /// buffer, and looked up once; the lists are built from those lookups:
+    ///
+    /// * position `f` is `Dom` of the family-`f` root tree holding the
+    ///   entity (a sentinel when its root block formed no tree), except
+    ///   that the emitted tree's own family holds `Dom` of that tree;
+    /// * position `n` holds `Dom` of the next tree of the same family at a
+    ///   deeper level — the highest split sub-tree below the emitted one —
+    ///   when there is one.
+    pub fn route(
         &self,
         schedule: &Schedule,
         families: &[BlockingFamily],
         entity: &Entity,
-        tree: usize,
-    ) -> DomList {
-        let own_family = schedule.trees[tree].family;
-        let mut list = Vec::with_capacity(self.roots.len() + 1);
-        for (f, family) in families.iter().enumerate() {
-            if f == own_family {
-                list.push(schedule.dom[tree]);
-            } else {
-                let key = family.root_key(entity);
-                match self.tree_at(f, 0, &key) {
-                    Some(t) => list.push(schedule.dom[t]),
-                    None => list.push(sentinel(f, &key)),
+        mut emit: impl FnMut(usize, DomList),
+    ) {
+        let mut key = String::new();
+        // `Dom` of each family's root tree, or the sentinel of its key.
+        let mut roots = Vec::with_capacity(families.len());
+        // `(family, tree)` of every tree holding the entity, in order.
+        let mut hits: Vec<(FamilyIndex, usize)> = Vec::new();
+        for (f, (family, levels)) in families.iter().zip(&self.roots).enumerate() {
+            key.clear();
+            family.levels[0].key_into(entity, &mut key);
+            let root = levels
+                .first()
+                .filter(|(level, _)| *level == 0)
+                .and_then(|(_, by_key)| by_key.get(key.as_str()).copied());
+            roots.push(root.map_or_else(|| sentinel(f, &key), |t| schedule.dom[t]));
+            hits.extend(root.map(|t| (f, t)));
+            for (level, by_key) in levels {
+                if *level == 0 || *level >= family.depth() {
+                    continue;
                 }
+                key.clear();
+                family.levels[*level].key_into(entity, &mut key);
+                hits.extend(by_key.get(key.as_str()).map(|&t| (f, t)));
             }
         }
-        // Highest split-root descendant of `tree` containing the entity.
-        let own_level = schedule.trees[tree].root_level;
-        let family = &families[own_family];
-        for (level, by_key) in &self.roots[own_family] {
-            if *level <= own_level || *level >= family.depth() {
-                continue;
+        for (at, &(f, tree)) in hits.iter().enumerate() {
+            let mut list = Vec::with_capacity(roots.len() + 1);
+            list.extend_from_slice(&roots);
+            list[f] = schedule.dom[tree];
+            if let Some(&(_, below)) = hits.get(at + 1).filter(|(g, _)| *g == f) {
+                list.push(schedule.dom[below]);
             }
-            if let Some(&t) = by_key.get(family.key_at(entity, *level).as_str()) {
-                if t != tree {
-                    list.push(schedule.dom[t]);
-                    break; // smallest deeper level = highest descendant
-                }
-            }
+            emit(tree, DomList(list));
         }
-        DomList(list)
     }
 }
 
@@ -165,9 +155,49 @@ mod tests {
     use crate::generate::{generate_schedule, ScheduleConfig};
     use crate::probmodel::HeuristicProb;
     use pper_blocking::{build_forests, presets, DatasetStats};
-    use pper_datagen::{toy_people, PubGen};
+    use pper_datagen::{toy_people, BookGen, PubGen};
     use pper_mapreduce::CostModel;
     use pper_progressive::LevelPolicy;
+
+    /// Every `(tree, List(entity, tree))` that `route` emits, in order.
+    fn routed(
+        locator: &TreeLocator,
+        schedule: &Schedule,
+        families: &[BlockingFamily],
+        entity: &Entity,
+    ) -> Vec<(usize, DomList)> {
+        let mut out = Vec::new();
+        locator.route(schedule, families, entity, |tree, list| {
+            out.push((tree, list))
+        });
+        out
+    }
+
+    /// The trees `entity` is routed to.
+    fn trees_of(
+        locator: &TreeLocator,
+        schedule: &Schedule,
+        families: &[BlockingFamily],
+        entity: &Entity,
+    ) -> Vec<usize> {
+        let routes = routed(locator, schedule, families, entity);
+        routes.into_iter().map(|(tree, _)| tree).collect()
+    }
+
+    /// `List(entity, tree)` as routing builds it; `tree` must hold `entity`.
+    fn list_for(
+        locator: &TreeLocator,
+        schedule: &Schedule,
+        families: &[BlockingFamily],
+        entity: &Entity,
+        tree: usize,
+    ) -> DomList {
+        let routes = routed(locator, schedule, families, entity);
+        let found = routes.into_iter().find(|(t, _)| *t == tree);
+        found
+            .map(|(_, list)| list)
+            .expect("the tree holds the entity")
+    }
 
     fn toy_schedule() -> (Schedule, Vec<BlockingFamily>, pper_datagen::Dataset) {
         let ds = toy_people();
@@ -192,7 +222,7 @@ mod tests {
         let (schedule, families, ds) = toy_schedule();
         let locator = TreeLocator::new(&schedule, families.len());
         // e1 (id 0, "John Lopez", HI): in X-tree "jo" and Y-tree "hi".
-        let trees = locator.trees_of_entity(&families, ds.entity(0));
+        let trees = trees_of(&locator, &schedule, &families, ds.entity(0));
         let keys: Vec<(usize, &str)> = trees
             .iter()
             .map(|&t| (schedule.trees[t].family, schedule.trees[t].root_key()))
@@ -216,12 +246,12 @@ mod tests {
             .find(|&t| schedule.trees[t].family == 1 && schedule.trees[t].root_key() == "hi")
             .unwrap();
 
-        let lx0 = locator.dom_list(&schedule, &families, ds.entity(0), x_tree);
-        let lx1 = locator.dom_list(&schedule, &families, ds.entity(1), x_tree);
+        let lx0 = list_for(&locator, &schedule, &families, ds.entity(0), x_tree);
+        let lx1 = list_for(&locator, &schedule, &families, ds.entity(1), x_tree);
         assert!(should_resolve(&lx0, &lx1, 0, n), "X must resolve the pair");
 
-        let ly0 = locator.dom_list(&schedule, &families, ds.entity(0), y_tree);
-        let ly1 = locator.dom_list(&schedule, &families, ds.entity(1), y_tree);
+        let ly0 = list_for(&locator, &schedule, &families, ds.entity(0), y_tree);
+        let ly1 = list_for(&locator, &schedule, &families, ds.entity(1), y_tree);
         assert!(!should_resolve(&ly0, &ly1, 1, n), "Y must skip the pair");
     }
 
@@ -235,8 +265,8 @@ mod tests {
         let y_tree = (0..schedule.trees.len())
             .find(|&t| schedule.trees[t].family == 1 && schedule.trees[t].root_key() == "la")
             .unwrap();
-        let l4 = locator.dom_list(&schedule, &families, ds.entity(3), y_tree);
-        let l5 = locator.dom_list(&schedule, &families, ds.entity(4), y_tree);
+        let l4 = list_for(&locator, &schedule, &families, ds.entity(3), y_tree);
+        let l5 = list_for(&locator, &schedule, &families, ds.entity(4), y_tree);
         assert!(should_resolve(&l4, &l5, 1, n));
     }
 
@@ -270,8 +300,8 @@ mod tests {
             for b in (a + 1)..200u32 {
                 let ea = ds.entity(a);
                 let eb = ds.entity(b);
-                let ta = locator.trees_of_entity(&families, ea);
-                let tb = locator.trees_of_entity(&families, eb);
+                let ta = trees_of(&locator, &schedule, &families, ea);
+                let tb = trees_of(&locator, &schedule, &families, eb);
                 let shared: Vec<usize> = ta.iter().copied().filter(|t| tb.contains(t)).collect();
                 if shared.is_empty() {
                     continue;
@@ -280,8 +310,8 @@ mod tests {
                     .iter()
                     .filter(|&&t| {
                         let f = schedule.trees[t].family;
-                        let la = locator.dom_list(&schedule, &families, ea, t);
-                        let lb = locator.dom_list(&schedule, &families, eb, t);
+                        let la = list_for(&locator, &schedule, &families, ea, t);
+                        let lb = list_for(&locator, &schedule, &families, eb, t);
                         should_resolve(&la, &lb, f, n)
                     })
                     .count();
@@ -365,21 +395,118 @@ mod tests {
             })
             .expect("a pair not co-blocked in any more dominating family");
 
-        let pa = locator.dom_list(&schedule, &families, ds.entity(a), parent_tree);
-        let pb = locator.dom_list(&schedule, &families, ds.entity(b), parent_tree);
+        let pa = list_for(&locator, &schedule, &families, ds.entity(a), parent_tree);
+        let pb = list_for(&locator, &schedule, &families, ds.entity(b), parent_tree);
         assert!(
             !should_resolve(&pa, &pb, family, n),
             "parent tree must skip pairs owned by its split sub-tree"
         );
 
-        let sa = locator.dom_list(&schedule, &families, ds.entity(a), split_tree);
-        let sb = locator.dom_list(&schedule, &families, ds.entity(b), split_tree);
+        let sa = list_for(&locator, &schedule, &families, ds.entity(a), split_tree);
+        let sb = list_for(&locator, &schedule, &families, ds.entity(b), split_tree);
         // The split tree resolves it unless an even deeper split owns it.
         let deeper_owns = sa.0.len() > n && sb.0.len() > n && sa.0[n] == sb.0[n];
         assert!(
             should_resolve(&sa, &sb, family, n) || deeper_owns,
             "split tree (or a deeper split) must own the pair"
         );
+    }
+
+    #[test]
+    fn route_matches_the_definition_by_brute_force() {
+        // Split schedules on both datasets, so routing meets split trees at
+        // several levels and lists of length n + 1.
+        let cases = [
+            (
+                PubGen::new(6_000, 52).generate(),
+                presets::citeseer_families(),
+                LevelPolicy::citeseer(),
+            ),
+            (
+                BookGen::new(6_000, 52).generate(),
+                presets::books_families(),
+                LevelPolicy::books(),
+            ),
+        ];
+        for (ds, families, policy) in &cases {
+            let forests = build_forests(ds, families);
+            let stats = DatasetStats::from_forests(ds, families, &forests);
+            let cm = CostModel::default();
+            let prob = HeuristicProb::default();
+            let ctx = EstimationContext {
+                dataset_size: ds.len(),
+                policy,
+                cost_model: &cm,
+                prob: &prob,
+            };
+            let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(8));
+            let locator = TreeLocator::new(&schedule, families.len());
+            let trees = &schedule.trees;
+            let n = families.len();
+            assert!(
+                trees.iter().any(|t| t.root_level > 0),
+                "{}: no split",
+                ds.name
+            );
+
+            let mut split_lists = 0;
+            for e in &ds.entities {
+                // The trees whose root block holds the entity, in
+                // (family, level) order.
+                let mut holding: Vec<usize> = (0..trees.len())
+                    .filter(|&t| {
+                        families[trees[t].family].key_at(e, trees[t].root_level)
+                            == trees[t].root_key()
+                    })
+                    .collect();
+                holding.sort_by_key(|&t| (trees[t].family, trees[t].root_level));
+                let routes = routed(&locator, &schedule, families, e);
+                let emitted: Vec<usize> = routes.iter().map(|(t, _)| *t).collect();
+                assert_eq!(emitted, holding, "{}: entity {}", ds.name, e.id);
+
+                for (t, list) in routes {
+                    let own = &trees[t];
+                    // §V: position f is Dom of the emitted tree for its own
+                    // family, else Dom of the family-f root tree holding the
+                    // entity (a sentinel of its root key when that block
+                    // formed no tree) …
+                    let mut expected: Vec<u64> = (0..n)
+                        .map(|f| {
+                            if f == own.family {
+                                return schedule.dom[t];
+                            }
+                            let root = holding
+                                .iter()
+                                .find(|&&r| trees[r].family == f && trees[r].root_level == 0);
+                            root.map_or_else(
+                                || sentinel(f, &families[f].root_key(e)),
+                                |&r| schedule.dom[r],
+                            )
+                        })
+                        .collect();
+                    // … and position n is Dom of the highest split sub-tree
+                    // below it that still holds the entity.
+                    let below = holding
+                        .iter()
+                        .filter(|&&r| {
+                            trees[r].family == own.family && trees[r].root_level > own.root_level
+                        })
+                        .min_by_key(|&&r| trees[r].root_level);
+                    if let Some(&r) = below {
+                        expected.push(schedule.dom[r]);
+                        split_lists += 1;
+                    }
+                    assert_eq!(
+                        list,
+                        DomList(expected),
+                        "{}: entity {} tree {t}",
+                        ds.name,
+                        e.id
+                    );
+                }
+            }
+            assert!(split_lists > 0, "{}: no list reached position n", ds.name);
+        }
     }
 
     #[test]
@@ -397,8 +524,8 @@ mod tests {
         // descendant appended at position n.
         let (schedule, families, ds) = toy_schedule();
         let locator = TreeLocator::new(&schedule, families.len());
-        let tree = locator.trees_of_entity(&families, ds.entity(0))[0];
-        let list = locator.dom_list(&schedule, &families, ds.entity(0), tree);
+        let tree = trees_of(&locator, &schedule, &families, ds.entity(0))[0];
+        let list = list_for(&locator, &schedule, &families, ds.entity(0), tree);
         assert!(list.0.len() == families.len() || list.0.len() == families.len() + 1);
     }
 }

@@ -125,8 +125,8 @@ impl TrainedProb {
                     let mut total = 0u64;
                     for (i, &a) in block.members.iter().enumerate() {
                         for &b in &block.members[i + 1..] {
-                            let covered = !(0..forest.family)
-                                .any(|f| signatures[a as usize][f] == signatures[b as usize][f]);
+                            let (sa, sb) = (signatures.row(a), signatures.row(b));
+                            let covered = !(0..forest.family).any(|f| sa[f] == sb[f]);
                             if covered {
                                 total += 1;
                                 dup += u64::from(train.truth.is_duplicate(a, b));
