@@ -92,11 +92,7 @@ fn main() {
     row("trained (§VI-A4)", &r);
 
     header("A5: progressive mechanism M");
-    for mechanism in [
-        MechanismKind::Sn,
-        MechanismKind::Psnm,
-        MechanismKind::Hierarchy,
-    ] {
+    for mechanism in [MechanismKind::Sn, MechanismKind::Psnm] {
         let mut config = base();
         config.mechanism = mechanism;
         let r = ProgressiveEr::new(config).run(&ds);

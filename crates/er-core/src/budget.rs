@@ -11,9 +11,10 @@
 //!    interval — work past the budget collapses into the last bucket and
 //!    can be weighted down hard;
 //! 2. the run is *truncated* at the budget: progressive ER's premature-
-//!    termination guarantee means the result at budget `B` is whatever
-//!    incremental segments completed by `B` — [`run_with_budget`] reports
-//!    both the truncated view and (for calibration) the run's full curve.
+//!    termination guarantee means the result at budget `B` is every
+//!    duplicate whose discovery event on the run's global timeline is
+//!    stamped at or before `B` — [`run_with_budget`] reports both the
+//!    truncated view and (for calibration) the run's full curve.
 
 use pper_datagen::Dataset;
 use pper_mapreduce::MrError;

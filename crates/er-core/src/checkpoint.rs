@@ -20,6 +20,9 @@
 //! "Durable execution"). A running task hands over a *delta* each time its
 //! clock crosses the checkpoint grid: a [`TaskCheckpoint`] whose `resolved`
 //! and `duplicates` hold only what was added since the task's previous cut.
+//! That grid, `checkpoint_every` cost units on each task's own clock, is the
+//! paper's α (§III-B: a reduce task outputs its results "to a different file
+//! every α units of cost"), and a cut's duplicates are that file.
 //! The journal stores the deltas (binary, one record each, the schedule
 //! once) and folds them per task; [`crate::durable::journaled_checkpoint`]
 //! rebuilds the [`Checkpoint`], and [`crate::durable::resume_durable`] hands
@@ -53,7 +56,7 @@ pub struct TaskCheckpoint {
     pub resolved: Vec<(usize, Vec<(u32, u32)>)>,
     /// Duplicates found before the crash as `(task-local cost, a, b)`,
     /// in discovery order. Replayed verbatim on resume so the global
-    /// timeline and segment files come out identical.
+    /// timeline and the job's output come out identical.
     pub duplicates: Vec<(f64, u32, u32)>,
 }
 

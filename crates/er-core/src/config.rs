@@ -17,9 +17,6 @@ pub enum MechanismKind {
     Sn,
     /// Progressive Sorted Neighborhood Method of ref. \[6\].
     Psnm,
-    /// The hierarchical-partitioning hint of ref. \[5\] as a mechanism
-    /// (§III-A's closing remark).
-    Hierarchy,
 }
 
 /// Runtime-dispatched pair source over the two mechanisms.
@@ -28,8 +25,6 @@ pub enum AnyRun {
     Sn(pper_progressive::sn::SnRun),
     /// A [`pper_progressive::psnm::PsnmRun`].
     Psnm(pper_progressive::psnm::PsnmRun),
-    /// A [`pper_progressive::hierarchy::HierarchyRun`].
-    Hierarchy(pper_progressive::hierarchy::HierarchyRun),
 }
 
 impl PairSource for AnyRun {
@@ -37,21 +32,18 @@ impl PairSource for AnyRun {
         match self {
             AnyRun::Sn(r) => r.next_pair(),
             AnyRun::Psnm(r) => r.next_pair(),
-            AnyRun::Hierarchy(r) => r.next_pair(),
         }
     }
     fn feedback(&mut self, is_duplicate: bool) {
         match self {
             AnyRun::Sn(r) => r.feedback(is_duplicate),
             AnyRun::Psnm(r) => r.feedback(is_duplicate),
-            AnyRun::Hierarchy(r) => r.feedback(is_duplicate),
         }
     }
     fn remaining_hint(&self) -> u64 {
         match self {
             AnyRun::Sn(r) => r.remaining_hint(),
             AnyRun::Psnm(r) => r.remaining_hint(),
-            AnyRun::Hierarchy(r) => r.remaining_hint(),
         }
     }
 }
@@ -64,9 +56,6 @@ impl MechanismKind {
             MechanismKind::Psnm => {
                 AnyRun::Psnm(pper_progressive::Psnm::default().start(sorted, window))
             }
-            MechanismKind::Hierarchy => {
-                AnyRun::Hierarchy(pper_progressive::HierarchyHint::default().start(sorted, window))
-            }
         }
     }
 
@@ -75,7 +64,6 @@ impl MechanismKind {
         match self {
             MechanismKind::Sn => "sn-hint",
             MechanismKind::Psnm => "psnm",
-            MechanismKind::Hierarchy => "hierarchy-hint",
         }
     }
 }
@@ -124,8 +112,6 @@ pub struct ErConfig {
     pub mechanism: MechanismKind,
     /// Duplicate-probability model.
     pub prob: ProbModelKind,
-    /// Incremental output granularity α (cost units between result files).
-    pub alpha: f64,
     /// OS threads for executing simulated tasks (`None` = all cores).
     pub worker_threads: Option<usize>,
     /// Task-failure injection applied to the resolution (second) job.
@@ -188,7 +174,6 @@ impl ErConfig {
             schedule: ScheduleConfig::new(machines * 2),
             mechanism: MechanismKind::Sn,
             prob: ProbModelKind::Heuristic(HeuristicProb::default()),
-            alpha: 2_000.0,
             worker_threads: None,
             faults: None,
             observer: None,
@@ -223,7 +208,6 @@ impl ErConfig {
             schedule: ScheduleConfig::new(machines * 2),
             mechanism: MechanismKind::Psnm,
             prob: ProbModelKind::Heuristic(HeuristicProb::default()),
-            alpha: 2_000.0,
             worker_threads: None,
             faults: None,
             observer: None,
@@ -290,11 +274,7 @@ mod tests {
 
     #[test]
     fn mechanism_dispatch_yields_pairs() {
-        for kind in [
-            MechanismKind::Sn,
-            MechanismKind::Psnm,
-            MechanismKind::Hierarchy,
-        ] {
+        for kind in [MechanismKind::Sn, MechanismKind::Psnm] {
             let mut run = kind.start(vec![0, 1, 2], 2);
             let mut pairs = Vec::new();
             while let Some(p) = run.next_pair() {

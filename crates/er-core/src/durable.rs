@@ -9,8 +9,9 @@
 //! reduce task, as its own clock crosses the `checkpoint_every` grid (and at
 //! its last block), hands over a delta — blocks done, clock, pairs compared
 //! and duplicates found since its previous cut — which is appended as a
-//! `CheckpointCut` record before the task moves on (§III-B's per-task
-//! α-incremental result files, made the unit of recovery). Every task
+//! `CheckpointCut` record before the task moves on. That grid is the one α
+//! grid of the pipeline: §III-B's per-task α-incremental result files, made
+//! the unit of recovery (see [`crate::checkpoint`]). Every task
 //! completion (with its attempt history) and every attempt-budget
 //! exhaustion is journaled through the runtime's [`TaskObserver`] hook. A
 //! healthy run executes each job exactly once and its counters are the

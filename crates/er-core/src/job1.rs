@@ -2,11 +2,13 @@
 //!
 //! * **Map** — determine each entity's blocking key values (the annotated
 //!   entity `e*`) and emit one record per main blocking function, keyed by
-//!   `(family, root key)`.
-//! * **Reduce** — called per root block: materialize the block's tree by
-//!   applying the family's sub-blocking functions, and compute the per-node
-//!   statistics (sizes, child keys, overlap information for the
-//!   covered-pair computation of §IV-A).
+//!   `(family, root key)` and carrying the entity's id — in memory and
+//!   through the spilling shuffle alike.
+//! * **Reduce** — called per root block: look the block's members up in the
+//!   dataset by id, materialize the block's tree by applying the family's
+//!   sub-blocking functions, and compute the per-node statistics (sizes,
+//!   child keys, overlap information for the covered-pair computation of
+//!   §IV-A).
 //!
 //! The map output doubles as the "annotated dataset": keys are cheap to
 //! recompute from attribute values, so no intermediate file is
@@ -28,9 +30,9 @@ use crate::config::ErConfig;
 /// different functions apart.
 pub type BlockKey = (u8, String);
 
-/// [`Entity`] wrapped for the spilling shuffle path. Both `Entity` and
-/// `SpillCodec` are foreign to this crate, so the orphan rule requires a
-/// local newtype to give the map-output value a binary encoding.
+/// [`Entity`] with a binary spill encoding. Job 1 ships entity ids through
+/// both shuffles, so no job uses it: it is kept, with its codec, until the
+/// benchmark harness's spill probe stops naming it (ROADMAP item 1(c)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpillEntity(pub Entity);
 
@@ -46,145 +48,80 @@ impl SpillCodec for SpillEntity {
     }
 }
 
-/// In-memory map side: the shuffle value is a borrow of the dataset's own
-/// entity, so routing an entity to its families copies a pointer.
-struct AnnotateMapper<'d> {
-    families: &'d [BlockingFamily],
-}
-
-/// Shared map logic: emit one `(family, root key)` record per main blocking
-/// function. `wrap` adapts the emitted value for the in-memory (`&Entity`)
-/// and spilling (`SpillEntity`) shuffles without duplicating the charges.
-fn annotate<'d, V>(
-    families: &[BlockingFamily],
-    entity: &'d Entity,
-    ctx: &mut TaskContext,
-    out: &mut Emitter<BlockKey, V>,
-    wrap: impl Fn(&'d Entity) -> V,
-) {
-    for (f, family) in families.iter().enumerate() {
-        // Key extraction is a char-scan: charge it like an entity read.
-        ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-        out.emit((f as u8, family.root_key(entity)), wrap(entity));
-    }
-    ctx.counters.incr("job1_entities_annotated");
-}
-
-impl<'d> Mapper for AnnotateMapper<'d> {
-    type Input = &'d Entity;
-    type Key = BlockKey;
-    type Value = &'d Entity;
-
-    fn map(
-        &self,
-        entity: &&'d Entity,
-        ctx: &mut TaskContext,
-        out: &mut Emitter<BlockKey, &'d Entity>,
-    ) {
-        annotate(self.families, entity, ctx, out, |e| e);
-    }
-}
-
-struct AnnotateSpillMapper<'a> {
+/// Emits one `(family, root key)` record per main blocking function,
+/// carrying the entity's id: the in-memory shuffle moves a `u32`, the
+/// spilling one encodes the key and a varint.
+struct AnnotateMapper<'a> {
     families: &'a [BlockingFamily],
 }
 
-impl Mapper for AnnotateSpillMapper<'_> {
+impl Mapper for AnnotateMapper<'_> {
     type Input = Entity;
     type Key = BlockKey;
-    type Value = SpillEntity;
+    type Value = EntityId;
 
-    fn map(
-        &self,
-        entity: &Entity,
-        ctx: &mut TaskContext,
-        out: &mut Emitter<BlockKey, SpillEntity>,
-    ) {
-        // The spill codec serializes owned values: this path keeps its copy.
-        annotate(self.families, entity, ctx, out, |e| SpillEntity(e.clone()));
+    fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<BlockKey, EntityId>) {
+        for (f, family) in self.families.iter().enumerate() {
+            // Key extraction is a char-scan: charge it like an entity read.
+            ctx.charge(ctx.cost_model.read_per_entity * 0.25);
+            out.emit((f as u8, family.root_key(entity)), entity.id);
+        }
+        ctx.counters.incr("job1_entities_annotated");
     }
 }
 
+/// Builds one root block's tree and statistics, finding its members in the
+/// dataset by id.
 struct StatsReducer<'d> {
     families: &'d [BlockingFamily],
+    ds: &'d Dataset,
 }
 
-/// Shared reduce logic for one root block, generic over how the values are
-/// borrowed so the in-memory (`&[&Entity]`) and spilling (`&[SpillEntity]`)
-/// paths produce identical trees, statistics, charges, and counters.
-fn reduce_root_block<'v>(
-    families: &[BlockingFamily],
-    key: &BlockKey,
-    values: impl ExactSizeIterator<Item = &'v Entity>,
-    ctx: &mut TaskContext,
-    out: &mut Vec<TreeStats>,
-) {
-    if values.len() < 2 {
-        ctx.counters.incr("job1_singleton_blocks_dropped");
-        return;
-    }
-    let family_index = key.0 as usize;
-    let family = &families[family_index];
-
-    // As in job 2 and Basic, a member is named by its position among the
-    // received values: the statistics carry sizes and pair counts, never ids.
-    let entities: Vec<&Entity> = values.collect();
-    // Only the dominating families' keys decide a pair's coverage.
-    let signatures = Signatures::intern(&families[..family_index], entities.iter().copied());
-    let members: Vec<EntityId> = (0..entities.len() as EntityId).collect();
-
-    // Tree construction: one key extraction per member per level.
-    ctx.charge(ctx.cost_model.read_per_entity * (members.len() * family.depth()) as f64);
-    let tree = Tree::build(family_index, family, key.1.clone(), members, &entities);
-
-    // Overlap statistics: signature grouping per block per subset —
-    // charge one pass per block.
-    let stat_cost: f64 = tree
-        .blocks
-        .iter()
-        .map(|b| ctx.cost_model.read_per_entity * b.size() as f64)
-        .sum();
-    ctx.charge(stat_cost);
-
-    let stats = TreeStats::from_tree(&tree, &signatures, &mut OlpScratch::default());
-    ctx.counters.incr("job1_trees_built");
-    ctx.counters.add("job1_blocks", tree.len() as u64);
-    out.push(stats);
-}
-
-impl<'d> Reducer for StatsReducer<'d> {
+impl Reducer for StatsReducer<'_> {
     type Key = BlockKey;
-    type Value = &'d Entity;
+    type Value = EntityId;
     type Output = TreeStats;
 
     fn reduce(
         &self,
         key: &BlockKey,
-        values: &[&'d Entity],
+        values: &[EntityId],
         ctx: &mut TaskContext,
         out: &mut Vec<TreeStats>,
     ) {
-        reduce_root_block(self.families, key, values.iter().copied(), ctx, out);
-    }
-}
+        if values.len() < 2 {
+            ctx.counters.incr("job1_singleton_blocks_dropped");
+            return;
+        }
+        let family_index = key.0 as usize;
+        let family = &self.families[family_index];
 
-struct StatsSpillReducer<'a> {
-    families: &'a [BlockingFamily],
-}
+        // As in job 2 and Basic, a member is named by its position among the
+        // received values: the statistics carry sizes and pair counts, never
+        // ids.
+        let entities: Vec<&Entity> = values.iter().map(|&id| self.ds.entity(id)).collect();
+        // Only the dominating families' keys decide a pair's coverage.
+        let signatures =
+            Signatures::intern(&self.families[..family_index], entities.iter().copied());
+        let members: Vec<EntityId> = (0..entities.len() as EntityId).collect();
 
-impl Reducer for StatsSpillReducer<'_> {
-    type Key = BlockKey;
-    type Value = SpillEntity;
-    type Output = TreeStats;
+        // Tree construction: one key extraction per member per level.
+        ctx.charge(ctx.cost_model.read_per_entity * (members.len() * family.depth()) as f64);
+        let tree = Tree::build(family_index, family, key.1.clone(), members, &entities);
 
-    fn reduce(
-        &self,
-        key: &BlockKey,
-        values: &[SpillEntity],
-        ctx: &mut TaskContext,
-        out: &mut Vec<TreeStats>,
-    ) {
-        reduce_root_block(self.families, key, values.iter().map(|s| &s.0), ctx, out);
+        // Overlap statistics: signature grouping per block per subset —
+        // charge one pass per block.
+        let stat_cost: f64 = tree
+            .blocks
+            .iter()
+            .map(|b| ctx.cost_model.read_per_entity * b.size() as f64)
+            .sum();
+        ctx.charge(stat_cost);
+
+        let stats = TreeStats::from_tree(&tree, &signatures, &mut OlpScratch::default());
+        ctx.counters.incr("job1_trees_built");
+        ctx.counters.add("job1_blocks", tree.len() as u64);
+        out.push(stats);
     }
 }
 
@@ -202,28 +139,19 @@ pub struct Job1Result {
 /// Run the first job on the simulated cluster.
 pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> {
     let cfg = config.job_config("pper-job1-blocking");
-
-    // The spilling path re-routes oversized shuffle partitions through a
-    // disk-backed external sort; the grouped output is bit-identical to the
-    // in-memory tag sort (see `pper_mapreduce::shuffle`), so both branches
-    // feed the same reduce logic and yield the same trees and costs.
-    let result = if let Some(spill) = &config.shuffle_spill {
-        let mapper = AnnotateSpillMapper {
-            families: &config.families,
-        };
-        let reducer = GroupReducer::new(StatsSpillReducer {
-            families: &config.families,
-        });
-        run_job_spilling(&cfg, &mapper, &reducer, spill, &ds.entities)?
-    } else {
-        let mapper = AnnotateMapper {
-            families: &config.families,
-        };
-        let reducer = GroupReducer::new(StatsReducer {
-            families: &config.families,
-        });
-        let entities: Vec<&Entity> = ds.entities.iter().collect();
-        run_job(&cfg, &mapper, &reducer, &entities)?
+    let mapper = AnnotateMapper {
+        families: &config.families,
+    };
+    let reducer = GroupReducer::new(StatsReducer {
+        families: &config.families,
+        ds,
+    });
+    // The spilling shuffle groups oversized partitions through a disk-backed
+    // external sort, bit-identical to the in-memory tag sort (see
+    // `pper_mapreduce::shuffle`): the same records reach the same reducer.
+    let result = match &config.shuffle_spill {
+        Some(spill) => run_job_spilling(&cfg, &mapper, &reducer, spill, &ds.entities)?,
+        None => run_job(&cfg, &mapper, &reducer, &ds.entities)?,
     };
 
     let mut trees = result.outputs;
@@ -312,7 +240,16 @@ mod tests {
                 spilled.counters.get("shuffle_spilled_partitions") > 0,
                 "threads={threads}: spill never engaged"
             );
-            assert!(spilled.counters.get("shuffle_spill_bytes") > 0);
+            // A record spills as its key and a varint id, about 16 bytes
+            // here; a spilled entity, its 350-char abstract included, would
+            // take about 280.
+            let records =
+                spilled.counters.get("job1_entities_annotated") * config.families.len() as u64;
+            let bytes = spilled.counters.get("shuffle_spill_bytes");
+            assert!(
+                bytes > 0 && bytes <= 32 * records,
+                "threads={threads}: {bytes} spill bytes for {records} records"
+            );
         }
         assert_eq!(baseline.counters.get("shuffle_spilled_partitions"), 0);
     }

@@ -15,8 +15,10 @@
 //!   the level's window, and resolve pairs until the level's stop rule
 //!   fires — skipping pairs another tree is responsible for
 //!   (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
-//!   blocks. Root blocks resolve fully. Duplicates stream through an
-//!   [`IncrementalWriter`] cut every α cost units. Inside a task every
+//!   blocks. Root blocks resolve fully. The task outputs each duplicate as
+//!   an `(a, b)` id pair, `a < b`, as Basic's reducer does; the paper's
+//!   per-α result files (§III-B) are the durable runner's checkpoint cuts
+//!   (`cuts` below, every `checkpoint_every` cost units). Inside a task every
 //!   entity goes by its *tree-local index* (its position in the tree's
 //!   id-sorted member vector): the mechanism, `SHOULD-RESOLVE`, the
 //!   resolved-pair set and the prepared signatures are all reached by
@@ -309,20 +311,19 @@ struct ResolveReducer<'a> {
     policy: &'a LevelPolicy,
     rule: PreparedRule,
     mechanism: crate::config::MechanismKind,
-    alpha: f64,
     stage: Stage<'a>,
 }
 
 impl<'a> PartitionReducer for ResolveReducer<'a> {
     type Key = u64;
     type Value = Routed<'a>;
-    type Output = Segment<(EntityId, EntityId)>;
+    type Output = (EntityId, EntityId);
 
     fn reduce_partition(
         &self,
         partition: &pper_mapreduce::GroupedPartition<u64, Routed<'a>>,
         ctx: &mut TaskContext,
-        out: &mut Vec<Segment<(EntityId, EntityId)>>,
+        out: &mut Vec<(EntityId, EntityId)>,
     ) {
         let mut state = self.ingest(partition, ctx);
         self.resolve(&mut state, ctx, out);
@@ -343,7 +344,6 @@ impl<'a> ResolveReducer<'a> {
             policy: &config.policy,
             rule: PreparedRule::new(config.rule.clone()),
             mechanism: config.mechanism,
-            alpha: config.alpha,
             stage,
         }
     }
@@ -373,7 +373,7 @@ impl<'a> ResolveReducer<'a> {
         &self,
         state: &mut TaskState<'_>,
         ctx: &mut TaskContext,
-        out: &mut Vec<Segment<(EntityId, EntityId)>>,
+        out: &mut Vec<(EntityId, EntityId)>,
     ) {
         let task = ctx.id.index;
         let n_families = self.families.len();
@@ -381,9 +381,6 @@ impl<'a> ResolveReducer<'a> {
             trees: states,
             prepared,
         } = state;
-
-        let mut writer: IncrementalWriter<(EntityId, EntityId)> =
-            IncrementalWriter::new(self.alpha, ctx.now());
 
         // A task the checkpoint holds no completed block of has nothing to
         // restore: it starts from scratch, on its natural clock.
@@ -406,13 +403,12 @@ impl<'a> ResolveReducer<'a> {
                 }
             }
             // Replay checkpointed duplicates at their original task-local
-            // costs: the writer was created at the same start cost as in
-            // the interrupted run and segments cut on a fixed α-grid, so the
-            // replay reproduces the original segment files and timeline.
+            // costs, so the timeline and the output are the interrupted
+            // run's.
             for &(cost, a, b) in &tc.duplicates {
                 ctx.events
                     .push(cost, EVENT_DUPLICATE, crate::pack_pair(a, b));
-                writer.write(cost, (a.min(b), a.max(b)));
+                out.push((a.min(b), a.max(b)));
                 ctx.counters.incr("duplicates_found");
                 ctx.counters.incr("resume_replayed_duplicates");
             }
@@ -501,12 +497,10 @@ impl<'a> ResolveReducer<'a> {
                     if is_dup {
                         tally.duplicates += 1;
                         ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
-                        writer.write(ctx.now(), (ea.id.min(eb.id), ea.id.max(eb.id)));
+                        out.push((ea.id.min(eb.id), ea.id.max(eb.id)));
                         if let Some(cutter) = &mut cutter {
                             cutter.duplicates.push((ctx.now(), ea.id, eb.id));
                         }
-                    } else {
-                        writer.advance(ctx.now());
                     }
                     if stop.observe(is_dup) {
                         ctx.counters.incr("blocks_stopped_early");
@@ -525,7 +519,6 @@ impl<'a> ResolveReducer<'a> {
                 cutter.block_done(task, blocks_done, ctx.now(), blocks_done == blocks.len());
             }
         }
-        out.extend(writer.finish(ctx.now()));
     }
 }
 
@@ -534,8 +527,6 @@ impl<'a> ResolveReducer<'a> {
 pub struct Job2Result {
     /// All duplicate pairs found, normalized `a < b`, deduplicated.
     pub duplicates: Vec<(EntityId, EntityId)>,
-    /// Result segments across all reduce tasks (α-incremental output).
-    pub segments: Vec<Segment<(EntityId, EntityId)>>,
     /// Global timeline of duplicate events.
     pub timeline: Vec<ProgressEvent>,
     /// Virtual completion time of the job.
@@ -555,20 +546,13 @@ fn sq_to_tree(schedule: &Schedule) -> FxHashMap<u64, usize> {
         .collect()
 }
 
-fn assemble(
-    result: pper_mapreduce::runtime::JobResult<Segment<(EntityId, EntityId)>>,
-) -> Job2Result {
-    let segments = result.outputs;
-    let mut duplicates: Vec<(EntityId, EntityId)> = segments
-        .iter()
-        .flat_map(|s| s.records.iter().copied())
-        .collect();
+fn assemble(result: pper_mapreduce::runtime::JobResult<(EntityId, EntityId)>) -> Job2Result {
+    let mut duplicates = result.outputs;
     duplicates.sort_unstable();
     duplicates.dedup();
 
     Job2Result {
         duplicates,
-        segments,
         timeline: result.timeline,
         virtual_cost: result.total_virtual_cost,
         counters: result.counters,
@@ -699,21 +683,6 @@ mod tests {
             .filter(|e| e.kind == EVENT_DUPLICATE)
             .count() as u64;
         assert_eq!(events, result.counters.get("duplicates_found"));
-    }
-
-    #[test]
-    fn job2_segments_partition_duplicates() {
-        let ds = PubGen::new(1_500, 73).generate();
-        let mut config = ErConfig::citeseer(2);
-        config.alpha = 500.0; // several segments
-        let schedule = schedule_for(&ds, &config);
-        let result = run_job2(&ds, &config, schedule).unwrap();
-        let seg_pairs: usize = result.segments.iter().map(|s| s.records.len()).sum();
-        assert_eq!(seg_pairs as u64, result.counters.get("duplicates_found"));
-        assert!(
-            result.segments.len() > 1,
-            "alpha should cut multiple segments"
-        );
     }
 
     #[test]

@@ -91,8 +91,6 @@ pub use prelude::*;
 /// Timeline event kind: one duplicate pair identified. The event value is
 /// the packed pair (see [`pack_pair`]).
 pub const EVENT_DUPLICATE: u32 = 1;
-/// Timeline event kind: a result segment was flushed (value = pairs in it).
-pub const EVENT_SEGMENT: u32 = 2;
 
 /// Pack an entity pair into one event payload.
 #[inline]

@@ -276,7 +276,7 @@ mod tests {
             },
             ProgressEvent {
                 cost: 2.0,
-                kind: crate::EVENT_SEGMENT,
+                kind: crate::EVENT_DUPLICATE + 1,
                 value: 99,
             },
             ProgressEvent {

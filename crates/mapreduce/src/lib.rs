@@ -22,10 +22,10 @@
 //! * every simulated task owns a [`cost::CostClock`]; user code charges cost
 //!   units for the work it performs (one unit ≈ one pair resolution in the
 //!   ER pipeline) and logs progress events against the clock, from which
-//!   recall-versus-cost curves are later assembled;
-//! * reduce output can be spooled through an [`progress::IncrementalWriter`]
-//!   that cuts a new result segment every `α` cost units, mirroring the
-//!   paper's incremental result-file production (§III-B).
+//!   recall-versus-cost curves are later assembled. The paper's incremental
+//!   result files (§III-B, one every `α` cost units) are the ER pipeline's
+//!   concern: its durable runner journals a checkpoint per task on an α
+//!   grid of the task's own clock (`pper_er::durable`).
 //!
 //! Real threads (via `std::thread::scope`) are used to execute simulated tasks, so
 //! wall-clock benefits of parallelism are also real; but all *reported*
@@ -122,7 +122,7 @@ pub mod prelude {
     };
     pub use crate::observe::{AttemptRecord, TaskEvent, TaskObserver};
     pub use crate::partition::{HashPartitioner, Partitioner, RangePartitioner};
-    pub use crate::progress::{EventLog, IncrementalWriter, ProgressEvent, Segment};
+    pub use crate::progress::{EventLog, ProgressEvent};
     pub use crate::runtime::{
         run_job, run_job_spilling, run_job_with_partitioner, JobResult, PhaseReport, WallPhases,
     };

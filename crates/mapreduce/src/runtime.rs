@@ -76,8 +76,6 @@ pub struct WallPhases {
 pub struct JobResult<O> {
     /// Concatenated reduce outputs (grouped by reduce task, tasks in order).
     pub outputs: Vec<O>,
-    /// Reduce outputs per reduce task, for jobs that need task provenance.
-    pub outputs_per_task: Vec<usize>,
     /// Merged counters from every task.
     pub counters: Counters,
     /// Map phase virtual-time summary.
@@ -623,21 +621,18 @@ where
 
     let mut timeline = map_events;
     let mut outputs = Vec::new();
-    let mut outputs_per_task = Vec::with_capacity(reduce_runs.len());
     for (idx, r) in reduce_runs.into_iter().enumerate() {
         counters.merge(&r.counters);
         timeline.extend(r.events.into_iter().map(|e| ProgressEvent {
             cost: e.cost + reduce_base + reduce_starts[idx],
             ..e
         }));
-        outputs_per_task.push(r.value.len());
         outputs.extend(r.value);
     }
     timeline.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
     Ok(JobResult {
         outputs,
-        outputs_per_task,
         counters,
         total_virtual_cost: reduce_base + reduce_phase.makespan,
         map_phase,
@@ -704,7 +699,10 @@ mod tests {
         };
         let spilled = run_job_spilling(&job(2), &KeyMod, &reducer, &spill, &inputs).unwrap();
         assert_eq!(spilled.outputs, baseline.outputs);
-        assert_eq!(spilled.outputs_per_task, baseline.outputs_per_task);
+        assert_eq!(
+            spilled.reduce_phase.task_costs,
+            baseline.reduce_phase.task_costs
+        );
         assert_eq!(
             spilled.total_virtual_cost.to_bits(),
             baseline.total_virtual_cost.to_bits()
@@ -1068,7 +1066,6 @@ mod tests {
             }));
             let faulty = run_job(&cfg, &KeyMod, &reducer, &inputs).unwrap();
             assert_eq!(faulty.outputs, clean.outputs, "{plan:?}");
-            assert_eq!(faulty.outputs_per_task, clean.outputs_per_task, "{plan:?}");
             assert_eq!(faulty.counters.get("task_retries"), 1, "{plan:?}");
 
             let dead = dead.lock();

@@ -67,7 +67,6 @@ fn observables(r: &JobResult<(String, u64)>) -> impl PartialEq + std::fmt::Debug
     counters.sort();
     (
         r.outputs.clone(),
-        r.outputs_per_task.clone(),
         counters,
         r.total_virtual_cost.to_bits(),
         r.map_phase.makespan.to_bits(),

@@ -61,13 +61,11 @@
     )
 )]
 
-pub mod hierarchy;
 pub mod mechanism;
 pub mod policy;
 pub mod psnm;
 pub mod sn;
 
-pub use hierarchy::HierarchyHint;
 pub use mechanism::{sort_by_attr, sort_by_attrs, Mechanism, PairSource};
 pub use policy::{LevelPolicy, PopcornState, StopRule, StopState};
 pub use psnm::Psnm;

@@ -67,7 +67,7 @@ pper — parallel progressive entity resolution (Altowim & Mehrotra, ICDE 2017)
 
 USAGE:
   pper gen    --kind pubs|books --entities N [--seed S] --out FILE
-  pper run    --data FILE [--machines M] [--mechanism sn|psnm|hierarchy]
+  pper run    --data FILE [--machines M] [--mechanism sn|psnm]
               [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
               [--result-out FILE]
               [--durable --journal DIR --job-id ID [--checkpoint-every COST]
@@ -232,7 +232,6 @@ fn build_run_config(
         config.mechanism = match m {
             "sn" => MechanismKind::Sn,
             "psnm" => MechanismKind::Psnm,
-            "hierarchy" => MechanismKind::Hierarchy,
             other => return Err(format!("unknown mechanism '{other}'")),
         };
     }

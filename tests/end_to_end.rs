@@ -86,32 +86,42 @@ fn results_identical_across_simulated_cluster_sizes() {
 }
 
 #[test]
-fn incremental_segments_cover_all_duplicates() {
-    use pper::er::job1::run_job1;
-    use pper::er::job2::run_job2;
-    use std::sync::Arc;
+fn checkpoint_cuts_cover_all_duplicates() {
+    use pper::er::{journaled_checkpoint, run_durable, DurableOptions};
+    use pper::journal::{recover, JournalState, MemStore};
 
+    // The paper's per-α result files (§III-B) are the durable runner's
+    // checkpoint cuts: on a fine grid the tasks cut several times each, and
+    // their cuts together hand over every duplicate the run reports.
     let ds = PubGen::new(1_500, 206).generate();
-    let mut config = ErConfig::citeseer(2);
-    config.alpha = 300.0;
+    let config = ErConfig::citeseer(2);
+    let store = MemStore::shared();
+    let opts = DurableOptions {
+        checkpoint_every: 300.0,
+        ..Default::default()
+    };
     let pipeline = ProgressiveEr::new(config.clone());
-    let job1 = run_job1(&ds, &config).unwrap();
-    let schedule = Arc::new(pipeline.generate_schedule(&ds, &job1.stats));
-    let job2 = run_job2(&ds, &config, schedule).unwrap();
+    let result = run_durable(&pipeline, &ds, &store, "alpha", &[], &opts).unwrap();
+    let state = JournalState::replay(&recover(&store, "alpha").unwrap().events);
+    assert!(state.tasks.iter().any(|task| task.cuts > 1));
+    let checkpoint = journaled_checkpoint(&state, config.machines)
+        .unwrap()
+        .unwrap();
 
-    let mut from_segments: Vec<(u32, u32)> = job2
-        .segments
+    let mut from_cuts: Vec<(u32, u32)> = checkpoint
+        .tasks
         .iter()
-        .flat_map(|s| s.records.iter().copied())
+        .flat_map(|task| &task.duplicates)
+        .map(|&(_, a, b)| (a.min(b), a.max(b)))
         .collect();
-    from_segments.sort_unstable();
-    from_segments.dedup();
-    assert_eq!(from_segments, job2.duplicates);
-    // Segment completion times are sensible.
-    assert!(job2
-        .segments
+    from_cuts.sort_unstable();
+    from_cuts.dedup();
+    assert_eq!(from_cuts, result.duplicates);
+    // No task's last cut stands past the end of the run.
+    assert!(checkpoint
+        .tasks
         .iter()
-        .all(|s| s.completed_at <= job2.virtual_cost + 1e-6));
+        .all(|task| checkpoint.job1_cost + task.clock <= result.total_cost + 1e-6));
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Integration tests for the extension modules: failure injection through
-//! the full pipeline, clustering, budgeted runs, and the third mechanism.
+//! the full pipeline, clustering, budgeted runs, and the two mechanisms.
 
 use pper::datagen::PubGen;
 use pper::er::{
@@ -75,32 +75,13 @@ fn budgeted_run_delivers_partial_results() {
 }
 
 #[test]
-fn hierarchy_mechanism_end_to_end() {
-    let ds = PubGen::new(1_500, 405).generate();
-    let mut config = ErConfig::citeseer(2);
-    config.mechanism = MechanismKind::Hierarchy;
-    let result = ProgressiveEr::new(config).run(&ds);
-    assert!(
-        result.curve.final_recall() > 0.8,
-        "hierarchy-hint recall {:.3}",
-        result.curve.final_recall()
-    );
-    assert!(result.precision > 0.8);
-}
-
-#[test]
 fn mechanisms_agree_on_exhaustive_coverage() {
-    // Same blocking, same stop rules: every mechanism covers the same
-    // windowed pair set, so final recall must be identical across them for
-    // a static ordering (SN vs Hierarchy). PSNM's adaptive promotions only
-    // change order, not coverage.
+    // Same blocking, same stop rules: both mechanisms cover the same
+    // windowed pair set. PSNM's adaptive promotions only change order, not
+    // coverage.
     let ds = PubGen::new(1_200, 406).generate();
     let mut finals = Vec::new();
-    for mechanism in [
-        MechanismKind::Sn,
-        MechanismKind::Psnm,
-        MechanismKind::Hierarchy,
-    ] {
+    for mechanism in [MechanismKind::Sn, MechanismKind::Psnm] {
         let mut config = ErConfig::citeseer(2);
         config.mechanism = mechanism;
         let result = ProgressiveEr::new(config).run(&ds);

@@ -14,7 +14,8 @@
 //!
 //! A journal of another format version is refused by every subcommand that
 //! opens one, with the typed error's message, and a resume handed another
-//! dataset than the journal was written against is refused too.
+//! dataset than the journal was written against is refused too, as is one
+//! whose parameters name a mechanism this build no longer has.
 //!
 //! And `pper run`'s own contract at the process boundary: the plain and the
 //! durable run write the same fingerprint, `--cluster` and `--result-out`
@@ -26,7 +27,7 @@ use std::process::{Command, Output};
 use std::sync::Arc;
 
 use pper::datagen::{Dataset, PubGen};
-use pper::journal::{recover, FileStore, JournalStore};
+use pper::journal::{recover, FileStore, JobJournal, JournalEvent, JournalStore};
 
 const MACHINES: &str = "1";
 const CHECKPOINT_EVERY: &str = "2000";
@@ -344,6 +345,71 @@ fn resume_against_another_dataset_is_refused() {
         assert!(!stderr.contains("panicked"), "{other:?}: {stderr}");
         assert_eq!(std::fs::read(&log).unwrap(), before, "{other:?}");
     }
+}
+
+/// A job journaled by a build that still had the hierarchy-hint mechanism
+/// names it in its `JobStarted` parameters: `resume` exits 1 naming it — no
+/// panic — and leaves the journal as it was.
+#[test]
+fn resume_of_a_deleted_mechanism_is_refused() {
+    let dir = tmp_dir("deleted-mechanism");
+    let data = write_dataset(&dir);
+    let journal = dir.join("journal");
+    let killed = pper(&[
+        "run",
+        "--data",
+        data.to_str().unwrap(),
+        "--machines",
+        MACHINES,
+        "--mechanism",
+        "sn",
+        "--durable",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--job-id",
+        "sn",
+        "--checkpoint-every",
+        CHECKPOINT_EVERY,
+        "--kill-after-events",
+        "5",
+    ]);
+    assert!(!killed.status.success());
+
+    // The killed run's records, re-journaled as the old build wrote them.
+    let store: Arc<dyn JournalStore> = FileStore::shared(&journal).unwrap();
+    let mut old = JobJournal::create(Arc::clone(&store), "hierarchy").unwrap();
+    for (_, event) in recover(&store, "sn").unwrap().events {
+        let event = match event {
+            JournalEvent::JobStarted { job_id, mut params } => {
+                for (key, value) in &mut params {
+                    if key == "mechanism" {
+                        *value = "hierarchy".into();
+                    }
+                }
+                JournalEvent::JobStarted { job_id, params }
+            }
+            other => other,
+        };
+        old.append(&event).unwrap();
+    }
+    old.sync().unwrap();
+    let log = FileStore::open(&journal).unwrap().path_for("hierarchy");
+    let before = std::fs::read(&log).unwrap();
+
+    let out = pper(&[
+        "resume",
+        "--journal",
+        journal.to_str().unwrap(),
+        "--job-id",
+        "hierarchy",
+        "--data",
+        data.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown mechanism 'hierarchy'"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(std::fs::read(&log).unwrap(), before);
 }
 
 /// The durable golden the sweep above compares against is itself a durable
