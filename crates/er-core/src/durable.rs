@@ -59,7 +59,7 @@ use pper_journal::{
 };
 use pper_mapreduce::fxhash::FxHasher;
 use pper_mapreduce::{Counters, MrError, TaskEvent, TaskKind, TaskObserver};
-use pper_schedule::Schedule;
+use pper_schedule::{DomList, Schedule};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{Checkpoint, TaskCheckpoint};
@@ -590,6 +590,9 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// `checkpoint_every` and `dataset` entries if absent), giving a fresh
 /// process everything it needs to rebuild the configuration for
 /// [`resume_durable`] and to check it was handed the same dataset.
+///
+/// A configuration with more blocking families than a dominance list holds
+/// is refused ([`MrError::InvalidConfig`]) before the journal is created.
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -599,6 +602,7 @@ pub fn run_durable(
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
     check_every(opts.checkpoint_every)?;
+    DomList::check_capacity(er.config.families.len())?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, 0);

@@ -6,7 +6,7 @@
 //!   generation cost against its virtual clock).
 //! * **Map** — for each entity, emit one record per tree containing it,
 //!   keyed by the tree's sequence value `SQ` and carrying the entity plus
-//!   its dominance list (§V).
+//!   its dominance list (§V), held in the record itself.
 //! * **Partition** — a range partitioner over `SQ` routes every tree to its
 //!   scheduled reduce task.
 //! * **Reduce (whole partition)** — ingest the task's trees, then walk the
@@ -15,15 +15,16 @@
 //!   the level's window, and resolve pairs until the level's stop rule
 //!   fires — skipping pairs another tree is responsible for
 //!   (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
-//!   blocks. Root blocks resolve fully. The task outputs each duplicate as
-//!   an `(a, b)` id pair, `a < b`, as Basic's reducer does; the paper's
-//!   per-α result files (§III-B) are the durable runner's checkpoint cuts
-//!   (`cuts` below, every `checkpoint_every` cost units). Inside a task every
-//!   entity goes by its *tree-local index* (its position in the tree's
-//!   id-sorted member vector): the mechanism, `SHOULD-RESOLVE`, the
-//!   resolved-pair set and the prepared signatures are all reached by
-//!   position, and global ids reappear only in duplicate events, result
-//!   records and checkpoints.
+//!   blocks (a tree's last block records none: no later block of the tree
+//!   reads them). Root blocks resolve fully. The task outputs each
+//!   duplicate as an `(a, b)` id pair, `a < b`, as Basic's reducer does;
+//!   the paper's per-α result files (§III-B) are the durable runner's
+//!   checkpoint cuts (`cuts` below, every `checkpoint_every` cost units).
+//!   Inside a task every entity goes by its *tree-local index* (its
+//!   position in the tree's id-sorted member vector): the mechanism,
+//!   `SHOULD-RESOLVE`, the resolved-pair set and the prepared signatures
+//!   are all reached by position, and global ids reappear only in
+//!   duplicate events, result records and checkpoints.
 //!
 //! ## Durable execution
 //!
@@ -68,7 +69,7 @@ use crate::{memo_slot, BlockTally, EVENT_DUPLICATE, NO_SLOT};
 
 /// Map output value: the dataset's own entity (borrowed — routing an entity
 /// to its trees copies a pointer) and its dominance list for the target
-/// tree.
+/// tree (a fixed array — routing allocates nothing per record).
 type Routed<'d> = (&'d Entity, DomList);
 
 struct RouteMapper<'d> {
@@ -129,7 +130,11 @@ struct TreeState<'p> {
     /// Pairs already *compared* in this tree, so a parent block never
     /// repeats its children's work (§III-A): local indices through
     /// [`crate::pack_pair`], smaller index in the high half, so packed keys
-    /// sort like the `(a, b)` id pairs they stand for.
+    /// sort like the `(a, b)` id pairs they stand for. Only a later block of
+    /// the same tree reads the set, so the pairs of the tree's last block in
+    /// the task's schedule are never inserted: it holds exactly what the
+    /// tree's other blocks compared (plus a resumed checkpoint's pairs), and
+    /// stays empty for a tree of one block.
     resolved: FxHashSet<u64>,
 }
 
@@ -172,7 +177,8 @@ impl<'p> TreeState<'p> {
         self.entities[local as usize].id
     }
 
-    /// Take a checkpoint's pairs back in.
+    /// Take a checkpoint's pairs back in. A cut lists every pair its blocks
+    /// compared, a last block's too; those are restored and never read.
     fn restore_resolved(&mut self, pairs: &[(EntityId, EntityId)]) {
         let entities = &self.entities;
         let local = |id: EntityId| entities.binary_search_by_key(&id, |e| e.id).ok();
@@ -430,6 +436,13 @@ impl<'a> ResolveReducer<'a> {
         let mut scratch = SimScratch::new();
 
         let blocks = &self.schedule.block_order[task];
+        // `last[i]`: block `i` is the last of its tree in this task's
+        // schedule, so nothing ever looks its pairs up in `resolved`.
+        let mut seen = FxHashSet::default();
+        let mut last = vec![false; blocks.len()];
+        for (i, block) in blocks.iter().enumerate().rev() {
+            last[i] = seen.insert(block.tree);
+        }
         for (block_idx, block) in blocks.iter().enumerate() {
             if block_idx < resumed_blocks {
                 // Already resolved before the interruption; its charges are
@@ -471,7 +484,7 @@ impl<'a> ResolveReducer<'a> {
 
                 while let Some((a, b)) = run.next_pair() {
                     let key = crate::pack_pair(a, b);
-                    if state.resolved.contains(&key) {
+                    if !state.resolved.is_empty() && state.resolved.contains(&key) {
                         tally.skipped_resolved += 1;
                         continue;
                     }
@@ -483,7 +496,9 @@ impl<'a> ResolveReducer<'a> {
                     }
                     ctx.charge(ctx.cost_model.resolve_pair);
                     tally.compared += 1;
-                    state.resolved.insert(key);
+                    if !last[block_idx] {
+                        state.resolved.insert(key);
+                    }
                     if cutter.is_some() {
                         block_added.push(key);
                     }
@@ -576,13 +591,16 @@ pub fn run_job2(
 /// Rejected with [`MrError::Checkpoint`] before any task starts: a
 /// checkpoint that fails [`Checkpoint::validate`] for this configuration or
 /// arrives with another schedule, and a cut sink whose grid is not finite
-/// and positive or that does not number every task.
+/// and positive or that does not number every task. A configuration with
+/// more blocking families than a [`DomList`] holds is
+/// [`MrError::InvalidConfig`].
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
     schedule: &Schedule,
     stage: Stage<'_>,
 ) -> Result<Job2Result, MrError> {
+    DomList::check_capacity(config.families.len())?;
     if let Some(checkpoint) = stage.resume {
         checkpoint.validate(config.machines)?;
         if !std::ptr::eq(schedule, &checkpoint.schedule) {
@@ -642,6 +660,113 @@ mod tests {
         let mut sc = config.schedule.clone();
         sc.reduce_tasks = config.reduce_tasks();
         Arc::new(generate_schedule(&job1.stats, &ctx, &sc))
+    }
+
+    /// Reduce task `task`'s shuffle partition, as the route mapper fills it.
+    fn task_partition<'d>(
+        ds: &'d Dataset,
+        config: &ErConfig,
+        schedule: &Schedule,
+        task: usize,
+    ) -> pper_mapreduce::GroupedPartition<u64, Routed<'d>> {
+        let locator = TreeLocator::new(schedule, config.families.len());
+        let mut records: Vec<(u64, Routed<'_>)> = Vec::new();
+        for entity in &ds.entities {
+            locator.route(schedule, &config.families, entity, |tree, list| {
+                if schedule.task_of_tree[tree] == task {
+                    records.push((schedule.tree_sq[tree], (entity, list)));
+                }
+            });
+        }
+        pper_mapreduce::GroupedPartition::from_buckets(vec![records])
+    }
+
+    /// Ingest and resolve reduce task `task` on its own.
+    fn resolve_task<'p>(
+        reducer: &ResolveReducer<'_>,
+        partition: &'p pper_mapreduce::GroupedPartition<u64, Routed<'_>>,
+        cost_model: &CostModel,
+        task: usize,
+    ) -> (TaskState<'p>, TaskContext) {
+        let id = TaskId {
+            kind: TaskKind::Reduce,
+            index: task,
+        };
+        let mut ctx = TaskContext::new(id, cost_model.clone());
+        let mut state = reducer.ingest(partition, &mut ctx);
+        reducer.resolve(&mut state, &mut ctx, &mut Vec::new());
+        (state, ctx)
+    }
+
+    #[test]
+    fn resolved_holds_exactly_what_a_later_block_of_the_tree_can_skip() {
+        let ds = PubGen::new(3_000, 79).generate();
+        let config = ErConfig::citeseer(2);
+        let schedule = schedule_for(&ds, &config);
+        let sq_to_tree = sq_to_tree(&schedule);
+        // Every block charges its members' read cost, so each block
+        // boundary crosses a line of this grid: one delta per block, whose
+        // `resolved` is exactly the pairs that block compared.
+        let deltas = std::sync::Mutex::new(Vec::new());
+        let emit = |_, delta| deltas.lock().unwrap().push(delta);
+        let first_seq = vec![0; schedule.num_tasks];
+        let sink = CutSink {
+            every: 1e-6,
+            first_seq: &first_seq,
+            emit: &emit,
+        };
+        let stage = Stage {
+            resume: None,
+            cuts: Some(&sink),
+        };
+        let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, stage);
+
+        let (mut single_block, mut remembered) = (0, 0);
+        for task in 0..schedule.num_tasks {
+            let partition = task_partition(&ds, &config, &schedule, task);
+            let (state, _) = resolve_task(&reducer, &partition, &config.cost_model, task);
+            let deltas: Vec<TaskCheckpoint> = std::mem::take(&mut *deltas.lock().unwrap());
+            let blocks = &schedule.block_order[task];
+            let done: Vec<usize> = deltas.iter().map(|d| d.blocks_done).collect();
+            assert_eq!(done, (1..=blocks.len()).collect::<Vec<_>>(), "task {task}");
+
+            // Per tree, the pairs every block of it but its last compared.
+            let last_of = |tree| blocks.iter().rposition(|b| b.tree == tree);
+            let mut expected: FxHashMap<usize, Vec<(EntityId, EntityId)>> = FxHashMap::default();
+            for delta in &deltas {
+                let at = delta.blocks_done - 1;
+                for (tree, pairs) in &delta.resolved {
+                    assert_eq!(*tree, blocks[at].tree);
+                    if last_of(*tree) != Some(at) {
+                        expected.entry(*tree).or_default().extend(pairs);
+                    }
+                }
+            }
+            for (tree, tree_state) in &state.trees {
+                let mut held: Vec<(EntityId, EntityId)> = tree_state
+                    .resolved
+                    .iter()
+                    .map(|&key| {
+                        let (a, b) = crate::unpack_pair(key);
+                        (tree_state.id(a), tree_state.id(b))
+                    })
+                    .collect();
+                held.sort_unstable();
+                let mut want = expected.remove(tree).unwrap_or_default();
+                want.sort_unstable();
+                assert_eq!(held, want, "task {task}, tree {tree}");
+                if blocks.iter().filter(|b| b.tree == *tree).count() == 1 {
+                    assert!(tree_state.resolved.is_empty(), "tree {tree}");
+                    single_block += 1;
+                }
+                remembered += usize::from(!held.is_empty());
+            }
+            assert!(expected.is_empty(), "task {task}: {expected:?}");
+        }
+        assert!(
+            single_block > 0 && remembered > 0,
+            "{single_block} / {remembered}"
+        );
     }
 
     #[test]
@@ -727,27 +852,10 @@ mod tests {
         let ds = PubGen::new(1_500, 77).generate();
         let config = ErConfig::citeseer(1); // two reduce tasks: trees share them
         let schedule = schedule_for(&ds, &config);
-        let locator = TreeLocator::new(&schedule, config.families.len());
         let sq_to_tree = sq_to_tree(&schedule);
         let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, Stage::default());
-
-        // Task 0's shuffle partition, as the route mapper would fill it.
-        let mut records: Vec<(u64, Routed<'_>)> = Vec::new();
-        for entity in &ds.entities {
-            locator.route(&schedule, &config.families, entity, |tree, list| {
-                if schedule.task_of_tree[tree] == 0 {
-                    records.push((schedule.tree_sq[tree], (entity, list)));
-                }
-            });
-        }
-        let partition = pper_mapreduce::GroupedPartition::from_buckets(vec![records]);
-        let id = TaskId {
-            kind: TaskKind::Reduce,
-            index: 0,
-        };
-        let mut ctx = TaskContext::new(id, config.cost_model.clone());
-        let mut state = reducer.ingest(&partition, &mut ctx);
-        reducer.resolve(&mut state, &mut ctx, &mut Vec::new());
+        let partition = task_partition(&ds, &config, &schedule, 0);
+        let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, 0);
 
         // Every (tree, member) that was compared holds a slot; the task
         // prepared one entity per *distinct* id among them.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pper_datagen::Dataset;
 use pper_mapreduce::{Counters, MrError, ProgressEvent};
-use pper_schedule::{generate_schedule, EstimationContext, Schedule};
+use pper_schedule::{generate_schedule, DomList, EstimationContext, Schedule};
 
 use crate::config::ErConfig;
 use crate::job1::run_job1;
@@ -117,8 +117,11 @@ impl ProgressiveEr {
 
     /// Run both jobs: the statistics job, schedule generation (replicated
     /// in each map task's setup; computed once here and shared, §III-B),
-    /// then the resolution job from its first block.
+    /// then the resolution job from its first block. A configuration with
+    /// more blocking families than a dominance list holds is refused with
+    /// [`MrError::InvalidConfig`] before the statistics job starts.
     pub fn try_run(&self, ds: &Dataset) -> Result<ErRunResult, MrError> {
+        DomList::check_capacity(self.config.families.len())?;
         let job1 = run_job1(ds, &self.config)?;
         let schedule = Arc::new(self.generate_schedule(ds, &job1.stats));
         let job2 = run_job2(ds, &self.config, schedule)?;

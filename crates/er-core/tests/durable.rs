@@ -551,6 +551,50 @@ fn a_resume_on_another_machine_count_is_refused() {
     assert_eq!(store.read("job-mu").unwrap(), killed);
 }
 
+/// More blocking families than a dominance list holds: `try_run` and
+/// `run_durable` refuse the configuration with the typed error before any
+/// task starts or any journal exists, and a resume — which skips job 1 —
+/// is refused by job 2 before anything is appended.
+#[test]
+fn too_many_families_are_refused_before_any_job() {
+    let ds = dataset();
+    let mut er = small_pipeline();
+    while er.config.families.len() <= pper_schedule::MAX_FAMILIES {
+        let extra = er.config.families[0].clone();
+        er.config.families.push(extra);
+    }
+    let started = Arc::new(Mutex::new(0));
+    let seen = Arc::clone(&started);
+    er.config.observer = Some(pper_mapreduce::TaskObserver::new(move |_| {
+        *seen.lock() += 1
+    }));
+    let refused = er.try_run(&ds);
+    assert!(
+        matches!(refused, Err(MrError::InvalidConfig(_))),
+        "{refused:?}"
+    );
+    assert_eq!(*started.lock(), 0, "a task ran");
+
+    let store = MemStore::shared();
+    let refused = run_durable(&er, &ds, &store, "job-wide", &[], &opts(EVERY));
+    assert!(
+        matches!(refused, Err(DurableError::Run(MrError::InvalidConfig(_)))),
+        "{refused:?}"
+    );
+    assert!(store.list_jobs().unwrap().is_empty());
+
+    let (events, bytes) = finished_journal(&small_pipeline(), &ds, "job-wide");
+    let cuts = cut_positions(&events);
+    let killed = &bytes[..events[cuts[cuts.len() / 2] + 1].0 as usize];
+    let store = store_holding("job-wide", killed);
+    let refused = resume_durable(&er, &ds, &store, "job-wide", &opts(EVERY));
+    assert!(
+        matches!(refused, Err(DurableError::Run(MrError::InvalidConfig(_)))),
+        "{refused:?}"
+    );
+    assert_eq!(store.read("job-wide").unwrap(), killed);
+}
+
 /// A log written by format version 1 is refused with the typed error by
 /// every entry point — there is no second reader.
 #[test]

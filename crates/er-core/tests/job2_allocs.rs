@@ -3,7 +3,7 @@
 //!
 //! The resolve loop itself allocates nothing per pair (tree-local indices,
 //! a bitset in PSNM, prepared signatures per entity); what remains is per
-//! entity (routing, dominance lists, preparation) and per block (member and
+//! entity (routing's key buffer, preparation) and per block (member and
 //! sort vectors). Dividing by the pairs compared gives a number that is
 //! exact on any host and moves when someone puts a per-pair `String`,
 //! `Vec` or map node back — the benchmark reports the same ratio as
@@ -19,15 +19,16 @@ use counting_alloc::{allocations, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Measured 1.18 on this dataset (298 441 allocations for 253 917 pairs),
-/// down from 2.46 while the blocking keys were a fresh `String` per
-/// (entity, tree, level) — job 1's signatures and tree splits, job 2's
-/// routing — and from 6.7 with per-pair hash sets and cloned shuffle
-/// values. About two thirds of what remains (≈ 195k) is preparing each
-/// entity's similarity signatures once per reduce task. The ceiling leaves
-/// room for allocator-growth noise of the containers, not for a per-pair
-/// allocation.
-const MAX_ALLOCS_PER_PAIR: f64 = 1.25;
+/// Measured 0.67 on this dataset (170 421 allocations for 253 917 pairs),
+/// down from 1.18 while every routed record carried a heap dominance list
+/// and every `Exact` value was a `String` of its own, from 2.46 while the
+/// blocking keys were a fresh `String` per (entity, tree, level), and from
+/// 6.7 with per-pair hash sets and cloned shuffle values. Two thirds of
+/// what remains (≈ 113k) is preparing each entity's similarity signatures
+/// once per reduce task: the term vector and one buffer per Levenshtein
+/// value. The ceiling leaves room for allocator-growth noise of the
+/// containers, not for a per-pair allocation.
+const MAX_ALLOCS_PER_PAIR: f64 = 0.70;
 
 #[test]
 fn pipeline_allocations_per_compared_pair_stay_under_the_ceiling() {

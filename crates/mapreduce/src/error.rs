@@ -33,6 +33,10 @@ pub enum MrError {
     },
     /// A checkpoint could not be validated or applied during resume.
     Checkpoint(String),
+    /// A pipeline configuration its jobs cannot run, refused before the
+    /// first of them starts (e.g. more blocking families than a dominance
+    /// list holds).
+    InvalidConfig(String),
     /// A runtime bookkeeping invariant was violated (e.g. a task slot left
     /// empty with no recorded error, or a shuffle routing table missing a
     /// key it was built from). Always a bug in this crate, never in user
@@ -73,6 +77,7 @@ impl fmt::Display for MrError {
                 )
             }
             MrError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            MrError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             MrError::Internal(msg) => write!(f, "internal runtime invariant violated: {msg}"),
             MrError::InvalidPartition {
                 job,

@@ -14,7 +14,10 @@
 //! [`TreeLocator::route`] builds every list of an entity in one pass: it
 //! extracts the entity's key at each `(family, level)` where trees are
 //! rooted once, looks it up once, and derives both the trees the entity is
-//! routed to and all their lists from those lookups.
+//! routed to and all their lists from those lookups. A [`DomList`] is a
+//! fixed array, not a vector: it travels inside the routed record, and a
+//! configuration with more than [`MAX_FAMILIES`] families is refused before
+//! any job runs ([`DomList::check_capacity`]).
 //!
 //! At the reduce side, `SHOULD-RESOLVE` compares two entities' lists: a pair
 //! is skipped when a more dominating family's tree owns it (loop over
@@ -24,15 +27,51 @@
 use pper_blocking::{BlockingFamily, FamilyIndex};
 use pper_datagen::Entity;
 use pper_mapreduce::fxhash::{hash_one, FxHashMap};
-use serde::{Deserialize, Serialize};
+use pper_mapreduce::MrError;
 
 use crate::plan::Schedule;
+
+/// The most main blocking functions (families) a [`DomList`] holds: the
+/// paper's three, which every preset uses. The pipeline refuses a
+/// configuration with more before its first job
+/// ([`DomList::check_capacity`]); a list is never truncated.
+pub const MAX_FAMILIES: usize = 3;
 
 /// Dominance list attached to one (entity, tree) emission. Length is the
 /// number of main blocking functions `n`, or `n + 1` when a split sub-tree
 /// below the tree contains the entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DomList(pub Vec<u64>);
+///
+/// The positions live in the list itself — a fixed array of
+/// [`MAX_FAMILIES`]` + 1` values, zero past the length — so routing an
+/// entity allocates nothing and `SHOULD-RESOLVE` reads the shuffled record
+/// it was shipped in. The capacity is what keeps that record small: each
+/// family more would add 8 bytes to every routed record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DomList {
+    doms: [u64; MAX_FAMILIES + 1],
+    len: u8,
+}
+
+impl DomList {
+    /// Refuse a configuration of `families` main blocking functions when a
+    /// list cannot hold a position for each of them plus the split slot.
+    pub fn check_capacity(families: usize) -> Result<(), MrError> {
+        if families <= MAX_FAMILIES {
+            Ok(())
+        } else {
+            Err(MrError::InvalidConfig(format!(
+                "{families} blocking families; a dominance list holds at most {MAX_FAMILIES}"
+            )))
+        }
+    }
+
+    /// Append a position. Routing never pushes past `n + 1` for a
+    /// configuration [`check_capacity`](Self::check_capacity) accepted.
+    fn push(&mut self, dom: u64) {
+        self.doms[usize::from(self.len)] = dom;
+        self.len += 1;
+    }
+}
 
 /// High bit marking sentinel values for entities whose root block of some
 /// family was eliminated (singleton blocks form no tree). Two entities can
@@ -86,6 +125,10 @@ impl TreeLocator {
     /// * position `n` holds `Dom` of the next tree of the same family at a
     ///   deeper level — the highest split sub-tree below the emitted one —
     ///   when there is one.
+    ///
+    /// # Panics
+    /// Panics if `families` has more than [`MAX_FAMILIES`] entries, which
+    /// [`DomList::check_capacity`] refuses before any job runs.
     pub fn route(
         &self,
         schedule: &Schedule,
@@ -94,10 +137,10 @@ impl TreeLocator {
         mut emit: impl FnMut(usize, DomList),
     ) {
         let mut key = String::new();
-        // `Dom` of each family's root tree, or the sentinel of its key.
-        let mut roots = Vec::with_capacity(families.len());
-        // `(family, tree)` of every tree holding the entity, in order.
-        let mut hits: Vec<(FamilyIndex, usize)> = Vec::new();
+        // `Dom` of each family's root tree, or the sentinel of its key, and
+        // the root tree itself where there is one.
+        let mut roots = DomList::default();
+        let mut root_trees = [None; MAX_FAMILIES];
         for (f, (family, levels)) in families.iter().zip(&self.roots).enumerate() {
             key.clear();
             family.levels[0].key_into(entity, &mut key);
@@ -106,24 +149,36 @@ impl TreeLocator {
                 .filter(|(level, _)| *level == 0)
                 .and_then(|(_, by_key)| by_key.get(key.as_str()).copied());
             roots.push(root.map_or_else(|| sentinel(f, &key), |t| schedule.dom[t]));
-            hits.extend(root.map(|t| (f, t)));
+            root_trees[f] = root;
+        }
+        let list = |f: FamilyIndex, tree: usize, below: Option<usize>| {
+            let mut list = roots;
+            list.doms[f] = schedule.dom[tree];
+            if let Some(below) = below {
+                list.push(schedule.dom[below]);
+            }
+            list
+        };
+        for (f, (family, levels)) in families.iter().zip(&self.roots).enumerate() {
+            // A tree is emitted once the next deeper one holding the entity,
+            // its split slot, is known.
+            let mut pending = root_trees[f];
             for (level, by_key) in levels {
                 if *level == 0 || *level >= family.depth() {
                     continue;
                 }
                 key.clear();
                 family.levels[*level].key_into(entity, &mut key);
-                hits.extend(by_key.get(key.as_str()).map(|&t| (f, t)));
+                if let Some(&below) = by_key.get(key.as_str()) {
+                    if let Some(tree) = pending {
+                        emit(tree, list(f, tree, Some(below)));
+                    }
+                    pending = Some(below);
+                }
             }
-        }
-        for (at, &(f, tree)) in hits.iter().enumerate() {
-            let mut list = Vec::with_capacity(roots.len() + 1);
-            list.extend_from_slice(&roots);
-            list[f] = schedule.dom[tree];
-            if let Some(&(_, below)) = hits.get(at + 1).filter(|(g, _)| *g == f) {
-                list.push(schedule.dom[below]);
+            if let Some(tree) = pending {
+                emit(tree, list(f, tree, None));
             }
-            emit(tree, DomList(list));
         }
     }
 }
@@ -137,15 +192,11 @@ impl TreeLocator {
 ///   if both entities fall into the same split sub-tree, it resolves the
 ///   pair fully itself: skip.
 pub fn should_resolve(a: &DomList, b: &DomList, family: FamilyIndex, n_families: usize) -> bool {
-    for m in 0..family {
-        if a.0[m] == b.0[m] {
-            return false;
-        }
-    }
-    if a.0.len() > n_families && b.0.len() > n_families && a.0[n_families] == b.0[n_families] {
+    if (0..family).any(|m| a.doms[m] == b.doms[m]) {
         return false;
     }
-    true
+    let split = usize::from(a.len) > n_families && usize::from(b.len) > n_families;
+    !(split && a.doms[n_families] == b.doms[n_families])
 }
 
 #[cfg(test)]
@@ -197,6 +248,20 @@ mod tests {
         found
             .map(|(_, list)| list)
             .expect("the tree holds the entity")
+    }
+
+    /// The list of `positions`, as the brute-force test writes its
+    /// expectations.
+    #[expect(
+        non_snake_case,
+        reason = "named like the constructor the expected lists are spelled with"
+    )]
+    fn DomList(positions: Vec<u64>) -> DomList {
+        let mut list = DomList::default();
+        for dom in positions {
+            list.push(dom);
+        }
+        list
     }
 
     fn toy_schedule() -> (Schedule, Vec<BlockingFamily>, pper_datagen::Dataset) {
@@ -405,7 +470,8 @@ mod tests {
         let sa = list_for(&locator, &schedule, &families, ds.entity(a), split_tree);
         let sb = list_for(&locator, &schedule, &families, ds.entity(b), split_tree);
         // The split tree resolves it unless an even deeper split owns it.
-        let deeper_owns = sa.0.len() > n && sb.0.len() > n && sa.0[n] == sb.0[n];
+        let (la, lb) = (usize::from(sa.len), usize::from(sb.len));
+        let deeper_owns = la > n && lb > n && sa.doms[n] == sb.doms[n];
         assert!(
             should_resolve(&sa, &sb, family, n) || deeper_owns,
             "split tree (or a deeper split) must own the pair"
@@ -526,6 +592,22 @@ mod tests {
         let locator = TreeLocator::new(&schedule, families.len());
         let tree = trees_of(&locator, &schedule, &families, ds.entity(0))[0];
         let list = list_for(&locator, &schedule, &families, ds.entity(0), tree);
-        assert!(list.0.len() == families.len() || list.0.len() == families.len() + 1);
+        let len = usize::from(list.len);
+        assert!(len == families.len() || len == families.len() + 1);
+    }
+
+    #[test]
+    fn the_presets_fit_and_one_family_more_is_refused() {
+        // The presets are at capacity: the brute-force test above routes
+        // their lists of n + 1 positions whole.
+        for families in [presets::citeseer_families(), presets::books_families()] {
+            assert_eq!(families.len(), MAX_FAMILIES);
+            assert!(DomList::check_capacity(families.len()).is_ok());
+        }
+        let refused = DomList::check_capacity(MAX_FAMILIES + 1);
+        assert!(
+            matches!(refused, Err(MrError::InvalidConfig(_))),
+            "{refused:?}"
+        );
     }
 }

@@ -68,7 +68,7 @@ pub mod generate;
 pub mod plan;
 pub mod probmodel;
 
-pub use dominance::{should_resolve, DomList, TreeLocator};
+pub use dominance::{should_resolve, DomList, TreeLocator, MAX_FAMILIES};
 pub use estimate::{recompute_tree, EstimationContext};
 pub use generate::{generate_schedule, CostVectorSpec, ScheduleConfig, TreeScheduler, Weighting};
 pub use plan::{PlanNode, PlanTree, Schedule};

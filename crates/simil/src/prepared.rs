@@ -10,7 +10,10 @@
 //! * [`PreparedEntity`] — per rule term, the signature that term's kernel
 //!   consumes: a Levenshtein value (any `max_chars` cap pre-applied) in one
 //!   of two representations with its character-class histogram (below), or
-//!   the raw value for `Exact`.
+//!   the value's bytes for `Exact` — inside the term itself up to 23 bytes
+//!   (`ExactText::Inline`, which covers a categorical attribute such as a
+//!   year, a page count, a language or a format), so an `Exact` term's
+//!   comparison follows no pointer; only a longer value is on the heap.
 //! * [`PreparedRule`] — scores/matches two [`PreparedEntity`]s using a
 //!   reusable [`SimScratch`] (DP row, Myers character-class table), so the
 //!   per-pair path performs **zero heap allocation** after scratch buffers
@@ -181,6 +184,39 @@ pub(crate) fn levenshtein_sim(d: usize, max_len: usize) -> f64 {
     1.0 - d as f64 / max_len as f64
 }
 
+/// Bytes an `Exact` value keeps inside its term ([`ExactText::Inline`]).
+const INLINE_EXACT: usize = 23;
+
+/// An `Exact` value's bytes, in one of two representations chosen by length
+/// alone: a value of at most [`INLINE_EXACT`] bytes is always `Inline`, a
+/// longer one always `Heap`. So two values are equal exactly when their
+/// representations are (the derived `==`): values of different
+/// representations differ in length, and an inline buffer is zero past its
+/// value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ExactText {
+    /// The value in the term itself, zero-padded: comparing two reads no
+    /// pointer.
+    Inline { len: u8, bytes: [u8; INLINE_EXACT] },
+    /// A longer value.
+    Heap(Box<[u8]>),
+}
+
+impl ExactText {
+    fn new(value: &str) -> Self {
+        let value = value.as_bytes();
+        if value.len() > INLINE_EXACT {
+            return ExactText::Heap(value.into());
+        }
+        let mut bytes = [0; INLINE_EXACT];
+        bytes[..value.len()].copy_from_slice(value);
+        ExactText::Inline {
+            len: value.len() as u8,
+            bytes,
+        }
+    }
+}
+
 /// One rule term's precomputed signature for one entity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum PreparedAttr {
@@ -191,8 +227,8 @@ pub(crate) enum PreparedAttr {
     /// Levenshtein value (cap pre-applied) with its character-class
     /// histogram.
     Lev(LevSig),
-    /// The raw value (`Exact`).
-    Raw(String),
+    /// The value's bytes (`Exact`).
+    Raw(ExactText),
 }
 
 /// All of one entity's per-term signatures for one [`PreparedRule`]
@@ -289,7 +325,7 @@ impl PreparedRule {
                         };
                         PreparedAttr::Lev(LevSig::new(capped))
                     }
-                    AttributeSim::Exact => PreparedAttr::Raw(v.to_string()),
+                    AttributeSim::Exact => PreparedAttr::Raw(ExactText::new(v)),
                 }
             })
             .collect();
@@ -775,6 +811,66 @@ mod tests {
             let (decision, scans) = decide_counting(&rule, &BOOK, &other);
             assert!(decision, "{other:?}");
             assert!(scans <= 4, "{scans} scans for 4 Levenshtein terms");
+        }
+    }
+
+    #[test]
+    fn exact_values_sit_inline_up_to_the_capacity_and_decide_as_strings() {
+        let rule = MatchRule::new(vec![WeightedAttr::new(0, 1.0, AttributeSim::Exact)], 1.0);
+        let pr = PreparedRule::new(rule.clone());
+        let term = |value: &str| pr.prepare(&[value]).terms.remove(0);
+        let a = |n: usize| "a".repeat(n);
+        let cap = INLINE_EXACT;
+        // `é` is two bytes: after `cap - 1` others it straddles the boundary.
+        let straddling = format!("{}é", a(cap - 1));
+        for (value, inline) in [
+            (a(1), true),
+            (a(cap - 1), true),
+            (a(cap), true),
+            (a(cap + 1), false),
+            (straddling.clone(), false),
+        ] {
+            let kept = match term(&value) {
+                PreparedAttr::Raw(ExactText::Inline { len, bytes }) => {
+                    assert!(inline, "{value:?} inline");
+                    bytes[..usize::from(len)].to_vec()
+                }
+                PreparedAttr::Raw(ExactText::Heap(bytes)) => {
+                    assert!(!inline, "{value:?} on the heap");
+                    bytes.to_vec()
+                }
+                other => panic!("{value:?}: {other:?}"),
+            };
+            assert_eq!(kept, value.as_bytes());
+        }
+        assert_eq!(term(""), PreparedAttr::Missing);
+
+        let mut scratch = SimScratch::new();
+        let pairs = [
+            (a(cap), a(cap)),
+            (a(cap), a(cap - 1)),
+            (a(cap), a(cap + 1)),
+            (a(cap + 1), a(cap + 1)),
+            (a(cap - 1), a(cap - 1)),
+            // Equal up to the capacity, different past it.
+            (format!("{}b", a(cap)), format!("{}c", a(cap))),
+            (format!("{}bb", a(cap)), format!("{}b", a(cap))),
+            (straddling.clone(), straddling.clone()),
+            (straddling.clone(), format!("{}è", a(cap - 1))),
+            (straddling.clone(), format!("{}e", a(cap - 1))),
+            (a(cap), String::new()),
+            (String::new(), String::new()),
+        ];
+        for (x, y) in pairs {
+            let (x, y) = (vec![x], vec![y]);
+            let (px, py) = (pr.prepare(&x), pr.prepare(&y));
+            assert_eq!(
+                pr.score(&px, &py, &mut scratch).to_bits(),
+                rule.score(&x, &y).to_bits(),
+                "{x:?} / {y:?}"
+            );
+            assert_eq!(pr.matches(&px, &py, &mut scratch), rule.matches(&x, &y));
+            assert_eq!(pr.matches(&py, &px, &mut scratch), rule.matches(&y, &x));
         }
     }
 

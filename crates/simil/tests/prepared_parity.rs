@@ -312,6 +312,45 @@ proptest! {
     }
 }
 
+/// `Exact` values of every byte length from empty to twice the 23 bytes a
+/// prepared value keeps inline (a longer one goes to the heap), each against
+/// itself, itself one byte longer, itself with one byte changed at every
+/// position, and itself with a two-, three- or four-byte character put in
+/// at every position — so some of them straddle the capacity. The
+/// Levenshtein term is equal, so the `Exact` term decides the pair.
+#[test]
+fn exact_values_on_both_sides_of_the_inline_capacity() {
+    let rule = MatchRule::new(
+        vec![
+            WeightedAttr::new(0, 0.5, AttributeSim::Exact),
+            WeightedAttr::new(1, 0.5, AttributeSim::Levenshtein { max_chars: None }),
+        ],
+        0.75,
+    );
+    for len in 0..=46 {
+        let value: String = "abcdefghij".chars().cycle().take(len).collect();
+        let mut others = vec![value.clone(), format!("{value}k")];
+        for at in 0..=len {
+            if at < len {
+                let mut changed = value.clone().into_bytes();
+                changed[at] = b'z';
+                others.push(String::from_utf8(changed).unwrap());
+            }
+            for wide in ["é", "€", "😀"] {
+                let mut with = value.clone();
+                with.insert_str(at, wide);
+                others.push(with);
+            }
+        }
+        let a = vec![value, "pq".to_string()];
+        for other in others {
+            let b = vec![other, "pq".to_string()];
+            assert_parity(&rule, &a, &b);
+            assert_parity(&rule, &b, &a);
+        }
+    }
+}
+
 /// Thresholds sitting exactly on reachable score values: with no margin
 /// in `matches`, equality is the edge case.
 #[test]
