@@ -21,7 +21,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pper_datagen::{BookGen, Dataset, PubGen};
+use pper_blocking::{BlockingFamily, PrefixFunction};
+use pper_datagen::{BookGen, Dataset, Entity, GroundTruth, PubGen};
 use pper_er::prelude::*;
 use pper_journal::{recover, JournalState, MemStore};
 
@@ -127,7 +128,8 @@ fn basic_full_is_brute_force_over_co_blocked_pairs(ds: &Dataset, config: ErConfi
     assert_eq!(run.duplicates, expected);
 }
 
-/// ROADMAP 5(a), checks (i) and (ii) against `co_blocked`.
+/// Job 2's resolution against `co_blocked`: (ii) redundancy-free under the
+/// paper's windows, (i) also complete with root windows that span the data.
 fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
     let co_blocked = co_blocked(ds, &config);
     let what = format!("{} at μ = {}", ds.name, config.machines);
@@ -192,6 +194,57 @@ fn basic_full_matches_brute_force_under_the_string_rule() {
     basic_full_is_brute_force_over_co_blocked_pairs(&pubs, ErConfig::citeseer(2));
     let books = BookGen::new(400, 208).generate();
     basic_full_is_brute_force_over_co_blocked_pairs(&books, ErConfig::books(2));
+}
+
+#[test]
+fn basic_full_matches_brute_force_on_keys_shared_across_families() {
+    // Every attribute holds one value, so Y and Z, cutting it at the same
+    // length, share every key and only the family index tells their blocks
+    // apart. X cuts at 30 chars, so its keys are longer than Basic keeps
+    // inline. The stems are `ids_collide_exactly_where_keys_do`'s: keys that
+    // differ only in case or go through non-ASCII lowercasing.
+    let stems = [
+        "İstanbul",
+        "istanbul",
+        "ISTANBUL",
+        "ΟΔΟΣ",
+        "ΟΔΟΣΑ",
+        "οδος",
+        "οδοσ",
+        "straße",
+        "STRASSE",
+        "Data",
+        "DATA",
+        "data",
+    ];
+    let tails = [
+        "",
+        " and the long and winding road home",
+        " by the sea, by the sea, by the beautiful sea",
+    ];
+    let values: Vec<String> = stems
+        .iter()
+        .flat_map(|stem| tails.iter().map(move |tail| format!("{stem}{tail}")))
+        .flat_map(|value| (0..4).map(move |copy| format!("{value} {copy}")))
+        .collect();
+    let entities: Vec<Entity> = values
+        .iter()
+        .enumerate()
+        .map(|(id, value)| Entity::new(id as u32, vec![value.clone(); 3]))
+        .collect();
+    let truth = GroundTruth::new((0..entities.len() as u32).map(|id| id / 4).collect());
+    let schema = ["a", "b", "c"].map(String::from).to_vec();
+    let ds = Dataset::new("shared keys", schema, entities, truth);
+
+    let mut config = ErConfig::citeseer(3);
+    config.families = [(0, 30), (1, 4), (2, 4)]
+        .iter()
+        .zip(["X", "Y", "Z"])
+        .map(|(&(attr, chars), name)| {
+            BlockingFamily::new(name, vec![PrefixFunction::new(attr, chars)])
+        })
+        .collect();
+    basic_full_is_brute_force_over_co_blocked_pairs(&ds, config);
 }
 
 #[test]
