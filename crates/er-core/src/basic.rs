@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{ErConfig, MechanismKind};
 use crate::pipeline::ErRunResult;
-use crate::{memo_slot, BlockTally, EVENT_DUPLICATE, NO_SLOT};
+use crate::{memo_slot, BlockTally, NO_SLOT};
 
 /// Basic-baseline knobs (§VI-B1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -247,17 +247,18 @@ struct TaskScratch {
 impl<'a> PartitionReducer for BasicReducer<'a> {
     type Key = BasicKey;
     type Value = &'a Entity;
-    type Output = (EntityId, EntityId);
+    /// A duplicate is recorded once, as the task's progress event.
+    type Output = ();
 
     fn reduce_partition(
         &self,
         partition: &pper_mapreduce::GroupedPartition<BasicKey, &'a Entity>,
         ctx: &mut TaskContext,
-        out: &mut Vec<(EntityId, EntityId)>,
+        _: &mut Vec<()>,
     ) {
         let mut task = TaskScratch::default();
         for (key, values) in partition.iter() {
-            self.reduce_block(key, values, ctx, out, &mut task);
+            self.reduce_block(key, values, ctx, &mut task);
         }
     }
 }
@@ -290,7 +291,6 @@ impl BasicReducer<'_> {
         (key, f): &BasicKey,
         values: &[&Entity],
         ctx: &mut TaskContext,
-        out: &mut Vec<(EntityId, EntityId)>,
         task: &mut TaskScratch,
     ) {
         if values.len() < 2 {
@@ -337,8 +337,7 @@ impl BasicReducer<'_> {
             run.feedback(is_dup);
             if is_dup {
                 tally.duplicates += 1;
-                ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
-                out.push((ea.id.min(eb.id), ea.id.max(eb.id)));
+                ctx.log_event(crate::pack_pair(ea.id, eb.id));
             }
             if stop.observe(is_dup) {
                 ctx.counters.incr("blocks_stopped_early");
@@ -382,14 +381,10 @@ impl BasicApproach {
         let entities: Vec<&Entity> = ds.entities.iter().collect();
         let result = run_job(&cfg, &mapper, &reducer, &entities)?;
 
-        let mut duplicates = result.outputs;
-        duplicates.sort_unstable();
-        duplicates.dedup();
-
         Ok(ErRunResult::from_timeline(
             ds,
             &result.timeline,
-            duplicates,
+            crate::duplicates_of(&result.timeline),
             result.total_virtual_cost,
             cfg.cost_model.job_startup + result.map_phase.makespan,
             result.counters,

@@ -11,7 +11,7 @@
 //! and duplicates found since its previous cut — which is appended as a
 //! `CheckpointCut` record before the task moves on. That grid is the one α
 //! grid of the pipeline: §III-B's per-task α-incremental result files, made
-//! the unit of recovery (see [`crate::checkpoint`]). Every task
+//! the unit of recovery (see [`crate::job2`], "Durable execution"). Every task
 //! completion (with its attempt history) and every attempt-budget
 //! exhaustion is journaled through the runtime's [`TaskObserver`] hook. A
 //! healthy run executes each job exactly once and its counters are the
@@ -32,11 +32,11 @@
 //! but the journal (plus the dataset file named in the `JobStarted`
 //! parameters, which also pin its entity count and content hash — a resume
 //! against another dataset is refused): [`JournalState`] folds each task's
-//! deltas in `seq` order, [`journaled_checkpoint`] turns the fold into a
-//! [`Checkpoint`] (a task with no cut starts from scratch; with no schedule
-//! journaled the deterministic early stages re-run), and one more resolution
-//! stage resumes it — still cutting in-line, so a resumed run can be killed
-//! and resumed again — to the bit-identical final result: same duplicates,
+//! deltas in `seq` order, and one more resolution stage resumes that fold
+//! against the journaled schedule (a task with no cut starts from scratch;
+//! with no schedule journaled the deterministic early stages re-run) —
+//! still cutting in-line, so a resumed run can be killed and resumed again
+//! — to the bit-identical final result: same duplicates,
 //! curve, timeline, and total virtual cost as the uninterrupted run. A
 //! task's deltas depend only on its own deterministic execution, so a
 //! retried or discarded attempt re-emits records its dead predecessor
@@ -55,14 +55,13 @@ use parking_lot::Mutex;
 use pper_datagen::Dataset;
 use pper_journal::{
     recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
-    TaskClass,
+    TaskClass, TaskProgress,
 };
 use pper_mapreduce::fxhash::FxHasher;
 use pper_mapreduce::{Counters, MrError, TaskEvent, TaskKind, TaskObserver};
 use pper_schedule::{DomList, Schedule};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::job1::run_job1;
 use crate::job2::{run_job2_stage, CutSink, Stage};
 use crate::pipeline::{ErRunResult, ProgressiveEr};
@@ -203,15 +202,16 @@ struct Shared {
     io_error: Mutex<Option<JournalError>>,
     /// Exhausted tasks seen by the observer, drained on stage failure.
     exhausted: Mutex<Vec<ExhaustedTask>>,
-    /// Next dead-letter sequence number.
-    next_dlq_seq: Mutex<u32>,
+    /// Next dead-letter sequence number; past `u32::MAX` the sequence is
+    /// exhausted.
+    next_dlq_seq: Mutex<u64>,
     /// Per reduce task of the resolution job: the `seq` of the next
     /// checkpoint cut the journal does not hold yet.
     next_cut_seq: Mutex<Vec<u32>>,
 }
 
 impl Shared {
-    fn new(journal: JobJournal, next_dlq_seq: u32) -> Arc<Self> {
+    fn new(journal: JobJournal, next_dlq_seq: u64) -> Arc<Self> {
         Arc::new(Self {
             journal: Mutex::new(journal),
             io_error: Mutex::new(None),
@@ -248,30 +248,21 @@ impl Shared {
         }
     }
 
-    /// The cut sink: journal a reduce task's delta before the task moves
-    /// on. Only the record next in line for its task is appended — an
-    /// attempt re-running after its predecessor died re-emits what that one
-    /// already wrote, and after a failed append nothing of the task may
-    /// follow the gap.
-    fn cut(&self, seq: u32, delta: TaskCheckpoint) {
-        let mut next = self.next_cut_seq.lock();
-        if next.get(delta.task) != Some(&seq) {
+    /// The cut sink: journal a reduce task's `CheckpointCut` record before
+    /// the task moves on. Only the record next in line for its task is
+    /// appended — an attempt re-running after its predecessor died re-emits
+    /// what that one already wrote, and after a failed append nothing of the
+    /// task may follow the gap.
+    fn cut(&self, event: JournalEvent) {
+        let JournalEvent::CheckpointCut { task, seq, .. } = event else {
             return;
-        }
-        let event = JournalEvent::CheckpointCut {
-            task: delta.task as u32,
-            seq,
-            blocks_done: delta.blocks_done as u64,
-            clock: delta.clock,
-            resolved: delta
-                .resolved
-                .into_iter()
-                .map(|(tree, pairs)| (tree as u32, pairs))
-                .collect(),
-            duplicates: delta.duplicates,
+        };
+        let mut next = self.next_cut_seq.lock();
+        let Some(next) = next.get_mut(task as usize).filter(|next| **next == seq) else {
+            return;
         };
         if self.append_from_callback(&event) {
-            next[delta.task] += 1;
+            *next += 1;
         }
     }
 }
@@ -381,7 +372,11 @@ fn finish_stage<T>(
             for ex in captured {
                 let seq = {
                     let mut s = shared.next_dlq_seq.lock();
-                    let seq = *s;
+                    let seq = u32::try_from(*s).map_err(|_| {
+                        JournalError::BadState(format!(
+                            "job '{job_id}' has used every dead-letter sequence number"
+                        ))
+                    })?;
                     *s += 1;
                     seq
                 };
@@ -414,58 +409,40 @@ fn finish_stage<T>(
     }
 }
 
-/// The [`Checkpoint`] a job's journal holds: the schedule as journaled and,
-/// per reduce task, the fold of its checkpoint cuts (pairs sorted, as a
-/// checkpoint stores them; a task with no cut is at block zero). `None`
-/// before the schedule was journaled — there is nothing to resume yet.
-///
-/// Taken from the journal up to and including any cut record, the entry for
-/// the record's task stands at that record's watermark and clock and holds
-/// every pair and duplicate the task's records up to it handed over.
-///
-/// The checkpoint's machine count is the one the `JobStarted` parameters
-/// record — a checkpoint resumes only on the cluster it was cut on — or, in
-/// a journal from before they recorded it, `machines`.
-pub fn journaled_checkpoint(
-    state: &JournalState,
-    machines: usize,
-) -> Result<Option<Checkpoint>, MrError> {
+/// What a resume starts the resolution job from: the schedule and the
+/// statistics job's cost as journaled, and the journal's fold of each
+/// task's checkpoint cuts.
+struct Resume<'s> {
+    schedule: Schedule,
+    job1_cost: f64,
+    tasks: &'s [TaskProgress],
+}
+
+/// The [`Resume`] a job's journal holds, or `None` before the schedule was
+/// journaled — there is nothing to resume yet. The cuts are tied to the
+/// machine count the `JobStarted` parameters record (the wave layout decides
+/// the global timeline): a resume configured for another one is refused. A
+/// journal from before that parameter was recorded is taken at `machines`.
+fn journaled_resume(state: &JournalState, machines: usize) -> Result<Option<Resume<'_>>, MrError> {
     let (Some(json), Some(job1_cost)) = (&state.schedule_json, state.job1_cost) else {
         return Ok(None);
     };
-    let machines = match state.param("machines") {
-        Some(m) => m
+    if let Some(m) = state.param("machines") {
+        let cut_on: usize = m
             .parse()
-            .map_err(|_| MrError::Checkpoint(format!("journaled machines '{m}' is not a count")))?,
-        None => machines,
-    };
+            .map_err(|_| MrError::Checkpoint(format!("journaled machines '{m}' is not a count")))?;
+        if cut_on != machines {
+            return Err(MrError::Checkpoint(format!(
+                "checkpoint was cut on {cut_on} machines but resume is configured for {machines}"
+            )));
+        }
+    }
     let schedule: Schedule = serde_json::from_str(json)
         .map_err(|e| MrError::Checkpoint(format!("journaled schedule: {e}")))?;
-    let tasks = state
-        .tasks
-        .iter()
-        .enumerate()
-        .map(|(task, progress)| TaskCheckpoint {
-            task,
-            blocks_done: progress.blocks_done as usize,
-            clock: progress.clock,
-            resolved: progress
-                .resolved
-                .iter()
-                .map(|(tree, pairs)| {
-                    let mut pairs = pairs.clone();
-                    pairs.sort_unstable();
-                    (*tree as usize, pairs)
-                })
-                .collect(),
-            duplicates: progress.duplicates.clone(),
-        })
-        .collect();
-    Ok(Some(Checkpoint {
+    Ok(Some(Resume {
         schedule,
         job1_cost,
-        machines,
-        tasks,
+        tasks: &state.tasks,
     }))
 }
 
@@ -473,9 +450,9 @@ pub fn journaled_checkpoint(
 /// this process's stretch of the log (`JobStarted`, or the `DlqDrained`
 /// records of a reprocess), then the stages run.
 ///
-/// `resume` is the checkpoint the journal holds and, per task, how many cut
-/// records went into it; `None` starts from the statistics job. The `er`
-/// passed here must already have the journaling observer installed.
+/// `resume` is what the journal holds to resume from; `None` starts from
+/// the statistics job. The `er` passed here must already have the
+/// journaling observer installed.
 ///
 /// Once a durable entry point has a journal to append to, every exit is
 /// this function's, and it syncs on all of them: a result, and an error a
@@ -488,7 +465,7 @@ fn drive(
     shared: &Arc<Shared>,
     every: f64,
     first: &[JournalEvent],
-    resume: Option<(Checkpoint, Vec<u32>)>,
+    resume: Option<Resume<'_>>,
 ) -> Result<ErRunResult, DurableError> {
     let outcome = first
         .iter()
@@ -504,12 +481,12 @@ fn run_jobs(
     job_id: &str,
     shared: &Arc<Shared>,
     every: f64,
-    resume: Option<(Checkpoint, Vec<u32>)>,
+    resume: Option<Resume<'_>>,
 ) -> Result<ErRunResult, DurableError> {
     let config = &er.config;
     let fresh;
-    let (schedule, job1_cost, job1_counters, first_seq) = match &resume {
-        Some((cp, cuts)) => (&cp.schedule, cp.job1_cost, Counters::new(), cuts.clone()),
+    let (schedule, job1_cost, job1_counters) = match &resume {
+        Some(resume) => (&resume.schedule, resume.job1_cost, Counters::new()),
         None => {
             // ---- Statistics job ---------------------------------------
             let job1 = finish_stage(shared, job_id, ds, "job1-blocking", run_job1(ds, config))?;
@@ -528,21 +505,20 @@ fn run_jobs(
             // are deltas against this schedule, and from now on a crash
             // must cost a budget of them, not the statistics job again.
             shared.sync()?;
-            let first_seq = vec![0; fresh.num_tasks];
-            (&fresh, job1.virtual_cost, job1.counters, first_seq)
+            (&fresh, job1.virtual_cost, job1.counters)
         }
     };
 
     // ---- Resolution job: one pass, cutting checkpoints in-line ---------
-    *shared.next_cut_seq.lock() = first_seq.clone();
-    let emit = |seq, delta| shared.cut(seq, delta);
-    let sink = CutSink {
-        every,
-        first_seq: &first_seq,
-        emit: &emit,
+    // Each task's next cut carries the `seq` after those the fold holds.
+    *shared.next_cut_seq.lock() = match &resume {
+        Some(resume) => resume.tasks.iter().map(|task| task.cuts).collect(),
+        None => vec![0; schedule.num_tasks],
     };
+    let emit = |event| shared.cut(event);
+    let sink = CutSink { every, emit: &emit };
     let stage = Stage {
-        resume: resume.as_ref().map(|(cp, _)| cp),
+        resume: resume.as_ref().map(|resume| resume.tasks),
         cuts: Some(&sink),
     };
     let outcome = run_job2_stage(ds, config, schedule, stage);
@@ -704,8 +680,7 @@ fn redrive(
         }
     }
     let every = grid_spacing(&state, opts)?;
-    let resume = journaled_checkpoint(&state, er.config.machines)?
-        .map(|cp| (cp, state.tasks.iter().map(|task| task.cuts).collect()));
+    let resume = journaled_resume(&state, er.config.machines)?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, state.next_dlq_seq);

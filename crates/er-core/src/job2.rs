@@ -16,15 +16,14 @@
 //!   fires — skipping pairs another tree is responsible for
 //!   (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
 //!   blocks (a tree's last block records none: no later block of the tree
-//!   reads them). Root blocks resolve fully. The task outputs each
-//!   duplicate as an `(a, b)` id pair, `a < b`, as Basic's reducer does;
-//!   the paper's per-α result files (§III-B) are the durable runner's
-//!   checkpoint cuts (`cuts` below, every `checkpoint_every` cost units).
-//!   Inside a task every entity goes by its *tree-local index* (its
-//!   position in the tree's id-sorted member vector): the mechanism,
-//!   `SHOULD-RESOLVE`, the resolved-pair set and the prepared signatures
-//!   are all reached by position, and global ids reappear only in
-//!   duplicate events, result records and checkpoints.
+//!   reads them). Root blocks resolve fully. The task records each
+//!   duplicate once, as a progress event carrying the packed id pair, as
+//!   Basic's reducer does; the job outputs nothing else, and its duplicate
+//!   list is the timeline's. Inside a task every entity goes by its
+//!   *tree-local index* (its position in the tree's id-sorted member
+//!   vector): the mechanism, `SHOULD-RESOLVE`, the resolved-pair set and the
+//!   prepared signatures are all reached by position, and global ids
+//!   reappear only in duplicate events and checkpoint cuts.
 //!
 //! ## Durable execution
 //!
@@ -34,28 +33,38 @@
 //!
 //! * **`cuts`**, a [`CutSink`]: the job runs to its end, and whenever a
 //!   task finishes a block with its clock past the next grid line (and once
-//!   more at its last block) it hands the sink a *delta* — blocks done, the
+//!   more at its last block) it hands the sink a journal
+//!   [`JournalEvent::CheckpointCut`] record, a *delta* — blocks done, the
 //!   clock, and the pairs compared and duplicates found since its previous
-//!   cut. A task's deltas are numbered 0, 1, 2, … and depend on nothing but
-//!   the task's own deterministic execution, so a retried attempt, a
+//!   cut. A task's records are numbered 0, 1, 2, … and depend on nothing
+//!   but the task's own deterministic execution, so a retried attempt, a
 //!   resumed task and the uninterrupted run all emit the same records.
 //!   Without a sink the resolve loop tracks nothing.
-//! * **`resume`**, the [`Checkpoint`] the journal's deltas fold to (see
-//!   [`crate::checkpoint`]): each task replays its recorded duplicates at
+//! * **`resume`**, the journal's fold of those records, one
+//!   [`TaskProgress`] per task: each task replays its recorded duplicates at
 //!   their original virtual costs, restores its resolved-pair sets,
 //!   continues its clock from the checkpointed watermark, and resolves only
-//!   the remaining blocks; a task the checkpoint holds no completed block of
+//!   the remaining blocks; a task the fold holds no completed block of
 //!   starts from scratch.
+//!
+//! The grid, `checkpoint_every` cost units on each task's own clock, is the
+//! paper's α (§III-B: a reduce task outputs its results "to a different
+//! file every α units of cost"), and a cut's duplicates are that file: the
+//! task's duplicate events logged since its previous cut, at the task-local
+//! costs they were logged at.
 //!
 //! [`run_job2`] is the stage with neither. Because execution is
 //! deterministic, a resumed job reproduces the uninterrupted run's
-//! duplicate set and timeline bit for bit.
+//! duplicate set and timeline bit for bit (`tests/durable.rs`, and
+//! `tests/resume_process.rs` across processes).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pper_blocking::forest::EntityLookup;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
+use pper_journal::{JournalEvent, TaskProgress};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_mapreduce::runtime::run_job_with_partitioner;
@@ -63,9 +72,8 @@ use pper_progressive::{LevelPolicy, PairSource, StopState};
 use pper_schedule::{should_resolve, DomList, Schedule, TreeLocator};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
-use crate::checkpoint::{Checkpoint, TaskCheckpoint};
 use crate::config::ErConfig;
-use crate::{memo_slot, BlockTally, EVENT_DUPLICATE, NO_SLOT};
+use crate::{memo_slot, BlockTally, NO_SLOT};
 
 /// Map output value: the dataset's own entity (borrowed — routing an entity
 /// to its trees copies a pointer) and its dominance list for the target
@@ -105,7 +113,7 @@ impl<'d> Mapper for RouteMapper<'d> {
 /// loop works on these *tree-local indices* throughout — the mechanism is
 /// started on them and every per-pair access is a slice index — and converts
 /// to global [`EntityId`]s only where something leaves the task: duplicate
-/// events, result records and checkpoint cuts. Ascending local index is
+/// events and checkpoint cuts. Ascending local index is
 /// ascending entity id, so id tie-breaks and `(min, max)` pair keys order
 /// exactly as they would on global ids.
 type Local = u32;
@@ -177,7 +185,7 @@ impl<'p> TreeState<'p> {
         self.entities[local as usize].id
     }
 
-    /// Take a checkpoint's pairs back in. A cut lists every pair its blocks
+    /// Take the journal's pairs back in. A cut lists every pair its blocks
     /// compared, a last block's too; those are restored and never read.
     fn restore_resolved(&mut self, pairs: &[(EntityId, EntityId)]) {
         let entities = &self.entities;
@@ -213,10 +221,10 @@ struct TaskState<'p> {
 /// docs' durable-execution section). The default stage is the plain job.
 #[derive(Clone, Copy, Default)]
 pub struct Stage<'a> {
-    /// Restore each task from this checkpoint and resolve only the blocks
-    /// past its watermark; `None` (or a task entry with no completed block)
-    /// starts from the first block.
-    pub resume: Option<&'a Checkpoint>,
+    /// The journal's fold of each task's cuts, by task: restore each task
+    /// from its entry and resolve only the blocks past its watermark; `None`
+    /// (or an entry with no completed block) starts from the first block.
+    pub resume: Option<&'a [TaskProgress]>,
     /// Cut checkpoints in-line, as per-task deltas, while the job runs on.
     pub cuts: Option<&'a CutSink<'a>>,
 }
@@ -227,14 +235,12 @@ pub struct CutSink<'a> {
     /// Spacing of the grid on each task's own virtual clock: a task cuts at
     /// the first block boundary at or past each line it crosses.
     pub every: f64,
-    /// Per task, the number its first delta carries: how many of the task's
-    /// deltas the checkpoint being resumed already holds, zero without one.
-    pub first_seq: &'a [u32],
-    /// Receives `(seq, delta)` on the reduce task's worker thread. The
-    /// delta is a [`TaskCheckpoint`] whose `resolved` and `duplicates` hold
-    /// only what was added since the task's previous cut, the pairs in
-    /// comparison order.
-    pub emit: &'a (dyn Fn(u32, TaskCheckpoint) + Sync),
+    /// Receives each delta on the reduce task's worker thread, as the
+    /// journal's [`JournalEvent::CheckpointCut`] record: a task's first one
+    /// carries the `seq` after the cuts the resumed fold holds (zero
+    /// without one), its `resolved` and `duplicates` only what was added
+    /// since the task's previous cut, the pairs in comparison order.
+    pub emit: &'a (dyn Fn(JournalEvent) + Sync),
 }
 
 impl CutSink<'_> {
@@ -246,28 +252,32 @@ impl CutSink<'_> {
     }
 }
 
-/// One reduce task's side of a [`CutSink`]: what it has compared and found
-/// since its last cut, and where the next one is due.
+/// One reduce task's side of a [`CutSink`]: what it has compared since its
+/// last cut, how many of its events earlier cuts hold, and where the next
+/// cut is due.
 struct Cutter<'a> {
     sink: &'a CutSink<'a>,
+    task: u32,
     /// Number of the next delta.
     seq: u32,
     /// The grid line the task's clock has to reach for the next cut.
     next_line: f64,
     /// Pairs compared since the last cut, per tree.
-    pending: Vec<(usize, Vec<(EntityId, EntityId)>)>,
-    /// Duplicates found since the last cut, as `(task-local cost, a, b)`.
-    duplicates: Vec<(f64, EntityId, EntityId)>,
+    pending: BTreeMap<u32, Vec<(EntityId, EntityId)>>,
+    /// The task's duplicate events an earlier cut (or the resumed fold)
+    /// holds: the next cut takes the ones logged after them.
+    logged: usize,
 }
 
 impl<'a> Cutter<'a> {
-    fn new(sink: &'a CutSink<'a>, task: usize, clock: f64) -> Self {
+    fn new(sink: &'a CutSink<'a>, task: usize, seq: u32, clock: f64, logged: usize) -> Self {
         Self {
             sink,
-            seq: sink.first_seq[task],
+            task: task as u32,
+            seq,
             next_line: sink.line_after(clock),
-            pending: Vec::new(),
-            duplicates: Vec::new(),
+            pending: BTreeMap::new(),
+            logged,
         }
     }
 
@@ -276,34 +286,33 @@ impl<'a> Cutter<'a> {
         if block.is_empty() {
             return;
         }
-        let at = match self.pending.iter().position(|&(t, _)| t == tree) {
-            Some(at) => at,
-            None => {
-                self.pending.push((tree, Vec::new()));
-                self.pending.len() - 1
-            }
-        };
-        self.pending[at].1.extend(block.iter().map(|&key| {
+        let pending = self.pending.entry(tree as u32).or_default();
+        pending.extend(block.iter().map(|&key| {
             let (a, b) = crate::unpack_pair(key);
             (state.id(a), state.id(b))
         }));
     }
 
     /// A block boundary: cut if a grid line was crossed or the task is done.
-    fn block_done(&mut self, task: usize, blocks_done: usize, clock: f64, last: bool) {
+    /// `events` is the task's event log, its costs still task-local.
+    fn block_done(&mut self, blocks_done: usize, clock: f64, last: bool, events: &[ProgressEvent]) {
         if clock < self.next_line && !last {
             return;
         }
-        let mut resolved = std::mem::take(&mut self.pending);
-        resolved.sort_unstable_by_key(|&(tree, _)| tree);
-        let delta = TaskCheckpoint {
-            task,
-            blocks_done,
+        let resolved = std::mem::take(&mut self.pending).into_iter().collect();
+        let duplicates = events[self.logged..]
+            .iter()
+            .map(crate::found_event)
+            .collect();
+        self.logged = events.len();
+        (self.sink.emit)(JournalEvent::CheckpointCut {
+            task: self.task,
+            seq: self.seq,
+            blocks_done: blocks_done as u64,
             clock,
             resolved,
-            duplicates: std::mem::take(&mut self.duplicates),
-        };
-        (self.sink.emit)(self.seq, delta);
+            duplicates,
+        });
         self.seq += 1;
         self.next_line = self.sink.line_after(clock);
     }
@@ -323,16 +332,17 @@ struct ResolveReducer<'a> {
 impl<'a> PartitionReducer for ResolveReducer<'a> {
     type Key = u64;
     type Value = Routed<'a>;
-    type Output = (EntityId, EntityId);
+    /// A duplicate is recorded once, as the task's progress event.
+    type Output = ();
 
     fn reduce_partition(
         &self,
         partition: &pper_mapreduce::GroupedPartition<u64, Routed<'a>>,
         ctx: &mut TaskContext,
-        out: &mut Vec<(EntityId, EntityId)>,
+        _: &mut Vec<()>,
     ) {
         let mut state = self.ingest(partition, ctx);
-        self.resolve(&mut state, ctx, out);
+        self.resolve(&mut state, ctx);
     }
 }
 
@@ -375,12 +385,7 @@ impl<'a> ResolveReducer<'a> {
     }
 
     /// Walk the task's block schedule over the ingested trees.
-    fn resolve(
-        &self,
-        state: &mut TaskState<'_>,
-        ctx: &mut TaskContext,
-        out: &mut Vec<(EntityId, EntityId)>,
-    ) {
+    fn resolve(&self, state: &mut TaskState<'_>, ctx: &mut TaskContext) {
         let task = ctx.id.index;
         let n_families = self.families.len();
         let TaskState {
@@ -388,13 +393,10 @@ impl<'a> ResolveReducer<'a> {
             prepared,
         } = state;
 
-        // A task the checkpoint holds no completed block of has nothing to
+        // A task the fold holds no completed block of has nothing to
         // restore: it starts from scratch, on its natural clock.
-        let resume = self
-            .stage
-            .resume
-            .map(|cp| &cp.tasks[task])
-            .filter(|tc| tc.blocks_done > 0);
+        let progress = self.stage.resume.map(|tasks| &tasks[task]);
+        let resume = progress.filter(|tc| tc.blocks_done > 0);
 
         if let Some(tc) = resume {
             // Work redone before the clock override (startup, shuffle,
@@ -404,17 +406,17 @@ impl<'a> ResolveReducer<'a> {
             // Restore the resolved-pair sets so blocks resolved after the
             // resume still skip work the checkpointed blocks already did.
             for (tree, pairs) in &tc.resolved {
-                if let Some(state) = states.get_mut(tree) {
+                if let Some(state) = states.get_mut(&(*tree as usize)) {
                     state.restore_resolved(pairs);
                 }
             }
             // Replay checkpointed duplicates at their original task-local
-            // costs, so the timeline and the output are the interrupted
-            // run's.
+            // costs, so the timeline is the interrupted run's.
             for &(cost, a, b) in &tc.duplicates {
-                ctx.events
-                    .push(cost, EVENT_DUPLICATE, crate::pack_pair(a, b));
-                out.push((a.min(b), a.max(b)));
+                ctx.events.push(ProgressEvent {
+                    cost,
+                    value: crate::pack_pair(a, b),
+                });
                 ctx.counters.incr("duplicates_found");
                 ctx.counters.incr("resume_replayed_duplicates");
             }
@@ -424,14 +426,14 @@ impl<'a> ResolveReducer<'a> {
             ctx.clock = CostClock::with_offset(tc.clock);
         }
 
-        let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done);
+        let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done as usize);
         // In-line cuts hand over what happened since the previous one: what
-        // was restored above is durable already. Pairs and duplicates are
-        // logged only for a cut to take.
-        let mut cutter = self
-            .stage
-            .cuts
-            .map(|sink| Cutter::new(sink, task, ctx.now()));
+        // was restored above is durable already. Pairs are gathered only for
+        // a cut to take.
+        let mut cutter = self.stage.cuts.map(|sink| {
+            let seq = progress.map_or(0, |tc| tc.cuts);
+            Cutter::new(sink, task, seq, ctx.now(), ctx.events.len())
+        });
 
         let mut scratch = SimScratch::new();
 
@@ -511,11 +513,7 @@ impl<'a> ResolveReducer<'a> {
                     run.feedback(is_dup);
                     if is_dup {
                         tally.duplicates += 1;
-                        ctx.log_event(EVENT_DUPLICATE, crate::pack_pair(ea.id, eb.id));
-                        out.push((ea.id.min(eb.id), ea.id.max(eb.id)));
-                        if let Some(cutter) = &mut cutter {
-                            cutter.duplicates.push((ctx.now(), ea.id, eb.id));
-                        }
+                        ctx.log_event(crate::pack_pair(ea.id, eb.id));
                     }
                     if stop.observe(is_dup) {
                         ctx.counters.incr("blocks_stopped_early");
@@ -531,7 +529,8 @@ impl<'a> ResolveReducer<'a> {
             // The block boundary a checkpoint can sit on.
             if let Some(cutter) = &mut cutter {
                 let blocks_done = block_idx + 1;
-                cutter.block_done(task, blocks_done, ctx.now(), blocks_done == blocks.len());
+                let last = blocks_done == blocks.len();
+                cutter.block_done(blocks_done, ctx.now(), last, &ctx.events);
             }
         }
     }
@@ -561,13 +560,9 @@ fn sq_to_tree(schedule: &Schedule) -> FxHashMap<u64, usize> {
         .collect()
 }
 
-fn assemble(result: pper_mapreduce::runtime::JobResult<(EntityId, EntityId)>) -> Job2Result {
-    let mut duplicates = result.outputs;
-    duplicates.sort_unstable();
-    duplicates.dedup();
-
+fn assemble(result: pper_mapreduce::runtime::JobResult<()>) -> Job2Result {
     Job2Result {
-        duplicates,
+        duplicates: crate::duplicates_of(&result.timeline),
         timeline: result.timeline,
         virtual_cost: result.total_virtual_cost,
         counters: result.counters,
@@ -584,16 +579,63 @@ pub fn run_job2(
     run_job2_stage(ds, config, &schedule, Stage::default())
 }
 
+/// Check a resumed fold against the schedule it is about to index: one
+/// entry per task, watermarks within the task's blocks, tree ids within the
+/// schedule's trees, a finite non-negative clock, and duplicates in cost
+/// order and not past it. The fold is read from a journal, so it is outside
+/// input.
+fn check_fold(schedule: &Schedule, tasks: &[TaskProgress]) -> Result<(), MrError> {
+    let err = |msg: String| Err(MrError::Checkpoint(msg));
+    if tasks.len() != schedule.num_tasks {
+        return err(format!(
+            "the journal holds {} task entries but the schedule expects {}",
+            tasks.len(),
+            schedule.num_tasks
+        ));
+    }
+    for (idx, t) in tasks.iter().enumerate() {
+        let blocks = schedule.block_order[idx].len();
+        if t.blocks_done > blocks as u64 {
+            return err(format!(
+                "task {idx} claims {} resolved blocks but its schedule has only {blocks}",
+                t.blocks_done
+            ));
+        }
+        if !t.clock.is_finite() || t.clock < 0.0 {
+            return err(format!(
+                "task {idx} has a non-finite or negative clock ({})",
+                t.clock
+            ));
+        }
+        for &(tree, _) in &t.resolved {
+            if tree as usize >= schedule.trees.len() {
+                return err(format!(
+                    "task {idx} references tree {tree}, but the schedule has only {}",
+                    schedule.trees.len()
+                ));
+            }
+        }
+        // Duplicates in cost order, and the clock not before the last.
+        let costs: Vec<f64> = t.duplicates.iter().map(|d| d.0).chain([t.clock]).collect();
+        if let Some(w) = costs.windows(2).find(|w| w[1] < w[0]) {
+            return err(format!(
+                "task {idx} records cost {} after {}: its duplicates must be in cost \
+                 order and not past its clock {}",
+                w[1], w[0], t.clock
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Run the second job against `schedule` with `stage` installed. A resumed
-/// job runs the schedule its checkpoint carries — the watermarks index into
-/// it — so it must be handed `&checkpoint.schedule` itself.
+/// job runs the schedule its fold was cut against — the watermarks index
+/// into it.
 ///
-/// Rejected with [`MrError::Checkpoint`] before any task starts: a
-/// checkpoint that fails [`Checkpoint::validate`] for this configuration or
-/// arrives with another schedule, and a cut sink whose grid is not finite
-/// and positive or that does not number every task. A configuration with
-/// more blocking families than a [`DomList`] holds is
-/// [`MrError::InvalidConfig`].
+/// Rejected with [`MrError::Checkpoint`] before any task starts: a fold
+/// that does not fit the schedule (see `check_fold`) and a cut sink whose
+/// grid is not finite and positive. A configuration with more blocking
+/// families than a [`DomList`] holds is [`MrError::InvalidConfig`].
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
@@ -601,26 +643,14 @@ pub fn run_job2_stage(
     stage: Stage<'_>,
 ) -> Result<Job2Result, MrError> {
     DomList::check_capacity(config.families.len())?;
-    if let Some(checkpoint) = stage.resume {
-        checkpoint.validate(config.machines)?;
-        if !std::ptr::eq(schedule, &checkpoint.schedule) {
-            return Err(MrError::Checkpoint(
-                "a resumed stage runs the schedule its checkpoint carries".into(),
-            ));
-        }
+    if let Some(tasks) = stage.resume {
+        check_fold(schedule, tasks)?;
     }
     if let Some(sink) = stage.cuts {
         if !(sink.every.is_finite() && sink.every > 0.0) {
             return Err(MrError::Checkpoint(format!(
                 "checkpoint grid spacing must be finite and positive, got {}",
                 sink.every
-            )));
-        }
-        if sink.first_seq.len() != schedule.num_tasks {
-            return Err(MrError::Checkpoint(format!(
-                "the cut sink numbers {} tasks, the schedule has {}",
-                sink.first_seq.len(),
-                schedule.num_tasks
             )));
         }
     }
@@ -694,7 +724,7 @@ mod tests {
         };
         let mut ctx = TaskContext::new(id, cost_model.clone());
         let mut state = reducer.ingest(partition, &mut ctx);
-        reducer.resolve(&mut state, &mut ctx, &mut Vec::new());
+        reducer.resolve(&mut state, &mut ctx);
         (state, ctx)
     }
 
@@ -706,13 +736,12 @@ mod tests {
         let sq_to_tree = sq_to_tree(&schedule);
         // Every block charges its members' read cost, so each block
         // boundary crosses a line of this grid: one delta per block, whose
-        // `resolved` is exactly the pairs that block compared.
+        // `resolved` is exactly the pairs that block compared and whose
+        // `duplicates` are the events it logged.
         let deltas = std::sync::Mutex::new(Vec::new());
-        let emit = |_, delta| deltas.lock().unwrap().push(delta);
-        let first_seq = vec![0; schedule.num_tasks];
+        let emit = |cut| deltas.lock().unwrap().push(cut);
         let sink = CutSink {
             every: 1e-6,
-            first_seq: &first_seq,
             emit: &emit,
         };
         let stage = Stage {
@@ -721,27 +750,45 @@ mod tests {
         };
         let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, stage);
 
-        let (mut single_block, mut remembered) = (0, 0);
+        let (mut single_block, mut remembered, mut found) = (0, 0, 0);
         for task in 0..schedule.num_tasks {
             let partition = task_partition(&ds, &config, &schedule, task);
-            let (state, _) = resolve_task(&reducer, &partition, &config.cost_model, task);
-            let deltas: Vec<TaskCheckpoint> = std::mem::take(&mut *deltas.lock().unwrap());
+            let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, task);
             let blocks = &schedule.block_order[task];
-            let done: Vec<usize> = deltas.iter().map(|d| d.blocks_done).collect();
-            assert_eq!(done, (1..=blocks.len()).collect::<Vec<_>>(), "task {task}");
-
             // Per tree, the pairs every block of it but its last compared.
             let last_of = |tree| blocks.iter().rposition(|b| b.tree == tree);
             let mut expected: FxHashMap<usize, Vec<(EntityId, EntityId)>> = FxHashMap::default();
-            for delta in &deltas {
-                let at = delta.blocks_done - 1;
-                for (tree, pairs) in &delta.resolved {
-                    assert_eq!(*tree, blocks[at].tree);
-                    if last_of(*tree) != Some(at) {
-                        expected.entry(*tree).or_default().extend(pairs);
+            let mut cut_duplicates = Vec::new();
+            let cuts = std::mem::take(&mut *deltas.lock().unwrap());
+            assert_eq!(cuts.len(), blocks.len(), "task {task}");
+            for (at, cut) in cuts.into_iter().enumerate() {
+                let JournalEvent::CheckpointCut {
+                    blocks_done,
+                    resolved,
+                    duplicates,
+                    ..
+                } = cut
+                else {
+                    unreachable!()
+                };
+                assert_eq!(blocks_done, at as u64 + 1, "task {task}");
+                cut_duplicates.extend(duplicates);
+                for (tree, pairs) in resolved {
+                    let tree = tree as usize;
+                    assert_eq!(tree, blocks[at].tree);
+                    if last_of(tree) != Some(at) {
+                        expected.entry(tree).or_default().extend(pairs);
                     }
                 }
             }
+
+            // The cuts hand over the task's duplicate events, each once, in
+            // order, at their task-local costs, every pair `a < b`.
+            let logged: Vec<_> = ctx.events.iter().map(crate::found_event).collect();
+            assert_eq!(cut_duplicates, logged, "task {task}");
+            assert!(cut_duplicates.iter().all(|&(_, a, b)| a < b));
+            found += logged.len();
+
             for (tree, tree_state) in &state.trees {
                 let mut held: Vec<(EntityId, EntityId)> = tree_state
                     .resolved
@@ -764,8 +811,8 @@ mod tests {
             assert!(expected.is_empty(), "task {task}: {expected:?}");
         }
         assert!(
-            single_block > 0 && remembered > 0,
-            "{single_block} / {remembered}"
+            single_block > 0 && remembered > 0 && found > 0,
+            "{single_block} / {remembered} / {found}"
         );
     }
 
@@ -802,49 +849,61 @@ mod tests {
         let schedule = schedule_for(&ds, &config);
         let result = run_job2(&ds, &config, schedule).unwrap();
         assert!(result.timeline.windows(2).all(|w| w[0].cost <= w[1].cost));
-        let events = result
-            .timeline
-            .iter()
-            .filter(|e| e.kind == EVENT_DUPLICATE)
-            .count() as u64;
+        let events = result.timeline.len() as u64;
         assert_eq!(events, result.counters.get("duplicates_found"));
+        assert_eq!(result.duplicates, crate::duplicates_of(&result.timeline));
     }
 
+    /// The fold comes from a journal, outside input: before any task
+    /// starts, the stage refuses one that does not fit the schedule.
     #[test]
-    fn stage_rejects_foreign_checkpoints() {
+    fn stage_rejects_a_fold_that_does_not_fit_the_schedule() {
         let ds = PubGen::new(600, 78).generate();
         let config = ErConfig::citeseer(2);
         let schedule = schedule_for(&ds, &config);
-        let cp = Checkpoint {
-            schedule: (*schedule).clone(),
-            job1_cost: 0.0,
-            machines: config.machines,
-            tasks: (0..schedule.num_tasks)
-                .map(|task| TaskCheckpoint {
-                    task,
-                    blocks_done: 0,
-                    clock: 0.0,
-                    resolved: Vec::new(),
-                    duplicates: Vec::new(),
-                })
-                .collect(),
-        };
-        let rejected = |schedule: &Schedule, cp: &Checkpoint| {
+        assert!(schedule.num_tasks >= 2);
+        // Task 0 holds no completed block, so it starts from scratch and
+        // the rest of its entry is never read: every check is on its own.
+        let mut fold = vec![TaskProgress::default(); schedule.num_tasks];
+        fold[0].clock = 60.0;
+        fold[0].resolved = vec![(0, Vec::new())];
+        fold[0].duplicates = vec![(55.0, 1, 2)];
+        let rejected = |fold: &[TaskProgress]| {
             let stage = Stage {
-                resume: Some(cp),
+                resume: Some(fold),
                 cuts: None,
             };
             matches!(
-                run_job2_stage(&ds, &config, schedule, stage),
+                run_job2_stage(&ds, &config, &schedule, stage),
                 Err(MrError::Checkpoint(_))
             )
         };
-        assert!(!rejected(&cp.schedule, &cp));
-        // The watermarks index into the checkpoint's schedule, no other.
-        assert!(rejected(&schedule, &cp));
-        let mut foreign = cp.clone();
-        foreign.machines += 1;
-        assert!(rejected(&foreign.schedule, &foreign));
+        assert!(!rejected(&fold));
+        assert!(rejected(&fold[1..]), "one entry short");
+
+        let trees = schedule.trees.len() as u32;
+        let watermark = schedule.block_order[0].len() as u64 + 1;
+        type Spoil<'s> = &'s dyn Fn(&mut [TaskProgress]);
+        let cases: [(&str, Spoil); 7] = [
+            ("watermark past the blocks", &|f| {
+                f[0].blocks_done = watermark
+            }),
+            ("NaN clock", &|f| f[1].clock = f64::NAN),
+            ("infinite clock", &|f| f[1].clock = f64::INFINITY),
+            ("negative clock", &|f| f[1].clock = -1.0),
+            ("tree past the trees", &|f| f[0].resolved[0].0 = trees),
+            ("duplicate past the clock", &|f| {
+                f[0].duplicates.push((100.0, 3, 4))
+            }),
+            ("duplicates out of order", &|f| {
+                f[0].duplicates.push((50.0, 3, 4))
+            }),
+        ];
+        for (what, spoil) in cases {
+            let mut spoilt = fold.clone();
+            spoil(&mut spoilt);
+            assert!(rejected(&spoilt), "{what}");
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   redundancy elimination of Kolb et al. (ref. \[14\]);
 //! * [`pipeline`] — orchestration: the two jobs chained, timelines merged,
 //!   results exposed as a [`metrics::RecallCurve`];
-//! * [`durable`] and [`checkpoint`] — crash/resume: journal every run
-//!   event, fold a killed run's in-line cuts into a
-//!   [`checkpoint::Checkpoint`], and resume from it in a fresh process to a
-//!   bit-identical result (see [`durable::resume_durable`]);
+//! * [`durable`] — crash/resume: journal every run event, including each
+//!   reduce task's in-line checkpoint cuts, and resume a killed run from the
+//!   journal's fold of those cuts in a fresh process to a bit-identical
+//!   result (see [`durable::resume_durable`]);
 //! * [`metrics`] — duplicate recall curves, the `Qty` quality measure
 //!   (Eq. 1), and recall speedup (§VI-B4).
 //!
@@ -59,7 +59,6 @@
 
 pub mod basic;
 pub mod budget;
-pub mod checkpoint;
 pub mod clustering;
 pub mod config;
 pub mod durable;
@@ -72,14 +71,12 @@ pub mod pipeline;
 pub mod prelude {
     pub use crate::basic::{BasicApproach, BasicConfig};
     pub use crate::budget::{run_with_budget, BudgetReport};
-    pub use crate::checkpoint::{Checkpoint, TaskCheckpoint};
     pub use crate::clustering::{
         correlation_clustering, transitive_closure, ClusterMetrics, UnionFind,
     };
     pub use crate::config::{ErConfig, MechanismKind, ProbModelKind};
     pub use crate::durable::{
-        journaled_checkpoint, reprocess_dlq, resume_durable, run_durable, DurableError,
-        DurableOptions, ResultFingerprint,
+        reprocess_dlq, resume_durable, run_durable, DurableError, DurableOptions, ResultFingerprint,
     };
     pub use crate::job1::run_job1;
     pub use crate::metrics::{quality, speedup_at, RecallCurve};
@@ -88,11 +85,8 @@ pub mod prelude {
 
 pub use prelude::*;
 
-/// Timeline event kind: one duplicate pair identified. The event value is
-/// the packed pair (see [`pack_pair`]).
-pub const EVENT_DUPLICATE: u32 = 1;
-
-/// Pack an entity pair into one event payload.
+/// Pack an entity pair into one event payload. Every progress event the
+/// resolving reducers log is one duplicate found, its value the packed pair.
 #[inline]
 pub fn pack_pair(a: u32, b: u32) -> u64 {
     (u64::from(a.min(b)) << 32) | u64::from(a.max(b))
@@ -102,6 +96,26 @@ pub fn pack_pair(a: u32, b: u32) -> u64 {
 #[inline]
 pub fn unpack_pair(v: u64) -> (u32, u32) {
     ((v >> 32) as u32, v as u32)
+}
+
+/// A duplicate event as `(cost, a, b)`, `a < b`: how a run's found events
+/// and the journal's checkpoint cuts carry it.
+#[inline]
+pub(crate) fn found_event(e: &pper_mapreduce::ProgressEvent) -> (f64, u32, u32) {
+    let (a, b) = unpack_pair(e.value);
+    (e.cost, a, b)
+}
+
+/// The duplicates of a job's timeline: every event's pair, normalized
+/// `a < b`, sorted and deduplicated. The event log is the one record of a
+/// found duplicate; this is the list both resolving jobs report.
+pub(crate) fn duplicates_of(
+    timeline: &[pper_mapreduce::ProgressEvent],
+) -> Vec<(pper_datagen::EntityId, pper_datagen::EntityId)> {
+    let mut duplicates: Vec<_> = timeline.iter().map(|e| unpack_pair(e.value)).collect();
+    duplicates.sort_unstable();
+    duplicates.dedup();
+    duplicates
 }
 
 /// Marks a block or tree member whose slot in its task's

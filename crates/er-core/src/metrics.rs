@@ -4,8 +4,6 @@
 use pper_mapreduce::ProgressEvent;
 use serde::{Deserialize, Serialize};
 
-use crate::EVENT_DUPLICATE;
-
 /// Cumulative duplicate recall as a function of (virtual) resolution cost.
 ///
 /// `PartialEq` compares breakpoints exactly (bitwise on costs) — used by the
@@ -20,15 +18,10 @@ pub struct RecallCurve {
 }
 
 impl RecallCurve {
-    /// Build from a job timeline: every [`EVENT_DUPLICATE`] event counts one
-    /// found pair at its cost.
-    pub fn from_timeline(timeline: &[ProgressEvent], total_truth: u64) -> Self {
-        Self::from_timeline_where(timeline, total_truth, |_| true)
-    }
-
-    /// Build from a timeline counting only the [`EVENT_DUPLICATE`] events
-    /// whose packed pair payload satisfies `keep` — used to count *correct*
-    /// duplicates against ground truth (see [`crate::pack_pair`]).
+    /// Build from a job timeline, each event one duplicate found, counting
+    /// only the events whose packed pair payload satisfies `keep` — used to
+    /// count *correct* duplicates against ground truth (see
+    /// [`crate::pack_pair`]).
     pub fn from_timeline_where(
         timeline: &[ProgressEvent],
         total_truth: u64,
@@ -37,7 +30,7 @@ impl RecallCurve {
         let mut points = Vec::new();
         let mut cum = 0u64;
         for e in timeline {
-            if e.kind == EVENT_DUPLICATE && keep(e.value) {
+            if keep(e.value) {
                 cum += 1;
                 points.push((e.cost, cum));
             }
@@ -266,29 +259,27 @@ mod tests {
     }
 
     #[test]
-    fn from_timeline_filters_kinds_and_predicate() {
+    fn from_timeline_counts_the_events_the_predicate_keeps() {
         use pper_mapreduce::ProgressEvent;
         let timeline = vec![
             ProgressEvent {
                 cost: 1.0,
-                kind: crate::EVENT_DUPLICATE,
                 value: 7,
             },
             ProgressEvent {
                 cost: 2.0,
-                kind: crate::EVENT_DUPLICATE + 1,
                 value: 99,
             },
             ProgressEvent {
                 cost: 3.0,
-                kind: crate::EVENT_DUPLICATE,
                 value: 8,
             },
         ];
-        let c = RecallCurve::from_timeline(&timeline, 3);
-        assert_eq!(c.found_at(10.0), 2);
-        assert_eq!(c.len(), 2);
-        let odd_only = RecallCurve::from_timeline_where(&timeline, 3, |v| v % 2 == 1);
-        assert_eq!(odd_only.found_at(10.0), 1);
+        let c = RecallCurve::from_timeline_where(&timeline, 3, |_| true);
+        assert_eq!(c.found_at(10.0), 3);
+        assert_eq!(c.len(), 3);
+        let even_only = RecallCurve::from_timeline_where(&timeline, 3, |v| v % 2 == 0);
+        assert_eq!(even_only.found_at(2.5), 0);
+        assert_eq!(even_only.found_at(10.0), 1);
     }
 }

@@ -71,14 +71,7 @@ impl ErRunResult {
         } else {
             correct as f64 / duplicates.len() as f64
         };
-        let found_events = timeline
-            .iter()
-            .filter(|e| e.kind == crate::EVENT_DUPLICATE)
-            .map(|e| {
-                let (a, b) = crate::unpack_pair(e.value);
-                (e.cost, a, b)
-            })
-            .collect();
+        let found_events = timeline.iter().map(crate::found_event).collect();
         Self {
             curve,
             duplicates,

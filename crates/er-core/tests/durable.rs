@@ -20,7 +20,7 @@
 //! made of the tail. The last three tests hold the sync placement itself,
 //! every sync of a run failing in turn, and the power-cut images.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -263,8 +263,9 @@ fn fingerprint_json_round_trips() {
 }
 
 /// The fold at every cut: taken from the journal up to and including any
-/// cut record, the checkpoint passes `Checkpoint::validate` and its entry for
-/// the record's task stands at the record's watermark and clock.
+/// cut record, the entry for the record's task stands at the record's
+/// watermark and clock, and passes what the resolution stage checks of a
+/// fold before it resumes one.
 #[test]
 fn the_fold_up_to_every_cut_stands_at_that_cut() {
     let er = small_pipeline();
@@ -287,19 +288,105 @@ fn the_fold_up_to_every_cut_stands_at_that_cut() {
         let task = *task as usize;
         let state = JournalState::replay(&events[..=i]);
         assert_eq!(state.tasks[task].cuts, seq + 1);
-        let folded = journaled_checkpoint(&state, er.config.machines)
-            .unwrap()
-            .expect("the schedule is journaled before any cut");
-        folded.validate(er.config.machines).unwrap();
-        let at = &folded.tasks[task];
+        assert!(
+            state.schedule_json.is_some(),
+            "the schedule is journaled before any cut"
+        );
+        let at = &state.tasks[task];
         let what = format!("task {task}, record {seq}");
-        assert_eq!(at.blocks_done as u64, *blocks_done, "{what}");
+        assert_eq!(at.blocks_done, *blocks_done, "{what}");
         assert_eq!(at.clock.to_bits(), clock.to_bits(), "{what}");
+        assert!(at.blocks_done <= at.blocks, "{what}");
+        assert!(at.clock.is_finite() && at.clock >= 0.0, "{what}");
+        assert!(at.duplicates.windows(2).all(|w| w[0].0 <= w[1].0), "{what}");
+        assert!(
+            at.duplicates.last().is_none_or(|d| d.0 <= at.clock),
+            "{what}"
+        );
         checked += 1;
         with_pairs += usize::from(!at.resolved.is_empty());
     }
     assert!(checked >= 8, "only {checked} cut records");
     assert!(with_pairs >= checked / 2, "the cuts carry no pairs");
+}
+
+/// A cut's duplicates are written `a < b`, like every other pair in the
+/// journal. Per task they follow one another in cost order, and over all
+/// tasks they are the run's duplicate events, each once (`job2.rs`'s unit
+/// tests hold each task's cuts to its own event log, cost for cost).
+#[test]
+fn cut_duplicates_are_the_duplicate_events_each_once_and_a_below_b() {
+    let er = small_pipeline();
+    let ds = dataset();
+    let plain = er.try_run(&ds).unwrap();
+    let (events, _) = finished_journal(&er, &ds, "job-cut-pairs");
+
+    let mut from_cuts = Vec::new();
+    let mut task_duplicates: BTreeMap<u32, Vec<(f64, u32, u32)>> = BTreeMap::new();
+    for cut in cuts_by_task(&events) {
+        let JournalEvent::CheckpointCut {
+            task, duplicates, ..
+        } = cut
+        else {
+            unreachable!()
+        };
+        for &(_, a, b) in &duplicates {
+            assert!(a < b, "task {task}: ({a}, {b})");
+            from_cuts.push((a, b));
+        }
+        task_duplicates.entry(task).or_default().extend(duplicates);
+    }
+    for (task, duplicates) in &task_duplicates {
+        assert!(
+            duplicates.windows(2).all(|w| w[0].0 <= w[1].0),
+            "task {task}"
+        );
+    }
+    let mut found: Vec<(u32, u32)> = plain.found_events.iter().map(|&(_, a, b)| (a, b)).collect();
+    from_cuts.sort_unstable();
+    found.sort_unstable();
+    assert!(!found.is_empty());
+    assert_eq!(from_cuts, found);
+}
+
+/// Cuts once carried their duplicates in the mechanism's in-pair order. A
+/// killed journal with one cut re-encoded so, every pair `b > a`, resumes
+/// to the fault-free fingerprint: the replayed events normalize the pair.
+#[test]
+fn a_cut_with_its_duplicates_swapped_resumes_bit_identically() {
+    let er = small_pipeline();
+    let ds = dataset();
+    let golden = ResultFingerprint::of(&er.try_run(&ds).unwrap());
+    let (events, _) = finished_journal(&er, &ds, "job-swapped");
+    let cuts = cut_positions(&events);
+    let kill = cuts[cuts.len() / 2] + 1;
+    let swapped = (0..kill)
+        .rev()
+        .find(|&i| {
+            matches!(&events[i].1, JournalEvent::CheckpointCut { duplicates, .. }
+                if !duplicates.is_empty())
+        })
+        .expect("a cut with duplicates before the kill");
+
+    let store = MemStore::shared();
+    let mut journal = JobJournal::create(Arc::clone(&store), "job-swapped").unwrap();
+    for (i, (_, event)) in events[..kill].iter().enumerate() {
+        let mut event = event.clone();
+        if let (true, JournalEvent::CheckpointCut { duplicates, .. }) = (i == swapped, &mut event) {
+            for pair in duplicates.iter_mut() {
+                *pair = (pair.0, pair.2, pair.1);
+            }
+        }
+        journal.append(&event).unwrap();
+    }
+    journal.sync().unwrap();
+    let bytes = store.read("job-swapped").unwrap();
+    let resumed = resume_from(&er, &ds, "job-swapped", &bytes, &golden, "swapped cut");
+    let after = recover(&resumed, "job-swapped").unwrap();
+    assert!(matches!(
+        after.events.last(),
+        Some((_, JournalEvent::JobFinished { .. }))
+    ));
 }
 
 /// In-process kill-point sweep: every durable prefix of a finished journal
@@ -713,6 +800,41 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
         // A second reprocess has nothing to drain.
         assert!(reprocess_dlq(&faulty, &ds, &store, "job-dlq", &opts(EVERY)).is_err());
     }
+}
+
+/// A dead-letter `seq` is read back from the journal, outside input: a
+/// crafted capture at `u32::MAX` replays without overflow, and the next
+/// capture the job needs is refused with the typed journal error rather
+/// than a wrapped or panicking sequence number.
+#[test]
+fn an_exhausted_dead_letter_sequence_is_a_typed_error() {
+    let ds = dataset();
+    let mut faulty = small_pipeline();
+    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
+    let store = MemStore::shared();
+    run_durable(&faulty, &ds, &store, "job-seq", &[], &opts(EVERY))
+        .expect_err("exhausted task must fail the durable run");
+    let events = recover(&store, "job-seq").unwrap().events;
+
+    let crafted = MemStore::shared();
+    let mut journal = JobJournal::create(Arc::clone(&crafted), "job-seq").unwrap();
+    for (_, event) in &events {
+        let mut event = event.clone();
+        if let JournalEvent::DeadLettered { seq, .. } = &mut event {
+            *seq = u32::MAX;
+        }
+        journal.append(&event).unwrap();
+    }
+    journal.sync().unwrap();
+    let state = JournalState::replay(&recover(&crafted, "job-seq").unwrap().events);
+    assert_eq!(state.next_dlq_seq, u64::from(u32::MAX) + 1);
+    assert_eq!(state.dlq.len(), 1);
+
+    let refused = resume_durable(&faulty, &ds, &crafted, "job-seq", &opts(EVERY));
+    let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
+        panic!("an exhausted sequence was not refused: {refused:?}");
+    };
+    assert!(why.contains("dead-letter sequence"), "{why}");
 }
 
 /// Attempts that die below the budget after they have cut — one discarded

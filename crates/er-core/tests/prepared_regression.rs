@@ -25,6 +25,7 @@ use pper_blocking::{BlockingFamily, PrefixFunction};
 use pper_datagen::{BookGen, Dataset, Entity, GroundTruth, PubGen};
 use pper_er::prelude::*;
 use pper_journal::{recover, JournalState, MemStore};
+use pper_schedule::Schedule;
 
 type Pair = (u32, u32);
 
@@ -57,32 +58,29 @@ fn co_blocked(ds: &Dataset, config: &ErConfig) -> BTreeSet<Pair> {
 
 /// A finished durable run and the fold of its journal: per task and tree,
 /// every pair job 2 compared, and every duplicate it accepted.
-fn journaled_run(ds: &Dataset, config: &ErConfig) -> (ErRunResult, Checkpoint) {
+fn journaled_run(ds: &Dataset, config: &ErConfig) -> (ErRunResult, JournalState) {
     let store = MemStore::shared();
     let er = ProgressiveEr::new(config.clone());
     let opts = DurableOptions::default();
     let run = run_durable(&er, ds, &store, "fold", &[], &opts).unwrap();
     let state = JournalState::replay(&recover(&store, "fold").unwrap().events);
     assert!(state.tasks.iter().all(|t| t.blocks_done == t.blocks));
-    let checkpoint = journaled_checkpoint(&state, config.machines)
-        .unwrap()
-        .expect("a finished run journaled its schedule");
-    (run, checkpoint)
+    (run, state)
 }
 
 /// Every `(tree, pair)` the fold lists, in task order.
-fn listed(checkpoint: &Checkpoint) -> impl Iterator<Item = (usize, Pair)> + '_ {
-    checkpoint
+fn listed(state: &JournalState) -> impl Iterator<Item = (usize, Pair)> + '_ {
+    state
         .tasks
         .iter()
         .flat_map(|task| task.resolved.iter())
-        .flat_map(|(tree, pairs)| pairs.iter().map(move |&pair| (*tree, pair)))
+        .flat_map(|(tree, pairs)| pairs.iter().map(move |&pair| (*tree as usize, pair)))
 }
 
 fn job2_decides_every_compared_pair_as_the_string_rule(ds: &Dataset, config: ErConfig) {
-    let (run, checkpoint) = journaled_run(ds, &config);
-    let compared: Vec<Pair> = listed(&checkpoint).map(|(_, pair)| pair).collect();
-    let accepted: BTreeSet<Pair> = checkpoint
+    let (run, state) = journaled_run(ds, &config);
+    let compared: Vec<Pair> = listed(&state).map(|(_, pair)| pair).collect();
+    let accepted: BTreeSet<Pair> = state
         .tasks
         .iter()
         .flat_map(|task| task.duplicates.iter())
@@ -137,8 +135,15 @@ fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
     // (ii) Under the paper's windows: no pair twice, none outside the
     // co-blocked set, and every id a member of the tree it is listed under
     // (a split sub-tree's members share its root block's key).
-    let (_, checkpoint) = journaled_run(ds, &config);
-    let trees = &checkpoint.schedule.trees;
+    let (_, state) = journaled_run(ds, &config);
+    let schedule: Schedule = serde_json::from_str(
+        state
+            .schedule_json
+            .as_deref()
+            .expect("a finished run journaled its schedule"),
+    )
+    .unwrap();
+    let trees = &schedule.trees;
     assert!(
         trees.iter().any(|t| t.root_level > 0),
         "{what}: no tree was split"
@@ -148,7 +153,7 @@ fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
         config.families[t.family].key_at(ds.entity(id), t.root_level) == t.root_key()
     };
     let mut seen = BTreeSet::new();
-    for (tree, (a, b)) in listed(&checkpoint) {
+    for (tree, (a, b)) in listed(&state) {
         assert!(seen.insert((a, b)), "{what}: ({a}, {b}) compared twice");
         assert!(
             co_blocked.contains(&(a, b)),
@@ -167,8 +172,8 @@ fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
     // (i) Root windows that span every block: every co-blocked pair, each
     // exactly once.
     config.policy.window_root = ds.len();
-    let (_, checkpoint) = journaled_run(ds, &config);
-    let mut compared: Vec<Pair> = listed(&checkpoint).map(|(_, pair)| pair).collect();
+    let (_, state) = journaled_run(ds, &config);
+    let mut compared: Vec<Pair> = listed(&state).map(|(_, pair)| pair).collect();
     compared.sort_unstable();
     assert!(
         compared.iter().copied().eq(co_blocked.iter().copied()),

@@ -252,8 +252,11 @@ pub struct JournalState {
     pub counters: Vec<(String, u64)>,
     /// Live dead-letter queue: captured minus drained.
     pub dlq: Vec<DlqEntry>,
-    /// Next dead-letter sequence number to assign.
-    pub next_dlq_seq: u32,
+    /// Next dead-letter sequence number to assign: one past the largest
+    /// journaled, so `u32::MAX + 1` once a capture took the last `u32` — a
+    /// journal is outside input, and the writer refuses that value with
+    /// [`JournalError::BadState`] rather than wrap.
+    pub next_dlq_seq: u64,
 }
 
 impl JournalState {
@@ -340,7 +343,7 @@ impl JournalState {
                         failures: failures.clone(),
                         context_json: context_json.clone(),
                     });
-                    st.next_dlq_seq = st.next_dlq_seq.max(*seq + 1);
+                    st.next_dlq_seq = st.next_dlq_seq.max(u64::from(*seq) + 1);
                 }
                 JournalEvent::DlqDrained { seq } => {
                     st.dlq.retain(|e| e.seq != *seq);

@@ -8,7 +8,7 @@ use crate::counters::Counters;
 use crate::exec::ExecutorKind;
 use crate::faults::{FaultPlan, InjectedAbort};
 use crate::observe::TaskObserver;
-use crate::progress::EventLog;
+use crate::progress::ProgressEvent;
 use crate::shuffle::GroupedPartition;
 
 /// Kind of a simulated task.
@@ -150,8 +150,9 @@ pub struct TaskContext {
     /// Task-local counters, merged job-wide after completion.
     pub counters: Counters,
     /// Progress events (e.g. "duplicate pair found") stamped with the current
-    /// virtual time; merged into the job-level timeline after completion.
-    pub events: EventLog,
+    /// virtual time, in non-decreasing cost order; merged into the job-level
+    /// timeline after completion.
+    pub events: Vec<ProgressEvent>,
     /// Cost calibration constants.
     pub cost_model: CostModel,
     /// Which attempt of the task this is (1-based, like Hadoop attempt ids).
@@ -170,7 +171,7 @@ impl TaskContext {
             id,
             clock: CostClock::new(),
             counters: Counters::new(),
-            events: EventLog::new(),
+            events: Vec::new(),
             cost_model,
             attempt: 1,
             abort_at: None,
@@ -200,12 +201,15 @@ impl TaskContext {
         self.clock.now()
     }
 
-    /// Record a progress event of `kind` with `value` at the current virtual
-    /// time. Kinds are defined by the job (see `pper-er`'s event constants).
+    /// Record a progress event carrying `value` at the current virtual time.
     #[inline]
-    pub fn log_event(&mut self, kind: u32, value: u64) {
-        let now = self.now();
-        self.events.push(now, kind, value);
+    pub fn log_event(&mut self, value: u64) {
+        let cost = self.now();
+        debug_assert!(
+            self.events.last().is_none_or(|e| e.cost <= cost),
+            "events must be logged in non-decreasing cost order"
+        );
+        self.events.push(ProgressEvent { cost, value });
     }
 }
 
@@ -409,11 +413,15 @@ mod tests {
             CostModel::default(),
         );
         ctx.charge(5.0);
-        ctx.log_event(1, 42);
+        ctx.log_event(42);
         assert_eq!(ctx.now(), 5.0);
-        assert_eq!(ctx.events.len(), 1);
-        let ev = ctx.events.iter().next().unwrap();
-        assert_eq!((ev.cost, ev.kind, ev.value), (5.0, 1, 42));
+        assert_eq!(
+            ctx.events,
+            [ProgressEvent {
+                cost: 5.0,
+                value: 42
+            }]
+        );
     }
 
     #[test]

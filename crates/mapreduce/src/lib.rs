@@ -122,7 +122,7 @@ pub mod prelude {
     };
     pub use crate::observe::{AttemptRecord, TaskEvent, TaskObserver};
     pub use crate::partition::{HashPartitioner, Partitioner, RangePartitioner};
-    pub use crate::progress::{EventLog, ProgressEvent};
+    pub use crate::progress::ProgressEvent;
     pub use crate::runtime::{
         run_job, run_job_spilling, run_job_with_partitioner, JobResult, PhaseReport, WallPhases,
     };

@@ -42,7 +42,7 @@ impl Reducer for Sum {
     ) {
         ctx.charge(values.len() as f64);
         ctx.counters.add("reduced_values", values.len() as u64);
-        ctx.log_event(1, values.len() as u64);
+        ctx.log_event(values.len() as u64);
         out.push((key.clone(), values.iter().sum()));
     }
 }

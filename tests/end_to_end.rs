@@ -87,7 +87,7 @@ fn results_identical_across_simulated_cluster_sizes() {
 
 #[test]
 fn checkpoint_cuts_cover_all_duplicates() {
-    use pper::er::{journaled_checkpoint, run_durable, DurableOptions};
+    use pper::er::{run_durable, DurableOptions};
     use pper::journal::{recover, JournalState, MemStore};
 
     // The paper's per-α result files (§III-B) are the durable runner's
@@ -104,11 +104,8 @@ fn checkpoint_cuts_cover_all_duplicates() {
     let result = run_durable(&pipeline, &ds, &store, "alpha", &[], &opts).unwrap();
     let state = JournalState::replay(&recover(&store, "alpha").unwrap().events);
     assert!(state.tasks.iter().any(|task| task.cuts > 1));
-    let checkpoint = journaled_checkpoint(&state, config.machines)
-        .unwrap()
-        .unwrap();
 
-    let mut from_cuts: Vec<(u32, u32)> = checkpoint
+    let mut from_cuts: Vec<(u32, u32)> = state
         .tasks
         .iter()
         .flat_map(|task| &task.duplicates)
@@ -118,15 +115,16 @@ fn checkpoint_cuts_cover_all_duplicates() {
     from_cuts.dedup();
     assert_eq!(from_cuts, result.duplicates);
     // No task's last cut stands past the end of the run.
-    assert!(checkpoint
+    let job1_cost = state.job1_cost.unwrap();
+    assert!(state
         .tasks
         .iter()
-        .all(|task| checkpoint.job1_cost + task.clock <= result.total_cost + 1e-6));
+        .all(|task| job1_cost + task.clock <= result.total_cost + 1e-6));
 }
 
 #[test]
 fn prepared_and_string_paths_agree_on_long_attributes() {
-    use pper::er::{journaled_checkpoint, run_durable};
+    use pper::er::run_durable;
     use pper::journal::{recover, JournalState, MemStore};
 
     // Fast smoke of the prepared-vs-string conformance family on the rule
@@ -144,9 +142,8 @@ fn prepared_and_string_paths_agree_on_long_attributes() {
     let pipeline = ProgressiveEr::new(er.clone());
     let ours = run_durable(&pipeline, &ds, &store, "smoke", &[], &Default::default()).unwrap();
     let state = JournalState::replay(&recover(&store, "smoke").unwrap().events);
-    let checkpoint = journaled_checkpoint(&state, er.machines).unwrap().unwrap();
     let mut compared = 0;
-    for &(a, b) in checkpoint
+    for &(a, b) in state
         .tasks
         .iter()
         .flat_map(|task| task.resolved.iter())
