@@ -36,11 +36,11 @@ use pper_blocking::forest::EntityLookup;
 use pper_blocking::{BlockingFamily, PrefixFunction};
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
-use pper_progressive::{PairSource, StopRule, StopState};
+use pper_progressive::{MechanismKind, PairSource, StopRule, StopState};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 use serde::{Deserialize, Serialize};
 
-use crate::config::{ErConfig, MechanismKind};
+use crate::config::ErConfig;
 use crate::pipeline::ErRunResult;
 use crate::{memo_slot, BlockTally, NO_SLOT};
 

@@ -3,70 +3,11 @@
 use pper_blocking::{presets, BlockingFamily};
 use pper_datagen::Dataset;
 use pper_mapreduce::{ClusterSpec, CostModel, JobConfig};
-use pper_progressive::{LevelPolicy, Mechanism, PairSource};
+use pper_progressive::{LevelPolicy, MechanismKind};
 use pper_schedule::{
     DupProbability, HeuristicProb, ScheduleConfig, TrainedProb, TreeScheduler, Weighting,
 };
 use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
-
-/// Which progressive mechanism `M` resolves the blocks (§VI-A3: SN-with-hint
-/// for CiteSeerX, PSNM for OL-Books).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechanismKind {
-    /// Sorted Neighbor with the sorted-list hint of ref. \[5\].
-    Sn,
-    /// Progressive Sorted Neighborhood Method of ref. \[6\].
-    Psnm,
-}
-
-/// Runtime-dispatched pair source over the two mechanisms.
-pub enum AnyRun {
-    /// An [`pper_progressive::sn::SnRun`].
-    Sn(pper_progressive::sn::SnRun),
-    /// A [`pper_progressive::psnm::PsnmRun`].
-    Psnm(pper_progressive::psnm::PsnmRun),
-}
-
-impl PairSource for AnyRun {
-    fn next_pair(&mut self) -> Option<(u32, u32)> {
-        match self {
-            AnyRun::Sn(r) => r.next_pair(),
-            AnyRun::Psnm(r) => r.next_pair(),
-        }
-    }
-    fn feedback(&mut self, is_duplicate: bool) {
-        match self {
-            AnyRun::Sn(r) => r.feedback(is_duplicate),
-            AnyRun::Psnm(r) => r.feedback(is_duplicate),
-        }
-    }
-    fn remaining_hint(&self) -> u64 {
-        match self {
-            AnyRun::Sn(r) => r.remaining_hint(),
-            AnyRun::Psnm(r) => r.remaining_hint(),
-        }
-    }
-}
-
-impl MechanismKind {
-    /// Start the configured mechanism on a sorted block.
-    pub fn start(&self, sorted: Vec<u32>, window: usize) -> AnyRun {
-        match self {
-            MechanismKind::Sn => AnyRun::Sn(pper_progressive::SnHint.start(sorted, window)),
-            MechanismKind::Psnm => {
-                AnyRun::Psnm(pper_progressive::Psnm::default().start(sorted, window))
-            }
-        }
-    }
-
-    /// Mechanism name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MechanismKind::Sn => "sn-hint",
-            MechanismKind::Psnm => "psnm",
-        }
-    }
-}
 
 /// Duplicate-probability model selection (§VI-A4).
 #[derive(Debug, Clone)]
@@ -108,7 +49,8 @@ pub struct ErConfig {
     /// Scheduler selection and knobs (reduce task count is overridden from
     /// `machines`).
     pub schedule: ScheduleConfig,
-    /// Progressive mechanism.
+    /// Progressive mechanism `M` (§VI-A3): SN for CiteSeerX, PSNM for
+    /// OL-Books. `pper_progressive` owns the choice and its pair stream.
     pub mechanism: MechanismKind,
     /// Duplicate-probability model.
     pub prob: ProbModelKind,
@@ -270,18 +212,5 @@ mod tests {
         let b = ErConfig::books(5);
         assert_eq!(b.mechanism.name(), "psnm");
         assert_eq!(b.rule.attrs.len(), 8);
-    }
-
-    #[test]
-    fn mechanism_dispatch_yields_pairs() {
-        for kind in [MechanismKind::Sn, MechanismKind::Psnm] {
-            let mut run = kind.start(vec![0, 1, 2], 2);
-            let mut pairs = Vec::new();
-            while let Some(p) = run.next_pair() {
-                run.feedback(false);
-                pairs.push(p);
-            }
-            assert_eq!(pairs.len(), 3, "{}", kind.name());
-        }
     }
 }

@@ -52,6 +52,7 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use pper_blocking::BlockingFamily;
 use pper_datagen::Dataset;
 use pper_journal::{
     recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
@@ -423,7 +424,12 @@ struct Resume<'s> {
 /// machine count the `JobStarted` parameters record (the wave layout decides
 /// the global timeline): a resume configured for another one is refused. A
 /// journal from before that parameter was recorded is taken at `machines`.
-fn journaled_resume(state: &JournalState, machines: usize) -> Result<Option<Resume<'_>>, MrError> {
+/// The schedule must fit `families` (see `check_schedule`).
+fn journaled_resume<'s>(
+    state: &'s JournalState,
+    machines: usize,
+    families: &[BlockingFamily],
+) -> Result<Option<Resume<'s>>, MrError> {
     let (Some(json), Some(job1_cost)) = (&state.schedule_json, state.job1_cost) else {
         return Ok(None);
     };
@@ -439,11 +445,79 @@ fn journaled_resume(state: &JournalState, machines: usize) -> Result<Option<Resu
     }
     let schedule: Schedule = serde_json::from_str(json)
         .map_err(|e| MrError::Checkpoint(format!("journaled schedule: {e}")))?;
+    check_schedule(&schedule, families)?;
     Ok(Some(Resume {
         schedule,
         job1_cost,
         tasks: &state.tasks,
     }))
+}
+
+/// Check the shape of a journaled schedule before the resolution job
+/// indexes it: the schedule is read from a journal, so it is outside input.
+/// One block list per task and at least one task; one task, `SQ` and `Dom`
+/// per tree; each tree's task in range and its `SQ` inside that task's
+/// range; each tree's family one of `families`, with a root block and every
+/// block's level inside the family's depth; every scheduled block an
+/// existing node of an existing tree.
+fn check_schedule(schedule: &Schedule, families: &[BlockingFamily]) -> Result<(), MrError> {
+    let err = |msg: String| Err(MrError::Checkpoint(format!("journaled schedule: {msg}")));
+    let (tasks, trees) = (schedule.num_tasks, schedule.trees.len());
+    if tasks == 0 || schedule.block_order.len() != tasks {
+        return err(format!(
+            "{} block lists for {tasks} tasks",
+            schedule.block_order.len()
+        ));
+    }
+    for (what, len) in [
+        ("task_of_tree", schedule.task_of_tree.len()),
+        ("tree_sq", schedule.tree_sq.len()),
+        ("dom", schedule.dom.len()),
+    ] {
+        if len != trees {
+            return err(format!("{what} has {len} entries for {trees} trees"));
+        }
+    }
+    for (t, tree) in schedule.trees.iter().enumerate() {
+        let (task, sq) = (schedule.task_of_tree[t], schedule.tree_sq[t]);
+        if task >= tasks || sq / Schedule::SQ_RANGE != task as u64 {
+            return err(format!(
+                "tree {t} is routed by SQ {sq} to task {task} of {tasks}"
+            ));
+        }
+        let Some(family) = families.get(tree.family) else {
+            return err(format!(
+                "tree {t} names family {} of {}",
+                tree.family,
+                families.len()
+            ));
+        };
+        if tree.nodes.is_empty() {
+            return err(format!("tree {t} has no root block"));
+        }
+        if let Some(node) = tree.nodes.iter().find(|n| n.level >= family.depth()) {
+            return err(format!(
+                "tree {t} holds a block at level {} of a {}-level family",
+                node.level,
+                family.depth()
+            ));
+        }
+    }
+    for (task, blocks) in schedule.block_order.iter().enumerate() {
+        for b in blocks {
+            let nodes = schedule
+                .trees
+                .get(b.tree)
+                .map_or(0, |tree| tree.nodes.len());
+            if b.node >= nodes {
+                return err(format!(
+                    "task {task} schedules block {} of tree {}, which does not exist",
+                    b.node, b.tree
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Drive the pipeline to completion, journaling as it goes: `first` opens
@@ -680,7 +754,7 @@ fn redrive(
         }
     }
     let every = grid_spacing(&state, opts)?;
-    let resume = journaled_resume(&state, er.config.machines)?;
+    let resume = journaled_resume(&state, er.config.machines, &er.config.families)?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, state.next_dlq_seq);

@@ -68,7 +68,7 @@ use pper_journal::{JournalEvent, TaskProgress};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_mapreduce::runtime::run_job_with_partitioner;
-use pper_progressive::{LevelPolicy, PairSource, StopState};
+use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
 use pper_schedule::{should_resolve, DomList, Schedule, TreeLocator};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
@@ -325,7 +325,7 @@ struct ResolveReducer<'a> {
     sq_to_tree: &'a FxHashMap<u64, usize>,
     policy: &'a LevelPolicy,
     rule: PreparedRule,
-    mechanism: crate::config::MechanismKind,
+    mechanism: MechanismKind,
     stage: Stage<'a>,
 }
 

@@ -74,13 +74,14 @@ pub mod prelude {
     pub use crate::clustering::{
         correlation_clustering, transitive_closure, ClusterMetrics, UnionFind,
     };
-    pub use crate::config::{ErConfig, MechanismKind, ProbModelKind};
+    pub use crate::config::{ErConfig, ProbModelKind};
     pub use crate::durable::{
         reprocess_dlq, resume_durable, run_durable, DurableError, DurableOptions, ResultFingerprint,
     };
     pub use crate::job1::run_job1;
     pub use crate::metrics::{quality, speedup_at, RecallCurve};
     pub use crate::pipeline::{ErRunResult, ProgressiveEr};
+    pub use pper_progressive::MechanismKind;
 }
 
 pub use prelude::*;

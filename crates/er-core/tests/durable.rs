@@ -638,6 +638,77 @@ fn a_resume_on_another_machine_count_is_refused() {
     assert_eq!(store.read("job-mu").unwrap(), killed);
 }
 
+/// A journaled schedule is outside input: one whose shape does not fit
+/// the configured blocking, or whose indices do not land, is refused with
+/// the typed checkpoint error before job 2 indexes it and before anything
+/// is appended, never a panic.
+#[test]
+fn a_journaled_schedule_that_does_not_fit_is_refused() {
+    use pper_schedule::Schedule;
+    type Defect = fn(&mut Schedule);
+    let defects: [(&str, Defect); 12] = [
+        ("family past the families", |s| s.trees[0].family = 9),
+        ("block order shorter than the tasks", |s| {
+            s.block_order.pop();
+        }),
+        ("no tasks", |s| {
+            s.num_tasks = 0;
+            s.block_order.clear();
+        }),
+        ("task_of_tree short", |s| {
+            s.task_of_tree.pop();
+        }),
+        ("tree_sq short", |s| {
+            s.tree_sq.pop();
+        }),
+        ("dom short", |s| {
+            s.dom.pop();
+        }),
+        ("task past the tasks", |s| s.task_of_tree[0] = s.num_tasks),
+        ("SQ outside its task's range", |s| {
+            s.tree_sq[0] += Schedule::SQ_RANGE;
+        }),
+        ("block of a missing tree", |s| {
+            let tree = s.trees.len();
+            s.block_order[0][0].tree = tree;
+        }),
+        ("block of a missing node", |s| {
+            let tree = s.block_order[0][0].tree;
+            s.block_order[0][0].node = s.trees[tree].nodes.len();
+        }),
+        ("level past the family's depth", |s| {
+            s.trees[0].nodes[0].level = 3
+        }),
+        ("tree without a root block", |s| s.trees[0].nodes.clear()),
+    ];
+    let ds = dataset();
+    let er = small_pipeline();
+    let (events, _) = finished_journal(&er, &ds, "job-shape");
+    let cuts = cut_positions(&events);
+    let kill = cuts[cuts.len() / 2] + 1;
+    for (what, defect) in defects {
+        let store = MemStore::shared();
+        let mut journal = JobJournal::create(Arc::clone(&store), "job-shape").unwrap();
+        for (_, event) in &events[..kill] {
+            let mut event = event.clone();
+            if let JournalEvent::ScheduleGenerated { schedule_json, .. } = &mut event {
+                let mut schedule: Schedule = serde_json::from_str(schedule_json).unwrap();
+                defect(&mut schedule);
+                *schedule_json = serde_json::to_string(&schedule).unwrap();
+            }
+            journal.append(&event).unwrap();
+        }
+        journal.sync().unwrap();
+        let killed = store.read("job-shape").unwrap();
+        let refused = resume_durable(&er, &ds, &store, "job-shape", &opts(EVERY));
+        assert!(
+            matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
+            "{what}: {refused:?}"
+        );
+        assert_eq!(store.read("job-shape").unwrap(), killed, "{what}");
+    }
+}
+
 /// More blocking families than a dominance list holds: `try_run` and
 /// `run_durable` refuse the configuration with the typed error before any
 /// task starts or any journal exists, and a resume — which skips job 1 —

@@ -3,12 +3,15 @@
 //! The shuffle is pure plumbing: however records are gathered, sorted or
 //! grouped, the *virtual-time* results of a job — duplicates, recall curve,
 //! counters, total cost — must be bit-identical. These tests pin the quick
-//! CiteSeerX-shaped configuration to fingerprints captured from the
+//! CiteSeerX-shaped configuration (SN) to fingerprints captured from the
 //! original driver-thread nested-`Vec` shuffle, across worker thread counts
 //! and with fault plans enabled, so any shuffle rewrite that shifts a single
-//! bit of virtual time fails here.
+//! bit of virtual time fails here. The quick OL-Books-shaped configuration
+//! (PSNM) is pinned the same way, to fingerprints captured before SN and
+//! PSNM shared one pair stream, so a rewrite that moves one pair of either
+//! order fails here too.
 
-use pper_datagen::PubGen;
+use pper_datagen::{BookGen, PubGen};
 use pper_er::prelude::*;
 use pper_mapreduce::prelude::*;
 
@@ -52,24 +55,45 @@ fn fingerprint(r: &ErRunResult) -> Fingerprint {
     }
 }
 
-fn quick_dataset() -> pper_datagen::Dataset {
-    PubGen::new(1_500, 4242).generate()
+/// The two quick configurations: the paper's two datasets, one per mechanism.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// CiteSeerX-shaped publications under SN.
+    Pubs,
+    /// OL-Books-shaped books under PSNM.
+    Books,
 }
 
-fn pipeline_run(threads: usize, faults: Option<FaultPlan>) -> ErRunResult {
-    let mut config = ErConfig::citeseer(2);
-    config.worker_threads = Some(threads);
-    config.faults = faults;
-    ProgressiveEr::new(config).run(&quick_dataset())
+impl Shape {
+    fn dataset(self) -> pper_datagen::Dataset {
+        match self {
+            Shape::Pubs => PubGen::new(1_500, 4242).generate(),
+            Shape::Books => BookGen::new(1_500, 4242).generate(),
+        }
+    }
+
+    fn config(self, threads: usize, faults: Option<FaultPlan>) -> ErConfig {
+        let mut config = match self {
+            Shape::Pubs => ErConfig::citeseer(2),
+            Shape::Books => ErConfig::books(2),
+        };
+        config.worker_threads = Some(threads);
+        config.faults = faults;
+        config
+    }
 }
 
-fn basic_run(threads: usize, faults: Option<FaultPlan>) -> ErRunResult {
-    let mut config = ErConfig::citeseer(2);
-    config.worker_threads = Some(threads);
-    config.faults = faults;
-    BasicApproach::new(config, BasicConfig::popcorn(15, 0.01))
-        .run(&quick_dataset())
-        .unwrap()
+fn pipeline_run(shape: Shape, threads: usize, faults: Option<FaultPlan>) -> ErRunResult {
+    ProgressiveEr::new(shape.config(threads, faults)).run(&shape.dataset())
+}
+
+fn basic_run(shape: Shape, threads: usize, faults: Option<FaultPlan>) -> ErRunResult {
+    BasicApproach::new(
+        shape.config(threads, faults),
+        BasicConfig::popcorn(15, 0.01),
+    )
+    .run(&shape.dataset())
+    .unwrap()
 }
 
 /// Golden fingerprints captured from the pre-rewrite shuffle (driver-thread
@@ -95,18 +119,56 @@ const GOLDEN_BASIC: Fingerprint = Fingerprint {
     duplicates_found: 882,
 };
 
+/// Golden fingerprints captured on the quick OL-Books config before SN and
+/// PSNM shared one pair stream: they pin PSNM's pair order.
+const GOLDEN_BOOKS_PIPELINE: Fingerprint = Fingerprint {
+    duplicates: 733,
+    dup_hash: 11854955941331999993,
+    total_cost_bits: 4670398976273998138,
+    final_recall_bits: 4606783142692245317,
+    curve_len: 733,
+    pairs_compared: 47696,
+    duplicates_found: 733,
+};
+
+const GOLDEN_BOOKS_BASIC: Fingerprint = Fingerprint {
+    duplicates: 666,
+    dup_hash: 3509815648511943034,
+    total_cost_bits: 4663574298323443222,
+    final_recall_bits: 4605996333891635609,
+    curve_len: 666,
+    pairs_compared: 18334,
+    duplicates_found: 666,
+};
+
+/// Each quick configuration with its pipeline and Basic goldens.
+const GOLDENS: [(Shape, Fingerprint, Fingerprint); 2] = [
+    (Shape::Pubs, GOLDEN_PIPELINE, GOLDEN_BASIC),
+    (Shape::Books, GOLDEN_BOOKS_PIPELINE, GOLDEN_BOOKS_BASIC),
+];
+
 #[test]
 #[ignore = "golden capture helper: prints fingerprints to embed above"]
 fn print_golden_fingerprints() {
-    println!("pipeline t1: {:?}", fingerprint(&pipeline_run(1, None)));
-    println!("basic t1:    {:?}", fingerprint(&basic_run(1, None)));
+    for (shape, _, _) in GOLDENS {
+        println!(
+            "{shape:?} pipeline t1: {:?}",
+            fingerprint(&pipeline_run(shape, 1, None))
+        );
+        println!(
+            "{shape:?} basic t1:    {:?}",
+            fingerprint(&basic_run(shape, 1, None))
+        );
+    }
 }
 
 #[test]
 fn pipeline_parity_across_worker_threads() {
-    for threads in [1usize, 2, 8] {
-        let fp = fingerprint(&pipeline_run(threads, None));
-        assert_eq!(fp, GOLDEN_PIPELINE, "worker_threads={threads}");
+    for (shape, golden, _) in GOLDENS {
+        for threads in [1usize, 2, 8] {
+            let fp = fingerprint(&pipeline_run(shape, threads, None));
+            assert_eq!(fp, golden, "{shape:?} worker_threads={threads}");
+        }
     }
 }
 
@@ -114,32 +176,38 @@ fn pipeline_parity_across_worker_threads() {
 fn pipeline_parity_with_fault_plan() {
     // A retried reduce task wastes virtual time on its own clock but must
     // not change what the job produces.
-    let clean = pipeline_run(1, None);
-    let faulty = pipeline_run(8, Some(FaultPlan::fail_reduce(0, 2)));
-    assert_eq!(clean.duplicates, faulty.duplicates);
-    assert_eq!(
-        clean.counters.get("pairs_compared"),
-        faulty.counters.get("pairs_compared")
-    );
-    assert!(faulty.counters.get("task_retries") >= 2);
+    for (shape, _, _) in GOLDENS {
+        let clean = pipeline_run(shape, 1, None);
+        let faulty = pipeline_run(shape, 8, Some(FaultPlan::fail_reduce(0, 2)));
+        assert_eq!(clean.duplicates, faulty.duplicates, "{shape:?}");
+        assert_eq!(
+            clean.counters.get("pairs_compared"),
+            faulty.counters.get("pairs_compared")
+        );
+        assert!(faulty.counters.get("task_retries") >= 2);
+    }
 }
 
 #[test]
 fn basic_parity_across_worker_threads() {
-    for threads in [1usize, 2, 8] {
-        let fp = fingerprint(&basic_run(threads, None));
-        assert_eq!(fp, GOLDEN_BASIC, "worker_threads={threads}");
+    for (shape, _, golden) in GOLDENS {
+        for threads in [1usize, 2, 8] {
+            let fp = fingerprint(&basic_run(shape, threads, None));
+            assert_eq!(fp, golden, "{shape:?} worker_threads={threads}");
+        }
     }
 }
 
 #[test]
 fn basic_parity_with_fault_plan() {
-    let clean = basic_run(1, None);
-    let faulty = basic_run(8, Some(FaultPlan::fail_reduce(0, 2)));
-    assert_eq!(clean.duplicates, faulty.duplicates);
-    assert_eq!(
-        clean.counters.get("duplicates_found"),
-        faulty.counters.get("duplicates_found")
-    );
-    assert!(faulty.counters.get("task_retries") >= 2);
+    for (shape, _, _) in GOLDENS {
+        let clean = basic_run(shape, 1, None);
+        let faulty = basic_run(shape, 8, Some(FaultPlan::fail_reduce(0, 2)));
+        assert_eq!(clean.duplicates, faulty.duplicates, "{shape:?}");
+        assert_eq!(
+            clean.counters.get("duplicates_found"),
+            faulty.counters.get("duplicates_found")
+        );
+        assert!(faulty.counters.get("task_retries") >= 2);
+    }
 }

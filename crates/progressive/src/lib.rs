@@ -4,21 +4,23 @@
 //!
 //! A mechanism takes a block and yields its entity pairs in an order designed
 //! to surface duplicates early. Two mechanisms from the literature are
-//! implemented, matching the paper's experimental setup (§VI-A3):
+//! implemented, matching the paper's experimental setup (§VI-A3), as the two
+//! values of [`MechanismKind`]:
 //!
-//! * [`sn::SnHint`] — the Sorted Neighbor algorithm with the sorted-list hint
-//!   of Whang et al. (the paper's ref. \[5\]): entities are sorted by the
-//!   blocking attribute and pairs are resolved in non-decreasing rank
-//!   distance, up to a window `w`;
-//! * [`psnm::Psnm`] — the Progressive Sorted Neighborhood Method of
+//! * [`MechanismKind::Sn`] — the Sorted Neighbor algorithm with the
+//!   sorted-list hint of Whang et al. (the paper's ref. \[5\]): entities are
+//!   sorted by the blocking attribute and pairs are resolved in
+//!   non-decreasing rank distance, up to a window `w`;
+//! * [`MechanismKind::Psnm`] — the Progressive Sorted Neighborhood Method of
 //!   Papenbrock et al. (ref. \[6\]): the same distance-major base order,
 //!   extended with a duplicate-driven look-ahead that eagerly explores the
 //!   neighborhood of each found duplicate.
 //!
-//! Mechanisms are *resumable and feedback-driven* ([`mechanism::PairSource`])
-//! so the pipeline can stop a block early (§III-A's termination thresholds),
-//! interleave blocks of different trees, and revisit a parent block without
-//! repeating child work.
+//! SN is PSNM that never promotes, so both run as one [`PairStream`] whose
+//! promotion state only PSNM allocates. The stream is *resumable and
+//! feedback-driven* ([`PairSource`]) so the pipeline can stop a block early
+//! (§III-A's termination thresholds), interleave blocks of different trees,
+//! and revisit a parent block without repeating child work.
 //!
 //! [`policy`] holds the stopping rules: the distinct-pair termination
 //! thresholds `Th(X)`/`Frac(X)` and per-level windows of §VI-A5, and the
@@ -27,10 +29,10 @@
 //! pipeline's resolution job does:
 //!
 //! ```
-//! use pper_progressive::{Mechanism, PairSource, SnHint, StopRule, StopState};
+//! use pper_progressive::{MechanismKind, PairSource, StopRule, StopState};
 //!
 //! // A sorted block of six entities; adjacent ids are duplicates.
-//! let mut source = SnHint.start((0..6).collect(), 3);
+//! let mut source = MechanismKind::Sn.start((0..6).collect(), 3);
 //! let mut stop = StopState::new(StopRule::Exhaust);
 //! let mut duplicates = Vec::new();
 //! while let Some((a, b)) = source.next_pair() {
@@ -63,10 +65,6 @@
 
 pub mod mechanism;
 pub mod policy;
-pub mod psnm;
-pub mod sn;
 
-pub use mechanism::{sort_by_attr, sort_by_attrs, Mechanism, PairSource};
-pub use policy::{LevelPolicy, PopcornState, StopRule, StopState};
-pub use psnm::Psnm;
-pub use sn::SnHint;
+pub use mechanism::{sort_by_attrs, MechanismKind, PairSource, PairStream};
+pub use policy::{LevelPolicy, StopRule, StopState};

@@ -39,8 +39,7 @@ pub struct StopState {
 
 /// Sliding duplicate-rate tracker for the Popcorn scheme.
 #[derive(Debug, Clone, Default)]
-pub struct PopcornState {
-    comparisons: u64,
+struct PopcornState {
     dups_in_window: u64,
     /// Ring buffer of the last `window` outcomes (true = duplicate).
     ring: Vec<bool>,
@@ -59,11 +58,10 @@ impl PopcornState {
             self.dups_in_window -= u64::from(old);
             self.head = (self.head + 1) % w;
         }
-        self.comparisons += 1;
     }
 
     /// Duplicate rate over the current window contents.
-    pub fn rate(&self) -> f64 {
+    fn rate(&self) -> f64 {
         if self.ring.is_empty() {
             return 1.0;
         }
@@ -95,11 +93,6 @@ impl StopState {
                 self.popcorn.ring.len() as u64 >= window && self.popcorn.rate() < threshold
             }
         }
-    }
-
-    /// Distinct pairs observed so far.
-    pub fn distinct_seen(&self) -> u64 {
-        self.distinct
     }
 }
 
@@ -206,7 +199,6 @@ mod tests {
         assert!(!s.observe(true));
         assert!(!s.observe(false)); // 3 == budget, not yet exceeded
         assert!(s.observe(false)); // 4 > budget
-        assert_eq!(s.distinct_seen(), 4);
     }
 
     #[test]
