@@ -7,8 +7,10 @@
 //! * **Map** — for each entity, emit one record per tree containing it,
 //!   keyed by the tree's sequence value `SQ` and carrying the entity plus
 //!   its dominance list (§V), held in the record itself.
-//! * **Partition** — a range partitioner over `SQ` routes every tree to its
-//!   scheduled reduce task.
+//! * **Partition** — the mapper routes every tree to its scheduled reduce
+//!   task, the one its `SQ` names (`SQ / SQ_RANGE`); a tree whose `SQ`
+//!   names no task of the schedule fails the job with
+//!   [`MrError::InvalidPartition`].
 //! * **Reduce (whole partition)** — ingest the task's trees, then walk the
 //!   task's *block schedule*: for each block, materialize its members,
 //!   sort them by the blocking attribute, run the configured mechanism with
@@ -67,7 +69,6 @@ use pper_datagen::{Dataset, Entity, EntityId};
 use pper_journal::{JournalEvent, TaskProgress};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
-use pper_mapreduce::runtime::run_job_with_partitioner;
 use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
 use pper_schedule::{should_resolve, DomList, Schedule, TreeLocator};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
@@ -106,6 +107,12 @@ impl<'d> Mapper for RouteMapper<'d> {
                 ctx.charge(ctx.cost_model.read_per_entity * 0.25);
                 out.emit(self.schedule.tree_sq[tree], (entity, list));
             });
+    }
+
+    /// The task the schedule encoded into the tree's `SQ`
+    /// (`task · SQ_RANGE + rank`).
+    fn partition(&self, sq: &u64, _num_reduce: usize) -> usize {
+        (sq / Schedule::SQ_RANGE) as usize
     }
 }
 
@@ -579,12 +586,14 @@ pub fn run_job2(
     run_job2_stage(ds, config, &schedule, Stage::default())
 }
 
-/// Check a resumed fold against the schedule it is about to index: one
-/// entry per task, watermarks within the task's blocks, tree ids within the
-/// schedule's trees, a finite non-negative clock, and duplicates in cost
-/// order and not past it. The fold is read from a journal, so it is outside
-/// input.
-fn check_fold(schedule: &Schedule, tasks: &[TaskProgress]) -> Result<(), MrError> {
+/// Check a resumed fold against the schedule it is about to index and the
+/// dataset of `entities` entities its duplicates name: one entry per task,
+/// watermarks within the task's blocks, tree ids within the schedule's
+/// trees, a finite non-negative clock, and duplicates at finite
+/// non-negative costs, in cost order and not past the clock, each a pair of
+/// two distinct entities of the dataset (in either order). The fold is read
+/// from a journal, so it is outside input.
+fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> Result<(), MrError> {
     let err = |msg: String| Err(MrError::Checkpoint(msg));
     if tasks.len() != schedule.num_tasks {
         return err(format!(
@@ -612,6 +621,19 @@ fn check_fold(schedule: &Schedule, tasks: &[TaskProgress]) -> Result<(), MrError
                 return err(format!(
                     "task {idx} references tree {tree}, but the schedule has only {}",
                     schedule.trees.len()
+                ));
+            }
+        }
+        for &(cost, a, b) in &t.duplicates {
+            if !cost.is_finite() || cost < 0.0 {
+                return err(format!(
+                    "task {idx} records a duplicate at a non-finite or negative cost ({cost})"
+                ));
+            }
+            if a == b || a.max(b) as usize >= entities {
+                return err(format!(
+                    "task {idx} records the duplicate ({a}, {b}), which is not two distinct \
+                     entities of the {entities} in the dataset"
                 ));
             }
         }
@@ -644,7 +666,7 @@ pub fn run_job2_stage(
 ) -> Result<Job2Result, MrError> {
     DomList::check_capacity(config.families.len())?;
     if let Some(tasks) = stage.resume {
-        check_fold(schedule, tasks)?;
+        check_fold(schedule, ds.len(), tasks)?;
     }
     if let Some(sink) = stage.cuts {
         if !(sink.every.is_finite() && sink.every > 0.0) {
@@ -667,9 +689,8 @@ pub fn run_job2_stage(
         locator: &locator,
     };
     let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, stage);
-    let partitioner = RangePartitioner::new(schedule.sq_bounds(), |sq: &u64| *sq);
     let entities: Vec<&Entity> = ds.entities.iter().collect();
-    run_job_with_partitioner(&cfg, &mapper, &reducer, &partitioner, &entities).map(assemble)
+    run_job(&cfg, &mapper, &reducer, &entities).map(assemble)
 }
 
 #[cfg(test)]
@@ -903,6 +924,29 @@ mod tests {
             let mut spoilt = fold.clone();
             spoil(&mut spoilt);
             assert!(rejected(&spoilt), "{what}");
+        }
+    }
+
+    /// A tree whose `SQ` names a task past the schedule's is a placement
+    /// error, not a tree moved onto the last task (whose block schedule
+    /// does not hold it).
+    #[test]
+    fn a_tree_routed_past_the_tasks_is_an_error_not_a_clamp() {
+        let ds = PubGen::new(600, 78).generate();
+        let config = ErConfig::citeseer(2);
+        let mut schedule = (*schedule_for(&ds, &config)).clone();
+        let tasks = schedule.num_tasks;
+        let tree = (0..schedule.trees.len())
+            .find(|&t| schedule.task_of_tree[t] + 1 < tasks)
+            .expect("a tree off the last task");
+        schedule.tree_sq[tree] = tasks as u64 * Schedule::SQ_RANGE;
+        match run_job2(&ds, &config, Arc::new(schedule)) {
+            Err(MrError::InvalidPartition {
+                partition,
+                num_reduce,
+                ..
+            }) => assert_eq!((partition, num_reduce), (tasks, tasks)),
+            other => panic!("expected an invalid partition, got {other:?}"),
         }
     }
 

@@ -709,6 +709,57 @@ fn a_journaled_schedule_that_does_not_fit_is_refused() {
     }
 }
 
+/// A checkpointed duplicate is outside input too: one at a cost that is
+/// not finite and non-negative, or whose ids are not two distinct entities
+/// of the dataset, is refused with the typed checkpoint error before any
+/// task starts and before anything is appended — never a panic, and never
+/// a resumed timeline that holds it.
+#[test]
+fn a_checkpointed_duplicate_that_does_not_fit_is_refused() {
+    type Defect = fn(&mut (f64, u32, u32), u32);
+    let defects: [(&str, Defect); 5] = [
+        ("b past the entities", |d, n| d.2 = n),
+        ("a at u32::MAX", |d, _| d.1 = u32::MAX),
+        ("a pair of one entity", |d, _| d.2 = d.1),
+        ("NaN cost", |d, _| d.0 = f64::NAN),
+        ("negative cost", |d, _| d.0 = -1.0),
+    ];
+    let ds = dataset();
+    let er = small_pipeline();
+    let entities = u32::try_from(ds.len()).unwrap();
+    let (events, _) = finished_journal(&er, &ds, "job-dup");
+    let cuts = cut_positions(&events);
+    let kill = cuts[cuts.len() / 2] + 1;
+    // The first cut with duplicates: its task's first checkpointed ones.
+    let spoilt = (0..kill)
+        .find(|&i| {
+            matches!(&events[i].1, JournalEvent::CheckpointCut { duplicates, .. }
+                if !duplicates.is_empty())
+        })
+        .expect("a cut with duplicates before the kill");
+    for (what, defect) in defects {
+        let store = MemStore::shared();
+        let mut journal = JobJournal::create(Arc::clone(&store), "job-dup").unwrap();
+        for (i, (_, event)) in events[..kill].iter().enumerate() {
+            let mut event = event.clone();
+            if let (true, JournalEvent::CheckpointCut { duplicates, .. }) =
+                (i == spoilt, &mut event)
+            {
+                defect(&mut duplicates[0], entities);
+            }
+            journal.append(&event).unwrap();
+        }
+        journal.sync().unwrap();
+        let killed = store.read("job-dup").unwrap();
+        let refused = resume_durable(&er, &ds, &store, "job-dup", &opts(EVERY));
+        assert!(
+            matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
+            "{what}: {refused:?}"
+        );
+        assert_eq!(store.read("job-dup").unwrap(), killed, "{what}");
+    }
+}
+
 /// More blocking families than a dominance list holds: `try_run` and
 /// `run_durable` refuse the configuration with the typed error before any
 /// task starts or any journal exists, and a resume — which skips job 1 —

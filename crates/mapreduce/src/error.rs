@@ -43,13 +43,14 @@ pub enum MrError {
     /// mappers/reducers — but surfaced as an error instead of a panic so
     /// callers can fail the job cleanly.
     Internal(String),
-    /// A [`crate::partition::Partitioner`] returned a partition index
-    /// outside `0..num_reduce` — a placement bug that used to be silently
-    /// clamped to the last reduce task.
+    /// A mapper's [`crate::job::Mapper::partition`] returned a reduce-task
+    /// index outside `0..num_reduce` — a placement bug, never clamped onto
+    /// a task that exists (for the second job: a tree whose `SQ` names a
+    /// task past the schedule's).
     InvalidPartition {
         /// Job name.
         job: String,
-        /// The out-of-range index the partitioner returned.
+        /// The out-of-range index the mapper returned.
         partition: usize,
         /// Number of reduce tasks the job actually has.
         num_reduce: usize,
@@ -86,7 +87,7 @@ impl fmt::Display for MrError {
             } => {
                 write!(
                     f,
-                    "job '{job}': partitioner returned partition {partition} \
+                    "job '{job}': the mapper routed a record to partition {partition} \
                      but the job has only {num_reduce} reduce tasks"
                 )
             }

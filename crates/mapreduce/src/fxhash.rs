@@ -77,7 +77,8 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Hash a single hashable value with FxHash. Convenience for partitioners.
+/// Hash a single hashable value with FxHash: [`crate::job::Mapper::partition`]'s
+/// default routing.
 #[inline]
 pub fn hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();

@@ -7,6 +7,7 @@ use crate::cost::{CostClock, CostModel};
 use crate::counters::Counters;
 use crate::exec::ExecutorKind;
 use crate::faults::{FaultPlan, InjectedAbort};
+use crate::fxhash::hash_one;
 use crate::observe::TaskObserver;
 use crate::progress::ProgressEvent;
 use crate::shuffle::GroupedPartition;
@@ -250,7 +251,8 @@ impl<K, V> Emitter<K, V> {
 ///
 /// A map task receives a contiguous split of the input and calls
 /// [`Mapper::map`] once per input record, after a single [`Mapper::setup`]
-/// call (Hadoop's `setup()`), and before a final [`Mapper::cleanup`].
+/// call (Hadoop's `setup()`). Each emitted record then goes to the reduce
+/// task [`Mapper::partition`] names for its key.
 pub trait Mapper: Sync {
     /// One input record.
     type Input: Sync;
@@ -274,12 +276,21 @@ pub trait Mapper: Sync {
         out: &mut Emitter<Self::Key, Self::Value>,
     );
 
-    /// Called once per task after the last input record.
-    fn cleanup(&self, _ctx: &mut TaskContext) {}
+    /// The reduce task, in `0..num_reduce`, that receives `key`'s group.
+    /// The default is Hadoop's `hash(key) mod r` (the Basic baseline of
+    /// §II-C and the first job); the second job overrides it to route each
+    /// tree to the task its sequence value names (§III-B). An index
+    /// `>= num_reduce` fails the job with
+    /// [`crate::error::MrError::InvalidPartition`]; it is never clamped.
+    #[inline]
+    fn partition(&self, key: &Self::Key, num_reduce: usize) -> usize {
+        (hash_one(key) % num_reduce.max(1) as u64) as usize
+    }
 }
 
 /// Classic per-group reduce function: called once per distinct key with all
-/// values for that key, in ascending key order.
+/// values for that key, in ascending key order. Run it as a
+/// [`PartitionReducer`] through [`GroupReducer`].
 pub trait Reducer: Sync {
     /// Intermediate key (must match the mapper's).
     type Key: Ord + Send + Sync;
@@ -287,9 +298,6 @@ pub trait Reducer: Sync {
     type Value: Send + Sync;
     /// Final output record.
     type Output: Send;
-
-    /// Called once per task before the first group.
-    fn setup(&self, _ctx: &mut TaskContext) {}
 
     /// Process one key group. `values` is a borrowed slice into the
     /// partition's flat value arena, in map-output order.
@@ -300,9 +308,6 @@ pub trait Reducer: Sync {
         ctx: &mut TaskContext,
         out: &mut Vec<Self::Output>,
     );
-
-    /// Called once per task after the last group.
-    fn cleanup(&self, _ctx: &mut TaskContext, _out: &mut Vec<Self::Output>) {}
 }
 
 /// Whole-partition reduce: receives *all* groups of the partition (sorted by
@@ -331,8 +336,9 @@ pub trait PartitionReducer: Sync {
     );
 }
 
-/// Adapter running a classic [`Reducer`] as a [`PartitionReducer`]
-/// (one `reduce()` call per group, in key order).
+/// Adapter running a classic [`Reducer`] as a [`PartitionReducer`]: one
+/// `reduce()` call per group, in key order, and nothing before the first
+/// group or after the last.
 pub struct GroupReducer<R> {
     inner: R,
 }
@@ -341,11 +347,6 @@ impl<R> GroupReducer<R> {
     /// Wrap a per-group reducer.
     pub fn new(inner: R) -> Self {
         Self { inner }
-    }
-
-    /// Access the wrapped reducer.
-    pub fn inner(&self) -> &R {
-        &self.inner
     }
 }
 
@@ -360,17 +361,60 @@ impl<R: Reducer> PartitionReducer for GroupReducer<R> {
         ctx: &mut TaskContext,
         out: &mut Vec<Self::Output>,
     ) {
-        self.inner.setup(ctx);
         for (key, values) in partition.iter() {
             self.inner.reduce(key, values, ctx, out);
         }
-        self.inner.cleanup(ctx, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A mapper that keeps the default routing.
+    struct Hashed;
+    impl Mapper for Hashed {
+        type Input = ();
+        type Key = u64;
+        type Value = ();
+        fn map(&self, _: &(), _: &mut TaskContext, _: &mut Emitter<u64, ()>) {}
+    }
+
+    #[test]
+    fn default_partition_in_range() {
+        for key in 0..1000u64 {
+            assert!(Hashed.partition(&key, 7) < 7);
+        }
+    }
+
+    #[test]
+    fn default_partition_deterministic() {
+        assert_eq!(Hashed.partition(&42, 13), Hashed.partition(&42, 13));
+    }
+
+    #[test]
+    fn default_partition_single_task() {
+        for key in [0u64, 1, 999, u64::MAX] {
+            assert_eq!(Hashed.partition(&key, 1), 0);
+        }
+    }
+
+    proptest! {
+        // The routing contract on random keys: the default index is always
+        // `< num_reduce` and deterministic.
+        #[test]
+        fn prop_default_partition_stays_in_range_and_deterministic(
+            keys in proptest::collection::vec(0u64..50_000, 1..200),
+            num_reduce in 1usize..32,
+        ) {
+            for k in &keys {
+                let p = Hashed.partition(k, num_reduce);
+                prop_assert!(p < num_reduce);
+                prop_assert_eq!(p, Hashed.partition(k, num_reduce));
+            }
+        }
+    }
 
     #[test]
     fn cluster_slots() {

@@ -11,10 +11,13 @@
 //! deterministic and hardware-independent:
 //!
 //! * a job is a map phase followed by a shuffle (partition + sort + group)
-//!   and a reduce phase ([`runtime::run_job`]); the shuffle groups each
-//!   partition into a flat [`shuffle::GroupedPartition`] arena on the worker
-//!   pool and reducers receive borrowed `(&K, &[V])` views — zero per-group
-//!   allocations and no copies on fault-plan re-execution;
+//!   and a reduce phase ([`runtime::run_job`]). The mapper routes its own
+//!   keys ([`job::Mapper::partition`]): Hadoop's `hash(key) mod r` unless it
+//!   overrides that, as the paper's second job does to send each tree to
+//!   the reduce task its sequence value names (§III-B). The shuffle groups
+//!   each partition into a flat [`shuffle::GroupedPartition`] arena on the
+//!   worker pool and reducers receive borrowed `(&K, &[V])` views — zero
+//!   per-group allocations and no copies on fault-plan re-execution;
 //! * the cluster is modelled as `machines × slots_per_machine` parallel task
 //!   slots ([`job::ClusterSpec`]); when there are more tasks than slots the
 //!   virtual makespan is computed with list scheduling, exactly like Hadoop's
@@ -100,7 +103,6 @@ pub mod faults;
 pub mod fxhash;
 pub mod job;
 pub mod observe;
-pub mod partition;
 pub mod progress;
 pub mod runtime;
 pub mod shuffle;
@@ -121,11 +123,8 @@ pub mod prelude {
         TaskContext, TaskId, TaskKind,
     };
     pub use crate::observe::{AttemptRecord, TaskEvent, TaskObserver};
-    pub use crate::partition::{HashPartitioner, Partitioner, RangePartitioner};
     pub use crate::progress::ProgressEvent;
-    pub use crate::runtime::{
-        run_job, run_job_spilling, run_job_with_partitioner, JobResult, PhaseReport, WallPhases,
-    };
+    pub use crate::runtime::{run_job, run_job_spilling, JobResult, PhaseReport, WallPhases};
     pub use crate::shuffle::{GroupedPartition, ShuffleSpillConfig, ShuffleSpillStats};
     pub use crate::spill::SpillCodec;
     pub use pper_vfs::{

@@ -31,7 +31,6 @@ use crate::exec::run_cursor_pool;
 use crate::faults::InjectedAbort;
 use crate::job::{Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind};
 use crate::observe::{AttemptRecord, TaskEvent};
-use crate::partition::{HashPartitioner, Partitioner};
 use crate::progress::ProgressEvent;
 use crate::shuffle::{
     shuffle_partitions, shuffle_partitions_spilling, GroupedPartition, PartitionBuckets,
@@ -338,7 +337,8 @@ fn check_fault_plan(cfg: &JobConfig, num_map: usize, num_reduce: usize) -> Resul
         .map_err(|msg| MrError::InvalidFaultPlan(format!("job '{}': {msg}", cfg.name)))
 }
 
-/// Run a job with the default [`HashPartitioner`].
+/// Run a job: map, route each record to [`Mapper::partition`]'s reduce
+/// task, group in memory, reduce.
 pub fn run_job<M, R>(
     cfg: &JobConfig,
     mapper: &M,
@@ -349,12 +349,11 @@ where
     M: Mapper,
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
 {
-    run_job_with_partitioner(cfg, mapper, reducer, &HashPartitioner, inputs)
+    execute(cfg, mapper, reducer, inputs, in_memory_shuffle)
 }
 
 /// Run a job whose shuffle grouping spills to disk when a reduce
-/// partition exceeds the configured record budget (default hash
-/// partitioner). Outputs are bit-identical to [`run_job`] at any thread
+/// partition exceeds the configured record budget. Outputs are bit-identical to [`run_job`] at any thread
 /// count — only the shuffle's memory working set (and the
 /// `shuffle_spill_*` counters) change.
 ///
@@ -381,14 +380,9 @@ where
     let attempts = spill.retry.max_attempts.max(1);
     let mut reruns = 0u32;
     loop {
-        let result = execute(
-            cfg,
-            mapper,
-            reducer,
-            &HashPartitioner,
-            inputs,
-            |per, threads| shuffle_partitions_spilling(per, threads, spill),
-        );
+        let result = execute(cfg, mapper, reducer, inputs, |per, threads| {
+            shuffle_partitions_spilling(per, threads, spill)
+        });
         match result {
             Err(MrError::Io(fault)) if !fault.is_permanent() && reruns + 1 < attempts => {
                 reruns += 1;
@@ -402,24 +396,6 @@ where
             other => return other,
         }
     }
-}
-
-/// Run a job with a custom partitioner (the paper's second job routes blocks
-/// to their scheduled reduce task with a range partitioner over sequence
-/// values, §III-B).
-pub fn run_job_with_partitioner<M, R, P>(
-    cfg: &JobConfig,
-    mapper: &M,
-    reducer: &R,
-    partitioner: &P,
-    inputs: &[M::Input],
-) -> Result<JobResult<R::Output>, MrError>
-where
-    M: Mapper,
-    R: PartitionReducer<Key = M::Key, Value = M::Value>,
-    P: Partitioner<M::Key>,
-{
-    execute(cfg, mapper, reducer, partitioner, inputs, in_memory_shuffle)
 }
 
 /// The default grouping strategy for [`execute`]: the fully in-memory
@@ -443,18 +419,16 @@ where
 /// tag sort by default, the spilling external sort for
 /// [`run_job_spilling`]. Keeping it a closure parameter keeps
 /// [`crate::spill::SpillCodec`] bounds off the non-spilling entry points.
-fn execute<M, R, P, G>(
+fn execute<M, R, G>(
     cfg: &JobConfig,
     mapper: &M,
     reducer: &R,
-    partitioner: &P,
     inputs: &[M::Input],
     group_fn: G,
 ) -> Result<JobResult<R::Output>, MrError>
 where
     M: Mapper,
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
-    P: Partitioner<M::Key>,
     G: FnOnce(
         Vec<PartitionBuckets<M::Key, M::Value>>,
         usize,
@@ -494,13 +468,12 @@ where
             ctx.charge(ctx.cost_model.read_per_entity);
             mapper.map(input, ctx, &mut emitter);
         }
-        mapper.cleanup(ctx);
         let records = emitter.len() as u64;
         ctx.charge(ctx.cost_model.emit_per_record * records as f64);
         let mut buckets: Vec<Vec<(M::Key, M::Value)>> =
             (0..num_reduce).map(|_| Vec::new()).collect();
         for (k, v) in emitter.into_records() {
-            let p = partitioner.partition(&k, num_reduce);
+            let p = mapper.partition(&k, num_reduce);
             if p >= num_reduce {
                 return Err(MrError::InvalidPartition {
                     job: cfg.name.clone(),
@@ -513,7 +486,7 @@ where
         Ok(MapTaskOutput { buckets, records })
     })?;
     // Surface the first deterministic task-level error (e.g. an
-    // out-of-range partitioner) in task-index order.
+    // out-of-range partition) in task-index order.
     let mut counters = Counters::new();
     let mut map_costs: Vec<f64> = Vec::with_capacity(raw_map_runs.len());
     let mut map_events: Vec<ProgressEvent> = Vec::new();
@@ -1066,20 +1039,20 @@ mod tests {
     #[test]
     fn out_of_range_partition_is_an_error_not_a_clamp() {
         struct OffByOne;
-        impl Partitioner<u64> for OffByOne {
+        impl Mapper for OffByOne {
+            type Input = u64;
+            type Key = u64;
+            type Value = u64;
+            fn map(&self, input: &u64, ctx: &mut TaskContext, out: &mut Emitter<u64, u64>) {
+                KeyMod.map(input, ctx, out);
+            }
             fn partition(&self, _key: &u64, num_reduce: usize) -> usize {
                 num_reduce // one past the end — used to be clamped silently
             }
         }
         let inputs: Vec<u64> = (0..10).collect();
-        let err = run_job_with_partitioner(
-            &job(2),
-            &KeyMod,
-            &GroupReducer::new(CountValues),
-            &OffByOne,
-            &inputs,
-        )
-        .unwrap_err();
+        let err =
+            run_job(&job(2), &OffByOne, &GroupReducer::new(CountValues), &inputs).unwrap_err();
         match err {
             MrError::InvalidPartition {
                 job,

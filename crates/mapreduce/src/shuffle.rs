@@ -194,11 +194,6 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
             values,
         }
     }
-
-    /// Group a single flat record list (one conceptual bucket).
-    pub fn from_pairs(records: Vec<(K, V)>) -> Self {
-        Self::from_buckets(vec![records])
-    }
 }
 
 /// Run `group` over every partition's buckets on up to `threads` worker
@@ -662,7 +657,7 @@ mod tests {
         fn flat_equals_naive_string_keys(
             records in proptest::collection::vec(("[a-d]{0,3}", 0u8..255), 0..120)
         ) {
-            let flat = GroupedPartition::from_pairs(records.clone());
+            let flat = GroupedPartition::from_buckets(vec![records.clone()]);
             let naive = naive_group(vec![records]);
             prop_assert_eq!(flat_as_nested(&flat), naive);
         }

@@ -235,15 +235,9 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Exclusive upper bounds of each task's SQ range (for the range
-    /// partitioner): task `t` owns `[t·W, (t+1)·W)`.
-    pub fn sq_bounds(&self) -> Vec<u64> {
-        (1..=self.num_tasks as u64)
-            .map(|t| t * Self::SQ_RANGE)
-            .collect()
-    }
-
-    /// Width of each task's sequence range.
+    /// Width of each task's sequence range: task `t` owns
+    /// `[t·SQ_RANGE, (t+1)·SQ_RANGE)`, so a tree's `SQ / SQ_RANGE` is the
+    /// reduce task the second job's mapper routes it to.
     pub const SQ_RANGE: u64 = 1 << 32;
 
     /// Estimated total resolution cost across all trees.
@@ -336,21 +330,5 @@ mod tests {
     #[should_panic(expected = "cannot split the root")]
     fn split_root_rejected() {
         sample_tree().split_off(0);
-    }
-
-    #[test]
-    fn sq_bounds_partition_tasks() {
-        let s = Schedule {
-            trees: vec![],
-            task_of_tree: vec![],
-            block_order: vec![vec![], vec![], vec![]],
-            tree_sq: vec![],
-            dom: vec![],
-            num_tasks: 3,
-        };
-        let b = s.sq_bounds();
-        assert_eq!(b.len(), 3);
-        assert_eq!(b[0], Schedule::SQ_RANGE);
-        assert!(b.windows(2).all(|w| w[0] < w[1]));
     }
 }
