@@ -10,8 +10,7 @@
 //! |-------------------------------|----------------------------------------|
 //! | transient spill write (EINTR) | in-place retry, identical fingerprint  |
 //! | short write (partial flush)   | cleanup + retry, identical fingerprint |
-//! | ENOSPC, `Error` policy        | typed disk-full error, no panic        |
-//! | ENOSPC, `InMemory` policy     | degraded partition, identical result   |
+//! | ENOSPC                        | typed disk-full error, no panic        |
 //! | corrupted spill run (CRC)     | quarantine + stage re-run, identical   |
 //!
 //! Every recovery scenario also asserts the injected fault actually fired
@@ -23,9 +22,7 @@ use std::sync::Arc;
 
 use pper_datagen::{Dataset, PubGen};
 use pper_er::prelude::*;
-use pper_mapreduce::{
-    FaultKind, FaultVfs, IoFaultPlan, IoOp, MrError, ShuffleSpillConfig, SpillFullPolicy, Vfs,
-};
+use pper_mapreduce::{FaultKind, FaultVfs, IoFaultPlan, IoOp, MrError, ShuffleSpillConfig, Vfs};
 
 fn dataset() -> Dataset {
     PubGen::new(900, 63).generate()
@@ -113,21 +110,6 @@ fn enospc_with_error_policy_is_a_typed_failure() {
         }
         other => panic!("expected typed storage fault, got {other}"),
     }
-}
-
-#[test]
-fn enospc_with_in_memory_policy_degrades_bit_identical() {
-    let golden = golden("enospc-base");
-    let plan = IoFaultPlan::new().with_at(IoOp::Write, "pper-extsort", 0, FaultKind::Enospc);
-    let (spill, fvfs) = faulty_spill("enospc-mem", plan);
-    let spill = spill.with_full_policy(SpillFullPolicy::InMemory);
-    let result = run_with(spill).unwrap();
-    assert!(fvfs.faults_fired() >= 1, "injected fault never fired");
-    assert!(
-        result.counters.get("shuffle_spill_degraded_partitions") > 0,
-        "degradation counter must record the fallback"
-    );
-    assert_eq!(ResultFingerprint::of(&result), golden);
 }
 
 #[test]

@@ -12,9 +12,9 @@
 //! (invariant D5 bans direct `std::fs` here), so chaos suites can
 //! inject disk faults deterministically. Failed appends are rolled back
 //! with `set_len` so a transient fault's partial bytes never linger as a
-//! torn tail, and transient write faults are retried in place under a
-//! bounded [`RetryPolicy`]; what cannot be recovered surfaces as the typed
-//! [`JournalError::Fault`].
+//! torn tail, and transient write faults are retried in place by
+//! [`pper_vfs::retry_io`] ([`pper_vfs::RETRY_ATTEMPTS`] tries); what cannot
+//! be recovered surfaces as the typed [`JournalError::Fault`].
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pper_vfs::{retry_io, IoFault, IoOp, RetryPolicy, Vfs, VfsFile};
+use pper_vfs::{retry_io, IoFault, IoOp, Vfs, VfsFile};
 
 use crate::JournalError;
 
@@ -152,7 +152,6 @@ impl JournalStore for MemStore {
 pub struct FileStore {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
-    retry: RetryPolicy,
     // Cached append handles so repeated appends don't reopen the file.
     handles: Mutex<BTreeMap<String, Box<dyn VfsFile>>>,
 }
@@ -172,7 +171,6 @@ impl FileStore {
         Ok(Self {
             dir,
             vfs,
-            retry: RetryPolicy::default(),
             handles: Mutex::new(BTreeMap::new()),
         })
     }
@@ -180,12 +178,6 @@ impl FileStore {
     /// As [`FileStore::open`], but behind an `Arc<dyn JournalStore>`.
     pub fn shared(dir: impl AsRef<Path>) -> Result<Arc<dyn JournalStore>, JournalError> {
         Ok(Arc::new(Self::open(dir)?))
-    }
-
-    /// Override the transient-fault retry policy for appends.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Path of a job's journal file.
@@ -217,7 +209,7 @@ impl JournalStore for FileStore {
         // never linger. (The frame layer would survive a torn tail anyway,
         // but rollback keeps the on-disk log dense and the returned offset
         // truthful.)
-        let (result, _stats) = retry_io(&self.retry, || {
+        let (result, _stats) = retry_io(|| {
             file.write_all(bytes)
                 .and_then(|()| file.flush())
                 .map_err(|e| {

@@ -2,13 +2,11 @@
 //!
 //! Hadoop's shuffle sorts intermediate records under a bounded memory
 //! budget: in-memory runs are spilled to disk as they fill, then k-way
-//! merged. [`ExternalSorter`] reproduces that component so jobs whose
-//! intermediate data exceeds memory can still sort deterministically; the
-//! in-memory simulator uses it for shuffle realism tests, for
-//! shuffle-byte accounting at scale, and — via [`ExternalSorter::into_stream`]
-//! — as the out-of-core backbone for paper-scale runs, where the merged
-//! order is consumed record by record without ever materializing the
-//! sorted output.
+//! merged. [`ExternalSorter`] reproduces that component for the spilling
+//! shuffle ([`crate::runtime::run_job_spilling`]): a partition over its
+//! [`ShuffleSpillConfig`] budget is sorted here and its merged order is
+//! consumed record by record ([`ExternalSorter::into_stream`]) without ever
+//! materializing the sorted output.
 //!
 //! Run files are CRC-framed (`u32` little-endian record length, `u32`
 //! CRC-32 of the payload, then the [`SpillCodec`] payload) so the merge
@@ -20,12 +18,11 @@
 //! All file operations go through a [`Vfs`] (invariant D5 bans direct
 //! `std::fs` here), which buys the fault ladder for free:
 //!
-//! * transient write faults retry in place under a bounded, deterministic
-//!   [`RetryPolicy`], with the partial run file removed between attempts
-//!   so a failed spill never leaks a truncated run;
-//! * permanent faults (ENOSPC et al.) either surface typed or — under
-//!   [`SpillFullPolicy::InMemory`] — degrade the sorter to plain in-memory
-//!   accumulation, preserving the result at the cost of the memory bound;
+//! * transient write faults retry in place ([`retry_io`]: a bounded,
+//!   deterministic budget), with the partial run file removed between
+//!   attempts so a failed spill never leaks a truncated run;
+//! * permanent faults (ENOSPC et al.) surface typed: keeping the records in
+//!   memory instead would give up the bound the spill exists to keep;
 //! * a CRC mismatch at merge time quarantines the poisoned run file
 //!   (renamed `*.quarantined`, left on disk for postmortem) and surfaces
 //!   [`IoFault::Corrupt`] so the runtime can re-run the producing stage.
@@ -47,27 +44,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use pper_vfs::{crc32, retry_io, IoFault, IoOp, RetryPolicy, Vfs, VfsFile};
+use pper_vfs::{crc32, retry_io, IoFault, IoOp, Vfs, VfsFile};
 
 use crate::error::MrError;
+use crate::shuffle::ShuffleSpillConfig;
 use crate::spill::SpillCodec;
-
-/// What a sorter does when spilling becomes impossible (disk full, fsync
-/// dead, retries exhausted).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SpillFullPolicy {
-    /// Surface the typed fault to the caller.
-    #[default]
-    Error,
-    /// Stop spilling and keep the remaining records in memory: the sort
-    /// still completes bit-identically, trading the memory bound away.
-    /// Existing on-disk runs keep participating in the merge.
-    InMemory,
-}
 
 /// Sorts arbitrarily many records under a bounded in-memory budget by
 /// spilling sorted runs to temporary files and k-way merging them.
-pub struct ExternalSorter<T> {
+pub(crate) struct ExternalSorter<T> {
     /// Maximum records buffered in memory before a run is spilled.
     run_capacity: usize,
     buffer: Vec<T>,
@@ -80,14 +65,10 @@ pub struct ExternalSorter<T> {
     /// across sorters and processes without consulting the wall clock.
     sorter_id: u64,
     vfs: Arc<dyn Vfs>,
-    retry: RetryPolicy,
-    on_full: SpillFullPolicy,
     /// Transient-fault retries performed across all spills.
     io_retries: u64,
     /// Deterministic virtual backoff units charged by those retries.
     backoff_units: u64,
-    /// True once the sorter has fallen back to in-memory accumulation.
-    degraded: bool,
 }
 
 /// Monotone id source for [`ExternalSorter`] instances within this process.
@@ -99,106 +80,60 @@ struct SpilledRun {
 }
 
 impl<T: SpillCodec + Ord> ExternalSorter<T> {
-    /// A sorter spilling runs of at most `run_capacity` records to the
-    /// system temp directory.
+    /// A sorter spilling runs of at most `cfg.run_capacity` records into
+    /// `cfg.dir` (the system temp directory when unset) through `cfg.vfs`.
     ///
     /// # Panics
-    /// Panics if `run_capacity` is zero.
-    pub fn new(run_capacity: usize) -> Self {
+    /// Panics if `cfg.run_capacity` is zero; `run_job_spilling` refuses such
+    /// a config before any sorter is built.
+    pub(crate) fn new(cfg: &ShuffleSpillConfig) -> Self {
+        let run_capacity = cfg.run_capacity;
         assert!(run_capacity > 0, "run capacity must be positive");
         Self {
             run_capacity,
             buffer: Vec::with_capacity(run_capacity.min(4096)),
             runs: Vec::new(),
-            dir: std::env::temp_dir(),
+            dir: cfg.dir.clone().unwrap_or_else(std::env::temp_dir),
             spilled_bytes: 0,
             // Relaxed (D3): a uniqueness counter needs no ordering with other
             // memory; every fetch_add still returns a distinct id.
             sorter_id: NEXT_SORTER_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            vfs: pper_vfs::std_vfs(),
-            retry: RetryPolicy::default(),
-            on_full: SpillFullPolicy::default(),
+            vfs: Arc::clone(&cfg.vfs),
             io_retries: 0,
             backoff_units: 0,
-            degraded: false,
         }
     }
 
-    /// Spill runs into `dir` instead of the system temp directory (e.g. to
-    /// keep large scale-run spills on a scratch disk).
-    pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dir = dir.into();
-        self
-    }
-
-    /// Route file operations through `vfs` (chaos suites inject faults
-    /// here; production uses the default passthrough).
-    pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
-        self.vfs = vfs;
-        self
-    }
-
-    /// Retry budget for transient spill-write faults.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// What to do when spilling becomes impossible.
-    pub fn with_full_policy(mut self, policy: SpillFullPolicy) -> Self {
-        self.on_full = policy;
-        self
-    }
-
     /// Push one record, spilling the current run if the buffer is full.
-    pub fn push(&mut self, record: T) -> Result<(), MrError> {
+    pub(crate) fn push(&mut self, record: T) -> Result<(), MrError> {
         self.buffer.push(record);
-        if !self.degraded && self.buffer.len() >= self.run_capacity {
+        if self.buffer.len() >= self.run_capacity {
             self.spill_run()?;
         }
         Ok(())
     }
 
     /// Number of runs spilled to disk so far.
-    pub fn spilled_runs(&self) -> usize {
+    pub(crate) fn spilled_runs(&self) -> usize {
         self.runs.len()
     }
 
     /// Total bytes written to run files so far (frame headers included).
-    pub fn spilled_bytes(&self) -> u64 {
+    pub(crate) fn spilled_bytes(&self) -> u64 {
         self.spilled_bytes
     }
 
     /// Transient-fault retries performed by spill writes so far.
-    pub fn io_retries(&self) -> u64 {
+    pub(crate) fn io_retries(&self) -> u64 {
         self.io_retries
     }
 
     /// Deterministic virtual backoff units charged by those retries.
-    pub fn backoff_units(&self) -> u64 {
+    pub(crate) fn backoff_units(&self) -> u64 {
         self.backoff_units
     }
 
-    /// True once spilling failed permanently and the sorter fell back to
-    /// unbounded in-memory accumulation ([`SpillFullPolicy::InMemory`]).
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Total records pushed so far (spilled runs plus the in-memory tail).
-    pub fn len(&self) -> usize {
-        self.runs.iter().map(|r| r.records).sum::<usize>() + self.buffer.len()
-    }
-
-    /// True when no record has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn spill_run(&mut self) -> Result<(), MrError> {
-        if self.buffer.is_empty() || self.degraded {
-            return Ok(());
-        }
         self.buffer.sort();
         let path = self.dir.join(format!(
             "pper-extsort-{}-{}-{}.run",
@@ -220,7 +155,7 @@ impl<T: SpillCodec + Ord> ExternalSorter<T> {
         // Bounded retry on transient faults; any failed attempt removes the
         // partial run file so a truncated run is never left on disk (and
         // never read back by the merge).
-        let (result, stats) = retry_io(&self.retry, || {
+        let (result, stats) = retry_io(|| {
             let attempt = (|| {
                 let mut file = self.vfs.create(&path)?;
                 file.write_all(&encoded)
@@ -236,56 +171,41 @@ impl<T: SpillCodec + Ord> ExternalSorter<T> {
         });
         self.io_retries += u64::from(stats.retries);
         self.backoff_units += stats.backoff_units;
-        match result {
-            Ok(()) => {
-                self.spilled_bytes += encoded.len() as u64;
-                self.runs.push(SpilledRun {
-                    path,
-                    records: self.buffer.len(),
-                });
-                self.buffer.clear();
-                Ok(())
-            }
-            // The buffer was never cleared, so every record is still in
-            // memory: under the in-memory policy the sorter degrades
-            // instead of failing, and the merge proceeds from RAM.
-            Err(_) if self.on_full == SpillFullPolicy::InMemory => {
-                self.degraded = true;
-                Ok(())
-            }
-            Err(fault) => Err(MrError::Io(fault)),
-        }
-    }
-
-    /// Finish: merge all runs (and the in-memory tail) into one ascending
-    /// vector. Temporary files are removed.
-    pub fn finish(self) -> Result<Vec<T>, MrError> {
-        let mut stream = self.into_stream()?;
-        let mut out = Vec::new();
-        for item in stream.by_ref() {
-            out.push(item?);
-        }
-        Ok(out)
+        result?;
+        self.spilled_bytes += encoded.len() as u64;
+        self.runs.push(SpilledRun {
+            path,
+            records: self.buffer.len(),
+        });
+        self.buffer.clear();
+        Ok(())
     }
 
     /// Finish into a streaming k-way merge: records come back in ascending
     /// order one at a time, with only one buffered frame per run in memory.
-    /// Run files are removed when the stream is dropped.
-    pub fn into_stream(mut self) -> Result<SortedStream<T>, MrError> {
+    /// Run files are removed when the stream is dropped, or here if one of
+    /// them fails to open.
+    pub(crate) fn into_stream(mut self) -> Result<SortedStream<T>, MrError> {
         self.buffer.sort();
         let tail = std::mem::take(&mut self.buffer);
-        let runs = std::mem::take(&mut self.runs);
-        let vfs = Arc::clone(&self.vfs);
+        let mut runs = std::mem::take(&mut self.runs).into_iter();
 
         let mut sources = Vec::with_capacity(runs.len());
-        for run in runs {
-            let reader = vfs.open(&run.path).map(BufReader::new)?;
-            sources.push(RunReader {
-                reader,
-                path: run.path,
-                remaining: run.records,
-                vfs: Arc::clone(&vfs),
-            });
+        while let Some(run) = runs.next() {
+            match self.vfs.open(&run.path) {
+                Ok(file) => sources.push(RunReader {
+                    reader: BufReader::new(file),
+                    path: run.path,
+                    remaining: run.records,
+                    vfs: Arc::clone(&self.vfs),
+                }),
+                Err(fault) => {
+                    // The opened runs belong to their readers now; hand the
+                    // rest back so the sorter's drop removes them.
+                    self.runs = std::iter::once(run).chain(runs).collect();
+                    return Err(fault.into());
+                }
+            }
         }
         let mut stream = SortedStream {
             sources,
@@ -411,7 +331,7 @@ impl<T: Ord> Ord for HeapItem<T> {
 /// Streaming k-way merge over spilled runs plus the in-memory tail —
 /// yields records in ascending order. Dropping the stream removes any
 /// remaining run files.
-pub struct SortedStream<T> {
+pub(crate) struct SortedStream<T> {
     sources: Vec<RunReader>,
     tail: std::vec::IntoIter<T>,
     heap: BinaryHeap<Reverse<HeapItem<T>>>,
@@ -467,20 +387,48 @@ mod tests {
     use pper_vfs::{FaultKind, FaultVfs, IoFaultPlan};
     use proptest::prelude::*;
 
+    /// A spill config whose sorters buffer runs of `run_capacity` records.
+    fn cfg(run_capacity: usize) -> ShuffleSpillConfig {
+        ShuffleSpillConfig {
+            run_capacity,
+            ..ShuffleSpillConfig::new(run_capacity)
+        }
+    }
+
+    /// `cfg(run_capacity)` spilling into `dir` through a `FaultVfs` armed
+    /// with `plan`.
+    fn faulty(run_capacity: usize, dir: &std::path::Path, plan: IoFaultPlan) -> ShuffleSpillConfig {
+        cfg(run_capacity)
+            .with_dir(dir)
+            .with_vfs(Arc::new(FaultVfs::new(plan).unwrap()))
+    }
+
+    /// A fresh, empty spill directory for one test.
+    fn test_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pper-extsort-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn sorted<T: SpillCodec + Ord>(sorter: ExternalSorter<T>) -> Result<Vec<T>, MrError> {
+        sorter.into_stream()?.collect()
+    }
+
     #[test]
     fn sorts_within_memory() {
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(100);
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&cfg(100));
         for v in [5u64, 3, 9, 1] {
             sorter.push(v).unwrap();
         }
         assert_eq!(sorter.spilled_runs(), 0);
         assert_eq!(sorter.spilled_bytes(), 0);
-        assert_eq!(sorter.finish().unwrap(), vec![1, 3, 5, 9]);
+        assert_eq!(sorted(sorter).unwrap(), vec![1, 3, 5, 9]);
     }
 
     #[test]
     fn spills_and_merges_runs() {
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(10);
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&cfg(10));
         let mut expected: Vec<u64> = (0..137).map(|i| (i * 7919) % 1000).collect();
         for &v in &expected {
             sorter.push(v).unwrap();
@@ -492,32 +440,29 @@ mod tests {
         );
         assert!(sorter.spilled_bytes() > 0);
         assert_eq!(sorter.io_retries(), 0);
-        assert!(!sorter.degraded());
-        let sorted = sorter.finish().unwrap();
         expected.sort_unstable();
-        assert_eq!(sorted, expected);
+        assert_eq!(sorted(sorter).unwrap(), expected);
     }
 
     #[test]
     fn handles_strings_and_duplicates() {
-        let mut sorter: ExternalSorter<String> = ExternalSorter::new(3);
+        let mut sorter: ExternalSorter<String> = ExternalSorter::new(&cfg(3));
         for s in ["b", "a", "c", "a", "b", "a"] {
             sorter.push(s.to_string()).unwrap();
         }
-        assert_eq!(sorter.finish().unwrap(), vec!["a", "a", "a", "b", "b", "c"]);
+        assert_eq!(sorted(sorter).unwrap(), vec!["a", "a", "a", "b", "b", "c"]);
     }
 
     #[test]
     fn empty_input() {
-        let sorter: ExternalSorter<u64> = ExternalSorter::new(4);
-        assert!(sorter.finish().unwrap().is_empty());
+        let sorter: ExternalSorter<u64> = ExternalSorter::new(&cfg(4));
+        assert!(sorted(sorter).unwrap().is_empty());
     }
 
     #[test]
     fn streaming_merge_removes_run_files() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(5).with_dir(&dir);
+        let dir = test_dir("test");
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&cfg(5).with_dir(&dir));
         for v in (0..43u64).rev() {
             sorter.push(v).unwrap();
         }
@@ -533,9 +478,8 @@ mod tests {
 
     #[test]
     fn dropped_sorter_cleans_up_runs() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(2).with_dir(&dir);
+        let dir = test_dir("drop");
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&cfg(2).with_dir(&dir));
         for v in 0..10u64 {
             sorter.push(v).unwrap();
         }
@@ -548,49 +492,38 @@ mod tests {
     #[test]
     #[should_panic(expected = "run capacity must be positive")]
     fn rejects_zero_capacity() {
-        let _: ExternalSorter<u64> = ExternalSorter::new(0);
+        let _: ExternalSorter<u64> = ExternalSorter::new(&cfg(0));
     }
 
     #[test]
     fn transient_write_fault_is_retried_and_leaves_no_partial_file() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-retry-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("retry");
         let plan = IoFaultPlan::new().with(IoOp::Write, FaultKind::Transient { times: 2 });
         let fault_vfs = FaultVfs::new(plan).unwrap();
         let fired = fault_vfs.clone();
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(4)
-            .with_dir(&dir)
-            .with_vfs(Arc::new(fault_vfs))
-            .with_retry(RetryPolicy {
-                max_attempts: 3,
-                backoff_unit: 1,
-            });
+        let mut sorter: ExternalSorter<u64> =
+            ExternalSorter::new(&cfg(4).with_dir(&dir).with_vfs(Arc::new(fault_vfs)));
         for v in (0..20u64).rev() {
             sorter.push(v).unwrap();
         }
         assert_eq!(sorter.io_retries(), 2);
         assert_eq!(sorter.backoff_units(), 1 + 2);
-        assert!(!sorter.degraded());
         assert_eq!(fired.faults_fired(), 2);
-        let sorted = sorter.finish().unwrap();
-        assert_eq!(sorted, (0..20u64).collect::<Vec<_>>());
+        assert_eq!(sorted(sorter).unwrap(), (0..20u64).collect::<Vec<_>>());
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn short_write_is_cleaned_up_and_retried() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-short-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("short");
         let plan = IoFaultPlan::new().with(IoOp::Write, FaultKind::ShortWrite { keep: 5 });
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(4)
-            .with_dir(&dir)
-            .with_vfs(Arc::new(FaultVfs::new(plan).unwrap()));
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&faulty(4, &dir, plan));
         for v in (0..20u64).rev() {
             sorter.push(v).unwrap();
         }
         assert_eq!(sorter.io_retries(), 1);
-        assert_eq!(sorter.finish().unwrap(), (0..20u64).collect::<Vec<_>>());
+        assert_eq!(sorted(sorter).unwrap(), (0..20u64).collect::<Vec<_>>());
         // No truncated 5-byte run file survives anywhere in the directory.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -598,12 +531,9 @@ mod tests {
 
     #[test]
     fn enospc_surfaces_typed_without_partial_file() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-enospc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("enospc");
         let plan = IoFaultPlan::new().with(IoOp::Write, FaultKind::Enospc);
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(4)
-            .with_dir(&dir)
-            .with_vfs(Arc::new(FaultVfs::new(plan).unwrap()));
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&faulty(4, &dir, plan));
         let mut err = None;
         for v in 0..8u64 {
             if let Err(e) = sorter.push(v) {
@@ -621,41 +551,33 @@ mod tests {
     }
 
     #[test]
-    fn enospc_degrades_to_memory_under_policy() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-degrade-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let plan = IoFaultPlan::new().with_at(IoOp::Write, "", 1, FaultKind::Enospc);
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(4)
-            .with_dir(&dir)
-            .with_vfs(Arc::new(FaultVfs::new(plan).unwrap()))
-            .with_full_policy(SpillFullPolicy::InMemory);
-        for v in (0..40u64).rev() {
+    fn failed_run_open_leaves_no_run_files() {
+        let dir = test_dir("open");
+        // 20 records at capacity 4 are five runs; opening the second fails.
+        let plan =
+            IoFaultPlan::new().with_at(IoOp::Open, "pper-extsort", 1, FaultKind::PermissionDenied);
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&faulty(4, &dir, plan));
+        for v in (0..20u64).rev() {
             sorter.push(v).unwrap();
         }
-        // Run 0 spilled; run 1 hit ENOSPC and flipped the sorter into
-        // in-memory mode, which absorbed everything after.
-        assert!(sorter.degraded());
-        assert_eq!(sorter.spilled_runs(), 1);
-        assert_eq!(sorter.len(), 40);
-        let sorted = sorter.finish().unwrap();
-        assert_eq!(sorted, (0..40u64).collect::<Vec<_>>());
+        assert_eq!(sorter.spilled_runs(), 5);
+        match sorted(sorter) {
+            Err(MrError::Io(fault)) => assert!(fault.is_permanent(), "{fault}"),
+            other => panic!("expected typed open fault, got {other:?}"),
+        }
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_run_is_quarantined_with_typed_fault() {
-        let dir = std::env::temp_dir().join(format!("pper-extsort-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("corrupt");
         let plan = IoFaultPlan::new().with(IoOp::Read, FaultKind::CorruptRead);
-        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(4)
-            .with_dir(&dir)
-            .with_vfs(Arc::new(FaultVfs::new(plan).unwrap()));
+        let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&faulty(4, &dir, plan));
         for v in (0..20u64).rev() {
             sorter.push(v).unwrap();
         }
-        let outcome: Result<Vec<u64>, MrError> = sorter.finish();
-        match outcome {
+        match sorted(sorter) {
             Err(MrError::Io(fault)) => {
                 assert!(fault.is_corrupt(), "{fault}");
                 assert!(fault.info().detail.contains("quarantined"));
@@ -679,30 +601,13 @@ mod tests {
             values in proptest::collection::vec(0u64..10_000, 0..400),
             capacity in 1usize..50,
         ) {
-            let mut sorter: ExternalSorter<u64> = ExternalSorter::new(capacity);
+            let mut sorter: ExternalSorter<u64> = ExternalSorter::new(&cfg(capacity));
             for &v in &values {
                 sorter.push(v).unwrap();
             }
-            let sorted = sorter.finish().unwrap();
             let mut expected = values.clone();
             expected.sort_unstable();
-            prop_assert_eq!(sorted, expected);
-        }
-
-        #[test]
-        fn prop_stream_matches_finish(
-            values in proptest::collection::vec(("[a-c]{0,4}", 0u32..50), 0..200),
-            capacity in 1usize..20,
-        ) {
-            let mut a: ExternalSorter<(String, u32)> = ExternalSorter::new(capacity);
-            let mut b: ExternalSorter<(String, u32)> = ExternalSorter::new(capacity);
-            for v in &values {
-                a.push(v.clone()).unwrap();
-                b.push(v.clone()).unwrap();
-            }
-            let streamed: Vec<(String, u32)> =
-                a.into_stream().unwrap().map(|r| r.unwrap()).collect();
-            prop_assert_eq!(streamed, b.finish().unwrap());
+            prop_assert_eq!(sorted(sorter).unwrap(), expected);
         }
     }
 }

@@ -18,6 +18,11 @@
 //!   each partition into a flat [`shuffle::GroupedPartition`] arena on the
 //!   worker pool and reducers receive borrowed `(&K, &[V])` views — zero
 //!   per-group allocations and no copies on fault-plan re-execution;
+//! * [`runtime::run_job_spilling`] bounds the shuffle's memory the way
+//!   Hadoop's sort does: a partition over its [`shuffle::ShuffleSpillConfig`]
+//!   budget is sorted through disk-backed runs (an internal external merge
+//!   sort) with bit-identical outputs, and a full disk is a typed
+//!   [`error::MrError::Io`];
 //! * the cluster is modelled as `machines × slots_per_machine` parallel task
 //!   slots ([`job::ClusterSpec`]); when there are more tasks than slots the
 //!   virtual makespan is computed with list scheduling, exactly like Hadoop's
@@ -98,7 +103,7 @@ pub mod cost;
 pub mod counters;
 pub mod error;
 pub mod exec;
-pub mod extsort;
+mod extsort;
 pub mod faults;
 pub mod fxhash;
 pub mod job;
@@ -114,10 +119,7 @@ pub mod prelude {
     pub use crate::counters::Counters;
     pub use crate::error::MrError;
     pub use crate::exec::ExecutorKind;
-    pub use crate::extsort::{ExternalSorter, SortedStream, SpillFullPolicy};
     pub use crate::faults::{AttemptFault, FaultPlan, InjectedAbort};
-    // Storage-fault vocabulary, re-exported so spill consumers configure
-    // fault plans and retries without naming pper-vfs directly.
     pub use crate::job::{
         ClusterSpec, Emitter, GroupReducer, JobConfig, Mapper, PartitionReducer, Reducer,
         TaskContext, TaskId, TaskKind,
@@ -125,10 +127,12 @@ pub mod prelude {
     pub use crate::observe::{AttemptRecord, TaskEvent, TaskObserver};
     pub use crate::progress::ProgressEvent;
     pub use crate::runtime::{run_job, run_job_spilling, JobResult, PhaseReport, WallPhases};
-    pub use crate::shuffle::{GroupedPartition, ShuffleSpillConfig, ShuffleSpillStats};
+    pub use crate::shuffle::{GroupedPartition, ShuffleSpillConfig};
     pub use crate::spill::SpillCodec;
+    // Storage-fault vocabulary, re-exported so spill consumers configure
+    // fault plans without naming pper-vfs directly.
     pub use pper_vfs::{
-        std_vfs, FaultKind, FaultVfs, IoFault, IoFaultPlan, IoFaultRule, IoOp, RetryPolicy, Vfs,
+        std_vfs, FaultKind, FaultVfs, IoFault, IoFaultPlan, IoFaultRule, IoOp, Vfs,
     };
 }
 

@@ -357,13 +357,17 @@ where
 /// count — only the shuffle's memory working set (and the
 /// `shuffle_spill_*` counters) change.
 ///
+/// A config whose `run_capacity` is zero is [`MrError::InvalidConfig`],
+/// refused before the map phase; a set `dir` is created (with its parents)
+/// before the first attempt.
+///
 /// Storage-fault ladder: transient spill faults were already retried
 /// inside the sorter; a corrupted spill run (CRC mismatch — the poisoned
 /// file is quarantined) or a transient fault that outlived its in-place
-/// budget re-runs the whole map+shuffle here, bounded by the same
-/// `spill.retry.max_attempts`. Re-running is sound because map tasks are
-/// deterministic and spill runs are freshly named per attempt; permanent
-/// faults surface typed immediately.
+/// budget re-runs the whole map+shuffle here, at most
+/// [`pper_vfs::RETRY_ATTEMPTS`] attempts in all. Re-running is sound because
+/// map tasks are deterministic and spill runs are freshly named per attempt;
+/// permanent faults (a full disk among them) surface typed immediately.
 pub fn run_job_spilling<M, R>(
     cfg: &JobConfig,
     mapper: &M,
@@ -377,14 +381,24 @@ where
     M::Value: crate::spill::SpillCodec,
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
 {
-    let attempts = spill.retry.max_attempts.max(1);
+    if spill.run_capacity == 0 {
+        return Err(MrError::InvalidConfig(format!(
+            "job '{}': the shuffle spill's run capacity must be positive",
+            cfg.name
+        )));
+    }
+    if let Some(dir) = &spill.dir {
+        spill.vfs.create_dir_all(dir)?;
+    }
     let mut reruns = 0u32;
     loop {
         let result = execute(cfg, mapper, reducer, inputs, |per, threads| {
             shuffle_partitions_spilling(per, threads, spill)
         });
         match result {
-            Err(MrError::Io(fault)) if !fault.is_permanent() && reruns + 1 < attempts => {
+            Err(MrError::Io(fault))
+                if !fault.is_permanent() && reruns + 1 < pper_vfs::RETRY_ATTEMPTS =>
+            {
                 reruns += 1;
             }
             Ok(mut job) => {
@@ -537,12 +551,6 @@ where
             spill_stats.spill_backoff_units,
         );
     }
-    if spill_stats.degraded_partitions > 0 {
-        counters.add(
-            "shuffle_spill_degraded_partitions",
-            spill_stats.degraded_partitions as u64,
-        );
-    }
     let wall_shuffle = started.elapsed().saturating_sub(wall_map);
 
     // ---- Reduce phase ----------------------------------------------------
@@ -663,6 +671,43 @@ mod tests {
         assert!(spilled.counters.get("shuffle_spilled_partitions") > 0);
         assert!(spilled.counters.get("shuffle_spill_bytes") > 0);
         assert_eq!(baseline.counters.get("shuffle_spilled_partitions"), 0);
+    }
+
+    #[test]
+    fn spilling_job_creates_a_missing_spill_dir() {
+        let root = std::env::temp_dir().join(format!("pper-spill-mkdir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("missing").join("spill");
+        let inputs: Vec<u64> = (0..500).map(|i| (i * 17) % 400).collect();
+        let reducer = GroupReducer::new(CountValues);
+        let baseline = run_job(&job(2), &KeyMod, &reducer, &inputs).unwrap();
+        let spill = ShuffleSpillConfig::new(3).with_dir(&dir);
+        let spilled = run_job_spilling(&job(2), &KeyMod, &reducer, &spill, &inputs).unwrap();
+        assert_eq!(spilled.outputs, baseline.outputs);
+        assert!(spilled.counters.get("shuffle_spilled_partitions") > 0);
+        assert!(dir.is_dir());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn spilling_job_refuses_a_zero_run_capacity() {
+        let spill = ShuffleSpillConfig {
+            run_capacity: 0,
+            ..ShuffleSpillConfig::new(3)
+        };
+        let inputs: Vec<u64> = (0..500).collect();
+        let refused = run_job_spilling(
+            &job(2),
+            &KeyMod,
+            &GroupReducer::new(CountValues),
+            &spill,
+            &inputs,
+        );
+        assert!(
+            matches!(refused, Err(MrError::InvalidConfig(_))),
+            "{:?}",
+            refused.err()
+        );
     }
 
     #[test]

@@ -42,17 +42,17 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
-use pper_vfs::{RetryPolicy, Vfs};
+use pper_vfs::Vfs;
 
 use crate::error::MrError;
 use crate::exec::run_cursor_pool;
-use crate::extsort::{ExternalSorter, SpillFullPolicy};
+use crate::extsort::ExternalSorter;
 use crate::fxhash::FxHashMap;
 use crate::spill::SpillCodec;
 
 /// One reduce partition's map-side buckets, in map-task order — the shape
 /// the map phase hands to [`GroupedPartition::from_buckets`].
-pub type PartitionBuckets<K, V> = Vec<Vec<(K, V)>>;
+pub(crate) type PartitionBuckets<K, V> = Vec<Vec<(K, V)>>;
 
 /// One reduce partition in flat form: `keys[g]` owns group `g`'s key,
 /// `values[starts[g]..starts[g+1]]` are its values — groups ascending by
@@ -256,9 +256,10 @@ where
 
 /// Memory-budget policy for shuffle grouping — when a partition's record
 /// count exceeds `max_partition_records`, its grouping runs through an
-/// [`ExternalSorter`] (bounded memory, disk-backed runs) instead of the
+/// external merge sort (bounded memory, disk-backed runs) instead of the
 /// in-memory tag sort. The result is bit-identical either way; only the
-/// working set changes.
+/// working set changes. A full disk while spilling is the typed disk-full
+/// [`MrError::Io`].
 #[derive(Debug, Clone)]
 pub struct ShuffleSpillConfig {
     /// Partitions with more records than this spill to disk.
@@ -266,19 +267,12 @@ pub struct ShuffleSpillConfig {
     /// Records per sorted run while spilling (the sorter's in-memory
     /// buffer bound).
     pub run_capacity: usize,
-    /// Directory for run files; `None` = the system temp directory.
+    /// Directory for run files, created if missing; `None` = the system
+    /// temp directory.
     pub dir: Option<PathBuf>,
     /// Filesystem the spill path writes through (chaos suites inject a
     /// `FaultVfs` here; production keeps the passthrough default).
     pub vfs: Arc<dyn Vfs>,
-    /// Bounded deterministic retry budget for transient spill faults. Also
-    /// bounds how often a corrupted spill run may trigger a map/shuffle
-    /// re-run (see [`crate::runtime::run_job_spilling`]).
-    pub retry: RetryPolicy,
-    /// What a sorter does when spilling becomes impossible (disk full,
-    /// retries exhausted): surface the typed fault, or degrade that
-    /// partition to in-memory grouping.
-    pub on_full: SpillFullPolicy,
 }
 
 impl ShuffleSpillConfig {
@@ -291,8 +285,6 @@ impl ShuffleSpillConfig {
             run_capacity: (max_partition_records / 4).max(1),
             dir: None,
             vfs: pper_vfs::std_vfs(),
-            retry: RetryPolicy::default(),
-            on_full: SpillFullPolicy::default(),
         }
     }
 
@@ -307,23 +299,11 @@ impl ShuffleSpillConfig {
         self.vfs = vfs;
         self
     }
-
-    /// Override the transient-fault retry budget.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Override the disk-exhaustion policy.
-    pub fn with_full_policy(mut self, policy: SpillFullPolicy) -> Self {
-        self.on_full = policy;
-        self
-    }
 }
 
 /// What the spilling shuffle did — surfaced as job counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShuffleSpillStats {
+pub(crate) struct ShuffleSpillStats {
     /// Partitions whose grouping went through the external sorter.
     pub spilled_partitions: usize,
     /// Sorted runs written across all spilled partitions.
@@ -334,9 +314,6 @@ pub struct ShuffleSpillStats {
     pub spill_io_retries: u64,
     /// Virtual backoff units charged by those retries.
     pub spill_backoff_units: u64,
-    /// Partitions that fell back to in-memory grouping after a permanent
-    /// spill fault (only under [`SpillFullPolicy::InMemory`]).
-    pub degraded_partitions: usize,
 }
 
 impl ShuffleSpillStats {
@@ -346,7 +323,6 @@ impl ShuffleSpillStats {
         self.spill_bytes += other.spill_bytes;
         self.spill_io_retries += other.spill_io_retries;
         self.spill_backoff_units += other.spill_backoff_units;
-        self.degraded_partitions += other.degraded_partitions;
     }
 }
 
@@ -401,7 +377,7 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
     /// and assemble the arena from the merged stream. Both paths produce
     /// identical partitions — the external order `(key, arrival)` is the
     /// tag sort's `(rank, arrival)` order.
-    pub fn from_buckets_spilling(
+    pub(crate) fn from_buckets_spilling(
         buckets: Vec<Vec<(K, V)>>,
         cfg: &ShuffleSpillConfig,
     ) -> Result<(Self, ShuffleSpillStats), MrError>
@@ -418,13 +394,7 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
             "partition exceeds u32 record capacity"
         );
 
-        let mut sorter: ExternalSorter<Tagged<K, V>> = ExternalSorter::new(cfg.run_capacity)
-            .with_vfs(Arc::clone(&cfg.vfs))
-            .with_retry(cfg.retry)
-            .with_full_policy(cfg.on_full);
-        if let Some(dir) = &cfg.dir {
-            sorter = sorter.with_dir(dir.clone());
-        }
+        let mut sorter: ExternalSorter<Tagged<K, V>> = ExternalSorter::new(cfg);
         let mut arrival = 0u32;
         for bucket in buckets {
             for (k, v) in bucket {
@@ -442,7 +412,6 @@ impl<K: Ord + Hash + Eq, V> GroupedPartition<K, V> {
             spill_bytes: sorter.spilled_bytes(),
             spill_io_retries: sorter.io_retries(),
             spill_backoff_units: sorter.backoff_units(),
-            degraded_partitions: usize::from(sorter.degraded()),
         };
 
         // Boundary-scan assembly straight off the merged stream: each

@@ -2,10 +2,10 @@
 //!
 //! Hadoop serializes every intermediate record to disk between the map and
 //! reduce phases. The simulator keeps records in memory until a shuffle
-//! partition outgrows its memory budget; the external sorter
-//! ([`crate::extsort`]) then writes its runs in this codec. The format is a
-//! simple length-delimited little-endian binary encoding with LEB128
-//! varints.
+//! partition outgrows its budget ([`crate::shuffle::ShuffleSpillConfig`]);
+//! the spilling shuffle's external sorter then writes its runs in this
+//! codec. The format is a simple length-delimited little-endian binary
+//! encoding with LEB128 varints.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

@@ -13,10 +13,11 @@
 //! drive three different recovery ladders:
 //!
 //! * [`IoFault::Transient`] — EINTR-style blips worth retrying in place
-//!   with bounded, deterministic backoff ([`retry_io`]).
+//!   with bounded, deterministic backoff ([`retry_io`], [`RETRY_ATTEMPTS`]
+//!   tries).
 //! * [`IoFault::Permanent`] — ENOSPC, EACCES, fsync failure: retrying is
-//!   pointless; callers degrade (spill falls back in-memory, mmap falls
-//!   back to the heap reader) or surface the typed error.
+//!   pointless; the store's mmap falls back to the heap reader, every other
+//!   caller (the shuffle spill, the journal) surfaces the typed error.
 //! * [`IoFault::Corrupt`] — CRC-checked payload mismatch on read-back:
 //!   the artifact is quarantined and the producing stage re-runs.
 //!
@@ -453,28 +454,9 @@ impl Vfs for StdVfs {
     }
 }
 
-/// Bounded deterministic retry policy for transient faults.
-///
-/// `max_attempts` counts total tries (so `3` = one try plus up to two
-/// retries); each retry charges `backoff_unit << retry_index` virtual
-/// backoff units — exponential backoff that is *accounted*, never slept,
-/// so replays stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (≥ 1) before a transient fault is surfaced.
-    pub max_attempts: u32,
-    /// Virtual backoff units charged for the first retry; doubles per retry.
-    pub backoff_unit: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_unit: 1,
-        }
-    }
-}
+/// Total tries [`retry_io`] gives an operation before it surfaces a
+/// transient fault: one try plus up to two retries.
+pub const RETRY_ATTEMPTS: u32 = 3;
 
 /// What a [`retry_io`] call actually did, for counters and cost accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -485,22 +467,21 @@ pub struct RetryStats {
     pub backoff_units: u64,
 }
 
-/// Run `op`, retrying [`IoFault::Transient`] failures up to the policy's
-/// attempt budget. Permanent and corrupt faults are surfaced immediately.
-pub fn retry_io<T>(
-    policy: &RetryPolicy,
-    mut op: impl FnMut() -> Result<T, IoFault>,
-) -> (Result<T, IoFault>, RetryStats) {
-    let attempts = policy.max_attempts.max(1);
+/// Run `op`, retrying [`IoFault::Transient`] failures up to
+/// [`RETRY_ATTEMPTS`] tries. Retry `i` charges `1 << i` virtual backoff
+/// units — exponential backoff that is *accounted*, never slept, so replays
+/// stay bit-identical. Permanent and corrupt faults are surfaced
+/// immediately.
+pub fn retry_io<T>(mut op: impl FnMut() -> Result<T, IoFault>) -> (Result<T, IoFault>, RetryStats) {
     let mut stats = RetryStats::default();
     loop {
         match op() {
             Ok(v) => return (Ok(v), stats),
             Err(fault) => {
-                if !fault.is_transient() || stats.retries + 1 >= attempts {
+                if !fault.is_transient() || stats.retries + 1 >= RETRY_ATTEMPTS {
                     return (Err(fault), stats);
                 }
-                stats.backoff_units += policy.backoff_unit << stats.retries;
+                stats.backoff_units += 1u64 << stats.retries;
                 stats.retries += 1;
             }
         }
@@ -748,12 +729,8 @@ mod tests {
 
     #[test]
     fn retry_recovers_transient_and_charges_backoff() {
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            backoff_unit: 2,
-        };
         let mut fails = 2;
-        let (res, stats) = retry_io(&policy, || {
+        let (res, stats) = retry_io(|| {
             if fails > 0 {
                 fails -= 1;
                 Err(IoFault::transient(IoOp::Write, Path::new("/s"), "blip"))
@@ -763,14 +740,13 @@ mod tests {
         });
         assert_eq!(res.unwrap(), 42);
         assert_eq!(stats.retries, 2);
-        assert_eq!(stats.backoff_units, 2 + 4); // 2<<0 + 2<<1
+        assert_eq!(stats.backoff_units, 1 + 2); // 1<<0 + 1<<1
     }
 
     #[test]
     fn retry_surfaces_permanent_immediately_and_exhausts_transient() {
-        let policy = RetryPolicy::default();
         let mut calls = 0;
-        let (res, stats) = retry_io(&policy, || {
+        let (res, stats) = retry_io(|| {
             calls += 1;
             Err::<(), _>(IoFault::disk_full(IoOp::Write, Path::new("/s"), "enospc"))
         });
@@ -778,12 +754,12 @@ mod tests {
         assert_eq!((calls, stats.retries), (1, 0));
 
         let mut calls = 0;
-        let (res, stats) = retry_io(&policy, || {
+        let (res, stats) = retry_io(|| {
             calls += 1;
             Err::<(), _>(IoFault::transient(IoOp::Write, Path::new("/s"), "blip"))
         });
         assert!(res.unwrap_err().is_transient());
-        assert_eq!(calls, 3);
+        assert_eq!(calls, RETRY_ATTEMPTS);
         assert_eq!(stats.retries, 2);
     }
 

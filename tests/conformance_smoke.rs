@@ -9,8 +9,9 @@
 //!   that recorded a retired dispatch backend still resumes;
 //! * **chaos** — task attempts that die below the attempt budget change
 //!   nothing but the clock; an exhausted budget is a typed error;
-//! * **chaos-io** — every rung of the spill's storage-fault ladder ends in
-//!   the fault-free fingerprint.
+//! * **chaos-io** — a transient or corrupted spill ends in the fault-free
+//!   fingerprint; a full disk while spilling is the typed disk-full
+//!   `MrError::Io`.
 
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use pper::er::prelude::*;
 use pper::journal::{recover, JournalState, JournalStore, MemStore};
 use pper::mapreduce::{
     ExecutorKind, FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, MrError, ShuffleSpillConfig,
-    SpillFullPolicy, TaskKind, Vfs,
+    TaskKind, Vfs,
 };
 
 fn dataset() -> Dataset {
@@ -163,39 +164,29 @@ fn spill_storage_faults_end_in_the_fault_free_fingerprint() {
     let ds = dataset();
     let golden = fingerprint(&pipeline(), &ds);
     let dir = std::env::temp_dir().join(format!("pper-smoke-io-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let spilling = |op, fault| {
+        let plan = IoFaultPlan::new().with_at(op, "pper-extsort", 0, fault);
+        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan).unwrap());
+        let spill = ShuffleSpillConfig::new(40).with_dir(&dir).with_vfs(vfs);
+        ProgressiveEr::new(ErConfig::books(2).with_shuffle_spill(spill)).try_run(&ds)
+    };
 
     let ladder = [
         (
             IoOp::Write,
             FaultKind::Transient { times: 2 },
-            SpillFullPolicy::Error,
             "shuffle_spill_io_retries",
         ),
-        (
-            IoOp::Read,
-            FaultKind::CorruptRead,
-            SpillFullPolicy::Error,
-            "shuffle_spill_reruns",
-        ),
-        (
-            IoOp::Write,
-            FaultKind::Enospc,
-            SpillFullPolicy::InMemory,
-            "shuffle_spill_degraded_partitions",
-        ),
+        (IoOp::Read, FaultKind::CorruptRead, "shuffle_spill_reruns"),
     ];
-    for (op, fault, on_full, counter) in ladder {
-        let plan = IoFaultPlan::new().with_at(op, "pper-extsort", 0, fault);
-        let vfs: Arc<dyn Vfs> = Arc::new(FaultVfs::new(plan).unwrap());
-        let spill = ShuffleSpillConfig::new(40)
-            .with_dir(&dir)
-            .with_vfs(vfs)
-            .with_full_policy(on_full);
-        let er = ProgressiveEr::new(ErConfig::books(2).with_shuffle_spill(spill));
-        let run = er.try_run(&ds).unwrap();
+    for (op, fault, counter) in ladder {
+        let run = spilling(op, fault).unwrap();
         assert!(run.counters.get(counter) > 0, "{counter} did not record");
         assert_eq!(ResultFingerprint::of(&run), golden, "{counter}");
+    }
+    match spilling(IoOp::Write, FaultKind::Enospc) {
+        Err(MrError::Io(fault)) => assert!(fault.is_disk_full(), "{fault}"),
+        other => panic!("expected a typed disk-full fault, got {:?}", other.err()),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -33,31 +33,29 @@ impl Reducer for Sum {
     }
 }
 
-fn corpus() -> Vec<String> {
-    (0..500)
+fn corpus(lines: usize) -> Vec<String> {
+    (0..lines)
         .map(|i| format!("alpha beta w{} alpha", i % 20))
         .collect()
 }
 
 #[test]
 fn external_sorter_handles_shuffle_scale() {
-    let mut sorter: ExternalSorter<(u64, String)> = ExternalSorter::new(1_000);
-    let mut expected = Vec::new();
-    for i in (0..20_000u64).rev() {
-        let rec = (i % 997, format!("value-{i}"));
-        expected.push(rec.clone());
-        sorter.push(rec).unwrap();
-    }
-    assert!(sorter.spilled_runs() >= 20);
-    let sorted = sorter.finish().unwrap();
-    expected.sort();
-    assert_eq!(sorted, expected);
+    let cfg = JobConfig::new("wc", ClusterSpec::paper(2));
+    let inputs = corpus(5_000);
+    let reducer = GroupReducer::new(Sum);
+    let in_memory = run_job(&cfg, &Tokenize, &reducer, &inputs).unwrap();
+    let spill = ShuffleSpillConfig::new(100);
+    let spilled = run_job_spilling(&cfg, &Tokenize, &reducer, &spill, &inputs).unwrap();
+    let runs = spilled.counters.get("shuffle_spill_runs");
+    assert!(runs >= 20, "{runs} runs");
+    assert_eq!(spilled.outputs, in_memory.outputs);
 }
 
 #[test]
 fn skew_metric_visible_from_results() {
     let cfg = JobConfig::new("wc", ClusterSpec::paper(2));
-    let inputs = corpus();
+    let inputs = corpus(500);
     let result = run_job(&cfg, &Tokenize, &GroupReducer::new(Sum), &inputs).unwrap();
     let costs = &result.reduce_phase.task_costs;
     let max = costs.iter().copied().fold(0.0, f64::max);
