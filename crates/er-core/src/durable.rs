@@ -7,8 +7,8 @@
 //! is generated. The resolution job then cuts its checkpoints *in-line*:
 //! this module installs a [`CutSink`] on the job's one [`Stage`], and every
 //! reduce task, as its own clock crosses the `checkpoint_every` grid (and at
-//! its last block), hands over a delta — blocks done, clock, pairs compared
-//! and duplicates found since its previous cut — which is appended as a
+//! its last block), hands over a delta — blocks done, clock, and the
+//! duplicates found since its previous cut — which is appended as a
 //! `CheckpointCut` record before the task moves on. That grid is the one α
 //! grid of the pipeline: §III-B's per-task α-incremental result files, made
 //! the unit of recovery (see [`crate::job2`], "Durable execution"). Every task
@@ -594,6 +594,7 @@ fn run_jobs(
     let stage = Stage {
         resume: resume.as_ref().map(|resume| resume.tasks),
         cuts: Some(&sink),
+        observer: None,
     };
     let outcome = run_job2_stage(ds, config, schedule, stage);
     let job2 = finish_stage(shared, job_id, ds, "job2-resolution", outcome)?;

@@ -20,34 +20,46 @@
 //!   blocks (a tree's last block records none: no later block of the tree
 //!   reads them). Root blocks resolve fully. The task records each
 //!   duplicate once, as a progress event carrying the packed id pair, as
-//!   Basic's reducer does; the job outputs nothing else, and its duplicate
-//!   list is the timeline's. Inside a task every entity goes by its
-//!   *tree-local index* (its position in the tree's id-sorted member
-//!   vector): the mechanism, `SHOULD-RESOLVE`, the resolved-pair set and the
-//!   prepared signatures are all reached by position, and global ids
-//!   reappear only in duplicate events and checkpoint cuts.
+//!   Basic's reducer does, and its duplicate list is the timeline's; the
+//!   job's one output is why a resumed task refused its fold. Inside a task
+//!   every entity goes by its *tree-local index* (its position in the
+//!   tree's id-sorted member vector): the mechanism, `SHOULD-RESOLVE`, the
+//!   resolved-pair set and the prepared signatures are all reached by
+//!   position, and global ids reappear only in duplicate events, checkpoint
+//!   cuts and the stage observer's pairs.
 //!
 //! ## Durable execution
 //!
 //! [`run_job2_stage`] is the resolution job as the durable runner
-//! ([`crate::durable`]) drives it: a [`Stage`] carries what that runner
-//! installs, and no other caller sets its fields.
+//! ([`crate::durable`]) and the tests drive it: a [`Stage`] carries what they
+//! install, and no other caller sets its fields.
 //!
 //! * **`cuts`**, a [`CutSink`]: the job runs to its end, and whenever a
 //!   task finishes a block with its clock past the next grid line (and once
 //!   more at its last block) it hands the sink a journal
 //!   [`JournalEvent::CheckpointCut`] record, a *delta* — blocks done, the
-//!   clock, and the pairs compared and duplicates found since its previous
-//!   cut. A task's records are numbered 0, 1, 2, … and depend on nothing
-//!   but the task's own deterministic execution, so a retried attempt, a
-//!   resumed task and the uninterrupted run all emit the same records.
-//!   Without a sink the resolve loop tracks nothing.
+//!   clock, and the duplicates found since its previous cut. A task's
+//!   records are numbered 0, 1, 2, … and depend on nothing but the task's
+//!   own deterministic execution, so a retried attempt, a resumed task and
+//!   the uninterrupted run all emit the same records. Without a sink the
+//!   resolve loop tracks nothing.
 //! * **`resume`**, the journal's fold of those records, one
 //!   [`TaskProgress`] per task: each task replays its recorded duplicates at
-//!   their original virtual costs, restores its resolved-pair sets,
-//!   continues its clock from the checkpointed watermark, and resolves only
-//!   the remaining blocks; a task the fold holds no completed block of
-//!   starts from scratch.
+//!   their original virtual costs, continues its clock from the
+//!   checkpointed watermark, and resolves only the remaining blocks; a task
+//!   the fold holds no completed block of starts from scratch. The cuts do
+//!   not list the pairs compared, so the resolved-pair sets come back by
+//!   *replay*: every done block runs through the same block body — sorted
+//!   members, mechanism, resolved-pair check, `SHOULD-RESOLVE`, stop rule —
+//!   with the matcher's decision replaced by membership in the task's
+//!   journaled duplicates. A replayed pair charges nothing and logs
+//!   nothing; PSNM's feedback and the stop rule see what they saw in the
+//!   original run, so the block's pair stream, and every tree's set, is
+//!   the original's. The duplicates the replay meets must be the fold's,
+//!   in order, or the stage fails with [`MrError::Checkpoint`].
+//! * **`observer`**: called with `(tree, a, b)`, `a < b`, for every pair the
+//!   matcher decides (never for a replayed one) — the tap the tests hold
+//!   job 2's pair coverage to.
 //!
 //! The grid, `checkpoint_every` cost units on each task's own clock, is the
 //! paper's α (§III-B: a reduce task outputs its results "to a different
@@ -55,12 +67,11 @@
 //! task's duplicate events logged since its previous cut, at the task-local
 //! costs they were logged at.
 //!
-//! [`run_job2`] is the stage with neither. Because execution is
+//! [`run_job2`] is the stage with none of them. Because execution is
 //! deterministic, a resumed job reproduces the uninterrupted run's
 //! duplicate set and timeline bit for bit (`tests/durable.rs`, and
 //! `tests/resume_process.rs` across processes).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pper_blocking::forest::EntityLookup;
@@ -120,9 +131,9 @@ impl<'d> Mapper for RouteMapper<'d> {
 /// loop works on these *tree-local indices* throughout — the mechanism is
 /// started on them and every per-pair access is a slice index — and converts
 /// to global [`EntityId`]s only where something leaves the task: duplicate
-/// events and checkpoint cuts. Ascending local index is
-/// ascending entity id, so id tie-breaks and `(min, max)` pair keys order
-/// exactly as they would on global ids.
+/// events, checkpoint cuts and the stage observer's pairs. Ascending local
+/// index is ascending entity id, so id tie-breaks and `(min, max)` pair keys
+/// order exactly as they would on global ids.
 type Local = u32;
 
 /// Per-tree resolve state. Entities and dominance lists stay borrowed from
@@ -148,8 +159,8 @@ struct TreeState<'p> {
     /// sort like the `(a, b)` id pairs they stand for. Only a later block of
     /// the same tree reads the set, so the pairs of the tree's last block in
     /// the task's schedule are never inserted: it holds exactly what the
-    /// tree's other blocks compared (plus a resumed checkpoint's pairs), and
-    /// stays empty for a tree of one block.
+    /// tree's other blocks compared (a resumed task's replayed blocks
+    /// included), and stays empty for a tree of one block.
     resolved: FxHashSet<u64>,
 }
 
@@ -185,26 +196,6 @@ impl<'p> TreeState<'p> {
             .filter(|&l| family.key_is(self.entities[l as usize], level, key))
             .collect()
     }
-
-    /// Global id of a member.
-    #[inline]
-    fn id(&self, local: Local) -> EntityId {
-        self.entities[local as usize].id
-    }
-
-    /// Take the journal's pairs back in. A cut lists every pair its blocks
-    /// compared, a last block's too; those are restored and never read.
-    fn restore_resolved(&mut self, pairs: &[(EntityId, EntityId)]) {
-        let entities = &self.entities;
-        let local = |id: EntityId| entities.binary_search_by_key(&id, |e| e.id).ok();
-        // A pair naming an entity this tree never received can never be
-        // generated here either: nothing to skip, so it is dropped.
-        self.resolved.extend(
-            pairs.iter().filter_map(|&(a, b)| {
-                Some(crate::pack_pair(local(a)? as Local, local(b)? as Local))
-            }),
-        );
-    }
 }
 
 /// Block sorting looks members up by their local index.
@@ -224,8 +215,9 @@ struct TaskState<'p> {
     prepared: PreparedCache<EntityId>,
 }
 
-/// What the durable runner installs on the resolution job (see the module
-/// docs' durable-execution section). The default stage is the plain job.
+/// What the durable runner and the tests install on the resolution job (see
+/// the module docs' durable-execution section). The default stage is the
+/// plain job.
 #[derive(Clone, Copy, Default)]
 pub struct Stage<'a> {
     /// The journal's fold of each task's cuts, by task: restore each task
@@ -234,6 +226,10 @@ pub struct Stage<'a> {
     pub resume: Option<&'a [TaskProgress]>,
     /// Cut checkpoints in-line, as per-task deltas, while the job runs on.
     pub cuts: Option<&'a CutSink<'a>>,
+    /// Called on the reduce task's worker thread with `(tree, a, b)`,
+    /// `a < b`, once for every pair the matcher decides, never for a pair a
+    /// resumed task replays.
+    pub observer: Option<&'a (dyn Fn(u32, EntityId, EntityId) + Sync)>,
 }
 
 /// Where the resolution job's reduce tasks hand the checkpoint deltas they
@@ -245,8 +241,8 @@ pub struct CutSink<'a> {
     /// Receives each delta on the reduce task's worker thread, as the
     /// journal's [`JournalEvent::CheckpointCut`] record: a task's first one
     /// carries the `seq` after the cuts the resumed fold holds (zero
-    /// without one), its `resolved` and `duplicates` only what was added
-    /// since the task's previous cut, the pairs in comparison order.
+    /// without one), its `duplicates` only what was found since the task's
+    /// previous cut.
     pub emit: &'a (dyn Fn(JournalEvent) + Sync),
 }
 
@@ -259,9 +255,8 @@ impl CutSink<'_> {
     }
 }
 
-/// One reduce task's side of a [`CutSink`]: what it has compared since its
-/// last cut, how many of its events earlier cuts hold, and where the next
-/// cut is due.
+/// One reduce task's side of a [`CutSink`]: how many of its events earlier
+/// cuts hold, and where the next cut is due.
 struct Cutter<'a> {
     sink: &'a CutSink<'a>,
     task: u32,
@@ -269,8 +264,6 @@ struct Cutter<'a> {
     seq: u32,
     /// The grid line the task's clock has to reach for the next cut.
     next_line: f64,
-    /// Pairs compared since the last cut, per tree.
-    pending: BTreeMap<u32, Vec<(EntityId, EntityId)>>,
     /// The task's duplicate events an earlier cut (or the resumed fold)
     /// holds: the next cut takes the ones logged after them.
     logged: usize,
@@ -283,21 +276,8 @@ impl<'a> Cutter<'a> {
             task: task as u32,
             seq,
             next_line: sink.line_after(clock),
-            pending: BTreeMap::new(),
             logged,
         }
-    }
-
-    /// Take in the pairs a finished block compared (packed local indices).
-    fn compared(&mut self, tree: usize, state: &TreeState<'_>, block: &[u64]) {
-        if block.is_empty() {
-            return;
-        }
-        let pending = self.pending.entry(tree as u32).or_default();
-        pending.extend(block.iter().map(|&key| {
-            let (a, b) = crate::unpack_pair(key);
-            (state.id(a), state.id(b))
-        }));
     }
 
     /// A block boundary: cut if a grid line was crossed or the task is done.
@@ -306,7 +286,6 @@ impl<'a> Cutter<'a> {
         if clock < self.next_line && !last {
             return;
         }
-        let resolved = std::mem::take(&mut self.pending).into_iter().collect();
         let duplicates = events[self.logged..]
             .iter()
             .map(crate::found_event)
@@ -317,11 +296,75 @@ impl<'a> Cutter<'a> {
             seq: self.seq,
             blocks_done: blocks_done as u64,
             clock,
-            resolved,
             duplicates,
         });
         self.seq += 1;
         self.next_line = self.sink.line_after(clock);
+    }
+}
+
+/// A resumed task's replay of its done blocks: the matcher's decision is
+/// membership in the duplicates its fold holds, and the duplicates the
+/// replay meets are held to the fold's, in order.
+struct Replay<'f> {
+    /// The fold's duplicates, in discovery order.
+    expected: &'f [(f64, EntityId, EntityId)],
+    /// The same, packed, for the per-pair decision.
+    found: FxHashSet<u64>,
+    /// The duplicates the replay met, packed, in order.
+    met: Vec<u64>,
+    /// Pairs the replay decided.
+    pairs: u64,
+}
+
+impl<'f> Replay<'f> {
+    fn new(expected: &'f [(f64, EntityId, EntityId)]) -> Self {
+        Self {
+            expected,
+            found: expected
+                .iter()
+                .map(|&(_, a, b)| crate::pack_pair(a, b))
+                .collect(),
+            met: Vec::new(),
+            pairs: 0,
+        }
+    }
+
+    /// Decide a compared pair as the original run did.
+    #[inline]
+    fn decide(&mut self, a: EntityId, b: EntityId) -> bool {
+        self.pairs += 1;
+        let key = crate::pack_pair(a, b);
+        let is_dup = self.found.contains(&key);
+        if is_dup {
+            self.met.push(key);
+        }
+        is_dup
+    }
+
+    /// After the last done block: the replay met exactly the fold's
+    /// duplicates, in order; otherwise the task and the first position that
+    /// differs.
+    fn check(&self, task: usize) -> Result<(), String> {
+        let held: Vec<u64> = self
+            .expected
+            .iter()
+            .map(|&(_, a, b)| crate::pack_pair(a, b))
+            .collect();
+        let len = held.len().max(self.met.len());
+        let Some(at) = (0..len).find(|&i| held.get(i) != self.met.get(i)) else {
+            return Ok(());
+        };
+        let show = |pair: Option<&u64>| match pair.map(|&key| crate::unpack_pair(key)) {
+            Some((a, b)) => format!("({a}, {b})"),
+            None => "nothing".to_string(),
+        };
+        Err(format!(
+            "task {task}: replaying its checkpointed blocks meets {} as duplicate {at}, \
+             but its checkpoint cuts hold {} there",
+            show(self.met.get(at)),
+            show(held.get(at))
+        ))
     }
 }
 
@@ -339,17 +382,20 @@ struct ResolveReducer<'a> {
 impl<'a> PartitionReducer for ResolveReducer<'a> {
     type Key = u64;
     type Value = Routed<'a>;
-    /// A duplicate is recorded once, as the task's progress event.
-    type Output = ();
+    /// A duplicate is recorded once, as the task's progress event; the one
+    /// output a task can have is why its resumed fold was refused.
+    type Output = String;
 
     fn reduce_partition(
         &self,
         partition: &pper_mapreduce::GroupedPartition<u64, Routed<'a>>,
         ctx: &mut TaskContext,
-        _: &mut Vec<()>,
+        refused: &mut Vec<String>,
     ) {
         let mut state = self.ingest(partition, ctx);
-        self.resolve(&mut state, ctx);
+        if let Err(why) = self.resolve(&mut state, ctx) {
+            refused.push(why);
+        }
     }
 }
 
@@ -391,8 +437,10 @@ impl<'a> ResolveReducer<'a> {
         }
     }
 
-    /// Walk the task's block schedule over the ingested trees.
-    fn resolve(&self, state: &mut TaskState<'_>, ctx: &mut TaskContext) {
+    /// Walk the task's block schedule over the ingested trees. A resumed
+    /// task replays its done blocks first, and fails with the reason if
+    /// the replay does not meet its fold's duplicates.
+    fn resolve(&self, state: &mut TaskState<'_>, ctx: &mut TaskContext) -> Result<(), String> {
         let task = ctx.id.index;
         let n_families = self.families.len();
         let TaskState {
@@ -410,13 +458,6 @@ impl<'a> ResolveReducer<'a> {
             // schedule ingestion) is the price of resuming.
             ctx.counters
                 .add("resume_replay_cost", ctx.now().round() as u64);
-            // Restore the resolved-pair sets so blocks resolved after the
-            // resume still skip work the checkpointed blocks already did.
-            for (tree, pairs) in &tc.resolved {
-                if let Some(state) = states.get_mut(&(*tree as usize)) {
-                    state.restore_resolved(pairs);
-                }
-            }
             // Replay checkpointed duplicates at their original task-local
             // costs, so the timeline is the interrupted run's.
             for &(cost, a, b) in &tc.duplicates {
@@ -434,9 +475,11 @@ impl<'a> ResolveReducer<'a> {
         }
 
         let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done as usize);
+        // The blocks under the watermark are replayed, not resolved: that
+        // rebuilds the resolved-pair sets the blocks after it skip by.
+        let mut replay = resume.map(|tc| Replay::new(&tc.duplicates));
         // In-line cuts hand over what happened since the previous one: what
-        // was restored above is durable already. Pairs are gathered only for
-        // a cut to take.
+        // was restored above is durable already.
         let mut cutter = self.stage.cuts.map(|sink| {
             let seq = progress.map_or(0, |tc| tc.cuts);
             Cutter::new(sink, task, seq, ctx.now(), ctx.events.len())
@@ -453,11 +496,11 @@ impl<'a> ResolveReducer<'a> {
             last[i] = seen.insert(block.tree);
         }
         for (block_idx, block) in blocks.iter().enumerate() {
-            if block_idx < resumed_blocks {
-                // Already resolved before the interruption; its charges are
-                // part of the checkpointed clock.
+            let replaying = replay.is_some();
+            if replaying {
+                // Resolved before the interruption; its charges are part of
+                // the checkpointed clock.
                 ctx.counters.incr("job2_blocks_skipped_resumed");
-                continue;
             }
             'block: {
                 let Some(state) = states.get_mut(&block.tree) else {
@@ -472,11 +515,15 @@ impl<'a> ResolveReducer<'a> {
                 // the node's level equals the node's key — already in hint
                 // order (sorted by the blocking attribute).
                 let sorted = state.sorted_block(family, node.level, &node.key);
-                ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
+                if !replaying {
+                    ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
+                }
                 if sorted.len() < 2 {
                     break 'block;
                 }
-                ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
+                if !replaying {
+                    ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
+                }
 
                 // Root-ness follows the scheduling tree: a split sub-tree's root
                 // is promoted to full root-style resolution (§IV-C2). Leaf-ness
@@ -488,7 +535,6 @@ impl<'a> ResolveReducer<'a> {
                 let window = self.policy.window(is_root, is_leaf);
                 let mut stop = StopState::new(self.policy.stop_rule(is_root, sorted.len()));
                 let mut run = self.mechanism.start(sorted, window);
-                let mut block_added: Vec<u64> = Vec::new();
                 let mut tally = BlockTally::default();
 
                 while let Some((a, b)) = run.next_pair() {
@@ -503,43 +549,59 @@ impl<'a> ResolveReducer<'a> {
                         tally.skipped_redundant += 1;
                         continue;
                     }
-                    ctx.charge(ctx.cost_model.resolve_pair);
-                    tally.compared += 1;
                     if !last[block_idx] {
                         state.resolved.insert(key);
                     }
-                    if cutter.is_some() {
-                        block_added.push(key);
-                    }
                     let (ea, eb) = (state.entities[ia], state.entities[ib]);
-                    let sa = memo_slot(prepared, &self.rule, &mut state.slots[ia], ea);
-                    let sb = memo_slot(prepared, &self.rule, &mut state.slots[ib], eb);
-                    let is_dup = self
-                        .rule
-                        .matches(prepared.at(sa), prepared.at(sb), &mut scratch);
+                    let is_dup = match &mut replay {
+                        Some(replay) => replay.decide(ea.id, eb.id),
+                        None => {
+                            ctx.charge(ctx.cost_model.resolve_pair);
+                            tally.compared += 1;
+                            if let Some(observe) = self.stage.observer {
+                                observe(block.tree as u32, ea.id.min(eb.id), ea.id.max(eb.id));
+                            }
+                            let sa = memo_slot(prepared, &self.rule, &mut state.slots[ia], ea);
+                            let sb = memo_slot(prepared, &self.rule, &mut state.slots[ib], eb);
+                            let is_dup =
+                                self.rule
+                                    .matches(prepared.at(sa), prepared.at(sb), &mut scratch);
+                            if is_dup {
+                                tally.duplicates += 1;
+                                ctx.log_event(crate::pack_pair(ea.id, eb.id));
+                            }
+                            is_dup
+                        }
+                    };
                     run.feedback(is_dup);
-                    if is_dup {
-                        tally.duplicates += 1;
-                        ctx.log_event(crate::pack_pair(ea.id, eb.id));
-                    }
                     if stop.observe(is_dup) {
-                        ctx.counters.incr("blocks_stopped_early");
+                        if !replaying {
+                            ctx.counters.incr("blocks_stopped_early");
+                        }
                         break;
                     }
                 }
-                tally.flush(&mut ctx.counters);
-                ctx.counters.incr("blocks_resolved");
-                if let Some(cutter) = &mut cutter {
-                    cutter.compared(block.tree, state, &block_added);
+                if !replaying {
+                    tally.flush(&mut ctx.counters);
+                    ctx.counters.incr("blocks_resolved");
                 }
             }
-            // The block boundary a checkpoint can sit on.
-            if let Some(cutter) = &mut cutter {
-                let blocks_done = block_idx + 1;
-                let last = blocks_done == blocks.len();
-                cutter.block_done(blocks_done, ctx.now(), last, &ctx.events);
+            let blocks_done = block_idx + 1;
+            if !replaying {
+                // The block boundary a checkpoint can sit on.
+                if let Some(cutter) = &mut cutter {
+                    let last = blocks_done == blocks.len();
+                    cutter.block_done(blocks_done, ctx.now(), last, &ctx.events);
+                }
+            } else if blocks_done == resumed_blocks {
+                // The last done block ends the replay.
+                if let Some(replay) = replay.take() {
+                    ctx.counters.add("resume_replayed_pairs", replay.pairs);
+                    replay.check(task)?;
+                }
             }
         }
+        Ok(())
     }
 }
 
@@ -567,7 +629,7 @@ fn sq_to_tree(schedule: &Schedule) -> FxHashMap<u64, usize> {
         .collect()
 }
 
-fn assemble(result: pper_mapreduce::runtime::JobResult<()>) -> Job2Result {
+fn assemble(result: pper_mapreduce::runtime::JobResult<String>) -> Job2Result {
     Job2Result {
         duplicates: crate::duplicates_of(&result.timeline),
         timeline: result.timeline,
@@ -588,11 +650,12 @@ pub fn run_job2(
 
 /// Check a resumed fold against the schedule it is about to index and the
 /// dataset of `entities` entities its duplicates name: one entry per task,
-/// watermarks within the task's blocks, tree ids within the schedule's
-/// trees, a finite non-negative clock, and duplicates at finite
-/// non-negative costs, in cost order and not past the clock, each a pair of
-/// two distinct entities of the dataset (in either order). The fold is read
-/// from a journal, so it is outside input.
+/// watermarks within the task's blocks, a finite non-negative clock, and
+/// duplicates at finite non-negative costs, in cost order and not past the
+/// clock, each a pair of two distinct entities of the dataset (in either
+/// order). The fold is read from a journal, so it is outside input; what
+/// only a replay can check — that the done blocks meet exactly these
+/// duplicates — each task checks as it resumes.
 fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> Result<(), MrError> {
     let err = |msg: String| Err(MrError::Checkpoint(msg));
     if tasks.len() != schedule.num_tasks {
@@ -615,14 +678,6 @@ fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> R
                 "task {idx} has a non-finite or negative clock ({})",
                 t.clock
             ));
-        }
-        for &(tree, _) in &t.resolved {
-            if tree as usize >= schedule.trees.len() {
-                return err(format!(
-                    "task {idx} references tree {tree}, but the schedule has only {}",
-                    schedule.trees.len()
-                ));
-            }
         }
         for &(cost, a, b) in &t.duplicates {
             if !cost.is_finite() || cost < 0.0 {
@@ -656,8 +711,11 @@ fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> R
 ///
 /// Rejected with [`MrError::Checkpoint`] before any task starts: a fold
 /// that does not fit the schedule (see `check_fold`) and a cut sink whose
-/// grid is not finite and positive. A configuration with more blocking
-/// families than a [`DomList`] holds is [`MrError::InvalidConfig`].
+/// grid is not finite and positive. Rejected with it once the job has run:
+/// a fold whose done blocks, replayed, do not meet its duplicates in order
+/// (the error names the lowest such task and the first position that
+/// differs). A configuration with more blocking families than a [`DomList`]
+/// holds is [`MrError::InvalidConfig`].
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
@@ -690,7 +748,12 @@ pub fn run_job2_stage(
     };
     let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, stage);
     let entities: Vec<&Entity> = ds.entities.iter().collect();
-    run_job(&cfg, &mapper, &reducer, &entities).map(assemble)
+    let result = run_job(&cfg, &mapper, &reducer, &entities)?;
+    // Outputs come grouped by task, in task order: the lowest refused task.
+    match result.outputs.first() {
+        Some(why) => Err(MrError::Checkpoint(why.clone())),
+        None => Ok(assemble(result)),
+    }
 }
 
 #[cfg(test)]
@@ -745,8 +808,15 @@ mod tests {
         };
         let mut ctx = TaskContext::new(id, cost_model.clone());
         let mut state = reducer.ingest(partition, &mut ctx);
-        reducer.resolve(&mut state, &mut ctx);
+        reducer.resolve(&mut state, &mut ctx).unwrap();
         (state, ctx)
+    }
+
+    /// What one reduce task hands out, in order: the pairs it compared (the
+    /// stage observer) and the cuts it emitted.
+    enum Handed {
+        Pair(u32, EntityId, EntityId),
+        Cut(JournalEvent),
     }
 
     #[test]
@@ -757,10 +827,11 @@ mod tests {
         let sq_to_tree = sq_to_tree(&schedule);
         // Every block charges its members' read cost, so each block
         // boundary crosses a line of this grid: one delta per block, whose
-        // `resolved` is exactly the pairs that block compared and whose
-        // `duplicates` are the events it logged.
-        let deltas = std::sync::Mutex::new(Vec::new());
-        let emit = |cut| deltas.lock().unwrap().push(cut);
+        // `duplicates` are the events it logged, preceded by the pairs the
+        // block compared.
+        let handed = std::sync::Mutex::new(Vec::new());
+        let emit = |cut| handed.lock().unwrap().push(Handed::Cut(cut));
+        let observe = |tree, a, b| handed.lock().unwrap().push(Handed::Pair(tree, a, b));
         let sink = CutSink {
             every: 1e-6,
             emit: &emit,
@@ -768,6 +839,7 @@ mod tests {
         let stage = Stage {
             resume: None,
             cuts: Some(&sink),
+            observer: Some(&observe),
         };
         let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, stage);
 
@@ -780,28 +852,30 @@ mod tests {
             let last_of = |tree| blocks.iter().rposition(|b| b.tree == tree);
             let mut expected: FxHashMap<usize, Vec<(EntityId, EntityId)>> = FxHashMap::default();
             let mut cut_duplicates = Vec::new();
-            let cuts = std::mem::take(&mut *deltas.lock().unwrap());
-            assert_eq!(cuts.len(), blocks.len(), "task {task}");
-            for (at, cut) in cuts.into_iter().enumerate() {
-                let JournalEvent::CheckpointCut {
-                    blocks_done,
-                    resolved,
-                    duplicates,
-                    ..
-                } = cut
-                else {
-                    unreachable!()
-                };
-                assert_eq!(blocks_done, at as u64 + 1, "task {task}");
-                cut_duplicates.extend(duplicates);
-                for (tree, pairs) in resolved {
-                    let tree = tree as usize;
-                    assert_eq!(tree, blocks[at].tree);
-                    if last_of(tree) != Some(at) {
-                        expected.entry(tree).or_default().extend(pairs);
+            let mut at = 0;
+            for handed in std::mem::take(&mut *handed.lock().unwrap()) {
+                match handed {
+                    Handed::Pair(tree, a, b) => {
+                        let tree = tree as usize;
+                        assert_eq!(tree, blocks[at].tree, "task {task}, block {at}");
+                        assert!(a < b, "task {task}: ({a}, {b})");
+                        if last_of(tree) != Some(at) {
+                            expected.entry(tree).or_default().push((a, b));
+                        }
                     }
+                    Handed::Cut(JournalEvent::CheckpointCut {
+                        blocks_done,
+                        duplicates,
+                        ..
+                    }) => {
+                        at += 1;
+                        assert_eq!(blocks_done, at as u64, "task {task}");
+                        cut_duplicates.extend(duplicates);
+                    }
+                    Handed::Cut(other) => panic!("{other:?}"),
                 }
             }
+            assert_eq!(at, blocks.len(), "task {task}");
 
             // The cuts hand over the task's duplicate events, each once, in
             // order, at their task-local costs, every pair `a < b`.
@@ -816,7 +890,10 @@ mod tests {
                     .iter()
                     .map(|&key| {
                         let (a, b) = crate::unpack_pair(key);
-                        (tree_state.id(a), tree_state.id(b))
+                        (
+                            tree_state.entities[a as usize].id,
+                            tree_state.entities[b as usize].id,
+                        )
                     })
                     .collect();
                 held.sort_unstable();
@@ -887,12 +964,11 @@ mod tests {
         // the rest of its entry is never read: every check is on its own.
         let mut fold = vec![TaskProgress::default(); schedule.num_tasks];
         fold[0].clock = 60.0;
-        fold[0].resolved = vec![(0, Vec::new())];
         fold[0].duplicates = vec![(55.0, 1, 2)];
         let rejected = |fold: &[TaskProgress]| {
             let stage = Stage {
                 resume: Some(fold),
-                cuts: None,
+                ..Stage::default()
             };
             matches!(
                 run_job2_stage(&ds, &config, &schedule, stage),
@@ -902,17 +978,15 @@ mod tests {
         assert!(!rejected(&fold));
         assert!(rejected(&fold[1..]), "one entry short");
 
-        let trees = schedule.trees.len() as u32;
         let watermark = schedule.block_order[0].len() as u64 + 1;
         type Spoil<'s> = &'s dyn Fn(&mut [TaskProgress]);
-        let cases: [(&str, Spoil); 7] = [
+        let cases: [(&str, Spoil); 6] = [
             ("watermark past the blocks", &|f| {
                 f[0].blocks_done = watermark
             }),
             ("NaN clock", &|f| f[1].clock = f64::NAN),
             ("infinite clock", &|f| f[1].clock = f64::INFINITY),
             ("negative clock", &|f| f[1].clock = -1.0),
-            ("tree past the trees", &|f| f[0].resolved[0].0 = trees),
             ("duplicate past the clock", &|f| {
                 f[0].duplicates.push((100.0, 3, 4))
             }),

@@ -1,6 +1,8 @@
 //! Durable runner conformance: journaled runs equal to plain runs down to
 //! the counters, an in-process kill-point sweep over journal prefixes, the
-//! fold of the in-line checkpoint cuts at every cut, and the dead-letter
+//! fold of the in-line checkpoint cuts at every cut, the replay that
+//! rebuilds a resumed task's resolved-pair sets (and refuses a fold it
+//! contradicts), the journal's bytes per duplicate, and the dead-letter
 //! round trip.
 //!
 //! The unit of failure is a *record boundary*: `run_durable` executes the
@@ -21,16 +23,20 @@
 //! every sync of a run failing in turn, and the power-cut images.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pper_datagen::{Dataset, PubGen};
+use pper_datagen::{BookGen, Dataset, PubGen};
+use pper_er::job2::{run_job2_stage, CutSink, Job2Result, Stage};
 use pper_er::prelude::*;
 use pper_journal::{
     recover, FileStore, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
     MemStore, TaskProgress,
 };
-use pper_mapreduce::{FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, MrError, TaskKind, Vfs};
+use pper_mapreduce::{
+    FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, MrError, ShuffleSpillConfig, TaskKind, Vfs,
+};
 
 type Events = Vec<(u64, JournalEvent)>;
 
@@ -183,11 +189,37 @@ fn counters_of(result: &ErRunResult) -> Vec<(String, u64)> {
     entries
 }
 
-const RESUME_COUNTERS: [&str; 3] = [
+const RESUME_COUNTERS: [&str; 4] = [
     "resume_replay_cost",
     "resume_replayed_duplicates",
+    "resume_replayed_pairs",
     "job2_blocks_skipped_resumed",
 ];
+
+/// The schedule a journal's fold was cut against.
+fn journaled_schedule(state: &JournalState) -> pper_schedule::Schedule {
+    serde_json::from_str(
+        state
+            .schedule_json
+            .as_deref()
+            .expect("a journaled schedule"),
+    )
+    .unwrap()
+}
+
+/// Job 2 alone, resumed from `tasks` against the schedule `state` holds.
+fn resume_stage(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    state: &JournalState,
+    tasks: &[TaskProgress],
+) -> Result<Job2Result, MrError> {
+    let stage = Stage {
+        resume: Some(tasks),
+        ..Stage::default()
+    };
+    run_job2_stage(ds, &er.config, &journaled_schedule(state), stage)
+}
 
 #[test]
 fn durable_run_matches_plain_run() {
@@ -245,12 +277,15 @@ fn durable_run_matches_plain_run() {
          {reduce_tasks} tasks, furthest clock "
     )));
     assert!(state.tasks.iter().all(|t| t.blocks == 0 || t.cuts > 0));
-    let pairs_journaled: usize = state
-        .tasks
-        .iter()
-        .flat_map(|t| t.resolved.iter().map(|(_, pairs)| pairs.len()))
-        .sum();
-    assert_eq!(pairs_journaled as u64, plain.counters.get("pairs_compared"));
+    // The journal lists no compared pair, yet the finished fold replays
+    // to every one of them, and leaves the matcher nothing to decide.
+    let replayed = resume_stage(&er, &ds, &state, &state.tasks).unwrap();
+    assert_eq!(
+        replayed.counters.get("resume_replayed_pairs"),
+        plain.counters.get("pairs_compared")
+    );
+    assert_eq!(replayed.counters.get("pairs_compared"), 0);
+    assert_eq!(replayed.duplicates, plain.duplicates);
 }
 
 #[test]
@@ -262,15 +297,54 @@ fn fingerprint_json_round_trips() {
     assert_eq!(back, fp);
 }
 
+/// Per `(task, seq)`: how many pairs the matcher had decided in the task
+/// when it cut that record — job 2 alone on `schedule`, with the cut grid
+/// and the stage observer installed. A task's pairs and cuts come from one
+/// thread, in order.
+fn compared_at_cuts(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    schedule: &pper_schedule::Schedule,
+) -> BTreeMap<(u32, u32), u64> {
+    let compared: Vec<AtomicU64> = (0..schedule.num_tasks).map(|_| AtomicU64::new(0)).collect();
+    let at_cut = Mutex::new(BTreeMap::new());
+    let observe = |tree: u32, _, _| {
+        compared[schedule.task_of_tree[tree as usize]].fetch_add(1, Ordering::SeqCst);
+    };
+    let emit = |cut| {
+        if let JournalEvent::CheckpointCut { task, seq, .. } = cut {
+            let pairs = compared[task as usize].load(Ordering::SeqCst);
+            at_cut.lock().insert((task, seq), pairs);
+        }
+    };
+    let sink = CutSink {
+        every: EVERY,
+        emit: &emit,
+    };
+    let stage = Stage {
+        cuts: Some(&sink),
+        observer: Some(&observe),
+        ..Stage::default()
+    };
+    run_job2_stage(ds, &er.config, schedule, stage).unwrap();
+    at_cut.into_inner()
+}
+
 /// The fold at every cut: taken from the journal up to and including any
 /// cut record, the entry for the record's task stands at the record's
-/// watermark and clock, and passes what the resolution stage checks of a
-/// fold before it resumes one.
+/// watermark and clock, passes what the resolution stage checks of a fold
+/// before it resumes one, and replays exactly the pairs the task had
+/// compared when it cut the record.
 #[test]
 fn the_fold_up_to_every_cut_stands_at_that_cut() {
     let er = small_pipeline();
     let ds = dataset();
     let (events, _) = finished_journal(&er, &ds, "job-fold");
+    let compared_at = compared_at_cuts(
+        &er,
+        &ds,
+        &journaled_schedule(&JournalState::replay(&events)),
+    );
 
     let mut checked = 0;
     let mut with_pairs = 0;
@@ -304,10 +378,24 @@ fn the_fold_up_to_every_cut_stands_at_that_cut() {
             "{what}"
         );
         checked += 1;
-        with_pairs += usize::from(!at.resolved.is_empty());
+        // The task's fold alone, every other task from scratch: the pairs
+        // its done blocks replay are the task's.
+        let alone: Vec<TaskProgress> = (0..state.tasks.len())
+            .map(|t| match t == task {
+                true => at.clone(),
+                false => TaskProgress {
+                    blocks: state.tasks[t].blocks,
+                    ..TaskProgress::default()
+                },
+            })
+            .collect();
+        let resumed = resume_stage(&er, &ds, &state, &alone).unwrap();
+        let replayed = resumed.counters.get("resume_replayed_pairs");
+        assert_eq!(replayed, compared_at[&(task as u32, *seq)], "{what}");
+        with_pairs += usize::from(replayed > 0);
     }
     assert!(checked >= 8, "only {checked} cut records");
-    assert!(with_pairs >= checked / 2, "the cuts carry no pairs");
+    assert!(with_pairs >= checked / 2, "the cuts replay no pairs");
 }
 
 /// A cut's duplicates are written `a < b`, like every other pair in the
@@ -439,7 +527,7 @@ fn every_journal_prefix_resumes_bit_identically() {
 /// must drop it (and truncate, so new records stay reachable) and still
 /// reach the identical result — for a tail torn inside the final record and
 /// for one torn inside a checkpoint cut: in its frame header, its
-/// watermark, its pair list, and one byte short of whole.
+/// watermark, its duplicate list, and one byte short of whole.
 #[test]
 fn resume_recovers_from_torn_tail() {
     let er = small_pipeline();
@@ -454,13 +542,17 @@ fn resume_recovers_from_torn_tail() {
         .into_iter()
         .filter(|&i| {
             matches!(&events[i].1,
-                JournalEvent::CheckpointCut { resolved, .. } if !resolved.is_empty())
+                JournalEvent::CheckpointCut { duplicates, .. } if duplicates.len() >= 2)
         })
         .nth(2)
-        .expect("a third cut with pairs in it");
+        .expect("a third cut with duplicates in it");
     let cut_off = events[at].0 as usize;
     let cut_len = events[at + 1].0 as usize - cut_off;
-    tears.extend([3, 8 + 10, cut_len / 2, cut_len - 1].map(|kept| (cut_off, kept)));
+    // Frame header, tag, task, seq, watermark, clock and count: 37 bytes,
+    // then 16 per duplicate; this tear is inside the second.
+    let in_duplicates = 37 + 16 + 5;
+    assert!(in_duplicates < cut_len - 1);
+    tears.extend([3, 8 + 10, in_duplicates, cut_len - 1].map(|kept| (cut_off, kept)));
 
     for (start, kept) in tears {
         let what = format!("record at {start} torn after {kept} bytes");
@@ -558,6 +650,202 @@ fn resume_counters_count_what_the_cuts_held() {
         resumed.counters.get("duplicates_found"),
         plain.counters.get("duplicates_found")
     );
+}
+
+/// The log a kill leaves when every reduce task but `task` had finished:
+/// the records before the first cut, every other task's cuts, and `task`'s
+/// first `cuts` cuts.
+fn killed_with_one_task_behind(events: &Events, job: &str, task: u32, cuts: u32) -> Vec<u8> {
+    let first_cut = cut_positions(events)[0];
+    let store = MemStore::shared();
+    let mut journal = JobJournal::create(Arc::clone(&store), job).unwrap();
+    for (i, (_, event)) in events.iter().enumerate() {
+        let keep = match event {
+            JournalEvent::CheckpointCut { task: t, seq, .. } => *t != task || *seq < cuts,
+            _ => i < first_cut,
+        };
+        if keep {
+            journal.append(event).unwrap();
+        }
+    }
+    journal.sync().unwrap();
+    store.read(job).unwrap()
+}
+
+/// Replay rebuilds what the blocks under a watermark compared: a task
+/// resumed from a cut that falls between two blocks of one of its trees
+/// replays the done blocks (PSNM on books, whose feedback must see the
+/// original decisions; SN on publications), skips what they compared in
+/// the blocks after the watermark, and ends in the fault-free fingerprint.
+/// Every other task's fold is whole, so it replays everything and the
+/// comparison counters are the behind task's alone.
+#[test]
+fn replay_rebuilds_the_resolved_pair_sets_across_a_watermark() {
+    let books = (BookGen::new(1_200, 421).generate(), ErConfig::books(2));
+    let pubs = (dataset(), ErConfig::citeseer(2));
+    for (ds, config) in [books, pubs] {
+        let plain = ProgressiveEr::new(config.clone()).try_run(&ds).unwrap();
+        let golden = ResultFingerprint::of(&plain);
+        for threads in [1, 2] {
+            let mut er = ProgressiveEr::new(config.clone());
+            er.config.worker_threads = Some(threads);
+            let (events, _) = finished_journal(&er, &ds, "job-replay");
+            let schedule = journaled_schedule(&JournalState::replay(&events));
+            let (mut resumed_at, mut skipped_after) = (0, 0);
+            for i in cut_positions(&events) {
+                let JournalEvent::CheckpointCut {
+                    task,
+                    seq,
+                    blocks_done,
+                    ..
+                } = events[i].1
+                else {
+                    unreachable!()
+                };
+                let (done, rest) =
+                    schedule.block_order[task as usize].split_at(blocks_done as usize);
+                if !done.iter().any(|b| rest.iter().any(|r| r.tree == b.tree)) {
+                    continue;
+                }
+                let what = format!(
+                    "{}, {threads} thread(s), task {task} at block {blocks_done}",
+                    config.mechanism.name()
+                );
+                let bytes = killed_with_one_task_behind(&events, "job-replay", task, seq + 1);
+                let store = store_holding("job-replay", &bytes);
+                let resumed = resume_durable(&er, &ds, &store, "job-replay", &opts(EVERY))
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(ResultFingerprint::of(&resumed), golden, "{what}");
+                let count = |name| resumed.counters.get(name);
+                assert!(count("resume_replayed_pairs") > 0, "{what}");
+                assert_eq!(
+                    count("pairs_compared") + count("resume_replayed_pairs"),
+                    plain.counters.get("pairs_compared"),
+                    "{what}"
+                );
+                resumed_at += 1;
+                skipped_after += usize::from(count("pairs_skipped_already_resolved") > 0);
+            }
+            let what = format!("{}, {threads} thread(s)", config.mechanism.name());
+            assert!(
+                resumed_at >= 3,
+                "{what}: {resumed_at} watermarks inside a tree"
+            );
+            assert!(
+                skipped_after > 0,
+                "{what}: no skip after {resumed_at} watermarks"
+            );
+        }
+    }
+}
+
+/// A fold is outside input, and its duplicates must be what its done
+/// blocks meet: a task whose replay does not meet its fold's duplicates, in
+/// order, fails the resume with the typed checkpoint error, naming the
+/// task and the first position that differs — for a fold with one
+/// duplicate deleted, and for a fold cut against another dataset of the
+/// same size. A deleted duplicate shows only where its decision steers the
+/// replay: PSNM promotes a duplicate's neighbours, and a stop rule counts
+/// non-duplicates. One in an SN block that runs to its end leaves a fold
+/// no replay can tell from a run whose matcher rejected the pair.
+#[test]
+fn a_fold_its_replay_contradicts_is_refused() {
+    let ds = BookGen::new(1_200, 421).generate();
+    let er = ProgressiveEr::new(ErConfig::books(2));
+    let (events, _) = finished_journal(&er, &ds, "job-contradicted");
+    let state = JournalState::replay(&events);
+    let refusal = |outcome: Result<Job2Result, MrError>| match outcome {
+        Err(MrError::Checkpoint(why)) => why,
+        other => panic!(
+            "expected a refused fold, got {:?}",
+            other.map(|r| r.duplicates.len())
+        ),
+    };
+
+    // One duplicate deleted: the first of the task whose fold holds most.
+    let task = (0..state.tasks.len())
+        .max_by_key(|&t| state.tasks[t].duplicates.len())
+        .unwrap();
+    let mut deleted = state.tasks.clone();
+    assert!(deleted[task].duplicates.len() >= 2);
+    deleted[task].duplicates.remove(0);
+    let why = refusal(resume_stage(&er, &ds, &state, &deleted));
+    assert!(why.starts_with(&format!("task {task}: ")), "{why}");
+    assert!(why.contains(" as duplicate "), "{why}");
+
+    // The same journal through `resume_durable`.
+    let spoilt = MemStore::shared();
+    let mut journal = JobJournal::create(Arc::clone(&spoilt), "job-contradicted").unwrap();
+    let mut first = true;
+    for (_, event) in &events {
+        let mut event = event.clone();
+        if let JournalEvent::CheckpointCut {
+            task: t,
+            duplicates,
+            ..
+        } = &mut event
+        {
+            if *t as usize == task && first && !duplicates.is_empty() {
+                duplicates.remove(0);
+                first = false;
+            }
+        }
+        if !matches!(event, JournalEvent::JobFinished { .. }) {
+            journal.append(&event).unwrap();
+        }
+    }
+    journal.sync().unwrap();
+    let refused = resume_durable(&er, &ds, &spoilt, "job-contradicted", &opts(EVERY));
+    assert!(
+        matches!(&refused, Err(DurableError::Run(MrError::Checkpoint(why)))
+            if why.starts_with(&format!("task {task}: "))),
+        "{:?}",
+        refused.map(|r| r.duplicates.len())
+    );
+
+    // The whole fold against a dataset of the same size from another seed.
+    let other = BookGen::new(1_200, 422).generate();
+    let why = refusal(resume_stage(&er, &other, &state, &state.tasks));
+    assert!(why.starts_with("task "), "{why}");
+}
+
+/// The journal grows with results, not with comparisons. On the shape of
+/// the end-to-end benchmark's durable workload — 2 500 books at μ = 10, a
+/// spilling statistics shuffle, the 1 500-unit grid — the checkpoint cuts'
+/// frames take at most 16 bytes per duplicate they hold plus 40 per cut,
+/// frame header included, while the run compares many times more pairs
+/// than it finds.
+#[test]
+fn checkpoint_cuts_take_bytes_per_duplicate_not_per_pair() {
+    let ds = BookGen::new(2_500, 42).generate();
+    let config = ErConfig::books(10).with_shuffle_spill(ShuffleSpillConfig::new(500));
+    let er = ProgressiveEr::new(config);
+    let store = MemStore::shared();
+    let run = run_durable(&er, &ds, &store, "job-size", &[], &opts(1_500.0)).unwrap();
+    let events = recover(&store, "job-size").unwrap().events;
+    let len = store.read("job-size").unwrap().len();
+
+    let (mut frames, mut duplicates, mut cuts) = (0, 0, 0);
+    for (i, (offset, event)) in events.iter().enumerate() {
+        if let JournalEvent::CheckpointCut {
+            duplicates: held, ..
+        } = event
+        {
+            let end = events.get(i + 1).map_or(len, |next| next.0 as usize);
+            frames += end - *offset as usize;
+            duplicates += held.len();
+            cuts += 1;
+        }
+    }
+    assert!(
+        cuts > 0 && duplicates > 0,
+        "{cuts} cuts, {duplicates} duplicates"
+    );
+    assert!(
+        frames <= 16 * duplicates + 40 * cuts,
+        "{cuts} cuts holding {duplicates} duplicates take {frames} bytes"
+    );
+    assert!(run.counters.get("pairs_compared") > 4 * duplicates as u64);
 }
 
 #[test]
@@ -816,7 +1104,7 @@ fn a_version_1_journal_is_unsupported() {
             result,
             Err(DurableError::Journal(JournalError::UnsupportedVersion {
                 found: 1,
-                supported: 2
+                supported: 3
             }))
         )
     };
@@ -1090,6 +1378,13 @@ impl JournalStore for SyncLog {
 /// append syncs by itself.
 const SYNC_BUDGET: usize = 128 << 10;
 
+/// A dataset whose run appends more than two budgets of records after its
+/// schedule (about 10 bytes per entity: a cut holds its duplicates, not
+/// its compared pairs), so the budget triggers syncs of its own.
+fn budget_dataset() -> Dataset {
+    PubGen::new(36_000, 417).generate()
+}
+
 /// Where the syncs fall. A finished run's log is synced to its end when the
 /// call returns, and so is a resumed run's and one that ends dead-lettered;
 /// the schedule is on disk before the first cut is appended; in between, no
@@ -1097,7 +1392,7 @@ const SYNC_BUDGET: usize = 128 << 10;
 /// and all of it takes a small fraction of a sync per record.
 #[test]
 fn syncs_are_grouped_and_cover_everything_a_return_reports() {
-    let ds = dataset();
+    let ds = budget_dataset();
     let golden = ResultFingerprint::of(&small_pipeline().try_run(&ds).unwrap());
     for threads in [1, 2] {
         let er = threaded_pipeline(threads);
@@ -1178,7 +1473,7 @@ fn syncs_are_grouped_and_cover_everything_a_return_reports() {
 #[test]
 fn a_failed_sync_is_a_typed_error_and_the_log_left_behind_resumes() {
     let er = small_pipeline();
-    let ds = dataset();
+    let ds = budget_dataset();
     let golden = ResultFingerprint::of(&er.try_run(&ds).unwrap());
     let job = "job-fsync";
     let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("durable-failed-sync");
@@ -1243,7 +1538,7 @@ fn a_failed_sync_is_a_typed_error_and_the_log_left_behind_resumes() {
 #[test]
 fn a_power_cut_at_any_sync_reexecutes_the_lost_tail_exactly_once() {
     let er = threaded_pipeline(1);
-    let ds = dataset();
+    let ds = budget_dataset();
     let plain = er.try_run(&ds).unwrap();
     let golden = ResultFingerprint::of(&plain);
     let job = "job-power";
@@ -1274,11 +1569,6 @@ fn a_power_cut_at_any_sync_reexecutes_the_lost_tail_exactly_once() {
             assert!(!held.report.torn_tail, "{what}");
             let state = JournalState::replay(&held.events);
             let (blocks_held, _, duplicates_held) = checkpointed(&state);
-            let pairs_held: usize = state
-                .tasks
-                .iter()
-                .flat_map(|t| t.resolved.iter().map(|(_, pairs)| pairs.len()))
-                .sum();
 
             let resumed = resume_durable(&er, &ds, &store, job, &opts(EVERY)).unwrap();
             assert_eq!(ResultFingerprint::of(&resumed), golden, "{what}");
@@ -1290,7 +1580,7 @@ fn a_power_cut_at_any_sync_reexecutes_the_lost_tail_exactly_once() {
                 "{what}"
             );
             assert_eq!(
-                count("pairs_compared") + pairs_held as u64,
+                count("pairs_compared") + count("resume_replayed_pairs"),
                 plain.counters.get("pairs_compared"),
                 "{what}"
             );

@@ -3,26 +3,29 @@
 //! reference it is held to. These tests are that hold at the pipeline level,
 //! and they stand on independent oracles rather than a second pipeline:
 //!
-//! * **job 2** — the fold of a finished durable run's journal lists every
-//!   pair the job compared and every pair it accepted, so each decision can
-//!   be re-taken by the string rule;
+//! * **job 2** — the stage observer on job 2's pair loop hands back every
+//!   pair the job compared, and the fold of a finished durable run's
+//!   journal every pair it accepted, so each decision can be re-taken by
+//!   the string rule;
 //! * **Basic** — Basic F with an unbounded window compares every co-blocked
 //!   pair exactly once (the smallest-key rule of Kolb et al. picks the one
 //!   block), so the expected result is brute force over the blocking keys;
 //! * **job 2's coverage** — the same brute force holds job 2's compared
 //!   pairs to the paper's redundancy-free *and* complete resolution (§III-A,
-//!   §V): with exhaustive root windows the fold lists every co-blocked pair
-//!   exactly once; under the paper's windows it lists none twice and none
-//!   outside a block.
+//!   §V): with exhaustive root windows the observer sees every co-blocked
+//!   pair exactly once; under the paper's windows it sees none twice and
+//!   none outside a block.
 //!
 //! The first two fail if the reducer's wiring — slot memo, signature store,
 //! local-index bookkeeping — hands the kernel the wrong entity; the third if
 //! `SHOULD-RESOLVE` or the resolved-pair sets let a pair through twice.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 use pper_blocking::{BlockingFamily, PrefixFunction};
 use pper_datagen::{BookGen, Dataset, Entity, GroundTruth, PubGen};
+use pper_er::job2::{run_job2_stage, Job2Result, Stage};
 use pper_er::prelude::*;
 use pper_journal::{recover, JournalState, MemStore};
 use pper_schedule::Schedule;
@@ -56,8 +59,8 @@ fn co_blocked(ds: &Dataset, config: &ErConfig) -> BTreeSet<Pair> {
     co_blocked
 }
 
-/// A finished durable run and the fold of its journal: per task and tree,
-/// every pair job 2 compared, and every duplicate it accepted.
+/// A finished durable run and the fold of its journal: per task, every
+/// duplicate job 2 accepted.
 fn journaled_run(ds: &Dataset, config: &ErConfig) -> (ErRunResult, JournalState) {
     let store = MemStore::shared();
     let er = ProgressiveEr::new(config.clone());
@@ -68,18 +71,25 @@ fn journaled_run(ds: &Dataset, config: &ErConfig) -> (ErRunResult, JournalState)
     (run, state)
 }
 
-/// Every `(tree, pair)` the fold lists, in task order.
-fn listed(state: &JournalState) -> impl Iterator<Item = (usize, Pair)> + '_ {
-    state
-        .tasks
-        .iter()
-        .flat_map(|task| task.resolved.iter())
-        .flat_map(|(tree, pairs)| pairs.iter().map(move |&pair| (*tree as usize, pair)))
+/// Job 2 with the stage observer on its pair loop: the job's result, the
+/// schedule it ran, and every `(tree, pair)` the matcher decided.
+fn observed_run(ds: &Dataset, config: &ErConfig) -> (Job2Result, Schedule, Vec<(usize, Pair)>) {
+    let job1 = run_job1(ds, config).unwrap();
+    let schedule = ProgressiveEr::new(config.clone()).generate_schedule(ds, &job1.stats);
+    let listed = Mutex::new(Vec::new());
+    let observe = |tree, a, b| listed.lock().unwrap().push((tree as usize, (a, b)));
+    let stage = Stage {
+        observer: Some(&observe),
+        ..Stage::default()
+    };
+    let run = run_job2_stage(ds, config, &schedule, stage).unwrap();
+    (run, schedule, listed.into_inner().unwrap())
 }
 
 fn job2_decides_every_compared_pair_as_the_string_rule(ds: &Dataset, config: ErConfig) {
     let (run, state) = journaled_run(ds, &config);
-    let compared: Vec<Pair> = listed(&state).map(|(_, pair)| pair).collect();
+    let (job2, _, listed) = observed_run(ds, &config);
+    let compared: Vec<Pair> = listed.into_iter().map(|(_, pair)| pair).collect();
     let accepted: BTreeSet<Pair> = state
         .tasks
         .iter()
@@ -90,11 +100,15 @@ fn job2_decides_every_compared_pair_as_the_string_rule(ds: &Dataset, config: ErC
     assert_eq!(
         compared.len() as u64,
         run.counters.get("pairs_compared"),
-        "the fold lists every comparison of the run"
+        "the observer sees every comparison of the run"
     );
     assert!(
         accepted.iter().copied().eq(run.duplicates.iter().copied()),
         "the fold's duplicates are the run's"
+    );
+    assert_eq!(
+        job2.duplicates, run.duplicates,
+        "the observed job is the run's"
     );
     assert!(!accepted.is_empty(), "nothing accepted, nothing checked");
     for pair in compared {
@@ -135,14 +149,7 @@ fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
     // (ii) Under the paper's windows: no pair twice, none outside the
     // co-blocked set, and every id a member of the tree it is listed under
     // (a split sub-tree's members share its root block's key).
-    let (_, state) = journaled_run(ds, &config);
-    let schedule: Schedule = serde_json::from_str(
-        state
-            .schedule_json
-            .as_deref()
-            .expect("a finished run journaled its schedule"),
-    )
-    .unwrap();
+    let (_, schedule, listed) = observed_run(ds, &config);
     let trees = &schedule.trees;
     assert!(
         trees.iter().any(|t| t.root_level > 0),
@@ -153,7 +160,7 @@ fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
         config.families[t.family].key_at(ds.entity(id), t.root_level) == t.root_key()
     };
     let mut seen = BTreeSet::new();
-    for (tree, (a, b)) in listed(&state) {
+    for (tree, (a, b)) in listed {
         assert!(seen.insert((a, b)), "{what}: ({a}, {b}) compared twice");
         assert!(
             co_blocked.contains(&(a, b)),
@@ -172,8 +179,8 @@ fn job2_covers_the_co_blocked_pairs(ds: &Dataset, mut config: ErConfig) {
     // (i) Root windows that span every block: every co-blocked pair, each
     // exactly once.
     config.policy.window_root = ds.len();
-    let (_, state) = journaled_run(ds, &config);
-    let mut compared: Vec<Pair> = listed(&state).map(|(_, pair)| pair).collect();
+    let (_, _, listed) = observed_run(ds, &config);
+    let mut compared: Vec<Pair> = listed.into_iter().map(|(_, pair)| pair).collect();
     compared.sort_unstable();
     assert!(
         compared.iter().copied().eq(co_blocked.iter().copied()),

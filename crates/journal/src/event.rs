@@ -121,7 +121,10 @@ pub enum JournalEvent {
     /// boundary: a *delta* against the task's previous cut. A task's
     /// records carry `seq` 0, 1, 2, … and are appended in that order;
     /// [`crate::JournalState`] folds them per task, so how the worker
-    /// threads interleaved their appends never shows.
+    /// threads interleaved their appends never shows. A cut holds outcomes
+    /// only: the pairs the task compared are not journaled, because the
+    /// schedule and the duplicates reproduce them (a resumed task replays
+    /// its done blocks' pair streams without the matcher).
     CheckpointCut {
         /// Reduce task index.
         task: u32,
@@ -132,9 +135,6 @@ pub enum JournalEvent {
         blocks_done: u64,
         /// The task's virtual clock at that block boundary.
         clock: f64,
-        /// Per tree (ascending tree id): the pairs compared since the last
-        /// cut, in comparison order, as `(smaller id, larger id)`.
-        resolved: Vec<(u32, Vec<(u32, u32)>)>,
         /// Duplicates found since the last cut as `(task-local cost, a, b)`,
         /// in discovery order.
         duplicates: Vec<(f64, u32, u32)>,
@@ -270,25 +270,14 @@ impl JournalEvent {
                 seq,
                 blocks_done,
                 clock,
-                resolved,
                 duplicates,
             } => {
-                let pairs: usize = resolved.iter().map(|(_, pairs)| pairs.len()).sum();
-                out.reserve(8 * pairs + 8 * resolved.len() + 16 * duplicates.len() + 32);
+                out.reserve(16 * duplicates.len() + 32);
                 out.push(TAG_CHECKPOINT);
                 put_u32(&mut out, *task);
                 put_u32(&mut out, *seq);
                 put_u64(&mut out, *blocks_done);
                 put_f64(&mut out, *clock);
-                put_u32(&mut out, crate::frame::len_u32(resolved.len()));
-                for (tree, pairs) in resolved {
-                    put_u32(&mut out, *tree);
-                    put_u32(&mut out, crate::frame::len_u32(pairs.len()));
-                    for &(a, b) in pairs {
-                        put_u32(&mut out, a);
-                        put_u32(&mut out, b);
-                    }
-                }
                 put_u32(&mut out, crate::frame::len_u32(duplicates.len()));
                 for &(cost, a, b) in duplicates {
                     put_f64(&mut out, cost);
@@ -375,7 +364,6 @@ impl JournalEvent {
                 seq: r.u32()?,
                 blocks_done: r.u64()?,
                 clock: r.f64()?,
-                resolved: r.seq(|r| Ok((r.u32()?, r.seq(|r| Ok((r.u32()?, r.u32()?)))?)))?,
                 duplicates: r.seq(|r| Ok((r.f64()?, r.u32()?, r.u32()?)))?,
             },
             TAG_COUNTERS => JournalEvent::CountersSnapshot {
@@ -540,7 +528,6 @@ mod tests {
                 seq: 5,
                 blocks_done: 17,
                 clock: 0.1 + 0.2,
-                resolved: vec![(3, vec![(1, 9), (1, 4)]), (8, vec![])],
                 duplicates: vec![(1499.75, 1, 4)],
             },
             JournalEvent::TaskFinished {

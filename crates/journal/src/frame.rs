@@ -13,13 +13,15 @@ use pper_vfs::crc32;
 
 /// Format version this build reads and writes. Version 1 journaled every
 /// checkpoint as one JSON document carrying the whole schedule; version 2
-/// journals the schedule once and each checkpoint cut as a per-task binary
-/// delta (see [`crate::event`]). There is no second reader: a log of any
-/// other version is [`crate::JournalError::UnsupportedVersion`].
-pub const VERSION: u8 = 2;
+/// journaled the schedule once and each checkpoint cut as a per-task binary
+/// delta that listed every pair compared since the task's previous cut;
+/// version 3 cuts carry outcomes only — watermark, clock and duplicates
+/// (see [`crate::event`]). There is no second reader: a log of any other
+/// version is [`crate::JournalError::UnsupportedVersion`].
+pub const VERSION: u8 = 3;
 
 /// File magic + format version ("PPERJNL" + [`VERSION`]).
-pub const MAGIC: [u8; 8] = *b"PPERJNL\x02";
+pub const MAGIC: [u8; 8] = *b"PPERJNL\x03";
 
 /// Per-record framing overhead: 4-byte length + 4-byte CRC.
 pub const FRAME_HEADER: usize = 8;
@@ -255,7 +257,7 @@ mod tests {
         // A hand-built version-1 log: the old magic, then a record.
         let mut v1 = b"PPERJNL\x01".to_vec();
         write_frame(&mut v1, b"whatever version 1 wrote");
-        for log in [&v1[..], &v1[..MAGIC.len()], b"PPERJNL\x03"] {
+        for log in [&v1[..], &v1[..MAGIC.len()], b"PPERJNL\x02", b"PPERJNL\x04"] {
             assert_eq!(
                 read_frames(log).unwrap_err(),
                 crate::JournalError::UnsupportedVersion {

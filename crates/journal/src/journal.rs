@@ -23,14 +23,16 @@ use crate::frame::{self, RecoveryReport, MAGIC};
 use crate::store::JournalStore;
 use crate::JournalError;
 
-/// Unsynced bytes at which [`JobJournal::append`] syncs on its own. Checkpoint
-/// cuts carry the pairs compared since the task's previous cut, so journal
-/// bytes grow with pairs compared: a byte budget keeps the syncs — and what
-/// a machine crash can cost in re-execution — proportional to work done at
-/// any dataset size, where a record count would not (a cut is ~12 KiB, a
-/// `TaskFinished` ~60 bytes). 128 KiB is about ten cuts: large enough that
-/// the disk barrier stops dominating the append path, small enough that the
-/// re-executed tail is a few percent of a run.
+/// Unsynced bytes at which [`JobJournal::append`] syncs on its own. A
+/// checkpoint cut carries the duplicates found since the task's previous cut
+/// (16 bytes each, behind a 37-byte record), so journal bytes grow with
+/// results, not with pairs compared: a byte budget keeps the syncs — and
+/// what a machine crash can cost in re-execution — proportional to what a
+/// run has found at any dataset size, where a record count would not (a
+/// cut runs from ~40 bytes to a few KiB, a `TaskFinished` is ~60 bytes).
+/// 128 KiB is a few thousand duplicates: large enough that the disk barrier
+/// stops dominating the append path, small enough that the re-executed tail
+/// is a few percent of a run.
 const SYNC_BUDGET: u64 = 128 << 10;
 
 /// Append-side handle for one job's journal.
@@ -221,9 +223,6 @@ pub struct TaskProgress {
     pub blocks_done: u64,
     /// The task's virtual clock at that watermark.
     pub clock: f64,
-    /// Per tree (ascending tree id): every pair compared up to the
-    /// watermark, in comparison order.
-    pub resolved: Vec<(u32, Vec<(u32, u32)>)>,
     /// Every duplicate found up to the watermark as `(task-local cost, a,
     /// b)`, in discovery order.
     pub duplicates: Vec<(f64, u32, u32)>,
@@ -294,7 +293,6 @@ impl JournalState {
                     seq,
                     blocks_done,
                     clock,
-                    resolved,
                     duplicates,
                 } => {
                     // A task's records are appended in `seq` order and
@@ -309,16 +307,6 @@ impl JournalState {
                         progress.cuts += 1;
                         progress.blocks_done = *blocks_done;
                         progress.clock = *clock;
-                        for (tree, pairs) in resolved {
-                            let at = match progress.resolved.binary_search_by_key(tree, |e| e.0) {
-                                Ok(at) => at,
-                                Err(at) => {
-                                    progress.resolved.insert(at, (*tree, Vec::new()));
-                                    at
-                                }
-                            };
-                            progress.resolved[at].1.extend_from_slice(pairs);
-                        }
                         progress.duplicates.extend_from_slice(duplicates);
                     }
                 }
@@ -515,17 +503,23 @@ mod tests {
             JobJournal::create(Arc::clone(&store), "alien"),
             Err(JournalError::BadHeader(_))
         ));
-        // So is a journal of another format version — typed, by both ends.
-        store.append("old", b"PPERJNL\x01").unwrap();
-        let unsupported = JournalError::UnsupportedVersion {
-            found: 1,
-            supported: 2,
-        };
-        assert_eq!(
-            JobJournal::create(Arc::clone(&store), "old").unwrap_err(),
-            unsupported
-        );
-        assert_eq!(recover(&store, "old").unwrap_err(), unsupported);
+        // So is a journal of another format version — typed, by both ends:
+        // version 1 (JSON checkpoints) and version 2 (cuts that listed
+        // their compared pairs).
+        for found in [1, 2] {
+            let job = format!("old-v{found}");
+            store.append(&job, b"PPERJNL").unwrap();
+            store.append(&job, &[found]).unwrap();
+            let unsupported = JournalError::UnsupportedVersion {
+                found,
+                supported: 3,
+            };
+            assert_eq!(
+                JobJournal::create(Arc::clone(&store), &job).unwrap_err(),
+                unsupported
+            );
+            assert_eq!(recover(&store, &job).unwrap_err(), unsupported);
+        }
     }
 
     #[test]
@@ -614,7 +608,6 @@ mod tests {
             seq,
             blocks_done,
             clock: 100.0 * blocks_done as f64,
-            resolved: vec![(task + 7, vec![pair]), (task + 9, vec![])],
             duplicates: vec![(99.5 * blocks_done as f64, pair.0, pair.1)],
         }
     }
@@ -650,10 +643,6 @@ mod tests {
         assert_eq!(one.tasks[0].cuts, 2);
         assert_eq!(one.tasks[0].blocks_done, 5);
         assert_eq!(one.tasks[0].clock, 500.0);
-        assert_eq!(
-            one.tasks[0].resolved,
-            vec![(7, vec![(1, 2), (3, 4)]), (9, vec![])]
-        );
         assert_eq!(one.tasks[0].duplicates, vec![(199.0, 1, 2), (497.5, 3, 4)]);
         assert_eq!(one.tasks[2], TaskProgress::default());
         assert_eq!(

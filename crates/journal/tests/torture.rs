@@ -70,11 +70,6 @@ fn build_event(
             seq: n32 % 9,
             blocks_done: n64,
             clock: cost,
-            resolved: pairs
-                .iter()
-                .enumerate()
-                .map(|(i, (k, v))| (i as u32 + n32 % 3, vec![(k.len() as u32, n32); v.len()]))
-                .collect(),
             duplicates: vec![(cost / 3.0, n32, n32.wrapping_add(1)); pairs.len()],
         },
         6 => JournalEvent::CountersSnapshot {
@@ -214,20 +209,19 @@ proptest! {
     }
 }
 
-/// A checkpoint cut as a reduce task writes it: two trees, one of them with
-/// nothing compared since the last cut, and a duplicate.
+/// A checkpoint cut as a reduce task writes it: its watermark, its clock
+/// and the duplicates found since its previous cut.
 fn cut_record() -> JournalEvent {
     JournalEvent::CheckpointCut {
         task: 1,
         seq: 3,
         blocks_done: 12,
         clock: 1_507.25,
-        resolved: vec![(4, vec![(10, 31), (10, 12), (12, 31)]), (6, vec![])],
-        duplicates: vec![(1_499.0, 10, 12)],
+        duplicates: vec![(1_499.0, 10, 12), (1_500.5, 12, 31)],
     }
 }
 
-/// The two events format version 2 re-shaped: every strict prefix of the
+/// The two events formats 2 and 3 re-shaped: every strict prefix of the
 /// payload and every extension of it is an error, never a shorter event —
 /// their nested counts must not let a truncated record decode.
 #[test]
@@ -252,7 +246,7 @@ fn reshaped_events_decode_only_whole() {
         assert!(JournalEvent::decode(&longer).is_err());
     }
     // A count larger than the payload could hold is an error, not an
-    // allocation: 4 billion trees announced, none present.
+    // allocation: 4 billion duplicates announced, none present.
     let mut lying = cut_record().encode();
     lying.truncate(1 + 4 + 4 + 8 + 8);
     lying.extend_from_slice(&u32::MAX.to_le_bytes());

@@ -124,8 +124,9 @@ fn checkpoint_cuts_cover_all_duplicates() {
 
 #[test]
 fn prepared_and_string_paths_agree_on_long_attributes() {
-    use pper::er::run_durable;
-    use pper::journal::{recover, JournalState, MemStore};
+    use pper::er::job2::{run_job2_stage, Stage};
+    use pper::er::run_job1;
+    use std::sync::Mutex;
 
     // Fast smoke of the prepared-vs-string conformance family on the rule
     // whose cost is the multi-word edit distance. The pipeline compares
@@ -136,19 +137,19 @@ fn prepared_and_string_paths_agree_on_long_attributes() {
     let er = ErConfig::citeseer(2);
     let string_rule = |a: u32, b: u32| er.rule.matches(&ds.entity(a).attrs, &ds.entity(b).attrs);
 
-    // Ours: the fold of a finished durable run's journal hands back every
-    // pair job 2 compared and every pair it accepted.
-    let store = MemStore::shared();
-    let pipeline = ProgressiveEr::new(er.clone());
-    let ours = run_durable(&pipeline, &ds, &store, "smoke", &[], &Default::default()).unwrap();
-    let state = JournalState::replay(&recover(&store, "smoke").unwrap().events);
+    // Ours: the stage observer on job 2's pair loop hands back every pair
+    // the job compared.
+    let job1 = run_job1(&ds, &er).unwrap();
+    let schedule = ProgressiveEr::new(er.clone()).generate_schedule(&ds, &job1.stats);
+    let pairs = Mutex::new(Vec::new());
+    let observe = |_tree, a, b| pairs.lock().unwrap().push((a, b));
+    let stage = Stage {
+        observer: Some(&observe),
+        ..Stage::default()
+    };
+    let ours = run_job2_stage(&ds, &er, &schedule, stage).unwrap();
     let mut compared = 0;
-    for &(a, b) in state
-        .tasks
-        .iter()
-        .flat_map(|task| task.resolved.iter())
-        .flat_map(|(_, pairs)| pairs)
-    {
+    for (a, b) in pairs.into_inner().unwrap() {
         compared += 1;
         assert_eq!(
             string_rule(a, b),
