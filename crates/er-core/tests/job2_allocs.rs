@@ -20,16 +20,19 @@ use counting_alloc::{allocations, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Measured 0.67 on this dataset (170 421 allocations for 253 917 pairs),
-/// down from 1.18 while every routed record carried a heap dominance list
-/// and every `Exact` value was a `String` of its own, from 2.46 while the
-/// blocking keys were a fresh `String` per (entity, tree, level), and from
-/// 6.7 with per-pair hash sets and cloned shuffle values. Two thirds of
-/// what remains (≈ 113k) is preparing each entity's similarity signatures
-/// once per reduce task: the term vector and one buffer per Levenshtein
-/// value. The ceiling leaves room for allocator-growth noise of the
-/// containers, not for a per-pair allocation.
-const MAX_ALLOCS_PER_PAIR: f64 = 0.70;
+/// Measured 0.42 on this dataset (105 450 allocations for 253 917 pairs),
+/// down from 0.67 while a prepared entity was a vector of 64-byte terms with
+/// one buffer per Levenshtein value, from 1.18 while every routed record
+/// carried a heap dominance list and every `Exact` value was a `String` of
+/// its own, from 2.46 while the blocking keys were a fresh `String` per
+/// (entity, tree, level), and from 6.7 with per-pair hash sets and cloned
+/// shuffle values. Of what remains, ≈ 43k is preparing each entity's
+/// similarity signatures once per reduce task, two allocations each (the
+/// record buffer and the byte buffer; a third only for a non-ASCII
+/// Levenshtein value); the rest is per entity (routing) and per block
+/// (member, sort and slot vectors). The ceiling leaves room for
+/// allocator-growth noise of the containers, not for a per-pair allocation.
+const MAX_ALLOCS_PER_PAIR: f64 = 0.45;
 
 #[test]
 fn pipeline_allocations_per_compared_pair_stay_under_the_ceiling() {
@@ -54,14 +57,16 @@ fn pipeline_allocations_per_compared_pair_stay_under_the_ceiling() {
     );
 }
 
-/// Measured 0.32 on this dataset, one of `pubs-basic`'s (60 644 allocations
-/// for 187 296 pairs), down from 0.51 while every entity built three key
-/// `String`s and an `Arc` key list and cloned a key into each of its
-/// records. What remains is mostly signature preparation, once per entity
-/// per reduce task (the term vector and one buffer per Levenshtein value),
-/// then per block the member, sort and slot vectors: the shuffle key is
-/// inline and a record carries only the entity.
-const MAX_BASIC_ALLOCS_PER_PAIR: f64 = 0.35;
+/// Measured 0.17 on this dataset, one of `pubs-basic`'s (32 369 allocations
+/// for 187 296 pairs), down from 0.32 while a prepared entity was a term
+/// vector plus one buffer per Levenshtein value, and from 0.51 while every
+/// entity built three key `String`s and an `Arc` key list and cloned a key
+/// into each of its records. Most of what remains (≈ 28k) is signature
+/// preparation, once per entity per reduce task: the record buffer and the
+/// byte buffer, and a `char` buffer only for a non-ASCII value. The rest is
+/// per block: the member, sort and slot vectors. The shuffle key is inline
+/// and a record carries only the entity.
+const MAX_BASIC_ALLOCS_PER_PAIR: f64 = 0.20;
 
 #[test]
 fn basic_allocations_per_compared_pair_stay_under_the_ceiling() {

@@ -1,5 +1,5 @@
 //! The pipeline compares pairs through the prepared path only
-//! (`pper_simil::prepared`); the string path, `MatchRule::matches`, is the
+//! (`pper_simil::PreparedRule`); the string path, `MatchRule::matches`, is the
 //! reference it is held to. These tests are that hold at the pipeline level,
 //! and they stand on independent oracles rather than a second pipeline:
 //!

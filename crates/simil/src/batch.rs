@@ -34,10 +34,8 @@
 
 use crate::levenshtein::levenshtein_scratch;
 use crate::prepared::{
-    levenshtein_sim, term_score, LevSig, LevText, PreparedAttr, PreparedEntity, PreparedRule,
-    SimScratch,
+    levenshtein_sim, term_score, LevText, PreparedEntity, PreparedRule, SimScratch, TermSig,
 };
-use crate::rule::AttributeSim;
 
 /// Reusable state for probe-vs-block scoring. Create one per task/worker;
 /// buffers grow to a high-water mark and are reused, so a warm scorer
@@ -80,33 +78,27 @@ impl BlockScorer {
         debug_assert_eq!(probe.terms.len(), terms.len());
 
         for (i, term) in terms.iter().enumerate() {
-            let pt = &probe.terms[i];
-            if matches!(pt, PreparedAttr::Missing) {
+            let ascii_probe = match &probe.terms[i] {
                 // The scalar path drops the term for every pair involving
                 // this probe; no accumulator moves.
+                TermSig::Missing => continue,
+                TermSig::Lev(sig) => match probe.lev_text(sig) {
+                    LevText::Ascii(pc) if !pc.is_empty() => Some(pc),
+                    _ => None,
+                },
+                TermSig::Exact(_) => None,
+            };
+            if let Some(pc) = ascii_probe {
+                self.batched_levenshtein(term.weight, pc, cands, i);
                 continue;
             }
-            match (&term.sim, pt) {
-                (
-                    AttributeSim::Levenshtein { .. },
-                    PreparedAttr::Lev(LevSig {
-                        text: LevText::Ascii(pc),
-                        ..
-                    }),
-                ) if !pc.is_empty() => {
-                    self.batched_levenshtein(term.weight, pc, cands, i);
+            for (j, cand) in cands.iter().enumerate() {
+                if matches!(cand.terms[i], TermSig::Missing) {
+                    continue;
                 }
-                _ => {
-                    for (j, cand) in cands.iter().enumerate() {
-                        let ct = &cand.terms[i];
-                        if matches!(ct, PreparedAttr::Missing) {
-                            continue;
-                        }
-                        let sim = term_score(&term.sim, pt, ct, &mut self.scratch.kernels);
-                        self.acc_w[j] += term.weight;
-                        self.acc_s[j] += term.weight * sim;
-                    }
-                }
+                let sim = term_score(probe, cand, i, &mut self.scratch.kernels);
+                self.acc_w[j] += term.weight;
+                self.acc_s[j] += term.weight * sim;
             }
         }
 
@@ -147,19 +139,18 @@ impl BlockScorer {
         let kernels = &mut self.scratch.kernels;
         kernels.myers.fill(pc);
         for (j, cand) in cands.iter().enumerate() {
-            let ct = &cand.terms[i];
-            let PreparedAttr::Lev(cand) = ct else {
+            let TermSig::Lev(sig) = &cand.terms[i] else {
                 debug_assert!(
-                    matches!(ct, PreparedAttr::Missing),
+                    matches!(cand.terms[i], TermSig::Missing),
                     "entity prepared for a different rule"
                 );
                 continue;
             };
-            let d = match &cand.text {
+            let d = match cand.lev_text(sig) {
                 LevText::Ascii(cc) => kernels.myers.scan(pc.len(), cc),
                 LevText::Wide(cc) => levenshtein_scratch(pc, cc, &mut kernels.row),
             };
-            let sim = levenshtein_sim(d, pc.len().max(cand.text.len()));
+            let sim = levenshtein_sim(d, pc.len().max(sig.len()));
             self.acc_w[j] += weight;
             self.acc_s[j] += weight * sim;
         }
@@ -170,7 +161,7 @@ impl BlockScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule::{MatchRule, WeightedAttr};
+    use crate::rule::{AttributeSim, MatchRule, WeightedAttr};
     use proptest::prelude::*;
 
     /// Every kernel shape in one rule: an uncapped and a capped Levenshtein
@@ -351,8 +342,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
         // Abstract-sized probes against candidates on both sides of the
         // probe's length, down to empty and up to seven words.
         #[test]

@@ -17,9 +17,10 @@
 //! ## Prepared evaluation (the hot path)
 //!
 //! [`MatchRule::score`] re-truncates and re-decodes both values on every
-//! pair. The [`prepared`] module amortizes that work per *entity*:
+//! pair. The prepared path amortizes that work per *entity*:
 //! [`PreparedRule::prepare`] builds a [`PreparedEntity`] once (per reduce
-//! task, in the task's [`PreparedCache`]), and
+//! task, in the task's [`PreparedCache`]) — a fixed-size record per rule
+//! term and one buffer holding the values — and
 //! [`PreparedRule::score`]/[`PreparedRule::matches`] compare two prepared
 //! entities through a reusable [`SimScratch`] with **zero per-pair heap
 //! allocation**. `score` is bit-identical to the string path; `matches`
@@ -66,11 +67,11 @@
     )
 )]
 
-pub mod batch;
-pub mod levenshtein;
+mod batch;
+mod levenshtein;
 mod myers;
-pub mod prepared;
-pub mod rule;
+mod prepared;
+mod rule;
 
 pub use batch::BlockScorer;
 pub use levenshtein::{levenshtein, levenshtein_similarity};

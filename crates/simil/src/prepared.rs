@@ -7,13 +7,16 @@
 //! and recurs across overlapping blocks. This module amortizes all of that
 //! per *entity* instead of per *pair*:
 //!
-//! * [`PreparedEntity`] — per rule term, the signature that term's kernel
-//!   consumes: a Levenshtein value (any `max_chars` cap pre-applied) in one
-//!   of two representations with its character-class histogram (below), or
-//!   the value's bytes for `Exact` — inside the term itself up to 23 bytes
-//!   (`ExactText::Inline`, which covers a categorical attribute such as a
-//!   year, a page count, a language or a format), so an `Exact` term's
-//!   comparison follows no pointer; only a longer value is on the heap.
+//! * [`PreparedEntity`] — one entity's signatures for one rule, in two
+//!   buffers: a fixed-size record per rule term (`TermSig`: `Missing`, a
+//!   Levenshtein value's place, length and character-class histogram, or an
+//!   `Exact` value of up to 23 bytes held inline), and one byte buffer
+//!   holding every ASCII Levenshtein value (any `max_chars` cap pre-applied)
+//!   and every longer `Exact` value, back to back. A third buffer, of
+//!   `char`s, is allocated only when a Levenshtein value is non-ASCII.
+//!   [`PreparedRule::prepare`] sizes the buffers before it fills them, so an
+//!   all-ASCII entity is two allocations, and comparing two `Exact` values
+//!   of at most 23 bytes reads no buffer.
 //! * [`PreparedRule`] — scores/matches two [`PreparedEntity`]s using a
 //!   reusable [`SimScratch`] (DP row, Myers character-class table), so the
 //!   per-pair path performs **zero heap allocation** after scratch buffers
@@ -45,110 +48,128 @@
 //! other value is kept as Unicode scalar values (`LevText::Wide`) for the
 //! two-row DP, which is generic over the two element types, so a pair with
 //! one value of each kind compares without a converted copy. Both kernels
-//! produce the same exact integer distance.
+//! produce the same exact integer distance, and both read the value through
+//! a `LevText` borrowed from its entity's buffers.
 //!
-//! Beside the value sits a histogram of its characters over 32 folded
-//! classes (scalar value mod 32), `[u8; 32]`; a value with more than 255
-//! characters of one class has none. [`PreparedRule::matches`] — `score`
-//! never — uses it to bound a Levenshtein term *before* its kernel runs.
-//! The distance `d` is at least the length difference, and at least the
-//! *bag distance* of the two histograms (an edit moves at most one
+//! Beside the value's place sits a histogram of its characters over 32
+//! folded classes (scalar value mod 32), `[u8; 32]`; a value with more than
+//! 255 characters of one class has none. [`PreparedRule::matches`] —
+//! `score` never — uses it to bound a Levenshtein term *before* its kernel
+//! runs. The distance `d` is at least the length difference, and at least
+//! the *bag distance* of the two histograms (an edit moves at most one
 //! occurrence into, out of, or between classes, so `d` edits cannot undo a
 //! surplus of more than `d` occurrences, and it is never below the length
 //! difference). That floor, `d₀` — the length difference alone where a
-//! value has no histogram — costs nothing to read.
+//! value has no histogram — reads the two records only.
 //!
 //! # The whole rule's bound
 //!
 //! `matches` gives every term a similarity before any kernel runs: an
 //! `Exact` term its exact one (byte equality), a Levenshtein term the upper
-//! bound `sim(d₀)`. Then, until the pair is decided:
+//! bound `sim(d₀)`. One pass over both entities' records computes them, and
+//! with them `used_weight`, `upper` — `Σ w·bound` over the usable terms —
+//! and `lower` — `Σ w·sim` over the terms known exactly. Then:
 //!
-//! * it **rejects** if `upper / used_weight < threshold`, where `upper` is
-//!   `Σ w·bound` over the usable terms;
-//! * it **accepts** if `lower / used_weight ≥ threshold`, where `lower` is
-//!   `Σ w·sim` over the terms known exactly;
+//! * it **rejects** if `upper / used_weight < threshold`;
+//! * it **accepts** if `lower / used_weight ≥ threshold`;
 //! * otherwise it runs the kernel of the heaviest Levenshtein term still
 //!   bounded (the first in declaration order on a tie), replaces its bound
-//!   with its exact similarity, and tests again. With no such term left,
-//!   `lower` is the string path's score and its test is the string path's.
+//!   with its exact similarity, sums both again and tests again. With no
+//!   such term left, `lower` is the string path's score and its test is the
+//!   string path's.
 //!
 //! Both tests are exact, with no margin. `used_weight`, `upper` and `lower`
 //! are summed in declaration order — the string path's operation sequence —
-//! and every operand of `upper` is at least, every operand of `lower` at
-//! most, the string path's operand in the same place. Each step is monotone
-//! under IEEE rounding: `d₀ as f64 ≤ d as f64` (exact integers), so
-//! `1 − d₀/len ≥ 1 − d/len` (division by a positive value and subtraction
-//! from a constant, each correctly rounded, preserve order), so
-//! `w·sim(d₀) ≥ w·sim(d)` for a weight `w ≥ 0`; a term left out of `lower`
-//! is an addend of `0 ≤ w·sim`; and a correctly rounded sum or quotient of
-//! larger operands is no smaller. So `upper / used_weight` is at least, and
-//! `lower / used_weight` at most, the string path's score, and each test
-//! that fires gives the string path's answer.
+//! in the first pass as in every later one, and every operand of `upper` is
+//! at least, every operand of `lower` at most, the string path's operand in
+//! the same place. Each step is monotone under IEEE rounding:
+//! `d₀ as f64 ≤ d as f64` (exact integers), so `1 − d₀/len ≥ 1 − d/len`
+//! (division by a positive value and subtraction from a constant, each
+//! correctly rounded, preserve order), so `w·sim(d₀) ≥ w·sim(d)` for a
+//! weight `w ≥ 0`; a term left out of `lower` is an addend of `0 ≤ w·sim`;
+//! and a correctly rounded sum or quotient of larger operands is no
+//! smaller. So `upper / used_weight` is at least, and `lower / used_weight`
+//! at most, the string path's score, and each test that fires gives the
+//! string path's answer.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 use crate::levenshtein::levenshtein_scratch;
 use crate::myers::MyersScratch;
-use crate::rule::{truncate, AttributeSim, MatchRule};
+use crate::rule::{truncate, AttributeSim, MatchRule, WeightedAttr};
 
 /// Character classes of a [`LevSig`] histogram: a scalar value's low five
 /// bits, which folds the two cases of a letter into one class.
 const CLASSES: usize = 32;
 
-/// A Levenshtein value as the kernels read it, in one of two
-/// representations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum LevText {
+/// A Levenshtein value as the kernels read it, borrowed from its entity's
+/// buffers in one of two representations.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LevText<'a> {
     /// An ASCII value, one byte per character: what the bit-parallel scan
     /// reads, and a `memcpy` of the attribute to prepare.
-    Ascii(Box<[u8]>),
+    Ascii(&'a [u8]),
     /// Any other value as Unicode scalar values, for the two-row DP.
-    Wide(Box<[char]>),
+    Wide(&'a [char]),
 }
 
-impl LevText {
-    /// Length in characters.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            LevText::Ascii(bytes) => bytes.len(),
-            LevText::Wide(chars) => chars.len(),
-        }
-    }
-}
-
-/// One Levenshtein term's signature: the value and what bounds its distance
-/// to another value from below without reading either.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One Levenshtein term's record: where its value sits in the entity's
+/// buffers, and what bounds its distance to another value from below
+/// without reading either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LevSig {
-    pub(crate) text: LevText,
-    /// Occurrences of each character class in `text`; `None` when some
+    /// Offset of the value in the entity's `chars` if `wide`, else in its
+    /// `bytes`.
+    start: u32,
+    /// Length in characters.
+    len: u32,
+    /// The value is non-ASCII and kept as `char`s.
+    wide: bool,
+    /// Occurrences of each character class in the value; `None` when some
     /// class occurs more often than a `u8` counts, and the value then takes
     /// part in no histogram bound.
     hist: Option<[u8; CLASSES]>,
 }
 
 impl LevSig {
-    fn new(value: &str) -> Self {
+    /// Appends `value` to `bytes` if it is ASCII, to `chars` otherwise, and
+    /// returns its record.
+    fn append(value: &str, bytes: &mut Vec<u8>, chars: &mut Vec<char>) -> Self {
         let mut counts = [0u32; CLASSES];
-        let text = if value.is_ascii() {
+        let wide = !value.is_ascii();
+        let (start, end) = if wide {
+            let start = chars.len();
+            chars.extend(value.chars());
+            for &c in &chars[start..] {
+                counts[c as usize % CLASSES] += 1;
+            }
+            (start, chars.len())
+        } else {
             for &b in value.as_bytes() {
                 counts[usize::from(b) % CLASSES] += 1;
             }
-            LevText::Ascii(value.as_bytes().into())
-        } else {
-            let chars: Box<[char]> = value.chars().collect();
-            for &c in chars.iter() {
-                counts[c as usize % CLASSES] += 1;
-            }
-            LevText::Wide(chars)
+            let start = bytes.len();
+            bytes.extend_from_slice(value.as_bytes());
+            (start, bytes.len())
         };
         let hist = counts
             .iter()
             .all(|&n| n <= u32::from(u8::MAX))
             .then(|| counts.map(|n| n as u8));
-        Self { text, hist }
+        // `prepare` bounds both buffers by `u32::MAX`.
+        Self {
+            start: start as u32,
+            len: (end - start) as u32,
+            wide,
+            hist,
+        }
+    }
+
+    /// Length in characters.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
     }
 
     /// A lower bound on the edit distance to `other` that reads neither
@@ -157,8 +178,9 @@ impl LevSig {
     /// class, removes one, or moves one between two classes, so it lowers
     /// the surplus of either value over the other — summed over the classes
     /// — by at most one, and both surpluses are zero between equal values.
+    #[inline]
     fn distance_floor(&self, other: &Self) -> usize {
-        let len_diff = self.text.len().abs_diff(other.text.len());
+        let len_diff = self.len().abs_diff(other.len());
         let (Some(a), Some(b)) = (&self.hist, &other.hist) else {
             return len_diff;
         };
@@ -184,58 +206,105 @@ pub(crate) fn levenshtein_sim(d: usize, max_len: usize) -> f64 {
     1.0 - d as f64 / max_len as f64
 }
 
-/// Bytes an `Exact` value keeps inside its term ([`ExactText::Inline`]).
+/// Bytes an `Exact` value keeps inside its record ([`ExactText::Inline`]).
 const INLINE_EXACT: usize = 23;
 
-/// An `Exact` value's bytes, in one of two representations chosen by length
-/// alone: a value of at most [`INLINE_EXACT`] bytes is always `Inline`, a
-/// longer one always `Heap`. So two values are equal exactly when their
-/// representations are (the derived `==`): values of different
-/// representations differ in length, and an inline buffer is zero past its
-/// value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An `Exact` value, in one of two representations chosen by length alone:
+/// a value of at most [`INLINE_EXACT`] bytes is always `Inline`, a longer
+/// one always `Spilled`. So values of different representations differ, an
+/// inline buffer is zero past its value, and two inline values are equal
+/// exactly when their records are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ExactText {
-    /// The value in the term itself, zero-padded: comparing two reads no
-    /// pointer.
+    /// The value in the record itself, zero-padded: comparing two reads no
+    /// buffer.
     Inline { len: u8, bytes: [u8; INLINE_EXACT] },
-    /// A longer value.
-    Heap(Box<[u8]>),
+    /// A longer value, at `start` in the entity's byte buffer.
+    Spilled { start: u32, len: u32 },
 }
 
 impl ExactText {
-    fn new(value: &str) -> Self {
+    /// The record of `value`, appending it to `bytes` if it is too long to
+    /// sit inline.
+    fn append(value: &str, bytes: &mut Vec<u8>) -> Self {
         let value = value.as_bytes();
         if value.len() > INLINE_EXACT {
-            return ExactText::Heap(value.into());
+            let start = bytes.len();
+            bytes.extend_from_slice(value);
+            // `prepare` bounds the buffer by `u32::MAX`.
+            return ExactText::Spilled {
+                start: start as u32,
+                len: value.len() as u32,
+            };
         }
-        let mut bytes = [0; INLINE_EXACT];
-        bytes[..value.len()].copy_from_slice(value);
+        let mut inline = [0; INLINE_EXACT];
+        inline[..value.len()].copy_from_slice(value);
         ExactText::Inline {
             len: value.len() as u8,
-            bytes,
+            bytes: inline,
         }
     }
 }
 
-/// One rule term's precomputed signature for one entity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum PreparedAttr {
+/// One rule term's record in a [`PreparedEntity`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TermSig {
     /// Attribute index out of range or value empty — the term is dropped
     /// for any pair involving this entity (mirroring the string path's
     /// missing-value renormalization).
     Missing,
-    /// Levenshtein value (cap pre-applied) with its character-class
-    /// histogram.
+    /// A Levenshtein value (cap pre-applied).
     Lev(LevSig),
-    /// The value's bytes (`Exact`).
-    Raw(ExactText),
+    /// An `Exact` value.
+    Exact(ExactText),
 }
 
+// A pair's first pass reads two records per term: keep them small.
+const _: () = assert!(std::mem::size_of::<TermSig>() <= 44);
+
 /// All of one entity's per-term signatures for one [`PreparedRule`]
-/// (`terms[i]` pairs with `rule.attrs[i]`).
+/// (`terms[i]` pairs with `rule.attrs[i]`), and the values they point into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedEntity {
-    pub(crate) terms: Vec<PreparedAttr>,
+    pub(crate) terms: Box<[TermSig]>,
+    /// Every ASCII Levenshtein value and every `Exact` value longer than
+    /// [`INLINE_EXACT`] bytes, back to back.
+    bytes: Box<[u8]>,
+    /// Every non-ASCII Levenshtein value; empty, and unallocated, when
+    /// there is none.
+    chars: Box<[char]>,
+}
+
+impl PreparedEntity {
+    /// The value of one of this entity's Levenshtein records.
+    #[inline]
+    pub(crate) fn lev_text(&self, sig: &LevSig) -> LevText<'_> {
+        let range = span(sig.start, sig.len);
+        if sig.wide {
+            LevText::Wide(&self.chars[range])
+        } else {
+            LevText::Ascii(&self.bytes[range])
+        }
+    }
+
+    /// Whether two `Exact` values — `x` of this entity, `y` of `other` —
+    /// are byte-equal. Two inline values are equal exactly when their
+    /// records are, and an inline value never equals a spilled one.
+    #[inline]
+    fn exact_eq(&self, x: &ExactText, other: &Self, y: &ExactText) -> bool {
+        match (*x, *y) {
+            (ExactText::Spilled { start, len }, ExactText::Spilled { start: s, len: l }) => {
+                self.bytes[span(start, len)] == other.bytes[span(s, l)]
+            }
+            _ => x == y,
+        }
+    }
+}
+
+/// The index range of a value `len` long at `start` in an entity's buffer.
+#[inline]
+fn span(start: u32, len: u32) -> std::ops::Range<usize> {
+    start as usize..start as usize + len as usize
 }
 
 /// Reusable kernel buffers: everything the per-pair path needs beyond the
@@ -265,13 +334,45 @@ enum Known {
     Exact(f64),
 }
 
+impl Known {
+    /// What costs nothing to know of term `ta`/`tb` of the pair `a`/`b`:
+    /// an `Exact` term's similarity, a Levenshtein term's bound.
+    #[inline]
+    fn before_kernels(a: &PreparedEntity, ta: &TermSig, b: &PreparedEntity, tb: &TermSig) -> Self {
+        match (ta, tb) {
+            (TermSig::Missing, _) | (_, TermSig::Missing) => Known::Dropped,
+            (TermSig::Lev(la), TermSig::Lev(lb)) => Known::AtMost(levenshtein_sim(
+                la.distance_floor(lb),
+                la.len().max(lb.len()),
+            )),
+            (TermSig::Exact(x), TermSig::Exact(y)) => Known::Exact(f64::from(a.exact_eq(x, b, y))),
+            _ => unreachable!("entity prepared for a different rule"),
+        }
+    }
+
+    /// Adds the term at weight `w` to `upper` at its bound and, if known
+    /// exactly, to `lower`.
+    #[inline]
+    fn add_to(self, w: f64, upper: &mut f64, lower: &mut f64) {
+        match self {
+            Known::Dropped => {}
+            Known::AtMost(sim) => *upper += w * sim,
+            Known::Exact(sim) => {
+                *upper += w * sim;
+                *lower += w * sim;
+            }
+        }
+    }
+}
+
 /// Reusable per-task scratch for [`PreparedRule::score`] /
 /// [`PreparedRule::matches`]. Create one per reduce task (or worker) and
 /// pass it to every pair comparison.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     pub(crate) kernels: KernelScratch,
-    /// Per term, what `matches` knows of the current pair's similarity.
+    /// Per term, what `matches` knows of the current pair's similarity
+    /// once its first pass leaves the pair open.
     known: Vec<Known>,
 }
 
@@ -304,32 +405,63 @@ impl PreparedRule {
     /// Build the per-term signatures of one entity from owned or borrowed
     /// attribute values (a row served straight out of an on-disk store
     /// needs no intermediate `Vec<String>`). All allocation of the prepared
-    /// path happens here, once per entity per task — never per pair.
+    /// path happens here, once per entity per task — never per pair: the
+    /// record buffer, the byte buffer if a value goes there, and the `char`
+    /// buffer if a Levenshtein value is non-ASCII, each sized before it is
+    /// filled.
+    ///
+    /// # Panics
+    /// Panics if the entity's values for the rule total more than
+    /// `u32::MAX` bytes or characters.
     pub fn prepare<S: AsRef<str>>(&self, attrs: &[S]) -> PreparedEntity {
+        // The value a term keeps, cap applied; `None` if missing.
+        let value = |term: &WeightedAttr| {
+            let v = attrs.get(term.attr)?.as_ref();
+            match term.sim {
+                _ if v.is_empty() => None,
+                AttributeSim::Levenshtein {
+                    max_chars: Some(cap),
+                } => Some(truncate(v, cap)),
+                _ => Some(v),
+            }
+        };
+        let (mut n_bytes, mut n_chars) = (0, 0);
+        for term in &self.rule.attrs {
+            match (&term.sim, value(term)) {
+                (_, None) => {}
+                (AttributeSim::Levenshtein { .. }, Some(v)) if !v.is_ascii() => {
+                    n_chars += v.chars().count();
+                }
+                (AttributeSim::Levenshtein { .. }, Some(v)) => n_bytes += v.len(),
+                (AttributeSim::Exact, Some(v)) if v.len() > INLINE_EXACT => n_bytes += v.len(),
+                (AttributeSim::Exact, Some(_)) => {}
+            }
+        }
+        let limit = u32::MAX as usize;
+        assert!(
+            n_bytes <= limit && n_chars <= limit,
+            "an entity's prepared values exceed u32 offsets"
+        );
+        let mut bytes = Vec::with_capacity(n_bytes);
+        let mut chars = Vec::with_capacity(n_chars);
         let terms = self
             .rule
             .attrs
             .iter()
-            .map(|term| {
-                let Some(v) = attrs.get(term.attr).map(|s| s.as_ref()) else {
-                    return PreparedAttr::Missing;
-                };
-                if v.is_empty() {
-                    return PreparedAttr::Missing;
+            .map(|term| match (&term.sim, value(term)) {
+                (_, None) => TermSig::Missing,
+                (AttributeSim::Levenshtein { .. }, Some(v)) => {
+                    TermSig::Lev(LevSig::append(v, &mut bytes, &mut chars))
                 }
-                match &term.sim {
-                    AttributeSim::Levenshtein { max_chars } => {
-                        let capped = match max_chars {
-                            Some(cap) => truncate(v, *cap),
-                            None => v,
-                        };
-                        PreparedAttr::Lev(LevSig::new(capped))
-                    }
-                    AttributeSim::Exact => PreparedAttr::Raw(ExactText::new(v)),
-                }
+                (AttributeSim::Exact, Some(v)) => TermSig::Exact(ExactText::append(v, &mut bytes)),
             })
             .collect();
-        PreparedEntity { terms }
+        debug_assert_eq!((bytes.len(), chars.len()), (n_bytes, n_chars));
+        PreparedEntity {
+            terms,
+            bytes: bytes.into_boxed_slice(),
+            chars: chars.into_boxed_slice(),
+        }
     }
 
     /// Normalized weighted similarity — **bit-identical** to
@@ -341,12 +473,11 @@ impl PreparedRule {
         let mut used_weight = 0.0;
         let mut score = 0.0;
         for (i, term) in self.rule.attrs.iter().enumerate() {
-            let (ta, tb) = (&a.terms[i], &b.terms[i]);
-            if matches!(ta, PreparedAttr::Missing) || matches!(tb, PreparedAttr::Missing) {
+            if matches!(a.terms[i], TermSig::Missing) || matches!(b.terms[i], TermSig::Missing) {
                 continue;
             }
             used_weight += term.weight;
-            score += term.weight * term_score(&term.sim, ta, tb, &mut s.kernels);
+            score += term.weight * term_score(a, b, i, &mut s.kernels);
         }
         if used_weight == 0.0 {
             0.0
@@ -356,58 +487,80 @@ impl PreparedRule {
     }
 
     /// The co-reference decision — **identical** to [`MatchRule::matches`]
-    /// but threshold-aware: every term starts at what costs nothing to know
-    /// (an `Exact` term's similarity, a Levenshtein term's similarity at
-    /// the distance its lengths and histograms bound it by from below), and
-    /// Levenshtein kernels run, heaviest term first, only while the whole
-    /// rule's bounds leave the decision open (see the module docs for why
-    /// both tests are exact).
+    /// but threshold-aware: one pass over both entities' records takes
+    /// every term at what costs nothing to know (an `Exact` term's
+    /// similarity, a Levenshtein term's similarity at the distance its
+    /// lengths and histograms bound it by from below) and tests the whole
+    /// rule's bounds; only a pair they leave open runs Levenshtein kernels,
+    /// heaviest term first, until they decide it (see the module docs for
+    /// why both tests are exact).
     pub fn matches(&self, a: &PreparedEntity, b: &PreparedEntity, s: &mut SimScratch) -> bool {
         let terms = &self.rule.attrs;
         debug_assert_eq!(a.terms.len(), terms.len());
         debug_assert_eq!(b.terms.len(), terms.len());
         let threshold = self.rule.threshold;
 
-        s.known.clear();
-        let mut used_weight = 0.0;
-        for (term, (ta, tb)) in terms.iter().zip(a.terms.iter().zip(&b.terms)) {
-            let known = match (ta, tb) {
-                (PreparedAttr::Missing, _) | (_, PreparedAttr::Missing) => Known::Dropped,
-                (PreparedAttr::Lev(la), PreparedAttr::Lev(lb)) => Known::AtMost(levenshtein_sim(
-                    la.distance_floor(lb),
-                    la.text.len().max(lb.text.len()),
-                )),
-                _ => Known::Exact(term_score(&term.sim, ta, tb, &mut s.kernels)),
-            };
+        // All three sums in declaration order, the string path's operation
+        // sequence: `upper` adds each term at its bound, `lower` only the
+        // terms known exactly.
+        let (mut used_weight, mut upper, mut lower) = (0.0f64, 0.0f64, 0.0f64);
+        for (term, (ta, tb)) in terms.iter().zip(a.terms.iter().zip(b.terms.iter())) {
+            let known = Known::before_kernels(a, ta, b, tb);
             if !matches!(known, Known::Dropped) {
                 used_weight += term.weight;
             }
-            s.known.push(known);
+            known.add_to(term.weight, &mut upper, &mut lower);
         }
         if used_weight == 0.0 {
             return 0.0 >= threshold;
         }
+        if upper / used_weight < threshold {
+            return false;
+        }
+        if lower / used_weight >= threshold {
+            return true;
+        }
+        self.settle(a, b, used_weight, s)
+    }
 
+    /// The rest of [`matches`](Self::matches) for a pair its first pass left
+    /// open: run the kernel of the heaviest term still bounded (the first in
+    /// declaration order on a tie), replace its bound with its similarity,
+    /// sum again and test again.
+    fn settle(
+        &self,
+        a: &PreparedEntity,
+        b: &PreparedEntity,
+        used_weight: f64,
+        s: &mut SimScratch,
+    ) -> bool {
+        let terms = &self.rule.attrs;
+        let threshold = self.rule.threshold;
+        s.known.clear();
+        s.known.extend(
+            a.terms
+                .iter()
+                .zip(b.terms.iter())
+                .map(|(ta, tb)| Known::before_kernels(a, ta, b, tb)),
+        );
         loop {
-            // Both sums in declaration order, the string path's operation
-            // sequence: `upper` adds each term at its bound, `lower` only
-            // the terms known exactly.
-            let (mut upper, mut lower) = (0.0f64, 0.0f64);
             let mut heaviest_open: Option<usize> = None;
             for (i, (term, known)) in terms.iter().zip(&s.known).enumerate() {
-                match *known {
-                    Known::Dropped => {}
-                    Known::AtMost(sim) => {
-                        upper += term.weight * sim;
-                        if heaviest_open.is_none_or(|h| term.weight > terms[h].weight) {
-                            heaviest_open = Some(i);
-                        }
-                    }
-                    Known::Exact(sim) => {
-                        upper += term.weight * sim;
-                        lower += term.weight * sim;
-                    }
+                if matches!(known, Known::AtMost(_))
+                    && heaviest_open.is_none_or(|h| term.weight > terms[h].weight)
+                {
+                    heaviest_open = Some(i);
                 }
+            }
+            // With no term open, `lower` was the string path's score, and
+            // it fell short.
+            let Some(i) = heaviest_open else {
+                return false;
+            };
+            s.known[i] = Known::Exact(term_score(a, b, i, &mut s.kernels));
+            let (mut upper, mut lower) = (0.0f64, 0.0f64);
+            for (term, known) in terms.iter().zip(&s.known) {
+                known.add_to(term.weight, &mut upper, &mut lower);
             }
             if upper / used_weight < threshold {
                 return false;
@@ -415,19 +568,13 @@ impl PreparedRule {
             if lower / used_weight >= threshold {
                 return true;
             }
-            // With no term open, `lower` is the string path's score.
-            let Some(i) = heaviest_open else {
-                return false;
-            };
-            let sim = term_score(&terms[i].sim, &a.terms[i], &b.terms[i], &mut s.kernels);
-            s.known[i] = Known::Exact(sim);
         }
     }
 }
 
 /// Exact edit distance of two prepared values: the blocked Myers scan when
 /// both are ASCII (the shorter as the pattern), the two-row DP otherwise.
-fn levenshtein_distance(a: &LevText, b: &LevText, s: &mut KernelScratch) -> usize {
+fn levenshtein_distance(a: LevText<'_>, b: LevText<'_>, s: &mut KernelScratch) -> usize {
     match (a, b) {
         (LevText::Ascii(x), LevText::Ascii(y)) => {
             let (short, long) = if x.len() <= y.len() { (x, y) } else { (y, x) };
@@ -443,20 +590,20 @@ fn levenshtein_distance(a: &LevText, b: &LevText, s: &mut KernelScratch) -> usiz
     }
 }
 
-/// One term's kernel over prepared signatures — each arm reproduces the
-/// corresponding string kernel's exact arithmetic.
+/// Term `i`'s kernel on the pair `a`/`b`, neither side `Missing` — each arm
+/// reproduces the corresponding string kernel's exact arithmetic.
 pub(crate) fn term_score(
-    sim: &AttributeSim,
-    a: &PreparedAttr,
-    b: &PreparedAttr,
+    a: &PreparedEntity,
+    b: &PreparedEntity,
+    i: usize,
     s: &mut KernelScratch,
 ) -> f64 {
-    match (sim, a, b) {
-        (AttributeSim::Levenshtein { .. }, PreparedAttr::Lev(la), PreparedAttr::Lev(lb)) => {
-            let max_len = la.text.len().max(lb.text.len());
-            levenshtein_sim(levenshtein_distance(&la.text, &lb.text, s), max_len)
-        }
-        (AttributeSim::Exact, PreparedAttr::Raw(va), PreparedAttr::Raw(vb)) => f64::from(va == vb),
+    match (&a.terms[i], &b.terms[i]) {
+        (TermSig::Lev(la), TermSig::Lev(lb)) => levenshtein_sim(
+            levenshtein_distance(a.lev_text(la), b.lev_text(lb), s),
+            la.len().max(lb.len()),
+        ),
+        (TermSig::Exact(x), TermSig::Exact(y)) => f64::from(a.exact_eq(x, b, y)),
         _ => unreachable!("entity prepared for a different rule"),
     }
 }
@@ -657,10 +804,13 @@ mod tests {
         assert!(scratch.kernels.row.capacity() > 0, "DP did not run");
     }
 
-    /// Signature and capped value, as `prepare` derives them.
+    /// Record and capped value, as `prepare` derives them.
     fn capped_sig(value: &str, cap: Option<usize>) -> (LevSig, &str) {
         let capped = cap.map_or(value, |cap| truncate(value, cap));
-        (LevSig::new(capped), capped)
+        (
+            LevSig::append(capped, &mut Vec::new(), &mut Vec::new()),
+            capped,
+        )
     }
 
     proptest! {
@@ -676,7 +826,7 @@ mod tests {
                 let ((sp, cp), (sq, cq)) = (capped_sig(p, cap), capped_sig(q, cap));
                 let (d, floor) = (levenshtein(cp, cq), sp.distance_floor(&sq));
                 prop_assert!(floor <= d, "{cp:?} / {cq:?}");
-                prop_assert!(floor >= sp.text.len().abs_diff(sq.text.len()));
+                prop_assert!(floor >= sp.len().abs_diff(sq.len()));
                 prop_assert_eq!(floor, sq.distance_floor(&sp));
                 prop_assert_eq!(sp.distance_floor(&sp), 0);
             }
@@ -705,7 +855,7 @@ mod tests {
                 let floor = sig.distance_floor(&sq);
                 prop_assert!(floor <= levenshtein(kept, cq), "{run} / {cq:?}");
                 if sig.hist.is_none() || sq.hist.is_none() {
-                    prop_assert_eq!(floor, sig.text.len().abs_diff(sq.text.len()));
+                    prop_assert_eq!(floor, sig.len().abs_diff(sq.len()));
                 }
             }
         }
@@ -818,7 +968,6 @@ mod tests {
     fn exact_values_sit_inline_up_to_the_capacity_and_decide_as_strings() {
         let rule = MatchRule::new(vec![WeightedAttr::new(0, 1.0, AttributeSim::Exact)], 1.0);
         let pr = PreparedRule::new(rule.clone());
-        let term = |value: &str| pr.prepare(&[value]).terms.remove(0);
         let a = |n: usize| "a".repeat(n);
         let cap = INLINE_EXACT;
         // `é` is two bytes: after `cap - 1` others it straddles the boundary.
@@ -830,20 +979,23 @@ mod tests {
             (a(cap + 1), false),
             (straddling.clone(), false),
         ] {
-            let kept = match term(&value) {
-                PreparedAttr::Raw(ExactText::Inline { len, bytes }) => {
+            let entity = pr.prepare(&[&value]);
+            let kept = match entity.terms[0] {
+                TermSig::Exact(ExactText::Inline { len, bytes }) => {
                     assert!(inline, "{value:?} inline");
                     bytes[..usize::from(len)].to_vec()
                 }
-                PreparedAttr::Raw(ExactText::Heap(bytes)) => {
-                    assert!(!inline, "{value:?} on the heap");
-                    bytes.to_vec()
+                TermSig::Exact(ExactText::Spilled { start, len }) => {
+                    assert!(!inline, "{value:?} in the byte buffer");
+                    entity.bytes[span(start, len)].to_vec()
                 }
                 other => panic!("{value:?}: {other:?}"),
             };
             assert_eq!(kept, value.as_bytes());
+            // An inline value leaves the byte buffer empty.
+            assert_eq!(entity.bytes.len(), if inline { 0 } else { value.len() });
         }
-        assert_eq!(term(""), PreparedAttr::Missing);
+        assert_eq!(pr.prepare(&[""]).terms[0], TermSig::Missing);
 
         let mut scratch = SimScratch::new();
         let pairs = [

@@ -404,24 +404,42 @@ fn exact_threshold_boundaries() {
         MatchRule::new(rules[1].clone(), 0.875).score(&a, &owned(["abce", "x", "pq"])),
         0.875
     );
-    for terms in rules {
+    let around_its_score = |terms: &[WeightedAttr], a: &[String], b: &[String]| {
+        let score = MatchRule::new(terms.to_vec(), 0.0).score(a, b);
+        let below = f64::from_bits(score.to_bits().saturating_sub(1));
+        let above = f64::from_bits(score.to_bits() + 1);
+        for threshold in [below, score, above] {
+            if (0.0..=1.0).contains(&threshold) {
+                let rule = MatchRule::new(terms.to_vec(), threshold);
+                assert_parity(&rule, a, b);
+                assert_parity(&rule, b, a);
+            }
+        }
+    };
+    for terms in &rules {
         for b in [
             ["abce", "x", "pq"],
             ["abce", "y", "pq"],
             ["bacd", "x", "qp"],
             ["abcdef", "x", ""],
         ] {
-            let b = owned(b);
-            let score = MatchRule::new(terms.clone(), 0.0).score(&a, &b);
-            let below = f64::from_bits(score.to_bits().saturating_sub(1));
-            let above = f64::from_bits(score.to_bits() + 1);
-            for threshold in [below, score, above] {
-                if (0.0..=1.0).contains(&threshold) {
-                    let rule = MatchRule::new(terms.clone(), threshold);
-                    assert_parity(&rule, &a, &b);
-                    assert_parity(&rule, &b, &a);
-                }
-            }
+            around_its_score(terms, &a, &owned(b));
         }
     }
+
+    // Levenshtein terms declared before an `Exact` one, every bound exact
+    // (equal values, and two substitutions between classes): summed in
+    // declaration order the score is one ulp above 0.86, and summed with
+    // the `Exact` term first it is 0.86. So a bound summed in any other
+    // order than the string path's rejects this pair at its own score.
+    let terms = [
+        WeightedAttr::new(0, 0.45, lev()),
+        WeightedAttr::new(1, 0.35, lev()),
+        WeightedAttr::new(2, 0.20, AttributeSim::Exact),
+    ];
+    let (a, b) = (owned(["abcd", "abcde", "x"]), owned(["abcd", "abcfg", "x"]));
+    let score = MatchRule::new(terms.to_vec(), 0.0).score(&a, &b);
+    assert_eq!(score, f64::from_bits(0.86f64.to_bits() + 1));
+    assert!(0.20 + 0.45 + 0.35 * 0.6 < score);
+    around_its_score(&terms, &a, &b);
 }

@@ -2,7 +2,10 @@
 //! are prepared and the scratch buffers are warm, `PreparedRule::score`,
 //! `PreparedRule::matches` and `BlockScorer::score_block` perform **no heap
 //! allocation per pair** — including Levenshtein values on both sides of
-//! the 64-char word boundary, alternating on one scratch.
+//! the 64-char word boundary, alternating on one scratch, non-ASCII ones,
+//! and `Exact` values too long to sit in their record. And what
+//! `PreparedRule::prepare` itself allocates: one buffer of records, one of
+//! bytes, and one of `char`s only for a non-ASCII Levenshtein value.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms the scratch to its high-water mark, snapshots the allocation
@@ -55,12 +58,20 @@ fn levenshtein_value(i: usize) -> String {
     }
 }
 
+/// Every fourth entity has a non-ASCII author (the DP, and a `char` buffer)
+/// and every fifth a 30-byte category (kept outside its record).
 fn entity(i: usize) -> Vec<String> {
-    vec![
-        levenshtein_value(i),
-        format!("author name {i}"),
-        format!("cat{}", i % 3),
-    ]
+    let author = if i % 4 == 1 {
+        format!("autör namé {i}")
+    } else {
+        format!("author name {i}")
+    };
+    let category = if i.is_multiple_of(5) {
+        format!("a category thirty bytes lo{:04}", i % 3)
+    } else {
+        format!("cat{}", i % 3)
+    };
+    vec![levenshtein_value(i), author, category]
 }
 
 #[test]
@@ -185,4 +196,57 @@ fn unicode_fallback_path_allocates_nothing() {
         0,
         "mixed and bound-rejected pairs must not allocate (sink {sink})"
     );
+}
+
+/// `ErConfig::books`' rule over title, authors, publisher, year, isbn,
+/// pages, language and format.
+fn books_rule() -> MatchRule {
+    let lev = || AttributeSim::Levenshtein { max_chars: None };
+    MatchRule::new(
+        vec![
+            WeightedAttr::new(0, 0.35, lev()),
+            WeightedAttr::new(1, 0.20, lev()),
+            WeightedAttr::new(2, 0.10, lev()),
+            WeightedAttr::new(3, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(4, 0.15, lev()),
+            WeightedAttr::new(5, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(6, 0.05, AttributeSim::Exact),
+            WeightedAttr::new(7, 0.05, AttributeSim::Exact),
+        ],
+        0.80,
+    )
+}
+
+#[test]
+fn prepare_allocates_one_buffer_of_each_kind_it_fills() {
+    let prepared = PreparedRule::new(books_rule());
+    let allocations_of = |row: &[&str]| {
+        let before = allocations();
+        let entity = prepared.prepare(row);
+        let allocated = allocations() - before;
+        drop(entity);
+        allocated
+    };
+    let book = [
+        "the art of computer programming",
+        "knuth",
+        "addison wesley",
+        "1968",
+        "0201038013",
+        "650",
+        "english",
+        "hardcover",
+    ];
+    // The records and one byte buffer for the four Levenshtein values.
+    assert_eq!(allocations_of(&book), 2);
+    // A non-ASCII title goes to a buffer of `char`s.
+    let mut wide = book;
+    wide[0] = "l'art de la programmation informatique, tome ü";
+    assert_eq!(allocations_of(&wide), 3);
+    // A 30-byte `Exact` value is too long for its record and joins the
+    // Levenshtein values in the byte buffer.
+    let mut long = book;
+    long[7] = "hardcover with dust jacket, 1s";
+    assert_eq!(long[7].len(), 30);
+    assert_eq!(allocations_of(&long), 2);
 }
