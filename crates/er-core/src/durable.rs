@@ -13,9 +13,9 @@
 //! grid of the pipeline: §III-B's per-task α-incremental result files, made
 //! the unit of recovery (see [`crate::job2`], "Durable execution"). Every task
 //! completion (with its attempt history) and every attempt-budget
-//! exhaustion is journaled through the runtime's [`TaskObserver`] hook. A
-//! healthy run executes each job exactly once and its counters are the
-//! uninterrupted run's.
+//! exhaustion (as a `DeadLettered` record) is journaled through the
+//! runtime's [`TaskObserver`] hook. A healthy run executes each job exactly
+//! once and its counters are the uninterrupted run's.
 //!
 //! Appended is not yet synced. [`JobJournal`] syncs by itself once a byte
 //! budget of records has accumulated; this module adds a barrier only where
@@ -30,8 +30,12 @@
 //!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
 //! but the journal (plus the dataset file named in the `JobStarted`
-//! parameters, which also pin its entity count and content hash — a resume
-//! against another dataset is refused): [`JournalState`] folds each task's
+//! parameters). Three parameters are in every journal, and a resume refuses
+//! one without them with [`JournalError::BadState`]: `machines`, the machine
+//! count the cuts were taken on; `checkpoint_every`, the grid the resumed
+//! run keeps cutting on (taken from the journal, not from
+//! [`DurableOptions`]); and `dataset`, the entity count and content hash —
+//! a resume against another dataset is refused. [`JournalState`] folds each task's
 //! deltas in `seq` order, and one more resolution stage resumes that fold
 //! against the journaled schedule (a task with no cut starts from scratch;
 //! with no schedule journaled the deterministic early stages re-run) —
@@ -45,8 +49,8 @@
 //! their appends.
 //!
 //! Tasks that exhaust their attempt budget are captured into the journal's
-//! dead-letter queue with full failure history and a JSON reprocessing
-//! context; [`reprocess_dlq`] drains them back into the attempt loop.
+//! dead-letter queue with full failure history; [`reprocess_dlq`] drains
+//! them back into the attempt loop.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -73,6 +77,8 @@ pub struct DurableOptions {
     /// Virtual-cost spacing of the checkpoint grid on each reduce task's own
     /// clock: a task of the resolution job cuts a checkpoint at the first
     /// block boundary past `every`, `2·every`, ..., and at its last block.
+    /// Read by [`run_durable`], which journals it; a resume takes the grid
+    /// from the journal.
     pub checkpoint_every: f64,
     /// Conformance-harness hook: abort the process (as if `kill -9`) right
     /// after the N-th journal event is appended and the log synced, so that
@@ -184,16 +190,6 @@ impl ResultFingerprint {
     }
 }
 
-/// A task captured by the observer when it exhausted its attempt budget,
-/// pending dead-letter capture.
-struct ExhaustedTask {
-    job: String,
-    kind: TaskClass,
-    index: u32,
-    attempts: u32,
-    failures: Vec<AttemptFailure>,
-}
-
 /// State shared between the durable driver and the callbacks it installs
 /// (the task observer and the cut sink).
 struct Shared {
@@ -201,11 +197,12 @@ struct Shared {
     /// First journal I/O error hit inside a callback (callbacks cannot
     /// return errors through the runtime, so they park them here).
     io_error: Mutex<Option<JournalError>>,
-    /// Exhausted tasks seen by the observer, drained on stage failure.
-    exhausted: Mutex<Vec<ExhaustedTask>>,
     /// Next dead-letter sequence number; past `u32::MAX` the sequence is
     /// exhausted.
     next_dlq_seq: Mutex<u64>,
+    /// Tasks the observer dead-lettered since the stage started, as the
+    /// error names them (e.g. `"reduce-0"`).
+    dead_lettered: Mutex<Vec<String>>,
     /// Per reduce task of the resolution job: the `seq` of the next
     /// checkpoint cut the journal does not hold yet.
     next_cut_seq: Mutex<Vec<u32>>,
@@ -216,8 +213,8 @@ impl Shared {
         Arc::new(Self {
             journal: Mutex::new(journal),
             io_error: Mutex::new(None),
-            exhausted: Mutex::new(Vec::new()),
             next_dlq_seq: Mutex::new(next_dlq_seq),
+            dead_lettered: Mutex::new(Vec::new()),
             next_cut_seq: Mutex::new(Vec::new()),
         })
     }
@@ -286,7 +283,9 @@ fn convert_failures(failures: &[pper_mapreduce::AttemptRecord]) -> Vec<AttemptFa
         .collect()
 }
 
-/// Build the [`TaskObserver`] that journals task lifecycle events.
+/// Build the [`TaskObserver`] that journals task lifecycle events: a
+/// finished task as `TaskFinished`, an exhausted one as its dead-letter
+/// capture.
 fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
     let shared = Arc::clone(shared);
     TaskObserver::new(move |ev| {
@@ -313,20 +312,22 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
                 attempts,
                 failures,
             } => {
-                let conv = convert_failures(failures);
-                shared.exhausted.lock().push(ExhaustedTask {
+                let mut next = shared.next_dlq_seq.lock();
+                let Ok(seq) = u32::try_from(*next) else {
+                    let used_up = "the job has used every dead-letter sequence number";
+                    let error = JournalError::BadState(used_up.into());
+                    shared.io_error.lock().get_or_insert(error);
+                    return;
+                };
+                *next += 1;
+                shared.dead_lettered.lock().push(id.to_string());
+                JournalEvent::DeadLettered {
+                    seq,
                     job: (*job).to_string(),
                     kind: class_of(id.kind),
                     index: id.index as u32,
                     attempts: *attempts,
-                    failures: conv.clone(),
-                });
-                JournalEvent::TaskExhausted {
-                    job: (*job).to_string(),
-                    kind: class_of(id.kind),
-                    index: id.index as u32,
-                    attempts: *attempts,
-                    failures: conv,
+                    failures: convert_failures(failures),
                 }
             }
         };
@@ -334,77 +335,27 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
     })
 }
 
-/// The reprocessing context recorded with a dead-lettered task. Field order
-/// is the order of the keys in the journaled JSON.
-#[derive(Serialize)]
-struct DlqContext<'a> {
-    stage: &'a str,
-    dataset: &'a str,
-    task: &'a str,
-}
-
-/// Finish a pipeline stage: surface parked journal errors, and on task
-/// exhaustion capture the observed tasks into the dead-letter queue with a
-/// JSON reprocessing context — synced, since the error names the captures —
+/// Finish a pipeline stage: surface parked journal errors, and when tasks
+/// exhausted their budget — the observer has journaled each one's
+/// dead-letter capture — sync the captures, since the error names them,
 /// before failing.
 fn finish_stage<T>(
     shared: &Shared,
     job_id: &str,
-    ds: &Dataset,
-    stage: &str,
     result: Result<T, MrError>,
 ) -> Result<T, DurableError> {
     if let Some(e) = shared.io_error.lock().take() {
         return Err(DurableError::Journal(e));
     }
+    let tasks = std::mem::take(&mut *shared.dead_lettered.lock());
     match result {
-        Ok(v) => {
-            // A successful stage leaves no exhausted tasks behind (a job
-            // with one would have errored); clear defensively anyway.
-            shared.exhausted.lock().clear();
-            Ok(v)
-        }
-        Err(err) => {
-            let captured: Vec<ExhaustedTask> = std::mem::take(&mut *shared.exhausted.lock());
-            if captured.is_empty() {
-                return Err(DurableError::Run(err));
-            }
-            let mut task_names = Vec::with_capacity(captured.len());
-            for ex in captured {
-                let seq = {
-                    let mut s = shared.next_dlq_seq.lock();
-                    let seq = u32::try_from(*s).map_err(|_| {
-                        JournalError::BadState(format!(
-                            "job '{job_id}' has used every dead-letter sequence number"
-                        ))
-                    })?;
-                    *s += 1;
-                    seq
-                };
-                let task = format!("{}-{}", ex.kind.name(), ex.index);
-                // The dataset name is outside input (the data file's
-                // header), so the context goes through the JSON encoder.
-                let context_json = serde_json::to_string(&DlqContext {
-                    stage,
-                    dataset: &ds.name,
-                    task: &task,
-                })
-                .map_err(|e| MrError::Internal(format!("dead-letter context: {e}")))?;
-                task_names.push(task);
-                shared.append(&JournalEvent::DeadLettered {
-                    seq,
-                    job: ex.job,
-                    kind: ex.kind,
-                    index: ex.index,
-                    attempts: ex.attempts,
-                    failures: ex.failures,
-                    context_json,
-                })?;
-            }
+        Ok(v) => Ok(v),
+        Err(err) if tasks.is_empty() => Err(DurableError::Run(err)),
+        Err(_) => {
             shared.sync()?;
             Err(DurableError::DeadLettered {
                 job_id: job_id.to_string(),
-                tasks: task_names,
+                tasks,
             })
         }
     }
@@ -421,27 +372,32 @@ struct Resume<'s> {
 
 /// The [`Resume`] a job's journal holds, or `None` before the schedule was
 /// journaled — there is nothing to resume yet. The cuts are tied to the
-/// machine count the `JobStarted` parameters record (the wave layout decides
-/// the global timeline): a resume configured for another one is refused. A
-/// journal from before that parameter was recorded is taken at `machines`.
-/// The schedule must fit `families` (see `check_schedule`).
+/// machine count `cut_on` that the `JobStarted` parameters record (the wave
+/// layout decides the global timeline): a resume configured for another one
+/// is refused. Job 1's cost becomes the timeline's offset, so it must be
+/// finite and non-negative, and the schedule must fit `families` (see
+/// `check_schedule`).
 fn journaled_resume<'s>(
     state: &'s JournalState,
+    cut_on: &str,
     machines: usize,
     families: &[BlockingFamily],
 ) -> Result<Option<Resume<'s>>, MrError> {
     let (Some(json), Some(job1_cost)) = (&state.schedule_json, state.job1_cost) else {
         return Ok(None);
     };
-    if let Some(m) = state.param("machines") {
-        let cut_on: usize = m
-            .parse()
-            .map_err(|_| MrError::Checkpoint(format!("journaled machines '{m}' is not a count")))?;
-        if cut_on != machines {
-            return Err(MrError::Checkpoint(format!(
-                "checkpoint was cut on {cut_on} machines but resume is configured for {machines}"
-            )));
-        }
+    let cut_on: usize = cut_on.parse().map_err(|_| {
+        MrError::Checkpoint(format!("journaled machines '{cut_on}' is not a count"))
+    })?;
+    if cut_on != machines {
+        return Err(MrError::Checkpoint(format!(
+            "checkpoint was cut on {cut_on} machines but resume is configured for {machines}"
+        )));
+    }
+    if !job1_cost.is_finite() || job1_cost < 0.0 {
+        return Err(MrError::Checkpoint(format!(
+            "job 1 has a non-finite or negative cost ({job1_cost})"
+        )));
     }
     let schedule: Schedule = serde_json::from_str(json)
         .map_err(|e| MrError::Checkpoint(format!("journaled schedule: {e}")))?;
@@ -563,7 +519,7 @@ fn run_jobs(
         Some(resume) => (&resume.schedule, resume.job1_cost, Counters::new()),
         None => {
             // ---- Statistics job ---------------------------------------
-            let job1 = finish_stage(shared, job_id, ds, "job1-blocking", run_job1(ds, config))?;
+            let job1 = finish_stage(shared, job_id, run_job1(ds, config))?;
             shared.append(&JournalEvent::Job1Finished {
                 virtual_cost: job1.virtual_cost,
             })?;
@@ -597,7 +553,7 @@ fn run_jobs(
         observer: None,
     };
     let outcome = run_job2_stage(ds, config, schedule, stage);
-    let job2 = finish_stage(shared, job_id, ds, "job2-resolution", outcome)?;
+    let job2 = finish_stage(shared, job_id, outcome)?;
     let result = er.assemble(ds, job2, job1_cost, job1_counters);
 
     let mut entries: Vec<(String, u64)> = result
@@ -637,13 +593,15 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// bit-identical (as a [`ResultFingerprint`]), counters included, to an
 /// uninterrupted [`ProgressiveEr::try_run`].
 ///
-/// `params` is recorded verbatim in the `JobStarted` event (plus `machines`,
-/// `checkpoint_every` and `dataset` entries if absent), giving a fresh
-/// process everything it needs to rebuild the configuration for
-/// [`resume_durable`] and to check it was handed the same dataset.
+/// `params` is recorded verbatim in the `JobStarted` event, followed by
+/// `machines`, `checkpoint_every` and `dataset` entries written from the
+/// configuration, `opts` and `ds`, giving a fresh process everything it
+/// needs to rebuild the configuration for [`resume_durable`] and to check
+/// it was handed the same dataset.
 ///
-/// A configuration with more blocking families than a dominance list holds
-/// is refused ([`MrError::InvalidConfig`]) before the journal is created.
+/// A `params` entry under one of those three keys, and a configuration with
+/// more blocking families than a dominance list holds, are refused
+/// ([`MrError::InvalidConfig`]) before the journal is created.
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -653,27 +611,31 @@ pub fn run_durable(
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
     check_every(opts.checkpoint_every)?;
+    // What a resume checks. Rust's float Display is shortest-round-trip, so
+    // the grid spacing survives the string trip exactly.
+    let checked = [
+        ("machines", er.config.machines.to_string()),
+        ("checkpoint_every", format!("{}", opts.checkpoint_every)),
+        ("dataset", dataset_digest(ds)),
+    ];
+    if let Some((key, _)) = params
+        .iter()
+        .find(|(k, _)| checked.iter().any(|c| c.0 == k))
+    {
+        return Err(MrError::InvalidConfig(format!(
+            "parameter '{key}' is written by run_durable, not by its caller"
+        ))
+        .into());
+    }
     DomList::check_capacity(er.config.families.len())?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, 0);
     let er = with_observer(er, &shared);
-
-    let mut all_params: Vec<(String, String)> = params.to_vec();
-    // Rust's float Display is shortest-round-trip, so the grid spacing
-    // survives the string trip exactly.
-    for (key, value) in [
-        ("machines", er.config.machines.to_string()),
-        ("checkpoint_every", format!("{}", opts.checkpoint_every)),
-        ("dataset", dataset_digest(ds)),
-    ] {
-        if !all_params.iter().any(|(k, _)| k == key) {
-            all_params.push((key.into(), value));
-        }
-    }
+    let own = checked.map(|(key, value)| (key.to_string(), value));
     let started = JournalEvent::JobStarted {
         job_id: job_id.to_string(),
-        params: all_params,
+        params: params.iter().cloned().chain(own).collect(),
     };
     let every = opts.checkpoint_every;
     drive(&er, ds, job_id, &shared, every, &[started], None)
@@ -709,19 +671,6 @@ fn recover_state(
     Ok(JournalState::replay(&rec.events))
 }
 
-fn grid_spacing(state: &JournalState, opts: &DurableOptions) -> Result<f64, DurableError> {
-    let every = match state.param("checkpoint_every") {
-        Some(v) => v.parse::<f64>().map_err(|_| {
-            DurableError::Journal(JournalError::BadState(format!(
-                "journaled checkpoint_every '{v}' is not a number"
-            )))
-        })?,
-        None => opts.checkpoint_every,
-    };
-    check_every(every)?;
-    Ok(every)
-}
-
 /// Recover, fold, and run the job on from what the journal holds: the
 /// body of [`resume_durable`] and, with `drain_dlq`, of [`reprocess_dlq`].
 fn redrive(
@@ -733,29 +682,40 @@ fn redrive(
     drain_dlq: bool,
 ) -> Result<ErRunResult, DurableError> {
     let state = recover_state(store, job_id)?;
-    let bad_state = |what: &str| {
-        Err(DurableError::Journal(JournalError::BadState(format!(
-            "job '{job_id}' has no {what}"
-        ))))
-    };
+    let bad_state = |why: String| DurableError::Journal(JournalError::BadState(why));
     if state.job_id.is_none() {
-        return bad_state("job-started record to resume from");
+        return Err(bad_state(format!(
+            "job '{job_id}' has no job-started record to resume from"
+        )));
     }
     if drain_dlq && state.dlq.is_empty() {
-        return bad_state("dead-lettered tasks to reprocess");
+        return Err(bad_state(format!(
+            "job '{job_id}' has no dead-lettered tasks to reprocess"
+        )));
     }
-    // Journals written before the dataset was pinned carry no digest.
-    if let Some(journaled) = state.param("dataset") {
-        let given = dataset_digest(ds);
-        if journaled != given {
-            return Err(DurableError::Journal(JournalError::BadState(format!(
-                "job '{job_id}' was journaled against a dataset of {journaled}, \
-                 but was handed one of {given}"
-            ))));
-        }
+    let param = |key: &str| {
+        let missing = || bad_state(format!("job '{job_id}' has no '{key}' parameter"));
+        state.param(key).ok_or_else(missing)
+    };
+    let (cut_on, every, journaled) = (
+        param("machines")?,
+        param("checkpoint_every")?,
+        param("dataset")?,
+    );
+    let given = dataset_digest(ds);
+    if journaled != given {
+        return Err(bad_state(format!(
+            "job '{job_id}' was journaled against a dataset of {journaled}, \
+             but was handed one of {given}"
+        )));
     }
-    let every = grid_spacing(&state, opts)?;
-    let resume = journaled_resume(&state, er.config.machines, &er.config.families)?;
+    let every = every.parse::<f64>().map_err(|_| {
+        bad_state(format!(
+            "journaled checkpoint_every '{every}' is not a number"
+        ))
+    })?;
+    check_every(every)?;
+    let resume = journaled_resume(&state, cut_on, er.config.machines, &er.config.families)?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, state.next_dlq_seq);

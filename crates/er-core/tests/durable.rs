@@ -78,6 +78,27 @@ fn store_holding(job: &str, bytes: &[u8]) -> Arc<dyn JournalStore> {
     store
 }
 
+/// A store holding a synced journal of `events` under `job`.
+fn journal_of<'e>(
+    job: &str,
+    events: impl IntoIterator<Item = &'e JournalEvent>,
+) -> Arc<dyn JournalStore> {
+    let store = MemStore::shared();
+    let mut journal = JobJournal::create(Arc::clone(&store), job).unwrap();
+    for event in events {
+        journal.append(event).unwrap();
+    }
+    journal.sync().unwrap();
+    store
+}
+
+/// The records a kill in the middle of the resolution job's cuts leaves.
+fn killed_mid_reduce(events: &Events) -> Vec<JournalEvent> {
+    let cuts = cut_positions(events);
+    let kill = cuts[cuts.len() / 2] + 1;
+    events[..kill].iter().map(|(_, e)| e.clone()).collect()
+}
+
 /// Resume `job` from `bytes` — all a killed process left behind — and
 /// require the fault-free fingerprint; returns the store the resumed run
 /// completed in. On failure the bytes are kept for the post-mortem.
@@ -446,29 +467,21 @@ fn a_cut_with_its_duplicates_swapped_resumes_bit_identically() {
     let ds = dataset();
     let golden = ResultFingerprint::of(&er.try_run(&ds).unwrap());
     let (events, _) = finished_journal(&er, &ds, "job-swapped");
-    let cuts = cut_positions(&events);
-    let kill = cuts[cuts.len() / 2] + 1;
-    let swapped = (0..kill)
-        .rev()
-        .find(|&i| {
-            matches!(&events[i].1, JournalEvent::CheckpointCut { duplicates, .. }
-                if !duplicates.is_empty())
+    let mut killed = killed_mid_reduce(&events);
+    let swapped = killed
+        .iter()
+        .rposition(|e| {
+            matches!(e, JournalEvent::CheckpointCut { duplicates, .. } if !duplicates.is_empty())
         })
         .expect("a cut with duplicates before the kill");
-
-    let store = MemStore::shared();
-    let mut journal = JobJournal::create(Arc::clone(&store), "job-swapped").unwrap();
-    for (i, (_, event)) in events[..kill].iter().enumerate() {
-        let mut event = event.clone();
-        if let (true, JournalEvent::CheckpointCut { duplicates, .. }) = (i == swapped, &mut event) {
-            for pair in duplicates.iter_mut() {
-                *pair = (pair.0, pair.2, pair.1);
-            }
+    if let JournalEvent::CheckpointCut { duplicates, .. } = &mut killed[swapped] {
+        for pair in duplicates.iter_mut() {
+            *pair = (pair.0, pair.2, pair.1);
         }
-        journal.append(&event).unwrap();
     }
-    journal.sync().unwrap();
-    let bytes = store.read("job-swapped").unwrap();
+    let bytes = journal_of("job-swapped", &killed)
+        .read("job-swapped")
+        .unwrap();
     let resumed = resume_from(&er, &ds, "job-swapped", &bytes, &golden, "swapped cut");
     let after = recover(&resumed, "job-swapped").unwrap();
     assert!(matches!(
@@ -657,19 +670,16 @@ fn resume_counters_count_what_the_cuts_held() {
 /// first `cuts` cuts.
 fn killed_with_one_task_behind(events: &Events, job: &str, task: u32, cuts: u32) -> Vec<u8> {
     let first_cut = cut_positions(events)[0];
-    let store = MemStore::shared();
-    let mut journal = JobJournal::create(Arc::clone(&store), job).unwrap();
-    for (i, (_, event)) in events.iter().enumerate() {
-        let keep = match event {
+    let kept = events
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, event))| match event {
             JournalEvent::CheckpointCut { task: t, seq, .. } => *t != task || *seq < cuts,
-            _ => i < first_cut,
-        };
-        if keep {
-            journal.append(event).unwrap();
-        }
-    }
-    journal.sync().unwrap();
-    store.read(job).unwrap()
+            _ => *i < first_cut,
+        });
+    journal_of(job, kept.map(|(_, (_, event))| event))
+        .read(job)
+        .unwrap()
 }
 
 /// Replay rebuilds what the blocks under a watermark compared: a task
@@ -774,27 +784,22 @@ fn a_fold_its_replay_contradicts_is_refused() {
     assert!(why.contains(" as duplicate "), "{why}");
 
     // The same journal through `resume_durable`.
-    let spoilt = MemStore::shared();
-    let mut journal = JobJournal::create(Arc::clone(&spoilt), "job-contradicted").unwrap();
-    let mut first = true;
-    for (_, event) in &events {
-        let mut event = event.clone();
-        if let JournalEvent::CheckpointCut {
-            task: t,
-            duplicates,
-            ..
-        } = &mut event
-        {
-            if *t as usize == task && first && !duplicates.is_empty() {
-                duplicates.remove(0);
-                first = false;
-            }
-        }
-        if !matches!(event, JournalEvent::JobFinished { .. }) {
-            journal.append(&event).unwrap();
-        }
+    let mut spoilt: Vec<JournalEvent> = events
+        .iter()
+        .map(|(_, event)| event.clone())
+        .filter(|event| !matches!(event, JournalEvent::JobFinished { .. }))
+        .collect();
+    let first = spoilt
+        .iter()
+        .position(|event| {
+            matches!(event, JournalEvent::CheckpointCut { task: t, duplicates, .. }
+                if *t as usize == task && !duplicates.is_empty())
+        })
+        .unwrap();
+    if let JournalEvent::CheckpointCut { duplicates, .. } = &mut spoilt[first] {
+        duplicates.remove(0);
     }
-    journal.sync().unwrap();
+    let spoilt = journal_of("job-contradicted", &spoilt);
     let refused = resume_durable(&er, &ds, &spoilt, "job-contradicted", &opts(EVERY));
     assert!(
         matches!(&refused, Err(DurableError::Run(MrError::Checkpoint(why)))
@@ -859,15 +864,13 @@ fn resume_of_empty_journal_is_an_error() {
 
 /// A journal pins the dataset it was written against: a resume handed a
 /// smaller dataset, or the same one with one attribute edited, is refused
-/// with `BadState` before any stage runs and leaves the log as it was. A
-/// log written before the pin (no `dataset` parameter) still resumes.
+/// with `BadState` before any stage runs and leaves the log as it was.
 #[test]
 fn a_resume_against_another_dataset_is_refused() {
     let er = small_pipeline();
     let ds = dataset();
-    let golden = ResultFingerprint::of(&er.try_run(&ds).unwrap());
     let (events, bytes) = finished_journal(&er, &ds, "job-pinned");
-    let JournalEvent::JobStarted { job_id, params } = &events[0].1 else {
+    let JournalEvent::JobStarted { params, .. } = &events[0].1 else {
         panic!("the log starts with JobStarted");
     };
     assert!(params.iter().any(|(k, _)| k == "dataset"));
@@ -885,25 +888,95 @@ fn a_resume_against_another_dataset_is_refused() {
         assert!(why.contains("journaled against a dataset"), "{why}");
         assert_eq!(store.read("job-pinned").unwrap(), half);
     }
+}
 
-    // The same prefix as a binary from before the pin wrote it.
-    let store = MemStore::shared();
-    let mut journal = JobJournal::create(Arc::clone(&store), "job-pinned").unwrap();
-    journal
-        .append(&JournalEvent::JobStarted {
-            job_id: job_id.clone(),
-            params: params
-                .iter()
-                .filter(|(k, _)| k != "dataset")
-                .cloned()
-                .collect(),
-        })
-        .unwrap();
-    for (_, event) in &events[1..kept] {
-        journal.append(event).unwrap();
+/// `machines`, `checkpoint_every` and `dataset` are in every journal
+/// `run_durable` writes, and a resume needs each: a journal whose
+/// `JobStarted` lacks one is refused with `BadState` naming it, before
+/// anything is appended — not resumed on the configured machine count, the
+/// options' grid or an unchecked dataset.
+#[test]
+fn a_journal_without_a_required_parameter_is_refused() {
+    let ds = dataset();
+    let er = small_pipeline();
+    let (events, _) = finished_journal(&er, &ds, "job-params");
+    let mut killed = killed_mid_reduce(&events);
+    let JournalEvent::JobStarted { params, .. } = killed[0].clone() else {
+        panic!("the log starts with JobStarted");
+    };
+    for key in ["machines", "checkpoint_every", "dataset"] {
+        if let JournalEvent::JobStarted { params: kept, .. } = &mut killed[0] {
+            *kept = params.iter().filter(|(k, _)| k != key).cloned().collect();
+        }
+        let store = journal_of("job-params", &killed);
+        let before = store.read("job-params").unwrap();
+        let refused = resume_durable(&er, &ds, &store, "job-params", &opts(EVERY));
+        let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
+            panic!("a journal without '{key}' was not refused: {refused:?}");
+        };
+        assert!(why.contains(&format!("'{key}'")), "{why}");
+        assert_eq!(store.read("job-params").unwrap(), before, "{key}");
     }
-    let unpinned = store.read("job-pinned").unwrap();
-    resume_from(&er, &ds, "job-pinned", &unpinned, &golden, "unpinned log");
+}
+
+/// `run_durable` writes `machines`, `checkpoint_every` and `dataset` from
+/// the configuration, the options and the dataset, after the caller's
+/// parameters. A caller's entry under one of those keys is refused with
+/// the typed configuration error before any journal exists: it would
+/// shadow the value the run used (a 2-machine run journaled as cut on 4
+/// machines, which no resume of that configuration accepts).
+#[test]
+fn a_caller_may_not_set_the_parameters_a_resume_checks() {
+    let ds = dataset();
+    let er = small_pipeline();
+    for key in ["machines", "checkpoint_every", "dataset"] {
+        let store = MemStore::shared();
+        let params = [(key.to_string(), "4".to_string())];
+        let refused = run_durable(&er, &ds, &store, "job-shadow", &params, &opts(EVERY));
+        assert!(
+            matches!(refused, Err(DurableError::Run(MrError::InvalidConfig(_)))),
+            "{key}: {refused:?}"
+        );
+        assert!(store.list_jobs().unwrap().is_empty(), "{key}");
+    }
+
+    let store = MemStore::shared();
+    let params = [("data".to_string(), "pubs.json".to_string())];
+    run_durable(&er, &ds, &store, "job-shadow", &params, &opts(EVERY)).unwrap();
+    let events = recover(&store, "job-shadow").unwrap().events;
+    let JournalEvent::JobStarted { params, .. } = &events[0].1 else {
+        panic!("the log starts with JobStarted");
+    };
+    let keys: Vec<&str> = params.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["data", "machines", "checkpoint_every", "dataset"]);
+    assert_eq!((params[1].1.as_str(), params[2].1.as_str()), ("2", "1500"));
+}
+
+/// Job 1's journaled cost is outside input: it becomes the resumed
+/// timeline's offset. A `Job1Finished` holding NaN, a negative cost or
+/// infinity is refused with the typed checkpoint error before anything is
+/// appended — never a resumed run whose total cost holds it.
+#[test]
+fn a_journaled_job1_cost_that_is_not_a_cost_is_refused() {
+    let ds = dataset();
+    let er = small_pipeline();
+    let (events, _) = finished_journal(&er, &ds, "job-cost");
+    let mut killed = killed_mid_reduce(&events);
+    let job1 = killed
+        .iter()
+        .position(|e| matches!(e, JournalEvent::Job1Finished { .. }))
+        .expect("a Job1Finished record before the kill");
+    for cost in [f64::NAN, -1e6, f64::INFINITY] {
+        killed[job1] = JournalEvent::Job1Finished { virtual_cost: cost };
+        let store = journal_of("job-cost", &killed);
+        let before = store.read("job-cost").unwrap();
+        let refused = resume_durable(&er, &ds, &store, "job-cost", &opts(EVERY));
+        assert!(
+            matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
+            "{cost}: {refused:?}"
+        );
+        assert_eq!(store.read("job-cost").unwrap(), before, "{cost}");
+    }
 }
 
 /// A checkpoint is tied to the machine count it was cut on (the wave layout
@@ -972,21 +1045,16 @@ fn a_journaled_schedule_that_does_not_fit_is_refused() {
     let ds = dataset();
     let er = small_pipeline();
     let (events, _) = finished_journal(&er, &ds, "job-shape");
-    let cuts = cut_positions(&events);
-    let kill = cuts[cuts.len() / 2] + 1;
     for (what, defect) in defects {
-        let store = MemStore::shared();
-        let mut journal = JobJournal::create(Arc::clone(&store), "job-shape").unwrap();
-        for (_, event) in &events[..kill] {
-            let mut event = event.clone();
-            if let JournalEvent::ScheduleGenerated { schedule_json, .. } = &mut event {
+        let mut events = killed_mid_reduce(&events);
+        for event in &mut events {
+            if let JournalEvent::ScheduleGenerated { schedule_json, .. } = event {
                 let mut schedule: Schedule = serde_json::from_str(schedule_json).unwrap();
                 defect(&mut schedule);
                 *schedule_json = serde_json::to_string(&schedule).unwrap();
             }
-            journal.append(&event).unwrap();
         }
-        journal.sync().unwrap();
+        let store = journal_of("job-shape", &events);
         let killed = store.read("job-shape").unwrap();
         let refused = resume_durable(&er, &ds, &store, "job-shape", &opts(EVERY));
         assert!(
@@ -1016,28 +1084,20 @@ fn a_checkpointed_duplicate_that_does_not_fit_is_refused() {
     let er = small_pipeline();
     let entities = u32::try_from(ds.len()).unwrap();
     let (events, _) = finished_journal(&er, &ds, "job-dup");
-    let cuts = cut_positions(&events);
-    let kill = cuts[cuts.len() / 2] + 1;
+    let killed = killed_mid_reduce(&events);
     // The first cut with duplicates: its task's first checkpointed ones.
-    let spoilt = (0..kill)
-        .find(|&i| {
-            matches!(&events[i].1, JournalEvent::CheckpointCut { duplicates, .. }
-                if !duplicates.is_empty())
+    let spoilt = killed
+        .iter()
+        .position(|e| {
+            matches!(e, JournalEvent::CheckpointCut { duplicates, .. } if !duplicates.is_empty())
         })
         .expect("a cut with duplicates before the kill");
     for (what, defect) in defects {
-        let store = MemStore::shared();
-        let mut journal = JobJournal::create(Arc::clone(&store), "job-dup").unwrap();
-        for (i, (_, event)) in events[..kill].iter().enumerate() {
-            let mut event = event.clone();
-            if let (true, JournalEvent::CheckpointCut { duplicates, .. }) =
-                (i == spoilt, &mut event)
-            {
-                defect(&mut duplicates[0], entities);
-            }
-            journal.append(&event).unwrap();
+        let mut events = killed.clone();
+        if let JournalEvent::CheckpointCut { duplicates, .. } = &mut events[spoilt] {
+            defect(&mut duplicates[0], entities);
         }
-        journal.sync().unwrap();
+        let store = journal_of("job-dup", &events);
         let killed = store.read("job-dup").unwrap();
         let refused = resume_durable(&er, &ds, &store, "job-dup", &opts(EVERY));
         assert!(
@@ -1092,33 +1152,35 @@ fn too_many_families_are_refused_before_any_job() {
     assert_eq!(store.read("job-wide").unwrap(), killed);
 }
 
-/// A log written by format version 1 is refused with the typed error by
-/// every entry point — there is no second reader.
+/// A log written by format version 1 or 3 is refused with the typed error
+/// by every entry point — there is no second reader.
 #[test]
 fn a_version_1_journal_is_unsupported() {
     let er = small_pipeline();
     let ds = dataset();
-    let store = store_holding("job-v1", b"PPERJNL\x01");
-    let unsupported = |result: Result<ErRunResult, DurableError>| {
-        matches!(
-            result,
-            Err(DurableError::Journal(JournalError::UnsupportedVersion {
-                found: 1,
-                supported: 3
-            }))
-        )
-    };
-    let o = opts(EVERY);
-    assert!(unsupported(resume_durable(&er, &ds, &store, "job-v1", &o)));
-    assert!(unsupported(reprocess_dlq(&er, &ds, &store, "job-v1", &o)));
-    assert!(unsupported(run_durable(
-        &er,
-        &ds,
-        &store,
-        "job-v1",
-        &[],
-        &o
-    )));
+    for found in [1, 3] {
+        let store = store_holding("job-old", &[b"PPERJNL".as_slice(), &[found]].concat());
+        let unsupported = |result: Result<ErRunResult, DurableError>| {
+            matches!(
+                result,
+                Err(DurableError::Journal(JournalError::UnsupportedVersion {
+                    found: f,
+                    supported: 4
+                })) if f == found
+            )
+        };
+        let o = opts(EVERY);
+        assert!(unsupported(resume_durable(&er, &ds, &store, "job-old", &o)));
+        assert!(unsupported(reprocess_dlq(&er, &ds, &store, "job-old", &o)));
+        assert!(unsupported(run_durable(
+            &er,
+            &ds,
+            &store,
+            "job-old",
+            &[],
+            &o
+        )));
+    }
 }
 
 /// The dead-letter round trip, for both ways an attempt can die after it
@@ -1126,9 +1188,9 @@ fn a_version_1_journal_is_unsupported() {
 /// end and is thrown away) and a crash in mid-reduce (every attempt dies
 /// once its clock passes the task's second cut). The dead attempts' cuts
 /// are durable, their re-runs re-emit them, and each `(task, seq)` is in
-/// the log exactly once; the capture carries the failure history and its
-/// context; reprocessing with the fault removed equals the fault-free run
-/// bit for bit.
+/// the log exactly once; the exhausted task leaves one record, its capture,
+/// which carries the failure history; reprocessing with the fault removed
+/// equals the fault-free run bit for bit.
 #[test]
 fn dlq_captures_exhausted_task_and_reprocesses() {
     let ds = dataset();
@@ -1171,13 +1233,13 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
         assert_eq!(entry.attempts, 4);
         assert_eq!(entry.failures.len(), 4);
         assert!(entry.failures.iter().all(|f| !f.error.is_empty()));
-        assert_eq!(
-            entry.context_json,
-            format!(
-                "{{\"stage\":\"job2-resolution\",\"dataset\":\"{}\",\"task\":\"reduce-0\"}}",
-                ds.name
-            )
-        );
+        assert_eq!(entry.job, "pper-job2-resolution");
+        let captures = rec
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, JournalEvent::DeadLettered { .. }))
+            .count();
+        assert_eq!(captures, 1, "one record per exhausted task");
 
         // Four attempts emitted the dead task's cuts; the log holds each
         // once, and they are the healthy run's records.
@@ -1224,18 +1286,18 @@ fn an_exhausted_dead_letter_sequence_is_a_typed_error() {
     let store = MemStore::shared();
     run_durable(&faulty, &ds, &store, "job-seq", &[], &opts(EVERY))
         .expect_err("exhausted task must fail the durable run");
-    let events = recover(&store, "job-seq").unwrap().events;
-
-    let crafted = MemStore::shared();
-    let mut journal = JobJournal::create(Arc::clone(&crafted), "job-seq").unwrap();
-    for (_, event) in &events {
-        let mut event = event.clone();
-        if let JournalEvent::DeadLettered { seq, .. } = &mut event {
+    let mut events: Vec<JournalEvent> = recover(&store, "job-seq")
+        .unwrap()
+        .events
+        .into_iter()
+        .map(|(_, e)| e)
+        .collect();
+    for event in &mut events {
+        if let JournalEvent::DeadLettered { seq, .. } = event {
             *seq = u32::MAX;
         }
-        journal.append(&event).unwrap();
     }
-    journal.sync().unwrap();
+    let crafted = journal_of("job-seq", &events);
     let state = JournalState::replay(&recover(&crafted, "job-seq").unwrap().events);
     assert_eq!(state.next_dlq_seq, u64::from(u32::MAX) + 1);
     assert_eq!(state.dlq.len(), 1);
@@ -1276,30 +1338,6 @@ fn a_retried_attempt_does_not_journal_its_cuts_twice() {
     let events = recover(&store, "job-retry").unwrap().events;
     assert_cuts_unique_and_ordered(&events);
     assert_eq!(cuts_by_task(&events), cuts_by_task(&healthy));
-}
-
-/// The dataset name is outside input (the JSONL header `pper run --data`
-/// reads): whatever it holds, the dead-letter context must stay valid JSON
-/// that carries the name back intact.
-#[test]
-fn dlq_context_escapes_the_dataset_name() {
-    let mut ds = PubGen::new(600, 418).generate();
-    ds.name = "we\"ird\\name\n".to_string();
-    let mut faulty = small_pipeline();
-    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
-
-    let store = MemStore::shared();
-    run_durable(&faulty, &ds, &store, "job-name", &[], &opts(EVERY))
-        .expect_err("exhausted task must fail the durable run");
-    let state = JournalState::replay(&recover(&store, "job-name").unwrap().events);
-    let context = serde_json::parse_value_str(&state.dlq[0].context_json)
-        .expect("context_json must parse as JSON");
-    let serde::Value::Map(fields) = context else {
-        panic!("context_json must be an object, got {context:?}");
-    };
-    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, ["stage", "dataset", "task"]);
-    assert_eq!(fields[1].1, serde::Value::Str(ds.name.clone()));
 }
 
 /// CI's exhaustive sweep (`cargo test --release -p pper-er --test durable --

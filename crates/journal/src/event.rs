@@ -64,9 +64,10 @@ pub struct AttemptFailure {
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalEvent {
     /// The job was submitted. `params` carries everything a fresh process
-    /// needs to reconstruct the run configuration (dataset path, machine
-    /// count, mechanism, checkpoint cadence, fault plan, ...), as ordered
-    /// key/value pairs.
+    /// needs to reconstruct the run configuration (dataset path, mechanism,
+    /// fault plan, ...), as ordered key/value pairs. `machines`,
+    /// `checkpoint_every` and `dataset` are in every job's: a resume refuses
+    /// a log without them.
     JobStarted {
         /// Job identifier (also the store key).
         job_id: String,
@@ -104,19 +105,6 @@ pub enum JournalEvent {
         /// History of the dead attempts, in order.
         failures: Vec<AttemptFailure>,
     },
-    /// A task exhausted its attempt budget and failed its job.
-    TaskExhausted {
-        /// Name of the MR job the task belongs to.
-        job: String,
-        /// Map or reduce side.
-        kind: TaskClass,
-        /// Task index within its phase.
-        index: u32,
-        /// Attempts consumed (= the budget).
-        attempts: u32,
-        /// History of every dead attempt, in order.
-        failures: Vec<AttemptFailure>,
-    },
     /// One reduce task of the resolution job cut a checkpoint at a block
     /// boundary: a *delta* against the task's previous cut. A task's
     /// records carry `seq` 0, 1, 2, … and are appended in that order;
@@ -144,8 +132,10 @@ pub enum JournalEvent {
         /// `(counter name, value)` pairs in sorted name order.
         entries: Vec<(String, u64)>,
     },
-    /// A task that exhausted its budget was captured into the dead-letter
-    /// queue with its full input context and failure history.
+    /// A task exhausted its attempt budget and failed its job; it is
+    /// captured into the dead-letter queue with its failure history. The
+    /// rest of its context is the journal's own: the job's parameters and
+    /// dataset digest in `JobStarted`, and its checkpoint cuts.
     DeadLettered {
         /// Dead-letter sequence number (0-based per job).
         seq: u32,
@@ -155,13 +145,10 @@ pub enum JournalEvent {
         kind: TaskClass,
         /// Task index within its phase.
         index: u32,
-        /// Attempts consumed.
+        /// Attempts consumed (= the budget).
         attempts: u32,
-        /// History of every dead attempt.
+        /// History of every dead attempt, in order.
         failures: Vec<AttemptFailure>,
-        /// JSON context for reprocessing: pipeline stage, dataset, fault
-        /// plan, last checkpoint offset.
-        context_json: String,
     },
     /// Dead-letter entry `seq` was drained back into the attempt loop.
     DlqDrained {
@@ -181,7 +168,7 @@ const TAG_JOB_STARTED: u8 = 1;
 const TAG_JOB1_FINISHED: u8 = 2;
 const TAG_SCHEDULE: u8 = 3;
 const TAG_TASK_FINISHED: u8 = 4;
-const TAG_TASK_EXHAUSTED: u8 = 5;
+// Tag 5 (`TaskExhausted`, format 3 and earlier) is retired.
 const TAG_CHECKPOINT: u8 = 6;
 const TAG_COUNTERS: u8 = 7;
 const TAG_DEAD_LETTERED: u8 = 8;
@@ -196,7 +183,6 @@ impl JournalEvent {
             JournalEvent::Job1Finished { .. } => "job1-finished",
             JournalEvent::ScheduleGenerated { .. } => "schedule-generated",
             JournalEvent::TaskFinished { .. } => "task-finished",
-            JournalEvent::TaskExhausted { .. } => "task-exhausted",
             JournalEvent::CheckpointCut { .. } => "checkpoint-cut",
             JournalEvent::CountersSnapshot { .. } => "counters-snapshot",
             JournalEvent::DeadLettered { .. } => "dead-lettered",
@@ -205,7 +191,8 @@ impl JournalEvent {
         }
     }
 
-    /// Encode to the binary payload format (framed by [`crate::frame`]).
+    /// Encode to the binary payload format (each record is framed with a
+    /// length and a CRC-32).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         match self {
@@ -251,20 +238,6 @@ impl JournalEvent {
                 put_f64(&mut out, *wasted);
                 put_failures(&mut out, failures);
             }
-            JournalEvent::TaskExhausted {
-                job,
-                kind,
-                index,
-                attempts,
-                failures,
-            } => {
-                out.push(TAG_TASK_EXHAUSTED);
-                put_str(&mut out, job);
-                out.push(kind.code());
-                put_u32(&mut out, *index);
-                put_u32(&mut out, *attempts);
-                put_failures(&mut out, failures);
-            }
             JournalEvent::CheckpointCut {
                 task,
                 seq,
@@ -300,7 +273,6 @@ impl JournalEvent {
                 index,
                 attempts,
                 failures,
-                context_json,
             } => {
                 out.push(TAG_DEAD_LETTERED);
                 put_u32(&mut out, *seq);
@@ -309,7 +281,6 @@ impl JournalEvent {
                 put_u32(&mut out, *index);
                 put_u32(&mut out, *attempts);
                 put_failures(&mut out, failures);
-                put_str(&mut out, context_json);
             }
             JournalEvent::DlqDrained { seq } => {
                 out.push(TAG_DLQ_DRAINED);
@@ -352,13 +323,6 @@ impl JournalEvent {
                 wasted: r.f64()?,
                 failures: r.failures()?,
             },
-            TAG_TASK_EXHAUSTED => JournalEvent::TaskExhausted {
-                job: r.str()?,
-                kind: TaskClass::from_code(r.u8()?)?,
-                index: r.u32()?,
-                attempts: r.u32()?,
-                failures: r.failures()?,
-            },
             TAG_CHECKPOINT => JournalEvent::CheckpointCut {
                 task: r.u32()?,
                 seq: r.u32()?,
@@ -376,7 +340,6 @@ impl JournalEvent {
                 index: r.u32()?,
                 attempts: r.u32()?,
                 failures: r.failures()?,
-                context_json: r.str()?,
             },
             TAG_DLQ_DRAINED => JournalEvent::DlqDrained { seq: r.u32()? },
             TAG_JOB_FINISHED => JournalEvent::JobFinished {
@@ -550,7 +513,6 @@ mod tests {
                 index: 0,
                 attempts: 4,
                 failures: vec![],
-                context_json: "{}".into(),
             },
             JournalEvent::JobFinished {
                 duplicates: 42,
@@ -600,10 +562,13 @@ mod tests {
 
     #[test]
     fn unknown_tag_errors() {
-        assert!(matches!(
-            JournalEvent::decode(&[200]),
-            Err(JournalError::BadEvent(_))
-        ));
+        // 5 is the retired `TaskExhausted`.
+        for tag in [5, 200] {
+            assert!(matches!(
+                JournalEvent::decode(&[tag]),
+                Err(JournalError::BadEvent(_))
+            ));
+        }
         assert!(JournalEvent::decode(&[]).is_err());
     }
 }

@@ -16,19 +16,22 @@ use pper_vfs::crc32;
 /// journaled the schedule once and each checkpoint cut as a per-task binary
 /// delta that listed every pair compared since the task's previous cut;
 /// version 3 cuts carry outcomes only — watermark, clock and duplicates
-/// (see [`crate::event`]). There is no second reader: a log of any other
-/// version is [`crate::JournalError::UnsupportedVersion`].
-pub const VERSION: u8 = 3;
+/// (see [`crate::event`]); version 4 records an exhausted task once, as a
+/// `DeadLettered` record without a JSON context (tag 5, `TaskExhausted`, is
+/// retired), and its `JobStarted` always holds `machines`,
+/// `checkpoint_every` and `dataset`. There is no second reader: a log of
+/// any other version is [`crate::JournalError::UnsupportedVersion`].
+pub(crate) const VERSION: u8 = 4;
 
-/// File magic + format version ("PPERJNL" + [`VERSION`]).
-pub const MAGIC: [u8; 8] = *b"PPERJNL\x03";
+/// File magic + format version ("PPERJNL" + the format version, 4).
+pub const MAGIC: [u8; 8] = *b"PPERJNL\x04";
 
 /// Per-record framing overhead: 4-byte length + 4-byte CRC.
-pub const FRAME_HEADER: usize = 8;
+pub(crate) const FRAME_HEADER: usize = 8;
 
 /// Largest payload a single frame may carry (a corrupt length field must
 /// not make recovery attempt a multi-gigabyte slice).
-pub const MAX_PAYLOAD: usize = 64 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 64 << 20;
 
 /// `usize` length → the `u32` wire field. Every caller frames payloads
 /// bounded far below `u32::MAX` (see [`MAX_PAYLOAD`]); debug builds assert
@@ -53,7 +56,7 @@ pub(crate) fn off_u64(pos: usize) -> u64 {
 }
 
 /// Append one framed record for `payload` to `out`.
-pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
+pub(crate) fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&len_u32(payload.len()).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -83,12 +86,12 @@ impl RecoveryReport {
 
 /// `(byte offset of the frame header, payload)` records plus how parsing
 /// ended, as returned by [`read_frames`].
-pub type ParsedFrames<'a> = (Vec<(u64, &'a [u8])>, RecoveryReport);
+pub(crate) type ParsedFrames<'a> = (Vec<(u64, &'a [u8])>, RecoveryReport);
 
 /// Check that `bytes` starts with this build's [`MAGIC`]: a pper journal of
 /// another format version is [`crate::JournalError::UnsupportedVersion`],
 /// anything else [`crate::JournalError::BadHeader`].
-pub fn check_header(bytes: &[u8]) -> Result<(), crate::JournalError> {
+pub(crate) fn check_header(bytes: &[u8]) -> Result<(), crate::JournalError> {
     let Some(header) = bytes.get(..MAGIC.len()) else {
         return Err(crate::JournalError::BadHeader(format!(
             "{} bytes is shorter than the {}-byte magic",
@@ -117,7 +120,7 @@ pub fn check_header(bytes: &[u8]) -> Result<(), crate::JournalError> {
 /// stream. Returns an error only when the header itself is missing or
 /// unrecognized — a valid header followed by garbage yields the longest
 /// valid (possibly empty) record prefix.
-pub fn read_frames(bytes: &[u8]) -> Result<ParsedFrames<'_>, crate::JournalError> {
+pub(crate) fn read_frames(bytes: &[u8]) -> Result<ParsedFrames<'_>, crate::JournalError> {
     check_header(bytes)?;
     let mut records = Vec::new();
     let mut report = RecoveryReport::default();
@@ -257,7 +260,13 @@ mod tests {
         // A hand-built version-1 log: the old magic, then a record.
         let mut v1 = b"PPERJNL\x01".to_vec();
         write_frame(&mut v1, b"whatever version 1 wrote");
-        for log in [&v1[..], &v1[..MAGIC.len()], b"PPERJNL\x02", b"PPERJNL\x04"] {
+        for log in [
+            &v1[..],
+            &v1[..MAGIC.len()],
+            b"PPERJNL\x02",
+            b"PPERJNL\x03",
+            b"PPERJNL\x05",
+        ] {
             assert_eq!(
                 read_frames(log).unwrap_err(),
                 crate::JournalError::UnsupportedVersion {

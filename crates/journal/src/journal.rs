@@ -91,16 +91,6 @@ impl JobJournal {
         self.kill_after = n;
     }
 
-    /// Job id this journal writes under.
-    pub fn job_id(&self) -> &str {
-        &self.job_id
-    }
-
-    /// Events appended through this handle (not counting pre-existing ones).
-    pub fn events_appended(&self) -> u64 {
-        self.events_appended
-    }
-
     /// Frame and append one event; returns the byte offset of the record's
     /// frame header. The record is written, not yet acknowledged: it is
     /// covered by the next sync — this call's own once `SYNC_BUDGET` bytes
@@ -207,8 +197,6 @@ pub struct DlqEntry {
     pub attempts: u32,
     /// Rendered failure history, one entry per dead attempt.
     pub failures: Vec<crate::event::AttemptFailure>,
-    /// JSON reprocessing context captured with the task.
-    pub context_json: String,
 }
 
 /// What the journal holds of one reduce task of the resolution job: the
@@ -287,7 +275,6 @@ impl JournalState {
                         .collect();
                 }
                 JournalEvent::TaskFinished { .. } => st.tasks_finished += 1,
-                JournalEvent::TaskExhausted { .. } => {}
                 JournalEvent::CheckpointCut {
                     task,
                     seq,
@@ -320,7 +307,6 @@ impl JournalState {
                     index,
                     attempts,
                     failures,
-                    context_json,
                 } => {
                     st.dlq.push(DlqEntry {
                         seq: *seq,
@@ -329,7 +315,6 @@ impl JournalState {
                         index: *index,
                         attempts: *attempts,
                         failures: failures.clone(),
-                        context_json: context_json.clone(),
                     });
                     st.next_dlq_seq = st.next_dlq_seq.max(u64::from(*seq) + 1);
                 }
@@ -504,15 +489,15 @@ mod tests {
             Err(JournalError::BadHeader(_))
         ));
         // So is a journal of another format version — typed, by both ends:
-        // version 1 (JSON checkpoints) and version 2 (cuts that listed
-        // their compared pairs).
-        for found in [1, 2] {
+        // version 1 (JSON checkpoints), version 2 (cuts that listed their
+        // compared pairs) and version 3 (two records per exhausted task).
+        for found in [1, 2, 3] {
             let job = format!("old-v{found}");
             store.append(&job, b"PPERJNL").unwrap();
             store.append(&job, &[found]).unwrap();
             let unsupported = JournalError::UnsupportedVersion {
                 found,
-                supported: 3,
+                supported: 4,
             };
             assert_eq!(
                 JobJournal::create(Arc::clone(&store), &job).unwrap_err(),
@@ -574,7 +559,6 @@ mod tests {
                 wasted_cost: 2.5,
                 error: "boom".into(),
             }],
-            context_json: "{}".into(),
         })
         .unwrap();
         j.append(&JournalEvent::DeadLettered {
@@ -584,7 +568,6 @@ mod tests {
             index: 5,
             attempts: 4,
             failures: vec![],
-            context_json: "{}".into(),
         })
         .unwrap();
         j.append(&JournalEvent::DlqDrained { seq: 0 }).unwrap();

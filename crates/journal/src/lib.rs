@@ -9,16 +9,17 @@
 //! finished, the checkpoints, and which tasks burned their attempt budget.
 //! This crate is that storage layer for the simulated runtime:
 //!
-//! * [`frame`] — the on-disk record framing: a magic/version header followed
-//!   by `[u32 len][u32 crc32][payload]` records. Recovery parses the longest
-//!   valid prefix and reports (never panics on) torn tails or corruption.
-//! * [`event`] — the [`JournalEvent`] schema and its hand-rolled binary
+//! * `frame` — the on-disk record framing: a magic/version header
+//!   ([`MAGIC`]) followed by `[u32 len][u32 crc32][payload]` records.
+//!   Recovery parses the longest valid prefix and reports (never panics
+//!   on) torn tails or corruption in a [`RecoveryReport`].
+//! * `event` — the [`JournalEvent`] schema and its hand-rolled binary
 //!   codec. Virtual costs are encoded as `f64::to_bits`, so a decode is
 //!   bit-identical to what was written.
-//! * [`store`] — the [`JournalStore`] trait with an in-memory
+//! * `store` — the [`JournalStore`] trait with an in-memory
 //!   implementation for tests ([`MemStore`]) and a file-per-job
 //!   implementation for real runs ([`FileStore`]).
-//! * [`journal`] — the [`JobJournal`] writer, which owns the sync policy
+//! * `journal` — the [`JobJournal`] writer, which owns the sync policy
 //!   (a record is acknowledged once a sync covers it: every 128 KiB, and
 //!   whenever the runner asks; with an optional kill-after-N-events crash
 //!   hook for conformance harnesses),
@@ -51,10 +52,10 @@
 )]
 #![forbid(unsafe_code)]
 
-pub mod event;
-pub mod frame;
-pub mod journal;
-pub mod store;
+mod event;
+mod frame;
+mod journal;
+mod store;
 
 pub use event::{AttemptFailure, JournalEvent, TaskClass};
 pub use frame::{RecoveryReport, MAGIC};

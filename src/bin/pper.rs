@@ -308,12 +308,12 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         }
         let (store, job_id) = open_journal(opts)?;
         // Record everything `pper resume` needs to rebuild this exact
-        // configuration in a fresh process.
+        // configuration in a fresh process (`run_durable` adds the machine
+        // count).
         let mut params: Vec<(String, String)> = Vec::new();
         if let Some(data) = opts.data.as_deref() {
             params.push(("data".into(), data.to_string()));
         }
-        params.push(("machines".into(), machines.to_string()));
         for (key, val) in [
             ("mechanism", opts.mechanism.as_deref()),
             ("scheduler", opts.scheduler.as_deref()),
@@ -384,7 +384,11 @@ fn recover_job(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String, JournalSta
 /// dataset files).
 fn rebuild_pipeline(opts: &Opts, state: &JournalState) -> Result<(Dataset, ProgressiveEr), String> {
     let ds = load(opts.data.as_deref().or_else(|| state.param("data")))?;
-    let machines = state.param("machines").map_or(Ok(4), parse)?;
+    let machines = parse(
+        state
+            .param("machines")
+            .ok_or("journal has no 'machines' parameter")?,
+    )?;
     // Journals written before the second dispatch backend was retired
     // carry its name; it selects nothing now but is still outside input.
     if let Some(e) = state.param("executor") {
@@ -431,7 +435,7 @@ fn cmd_dlq(opts: &Opts) -> Result<(), String> {
                 entry.attempts,
                 entry.failures.last().map_or("<none>", |f| f.error.as_str())
             );
-            println!("     context: {}", entry.context_json);
+            println!("     job: {}", entry.job);
         }
         return Ok(());
     }

@@ -215,12 +215,15 @@ fn dlq_process_round_trip() {
         "expected dead-letter notice, got: {stderr}"
     );
 
-    // The queue lists the capture with its context.
+    // The queue lists the capture with its job.
     let list = run_ok(&["dlq", "--journal", journal, "--job-id", "faulty"]);
     let stdout = String::from_utf8_lossy(&list.stdout);
     assert!(stdout.contains("reduce-0"), "dlq listing: {stdout}");
     assert!(stdout.contains("attempt"), "dlq listing: {stdout}");
-    assert!(stdout.contains("context"), "dlq listing: {stdout}");
+    assert!(
+        stdout.contains("job: pper-job2-resolution"),
+        "dlq listing: {stdout}"
+    );
 
     // Drain it (fault cleared) — bit-identical to the fault-free golden.
     let out_path = dir.join("reprocessed.json");
