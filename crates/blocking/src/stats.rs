@@ -305,22 +305,6 @@ impl TreeStats {
             nodes,
         }
     }
-
-    /// Bottom-up node order (children before parents).
-    pub fn bottom_up(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.nodes.len()).rev()
-    }
-
-    /// Indices of all descendants of node `idx`.
-    pub fn descendants(&self, idx: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack = self.nodes[idx].children.clone();
-        while let Some(i) = stack.pop() {
-            out.push(i);
-            stack.extend_from_slice(&self.nodes[i].children);
-        }
-        out
-    }
 }
 
 /// Dataset-level statistics: one [`TreeStats`] per tree across all forests —

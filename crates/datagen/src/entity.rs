@@ -108,13 +108,8 @@ impl Dataset {
         entities: Vec<Entity>,
         truth: GroundTruth,
     ) -> Self {
-        assert_eq!(
-            entities.len(),
-            truth.len(),
-            "ground truth must cover every entity"
-        );
-        for (i, e) in entities.iter().enumerate() {
-            assert_eq!(e.id as usize, i, "entity ids must be dense indices");
+        if let Some(why) = misfit(&entities, &truth) {
+            panic!("{why}");
         }
         Self {
             name: name.into(),
@@ -161,7 +156,10 @@ impl Dataset {
         Ok(())
     }
 
-    /// Deserialize from the format produced by [`Dataset::write_jsonl`].
+    /// Deserialize from the format produced by [`Dataset::write_jsonl`]. A
+    /// file whose entity ids are not dense, or whose ground truth does not
+    /// cover its entities (a line lost, two lines swapped), is
+    /// [`std::io::ErrorKind::InvalidData`].
     pub fn read_jsonl<R: BufRead>(r: R) -> std::io::Result<Self> {
         #[derive(Deserialize)]
         struct Header {
@@ -182,6 +180,9 @@ impl Dataset {
             }
             entities.push(serde_json::from_str::<Entity>(&line)?);
         }
+        if let Some(why) = misfit(&entities, &header.clusters) {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, why));
+        }
         Ok(Dataset::new(
             header.name,
             header.schema,
@@ -201,6 +202,19 @@ impl Dataset {
             GroundTruth::new(self.truth.cluster_of[..n].to_vec()),
         )
     }
+}
+
+/// Why `entities` and `truth` make no [`Dataset`], if they do not.
+fn misfit(entities: &[Entity], truth: &GroundTruth) -> Option<String> {
+    let (n, covered) = (entities.len(), truth.len());
+    if n != covered {
+        return Some(format!(
+            "ground truth must cover every entity: {covered} cluster ids for {n} entities"
+        ));
+    }
+    let i = (0..n).find(|&i| entities[i].id as usize != i)?;
+    let id = entities[i].id;
+    Some(format!("entity ids must be dense indices: {i} has id {id}"))
 }
 
 #[cfg(test)]
@@ -236,6 +250,23 @@ mod tests {
         let e = Entity::new(0, vec!["x".into()]);
         assert_eq!(e.attr(0), "x");
         assert_eq!(e.attr(5), "");
+    }
+
+    /// A file with its last entity line lost, or with two entity lines
+    /// swapped, is an `InvalidData` error naming the defect, not a panic.
+    #[test]
+    fn a_malformed_file_is_invalid_data() {
+        let mut bytes = Vec::new();
+        tiny().write_jsonl(&mut bytes).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let dropped = lines[..3].join("\n");
+        let swapped = [lines[0], lines[2], lines[1], lines[3]].join("\n");
+        for (file, defect) in [(dropped, "cover every entity"), (swapped, "dense indices")] {
+            let err = Dataset::read_jsonl(file.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{defect}");
+            assert!(err.to_string().contains(defect), "{err}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! [`run_durable`] runs the pipeline once, start to finish — statistics
 //! job, schedule generation, resolution job — appending to the job's
-//! [`pper_journal`] log as it goes. The schedule is journaled once, when it
-//! is generated. The resolution job then cuts its checkpoints *in-line*:
+//! [`pper_journal`] log as it goes. The schedule itself is never journaled:
+//! `ScheduleGenerated` holds job 1's cost and the schedule's
+//! [`digest`](pper_schedule::Schedule::digest). The resolution job then
+//! cuts its checkpoints *in-line*:
 //! this module installs a [`CutSink`] on the job's one [`Stage`], and every
 //! reduce task, as its own clock crosses the `checkpoint_every` grid (and at
 //! its last block), hands over a delta — blocks done, clock, and the
@@ -35,12 +37,17 @@
 //! count the cuts were taken on; `checkpoint_every`, the grid the resumed
 //! run keeps cutting on (taken from the journal, not from
 //! [`DurableOptions`]); and `dataset`, the entity count and content hash —
-//! a resume against another dataset is refused. [`JournalState`] folds each task's
-//! deltas in `seq` order, and one more resolution stage resumes that fold
-//! against the journaled schedule (a task with no cut starts from scratch;
-//! with no schedule journaled the deterministic early stages re-run) —
-//! still cutting in-line, so a resumed run can be killed and resumed again
-//! — to the bit-identical final result: same duplicates,
+//! a resume against another dataset is refused. The schedule is a pure
+//! function of the dataset and the parameters, so a resume regenerates it
+//! as a fresh run does: it runs the statistics job (unobserved — its
+//! records are in the journal) and schedule generation, and appends nothing
+//! until the job-1 cost, bit for bit, and the schedule digest equal the
+//! journaled ones; a mismatch is [`MrError::Checkpoint`]. [`JournalState`]
+//! folds each task's deltas in `seq` order, and one more resolution stage
+//! resumes that fold against the regenerated schedule (a task with no cut
+//! starts from scratch; with no schedule journaled the run goes on as a
+//! fresh one) — still cutting in-line, so a resumed run can be killed and
+//! resumed again — to the bit-identical final result: same duplicates,
 //! curve, timeline, and total virtual cost as the uninterrupted run. A
 //! task's deltas depend only on its own deterministic execution, so a
 //! retried or discarded attempt re-emits records its dead predecessor
@@ -56,15 +63,14 @@ use std::hash::Hasher;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pper_blocking::BlockingFamily;
 use pper_datagen::Dataset;
 use pper_journal::{
     recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
     TaskClass, TaskProgress,
 };
 use pper_mapreduce::fxhash::FxHasher;
-use pper_mapreduce::{Counters, MrError, TaskEvent, TaskKind, TaskObserver};
-use pper_schedule::{DomList, Schedule};
+use pper_mapreduce::{MrError, TaskEvent, TaskKind, TaskObserver};
+use pper_schedule::DomList;
 use serde::{Deserialize, Serialize};
 
 use crate::job1::run_job1;
@@ -361,12 +367,12 @@ fn finish_stage<T>(
     }
 }
 
-/// What a resume starts the resolution job from: the schedule and the
-/// statistics job's cost as journaled, and the journal's fold of each
-/// task's checkpoint cuts.
+/// What a resume starts the resolution job from: the job-1 cost and
+/// schedule digest the regenerated ones must equal, and the journal's fold
+/// of each task's checkpoint cuts.
 struct Resume<'s> {
-    schedule: Schedule,
     job1_cost: f64,
+    digest: u64,
     tasks: &'s [TaskProgress],
 }
 
@@ -374,16 +380,13 @@ struct Resume<'s> {
 /// journaled — there is nothing to resume yet. The cuts are tied to the
 /// machine count `cut_on` that the `JobStarted` parameters record (the wave
 /// layout decides the global timeline): a resume configured for another one
-/// is refused. Job 1's cost becomes the timeline's offset, so it must be
-/// finite and non-negative, and the schedule must fit `families` (see
-/// `check_schedule`).
+/// is refused.
 fn journaled_resume<'s>(
     state: &'s JournalState,
     cut_on: &str,
     machines: usize,
-    families: &[BlockingFamily],
 ) -> Result<Option<Resume<'s>>, MrError> {
-    let (Some(json), Some(job1_cost)) = (&state.schedule_json, state.job1_cost) else {
+    let Some((job1_cost, digest)) = state.schedule else {
         return Ok(None);
     };
     let cut_on: usize = cut_on.parse().map_err(|_| {
@@ -394,95 +397,20 @@ fn journaled_resume<'s>(
             "checkpoint was cut on {cut_on} machines but resume is configured for {machines}"
         )));
     }
-    if !job1_cost.is_finite() || job1_cost < 0.0 {
-        return Err(MrError::Checkpoint(format!(
-            "job 1 has a non-finite or negative cost ({job1_cost})"
-        )));
-    }
-    let schedule: Schedule = serde_json::from_str(json)
-        .map_err(|e| MrError::Checkpoint(format!("journaled schedule: {e}")))?;
-    check_schedule(&schedule, families)?;
     Ok(Some(Resume {
-        schedule,
         job1_cost,
+        digest,
         tasks: &state.tasks,
     }))
 }
 
-/// Check the shape of a journaled schedule before the resolution job
-/// indexes it: the schedule is read from a journal, so it is outside input.
-/// One block list per task and at least one task; one task, `SQ` and `Dom`
-/// per tree; each tree's task in range and its `SQ` inside that task's
-/// range; each tree's family one of `families`, with a root block and every
-/// block's level inside the family's depth; every scheduled block an
-/// existing node of an existing tree.
-fn check_schedule(schedule: &Schedule, families: &[BlockingFamily]) -> Result<(), MrError> {
-    let err = |msg: String| Err(MrError::Checkpoint(format!("journaled schedule: {msg}")));
-    let (tasks, trees) = (schedule.num_tasks, schedule.trees.len());
-    if tasks == 0 || schedule.block_order.len() != tasks {
-        return err(format!(
-            "{} block lists for {tasks} tasks",
-            schedule.block_order.len()
-        ));
-    }
-    for (what, len) in [
-        ("task_of_tree", schedule.task_of_tree.len()),
-        ("tree_sq", schedule.tree_sq.len()),
-        ("dom", schedule.dom.len()),
-    ] {
-        if len != trees {
-            return err(format!("{what} has {len} entries for {trees} trees"));
-        }
-    }
-    for (t, tree) in schedule.trees.iter().enumerate() {
-        let (task, sq) = (schedule.task_of_tree[t], schedule.tree_sq[t]);
-        if task >= tasks || sq / Schedule::SQ_RANGE != task as u64 {
-            return err(format!(
-                "tree {t} is routed by SQ {sq} to task {task} of {tasks}"
-            ));
-        }
-        let Some(family) = families.get(tree.family) else {
-            return err(format!(
-                "tree {t} names family {} of {}",
-                tree.family,
-                families.len()
-            ));
-        };
-        if tree.nodes.is_empty() {
-            return err(format!("tree {t} has no root block"));
-        }
-        if let Some(node) = tree.nodes.iter().find(|n| n.level >= family.depth()) {
-            return err(format!(
-                "tree {t} holds a block at level {} of a {}-level family",
-                node.level,
-                family.depth()
-            ));
-        }
-    }
-    for (task, blocks) in schedule.block_order.iter().enumerate() {
-        for b in blocks {
-            let nodes = schedule
-                .trees
-                .get(b.tree)
-                .map_or(0, |tree| tree.nodes.len());
-            if b.node >= nodes {
-                return err(format!(
-                    "task {task} schedules block {} of tree {}, which does not exist",
-                    b.node, b.tree
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Drive the pipeline to completion, journaling as it goes: `first` opens
+/// Drive the pipeline to completion, journaling as it goes. `first` opens
 /// this process's stretch of the log (`JobStarted`, or the `DlqDrained`
-/// records of a reprocess), then the stages run.
+/// records of a reprocess), ahead of the first record a stage appends.
 ///
-/// `resume` is what the journal holds to resume from; `None` starts from
-/// the statistics job. The `er` passed here must already have the
-/// journaling observer installed.
+/// `resume` is what the journal holds to resume from; `None` runs as a
+/// fresh run does. The `er` passed here must already have the journaling
+/// observer installed.
 ///
 /// Once a durable entry point has a journal to append to, every exit is
 /// this function's, and it syncs on all of them: a result, and an error a
@@ -497,10 +425,7 @@ fn drive(
     first: &[JournalEvent],
     resume: Option<Resume<'_>>,
 ) -> Result<ErRunResult, DurableError> {
-    let outcome = first
-        .iter()
-        .try_for_each(|event| shared.append(event).map(drop))
-        .and_then(|()| run_jobs(er, ds, job_id, shared, every, resume));
+    let outcome = run_jobs(er, ds, job_id, shared, every, first, resume);
     let synced = shared.sync();
     outcome.and_then(|result| synced.map(|()| result))
 }
@@ -511,33 +436,55 @@ fn run_jobs(
     job_id: &str,
     shared: &Arc<Shared>,
     every: f64,
+    first: &[JournalEvent],
     resume: Option<Resume<'_>>,
 ) -> Result<ErRunResult, DurableError> {
     let config = &er.config;
-    let fresh;
-    let (schedule, job1_cost, job1_counters) = match &resume {
-        Some(resume) => (&resume.schedule, resume.job1_cost, Counters::new()),
-        None => {
-            // ---- Statistics job ---------------------------------------
-            let job1 = finish_stage(shared, job_id, run_job1(ds, config))?;
-            shared.append(&JournalEvent::Job1Finished {
-                virtual_cost: job1.virtual_cost,
-            })?;
+    let open = || {
+        first
+            .iter()
+            .try_for_each(|event| shared.append(event).map(drop))
+    };
 
-            // ---- Schedule generation: journaled here, and only here ---
-            fresh = er.generate_schedule(ds, &job1.stats);
-            shared.append(&JournalEvent::ScheduleGenerated {
-                task_blocks: fresh.block_order.iter().map(|b| b.len() as u64).collect(),
-                schedule_json: serde_json::to_string(&fresh)
-                    .map_err(|e| MrError::Checkpoint(format!("schedule: {e}")))?,
-            })?;
-            // One barrier for everything up to here. The cuts that follow
-            // are deltas against this schedule, and from now on a crash
-            // must cost a budget of them, not the statistics job again.
-            shared.sync()?;
-            (&fresh, job1.virtual_cost, job1.counters)
+    // ---- Statistics job and schedule generation, as on a fresh run ------
+    // A resume's job 1 is journaled already, so it runs unobserved, and
+    // the process appends nothing until its schedule is the one the cuts
+    // were taken against.
+    let job1 = match &resume {
+        None => {
+            open()?;
+            finish_stage(shared, job_id, run_job1(ds, config))?
+        }
+        Some(_) => {
+            let mut unobserved = config.clone();
+            unobserved.observer = None;
+            run_job1(ds, &unobserved)?
         }
     };
+    let schedule = er.generate_schedule(ds, &job1.stats);
+    let (job1_cost, digest) = (job1.virtual_cost, schedule.digest());
+    match &resume {
+        None => {
+            let task_blocks = schedule.block_order.iter().map(|b| b.len() as u64);
+            shared.append(&JournalEvent::ScheduleGenerated {
+                job1_cost,
+                task_blocks: task_blocks.collect(),
+                digest,
+            })?;
+            // One barrier for everything up to here: the cuts that follow
+            // are deltas against this schedule.
+            shared.sync()?;
+        }
+        Some(r) if (r.job1_cost.to_bits(), r.digest) == (job1_cost.to_bits(), digest) => open()?,
+        Some(r) => {
+            return Err(MrError::Checkpoint(format!(
+                "the journal holds job 1 at {} and schedule {:016x}; this run generated \
+                 job 1 at {job1_cost} and schedule {digest:016x}",
+                r.job1_cost, r.digest
+            ))
+            .into())
+        }
+    }
 
     // ---- Resolution job: one pass, cutting checkpoints in-line ---------
     // Each task's next cut carries the `seq` after those the fold holds.
@@ -552,9 +499,9 @@ fn run_jobs(
         cuts: Some(&sink),
         observer: None,
     };
-    let outcome = run_job2_stage(ds, config, schedule, stage);
+    let outcome = run_job2_stage(ds, config, &schedule, stage);
     let job2 = finish_stage(shared, job_id, outcome)?;
-    let result = er.assemble(ds, job2, job1_cost, job1_counters);
+    let result = er.assemble(ds, job2, job1_cost, job1.counters);
 
     let mut entries: Vec<(String, u64)> = result
         .counters
@@ -715,7 +662,8 @@ fn redrive(
         ))
     })?;
     check_every(every)?;
-    let resume = journaled_resume(&state, cut_on, er.config.machines, &er.config.families)?;
+    DomList::check_capacity(er.config.families.len())?;
+    let resume = journaled_resume(&state, cut_on, er.config.machines)?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, state.next_dlq_seq);
@@ -736,11 +684,13 @@ fn redrive(
 }
 
 /// Resume a durable job in a fresh process from nothing but its journal
-/// (and the dataset): every reduce task of the resolution job picks up at
-/// its own latest checkpoint cut, or — if the kill landed before the
-/// schedule was journaled — the deterministic early stages re-run. The
-/// final result is bit-identical to the uninterrupted run; the resumed run
-/// keeps cutting checkpoints and can itself be killed and resumed.
+/// (and the dataset): the statistics job and schedule generation re-run,
+/// and once the schedule matches the journaled digest every reduce task of
+/// the resolution job picks up at its own latest checkpoint cut (if the
+/// kill landed before the schedule was journaled, the run goes on as a
+/// fresh one). The final result is bit-identical to the uninterrupted run;
+/// the resumed run keeps cutting checkpoints and can itself be killed and
+/// resumed.
 pub fn resume_durable(
     er: &ProgressiveEr,
     ds: &Dataset,

@@ -126,6 +126,25 @@ fn resume_from(
     store
 }
 
+/// Resume `er` from a synced journal of `killed`: the resume must be
+/// refused with the typed checkpoint error and leave the log as it was.
+/// Returns the refusal.
+fn refused_checkpoint(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    killed: &[JournalEvent],
+    what: &str,
+) -> String {
+    let store = journal_of("job-refused", killed);
+    let before = store.read("job-refused").unwrap();
+    let refused = resume_durable(er, ds, &store, "job-refused", &opts(EVERY));
+    assert_eq!(store.read("job-refused").unwrap(), before, "{what}");
+    match refused {
+        Err(DurableError::Run(MrError::Checkpoint(why))) => why,
+        other => panic!("{what}: expected a refused resume, got {other:?}"),
+    }
+}
+
 /// Byte offsets at which a kill leaves a log of whole records: after every
 /// record but the very first (a log with no `JobStarted` has nothing to
 /// resume), up to the full log. Entry `i` is the log after record `i`.
@@ -217,29 +236,32 @@ const RESUME_COUNTERS: [&str; 4] = [
     "job2_blocks_skipped_resumed",
 ];
 
-/// The schedule a journal's fold was cut against.
-fn journaled_schedule(state: &JournalState) -> pper_schedule::Schedule {
-    serde_json::from_str(
-        state
-            .schedule_json
-            .as_deref()
-            .expect("a journaled schedule"),
-    )
-    .unwrap()
-}
-
-/// Job 2 alone, resumed from `tasks` against the schedule `state` holds.
-fn resume_stage(
+/// The schedule a journal's fold was cut against, regenerated as a resume
+/// does: job 1, then schedule generation, to the journaled digest.
+fn journaled_schedule(
     er: &ProgressiveEr,
     ds: &Dataset,
     state: &JournalState,
+) -> pper_schedule::Schedule {
+    let job1 = run_job1(ds, &er.config).unwrap();
+    let schedule = er.generate_schedule(ds, &job1.stats);
+    let (_, digest) = state.schedule.expect("a journaled schedule");
+    assert_eq!(schedule.digest(), digest);
+    schedule
+}
+
+/// Job 2 alone, resumed from `tasks` against `schedule`.
+fn resume_stage(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    schedule: &pper_schedule::Schedule,
     tasks: &[TaskProgress],
 ) -> Result<Job2Result, MrError> {
     let stage = Stage {
         resume: Some(tasks),
         ..Stage::default()
     };
-    run_job2_stage(ds, &er.config, &journaled_schedule(state), stage)
+    run_job2_stage(ds, &er.config, schedule, stage)
 }
 
 #[test]
@@ -265,8 +287,12 @@ fn durable_run_matches_plain_run() {
     let state = JournalState::replay(&rec.events);
     assert_eq!(state.job_id.as_deref(), Some("job-plain"));
     assert_eq!(state.param("checkpoint_every"), Some("1500"));
-    assert!(state.job1_cost.is_some());
-    assert!(state.schedule_json.is_some());
+    // `ScheduleGenerated` holds job 1's cost and the schedule's digest.
+    let job1 = run_job1(&ds, &er.config).unwrap();
+    let schedule = er.generate_schedule(&ds, &job1.stats);
+    let (job1_cost, digest) = state.schedule.expect("a schedule record");
+    assert_eq!(job1_cost.to_bits(), job1.virtual_cost.to_bits());
+    assert_eq!(digest, schedule.digest());
     assert!(state.dlq.is_empty());
     let (dups, total_cost) = state.finished.expect("job-finished event");
     assert_eq!(dups, golden.duplicates.len() as u64);
@@ -300,7 +326,7 @@ fn durable_run_matches_plain_run() {
     assert!(state.tasks.iter().all(|t| t.blocks == 0 || t.cuts > 0));
     // The journal lists no compared pair, yet the finished fold replays
     // to every one of them, and leaves the matcher nothing to decide.
-    let replayed = resume_stage(&er, &ds, &state, &state.tasks).unwrap();
+    let replayed = resume_stage(&er, &ds, &schedule, &state.tasks).unwrap();
     assert_eq!(
         replayed.counters.get("resume_replayed_pairs"),
         plain.counters.get("pairs_compared")
@@ -361,11 +387,8 @@ fn the_fold_up_to_every_cut_stands_at_that_cut() {
     let er = small_pipeline();
     let ds = dataset();
     let (events, _) = finished_journal(&er, &ds, "job-fold");
-    let compared_at = compared_at_cuts(
-        &er,
-        &ds,
-        &journaled_schedule(&JournalState::replay(&events)),
-    );
+    let schedule = journaled_schedule(&er, &ds, &JournalState::replay(&events));
+    let compared_at = compared_at_cuts(&er, &ds, &schedule);
 
     let mut checked = 0;
     let mut with_pairs = 0;
@@ -384,7 +407,7 @@ fn the_fold_up_to_every_cut_stands_at_that_cut() {
         let state = JournalState::replay(&events[..=i]);
         assert_eq!(state.tasks[task].cuts, seq + 1);
         assert!(
-            state.schedule_json.is_some(),
+            state.schedule.is_some(),
             "the schedule is journaled before any cut"
         );
         let at = &state.tasks[task];
@@ -410,7 +433,7 @@ fn the_fold_up_to_every_cut_stands_at_that_cut() {
                 },
             })
             .collect();
-        let resumed = resume_stage(&er, &ds, &state, &alone).unwrap();
+        let resumed = resume_stage(&er, &ds, &schedule, &alone).unwrap();
         let replayed = resumed.counters.get("resume_replayed_pairs");
         assert_eq!(replayed, compared_at[&(task as u32, *seq)], "{what}");
         with_pairs += usize::from(replayed > 0);
@@ -631,7 +654,8 @@ fn a_resumed_run_killed_again_resumes_bit_identically() {
 }
 
 /// The resume counters appear on a genuinely resumed run, and count what
-/// the checkpoint cuts had made durable.
+/// the checkpoint cuts had made durable; job 1 re-runs, and its counters
+/// are the uninterrupted run's.
 #[test]
 fn resume_counters_count_what_the_cuts_held() {
     let er = small_pipeline();
@@ -663,6 +687,12 @@ fn resume_counters_count_what_the_cuts_held() {
         resumed.counters.get("duplicates_found"),
         plain.counters.get("duplicates_found")
     );
+    let job1 = counters_of(&plain);
+    let job1 = job1.iter().filter(|(name, _)| name.starts_with("job1_"));
+    assert!(job1.clone().count() >= 3);
+    for (name, value) in job1 {
+        assert_eq!(resumed.counters.get(name), *value, "{name}");
+    }
 }
 
 /// The log a kill leaves when every reduce task but `task` had finished:
@@ -700,7 +730,7 @@ fn replay_rebuilds_the_resolved_pair_sets_across_a_watermark() {
             let mut er = ProgressiveEr::new(config.clone());
             er.config.worker_threads = Some(threads);
             let (events, _) = finished_journal(&er, &ds, "job-replay");
-            let schedule = journaled_schedule(&JournalState::replay(&events));
+            let schedule = journaled_schedule(&er, &ds, &JournalState::replay(&events));
             let (mut resumed_at, mut skipped_after) = (0, 0);
             for i in cut_positions(&events) {
                 let JournalEvent::CheckpointCut {
@@ -764,6 +794,7 @@ fn a_fold_its_replay_contradicts_is_refused() {
     let er = ProgressiveEr::new(ErConfig::books(2));
     let (events, _) = finished_journal(&er, &ds, "job-contradicted");
     let state = JournalState::replay(&events);
+    let schedule = journaled_schedule(&er, &ds, &state);
     let refusal = |outcome: Result<Job2Result, MrError>| match outcome {
         Err(MrError::Checkpoint(why)) => why,
         other => panic!(
@@ -779,7 +810,7 @@ fn a_fold_its_replay_contradicts_is_refused() {
     let mut deleted = state.tasks.clone();
     assert!(deleted[task].duplicates.len() >= 2);
     deleted[task].duplicates.remove(0);
-    let why = refusal(resume_stage(&er, &ds, &state, &deleted));
+    let why = refusal(resume_stage(&er, &ds, &schedule, &deleted));
     assert!(why.starts_with(&format!("task {task}: ")), "{why}");
     assert!(why.contains(" as duplicate "), "{why}");
 
@@ -810,7 +841,7 @@ fn a_fold_its_replay_contradicts_is_refused() {
 
     // The whole fold against a dataset of the same size from another seed.
     let other = BookGen::new(1_200, 422).generate();
-    let why = refusal(resume_stage(&er, &other, &state, &state.tasks));
+    let why = refusal(resume_stage(&er, &other, &schedule, &state.tasks));
     assert!(why.starts_with("task "), "{why}");
 }
 
@@ -953,29 +984,30 @@ fn a_caller_may_not_set_the_parameters_a_resume_checks() {
 }
 
 /// Job 1's journaled cost is outside input: it becomes the resumed
-/// timeline's offset. A `Job1Finished` holding NaN, a negative cost or
-/// infinity is refused with the typed checkpoint error before anything is
-/// appended — never a resumed run whose total cost holds it.
+/// timeline's offset. A resume re-runs job 1, and refuses a
+/// `ScheduleGenerated` whose cost is not its own bit for bit — NaN, a
+/// negative cost, infinity, one ulp off — with the typed checkpoint error
+/// before anything is appended: never a resumed run whose total cost holds
+/// it.
 #[test]
 fn a_journaled_job1_cost_that_is_not_a_cost_is_refused() {
     let ds = dataset();
     let er = small_pipeline();
     let (events, _) = finished_journal(&er, &ds, "job-cost");
     let mut killed = killed_mid_reduce(&events);
-    let job1 = killed
+    let record = killed
         .iter()
-        .position(|e| matches!(e, JournalEvent::Job1Finished { .. }))
-        .expect("a Job1Finished record before the kill");
-    for cost in [f64::NAN, -1e6, f64::INFINITY] {
-        killed[job1] = JournalEvent::Job1Finished { virtual_cost: cost };
-        let store = journal_of("job-cost", &killed);
-        let before = store.read("job-cost").unwrap();
-        let refused = resume_durable(&er, &ds, &store, "job-cost", &opts(EVERY));
-        assert!(
-            matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
-            "{cost}: {refused:?}"
-        );
-        assert_eq!(store.read("job-cost").unwrap(), before, "{cost}");
+        .position(|e| matches!(e, JournalEvent::ScheduleGenerated { .. }))
+        .expect("a ScheduleGenerated record before the kill");
+    let JournalEvent::ScheduleGenerated { job1_cost: run, .. } = killed[record] else {
+        unreachable!()
+    };
+    let ulp_off = f64::from_bits(run.to_bits() + 1);
+    for cost in [f64::NAN, -1e6, f64::INFINITY, ulp_off] {
+        if let JournalEvent::ScheduleGenerated { job1_cost, .. } = &mut killed[record] {
+            *job1_cost = cost;
+        }
+        refused_checkpoint(&er, &ds, &killed, &format!("{cost}"));
     }
 }
 
@@ -986,83 +1018,40 @@ fn a_journaled_job1_cost_that_is_not_a_cost_is_refused() {
 #[test]
 fn a_resume_on_another_machine_count_is_refused() {
     let ds = dataset();
-    let (events, bytes) = finished_journal(&small_pipeline(), &ds, "job-mu");
-    let cuts = cut_positions(&events);
-    let killed = &bytes[..events[cuts[cuts.len() / 2] + 1].0 as usize];
-    let store = store_holding("job-mu", killed);
+    let (events, _) = finished_journal(&small_pipeline(), &ds, "job-mu");
     let other = ProgressiveEr::new(ErConfig::citeseer(3));
-    let refused = resume_durable(&other, &ds, &store, "job-mu", &opts(EVERY));
-    assert!(
-        matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
-        "{refused:?}"
-    );
-    assert_eq!(store.read("job-mu").unwrap(), killed);
+    refused_checkpoint(&other, &ds, &killed_mid_reduce(&events), "μ = 3");
 }
 
-/// A journaled schedule is outside input: one whose shape does not fit
-/// the configured blocking, or whose indices do not land, is refused with
-/// the typed checkpoint error before job 2 indexes it and before anything
-/// is appended, never a panic.
+/// The journal keeps the schedule's digest, not the schedule: a resume
+/// regenerates the schedule and refuses a digest other than its own — one
+/// bit flipped — with the typed checkpoint error, before anything is
+/// appended.
 #[test]
-fn a_journaled_schedule_that_does_not_fit_is_refused() {
-    use pper_schedule::Schedule;
-    type Defect = fn(&mut Schedule);
-    let defects: [(&str, Defect); 12] = [
-        ("family past the families", |s| s.trees[0].family = 9),
-        ("block order shorter than the tasks", |s| {
-            s.block_order.pop();
-        }),
-        ("no tasks", |s| {
-            s.num_tasks = 0;
-            s.block_order.clear();
-        }),
-        ("task_of_tree short", |s| {
-            s.task_of_tree.pop();
-        }),
-        ("tree_sq short", |s| {
-            s.tree_sq.pop();
-        }),
-        ("dom short", |s| {
-            s.dom.pop();
-        }),
-        ("task past the tasks", |s| s.task_of_tree[0] = s.num_tasks),
-        ("SQ outside its task's range", |s| {
-            s.tree_sq[0] += Schedule::SQ_RANGE;
-        }),
-        ("block of a missing tree", |s| {
-            let tree = s.trees.len();
-            s.block_order[0][0].tree = tree;
-        }),
-        ("block of a missing node", |s| {
-            let tree = s.block_order[0][0].tree;
-            s.block_order[0][0].node = s.trees[tree].nodes.len();
-        }),
-        ("level past the family's depth", |s| {
-            s.trees[0].nodes[0].level = 3
-        }),
-        ("tree without a root block", |s| s.trees[0].nodes.clear()),
-    ];
+fn a_journaled_digest_one_bit_off_is_refused() {
     let ds = dataset();
     let er = small_pipeline();
-    let (events, _) = finished_journal(&er, &ds, "job-shape");
-    for (what, defect) in defects {
-        let mut events = killed_mid_reduce(&events);
-        for event in &mut events {
-            if let JournalEvent::ScheduleGenerated { schedule_json, .. } = event {
-                let mut schedule: Schedule = serde_json::from_str(schedule_json).unwrap();
-                defect(&mut schedule);
-                *schedule_json = serde_json::to_string(&schedule).unwrap();
-            }
+    let (events, _) = finished_journal(&er, &ds, "job-digest");
+    let mut killed = killed_mid_reduce(&events);
+    for event in &mut killed {
+        if let JournalEvent::ScheduleGenerated { digest, .. } = event {
+            *digest ^= 1 << 17;
         }
-        let store = journal_of("job-shape", &events);
-        let killed = store.read("job-shape").unwrap();
-        let refused = resume_durable(&er, &ds, &store, "job-shape", &opts(EVERY));
-        assert!(
-            matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
-            "{what}: {refused:?}"
-        );
-        assert_eq!(store.read("job-shape").unwrap(), killed, "{what}");
     }
+    let why = refused_checkpoint(&er, &ds, &killed, "a flipped digest bit");
+    assert!(why.contains("schedule"), "{why}");
+}
+
+/// A resume configured with another scheduler than the run's generates
+/// another schedule, and the cuts index into the run's: it is refused with
+/// the typed checkpoint error before anything is appended.
+#[test]
+fn a_resume_with_another_scheduler_is_refused() {
+    let ds = dataset();
+    let (events, _) = finished_journal(&small_pipeline(), &ds, "job-lpt");
+    let mut other = small_pipeline();
+    other.config.schedule.scheduler = pper_schedule::TreeScheduler::Lpt;
+    refused_checkpoint(&other, &ds, &killed_mid_reduce(&events), "LPT");
 }
 
 /// A checkpointed duplicate is outside input too: one at a cost that is
@@ -1097,21 +1086,14 @@ fn a_checkpointed_duplicate_that_does_not_fit_is_refused() {
         if let JournalEvent::CheckpointCut { duplicates, .. } = &mut events[spoilt] {
             defect(&mut duplicates[0], entities);
         }
-        let store = journal_of("job-dup", &events);
-        let killed = store.read("job-dup").unwrap();
-        let refused = resume_durable(&er, &ds, &store, "job-dup", &opts(EVERY));
-        assert!(
-            matches!(refused, Err(DurableError::Run(MrError::Checkpoint(_)))),
-            "{what}: {refused:?}"
-        );
-        assert_eq!(store.read("job-dup").unwrap(), killed, "{what}");
+        refused_checkpoint(&er, &ds, &events, what);
     }
 }
 
 /// More blocking families than a dominance list holds: `try_run` and
 /// `run_durable` refuse the configuration with the typed error before any
-/// task starts or any journal exists, and a resume — which skips job 1 —
-/// is refused by job 2 before anything is appended.
+/// task starts or any journal exists, and a resume refuses it before
+/// anything is appended.
 #[test]
 fn too_many_families_are_refused_before_any_job() {
     let ds = dataset();
@@ -1152,20 +1134,20 @@ fn too_many_families_are_refused_before_any_job() {
     assert_eq!(store.read("job-wide").unwrap(), killed);
 }
 
-/// A log written by format version 1 or 3 is refused with the typed error
-/// by every entry point — there is no second reader.
+/// A log written by format version 1, 3 or 4 is refused with the typed
+/// error by every entry point — there is no second reader.
 #[test]
 fn a_version_1_journal_is_unsupported() {
     let er = small_pipeline();
     let ds = dataset();
-    for found in [1, 3] {
+    for found in [1, 3, 4] {
         let store = store_holding("job-old", &[b"PPERJNL".as_slice(), &[found]].concat());
         let unsupported = |result: Result<ErRunResult, DurableError>| {
             matches!(
                 result,
                 Err(DurableError::Journal(JournalError::UnsupportedVersion {
                     found: f,
-                    supported: 4
+                    supported: 5
                 })) if f == found
             )
         };

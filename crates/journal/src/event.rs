@@ -74,19 +74,20 @@ pub enum JournalEvent {
         /// Ordered configuration key/value pairs.
         params: Vec<(String, String)>,
     },
-    /// The statistics job (job 1) completed at this virtual cost.
-    Job1Finished {
-        /// Virtual completion time of the first job.
-        virtual_cost: f64,
-    },
-    /// The progressive schedule was generated from the job-1 statistics.
-    /// It is journaled here, once: the checkpoint cuts that follow only
-    /// index into it.
+    /// The statistics job (job 1) finished and the progressive schedule
+    /// was generated from its statistics. The schedule itself is not
+    /// journaled: it is a pure function of the dataset and the parameters
+    /// `JobStarted` pins, so a resume regenerates it the way the run did,
+    /// and refuses to go on unless its job-1 cost and digest are these.
+    /// The checkpoint cuts that follow index into that schedule.
     ScheduleGenerated {
+        /// Virtual completion time of the first job.
+        job1_cost: f64,
         /// Scheduled blocks per reduce task, by task index.
         task_blocks: Vec<u64>,
-        /// Serialized `pper_schedule::Schedule` (opaque to this crate).
-        schedule_json: String,
+        /// `pper_schedule::Schedule::digest` of the schedule (opaque to
+        /// this crate).
+        digest: u64,
     },
     /// A task committed (possibly after failed attempts).
     TaskFinished {
@@ -165,7 +166,8 @@ pub enum JournalEvent {
 }
 
 const TAG_JOB_STARTED: u8 = 1;
-const TAG_JOB1_FINISHED: u8 = 2;
+// Tag 2 (`Job1Finished`, format 4 and earlier) is retired: its cost is
+// `ScheduleGenerated`'s.
 const TAG_SCHEDULE: u8 = 3;
 const TAG_TASK_FINISHED: u8 = 4;
 // Tag 5 (`TaskExhausted`, format 3 and earlier) is retired.
@@ -180,7 +182,6 @@ impl JournalEvent {
     pub fn name(&self) -> &'static str {
         match self {
             JournalEvent::JobStarted { .. } => "job-started",
-            JournalEvent::Job1Finished { .. } => "job1-finished",
             JournalEvent::ScheduleGenerated { .. } => "schedule-generated",
             JournalEvent::TaskFinished { .. } => "task-finished",
             JournalEvent::CheckpointCut { .. } => "checkpoint-cut",
@@ -205,20 +206,18 @@ impl JournalEvent {
                     put_str(&mut out, v);
                 }
             }
-            JournalEvent::Job1Finished { virtual_cost } => {
-                out.push(TAG_JOB1_FINISHED);
-                put_f64(&mut out, *virtual_cost);
-            }
             JournalEvent::ScheduleGenerated {
+                job1_cost,
                 task_blocks,
-                schedule_json,
+                digest,
             } => {
                 out.push(TAG_SCHEDULE);
+                put_f64(&mut out, *job1_cost);
                 put_u32(&mut out, crate::frame::len_u32(task_blocks.len()));
                 for blocks in task_blocks {
                     put_u64(&mut out, *blocks);
                 }
-                put_str(&mut out, schedule_json);
+                put_u64(&mut out, *digest);
             }
             JournalEvent::TaskFinished {
                 job,
@@ -307,12 +306,10 @@ impl JournalEvent {
                 job_id: r.str()?,
                 params: r.seq(|r| Ok((r.str()?, r.str()?)))?,
             },
-            TAG_JOB1_FINISHED => JournalEvent::Job1Finished {
-                virtual_cost: r.f64()?,
-            },
             TAG_SCHEDULE => JournalEvent::ScheduleGenerated {
+                job1_cost: r.f64()?,
                 task_blocks: r.seq(Reader::u64)?,
-                schedule_json: r.str()?,
+                digest: r.u64()?,
             },
             TAG_TASK_FINISHED => JournalEvent::TaskFinished {
                 job: r.str()?,
@@ -479,12 +476,10 @@ mod tests {
                 job_id: "job-7".into(),
                 params: vec![("dataset".into(), "/tmp/ds.jsonl".into())],
             },
-            JournalEvent::Job1Finished {
-                virtual_cost: 1234.567,
-            },
             JournalEvent::ScheduleGenerated {
+                job1_cost: 1234.567,
                 task_blocks: vec![60, 0, 39],
-                schedule_json: "{\"num_tasks\":3}".into(),
+                digest: 0x9e37_79b9_7f4a_7c15,
             },
             JournalEvent::CheckpointCut {
                 task: 2,
@@ -533,13 +528,17 @@ mod tests {
     #[test]
     fn f64_round_trip_is_bit_exact() {
         for cost in [0.0, -0.0, 0.1 + 0.2, f64::INFINITY, 1e-308] {
-            let ev = JournalEvent::Job1Finished { virtual_cost: cost };
-            let JournalEvent::Job1Finished { virtual_cost } =
+            let ev = JournalEvent::ScheduleGenerated {
+                job1_cost: cost,
+                task_blocks: vec![],
+                digest: 0,
+            };
+            let JournalEvent::ScheduleGenerated { job1_cost, .. } =
                 JournalEvent::decode(&ev.encode()).unwrap()
             else {
                 panic!("wrong variant");
             };
-            assert_eq!(virtual_cost.to_bits(), cost.to_bits());
+            assert_eq!(job1_cost.to_bits(), cost.to_bits());
         }
     }
 
@@ -562,8 +561,8 @@ mod tests {
 
     #[test]
     fn unknown_tag_errors() {
-        // 5 is the retired `TaskExhausted`.
-        for tag in [5, 200] {
+        // 2 is the retired `Job1Finished`, 5 the retired `TaskExhausted`.
+        for tag in [2, 5, 200] {
             assert!(matches!(
                 JournalEvent::decode(&[tag]),
                 Err(JournalError::BadEvent(_))

@@ -19,12 +19,14 @@ use pper_vfs::crc32;
 /// (see [`crate::event`]); version 4 records an exhausted task once, as a
 /// `DeadLettered` record without a JSON context (tag 5, `TaskExhausted`, is
 /// retired), and its `JobStarted` always holds `machines`,
-/// `checkpoint_every` and `dataset`. There is no second reader: a log of
+/// `checkpoint_every` and `dataset`; version 5 journals the schedule's
+/// digest in place of its JSON, and job 1's cost in `ScheduleGenerated`
+/// (tag 2, `Job1Finished`, is retired). There is no second reader: a log of
 /// any other version is [`crate::JournalError::UnsupportedVersion`].
-pub(crate) const VERSION: u8 = 4;
+pub(crate) const VERSION: u8 = 5;
 
-/// File magic + format version ("PPERJNL" + the format version, 4).
-pub const MAGIC: [u8; 8] = *b"PPERJNL\x04";
+/// File magic + format version ("PPERJNL" + the format version, 5).
+pub const MAGIC: [u8; 8] = *b"PPERJNL\x05";
 
 /// Per-record framing overhead: 4-byte length + 4-byte CRC.
 pub(crate) const FRAME_HEADER: usize = 8;
@@ -265,7 +267,8 @@ mod tests {
             &v1[..MAGIC.len()],
             b"PPERJNL\x02",
             b"PPERJNL\x03",
-            b"PPERJNL\x05",
+            b"PPERJNL\x04",
+            b"PPERJNL\x06",
         ] {
             assert_eq!(
                 read_frames(log).unwrap_err(),

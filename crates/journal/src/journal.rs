@@ -12,9 +12,10 @@
 //! longest valid record prefix (tolerating that tail) and decodes it to
 //! `(offset, event)` pairs.
 //! [`JournalState`] folds that stream into "where was this job" — enough
-//! for a fresh process to reconstruct the run and continue (the schedule,
-//! and per reduce task the fold of its checkpoint-cut deltas), and the
-//! source of the job's live dead-letter queue.
+//! for a fresh process to reconstruct the run and continue (the job-1 cost
+//! and schedule digest a regenerated schedule must match, and per reduce
+//! task the fold of its checkpoint-cut deltas), and the source of the job's
+//! live dead-letter queue.
 
 use std::sync::Arc;
 
@@ -224,10 +225,9 @@ pub struct JournalState {
     pub job_id: Option<String>,
     /// Configuration key/value pairs from `JobStarted`.
     pub params: Vec<(String, String)>,
-    /// Virtual cost of the finished statistics job, if journaled.
-    pub job1_cost: Option<f64>,
-    /// The serialized schedule, once it was generated.
-    pub schedule_json: Option<String>,
+    /// `(job-1 cost, schedule digest)` from `ScheduleGenerated`, once the
+    /// schedule was generated.
+    pub schedule: Option<(f64, u64)>,
     /// Per reduce task of the resolution job (empty until the schedule was
     /// generated): the fold of its checkpoint cuts.
     pub tasks: Vec<TaskProgress>,
@@ -256,16 +256,14 @@ impl JournalState {
                     st.job_id = Some(job_id.clone());
                     st.params = params.clone();
                 }
-                JournalEvent::Job1Finished { virtual_cost } => {
-                    st.job1_cost = Some(*virtual_cost);
-                }
                 JournalEvent::ScheduleGenerated {
+                    job1_cost,
                     task_blocks,
-                    schedule_json,
+                    digest,
                 } => {
                     // Watermarks index into the schedule they were cut
                     // against: a new schedule starts every task over.
-                    st.schedule_json = Some(schedule_json.clone());
+                    st.schedule = Some((*job1_cost, *digest));
                     st.tasks = task_blocks
                         .iter()
                         .map(|&blocks| TaskProgress {
@@ -372,7 +370,11 @@ mod tests {
             job_id: "rt".into(),
             params: vec![("machines".into(), "2".into())],
         };
-        let ev2 = JournalEvent::Job1Finished { virtual_cost: 17.5 };
+        let ev2 = JournalEvent::ScheduleGenerated {
+            job1_cost: 17.5,
+            task_blocks: vec![3, 4],
+            digest: 99,
+        };
         let off1 = j.append(&ev1).unwrap();
         let off2 = j.append(&ev2).unwrap();
         assert_eq!(off1, MAGIC.len() as u64);
@@ -436,9 +438,8 @@ mod tests {
     fn syncs_are_grouped_by_bytes_and_on_request() {
         let (store, mut j) = counting(u64::MAX);
         // A record of a little over a quarter of the budget.
-        let quarter = JournalEvent::ScheduleGenerated {
-            task_blocks: vec![],
-            schedule_json: "x".repeat(SYNC_BUDGET as usize / 4),
+        let quarter = JournalEvent::CountersSnapshot {
+            entries: vec![("x".repeat(SYNC_BUDGET as usize / 4), 0)],
         };
         for _ in 0..3 {
             j.append(&quarter).unwrap();
@@ -490,14 +491,15 @@ mod tests {
         ));
         // So is a journal of another format version — typed, by both ends:
         // version 1 (JSON checkpoints), version 2 (cuts that listed their
-        // compared pairs) and version 3 (two records per exhausted task).
-        for found in [1, 2, 3] {
+        // compared pairs), version 3 (two records per exhausted task) and
+        // version 4 (the schedule's JSON).
+        for found in [1, 2, 3, 4] {
             let job = format!("old-v{found}");
             store.append(&job, b"PPERJNL").unwrap();
             store.append(&job, &[found]).unwrap();
             let unsupported = JournalError::UnsupportedVersion {
                 found,
-                supported: 4,
+                supported: 5,
             };
             assert_eq!(
                 JobJournal::create(Arc::clone(&store), &job).unwrap_err(),
@@ -546,8 +548,6 @@ mod tests {
             params: vec![("dataset".into(), "ds.jsonl".into())],
         })
         .unwrap();
-        j.append(&JournalEvent::Job1Finished { virtual_cost: 3.0 })
-            .unwrap();
         j.append(&JournalEvent::DeadLettered {
             seq: 0,
             job: "j2".into(),
@@ -576,8 +576,7 @@ mod tests {
         let st = JournalState::replay(&rec.events);
         assert_eq!(st.job_id.as_deref(), Some("state"));
         assert_eq!(st.param("dataset"), Some("ds.jsonl"));
-        assert_eq!(st.job1_cost, Some(3.0));
-        assert!(st.schedule_json.is_none() && st.tasks.is_empty());
+        assert!(st.schedule.is_none() && st.tasks.is_empty());
         assert_eq!(st.dlq.len(), 1);
         assert_eq!(st.dlq[0].seq, 1);
         assert_eq!(st.dlq[0].index, 5);
@@ -603,8 +602,9 @@ mod tests {
     #[test]
     fn cuts_fold_per_task_whatever_the_interleaving() {
         let schedule = JournalEvent::ScheduleGenerated {
+            job1_cost: 50.0,
             task_blocks: vec![5, 3, 0],
-            schedule_json: "{}".into(),
+            digest: 7,
         };
         let t0 = [cut(0, 0, 2, (1, 2)), cut(0, 1, 5, (3, 4))];
         let t1 = [cut(1, 0, 1, (5, 6)), cut(1, 1, 3, (7, 8))];
@@ -623,6 +623,7 @@ mod tests {
             t0[1].clone(),
         ]);
         assert_eq!(one.tasks, other.tasks);
+        assert_eq!(one.schedule, Some((50.0, 7)));
         assert_eq!(one.tasks[0].cuts, 2);
         assert_eq!(one.tasks[0].blocks_done, 5);
         assert_eq!(one.tasks[0].clock, 500.0);

@@ -19,7 +19,6 @@ use proptest::prelude::*;
 fn build_event(
     sel: u8,
     s1: String,
-    s2: String,
     nums: (u32, u64, u64),
     pairs: Vec<(String, String)>,
 ) -> JournalEvent {
@@ -39,17 +38,17 @@ fn build_event(
             error: e.clone(),
         })
         .collect();
-    match sel % 9 {
+    match sel % 8 {
         0 => JournalEvent::JobStarted {
             job_id: s1,
             params: pairs,
         },
-        1 => JournalEvent::Job1Finished { virtual_cost: cost },
-        2 => JournalEvent::ScheduleGenerated {
+        1 => JournalEvent::ScheduleGenerated {
+            job1_cost: cost,
             task_blocks: vec![n64; (n32 % 5) as usize],
-            schedule_json: s2,
+            digest: bits,
         },
-        3 => JournalEvent::TaskFinished {
+        2 => JournalEvent::TaskFinished {
             job: s1,
             kind,
             index: n32,
@@ -58,17 +57,17 @@ fn build_event(
             wasted: cost / 4.0,
             failures,
         },
-        4 => JournalEvent::CheckpointCut {
+        3 => JournalEvent::CheckpointCut {
             task: n32 % 64,
             seq: n32 % 9,
             blocks_done: n64,
             clock: cost,
             duplicates: vec![(cost / 3.0, n32, n32.wrapping_add(1)); pairs.len()],
         },
-        5 => JournalEvent::CountersSnapshot {
+        4 => JournalEvent::CountersSnapshot {
             entries: pairs.into_iter().map(|(k, _)| (k, n64)).collect(),
         },
-        6 => JournalEvent::DeadLettered {
+        5 => JournalEvent::DeadLettered {
             seq: n32,
             job: s1,
             kind,
@@ -76,7 +75,7 @@ fn build_event(
             attempts: n32 % 7,
             failures,
         },
-        7 => JournalEvent::DlqDrained { seq: n32 },
+        6 => JournalEvent::DlqDrained { seq: n32 },
         _ => JournalEvent::JobFinished {
             duplicates: n64,
             total_cost: cost,
@@ -92,13 +91,12 @@ proptest! {
     // lossless down to f64 bit patterns.
     #[test]
     fn encode_decode_encode_is_identity(
-        sel in 0u8..9,
+        sel in 0u8..8,
         s1 in ".{0,24}",
-        s2 in ".{0,64}",
         nums in (0u32..=u32::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
         pairs in vec((".{0,12}", ".{0,12}"), 0..4),
     ) {
-        let ev = build_event(sel, s1, s2, nums, pairs);
+        let ev = build_event(sel, s1, nums, pairs);
         let bytes = ev.encode();
         let back = JournalEvent::decode(&bytes).expect("own encoding must decode");
         prop_assert_eq!(back.encode(), bytes);
@@ -119,7 +117,7 @@ proptest! {
     // 32-bit field, a dead-letter `seq` among them.
     #[test]
     fn truncation_at_every_boundary_recovers_a_prefix(
-        sels in vec(0u8..9, 1..6),
+        sels in vec(0u8..8, 1..6),
         s1 in ".{0,16}",
         nums in (
             (0u8..2, 0u32..=u32::MAX).prop_map(|(edge, n)| if edge == 0 { u32::MAX } else { n }),
@@ -132,13 +130,7 @@ proptest! {
         let mut j = JobJournal::create(Arc::clone(&store), "trunc").expect("create");
         let mut appended = Vec::new();
         for (i, sel) in sels.iter().enumerate() {
-            let ev = build_event(
-                *sel,
-                format!("{s1}-{i}"),
-                String::new(),
-                nums,
-                vec![],
-            );
+            let ev = build_event(*sel, format!("{s1}-{i}"), nums, vec![]);
             j.append(&ev).expect("append");
             appended.push(ev);
         }
@@ -170,7 +162,7 @@ proptest! {
     // the first divergence point.
     #[test]
     fn single_byte_corruption_never_panics(
-        sels in vec(0u8..9, 1..5),
+        sels in vec(0u8..8, 1..5),
         pos_seed in 0u64..=u64::MAX,
     ) {
         let mstore = Arc::new(MemStore::new());
@@ -178,7 +170,7 @@ proptest! {
         let mut j = JobJournal::create(Arc::clone(&store), "corrupt").expect("create");
         let mut appended = Vec::new();
         for sel in &sels {
-            let ev = build_event(*sel, "job".into(), "{}".into(), (7, 9, 11), vec![]);
+            let ev = build_event(*sel, "job".into(), (7, 9, 11), vec![]);
             j.append(&ev).expect("append");
             appended.push(ev);
         }
@@ -213,14 +205,15 @@ fn cut_record() -> JournalEvent {
     }
 }
 
-/// The two events formats 2 and 3 re-shaped: every strict prefix of the
+/// The two events formats 2, 3 and 5 re-shaped: every strict prefix of the
 /// payload and every extension of it is an error, never a shorter event —
 /// their nested counts must not let a truncated record decode.
 #[test]
 fn reshaped_events_decode_only_whole() {
     let schedule = JournalEvent::ScheduleGenerated {
+        job1_cost: 812.5,
         task_blocks: vec![60, 0, 39],
-        schedule_json: "{\"trees\":[]}".into(),
+        digest: u64::MAX,
     };
     for ev in [cut_record(), schedule] {
         let bytes = ev.encode();
@@ -259,12 +252,10 @@ fn realistic_sequence_truncation_sweep() {
                 ("machines".into(), "1".into()),
             ],
         },
-        JournalEvent::Job1Finished {
-            virtual_cost: 1234.5678,
-        },
         JournalEvent::ScheduleGenerated {
+            job1_cost: 1234.5678,
             task_blocks: vec![9, 8],
-            schedule_json: "{\"num_tasks\":2}".into(),
+            digest: 0x5eed,
         },
         JournalEvent::TaskFinished {
             job: "pper-job2-resolution".into(),

@@ -1,11 +1,13 @@
 //! Mutable planning structures: trees whose per-block estimates can be
 //! updated as the generator splits sub-trees, and the final [`Schedule`].
 
+use std::hash::{Hash, Hasher};
+
 use pper_blocking::{FamilyIndex, NodeStats, TreeStats};
-use serde::{Deserialize, Serialize};
+use pper_mapreduce::fxhash::FxHasher;
 
 /// One block inside a [`PlanTree`], carrying both structure and estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanNode {
     /// Blocking key.
     pub key: String,
@@ -69,7 +71,7 @@ impl PlanNode {
 
 /// A schedulable tree: possibly an original root tree, possibly a sub-tree
 /// split off by the generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanTree {
     /// Blocking family.
     pub family: FamilyIndex,
@@ -207,7 +209,7 @@ impl PlanTree {
 }
 
 /// Reference to one block within a [`Schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockRef {
     /// Index into `Schedule::trees`.
     pub tree: usize,
@@ -217,7 +219,7 @@ pub struct BlockRef {
 
 /// The complete progressive schedule: the output of §IV, consumed by the
 /// second MR job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// All trees, including any split sub-trees (appended after originals).
     pub trees: Vec<PlanTree>,
@@ -243,6 +245,27 @@ impl Schedule {
     /// Estimated total resolution cost across all trees.
     pub fn total_cost(&self) -> f64 {
         self.trees.iter().map(PlanTree::total_cost).sum()
+    }
+
+    /// An FxHash of every field, floats by their bits. A durable run
+    /// journals it in place of the schedule: a resume regenerates the
+    /// schedule from job 1's statistics and refuses to go on unless the
+    /// digests agree.
+    pub fn digest(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.trees.len().hash(&mut h);
+        for tree in &self.trees {
+            (tree.family, &tree.origin_root_key, tree.root_level).hash(&mut h);
+            tree.nodes.len().hash(&mut h);
+            for n in &tree.nodes {
+                (&n.key, n.level, n.parent, &n.children, n.hier_leaf).hash(&mut h);
+                let floats = [n.dup, n.dis, n.cost, n.util].map(f64::to_bits);
+                (n.size, n.cov, floats).hash(&mut h);
+            }
+        }
+        (&self.task_of_tree, &self.block_order).hash(&mut h);
+        (&self.tree_sq, &self.dom, self.num_tasks).hash(&mut h);
+        h.finish()
     }
 }
 
@@ -324,6 +347,33 @@ mod tests {
         assert_eq!(t.nodes[0].cov, 360);
         assert_eq!(t.nodes[1].cov, 110);
         assert!(t.nodes[1].children.is_empty());
+    }
+
+    #[test]
+    fn digest_tells_edited_schedules_apart() {
+        let schedule = Schedule {
+            trees: vec![sample_tree()],
+            task_of_tree: vec![0],
+            block_order: vec![vec![BlockRef { tree: 0, node: 1 }], vec![]],
+            tree_sq: vec![7],
+            dom: vec![1],
+            num_tasks: 2,
+        };
+        assert_eq!(schedule.digest(), schedule.clone().digest());
+        type Edit = fn(&mut Schedule);
+        let edits: [Edit; 6] = [
+            |s| s.trees[0].nodes[2].util = f64::from_bits(s.trees[0].nodes[2].util.to_bits() ^ 1),
+            |s| s.trees[0].nodes[3].key.push('x'),
+            |s| s.trees[0].root_level = 1,
+            |s| s.block_order[0][0].node = 2,
+            |s| s.block_order.swap(0, 1),
+            |s| s.dom[0] = 2,
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut edited = schedule.clone();
+            edit(&mut edited);
+            assert_ne!(edited.digest(), schedule.digest(), "edit {i}");
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn checkpoint_cuts_cover_all_duplicates() {
     from_cuts.dedup();
     assert_eq!(from_cuts, result.duplicates);
     // No task's last cut stands past the end of the run.
-    let job1_cost = state.job1_cost.unwrap();
+    let (job1_cost, _) = state.schedule.unwrap();
     assert!(state
         .tasks
         .iter()
