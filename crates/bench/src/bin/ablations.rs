@@ -12,10 +12,8 @@
 
 use pper_bench::ExpOptions;
 use pper_datagen::PubGen;
-use pper_er::{
-    metrics::quality, ErConfig, ErRunResult, MechanismKind, ProbModelKind, ProgressiveEr,
-};
-use pper_schedule::Weighting;
+use pper_er::{metrics::quality, ErConfig, ErRunResult, MechanismKind, ProgressiveEr};
+use pper_schedule::{TrainedProb, Weighting};
 
 fn qty(result: &ErRunResult) -> f64 {
     let max = result.total_cost;
@@ -32,7 +30,7 @@ fn row(label: &str, result: &ErRunResult) {
             .map_or("-".to_string(), |c| format!("{c:.0}"))
     };
     println!(
-        "{label:<26} {:>10} {:>10} {:>8.3} {:>8.3} {:>12.0}",
+        "{label:<34} {:>10} {:>10} {:>8.3} {:>8.3} {:>12.0}",
         t(0.5),
         t(0.8),
         qty(result),
@@ -44,7 +42,7 @@ fn row(label: &str, result: &ErRunResult) {
 fn header(title: &str) {
     println!("\n== {title} ==");
     println!(
-        "{:<26} {:>10} {:>10} {:>8} {:>8} {:>12}",
+        "{:<34} {:>10} {:>10} {:>8} {:>8} {:>12}",
         "variant", "t(0.5)", "t(0.8)", "Qty", "final", "total"
     );
 }
@@ -85,11 +83,11 @@ fn main() {
 
     header("A4: duplicate-probability model");
     let r = ProgressiveEr::new(base()).run(&ds);
-    row("heuristic (default)", &r);
+    row("committed table (default)", &r);
     let mut config = base();
-    config.prob = ProbModelKind::train(&train, &config.families);
+    config.prob = TrainedProb::train(&train, &config.families);
     let r = ProgressiveEr::new(config).run(&ds);
-    row("trained (§VI-A4)", &r);
+    row("trained on this run's 1/6 sample", &r);
 
     header("A5: progressive mechanism M");
     for mechanism in [MechanismKind::Sn, MechanismKind::Psnm] {

@@ -1,37 +1,10 @@
 //! Pipeline configuration.
 
 use pper_blocking::{presets, BlockingFamily};
-use pper_datagen::Dataset;
 use pper_mapreduce::{ClusterSpec, CostModel, JobConfig};
 use pper_progressive::{LevelPolicy, MechanismKind};
-use pper_schedule::{
-    DupProbability, HeuristicProb, ScheduleConfig, TrainedProb, TreeScheduler, Weighting,
-};
+use pper_schedule::{ScheduleConfig, TrainedProb, TreeScheduler, Weighting};
 use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
-
-/// Duplicate-probability model selection (§VI-A4).
-#[derive(Debug, Clone)]
-pub enum ProbModelKind {
-    /// Closed-form heuristic; no training data needed.
-    Heuristic(HeuristicProb),
-    /// Model trained from a labeled dataset.
-    Trained(TrainedProb),
-}
-
-impl ProbModelKind {
-    /// Train from a dataset under the given blocking configuration.
-    pub fn train(train: &Dataset, families: &[BlockingFamily]) -> Self {
-        ProbModelKind::Trained(TrainedProb::train(train, families))
-    }
-
-    /// View as the estimation trait object.
-    pub fn as_model(&self) -> &dyn DupProbability {
-        match self {
-            ProbModelKind::Heuristic(h) => h,
-            ProbModelKind::Trained(t) => t,
-        }
-    }
-}
 
 /// Full configuration of the progressive pipeline.
 #[derive(Clone)]
@@ -52,8 +25,9 @@ pub struct ErConfig {
     /// Progressive mechanism `M` (§VI-A3): SN for CiteSeerX, PSNM for
     /// OL-Books. `pper_progressive` owns the choice and its pair stream.
     pub mechanism: MechanismKind,
-    /// Duplicate-probability model.
-    pub prob: ProbModelKind,
+    /// Duplicate-probability model `Prob(|X|)` (§VI-A4): each preset's
+    /// committed table, or one [`TrainedProb::train`] learns from a sample.
+    pub prob: TrainedProb,
     /// OS threads for executing simulated tasks (`None` = all cores).
     pub worker_threads: Option<usize>,
     /// Task-failure injection applied to the resolution (second) job.
@@ -115,7 +89,7 @@ impl ErConfig {
             cost_model: CostModel::default(),
             schedule: ScheduleConfig::new(machines * 2),
             mechanism: MechanismKind::Sn,
-            prob: ProbModelKind::Heuristic(HeuristicProb::default()),
+            prob: TrainedProb::citeseer(),
             worker_threads: None,
             faults: None,
             observer: None,
@@ -149,7 +123,7 @@ impl ErConfig {
             cost_model: CostModel::default(),
             schedule: ScheduleConfig::new(machines * 2),
             mechanism: MechanismKind::Psnm,
-            prob: ProbModelKind::Heuristic(HeuristicProb::default()),
+            prob: TrainedProb::books(),
             worker_threads: None,
             faults: None,
             observer: None,

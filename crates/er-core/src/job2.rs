@@ -769,7 +769,7 @@ mod tests {
             dataset_size: ds.len(),
             policy: &config.policy,
             cost_model: &config.cost_model,
-            prob: config.prob.as_model(),
+            prob: &config.prob,
         };
         let mut sc = config.schedule.clone();
         sc.reduce_tasks = config.reduce_tasks();

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::clustering::{
         correlation_clustering, transitive_closure, ClusterMetrics, UnionFind,
     };
-    pub use crate::config::{ErConfig, ProbModelKind};
+    pub use crate::config::ErConfig;
     pub use crate::durable::{
         reprocess_dlq, resume_durable, run_durable, DurableError, DurableOptions, ResultFingerprint,
     };

@@ -164,7 +164,7 @@ impl ProgressiveEr {
             dataset_size: ds.len(),
             policy: &config.policy,
             cost_model: &config.cost_model,
-            prob: config.prob.as_model(),
+            prob: &config.prob,
         };
         let mut sc = config.schedule.clone();
         sc.reduce_tasks = config.reduce_tasks();
@@ -176,8 +176,8 @@ impl ProgressiveEr {
 mod tests {
     use super::*;
     use crate::basic::{BasicApproach, BasicConfig};
-    use crate::config::ProbModelKind;
     use pper_datagen::PubGen;
+    use pper_schedule::TrainedProb;
 
     #[test]
     fn pipeline_end_to_end_recall_and_precision() {
@@ -220,7 +220,7 @@ mod tests {
         let train = PubGen::new(1_000, 93).generate();
         let ds = PubGen::new(2_000, 94).generate();
         let mut config = ErConfig::citeseer(2);
-        config.prob = ProbModelKind::train(&train, &config.families);
+        config.prob = TrainedProb::train(&train, &config.families);
         let result = ProgressiveEr::new(config).run(&ds);
         assert!(result.curve.final_recall() > 0.8);
     }

@@ -204,7 +204,7 @@ mod tests {
     use super::*;
     use crate::estimate::EstimationContext;
     use crate::generate::{generate_schedule, ScheduleConfig};
-    use crate::probmodel::HeuristicProb;
+    use crate::probmodel::TrainedProb;
     use pper_blocking::{build_forests, presets, DatasetStats};
     use pper_datagen::{toy_people, BookGen, PubGen};
     use pper_mapreduce::CostModel;
@@ -271,7 +271,7 @@ mod tests {
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb::default();
+        let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &policy,
@@ -347,7 +347,7 @@ mod tests {
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb::default();
+        let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &policy,
@@ -404,7 +404,7 @@ mod tests {
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb::default();
+        let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &policy,
@@ -487,23 +487,24 @@ mod tests {
                 PubGen::new(6_000, 52).generate(),
                 presets::citeseer_families(),
                 LevelPolicy::citeseer(),
+                TrainedProb::citeseer(),
             ),
             (
                 BookGen::new(6_000, 52).generate(),
                 presets::books_families(),
                 LevelPolicy::books(),
+                TrainedProb::books(),
             ),
         ];
-        for (ds, families, policy) in &cases {
+        for (ds, families, policy, prob) in &cases {
             let forests = build_forests(ds, families);
             let stats = DatasetStats::from_forests(ds, families, &forests);
             let cm = CostModel::default();
-            let prob = HeuristicProb::default();
             let ctx = EstimationContext {
                 dataset_size: ds.len(),
                 policy,
                 cost_model: &cm,
-                prob: &prob,
+                prob,
             };
             let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(8));
             let locator = TreeLocator::new(&schedule, families.len());

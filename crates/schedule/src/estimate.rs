@@ -146,7 +146,7 @@ pub fn check_estimates(tree: &PlanTree) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::plan::PlanNode;
-    use crate::probmodel::HeuristicProb;
+    use crate::probmodel::TrainedProb;
     use pper_blocking::{build_forests, presets, DatasetStats};
     use pper_datagen::PubGen;
 
@@ -154,13 +154,22 @@ mod tests {
         n: usize,
         policy: &'a LevelPolicy,
         cm: &'a CostModel,
-        prob: &'a HeuristicProb,
+        prob: &'a dyn DupProbability,
     ) -> EstimationContext<'a> {
         EstimationContext {
             dataset_size: n,
             policy,
             cost_model: cm,
             prob,
+        }
+    }
+
+    /// The same probability for every block, for hand-checkable numbers.
+    struct ConstProb(f64);
+
+    impl DupProbability for ConstProb {
+        fn prob(&self, _: usize, _: usize, _: usize, _: usize) -> f64 {
+            self.0
         }
     }
 
@@ -195,10 +204,7 @@ mod tests {
     fn single_root_block_equations() {
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb {
-            base: 0.2,
-            scale: 0.0, // constant probability for hand-checkable numbers
-        };
+        let prob = ConstProb(0.2);
         let mut tree = PlanTree {
             family: 0,
             origin_root_key: "k".into(),
@@ -220,10 +226,7 @@ mod tests {
     fn parent_dup_subtracts_child_share() {
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb {
-            base: 0.2,
-            scale: 0.0,
-        };
+        let prob = ConstProb(0.2);
         let mut tree = PlanTree {
             family: 0,
             origin_root_key: "k".into(),
@@ -254,10 +257,7 @@ mod tests {
     fn deeper_children_reduce_remain() {
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb {
-            base: 0.1,
-            scale: 0.0,
-        };
+        let prob = ConstProb(0.1);
         let mut tree = PlanTree {
             family: 0,
             origin_root_key: "k".into(),
@@ -297,7 +297,7 @@ mod tests {
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb::default();
+        let prob = TrainedProb::citeseer();
         let c = ctx(ds.len(), &policy, &cm, &prob);
         for ts in &stats.trees {
             let mut tree = PlanTree::from_stats(ts);
@@ -310,10 +310,7 @@ mod tests {
     fn split_then_recompute_makes_new_root_full() {
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb {
-            base: 0.2,
-            scale: 0.0,
-        };
+        let prob = ConstProb(0.2);
         let c = ctx(1000, &policy, &cm, &prob);
         let mut tree = PlanTree {
             family: 0,

@@ -508,7 +508,7 @@ fn emit_with_descendants(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probmodel::HeuristicProb;
+    use crate::probmodel::TrainedProb;
     use pper_blocking::{build_forests, presets};
     use pper_datagen::PubGen;
     use pper_mapreduce::CostModel;
@@ -532,7 +532,7 @@ mod tests {
     ) -> Schedule {
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb::default();
+        let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size,
             policy: &policy,
@@ -690,7 +690,7 @@ mod tests {
         let (stats, n) = make_stats(5_000, 50);
         let policy = LevelPolicy::citeseer();
         let cm = CostModel::default();
-        let prob = HeuristicProb::default();
+        let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: n,
             policy: &policy,
@@ -800,7 +800,7 @@ mod tests {
                 };
                 let policy = LevelPolicy::citeseer();
                 let cm = CostModel::default();
-                let prob = HeuristicProb::default();
+                let prob = TrainedProb::citeseer();
                 let ctx = EstimationContext {
                     dataset_size: stats.num_entities,
                     policy: &policy,

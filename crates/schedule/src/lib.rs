@@ -27,7 +27,7 @@
 //! use pper_datagen::PubGen;
 //! use pper_mapreduce::CostModel;
 //! use pper_progressive::LevelPolicy;
-//! use pper_schedule::{generate_schedule, EstimationContext, HeuristicProb, ScheduleConfig};
+//! use pper_schedule::{generate_schedule, EstimationContext, ScheduleConfig, TrainedProb};
 //!
 //! let ds = PubGen::new(1_000, 1).generate();
 //! let families = presets::citeseer_families();
@@ -35,7 +35,7 @@
 //! let stats = DatasetStats::from_forests(&ds, &families, &forests);
 //!
 //! let (policy, cost_model, prob) =
-//!     (LevelPolicy::citeseer(), CostModel::default(), HeuristicProb::default());
+//!     (LevelPolicy::citeseer(), CostModel::default(), TrainedProb::citeseer());
 //! let ctx = EstimationContext {
 //!     dataset_size: ds.len(),
 //!     policy: &policy,
@@ -72,4 +72,4 @@ pub use dominance::{should_resolve, DomList, TreeLocator, MAX_FAMILIES};
 pub use estimate::{recompute_tree, EstimationContext};
 pub use generate::{generate_schedule, CostVectorSpec, ScheduleConfig, TreeScheduler, Weighting};
 pub use plan::{PlanNode, PlanTree, Schedule};
-pub use probmodel::{DupProbability, HeuristicProb, TrainedProb};
+pub use probmodel::{DupProbability, TrainedProb};

@@ -1,7 +1,7 @@
-//! Resolve an OL-Books-like catalogue with the PSNM mechanism and a
-//! probability model trained on a labeled sample — the paper's OL-Books
-//! configuration (§VI-A3/§VI-A4), including a look inside the generated
-//! progressive schedule.
+//! Resolve an OL-Books-like catalogue with the PSNM mechanism and the
+//! preset's probability model, trained on a labeled sample — the paper's
+//! OL-Books configuration (§VI-A3/§VI-A4), including a look inside the
+//! generated progressive schedule.
 //!
 //! Run with:
 //! ```sh
@@ -10,7 +10,7 @@
 
 use pper::datagen::BookGen;
 use pper::er::job1::run_job1;
-use pper::er::{ErConfig, ProbModelKind, ProgressiveEr};
+use pper::er::{ErConfig, ProgressiveEr};
 
 fn main() {
     let n: usize = std::env::args()
@@ -18,13 +18,12 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(15_000);
 
-    println!("generating {n} book entities plus a 2k training sample…");
-    let train = BookGen::new(2_000, 7).generate();
+    println!("generating {n} book entities…");
     let ds = BookGen::new(n, 8).generate();
 
-    let mut config = ErConfig::books(4);
-    // §VI-A4: learn Prob(|X|) per size-fraction sub-range from training data.
-    config.prob = ProbModelKind::train(&train, &config.families);
+    // §VI-A4: the preset's Prob(|X|) is learned per size-fraction sub-range
+    // from a labeled 20k-book sample.
+    let config = ErConfig::books(4);
 
     // Peek at the schedule the pipeline will generate.
     let pipeline = ProgressiveEr::new(config.clone());

@@ -10,6 +10,7 @@
 use pper::blocking::{BlockingFamily, PrefixFunction};
 use pper::datagen::PubGen;
 use pper::er::{BasicApproach, BasicConfig, ErConfig, MechanismKind, ProgressiveEr};
+use pper::schedule::TrainedProb;
 
 fn main() {
     let ds = PubGen::new(8_000, 21).generate();
@@ -36,7 +37,12 @@ fn main() {
         ),
     ];
 
+    // The preset's duplicate-probability table is learned per blocking
+    // function of its own families; these need a table of their own, so
+    // learn one from a labeled sample (§VI-A4).
+    let train = PubGen::new(2_000, 22).generate();
     let mut base = ErConfig::citeseer(2);
+    base.prob = TrainedProb::train(&train, &families);
     base.families = families;
 
     // SN vs PSNM on identical blocking and budget.
