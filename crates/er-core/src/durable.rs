@@ -490,7 +490,7 @@ fn run_jobs(
     // Each task's next cut carries the `seq` after those the fold holds.
     *shared.next_cut_seq.lock() = match &resume {
         Some(resume) => resume.tasks.iter().map(|task| task.cuts).collect(),
-        None => vec![0; schedule.num_tasks],
+        None => vec![0; schedule.num_tasks()],
     };
     let emit = |event| shared.cut(event);
     let sink = CutSink { every, emit: &emit };

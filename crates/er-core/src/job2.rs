@@ -5,12 +5,14 @@
 //!   driver computes it once and shares it, charging each task the
 //!   generation cost against its virtual clock).
 //! * **Map** — for each entity, emit one record per tree containing it,
-//!   keyed by the tree's sequence value `SQ` and carrying the entity plus
-//!   its dominance list (§V), held in the record itself.
+//!   keyed by the tree's index in the schedule and carrying the entity plus
+//!   its dominance list (§V), held in the record itself. The paper keys it
+//!   by a sequence value `SQ` that orders a streaming reducer's input; the
+//!   reducer here ingests the whole partition before its first block, so
+//!   the order of its groups does not matter.
 //! * **Partition** — the mapper routes every tree to its scheduled reduce
-//!   task, the one its `SQ` names (`SQ / SQ_RANGE`); a tree whose `SQ`
-//!   names no task of the schedule fails the job with
-//!   [`MrError::InvalidPartition`].
+//!   task, `task_of_tree`; a tree scheduled on no task of the job fails it
+//!   with [`MrError::InvalidPartition`].
 //! * **Reduce (whole partition)** — ingest the task's trees, then walk the
 //!   task's *block schedule*: for each block, materialize its members,
 //!   sort them by the blocking attribute, run the configured mechanism with
@@ -113,17 +115,15 @@ impl<'d> Mapper for RouteMapper<'d> {
 
     fn map(&self, entity: &&'d Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed<'d>>) {
         let entity = *entity;
-        self.locator
-            .route(self.schedule, self.families, entity, |tree, list| {
-                ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-                out.emit(self.schedule.tree_sq[tree], (entity, list));
-            });
+        self.locator.route(self.families, entity, |tree, list| {
+            ctx.charge(ctx.cost_model.read_per_entity * 0.25);
+            out.emit(tree as u64, (entity, list));
+        });
     }
 
-    /// The task the schedule encoded into the tree's `SQ`
-    /// (`task · SQ_RANGE + rank`).
-    fn partition(&self, sq: &u64, _num_reduce: usize) -> usize {
-        (sq / Schedule::SQ_RANGE) as usize
+    /// The task the schedule runs the tree on.
+    fn partition(&self, tree: &u64, _num_reduce: usize) -> usize {
+        self.schedule.task_of_tree[*tree as usize]
     }
 }
 
@@ -371,8 +371,6 @@ impl<'f> Replay<'f> {
 struct ResolveReducer<'a> {
     families: &'a [BlockingFamily],
     schedule: &'a Schedule,
-    /// `SQ → tree id`, the inverse of `schedule.tree_sq`.
-    sq_to_tree: &'a FxHashMap<u64, usize>,
     policy: &'a LevelPolicy,
     rule: PreparedRule,
     mechanism: MechanismKind,
@@ -392,7 +390,7 @@ impl<'a> PartitionReducer for ResolveReducer<'a> {
         ctx: &mut TaskContext,
         refused: &mut Vec<String>,
     ) {
-        let mut state = self.ingest(partition, ctx);
+        let mut state = Self::ingest(partition);
         if let Err(why) = self.resolve(&mut state, ctx) {
             refused.push(why);
         }
@@ -400,16 +398,10 @@ impl<'a> PartitionReducer for ResolveReducer<'a> {
 }
 
 impl<'a> ResolveReducer<'a> {
-    fn new(
-        config: &'a ErConfig,
-        schedule: &'a Schedule,
-        sq_to_tree: &'a FxHashMap<u64, usize>,
-        stage: Stage<'a>,
-    ) -> Self {
+    fn new(config: &'a ErConfig, schedule: &'a Schedule, stage: Stage<'a>) -> Self {
         Self {
             families: &config.families,
             schedule,
-            sq_to_tree,
             policy: &config.policy,
             rule: PreparedRule::new(config.rule.clone()),
             mechanism: config.mechanism,
@@ -417,20 +409,15 @@ impl<'a> ResolveReducer<'a> {
         }
     }
 
-    /// Ingest the task's trees from its shuffle partition.
+    /// Ingest the task's trees from its shuffle partition, each under its
+    /// key.
     fn ingest<'p>(
-        &self,
         partition: &'p pper_mapreduce::GroupedPartition<u64, Routed<'_>>,
-        ctx: &mut TaskContext,
     ) -> TaskState<'p> {
-        let mut trees = FxHashMap::default();
-        for (sq, values) in partition.iter() {
-            let Some(&tree) = self.sq_to_tree.get(sq) else {
-                ctx.counters.incr("job2_unroutable_groups");
-                continue;
-            };
-            trees.insert(tree, TreeState::ingest(values));
-        }
+        let trees = partition
+            .iter()
+            .map(|(&tree, values)| (tree as usize, TreeState::ingest(values)))
+            .collect();
         TaskState {
             trees,
             prepared: PreparedCache::new(),
@@ -618,17 +605,6 @@ pub struct Job2Result {
     pub counters: Counters,
 }
 
-/// `SQ → tree id` for the reduce side: the inverse of `schedule.tree_sq`,
-/// built once per job and shared by every reduce task.
-fn sq_to_tree(schedule: &Schedule) -> FxHashMap<u64, usize> {
-    schedule
-        .tree_sq
-        .iter()
-        .enumerate()
-        .map(|(t, &sq)| (sq, t))
-        .collect()
-}
-
 fn assemble(result: pper_mapreduce::runtime::JobResult<String>) -> Job2Result {
     Job2Result {
         duplicates: crate::duplicates_of(&result.timeline),
@@ -658,11 +634,11 @@ pub fn run_job2(
 /// duplicates — each task checks as it resumes.
 fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> Result<(), MrError> {
     let err = |msg: String| Err(MrError::Checkpoint(msg));
-    if tasks.len() != schedule.num_tasks {
+    if tasks.len() != schedule.num_tasks() {
         return err(format!(
             "the journal holds {} task entries but the schedule expects {}",
             tasks.len(),
-            schedule.num_tasks
+            schedule.num_tasks()
         ));
     }
     for (idx, t) in tasks.iter().enumerate() {
@@ -736,9 +712,8 @@ pub fn run_job2_stage(
     }
 
     let locator = TreeLocator::new(schedule, config.families.len());
-    let sq_to_tree = sq_to_tree(schedule);
     let mut cfg = config.job_config("pper-job2-resolution");
-    cfg.num_reduce_tasks = Some(schedule.num_tasks);
+    cfg.num_reduce_tasks = Some(schedule.num_tasks());
     cfg.faults = config.faults.clone();
 
     let mapper = RouteMapper {
@@ -746,7 +721,7 @@ pub fn run_job2_stage(
         schedule,
         locator: &locator,
     };
-    let reducer = ResolveReducer::new(config, schedule, &sq_to_tree, stage);
+    let reducer = ResolveReducer::new(config, schedule, stage);
     let entities: Vec<&Entity> = ds.entities.iter().collect();
     let result = run_job(&cfg, &mapper, &reducer, &entities)?;
     // Outputs come grouped by task, in task order: the lowest refused task.
@@ -760,20 +735,13 @@ pub fn run_job2_stage(
 mod tests {
     use super::*;
     use crate::job1::run_job1;
+    use crate::pipeline::ProgressiveEr;
     use pper_datagen::PubGen;
-    use pper_schedule::{generate_schedule, EstimationContext};
 
     fn schedule_for(ds: &Dataset, config: &ErConfig) -> Arc<Schedule> {
         let job1 = run_job1(ds, config).unwrap();
-        let ctx = EstimationContext {
-            dataset_size: ds.len(),
-            policy: &config.policy,
-            cost_model: &config.cost_model,
-            prob: &config.prob,
-        };
-        let mut sc = config.schedule.clone();
-        sc.reduce_tasks = config.reduce_tasks();
-        Arc::new(generate_schedule(&job1.stats, &ctx, &sc))
+        let pipeline = ProgressiveEr::new(config.clone());
+        Arc::new(pipeline.generate_schedule(ds, &job1.stats))
     }
 
     /// Reduce task `task`'s shuffle partition, as the route mapper fills it.
@@ -786,9 +754,9 @@ mod tests {
         let locator = TreeLocator::new(schedule, config.families.len());
         let mut records: Vec<(u64, Routed<'_>)> = Vec::new();
         for entity in &ds.entities {
-            locator.route(schedule, &config.families, entity, |tree, list| {
+            locator.route(&config.families, entity, |tree, list| {
                 if schedule.task_of_tree[tree] == task {
-                    records.push((schedule.tree_sq[tree], (entity, list)));
+                    records.push((tree as u64, (entity, list)));
                 }
             });
         }
@@ -807,7 +775,7 @@ mod tests {
             index: task,
         };
         let mut ctx = TaskContext::new(id, cost_model.clone());
-        let mut state = reducer.ingest(partition, &mut ctx);
+        let mut state = ResolveReducer::ingest(partition);
         reducer.resolve(&mut state, &mut ctx).unwrap();
         (state, ctx)
     }
@@ -824,7 +792,6 @@ mod tests {
         let ds = PubGen::new(3_000, 79).generate();
         let config = ErConfig::citeseer(2);
         let schedule = schedule_for(&ds, &config);
-        let sq_to_tree = sq_to_tree(&schedule);
         // Every block charges its members' read cost, so each block
         // boundary crosses a line of this grid: one delta per block, whose
         // `duplicates` are the events it logged, preceded by the pairs the
@@ -841,10 +808,10 @@ mod tests {
             cuts: Some(&sink),
             observer: Some(&observe),
         };
-        let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, stage);
+        let reducer = ResolveReducer::new(&config, &schedule, stage);
 
         let (mut single_block, mut remembered, mut found) = (0, 0, 0);
-        for task in 0..schedule.num_tasks {
+        for task in 0..schedule.num_tasks() {
             let partition = task_partition(&ds, &config, &schedule, task);
             let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, task);
             let blocks = &schedule.block_order[task];
@@ -959,10 +926,10 @@ mod tests {
         let ds = PubGen::new(600, 78).generate();
         let config = ErConfig::citeseer(2);
         let schedule = schedule_for(&ds, &config);
-        assert!(schedule.num_tasks >= 2);
+        assert!(schedule.num_tasks() >= 2);
         // Task 0 holds no completed block, so it starts from scratch and
         // the rest of its entry is never read: every check is on its own.
-        let mut fold = vec![TaskProgress::default(); schedule.num_tasks];
+        let mut fold = vec![TaskProgress::default(); schedule.num_tasks()];
         fold[0].clock = 60.0;
         fold[0].duplicates = vec![(55.0, 1, 2)];
         let rejected = |fold: &[TaskProgress]| {
@@ -1001,19 +968,19 @@ mod tests {
         }
     }
 
-    /// A tree whose `SQ` names a task past the schedule's is a placement
-    /// error, not a tree moved onto the last task (whose block schedule
-    /// does not hold it).
+    /// A tree scheduled on a task past the schedule's is a placement error,
+    /// not a tree moved onto the last task (whose block schedule does not
+    /// hold it).
     #[test]
     fn a_tree_routed_past_the_tasks_is_an_error_not_a_clamp() {
         let ds = PubGen::new(600, 78).generate();
         let config = ErConfig::citeseer(2);
         let mut schedule = (*schedule_for(&ds, &config)).clone();
-        let tasks = schedule.num_tasks;
+        let tasks = schedule.num_tasks();
         let tree = (0..schedule.trees.len())
             .find(|&t| schedule.task_of_tree[t] + 1 < tasks)
             .expect("a tree off the last task");
-        schedule.tree_sq[tree] = tasks as u64 * Schedule::SQ_RANGE;
+        schedule.task_of_tree[tree] = tasks;
         match run_job2(&ds, &config, Arc::new(schedule)) {
             Err(MrError::InvalidPartition {
                 partition,
@@ -1029,8 +996,7 @@ mod tests {
         let ds = PubGen::new(1_500, 77).generate();
         let config = ErConfig::citeseer(1); // two reduce tasks: trees share them
         let schedule = schedule_for(&ds, &config);
-        let sq_to_tree = sq_to_tree(&schedule);
-        let reducer = ResolveReducer::new(&config, &schedule, &sq_to_tree, Stage::default());
+        let reducer = ResolveReducer::new(&config, &schedule, Stage::default());
         let partition = task_partition(&ds, &config, &schedule, 0);
         let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, 0);
 

@@ -9,7 +9,7 @@
 //!   information);
 //! * [`job2`] — the second MR job: generate the progressive schedule in the
 //!   map setup, route each entity to the reduce tasks owning its trees
-//!   (keyed by sequence value, carrying its dominance list), and resolve
+//!   (keyed by tree, carrying its dominance list), and resolve
 //!   blocks incrementally bottom-up with the configured mechanism, skipping
 //!   pairs owned by other trees (`SHOULD-RESOLVE`, §V) and pairs already
 //!   resolved in child blocks;

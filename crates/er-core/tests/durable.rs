@@ -353,7 +353,9 @@ fn compared_at_cuts(
     ds: &Dataset,
     schedule: &pper_schedule::Schedule,
 ) -> BTreeMap<(u32, u32), u64> {
-    let compared: Vec<AtomicU64> = (0..schedule.num_tasks).map(|_| AtomicU64::new(0)).collect();
+    let compared: Vec<AtomicU64> = (0..schedule.num_tasks())
+        .map(|_| AtomicU64::new(0))
+        .collect();
     let at_cut = Mutex::new(BTreeMap::new());
     let observe = |tree: u32, _, _| {
         compared[schedule.task_of_tree[tree as usize]].fetch_add(1, Ordering::SeqCst);

@@ -45,8 +45,8 @@ pub enum MrError {
     Internal(String),
     /// A mapper's [`crate::job::Mapper::partition`] returned a reduce-task
     /// index outside `0..num_reduce` — a placement bug, never clamped onto
-    /// a task that exists (for the second job: a tree whose `SQ` names a
-    /// task past the schedule's).
+    /// a task that exists (for the second job: a tree scheduled on a task
+    /// past the schedule's).
     InvalidPartition {
         /// Job name.
         job: String,

@@ -279,7 +279,7 @@ pub trait Mapper: Sync {
     /// The reduce task, in `0..num_reduce`, that receives `key`'s group.
     /// The default is Hadoop's `hash(key) mod r` (the Basic baseline of
     /// §II-C and the first job); the second job overrides it to route each
-    /// tree to the task its sequence value names (§III-B). An index
+    /// tree to the task the schedule assigns it (§III-B). An index
     /// `>= num_reduce` fails the job with
     /// [`crate::error::MrError::InvalidPartition`]; it is never clamped.
     #[inline]

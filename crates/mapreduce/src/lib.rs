@@ -14,7 +14,7 @@
 //!   and a reduce phase ([`runtime::run_job`]). The mapper routes its own
 //!   keys ([`job::Mapper::partition`]): Hadoop's `hash(key) mod r` unless it
 //!   overrides that, as the paper's second job does to send each tree to
-//!   the reduce task its sequence value names (§III-B). The shuffle groups
+//!   the reduce task the schedule assigns it (§III-B). The shuffle groups
 //!   each partition into a flat [`shuffle::GroupedPartition`] arena on the
 //!   worker pool and reducers receive borrowed `(&K, &[V])` views — zero
 //!   per-group allocations and no copies on fault-plan re-execution;

@@ -1,8 +1,9 @@
 //! Redundancy-free resolution support (§V): dominance values, the
 //! `List(e, X)` construction, and the `SHOULD-RESOLVE` check (Fig. 7).
 //!
-//! Every tree carries a unique dominance value `Dom(T)`. The map phase of
-//! the second job attaches to each emitted entity a *dominance list*:
+//! Every tree carries a unique dominance value `Dom(T)`, derived from its
+//! index in the schedule. The map phase of the second job attaches to each
+//! emitted entity a *dominance list*:
 //!
 //! * position `j < n` holds `Dom` of the family-`j` tree relevant to the
 //!   entity — the tree being emitted to when `j` is the tree's own family,
@@ -84,6 +85,13 @@ fn sentinel(family: FamilyIndex, key: &str) -> u64 {
     hash_one(&(family as u64, key)) | SENTINEL_BIT
 }
 
+/// `Dom(T)` of the schedule's tree `tree`. Any distinct assignment works;
+/// index + 1 keeps zero free, and no schedule holds the 2⁶³ trees it would
+/// take to reach the sentinel namespace.
+fn dom(tree: usize) -> u64 {
+    tree as u64 + 1
+}
+
 /// Locates the trees of a [`Schedule`] from entity blocking keys.
 #[derive(Debug, Clone)]
 pub struct TreeLocator {
@@ -131,7 +139,6 @@ impl TreeLocator {
     /// [`DomList::check_capacity`] refuses before any job runs.
     pub fn route(
         &self,
-        schedule: &Schedule,
         families: &[BlockingFamily],
         entity: &Entity,
         mut emit: impl FnMut(usize, DomList),
@@ -148,14 +155,14 @@ impl TreeLocator {
                 .first()
                 .filter(|(level, _)| *level == 0)
                 .and_then(|(_, by_key)| by_key.get(key.as_str()).copied());
-            roots.push(root.map_or_else(|| sentinel(f, &key), |t| schedule.dom[t]));
+            roots.push(root.map_or_else(|| sentinel(f, &key), dom));
             root_trees[f] = root;
         }
         let list = |f: FamilyIndex, tree: usize, below: Option<usize>| {
             let mut list = roots;
-            list.doms[f] = schedule.dom[tree];
+            list.doms[f] = dom(tree);
             if let Some(below) = below {
-                list.push(schedule.dom[below]);
+                list.push(dom(below));
             }
             list
         };
@@ -213,37 +220,28 @@ mod tests {
     /// Every `(tree, List(entity, tree))` that `route` emits, in order.
     fn routed(
         locator: &TreeLocator,
-        schedule: &Schedule,
         families: &[BlockingFamily],
         entity: &Entity,
     ) -> Vec<(usize, DomList)> {
         let mut out = Vec::new();
-        locator.route(schedule, families, entity, |tree, list| {
-            out.push((tree, list))
-        });
+        locator.route(families, entity, |tree, list| out.push((tree, list)));
         out
     }
 
     /// The trees `entity` is routed to.
-    fn trees_of(
-        locator: &TreeLocator,
-        schedule: &Schedule,
-        families: &[BlockingFamily],
-        entity: &Entity,
-    ) -> Vec<usize> {
-        let routes = routed(locator, schedule, families, entity);
+    fn trees_of(locator: &TreeLocator, families: &[BlockingFamily], entity: &Entity) -> Vec<usize> {
+        let routes = routed(locator, families, entity);
         routes.into_iter().map(|(tree, _)| tree).collect()
     }
 
     /// `List(entity, tree)` as routing builds it; `tree` must hold `entity`.
     fn list_for(
         locator: &TreeLocator,
-        schedule: &Schedule,
         families: &[BlockingFamily],
         entity: &Entity,
         tree: usize,
     ) -> DomList {
-        let routes = routed(locator, schedule, families, entity);
+        let routes = routed(locator, families, entity);
         let found = routes.into_iter().find(|(t, _)| *t == tree);
         found
             .map(|(_, list)| list)
@@ -287,7 +285,7 @@ mod tests {
         let (schedule, families, ds) = toy_schedule();
         let locator = TreeLocator::new(&schedule, families.len());
         // e1 (id 0, "John Lopez", HI): in X-tree "jo" and Y-tree "hi".
-        let trees = trees_of(&locator, &schedule, &families, ds.entity(0));
+        let trees = trees_of(&locator, &families, ds.entity(0));
         let keys: Vec<(usize, &str)> = trees
             .iter()
             .map(|&t| (schedule.trees[t].family, schedule.trees[t].root_key()))
@@ -311,12 +309,12 @@ mod tests {
             .find(|&t| schedule.trees[t].family == 1 && schedule.trees[t].root_key() == "hi")
             .unwrap();
 
-        let lx0 = list_for(&locator, &schedule, &families, ds.entity(0), x_tree);
-        let lx1 = list_for(&locator, &schedule, &families, ds.entity(1), x_tree);
+        let lx0 = list_for(&locator, &families, ds.entity(0), x_tree);
+        let lx1 = list_for(&locator, &families, ds.entity(1), x_tree);
         assert!(should_resolve(&lx0, &lx1, 0, n), "X must resolve the pair");
 
-        let ly0 = list_for(&locator, &schedule, &families, ds.entity(0), y_tree);
-        let ly1 = list_for(&locator, &schedule, &families, ds.entity(1), y_tree);
+        let ly0 = list_for(&locator, &families, ds.entity(0), y_tree);
+        let ly1 = list_for(&locator, &families, ds.entity(1), y_tree);
         assert!(!should_resolve(&ly0, &ly1, 1, n), "Y must skip the pair");
     }
 
@@ -330,8 +328,8 @@ mod tests {
         let y_tree = (0..schedule.trees.len())
             .find(|&t| schedule.trees[t].family == 1 && schedule.trees[t].root_key() == "la")
             .unwrap();
-        let l4 = list_for(&locator, &schedule, &families, ds.entity(3), y_tree);
-        let l5 = list_for(&locator, &schedule, &families, ds.entity(4), y_tree);
+        let l4 = list_for(&locator, &families, ds.entity(3), y_tree);
+        let l5 = list_for(&locator, &families, ds.entity(4), y_tree);
         assert!(should_resolve(&l4, &l5, 1, n));
     }
 
@@ -365,8 +363,8 @@ mod tests {
             for b in (a + 1)..200u32 {
                 let ea = ds.entity(a);
                 let eb = ds.entity(b);
-                let ta = trees_of(&locator, &schedule, &families, ea);
-                let tb = trees_of(&locator, &schedule, &families, eb);
+                let ta = trees_of(&locator, &families, ea);
+                let tb = trees_of(&locator, &families, eb);
                 let shared: Vec<usize> = ta.iter().copied().filter(|t| tb.contains(t)).collect();
                 if shared.is_empty() {
                     continue;
@@ -375,8 +373,8 @@ mod tests {
                     .iter()
                     .filter(|&&t| {
                         let f = schedule.trees[t].family;
-                        let la = list_for(&locator, &schedule, &families, ea, t);
-                        let lb = list_for(&locator, &schedule, &families, eb, t);
+                        let la = list_for(&locator, &families, ea, t);
+                        let lb = list_for(&locator, &families, eb, t);
                         should_resolve(&la, &lb, f, n)
                     })
                     .count();
@@ -421,15 +419,6 @@ mod tests {
         let n = families.len();
         let locator = TreeLocator::new(&schedule, families.len());
 
-        // Find the parent tree (root tree with the same origin key).
-        let parent_tree = (0..schedule.trees.len())
-            .find(|&t| {
-                schedule.trees[t].family == family
-                    && schedule.trees[t].root_level == 0
-                    && schedule.trees[t].origin_root_key == tree.origin_root_key
-            })
-            .expect("parent tree exists");
-
         // Two entities inside the split tree's root block whose pair is not
         // already owned by a more dominating family: SHOULD-RESOLVE (Fig. 7)
         // hands a pair shared by an earlier family's root tree to *that*
@@ -445,6 +434,17 @@ mod tests {
             .map(|e| e.id)
             .collect();
         assert!(inside.len() >= 2, "split root should have >= 2 members");
+
+        // The parent tree: the family's root tree of the split tree's
+        // members.
+        let origin = fam.root_key(ds.entity(inside[0]));
+        let parent_tree = (0..schedule.trees.len())
+            .find(|&t| {
+                schedule.trees[t].family == family
+                    && schedule.trees[t].root_level == 0
+                    && schedule.trees[t].root_key() == origin
+            })
+            .expect("parent tree exists");
         let (a, b) = inside
             .iter()
             .enumerate()
@@ -460,15 +460,15 @@ mod tests {
             })
             .expect("a pair not co-blocked in any more dominating family");
 
-        let pa = list_for(&locator, &schedule, &families, ds.entity(a), parent_tree);
-        let pb = list_for(&locator, &schedule, &families, ds.entity(b), parent_tree);
+        let pa = list_for(&locator, &families, ds.entity(a), parent_tree);
+        let pb = list_for(&locator, &families, ds.entity(b), parent_tree);
         assert!(
             !should_resolve(&pa, &pb, family, n),
             "parent tree must skip pairs owned by its split sub-tree"
         );
 
-        let sa = list_for(&locator, &schedule, &families, ds.entity(a), split_tree);
-        let sb = list_for(&locator, &schedule, &families, ds.entity(b), split_tree);
+        let sa = list_for(&locator, &families, ds.entity(a), split_tree);
+        let sb = list_for(&locator, &families, ds.entity(b), split_tree);
         // The split tree resolves it unless an even deeper split owns it.
         let (la, lb) = (usize::from(sa.len), usize::from(sb.len));
         let deeper_owns = la > n && lb > n && sa.doms[n] == sb.doms[n];
@@ -527,7 +527,7 @@ mod tests {
                     })
                     .collect();
                 holding.sort_by_key(|&t| (trees[t].family, trees[t].root_level));
-                let routes = routed(&locator, &schedule, families, e);
+                let routes = routed(&locator, families, e);
                 let emitted: Vec<usize> = routes.iter().map(|(t, _)| *t).collect();
                 assert_eq!(emitted, holding, "{}: entity {}", ds.name, e.id);
 
@@ -540,15 +540,12 @@ mod tests {
                     let mut expected: Vec<u64> = (0..n)
                         .map(|f| {
                             if f == own.family {
-                                return schedule.dom[t];
+                                return dom(t);
                             }
                             let root = holding
                                 .iter()
                                 .find(|&&r| trees[r].family == f && trees[r].root_level == 0);
-                            root.map_or_else(
-                                || sentinel(f, &families[f].root_key(e)),
-                                |&r| schedule.dom[r],
-                            )
+                            root.map_or_else(|| sentinel(f, &families[f].root_key(e)), |&r| dom(r))
                         })
                         .collect();
                     // … and position n is Dom of the highest split sub-tree
@@ -560,7 +557,7 @@ mod tests {
                         })
                         .min_by_key(|&&r| trees[r].root_level);
                     if let Some(&r) = below {
-                        expected.push(schedule.dom[r]);
+                        expected.push(dom(r));
                         split_lists += 1;
                     }
                     assert_eq!(
@@ -591,8 +588,8 @@ mod tests {
         // descendant appended at position n.
         let (schedule, families, ds) = toy_schedule();
         let locator = TreeLocator::new(&schedule, families.len());
-        let tree = trees_of(&locator, &schedule, &families, ds.entity(0))[0];
-        let list = list_for(&locator, &schedule, &families, ds.entity(0), tree);
+        let tree = trees_of(&locator, &families, ds.entity(0))[0];
+        let list = list_for(&locator, &families, ds.entity(0), tree);
         let len = usize::from(list.len);
         assert!(len == families.len() || len == families.len() + 1);
     }

@@ -207,7 +207,6 @@ mod tests {
         let prob = ConstProb(0.2);
         let mut tree = PlanTree {
             family: 0,
-            origin_root_key: "k".into(),
             root_level: 0,
             nodes: vec![leaf("k", None, 10, 45)], // all pairs covered
         };
@@ -229,7 +228,6 @@ mod tests {
         let prob = ConstProb(0.2);
         let mut tree = PlanTree {
             family: 0,
-            origin_root_key: "k".into(),
             root_level: 0,
             nodes: vec![
                 PlanNode {
@@ -260,7 +258,6 @@ mod tests {
         let prob = ConstProb(0.1);
         let mut tree = PlanTree {
             family: 0,
-            origin_root_key: "k".into(),
             root_level: 0,
             nodes: vec![
                 PlanNode {
@@ -314,7 +311,6 @@ mod tests {
         let c = ctx(1000, &policy, &cm, &prob);
         let mut tree = PlanTree {
             family: 0,
-            origin_root_key: "k".into(),
             root_level: 0,
             nodes: vec![
                 PlanNode {

@@ -23,7 +23,7 @@
 //! baselines of §VI-B2.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use pper_blocking::DatasetStats;
 
@@ -89,9 +89,10 @@ pub enum TreeScheduler {
 /// Schedule-generation parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScheduleConfig {
-    /// Number of reduce tasks `r`.
+    /// Number of reduce tasks `r`; [`generate_schedule`] treats 0 as 1.
     pub reduce_tasks: usize,
-    /// Number of cost-vector buckets `|C|`.
+    /// Number of cost-vector buckets `|C|`; [`generate_schedule`] treats 0
+    /// as 1.
     pub num_buckets: usize,
     /// Weighting function `W(·)`.
     pub weighting: Weighting,
@@ -107,7 +108,7 @@ impl ScheduleConfig {
     /// Paper-flavoured defaults for `r` reduce tasks.
     pub fn new(reduce_tasks: usize) -> Self {
         Self {
-            reduce_tasks: reduce_tasks.max(1),
+            reduce_tasks,
             num_buckets: 10,
             weighting: Weighting::Linear,
             split_batch: 4,
@@ -146,11 +147,11 @@ impl Buckets {
         sl.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
 
         let share = match spec {
-            CostVectorSpec::FullRun => (total / r.max(1) as f64).max(f64::MIN_POSITIVE),
+            CostVectorSpec::FullRun => (total / r as f64).max(f64::MIN_POSITIVE),
             CostVectorSpec::BudgetPerTask(budget) => budget.max(f64::MIN_POSITIVE),
         };
-        let width = share / num_buckets.max(1) as f64;
-        let widths = vec![width; num_buckets.max(1)];
+        let width = share / num_buckets as f64;
+        let widths = vec![width; num_buckets];
 
         let mut of_block = HashMap::with_capacity(sl.len());
         let mut cum = 0.0;
@@ -186,30 +187,30 @@ impl Buckets {
 
 /// Generate a progressive schedule from job-1 statistics.
 ///
-/// `ctx` supplies the estimation models; `cfg` the scheduling knobs.
+/// `ctx` supplies the estimation models; `cfg` the scheduling knobs, where
+/// zero reduce tasks or zero buckets count as one.
 pub fn generate_schedule(
     stats: &DatasetStats,
     ctx: &EstimationContext,
     cfg: &ScheduleConfig,
 ) -> Schedule {
+    let cfg = &ScheduleConfig {
+        reduce_tasks: cfg.reduce_tasks.max(1),
+        num_buckets: cfg.num_buckets.max(1),
+        ..cfg.clone()
+    };
     let mut trees: Vec<PlanTree> = stats.trees.iter().map(PlanTree::from_stats).collect();
     recompute_all(&mut trees, ctx);
 
-    match cfg.scheduler {
+    let assignment = match cfg.scheduler {
         TreeScheduler::Progressive => {
             split_overflowed_trees(&mut trees, ctx, cfg);
-            let assignment = partition_trees(&trees, cfg);
-            finalize(trees, assignment, cfg)
+            partition_trees(&trees, cfg)
         }
-        TreeScheduler::NoSplit => {
-            let assignment = partition_trees(&trees, cfg);
-            finalize(trees, assignment, cfg)
-        }
-        TreeScheduler::Lpt => {
-            let assignment = partition_lpt(&trees, cfg.reduce_tasks);
-            finalize(trees, assignment, cfg)
-        }
-    }
+        TreeScheduler::NoSplit => partition_trees(&trees, cfg),
+        TreeScheduler::Lpt => partition_lpt(&trees, cfg.reduce_tasks),
+    };
+    finalize(trees, assignment, cfg.reduce_tasks)
 }
 
 /// Safety cap on identify/split iterations.
@@ -394,7 +395,7 @@ fn partition_trees(trees: &[PlanTree], cfg: &ScheduleConfig) -> Vec<usize> {
 fn partition_lpt(trees: &[PlanTree], reduce_tasks: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..trees.len()).collect();
     order.sort_by(|&a, &b| trees[b].total_cost().total_cmp(&trees[a].total_cost()));
-    let mut load = vec![0.0f64; reduce_tasks.max(1)];
+    let mut load = vec![0.0f64; reduce_tasks];
     let mut assignment = vec![0usize; trees.len()];
     for t in order {
         let best = load
@@ -408,9 +409,9 @@ fn partition_lpt(trees: &[PlanTree], reduce_tasks: usize) -> Vec<usize> {
     assignment
 }
 
-/// `SORT-BLOCKS` per task plus SQ/Dom assignment.
-fn finalize(trees: Vec<PlanTree>, assignment: Vec<usize>, cfg: &ScheduleConfig) -> Schedule {
-    let num_tasks = cfg.reduce_tasks;
+/// `SORT-BLOCKS` per task: the block schedule of each of `num_tasks`
+/// tasks, over the trees `assignment` gives it.
+fn finalize(trees: Vec<PlanTree>, assignment: Vec<usize>, num_tasks: usize) -> Schedule {
     let block_order: Vec<Vec<BlockRef>> = (0..num_tasks)
         .map(|task| {
             let task_trees: Vec<usize> = (0..trees.len())
@@ -419,32 +420,9 @@ fn finalize(trees: Vec<PlanTree>, assignment: Vec<usize>, cfg: &ScheduleConfig) 
             sort_blocks(&trees, &task_trees)
         })
         .collect();
-
-    // Tree SQ: within each task, trees ranked by the position of their first
-    // scheduled block; SQ = task·RANGE + rank.
-    let mut tree_sq = vec![0u64; trees.len()];
-    for (task, order) in block_order.iter().enumerate() {
-        let mut seen: Vec<usize> = Vec::new();
-        for b in order {
-            if !seen.contains(&b.tree) {
-                seen.push(b.tree);
-            }
-        }
-        for (rank, &t) in seen.iter().enumerate() {
-            tree_sq[t] = task as u64 * Schedule::SQ_RANGE + rank as u64;
-        }
-    }
-
-    // Dominance values: any distinct assignment works; tree index + 1 keeps
-    // zero free as a sentinel namespace.
-    let dom: Vec<u64> = (0..trees.len()).map(|t| t as u64 + 1).collect();
-
     Schedule {
         task_of_tree: assignment,
         block_order,
-        tree_sq,
-        dom,
-        num_tasks,
         trees,
     }
 }
@@ -466,7 +444,7 @@ fn sort_blocks(trees: &[PlanTree], task_trees: &[usize]) -> Vec<BlockRef> {
             .then(a.node.cmp(&b.node))
     });
 
-    let mut emitted: HashMap<(usize, usize), bool> = HashMap::new();
+    let mut emitted: HashSet<BlockRef> = HashSet::new();
     let mut out = Vec::with_capacity(all.len());
     for b in &all {
         emit_with_descendants(trees, *b, &mut emitted, &mut out);
@@ -477,10 +455,10 @@ fn sort_blocks(trees: &[PlanTree], task_trees: &[usize]) -> Vec<BlockRef> {
 fn emit_with_descendants(
     trees: &[PlanTree],
     b: BlockRef,
-    emitted: &mut HashMap<(usize, usize), bool>,
+    emitted: &mut HashSet<BlockRef>,
     out: &mut Vec<BlockRef>,
 ) {
-    if emitted.contains_key(&(b.tree, b.node)) {
+    if emitted.contains(&b) {
         return;
     }
     // Children in descending utility, each with its own descendants first.
@@ -501,7 +479,7 @@ fn emit_with_descendants(
             out,
         );
     }
-    emitted.insert((b.tree, b.node), true);
+    emitted.insert(b);
     out.push(b);
 }
 
@@ -651,28 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn sq_values_respect_task_ranges() {
-        let (stats, n) = make_stats(3_000, 46);
-        let s = run(&stats, n, TreeScheduler::Progressive, 4);
-        for (t, &sq) in s.tree_sq.iter().enumerate() {
-            let task = s.task_of_tree[t] as u64;
-            assert!(sq >= task * Schedule::SQ_RANGE);
-            assert!(sq < (task + 1) * Schedule::SQ_RANGE);
-        }
-    }
-
-    #[test]
-    fn dom_values_unique() {
-        let (stats, n) = make_stats(2_000, 47);
-        let s = run(&stats, n, TreeScheduler::Progressive, 4);
-        let mut doms = s.dom.clone();
-        doms.sort_unstable();
-        doms.dedup();
-        assert_eq!(doms.len(), s.trees.len());
-        assert!(doms.iter().all(|&d| d > 0));
-    }
-
-    #[test]
     fn split_trees_preserve_cov_mass() {
         // Splitting redistributes covered pairs but must not create or lose
         // root-level coverage overall.
@@ -785,12 +741,13 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
             #[test]
             fn prop_schedule_is_complete_for_random_trees(
                 stats in arb_stats(),
-                tasks in 1usize..9,
+                tasks in 0usize..9,
+                buckets in 0usize..12,
                 scheduler_pick in 0u8..3,
             ) {
                 let scheduler = match scheduler_pick {
@@ -807,8 +764,12 @@ mod tests {
                     cost_model: &cm,
                     prob: &prob,
                 };
-                let cfg = ScheduleConfig::new(tasks).with_scheduler(scheduler);
+                let mut cfg = ScheduleConfig::new(tasks).with_scheduler(scheduler);
+                cfg.num_buckets = buckets;
                 let s = generate_schedule(&stats, &ctx, &cfg);
+
+                // Zero tasks count as one.
+                prop_assert_eq!(s.num_tasks(), tasks.max(1));
 
                 // Complete, duplicate-free block coverage.
                 let mut seen = std::collections::HashSet::new();
@@ -834,12 +795,6 @@ mod tests {
                         }
                     }
                 }
-
-                // Valid SQ + unique Dom values.
-                let mut doms = s.dom.clone();
-                doms.sort_unstable();
-                doms.dedup();
-                prop_assert_eq!(doms.len(), s.trees.len());
             }
         }
     }
@@ -848,7 +803,7 @@ mod tests {
     fn single_task_schedule_works() {
         let (stats, n) = make_stats(1_000, 49);
         let s = run(&stats, n, TreeScheduler::Progressive, 1);
-        assert_eq!(s.num_tasks, 1);
+        assert_eq!(s.num_tasks(), 1);
         assert!(s.task_of_tree.iter().all(|&t| t == 0));
         assert_eq!(s.block_order.len(), 1);
     }

@@ -17,10 +17,13 @@
 //! 3. provides the baseline schedulers the paper compares against:
 //!    **NoSplit** (same pipeline without tree splitting) and **LPT**
 //!    (longest-processing-time load balancing) — [`generate::TreeScheduler`];
-//! 4. assigns sequence values `SQ` (for routing blocks to their reduce task)
-//!    and dominance values `Dom(T)` with the `List(e, X)` construction and
-//!    `SHOULD-RESOLVE` check used for redundancy-free resolution (§V,
-//!    Fig. 7) — [`dominance`].
+//! 4. derives each tree's dominance value `Dom(T)` from its index in the
+//!    schedule, with the `List(e, X)` construction and `SHOULD-RESOLVE`
+//!    check used for redundancy-free resolution (§V, Fig. 7) —
+//!    [`dominance`]. The second job routes a tree to the reduce task
+//!    `task_of_tree` names; the paper's sequence values `SQ` order a
+//!    streaming reducer's input, which a whole-partition reducer does not
+//!    need.
 
 //! ```
 //! use pper_blocking::{build_forests, presets, DatasetStats};
@@ -43,8 +46,8 @@
 //!     prob: &prob,
 //! };
 //! let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(8));
-//! assert_eq!(schedule.num_tasks, 8);
-//! assert_eq!(schedule.trees.len(), schedule.dom.len());
+//! assert_eq!(schedule.num_tasks(), 8);
+//! assert_eq!(schedule.trees.len(), schedule.task_of_tree.len());
 //! ```
 
 // Determinism invariants D1, D2, D4 and D5 in library code; the methods and

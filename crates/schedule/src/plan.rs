@@ -19,7 +19,7 @@ pub struct PlanNode {
     /// Child indices within this tree.
     pub children: Vec<usize>,
     /// True if the block has no sub-blocks in the *blocking hierarchy*.
-    /// Unlike `is_leaf()`, this is invariant under schedule-time tree
+    /// Unlike an empty `children`, this is invariant under schedule-time tree
     /// splitting: a parent whose children are split off keeps
     /// `hier_leaf == false`, because its sub-blocks still exist — they are
     /// just resolved in another task.
@@ -62,11 +62,6 @@ impl PlanNode {
     pub fn is_root(&self) -> bool {
         self.parent.is_none()
     }
-
-    /// True if this node has no children.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
-    }
 }
 
 /// A schedulable tree: possibly an original root tree, possibly a sub-tree
@@ -75,11 +70,8 @@ impl PlanNode {
 pub struct PlanTree {
     /// Blocking family.
     pub family: FamilyIndex,
-    /// Root key of the *original* tree this (sub-)tree came from — used by
-    /// the map phase to locate trees from entity keys.
-    pub origin_root_key: String,
-    /// `(level, key)` of this tree's root block. Equals
-    /// `(0, origin_root_key)` for unsplit trees.
+    /// Level of this tree's root block: 0 for an original tree, the split
+    /// point's level for a sub-tree the generator split off.
     pub root_level: usize,
     /// Blocks in pre-order; index 0 is the root.
     pub nodes: Vec<PlanNode>,
@@ -90,7 +82,6 @@ impl PlanTree {
     pub fn from_stats(stats: &TreeStats) -> Self {
         Self {
             family: stats.family,
-            origin_root_key: stats.root_key.clone(),
             root_level: 0,
             nodes: stats.nodes.iter().map(PlanNode::from_stats).collect(),
         }
@@ -168,7 +159,6 @@ impl PlanTree {
             .collect();
         let new_tree = PlanTree {
             family: self.family,
-            origin_root_key: self.origin_root_key.clone(),
             root_level: self.nodes[sub_root].level,
             nodes: new_nodes,
         };
@@ -222,25 +212,21 @@ pub struct BlockRef {
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// All trees, including any split sub-trees (appended after originals).
+    /// A tree's index here is its identity: the second job keys its shuffle
+    /// by it and `Dom(T)` is derived from it.
     pub trees: Vec<PlanTree>,
-    /// Reduce task assigned to each tree (`task_of_tree[t] < num_tasks`).
+    /// Reduce task assigned to each tree (`task_of_tree[t] < num_tasks()`):
+    /// the second job routes every tree by it.
     pub task_of_tree: Vec<usize>,
     /// Per reduce task: blocks in resolution order (the *block schedule*).
     pub block_order: Vec<Vec<BlockRef>>,
-    /// Sequence value `SQ` per tree, within the owning task's range:
-    /// routing key for the map/partition functions (§III-B).
-    pub tree_sq: Vec<u64>,
-    /// Dominance value `Dom(T)` per tree (§V).
-    pub dom: Vec<u64>,
-    /// Number of reduce tasks `r`.
-    pub num_tasks: usize,
 }
 
 impl Schedule {
-    /// Width of each task's sequence range: task `t` owns
-    /// `[t·SQ_RANGE, (t+1)·SQ_RANGE)`, so a tree's `SQ / SQ_RANGE` is the
-    /// reduce task the second job's mapper routes it to.
-    pub const SQ_RANGE: u64 = 1 << 32;
+    /// Number of reduce tasks `r`: one block schedule each.
+    pub fn num_tasks(&self) -> usize {
+        self.block_order.len()
+    }
 
     /// Estimated total resolution cost across all trees.
     pub fn total_cost(&self) -> f64 {
@@ -255,7 +241,7 @@ impl Schedule {
         let mut h = FxHasher::default();
         self.trees.len().hash(&mut h);
         for tree in &self.trees {
-            (tree.family, &tree.origin_root_key, tree.root_level).hash(&mut h);
+            (tree.family, tree.root_level).hash(&mut h);
             tree.nodes.len().hash(&mut h);
             for n in &tree.nodes {
                 (&n.key, n.level, n.parent, &n.children, n.hier_leaf).hash(&mut h);
@@ -264,7 +250,6 @@ impl Schedule {
             }
         }
         (&self.task_of_tree, &self.block_order).hash(&mut h);
-        (&self.tree_sq, &self.dom, self.num_tasks).hash(&mut h);
         h.finish()
     }
 }
@@ -294,7 +279,6 @@ mod tests {
         };
         PlanTree {
             family: 0,
-            origin_root_key: "ro".into(),
             root_level: 0,
             nodes: vec![
                 mk("ro", 0, None, vec![1, 2], 30, 400),
@@ -327,7 +311,6 @@ mod tests {
         assert_eq!(sub.nodes[0].children, vec![1]);
         assert_eq!(sub.nodes[1].parent, Some(0));
         assert_eq!(sub.nodes[1].key, "roac");
-        assert_eq!(sub.origin_root_key, "ro");
 
         // Old tree: root + "rob", root's cov reduced by roa's 150.
         assert_eq!(t.nodes.len(), 2);
@@ -355,9 +338,6 @@ mod tests {
             trees: vec![sample_tree()],
             task_of_tree: vec![0],
             block_order: vec![vec![BlockRef { tree: 0, node: 1 }], vec![]],
-            tree_sq: vec![7],
-            dom: vec![1],
-            num_tasks: 2,
         };
         assert_eq!(schedule.digest(), schedule.clone().digest());
         type Edit = fn(&mut Schedule);
@@ -367,7 +347,7 @@ mod tests {
             |s| s.trees[0].root_level = 1,
             |s| s.block_order[0][0].node = 2,
             |s| s.block_order.swap(0, 1),
-            |s| s.dom[0] = 2,
+            |s| s.task_of_tree[0] = 1,
         ];
         for (i, edit) in edits.into_iter().enumerate() {
             let mut edited = schedule.clone();

@@ -35,7 +35,7 @@ fn main() {
         "schedule: {} trees ({} created by splitting), {} reduce tasks",
         schedule.trees.len(),
         split_trees,
-        schedule.num_tasks
+        schedule.num_tasks()
     );
     println!("  (job 1 produced {original_trees} root trees)");
 
