@@ -17,7 +17,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use pper_datagen::{Dataset, Entity, EntityId};
-use serde::{Deserialize, Serialize};
 
 use crate::function::BlockingFamily;
 use crate::FamilyIndex;
@@ -47,7 +46,7 @@ impl EntityLookup for Vec<&Entity> {
 }
 
 /// One block in a tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Blocking key of this block (at its level's function).
     pub key: String,
@@ -82,7 +81,7 @@ impl Block {
 /// pre-order (`blocks[0]` is the root, parents before descendants), so
 /// iterating indices in reverse visits children before parents — the
 /// bottom-up resolution order of §III-A.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     /// Which blocking family this tree belongs to.
     pub family: FamilyIndex,
@@ -209,7 +208,7 @@ impl Tree {
 
 /// The forest of one main blocking function: all its trees, sorted by root
 /// key.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Forest {
     /// Which blocking family this forest belongs to.
     pub family: FamilyIndex,

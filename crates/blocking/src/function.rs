@@ -11,11 +11,10 @@
 //! structurally and tree construction debug-asserts it on data.
 
 use pper_datagen::Entity;
-use serde::{Deserialize, Serialize};
 
 /// A prefix blocking function: the first `chars` characters of attribute
 /// `attr`, lowercased (so case noise does not split blocks).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixFunction {
     /// Attribute index within the dataset schema.
     pub attr: usize,
@@ -88,7 +87,7 @@ impl PrefixFunction {
 ///
 /// `levels[0]` is the main function (`X¹`); `levels[1..]` are the
 /// sub-blocking functions (`X², X³, …`), so `N(X¹) = levels.len() - 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockingFamily {
     /// Display name, e.g. `"X"`.
     pub name: String,

@@ -15,7 +15,6 @@
 use std::collections::HashMap;
 
 use pper_datagen::{Dataset, Entity, EntityId};
-use serde::{Deserialize, Serialize};
 
 use crate::forest::{Forest, Tree};
 use crate::function::BlockingFamily;
@@ -248,7 +247,7 @@ pub fn uncovered_pairs(
 }
 
 /// Statistics for one block, parallel to `Tree::blocks` by index.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeStats {
     /// Blocking key.
     pub key: String,
@@ -273,7 +272,7 @@ impl NodeStats {
 
 /// Statistics for one tree — everything the schedule generator needs to
 /// know about it, with node indices matching the source [`Tree`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeStats {
     /// Blocking family of the tree.
     pub family: FamilyIndex,
@@ -309,7 +308,7 @@ impl TreeStats {
 
 /// Dataset-level statistics: one [`TreeStats`] per tree across all forests —
 /// the complete output of the paper's first MR job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetStats {
     /// Number of entities `|D|`.
     pub num_entities: usize,

@@ -77,19 +77,32 @@ impl BookGen {
         .collect()
     }
 
-    /// Generate the dataset.
-    ///
-    /// Materializes [`BookGen::records`] and applies the final shuffle. The
-    /// RNG call sequence (and hence every byte of output) is identical to
-    /// the historical all-in-memory generator — pinned by the
-    /// `books_golden` integration test.
+    /// Generate the dataset. The RNG call sequence (and hence every byte
+    /// of output) is pinned by the `books_golden` integration test.
     pub fn generate(&self) -> Dataset {
-        let mut stream = self.records();
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xb00c);
+        let opener_dist = Zipf::new(TITLE_OPENERS.len(), self.zipf_exponent);
+        let corruptor = Corruptor;
+
         let mut records: Vec<(u32, Vec<String>)> = Vec::with_capacity(self.n);
-        for record in stream.by_ref() {
-            records.push(record);
+        let mut cluster_id = 0u32;
+        while records.len() < self.n {
+            let master = self.master_record(&mut rng, &opener_dist, cluster_id);
+            let size = self.cluster_size(&mut rng).min(self.n - records.len());
+            let at = records.len();
+            records.push((cluster_id, master));
+            for _ in 1..size {
+                let copy = records[at]
+                    .1
+                    .iter()
+                    .zip(self.corruption.iter())
+                    .map(|(attr, cfg)| corruptor.corrupt_attr(&mut rng, attr, cfg))
+                    .collect();
+                records.push((cluster_id, copy));
+            }
+            cluster_id += 1;
         }
-        let mut rng = stream.into_rng();
+
         records.shuffle(&mut rng);
         let (clusters, entities): (Vec<u32>, Vec<Entity>) = records
             .into_iter()
@@ -102,27 +115,6 @@ impl BookGen {
             entities,
             GroundTruth::new(clusters),
         )
-    }
-
-    /// Stream the records in *generation* (pre-shuffle) order: one
-    /// `(cluster id, attribute values)` per entity, clusters contiguous.
-    ///
-    /// This is the out-of-core entry point: a 30M-entity dataset can be
-    /// written straight into an on-disk store without ever materializing a
-    /// `Vec` of records. At most one cluster (≤ `max_cluster` records) is
-    /// buffered at a time. [`BookGen::generate`] is built on this same
-    /// iterator — the RNG sequence is shared, so `records()` followed by
-    /// the final shuffle reproduces `generate()` byte for byte.
-    pub fn records(&self) -> BookRecords<'_> {
-        BookRecords {
-            gen: self,
-            rng: StdRng::seed_from_u64(self.seed ^ 0xb00c),
-            opener_dist: Zipf::new(TITLE_OPENERS.len(), self.zipf_exponent),
-            pending: Vec::new(),
-            produced: 0,
-            next_cluster: 0,
-            duplicate_pairs: 0,
-        }
     }
 
     fn cluster_size(&self, rng: &mut StdRng) -> usize {
@@ -176,88 +168,6 @@ impl BookGen {
     }
 }
 
-/// Streaming iterator over a [`BookGen`]'s records in generation order —
-/// see [`BookGen::records`].
-pub struct BookRecords<'a> {
-    gen: &'a BookGen,
-    rng: StdRng,
-    opener_dist: Zipf,
-    /// The current cluster's not-yet-yielded records, in reverse order so
-    /// `pop` yields them forward.
-    pending: Vec<(u32, Vec<String>)>,
-    produced: usize,
-    next_cluster: u32,
-    duplicate_pairs: u64,
-}
-
-impl BookRecords<'_> {
-    /// Number of records yielded so far.
-    pub fn produced(&self) -> usize {
-        self.produced
-    }
-
-    /// Number of distinct clusters started so far.
-    pub fn clusters(&self) -> u32 {
-        self.next_cluster
-    }
-
-    /// Ground-truth duplicate pairs among the records yielded so far
-    /// (`Σ |c|·(|c|−1)/2` over emitted cluster sizes) — the Eq. 1 recall
-    /// normalizer, available without materializing a [`GroundTruth`].
-    pub fn duplicate_pairs(&self) -> u64 {
-        self.duplicate_pairs
-    }
-
-    /// Surrender the RNG (positioned exactly where the historical generator
-    /// left it before the final shuffle). Used by [`BookGen::generate`].
-    pub fn into_rng(self) -> StdRng {
-        self.rng
-    }
-}
-
-impl Iterator for BookRecords<'_> {
-    type Item = (u32, Vec<String>);
-
-    fn next(&mut self) -> Option<(u32, Vec<String>)> {
-        if let Some(record) = self.pending.pop() {
-            self.produced += 1;
-            return Some(record);
-        }
-        if self.produced >= self.gen.n {
-            return None;
-        }
-        let corruptor = Corruptor;
-        let cluster_id = self.next_cluster;
-        // Exactly the historical per-cluster RNG sequence: master first,
-        // then the size draw, then one corruption pass per extra copy.
-        let master = self
-            .gen
-            .master_record(&mut self.rng, &self.opener_dist, cluster_id);
-        let size = self
-            .gen
-            .cluster_size(&mut self.rng)
-            .min(self.gen.n - self.produced);
-        for _ in 1..size {
-            let copy = master
-                .iter()
-                .zip(self.gen.corruption.iter())
-                .map(|(attr, cfg)| corruptor.corrupt_attr(&mut self.rng, attr, cfg))
-                .collect();
-            self.pending.push((cluster_id, copy));
-        }
-        self.pending.reverse();
-        self.next_cluster += 1;
-        self.duplicate_pairs += (size as u64) * (size as u64 - 1) / 2;
-        self.produced += 1;
-        Some((cluster_id, master))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.gen.n - self.produced;
-        (left.min(self.pending.len()), Some(left))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,39 +208,6 @@ mod tests {
         }
         let max = *counts.values().max().unwrap();
         assert!(max > 3 * (ds.len() / counts.len()));
-    }
-
-    #[test]
-    fn streaming_records_match_generate_modulo_shuffle() {
-        let g = BookGen::new(700, 9);
-        let mut stream = g.records();
-        let mut streamed: Vec<(u32, Vec<String>)> = stream.by_ref().collect();
-        assert_eq!(streamed.len(), 700);
-        assert_eq!(stream.produced(), 700);
-        let pairs = stream.duplicate_pairs();
-        let clusters = stream.clusters();
-
-        let ds = g.generate();
-        assert_eq!(ds.truth.total_duplicate_pairs(), pairs);
-        assert_eq!(ds.truth.num_clusters() as u32, clusters);
-        // The generated dataset is a permutation of the streamed records.
-        let mut from_ds: Vec<(u32, Vec<String>)> = ds
-            .entities
-            .iter()
-            .map(|e| (ds.truth.cluster(e.id), e.attrs.clone()))
-            .collect();
-        from_ds.sort();
-        streamed.sort();
-        assert_eq!(streamed, from_ds);
-    }
-
-    #[test]
-    fn streaming_buffers_at_most_one_cluster() {
-        let g = BookGen::new(2_000, 4);
-        let mut stream = g.records();
-        while stream.next().is_some() {
-            assert!(stream.pending.len() < g.max_cluster);
-        }
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! name-prefix blocks but the same state block.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-attribute corruption rates, all probabilities in `[0, 1]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorruptionConfig {
     /// Probability that the attribute is corrupted at all.
     pub corrupt_prob: f64,

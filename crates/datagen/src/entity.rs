@@ -83,7 +83,7 @@ impl GroundTruth {
 }
 
 /// A dataset: schema, entities, and ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Human-readable dataset name.
     pub name: String,

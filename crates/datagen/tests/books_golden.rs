@@ -1,11 +1,10 @@
 //! Golden fingerprint of the books generator's output.
 //!
-//! The generator's byte-exact output is load-bearing: experiment figures,
-//! committed bench baselines, and the scale store all assume that
-//! `BookGen::new(n, seed)` produces the same dataset forever. This hash
-//! pins the exact entities + ground truth so refactors of the generation
-//! path (e.g. the streaming record iterator) cannot silently change the
-//! RNG call sequence.
+//! The generator's byte-exact output is load-bearing: experiment figures
+//! and committed bench baselines assume that `BookGen::new(n, seed)`
+//! produces the same dataset forever. This hash pins the exact entities +
+//! ground truth so refactors of the generation loop cannot silently
+//! change the RNG call sequence.
 
 use pper_datagen::BookGen;
 

@@ -38,14 +38,13 @@ use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{MechanismKind, PairSource, StopRule, StopState};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
-use serde::{Deserialize, Serialize};
 
 use crate::config::ErConfig;
 use crate::pipeline::ErRunResult;
 use crate::{memo_slot, BlockTally, NO_SLOT};
 
 /// Basic-baseline knobs (§VI-B1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BasicConfig {
     /// Sorted-neighbourhood window `w` (the paper sweeps 5 and 15).
     pub window: usize,

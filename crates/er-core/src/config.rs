@@ -19,8 +19,7 @@ pub struct ErConfig {
     pub machines: usize,
     /// Cost calibration.
     pub cost_model: CostModel,
-    /// Scheduler selection and knobs (reduce task count is overridden from
-    /// `machines`).
+    /// Scheduler selection and knobs.
     pub schedule: ScheduleConfig,
     /// Progressive mechanism `M` (§VI-A3): SN for CiteSeerX, PSNM for
     /// OL-Books. `pper_progressive` owns the choice and its pair stream.
@@ -87,7 +86,7 @@ impl ErConfig {
             policy: LevelPolicy::citeseer(),
             machines,
             cost_model: CostModel::default(),
-            schedule: ScheduleConfig::new(machines * 2),
+            schedule: ScheduleConfig::default(),
             mechanism: MechanismKind::Sn,
             prob: TrainedProb::citeseer(),
             worker_threads: None,
@@ -121,7 +120,7 @@ impl ErConfig {
             policy: LevelPolicy::books(),
             machines,
             cost_model: CostModel::default(),
-            schedule: ScheduleConfig::new(machines * 2),
+            schedule: ScheduleConfig::default(),
             mechanism: MechanismKind::Psnm,
             prob: TrainedProb::books(),
             worker_threads: None,

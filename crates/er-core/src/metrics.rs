@@ -2,14 +2,13 @@
 //! recall speedup (§VI-B4).
 
 use pper_mapreduce::ProgressEvent;
-use serde::{Deserialize, Serialize};
 
 /// Cumulative duplicate recall as a function of (virtual) resolution cost.
 ///
 /// `PartialEq` compares breakpoints exactly (bitwise on costs) — used by the
 /// checkpoint/resume tests to prove a resumed run reproduces the
 /// uninterrupted curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecallCurve {
     /// `(cost, cumulative correct duplicates)` breakpoints, ascending cost.
     points: Vec<(f64, u64)>,

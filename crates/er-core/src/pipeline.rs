@@ -166,9 +166,7 @@ impl ProgressiveEr {
             cost_model: &config.cost_model,
             prob: &config.prob,
         };
-        let mut sc = config.schedule.clone();
-        sc.reduce_tasks = config.reduce_tasks();
-        generate_schedule(stats, &ctx, &sc)
+        generate_schedule(stats, &ctx, &config.schedule, config.reduce_tasks())
     }
 }
 

@@ -13,8 +13,6 @@
 //! using the same list-scheduling ("wave") semantics Hadoop exhibits when
 //! there are more tasks than slots.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone virtual clock owned by one simulated task.
 ///
 /// Costs are `f64` so fractional charges (e.g. per-byte read costs) compose;
@@ -60,7 +58,7 @@ impl CostClock {
 /// seconds. The defaults were calibrated so that, on the synthetic
 /// publications workload, sorting/hint overhead is a visible but minor
 /// fraction of block resolution cost, as the paper reports for the SN hint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// Cost of one resolve/match invocation. By definition 1.0; kept
     /// configurable for sensitivity experiments.

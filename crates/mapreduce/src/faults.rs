@@ -20,8 +20,6 @@
 //! task index and attempt, so chaos tests are fully deterministic. Only
 //! exhausting the attempt budget fails the job.
 
-use serde::{Deserialize, Serialize};
-
 use crate::job::TaskKind;
 
 /// Panic payload thrown by [`crate::job::TaskContext::charge`] when an
@@ -34,7 +32,7 @@ pub struct InjectedAbort {
 }
 
 /// One injected attempt death, keyed by `(task, attempt)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AttemptFault {
     /// Map or reduce side.
     pub kind: TaskKind,
@@ -50,7 +48,7 @@ pub struct AttemptFault {
 }
 
 /// Failure schedule for one job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Attempt deaths, at most one per `(task, attempt)`.
     pub attempt_faults: Vec<AttemptFault>,
@@ -301,16 +299,5 @@ mod tests {
             .with_crash(TaskKind::Reduce, 1, 1)
             .with_crash(TaskKind::Map, 0, 1);
         assert!(plan.validate(2, 2).is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let plan = FaultPlan::fail_map(1, 2).with_abort(TaskKind::Reduce, 0, 1, 55.5);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.attempt_faults.len(), 3);
-        assert_eq!(back.attempt_faults[0].abort_at, None);
-        assert_eq!(back.attempt_faults[2].abort_at, Some(55.5));
-        assert_eq!(back.max_attempts, plan.max_attempts);
     }
 }

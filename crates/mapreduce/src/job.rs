@@ -1,8 +1,6 @@
 //! Job configuration and the user-facing programming model: [`Mapper`],
 //! [`Reducer`] / [`PartitionReducer`], [`TaskContext`], and [`Emitter`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{CostClock, CostModel};
 use crate::counters::Counters;
 use crate::exec::ExecutorKind;
@@ -13,7 +11,7 @@ use crate::progress::ProgressEvent;
 use crate::shuffle::GroupedPartition;
 
 /// Kind of a simulated task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Map-side task.
     Map,

@@ -7,10 +7,8 @@
 //! uses the Popcorn scheme of ref. \[5\]: stop when the rate of newly found
 //! duplicates over recent comparisons drops below a threshold.
 
-use serde::{Deserialize, Serialize};
-
 /// When to stop resolving the block at hand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopRule {
     /// Never stop early: resolve every pair the mechanism yields (root
     /// blocks; also "Basic F").
@@ -98,7 +96,7 @@ impl StopState {
 
 /// Per-level resolution policy (§VI-A5): window sizes, `Frac(X)` values, and
 /// the `Th(X) = |X|` termination rule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelPolicy {
     /// Window for root blocks (paper: 15, "the smallest value that allows
     /// us to identify more than 99% of the duplicate pairs").

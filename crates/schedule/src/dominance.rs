@@ -27,7 +27,7 @@
 
 use pper_blocking::{BlockingFamily, FamilyIndex};
 use pper_datagen::Entity;
-use pper_mapreduce::fxhash::{hash_one, FxHashMap};
+use pper_mapreduce::fxhash::FxHashMap;
 use pper_mapreduce::MrError;
 
 use crate::plan::Schedule;
@@ -74,16 +74,13 @@ impl DomList {
     }
 }
 
-/// High bit marking sentinel values for entities whose root block of some
-/// family was eliminated (singleton blocks form no tree). Two entities can
-/// only share a sentinel if they share the eliminated key — impossible,
-/// since a shared key means ≥ 2 members and hence a real tree — modulo a
-/// 2⁻⁶⁴ hash collision between different keys, which we accept.
+/// High bit marking the sentinel value `SENTINEL_BIT | id` that entity `id`
+/// holds at a family whose root block of it formed no tree. Job 1 drops
+/// only blocks of fewer than 2 members, so such a block is a singleton: no
+/// other entity shares it, and the entity's own id keeps the sentinel
+/// unique. `SHOULD-RESOLVE` compares position by position, so the family
+/// need not be in the value.
 const SENTINEL_BIT: u64 = 1 << 63;
-
-fn sentinel(family: FamilyIndex, key: &str) -> u64 {
-    hash_one(&(family as u64, key)) | SENTINEL_BIT
-}
 
 /// `Dom(T)` of the schedule's tree `tree`. Any distinct assignment works;
 /// index + 1 keeps zero free, and no schedule holds the 2⁶³ trees it would
@@ -144,7 +141,7 @@ impl TreeLocator {
         mut emit: impl FnMut(usize, DomList),
     ) {
         let mut key = String::new();
-        // `Dom` of each family's root tree, or the sentinel of its key, and
+        // `Dom` of each family's root tree, or the entity's sentinel, and
         // the root tree itself where there is one.
         let mut roots = DomList::default();
         let mut root_trees = [None; MAX_FAMILIES];
@@ -155,7 +152,7 @@ impl TreeLocator {
                 .first()
                 .filter(|(level, _)| *level == 0)
                 .and_then(|(_, by_key)| by_key.get(key.as_str()).copied());
-            roots.push(root.map_or_else(|| sentinel(f, &key), dom));
+            roots.push(root.map_or(SENTINEL_BIT | u64::from(entity.id), dom));
             root_trees[f] = root;
         }
         let list = |f: FamilyIndex, tree: usize, below: Option<usize>| {
@@ -276,7 +273,7 @@ mod tests {
             cost_model: &cm,
             prob: &prob,
         };
-        let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(2));
+        let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 2);
         (schedule, families, ds)
     }
 
@@ -352,9 +349,9 @@ mod tests {
             cost_model: &cm,
             prob: &prob,
         };
-        let mut cfg = ScheduleConfig::new(4);
-        cfg.scheduler = crate::generate::TreeScheduler::NoSplit; // root-level check
-        let schedule = generate_schedule(&stats, &ctx, &cfg);
+        // NoSplit: a root-level check.
+        let cfg = ScheduleConfig::default().with_scheduler(crate::generate::TreeScheduler::NoSplit);
+        let schedule = generate_schedule(&stats, &ctx, &cfg, 4);
         let locator = TreeLocator::new(&schedule, families.len());
         let n = families.len();
 
@@ -409,7 +406,7 @@ mod tests {
             cost_model: &cm,
             prob: &prob,
         };
-        let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(8));
+        let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
         let split_tree = (0..schedule.trees.len())
             .find(|&t| schedule.trees[t].root_level > 0)
             .expect("expected at least one split on skewed data");
@@ -506,7 +503,7 @@ mod tests {
                 cost_model: &cm,
                 prob,
             };
-            let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(8));
+            let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
             let locator = TreeLocator::new(&schedule, families.len());
             let trees = &schedule.trees;
             let n = families.len();
@@ -535,8 +532,8 @@ mod tests {
                     let own = &trees[t];
                     // §V: position f is Dom of the emitted tree for its own
                     // family, else Dom of the family-f root tree holding the
-                    // entity (a sentinel of its root key when that block
-                    // formed no tree) …
+                    // entity (the entity's sentinel when that block formed
+                    // no tree) …
                     let mut expected: Vec<u64> = (0..n)
                         .map(|f| {
                             if f == own.family {
@@ -545,7 +542,7 @@ mod tests {
                             let root = holding
                                 .iter()
                                 .find(|&&r| trees[r].family == f && trees[r].root_level == 0);
-                            root.map_or_else(|| sentinel(f, &families[f].root_key(e)), |&r| dom(r))
+                            root.map_or(SENTINEL_BIT | u64::from(e.id), |&r| dom(r))
                         })
                         .collect();
                     // … and position n is Dom of the highest split sub-tree
@@ -571,13 +568,6 @@ mod tests {
             }
             assert!(split_lists > 0, "{}: no list reached position n", ds.name);
         }
-    }
-
-    #[test]
-    fn sentinels_do_not_collide_for_distinct_keys() {
-        assert_ne!(sentinel(0, "ab"), sentinel(0, "cd"));
-        assert_ne!(sentinel(0, "ab"), sentinel(1, "ab"));
-        assert!(sentinel(0, "ab") & SENTINEL_BIT != 0);
     }
 
     #[test]

@@ -32,6 +32,29 @@ pub fn window_pairs(n: usize, window: usize) -> u64 {
     n * w - w * (w + 1) / 2
 }
 
+/// Eq. (5) for a root block of `size` entities, `cov` of whose pairs are
+/// covered, above descendants whose `CostP` sums to `desc_costp`:
+/// `(full, Cost)`, where `full` is the windowed resolution's pair count
+/// scaled by the covered-pair ratio and `Cost = CostA + CostF − desc_costp`,
+/// floored at `CostA`.
+pub(crate) fn root_cost(
+    size: usize,
+    cov: u64,
+    desc_costp: f64,
+    ctx: &EstimationContext,
+) -> (f64, f64) {
+    let total_pairs = pper_blocking::pairs(size);
+    let cov_ratio = if total_pairs == 0 {
+        0.0
+    } else {
+        cov as f64 / total_pairs as f64
+    };
+    let full = window_pairs(size, ctx.policy.window_root) as f64 * cov_ratio;
+    let cost_f = ctx.cost_model.resolve_pair * full;
+    let cost_a = ctx.cost_model.block_additional_cost(size);
+    (full, (cost_a + cost_f - desc_costp).max(cost_a))
+}
+
 /// Recompute `Dup`, `Dis`, `Cost` and `Util` for every node of `tree`,
 /// bottom-up.
 ///
@@ -82,29 +105,21 @@ pub fn recompute_tree(tree: &mut PlanTree, ctx: &EstimationContext) {
         let dup = (frac * d[idx] - child_found).max(0.0);
 
         let desc = tree.descendants(idx);
-        let cost_a = ctx.cost_model.block_additional_cost(node.size);
 
         let (dis, cost);
         if is_root {
             // Eq. (5): full resolution minus work already done below.
-            let total_pairs = pper_blocking::pairs(node.size);
-            let cov_ratio = if total_pairs == 0 {
-                0.0
-            } else {
-                node.cov as f64 / total_pairs as f64
-            };
-            let full = window_pairs(node.size, ctx.policy.window_root) as f64 * cov_ratio;
-            let cost_f = ctx.cost_model.resolve_pair * full;
             let desc_costp: f64 = desc.iter().map(|&i| costp[i]).sum();
+            let full;
+            (full, cost) = root_cost(node.size, node.cov, desc_costp, ctx);
             dis = (full - dup).max(0.0);
-            cost = (cost_a + cost_f - desc_costp).max(cost_a);
         } else {
             // Eq. (4) then Eq. (3).
             let desc_dis: f64 = desc.iter().map(|&i| tree.nodes[i].dis).sum();
             let remain = (node.cov as f64 - d[idx] - desc_dis).max(0.0);
             dis = (ctx.policy.termination(node.size) as f64).min(remain);
             costp[idx] = ctx.cost_model.resolve_pair * (dup + dis);
-            cost = cost_a + costp[idx];
+            cost = ctx.cost_model.block_additional_cost(node.size) + costp[idx];
         }
 
         let node = &mut tree.nodes[idx];

@@ -22,17 +22,16 @@
 //! replaces steps 1–3 with longest-processing-time load balancing — the two
 //! baselines of §VI-B2.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 use pper_blocking::DatasetStats;
 
-use crate::estimate::{recompute_all, recompute_tree, EstimationContext};
+use crate::estimate::{recompute_all, recompute_tree, root_cost, EstimationContext};
 use crate::plan::{BlockRef, PlanTree, Schedule};
 
 /// The weighting function `W(·)` over the cost vector (§II-B): non-increasing
 /// weights emphasizing early cost intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Weighting {
     /// All intervals weigh the same (final recall is all that matters).
     Uniform,
@@ -62,7 +61,7 @@ impl Weighting {
 /// vector", including optimizing "for the case where the goal is to
 /// generate the highest possible quality result given a resolution cost
 /// budget").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostVectorSpec {
     /// `C` spans the estimated per-task share of the whole run (default):
     /// optimize progressiveness over the full execution.
@@ -75,7 +74,7 @@ pub enum CostVectorSpec {
 }
 
 /// Which tree-scheduling algorithm to run (§VI-B2's comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeScheduler {
     /// The paper's algorithm: identify + split + slack partitioning.
     Progressive,
@@ -86,11 +85,10 @@ pub enum TreeScheduler {
     Lpt,
 }
 
-/// Schedule-generation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Schedule-generation parameters; the reduce-task count `r` is the
+/// cluster's, an argument of [`generate_schedule`].
+#[derive(Debug, Clone)]
 pub struct ScheduleConfig {
-    /// Number of reduce tasks `r`; [`generate_schedule`] treats 0 as 1.
-    pub reduce_tasks: usize,
     /// Number of cost-vector buckets `|C|`; [`generate_schedule`] treats 0
     /// as 1.
     pub num_buckets: usize,
@@ -104,11 +102,10 @@ pub struct ScheduleConfig {
     pub cost_vector: CostVectorSpec,
 }
 
-impl ScheduleConfig {
-    /// Paper-flavoured defaults for `r` reduce tasks.
-    pub fn new(reduce_tasks: usize) -> Self {
+impl Default for ScheduleConfig {
+    /// Paper-flavoured defaults.
+    fn default() -> Self {
         Self {
-            reduce_tasks,
             num_buckets: 10,
             weighting: Weighting::Linear,
             split_batch: 4,
@@ -116,7 +113,9 @@ impl ScheduleConfig {
             cost_vector: CostVectorSpec::FullRun,
         }
     }
+}
 
+impl ScheduleConfig {
     /// Same configuration with a different scheduler.
     pub fn with_scheduler(mut self, scheduler: TreeScheduler) -> Self {
         self.scheduler = scheduler;
@@ -185,17 +184,19 @@ impl Buckets {
     }
 }
 
-/// Generate a progressive schedule from job-1 statistics.
+/// Generate a progressive schedule for `reduce_tasks` reduce tasks from
+/// job-1 statistics.
 ///
-/// `ctx` supplies the estimation models; `cfg` the scheduling knobs, where
-/// zero reduce tasks or zero buckets count as one.
+/// `ctx` supplies the estimation models; `cfg` the scheduling knobs. Zero
+/// reduce tasks or zero buckets count as one.
 pub fn generate_schedule(
     stats: &DatasetStats,
     ctx: &EstimationContext,
     cfg: &ScheduleConfig,
+    reduce_tasks: usize,
 ) -> Schedule {
+    let reduce_tasks = reduce_tasks.max(1);
     let cfg = &ScheduleConfig {
-        reduce_tasks: cfg.reduce_tasks.max(1),
         num_buckets: cfg.num_buckets.max(1),
         ..cfg.clone()
     };
@@ -204,13 +205,13 @@ pub fn generate_schedule(
 
     let assignment = match cfg.scheduler {
         TreeScheduler::Progressive => {
-            split_overflowed_trees(&mut trees, ctx, cfg);
-            partition_trees(&trees, cfg)
+            split_overflowed_trees(&mut trees, ctx, cfg, reduce_tasks);
+            partition_trees(&trees, cfg, reduce_tasks)
         }
-        TreeScheduler::NoSplit => partition_trees(&trees, cfg),
-        TreeScheduler::Lpt => partition_lpt(&trees, cfg.reduce_tasks),
+        TreeScheduler::NoSplit => partition_trees(&trees, cfg, reduce_tasks),
+        TreeScheduler::Lpt => partition_lpt(&trees, reduce_tasks),
     };
-    finalize(trees, assignment, cfg.reduce_tasks)
+    finalize(trees, assignment, reduce_tasks)
 }
 
 /// Safety cap on identify/split iterations.
@@ -221,9 +222,10 @@ fn split_overflowed_trees(
     trees: &mut Vec<PlanTree>,
     ctx: &EstimationContext,
     cfg: &ScheduleConfig,
+    reduce_tasks: usize,
 ) {
     for _round in 0..MAX_SPLIT_ROUNDS {
-        let buckets = Buckets::build(trees, cfg.reduce_tasks, cfg.num_buckets, cfg.cost_vector);
+        let buckets = Buckets::build(trees, reduce_tasks, cfg.num_buckets, cfg.cost_vector);
         // IDENTIFY-TREES: overflowed *and splittable* (root has children).
         let mut overflowed: Vec<(usize, f64)> = (0..trees.len())
             .filter(|&t| !trees[t].nodes[0].children.is_empty())
@@ -332,15 +334,6 @@ fn root_cost_with_children(
         .map(|&c| tree.nodes[c].cov)
         .sum();
     let cov = root.cov.saturating_sub(removed_cov);
-    let total_pairs = pper_blocking::pairs(root.size);
-    let cov_ratio = if total_pairs == 0 {
-        0.0
-    } else {
-        cov as f64 / total_pairs as f64
-    };
-    let full = crate::estimate::window_pairs(root.size, ctx.policy.window_root) as f64 * cov_ratio;
-    let cost_f = ctx.cost_model.resolve_pair * full;
-    let cost_a = ctx.cost_model.block_additional_cost(root.size);
     // CostP of the descendants that remain: kept children's sub-trees.
     let mut desc_costp = 0.0;
     let mut stack: Vec<usize> = kept.iter().copied().chain([candidate]).collect();
@@ -349,13 +342,13 @@ fn root_cost_with_children(
         desc_costp += n.cost - ctx.cost_model.block_additional_cost(n.size);
         stack.extend_from_slice(&n.children);
     }
-    (cost_a + cost_f - desc_costp).max(cost_a)
+    root_cost(root.size, cov, desc_costp, ctx).1
 }
 
 /// `PARTITION-TREES`: descending weighted-cost order, each tree to the task
 /// with the largest slack `SK(R)`.
-fn partition_trees(trees: &[PlanTree], cfg: &ScheduleConfig) -> Vec<usize> {
-    let buckets = Buckets::build(trees, cfg.reduce_tasks, cfg.num_buckets, cfg.cost_vector);
+fn partition_trees(trees: &[PlanTree], cfg: &ScheduleConfig, reduce_tasks: usize) -> Vec<usize> {
+    let buckets = Buckets::build(trees, reduce_tasks, cfg.num_buckets, cfg.cost_vector);
     let vcs: Vec<Vec<f64>> = (0..trees.len())
         .map(|t| buckets.tree_vc(trees, t))
         .collect();
@@ -368,11 +361,11 @@ fn partition_trees(trees: &[PlanTree], cfg: &ScheduleConfig) -> Vec<usize> {
         |t: usize| -> f64 { vcs[t].iter().zip(&weights).map(|(&v, &w)| v * w).sum() };
     order.sort_by(|&a, &b| weighted_cost(b).total_cmp(&weighted_cost(a)));
 
-    let mut load = vec![vec![0.0; cfg.num_buckets]; cfg.reduce_tasks];
+    let mut load = vec![vec![0.0; cfg.num_buckets]; reduce_tasks];
     let mut assignment = vec![0usize; trees.len()];
     for t in order {
         // SK(R) = Σ_h δ_h · W(c_h) · (width_h − load_R[h]).
-        let best = (0..cfg.reduce_tasks)
+        let best = (0..reduce_tasks)
             .map(|r| {
                 let slack: f64 = (0..cfg.num_buckets)
                     .filter(|&h| vcs[t][h] > 0.0)
@@ -517,8 +510,8 @@ mod tests {
             cost_model: &cm,
             prob: &prob,
         };
-        let cfg = ScheduleConfig::new(tasks).with_scheduler(scheduler);
-        generate_schedule(stats, &ctx, &cfg)
+        let cfg = ScheduleConfig::default().with_scheduler(scheduler);
+        generate_schedule(stats, &ctx, &cfg, tasks)
     }
 
     #[test]
@@ -653,11 +646,12 @@ mod tests {
             cost_model: &cm,
             prob: &prob,
         };
-        let full_cfg = ScheduleConfig::new(8);
-        let full = generate_schedule(&stats, &ctx, &full_cfg);
-        let mut budget_cfg = ScheduleConfig::new(8);
-        budget_cfg.cost_vector = CostVectorSpec::BudgetPerTask(500.0);
-        let budgeted = generate_schedule(&stats, &ctx, &budget_cfg);
+        let full = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
+        let budget_cfg = ScheduleConfig {
+            cost_vector: CostVectorSpec::BudgetPerTask(500.0),
+            ..ScheduleConfig::default()
+        };
+        let budgeted = generate_schedule(&stats, &ctx, &budget_cfg, 8);
         assert!(
             budgeted.trees.len() >= full.trees.len(),
             "tight budget should split at least as many trees: {} vs {}",
@@ -764,9 +758,9 @@ mod tests {
                     cost_model: &cm,
                     prob: &prob,
                 };
-                let mut cfg = ScheduleConfig::new(tasks).with_scheduler(scheduler);
+                let mut cfg = ScheduleConfig::default().with_scheduler(scheduler);
                 cfg.num_buckets = buckets;
-                let s = generate_schedule(&stats, &ctx, &cfg);
+                let s = generate_schedule(&stats, &ctx, &cfg, tasks);
 
                 // Zero tasks count as one.
                 prop_assert_eq!(s.num_tasks(), tasks.max(1));

@@ -45,7 +45,7 @@
 //!     cost_model: &cost_model,
 //!     prob: &prob,
 //! };
-//! let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::new(8));
+//! let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
 //! assert_eq!(schedule.num_tasks(), 8);
 //! assert_eq!(schedule.trees.len(), schedule.task_of_tree.len());
 //! ```

@@ -6,12 +6,10 @@
 //! including the paper's cap of comparing "only the first ≤ 350 characters"
 //! of the abstract attribute (footnote 8).
 
-use serde::{Deserialize, Serialize};
-
 use crate::levenshtein::levenshtein_similarity;
 
 /// Similarity kernel applied to one attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AttributeSim {
     /// Normalized Levenshtein similarity; `max_chars` truncates both inputs
     /// first (the paper compares only the first 350 chars of abstracts).
@@ -50,7 +48,7 @@ pub(crate) fn truncate(s: &str, max_chars: usize) -> &str {
 }
 
 /// One attribute's contribution to a match rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedAttr {
     /// Index into the entity's attribute vector.
     pub attr: usize,
@@ -68,7 +66,7 @@ impl WeightedAttr {
 }
 
 /// Weighted-summation match rule with a decision threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchRule {
     /// The weighted attribute terms.
     pub attrs: Vec<WeightedAttr>,
@@ -211,14 +209,6 @@ mod tests {
     #[should_panic(expected = "threshold")]
     fn rejects_bad_threshold() {
         let _ = MatchRule::new(vec![WeightedAttr::new(0, 1.0, AttributeSim::Exact)], 1.5);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = rule();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: MatchRule = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
     }
 
     proptest! {

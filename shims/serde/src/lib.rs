@@ -5,7 +5,32 @@
 //! converts a type *to* a `Value`, `Deserialize` reads it back *from*
 //! one. Formats (i.e. the `serde_json` shim) then only need to render
 //! and parse `Value`s. The derive macros re-exported here generate the
-//! corresponding `to_value`/`from_value` implementations.
+//! corresponding `to_value`/`from_value` implementations for structs
+//! with named fields, the one shape they support:
+//!
+//! ```
+//! use serde::{Deserialize, Serialize};
+//!
+//! #[derive(Debug, PartialEq, Serialize, Deserialize)]
+//! struct Entity {
+//!     id: u32,
+//!     attrs: Vec<String>,
+//! }
+//!
+//! let e = Entity { id: 7, attrs: vec!["a title".into(), String::new()] };
+//! let back = Entity::from_value(&e.to_value()).unwrap();
+//! assert_eq!(back, e);
+//! ```
+//!
+//! Any other shape is refused at compile time:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! enum Side {
+//!     Map,
+//!     Reduce,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -332,14 +357,14 @@ fn mismatch(expected: &str, got: &Value) -> DeError {
 }
 
 fn expect_seq_len(v: &Value, len: usize) -> Result<&[Value], DeError> {
-    let s = expect_seq(v, "tuple")?;
-    if s.len() != len {
-        return Err(DeError::msg(format!(
+    match v {
+        Value::Seq(s) if s.len() == len => Ok(s),
+        Value::Seq(s) => Err(DeError::msg(format!(
             "expected sequence of {len} elements, got {}",
             s.len()
-        )));
+        ))),
+        other => Err(mismatch("sequence", other)),
     }
-    Ok(s)
 }
 
 /// Expect `v` to be a map; `what` names the type for error messages.
@@ -348,17 +373,6 @@ pub fn expect_map<'v>(v: &'v Value, what: &str) -> Result<&'v [(String, Value)],
         Value::Map(m) => Ok(m),
         other => Err(DeError::msg(format!(
             "expected map for {what}, got {}",
-            kind(other)
-        ))),
-    }
-}
-
-/// Expect `v` to be a sequence; `what` names the type for error messages.
-pub fn expect_seq<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], DeError> {
-    match v {
-        Value::Seq(s) => Ok(s),
-        other => Err(DeError::msg(format!(
-            "expected sequence for {what}, got {}",
             kind(other)
         ))),
     }
@@ -374,20 +388,6 @@ pub fn field<T: Deserialize>(map: &[(String, Value)], name: &str) -> Result<T, D
         None => {
             T::from_value(&Value::Null).map_err(|_| DeError::msg(format!("missing field `{name}`")))
         }
-    }
-}
-
-/// Decompose an enum value into `(variant name, optional payload)`:
-/// unit variants serialize as a bare string, data variants as a
-/// single-entry map.
-pub fn variant<'v>(v: &'v Value, what: &str) -> Result<(&'v str, Option<&'v Value>), DeError> {
-    match v {
-        Value::Str(s) => Ok((s, None)),
-        Value::Map(m) if m.len() == 1 => Ok((&m[0].0, Some(&m[0].1))),
-        other => Err(DeError::msg(format!(
-            "expected enum variant for {what}, got {}",
-            kind(other)
-        ))),
     }
 }
 

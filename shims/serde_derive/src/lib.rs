@@ -1,31 +1,18 @@
 //! Offline stand-in for `serde_derive`.
 //!
-//! Parses `struct`/`enum` definitions directly from the token stream
-//! (no `syn`/`quote` — those aren't available offline) and emits
+//! Parses `struct` definitions directly from the token stream (no
+//! `syn`/`quote` — those aren't available offline) and emits
 //! implementations of the shim `serde`'s `Serialize`/`Deserialize`
 //! traits, which route through the owned `serde::Value` data model.
 //!
-//! Supported shapes — everything this workspace derives:
-//! named structs, tuple structs, unit structs, and enums mixing unit,
-//! tuple, and struct variants; lifetime/type generics on the container.
-//! Serde attributes (`#[serde(...)]`) are not supported and will
-//! simply be ignored.
+//! Supported shape — the one this workspace derives (the dataset's
+//! entities, ground truth and JSONL headers, the result fingerprint and
+//! the bench reports): structs with named fields, with lifetime/type
+//! generics on the container. Any other item (tuple or unit struct,
+//! enum, union) panics naming the type. Serde attributes
+//! (`#[serde(...)]`) are not supported and will simply be ignored.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// What kind of body an item (or enum variant) has.
-enum Fields {
-    Unit,
-    /// Field names in declaration order.
-    Named(Vec<String>),
-    /// Number of positional fields.
-    Tuple(usize),
-}
-
-enum Kind {
-    Struct(Fields),
-    Enum(Vec<(String, Fields)>),
-}
 
 struct Input {
     name: String,
@@ -33,7 +20,8 @@ struct Input {
     generics_decl: String,
     /// Generic arguments for the use site, e.g. `<'a, T>`.
     generics_use: String,
-    kind: Kind,
+    /// Field names in declaration order.
+    fields: Vec<String>,
 }
 
 #[proc_macro_derive(Serialize)]
@@ -64,7 +52,7 @@ fn parse(input: TokenStream) -> Input {
 
     let item_kind = match &tokens[i] {
         TokenTree::Ident(id) => id.to_string(),
-        other => panic!("expected `struct` or `enum`, found `{other}`"),
+        other => panic!("expected an item keyword, found `{other}`"),
     };
     i += 1;
 
@@ -77,42 +65,24 @@ fn parse(input: TokenStream) -> Input {
     let (generics_decl, generics_use) = parse_generics(&tokens, &mut i);
 
     // Skip a `where` clause if present (none in this workspace, but cheap
-    // to tolerate): everything up to the body group.
+    // to tolerate): everything up to the braced body.
     while i < tokens.len()
-        && !matches!(&tokens[i], TokenTree::Group(g) if g.delimiter() == Delimiter::Brace || g.delimiter() == Delimiter::Parenthesis)
-        && !matches!(&tokens[i], TokenTree::Punct(p) if p.as_char() == ';')
+        && !matches!(&tokens[i], TokenTree::Group(g) if g.delimiter() == Delimiter::Brace)
     {
         i += 1;
     }
-
-    let kind = if item_kind == "struct" {
-        match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Kind::Struct(Fields::Named(parse_named_fields(g.stream())))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Kind::Struct(Fields::Tuple(count_tuple_fields(g.stream())))
-            }
-            _ => Kind::Struct(Fields::Unit),
-        }
-    } else if item_kind == "enum" {
-        match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Kind::Enum(parse_variants(g.stream()))
-            }
-            other => panic!("expected enum body, found `{other:?}`"),
-        }
-    } else {
-        panic!(
-            "derive(Serialize/Deserialize) supports only structs and enums, found `{item_kind}`"
-        );
+    let fields = match tokens.get(i) {
+        Some(TokenTree::Group(g)) if item_kind == "struct" => parse_named_fields(g.stream()),
+        _ => panic!(
+            "derive(Serialize/Deserialize) supports only structs with named fields; `{name}` is not one"
+        ),
     };
 
     Input {
         name,
         generics_decl,
         generics_use,
-        kind,
+        fields,
     }
 }
 
@@ -265,38 +235,6 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
     names
 }
 
-/// Number of fields in a tuple body.
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    split_top_level(&tokens).len()
-}
-
-/// `(variant name, fields)` for each enum variant.
-fn parse_variants(stream: TokenStream) -> Vec<(String, Fields)> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut variants = Vec::new();
-    for var in split_top_level(&tokens) {
-        let mut j = 0;
-        skip_attrs_and_vis(&var, &mut j);
-        let name = match var.get(j) {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            _ => continue,
-        };
-        j += 1;
-        let fields = match var.get(j) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Fields::Named(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Fields::Tuple(count_tuple_fields(g.stream()))
-            }
-            _ => Fields::Unit, // unit variant, possibly with `= discriminant`
-        };
-        variants.push((name, fields));
-    }
-    variants
-}
-
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
@@ -311,163 +249,28 @@ fn impl_header(input: &Input, trait_name: &str) -> String {
 fn gen_serialize(input: &Input) -> String {
     let mut out = impl_header(input, "Serialize");
     out.push_str("fn to_value(&self) -> ::serde::Value {\n");
-    match &input.kind {
-        Kind::Struct(Fields::Unit) => {
-            out.push_str("::serde::Value::Null\n");
-        }
-        Kind::Struct(Fields::Named(names)) => {
-            out.push_str(&ser_named_map(names, |n| format!("&self.{n}")));
-        }
-        Kind::Struct(Fields::Tuple(1)) => {
-            out.push_str("::serde::Serialize::to_value(&self.0)\n");
-        }
-        Kind::Struct(Fields::Tuple(n)) => {
-            out.push_str("::serde::Value::Seq(::std::vec::Vec::from([\n");
-            for k in 0..*n {
-                out.push_str(&format!("::serde::Serialize::to_value(&self.{k}),\n"));
-            }
-            out.push_str("]))\n");
-        }
-        Kind::Enum(variants) => {
-            out.push_str("match self {\n");
-            for (vname, fields) in variants {
-                let ty = &input.name;
-                match fields {
-                    Fields::Unit => out.push_str(&format!(
-                        "{ty}::{vname} => ::serde::Value::Str(::std::string::String::from(\"{vname}\")),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let payload = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!(
-                                "::serde::Value::Seq(::std::vec::Vec::from([{}]))",
-                                items.join(", ")
-                            )
-                        };
-                        out.push_str(&format!(
-                            "{ty}::{vname}({}) => ::serde::Value::Map(::std::vec::Vec::from([(::std::string::String::from(\"{vname}\"), {payload})])),\n",
-                            binds.join(", ")
-                        ));
-                    }
-                    Fields::Named(names) => {
-                        let inner = ser_named_map(names, |n| n.to_string());
-                        out.push_str(&format!(
-                            "{ty}::{vname} {{ {} }} => {{ let __payload = {{ {inner} }};\n ::serde::Value::Map(::std::vec::Vec::from([(::std::string::String::from(\"{vname}\"), __payload)])) }},\n",
-                            names.join(", ")
-                        ));
-                    }
-                }
-            }
-            out.push_str("}\n");
-        }
-    }
-    out.push_str("}\n}\n");
-    out
-}
-
-/// `Value::Map` construction for a list of named fields; `access`
-/// renders the expression yielding a reference to each field.
-fn ser_named_map(names: &[String], access: impl Fn(&str) -> String) -> String {
-    let mut s = String::from(
+    out.push_str(
         "let mut __m: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
     );
-    for n in names {
-        s.push_str(&format!(
-            "__m.push((::std::string::String::from(\"{n}\"), ::serde::Serialize::to_value({})));\n",
-            access(n)
+    for n in &input.fields {
+        out.push_str(&format!(
+            "__m.push((::std::string::String::from(\"{n}\"), ::serde::Serialize::to_value(&self.{n})));\n"
         ));
     }
-    s.push_str("::serde::Value::Map(__m)\n");
-    s
+    out.push_str("::serde::Value::Map(__m)\n}\n}\n");
+    out
 }
 
 fn gen_deserialize(input: &Input) -> String {
     let mut out = impl_header(input, "Deserialize");
-    out.push_str(
-        "fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {\n",
-    );
     let ty = &input.name;
-    match &input.kind {
-        Kind::Struct(Fields::Unit) => {
-            out.push_str(&format!("::std::result::Result::Ok({ty})\n"));
-        }
-        Kind::Struct(Fields::Named(names)) => {
-            out.push_str(&format!(
-                "let __m = ::serde::expect_map(__v, \"{ty}\")?;\n::std::result::Result::Ok({ty} {{\n"
-            ));
-            for n in names {
-                out.push_str(&format!("{n}: ::serde::field(__m, \"{n}\")?,\n"));
-            }
-            out.push_str("})\n");
-        }
-        Kind::Struct(Fields::Tuple(1)) => {
-            out.push_str(&format!(
-                "::std::result::Result::Ok({ty}(::serde::Deserialize::from_value(__v)?))\n"
-            ));
-        }
-        Kind::Struct(Fields::Tuple(n)) => {
-            out.push_str(&format!(
-                "let __s = ::serde::expect_seq(__v, \"{ty}\")?;\nif __s.len() != {n} {{ return ::std::result::Result::Err(::serde::DeError::msg(\"wrong tuple arity\")); }}\n::std::result::Result::Ok({ty}(\n"
-            ));
-            for k in 0..*n {
-                out.push_str(&format!("::serde::Deserialize::from_value(&__s[{k}])?,\n"));
-            }
-            out.push_str("))\n");
-        }
-        Kind::Enum(variants) => {
-            out.push_str(&format!(
-                "let (__tag, __payload) = ::serde::variant(__v, \"{ty}\")?;\nmatch __tag {{\n"
-            ));
-            for (vname, fields) in variants {
-                match fields {
-                    Fields::Unit => out.push_str(&format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({ty}::{vname}),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let need_payload = format!(
-                            "let __p = __payload.ok_or_else(|| ::serde::DeError::msg(\"variant `{vname}` needs a payload\"))?;"
-                        );
-                        if *n == 1 {
-                            out.push_str(&format!(
-                                "\"{vname}\" => {{ {need_payload} ::std::result::Result::Ok({ty}::{vname}(::serde::Deserialize::from_value(__p)?)) }},\n"
-                            ));
-                        } else {
-                            let mut arm = format!(
-                                "\"{vname}\" => {{ {need_payload} let __s = ::serde::expect_seq(__p, \"{vname}\")?;\nif __s.len() != {n} {{ return ::std::result::Result::Err(::serde::DeError::msg(\"wrong variant arity\")); }}\n::std::result::Result::Ok({ty}::{vname}(\n"
-                            );
-                            for k in 0..*n {
-                                arm.push_str(&format!(
-                                    "::serde::Deserialize::from_value(&__s[{k}])?,\n"
-                                ));
-                            }
-                            arm.push_str(")) },\n");
-                            out.push_str(&arm);
-                        }
-                    }
-                    Fields::Named(names) => {
-                        let mut arm = format!(
-                            "\"{vname}\" => {{ let __p = __payload.ok_or_else(|| ::serde::DeError::msg(\"variant `{vname}` needs a payload\"))?;\nlet __m = ::serde::expect_map(__p, \"{vname}\")?;\n::std::result::Result::Ok({ty}::{vname} {{\n"
-                        );
-                        for n in names {
-                            arm.push_str(&format!("{n}: ::serde::field(__m, \"{n}\")?,\n"));
-                        }
-                        arm.push_str("}) },\n");
-                        out.push_str(&arm);
-                    }
-                }
-            }
-            out.push_str(&format!(
-                "__other => ::std::result::Result::Err(::serde::DeError::msg(::std::format!(\"unknown variant `{{}}` for {ty}\", __other))),\n"
-            ));
-            out.push_str("}\n");
-        }
+    out.push_str(&format!(
+        "fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+         let __m = ::serde::expect_map(__v, \"{ty}\")?;\n::std::result::Result::Ok({ty} {{\n"
+    ));
+    for n in &input.fields {
+        out.push_str(&format!("{n}: ::serde::field(__m, \"{n}\")?,\n"));
     }
-    out.push_str("}\n}\n");
+    out.push_str("})\n}\n}\n");
     out
 }
