@@ -7,11 +7,11 @@
 //! publisher prefixes (3/5).
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::corrupt::{CorruptionConfig, Corruptor};
-use crate::entity::{Dataset, Entity, GroundTruth};
+use crate::cluster::Kind;
+use crate::corrupt::{CATEGORICAL, LIGHT};
+use crate::entity::Dataset;
 use crate::words::{
     FIRST_NAMES, FORMATS, LANGUAGES, LAST_NAMES, PUBLISHERS, TITLE_OPENERS, TITLE_WORDS,
 };
@@ -24,148 +24,78 @@ pub struct BookGen {
     pub n: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Probability that a book has more than one record.
-    pub dup_cluster_prob: f64,
-    /// Geometric continuation probability for cluster sizes beyond 2.
-    pub cluster_growth: f64,
-    /// Maximum cluster size.
-    pub max_cluster: usize,
-    /// Zipf exponent for title openers.
-    pub zipf_exponent: f64,
-    /// Per-attribute corruption: title, authors, publisher, year, isbn,
-    /// pages, language, format.
-    pub corruption: [CorruptionConfig; 8],
 }
+
+/// The books kind.
+const BOOKS: Kind = Kind {
+    name: "books",
+    attrs: &[
+        ("title", LIGHT),
+        ("authors", LIGHT),
+        ("publisher", CATEGORICAL),
+        ("year", CATEGORICAL),
+        ("isbn", CATEGORICAL),
+        ("pages", CATEGORICAL),
+        ("language", CATEGORICAL),
+        ("format", CATEGORICAL),
+    ],
+    seed_mix: 0xb00c,
+    dup_cluster_prob: 0.3,
+    cluster_growth: 0.4,
+    max_cluster: 5,
+    zipf_exponent: 1.05,
+    master,
+};
 
 impl BookGen {
     /// Default configuration for `n` entities with the given seed.
     pub fn new(n: usize, seed: u64) -> Self {
-        Self {
-            n,
-            seed,
-            dup_cluster_prob: 0.3,
-            cluster_growth: 0.4,
-            max_cluster: 5,
-            zipf_exponent: 1.05,
-            corruption: [
-                CorruptionConfig::light(),       // title
-                CorruptionConfig::light(),       // authors
-                CorruptionConfig::categorical(), // publisher
-                CorruptionConfig::categorical(), // year
-                CorruptionConfig::categorical(), // isbn
-                CorruptionConfig::categorical(), // pages
-                CorruptionConfig::categorical(), // language
-                CorruptionConfig::categorical(), // format
-            ],
-        }
+        Self { n, seed }
     }
 
-    /// Attribute names in schema order.
-    pub fn schema() -> Vec<String> {
-        [
-            "title",
-            "authors",
-            "publisher",
-            "year",
-            "isbn",
-            "pages",
-            "language",
-            "format",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect()
-    }
-
-    /// Generate the dataset. The RNG call sequence (and hence every byte
-    /// of output) is pinned by the `books_golden` integration test.
+    /// Generate the dataset.
     pub fn generate(&self) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xb00c);
-        let opener_dist = Zipf::new(TITLE_OPENERS.len(), self.zipf_exponent);
-        let corruptor = Corruptor;
+        BOOKS.generate(self.n, self.seed, BOOKS.dup_cluster_prob)
+    }
+}
 
-        let mut records: Vec<(u32, Vec<String>)> = Vec::with_capacity(self.n);
-        let mut cluster_id = 0u32;
-        while records.len() < self.n {
-            let master = self.master_record(&mut rng, &opener_dist, cluster_id);
-            let size = self.cluster_size(&mut rng).min(self.n - records.len());
-            let at = records.len();
-            records.push((cluster_id, master));
-            for _ in 1..size {
-                let copy = records[at]
-                    .1
-                    .iter()
-                    .zip(self.corruption.iter())
-                    .map(|(attr, cfg)| corruptor.corrupt_attr(&mut rng, attr, cfg))
-                    .collect();
-                records.push((cluster_id, copy));
-            }
-            cluster_id += 1;
-        }
-
-        records.shuffle(&mut rng);
-        let (clusters, entities): (Vec<u32>, Vec<Entity>) = records
-            .into_iter()
-            .enumerate()
-            .map(|(i, (c, attrs))| (c, Entity::new(i as u32, attrs)))
-            .unzip();
-        Dataset::new(
-            format!("books-{}-seed{}", self.n, self.seed),
-            Self::schema(),
-            entities,
-            GroundTruth::new(clusters),
-        )
+fn master(rng: &mut StdRng, openers: &Zipf, cluster: u32) -> Vec<String> {
+    let opener = TITLE_OPENERS[openers.sample(rng)];
+    let body_len = rng.random_range(2..=5);
+    let mut title = String::from(opener);
+    for _ in 0..body_len {
+        title.push(' ');
+        title.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
     }
 
-    fn cluster_size(&self, rng: &mut StdRng) -> usize {
-        if !rng.random_bool(self.dup_cluster_prob.clamp(0.0, 1.0)) {
-            return 1;
-        }
-        let mut size = 2;
-        while size < self.max_cluster && rng.random_bool(self.cluster_growth.clamp(0.0, 1.0)) {
-            size += 1;
-        }
-        size
-    }
+    let n_authors = rng.random_range(1..=2);
+    let authors = (0..n_authors)
+        .map(|_| {
+            format!(
+                "{} {}",
+                FIRST_NAMES[rng.random_range(0..FIRST_NAMES.len())],
+                LAST_NAMES[rng.random_range(0..LAST_NAMES.len())]
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
 
-    fn master_record(&self, rng: &mut StdRng, opener_dist: &Zipf, cluster: u32) -> Vec<String> {
-        let opener = TITLE_OPENERS[opener_dist.sample(rng)];
-        let body_len = rng.random_range(2..=5);
-        let mut title = String::from(opener);
-        for _ in 0..body_len {
-            title.push(' ');
-            title.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
-        }
+    let publisher = PUBLISHERS[rng.random_range(0..PUBLISHERS.len())].to_string();
+    let year = rng.random_range(1950..=2025).to_string();
+    // ISBN-like key derived from the cluster id plus random check digits:
+    // stable within a cluster modulo corruption.
+    let isbn = format!(
+        "978{:07}{:03}",
+        cluster % 10_000_000,
+        rng.random_range(0..1000)
+    );
+    let pages = rng.random_range(80..1200).to_string();
+    let language = LANGUAGES[rng.random_range(0..LANGUAGES.len())].to_string();
+    let format = FORMATS[rng.random_range(0..FORMATS.len())].to_string();
 
-        let n_authors = rng.random_range(1..=2);
-        let authors = (0..n_authors)
-            .map(|_| {
-                format!(
-                    "{} {}",
-                    FIRST_NAMES[rng.random_range(0..FIRST_NAMES.len())],
-                    LAST_NAMES[rng.random_range(0..LAST_NAMES.len())]
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-
-        let publisher = PUBLISHERS[rng.random_range(0..PUBLISHERS.len())].to_string();
-        let year = rng.random_range(1950..=2025).to_string();
-        // ISBN-like key derived from the cluster id plus random check digits:
-        // stable within a cluster modulo corruption.
-        let isbn = format!(
-            "978{:07}{:03}",
-            cluster % 10_000_000,
-            rng.random_range(0..1000)
-        );
-        let pages = rng.random_range(80..1200).to_string();
-        let language = LANGUAGES[rng.random_range(0..LANGUAGES.len())].to_string();
-        let format = FORMATS[rng.random_range(0..FORMATS.len())].to_string();
-
-        vec![
-            title, authors, publisher, year, isbn, pages, language, format,
-        ]
-    }
+    vec![
+        title, authors, publisher, year, isbn, pages, language, format,
+    ]
 }
 
 #[cfg(test)]

@@ -7,11 +7,11 @@
 //! corrupted copies of a master record with exact cluster ground truth.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::corrupt::{CorruptionConfig, Corruptor};
-use crate::entity::{Dataset, Entity, GroundTruth};
+use crate::cluster::Kind;
+use crate::corrupt::{CATEGORICAL, HEAVY, LIGHT};
+use crate::entity::Dataset;
 use crate::words::{
     ABSTRACT_FRAGMENTS, FIRST_NAMES, LAST_NAMES, TITLE_OPENERS, TITLE_WORDS, VENUES,
 };
@@ -26,15 +26,25 @@ pub struct PubGen {
     pub seed: u64,
     /// Probability that a real-world object has more than one record.
     pub dup_cluster_prob: f64,
-    /// Geometric continuation probability for cluster sizes beyond 2.
-    pub cluster_growth: f64,
-    /// Maximum cluster size.
-    pub max_cluster: usize,
-    /// Zipf exponent for the title-opener distribution (block skew knob).
-    pub zipf_exponent: f64,
-    /// Corruption configs per attribute: title, abstract, venue, authors, year.
-    pub corruption: [CorruptionConfig; 5],
 }
+
+/// The publications kind.
+const PUBS: Kind = Kind {
+    name: "pubs",
+    attrs: &[
+        ("title", LIGHT),
+        ("abstract", HEAVY),
+        ("venue", CATEGORICAL),
+        ("authors", LIGHT),
+        ("year", CATEGORICAL),
+    ],
+    seed_mix: 0,
+    dup_cluster_prob: 0.35,
+    cluster_growth: 0.45,
+    max_cluster: 6,
+    zipf_exponent: 0.95,
+    master,
+};
 
 impl PubGen {
     /// Default configuration for `n` entities with the given seed.
@@ -42,114 +52,52 @@ impl PubGen {
         Self {
             n,
             seed,
-            dup_cluster_prob: 0.35,
-            cluster_growth: 0.45,
-            max_cluster: 6,
-            zipf_exponent: 0.95,
-            corruption: [
-                CorruptionConfig::light(),       // title
-                CorruptionConfig::heavy(),       // abstract
-                CorruptionConfig::categorical(), // venue
-                CorruptionConfig::light(),       // authors
-                CorruptionConfig::categorical(), // year
-            ],
+            dup_cluster_prob: PUBS.dup_cluster_prob,
         }
-    }
-
-    /// Attribute names in schema order.
-    pub fn schema() -> Vec<String> {
-        ["title", "abstract", "venue", "authors", "year"]
-            .into_iter()
-            .map(String::from)
-            .collect()
     }
 
     /// Generate the dataset.
     pub fn generate(&self) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let opener_dist = Zipf::new(TITLE_OPENERS.len(), self.zipf_exponent);
-        let corruptor = Corruptor;
+        PUBS.generate(self.n, self.seed, self.dup_cluster_prob)
+    }
+}
 
-        let mut records: Vec<(u32, Vec<String>)> = Vec::with_capacity(self.n);
-        let mut cluster_id = 0u32;
-        while records.len() < self.n {
-            let master = self.master_record(&mut rng, &opener_dist);
-            let size = self.cluster_size(&mut rng).min(self.n - records.len());
-            records.push((cluster_id, master.clone()));
-            for _ in 1..size {
-                let copy = master
-                    .iter()
-                    .zip(self.corruption.iter())
-                    .map(|(attr, cfg)| corruptor.corrupt_attr(&mut rng, attr, cfg))
-                    .collect();
-                records.push((cluster_id, copy));
-            }
-            cluster_id += 1;
-        }
-
-        records.shuffle(&mut rng);
-        let (clusters, entities): (Vec<u32>, Vec<Entity>) = records
-            .into_iter()
-            .enumerate()
-            .map(|(i, (c, attrs))| (c, Entity::new(i as u32, attrs)))
-            .unzip();
-        Dataset::new(
-            format!("pubs-{}-seed{}", self.n, self.seed),
-            Self::schema(),
-            entities,
-            GroundTruth::new(clusters),
-        )
+fn master(rng: &mut StdRng, openers: &Zipf, _cluster: u32) -> Vec<String> {
+    let opener = TITLE_OPENERS[openers.sample(rng)];
+    let body_len = rng.random_range(3..=6);
+    let mut title = String::from(opener);
+    for _ in 0..body_len {
+        title.push(' ');
+        title.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
     }
 
-    fn cluster_size(&self, rng: &mut StdRng) -> usize {
-        if !rng.random_bool(self.dup_cluster_prob.clamp(0.0, 1.0)) {
-            return 1;
-        }
-        let mut size = 2;
-        while size < self.max_cluster && rng.random_bool(self.cluster_growth.clamp(0.0, 1.0)) {
-            size += 1;
-        }
-        size
-    }
-
-    fn master_record(&self, rng: &mut StdRng, opener_dist: &Zipf) -> Vec<String> {
-        let opener = TITLE_OPENERS[opener_dist.sample(rng)];
-        let body_len = rng.random_range(3..=6);
-        let mut title = String::from(opener);
-        for _ in 0..body_len {
-            title.push(' ');
-            title.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
-        }
-
-        let n_frags = rng.random_range(3..=5);
-        let mut abstract_text = String::new();
-        for i in 0..n_frags {
-            if i > 0 {
-                abstract_text.push(' ');
-            }
-            abstract_text
-                .push_str(ABSTRACT_FRAGMENTS[rng.random_range(0..ABSTRACT_FRAGMENTS.len())]);
+    let n_frags = rng.random_range(3..=5);
+    let mut abstract_text = String::new();
+    for i in 0..n_frags {
+        if i > 0 {
             abstract_text.push(' ');
-            abstract_text.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
         }
-
-        let venue = VENUES[rng.random_range(0..VENUES.len())].to_string();
-
-        let n_authors = rng.random_range(1..=3);
-        let authors = (0..n_authors)
-            .map(|_| {
-                format!(
-                    "{} {}",
-                    FIRST_NAMES[rng.random_range(0..FIRST_NAMES.len())],
-                    LAST_NAMES[rng.random_range(0..LAST_NAMES.len())]
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-
-        let year = rng.random_range(1990..=2025).to_string();
-        vec![title, abstract_text, venue, authors, year]
+        abstract_text.push_str(ABSTRACT_FRAGMENTS[rng.random_range(0..ABSTRACT_FRAGMENTS.len())]);
+        abstract_text.push(' ');
+        abstract_text.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
     }
+
+    let venue = VENUES[rng.random_range(0..VENUES.len())].to_string();
+
+    let n_authors = rng.random_range(1..=3);
+    let authors = (0..n_authors)
+        .map(|_| {
+            format!(
+                "{} {}",
+                FIRST_NAMES[rng.random_range(0..FIRST_NAMES.len())],
+                LAST_NAMES[rng.random_range(0..LAST_NAMES.len())]
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+
+    let year = rng.random_range(1990..=2025).to_string();
+    vec![title, abstract_text, venue, authors, year]
 }
 
 #[cfg(test)]
@@ -231,12 +179,11 @@ mod tests {
 
     #[test]
     fn cluster_sizes_capped() {
-        let gen = PubGen::new(5_000, 5);
-        let ds = gen.generate();
+        let ds = PubGen::new(5_000, 5).generate();
         let mut sizes: HashMap<u32, usize> = HashMap::new();
         for e in &ds.entities {
             *sizes.entry(ds.truth.cluster(e.id)).or_insert(0) += 1;
         }
-        assert!(sizes.values().all(|&s| s <= gen.max_cluster));
+        assert!(sizes.values().all(|&s| s <= PUBS.max_cluster));
     }
 }

@@ -1,121 +1,100 @@
 //! Corruption model producing realistic near-duplicate entities.
 //!
 //! Each duplicate copy of a master record passes every attribute through
-//! [`Corruptor::corrupt_attr`], which applies character-level typos, token
-//! swaps, truncation, case noise, or drops the value entirely. Rates are
-//! configured per call so generators can corrupt key attributes (title)
-//! lightly and free-text attributes (abstract) heavily — which is what makes
-//! *multiple* blocking functions necessary to cover all duplicate pairs, as
-//! in the paper's Table I example where `⟨e4,e5⟩` lands in different
-//! name-prefix blocks but the same state block.
+//! [`corrupt_attr`], which applies character-level typos, token swaps,
+//! truncation, case noise, or drops the value entirely. Each kind of dataset
+//! picks one preset per attribute, so generators corrupt key attributes
+//! (title) lightly and free-text attributes (abstract) heavily — which is
+//! what makes *multiple* blocking functions necessary to cover all
+//! duplicate pairs, as in the paper's Table I example where `⟨e4,e5⟩` lands
+//! in different name-prefix blocks but the same state block.
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Per-attribute corruption rates, all probabilities in `[0, 1]`.
-#[derive(Debug, Clone)]
-pub struct CorruptionConfig {
+pub(crate) struct Corruption {
     /// Probability that the attribute is corrupted at all.
-    pub corrupt_prob: f64,
+    corrupt_prob: f64,
     /// Given corruption, expected number of character edits (Poisson-ish,
     /// sampled as 1 + geometric).
-    pub char_edits: f64,
+    char_edits: f64,
     /// Probability of swapping two adjacent tokens (if ≥ 2 tokens).
-    pub token_swap_prob: f64,
+    token_swap_prob: f64,
     /// Probability of truncating the value to its first half.
-    pub truncate_prob: f64,
+    truncate_prob: f64,
     /// Probability of flipping the case of the first character.
-    pub case_flip_prob: f64,
+    case_flip_prob: f64,
     /// Probability the value goes missing entirely (empty string).
-    pub missing_prob: f64,
+    missing_prob: f64,
 }
 
-impl CorruptionConfig {
-    /// Light corruption: suitable for blocking-key attributes; rarely touches
-    /// the first characters so most duplicates stay in the same prefix block.
-    pub fn light() -> Self {
-        Self {
-            corrupt_prob: 0.35,
-            char_edits: 1.2,
-            token_swap_prob: 0.05,
-            truncate_prob: 0.02,
-            case_flip_prob: 0.05,
-            missing_prob: 0.01,
+/// Light corruption: suitable for blocking-key attributes; rarely touches
+/// the first characters so most duplicates stay in the same prefix block.
+pub(crate) const LIGHT: Corruption = Corruption {
+    corrupt_prob: 0.35,
+    char_edits: 1.2,
+    token_swap_prob: 0.05,
+    truncate_prob: 0.02,
+    case_flip_prob: 0.05,
+    missing_prob: 0.01,
+};
+
+/// Heavy corruption: free-text attributes.
+pub(crate) const HEAVY: Corruption = Corruption {
+    corrupt_prob: 0.6,
+    char_edits: 2.5,
+    token_swap_prob: 0.15,
+    truncate_prob: 0.1,
+    case_flip_prob: 0.1,
+    missing_prob: 0.08,
+};
+
+/// Categorical attributes: either intact or missing/mistyped wholesale.
+pub(crate) const CATEGORICAL: Corruption = Corruption {
+    corrupt_prob: 0.12,
+    char_edits: 1.0,
+    token_swap_prob: 0.0,
+    truncate_prob: 0.0,
+    case_flip_prob: 0.1,
+    missing_prob: 0.05,
+};
+
+/// Corrupt one attribute value according to `cfg`. Deterministic given the
+/// RNG state.
+pub(crate) fn corrupt_attr(rng: &mut StdRng, value: &str, cfg: &Corruption) -> String {
+    if value.is_empty() || !rng.random_bool(cfg.corrupt_prob) {
+        return value.to_string();
+    }
+    if rng.random_bool(cfg.missing_prob) {
+        return String::new();
+    }
+    let mut chars: Vec<char> = value.chars().collect();
+
+    if rng.random_bool(cfg.token_swap_prob) {
+        chars = swap_adjacent_tokens(&chars, rng);
+    }
+    if rng.random_bool(cfg.truncate_prob) && chars.len() > 4 {
+        chars.truncate(chars.len() / 2);
+    }
+    // 1 + geometric(1/char_edits) character edits.
+    let mut edits = 1;
+    while (edits as f64) < cfg.char_edits * 4.0 && rng.random_bool(edit_continue(cfg.char_edits)) {
+        edits += 1;
+    }
+    for _ in 0..edits {
+        apply_char_edit(&mut chars, rng);
+    }
+    if rng.random_bool(cfg.case_flip_prob) {
+        if let Some(c) = chars.first_mut() {
+            *c = if c.is_uppercase() {
+                c.to_ascii_lowercase()
+            } else {
+                c.to_ascii_uppercase()
+            };
         }
     }
-
-    /// Heavy corruption: free-text attributes.
-    pub fn heavy() -> Self {
-        Self {
-            corrupt_prob: 0.6,
-            char_edits: 2.5,
-            token_swap_prob: 0.15,
-            truncate_prob: 0.1,
-            case_flip_prob: 0.1,
-            missing_prob: 0.08,
-        }
-    }
-
-    /// Categorical attributes: either intact or missing/mistyped wholesale.
-    pub fn categorical() -> Self {
-        Self {
-            corrupt_prob: 0.12,
-            char_edits: 1.0,
-            token_swap_prob: 0.0,
-            truncate_prob: 0.0,
-            case_flip_prob: 0.1,
-            missing_prob: 0.05,
-        }
-    }
-}
-
-/// Applies a [`CorruptionConfig`] to attribute values.
-#[derive(Debug, Clone, Default)]
-pub struct Corruptor;
-
-impl Corruptor {
-    /// Corrupt one attribute value according to `cfg`. Deterministic given
-    /// the RNG state.
-    pub fn corrupt_attr<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        value: &str,
-        cfg: &CorruptionConfig,
-    ) -> String {
-        if value.is_empty() || !rng.random_bool(cfg.corrupt_prob.clamp(0.0, 1.0)) {
-            return value.to_string();
-        }
-        if rng.random_bool(cfg.missing_prob.clamp(0.0, 1.0)) {
-            return String::new();
-        }
-        let mut chars: Vec<char> = value.chars().collect();
-
-        if rng.random_bool(cfg.token_swap_prob.clamp(0.0, 1.0)) {
-            chars = swap_adjacent_tokens(&chars, rng);
-        }
-        if rng.random_bool(cfg.truncate_prob.clamp(0.0, 1.0)) && chars.len() > 4 {
-            chars.truncate(chars.len() / 2);
-        }
-        // 1 + geometric(1/char_edits) character edits.
-        let mut edits = 1;
-        while (edits as f64) < cfg.char_edits * 4.0
-            && rng.random_bool(edit_continue(cfg.char_edits))
-        {
-            edits += 1;
-        }
-        for _ in 0..edits {
-            apply_char_edit(&mut chars, rng);
-        }
-        if rng.random_bool(cfg.case_flip_prob.clamp(0.0, 1.0)) {
-            if let Some(c) = chars.first_mut() {
-                *c = if c.is_uppercase() {
-                    c.to_ascii_lowercase()
-                } else {
-                    c.to_ascii_uppercase()
-                };
-            }
-        }
-        chars.into_iter().collect()
-    }
+    chars.into_iter().collect()
 }
 
 fn edit_continue(expected: f64) -> f64 {
@@ -126,7 +105,7 @@ fn edit_continue(expected: f64) -> f64 {
     }
 }
 
-fn swap_adjacent_tokens<R: Rng + ?Sized>(chars: &[char], rng: &mut R) -> Vec<char> {
+fn swap_adjacent_tokens(chars: &[char], rng: &mut StdRng) -> Vec<char> {
     let s: String = chars.iter().collect();
     let mut tokens: Vec<&str> = s.split(' ').collect();
     if tokens.len() >= 2 {
@@ -140,9 +119,9 @@ fn swap_adjacent_tokens<R: Rng + ?Sized>(chars: &[char], rng: &mut R) -> Vec<cha
 /// Edits are biased *away from position 0* (weighted towards the middle) so
 /// that prefix blocking keys usually survive — but not always, which is
 /// precisely why a single blocking function misses some duplicate pairs.
-fn apply_char_edit<R: Rng + ?Sized>(chars: &mut Vec<char>, rng: &mut R) {
+fn apply_char_edit(chars: &mut Vec<char>, rng: &mut StdRng) {
     const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
-    let rand_char = |rng: &mut R| ALPHABET[rng.random_range(0..ALPHABET.len())] as char;
+    let rand_char = |rng: &mut StdRng| ALPHABET[rng.random_range(0..ALPHABET.len())] as char;
     if chars.is_empty() {
         chars.push(rand_char(rng));
         return;
@@ -174,20 +153,18 @@ fn apply_char_edit<R: Rng + ?Sized>(chars: &mut Vec<char>, rng: &mut R) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn zero_prob_is_identity() {
-        let cfg = CorruptionConfig {
+        let cfg = Corruption {
             corrupt_prob: 0.0,
-            ..CorruptionConfig::light()
+            ..LIGHT
         };
         let mut rng = StdRng::seed_from_u64(1);
-        let c = Corruptor;
         for _ in 0..50 {
             assert_eq!(
-                c.corrupt_attr(&mut rng, "progressive er", &cfg),
+                corrupt_attr(&mut rng, "progressive er", &cfg),
                 "progressive er"
             );
         }
@@ -195,13 +172,12 @@ mod tests {
 
     #[test]
     fn corruption_usually_keeps_strings_close() {
-        let cfg = CorruptionConfig::light();
+        let cfg = LIGHT;
         let mut rng = StdRng::seed_from_u64(2);
-        let c = Corruptor;
         let original = "progressive entity resolution";
         let mut total_changed = 0;
         for _ in 0..200 {
-            let out = c.corrupt_attr(&mut rng, original, &cfg);
+            let out = corrupt_attr(&mut rng, original, &cfg);
             if out != original {
                 total_changed += 1;
                 // Light corruption shouldn't unrecognizably mangle the value.
@@ -220,28 +196,26 @@ mod tests {
 
     #[test]
     fn missing_values_occur_under_heavy_config() {
-        let cfg = CorruptionConfig {
+        let cfg = Corruption {
             corrupt_prob: 1.0,
             missing_prob: 0.5,
-            ..CorruptionConfig::heavy()
+            ..HEAVY
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let c = Corruptor;
         let empties = (0..200)
-            .filter(|_| c.corrupt_attr(&mut rng, "value", &cfg).is_empty())
+            .filter(|_| corrupt_attr(&mut rng, "value", &cfg).is_empty())
             .count();
         assert!((50..150).contains(&empties), "empties = {empties}");
     }
 
     #[test]
     fn prefix_usually_survives_light_corruption() {
-        let cfg = CorruptionConfig::light();
+        let cfg = LIGHT;
         let mut rng = StdRng::seed_from_u64(4);
-        let c = Corruptor;
         let original = "distributed query processing";
         let survived = (0..500)
             .filter(|_| {
-                let out = c.corrupt_attr(&mut rng, original, &cfg);
+                let out = corrupt_attr(&mut rng, original, &cfg);
                 out.chars().take(2).collect::<String>()
                     == original.chars().take(2).collect::<String>()
             })
@@ -258,21 +232,20 @@ mod tests {
 
     #[test]
     fn empty_input_stays_empty() {
-        let cfg = CorruptionConfig::heavy();
+        let cfg = HEAVY;
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(Corruptor.corrupt_attr(&mut rng, "", &cfg), "");
+        assert_eq!(corrupt_attr(&mut rng, "", &cfg), "");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let cfg = CorruptionConfig::heavy();
-        let c = Corruptor;
+        let cfg = HEAVY;
         let mut r1 = StdRng::seed_from_u64(7);
         let mut r2 = StdRng::seed_from_u64(7);
         for _ in 0..100 {
             assert_eq!(
-                c.corrupt_attr(&mut r1, "some attribute value", &cfg),
-                c.corrupt_attr(&mut r2, "some attribute value", &cfg)
+                corrupt_attr(&mut r1, "some attribute value", &cfg),
+                corrupt_attr(&mut r2, "some attribute value", &cfg)
             );
         }
     }

@@ -135,6 +135,8 @@ impl Dataset {
     }
 
     /// Serialize as JSON-lines: a header object, then one entity per line.
+    /// Flushes `w` before returning, so a buffered writer's last bytes
+    /// reach its sink or fail here.
     pub fn write_jsonl<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         #[derive(Serialize)]
         struct Header<'a> {
@@ -153,7 +155,7 @@ impl Dataset {
             serde_json::to_writer(&mut w, e)?;
             writeln!(w)?;
         }
-        Ok(())
+        w.flush()
     }
 
     /// Deserialize from the format produced by [`Dataset::write_jsonl`]. A
@@ -189,18 +191,6 @@ impl Dataset {
             entities,
             header.clusters,
         ))
-    }
-
-    /// Take a prefix of the dataset (used to scale experiments down); cluster
-    /// ids are preserved so truth stays exact.
-    pub fn truncated(&self, n: usize) -> Dataset {
-        let n = n.min(self.len());
-        Dataset::new(
-            format!("{}[..{}]", self.name, n),
-            self.schema.clone(),
-            self.entities[..n].to_vec(),
-            GroundTruth::new(self.truth.cluster_of[..n].to_vec()),
-        )
     }
 }
 
@@ -303,11 +293,26 @@ mod tests {
         assert_eq!(back.truth, ds.truth);
     }
 
+    /// A writer whose every `write` and `flush` fails.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("device gone"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("device gone"))
+        }
+    }
+
+    /// Bytes a buffered writer still holds when `write_jsonl` returns are
+    /// flushed there, so a failure to write them is its error, not lost
+    /// in the writer's drop.
     #[test]
-    fn truncated_preserves_truth() {
-        let ds = tiny().truncated(2);
-        assert_eq!(ds.len(), 2);
-        assert!(ds.truth.is_duplicate(0, 1));
-        assert_eq!(ds.truth.total_duplicate_pairs(), 1);
+    fn write_jsonl_reports_a_failed_flush() {
+        let err = tiny()
+            .write_jsonl(std::io::BufWriter::new(Broken))
+            .unwrap_err();
+        assert_eq!(err.to_string(), "device gone");
     }
 }

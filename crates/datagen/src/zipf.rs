@@ -7,8 +7,7 @@ use rand::Rng;
 /// A Zipf distribution over `n` ranks with exponent `s`: rank `r` (0-based)
 /// has probability proportional to `1/(r+1)^s`. Sampling is O(log n) via
 /// binary search over the precomputed CDF.
-#[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -17,7 +16,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -33,18 +32,8 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True if there is exactly one rank (degenerate but valid).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Sample a rank in `0..n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }

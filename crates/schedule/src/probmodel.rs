@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn a_model_that_observed_no_pair_returns_zero() {
-        let one = PubGen::new(100, 82).generate().truncated(1);
+        let one = PubGen::new(1, 82).generate();
         let model = TrainedProb::train(&one, &presets::citeseer_families());
         assert_eq!(model.prob(0, 0, 1, 1), 0.0);
         assert_eq!(model.prob(1, 1, 50, 100), 0.0);
