@@ -108,6 +108,15 @@ fn run_pipeline(
         vcost_to_recall50.map_or("unreached".into(), |c| format!("{c:.0}")),
         job1.virtual_cost + job2.virtual_cost,
     ));
+    // Job 2's record is the last one pushed.
+    let job2_ns = report
+        .records
+        .last()
+        .map_or(0.0, |r| r.ns_per_op * r.iterations as f64);
+    report.note(format!(
+        "{label}: job 2 {:.0} ns per compared pair",
+        job2_ns / pairs_compared.max(1) as f64
+    ));
     // A pair two trees both report counts twice and is kept once.
     assert!(
         duplicates_found >= job2.duplicates.len() as u64,

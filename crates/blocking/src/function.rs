@@ -59,18 +59,6 @@ impl PrefixFunction {
         }
     }
 
-    /// `self.key(entity) == key`, without building the key when the prefix
-    /// is ASCII (job 2 asks this of every tree entity for every block).
-    pub fn key_is(&self, entity: &Entity, key: &str) -> bool {
-        match self.ascii_prefix(entity.attr(self.attr)) {
-            Some(prefix) => prefix
-                .bytes()
-                .map(|b| b.to_ascii_lowercase())
-                .eq(key.bytes()),
-            None => self.key(entity) == key,
-        }
-    }
-
     /// The first `chars` characters of `value` when they are all ASCII —
     /// one byte each, and lowercased by `to_ascii_lowercase` exactly as by
     /// `to_lowercase`. `None` sends the caller down the general Unicode path
@@ -123,12 +111,6 @@ impl BlockingFamily {
     /// Key of `entity` at `level` (0 = root key).
     pub fn key_at(&self, entity: &Entity, level: usize) -> String {
         self.levels[level].key(entity)
-    }
-
-    /// Whether `entity`'s key at `level` is `key` (allocation-free for
-    /// ASCII prefixes, see [`PrefixFunction::key_is`]).
-    pub fn key_is(&self, entity: &Entity, level: usize, key: &str) -> bool {
-        self.levels[level].key_is(entity, key)
     }
 
     /// Root (main-function) key of `entity`.
@@ -227,16 +209,6 @@ mod tests {
             .to_lowercase()
     }
 
-    #[test]
-    fn key_is_rejects_keys_that_only_match_case_insensitively() {
-        let f = PrefixFunction::new(0, 2);
-        assert!(f.key_is(&ent(&["John"]), "jo"));
-        assert!(!f.key_is(&ent(&["John"]), "JO"));
-        assert!(!f.key_is(&ent(&["John"]), "j"));
-        assert!(f.key_is(&ent(&["J"]), "j"));
-        assert!(f.key_is(&ent(&[]), ""));
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 2_000, ..Default::default() })]
         // Alphabet: ASCII of both cases plus the characters whose lowercase
@@ -244,20 +216,13 @@ mod tests {
         // Kelvin sign, lowercases to ASCII k), and Σ next to letters and
         // spaces so `to_lowercase` meets both the medial and the final sigma.
         #[test]
-        fn prop_key_and_key_is_match_the_reference_definition(
+        fn prop_key_matches_the_reference_definition(
             value in "[abkABZİẞKΣσς 0]{0,10}",
-            other in "[abkABZİẞKΣσς 0]{0,10}",
             chars in 0usize..8,
         ) {
             let f = PrefixFunction::new(0, chars);
-            let (e, o) = (ent(&[&value]), ent(&[&other]));
-            let expected = reference_key(&f, &e);
-            proptest::prop_assert_eq!(f.key(&e), expected.clone());
-            // Probe with its own key, another entity's key, and raw strings
-            // (uppercase, non-ASCII) that no key function would produce.
-            for probe in [expected.clone(), reference_key(&f, &o), other.clone(), value.clone()] {
-                proptest::prop_assert_eq!(f.key_is(&e, &probe), expected == probe);
-            }
+            let e = ent(&[&value]);
+            proptest::prop_assert_eq!(f.key(&e), reference_key(&f, &e));
         }
 
         #[test]

@@ -63,24 +63,24 @@ impl PubGen {
 }
 
 fn master(rng: &mut StdRng, openers: &Zipf, _cluster: u32) -> Vec<String> {
-    let opener = TITLE_OPENERS[openers.sample(rng)];
+    // The words are drawn first, in the order they appear, and joined
+    // once: each string is allocated at its final size.
+    let mut title = [""; 7];
+    title[0] = TITLE_OPENERS[openers.sample(rng)];
     let body_len = rng.random_range(3..=6);
-    let mut title = String::from(opener);
-    for _ in 0..body_len {
-        title.push(' ');
-        title.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
+    for word in &mut title[1..=body_len] {
+        *word = TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())];
     }
+    let title = title[..=body_len].join(" ");
 
+    // Fragment, word, fragment, word, …
     let n_frags = rng.random_range(3..=5);
-    let mut abstract_text = String::new();
-    for i in 0..n_frags {
-        if i > 0 {
-            abstract_text.push(' ');
-        }
-        abstract_text.push_str(ABSTRACT_FRAGMENTS[rng.random_range(0..ABSTRACT_FRAGMENTS.len())]);
-        abstract_text.push(' ');
-        abstract_text.push_str(TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())]);
+    let mut abstract_words = [""; 10];
+    for pair in abstract_words[..2 * n_frags].chunks_exact_mut(2) {
+        pair[0] = ABSTRACT_FRAGMENTS[rng.random_range(0..ABSTRACT_FRAGMENTS.len())];
+        pair[1] = TITLE_WORDS[rng.random_range(0..TITLE_WORDS.len())];
     }
+    let abstract_text = abstract_words[..2 * n_frags].join(" ");
 
     let venue = VENUES[rng.random_range(0..VENUES.len())].to_string();
 

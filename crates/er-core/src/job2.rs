@@ -14,11 +14,12 @@
 //!   task, `task_of_tree`; a tree scheduled on no task of the job fails it
 //!   with [`MrError::InvalidPartition`].
 //! * **Reduce (whole partition)** — ingest the task's trees, then walk the
-//!   task's *block schedule*: for each block, materialize its members,
-//!   sort them by the blocking attribute, run the configured mechanism with
-//!   the level's window, and resolve pairs until the level's stop rule
-//!   fires — skipping pairs another tree is responsible for
-//!   (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
+//!   task's *block schedule*. A tree's first block sorts the tree by the
+//!   blocking attribute and files every block of it in one pass over that
+//!   order per level; each block takes its members, runs the configured
+//!   mechanism with the level's window, and resolves pairs until the
+//!   level's stop rule fires — skipping pairs another tree is responsible
+//!   for (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
 //!   blocks (a tree's last block records none: no later block of the tree
 //!   reads them). Root blocks resolve fully. The task records each
 //!   duplicate once, as a progress event carrying the packed id pair, as
@@ -83,7 +84,7 @@ use pper_journal::{JournalEvent, TaskProgress};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
-use pper_schedule::{should_resolve, DomList, Schedule, TreeLocator};
+use pper_schedule::{should_resolve, DomList, PlanTree, Schedule, TreeLocator};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
 use crate::config::ErConfig;
@@ -147,12 +148,13 @@ struct TreeState<'p> {
     /// `slots[l]` is the member's slot in the task's [`PreparedCache`], or
     /// [`NO_SLOT`] until its first comparison in this tree.
     slots: Vec<u32>,
-    /// The members in the tree's sort order, built at the first block the
-    /// task resolves of the tree (empty until then). Every block of a tree
-    /// sorts by the same total order — the family's blocking attribute, then
-    /// the title, then local index — so a block's sorted member list is this
-    /// one filtered by the block's key.
-    order: Vec<Local>,
+    /// `blocks[n]` is the members of the tree's node `n` in the tree's sort
+    /// order, filed at the first block the task resolves of the tree (empty
+    /// until then) and taken when node `n` is resolved. Every block of a
+    /// tree sorts by the same total order — the family's blocking attribute,
+    /// then the title, then local index — so the tree is sorted once and a
+    /// block's list is that order filtered by the block's key.
+    blocks: Vec<Vec<Local>>,
     /// Pairs already *compared* in this tree, so a parent block never
     /// repeats its children's work (§III-A): local indices through
     /// [`crate::pack_pair`], smaller index in the high half, so packed keys
@@ -176,25 +178,66 @@ impl<'p> TreeState<'p> {
             entities: members.iter().map(|(entity, _)| *entity).collect(),
             doms: members.iter().map(|(_, dom)| dom).collect(),
             slots: vec![NO_SLOT; members.len()],
-            order: Vec::new(),
+            blocks: Vec::new(),
             resolved: FxHashSet::default(),
         }
     }
 
-    /// The members of the block `key` names at `level`, in sort order.
-    fn sorted_block(&mut self, family: &BlockingFamily, level: usize, key: &str) -> Vec<Local> {
-        if self.order.is_empty() {
-            // Compound SNM sort key: the blocking attribute, ties broken by
-            // the most discriminative attribute (index 0, the title).
-            let all: Vec<Local> = (0..self.entities.len() as Local).collect();
-            self.order = pper_progressive::sort_by_attrs(&all, &[family.levels[0].attr, 0], &*self);
+    /// The members of `tree`'s node `node`, in sort order. The tree's first
+    /// block sorts the members and files every block of the tree.
+    fn take_block(&mut self, family: &BlockingFamily, tree: &PlanTree, node: usize) -> Vec<Local> {
+        if self.blocks.is_empty() {
+            self.file(family, tree);
         }
-        // Prefix nesting makes the level key sufficient.
-        self.order
+        std::mem::take(&mut self.blocks[node])
+    }
+
+    /// Sort the tree and file each member under its node at every level.
+    /// The root block is the whole order: a tree receives exactly its root
+    /// block's members (`TreeLocator::route`). Below it, one pass over the
+    /// order per level extracts each member's key at that level and files
+    /// the member under the level's node of that key, so every block keeps
+    /// the order's order.
+    fn file(&mut self, family: &BlockingFamily, tree: &PlanTree) {
+        // Compound SNM sort key: the blocking attribute, ties broken by
+        // the most discriminative attribute (index 0, the title).
+        let all: Vec<Local> = (0..self.entities.len() as Local).collect();
+        let order = pper_progressive::sort_by_attrs(&all, &[family.levels[0].attr, 0], &*self);
+        // Node 0 is the root; it takes the order itself, once it is filed.
+        self.blocks = std::iter::once(Vec::new())
+            .chain(
+                tree.nodes[1..]
+                    .iter()
+                    .map(|node| Vec::with_capacity(node.size)),
+            )
+            .collect();
+        let mut nodes: Vec<(usize, &str, usize)> = tree
+            .nodes
             .iter()
-            .copied()
-            .filter(|&l| family.key_is(self.entities[l as usize], level, key))
-            .collect()
+            .enumerate()
+            .skip(1)
+            .map(|(n, node)| (node.level, node.key.as_str(), n))
+            .collect();
+        nodes.sort_unstable();
+        let mut key = String::new();
+        for level_nodes in nodes.chunk_by(|a, b| a.0 == b.0) {
+            let level = &family.levels[level_nodes[0].0];
+            for &l in &order {
+                key.clear();
+                level.key_into(self.entities[l as usize], &mut key);
+                // A key names one node of a level, except where lowercasing
+                // a longer prefix does not extend the shorter one's key;
+                // every node of the key then takes the member.
+                let from = level_nodes.partition_point(|&(_, k, _)| k < key.as_str());
+                for &(_, _, n) in level_nodes[from..]
+                    .iter()
+                    .take_while(|&&(_, k, _)| k == key)
+                {
+                    self.blocks[n].push(l);
+                }
+            }
+        }
+        self.blocks[0] = order;
     }
 }
 
@@ -498,10 +541,10 @@ impl<'a> ResolveReducer<'a> {
                 let node = &plan_tree.nodes[block.node];
                 let family = &self.families[plan_tree.family];
 
-                // Materialize the block — members of the tree whose key at
-                // the node's level equals the node's key — already in hint
-                // order (sorted by the blocking attribute).
-                let sorted = state.sorted_block(family, node.level, &node.key);
+                // The block's members — those of the tree whose key at the
+                // node's level is the node's key — already in hint order
+                // (sorted by the blocking attribute).
+                let sorted = state.take_block(family, plan_tree, block.node);
                 if !replaying {
                     ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
                 }
@@ -736,7 +779,7 @@ mod tests {
     use super::*;
     use crate::job1::run_job1;
     use crate::pipeline::ProgressiveEr;
-    use pper_datagen::PubGen;
+    use pper_datagen::{BookGen, PubGen};
 
     fn schedule_for(ds: &Dataset, config: &ErConfig) -> Arc<Schedule> {
         let job1 = run_job1(ds, config).unwrap();
@@ -879,6 +922,140 @@ mod tests {
             single_block > 0 && remembered > 0 && found > 0,
             "{single_block} / {remembered} / {found}"
         );
+    }
+
+    /// Hand out every block of `ds`'s schedule as the resolve loop does and
+    /// hold each to the definition the loop had before blocks were filed:
+    /// the tree's members sorted by the family's attribute and the title,
+    /// then filtered by their key at the node's level; and to the size job 1
+    /// counted for the node, `|X|`, which holds wherever the schedule was
+    /// generated from the same dataset. Returns the number of blocks whose
+    /// members are not one contiguous run of that order.
+    fn assert_blocks_are_the_filtered_order(
+        ds: &Dataset,
+        config: &ErConfig,
+        schedule: &Schedule,
+    ) -> usize {
+        let mut scattered = 0;
+        for task in 0..schedule.num_tasks() {
+            let partition = task_partition(ds, config, schedule, task);
+            let mut state = ResolveReducer::ingest(&partition);
+            for block in &schedule.block_order[task] {
+                let tree = &schedule.trees[block.tree];
+                let family = &config.families[tree.family];
+                let node = &tree.nodes[block.node];
+                let state = state.trees.get_mut(&block.tree).unwrap();
+                let all: Vec<Local> = (0..state.entities.len() as Local).collect();
+                let order =
+                    pper_progressive::sort_by_attrs(&all, &[family.levels[0].attr, 0], &*state);
+                let want: Vec<Local> = order
+                    .iter()
+                    .copied()
+                    .filter(|&l| family.key_at(state.entities[l as usize], node.level) == node.key)
+                    .collect();
+                let got = state.take_block(family, tree, block.node);
+                assert_eq!(
+                    got, want,
+                    "task {task}, tree {}, node {}",
+                    block.tree, block.node
+                );
+                assert_eq!(got.len(), node.size, "job 1's |X| of that node");
+                let mut rank = vec![0; order.len()];
+                for (r, &l) in order.iter().enumerate() {
+                    rank[l as usize] = r;
+                }
+                scattered += usize::from(
+                    got.windows(2)
+                        .any(|w| rank[w[1] as usize] != rank[w[0] as usize] + 1),
+                );
+            }
+        }
+        scattered
+    }
+
+    #[test]
+    fn blocks_are_the_filtered_tree_order_on_split_schedules() {
+        let cases = [
+            (PubGen::new(3_000, 79).generate(), ErConfig::citeseer(10)),
+            (BookGen::new(3_000, 79).generate(), ErConfig::books(10)),
+        ];
+        for (ds, config) in &cases {
+            let schedule = schedule_for(ds, config);
+            assert!(
+                schedule.trees.iter().any(|t| t.root_level > 0),
+                "{}: no split sub-tree",
+                ds.name
+            );
+            assert_blocks_are_the_filtered_order(ds, config, &schedule);
+        }
+    }
+
+    /// Titles (and abstracts) whose keys agree only after lowercasing — by
+    /// ASCII case, or through `İ`, `ẞ` and `Σ` — and raw values that sort
+    /// between them, so a block's members are scattered over its tree's
+    /// order rather than one run of it; and values shorter than the prefix,
+    /// which key to the whole lowercased value.
+    #[test]
+    fn blocks_are_the_filtered_tree_order_across_case_and_unicode_variants() {
+        let stems = [
+            "John",
+            "JOhn",
+            "john",
+            "JOHN",
+            "joHn",
+            "Joe",
+            "JOE",
+            "joe",
+            "Jz",
+            "jz",
+            "İstanbul",
+            "İSTANBUL",
+            "istanbul",
+            "ẞtraße",
+            "ßtraße",
+            "ẞTRAẞE",
+            "Σοφία",
+            "ΣΟΦΊΑ",
+            "σοφία",
+        ];
+        let words = ["Smith data", "smythe Query", "SMITH join", "Wa graph"];
+        let venues = ["VLDB", "vldb", "Vldb", "SIGMOD", "sigmod"];
+        // Values shorter than every prefix: one letter in either case, and
+        // empty ones.
+        let short = ["J", "j", "J", "", ""];
+        let entities: Vec<Entity> = (0..stems.len() * words.len() * 2)
+            .map(|i| {
+                format!(
+                    "{} {}",
+                    stems[i % stems.len()],
+                    words[i / stems.len() % words.len()]
+                )
+            })
+            .chain(short.iter().map(|s| s.to_string()))
+            .enumerate()
+            .map(|(i, title)| {
+                let attrs = vec![
+                    title.clone(),
+                    title,
+                    venues[i % venues.len()].to_string(),
+                    String::new(),
+                    String::new(),
+                ];
+                Entity::new(i as EntityId, attrs)
+            })
+            .collect();
+        let n = entities.len();
+        let schema = ["title", "abstract", "venue", "authors", "year"];
+        let ds = Dataset::new(
+            "variants",
+            schema.iter().map(|s| s.to_string()).collect(),
+            entities,
+            pper_datagen::GroundTruth::new((0..n as u32).collect()),
+        );
+        let config = ErConfig::citeseer(2);
+        let schedule = schedule_for(&ds, &config);
+        let scattered = assert_blocks_are_the_filtered_order(&ds, &config, &schedule);
+        assert!(scattered > 0, "every block is one run of its tree's order");
     }
 
     #[test]

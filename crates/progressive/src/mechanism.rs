@@ -211,37 +211,35 @@ impl PairSource for PairStream {
 }
 
 /// Sort by a compound attribute key: compare `attrs[0]` first, break ties
-/// with `attrs[1]`, and so on; final tie-break by entity id. This is the
-/// hint-generation step; the caller charges the sort cost against its clock.
+/// with `attrs[1]`, and finally by entity id. This is the hint-generation
+/// step; the caller charges the sort cost against its clock.
 ///
 /// Sorted-neighbourhood methods need *discriminative* sort keys: a block
 /// built on a low-cardinality attribute (e.g. venue) is full of ties, and a
 /// windowed scan over an arbitrarily-ordered tie run finds nothing. Real
 /// multi-pass SNM deployments therefore sort by the blocking attribute
 /// *extended with* a discriminative attribute; the pipeline passes
-/// `[blocking attr, title]`.
+/// `[blocking attr, title]`, which is `[title, title]` for a family that
+/// blocks on the title.
 ///
-/// Each member's values are read once, up front, rather than looked up
-/// again in every comparison. Members are distinct ids, so the id
-/// tie-break makes the order total and the unstable sort returns exactly
-/// what a stable one would.
+/// Each member's values are read once, into a `(first, second, id)` row
+/// the sort moves directly. Members are distinct ids, so the id tie-break makes the order total and
+/// the unstable sort returns exactly what a stable one would.
 pub fn sort_by_attrs(
     members: &[EntityId],
-    attrs: &[usize],
+    attrs: &[usize; 2],
     lookup: &impl EntityLookup,
 ) -> Vec<EntityId> {
-    let width = attrs.len();
-    let values: Vec<&str> = members
+    let [first, second] = *attrs;
+    let mut rows: Vec<(&str, &str, EntityId)> = members
         .iter()
-        .flat_map(|&m| {
+        .map(|&m| {
             let entity = lookup.entity(m);
-            attrs.iter().map(move |&attr| entity.attr(attr))
+            (entity.attr(first), entity.attr(second), m)
         })
         .collect();
-    let row = |i: usize| &values[i * width..(i + 1) * width];
-    let mut order: Vec<usize> = (0..members.len()).collect();
-    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)).then(members[a].cmp(&members[b])));
-    order.into_iter().map(|i| members[i]).collect()
+    rows.sort_unstable();
+    rows.into_iter().map(|(_, _, m)| m).collect()
 }
 
 #[cfg(test)]
@@ -584,11 +582,17 @@ mod tests {
             let n = entities.len() as u32;
             let mut members: Vec<EntityId> = (0..n).collect();
             members.sort_by_key(|&m| (m * 7 + shuffle) % n.max(1));
-            for attrs in [&[0, 1][..], &[1][..], &[1, 0, 2][..]] {
-                proptest::prop_assert_eq!(
-                    sort_by_attrs(&members, attrs, &lookup),
-                    reference_sort(&members, attrs, &lookup)
-                );
+            // Every two-attribute combination: the repeated one the title
+            // family sorts by (`[0, 0]`), two distinct ones, and attribute
+            // 2, which no entity has (it reads as empty).
+            for first in 0..3 {
+                for second in 0..3 {
+                    let attrs = [first, second];
+                    proptest::prop_assert_eq!(
+                        sort_by_attrs(&members, &attrs, &lookup),
+                        reference_sort(&members, &attrs, &lookup)
+                    );
+                }
             }
         }
     }
