@@ -4,8 +4,11 @@
 //! A staged driver of the product's own entry points — generate, `run_job1`,
 //! `ProgressiveEr::generate_schedule`, `run_job2` — on a books and a
 //! publications dataset in turn, μ = 10 machines. Each stage is timed and
-//! followed by a peak-RSS reading; pair and duplicate counts come from the
-//! job counters, recall from a `RecallCurve` over job 2's timeline.
+//! followed by a reading of the process's peak RSS so far (books run first,
+//! so the publications' readings are at least the books' peak); pair and
+//! duplicate counts come from the job counters, recall from a `RecallCurve`
+//! over job 2's timeline, and the bytes of job 1's side data from the
+//! statistics it hands the schedule.
 //!
 //! ```text
 //! bench_scale                      # 1M books, then 1M publications
@@ -71,8 +74,6 @@ fn run_pipeline(
     entities: usize,
     generate: impl FnOnce() -> Dataset,
 ) {
-    // Start this dataset's peak-RSS readings over (Linux: `5` resets VmHWM).
-    std::fs::write("/proc/self/clear_refs", "5").ok();
     report.note(format!(
         "{label}: peak RSS {} MiB before generate",
         peak_rss_kib() / 1024
@@ -82,6 +83,12 @@ fn run_pipeline(
     let job1 = timed(report, label, "job1", entities, || {
         run_job1(&ds, &er.config).expect("job 1")
     });
+    let side_data = job1.stats.placement.bytes();
+    report.note(format!(
+        "{label}: side data {:.1} MiB, {:.0} B per entity (a rank and a block id per family)",
+        side_data as f64 / (1024.0 * 1024.0),
+        side_data as f64 / entities.max(1) as f64
+    ));
     let schedule = timed(report, label, "schedule", entities, || {
         Arc::new(er.generate_schedule(&ds, &job1.stats))
     });

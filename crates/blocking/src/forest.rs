@@ -45,6 +45,41 @@ impl EntityLookup for Vec<&Entity> {
     }
 }
 
+/// Sort by a compound attribute key: compare `attrs[0]` first, break ties
+/// with `attrs[1]`, and finally by entity id. This is the sorted-neighbour
+/// hint the mechanisms resolve a block in (`pper_progressive` re-exports
+/// it); job 1 sorts each root block with it once ([`Tree::ranked`]) and job 2
+/// orders every block by the ranks that sort gives.
+///
+/// Sorted-neighbourhood methods need *discriminative* sort keys: a block
+/// built on a low-cardinality attribute (e.g. venue) is full of ties, and a
+/// windowed scan over an arbitrarily-ordered tie run finds nothing. Real
+/// multi-pass SNM deployments therefore sort by the blocking attribute
+/// *extended with* a discriminative attribute; the pipeline passes
+/// `[blocking attr, title]`, which is `[title, title]` for a family that
+/// blocks on the title.
+///
+/// Each member's values are read once, into a `(first, second, id)` row
+/// the sort moves directly. Members are distinct ids, so the id tie-break
+/// makes the order total and the unstable sort returns exactly what a
+/// stable one would.
+pub fn sort_by_attrs(
+    members: &[EntityId],
+    attrs: &[usize; 2],
+    lookup: &impl EntityLookup,
+) -> Vec<EntityId> {
+    let [first, second] = *attrs;
+    let mut rows: Vec<(&str, &str, EntityId)> = members
+        .iter()
+        .map(|&m| {
+            let entity = lookup.entity(m);
+            (entity.attr(first), entity.attr(second), m)
+        })
+        .collect();
+    rows.sort_unstable();
+    rows.into_iter().map(|(_, _, m)| m).collect()
+}
+
 /// One block in a tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
@@ -172,6 +207,43 @@ impl Tree {
             }
             return;
         }
+    }
+
+    /// Job 1's side data of this tree: the root block's members in the
+    /// order job 2 resolves every block of the tree in — [`sort_by_attrs`]
+    /// on `family`'s blocking attribute, then the title, then id — each
+    /// with the index of the deepest block holding it. A member's rank is
+    /// its position here.
+    pub fn ranked(
+        &self,
+        family: &BlockingFamily,
+        lookup: &impl EntityLookup,
+    ) -> Vec<(EntityId, u32)> {
+        let members = &self.root().members;
+        // A member's index among the root's ascending, distinct members:
+        // itself when they are positions 0..n, as in job 1's reducer.
+        let dense = members
+            .last()
+            .is_none_or(|&last| last as usize + 1 == members.len());
+        let at = |m: EntityId| {
+            if dense {
+                m as usize
+            } else {
+                members.partition_point(|&x| x < m)
+            }
+        };
+        // Pre-order visits a block after every block that holds it, so the
+        // last block to claim a member is its deepest.
+        let mut deepest = vec![0; members.len()];
+        for (b, block) in self.blocks.iter().enumerate().skip(1) {
+            for &m in &block.members {
+                deepest[at(m)] = b as u32;
+            }
+        }
+        sort_by_attrs(members, &[family.levels[0].attr, 0], lookup)
+            .into_iter()
+            .map(|m| (m, deepest[at(m)]))
+            .collect()
     }
 
     /// The root block.
@@ -404,6 +476,59 @@ mod tests {
             coverage > 0.95,
             "blocking should cover nearly all duplicate pairs, got {coverage:.3}"
         );
+    }
+
+    /// The definition `sort_by_attrs` must reproduce: a stable sort that
+    /// looks both entities up in every comparison.
+    fn reference_sort(
+        members: &[EntityId],
+        attrs: &[usize],
+        lookup: &Vec<&Entity>,
+    ) -> Vec<EntityId> {
+        let mut sorted = members.to_vec();
+        sorted.sort_by(|&a, &b| {
+            let (ea, eb) = (lookup.entity(a), lookup.entity(b));
+            attrs
+                .iter()
+                .map(|&attr| ea.attr(attr).cmp(eb.attr(attr)))
+                .find(|ord| ord.is_ne())
+                .unwrap_or_else(|| a.cmp(&b))
+        });
+        sorted
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_sort_by_attrs_matches_the_stable_comparator_sort(
+            // Two-symbol alphabets with empty values: runs of ties on the
+            // first attribute, broken (or not) by the second, and
+            // non-ASCII bytes that sort after every ASCII one.
+            values in proptest::collection::vec(("[aé]{0,2}", "[bΣ]{0,1}"), 0..40),
+            shuffle in 0u32..1_000,
+        ) {
+            let entities: Vec<Entity> = values
+                .iter()
+                .enumerate()
+                .map(|(i, (a, b))| Entity::new(i as EntityId, vec![a.clone(), b.clone()]))
+                .collect();
+            let lookup: Vec<&Entity> = entities.iter().collect();
+            // Members in a scrambled order, as a block arrives.
+            let n = entities.len() as u32;
+            let mut members: Vec<EntityId> = (0..n).collect();
+            members.sort_by_key(|&m| (m * 7 + shuffle) % n.max(1));
+            // Every two-attribute combination: the repeated one the title
+            // family sorts by (`[0, 0]`), two distinct ones, and attribute
+            // 2, which no entity has (it reads as empty).
+            for first in 0..3 {
+                for second in 0..3 {
+                    let attrs = [first, second];
+                    proptest::prop_assert_eq!(
+                        sort_by_attrs(&members, &attrs, &lookup),
+                        reference_sort(&members, &attrs, &lookup)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 use pper_datagen::Entity;
 
 /// A prefix blocking function: the first `chars` characters of attribute
-/// `attr`, lowercased (so case noise does not split blocks).
+/// `attr`, each lowercased on its own (so case noise does not split blocks,
+/// and a longer prefix's key always extends a shorter one's).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixFunction {
     /// Attribute index within the dataset schema.
@@ -47,22 +48,17 @@ impl PrefixFunction {
                 out.push_str(prefix);
                 out[start..].make_ascii_lowercase();
             }
-            // `to_lowercase` sees the cut prefix alone, not the buffer, so
-            // whether a Σ is final is decided at the prefix's end.
-            None => out.push_str(
-                &value
-                    .chars()
-                    .take(self.chars)
-                    .collect::<String>()
-                    .to_lowercase(),
-            ),
+            // Each char is lowercased on its own, so the key of a longer
+            // prefix extends the key of a shorter one: `str::to_lowercase`
+            // would decide a Σ's case by where the cut falls.
+            None => out.extend(value.chars().take(self.chars).flat_map(char::to_lowercase)),
         }
     }
 
     /// The first `chars` characters of `value` when they are all ASCII —
     /// one byte each, and lowercased by `to_ascii_lowercase` exactly as by
-    /// `to_lowercase`. `None` sends the caller down the general Unicode path
-    /// (multi-char lowercase mappings, final sigma).
+    /// `char::to_lowercase`. `None` sends the caller down the general
+    /// Unicode path (multi-char lowercase mappings such as `İ`).
     fn ascii_prefix<'v>(&self, value: &'v str) -> Option<&'v str> {
         let head = &value.as_bytes()[..value.len().min(self.chars)];
         // An all-ASCII head ends on a char boundary: a continuation byte
@@ -121,8 +117,9 @@ impl BlockingFamily {
     /// Check the refinement property: all levels block on the same attribute
     /// with strictly increasing prefix lengths. (More general refining
     /// families are possible in principle; the paper's — Table II — are all
-    /// of this shape, and this structural check is what guarantees that each
-    /// child block nests inside a unique parent.)
+    /// of this shape.) The check is structural; each child block nests inside
+    /// a unique parent because [`PrefixFunction::key_into`] lowercases char
+    /// by char, so a level's key is a prefix of the next level's key.
     ///
     /// # Panics
     /// Panics if the property is violated.
@@ -199,14 +196,16 @@ mod tests {
         assert_eq!(fam.key_at(&e, 2), "progress");
     }
 
-    /// The definition `key` had before its ASCII fast path.
+    /// The definition of `key`: the first `chars` chars, each lowercased on
+    /// its own — not the cut prefix as a string, whose final-sigma rule
+    /// would make a Σ's key depend on where the cut falls.
     fn reference_key(f: &PrefixFunction, entity: &Entity) -> String {
         entity
             .attr(f.attr)
             .chars()
             .take(f.chars)
-            .collect::<String>()
-            .to_lowercase()
+            .flat_map(char::to_lowercase)
+            .collect()
     }
 
     proptest::proptest! {
@@ -214,7 +213,7 @@ mod tests {
         // Alphabet: ASCII of both cases plus the characters whose lowercase
         // mapping is not one char for one char — İ (two chars), ẞ, K (the
         // Kelvin sign, lowercases to ASCII k), and Σ next to letters and
-        // spaces so `to_lowercase` meets both the medial and the final sigma.
+        // spaces, where `str::to_lowercase` would pick the final sigma.
         #[test]
         fn prop_key_matches_the_reference_definition(
             value in "[abkABZİẞKΣσς 0]{0,10}",
@@ -236,6 +235,34 @@ mod tests {
             let mut buf = existing.clone();
             f.key_into(&e, &mut buf);
             proptest::prop_assert_eq!(buf, existing + &reference_key(&f, &e));
+        }
+
+        // Keys nest: a level's key is a prefix of the next level's, so
+        // every block of a tree sits inside one parent.
+        #[test]
+        fn prop_key_at_a_level_is_a_prefix_of_the_next_levels(
+            value in "[abkABZİẞKΣσς 0]{0,10}",
+            first in 0usize..4,
+            steps in proptest::collection::vec(1usize..4, 1..4),
+        ) {
+            // Strictly increasing prefix lengths, from `first` by `steps`.
+            let lengths = steps.iter().scan(first, |chars, step| {
+                *chars += step;
+                Some(*chars)
+            });
+            let levels = std::iter::once(first)
+                .chain(lengths)
+                .map(|chars| PrefixFunction::new(0, chars))
+                .collect();
+            let family = BlockingFamily::new("X", levels);
+            let e = ent(&[&value]);
+            for level in 1..family.depth() {
+                let (shorter, longer) = (family.key_at(&e, level - 1), family.key_at(&e, level));
+                proptest::prop_assert!(
+                    longer.starts_with(&shorter),
+                    "{:?} at level {}: {:?} does not extend {:?}", value, level, longer, shorter
+                );
+            }
         }
     }
 

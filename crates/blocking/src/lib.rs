@@ -21,7 +21,11 @@
 //!   uncovered-pair computation of §IV-A via the paper's
 //!   inclusion–exclusion formula over `OLP(·)` values, counted over
 //!   interned root-key ids ([`stats::Signatures`]) and held in tests to a
-//!   brute-force pair scan over the key strings.
+//!   brute-force pair scan over the key strings;
+//! * [`stats::Placement`] — the side data the first MR job hands the
+//!   second: each entity's rank in its root block's sorted order
+//!   ([`forest::sort_by_attrs`], [`forest::Tree::ranked`]) and the deepest
+//!   block holding it, per family.
 //!
 //! ```
 //! use pper_blocking::{presets, forest::build_forests};
@@ -56,11 +60,11 @@ pub mod function;
 pub mod presets;
 pub mod stats;
 
-pub use forest::{build_forests, Block, Forest, Tree};
+pub use forest::{build_forests, sort_by_attrs, Block, Forest, Tree};
 pub use function::{BlockingFamily, PrefixFunction};
 pub use stats::{
-    compute_signatures, olp, pairs, uncovered_pairs, DatasetStats, NodeStats, OlpScratch,
-    Signatures, TreeStats,
+    compute_signatures, olp, pairs, uncovered_pairs, DatasetStats, NodeStats, OlpScratch, Place,
+    Placement, Signatures, TreeStats,
 };
 
 /// Index of a main blocking function within the `⊵F` dominance total order;

@@ -13,6 +13,7 @@
 //! brute-force pair scan over the key strings.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pper_datagen::{Dataset, Entity, EntityId};
 
@@ -306,14 +307,75 @@ impl TreeStats {
     }
 }
 
-/// Dataset-level statistics: one [`TreeStats`] per tree across all forests —
-/// the complete output of the paper's first MR job.
+/// Where job 1 placed one entity in one family's forest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Place {
+    /// Position in its root block sorted by the family's blocking attribute,
+    /// then the title, then id ([`Tree::ranked`]): the order job 2 resolves
+    /// every block of the tree in.
+    pub rank: u32,
+    /// Job 1's id of the deepest block holding the entity. Ids number the
+    /// nodes of [`DatasetStats::trees`] in order, each tree's in its
+    /// pre-order.
+    pub node: u32,
+}
+
+impl Place {
+    /// An entity whose root block formed no tree.
+    const NONE: Place = Place {
+        rank: u32::MAX,
+        node: u32::MAX,
+    };
+}
+
+/// Job 1's side data for job 2 — the paper's distributed-cache input — one
+/// [`Place`] per (entity, family). It is a pure function of the dataset
+/// and the blocking families, so whoever re-runs job 1 regenerates it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Placement {
+    /// Families per entity.
+    families: usize,
+    /// Row-major: entity `e`'s place in family `f` is `places[e * families + f]`.
+    places: Vec<Place>,
+}
+
+impl Placement {
+    /// Where `entity` sits in `family`'s forest; `None` when its root block
+    /// formed no tree.
+    #[inline]
+    pub fn get(&self, entity: EntityId, family: FamilyIndex) -> Option<Place> {
+        let place = self.places[entity as usize * self.families + family];
+        (place != Place::NONE).then_some(place)
+    }
+
+    /// Number of entities the table places.
+    pub fn entities(&self) -> usize {
+        self.places.len().checked_div(self.families).unwrap_or(0)
+    }
+
+    /// Number of families each entity has a place in.
+    pub fn families(&self) -> usize {
+        self.families
+    }
+
+    /// Bytes the table holds.
+    pub fn bytes(&self) -> usize {
+        self.places.len() * std::mem::size_of::<Place>()
+    }
+}
+
+/// Dataset-level statistics: one [`TreeStats`] per tree across all forests,
+/// and every entity's [`Placement`] — the complete output of the paper's
+/// first MR job.
 #[derive(Debug, Clone)]
 pub struct DatasetStats {
     /// Number of entities `|D|`.
     pub num_entities: usize,
     /// Per-tree statistics, in forest order then root-key order.
     pub trees: Vec<TreeStats>,
+    /// Where each entity sits in each family's forest. Shared: the schedule
+    /// generated from these statistics carries it on to job 2.
+    pub placement: Arc<Placement>,
 }
 
 impl DatasetStats {
@@ -324,11 +386,41 @@ impl DatasetStats {
         let trees = forests
             .iter()
             .flat_map(|f| f.trees.iter())
-            .map(|t| TreeStats::from_tree(t, &signatures, &mut scratch))
+            .map(|t| {
+                let stats = TreeStats::from_tree(t, &signatures, &mut scratch);
+                (stats, t.ranked(&families[t.family], ds))
+            })
+            .collect();
+        Self::assemble(ds.len(), families.len(), trees)
+    }
+
+    /// Statistics over `num_entities` entities and `families` families from
+    /// their trees, in order, each with its [`Tree::ranked`] members (ids of
+    /// the dataset, node indices of the tree).
+    pub fn assemble(
+        num_entities: usize,
+        families: usize,
+        trees: Vec<(TreeStats, Vec<(EntityId, u32)>)>,
+    ) -> Self {
+        let mut places = vec![Place::NONE; num_entities * families];
+        let mut first = 0;
+        let trees = trees
+            .into_iter()
+            .map(|(stats, ranked)| {
+                for (rank, (id, node)) in ranked.into_iter().enumerate() {
+                    places[id as usize * families + stats.family] = Place {
+                        rank: rank as u32,
+                        node: first + node,
+                    };
+                }
+                first += stats.nodes.len() as u32;
+                stats
+            })
             .collect();
         Self {
-            num_entities: ds.len(),
+            num_entities,
             trees,
+            placement: Arc::new(Placement { families, places }),
         }
     }
 }
@@ -497,9 +589,8 @@ mod tests {
     fn ids_collide_exactly_where_keys_do() {
         // Keys that differ only in case, and keys that go through
         // non-ASCII lowercasing: İ lowercases to two chars ("i̇", not "i"),
-        // and Σ lowercases to ς at a word's end but σ inside one — so
-        // "ΟΔΟΣ" and "ΟΔΟΣΑ" cut to three or four chars meet "οδος" only
-        // where the cut ends on the Σ.
+        // and Σ to σ wherever it stands — so "ΟΔΟΣ" and "ΟΔΟΣΑ" meet
+        // "οδοσ" but never "οδος", whose final ς is typed.
         let values = [
             "Data",
             "DATA",

@@ -8,16 +8,19 @@
 //!   dataset by id, materialize the block's tree by applying the family's
 //!   sub-blocking functions, and compute the per-node statistics (sizes,
 //!   child keys, overlap information for the covered-pair computation of
-//!   §IV-A).
+//!   §IV-A). The reducer also sorts the root block once, in the order job 2
+//!   resolves it (blocking attribute, title, id), and hands on every
+//!   member's rank in that order and the deepest block holding it.
 //!
-//! The map output doubles as the "annotated dataset": keys are cheap to
-//! recompute from attribute values, so no intermediate file is
-//! materialized (a pure representation choice — the information content
-//! matches the paper's annotated dataset). Each consumer extracts a key
-//! once per entity into a reused buffer and compares ids from there: the
-//! reducer interns its members' dominating root keys as `u32`
-//! [`Signatures`] for the `OLP` counts, and job 2's mapper routes an entity
-//! with one lookup per `(family, level)` ([`pper_schedule::TreeLocator::route`]).
+//! The driver gathers those into [`DatasetStats::placement`], one
+//! rank and block id per (entity, family): the paper's distributed-cache
+//! input to job 2, which then routes, sorts and files by these integers and
+//! never extracts a key. The map output doubles as the "annotated dataset":
+//! keys are cheap to recompute from attribute values, so no intermediate
+//! file is materialized (a pure representation choice — the information
+//! content matches the paper's annotated dataset). The reducer extracts each
+//! key once per entity into a reused buffer and interns its members'
+//! dominating root keys as `u32` [`Signatures`] for the `OLP` counts.
 
 use pper_blocking::{BlockingFamily, DatasetStats, OlpScratch, Signatures, Tree, TreeStats};
 use pper_datagen::{Dataset, Entity, EntityId};
@@ -70,8 +73,8 @@ impl Mapper for AnnotateMapper<'_> {
     }
 }
 
-/// Builds one root block's tree and statistics, finding its members in the
-/// dataset by id.
+/// Builds one root block's tree, statistics and side data, finding its
+/// members in the dataset by id.
 struct StatsReducer<'d> {
     families: &'d [BlockingFamily],
     ds: &'d Dataset,
@@ -80,14 +83,15 @@ struct StatsReducer<'d> {
 impl Reducer for StatsReducer<'_> {
     type Key = BlockKey;
     type Value = EntityId;
-    type Output = TreeStats;
+    /// The tree's statistics and its [`Tree::ranked`] members, by entity id.
+    type Output = (TreeStats, Vec<(EntityId, u32)>);
 
     fn reduce(
         &self,
         key: &BlockKey,
         values: &[EntityId],
         ctx: &mut TaskContext,
-        out: &mut Vec<TreeStats>,
+        out: &mut Vec<Self::Output>,
     ) {
         if values.len() < 2 {
             ctx.counters.incr("job1_singleton_blocks_dropped");
@@ -97,9 +101,11 @@ impl Reducer for StatsReducer<'_> {
         let family = &self.families[family_index];
 
         // As in job 2 and Basic, a member is named by its position among the
-        // received values: the statistics carry sizes and pair counts, never
-        // ids.
-        let entities: Vec<&Entity> = values.iter().map(|&id| self.ds.entity(id)).collect();
+        // received values, in id order: the statistics carry sizes and pair
+        // counts, never ids, and the sort's id tie-break is a position's.
+        let mut ids = values.to_vec();
+        ids.sort_unstable();
+        let entities: Vec<&Entity> = ids.iter().map(|&id| self.ds.entity(id)).collect();
         // Only the dominating families' keys decide a pair's coverage.
         let signatures =
             Signatures::intern(&self.families[..family_index], entities.iter().copied());
@@ -119,16 +125,20 @@ impl Reducer for StatsReducer<'_> {
         ctx.charge(stat_cost);
 
         let stats = TreeStats::from_tree(&tree, &signatures, &mut OlpScratch::default());
+        let mut ranked = tree.ranked(family, &entities);
+        for (member, _) in &mut ranked {
+            *member = ids[*member as usize];
+        }
         ctx.counters.incr("job1_trees_built");
         ctx.counters.add("job1_blocks", tree.len() as u64);
-        out.push(stats);
+        out.push((stats, ranked));
     }
 }
 
 /// Result of the first job.
 #[derive(Debug)]
 pub struct Job1Result {
-    /// Per-tree statistics across all families.
+    /// Per-tree statistics across all families, and the side data.
     pub stats: DatasetStats,
     /// Virtual completion time of the job on the simulated cluster.
     pub virtual_cost: f64,
@@ -155,13 +165,11 @@ pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> 
     };
 
     let mut trees = result.outputs;
-    // Deterministic order regardless of reduce partitioning.
-    trees.sort_by(|a, b| a.family.cmp(&b.family).then(a.root_key.cmp(&b.root_key)));
+    // Deterministic order regardless of reduce partitioning: the order job
+    // 1's block ids number the trees' nodes in.
+    trees.sort_by(|(a, _), (b, _)| a.family.cmp(&b.family).then(a.root_key.cmp(&b.root_key)));
     Ok(Job1Result {
-        stats: DatasetStats {
-            num_entities: ds.len(),
-            trees,
-        },
+        stats: DatasetStats::assemble(ds.len(), config.families.len(), trees),
         virtual_cost: result.total_virtual_cost,
         counters: result.counters,
     })
@@ -170,8 +178,10 @@ pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pper_blocking::{build_forests, presets};
+    use crate::pipeline::ProgressiveEr;
+    use pper_blocking::{build_forests, presets, sort_by_attrs};
     use pper_datagen::{toy_people, BookGen, PubGen};
+    use pper_schedule::TreeLocator;
 
     #[test]
     fn job1_matches_local_forest_construction() {
@@ -199,6 +209,84 @@ mod tests {
                 assert_eq!(a.family, b.family);
                 assert_eq!(a.root_key, b.root_key);
                 assert_eq!(a.nodes, b.nodes, "tree {}/{}", a.family, a.root_key);
+            }
+        }
+    }
+
+    /// Job 1's side data against its definition, for the in-memory and the
+    /// spilling shuffle and for the statistics built locally: each tree's
+    /// ranks are `sort_by_attrs` of its root block, each member's node is
+    /// the deepest block `Tree::build` puts it in, and an entity whose root
+    /// block formed no tree has no place. On the split schedules generated
+    /// from it, each tree a member is routed to seats it at the tree's
+    /// deepest node whose key the member has.
+    #[test]
+    fn side_data_ranks_each_root_block_and_names_each_members_deepest_block() {
+        let spill = || ShuffleSpillConfig::new(40);
+        let cases = [
+            (PubGen::new(3_000, 79).generate(), ErConfig::citeseer(10)),
+            (BookGen::new(3_000, 79).generate(), ErConfig::books(10)),
+            (
+                PubGen::new(3_000, 79).generate(),
+                ErConfig::citeseer(10).with_shuffle_spill(spill()),
+            ),
+            (
+                BookGen::new(3_000, 79).generate(),
+                ErConfig::books(10).with_shuffle_spill(spill()),
+            ),
+        ];
+        for (ds, config) in &cases {
+            let families = &config.families;
+            let forests = build_forests(ds, families);
+            let local = DatasetStats::from_forests(ds, families, &forests);
+            let job = run_job1(ds, config).unwrap();
+            for stats in [&job.stats, &local] {
+                let placement = &stats.placement;
+                let mut placed = vec![vec![false; families.len()]; ds.len()];
+                let mut first = 0;
+                for tree in forests.iter().flat_map(|forest| &forest.trees) {
+                    let (family, members) = (tree.family, &tree.root().members);
+                    let attrs = [families[family].levels[0].attr, 0];
+                    let mut ranked = vec![None; members.len()];
+                    for &id in members {
+                        let place = placement.get(id, family).unwrap();
+                        ranked[place.rank as usize] = Some(id);
+                        let deepest = (0..tree.len())
+                            .filter(|&b| tree.blocks[b].members.contains(&id))
+                            .max_by_key(|&b| tree.blocks[b].level)
+                            .unwrap();
+                        assert_eq!(place.node, first + deepest as u32, "entity {id}");
+                        placed[id as usize][family] = true;
+                    }
+                    let order: Vec<EntityId> = ranked.into_iter().map(Option::unwrap).collect();
+                    assert_eq!(order, sort_by_attrs(members, &attrs, ds));
+                    first += tree.len() as u32;
+                }
+                for (id, placed) in (0..).zip(&placed) {
+                    for (family, &placed) in placed.iter().enumerate() {
+                        assert_eq!(placement.get(id, family).is_some(), placed, "{id}/{family}");
+                    }
+                }
+            }
+            assert_eq!(job.stats.placement, local.placement);
+
+            let schedule = ProgressiveEr::new(config.clone()).generate_schedule(ds, &job.stats);
+            assert!(schedule.trees.iter().any(|t| t.root_level > 0), "no split");
+            let locator = TreeLocator::new(&schedule);
+            for entity in &ds.entities {
+                locator.route(entity, |t, _| {
+                    let tree = &schedule.trees[t];
+                    let family = &families[tree.family];
+                    let deepest = (0..tree.nodes.len())
+                        .filter(|&n| {
+                            family.key_at(entity, tree.nodes[n].level) == tree.nodes[n].key
+                        })
+                        .max_by_key(|&n| tree.nodes[n].level);
+                    let seat = locator
+                        .seat(entity.id, tree.family, t)
+                        .map(|(_, node)| node);
+                    assert_eq!(seat, deepest, "entity {}", entity.id);
+                });
             }
         }
     }

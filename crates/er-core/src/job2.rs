@@ -6,22 +6,27 @@
 //!   generation cost against its virtual clock).
 //! * **Map** — for each entity, emit one record per tree containing it,
 //!   keyed by the tree's index in the schedule and carrying the entity plus
-//!   its dominance list (§V), held in the record itself. The paper keys it
-//!   by a sequence value `SQ` that orders a streaming reducer's input; the
-//!   reducer here ingests the whole partition before its first block, so
-//!   the order of its groups does not matter.
+//!   its dominance list (§V), held in the record itself. Job 1's side data,
+//!   which the schedule carries (the paper's distributed-cache input), names
+//!   the trees from integers: routing extracts no blocking key
+//!   (`TreeLocator::route`). The paper keys a record by a sequence value
+//!   `SQ` that orders a streaming reducer's input; the reducer here ingests
+//!   the whole partition before its first block, so the order of its groups
+//!   does not matter.
 //! * **Partition** — the mapper routes every tree to its scheduled reduce
 //!   task, `task_of_tree`; a tree scheduled on no task of the job fails it
 //!   with [`MrError::InvalidPartition`].
 //! * **Reduce (whole partition)** — ingest the task's trees, then walk the
 //!   task's *block schedule*. A tree's first block sorts the tree by the
-//!   blocking attribute and files every block of it in one pass over that
-//!   order per level; each block takes its members, runs the configured
-//!   mechanism with the level's window, and resolves pairs until the
-//!   level's stop rule fires — skipping pairs another tree is responsible
-//!   for (`SHOULD-RESOLVE`) and pairs already resolved in this tree's child
-//!   blocks (a tree's last block records none: no later block of the tree
-//!   reads them). Root blocks resolve fully. The task records each
+//!   ranks job 1 gave its root block (blocking attribute, then title, then
+//!   id) and files every member under its deepest node and each node above
+//!   it, in one pass over that order, both from the side data
+//!   (`TreeLocator::seat`); each block takes its members, runs the
+//!   configured mechanism with the level's window, and resolves pairs until
+//!   the level's stop rule fires — skipping pairs another tree is
+//!   responsible for (`SHOULD-RESOLVE`) and pairs already resolved in this
+//!   tree's child blocks (a tree's last block records none: no later block
+//!   of the tree reads them). Root blocks resolve fully. The task records each
 //!   duplicate once, as a progress event carrying the packed id pair, as
 //!   Basic's reducer does, and its duplicate list is the timeline's; the
 //!   job's one output is why a resumed task refused its fold. Inside a task
@@ -59,7 +64,10 @@
 //!   nothing; PSNM's feedback and the stop rule see what they saw in the
 //!   original run, so the block's pair stream, and every tree's set, is
 //!   the original's. The duplicates the replay meets must be the fold's,
-//!   in order, or the stage fails with [`MrError::Checkpoint`].
+//!   in order, or the stage fails with [`MrError::Checkpoint`]. So must the
+//!   trees it replays hold the dataset's entities: routing reads the
+//!   schedule's side data, not the entities, so a schedule made for another
+//!   dataset would otherwise replay over the wrong records unseen.
 //! * **`observer`**: called with `(tree, a, b)`, `a < b`, for every pair the
 //!   matcher decides (never for a replayed one) — the tap the tests hold
 //!   job 2's pair coverage to.
@@ -77,13 +85,13 @@
 
 use std::sync::Arc;
 
-use pper_blocking::forest::EntityLookup;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_journal::{JournalEvent, TaskProgress};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
+use pper_schedule::plan::BlockRef;
 use pper_schedule::{should_resolve, DomList, PlanTree, Schedule, TreeLocator};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
@@ -96,7 +104,6 @@ use crate::{memo_slot, BlockTally, NO_SLOT};
 type Routed<'d> = (&'d Entity, DomList);
 
 struct RouteMapper<'d> {
-    families: &'d [BlockingFamily],
     schedule: &'d Schedule,
     locator: &'d TreeLocator,
 }
@@ -116,7 +123,7 @@ impl<'d> Mapper for RouteMapper<'d> {
 
     fn map(&self, entity: &&'d Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed<'d>>) {
         let entity = *entity;
-        self.locator.route(self.families, entity, |tree, list| {
+        self.locator.route(entity, |tree, list| {
             ctx.charge(ctx.cost_model.read_per_entity * 0.25);
             out.emit(tree as u64, (entity, list));
         });
@@ -152,8 +159,9 @@ struct TreeState<'p> {
     /// order, filed at the first block the task resolves of the tree (empty
     /// until then) and taken when node `n` is resolved. Every block of a
     /// tree sorts by the same total order — the family's blocking attribute,
-    /// then the title, then local index — so the tree is sorted once and a
-    /// block's list is that order filtered by the block's key.
+    /// then the title, then id, in which job 1 ranked the root block — so
+    /// the tree is sorted once, by rank, and a block's list is that order
+    /// restricted to the block's members.
     blocks: Vec<Vec<Local>>,
     /// Pairs already *compared* in this tree, so a parent block never
     /// repeats its children's work (§III-A): local indices through
@@ -183,26 +191,43 @@ impl<'p> TreeState<'p> {
         }
     }
 
-    /// The members of `tree`'s node `node`, in sort order. The tree's first
-    /// block sorts the members and files every block of the tree.
-    fn take_block(&mut self, family: &BlockingFamily, tree: &PlanTree, node: usize) -> Vec<Local> {
+    /// The members of node `node` of the schedule's tree `t`, in sort order.
+    /// The tree's first block sorts the members and files every block of
+    /// the tree.
+    fn take_block(
+        &mut self,
+        locator: &TreeLocator,
+        t: usize,
+        tree: &PlanTree,
+        node: usize,
+    ) -> Vec<Local> {
         if self.blocks.is_empty() {
-            self.file(family, tree);
+            self.file(locator, t, tree);
         }
         std::mem::take(&mut self.blocks[node])
     }
 
-    /// Sort the tree and file each member under its node at every level.
-    /// The root block is the whole order: a tree receives exactly its root
-    /// block's members (`TreeLocator::route`). Below it, one pass over the
-    /// order per level extracts each member's key at that level and files
-    /// the member under the level's node of that key, so every block keeps
-    /// the order's order.
-    fn file(&mut self, family: &BlockingFamily, tree: &PlanTree) {
-        // Compound SNM sort key: the blocking attribute, ties broken by
-        // the most discriminative attribute (index 0, the title).
-        let all: Vec<Local> = (0..self.entities.len() as Local).collect();
-        let order = pper_progressive::sort_by_attrs(&all, &[family.levels[0].attr, 0], &*self);
+    /// Sort the schedule's tree `t` by rank and file each member under
+    /// every node from its deepest one up, both from job 1's side data
+    /// (`TreeLocator::seat`). The root block is the whole order: a tree
+    /// receives exactly its root block's members (`TreeLocator::route`).
+    /// Going through the order once, every block keeps the order's order.
+    fn file(&mut self, locator: &TreeLocator, t: usize, tree: &PlanTree) {
+        // Each member's deepest node, by local index, and its rank packed
+        // with its local index into one sort key (ranks are distinct within
+        // a tree). Routing only sends a tree entities job 1 placed in it.
+        let mut deepest: Vec<u32> = Vec::with_capacity(self.entities.len());
+        let mut keyed: Vec<u64> = Vec::with_capacity(self.entities.len());
+        for (l, entity) in (0..Local::MAX).zip(&self.entities) {
+            let (rank, node) = locator
+                .seat(entity.id, tree.family, t)
+                .unwrap_or((u32::MAX, 0));
+            deepest.push(node as u32);
+            keyed.push(u64::from(rank) << 32 | u64::from(l));
+        }
+        keyed.sort_unstable();
+        let order: Vec<Local> = keyed.iter().map(|&key| key as Local).collect();
+        drop(keyed);
         // Node 0 is the root; it takes the order itself, once it is filed.
         self.blocks = std::iter::once(Vec::new())
             .chain(
@@ -211,40 +236,14 @@ impl<'p> TreeState<'p> {
                     .map(|node| Vec::with_capacity(node.size)),
             )
             .collect();
-        let mut nodes: Vec<(usize, &str, usize)> = tree
-            .nodes
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(n, node)| (node.level, node.key.as_str(), n))
-            .collect();
-        nodes.sort_unstable();
-        let mut key = String::new();
-        for level_nodes in nodes.chunk_by(|a, b| a.0 == b.0) {
-            let level = &family.levels[level_nodes[0].0];
-            for &l in &order {
-                key.clear();
-                level.key_into(self.entities[l as usize], &mut key);
-                // A key names one node of a level, except where lowercasing
-                // a longer prefix does not extend the shorter one's key;
-                // every node of the key then takes the member.
-                let from = level_nodes.partition_point(|&(_, k, _)| k < key.as_str());
-                for &(_, _, n) in level_nodes[from..]
-                    .iter()
-                    .take_while(|&&(_, k, _)| k == key)
-                {
-                    self.blocks[n].push(l);
-                }
+        for &l in &order {
+            let mut node = deepest[l as usize] as usize;
+            while let Some(parent) = tree.nodes[node].parent {
+                self.blocks[node].push(l);
+                node = parent;
             }
         }
         self.blocks[0] = order;
-    }
-}
-
-/// Block sorting looks members up by their local index.
-impl EntityLookup for TreeState<'_> {
-    fn entity(&self, local: Local) -> &Entity {
-        self.entities[local as usize]
     }
 }
 
@@ -414,6 +413,8 @@ impl<'f> Replay<'f> {
 struct ResolveReducer<'a> {
     families: &'a [BlockingFamily],
     schedule: &'a Schedule,
+    /// Where the schedule's blocks went; the mapper routes with it too.
+    locator: TreeLocator,
     policy: &'a LevelPolicy,
     rule: PreparedRule,
     mechanism: MechanismKind,
@@ -445,6 +446,7 @@ impl<'a> ResolveReducer<'a> {
         Self {
             families: &config.families,
             schedule,
+            locator: TreeLocator::new(schedule),
             policy: &config.policy,
             rule: PreparedRule::new(config.rule.clone()),
             mechanism: config.mechanism,
@@ -505,6 +507,8 @@ impl<'a> ResolveReducer<'a> {
         }
 
         let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done as usize);
+        let blocks = &self.schedule.block_order[task];
+        self.check_replayed_trees(states, &blocks[..resumed_blocks], task)?;
         // The blocks under the watermark are replayed, not resolved: that
         // rebuilds the resolved-pair sets the blocks after it skip by.
         let mut replay = resume.map(|tc| Replay::new(&tc.duplicates));
@@ -517,7 +521,6 @@ impl<'a> ResolveReducer<'a> {
 
         let mut scratch = SimScratch::new();
 
-        let blocks = &self.schedule.block_order[task];
         // `last[i]`: block `i` is the last of its tree in this task's
         // schedule, so nothing ever looks its pairs up in `resolved`.
         let mut seen = FxHashSet::default();
@@ -539,12 +542,10 @@ impl<'a> ResolveReducer<'a> {
                 };
                 let plan_tree = &self.schedule.trees[block.tree];
                 let node = &plan_tree.nodes[block.node];
-                let family = &self.families[plan_tree.family];
 
-                // The block's members — those of the tree whose key at the
-                // node's level is the node's key — already in hint order
-                // (sorted by the blocking attribute).
-                let sorted = state.take_block(family, plan_tree, block.node);
+                // The block's members, already in hint order (sorted by the
+                // blocking attribute).
+                let sorted = state.take_block(&self.locator, block.tree, plan_tree, block.node);
                 if !replaying {
                     ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
                 }
@@ -629,6 +630,37 @@ impl<'a> ResolveReducer<'a> {
                     ctx.counters.add("resume_replayed_pairs", replay.pairs);
                     replay.check(task)?;
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// A resumed task replays its done blocks without the matcher, so the
+    /// trees they belong to must hold the dataset's entities: a schedule
+    /// made for another dataset would otherwise replay its blocks over the
+    /// wrong records unseen. The first entity outside its tree's root block
+    /// is the reason the task refuses.
+    fn check_replayed_trees(
+        &self,
+        states: &FxHashMap<usize, TreeState<'_>>,
+        done: &[BlockRef],
+        task: usize,
+    ) -> Result<(), String> {
+        let mut checked = FxHashSet::default();
+        for block in done.iter().filter(|block| checked.insert(block.tree)) {
+            let Some(state) = states.get(&block.tree) else {
+                continue;
+            };
+            let tree = &self.schedule.trees[block.tree];
+            let family = &self.families[tree.family];
+            if let Some(entity) = state.entities.iter().find(|e| !tree.holds(family, e)) {
+                return Err(format!(
+                    "task {task}: entity {} is not in the root block {:?} of tree {}, so \
+                     the schedule was made for another dataset",
+                    entity.id,
+                    tree.root_key(),
+                    block.tree
+                ));
             }
         }
         Ok(())
@@ -733,8 +765,10 @@ fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> R
 /// grid is not finite and positive. Rejected with it once the job has run:
 /// a fold whose done blocks, replayed, do not meet its duplicates in order
 /// (the error names the lowest such task and the first position that
-/// differs). A configuration with more blocking families than a [`DomList`]
-/// holds is [`MrError::InvalidConfig`].
+/// differs), or whose trees do not hold the dataset's entities. A
+/// configuration with more blocking families than a [`DomList`] holds, and a
+/// schedule made for a dataset of another size, are
+/// [`MrError::InvalidConfig`].
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
@@ -742,6 +776,13 @@ pub fn run_job2_stage(
     stage: Stage<'_>,
 ) -> Result<Job2Result, MrError> {
     DomList::check_capacity(config.families.len())?;
+    if schedule.placement.entities() != ds.len() {
+        return Err(MrError::InvalidConfig(format!(
+            "the schedule places {} entities, the dataset holds {}",
+            schedule.placement.entities(),
+            ds.len()
+        )));
+    }
     if let Some(tasks) = stage.resume {
         check_fold(schedule, ds.len(), tasks)?;
     }
@@ -754,17 +795,15 @@ pub fn run_job2_stage(
         }
     }
 
-    let locator = TreeLocator::new(schedule, config.families.len());
     let mut cfg = config.job_config("pper-job2-resolution");
     cfg.num_reduce_tasks = Some(schedule.num_tasks());
     cfg.faults = config.faults.clone();
 
-    let mapper = RouteMapper {
-        families: &config.families,
-        schedule,
-        locator: &locator,
-    };
     let reducer = ResolveReducer::new(config, schedule, stage);
+    let mapper = RouteMapper {
+        schedule,
+        locator: &reducer.locator,
+    };
     let entities: Vec<&Entity> = ds.entities.iter().collect();
     let result = run_job(&cfg, &mapper, &reducer, &entities)?;
     // Outputs come grouped by task, in task order: the lowest refused task.
@@ -790,14 +829,13 @@ mod tests {
     /// Reduce task `task`'s shuffle partition, as the route mapper fills it.
     fn task_partition<'d>(
         ds: &'d Dataset,
-        config: &ErConfig,
         schedule: &Schedule,
         task: usize,
     ) -> pper_mapreduce::GroupedPartition<u64, Routed<'d>> {
-        let locator = TreeLocator::new(schedule, config.families.len());
+        let locator = TreeLocator::new(schedule);
         let mut records: Vec<(u64, Routed<'_>)> = Vec::new();
         for entity in &ds.entities {
-            locator.route(&config.families, entity, |tree, list| {
+            locator.route(entity, |tree, list| {
                 if schedule.task_of_tree[tree] == task {
                     records.push((tree as u64, (entity, list)));
                 }
@@ -855,7 +893,7 @@ mod tests {
 
         let (mut single_block, mut remembered, mut found) = (0, 0, 0);
         for task in 0..schedule.num_tasks() {
-            let partition = task_partition(&ds, &config, &schedule, task);
+            let partition = task_partition(&ds, &schedule, task);
             let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, task);
             let blocks = &schedule.block_order[task];
             // Per tree, the pairs every block of it but its last compared.
@@ -937,8 +975,9 @@ mod tests {
         schedule: &Schedule,
     ) -> usize {
         let mut scattered = 0;
+        let locator = TreeLocator::new(schedule);
         for task in 0..schedule.num_tasks() {
-            let partition = task_partition(ds, config, schedule, task);
+            let partition = task_partition(ds, schedule, task);
             let mut state = ResolveReducer::ingest(&partition);
             for block in &schedule.block_order[task] {
                 let tree = &schedule.trees[block.tree];
@@ -946,14 +985,17 @@ mod tests {
                 let node = &tree.nodes[block.node];
                 let state = state.trees.get_mut(&block.tree).unwrap();
                 let all: Vec<Local> = (0..state.entities.len() as Local).collect();
-                let order =
-                    pper_progressive::sort_by_attrs(&all, &[family.levels[0].attr, 0], &*state);
+                let order = pper_progressive::sort_by_attrs(
+                    &all,
+                    &[family.levels[0].attr, 0],
+                    &state.entities,
+                );
                 let want: Vec<Local> = order
                     .iter()
                     .copied()
                     .filter(|&l| family.key_at(state.entities[l as usize], node.level) == node.key)
                     .collect();
-                let got = state.take_block(family, tree, block.node);
+                let got = state.take_block(&locator, block.tree, tree, block.node);
                 assert_eq!(
                     got, want,
                     "task {task}, tree {}, node {}",
@@ -1056,6 +1098,86 @@ mod tests {
         let schedule = schedule_for(&ds, &config);
         let scattered = assert_blocks_are_the_filtered_order(&ds, &config, &schedule);
         assert!(scattered > 0, "every block is one run of its tree's order");
+    }
+
+    /// Eight titles whose level keys nest only when each char is lowercased
+    /// on its own: lowercasing the cut prefix as a string keys `xyzΣabcd…`
+    /// to `xyzς` at four chars (a final sigma) but to `xyzσabcd` at eight,
+    /// where it meets `xyzσabcd…`, so job 1 built two `xyzσabcd` blocks of
+    /// two while a filing by key handed each all four. Job 2 takes every
+    /// block with job 1's `|X|` members, and with root windows that span the
+    /// data it compares every co-blocked pair exactly once.
+    #[test]
+    fn sigma_titles_get_job_1s_blocks_and_every_co_blocked_pair_once() {
+        let titles = ["xyzΣabcd", "xyzΣefgh", "xyzσabcd", "xyzσefgh"]
+            .into_iter()
+            .flat_map(|stem| [format!("{stem} one"), format!("{stem} two")]);
+        let entities: Vec<Entity> = titles
+            .enumerate()
+            .map(|(i, title)| {
+                let attrs = vec![
+                    title.clone(),
+                    title,
+                    format!("v{i}"),
+                    String::new(),
+                    String::new(),
+                ];
+                Entity::new(i as EntityId, attrs)
+            })
+            .collect();
+        let n = entities.len();
+        let schema = ["title", "abstract", "venue", "authors", "year"];
+        let ds = Dataset::new(
+            "sigma titles",
+            schema.iter().map(|s| s.to_string()).collect(),
+            entities,
+            pper_datagen::GroundTruth::new((0..n as u32).collect()),
+        );
+        let mut config = ErConfig::citeseer(1);
+        config.policy.window_root = ds.len();
+        let schedule = schedule_for(&ds, &config);
+        let locator = TreeLocator::new(&schedule);
+        for task in 0..schedule.num_tasks() {
+            let partition = task_partition(&ds, &schedule, task);
+            let mut state = ResolveReducer::ingest(&partition);
+            for block in &schedule.block_order[task] {
+                let tree = &schedule.trees[block.tree];
+                let state = state.trees.get_mut(&block.tree).unwrap();
+                let got = state.take_block(&locator, block.tree, tree, block.node);
+                let node = &tree.nodes[block.node];
+                assert_eq!(
+                    got.len(),
+                    node.size,
+                    "tree {}, block {:?}",
+                    block.tree,
+                    node.key
+                );
+            }
+        }
+
+        // Brute force over the root keys: every pair sharing a root block.
+        let mut co_blocked = Vec::new();
+        for (i, a) in ds.entities.iter().enumerate() {
+            for b in &ds.entities[i + 1..] {
+                if config
+                    .families
+                    .iter()
+                    .any(|f| f.root_key(a) == f.root_key(b))
+                {
+                    co_blocked.push((a.id, b.id));
+                }
+            }
+        }
+        let compared = std::sync::Mutex::new(Vec::new());
+        let observe = |_, a, b| compared.lock().unwrap().push((a, b));
+        let stage = Stage {
+            observer: Some(&observe),
+            ..Stage::default()
+        };
+        run_job2_stage(&ds, &config, &schedule, stage).unwrap();
+        let mut compared = compared.into_inner().unwrap();
+        compared.sort_unstable();
+        assert_eq!(compared, co_blocked);
     }
 
     #[test]
@@ -1174,7 +1296,7 @@ mod tests {
         let config = ErConfig::citeseer(1); // two reduce tasks: trees share them
         let schedule = schedule_for(&ds, &config);
         let reducer = ResolveReducer::new(&config, &schedule, Stage::default());
-        let partition = task_partition(&ds, &config, &schedule, 0);
+        let partition = task_partition(&ds, &schedule, 0);
         let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, 0);
 
         // Every (tree, member) that was compared holds a slot; the task

@@ -6,10 +6,12 @@
 //!
 //! * [`job1`] — the first MR job: annotate entities with their blocking
 //!   keys and gather per-tree block statistics (sizes, hierarchy, overlap
-//!   information);
+//!   information), and each entity's rank and deepest block in each tree as
+//!   side data for job 2;
 //! * [`job2`] — the second MR job: generate the progressive schedule in the
 //!   map setup, route each entity to the reduce tasks owning its trees
-//!   (keyed by tree, carrying its dominance list), and resolve
+//!   (keyed by tree, carrying its dominance list) from job 1's side data,
+//!   and resolve
 //!   blocks incrementally bottom-up with the configured mechanism, skipping
 //!   pairs owned by other trees (`SHOULD-RESOLVE`, §V) and pairs already
 //!   resolved in child blocks;

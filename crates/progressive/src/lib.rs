@@ -66,5 +66,8 @@
 pub mod mechanism;
 pub mod policy;
 
-pub use mechanism::{sort_by_attrs, MechanismKind, PairSource, PairStream};
+pub use mechanism::{MechanismKind, PairSource, PairStream};
 pub use policy::{LevelPolicy, StopRule, StopState};
+/// The sorted-neighbour hint a block is resolved in; it lives beside the
+/// trees, where job 1 sorts each root block with it once.
+pub use pper_blocking::sort_by_attrs;

@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 
-use pper_blocking::forest::EntityLookup;
 use pper_datagen::EntityId;
 
 /// Which progressive mechanism `M` resolves the blocks (§VI-A3: SN-with-hint
@@ -210,42 +209,9 @@ impl PairSource for PairStream {
     }
 }
 
-/// Sort by a compound attribute key: compare `attrs[0]` first, break ties
-/// with `attrs[1]`, and finally by entity id. This is the hint-generation
-/// step; the caller charges the sort cost against its clock.
-///
-/// Sorted-neighbourhood methods need *discriminative* sort keys: a block
-/// built on a low-cardinality attribute (e.g. venue) is full of ties, and a
-/// windowed scan over an arbitrarily-ordered tie run finds nothing. Real
-/// multi-pass SNM deployments therefore sort by the blocking attribute
-/// *extended with* a discriminative attribute; the pipeline passes
-/// `[blocking attr, title]`, which is `[title, title]` for a family that
-/// blocks on the title.
-///
-/// Each member's values are read once, into a `(first, second, id)` row
-/// the sort moves directly. Members are distinct ids, so the id tie-break makes the order total and
-/// the unstable sort returns exactly what a stable one would.
-pub fn sort_by_attrs(
-    members: &[EntityId],
-    attrs: &[usize; 2],
-    lookup: &impl EntityLookup,
-) -> Vec<EntityId> {
-    let [first, second] = *attrs;
-    let mut rows: Vec<(&str, &str, EntityId)> = members
-        .iter()
-        .map(|&m| {
-            let entity = lookup.entity(m);
-            (entity.attr(first), entity.attr(second), m)
-        })
-        .collect();
-    rows.sort_unstable();
-    rows.into_iter().map(|(_, _, m)| m).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pper_datagen::Entity;
     use std::collections::HashSet;
 
     use MechanismKind::{Psnm, Sn};
@@ -541,59 +507,6 @@ mod tests {
             let mut run = kind.start(vec![0, 1], 1);
             run.feedback(true); // nothing pending: must not panic or enqueue
             assert_eq!(run.next_pair(), Some((0, 1)));
-        }
-    }
-
-    /// The definition `sort_by_attrs` must reproduce: a stable sort that
-    /// looks both entities up in every comparison.
-    fn reference_sort(
-        members: &[EntityId],
-        attrs: &[usize],
-        lookup: &Vec<&Entity>,
-    ) -> Vec<EntityId> {
-        let mut sorted = members.to_vec();
-        sorted.sort_by(|&a, &b| {
-            let (ea, eb) = (lookup.entity(a), lookup.entity(b));
-            attrs
-                .iter()
-                .map(|&attr| ea.attr(attr).cmp(eb.attr(attr)))
-                .find(|ord| ord.is_ne())
-                .unwrap_or_else(|| a.cmp(&b))
-        });
-        sorted
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn prop_sort_by_attrs_matches_the_stable_comparator_sort(
-            // Two-symbol alphabets with empty values: runs of ties on the
-            // first attribute, broken (or not) by the second, and
-            // non-ASCII bytes that sort after every ASCII one.
-            values in proptest::collection::vec(("[aé]{0,2}", "[bΣ]{0,1}"), 0..40),
-            shuffle in 0u32..1_000,
-        ) {
-            let entities: Vec<Entity> = values
-                .iter()
-                .enumerate()
-                .map(|(i, (a, b))| Entity::new(i as EntityId, vec![a.clone(), b.clone()]))
-                .collect();
-            let lookup: Vec<&Entity> = entities.iter().collect();
-            // Members in a scrambled order, as a block arrives.
-            let n = entities.len() as u32;
-            let mut members: Vec<EntityId> = (0..n).collect();
-            members.sort_by_key(|&m| (m * 7 + shuffle) % n.max(1));
-            // Every two-attribute combination: the repeated one the title
-            // family sorts by (`[0, 0]`), two distinct ones, and attribute
-            // 2, which no entity has (it reads as empty).
-            for first in 0..3 {
-                for second in 0..3 {
-                    let attrs = [first, second];
-                    proptest::prop_assert_eq!(
-                        sort_by_attrs(&members, &attrs, &lookup),
-                        reference_sort(&members, &attrs, &lookup)
-                    );
-                }
-            }
         }
     }
 }

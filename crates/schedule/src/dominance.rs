@@ -12,22 +12,27 @@
 //!   of the highest split-off sub-tree below the current tree that still
 //!   contains the entity.
 //!
-//! [`TreeLocator::route`] builds every list of an entity in one pass: it
-//! extracts the entity's key at each `(family, level)` where trees are
-//! rooted once, looks it up once, and derives both the trees the entity is
-//! routed to and all their lists from those lookups. A [`DomList`] is a
-//! fixed array, not a vector: it travels inside the routed record, and a
-//! configuration with more than [`MAX_FAMILIES`] families is refused before
-//! any job runs ([`DomList::check_capacity`]).
+//! [`TreeLocator::route`] builds every list of an entity in one pass, from
+//! integers alone: job 1's side data names the deepest block holding the
+//! entity in each family ([`pper_blocking::Placement`]), a table maps that
+//! block to the schedule tree holding it, and each split-off tree names the
+//! block it hangs under — so the trees holding the entity are that tree and
+//! the trees above it, and every list follows from them. The same tables
+//! give the reduce side each member's rank and deepest node in its tree
+//! ([`TreeLocator::seat`]). A [`DomList`] is a fixed array, not a vector:
+//! it travels inside the routed record, and a configuration with more than
+//! [`MAX_FAMILIES`] families is refused before any job runs
+//! ([`DomList::check_capacity`]).
 //!
 //! At the reduce side, `SHOULD-RESOLVE` compares two entities' lists: a pair
 //! is skipped when a more dominating family's tree owns it (loop over
 //! positions `0..family`), or when both entities fall into the same split
 //! sub-tree (which resolves the pair fully itself).
 
-use pper_blocking::{BlockingFamily, FamilyIndex};
-use pper_datagen::Entity;
-use pper_mapreduce::fxhash::FxHashMap;
+use std::sync::Arc;
+
+use pper_blocking::{FamilyIndex, Placement};
+use pper_datagen::{Entity, EntityId};
 use pper_mapreduce::MrError;
 
 use crate::plan::Schedule;
@@ -89,101 +94,127 @@ fn dom(tree: usize) -> u64 {
     tree as u64 + 1
 }
 
-/// Locates the trees of a [`Schedule`] from entity blocking keys.
+/// Locates the trees of a [`Schedule`] that hold an entity, from job 1's
+/// side data.
 #[derive(Debug, Clone)]
 pub struct TreeLocator {
-    /// Per family, ascending by level: every level at which tree roots
-    /// exist, with its `root key → tree index` map. Keyed per level so a
-    /// lookup probes with the borrowed `&str`.
-    roots: Vec<Vec<(usize, FxHashMap<String, usize>)>>,
+    /// Job 1's side data, shared with the schedule.
+    placement: Arc<Placement>,
+    /// By job 1's block id: the schedule tree holding the block and the
+    /// block's node index there.
+    at: Vec<(u32, u32)>,
+    /// By schedule tree: for a split-off sub-tree, the tree and node its
+    /// root hangs under.
+    hang: Vec<Option<(u32, u32)>>,
 }
 
 impl TreeLocator {
-    /// Index all tree roots of `schedule` for `num_families` families.
-    pub fn new(schedule: &Schedule, num_families: usize) -> Self {
-        let mut roots: Vec<Vec<(usize, FxHashMap<String, usize>)>> = vec![Vec::new(); num_families];
-        for (t, tree) in schedule.trees.iter().enumerate() {
-            let levels = &mut roots[tree.family];
-            let at = match levels.binary_search_by_key(&tree.root_level, |(level, _)| *level) {
-                Ok(at) => at,
-                Err(at) => {
-                    levels.insert(at, (tree.root_level, FxHashMap::default()));
-                    at
-                }
-            };
-            levels[at].1.insert(tree.root_key().to_string(), t);
+    /// Index where every block of `schedule` went, splits included.
+    pub fn new(schedule: &Schedule) -> Self {
+        let blocks = schedule.trees.iter().map(|tree| tree.nodes.len()).sum();
+        let mut at = vec![(0, 0); blocks];
+        for (t, tree) in (0..).zip(&schedule.trees) {
+            for (n, node) in (0..).zip(&tree.nodes) {
+                at[node.origin as usize] = (t, n);
+            }
         }
-        Self { roots }
+        let hang = schedule
+            .trees
+            .iter()
+            .map(|tree| tree.split_from.map(|block| at[block as usize]))
+            .collect();
+        Self {
+            placement: Arc::clone(&schedule.placement),
+            at,
+            hang,
+        }
     }
 
     /// Route `entity` (§V): call `emit(tree, List(entity, tree))` for every
     /// tree whose root block holds the entity — per family its root tree,
-    /// if one exists, then every split sub-tree rooted at a deeper level —
-    /// in `(family, level)` order.
+    /// if one exists, then every split sub-tree below it that still holds
+    /// the entity — in `(family, level)` order.
     ///
-    /// Each `(family, level)` key is extracted once, into one reused
-    /// buffer, and looked up once; the lists are built from those lookups:
+    /// The tree holding the entity's deepest block is found by one table
+    /// lookup; the others hang above it, each where the one below was split
+    /// off. The lists:
     ///
     /// * position `f` is `Dom` of the family-`f` root tree holding the
     ///   entity (a sentinel when its root block formed no tree), except
     ///   that the emitted tree's own family holds `Dom` of that tree;
-    /// * position `n` holds `Dom` of the next tree of the same family at a
-    ///   deeper level — the highest split sub-tree below the emitted one —
-    ///   when there is one.
+    /// * position `n` holds `Dom` of the next tree of the same family below
+    ///   the emitted one — the highest split sub-tree still holding the
+    ///   entity — when there is one.
     ///
     /// # Panics
-    /// Panics if `families` has more than [`MAX_FAMILIES`] entries, which
-    /// [`DomList::check_capacity`] refuses before any job runs.
-    pub fn route(
-        &self,
-        families: &[BlockingFamily],
-        entity: &Entity,
-        mut emit: impl FnMut(usize, DomList),
-    ) {
-        let mut key = String::new();
+    /// Panics if the schedule's families outnumber [`MAX_FAMILIES`], which
+    /// [`DomList::check_capacity`] refuses before any job runs, or if
+    /// `entity` is not one of the dataset the schedule was made for.
+    pub fn route(&self, entity: &Entity, mut emit: impl FnMut(usize, DomList)) {
         // `Dom` of each family's root tree, or the entity's sentinel, and
-        // the root tree itself where there is one.
+        // the tree holding the entity's deepest block where there is one.
         let mut roots = DomList::default();
-        let mut root_trees = [None; MAX_FAMILIES];
-        for (f, (family, levels)) in families.iter().zip(&self.roots).enumerate() {
-            key.clear();
-            family.levels[0].key_into(entity, &mut key);
-            let root = levels
-                .first()
-                .filter(|(level, _)| *level == 0)
-                .and_then(|(_, by_key)| by_key.get(key.as_str()).copied());
-            roots.push(root.map_or(SENTINEL_BIT | u64::from(entity.id), dom));
-            root_trees[f] = root;
+        let mut deepest = [None; MAX_FAMILIES];
+        for (f, deepest) in deepest
+            .iter_mut()
+            .enumerate()
+            .take(self.placement.families())
+        {
+            let place = self.placement.get(entity.id, f);
+            *deepest = place.map(|place| self.at[place.node as usize].0);
+            roots.push(match *deepest {
+                Some(tree) => dom(self.root_of(tree)),
+                None => SENTINEL_BIT | u64::from(entity.id),
+            });
         }
-        let list = |f: FamilyIndex, tree: usize, below: Option<usize>| {
-            let mut list = roots;
-            list.doms[f] = dom(tree);
-            if let Some(below) = below {
-                list.push(dom(below));
-            }
-            list
-        };
-        for (f, (family, levels)) in families.iter().zip(&self.roots).enumerate() {
-            // A tree is emitted once the next deeper one holding the entity,
-            // its split slot, is known.
-            let mut pending = root_trees[f];
-            for (level, by_key) in levels {
-                if *level == 0 || *level >= family.depth() {
-                    continue;
-                }
-                key.clear();
-                family.levels[*level].key_into(entity, &mut key);
-                if let Some(&below) = by_key.get(key.as_str()) {
-                    if let Some(tree) = pending {
-                        emit(tree, list(f, tree, Some(below)));
-                    }
-                    pending = Some(below);
-                }
-            }
-            if let Some(tree) = pending {
-                emit(tree, list(f, tree, None));
+        for (f, deepest) in deepest.into_iter().enumerate() {
+            if let Some(tree) = deepest {
+                self.emit_down_to(f, tree, None, &roots, &mut emit);
             }
         }
+    }
+
+    /// Emit the trees from the family's root tree down to `tree`, whose
+    /// split slot is `below`.
+    fn emit_down_to(
+        &self,
+        f: FamilyIndex,
+        tree: u32,
+        below: Option<u32>,
+        roots: &DomList,
+        emit: &mut impl FnMut(usize, DomList),
+    ) {
+        if let Some((above, _)) = self.hang[tree as usize] {
+            self.emit_down_to(f, above, Some(tree), roots, emit);
+        }
+        let mut list = *roots;
+        list.doms[f] = dom(tree as usize);
+        if let Some(below) = below {
+            list.push(dom(below as usize));
+        }
+        emit(tree as usize, list);
+    }
+
+    /// The root tree above `tree` (itself if it was never split off).
+    fn root_of(&self, mut tree: u32) -> usize {
+        while let Some((above, _)) = self.hang[tree as usize] {
+            tree = above;
+        }
+        tree as usize
+    }
+
+    /// Where `entity`, routed to `tree` of blocking family `family`, sits
+    /// in it: its rank in its root block's order, and the tree's deepest
+    /// node holding it — the block job 1 placed it in, or, where that block
+    /// was split off the tree, the nearest block above it that the tree
+    /// still holds. `None` when the tree does not hold the entity.
+    pub fn seat(&self, entity: EntityId, family: FamilyIndex, tree: usize) -> Option<(u32, usize)> {
+        let place = self.placement.get(entity, family)?;
+        let (mut at, mut node) = self.at[place.node as usize];
+        while at as usize != tree {
+            (at, node) = self.hang[at as usize]?;
+        }
+        Some((place.rank, node as usize))
     }
 }
 
@@ -209,36 +240,27 @@ mod tests {
     use crate::estimate::EstimationContext;
     use crate::generate::{generate_schedule, ScheduleConfig};
     use crate::probmodel::TrainedProb;
-    use pper_blocking::{build_forests, presets, DatasetStats};
+    use pper_blocking::{build_forests, presets, BlockingFamily, DatasetStats};
     use pper_datagen::{toy_people, BookGen, PubGen};
     use pper_mapreduce::CostModel;
     use pper_progressive::LevelPolicy;
 
     /// Every `(tree, List(entity, tree))` that `route` emits, in order.
-    fn routed(
-        locator: &TreeLocator,
-        families: &[BlockingFamily],
-        entity: &Entity,
-    ) -> Vec<(usize, DomList)> {
+    fn routed(locator: &TreeLocator, entity: &Entity) -> Vec<(usize, DomList)> {
         let mut out = Vec::new();
-        locator.route(families, entity, |tree, list| out.push((tree, list)));
+        locator.route(entity, |tree, list| out.push((tree, list)));
         out
     }
 
     /// The trees `entity` is routed to.
-    fn trees_of(locator: &TreeLocator, families: &[BlockingFamily], entity: &Entity) -> Vec<usize> {
-        let routes = routed(locator, families, entity);
+    fn trees_of(locator: &TreeLocator, entity: &Entity) -> Vec<usize> {
+        let routes = routed(locator, entity);
         routes.into_iter().map(|(tree, _)| tree).collect()
     }
 
     /// `List(entity, tree)` as routing builds it; `tree` must hold `entity`.
-    fn list_for(
-        locator: &TreeLocator,
-        families: &[BlockingFamily],
-        entity: &Entity,
-        tree: usize,
-    ) -> DomList {
-        let routes = routed(locator, families, entity);
+    fn list_for(locator: &TreeLocator, entity: &Entity, tree: usize) -> DomList {
+        let routes = routed(locator, entity);
         let found = routes.into_iter().find(|(t, _)| *t == tree);
         found
             .map(|(_, list)| list)
@@ -279,10 +301,10 @@ mod tests {
 
     #[test]
     fn locator_finds_root_trees() {
-        let (schedule, families, ds) = toy_schedule();
-        let locator = TreeLocator::new(&schedule, families.len());
+        let (schedule, _, ds) = toy_schedule();
+        let locator = TreeLocator::new(&schedule);
         // e1 (id 0, "John Lopez", HI): in X-tree "jo" and Y-tree "hi".
-        let trees = trees_of(&locator, &families, ds.entity(0));
+        let trees = trees_of(&locator, ds.entity(0));
         let keys: Vec<(usize, &str)> = trees
             .iter()
             .map(|&t| (schedule.trees[t].family, schedule.trees[t].root_key()))
@@ -296,7 +318,7 @@ mod tests {
         // e1, e2 share the X-tree "jo" AND the Y-tree "hi". X dominates Y, so
         // the pair must be resolved in "jo" and skipped in "hi".
         let (schedule, families, ds) = toy_schedule();
-        let locator = TreeLocator::new(&schedule, families.len());
+        let locator = TreeLocator::new(&schedule);
         let n = families.len();
 
         let x_tree = (0..schedule.trees.len())
@@ -306,12 +328,12 @@ mod tests {
             .find(|&t| schedule.trees[t].family == 1 && schedule.trees[t].root_key() == "hi")
             .unwrap();
 
-        let lx0 = list_for(&locator, &families, ds.entity(0), x_tree);
-        let lx1 = list_for(&locator, &families, ds.entity(1), x_tree);
+        let lx0 = list_for(&locator, ds.entity(0), x_tree);
+        let lx1 = list_for(&locator, ds.entity(1), x_tree);
         assert!(should_resolve(&lx0, &lx1, 0, n), "X must resolve the pair");
 
-        let ly0 = list_for(&locator, &families, ds.entity(0), y_tree);
-        let ly1 = list_for(&locator, &families, ds.entity(1), y_tree);
+        let ly0 = list_for(&locator, ds.entity(0), y_tree);
+        let ly1 = list_for(&locator, ds.entity(1), y_tree);
         assert!(!should_resolve(&ly0, &ly1, 1, n), "Y must skip the pair");
     }
 
@@ -320,13 +342,13 @@ mod tests {
         // e4 ("Charles", LA) and e5 ("Gharles", LA): different X root blocks,
         // same Y-tree "la" — Y must resolve it.
         let (schedule, families, ds) = toy_schedule();
-        let locator = TreeLocator::new(&schedule, families.len());
+        let locator = TreeLocator::new(&schedule);
         let n = families.len();
         let y_tree = (0..schedule.trees.len())
             .find(|&t| schedule.trees[t].family == 1 && schedule.trees[t].root_key() == "la")
             .unwrap();
-        let l4 = list_for(&locator, &families, ds.entity(3), y_tree);
-        let l5 = list_for(&locator, &families, ds.entity(4), y_tree);
+        let l4 = list_for(&locator, ds.entity(3), y_tree);
+        let l5 = list_for(&locator, ds.entity(4), y_tree);
         assert!(should_resolve(&l4, &l5, 1, n));
     }
 
@@ -352,7 +374,7 @@ mod tests {
         // NoSplit: a root-level check.
         let cfg = ScheduleConfig::default().with_scheduler(crate::generate::TreeScheduler::NoSplit);
         let schedule = generate_schedule(&stats, &ctx, &cfg, 4);
-        let locator = TreeLocator::new(&schedule, families.len());
+        let locator = TreeLocator::new(&schedule);
         let n = families.len();
 
         let mut checked = 0;
@@ -360,8 +382,8 @@ mod tests {
             for b in (a + 1)..200u32 {
                 let ea = ds.entity(a);
                 let eb = ds.entity(b);
-                let ta = trees_of(&locator, &families, ea);
-                let tb = trees_of(&locator, &families, eb);
+                let ta = trees_of(&locator, ea);
+                let tb = trees_of(&locator, eb);
                 let shared: Vec<usize> = ta.iter().copied().filter(|t| tb.contains(t)).collect();
                 if shared.is_empty() {
                     continue;
@@ -370,8 +392,8 @@ mod tests {
                     .iter()
                     .filter(|&&t| {
                         let f = schedule.trees[t].family;
-                        let la = list_for(&locator, &families, ea, t);
-                        let lb = list_for(&locator, &families, eb, t);
+                        let la = list_for(&locator, ea, t);
+                        let lb = list_for(&locator, eb, t);
                         should_resolve(&la, &lb, f, n)
                     })
                     .count();
@@ -414,7 +436,7 @@ mod tests {
         let family = tree.family;
         let fam = &families[family];
         let n = families.len();
-        let locator = TreeLocator::new(&schedule, families.len());
+        let locator = TreeLocator::new(&schedule);
 
         // Two entities inside the split tree's root block whose pair is not
         // already owned by a more dominating family: SHOULD-RESOLVE (Fig. 7)
@@ -457,15 +479,15 @@ mod tests {
             })
             .expect("a pair not co-blocked in any more dominating family");
 
-        let pa = list_for(&locator, &families, ds.entity(a), parent_tree);
-        let pb = list_for(&locator, &families, ds.entity(b), parent_tree);
+        let pa = list_for(&locator, ds.entity(a), parent_tree);
+        let pb = list_for(&locator, ds.entity(b), parent_tree);
         assert!(
             !should_resolve(&pa, &pb, family, n),
             "parent tree must skip pairs owned by its split sub-tree"
         );
 
-        let sa = list_for(&locator, &families, ds.entity(a), split_tree);
-        let sb = list_for(&locator, &families, ds.entity(b), split_tree);
+        let sa = list_for(&locator, ds.entity(a), split_tree);
+        let sb = list_for(&locator, ds.entity(b), split_tree);
         // The split tree resolves it unless an even deeper split owns it.
         let (la, lb) = (usize::from(sa.len), usize::from(sb.len));
         let deeper_owns = la > n && lb > n && sa.doms[n] == sb.doms[n];
@@ -504,7 +526,7 @@ mod tests {
                 prob,
             };
             let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
-            let locator = TreeLocator::new(&schedule, families.len());
+            let locator = TreeLocator::new(&schedule);
             let trees = &schedule.trees;
             let n = families.len();
             assert!(
@@ -524,7 +546,7 @@ mod tests {
                     })
                     .collect();
                 holding.sort_by_key(|&t| (trees[t].family, trees[t].root_level));
-                let routes = routed(&locator, families, e);
+                let routes = routed(&locator, e);
                 let emitted: Vec<usize> = routes.iter().map(|(t, _)| *t).collect();
                 assert_eq!(emitted, holding, "{}: entity {}", ds.name, e.id);
 
@@ -577,9 +599,9 @@ mod tests {
         // Shape check: own-family slot first (family order), then the split
         // descendant appended at position n.
         let (schedule, families, ds) = toy_schedule();
-        let locator = TreeLocator::new(&schedule, families.len());
-        let tree = trees_of(&locator, &families, ds.entity(0))[0];
-        let list = list_for(&locator, &families, ds.entity(0), tree);
+        let locator = TreeLocator::new(&schedule);
+        let tree = trees_of(&locator, ds.entity(0))[0];
+        let list = list_for(&locator, ds.entity(0), tree);
         let len = usize::from(list.len);
         assert!(len == families.len() || len == families.len() + 1);
     }

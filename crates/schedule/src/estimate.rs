@@ -201,6 +201,7 @@ mod tests {
             dis: 0.0,
             cost: 0.0,
             util: 0.0,
+            origin: 0,
         }
     }
 
@@ -223,6 +224,7 @@ mod tests {
         let mut tree = PlanTree {
             family: 0,
             root_level: 0,
+            split_from: None,
             nodes: vec![leaf("k", None, 10, 45)], // all pairs covered
         };
         recompute_tree(&mut tree, &ctx(1000, &policy, &cm, &prob));
@@ -244,6 +246,7 @@ mod tests {
         let mut tree = PlanTree {
             family: 0,
             root_level: 0,
+            split_from: None,
             nodes: vec![
                 PlanNode {
                     children: vec![1],
@@ -274,6 +277,7 @@ mod tests {
         let mut tree = PlanTree {
             family: 0,
             root_level: 0,
+            split_from: None,
             nodes: vec![
                 PlanNode {
                     children: vec![1],
@@ -312,7 +316,7 @@ mod tests {
         let prob = TrainedProb::citeseer();
         let c = ctx(ds.len(), &policy, &cm, &prob);
         for ts in &stats.trees {
-            let mut tree = PlanTree::from_stats(ts);
+            let mut tree = PlanTree::from_stats(ts, 0);
             recompute_tree(&mut tree, &c);
             check_estimates(&tree).unwrap_or_else(|e| panic!("{e}"));
         }
@@ -327,6 +331,7 @@ mod tests {
         let mut tree = PlanTree {
             family: 0,
             root_level: 0,
+            split_from: None,
             nodes: vec![
                 PlanNode {
                     children: vec![1],

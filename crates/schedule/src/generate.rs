@@ -23,8 +23,9 @@
 //! baselines of §VI-B2.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use pper_blocking::DatasetStats;
+use pper_blocking::{DatasetStats, Placement};
 
 use crate::estimate::{recompute_all, recompute_tree, root_cost, EstimationContext};
 use crate::plan::{BlockRef, PlanTree, Schedule};
@@ -200,7 +201,17 @@ pub fn generate_schedule(
         num_buckets: cfg.num_buckets.max(1),
         ..cfg.clone()
     };
-    let mut trees: Vec<PlanTree> = stats.trees.iter().map(PlanTree::from_stats).collect();
+    // Job 1 numbers the nodes of its trees in order.
+    let mut first_node = 0;
+    let mut trees: Vec<PlanTree> = stats
+        .trees
+        .iter()
+        .map(|tree| {
+            let plan = PlanTree::from_stats(tree, first_node);
+            first_node += tree.nodes.len() as u32;
+            plan
+        })
+        .collect();
     recompute_all(&mut trees, ctx);
 
     let assignment = match cfg.scheduler {
@@ -211,7 +222,12 @@ pub fn generate_schedule(
         TreeScheduler::NoSplit => partition_trees(&trees, cfg, reduce_tasks),
         TreeScheduler::Lpt => partition_lpt(&trees, reduce_tasks),
     };
-    finalize(trees, assignment, reduce_tasks)
+    finalize(
+        trees,
+        assignment,
+        reduce_tasks,
+        Arc::clone(&stats.placement),
+    )
 }
 
 /// Safety cap on identify/split iterations.
@@ -404,7 +420,12 @@ fn partition_lpt(trees: &[PlanTree], reduce_tasks: usize) -> Vec<usize> {
 
 /// `SORT-BLOCKS` per task: the block schedule of each of `num_tasks`
 /// tasks, over the trees `assignment` gives it.
-fn finalize(trees: Vec<PlanTree>, assignment: Vec<usize>, num_tasks: usize) -> Schedule {
+fn finalize(
+    trees: Vec<PlanTree>,
+    assignment: Vec<usize>,
+    num_tasks: usize,
+    placement: Arc<Placement>,
+) -> Schedule {
     let block_order: Vec<Vec<BlockRef>> = (0..num_tasks)
         .map(|task| {
             let task_trees: Vec<usize> = (0..trees.len())
@@ -417,6 +438,7 @@ fn finalize(trees: Vec<PlanTree>, assignment: Vec<usize>, num_tasks: usize) -> S
         task_of_tree: assignment,
         block_order,
         trees,
+        placement,
     }
 }
 
@@ -730,6 +752,7 @@ mod tests {
                 trees.prop_map(|trees| DatasetStats {
                     num_entities: 10_000,
                     trees,
+                    placement: Arc::default(),
                 })
             })
         }

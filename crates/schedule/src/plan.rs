@@ -2,8 +2,10 @@
 //! updated as the generator splits sub-trees, and the final [`Schedule`].
 
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use pper_blocking::{FamilyIndex, NodeStats, TreeStats};
+use pper_blocking::{BlockingFamily, FamilyIndex, NodeStats, Placement, TreeStats};
+use pper_datagen::Entity;
 use pper_mapreduce::fxhash::FxHasher;
 
 /// One block inside a [`PlanTree`], carrying both structure and estimates.
@@ -38,11 +40,15 @@ pub struct PlanNode {
     pub cost: f64,
     /// `Util(X) = Dup(X) / Cost(X)`.
     pub util: f64,
+    /// Job 1's id of the block ([`pper_blocking::Place::node`]): it stays
+    /// with the block when the block's sub-tree is split off.
+    pub origin: u32,
 }
 
 impl PlanNode {
-    /// Build from gathered statistics (estimates filled in later).
-    pub fn from_stats(stats: &NodeStats) -> Self {
+    /// Build from gathered statistics (estimates filled in later); `origin`
+    /// is job 1's id of the block.
+    pub fn from_stats(stats: &NodeStats, origin: u32) -> Self {
         Self {
             key: stats.key.clone(),
             level: stats.level,
@@ -55,6 +61,7 @@ impl PlanNode {
             dis: 0.0,
             cost: 0.0,
             util: 0.0,
+            origin,
         }
     }
 
@@ -75,21 +82,36 @@ pub struct PlanTree {
     pub root_level: usize,
     /// Blocks in pre-order; index 0 is the root.
     pub nodes: Vec<PlanNode>,
+    /// For a sub-tree the generator split off, job 1's id of the block its
+    /// root was split from: the parent block, in whichever tree holds it.
+    pub split_from: Option<u32>,
 }
 
 impl PlanTree {
-    /// Build an (estimate-less) plan tree from job-1 statistics.
-    pub fn from_stats(stats: &TreeStats) -> Self {
+    /// Build an (estimate-less) plan tree from job-1 statistics; job 1
+    /// numbers the tree's nodes from `first_node`.
+    pub fn from_stats(stats: &TreeStats, first_node: u32) -> Self {
         Self {
             family: stats.family,
             root_level: 0,
-            nodes: stats.nodes.iter().map(PlanNode::from_stats).collect(),
+            nodes: (first_node..)
+                .zip(&stats.nodes)
+                .map(|(origin, node)| PlanNode::from_stats(node, origin))
+                .collect(),
+            split_from: None,
         }
     }
 
     /// The root node's key.
     pub fn root_key(&self) -> &str {
         &self.nodes[0].key
+    }
+
+    /// Whether `entity` belongs to the tree's root block under `family`,
+    /// the tree's blocking family: its key at the root's level is the
+    /// root's key.
+    pub fn holds(&self, family: &BlockingFamily, entity: &Entity) -> bool {
+        family.key_at(entity, self.root_level) == self.root_key()
     }
 
     /// Total estimated cost of all blocks.
@@ -128,6 +150,12 @@ impl PlanTree {
             v
         };
         let sub_cov = self.nodes[sub_root].cov;
+        #[expect(
+            clippy::expect_used,
+            reason = "split targets are chosen below the root by the caller; a rootless \
+                      parent is a plan-construction bug worth stopping on"
+        )]
+        let parent_of_sub = self.nodes[sub_root].parent.expect("non-root has parent");
 
         // Reduce Cov along the ancestor chain.
         let mut p = self.nodes[sub_root].parent;
@@ -161,15 +189,10 @@ impl PlanTree {
             family: self.family,
             root_level: self.nodes[sub_root].level,
             nodes: new_nodes,
+            split_from: Some(self.nodes[parent_of_sub].origin),
         };
 
         // Remove the split indices from this tree (compact + remap).
-        #[expect(
-            clippy::expect_used,
-            reason = "split targets are chosen below the root by the caller; a rootless \
-                      parent is a plan-construction bug worth stopping on"
-        )]
-        let parent_of_sub = self.nodes[sub_root].parent.expect("non-root has parent");
         self.nodes[parent_of_sub]
             .children
             .retain(|&c| c != sub_root);
@@ -220,6 +243,11 @@ pub struct Schedule {
     pub task_of_tree: Vec<usize>,
     /// Per reduce task: blocks in resolution order (the *block schedule*).
     pub block_order: Vec<Vec<BlockRef>>,
+    /// Job 1's side data: where each entity sits in each family's forest,
+    /// which job 2 routes and orders by. It is a function of the dataset
+    /// and the blocking families, like the statistics the rest of the
+    /// schedule comes from, so [`Schedule::digest`] leaves it out.
+    pub placement: Arc<Placement>,
 }
 
 impl Schedule {
@@ -233,7 +261,9 @@ impl Schedule {
         self.trees.iter().map(PlanTree::total_cost).sum()
     }
 
-    /// An FxHash of every field, floats by their bits. A durable run
+    /// An FxHash of every planning field, floats by their bits — not of
+    /// job 1's ids and side data, which the statistics the plan was made
+    /// from determine. A durable run
     /// journals it in place of the schedule: a resume regenerates the
     /// schedule from job 1's statistics and refuses to go on unless the
     /// digests agree.
@@ -263,6 +293,7 @@ mod tests {
     ///                   a(1) size 20     b(2) size 8
     ///                   /
     ///             c(3) size 10
+    /// whose nodes job 1 numbered 10–13.
     fn sample_tree() -> PlanTree {
         let mk = |key: &str, level, parent, children: Vec<usize>, size, cov| PlanNode {
             key: key.into(),
@@ -276,16 +307,22 @@ mod tests {
             dis: 0.0,
             cost: 0.0,
             util: 0.0,
+            origin: 0,
         };
+        let mut nodes = vec![
+            mk("ro", 0, None, vec![1, 2], 30, 400),
+            mk("roa", 1, Some(0), vec![3], 20, 150),
+            mk("rob", 1, Some(0), vec![], 8, 25),
+            mk("roac", 2, Some(1), vec![], 10, 40),
+        ];
+        for (origin, node) in (10..).zip(&mut nodes) {
+            node.origin = origin;
+        }
         PlanTree {
             family: 0,
             root_level: 0,
-            nodes: vec![
-                mk("ro", 0, None, vec![1, 2], 30, 400),
-                mk("roa", 1, Some(0), vec![3], 20, 150),
-                mk("rob", 1, Some(0), vec![], 8, 25),
-                mk("roac", 2, Some(1), vec![], 10, 40),
-            ],
+            split_from: None,
+            nodes,
         }
     }
 
@@ -311,6 +348,13 @@ mod tests {
         assert_eq!(sub.nodes[0].children, vec![1]);
         assert_eq!(sub.nodes[1].parent, Some(0));
         assert_eq!(sub.nodes[1].key, "roac");
+        // Each block keeps job 1's id, and the sub-tree records where it
+        // hung: under the root, job 1's block 10.
+        assert_eq!(
+            sub.nodes.iter().map(|n| n.origin).collect::<Vec<_>>(),
+            [11, 13]
+        );
+        assert_eq!(sub.split_from, Some(10));
 
         // Old tree: root + "rob", root's cov reduced by roa's 150.
         assert_eq!(t.nodes.len(), 2);
@@ -318,6 +362,11 @@ mod tests {
         assert_eq!(t.nodes[0].children, vec![1]);
         assert_eq!(t.nodes[1].key, "rob");
         assert_eq!(t.nodes[1].parent, Some(0));
+        assert_eq!(
+            t.nodes.iter().map(|n| n.origin).collect::<Vec<_>>(),
+            [10, 12]
+        );
+        assert_eq!(t.split_from, None);
     }
 
     #[test]
@@ -338,6 +387,7 @@ mod tests {
             trees: vec![sample_tree()],
             task_of_tree: vec![0],
             block_order: vec![vec![BlockRef { tree: 0, node: 1 }], vec![]],
+            placement: Arc::default(),
         };
         assert_eq!(schedule.digest(), schedule.clone().digest());
         type Edit = fn(&mut Schedule);
