@@ -3,23 +3,26 @@
 //!
 //! A staged driver of the product's own entry points — generate, `run_job1`,
 //! `ProgressiveEr::generate_schedule`, `run_job2` — on a books and a
-//! publications dataset in turn, μ = 10 machines. Each stage is timed and
-//! followed by a reading of the process's peak RSS so far (books run first,
-//! so the publications' readings are at least the books' peak); pair and
-//! duplicate counts come from the job counters, recall from a `RecallCurve`
-//! over job 2's timeline, and the bytes of job 1's side data from the
-//! statistics it hands the schedule.
+//! publications dataset in turn, μ = 10 machines. Each dataset runs in a
+//! process of its own (the binary runs itself with `--kind books`, then
+//! `--kind pubs`, and gathers what each prints), so each stage's peak-RSS
+//! reading is that dataset's alone. Each stage is timed and followed by
+//! that reading; pair and duplicate counts come from the job counters,
+//! recall from a `RecallCurve` over job 2's timeline, and the bytes of job
+//! 1's side data from the statistics it hands the schedule.
 //!
 //! ```text
 //! bench_scale                      # 1M books, then 1M publications
 //! bench_scale --entities 200000
 //! bench_scale --quick              # CI smoke (50k each)
+//! bench_scale --kind books         # one dataset; prints its records and notes
 //! ```
 //!
 //! Emits `BENCH_scale.json` under `--out` (default `target/experiments`).
 
+use std::process::{Command, Stdio};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pper_bench::{BenchRecord, BenchReport, ExpOptions};
 use pper_datagen::{BookGen, Dataset, PubGen};
@@ -137,33 +140,91 @@ fn run_pipeline(
     );
 }
 
+/// Run dataset `kind` in this process and print its records and notes, one
+/// per tab-separated line, for [`gather`].
+fn run_kind(kind: &str, entities: usize, seed: u64) {
+    let mut report = BenchReport::new("scale", kind);
+    match kind {
+        "books" => run_pipeline(
+            &mut report,
+            "books",
+            ErConfig::books(MACHINES),
+            entities,
+            || BookGen::new(entities, seed).generate(),
+        ),
+        "pubs" => run_pipeline(
+            &mut report,
+            "pubs",
+            ErConfig::citeseer(MACHINES),
+            entities,
+            || PubGen::new(entities, seed).generate(),
+        ),
+        other => panic!("--kind takes books or pubs, not {other}"),
+    }
+    for r in &report.records {
+        let nanos = (r.ns_per_op * r.iterations as f64).round();
+        println!("record\t{}\t{}\t{nanos}", r.name, r.iterations);
+    }
+    for note in &report.notes {
+        println!("note\t{note}");
+    }
+}
+
+/// Run `bench_scale <args> --kind <kind>` as a child process and add what
+/// it prints to `report`.
+fn gather(report: &mut BenchReport, args: &[String], kind: &str) -> std::io::Result<()> {
+    let out = Command::new(std::env::current_exe()?)
+        .args(args)
+        .args(["--kind", kind])
+        .stderr(Stdio::inherit())
+        .output()?;
+    assert!(
+        out.status.success(),
+        "bench_scale --kind {kind} failed: {}",
+        out.status
+    );
+    for line in String::from_utf8_lossy(&out.stdout).lines() {
+        match line.split('\t').collect::<Vec<_>>()[..] {
+            ["note", note] => report.note(note),
+            ["record", name, iterations, nanos] => {
+                let (Ok(iterations), Ok(nanos)) = (iterations.parse(), nanos.parse::<f64>()) else {
+                    panic!("bench_scale --kind {kind} printed a malformed record: {line}");
+                };
+                let elapsed = Duration::from_nanos(nanos as u64);
+                report.push(BenchRecord::from_total(name, iterations, elapsed));
+            }
+            _ => panic!("bench_scale --kind {kind} printed an unexpected line: {line}"),
+        }
+    }
+    Ok(())
+}
+
 fn main() -> std::io::Result<()> {
-    let opts = ExpOptions::from_args(1_000_000);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let kind = args.iter().position(|a| a == "--kind").map(|at| {
+        let kind = args.get(at + 1).cloned().expect("--kind takes a value");
+        args.drain(at..at + 2);
+        kind
+    });
+    let opts = ExpOptions::parse(1_000_000, args.iter().cloned()).unwrap_or_else(|e| panic!("{e}"));
     let entities = if opts.quick { 50_000 } else { opts.entities };
+    if let Some(kind) = kind {
+        run_kind(&kind, entities, opts.seed);
+        return Ok(());
+    }
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     let mut report = BenchReport::new(
         "scale",
         format!(
-            "two-job pipeline at scale: {entities} books, then {entities} publications; \
-             μ = {MACHINES}, seed {}, available_parallelism {threads}",
+            "two-job pipeline at scale: {entities} books, then {entities} publications, \
+             each in a process of its own; μ = {MACHINES}, seed {}, available_parallelism {threads}",
             opts.seed
         ),
     );
-    run_pipeline(
-        &mut report,
-        "books",
-        ErConfig::books(MACHINES),
-        entities,
-        || BookGen::new(entities, opts.seed).generate(),
-    );
-    run_pipeline(
-        &mut report,
-        "pubs",
-        ErConfig::citeseer(MACHINES),
-        entities,
-        || PubGen::new(entities, opts.seed).generate(),
-    );
+    for kind in ["books", "pubs"] {
+        gather(&mut report, &args, kind)?;
+    }
     report.emit(&opts.out_dir)
 }
 

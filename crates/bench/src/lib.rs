@@ -44,7 +44,9 @@ impl ExpOptions {
         Self::parse(default_entities, std::env::args().skip(1)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn parse(
+    /// Parse `args` (the command line after the program name), with the
+    /// given default entity count.
+    pub fn parse(
         default_entities: usize,
         mut args: impl Iterator<Item = String>,
     ) -> Result<Self, String> {

@@ -220,18 +220,8 @@ impl Tree {
         lookup: &impl EntityLookup,
     ) -> Vec<(EntityId, u32)> {
         let members = &self.root().members;
-        // A member's index among the root's ascending, distinct members:
-        // itself when they are positions 0..n, as in job 1's reducer.
-        let dense = members
-            .last()
-            .is_none_or(|&last| last as usize + 1 == members.len());
-        let at = |m: EntityId| {
-            if dense {
-                m as usize
-            } else {
-                members.partition_point(|&x| x < m)
-            }
-        };
+        // A member's index among the root's ascending, distinct members.
+        let at = |m: EntityId| members.partition_point(|&x| x < m);
         // Pre-order visits a block after every block that holds it, so the
         // last block to claim a member is its deepest.
         let mut deepest = vec![0; members.len()];

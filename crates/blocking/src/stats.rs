@@ -12,10 +12,11 @@
 //! `OLP` computation, see [`olp`]), and tests validate it against a
 //! brute-force pair scan over the key strings.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use pper_datagen::{Dataset, Entity, EntityId};
+use pper_mapreduce::fxhash::FxHashMap;
 
 use crate::forest::{Forest, Tree};
 use crate::function::BlockingFamily;
@@ -54,12 +55,14 @@ pub struct Signatures {
 impl Signatures {
     /// Intern the root keys of `families` over `entities`; the `i`-th
     /// entity gets row `i`. Every key is extracted once into one reused
-    /// buffer, and a `String` is kept only per distinct key.
+    /// buffer, and a `String` is kept only per distinct key. The keys are
+    /// the pipeline's own, so they are hashed with FxHash, as the shuffle
+    /// hashes them.
     pub fn intern<'e>(
         families: &[BlockingFamily],
         entities: impl IntoIterator<Item = &'e Entity>,
     ) -> Self {
-        let mut interners: Vec<HashMap<String, u32>> = vec![HashMap::new(); families.len()];
+        let mut interners: Vec<FxHashMap<String, u32>> = vec![FxHashMap::default(); families.len()];
         let mut ids = Vec::new();
         let mut rows = 0;
         let mut key = String::new();
@@ -337,9 +340,37 @@ pub struct Placement {
     families: usize,
     /// Row-major: entity `e`'s place in family `f` is `places[e * families + f]`.
     places: Vec<Place>,
+    /// [`Placement::fingerprint`] of the dataset the table was made from.
+    dataset: u64,
 }
 
 impl Placement {
+    /// Entities a fingerprint reads, spread evenly over the dataset.
+    const SAMPLED: usize = 64;
+
+    /// A fingerprint of `ds` that costs next to nothing: its size and the
+    /// attribute values of [`Self::SAMPLED`] entities spread evenly over it.
+    /// Another dataset of the same size, generated or loaded from another
+    /// source, differs in it; one that differs from `ds` only in records it
+    /// does not read does not.
+    pub fn fingerprint(ds: &Dataset) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        let n = ds.len();
+        n.hash(&mut h);
+        for i in 0..Self::SAMPLED.min(n) {
+            ds.entities[i * n / Self::SAMPLED.min(n)].attrs.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Whether the table was made from `ds`, as far as
+    /// [`Placement::fingerprint`] tells: job 2 routes by the table alone, so
+    /// a table made from another dataset would file the given entities into
+    /// that dataset's blocks.
+    pub fn made_for(&self, ds: &Dataset) -> bool {
+        self.entities() == ds.len() && self.dataset == Self::fingerprint(ds)
+    }
+
     /// Where `entity` sits in `family`'s forest; `None` when its root block
     /// formed no tree.
     #[inline]
@@ -391,17 +422,18 @@ impl DatasetStats {
                 (stats, t.ranked(&families[t.family], ds))
             })
             .collect();
-        Self::assemble(ds.len(), families.len(), trees)
+        Self::assemble(ds, families.len(), trees)
     }
 
-    /// Statistics over `num_entities` entities and `families` families from
-    /// their trees, in order, each with its [`Tree::ranked`] members (ids of
-    /// the dataset, node indices of the tree).
+    /// Statistics over `ds` and `families` families from their trees, in
+    /// order, each with its [`Tree::ranked`] members (ids of the dataset,
+    /// node indices of the tree).
     pub fn assemble(
-        num_entities: usize,
+        ds: &Dataset,
         families: usize,
         trees: Vec<(TreeStats, Vec<(EntityId, u32)>)>,
     ) -> Self {
+        let num_entities = ds.len();
         let mut places = vec![Place::NONE; num_entities * families];
         let mut first = 0;
         let trees = trees
@@ -420,7 +452,11 @@ impl DatasetStats {
         Self {
             num_entities,
             trees,
-            placement: Arc::new(Placement { families, places }),
+            placement: Arc::new(Placement {
+                families,
+                places,
+                dataset: Placement::fingerprint(ds),
+            }),
         }
     }
 }

@@ -169,7 +169,7 @@ pub fn run_job1(ds: &Dataset, config: &ErConfig) -> Result<Job1Result, MrError> 
     // 1's block ids number the trees' nodes in.
     trees.sort_by(|(a, _), (b, _)| a.family.cmp(&b.family).then(a.root_key.cmp(&b.root_key)));
     Ok(Job1Result {
-        stats: DatasetStats::assemble(ds.len(), config.families.len(), trees),
+        stats: DatasetStats::assemble(ds, config.families.len(), trees),
         virtual_cost: result.total_virtual_cost,
         counters: result.counters,
     })

@@ -64,10 +64,7 @@
 //!   nothing; PSNM's feedback and the stop rule see what they saw in the
 //!   original run, so the block's pair stream, and every tree's set, is
 //!   the original's. The duplicates the replay meets must be the fold's,
-//!   in order, or the stage fails with [`MrError::Checkpoint`]. So must the
-//!   trees it replays hold the dataset's entities: routing reads the
-//!   schedule's side data, not the entities, so a schedule made for another
-//!   dataset would otherwise replay over the wrong records unseen.
+//!   in order, or the stage fails with [`MrError::Checkpoint`].
 //! * **`observer`**: called with `(tree, a, b)`, `a < b`, for every pair the
 //!   matcher decides (never for a replayed one) — the tap the tests hold
 //!   job 2's pair coverage to.
@@ -91,7 +88,6 @@ use pper_journal::{JournalEvent, TaskProgress};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
-use pper_schedule::plan::BlockRef;
 use pper_schedule::{should_resolve, DomList, PlanTree, Schedule, TreeLocator};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
 
@@ -508,7 +504,6 @@ impl<'a> ResolveReducer<'a> {
 
         let resumed_blocks = resume.map_or(0, |tc| tc.blocks_done as usize);
         let blocks = &self.schedule.block_order[task];
-        self.check_replayed_trees(states, &blocks[..resumed_blocks], task)?;
         // The blocks under the watermark are replayed, not resolved: that
         // rebuilds the resolved-pair sets the blocks after it skip by.
         let mut replay = resume.map(|tc| Replay::new(&tc.duplicates));
@@ -634,37 +629,6 @@ impl<'a> ResolveReducer<'a> {
         }
         Ok(())
     }
-
-    /// A resumed task replays its done blocks without the matcher, so the
-    /// trees they belong to must hold the dataset's entities: a schedule
-    /// made for another dataset would otherwise replay its blocks over the
-    /// wrong records unseen. The first entity outside its tree's root block
-    /// is the reason the task refuses.
-    fn check_replayed_trees(
-        &self,
-        states: &FxHashMap<usize, TreeState<'_>>,
-        done: &[BlockRef],
-        task: usize,
-    ) -> Result<(), String> {
-        let mut checked = FxHashSet::default();
-        for block in done.iter().filter(|block| checked.insert(block.tree)) {
-            let Some(state) = states.get(&block.tree) else {
-                continue;
-            };
-            let tree = &self.schedule.trees[block.tree];
-            let family = &self.families[tree.family];
-            if let Some(entity) = state.entities.iter().find(|e| !tree.holds(family, e)) {
-                return Err(format!(
-                    "task {task}: entity {} is not in the root block {:?} of tree {}, so \
-                     the schedule was made for another dataset",
-                    entity.id,
-                    tree.root_key(),
-                    block.tree
-                ));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Result of the second job.
@@ -765,10 +729,15 @@ fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> R
 /// grid is not finite and positive. Rejected with it once the job has run:
 /// a fold whose done blocks, replayed, do not meet its duplicates in order
 /// (the error names the lowest such task and the first position that
-/// differs), or whose trees do not hold the dataset's entities. A
-/// configuration with more blocking families than a [`DomList`] holds, and a
-/// schedule made for a dataset of another size, are
-/// [`MrError::InvalidConfig`].
+/// differs). A configuration with more blocking families than a [`DomList`]
+/// holds is [`MrError::InvalidConfig`].
+///
+/// Routing reads the schedule's side data, not the entities, so every run
+/// first checks that the side data was made from `ds`
+/// ([`pper_blocking::Placement::made_for`]): a schedule made for another
+/// dataset is [`MrError::InvalidConfig`], or, for a resumed stage, the
+/// [`MrError::Checkpoint`] of the lowest task whose fold holds a done block
+/// — that fold would replay over the wrong records.
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
@@ -776,12 +745,18 @@ pub fn run_job2_stage(
     stage: Stage<'_>,
 ) -> Result<Job2Result, MrError> {
     DomList::check_capacity(config.families.len())?;
-    if schedule.placement.entities() != ds.len() {
-        return Err(MrError::InvalidConfig(format!(
-            "the schedule places {} entities, the dataset holds {}",
-            schedule.placement.entities(),
+    if !schedule.placement.made_for(ds) {
+        let why = format!(
+            "the schedule was made for another dataset than the {} entities given",
             ds.len()
-        )));
+        );
+        let replaying = stage
+            .resume
+            .and_then(|tasks| tasks.iter().position(|tc| tc.blocks_done > 0));
+        return Err(match replaying {
+            Some(task) => MrError::Checkpoint(format!("task {task}: {why}")),
+            None => MrError::InvalidConfig(why),
+        });
     }
     if let Some(tasks) = stage.resume {
         check_fold(schedule, ds.len(), tasks)?;
@@ -1178,6 +1153,34 @@ mod tests {
         let mut compared = compared.into_inner().unwrap();
         compared.sort_unstable();
         assert_eq!(compared, co_blocked);
+    }
+
+    /// Job 2 routes by the schedule's side data, not by the entities, so a
+    /// plain run refuses a schedule made for another dataset before any
+    /// task runs: one of the same size from another seed, and one of
+    /// another size. The dataset the schedule was made for runs.
+    #[test]
+    fn a_schedule_made_for_another_dataset_is_refused() {
+        let config = ErConfig::books(2);
+        let ds = BookGen::new(1_200, 421).generate();
+        let schedule = schedule_for(&ds, &config);
+        for other in [
+            BookGen::new(1_200, 422).generate(),
+            BookGen::new(1_100, 421).generate(),
+        ] {
+            match run_job2_stage(&other, &config, &schedule, Stage::default()) {
+                Err(MrError::InvalidConfig(why)) => {
+                    assert!(why.contains("another dataset"), "{why}");
+                }
+                outcome => panic!(
+                    "{} entities: expected a refusal, got {:?}",
+                    other.len(),
+                    outcome.map(|r| r.duplicates.len())
+                ),
+            }
+        }
+        let run = run_job2_stage(&ds, &config, &schedule, Stage::default()).unwrap();
+        assert!(!run.duplicates.is_empty());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use pper_blocking::{BlockingFamily, FamilyIndex, NodeStats, Placement, TreeStats};
-use pper_datagen::Entity;
+use pper_blocking::{FamilyIndex, NodeStats, Placement, TreeStats};
 use pper_mapreduce::fxhash::FxHasher;
 
 /// One block inside a [`PlanTree`], carrying both structure and estimates.
@@ -105,13 +104,6 @@ impl PlanTree {
     /// The root node's key.
     pub fn root_key(&self) -> &str {
         &self.nodes[0].key
-    }
-
-    /// Whether `entity` belongs to the tree's root block under `family`,
-    /// the tree's blocking family: its key at the root's level is the
-    /// root's key.
-    pub fn holds(&self, family: &BlockingFamily, entity: &Entity) -> bool {
-        family.key_at(entity, self.root_level) == self.root_key()
     }
 
     /// Total estimated cost of all blocks.
