@@ -14,11 +14,10 @@
 //!   into it — the split is retried at the next deeper level, so degenerate
 //!   levels never produce duplicate work.
 
-use std::collections::{BTreeMap, HashMap};
-
 use pper_datagen::{Dataset, Entity, EntityId};
+use pper_mapreduce::fxhash::FxHashMap;
 
-use crate::function::BlockingFamily;
+use crate::function::{BlockingFamily, BlockingKey};
 use crate::FamilyIndex;
 
 /// Anything that can resolve an [`EntityId`] to its [`Entity`].
@@ -149,7 +148,7 @@ impl Tree {
             family: family_index,
             blocks,
         };
-        tree.split_block(0, 1, family, lookup, &mut String::new());
+        tree.split_block(0, 1, family, lookup);
         // `split_block` appends children depth-first, so the vector is
         // already in pre-order; verify in debug builds.
         debug_assert!(tree
@@ -161,49 +160,50 @@ impl Tree {
     }
 
     /// Recursively split block `idx` starting at split `level`, skipping
-    /// degenerate levels whose single child would equal the parent. Every
-    /// member's key is extracted into `key`, one buffer for the whole tree;
-    /// only a new child block gets a `String` of its own.
+    /// degenerate levels whose single child would equal the parent. Each
+    /// member's key is a [`BlockingKey`] in one vector of (key, member)
+    /// rows per split block; sorting the rows groups the children in
+    /// ascending key order, the order they are stored in, each with its
+    /// members ascending. Only a kept child (two members or more) gets a
+    /// `String` key and a member vector of its own.
     fn split_block(
         &mut self,
         idx: usize,
         mut level: usize,
         family: &BlockingFamily,
         lookup: &impl EntityLookup,
-        key: &mut String,
     ) {
+        let mut rows: Vec<(BlockingKey, EntityId)> = Vec::new();
         while level < family.depth() {
-            // Children in ascending key order, the order they are stored in.
-            let mut groups: BTreeMap<String, Vec<EntityId>> = BTreeMap::new();
-            for &id in &self.blocks[idx].members {
-                key.clear();
-                family.levels[level].key_into(lookup.entity(id), key);
-                match groups.get_mut(key.as_str()) {
-                    Some(members) => members.push(id),
-                    None => {
-                        groups.insert(key.clone(), vec![id]);
-                    }
-                }
-            }
-            if groups.len() == 1 {
+            let function = &family.levels[level];
+            rows.clear();
+            rows.extend(
+                self.blocks[idx]
+                    .members
+                    .iter()
+                    .map(|&id| (BlockingKey::of(function, lookup.entity(id)), id)),
+            );
+            // Members are distinct, so the order is total.
+            rows.sort_unstable();
+            if rows.first().map(|(k, _)| k) == rows.last().map(|(k, _)| k) {
                 // Single child identical to the parent: merge (skip level).
                 level += 1;
                 continue;
             }
-            for (child_key, members) in groups {
-                if members.len() < 2 {
+            for child in rows.chunk_by(|(a, _), (b, _)| a == b) {
+                if child.len() < 2 {
                     continue; // no pairs: eliminated
                 }
                 let child_idx = self.blocks.len();
                 self.blocks.push(Block {
-                    key: child_key,
+                    key: child[0].0.as_str().to_owned(),
                     level,
-                    members,
+                    members: child.iter().map(|&(_, id)| id).collect(),
                     parent: Some(idx),
                     children: Vec::new(),
                 });
                 self.blocks[idx].children.push(child_idx);
-                self.split_block(child_idx, level + 1, family, lookup, key);
+                self.split_block(child_idx, level + 1, family, lookup);
             }
             return;
         }
@@ -296,25 +296,22 @@ pub fn build_forests(ds: &Dataset, families: &[BlockingFamily]) -> Vec<Forest> {
         .iter()
         .enumerate()
         .map(|(fi, family)| {
-            let mut by_key: HashMap<String, Vec<EntityId>> = HashMap::new();
+            let mut by_key: FxHashMap<BlockingKey, Vec<EntityId>> = FxHashMap::default();
             for e in &ds.entities {
-                by_key.entry(family.root_key(e)).or_default().push(e.id);
+                by_key
+                    .entry(BlockingKey::of(&family.levels[0], e))
+                    .or_default()
+                    .push(e.id);
             }
-            #[expect(clippy::disallowed_methods, reason = "the keys are sorted below")]
-            let mut keys: Vec<String> = by_key
-                .iter()
-                .filter(|(_, v)| v.len() >= 2)
-                .map(|(k, _)| k.clone())
-                .collect();
-            keys.sort();
-            let trees = keys
+            let mut roots: Vec<_> = by_key
                 .into_iter()
-                .filter_map(|key| {
-                    // The key came out of `by_key` just above, so the miss
-                    // arm (skip) is unreachable rather than a panic.
-                    let members = by_key.remove(&key)?;
-                    Some(Tree::build(fi, family, key, members, ds))
-                })
+                .filter(|(_, members)| members.len() >= 2)
+                .collect();
+            // Keys are distinct: ascending key order, whatever the map's.
+            roots.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+            let trees = roots
+                .into_iter()
+                .map(|(key, members)| Tree::build(fi, family, key.as_str().to_owned(), members, ds))
                 .collect();
             Forest { family: fi, trees }
         })
@@ -323,6 +320,8 @@ pub fn build_forests(ds: &Dataset, families: &[BlockingFamily]) -> Vec<Forest> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::presets;
     use pper_datagen::{toy_people, PubGen};

@@ -13,6 +13,9 @@
 //! * [`function::PrefixFunction`] / [`function::BlockingFamily`] — the
 //!   attribute-prefix blocking keys of Table II, plus presets for both of
 //!   the paper's datasets and the Table I toy dataset;
+//! * [`function::BlockingKey`] — a key as the pipeline moves it: inline up
+//!   to 22 bytes, ordered and hashed as its text. Both MR jobs' shuffles,
+//!   the root-key interner and the tree splits key by it;
 //! * [`forest::Tree`] / [`forest::Forest`] — materialized block hierarchies
 //!   with the block-elimination cleanups referenced from §IV-B (empty and
 //!   singleton blocks dropped, children identical to their parent merged);
@@ -61,7 +64,7 @@ pub mod presets;
 pub mod stats;
 
 pub use forest::{build_forests, sort_by_attrs, Block, Forest, Tree};
-pub use function::{BlockingFamily, PrefixFunction};
+pub use function::{BlockingFamily, BlockingKey, PrefixFunction};
 pub use stats::{
     compute_signatures, olp, pairs, uncovered_pairs, DatasetStats, NodeStats, OlpScratch, Place,
     Placement, Signatures, TreeStats,

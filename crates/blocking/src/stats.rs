@@ -19,7 +19,7 @@ use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::fxhash::FxHashMap;
 
 use crate::forest::{Forest, Tree};
-use crate::function::BlockingFamily;
+use crate::function::{BlockingFamily, BlockingKey};
 use crate::FamilyIndex;
 
 /// `Pairs(n) = n·(n−1)/2`.
@@ -54,31 +54,24 @@ pub struct Signatures {
 
 impl Signatures {
     /// Intern the root keys of `families` over `entities`; the `i`-th
-    /// entity gets row `i`. Every key is extracted once into one reused
-    /// buffer, and a `String` is kept only per distinct key. The keys are
-    /// the pipeline's own, so they are hashed with FxHash, as the shuffle
-    /// hashes them.
+    /// entity gets row `i`. Each key is a [`BlockingKey`], moved into its
+    /// family's interner when it is new: no `String` is built, per entity
+    /// or per distinct key, unless a key outgrows the inline capacity. The
+    /// keys are the pipeline's own, so they are hashed with FxHash, as the
+    /// shuffle hashes them.
     pub fn intern<'e>(
         families: &[BlockingFamily],
         entities: impl IntoIterator<Item = &'e Entity>,
     ) -> Self {
-        let mut interners: Vec<FxHashMap<String, u32>> = vec![FxHashMap::default(); families.len()];
+        let mut interners: Vec<FxHashMap<BlockingKey, u32>> =
+            vec![FxHashMap::default(); families.len()];
         let mut ids = Vec::new();
         let mut rows = 0;
-        let mut key = String::new();
         for entity in entities {
             for (family, interner) in families.iter().zip(&mut interners) {
-                key.clear();
-                family.levels[0].key_into(entity, &mut key);
-                let id = match interner.get(key.as_str()) {
-                    Some(&id) => id,
-                    None => {
-                        let id = interner.len() as u32;
-                        interner.insert(key.clone(), id);
-                        id
-                    }
-                };
-                ids.push(id);
+                let next = interner.len() as u32;
+                let key = BlockingKey::of(&family.levels[0], entity);
+                ids.push(*interner.entry(key).or_insert(next));
             }
             rows += 1;
         }

@@ -18,9 +18,9 @@
 //! late in whatever block happens to have the smallest key.
 //!
 //! A shuffled record is `((BlockingKey, family), &Entity)`: the key inline
-//! (a `BlockingKey` orders, compares and hashes exactly as its `str`, so
-//! blocks reach the same reduce tasks in the same order as `String` keys
-//! would) and the dataset's own entity, borrowed. The entity's keys under
+//! (a [`BlockingKey`], job 1's key too, orders, compares and hashes exactly
+//! as its `str`, so blocks reach the same reduce tasks in the same order as
+//! `String` keys would) and the dataset's own entity, borrowed. The entity's keys under
 //! the other families do not travel with it: as in job 1, a key is cheap to
 //! recompute from the attribute values. Each block `(k, f)` extracts its
 //! members' root keys under every other family once, into one buffer the
@@ -29,11 +29,8 @@
 //! kept the same key under some family `g`: the block `(k_g, g)` is a
 //! smaller one they share, and it resolves the pair.
 
-use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
-
 use pper_blocking::forest::EntityLookup;
-use pper_blocking::{BlockingFamily, PrefixFunction};
+use pper_blocking::{BlockingFamily, BlockingKey};
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{MechanismKind, PairSource, StopRule, StopState};
@@ -93,93 +90,6 @@ impl BasicConfig {
     }
 }
 
-/// Bytes a [`BlockingKey`] keeps inline; 22 makes the key as large as a
-/// `String`, so a shuffled record is no larger than with `String` keys.
-const INLINE_KEY: usize = 22;
-
-/// A root blocking-key value, in one of two representations chosen by
-/// length alone: at most [`INLINE_KEY`] bytes is always `Inline`, longer
-/// always `Heap`. So the derived `==` is `str`'s (an inline buffer is zero
-/// past its key, and keys of different representations differ in length),
-/// and `Ord` and `Hash` go through the key's bytes and `str` themselves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BlockingKey {
-    /// The key in the record itself, zero-padded.
-    Inline { len: u8, bytes: [u8; INLINE_KEY] },
-    /// A longer key.
-    Heap(Box<str>),
-}
-
-impl BlockingKey {
-    fn new(key: &str) -> Self {
-        if key.len() > INLINE_KEY {
-            return BlockingKey::Heap(key.into());
-        }
-        let mut bytes = [0; INLINE_KEY];
-        bytes[..key.len()].copy_from_slice(key.as_bytes());
-        BlockingKey::Inline {
-            len: key.len() as u8,
-            bytes,
-        }
-    }
-
-    /// `function`'s key of `entity` ([`PrefixFunction::key`]). An ASCII
-    /// prefix that fits is lowercased straight into the key; any other goes
-    /// through [`PrefixFunction::key_into`] and `buf`.
-    fn of(function: &PrefixFunction, entity: &Entity, buf: &mut String) -> Self {
-        let value = entity.attr(function.attr).as_bytes();
-        // All-ASCII bytes are one char each, so this is the first
-        // `function.chars` chars, and ASCII lowercasing is `to_lowercase`.
-        let head = &value[..value.len().min(function.chars)];
-        if head.len() <= INLINE_KEY && head.is_ascii() {
-            let mut bytes = [0; INLINE_KEY];
-            for (to, from) in bytes.iter_mut().zip(head) {
-                *to = from.to_ascii_lowercase();
-            }
-            return BlockingKey::Inline {
-                len: head.len() as u8,
-                bytes,
-            };
-        }
-        buf.clear();
-        function.key_into(entity, buf);
-        BlockingKey::new(buf)
-    }
-
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            BlockingKey::Inline { len, bytes } => &bytes[..*len as usize],
-            BlockingKey::Heap(key) => key.as_bytes(),
-        }
-    }
-
-    fn as_str(&self) -> &str {
-        // Every key is a whole `str`'s bytes, so this never falls back.
-        std::str::from_utf8(self.as_bytes()).unwrap_or_default()
-    }
-}
-
-impl Ord for BlockingKey {
-    /// `str`'s order is its bytes'.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.as_bytes().cmp(other.as_bytes())
-    }
-}
-
-impl PartialOrd for BlockingKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Hash for BlockingKey {
-    /// `str`'s hash: the hash partitioner sends a block to the reduce task
-    /// its `String` key would go to.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
-    }
-}
-
 /// Map key: `(blocking key value, function id)` — ordered by key value
 /// first, exactly the order the smallest-key rule compares by.
 type BasicKey = (BlockingKey, u8);
@@ -200,12 +110,12 @@ impl<'d> Mapper for BasicMapper<'d> {
         out: &mut Emitter<BasicKey, &'d Entity>,
     ) {
         let entity = *entity;
-        // Only a non-ASCII or over-long key is built in here.
-        let mut buf = String::new();
         for (f, family) in self.families.iter().enumerate() {
             ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-            let key = BlockingKey::of(&family.levels[0], entity, &mut buf);
-            out.emit((key, f as u8), entity);
+            out.emit(
+                (BlockingKey::of(&family.levels[0], entity), f as u8),
+                entity,
+            );
         }
     }
 }
@@ -239,8 +149,6 @@ struct TaskScratch {
     /// key under that family where the smallest-key rule can prefer it over
     /// the block's ([`BasicReducer::smaller_keys`]).
     smaller: Vec<Option<BlockingKey>>,
-    /// The buffer a non-ASCII or over-long key is built in.
-    key: String,
 }
 
 impl<'a> PartitionReducer for BasicReducer<'a> {
@@ -278,7 +186,7 @@ impl BasicReducer<'_> {
         for &entity in members {
             for (g, family) in self.families.iter().enumerate() {
                 let smaller = (g != f)
-                    .then(|| BlockingKey::of(&family.levels[0], entity, &mut task.key))
+                    .then(|| BlockingKey::of(&family.levels[0], entity))
                     .filter(|other| (other, g) < (key, f));
                 task.smaller.push(smaller);
             }
@@ -403,94 +311,6 @@ impl BasicApproach {
 mod tests {
     use super::*;
     use pper_datagen::PubGen;
-    use pper_mapreduce::fxhash::hash_one;
-
-    /// `key` stands for `text` in the shuffle: equal, ordered and hashed
-    /// as `text` against `other_text`, within a record key and alone.
-    fn assert_key_parity(key: &BlockingKey, text: &str, other: &BlockingKey, other_text: &str) {
-        assert_eq!(key.as_str(), text);
-        for f in [0u8, 2] {
-            let (k, s) = ((key.clone(), f), (text.to_string(), f));
-            let (ko, so) = ((other.clone(), 1u8), (other_text.to_string(), 1u8));
-            assert_eq!(k == ko, s == so, "{text:?} == {other_text:?}");
-            assert_eq!(k.cmp(&ko), s.cmp(&so), "{text:?} cmp {other_text:?}");
-            assert_eq!(hash_one(&k), hash_one(&s), "{text:?}");
-        }
-        assert_eq!(
-            key == other,
-            text == other_text,
-            "{text:?} == {other_text:?}"
-        );
-        assert_eq!(
-            key.cmp(other),
-            text.cmp(other_text),
-            "{text:?} cmp {other_text:?}"
-        );
-    }
-
-    #[test]
-    fn keys_at_the_inline_capacity_are_strs() {
-        let cap = INLINE_KEY;
-        let a = |n: usize| "a".repeat(n);
-        let texts = [
-            String::new(),
-            "\0".to_string(),
-            "a".to_string(),
-            "a\0".to_string(),
-            "a\0\0".to_string(),
-            "b".to_string(),
-            a(cap - 1),
-            a(cap),
-            a(cap + 1),
-            a(cap) + "\0",
-            a(cap - 1) + "\0",
-            a(cap) + "b",
-            a(cap) + "c",
-            a(cap - 1) + "b",
-            // A two-byte char that fits, and one straddling the capacity.
-            a(cap - 2) + "é",
-            a(cap - 1) + "é",
-            a(cap - 1) + "ñ",
-            "i̇stanbul straße οδος".to_string(),
-        ];
-        // A record's key is no larger than with a `String`.
-        #[cfg(target_pointer_width = "64")]
-        assert_eq!(size_of::<BasicKey>(), size_of::<(String, u8)>());
-        for text in &texts {
-            let key = BlockingKey::new(text);
-            let inline = matches!(key, BlockingKey::Inline { .. });
-            assert_eq!(inline, text.len() <= cap, "{text:?}");
-            for other in &texts {
-                assert_key_parity(&key, text, &BlockingKey::new(other), other);
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig { cases: 2_000, ..Default::default() })]
-        // The alphabet of `pper_blocking`'s `ids_collide_exactly_where_keys_do`
-        // (İstanbul, ΟΔΟΣ/οδοσ, straße/STRASSE): keys that differ only in case
-        // or go through non-ASCII lowercasing (İ to two chars, Σ to σ or ς),
-        // with `\0` so zero padding is never mistaken for a key's bytes. Two
-        // keys share a prefix that often reaches past the capacity.
-        #[test]
-        fn prop_keys_order_compare_and_hash_as_strings(
-            shared in "[aAsStTİiIΟΔΣοδσςßẞ\0 ]{0,24}",
-            tail_a in "[aAsSİΣσςß\0 ]{0,4}",
-            tail_b in "[aAsSİΣσςß\0 ]{0,4}",
-            chars in 0usize..30,
-        ) {
-            let (a, b) = (shared.clone() + &tail_a, shared + &tail_b);
-            assert_key_parity(&BlockingKey::new(&a), &a, &BlockingKey::new(&b), &b);
-
-            let f = PrefixFunction::new(0, chars);
-            let (ea, eb) = (Entity::new(0, vec![a]), Entity::new(1, vec![b]));
-            let mut buf = "stale".to_string();
-            let ka = BlockingKey::of(&f, &ea, &mut buf);
-            let kb = BlockingKey::of(&f, &eb, &mut buf);
-            assert_key_parity(&ka, &f.key(&ea), &kb, &f.key(&eb));
-        }
-    }
 
     #[test]
     fn basic_full_reaches_high_recall() {

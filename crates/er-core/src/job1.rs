@@ -3,7 +3,10 @@
 //! * **Map** — determine each entity's blocking key values (the annotated
 //!   entity `e*`) and emit one record per main blocking function, keyed by
 //!   `(family, root key)` and carrying the entity's id — in memory and
-//!   through the spilling shuffle alike.
+//!   through the spilling shuffle alike. The root key is a [`BlockingKey`],
+//!   Basic's shuffle key too: inline, so a record moves no `String`, and
+//!   ordered and hashed as its text, so each block reaches the reduce task
+//!   and the place in its partition a `String` key would give it.
 //! * **Reduce** — called per root block: look the block's members up in the
 //!   dataset by id, materialize the block's tree by applying the family's
 //!   sub-blocking functions, and compute the per-node statistics (sizes,
@@ -18,20 +21,53 @@
 //! never extracts a key. The map output doubles as the "annotated dataset":
 //! keys are cheap to recompute from attribute values, so no intermediate
 //! file is materialized (a pure representation choice — the information
-//! content matches the paper's annotated dataset). The reducer extracts each
-//! key once per entity into a reused buffer and interns its members'
-//! dominating root keys as `u32` [`Signatures`] for the `OLP` counts.
+//! content matches the paper's annotated dataset). The reducer interns its
+//! members' dominating root keys as `u32` [`Signatures`] for the `OLP`
+//! counts, and splits the tree by [`BlockingKey`]s too: the only `String`s
+//! it makes are the keys of the blocks it keeps.
 
-use pper_blocking::{BlockingFamily, DatasetStats, OlpScratch, Signatures, Tree, TreeStats};
+use bytes::{Buf, BufMut};
+use pper_blocking::{
+    BlockingFamily, BlockingKey, DatasetStats, OlpScratch, Signatures, Tree, TreeStats,
+};
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_mapreduce::prelude::*;
 
 use crate::config::ErConfig;
 
+/// `(family, root key)` with the root key as a `String`: job 1's record
+/// shape as the benchmark harness's shuffle probe emits it. No job keys by
+/// it; it is kept, like [`SpillEntity`], until the probe stops naming it
+/// (ROADMAP item 1(c)).
+pub type BlockKey = (u8, String);
+
 /// Intermediate key of job 1: `(family, root key)`. The family index plays
 /// the paper's "function ID in the key" role, keeping same-valued keys of
 /// different functions apart.
-pub type BlockKey = (u8, String);
+type Job1Key = (u8, RootKey);
+
+/// A root key with a spill encoding: its text behind a varint length, the
+/// bytes a `String` key spills as. The order and hash are the
+/// [`BlockingKey`]'s, which are its text's.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct RootKey(BlockingKey);
+
+impl SpillCodec for RootKey {
+    fn encode(&self, buf: &mut bytes::BytesMut) {
+        let text = self.0.as_str();
+        (text.len() as u64).encode(buf);
+        buf.put_slice(text.as_bytes());
+    }
+    fn decode(buf: &mut bytes::Bytes) -> Result<Self, MrError> {
+        let len = u64::decode(buf)?;
+        if (buf.remaining() as u64) < len {
+            return Err(MrError::Spill("truncated blocking key".into()));
+        }
+        let raw = buf.split_to(len as usize);
+        let text = std::str::from_utf8(&raw).map_err(|e| MrError::Spill(e.to_string()))?;
+        Ok(RootKey(BlockingKey::new(text)))
+    }
+}
 
 /// [`Entity`] with a binary spill encoding. Job 1 ships entity ids through
 /// both shuffles, so no job uses it: it is kept, with its codec, until the
@@ -52,22 +88,23 @@ impl SpillCodec for SpillEntity {
 }
 
 /// Emits one `(family, root key)` record per main blocking function,
-/// carrying the entity's id: the in-memory shuffle moves a `u32`, the
-/// spilling one encodes the key and a varint.
+/// carrying the entity's id: the in-memory shuffle moves the inline key
+/// and a `u32`, the spilling one encodes the key's text and a varint.
 struct AnnotateMapper<'a> {
     families: &'a [BlockingFamily],
 }
 
 impl Mapper for AnnotateMapper<'_> {
     type Input = Entity;
-    type Key = BlockKey;
+    type Key = Job1Key;
     type Value = EntityId;
 
-    fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<BlockKey, EntityId>) {
+    fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<Job1Key, EntityId>) {
         for (f, family) in self.families.iter().enumerate() {
             // Key extraction is a char-scan: charge it like an entity read.
             ctx.charge(ctx.cost_model.read_per_entity * 0.25);
-            out.emit((f as u8, family.root_key(entity)), entity.id);
+            let key = RootKey(BlockingKey::of(&family.levels[0], entity));
+            out.emit((f as u8, key), entity.id);
         }
         ctx.counters.incr("job1_entities_annotated");
     }
@@ -81,14 +118,14 @@ struct StatsReducer<'d> {
 }
 
 impl Reducer for StatsReducer<'_> {
-    type Key = BlockKey;
+    type Key = Job1Key;
     type Value = EntityId;
     /// The tree's statistics and its [`Tree::ranked`] members, by entity id.
     type Output = (TreeStats, Vec<(EntityId, u32)>);
 
     fn reduce(
         &self,
-        key: &BlockKey,
+        key: &Job1Key,
         values: &[EntityId],
         ctx: &mut TaskContext,
         out: &mut Vec<Self::Output>,
@@ -113,7 +150,8 @@ impl Reducer for StatsReducer<'_> {
 
         // Tree construction: one key extraction per member per level.
         ctx.charge(ctx.cost_model.read_per_entity * (members.len() * family.depth()) as f64);
-        let tree = Tree::build(family_index, family, key.1.clone(), members, &entities);
+        let root_key = key.1 .0.as_str().to_owned();
+        let tree = Tree::build(family_index, family, root_key, members, &entities);
 
         // Overlap statistics: signature grouping per block per subset —
         // charge one pass per block.
@@ -181,6 +219,7 @@ mod tests {
     use crate::pipeline::ProgressiveEr;
     use pper_blocking::{build_forests, presets, sort_by_attrs};
     use pper_datagen::{toy_people, BookGen, PubGen};
+    use pper_mapreduce::fxhash::hash_one;
     use pper_schedule::TreeLocator;
 
     #[test]
@@ -340,6 +379,43 @@ mod tests {
             );
         }
         assert_eq!(baseline.counters.get("shuffle_spilled_partitions"), 0);
+    }
+
+    /// A root key spills as the bytes its `String` did, hashes to the same
+    /// reduce task, and reads back as itself: inline, at and past the
+    /// inline capacity, and non-ASCII.
+    #[test]
+    fn root_keys_round_trip_through_the_spill_codec() {
+        let (at_capacity, past_capacity) = ("a".repeat(22), "a".repeat(23));
+        let texts = [
+            "",
+            "pr",
+            &at_capacity,
+            &past_capacity,
+            "i̇stanbul",
+            "i̇stanbul straße οδος",
+            "σς",
+        ];
+        for text in texts {
+            let record = (2u8, RootKey(BlockingKey::new(text)));
+            let mut buf = bytes::BytesMut::new();
+            record.encode(&mut buf);
+            let mut as_string = bytes::BytesMut::new();
+            (2u8, text.to_string()).encode(&mut as_string);
+            assert_eq!(&buf[..], &as_string[..], "{text:?}");
+            // The same reduce task as the `String` key's.
+            assert_eq!(hash_one(&record), hash_one(&(2u8, text)), "{text:?}");
+            let mut bytes = buf.freeze();
+            assert_eq!(Job1Key::decode(&mut bytes).unwrap(), record, "{text:?}");
+            assert!(!bytes.has_remaining(), "{text:?}");
+        }
+        // A cut record and bytes that are no text are errors, not keys.
+        let mut buf = bytes::BytesMut::new();
+        RootKey(BlockingKey::new("prog")).encode(&mut buf);
+        assert!(RootKey::decode(&mut buf.freeze().slice(0..3)).is_err());
+        let mut buf = bytes::BytesMut::new();
+        buf.put_slice(&[2, 0xff, 0xfe]);
+        assert!(RootKey::decode(&mut buf.freeze()).is_err());
     }
 
     #[test]

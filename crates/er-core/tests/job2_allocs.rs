@@ -4,8 +4,8 @@
 //!
 //! The resolve loop itself allocates nothing per pair (tree-local indices,
 //! a bitset in PSNM, prepared signatures per entity); what remains is per
-//! entity (routing's key buffer, preparation) and per block (member and
-//! sort vectors). Dividing by the pairs compared gives a number that is
+//! entity (preparation) and per block (member and sort vectors). Dividing
+//! by the pairs compared gives a number that is
 //! exact on any host and moves when someone puts a per-pair `String`,
 //! `Vec` or map node back — the benchmark reports the same ratio as
 //! `er.allocs_per_pair`.
@@ -20,24 +20,29 @@ use counting_alloc::{allocations, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Measured 0.37 on this dataset (94 661 allocations for 253 917 pairs),
-/// down from 0.40 (102 229) while job 2 routed each entity through a key
-/// buffer and sorted each tree on string rows before filing it by key, from
-/// 0.67 while a prepared entity was a vector of 64-byte terms with one
-/// buffer per Levenshtein value, from 1.18 while every routed record
-/// carried a heap dominance list and every `Exact` value was a `String` of
-/// its own, from 2.46 while the blocking keys were a fresh `String` per
-/// (entity, tree, level), and from 6.7 with per-pair hash sets and cloned
-/// shuffle values. Of what remains, ≈ 43k is preparing each entity's
-/// similarity signatures once per reduce task, two allocations each (the
-/// record buffer and the byte buffer; a third only for a non-ASCII
-/// Levenshtein value). Routing allocates nothing per entity; the rest is
-/// per tree and per block: job 1's tree, statistics and side data (the
-/// root block's sort rows and ranked members), and job 2's member, rank,
-/// block and slot vectors. The ceiling leaves room for allocator-growth
-/// noise of the containers, not for a per-pair allocation; the parent's
-/// 0.40 fails it.
-const MAX_ALLOCS_PER_PAIR: f64 = 0.39;
+/// Measured 0.26 on this dataset (66 296 allocations for 253 917 pairs),
+/// down from 0.37 (94 872) while job 1 keyed each record by a fresh
+/// `String`, kept a `String` per distinct root key in its interner and a
+/// `String` and a vector per distinct child key (singletons included) in
+/// its tree splits, from 0.40 (102 229) while job 2 routed each entity
+/// through a key buffer and sorted each tree on string rows before filing
+/// it by key, from 0.67 while a prepared entity was a vector of 64-byte
+/// terms with one buffer per Levenshtein value, from 1.18 while every
+/// routed record carried a heap dominance list and every `Exact` value was
+/// a `String` of its own, from 2.46 while the blocking keys were a fresh
+/// `String` per (entity, tree, level), and from 6.7 with per-pair hash
+/// sets and cloned shuffle values. Of what remains, ≈ 43k is preparing
+/// each entity's similarity signatures once per reduce task, two
+/// allocations each (the record buffer and the byte buffer; a third only
+/// for a non-ASCII Levenshtein value). No record, interned key or split
+/// member allocates; the rest is per tree and per block: job 1's tree (one
+/// row vector per split block, a key and a member vector per kept block),
+/// statistics
+/// and side data (the root block's sort rows and ranked members), and job
+/// 2's member, rank, block and slot vectors. The ceiling leaves room for
+/// allocator-growth noise of the containers, not for a per-pair
+/// allocation; the parent's 0.37 fails it.
+const MAX_ALLOCS_PER_PAIR: f64 = 0.28;
 
 #[test]
 fn pipeline_allocations_per_compared_pair_stay_under_the_ceiling() {
@@ -62,7 +67,7 @@ fn pipeline_allocations_per_compared_pair_stay_under_the_ceiling() {
     );
 }
 
-/// Measured 0.17 on this dataset, one of `pubs-basic`'s (32 369 allocations
+/// Measured 0.17 on this dataset, one of `pubs-basic`'s (31 854 allocations
 /// for 187 296 pairs), down from 0.32 while a prepared entity was a term
 /// vector plus one buffer per Levenshtein value, and from 0.51 while every
 /// entity built three key `String`s and an `Arc` key list and cloned a key
