@@ -75,8 +75,9 @@ const INLINE_KEY: usize = 22;
 /// A blocking-key value as the pipeline moves it: job 1's and Basic's
 /// shuffle key, job 1's root-key interner ([`crate::Signatures`]) and its
 /// tree splits. A key of at most 22 bytes — every key of the presets on
-/// every dataset of the generators — sits in the value itself, so making,
-/// moving or dropping one allocates nothing; a longer one is boxed.
+/// every dataset of the generators — sits in the value itself, so moving or
+/// dropping one allocates nothing, nor does making one from an ASCII
+/// prefix; a longer one is boxed.
 ///
 /// It stands for its `str` everywhere: `==`, `Ord` and `Hash` are the
 /// text's, so a block keyed by it reaches the same reduce task, in the same
@@ -109,40 +110,22 @@ impl BlockingKey {
         Self::inline(key.len(), bytes)
     }
 
-    /// `function`'s key of `entity`: the text of [`PrefixFunction::key`],
-    /// lowercased straight into the key. Only a key longer than 22 bytes
-    /// allocates.
+    /// `function`'s key of `entity`: the text of [`PrefixFunction::key`].
+    /// An ASCII prefix of at most 22 bytes is lowercased straight into the
+    /// key and allocates nothing; any other builds the `String` first.
     #[inline]
     pub fn of(function: &PrefixFunction, entity: &Entity) -> Self {
-        let value = entity.attr(function.attr);
-        let mut bytes = [0; INLINE_KEY];
-        let len = match function.ascii_prefix(value) {
+        match function.ascii_prefix(entity.attr(function.attr)) {
             Some(prefix) if prefix.len() <= INLINE_KEY => {
+                let mut bytes = [0; INLINE_KEY];
                 for (to, from) in bytes.iter_mut().zip(prefix.as_bytes()) {
                     *to = from.to_ascii_lowercase();
                 }
-                prefix.len()
+                Self::inline(prefix.len(), bytes)
             }
-            Some(_) => return Self(Repr::Heap(function.key(entity).into())),
-            // As in `key`: each char lowercased on its own.
-            None => {
-                let mut len = 0;
-                for c in value
-                    .chars()
-                    .take(function.chars)
-                    .flat_map(char::to_lowercase)
-                {
-                    let end = len + c.len_utf8();
-                    if end > INLINE_KEY {
-                        return Self(Repr::Heap(function.key(entity).into()));
-                    }
-                    c.encode_utf8(&mut bytes[len..end]);
-                    len = end;
-                }
-                len
-            }
-        };
-        Self::inline(len, bytes)
+            // A longer or non-ASCII prefix goes through the `String`.
+            _ => Self::new(&function.key(entity)),
+        }
     }
 
     #[inline]
@@ -455,6 +438,7 @@ mod tests {
     }
 
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 2_000, ..Default::default() })]
         // The alphabet of `stats`' `ids_collide_exactly_where_keys_do`
         // (İstanbul, ΟΔΟΣ/οδοσ, straße/STRASSE): keys that differ only in
         // case or go through non-ASCII lowercasing (İ to two chars, Σ to σ
@@ -466,9 +450,15 @@ mod tests {
             shared in "[aAsStTİiIΟΔΣοδσςßẞ\0 ]{0,24}",
             tail_a in "[aAsSİΣσςß\0 ]{0,4}",
             tail_b in "[aAsSİΣσςß\0 ]{0,4}",
+            chars in 0usize..30,
         ) {
             let (a, b) = (shared.clone() + &tail_a, shared + &tail_b);
             assert_key_parity(&BlockingKey::new(&a), &a, &BlockingKey::new(&b), &b);
+
+            let f = PrefixFunction::new(0, chars);
+            let (ea, eb) = (ent(&[&a]), ent(&[&b]));
+            let (ka, kb) = (BlockingKey::of(&f, &ea), BlockingKey::of(&f, &eb));
+            assert_key_parity(&ka, &f.key(&ea), &kb, &f.key(&eb));
         }
 
         // `BlockingKey::of` is `PrefixFunction::key` in text, `==`, `Ord`

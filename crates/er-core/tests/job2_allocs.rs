@@ -37,11 +37,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// for a non-ASCII Levenshtein value). No record, interned key or split
 /// member allocates; the rest is per tree and per block: job 1's tree (one
 /// row vector per split block, a key and a member vector per kept block),
-/// statistics
-/// and side data (the root block's sort rows and ranked members), and job
-/// 2's member, rank, block and slot vectors. The ceiling leaves room for
-/// allocator-growth noise of the containers, not for a per-pair
-/// allocation; the parent's 0.37 fails it.
+/// statistics and side data (the root block's sort rows and ranked
+/// members), and job 2's member, rank, block and slot vectors. The ceiling
+/// leaves room for allocator-growth noise of the containers, not for a
+/// per-pair allocation; the previous 0.37 fails it.
 const MAX_ALLOCS_PER_PAIR: f64 = 0.28;
 
 #[test]
