@@ -69,10 +69,10 @@ fn main() -> std::io::Result<()> {
         println!(
             "μ={machines} θ={theta}: ours overhead ends at cost {:.0}; recall there: ours {:.3} vs best basic {:.3}",
             ours.overhead_cost,
-            ours.recall_at(ours.overhead_cost * 1.2),
+            ours.curve.recall_at(ours.overhead_cost * 1.2),
             basics
                 .iter()
-                .map(|(_, r)| r.recall_at(ours.overhead_cost * 1.2))
+                .map(|(_, r)| r.curve.recall_at(ours.overhead_cost * 1.2))
                 .fold(0.0, f64::max),
         );
         println!();

@@ -548,7 +548,8 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 ///
 /// A `params` entry under one of those three keys, and a configuration with
 /// more blocking families than a dominance list holds, are refused
-/// ([`MrError::InvalidConfig`]) before the journal is created.
+/// ([`MrError::InvalidConfig`]) before the journal is created, as is a
+/// cluster with no machines ([`MrError::InvalidCluster`]).
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -575,6 +576,7 @@ pub fn run_durable(
         .into());
     }
     DomList::check_capacity(er.config.families.len())?;
+    er.config.cluster().check(job_id)?;
     let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
     journal.set_kill_after(opts.kill_after_events);
     let shared = Shared::new(journal, 0);

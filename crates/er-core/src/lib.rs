@@ -60,8 +60,6 @@
 )]
 
 pub mod basic;
-pub mod budget;
-pub mod clustering;
 pub mod config;
 pub mod durable;
 pub mod job1;
@@ -72,10 +70,6 @@ pub mod pipeline;
 /// Convenience re-exports covering the whole public surface.
 pub mod prelude {
     pub use crate::basic::{BasicApproach, BasicConfig};
-    pub use crate::budget::{run_with_budget, BudgetReport};
-    pub use crate::clustering::{
-        correlation_clustering, transitive_closure, ClusterMetrics, UnionFind,
-    };
     pub use crate::config::ErConfig;
     pub use crate::durable::{
         reprocess_dlq, resume_durable, run_durable, DurableError, DurableOptions, ResultFingerprint,

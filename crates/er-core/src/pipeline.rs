@@ -39,11 +39,6 @@ pub struct ErRunResult {
 }
 
 impl ErRunResult {
-    /// Convenience: recall at a given virtual cost.
-    pub fn recall_at(&self, cost: f64) -> f64 {
-        self.curve.recall_at(cost)
-    }
-
     /// Score a run against `ds`'s ground truth: the recall curve and found
     /// events from its global `timeline`, the precision from its
     /// deduplicated `duplicates`.

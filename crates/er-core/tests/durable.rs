@@ -997,6 +997,22 @@ fn a_caller_may_not_set_the_parameters_a_resume_checks() {
     assert_eq!((params[1].1.as_str(), params[2].1.as_str()), ("2", "1500"));
 }
 
+/// A cluster with no machines is refused before the journal is created,
+/// like the other parameters `run_durable` checks: a run that cannot start
+/// leaves no unfinished job behind for `pper jobs` to list.
+#[test]
+fn a_durable_run_with_no_machines_leaves_no_journal() {
+    let ds = dataset();
+    let store = MemStore::shared();
+    let er = ProgressiveEr::new(ErConfig::citeseer(0));
+    let refused = run_durable(&er, &ds, &store, "job-empty", &[], &opts(EVERY));
+    assert!(
+        matches!(refused, Err(DurableError::Run(MrError::InvalidCluster(_)))),
+        "{refused:?}"
+    );
+    assert!(store.list_jobs().unwrap().is_empty());
+}
+
 /// Job 1's journaled cost is outside input: it becomes the resumed
 /// timeline's offset. A resume re-runs job 1, and refuses a
 /// `ScheduleGenerated` whose cost is not its own bit for bit — NaN, a

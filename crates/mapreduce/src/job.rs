@@ -3,6 +3,7 @@
 
 use crate::cost::{CostClock, CostModel};
 use crate::counters::Counters;
+use crate::error::MrError;
 use crate::exec::ExecutorKind;
 use crate::faults::{FaultPlan, InjectedAbort};
 use crate::fxhash::hash_one;
@@ -77,6 +78,20 @@ impl ClusterSpec {
     /// Total reduce slots across the cluster.
     pub fn reduce_slots(&self) -> usize {
         self.machines * self.reduce_slots_per_machine
+    }
+
+    /// Refuse a cluster with no machines or no slots of either kind
+    /// ([`MrError::InvalidCluster`], naming `job`).
+    pub fn check(&self, job: &str) -> Result<(), MrError> {
+        if self.machines == 0
+            || self.map_slots_per_machine == 0
+            || self.reduce_slots_per_machine == 0
+        {
+            return Err(MrError::InvalidCluster(format!(
+                "job '{job}': machines and per-machine slots must be positive, got {self:?}"
+            )));
+        }
+        Ok(())
     }
 }
 

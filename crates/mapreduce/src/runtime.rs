@@ -448,15 +448,7 @@ where
         usize,
     ) -> Result<(Vec<GroupedPartition<M::Key, M::Value>>, ShuffleSpillStats), MrError>,
 {
-    if cfg.cluster.machines == 0
-        || cfg.cluster.map_slots_per_machine == 0
-        || cfg.cluster.reduce_slots_per_machine == 0
-    {
-        return Err(MrError::InvalidCluster(format!(
-            "job '{}': machines and per-machine slots must be positive, got {:?}",
-            cfg.name, cfg.cluster
-        )));
-    }
+    cfg.cluster.check(&cfg.name)?;
 
     #[expect(
         clippy::disallowed_methods,

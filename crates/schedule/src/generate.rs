@@ -57,23 +57,6 @@ impl Weighting {
     }
 }
 
-/// How the cost vector `C` is laid out (the extended report discusses
-/// "several ways for specifying the weighting function and the cost
-/// vector", including optimizing "for the case where the goal is to
-/// generate the highest possible quality result given a resolution cost
-/// budget").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CostVectorSpec {
-    /// `C` spans the estimated per-task share of the whole run (default):
-    /// optimize progressiveness over the full execution.
-    FullRun,
-    /// `C` spans exactly this many per-task cost units: optimize the result
-    /// delivered within a resolution budget. Blocks past the budget pile
-    /// into the final bucket, where the weighting function can zero them
-    /// out.
-    BudgetPerTask(f64),
-}
-
 /// Which tree-scheduling algorithm to run (§VI-B2's comparison).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeScheduler {
@@ -99,8 +82,6 @@ pub struct ScheduleConfig {
     pub split_batch: usize,
     /// Which scheduler to run.
     pub scheduler: TreeScheduler,
-    /// Cost-vector layout.
-    pub cost_vector: CostVectorSpec,
 }
 
 impl Default for ScheduleConfig {
@@ -111,7 +92,6 @@ impl Default for ScheduleConfig {
             weighting: Weighting::Linear,
             split_batch: 4,
             scheduler: TreeScheduler::Progressive,
-            cost_vector: CostVectorSpec::FullRun,
         }
     }
 }
@@ -126,16 +106,18 @@ impl ScheduleConfig {
 
 /// Bucketed view of the current utility-sorted block list `SL`.
 struct Buckets {
-    /// Bucket widths `c_k − c_{k−1}` (per-task cost units).
-    widths: Vec<f64>,
+    /// Number of buckets `|C|`.
+    count: usize,
+    /// Width `c_k − c_{k−1}` of every bucket (per-task cost units).
+    width: f64,
     /// 0-based bucket of every block.
     of_block: HashMap<(usize, usize), usize>,
 }
 
 impl Buckets {
-    /// Build `SL`, the cost vector `C` (uniform buckets over the per-task
-    /// share dictated by `spec`), and each block's bucket.
-    fn build(trees: &[PlanTree], r: usize, num_buckets: usize, spec: CostVectorSpec) -> Self {
+    /// Build `SL`, the cost vector `C` (uniform buckets over each task's
+    /// share `total / r` of the whole run), and each block's bucket.
+    fn build(trees: &[PlanTree], r: usize, num_buckets: usize) -> Self {
         let mut sl: Vec<(usize, usize, f64, f64)> = Vec::new(); // (tree, node, util, cost)
         let mut total = 0.0;
         for (ti, tree) in trees.iter().enumerate() {
@@ -146,12 +128,8 @@ impl Buckets {
         }
         sl.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
 
-        let share = match spec {
-            CostVectorSpec::FullRun => (total / r as f64).max(f64::MIN_POSITIVE),
-            CostVectorSpec::BudgetPerTask(budget) => budget.max(f64::MIN_POSITIVE),
-        };
+        let share = (total / r as f64).max(f64::MIN_POSITIVE);
         let width = share / num_buckets as f64;
-        let widths = vec![width; num_buckets];
 
         let mut of_block = HashMap::with_capacity(sl.len());
         let mut cum = 0.0;
@@ -163,12 +141,16 @@ impl Buckets {
                 .min(num_buckets - 1);
             of_block.insert((ti, ni), k);
         }
-        Self { widths, of_block }
+        Self {
+            count: num_buckets,
+            width,
+            of_block,
+        }
     }
 
     /// Cost vector `VC(T)` of the sub-tree rooted at `node` in `tree`.
     fn subtree_vc(&self, trees: &[PlanTree], tree: usize, node: usize) -> Vec<f64> {
-        let mut vc = vec![0.0; self.widths.len()];
+        let mut vc = vec![0.0; self.count];
         let t = &trees[tree];
         let mut stack = vec![node];
         while let Some(i) = stack.pop() {
@@ -241,7 +223,7 @@ fn split_overflowed_trees(
     reduce_tasks: usize,
 ) {
     for _round in 0..MAX_SPLIT_ROUNDS {
-        let buckets = Buckets::build(trees, reduce_tasks, cfg.num_buckets, cfg.cost_vector);
+        let buckets = Buckets::build(trees, reduce_tasks, cfg.num_buckets);
         // IDENTIFY-TREES: overflowed *and splittable* (root has children).
         let mut overflowed: Vec<(usize, f64)> = (0..trees.len())
             .filter(|&t| !trees[t].nodes[0].children.is_empty())
@@ -249,8 +231,7 @@ fn split_overflowed_trees(
                 let vc = buckets.tree_vc(trees, t);
                 let worst = vc
                     .iter()
-                    .zip(&buckets.widths)
-                    .map(|(&v, &w)| v - w)
+                    .map(|&v| v - buckets.width)
                     .fold(f64::MIN, f64::max);
                 (worst > 1e-9).then_some((t, worst))
             })
@@ -303,7 +284,7 @@ fn split_tree(
             if h == root_bucket {
                 load += new_root_cost;
             }
-            if load > buckets.widths[h] + 1e-9 {
+            if load > buckets.width + 1e-9 {
                 overflow = true;
                 break;
             }
@@ -364,7 +345,7 @@ fn root_cost_with_children(
 /// `PARTITION-TREES`: descending weighted-cost order, each tree to the task
 /// with the largest slack `SK(R)`.
 fn partition_trees(trees: &[PlanTree], cfg: &ScheduleConfig, reduce_tasks: usize) -> Vec<usize> {
-    let buckets = Buckets::build(trees, reduce_tasks, cfg.num_buckets, cfg.cost_vector);
+    let buckets = Buckets::build(trees, reduce_tasks, cfg.num_buckets);
     let vcs: Vec<Vec<f64>> = (0..trees.len())
         .map(|t| buckets.tree_vc(trees, t))
         .collect();
@@ -385,7 +366,7 @@ fn partition_trees(trees: &[PlanTree], cfg: &ScheduleConfig, reduce_tasks: usize
             .map(|r| {
                 let slack: f64 = (0..cfg.num_buckets)
                     .filter(|&h| vcs[t][h] > 0.0)
-                    .map(|h| weights[h] * (buckets.widths[h] - load[r][h]))
+                    .map(|h| weights[h] * (buckets.width - load[r][h]))
                     .sum();
                 (r, slack)
             })
@@ -652,39 +633,6 @@ mod tests {
         let s = run(&stats, n, TreeScheduler::Progressive, 8);
         let after: u64 = s.trees.iter().map(|t| t.nodes[0].cov).sum();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn budget_cost_vector_reorders_priorities() {
-        // With a tiny per-task budget, every bucket shrinks, so far more
-        // trees overflow and get split than under the full-run layout.
-        let (stats, n) = make_stats(5_000, 50);
-        let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
-        let prob = TrainedProb::citeseer();
-        let ctx = EstimationContext {
-            dataset_size: n,
-            policy: &policy,
-            cost_model: &cm,
-            prob: &prob,
-        };
-        let full = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
-        let budget_cfg = ScheduleConfig {
-            cost_vector: CostVectorSpec::BudgetPerTask(500.0),
-            ..ScheduleConfig::default()
-        };
-        let budgeted = generate_schedule(&stats, &ctx, &budget_cfg, 8);
-        assert!(
-            budgeted.trees.len() >= full.trees.len(),
-            "tight budget should split at least as many trees: {} vs {}",
-            budgeted.trees.len(),
-            full.trees.len()
-        );
-        // Both remain complete schedules.
-        let blocks = |s: &Schedule| -> usize { s.trees.iter().map(|t| t.nodes.len()).sum() };
-        let ordered = |s: &Schedule| -> usize { s.block_order.iter().map(Vec::len).sum() };
-        assert_eq!(blocks(&budgeted), ordered(&budgeted));
-        assert_eq!(blocks(&full), ordered(&full));
     }
 
     mod random_trees {

@@ -73,6 +73,6 @@ pub mod probmodel;
 
 pub use dominance::{should_resolve, DomList, TreeLocator, MAX_FAMILIES};
 pub use estimate::{recompute_tree, EstimationContext};
-pub use generate::{generate_schedule, CostVectorSpec, ScheduleConfig, TreeScheduler, Weighting};
+pub use generate::{generate_schedule, ScheduleConfig, TreeScheduler, Weighting};
 pub use plan::{PlanNode, PlanTree, Schedule};
 pub use probmodel::{DupProbability, TrainedProb};

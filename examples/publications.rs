@@ -56,9 +56,9 @@ fn main() {
         println!(
             "{:>12.0} {:>14.3} {:>14.3} {:>14.3}",
             c,
-            ours.recall_at(c),
-            basic_full.recall_at(c),
-            basic_popcorn.recall_at(c)
+            ours.curve.recall_at(c),
+            basic_full.curve.recall_at(c),
+            basic_popcorn.curve.recall_at(c)
         );
     }
 

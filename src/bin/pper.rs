@@ -19,9 +19,8 @@ use std::sync::Arc;
 
 use pper::datagen::{BookGen, Dataset, PubGen};
 use pper::er::{
-    correlation_clustering, reprocess_dlq, resume_durable, run_durable, run_with_budget,
-    transitive_closure, BasicApproach, BasicConfig, ClusterMetrics, DurableOptions, ErConfig,
-    ErRunResult, MechanismKind, ProgressiveEr, ResultFingerprint,
+    reprocess_dlq, resume_durable, run_durable, BasicApproach, BasicConfig, DurableOptions,
+    ErConfig, ErRunResult, MechanismKind, ProgressiveEr, ResultFingerprint,
 };
 use pper::journal::{recover, FileStore, JournalState, JournalStore};
 use pper::mapreduce::{ExecutorKind, FaultPlan};
@@ -68,8 +67,7 @@ pper — parallel progressive entity resolution (Altowim & Mehrotra, ICDE 2017)
 USAGE:
   pper gen    --kind pubs|books --entities N [--seed S] --out FILE
   pper run    --data FILE [--machines M] [--mechanism sn|psnm]
-              [--scheduler ours|nosplit|lpt] [--budget COST] [--cluster tc|cc]
-              [--result-out FILE]
+              [--scheduler ours|nosplit|lpt] [--result-out FILE]
               [--durable --journal DIR --job-id ID [--checkpoint-every COST]
                [--kill-after-events N] [--fail-reduce IDX:N]]
   pper resume --journal DIR --job-id ID [--data FILE] [--result-out FILE]
@@ -95,8 +93,6 @@ struct Opts {
     machines: Option<usize>,
     mechanism: Option<String>,
     scheduler: Option<String>,
-    budget: Option<f64>,
-    cluster: Option<String>,
     window: Option<usize>,
     threshold: Option<f64>,
     durable: bool,
@@ -128,8 +124,6 @@ impl Opts {
                 "--machines" => opts.machines = Some(parse(&take()?)?),
                 "--mechanism" => opts.mechanism = Some(take()?),
                 "--scheduler" => opts.scheduler = Some(take()?),
-                "--budget" => opts.budget = Some(parse(&take()?)?),
-                "--cluster" => opts.cluster = Some(take()?),
                 "--window" => opts.window = Some(parse(&take()?)?),
                 "--threshold" => opts.threshold = Some(parse(&take()?)?),
                 "--durable" => opts.durable = true,
@@ -279,11 +273,6 @@ fn durable_options(opts: &Opts) -> DurableOptions {
 }
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
-    if let Some(budget) = opts.budget.filter(|b| !(b.is_finite() && *b > 0.0)) {
-        return Err(format!(
-            "--budget must be a positive, finite cost, got {budget}"
-        ));
-    }
     let ds = load(opts.data.as_deref())?;
     let machines = opts.machines.unwrap_or(4);
     let config = build_run_config(
@@ -303,9 +292,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     );
 
     let result = if opts.durable {
-        if opts.budget.is_some() {
-            return Err("--durable and --budget cannot be combined".into());
-        }
         let (store, job_id) = open_journal(opts)?;
         // Record everything `pper resume` needs to rebuild this exact
         // configuration in a fresh process (`run_durable` adds the machine
@@ -326,37 +312,12 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         let dopts = durable_options(opts);
         let er = ProgressiveEr::new(config);
         run_durable(&er, &ds, &store, &job_id, &params, &dopts).map_err(|e| e.to_string())?
-    } else if let Some(budget) = opts.budget {
-        let report = run_with_budget(&config, &ds, budget).map_err(|e| e.to_string())?;
-        println!(
-            "budget {budget:.0}: delivered {} pairs, recall {:.3} ({}% of budget was overhead)",
-            report.delivered.len(),
-            report.recall_at_budget,
-            (report.overhead_fraction * 100.0).round()
-        );
-        report.full_run
     } else {
         ProgressiveEr::new(config)
             .try_run(&ds)
             .map_err(|e| e.to_string())?
     };
     print_curve(&result);
-
-    if let Some(c) = opts.cluster.as_deref() {
-        let assignment = match c {
-            "tc" => transitive_closure(ds.len(), &result.duplicates),
-            "cc" => correlation_clustering(ds.len(), &result.duplicates),
-            other => return Err(format!("unknown clustering '{other}' (tc|cc)")),
-        };
-        let metrics = ClusterMetrics::evaluate(&assignment, &ds.truth);
-        println!(
-            "\nclustering ({c}): {} clusters, pairwise P {:.3} / R {:.3} / F1 {:.3}",
-            metrics.clusters,
-            metrics.pairwise_precision,
-            metrics.pairwise_recall,
-            metrics.f1()
-        );
-    }
     write_result_out(opts, &result)
 }
 

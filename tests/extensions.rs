@@ -1,11 +1,8 @@
-//! Integration tests for the extension modules: failure injection through
-//! the full pipeline, clustering, budgeted runs, and the two mechanisms.
+//! Integration tests beyond the paper's figures: failure injection through
+//! the full pipeline, and the two resolution mechanisms.
 
 use pper::datagen::PubGen;
-use pper::er::{
-    correlation_clustering, run_with_budget, transitive_closure, ClusterMetrics, ErConfig,
-    MechanismKind, ProgressiveEr,
-};
+use pper::er::{ErConfig, MechanismKind, ProgressiveEr};
 use pper::mapreduce::{FaultPlan, TaskKind};
 
 #[test]
@@ -42,36 +39,6 @@ fn exhausted_retries_surface_as_error() {
     config.faults = Some(FaultPlan::fail_reduce(0, 9));
     let err = ProgressiveEr::new(config).try_run(&ds).unwrap_err();
     assert!(err.to_string().contains("failed after"));
-}
-
-#[test]
-fn clustering_pipeline_output_beats_pairs_alone() {
-    let ds = PubGen::new(2_500, 403).generate();
-    let result = ProgressiveEr::new(ErConfig::citeseer(2)).run(&ds);
-
-    let tc = transitive_closure(ds.len(), &result.duplicates);
-    let tc_metrics = ClusterMetrics::evaluate(&tc, &ds.truth);
-    assert!(tc_metrics.f1() > 0.85, "TC F1 {:.3}", tc_metrics.f1());
-    // Transitive closure can only add pairs, so its pairwise recall is at
-    // least the raw pair recall.
-    assert!(tc_metrics.pairwise_recall >= result.curve.final_recall() - 1e-9);
-
-    let cc = correlation_clustering(ds.len(), &result.duplicates);
-    let cc_metrics = ClusterMetrics::evaluate(&cc, &ds.truth);
-    assert!(cc_metrics.f1() > 0.8, "CC F1 {:.3}", cc_metrics.f1());
-    // Correlation clustering refines TC, so its precision is at least TC's.
-    assert!(cc_metrics.pairwise_precision >= tc_metrics.pairwise_precision - 1e-9);
-}
-
-#[test]
-fn budgeted_run_delivers_partial_results() {
-    let ds = PubGen::new(1_500, 404).generate();
-    let config = ErConfig::citeseer(2);
-    let full = ProgressiveEr::new(config.clone()).run(&ds);
-    let report = run_with_budget(&config, &ds, full.total_cost * 0.4).unwrap();
-    assert!(report.recall_at_budget > 0.0);
-    assert!(!report.delivered.is_empty());
-    assert!(report.recall_at_budget <= full.curve.final_recall() + 1e-9);
 }
 
 #[test]

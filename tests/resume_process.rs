@@ -18,9 +18,9 @@
 //! whose parameters name a mechanism this build no longer has.
 //!
 //! And `pper run`'s own contract at the process boundary: the plain and the
-//! durable run write the same fingerprint, `--cluster` and `--result-out`
-//! apply to both, a bad `--budget` is an error message, not a panic, and the
-//! retired `--executor` flag is still checked.
+//! durable run write the same fingerprint, the retired `--executor` flag is
+//! still checked, and a flag `pper` does not have (`--budget` and
+//! `--cluster` among them) is a usage error, not ignored.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -497,49 +497,36 @@ fn retired_executor_flag_is_checked_and_ignored() {
     );
 }
 
+/// A flag `pper` does not have is refused with the usage, not ignored:
+/// `--budget` and `--cluster` name nothing `pper run` does.
 #[test]
-fn durable_run_reports_clustering() {
-    let dir = tmp_dir("durable-cluster");
+fn removed_flags_are_usage_errors() {
+    let dir = tmp_dir("removed-flags");
     let data = write_dataset(&dir);
-    let journal = dir.join("journal");
-    let out = run_ok(&[
-        "run",
-        "--data",
-        data.to_str().unwrap(),
-        "--machines",
-        MACHINES,
-        "--durable",
-        "--journal",
-        journal.to_str().unwrap(),
-        "--job-id",
-        "clustered",
-        "--checkpoint-every",
-        CHECKPOINT_EVERY,
-        "--cluster",
-        "tc",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("clustering (tc):"), "stdout: {stdout}");
-}
-
-#[test]
-fn bad_budget_is_an_error_not_a_panic() {
-    let dir = tmp_dir("bad-budget");
-    let data = write_dataset(&dir);
-    for budget in ["-5", "0", "nan", "inf"] {
+    for (flag, value) in [
+        ("--budget", "5"),
+        ("--cluster", "tc"),
+        ("--frobnicate", "1"),
+    ] {
         let out = pper(&[
             "run",
             "--data",
             data.to_str().unwrap(),
             "--machines",
             MACHINES,
-            "--budget",
-            budget,
+            flag,
+            value,
         ]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--budget {budget}: {stderr}");
-        assert!(stderr.contains("error:"), "--budget {budget}: {stderr}");
-        assert!(!stderr.contains("panicked"), "--budget {budget}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+        assert!(stderr.contains("USAGE:"), "{flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} ran the pipeline");
+    }
+    let usage = String::from_utf8(run_ok(&["help"]).stdout).unwrap();
+    for flag in ["--budget", "--cluster"] {
+        assert!(!usage.contains(flag), "USAGE still lists {flag}: {usage}");
     }
 }
 
