@@ -342,7 +342,7 @@ impl Placement {
     const SAMPLED: usize = 64;
 
     /// A fingerprint of `ds` that costs next to nothing: its size and the
-    /// attribute values of [`Self::SAMPLED`] entities spread evenly over it.
+    /// attribute values of 64 entities spread evenly over it.
     /// Another dataset of the same size, generated or loaded from another
     /// source, differs in it; one that differs from `ds` only in records it
     /// does not read does not.

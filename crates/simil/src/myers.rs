@@ -23,8 +23,60 @@
 //! two-row DP produces), in O(⌈m/64⌉·|text|) word operations instead of
 //! O(m·|text|) cell updates — the prepared and batch paths' kernel for
 //! every ASCII Levenshtein term.
+//!
+//! # Long values: the band first
+//!
+//! A near-duplicate's distance is small next to its length, and an optimal
+//! alignment of two values at distance `d` never strays more than `d`
+//! diagonals from the main one: a path through cell `(i, j)` costs at least
+//! `|i − j|`. [`MyersScratch::scan_band`] is Ukkonen's cut-off on these bit
+//! vectors, in Hyyrö's diagonal formulation: given `k ≤` [`BAND`], it
+//! computes one `u64` per text column whatever the pattern's length — the
+//! 64 diagonals `−k ≤ i − j ≤ 63 − k`, which hold the `2k + 1` with
+//! `|i − j| ≤ k` — and returns the distance if it is at most `k`, `None` if
+//! it is larger.
+//!
+//! Bit `b` of column `j` is row `j − k + b`, so from one column to the next
+//! the word moves one row down, and bit `b` stays on one diagonal. A column
+//! runs the same step as a block of the full scan, except that its vertical
+//! deltas are written straight into the next column's frame: a row's
+//! horizontal delta is the carry into the row above, which the next frame
+//! holds at the same bit, and the diagonal-zero bits move down one to meet
+//! it. The pattern's bits for the column are a 64-bit window of the blocked
+//! table, read from row `j − k`.
+//!
+//! The cell just outside either edge is taken at the cost of a real path to
+//! it: the one above the top at its diagonal predecessor plus one (the
+//! shift feeds a zero diagonal bit), the one below the bottom as no better
+//! than its diagonal predecessor (no −1 carry enters bit 0). An outside
+//! cell is thus only ever over-estimated, so every cell in the band is at
+//! least its true value; and a cell whose true value is at most `k` has its
+//! whole optimal path within `k` diagonals of the main one, inside the
+//! band, and comes out exact. Hence the banded `D[m][n]` is at most `k` iff
+//! the true one is, and then equal to it. Rows above the pattern's start
+//! (in columns `j < k`) are virtual rows `D[i][j] = j − i`, which satisfy
+//! the recurrence and reproduce `D[0][j] = j`; rows past its end feed no
+//! row at or below `m`, so their bits may hold anything.
+//!
+//! The score follows the diagonal through `(m, n)`: it starts at
+//! `|m − n|` in column 0 and grows by one wherever that diagonal's cell
+//! differs from its predecessor. A diagonal never decreases, so the scan
+//! stops with `None` as soon as that score passes `k`.
+//!
+//! The radius is [`BAND`] = 31, the widest one word holds (63 diagonals,
+//! and one more above them). A 350-character abstract takes six words per column in the
+//! full scan and one in the band. A wider band would take two words per
+//! column and catch almost nothing more: per execution of the `pubs-ours`
+//! benchmark workload (seed 42, the mean over its eight datasets), the
+//! comparisons of abstract-length values (the shorter at least 200
+//! characters) that reach a kernel end 948 at a distance of at most 15, 27
+//! at 16–31, 0.1 at 32–63 and 11 past 63.
 
-const WORD: usize = 64;
+/// Pattern characters per `u64` block.
+pub(crate) const WORD: usize = 64;
+/// The widest radius [`MyersScratch::scan_band`] takes: `|i − j| ≤ 31` is
+/// `2·31 + 1 = 63` diagonals, the most one `u64` per column centres.
+pub(crate) const BAND: usize = 31;
 /// Table rows: one per ASCII character.
 const ROWS: usize = 128;
 
@@ -52,6 +104,30 @@ fn block_step(eq: u64, pv: &mut u64, mv: &mut u64, ph_in: u64, mh_in: u64) -> (u
     (ph, mh)
 }
 
+/// One text column `j` of the banded scan. On entry `vp`/`vn` hold column
+/// `j − 1`'s vertical +1/−1 deltas in column `j`'s frame (bit `b` at row
+/// `j − k + b`); on return, column `j`'s in column `j + 1`'s frame. Returns
+/// the column's diagonal-zero vector: bit `b` set iff `D[i][j] =
+/// D[i−1][j−1]` at row `i = j − k + b`.
+#[inline(always)]
+fn band_step(eq: u64, vp: &mut u64, vn: &mut u64) -> u64 {
+    // No −1 carry enters bit 0: the cell below the band is taken as no
+    // better than its diagonal predecessor.
+    let x = eq | *vn;
+    let d0 = (((x & *vp).wrapping_add(*vp)) ^ *vp) | x;
+    // The horizontal deltas at bit `b` are row `j − k + b`'s, the carry
+    // into row `j − k + b + 1`: the next frame holds that row at bit `b`
+    // already, so the diagonal-zero bits move down one to meet them. Bit
+    // 63 of the next frame gets a zero diagonal bit: its cell is taken at
+    // its diagonal predecessor plus one.
+    let hp = *vn | !(d0 | *vp);
+    let hn = *vp & d0;
+    let d0_down = d0 >> 1;
+    *vp = hn | !(d0_down | hp);
+    *vn = d0_down & hp;
+    d0
+}
+
 /// Reusable buffers of the blocked scan: the character-class table and the
 /// per-block vertical delta vectors. All-zero table between calls.
 #[derive(Debug, Default)]
@@ -64,10 +140,13 @@ pub(crate) struct MyersScratch {
     pv: Vec<u64>,
     /// Vertical negative deltas, one word per block.
     mv: Vec<u64>,
-    /// Scans run through this scratch: how tests see that a pair was
-    /// decided without one.
+    /// Full-width scans run through this scratch: how tests see that a
+    /// pair was decided without one.
     #[cfg(test)]
     pub(crate) scans: usize,
+    /// Banded scans run through this scratch.
+    #[cfg(test)]
+    pub(crate) band_scans: usize,
 }
 
 impl MyersScratch {
@@ -154,6 +233,55 @@ impl MyersScratch {
         score
     }
 
+    /// The banded scan against the filled table (see the module docs): the
+    /// Levenshtein distance between the pattern the table was filled from
+    /// (of length `pattern_len`) and `text` (ASCII) if it is at most `k`,
+    /// `None` if it is larger, in either length order. Reads one word per
+    /// text column: the diagonals `−k ≤ i − j ≤ 63 − k`.
+    ///
+    /// # Panics
+    /// Panics if `k` exceeds [`BAND`].
+    fn scan_band(&mut self, pattern_len: usize, text: &[u8], k: usize) -> Option<usize> {
+        let (m, n) = (pattern_len, text.len());
+        debug_assert!(m >= 1, "empty pattern");
+        debug_assert!(text.is_ascii());
+        assert!(k <= BAND, "band radius {k} exceeds one word");
+        if m.abs_diff(n) > k {
+            return None;
+        }
+        #[cfg(test)]
+        {
+            self.band_scans += 1;
+        }
+        let words = words_for(m);
+        let peq = &self.peq[..ROWS * words];
+        // Column 0 in column 1's frame, rows 1 − k..=64 − k: `D[i][0] = |i|`
+        // steps −1 up to row 0 and +1 above it.
+        let mut vn = (1u64 << k) - 1;
+        let mut vp = !vn;
+        // The diagonal through `(m, n)`, and its value in column 0.
+        let diagonal = m + k - n;
+        let mut score = m.abs_diff(n);
+        for (j, &c) in text.iter().enumerate() {
+            let row = &peq[c as usize * words..][..words];
+            // `j` counts from 0: this is column `j + 1`, whose bit 0 is row
+            // `j + 1 − k`, the pattern's character `j − k`.
+            let eq = if j < k {
+                row[0] << (k - j)
+            } else {
+                let (q, r) = ((j - k) / WORD, (j - k) % WORD);
+                let next = if q + 1 < words { row[q + 1] } else { 0 };
+                (row[q] >> r) | (next << 1 << (WORD - 1 - r))
+            };
+            let d0 = band_step(eq, &mut vp, &mut vn);
+            score += usize::from(d0 & (1 << diagonal) == 0);
+            if score > k {
+                return None;
+            }
+        }
+        Some(score)
+    }
+
     /// Exact Levenshtein distance between `pattern` (ASCII, non-empty) and
     /// `text` (ASCII). The table must be all-zero on entry and is all-zero
     /// again on return.
@@ -162,6 +290,20 @@ impl MyersScratch {
         let score = self.scan(pattern.len(), text);
         self.clear(pattern);
         score
+    }
+
+    /// [`Self::scan_band`] between `pattern` (ASCII, non-empty) and `text`
+    /// (ASCII), filling and clearing the table around it.
+    pub(crate) fn distance_within(
+        &mut self,
+        pattern: &[u8],
+        text: &[u8],
+        k: usize,
+    ) -> Option<usize> {
+        self.fill(pattern);
+        let within = self.scan_band(pattern.len(), text, k);
+        self.clear(pattern);
+        within
     }
 }
 
@@ -278,7 +420,103 @@ mod tests {
         assert!(scratch.peq.iter().all(|&x| x == 0));
     }
 
+    /// The banded scan through a fresh scratch, asserting the table is
+    /// all-zero again.
+    fn band(a: &str, b: &str, k: usize) -> Option<usize> {
+        let mut scratch = MyersScratch::default();
+        let within = scratch.distance_within(a.as_bytes(), b.as_bytes(), k);
+        assert!(scratch.peq.iter().all(|&x| x == 0), "table must be cleared");
+        within
+    }
+
+    /// The band's contract, off the two-row DP: `Some(d)` iff `d ≤ k`.
+    fn within(a: &str, b: &str, k: usize) -> Option<usize> {
+        let d = levenshtein(a, b);
+        (d <= k).then_some(d)
+    }
+
+    /// `a` with the character at each of `at` replaced by `#`, which the
+    /// phrase of [`text`] lacks: exactly `at.len()` edits away.
+    fn marked(a: &str, at: impl IntoIterator<Item = usize>) -> String {
+        let mut s = a.as_bytes().to_vec();
+        for i in at {
+            s[i] = b'#';
+        }
+        String::from_utf8(s).unwrap()
+    }
+
+    #[test]
+    fn band_is_exact_up_to_its_radius_at_word_boundaries() {
+        for m in [63, 64, 65, 127, 128, 129, 350] {
+            let a = text(m, 0);
+            for k in [0, 1, 15, 31] {
+                // Identical values; then exactly `k` and `k + 1`
+                // substitutions spread over the whole value.
+                assert_eq!(band(&a, &a, k), Some(0), "m={m} k={k}");
+                let spread = |edits: usize| (0..edits).map(move |e| e * m / edits.max(1));
+                assert_eq!(band(&a, &marked(&a, spread(k)), k), Some(k), "m={m} k={k}");
+                assert_eq!(band(&a, &marked(&a, spread(k + 1)), k), None, "m={m} k={k}");
+                // Insertions and deletions that keep the optimal path on
+                // the band's edges, at either end, either side the pattern.
+                let pad = "#".repeat(k);
+                let shifted = format!("{pad}{}", &a[..m - k]);
+                for (x, y) in [
+                    (a.clone(), format!("{pad}{a}")),
+                    (a.clone(), format!("{a}{pad}")),
+                    (a.clone(), a[k..].to_string()),
+                    (a.clone(), shifted),
+                ] {
+                    assert_eq!(band(&x, &y, k), within(&x, &y, k), "{x:?} / {y:?}");
+                    assert_eq!(band(&y, &x, k), within(&y, &x, k), "{y:?} / {x:?}");
+                }
+                // A length difference past the radius answers `None` before
+                // any column is scanned.
+                let mut scratch = MyersScratch::default();
+                for other in [text(m + k + 1, 0), text(m - k - 1, 0)] {
+                    let within = scratch.distance_within(a.as_bytes(), other.as_bytes(), k);
+                    assert_eq!(within, None, "m={m} k={k} n={}", other.len());
+                }
+                assert_eq!(scratch.band_scans, 0);
+            }
+        }
+    }
+
     proptest! {
+        // Near-duplicate regime: up to 60 edits on 60–400 characters, so
+        // the distance falls either side of every radius; either side is
+        // the pattern.
+        #[test]
+        fn prop_band_matches_dp_near_duplicates(
+            base in "[a-z ]{60,400}",
+            edits in proptest::collection::vec((0u8..3, 0usize..400, 0u8..26), 0..61),
+            radius in 0usize..4,
+        ) {
+            let k = [0, 1, 15, BAND][radius];
+            let other = edit(&base, &edits);
+            prop_assert_eq!(band(&base, &other, k), within(&base, &other, k));
+            if !other.is_empty() {
+                prop_assert_eq!(band(&other, &base, k), within(&other, &base, k));
+            }
+        }
+
+        // Far regime: independent strings over a small alphabet within 32
+        // characters of each other's length, whose optimal paths wander
+        // across and out of the band.
+        #[test]
+        fn prop_band_matches_dp_far_apart(
+            a in "[ab ]{40,400}",
+            b in "[ab ]{1,440}",
+            delta in 0usize..64,
+            radius in 0usize..4,
+        ) {
+            let k = [0, 1, 15, BAND][radius];
+            let b: String = b.chars().cycle().take((a.len() + delta).saturating_sub(32)).collect();
+            prop_assert_eq!(band(&a, &b, k), within(&a, &b, k));
+            if !b.is_empty() {
+                prop_assert_eq!(band(&b, &a, k), within(&b, &a, k));
+            }
+        }
+
         #[test]
         fn prop_matches_two_row_dp(a in "[a-e]{1,64}", b in "[a-e]{0,90}") {
             prop_assert_eq!(myers(&a, &b), levenshtein(&a, &b));
@@ -288,10 +526,6 @@ mod tests {
         fn prop_matches_dp_dense_alphabet(a in "[a-zA-Z0-9 .,']{1,40}", b in "[a-zA-Z0-9 .,']{0,60}") {
             prop_assert_eq!(myers(&a, &b), levenshtein(&a, &b));
         }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         // Far-apart regime: independent random strings, every word count up
         // to seven blocks on either side.

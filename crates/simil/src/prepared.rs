@@ -91,12 +91,35 @@
 //! smaller. So `upper / used_weight` is at least, and `lower / used_weight`
 //! at most, the string path's score, and each test that fires gives the
 //! string path's answer.
+//!
+//! # Long values: the band first
+//!
+//! A term's kernel, where both values are ASCII, the shorter is longer than
+//! one 64-character word and the floor `d₀` is at most [`BAND`] (31), first
+//! runs the banded scan (`crate::myers`): one word per text column, holding
+//! the diagonals `|i − j| ≤ 31`, instead of `⌈len/64⌉`. It can only
+//! over-estimate a cell whose optimal path leaves the band, so it is exact
+//! for any distance up to 31 and knows when the distance is larger:
+//!
+//! * `d ≤ 31`: the term is known exactly, at the full scan's similarity;
+//! * `d > 31`: in `matches`, the term's bound becomes `sim(32)` — tighter
+//!   than `sim(d₀)`, as `d₀ ≤ 31` — and the rule's two tests run again.
+//!   That bound is as exact as `sim(d₀)` (`32 ≤ d`, and the same monotone
+//!   steps), so a pair it rejects is one the string path rejects. Only a
+//!   pair it still leaves open runs the full-width scan for the term.
+//!
+//! `score` takes the band's distance where it has one and the full scan's
+//! otherwise, so every score stays bit-identical. The heaviest open term is
+//! still the one settled next. Near-duplicates, what a long value's kernel
+//! mostly meets, end inside the band: per execution of the `pubs-ours`
+//! benchmark workload, 975 of the 986 kernel runs on abstract-length
+//! values (the shorter at least 200 characters).
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 use crate::levenshtein::levenshtein_scratch;
-use crate::myers::MyersScratch;
+use crate::myers::{MyersScratch, BAND, WORD};
 use crate::rule::{truncate, AttributeSim, MatchRule, WeightedAttr};
 
 /// Character classes of a [`LevSig`] histogram: a scalar value's low five
@@ -526,7 +549,9 @@ impl PreparedRule {
     /// The rest of [`matches`](Self::matches) for a pair its first pass left
     /// open: run the kernel of the heaviest term still bounded (the first in
     /// declaration order on a tie), replace its bound with its similarity,
-    /// sum again and test again.
+    /// sum again and test again. A long value's kernel is the band first; a
+    /// band that finds the distance past [`BAND`] tightens the bound and
+    /// tests again before the full-width scan runs (see the module docs).
     fn settle(
         &self,
         a: &PreparedEntity,
@@ -557,23 +582,89 @@ impl PreparedRule {
             let Some(i) = heaviest_open else {
                 return false;
             };
-            s.known[i] = Known::Exact(term_score(a, b, i, &mut s.kernels));
-            let (mut upper, mut lower) = (0.0f64, 0.0f64);
-            for (term, known) in terms.iter().zip(&s.known) {
-                known.add_to(term.weight, &mut upper, &mut lower);
-            }
-            if upper / used_weight < threshold {
-                return false;
-            }
-            if lower / used_weight >= threshold {
-                return true;
+            let (TermSig::Lev(la), TermSig::Lev(lb)) = (&a.terms[i], &b.terms[i]) else {
+                unreachable!("only a Levenshtein term is left open");
+            };
+            let max_len = la.len().max(lb.len());
+            let d = match banded(a, la, b, lb, &mut s.kernels.myers) {
+                Band::Within(d) => d,
+                Band::Beyond => {
+                    // The band ran only on a floor of at most `BAND`, so
+                    // this bound is the tighter one.
+                    s.known[i] = Known::AtMost(levenshtein_sim(BAND + 1, max_len));
+                    if let Some(decision) = decide(terms, &s.known, used_weight, threshold) {
+                        return decision;
+                    }
+                    levenshtein_distance(a.lev_text(la), b.lev_text(lb), &mut s.kernels)
+                }
+                Band::Skipped => {
+                    levenshtein_distance(a.lev_text(la), b.lev_text(lb), &mut s.kernels)
+                }
+            };
+            s.known[i] = Known::Exact(levenshtein_sim(d, max_len));
+            if let Some(decision) = decide(terms, &s.known, used_weight, threshold) {
+                return decision;
             }
         }
     }
 }
 
-/// Exact edit distance of two prepared values: the blocked Myers scan when
-/// both are ASCII (the shorter as the pattern), the two-row DP otherwise.
+/// The whole rule's two tests on what is known of each term: `upper` and
+/// `lower` summed in declaration order, then the reject test and the accept
+/// test. `None` while both leave the pair open.
+fn decide(
+    terms: &[WeightedAttr],
+    known: &[Known],
+    used_weight: f64,
+    threshold: f64,
+) -> Option<bool> {
+    let (mut upper, mut lower) = (0.0f64, 0.0f64);
+    for (term, known) in terms.iter().zip(known) {
+        known.add_to(term.weight, &mut upper, &mut lower);
+    }
+    if upper / used_weight < threshold {
+        return Some(false);
+    }
+    (lower / used_weight >= threshold).then_some(true)
+}
+
+/// What the banded scan tells of a Levenshtein term.
+enum Band {
+    /// It does not apply: a value is non-ASCII, the shorter value fits one
+    /// word (whose full scan is one word per column already), or the floor
+    /// already puts the distance past [`BAND`].
+    Skipped,
+    /// The distance, at most [`BAND`].
+    Within(usize),
+    /// The distance is more than [`BAND`].
+    Beyond,
+}
+
+/// The banded scan of the Levenshtein values `la` of `a` and `lb` of `b`,
+/// where it applies (see the module docs).
+fn banded(
+    a: &PreparedEntity,
+    la: &LevSig,
+    b: &PreparedEntity,
+    lb: &LevSig,
+    myers: &mut MyersScratch,
+) -> Band {
+    let (LevText::Ascii(x), LevText::Ascii(y)) = (a.lev_text(la), b.lev_text(lb)) else {
+        return Band::Skipped;
+    };
+    let (short, long) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+    if short.len() <= WORD || la.distance_floor(lb) > BAND {
+        return Band::Skipped;
+    }
+    match myers.distance_within(short, long, BAND) {
+        Some(d) => Band::Within(d),
+        None => Band::Beyond,
+    }
+}
+
+/// Exact edit distance of two prepared values: the full-width blocked Myers
+/// scan when both are ASCII (the shorter as the pattern), the two-row DP
+/// otherwise.
 fn levenshtein_distance(a: LevText<'_>, b: LevText<'_>, s: &mut KernelScratch) -> usize {
     match (a, b) {
         (LevText::Ascii(x), LevText::Ascii(y)) => {
@@ -591,7 +682,9 @@ fn levenshtein_distance(a: LevText<'_>, b: LevText<'_>, s: &mut KernelScratch) -
 }
 
 /// Term `i`'s kernel on the pair `a`/`b`, neither side `Missing` — each arm
-/// reproduces the corresponding string kernel's exact arithmetic.
+/// reproduces the corresponding string kernel's exact arithmetic. A
+/// Levenshtein term takes the band's distance where the band applies and
+/// finds one, the full-width scan's otherwise.
 pub(crate) fn term_score(
     a: &PreparedEntity,
     b: &PreparedEntity,
@@ -599,10 +692,15 @@ pub(crate) fn term_score(
     s: &mut KernelScratch,
 ) -> f64 {
     match (&a.terms[i], &b.terms[i]) {
-        (TermSig::Lev(la), TermSig::Lev(lb)) => levenshtein_sim(
-            levenshtein_distance(a.lev_text(la), b.lev_text(lb), s),
-            la.len().max(lb.len()),
-        ),
+        (TermSig::Lev(la), TermSig::Lev(lb)) => {
+            let d = match banded(a, la, b, lb, &mut s.myers) {
+                Band::Within(d) => d,
+                Band::Skipped | Band::Beyond => {
+                    levenshtein_distance(a.lev_text(la), b.lev_text(lb), s)
+                }
+            };
+            levenshtein_sim(d, la.len().max(lb.len()))
+        }
         (TermSig::Exact(x), TermSig::Exact(y)) => f64::from(a.exact_eq(x, b, y)),
         _ => unreachable!("entity prepared for a different rule"),
     }
@@ -893,6 +991,107 @@ mod tests {
             (true, 1)
         );
         assert_eq!(decide("abcdefghijklmnop", "ponmlkjihgfedcba"), (false, 1));
+    }
+
+    /// A 400-character abstract, which the rule cuts to 350.
+    fn abstract_bytes() -> Vec<u8> {
+        "we resolve entities progressively on mapreduce, block by block; "
+            .bytes()
+            .cycle()
+            .take(400)
+            .collect()
+    }
+
+    /// The abstract with the characters at `at` and `at + 1` swapped, for
+    /// each `at`: a histogram bound of 0, a distance of up to two per swap.
+    fn swapped(at: impl IntoIterator<Item = usize>) -> String {
+        let mut value = abstract_bytes();
+        for i in at {
+            value.swap(i, i + 1);
+        }
+        String::from_utf8(value).unwrap()
+    }
+
+    /// The paper's abstract term alone: a Levenshtein term cut at 350
+    /// characters.
+    fn abstract_rule(threshold: f64) -> MatchRule {
+        MatchRule::new(
+            vec![WeightedAttr::new(
+                0,
+                1.0,
+                AttributeSim::Levenshtein {
+                    max_chars: Some(350),
+                },
+            )],
+            threshold,
+        )
+    }
+
+    /// `matches` on one single-term pair, checked against the string path
+    /// (and `score` too): the decision, the full-width scans and the banded
+    /// scans it ran.
+    fn decide_banding(rule: &MatchRule, a: &str, b: &str) -> (bool, usize, usize) {
+        let (va, vb) = (vec![a.to_string()], vec![b.to_string()]);
+        let pr = PreparedRule::new(rule.clone());
+        let (pa, pb) = (pr.prepare(&va), pr.prepare(&vb));
+        let mut scratch = SimScratch::new();
+        assert_eq!(
+            pr.score(&pa, &pb, &mut scratch).to_bits(),
+            rule.score(&va, &vb).to_bits()
+        );
+        let mut scratch = SimScratch::new();
+        let decision = pr.matches(&pa, &pb, &mut scratch);
+        assert_eq!(decision, rule.matches(&va, &vb), "{a:?} / {b:?}");
+        let myers = &scratch.kernels.myers;
+        (decision, myers.scans, myers.band_scans)
+    }
+
+    #[test]
+    fn abstract_near_duplicates_are_decided_in_the_band() {
+        let base = swapped([]);
+        let rule = abstract_rule(0.95);
+        // A few swaps: accepted on the band's exact distance.
+        let near = swapped([3, 90, 170, 260, 340]);
+        assert!(levenshtein(&base[..350], &near[..350]) <= 10);
+        assert_eq!(decide_banding(&rule, &base, &near), (true, 0, 1));
+        // Fifteen swaps, still inside the band: rejected on it, though the
+        // histograms say nothing.
+        let far = swapped((0..15).map(|e| 2 + e * 23));
+        let d = levenshtein(&base[..350], &far[..350]);
+        assert!((18..=BAND).contains(&d), "{d}");
+        assert_eq!(decide_banding(&rule, &base, &far), (false, 0, 1));
+        // Swaps past the cap are cut off with it.
+        assert_eq!(
+            decide_banding(&rule, &base, &swapped([360, 390])),
+            (true, 0, 1)
+        );
+    }
+
+    #[test]
+    fn pairs_the_band_bounds_out_run_no_full_scan() {
+        // The abstract with its first 60 characters moved to its end: the
+        // same characters (a floor of 0) at a distance far past the band.
+        let base = swapped([]);
+        let rotated = format!("{}{}", &base[60..350], &base[..60]);
+        let d = levenshtein(&base[..350], &rotated);
+        assert!(d > BAND, "{d}");
+        // At most 1 − 32/350 ≈ 0.909 once the band says d > 31: rejected
+        // under 0.95 without the full-width scan ...
+        assert_eq!(
+            decide_banding(&abstract_rule(0.95), &base, &rotated),
+            (false, 0, 1)
+        );
+        // ... and decided by it where that bound leaves the pair open.
+        let open = abstract_rule(1.0 - (d + 1) as f64 / 350.0);
+        assert_eq!(decide_banding(&open, &base, &rotated), (true, 1, 1));
+        // A floor past the radius skips the band: the full scan decides.
+        let mut marked = abstract_bytes();
+        marked[..40].fill(b'#');
+        let marked = String::from_utf8(marked).unwrap();
+        assert_eq!(
+            decide_banding(&abstract_rule(0.5), &base, &marked),
+            (true, 1, 0)
+        );
     }
 
     /// `ErConfig::books`' rule over title, authors, publisher, year, isbn,

@@ -198,6 +198,58 @@ fn unicode_fallback_path_allocates_nothing() {
     );
 }
 
+#[test]
+fn long_near_duplicates_allocate_nothing() {
+    // The abstract term alone, at two thresholds: under 0.95 a pair the
+    // banded scan puts past 31 edits is rejected on that bound, under 0.5
+    // it goes on to the full-width scan.
+    let rule = |threshold| {
+        let abstract_term = AttributeSim::Levenshtein {
+            max_chars: Some(350),
+        };
+        PreparedRule::new(MatchRule::new(
+            vec![WeightedAttr::new(0, 1.0, abstract_term)],
+            threshold,
+        ))
+    };
+    let (strict, loose) = (rule(0.95), rule(0.5));
+    let base: String = "we resolve entities progressively on mapreduce, block by block; "
+        .chars()
+        .cycle()
+        .take(400)
+        .collect();
+    let mut near = base.clone().into_bytes();
+    for at in [3, 90, 170, 260, 340] {
+        near.swap(at, at + 1);
+    }
+    let near = String::from_utf8(near).unwrap();
+    let rotated = format!("{}{}", &base[60..350], &base[..60]);
+    let values = [base, near, rotated];
+    let entities: Vec<_> = values.iter().map(|v| strict.prepare(&[v])).collect();
+    let mut scratch = SimScratch::new();
+    let mut sink = 0.0f64;
+    let mut run = |scratch: &mut SimScratch| {
+        for rule in [&strict, &loose] {
+            for a in &entities {
+                for b in &entities {
+                    sink += rule.score(a, b, scratch);
+                    sink += f64::from(rule.matches(a, b, scratch));
+                }
+            }
+        }
+    };
+    run(&mut scratch);
+    let before = allocations();
+    for _ in 0..200 {
+        run(&mut scratch);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "banded and full-width scans must not allocate once warm (sink {sink})"
+    );
+}
+
 /// `ErConfig::books`' rule over title, authors, publisher, year, isbn,
 /// pages, language and format.
 fn books_rule() -> MatchRule {

@@ -251,7 +251,10 @@ pub fn test_rng(case: u64) -> StdRng {
     StdRng::seed_from_u64(0x5EED_CA5E ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
-/// Resolve the case count, honoring the `PROPTEST_CASES` env override.
+/// The case count a test runs: the configured count, at least one. The
+/// `PROPTEST_CASES` environment variable reaches it only through
+/// [`ProptestConfig::default`]; a config that sets `cases` itself runs
+/// that many whatever the variable says.
 pub fn resolve_cases(configured: u32) -> u64 {
     u64::from(configured.max(1))
 }
