@@ -14,8 +14,9 @@
 //!   into it — the split is retried at the next deeper level, so degenerate
 //!   levels never produce duplicate work.
 
+use std::collections::BTreeMap;
+
 use pper_datagen::{Dataset, Entity, EntityId};
-use pper_mapreduce::fxhash::FxHashMap;
 
 use crate::function::{BlockingFamily, BlockingKey};
 use crate::FamilyIndex;
@@ -250,22 +251,6 @@ impl Tree {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Block indices in bottom-up order (every child before its parent).
-    pub fn bottom_up(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.blocks.len()).rev()
-    }
-
-    /// Indices of the descendant blocks of `idx` (children, grandchildren, …).
-    pub fn descendants(&self, idx: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut stack: Vec<usize> = self.blocks[idx].children.clone();
-        while let Some(i) = stack.pop() {
-            out.push(i);
-            stack.extend_from_slice(&self.blocks[i].children);
-        }
-        out
-    }
 }
 
 /// The forest of one main blocking function: all its trees, sorted by root
@@ -296,21 +281,17 @@ pub fn build_forests(ds: &Dataset, families: &[BlockingFamily]) -> Vec<Forest> {
         .iter()
         .enumerate()
         .map(|(fi, family)| {
-            let mut by_key: FxHashMap<BlockingKey, Vec<EntityId>> = FxHashMap::default();
+            let mut by_key: BTreeMap<BlockingKey, Vec<EntityId>> = BTreeMap::new();
             for e in &ds.entities {
                 by_key
                     .entry(BlockingKey::of(&family.levels[0], e))
                     .or_default()
                     .push(e.id);
             }
-            let mut roots: Vec<_> = by_key
+            // Ascending key order: the map's own.
+            let trees = by_key
                 .into_iter()
                 .filter(|(_, members)| members.len() >= 2)
-                .collect();
-            // Keys are distinct: ascending key order, whatever the map's.
-            roots.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-            let trees = roots
-                .into_iter()
                 .map(|(key, members)| Tree::build(fi, family, key.as_str().to_owned(), members, ds))
                 .collect();
             Forest { family: fi, trees }
@@ -367,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn preorder_and_bottom_up_are_consistent() {
+    fn blocks_are_in_preorder() {
         let ds = PubGen::new(2_000, 11).generate();
         let forests = build_forests(&ds, &presets::citeseer_families());
         for forest in &forests {
@@ -378,14 +359,6 @@ mod tests {
                         assert!(p < i);
                         assert!(tree.blocks[p].children.contains(&i));
                         assert!(tree.blocks[p].level < b.level);
-                    }
-                }
-                // Bottom-up: every child index visited before its parent.
-                let order: Vec<usize> = tree.bottom_up().collect();
-                let pos = |idx: usize| order.iter().position(|&i| i == idx).unwrap();
-                for (i, b) in tree.blocks.iter().enumerate() {
-                    if let Some(p) = b.parent {
-                        assert!(pos(i) < pos(p));
                     }
                 }
             }
@@ -518,18 +491,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn descendants_transitive() {
-        let ds = PubGen::new(2_000, 15).generate();
-        let forests = build_forests(&ds, &presets::citeseer_families());
-        let tree = forests[0].trees.iter().max_by_key(|t| t.len()).unwrap();
-        let desc = tree.descendants(0);
-        assert_eq!(
-            desc.len(),
-            tree.len() - 1,
-            "root's descendants = all others"
-        );
     }
 }

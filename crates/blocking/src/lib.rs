@@ -66,8 +66,8 @@ pub mod stats;
 pub use forest::{build_forests, sort_by_attrs, Block, Forest, Tree};
 pub use function::{BlockingFamily, BlockingKey, PrefixFunction};
 pub use stats::{
-    compute_signatures, olp, pairs, uncovered_pairs, DatasetStats, NodeStats, OlpScratch, Place,
-    Placement, Signatures, TreeStats,
+    olp, pairs, uncovered_pairs, DatasetStats, NodeStats, OlpScratch, Place, Placement, Signatures,
+    TreeStats,
 };
 
 /// Index of a main blocking function within the `⊵F` dominance total order;

@@ -29,9 +29,9 @@
 //! kept the same key under some family `g`: the block `(k_g, g)` is a
 //! smaller one they share, and it resolves the pair.
 
-use pper_blocking::forest::EntityLookup;
 use pper_blocking::{BlockingFamily, BlockingKey};
 use pper_datagen::{Dataset, Entity, EntityId};
+use pper_mapreduce::cost::{block_additional_cost, JOB_STARTUP, READ_PER_ENTITY, RESOLVE_PAIR};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{MechanismKind, PairSource, StopRule, StopState};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
@@ -48,8 +48,6 @@ pub struct BasicConfig {
     /// Popcorn stopping threshold; `None` is "Basic F" (blocks resolved to
     /// completion).
     pub popcorn_threshold: Option<f64>,
-    /// Comparisons window over which the Popcorn rate is measured.
-    pub popcorn_window: u64,
 }
 
 impl BasicConfig {
@@ -58,33 +56,32 @@ impl BasicConfig {
         Self {
             window,
             popcorn_threshold: None,
-            popcorn_window: 100,
         }
     }
 
-    /// Popcorn stopping at `threshold`. The rate-measurement window scales
-    /// inversely with the threshold (a rate of 0.001 is only observable
-    /// over ≥ 1000 comparisons), so the paper's full threshold sweep — from
-    /// 0.1 down to 0.00001 — produces genuinely different behaviour.
+    /// Popcorn stopping at `threshold`.
     pub fn popcorn(window: usize, threshold: f64) -> Self {
-        let rate_window = if threshold > 0.0 {
-            ((2.0 / threshold).ceil() as u64).clamp(50, 200_000)
-        } else {
-            200_000
-        };
         Self {
             window,
             popcorn_threshold: Some(threshold),
-            popcorn_window: rate_window,
         }
     }
 
+    /// The stop rule every block runs under. Popcorn's rate-measurement
+    /// window scales inversely with the threshold (a rate of 0.001 is only
+    /// observable over ≥ 1000 comparisons), so the paper's full threshold
+    /// sweep — from 0.1 down to 0.00001 — produces genuinely different
+    /// behaviour.
     fn stop_rule(&self) -> StopRule {
         match self.popcorn_threshold {
             None => StopRule::Exhaust,
             Some(threshold) => StopRule::Popcorn {
                 threshold,
-                window: self.popcorn_window,
+                window: if threshold > 0.0 {
+                    ((2.0 / threshold).ceil() as u64).clamp(50, 200_000)
+                } else {
+                    200_000
+                },
             },
         }
     }
@@ -111,7 +108,7 @@ impl<'d> Mapper for BasicMapper<'d> {
     ) {
         let entity = *entity;
         for (f, family) in self.families.iter().enumerate() {
-            ctx.charge(ctx.cost_model.read_per_entity * 0.25);
+            ctx.charge(READ_PER_ENTITY * 0.25);
             out.emit(
                 (BlockingKey::of(&family.levels[0], entity), f as u8),
                 entity,
@@ -125,17 +122,6 @@ struct BasicReducer<'a> {
     rule: PreparedRule,
     mechanism: MechanismKind,
     basic: &'a BasicConfig,
-}
-
-/// One block's members, ascending by entity id. As in job 2, the resolve
-/// loop names a member by its position here, so ids tie-break and order as
-/// they would themselves and every per-pair access is a slice index.
-struct Members<'p>(Vec<&'p Entity>);
-
-impl EntityLookup for Members<'_> {
-    fn entity(&self, local: u32) -> &Entity {
-        self.0[local as usize]
-    }
 }
 
 /// What one reduce task reuses across its blocks.
@@ -204,18 +190,22 @@ impl BasicReducer<'_> {
             return;
         }
         let family = &self.families[*f as usize];
-        let mut members = Members(values.to_vec());
-        members.0.sort_unstable_by_key(|e| e.id);
-        self.smaller_keys((key, *f as usize), &members.0, task);
+        // The block's members, ascending by entity id. As in job 2, the
+        // resolve loop names a member by its position here, so ids
+        // tie-break and order as they would themselves and every per-pair
+        // access is a slice index.
+        let mut members = values.to_vec();
+        members.sort_unstable_by_key(|e| e.id);
+        self.smaller_keys((key, *f as usize), &members, task);
         let n = self.families.len();
-        let locals: Vec<u32> = (0..members.0.len() as u32).collect();
+        let locals: Vec<u32> = (0..members.len() as u32).collect();
         // `slots[l]` is member `l`'s slot in the task's cache, or `NO_SLOT`
         // until its first comparison in this block.
         let mut slots = vec![NO_SLOT; locals.len()];
 
         let sorted =
             pper_progressive::sort_by_attrs(&locals, &[family.levels[0].attr, 0], &members);
-        ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
+        ctx.charge(block_additional_cost(sorted.len()));
 
         let mut run = self.mechanism.start(sorted, self.basic.window);
         let mut stop = StopState::new(self.basic.stop_rule());
@@ -234,9 +224,9 @@ impl BasicReducer<'_> {
                 tally.skipped_redundant += 1;
                 continue;
             }
-            ctx.charge(ctx.cost_model.resolve_pair);
+            ctx.charge(RESOLVE_PAIR);
             tally.compared += 1;
-            let (ea, eb) = (members.0[ia], members.0[ib]);
+            let (ea, eb) = (members[ia], members[ib]);
             let cache = &mut task.cache;
             let sa = memo_slot(cache, &self.rule, &mut slots[ia], ea);
             let sb = memo_slot(cache, &self.rule, &mut slots[ib], eb);
@@ -293,7 +283,7 @@ impl BasicApproach {
             &result.timeline,
             crate::duplicates_of(&result.timeline),
             result.total_virtual_cost,
-            cfg.cost_model.job_startup + result.map_phase.makespan,
+            JOB_STARTUP + result.map_phase.makespan,
             result.counters,
             format!(
                 "basic-{}-w{}-{}",

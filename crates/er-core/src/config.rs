@@ -1,7 +1,7 @@
 //! Pipeline configuration.
 
 use pper_blocking::{presets, BlockingFamily};
-use pper_mapreduce::{ClusterSpec, CostModel, JobConfig};
+use pper_mapreduce::{ClusterSpec, JobConfig};
 use pper_progressive::{LevelPolicy, MechanismKind};
 use pper_schedule::{ScheduleConfig, TrainedProb, TreeScheduler, Weighting};
 use pper_simil::{AttributeSim, MatchRule, WeightedAttr};
@@ -17,8 +17,6 @@ pub struct ErConfig {
     pub policy: LevelPolicy,
     /// Simulated cluster size μ (2 map + 2 reduce slots per machine).
     pub machines: usize,
-    /// Cost calibration.
-    pub cost_model: CostModel,
     /// Scheduler selection and knobs.
     pub schedule: ScheduleConfig,
     /// Progressive mechanism `M` (§VI-A3): SN for CiteSeerX, PSNM for
@@ -85,7 +83,6 @@ impl ErConfig {
             rule,
             policy: LevelPolicy::citeseer(),
             machines,
-            cost_model: CostModel::default(),
             schedule: ScheduleConfig::default(),
             mechanism: MechanismKind::Sn,
             prob: TrainedProb::citeseer(),
@@ -119,7 +116,6 @@ impl ErConfig {
             rule,
             policy: LevelPolicy::books(),
             machines,
-            cost_model: CostModel::default(),
             schedule: ScheduleConfig::default(),
             mechanism: MechanismKind::Psnm,
             prob: TrainedProb::books(),
@@ -165,7 +161,6 @@ impl ErConfig {
     /// is its own (fault plan, reduce-task count).
     pub fn job_config(&self, name: &str) -> JobConfig {
         let mut cfg = JobConfig::new(name, self.cluster());
-        cfg.cost_model = self.cost_model.clone();
         cfg.worker_threads = self.worker_threads;
         cfg.observer = self.observer.clone();
         cfg

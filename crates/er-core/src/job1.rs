@@ -31,6 +31,7 @@ use pper_blocking::{
     BlockingFamily, BlockingKey, DatasetStats, OlpScratch, Signatures, Tree, TreeStats,
 };
 use pper_datagen::{Dataset, Entity, EntityId};
+use pper_mapreduce::cost::READ_PER_ENTITY;
 use pper_mapreduce::prelude::*;
 
 use crate::config::ErConfig;
@@ -102,7 +103,7 @@ impl Mapper for AnnotateMapper<'_> {
     fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<Job1Key, EntityId>) {
         for (f, family) in self.families.iter().enumerate() {
             // Key extraction is a char-scan: charge it like an entity read.
-            ctx.charge(ctx.cost_model.read_per_entity * 0.25);
+            ctx.charge(READ_PER_ENTITY * 0.25);
             let key = RootKey(BlockingKey::of(&family.levels[0], entity));
             out.emit((f as u8, key), entity.id);
         }
@@ -149,7 +150,7 @@ impl Reducer for StatsReducer<'_> {
         let members: Vec<EntityId> = (0..entities.len() as EntityId).collect();
 
         // Tree construction: one key extraction per member per level.
-        ctx.charge(ctx.cost_model.read_per_entity * (members.len() * family.depth()) as f64);
+        ctx.charge(READ_PER_ENTITY * (members.len() * family.depth()) as f64);
         let root_key = key.1 .0.as_str().to_owned();
         let tree = Tree::build(family_index, family, root_key, members, &entities);
 
@@ -158,7 +159,7 @@ impl Reducer for StatsReducer<'_> {
         let stat_cost: f64 = tree
             .blocks
             .iter()
-            .map(|b| ctx.cost_model.read_per_entity * b.size() as f64)
+            .map(|b| READ_PER_ENTITY * b.size() as f64)
             .sum();
         ctx.charge(stat_cost);
 

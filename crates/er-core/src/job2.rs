@@ -85,6 +85,7 @@ use std::sync::Arc;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_journal::{JournalEvent, TaskProgress};
+use pper_mapreduce::cost::{block_additional_cost, sort_cost, READ_PER_ENTITY, RESOLVE_PAIR};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
@@ -113,14 +114,14 @@ impl<'d> Mapper for RouteMapper<'d> {
         // Every map task generates the progressive schedule from the
         // gathered statistics (§III-B). The dominant term is sorting SL.
         let total_blocks: usize = self.schedule.trees.iter().map(|t| t.nodes.len()).sum();
-        ctx.charge(ctx.cost_model.sort_cost(total_blocks) * 2.0);
+        ctx.charge(sort_cost(total_blocks) * 2.0);
         ctx.counters.incr("job2_schedules_generated");
     }
 
     fn map(&self, entity: &&'d Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed<'d>>) {
         let entity = *entity;
         self.locator.route(entity, |tree, list| {
-            ctx.charge(ctx.cost_model.read_per_entity * 0.25);
+            ctx.charge(READ_PER_ENTITY * 0.25);
             out.emit(tree as u64, (entity, list));
         });
     }
@@ -542,13 +543,13 @@ impl<'a> ResolveReducer<'a> {
                 // blocking attribute).
                 let sorted = state.take_block(&self.locator, block.tree, plan_tree, block.node);
                 if !replaying {
-                    ctx.charge(ctx.cost_model.read_per_entity * state.entities.len() as f64);
+                    ctx.charge(READ_PER_ENTITY * state.entities.len() as f64);
                 }
                 if sorted.len() < 2 {
                     break 'block;
                 }
                 if !replaying {
-                    ctx.charge(ctx.cost_model.block_additional_cost(sorted.len()));
+                    ctx.charge(block_additional_cost(sorted.len()));
                 }
 
                 // Root-ness follows the scheduling tree: a split sub-tree's root
@@ -582,7 +583,7 @@ impl<'a> ResolveReducer<'a> {
                     let is_dup = match &mut replay {
                         Some(replay) => replay.decide(ea.id, eb.id),
                         None => {
-                            ctx.charge(ctx.cost_model.resolve_pair);
+                            ctx.charge(RESOLVE_PAIR);
                             tally.compared += 1;
                             if let Some(observe) = self.stage.observer {
                                 observe(block.tree as u32, ea.id.min(eb.id), ea.id.max(eb.id));
@@ -794,6 +795,7 @@ mod tests {
     use crate::job1::run_job1;
     use crate::pipeline::ProgressiveEr;
     use pper_datagen::{BookGen, PubGen};
+    use std::collections::BTreeSet;
 
     fn schedule_for(ds: &Dataset, config: &ErConfig) -> Arc<Schedule> {
         let job1 = run_job1(ds, config).unwrap();
@@ -823,14 +825,13 @@ mod tests {
     fn resolve_task<'p>(
         reducer: &ResolveReducer<'_>,
         partition: &'p pper_mapreduce::GroupedPartition<u64, Routed<'_>>,
-        cost_model: &CostModel,
         task: usize,
     ) -> (TaskState<'p>, TaskContext) {
         let id = TaskId {
             kind: TaskKind::Reduce,
             index: task,
         };
-        let mut ctx = TaskContext::new(id, cost_model.clone());
+        let mut ctx = TaskContext::new(id);
         let mut state = ResolveReducer::ingest(partition);
         reducer.resolve(&mut state, &mut ctx).unwrap();
         (state, ctx)
@@ -869,7 +870,7 @@ mod tests {
         let (mut single_block, mut remembered, mut found) = (0, 0, 0);
         for task in 0..schedule.num_tasks() {
             let partition = task_partition(&ds, &schedule, task);
-            let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, task);
+            let (state, ctx) = resolve_task(&reducer, &partition, task);
             let blocks = &schedule.block_order[task];
             // Per tree, the pairs every block of it but its last compared.
             let last_of = |tree| blocks.iter().rposition(|b| b.tree == tree);
@@ -1155,6 +1156,67 @@ mod tests {
         assert_eq!(compared, co_blocked);
     }
 
+    /// Job 1's `Cov` of a tree is what job 2 compares in it. With root
+    /// windows that span the dataset a root block resolves every pair it
+    /// holds but those `SHOULD-RESOLVE` hands to a dominating family, which
+    /// are exactly the pairs `Uncov` counts; a pair a descendant block
+    /// compared is skipped, not compared again. A sub-tree the schedule
+    /// split off resolves its share in a tree of its own, so the distinct
+    /// pairs the observer reports for a job-1 tree and every sub-tree split
+    /// from it must be that tree's root `covered_pairs()`: the signatures
+    /// job 1 counts by and the dominance lists job 2 skips by agree.
+    #[test]
+    fn job2_compares_exactly_job_1s_covered_pairs_of_every_tree() {
+        let cases = [
+            (PubGen::new(3_000, 83).generate(), ErConfig::citeseer(10)),
+            (BookGen::new(3_000, 83).generate(), ErConfig::books(10)),
+        ];
+        for (ds, mut config) in cases {
+            config.policy.window_root = ds.len();
+            let job1 = run_job1(&ds, &config).unwrap();
+            let schedule = ProgressiveEr::new(config.clone()).generate_schedule(&ds, &job1.stats);
+            assert!(
+                schedule.trees.iter().any(|t| t.split_from.is_some()),
+                "{}: no split sub-tree",
+                ds.name
+            );
+            // Job 1 numbers its trees' nodes in order: a schedule tree
+            // belongs to the job-1 tree whose node ids hold its root's.
+            let mut firsts = Vec::with_capacity(job1.stats.trees.len());
+            let mut first = 0;
+            for tree in &job1.stats.trees {
+                firsts.push(first);
+                first += tree.nodes.len() as u32;
+            }
+            let job1_tree = |tree: u32| {
+                let origin = schedule.trees[tree as usize].nodes[0].origin;
+                firsts.partition_point(|&f| f <= origin) - 1
+            };
+
+            let compared = std::sync::Mutex::new(Vec::new());
+            let observe = |tree, a, b| compared.lock().unwrap().push((tree, a, b));
+            let stage = Stage {
+                observer: Some(&observe),
+                ..Stage::default()
+            };
+            run_job2_stage(&ds, &config, &schedule, stage).unwrap();
+            let mut per_tree = vec![BTreeSet::new(); job1.stats.trees.len()];
+            for (tree, a, b) in compared.into_inner().unwrap() {
+                per_tree[job1_tree(tree)].insert((a, b));
+            }
+            for (stats, pairs) in job1.stats.trees.iter().zip(&per_tree) {
+                assert_eq!(
+                    pairs.len() as u64,
+                    stats.nodes[0].covered_pairs(),
+                    "{}: family {} tree {:?}",
+                    ds.name,
+                    stats.family,
+                    stats.root_key
+                );
+            }
+        }
+    }
+
     /// Job 2 routes by the schedule's side data, not by the entities, so a
     /// plain run refuses a schedule made for another dataset before any
     /// task runs: one of the same size from another seed, and one of
@@ -1300,7 +1362,7 @@ mod tests {
         let schedule = schedule_for(&ds, &config);
         let reducer = ResolveReducer::new(&config, &schedule, Stage::default());
         let partition = task_partition(&ds, &schedule, 0);
-        let (state, ctx) = resolve_task(&reducer, &partition, &config.cost_model, 0);
+        let (state, ctx) = resolve_task(&reducer, &partition, 0);
 
         // Every (tree, member) that was compared holds a slot; the task
         // prepared one entity per *distinct* id among them.

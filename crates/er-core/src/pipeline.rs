@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use pper_datagen::Dataset;
+use pper_mapreduce::cost::JOB_STARTUP;
 use pper_mapreduce::{Counters, MrError, ProgressEvent};
 use pper_schedule::{generate_schedule, DomList, EstimationContext, Schedule};
 
@@ -141,7 +142,7 @@ impl ProgressiveEr {
             &timeline,
             job2.duplicates,
             offset + job2.virtual_cost,
-            offset + config.cost_model.job_startup,
+            offset + JOB_STARTUP,
             counters,
             format!(
                 "ours-{}-{:?}-mu{}",
@@ -158,7 +159,6 @@ impl ProgressiveEr {
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &config.policy,
-            cost_model: &config.cost_model,
             prob: &config.prob,
         };
         generate_schedule(stats, &ctx, &config.schedule, config.reduce_tasks())

@@ -3,10 +3,15 @@
 //! The paper evaluates progressiveness as *duplicate recall versus execution
 //! time* on a fixed cluster. To make the reproduction deterministic and
 //! hardware-independent, every simulated task owns a [`CostClock`] and all
-//! work is charged in abstract **cost units**. The calibration (what a unit
-//! means) lives in [`CostModel`]; the ER pipeline uses one unit per pair
-//! resolution, which is the dominant cost in the paper (§IV-B: "the cost of
-//! applying the resolve/match function on the entity pairs").
+//! work is charged in abstract **cost units**. The calibration is this
+//! module's constants. The unit is one pair resolution ([`RESOLVE_PAIR`]),
+//! the dominant cost in the paper (§IV-B: "the cost of applying the
+//! resolve/match function on the entity pairs"), and every other constant
+//! is expressed relative to it, so the generated curves match the paper's
+//! *shape* without claiming its absolute seconds. The values were calibrated
+//! so that, on the synthetic publications workload, sorting/hint overhead is
+//! a visible but minor fraction of block resolution cost, as the paper
+//! reports for the SN hint; recalibrating is an edit to them.
 //!
 //! [`virtual_makespan`] converts a set of per-task costs into the virtual
 //! completion time of a phase on a cluster with a bounded number of slots,
@@ -50,67 +55,39 @@ impl CostClock {
     }
 }
 
-/// Calibration constants translating pipeline operations into cost units.
-///
-/// The unit is **one pair resolution** (one invocation of the resolve/match
-/// function). Every other constant is expressed relative to that, so the
-/// generated curves match the paper's *shape* without claiming its absolute
-/// seconds. The defaults were calibrated so that, on the synthetic
-/// publications workload, sorting/hint overhead is a visible but minor
-/// fraction of block resolution cost, as the paper reports for the SN hint.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Cost of one resolve/match invocation. By definition 1.0; kept
-    /// configurable for sensitivity experiments.
-    pub resolve_pair: f64,
-    /// Per-entity cost of one comparison key extraction + insertion while
-    /// sorting a block (multiplied by `n·log2(n)` in [`CostModel::sort_cost`]).
-    pub sort_per_entity: f64,
-    /// Per-entity cost of reading/deserializing an entity inside a task.
-    pub read_per_entity: f64,
-    /// Per-record cost of emitting a key-value pair from a mapper (serialization
-    /// plus shuffle buffering).
-    pub emit_per_record: f64,
-    /// Per-record cost of the shuffle merge on the reduce side.
-    pub shuffle_per_record: f64,
-    /// Fixed per-task startup overhead (JVM-style task launch in Hadoop).
-    pub task_startup: f64,
-    /// Fixed per-job overhead (job submission, scheduling).
-    pub job_startup: f64,
-    /// Per-block cost of generating a hint *besides* sorting (allocation of
-    /// the rank index etc.), multiplied by block size.
-    pub hint_per_entity: f64,
+/// Cost of one resolve/match invocation: the unit, so a pair count is its
+/// cost.
+pub const RESOLVE_PAIR: f64 = 1.0;
+/// Per-entity cost of one comparison key extraction + insertion while
+/// sorting a block (multiplied by `n·log2(n)` in [`sort_cost`]).
+pub const SORT_PER_ENTITY: f64 = 0.05;
+/// Per-entity cost of reading/deserializing an entity inside a task.
+pub const READ_PER_ENTITY: f64 = 0.02;
+/// Per-record cost of emitting a key-value pair from a mapper (serialization
+/// plus shuffle buffering).
+pub const EMIT_PER_RECORD: f64 = 0.02;
+/// Per-record cost of the shuffle merge on the reduce side.
+pub const SHUFFLE_PER_RECORD: f64 = 0.02;
+/// Fixed per-task startup overhead (JVM-style task launch in Hadoop).
+pub const TASK_STARTUP: f64 = 50.0;
+/// Fixed per-job overhead (job submission, scheduling).
+pub const JOB_STARTUP: f64 = 500.0;
+/// Per-block cost of generating a hint *besides* sorting (allocation of the
+/// rank index etc.), multiplied by block size.
+pub const HINT_PER_ENTITY: f64 = 0.05;
+
+/// Cost of sorting `n` entities (comparison sort): `SORT_PER_ENTITY · n · log2(n)`.
+pub fn sort_cost(n: usize) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    SORT_PER_ENTITY * (n as f64) * (n as f64).log2()
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            resolve_pair: 1.0,
-            sort_per_entity: 0.05,
-            read_per_entity: 0.02,
-            emit_per_record: 0.02,
-            shuffle_per_record: 0.02,
-            task_startup: 50.0,
-            job_startup: 500.0,
-            hint_per_entity: 0.05,
-        }
-    }
-}
-
-impl CostModel {
-    /// Cost of sorting `n` entities (comparison sort): `sort_per_entity · n · log2(n)`.
-    pub fn sort_cost(&self, n: usize) -> f64 {
-        if n < 2 {
-            return 0.0;
-        }
-        self.sort_per_entity * (n as f64) * (n as f64).log2()
-    }
-
-    /// Additional (non-pair) cost of preparing a block of `n` entities for a
-    /// sorted-neighbourhood style mechanism: read + sort + hint index.
-    pub fn block_additional_cost(&self, n: usize) -> f64 {
-        self.read_per_entity * n as f64 + self.sort_cost(n) + self.hint_per_entity * n as f64
-    }
+/// Additional (non-pair) cost of preparing a block of `n` entities for a
+/// sorted-neighbourhood style mechanism: read + sort + hint index.
+pub fn block_additional_cost(n: usize) -> f64 {
+    READ_PER_ENTITY * n as f64 + sort_cost(n) + HINT_PER_ENTITY * n as f64
 }
 
 /// Virtual completion time of a phase whose tasks have the given costs, run
@@ -188,16 +165,14 @@ mod tests {
 
     #[test]
     fn sort_cost_zero_for_tiny_blocks() {
-        let m = CostModel::default();
-        assert_eq!(m.sort_cost(0), 0.0);
-        assert_eq!(m.sort_cost(1), 0.0);
-        assert!(m.sort_cost(2) > 0.0);
+        assert_eq!(sort_cost(0), 0.0);
+        assert_eq!(sort_cost(1), 0.0);
+        assert!(sort_cost(2) > 0.0);
     }
 
     #[test]
     fn sort_cost_superlinear() {
-        let m = CostModel::default();
-        assert!(m.sort_cost(2000) > 2.0 * m.sort_cost(1000));
+        assert!(sort_cost(2000) > 2.0 * sort_cost(1000));
     }
 
     #[test]
@@ -241,9 +216,8 @@ mod tests {
 
     #[test]
     fn block_additional_cost_components() {
-        let m = CostModel::default();
-        let c = m.block_additional_cost(100);
-        assert!(c > m.sort_cost(100));
-        assert!(c < m.sort_cost(100) + 100.0); // per-entity constants are < 1
+        let c = block_additional_cost(100);
+        assert!(c > sort_cost(100));
+        assert!(c < sort_cost(100) + 100.0); // per-entity constants are < 1
     }
 }

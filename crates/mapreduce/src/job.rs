@@ -1,7 +1,7 @@
 //! Job configuration and the user-facing programming model: [`Mapper`],
 //! [`Reducer`] / [`PartitionReducer`], [`TaskContext`], and [`Emitter`].
 
-use crate::cost::{CostClock, CostModel};
+use crate::cost::CostClock;
 use crate::counters::Counters;
 use crate::error::MrError;
 use crate::exec::ExecutorKind;
@@ -38,57 +38,44 @@ impl std::fmt::Display for TaskId {
     }
 }
 
+/// Concurrent map tasks per machine: the paper's cluster ran "at most two
+/// concurrent map and two concurrent reduce tasks on each machine" (§VI-A1).
+pub const MAP_SLOTS_PER_MACHINE: usize = 2;
+/// Concurrent reduce tasks per machine (§VI-A1).
+pub const REDUCE_SLOTS_PER_MACHINE: usize = 2;
+
 /// The simulated cluster: `machines` machines each running
-/// `map_slots_per_machine` concurrent map tasks and
-/// `reduce_slots_per_machine` concurrent reduce tasks.
-///
-/// The paper's experimental cluster ran "at most two concurrent map and two
-/// concurrent reduce tasks on each machine" (§VI-A1); use
-/// `ClusterSpec::new(machines, 2, 2)` to mirror that.
+/// [`MAP_SLOTS_PER_MACHINE`] concurrent map tasks and
+/// [`REDUCE_SLOTS_PER_MACHINE`] concurrent reduce tasks, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Number of simulated machines (μ in the paper's figures).
     pub machines: usize,
-    /// Concurrent map tasks per machine.
-    pub map_slots_per_machine: usize,
-    /// Concurrent reduce tasks per machine.
-    pub reduce_slots_per_machine: usize,
 }
 
 impl ClusterSpec {
-    /// A cluster of `machines` machines with the given per-machine slot counts.
-    pub fn new(machines: usize, map_slots: usize, reduce_slots: usize) -> Self {
-        Self {
-            machines,
-            map_slots_per_machine: map_slots,
-            reduce_slots_per_machine: reduce_slots,
-        }
-    }
-
-    /// The paper's configuration: 2 map + 2 reduce slots per machine.
+    /// The paper's cluster of `machines` machines: 2 map + 2 reduce slots
+    /// per machine.
     pub fn paper(machines: usize) -> Self {
-        Self::new(machines, 2, 2)
+        Self { machines }
     }
 
     /// Total map slots across the cluster.
     pub fn map_slots(&self) -> usize {
-        self.machines * self.map_slots_per_machine
+        self.machines * MAP_SLOTS_PER_MACHINE
     }
 
     /// Total reduce slots across the cluster.
     pub fn reduce_slots(&self) -> usize {
-        self.machines * self.reduce_slots_per_machine
+        self.machines * REDUCE_SLOTS_PER_MACHINE
     }
 
-    /// Refuse a cluster with no machines or no slots of either kind
-    /// ([`MrError::InvalidCluster`], naming `job`).
+    /// Refuse a cluster with no machines ([`MrError::InvalidCluster`],
+    /// naming `job`).
     pub fn check(&self, job: &str) -> Result<(), MrError> {
-        if self.machines == 0
-            || self.map_slots_per_machine == 0
-            || self.reduce_slots_per_machine == 0
-        {
+        if self.machines == 0 {
             return Err(MrError::InvalidCluster(format!(
-                "job '{job}': machines and per-machine slots must be positive, got {self:?}"
+                "job '{job}': machines must be positive, got {self:?}"
             )));
         }
         Ok(())
@@ -104,8 +91,6 @@ pub struct JobConfig {
     pub cluster: ClusterSpec,
     /// Number of reduce tasks. `None` means "use `cluster.reduce_slots()`".
     pub num_reduce_tasks: Option<usize>,
-    /// Cost calibration shared by all tasks.
-    pub cost_model: CostModel,
     /// Number of OS threads used to *execute* simulated tasks. `None` means
     /// "use available parallelism". This affects wall-clock speed only, never
     /// the virtual-time results.
@@ -124,13 +109,12 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// A job on the given cluster with default cost model and task counts.
+    /// A job on the given cluster with default task counts.
     pub fn new(name: impl Into<String>, cluster: ClusterSpec) -> Self {
         Self {
             name: name.into(),
             cluster,
             num_reduce_tasks: None,
-            cost_model: CostModel::default(),
             worker_threads: None,
             faults: None,
             observer: None,
@@ -154,8 +138,8 @@ impl JobConfig {
     }
 }
 
-/// Per-task state handed to user code: the virtual clock, counters, the
-/// progress event log, and the job's cost model.
+/// Per-task state handed to user code: the virtual clock, counters and the
+/// progress event log. Charges use the calibration in [`crate::cost`].
 pub struct TaskContext {
     /// This task's identity.
     pub id: TaskId,
@@ -167,8 +151,6 @@ pub struct TaskContext {
     /// virtual time, in non-decreasing cost order; merged into the job-level
     /// timeline after completion.
     pub events: Vec<ProgressEvent>,
-    /// Cost calibration constants.
-    pub cost_model: CostModel,
     /// Which attempt of the task this is (1-based, like Hadoop attempt ids).
     /// Attempts past 1 mean earlier attempts died and were re-executed.
     pub attempt: u32,
@@ -179,14 +161,13 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
-    /// Create a context for `id` with the given cost model.
-    pub fn new(id: TaskId, cost_model: CostModel) -> Self {
+    /// Create a context for `id`.
+    pub fn new(id: TaskId) -> Self {
         Self {
             id,
             clock: CostClock::new(),
             counters: Counters::new(),
             events: Vec::new(),
-            cost_model,
             attempt: 1,
             abort_at: None,
         }
@@ -445,7 +426,7 @@ mod tests {
 
     #[test]
     fn job_task_counts_never_zero() {
-        let mut cfg = JobConfig::new("j", ClusterSpec::new(0, 0, 0));
+        let mut cfg = JobConfig::new("j", ClusterSpec::paper(0));
         cfg.num_reduce_tasks = Some(0);
         assert_eq!(cfg.map_tasks(), 1);
         assert_eq!(cfg.reduce_tasks(), 1);
@@ -462,13 +443,10 @@ mod tests {
 
     #[test]
     fn context_charges_and_logs() {
-        let mut ctx = TaskContext::new(
-            TaskId {
-                kind: TaskKind::Map,
-                index: 0,
-            },
-            CostModel::default(),
-        );
+        let mut ctx = TaskContext::new(TaskId {
+            kind: TaskKind::Map,
+            index: 0,
+        });
         ctx.charge(5.0);
         ctx.log_event(42);
         assert_eq!(ctx.now(), 5.0);

@@ -23,8 +23,8 @@
 //!   budget is sorted through disk-backed runs (an internal external merge
 //!   sort) with bit-identical outputs, and a full disk is a typed
 //!   [`error::MrError::Io`];
-//! * the cluster is modelled as `machines × slots_per_machine` parallel task
-//!   slots ([`job::ClusterSpec`]); when there are more tasks than slots the
+//! * the cluster is modelled as `machines × 2` map and `machines × 2` reduce
+//!   task slots ([`job::ClusterSpec`], the paper's §VI-A1 cluster); when there are more tasks than slots the
 //!   virtual makespan is computed with list scheduling, exactly like Hadoop's
 //!   wave execution ([`cost::virtual_makespan`]);
 //! * every simulated task owns a [`cost::CostClock`]; user code charges cost
@@ -75,7 +75,7 @@
 //!     }
 //! }
 //!
-//! let cluster = ClusterSpec::new(2, 2, 2); // 2 machines, 2 map + 2 reduce slots each
+//! let cluster = ClusterSpec::paper(2); // 2 machines, 2 map + 2 reduce slots each
 //! let cfg = JobConfig::new("wordcount", cluster);
 //! let input: Vec<String> = vec!["a b a".into(), "b c".into()];
 //! let result = run_job(&cfg, &Tokenize, &GroupReducer::new(Sum), &input).unwrap();
@@ -115,7 +115,7 @@ pub mod spill;
 
 /// Convenience re-exports covering the whole public surface.
 pub mod prelude {
-    pub use crate::cost::{virtual_makespan, CostClock, CostModel};
+    pub use crate::cost::{virtual_makespan, CostClock};
     pub use crate::counters::Counters;
     pub use crate::error::MrError;
     pub use crate::exec::ExecutorKind;

@@ -24,7 +24,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::cost::{list_schedule_starts, virtual_makespan};
+use crate::cost::{
+    list_schedule_starts, virtual_makespan, EMIT_PER_RECORD, JOB_STARTUP, READ_PER_ENTITY,
+    SHUFFLE_PER_RECORD, TASK_STARTUP,
+};
 use crate::counters::Counters;
 use crate::error::MrError;
 use crate::exec::run_cursor_pool;
@@ -170,7 +173,7 @@ fn run_one_task<T>(
             .faults
             .as_ref()
             .and_then(|p| p.fault_for(kind, idx, attempt));
-        let mut ctx = TaskContext::new(id, cfg.cost_model.clone());
+        let mut ctx = TaskContext::new(id);
         ctx.attempt = attempt;
         ctx.abort_at = injected.and_then(|fault| fault.abort_at);
         let discarded = injected.is_some_and(|fault| fault.abort_at.is_none());
@@ -467,15 +470,15 @@ where
     let ranges = split_ranges(inputs.len(), num_map);
     let raw_map_runs = run_tasks(cfg, num_map, threads, TaskKind::Map, |idx, ctx| {
         let (start, end) = ranges[idx];
-        ctx.charge(ctx.cost_model.task_startup);
+        ctx.charge(TASK_STARTUP);
         mapper.setup(ctx);
         let mut emitter = Emitter::new();
         for input in &inputs[start..end] {
-            ctx.charge(ctx.cost_model.read_per_entity);
+            ctx.charge(READ_PER_ENTITY);
             mapper.map(input, ctx, &mut emitter);
         }
         let records = emitter.len() as u64;
-        ctx.charge(ctx.cost_model.emit_per_record * records as f64);
+        ctx.charge(EMIT_PER_RECORD * records as f64);
         let mut buckets: Vec<Vec<(M::Key, M::Value)>> =
             (0..num_reduce).map(|_| Vec::new()).collect();
         for (k, v) in emitter.into_records() {
@@ -505,7 +508,7 @@ where
         // No mapper in the workspace logs an event; should one, it is
         // stamped at its task-local time plus job startup.
         map_events.extend(run.events.iter().map(|e| ProgressEvent {
-            cost: e.cost + cfg.cost_model.job_startup,
+            cost: e.cost + JOB_STARTUP,
             ..*e
         }));
     }
@@ -552,8 +555,8 @@ where
     let reduce_runs: Vec<TaskRun<Vec<R::Output>>> =
         run_tasks(cfg, num_reduce, threads, TaskKind::Reduce, |idx, ctx| {
             let partition = &grouped[idx];
-            ctx.charge(ctx.cost_model.task_startup);
-            ctx.charge(ctx.cost_model.shuffle_per_record * partition.num_records() as f64);
+            ctx.charge(TASK_STARTUP);
+            ctx.charge(SHUFFLE_PER_RECORD * partition.num_records() as f64);
             let mut out = Vec::new();
             reducer.reduce_partition(partition, ctx, &mut out);
             out
@@ -570,7 +573,7 @@ where
         (max_mean_ratio(&reduce_costs) * 1000.0).round() as u64,
     );
     let reduce_starts = list_schedule_starts(&reduce_costs, cfg.cluster.reduce_slots());
-    let reduce_base = cfg.cost_model.job_startup + map_phase.makespan;
+    let reduce_base = JOB_STARTUP + map_phase.makespan;
 
     let mut timeline = map_events;
     let mut outputs = Vec::new();
@@ -747,7 +750,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_machine_cluster() {
-        let cfg = JobConfig::new("bad", ClusterSpec::new(0, 2, 2));
+        let cfg = JobConfig::new("bad", ClusterSpec::paper(0));
         let err = run_job(&cfg, &KeyMod, &GroupReducer::new(CountValues), &[1u64]).unwrap_err();
         assert!(matches!(err, MrError::InvalidCluster(_)));
     }
@@ -809,7 +812,7 @@ mod tests {
         let cfg = job(1);
         let result = run_job(&cfg, &KeyMod, &GroupReducer::new(EventReducer), &inputs).unwrap();
         assert!(!result.timeline.is_empty());
-        let base = cfg.cost_model.job_startup + result.map_phase.makespan;
+        let base = JOB_STARTUP + result.map_phase.makespan;
         assert!(result.timeline.iter().all(|e| e.cost >= base));
         assert!(result.timeline.windows(2).all(|w| w[0].cost <= w[1].cost));
     }
@@ -1027,7 +1030,7 @@ mod tests {
         let reducer = GroupReducer::new(SumReducer);
         let clean = run_job(&job(2), &KeyMod, &reducer, &inputs).unwrap();
         let clean_cost = clean.reduce_phase.task_costs[0];
-        let startup = job(2).cost_model.task_startup;
+        let startup = TASK_STARTUP;
         let mid = (startup + clean_cost) / 2.0;
 
         // The first attempt of reduce-0 dies at its start, at a clock, at

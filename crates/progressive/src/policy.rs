@@ -109,9 +109,6 @@ pub struct LevelPolicy {
     pub frac_leaf: f64,
     /// `Frac(X)` for non-leaf non-root blocks (paper: 0.9 / 0.95).
     pub frac_mid: f64,
-    /// Multiplier on `|X|` for the termination threshold (paper: 1.0, i.e.
-    /// `Th(X) = |X|`).
-    pub th_factor: f64,
 }
 
 impl LevelPolicy {
@@ -123,7 +120,6 @@ impl LevelPolicy {
             window_leaf: 5,
             frac_leaf: 0.8,
             frac_mid: 0.9,
-            th_factor: 1.0,
         }
     }
 
@@ -159,11 +155,11 @@ impl LevelPolicy {
         }
     }
 
-    /// `Th(X)`: distinct-pair budget for a non-root block of size `size`.
-    /// Guaranteed smaller than the parent's because `|X| < |parent|` (and
-    /// §III-A requires exactly that monotonicity).
+    /// `Th(X) = |X|` (§VI-A5): distinct-pair budget for a non-root block of
+    /// size `size`. Guaranteed smaller than the parent's because
+    /// `|X| < |parent|` (and §III-A requires exactly that monotonicity).
     pub fn termination(&self, size: usize) -> u64 {
-        (size as f64 * self.th_factor).ceil() as u64
+        size as u64
     }
 
     /// Stop rule for a block.

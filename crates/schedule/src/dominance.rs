@@ -242,7 +242,6 @@ mod tests {
     use crate::probmodel::TrainedProb;
     use pper_blocking::{build_forests, presets, BlockingFamily, DatasetStats};
     use pper_datagen::{toy_people, BookGen, PubGen};
-    use pper_mapreduce::CostModel;
     use pper_progressive::LevelPolicy;
 
     /// Every `(tree, List(entity, tree))` that `route` emits, in order.
@@ -287,12 +286,10 @@ mod tests {
         let forests = build_forests(&ds, &families);
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &policy,
-            cost_model: &cm,
             prob: &prob,
         };
         let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 2);
@@ -363,16 +360,17 @@ mod tests {
         let forests = build_forests(&ds, &families);
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &policy,
-            cost_model: &cm,
             prob: &prob,
         };
         // NoSplit: a root-level check.
-        let cfg = ScheduleConfig::default().with_scheduler(crate::generate::TreeScheduler::NoSplit);
+        let cfg = ScheduleConfig {
+            scheduler: crate::generate::TreeScheduler::NoSplit,
+            ..ScheduleConfig::default()
+        };
         let schedule = generate_schedule(&stats, &ctx, &cfg, 4);
         let locator = TreeLocator::new(&schedule);
         let n = families.len();
@@ -420,12 +418,10 @@ mod tests {
         let forests = build_forests(&ds, &families);
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size: ds.len(),
             policy: &policy,
-            cost_model: &cm,
             prob: &prob,
         };
         let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);
@@ -518,11 +514,9 @@ mod tests {
         for (ds, families, policy, prob) in &cases {
             let forests = build_forests(ds, families);
             let stats = DatasetStats::from_forests(ds, families, &forests);
-            let cm = CostModel::default();
             let ctx = EstimationContext {
                 dataset_size: ds.len(),
                 policy,
-                cost_model: &cm,
                 prob,
             };
             let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);

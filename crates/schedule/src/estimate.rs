@@ -6,7 +6,7 @@
 //! change (a sub-tree split) reproduces the paper's split-update equations,
 //! because those are just Eq. 2–5 re-evaluated on the new structure.
 
-use pper_mapreduce::CostModel;
+use pper_mapreduce::cost::block_additional_cost;
 use pper_progressive::LevelPolicy;
 
 use crate::plan::PlanTree;
@@ -18,8 +18,6 @@ pub struct EstimationContext<'a> {
     pub dataset_size: usize,
     /// Window/Frac/Th policy (§VI-A5).
     pub policy: &'a LevelPolicy,
-    /// Cost calibration.
-    pub cost_model: &'a CostModel,
     /// Duplicate-probability model `Prob(|X|)`.
     pub prob: &'a dyn DupProbability,
 }
@@ -50,9 +48,8 @@ pub(crate) fn root_cost(
         cov as f64 / total_pairs as f64
     };
     let full = window_pairs(size, ctx.policy.window_root) as f64 * cov_ratio;
-    let cost_f = ctx.cost_model.resolve_pair * full;
-    let cost_a = ctx.cost_model.block_additional_cost(size);
-    (full, (cost_a + cost_f - desc_costp).max(cost_a))
+    let cost_a = block_additional_cost(size);
+    (full, (cost_a + full - desc_costp).max(cost_a))
 }
 
 /// Recompute `Dup`, `Dis`, `Cost` and `Util` for every node of `tree`,
@@ -118,8 +115,8 @@ pub fn recompute_tree(tree: &mut PlanTree, ctx: &EstimationContext) {
             let desc_dis: f64 = desc.iter().map(|&i| tree.nodes[i].dis).sum();
             let remain = (node.cov as f64 - d[idx] - desc_dis).max(0.0);
             dis = (ctx.policy.termination(node.size) as f64).min(remain);
-            costp[idx] = ctx.cost_model.resolve_pair * (dup + dis);
-            cost = ctx.cost_model.block_additional_cost(node.size) + costp[idx];
+            costp[idx] = dup + dis;
+            cost = block_additional_cost(node.size) + costp[idx];
         }
 
         let node = &mut tree.nodes[idx];
@@ -168,13 +165,11 @@ mod tests {
     fn ctx<'a>(
         n: usize,
         policy: &'a LevelPolicy,
-        cm: &'a CostModel,
         prob: &'a dyn DupProbability,
     ) -> EstimationContext<'a> {
         EstimationContext {
             dataset_size: n,
             policy,
-            cost_model: cm,
             prob,
         }
     }
@@ -219,7 +214,6 @@ mod tests {
     #[test]
     fn single_root_block_equations() {
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = ConstProb(0.2);
         let mut tree = PlanTree {
             family: 0,
@@ -227,12 +221,12 @@ mod tests {
             split_from: None,
             nodes: vec![leaf("k", None, 10, 45)], // all pairs covered
         };
-        recompute_tree(&mut tree, &ctx(1000, &policy, &cm, &prob));
+        recompute_tree(&mut tree, &ctx(1000, &policy, &prob));
         let n = &tree.nodes[0];
         // d = 0.2 * 45 = 9; root frac = 1, no children ⇒ Dup = 9.
         assert!((n.dup - 9.0).abs() < 1e-9);
         // CostF = window_pairs(10, 15) * (45/45) = Pairs(10) = 45 units.
-        let expected_cost = cm.block_additional_cost(10) + 45.0;
+        let expected_cost = block_additional_cost(10) + 45.0;
         assert!((n.cost - expected_cost).abs() < 1e-9, "{}", n.cost);
         assert!((n.util - n.dup / n.cost).abs() < 1e-12);
         check_estimates(&tree).unwrap();
@@ -241,7 +235,6 @@ mod tests {
     #[test]
     fn parent_dup_subtracts_child_share() {
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = ConstProb(0.2);
         let mut tree = PlanTree {
             family: 0,
@@ -256,7 +249,7 @@ mod tests {
                 leaf("kc", Some(0), 6, 15),
             ],
         };
-        recompute_tree(&mut tree, &ctx(1000, &policy, &cm, &prob));
+        recompute_tree(&mut tree, &ctx(1000, &policy, &prob));
         // child: d = 3, leaf frac 0.8 ⇒ Dup_child = 2.4.
         assert!((tree.nodes[1].dup - 2.4).abs() < 1e-9);
         // child Dis = min(Th=6, Remain = 15 - 3 - 0 = 12) = 6.
@@ -264,7 +257,7 @@ mod tests {
         // root: d = 9 ⇒ Dup_root = 1·9 − 0.8·3 = 6.6.
         assert!((tree.nodes[0].dup - 6.6).abs() < 1e-9);
         // root cost = CostA + CostF − CostP(child); CostP(child) = 2.4+6 = 8.4.
-        let expected = cm.block_additional_cost(10) + 45.0 - 8.4;
+        let expected = block_additional_cost(10) + 45.0 - 8.4;
         assert!((tree.nodes[0].cost - expected).abs() < 1e-9);
         check_estimates(&tree).unwrap();
     }
@@ -272,7 +265,6 @@ mod tests {
     #[test]
     fn deeper_children_reduce_remain() {
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = ConstProb(0.1);
         let mut tree = PlanTree {
             family: 0,
@@ -296,7 +288,7 @@ mod tests {
                 },
             ],
         };
-        recompute_tree(&mut tree, &ctx(1000, &policy, &cm, &prob));
+        recompute_tree(&mut tree, &ctx(1000, &policy, &prob));
         // Mid node's Remain subtracts the leaf's Dis:
         // leaf: d=15, Dis = min(20, 150-15) = 20.
         assert!((tree.nodes[2].dis - 20.0).abs() < 1e-9);
@@ -312,9 +304,8 @@ mod tests {
         let forests = build_forests(&ds, &families);
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = TrainedProb::citeseer();
-        let c = ctx(ds.len(), &policy, &cm, &prob);
+        let c = ctx(ds.len(), &policy, &prob);
         for ts in &stats.trees {
             let mut tree = PlanTree::from_stats(ts, 0);
             recompute_tree(&mut tree, &c);
@@ -325,9 +316,8 @@ mod tests {
     #[test]
     fn split_then_recompute_makes_new_root_full() {
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = ConstProb(0.2);
-        let c = ctx(1000, &policy, &cm, &prob);
+        let c = ctx(1000, &policy, &prob);
         let mut tree = PlanTree {
             family: 0,
             root_level: 0,

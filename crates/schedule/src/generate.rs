@@ -26,6 +26,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use pper_blocking::{DatasetStats, Placement};
+use pper_mapreduce::cost::block_additional_cost;
 
 use crate::estimate::{recompute_all, recompute_tree, root_cost, EstimationContext};
 use crate::plan::{BlockRef, PlanTree, Schedule};
@@ -93,14 +94,6 @@ impl Default for ScheduleConfig {
             split_batch: 4,
             scheduler: TreeScheduler::Progressive,
         }
-    }
-}
-
-impl ScheduleConfig {
-    /// Same configuration with a different scheduler.
-    pub fn with_scheduler(mut self, scheduler: TreeScheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 }
 
@@ -336,7 +329,7 @@ fn root_cost_with_children(
     let mut stack: Vec<usize> = kept.iter().copied().chain([candidate]).collect();
     while let Some(i) = stack.pop() {
         let n = &tree.nodes[i];
-        desc_costp += n.cost - ctx.cost_model.block_additional_cost(n.size);
+        desc_costp += n.cost - block_additional_cost(n.size);
         stack.extend_from_slice(&n.children);
     }
     root_cost(root.size, cov, desc_costp, ctx).1
@@ -485,7 +478,6 @@ mod tests {
     use crate::probmodel::TrainedProb;
     use pper_blocking::{build_forests, presets};
     use pper_datagen::PubGen;
-    use pper_mapreduce::CostModel;
     use pper_progressive::LevelPolicy;
 
     fn make_stats(n: usize, seed: u64) -> (DatasetStats, usize) {
@@ -505,15 +497,16 @@ mod tests {
         tasks: usize,
     ) -> Schedule {
         let policy = LevelPolicy::citeseer();
-        let cm = CostModel::default();
         let prob = TrainedProb::citeseer();
         let ctx = EstimationContext {
             dataset_size,
             policy: &policy,
-            cost_model: &cm,
             prob: &prob,
         };
-        let cfg = ScheduleConfig::default().with_scheduler(scheduler);
+        let cfg = ScheduleConfig {
+            scheduler,
+            ..ScheduleConfig::default()
+        };
         generate_schedule(stats, &ctx, &cfg, tasks)
     }
 
@@ -721,16 +714,17 @@ mod tests {
                     _ => TreeScheduler::Lpt,
                 };
                 let policy = LevelPolicy::citeseer();
-                let cm = CostModel::default();
                 let prob = TrainedProb::citeseer();
                 let ctx = EstimationContext {
                     dataset_size: stats.num_entities,
                     policy: &policy,
-                    cost_model: &cm,
                     prob: &prob,
                 };
-                let mut cfg = ScheduleConfig::default().with_scheduler(scheduler);
-                cfg.num_buckets = buckets;
+                let cfg = ScheduleConfig {
+                    num_buckets: buckets,
+                    scheduler,
+                    ..ScheduleConfig::default()
+                };
                 let s = generate_schedule(&stats, &ctx, &cfg, tasks);
 
                 // Zero tasks count as one.

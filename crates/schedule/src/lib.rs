@@ -28,7 +28,6 @@
 //! ```
 //! use pper_blocking::{build_forests, presets, DatasetStats};
 //! use pper_datagen::PubGen;
-//! use pper_mapreduce::CostModel;
 //! use pper_progressive::LevelPolicy;
 //! use pper_schedule::{generate_schedule, EstimationContext, ScheduleConfig, TrainedProb};
 //!
@@ -37,12 +36,10 @@
 //! let forests = build_forests(&ds, &families);
 //! let stats = DatasetStats::from_forests(&ds, &families, &forests);
 //!
-//! let (policy, cost_model, prob) =
-//!     (LevelPolicy::citeseer(), CostModel::default(), TrainedProb::citeseer());
+//! let (policy, prob) = (LevelPolicy::citeseer(), TrainedProb::citeseer());
 //! let ctx = EstimationContext {
 //!     dataset_size: ds.len(),
 //!     policy: &policy,
-//!     cost_model: &cost_model,
 //!     prob: &prob,
 //! };
 //! let schedule = generate_schedule(&stats, &ctx, &ScheduleConfig::default(), 8);

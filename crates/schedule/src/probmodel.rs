@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use pper_blocking::{build_forests, compute_signatures, BlockingFamily, FamilyIndex};
+use pper_blocking::{build_forests, BlockingFamily, FamilyIndex, Signatures};
 use pper_datagen::Dataset;
 
 /// Estimates `Prob(|X|)`: the probability that a covered pair of a block
@@ -91,7 +91,7 @@ impl TrainedProb {
     /// "from a training dataset").
     pub fn train(train: &Dataset, families: &[BlockingFamily]) -> Self {
         let forests = build_forests(train, families);
-        let signatures = compute_signatures(train, families);
+        let signatures = Signatures::intern(families, &train.entities);
         let mut tables: BTreeMap<(FamilyIndex, usize), [(u64, u64); BUCKETS]> = BTreeMap::new();
         let n = train.len().max(1);
         for forest in &forests {

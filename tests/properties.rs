@@ -1,7 +1,7 @@
 //! Property-based integration tests over randomized datasets: invariants
 //! that must hold for *any* generator configuration.
 
-use pper::blocking::{build_forests, compute_signatures, pairs, presets, DatasetStats};
+use pper::blocking::{build_forests, pairs, presets, DatasetStats, Signatures};
 use pper::datagen::PubGen;
 use pper::er::{ErConfig, ProgressiveEr};
 use proptest::prelude::*;
@@ -51,7 +51,7 @@ proptest! {
         let families = presets::citeseer_families();
         let forests = build_forests(&ds, &families);
         let stats = DatasetStats::from_forests(&ds, &families, &forests);
-        let sigs = compute_signatures(&ds, &families);
+        let sigs = Signatures::intern(&families, &ds.entities);
         prop_assert_eq!(sigs.len(), ds.len());
 
         for tree in &stats.trees {
