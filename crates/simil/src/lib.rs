@@ -25,9 +25,10 @@
 //! entities through a reusable [`SimScratch`] with **zero per-pair heap
 //! allocation**. `score` is bit-identical to the string path; `matches`
 //! returns identical decisions, bounding every Levenshtein term on the two
-//! values' lengths and character histograms alone and running kernels,
-//! heaviest term first, only while the whole rule's bounds leave the
-//! decision open. Levenshtein terms on ASCII inputs of any length run the
+//! values' lengths and character histograms alone, reading a pair's terms
+//! only until those left cannot lift its bound to the threshold, and running
+//! kernels, heaviest term first, only while the whole rule's bounds leave
+//! the decision open. Levenshtein terms on ASCII inputs of any length run the
 //! blocked (multi-word) Myers bit-parallel scan over one byte per
 //! character; the two-row DP is left for non-ASCII input.
 //!

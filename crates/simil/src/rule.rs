@@ -7,6 +7,7 @@
 //! of the abstract attribute (footnote 8).
 
 use crate::levenshtein::levenshtein_similarity;
+use crate::prepared::MAX_TERMS;
 
 /// Similarity kernel applied to one attribute.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,10 +79,16 @@ impl MatchRule {
     /// Build a rule from terms and a threshold.
     ///
     /// # Panics
-    /// Panics if `attrs` is empty, any weight is negative, all weights are
-    /// zero, or the threshold is outside `[0, 1]`.
+    /// Panics if `attrs` is empty or has a million terms or more, any weight
+    /// is negative, all weights are zero, or the threshold is outside
+    /// `[0, 1]`.
     pub fn new(attrs: Vec<WeightedAttr>, threshold: f64) -> Self {
         assert!(!attrs.is_empty(), "match rule needs at least one attribute");
+        // The prepared path's early reject has rounding room for this many.
+        assert!(
+            attrs.len() < MAX_TERMS,
+            "match rule needs fewer than {MAX_TERMS} attributes"
+        );
         assert!(
             attrs.iter().all(|a| a.weight >= 0.0),
             "weights must be non-negative"

@@ -4,6 +4,7 @@
 //! Unicode inputs (the DP fallback) and ASCII strings on both sides of the
 //! 64-char Myers word boundary.
 
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 use pper_simil::{AttributeSim, MatchRule, PreparedRule, SimScratch, WeightedAttr};
@@ -227,6 +228,60 @@ proptest! {
                 assert_parity(&rule, &a, &b);
                 assert_parity(&rule, &b, &a);
             }
+        }
+    }
+}
+
+proptest! {
+    // The first pass's early reject under generated rules: 2 to 8 terms of
+    // random kinds and weights, a random threshold. Against one base vector
+    // stand pairs whose first `k` terms are as far apart as they get (no
+    // character class in common, or a different `Exact` value) and whose
+    // later terms are equal, for every `k`: the score steps down term by
+    // term across the threshold, so a reject one term too early, or one
+    // that leaves out a term's weight, flips a decision here. Each value is
+    // missing on one side or the other in a third of the cases.
+    #[test]
+    fn early_reject_agrees_at_every_term(
+        weights in vec(0.0f64..1.0, 2..9),
+        kinds in vec(0u8..3, 8..9),
+        threshold in 0.0f64..1.0,
+        base in vec("[a-h ]{1,12}", 8..9),
+        far in vec("[0-9]{1,12}", 8..9),
+        missing in vec(0u8..6, 8..9),
+    ) {
+        if weights.iter().all(|&w| w == 0.0) {
+            return;
+        }
+        let terms = weights
+            .iter()
+            .zip(&kinds)
+            .enumerate()
+            .map(|(i, (&weight, kind))| {
+                let sim = match kind {
+                    0 => AttributeSim::Levenshtein { max_chars: None },
+                    1 => AttributeSim::Levenshtein { max_chars: Some(6) },
+                    _ => AttributeSim::Exact,
+                };
+                WeightedAttr::new(i, weight, sim)
+            })
+            .collect();
+        let rule = MatchRule::new(terms, threshold);
+        let n = weights.len();
+        for k in 0..=n {
+            let mut a = base[..n].to_vec();
+            let mut b: Vec<String> = (0..n)
+                .map(|i| if i < k { far[i].clone() } else { base[i].clone() })
+                .collect();
+            for i in 0..n {
+                match missing[i] {
+                    0 => a[i].clear(),
+                    1 => b[i].clear(),
+                    _ => {}
+                }
+            }
+            assert_parity(&rule, &a, &b);
+            assert_parity(&rule, &b, &a);
         }
     }
 }
