@@ -158,7 +158,7 @@ impl ErConfig {
 
     /// Runtime configuration of the job `name` on this pipeline's cluster,
     /// with the settings every job of a run shares; a job adds only what
-    /// is its own (fault plan, reduce-task count).
+    /// is its own (its fault plan).
     pub fn job_config(&self, name: &str) -> JobConfig {
         let mut cfg = JobConfig::new(name, self.cluster());
         cfg.worker_threads = self.worker_threads;

@@ -738,7 +738,9 @@ fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> R
 /// ([`pper_blocking::Placement::made_for`]): a schedule made for another
 /// dataset is [`MrError::InvalidConfig`], or, for a resumed stage, the
 /// [`MrError::Checkpoint`] of the lowest task whose fold holds a done block
-/// — that fold would replay over the wrong records.
+/// — that fold would replay over the wrong records. A schedule whose task
+/// count is not the cluster's reduce-task count is [`MrError::InvalidConfig`]
+/// too.
 pub fn run_job2_stage(
     ds: &Dataset,
     config: &ErConfig,
@@ -759,6 +761,13 @@ pub fn run_job2_stage(
             None => MrError::InvalidConfig(why),
         });
     }
+    if schedule.num_tasks() != config.reduce_tasks() {
+        return Err(MrError::InvalidConfig(format!(
+            "the schedule has {} reduce tasks but the cluster runs {}",
+            schedule.num_tasks(),
+            config.reduce_tasks()
+        )));
+    }
     if let Some(tasks) = stage.resume {
         check_fold(schedule, ds.len(), tasks)?;
     }
@@ -772,7 +781,6 @@ pub fn run_job2_stage(
     }
 
     let mut cfg = config.job_config("pper-job2-resolution");
-    cfg.num_reduce_tasks = Some(schedule.num_tasks());
     cfg.faults = config.faults.clone();
 
     let reducer = ResolveReducer::new(config, schedule, stage);
@@ -1243,6 +1251,34 @@ mod tests {
         }
         let run = run_job2_stage(&ds, &config, &schedule, Stage::default()).unwrap();
         assert!(!run.duplicates.is_empty());
+    }
+
+    /// Job 2 runs one reduce task per reduce slot, so a schedule generated
+    /// for a cluster of another size is refused before any task runs.
+    #[test]
+    fn a_schedule_for_another_cluster_size_is_refused() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ds = PubGen::new(800, 73).generate();
+        let schedule = schedule_for(&ds, &ErConfig::citeseer(2));
+        let ran = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&ran);
+        let mut config = ErConfig::citeseer(3);
+        config.observer = Some(TaskObserver::new(move |_| {
+            seen.fetch_add(1, Ordering::SeqCst);
+        }));
+        match run_job2_stage(&ds, &config, &schedule, Stage::default()) {
+            Err(MrError::InvalidConfig(why)) => {
+                assert!(
+                    why.contains("4 reduce tasks") && why.contains("runs 6"),
+                    "{why}"
+                );
+            }
+            outcome => panic!(
+                "expected a refusal, got {:?}",
+                outcome.map(|r| r.duplicates.len())
+            ),
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::sync::OnceLock;
 
 use pper_datagen::{Dataset, PubGen};
 use pper_er::{BasicApproach, BasicConfig, ErConfig, ErRunResult, ProgressiveEr};
+use pper_mapreduce::faults::MAX_ATTEMPTS;
 use pper_mapreduce::{FaultPlan, MrError, TaskKind};
 use proptest::prelude::*;
 
@@ -84,7 +85,7 @@ proptest! {
         let next = |plan: &FaultPlan, kind, idx| plan.deaths_for(kind, idx) + 1;
         let mut plan = FaultPlan::default();
         for &(idx, n) in &discards {
-            if plan.deaths_for(TaskKind::Reduce, idx) + n < plan.max_attempts {
+            if plan.deaths_for(TaskKind::Reduce, idx) + n < MAX_ATTEMPTS {
                 for _ in 0..n {
                     let attempt = next(&plan, TaskKind::Reduce, idx);
                     plan = plan.with_discard(TaskKind::Reduce, idx, attempt);
@@ -93,13 +94,13 @@ proptest! {
         }
         for &(idx, kind) in &crashes {
             let kind = if kind == 0 { TaskKind::Map } else { TaskKind::Reduce };
-            if plan.deaths_for(kind, idx) + 1 < plan.max_attempts {
+            if plan.deaths_for(kind, idx) + 1 < MAX_ATTEMPTS {
                 let attempt = next(&plan, kind, idx);
                 plan = plan.with_crash(kind, idx, attempt);
             }
         }
         for &(idx, at) in &aborts {
-            if plan.deaths_for(TaskKind::Reduce, idx) + 1 < plan.max_attempts {
+            if plan.deaths_for(TaskKind::Reduce, idx) + 1 < MAX_ATTEMPTS {
                 let attempt = next(&plan, TaskKind::Reduce, idx);
                 plan = plan.with_abort(TaskKind::Reduce, idx, attempt, f64::from(at));
             }

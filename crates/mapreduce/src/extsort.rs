@@ -80,15 +80,10 @@ struct SpilledRun {
 }
 
 impl<T: SpillCodec + Ord> ExternalSorter<T> {
-    /// A sorter spilling runs of at most `cfg.run_capacity` records into
+    /// A sorter spilling runs of at most `cfg.run_capacity()` records into
     /// `cfg.dir` (the system temp directory when unset) through `cfg.vfs`.
-    ///
-    /// # Panics
-    /// Panics if `cfg.run_capacity` is zero; `run_job_spilling` refuses such
-    /// a config before any sorter is built.
     pub(crate) fn new(cfg: &ShuffleSpillConfig) -> Self {
-        let run_capacity = cfg.run_capacity;
-        assert!(run_capacity > 0, "run capacity must be positive");
+        let run_capacity = cfg.run_capacity();
         Self {
             run_capacity,
             buffer: Vec::with_capacity(run_capacity.min(4096)),
@@ -389,10 +384,7 @@ mod tests {
 
     /// A spill config whose sorters buffer runs of `run_capacity` records.
     fn cfg(run_capacity: usize) -> ShuffleSpillConfig {
-        ShuffleSpillConfig {
-            run_capacity,
-            ..ShuffleSpillConfig::new(run_capacity)
-        }
+        ShuffleSpillConfig::new(4 * run_capacity)
     }
 
     /// `cfg(run_capacity)` spilling into `dir` through a `FaultVfs` armed
@@ -487,12 +479,6 @@ mod tests {
         drop(sorter);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "run capacity must be positive")]
-    fn rejects_zero_capacity() {
-        let _: ExternalSorter<u64> = ExternalSorter::new(&cfg(0));
     }
 
     #[test]

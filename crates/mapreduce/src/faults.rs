@@ -1,10 +1,10 @@
 //! Deterministic task-failure injection.
 //!
 //! Hadoop re-executes failed tasks (up to `mapreduce.map.maxattempts`,
-//! default 4); a failure wastes the work of the dead attempt and delays
-//! everything scheduled behind it. [`FaultPlan`] injects exactly such
-//! failures into a job as a list of [`AttemptFault`]s keyed by
-//! `(task, attempt)`, each naming one of three death points:
+//! default 4, here [`MAX_ATTEMPTS`]); a failure wastes the work of the dead
+//! attempt and delays everything scheduled behind it. [`FaultPlan`] injects
+//! exactly such failures into a job as a list of [`AttemptFault`]s keyed
+//! by `(task, attempt)`, each naming one of three death points:
 //!
 //! * **at start** ([`FaultPlan::with_crash`]): the attempt's first charge
 //!   kills it — "at clock 0";
@@ -47,23 +47,15 @@ pub struct AttemptFault {
     pub abort_at: Option<f64>,
 }
 
+/// Attempts allowed per task, Hadoop's `mapreduce.*.maxattempts` default. A
+/// task whose injected failures reach this bound fails the job.
+pub const MAX_ATTEMPTS: u32 = 4;
+
 /// Failure schedule for one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Attempt deaths, at most one per `(task, attempt)`.
     pub attempt_faults: Vec<AttemptFault>,
-    /// Attempts allowed per task (Hadoop's default is 4). A task whose
-    /// injected failures reach this bound fails the job.
-    pub max_attempts: u32,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            attempt_faults: Vec::new(),
-            max_attempts: 4,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -77,8 +69,10 @@ impl FaultPlan {
         Self::discarding(TaskKind::Reduce, index, attempts)
     }
 
+    /// Attempts past [`MAX_ATTEMPTS`] never run, so the plan stops there:
+    /// any `attempts ≥ MAX_ATTEMPTS` exhausts the task.
     fn discarding(kind: TaskKind, index: usize, attempts: u32) -> Self {
-        (1..=attempts).fold(Self::default(), |plan, attempt| {
+        (1..=attempts.min(MAX_ATTEMPTS)).fold(Self::default(), |plan, attempt| {
             plan.with_discard(kind, index, attempt)
         })
     }
@@ -130,26 +124,23 @@ impl FaultPlan {
             .copied()
     }
 
-    /// Total injected deaths for a task. If this reaches `max_attempts` the
-    /// task — and hence the job — fails.
+    /// Total injected deaths for a task. If this reaches [`MAX_ATTEMPTS`]
+    /// the task — and hence the job — fails.
     pub fn deaths_for(&self, kind: TaskKind, index: usize) -> u32 {
         self.faults_of(kind, index).count() as u32
     }
 
     /// True if the injected failures exhaust the attempt budget.
     pub fn exhausts_attempts(&self, kind: TaskKind, index: usize) -> bool {
-        self.deaths_for(kind, index) + 1 > self.max_attempts
+        self.deaths_for(kind, index) >= MAX_ATTEMPTS
     }
 
     /// Validate the plan against the job's task counts: every referenced
     /// task index must exist, attempts are 1-based, an abort clock must be
-    /// finite and non-negative, no two faults may share a `(task, attempt)`
-    /// key, and the attempt budget must allow at least one attempt. Returns
-    /// a human-readable description of the first violation.
+    /// finite and non-negative, and no two faults may share a
+    /// `(task, attempt)` key. Returns a human-readable description of the
+    /// first violation.
     pub fn validate(&self, num_map: usize, num_reduce: usize) -> Result<(), String> {
-        if self.max_attempts == 0 {
-            return Err("max_attempts must be at least 1".into());
-        }
         for fault in &self.attempt_faults {
             let (side, bound) = match fault.kind {
                 TaskKind::Map => ("map", num_map),
@@ -210,10 +201,21 @@ mod tests {
 
     #[test]
     fn attempt_exhaustion() {
-        let plan = FaultPlan::fail_map(1, 4);
-        assert_eq!(plan.max_attempts, 4);
+        let plan = FaultPlan::fail_map(1, MAX_ATTEMPTS);
         assert!(plan.exhausts_attempts(TaskKind::Map, 1));
         assert!(!plan.exhausts_attempts(TaskKind::Map, 0));
+        assert!(!FaultPlan::fail_map(1, MAX_ATTEMPTS - 1).exhausts_attempts(TaskKind::Map, 1));
+    }
+
+    #[test]
+    fn discarding_plans_stop_at_the_attempt_budget() {
+        let plan = FaultPlan::fail_reduce(0, 1_000_000);
+        assert_eq!(plan.attempt_faults.len(), MAX_ATTEMPTS as usize);
+        assert!(plan.exhausts_attempts(TaskKind::Reduce, 0));
+        assert!(plan.fault_for(TaskKind::Reduce, 0, MAX_ATTEMPTS).is_some());
+        let plan = FaultPlan::fail_map(2, u32::MAX);
+        assert_eq!(plan.deaths_for(TaskKind::Map, 2), MAX_ATTEMPTS);
+        assert!(plan.exhausts_attempts(TaskKind::Map, 2));
     }
 
     #[test]
@@ -243,12 +245,9 @@ mod tests {
 
     #[test]
     fn keyed_faults_count_toward_exhaustion() {
-        let plan = FaultPlan {
-            max_attempts: 2,
-            ..FaultPlan::default()
-        }
-        .with_crash(TaskKind::Map, 0, 1)
-        .with_crash(TaskKind::Map, 0, 2);
+        let plan = (1..=MAX_ATTEMPTS).fold(FaultPlan::default(), |plan, attempt| {
+            plan.with_crash(TaskKind::Map, 0, attempt)
+        });
         assert!(plan.exhausts_attempts(TaskKind::Map, 0));
     }
 
@@ -270,11 +269,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_scalars() {
-        let plan = FaultPlan {
-            max_attempts: 0,
-            ..FaultPlan::default()
-        };
-        assert!(plan.validate(1, 1).is_err());
         let plan = FaultPlan::default().with_abort(TaskKind::Map, 0, 1, f64::NAN);
         assert!(plan.validate(1, 1).is_err());
         let plan = FaultPlan::default().with_crash(TaskKind::Map, 0, 0);
@@ -284,13 +278,9 @@ mod tests {
     #[test]
     fn validate_rejects_two_faults_on_one_attempt() {
         // `fault_for` would apply the first and ignore the second while
-        // `deaths_for` counted both: with a budget of 2 this plan reports
-        // exhaustion for a task whose second attempt in fact survives.
-        let plan = FaultPlan {
-            max_attempts: 2,
-            ..FaultPlan::fail_reduce(0, 1)
-        }
-        .with_crash(TaskKind::Reduce, 0, 1);
+        // `deaths_for` counted both: this plan reports exhaustion for a task
+        // whose last attempt in fact survives.
+        let plan = FaultPlan::fail_reduce(0, MAX_ATTEMPTS - 1).with_crash(TaskKind::Reduce, 0, 1);
         assert!(plan.exhausts_attempts(TaskKind::Reduce, 0));
         let err = plan.validate(1, 1).unwrap_err();
         assert!(err.contains("attempt 1 of reduce task index 0"), "{err}");

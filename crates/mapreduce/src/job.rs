@@ -89,8 +89,6 @@ pub struct JobConfig {
     pub name: String,
     /// Cluster to run on.
     pub cluster: ClusterSpec,
-    /// Number of reduce tasks. `None` means "use `cluster.reduce_slots()`".
-    pub num_reduce_tasks: Option<usize>,
     /// Number of OS threads used to *execute* simulated tasks. `None` means
     /// "use available parallelism". This affects wall-clock speed only, never
     /// the virtual-time results.
@@ -109,12 +107,11 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// A job on the given cluster with default task counts.
+    /// A job on the given cluster.
     pub fn new(name: impl Into<String>, cluster: ClusterSpec) -> Self {
         Self {
             name: name.into(),
             cluster,
-            num_reduce_tasks: None,
             worker_threads: None,
             faults: None,
             observer: None,
@@ -130,11 +127,10 @@ impl JobConfig {
         self.cluster.map_slots().max(1)
     }
 
-    /// Effective number of reduce tasks (r in the paper).
+    /// Number of reduce tasks: r = the number of reduce slots (§VI-A1,
+    /// "μ machines × 2 reduce slots").
     pub fn reduce_tasks(&self) -> usize {
-        self.num_reduce_tasks
-            .unwrap_or(self.cluster.reduce_slots())
-            .max(1)
+        self.cluster.reduce_slots().max(1)
     }
 }
 
@@ -426,8 +422,7 @@ mod tests {
 
     #[test]
     fn job_task_counts_never_zero() {
-        let mut cfg = JobConfig::new("j", ClusterSpec::paper(0));
-        cfg.num_reduce_tasks = Some(0);
+        let cfg = JobConfig::new("j", ClusterSpec::paper(0));
         assert_eq!(cfg.map_tasks(), 1);
         assert_eq!(cfg.reduce_tasks(), 1);
     }

@@ -14,7 +14,7 @@
 //! Hadoop task: an attempt that panics (genuinely, or through an injected
 //! [`crate::faults::FaultPlan`] abort) is caught, its partial virtual cost
 //! is accounted as wasted, and the task is re-executed with a fresh
-//! [`TaskContext`] — up to the plan's `max_attempts`. Only attempt
+//! [`TaskContext`] — up to [`crate::faults::MAX_ATTEMPTS`]. Only attempt
 //! exhaustion surfaces [`MrError::TaskFailed`]; a job without a fault plan
 //! keeps the historical single-attempt behaviour where a panic aborts the
 //! job with [`MrError::TaskPanicked`].
@@ -31,7 +31,7 @@ use crate::cost::{
 use crate::counters::Counters;
 use crate::error::MrError;
 use crate::exec::run_cursor_pool;
-use crate::faults::InjectedAbort;
+use crate::faults::{InjectedAbort, MAX_ATTEMPTS};
 use crate::job::{Emitter, JobConfig, Mapper, PartitionReducer, TaskContext, TaskId, TaskKind};
 use crate::observe::{AttemptRecord, TaskEvent};
 use crate::progress::ProgressEvent;
@@ -149,7 +149,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
-/// Execute one simulated task as attempts `1..=max_attempts`, Hadoop-style.
+/// Execute one simulated task as attempts `1..=MAX_ATTEMPTS`, Hadoop-style.
 ///
 /// Every attempt gets a fresh [`TaskContext`]. An attempt dies by panicking
 /// (genuinely, or at the clock an injected
@@ -164,7 +164,7 @@ fn run_one_task<T>(
     idx: usize,
     f: &(impl Fn(usize, &mut TaskContext) -> T + Sync),
 ) -> Result<TaskRun<T>, TaskFailure> {
-    let budget = cfg.faults.as_ref().map_or(1, |p| p.max_attempts.max(1));
+    let budget = cfg.faults.as_ref().map_or(1, |_| MAX_ATTEMPTS);
     let id = TaskId { kind, index: idx };
     let mut wasted = 0.0_f64;
     let mut failures: Vec<AttemptRecord> = Vec::new();
@@ -329,9 +329,9 @@ struct MapTaskOutput<K, V> {
 
 /// Validate a fault plan against the task counts before launching: every
 /// referenced task index must exist (a fault aimed at a task the job does
-/// not have is a configuration bug, not a no-op) and the scalar knobs must
-/// be sane. Attempt exhaustion is *not* pre-checked — it surfaces through
-/// the attempt loop itself, like a real cluster.
+/// not have is a configuration bug, not a no-op) and every fault must be
+/// well-formed. Attempt exhaustion is *not* pre-checked — it surfaces
+/// through the attempt loop itself, like a real cluster.
 fn check_fault_plan(cfg: &JobConfig, num_map: usize, num_reduce: usize) -> Result<(), MrError> {
     let Some(plan) = &cfg.faults else {
         return Ok(());
@@ -360,9 +360,7 @@ where
 /// count — only the shuffle's memory working set (and the
 /// `shuffle_spill_*` counters) change.
 ///
-/// A config whose `run_capacity` is zero is [`MrError::InvalidConfig`],
-/// refused before the map phase; a set `dir` is created (with its parents)
-/// before the first attempt.
+/// A set `dir` is created (with its parents) before the first attempt.
 ///
 /// Storage-fault ladder: transient spill faults were already retried
 /// inside the sorter; a corrupted spill run (CRC mismatch — the poisoned
@@ -384,12 +382,6 @@ where
     M::Value: crate::spill::SpillCodec,
     R: PartitionReducer<Key = M::Key, Value = M::Value>,
 {
-    if spill.run_capacity == 0 {
-        return Err(MrError::InvalidConfig(format!(
-            "job '{}': the shuffle spill's run capacity must be positive",
-            cfg.name
-        )));
-    }
     if let Some(dir) = &spill.dir {
         spill.vfs.create_dir_all(dir)?;
     }
@@ -648,11 +640,7 @@ mod tests {
         let reducer = GroupReducer::new(CountValues);
         let baseline = run_job(&job(2), &KeyMod, &reducer, &inputs).unwrap();
         // Budget far below any partition: everything spills in tiny runs.
-        let spill = ShuffleSpillConfig {
-            max_partition_records: 3,
-            run_capacity: 4,
-            ..ShuffleSpillConfig::new(3)
-        };
+        let spill = ShuffleSpillConfig::new(16);
         let spilled = run_job_spilling(&job(2), &KeyMod, &reducer, &spill, &inputs).unwrap();
         assert_eq!(spilled.outputs, baseline.outputs);
         assert_eq!(
@@ -682,27 +670,6 @@ mod tests {
         assert!(spilled.counters.get("shuffle_spilled_partitions") > 0);
         assert!(dir.is_dir());
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn spilling_job_refuses_a_zero_run_capacity() {
-        let spill = ShuffleSpillConfig {
-            run_capacity: 0,
-            ..ShuffleSpillConfig::new(3)
-        };
-        let inputs: Vec<u64> = (0..500).collect();
-        let refused = run_job_spilling(
-            &job(2),
-            &KeyMod,
-            &GroupReducer::new(CountValues),
-            &spill,
-            &inputs,
-        );
-        assert!(
-            matches!(refused, Err(MrError::InvalidConfig(_))),
-            "{:?}",
-            refused.err()
-        );
     }
 
     #[test]
@@ -900,9 +867,8 @@ mod tests {
         }
         let inputs: Vec<u64> = (0..200).collect();
         let mut cfg = job(1);
-        cfg.num_reduce_tasks = Some(1);
         let clean = run_job(&cfg, &KeyMod, &GroupReducer::new(EventingReducer), &inputs).unwrap();
-        cfg.faults = Some(FaultPlan::fail_reduce(0, 1));
+        cfg.faults = Some(FaultPlan::fail_reduce(0, 1).with_discard(TaskKind::Reduce, 1, 1));
         let faulty = run_job(&cfg, &KeyMod, &GroupReducer::new(EventingReducer), &inputs).unwrap();
         assert_eq!(clean.timeline.len(), faulty.timeline.len());
         for (c, f) in clean.timeline.iter().zip(&faulty.timeline) {
@@ -981,10 +947,7 @@ mod tests {
         use crate::faults::FaultPlan;
         let inputs: Vec<u64> = (0..10).collect();
         let mut cfg = job(2);
-        cfg.faults = Some(FaultPlan {
-            max_attempts: 3,
-            ..FaultPlan::default()
-        });
+        cfg.faults = Some(FaultPlan::default());
         let err = run_job(
             &cfg,
             &PanickyMapper,
@@ -998,7 +961,7 @@ mod tests {
                 last_error,
                 ..
             } => {
-                assert_eq!(attempts, 3);
+                assert_eq!(attempts, MAX_ATTEMPTS);
                 assert!(last_error.contains("bad record"), "{last_error}");
             }
             other => panic!("unexpected error: {other}"),

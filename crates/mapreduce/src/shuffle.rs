@@ -264,9 +264,6 @@ where
 pub struct ShuffleSpillConfig {
     /// Partitions with more records than this spill to disk.
     pub max_partition_records: usize,
-    /// Records per sorted run while spilling (the sorter's in-memory
-    /// buffer bound).
-    pub run_capacity: usize,
     /// Directory for run files, created if missing; `None` = the system
     /// temp directory.
     pub dir: Option<PathBuf>,
@@ -276,16 +273,22 @@ pub struct ShuffleSpillConfig {
 }
 
 impl ShuffleSpillConfig {
-    /// Spill partitions above `max_partition_records`, buffering runs of a
-    /// quarter of that bound (so a spilling partition's sort working set
-    /// stays well under the threshold that triggered it).
+    /// Spill partitions above `max_partition_records`, through the system
+    /// temp directory and the passthrough filesystem.
     pub fn new(max_partition_records: usize) -> Self {
         Self {
             max_partition_records,
-            run_capacity: (max_partition_records / 4).max(1),
             dir: None,
             vfs: pper_vfs::std_vfs(),
         }
+    }
+
+    /// Records per sorted run while spilling (the sorter's in-memory buffer
+    /// bound): a quarter of `max_partition_records`, at least one, so a
+    /// spilling partition's sort working set stays well under the threshold
+    /// that triggered it.
+    pub fn run_capacity(&self) -> usize {
+        (self.max_partition_records / 4).max(1)
     }
 
     /// Override the spill directory.
@@ -533,6 +536,15 @@ mod tests {
     }
 
     #[test]
+    fn run_capacity_is_a_quarter_of_the_budget_and_never_zero() {
+        let capacities: Vec<usize> = (0..10)
+            .map(|budget| ShuffleSpillConfig::new(budget).run_capacity())
+            .collect();
+        assert_eq!(capacities, [1, 1, 1, 1, 1, 1, 1, 1, 2, 2]);
+        assert_eq!(ShuffleSpillConfig::new(28).run_capacity(), 7);
+    }
+
+    #[test]
     fn spilling_below_threshold_never_spills() {
         let buckets = vec![vec![(1u32, 10u32), (2, 20)], vec![(1, 11)]];
         let cfg = ShuffleSpillConfig::new(100);
@@ -556,12 +568,9 @@ mod tests {
                 })
                 .collect::<Vec<Vec<Vec<(u64, u64)>>>>()
         };
-        // Budget far below the 900-record partitions: every partition spills.
-        let cfg = ShuffleSpillConfig {
-            max_partition_records: 50,
-            run_capacity: 7,
-            ..ShuffleSpillConfig::new(50)
-        };
+        // Budget far below the 900-record partitions: every partition spills,
+        // in runs of 7.
+        let cfg = ShuffleSpillConfig::new(28);
         let reference = shuffle_partitions(mk(), 1);
         for threads in [1usize, 2, 8] {
             let (spilled, stats) = shuffle_partitions_spilling(mk(), threads, &cfg).unwrap();
@@ -582,19 +591,20 @@ mod tests {
                 proptest::collection::vec((("[a-c]{0,3}", 0u8..4), 0u32..1000), 0..80),
                 0..5,
             ),
-            run_capacity in 2usize..9,
+            run_len in 2usize..9,
         ) {
             let buckets: Vec<Vec<((String, u8), u32)>> = buckets
                 .into_iter()
                 .map(|b| b.into_iter().collect())
                 .collect();
-            let cfg = ShuffleSpillConfig {
-                max_partition_records: 0, // force the spill path always
-                run_capacity,
-                ..ShuffleSpillConfig::new(1)
-            };
-            let (spilled, _) =
+            // Runs of `run_len` records, under a budget every non-empty case
+            // exceeds: a case of at most `4 * run_len` records spills in runs
+            // of a quarter of itself (at least one record).
+            let total: usize = buckets.iter().map(Vec::len).sum();
+            let cfg = ShuffleSpillConfig::new((4 * run_len).min(total.saturating_sub(1)));
+            let (spilled, stats) =
                 GroupedPartition::from_buckets_spilling(buckets.clone(), &cfg).unwrap();
+            prop_assert_eq!(stats.spilled_partitions, usize::from(total > 0));
             let in_memory = GroupedPartition::from_buckets(buckets);
             prop_assert_eq!(spilled, in_memory);
         }

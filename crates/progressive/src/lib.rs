@@ -67,7 +67,7 @@ pub mod mechanism;
 pub mod policy;
 
 pub use mechanism::{MechanismKind, PairSource, PairStream};
-pub use policy::{LevelPolicy, StopRule, StopState};
+pub use policy::{LevelPolicy, StopRule, StopState, WINDOW_LEAF, WINDOW_MID};
 /// The sorted-neighbour hint a block is resolved in; it lives beside the
 /// trees, where job 1 sorts each root block with it once.
 pub use pper_blocking::sort_by_attrs;

@@ -94,17 +94,20 @@ impl StopState {
     }
 }
 
-/// Per-level resolution policy (§VI-A5): window sizes, `Frac(X)` values, and
-/// the `Th(X) = |X|` termination rule.
+/// Window for intermediate blocks (§VI-A5: 10).
+pub const WINDOW_MID: usize = 10;
+
+/// Window for leaf blocks (§VI-A5: 5).
+pub const WINDOW_LEAF: usize = 5;
+
+/// Per-level resolution policy (§VI-A5): the root window, `Frac(X)` values,
+/// and the `Th(X) = |X|` termination rule. Non-root blocks use
+/// [`WINDOW_MID`] and [`WINDOW_LEAF`].
 #[derive(Debug, Clone)]
 pub struct LevelPolicy {
     /// Window for root blocks (paper: 15, "the smallest value that allows
     /// us to identify more than 99% of the duplicate pairs").
     pub window_root: usize,
-    /// Window for intermediate blocks (paper: 10).
-    pub window_mid: usize,
-    /// Window for leaf blocks (paper: 5).
-    pub window_leaf: usize,
     /// `Frac(X)` for leaf blocks (paper: 0.8 CiteSeerX / 0.85 OL-Books).
     pub frac_leaf: f64,
     /// `Frac(X)` for non-leaf non-root blocks (paper: 0.9 / 0.95).
@@ -116,8 +119,6 @@ impl LevelPolicy {
     pub fn citeseer() -> Self {
         Self {
             window_root: 15,
-            window_mid: 10,
-            window_leaf: 5,
             frac_leaf: 0.8,
             frac_mid: 0.9,
         }
@@ -137,9 +138,9 @@ impl LevelPolicy {
         if is_root {
             self.window_root
         } else if is_leaf {
-            self.window_leaf
+            WINDOW_LEAF
         } else {
-            self.window_mid
+            WINDOW_MID
         }
     }
 

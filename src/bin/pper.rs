@@ -266,8 +266,9 @@ fn open_journal(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String), String> 
 }
 
 fn durable_options(opts: &Opts) -> DurableOptions {
+    let default = DurableOptions::default();
     DurableOptions {
-        checkpoint_every: opts.checkpoint_every.unwrap_or(2_000.0),
+        checkpoint_every: opts.checkpoint_every.unwrap_or(default.checkpoint_every),
         kill_after_events: opts.kill_after_events,
     }
 }

@@ -11,6 +11,8 @@
 //! reduce task exhausts its attempt budget dead-letters it, `pper dlq`
 //! lists the capture, and `pper dlq --reprocess` drains it to the
 //! fault-free golden result.
+//! A `--fail-reduce` count past the attempt budget exhausts the task the
+//! same way.
 //!
 //! A journal of another format version is refused by every subcommand that
 //! opens one, with the typed error's message, and a resume handed another
@@ -245,6 +247,28 @@ fn dlq_process_round_trip() {
     // Now empty.
     let list = run_ok(&["dlq", "--journal", journal, "--job-id", "faulty"]);
     assert!(String::from_utf8_lossy(&list.stdout).contains("empty"));
+}
+
+/// `--fail-reduce IDX:N` plans at most the attempt budget's deaths, so the
+/// largest `N` exhausts the task like `N = 4` does: a clean error, not an
+/// allocation of one fault per requested attempt.
+#[test]
+fn fail_reduce_past_the_attempt_budget_exhausts_the_task() {
+    let dir = tmp_dir("fail-reduce-max");
+    let data = write_dataset(&dir);
+    let out = pper(&[
+        "run",
+        "--data",
+        data.to_str().unwrap(),
+        "--machines",
+        MACHINES,
+        "--fail-reduce",
+        "0:4294967295",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failed after 4 attempts"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// A version-1 journal (the old magic; what it held does not matter) gets
