@@ -8,14 +8,14 @@
 //! on *which* thread runs *which* index or in what order — the caller
 //! collects (and notifies observers) in index order after the barrier.
 //!
-//! `run_cursor_pool` is the only dispatcher: a shared atomic cursor,
-//! claimed in small adaptive chunks (`fetch_add(chunk)`). Chunking is the
-//! fix for the historical per-task `fetch_add(1)` contention: on
-//! many-small-task map phases every worker hammered one cache line once
-//! per task; claiming a few tasks per RMW amortizes that without giving
-//! up dynamic balance. The cursor moves only *indices*; task outputs always
-//! travel through the caller's per-index mutex slots. The claim loop is
-//! model-checked in `tests/loom_cursor.rs`.
+//! `run_cursor_pool` is the only dispatcher: a shared atomic cursor from
+//! which each worker claims one index at a time (`fetch_add(1)`). A phase
+//! holds at most one task per slot of the simulated cluster (tens of
+//! tasks, each milliseconds long), so the cursor's cache line is touched a
+//! few dozen times per phase, and claiming singly lets an idle worker take
+//! the next index while a skewed task still runs. The cursor moves only
+//! *indices*; task outputs always travel through the caller's per-index
+//! mutex slots.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// parameter are outside input that must keep parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
-    /// Shared atomic cursor claimed in adaptive chunks.
+    /// Shared atomic cursor claimed one index at a time.
     #[default]
     Cursor,
 }
@@ -48,16 +48,8 @@ impl ExecutorKind {
 
 /// Clamp the requested thread count: at least one, never more than the
 /// number of tasks.
-fn effective_threads(count: usize, threads: usize) -> usize {
+pub(crate) fn effective_threads(count: usize, threads: usize) -> usize {
     threads.max(1).min(count.max(1))
-}
-
-/// Chunk size for the adaptive cursor claim: aim for a handful of claims
-/// per worker so the shared cursor line is touched O(threads) times instead
-/// of O(count), while leaving enough chunks in flight for dynamic balance
-/// when task costs are uneven.
-fn adaptive_chunk(count: usize, threads: usize) -> usize {
-    (count / (threads * 4).max(1)).clamp(1, 64)
 }
 
 /// Run `count` index-addressed tasks on up to `threads` OS threads.
@@ -76,24 +68,19 @@ pub(crate) fn run_cursor_pool(count: usize, threads: usize, task: &(dyn Fn(usize
         }
         return;
     }
-    let chunk = adaptive_chunk(count, threads);
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
                 // Relaxed (D3): a pure ticket dispenser — fetch_add's RMW
-                // atomicity alone hands each disjoint chunk to exactly one
-                // worker (model-checked in tests/loom_cursor.rs); task
-                // results are published via the caller's per-index slots,
-                // never through this counter.
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= count {
+                // atomicity alone hands each index to exactly one worker;
+                // task results are published via the caller's per-index
+                // slots, never through this counter.
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
                     return;
                 }
-                let end = start.saturating_add(chunk).min(count);
-                for i in start..end {
-                    task(i);
-                }
+                task(i);
             });
         }
     });
@@ -104,6 +91,8 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use proptest::prelude::*;
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
 
     /// Run `count` tasks and return the per-index claim counts.
     fn claims(count: usize, threads: usize) -> Vec<usize> {
@@ -140,6 +129,39 @@ mod tests {
     }
 
     #[test]
+    fn a_waiting_task_never_holds_back_the_next_index() {
+        // Task 0 waits for task 1. Claimed singly, index 1 goes to the
+        // other worker while the first waits; claimed in a chunk with 0,
+        // it would queue behind the wait. The deadline turns that hang
+        // into a failure.
+        let one_ran = AtomicBool::new(false);
+        let timed_out = AtomicBool::new(false);
+        let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        run_cursor_pool(64, 2, &|i| {
+            match i {
+                0 => {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !one_ran.load(Ordering::SeqCst) {
+                        if Instant::now() >= deadline {
+                            timed_out.store(true, Ordering::SeqCst);
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                1 => one_ran.store(true, Ordering::SeqCst),
+                _ => {}
+            }
+            counts[i].fetch_add(1, Ordering::SeqCst);
+        });
+        assert!(
+            !timed_out.load(Ordering::SeqCst),
+            "task 1 did not run while task 0 waited for it"
+        );
+        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
     fn parse_accepts_cursor_and_every_retired_alias() {
         for accepted in [
             "cursor",
@@ -157,14 +179,6 @@ mod tests {
         }
         assert!(ExecutorKind::parse("fancy").is_err());
         assert!(ExecutorKind::parse("chunked:x").is_err());
-    }
-
-    #[test]
-    fn adaptive_chunk_is_bounded_and_scales() {
-        assert_eq!(adaptive_chunk(1, 8), 1);
-        assert_eq!(adaptive_chunk(64, 8), 2);
-        assert!(adaptive_chunk(1_000_000, 2) <= 64);
-        assert!(adaptive_chunk(8, 1) >= 1);
     }
 
     proptest! {

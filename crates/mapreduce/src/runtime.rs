@@ -2,7 +2,7 @@
 //! tasks, and assembles virtual-time reports.
 //!
 //! Simulated tasks are executed on a pool of OS threads (a shared cursor
-//! claimed in adaptive chunks, [`crate::exec`]), so wall-clock parallelism is
+//! claimed one index at a time, [`crate::exec`]), so wall-clock parallelism is
 //! real; but the *reported* phase durations come from the per-task virtual
 //! clocks combined with list scheduling over the simulated cluster's slots
 //! ([`crate::cost::virtual_makespan`]). This separation lets a laptop

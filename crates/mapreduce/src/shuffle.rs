@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use pper_vfs::Vfs;
 
 use crate::error::MrError;
-use crate::exec::run_cursor_pool;
+use crate::exec::{effective_threads, run_cursor_pool};
 use crate::extsort::ExternalSorter;
 use crate::fxhash::FxHashMap;
 use crate::spill::SpillCodec;
@@ -215,7 +215,7 @@ where
     C: FromIterator<R>,
 {
     let count = per_partition.len();
-    let threads = threads.max(1).min(count.max(1));
+    let threads = effective_threads(count, threads);
     if threads == 1 {
         return per_partition.into_iter().map(group).collect();
     }
