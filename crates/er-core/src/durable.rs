@@ -30,6 +30,13 @@
 //! tail, which the resumed stage re-executes. A sync that fails ends the
 //! run with the typed journal error — it is never retried.
 //!
+//! Every record goes through one writer behind one lock, which appends by
+//! the reader's rule, [`JournalState::apply`]: it holds the fold of the log
+//! (empty for a fresh run, the recovered one for a resume), skips a record
+//! the fold does not take, and folds in each record it appends, so each
+//! task's next cut and the next dead-letter `seq` are the fold's. A job id
+//! names one run: [`run_durable`] refuses a log that already holds records.
+//!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
 //! but the journal (plus the dataset file named in the `JobStarted`
 //! parameters). Three parameters are in every journal, and a resume refuses
@@ -42,18 +49,15 @@
 //! as a fresh run does: it runs the statistics job (unobserved — its
 //! records are in the journal) and schedule generation, and appends nothing
 //! until the job-1 cost, bit for bit, and the schedule digest equal the
-//! journaled ones; a mismatch is [`MrError::Checkpoint`]. [`JournalState`]
-//! folds each task's deltas in `seq` order, and one more resolution stage
-//! resumes that fold against the regenerated schedule (a task with no cut
-//! starts from scratch; with no schedule journaled the run goes on as a
-//! fresh one) — still cutting in-line, so a resumed run can be killed and
-//! resumed again — to the bit-identical final result: same duplicates,
-//! curve, timeline, and total virtual cost as the uninterrupted run. A
-//! task's deltas depend only on its own deterministic execution, so a
-//! retried or discarded attempt re-emits records its dead predecessor
-//! already wrote; those are recognised by `(task, seq)` and not appended
-//! again, and the fold never depends on how the worker threads interleaved
-//! their appends.
+//! journaled ones; a mismatch is [`MrError::Checkpoint`]. One more
+//! resolution stage resumes the fold against the regenerated schedule (a
+//! task with no cut starts from scratch; with no schedule journaled the run
+//! goes on as a fresh one) — still cutting in-line, so a resumed run can be
+//! killed and resumed again — to the bit-identical final result: same
+//! duplicates, curve, timeline, and total virtual cost as the uninterrupted
+//! run. A task's deltas depend only on its own deterministic execution, so
+//! the records a retried attempt re-emits are not taken again, and the fold
+//! never depends on how the worker threads interleaved their appends.
 //!
 //! Tasks that exhaust their attempt budget are captured into the journal's
 //! dead-letter queue with full failure history; [`reprocess_dlq`] drains
@@ -66,7 +70,7 @@ use parking_lot::Mutex;
 use pper_datagen::Dataset;
 use pper_journal::{
     recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
-    TaskClass, TaskProgress,
+    TaskClass, TaskProgress, MAGIC,
 };
 use pper_mapreduce::fxhash::FxHasher;
 use pper_mapreduce::{MrError, TaskEvent, TaskKind, TaskObserver};
@@ -196,77 +200,63 @@ impl ResultFingerprint {
     }
 }
 
-/// State shared between the durable driver and the callbacks it installs
-/// (the task observer and the cut sink).
-struct Shared {
-    journal: Mutex<JobJournal>,
-    /// First journal I/O error hit inside a callback (callbacks cannot
-    /// return errors through the runtime, so they park them here).
-    io_error: Mutex<Option<JournalError>>,
-    /// Next dead-letter sequence number; past `u32::MAX` the sequence is
-    /// exhausted.
-    next_dlq_seq: Mutex<u64>,
+/// The journal writer, shared behind one lock between the durable driver
+/// and the callbacks it installs (the task observer and the cut sink).
+struct Writer {
+    journal: JobJournal,
+    /// The fold of the log: recovered, then extended by each append.
+    fold: JournalState,
+    /// First journal error hit inside a callback (callbacks cannot return
+    /// errors through the runtime, so they park them here).
+    parked: Option<JournalError>,
     /// Tasks the observer dead-lettered since the stage started, as the
     /// error names them (e.g. `"reduce-0"`).
-    dead_lettered: Mutex<Vec<String>>,
-    /// Per reduce task of the resolution job: the `seq` of the next
-    /// checkpoint cut the journal does not hold yet.
-    next_cut_seq: Mutex<Vec<u32>>,
+    dead_lettered: Vec<String>,
 }
 
-impl Shared {
-    fn new(journal: JobJournal, next_dlq_seq: u64) -> Arc<Self> {
-        Arc::new(Self {
-            journal: Mutex::new(journal),
-            io_error: Mutex::new(None),
-            next_dlq_seq: Mutex::new(next_dlq_seq),
-            dead_lettered: Mutex::new(Vec::new()),
-            next_cut_seq: Mutex::new(Vec::new()),
-        })
+impl Writer {
+    /// Open the job's journal to append behind `fold`, the fold of what it
+    /// already holds.
+    fn open(
+        store: &Arc<dyn JournalStore>,
+        job_id: &str,
+        opts: &DurableOptions,
+        fold: JournalState,
+    ) -> Result<Arc<Mutex<Self>>, JournalError> {
+        let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
+        journal.set_kill_after(opts.kill_after_events);
+        Ok(Arc::new(Mutex::new(Self {
+            journal,
+            fold,
+            parked: None,
+            dead_lettered: Vec::new(),
+        })))
     }
 
-    /// Append one event, surfacing any parked callback I/O error first.
-    fn append(&self, event: &JournalEvent) -> Result<u64, DurableError> {
-        if let Some(e) = self.io_error.lock().take() {
-            return Err(DurableError::Journal(e));
+    /// The one append: a record the fold does not take — a cut that is not
+    /// next in line, re-emitted by a retried attempt or behind a failed
+    /// append — is skipped; any other is appended and, once written, folded
+    /// in.
+    fn append(&mut self, event: &JournalEvent) -> Result<(), JournalError> {
+        if self.fold.takes(event) {
+            self.journal.append(event)?;
+            self.fold.apply(event);
         }
-        self.journal
-            .lock()
-            .append(event)
-            .map_err(DurableError::Journal)
+        Ok(())
     }
 
-    /// The barrier: on `Ok`, every record appended so far is on disk.
-    fn sync(&self) -> Result<(), DurableError> {
-        self.journal.lock().sync().map_err(DurableError::Journal)
-    }
-
-    /// Append one event from a callback, parking the first failure.
-    fn append_from_callback(&self, event: &JournalEvent) -> bool {
-        match self.journal.lock().append(event) {
-            Ok(_) => true,
-            Err(e) => {
-                self.io_error.lock().get_or_insert(e);
-                false
-            }
+    /// [`Writer::append`] from a callback, parking the first failure.
+    fn append_or_park(&mut self, event: &JournalEvent) {
+        if let Err(e) = self.append(event) {
+            self.parked.get_or_insert(e);
         }
     }
 
-    /// The cut sink: journal a reduce task's `CheckpointCut` record before
-    /// the task moves on. Only the record next in line for its task is
-    /// appended — an attempt re-running after its predecessor died re-emits
-    /// what that one already wrote, and after a failed append nothing of the
-    /// task may follow the gap.
-    fn cut(&self, event: JournalEvent) {
-        let JournalEvent::CheckpointCut { task, seq, .. } = event else {
-            return;
-        };
-        let mut next = self.next_cut_seq.lock();
-        let Some(next) = next.get_mut(task as usize).filter(|next| **next == seq) else {
-            return;
-        };
-        if self.append_from_callback(&event) {
-            *next += 1;
+    /// [`Writer::append`] from the driver, surfacing a parked failure first.
+    fn append_unparked(&mut self, event: &JournalEvent) -> Result<(), JournalError> {
+        match self.parked.take() {
+            Some(e) => Err(e),
+            None => self.append(event),
         }
     }
 }
@@ -289,12 +279,14 @@ fn convert_failures(failures: &[pper_mapreduce::AttemptRecord]) -> Vec<AttemptFa
         .collect()
 }
 
-/// Build the [`TaskObserver`] that journals task lifecycle events: a
-/// finished task as `TaskFinished`, an exhausted one as its dead-letter
-/// capture.
-fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
-    let shared = Arc::clone(shared);
-    TaskObserver::new(move |ev| {
+/// A copy of the pipeline whose [`TaskObserver`] journals task lifecycle
+/// events: a finished task as `TaskFinished`, an exhausted one as its
+/// dead-letter capture.
+fn with_observer(er: &ProgressiveEr, writer: &Arc<Mutex<Writer>>) -> ProgressiveEr {
+    let shared = Arc::clone(writer);
+    let mut er = er.clone();
+    er.config.observer = Some(TaskObserver::new(move |ev| {
+        let mut writer = shared.lock();
         let event = match ev {
             TaskEvent::Finished {
                 job,
@@ -318,15 +310,14 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
                 attempts,
                 failures,
             } => {
-                let mut next = shared.next_dlq_seq.lock();
-                let Ok(seq) = u32::try_from(*next) else {
-                    let used_up = "the job has used every dead-letter sequence number";
-                    let error = JournalError::BadState(used_up.into());
-                    shared.io_error.lock().get_or_insert(error);
-                    return;
+                let seq = match writer.fold.capture_seq() {
+                    Ok(seq) => seq,
+                    Err(used_up) => {
+                        writer.parked.get_or_insert(used_up);
+                        return;
+                    }
                 };
-                *next += 1;
-                shared.dead_lettered.lock().push(id.to_string());
+                writer.dead_lettered.push(id.to_string());
                 JournalEvent::DeadLettered {
                     seq,
                     job: (*job).to_string(),
@@ -337,8 +328,9 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
                 }
             }
         };
-        shared.append_from_callback(&event);
-    })
+        writer.append_or_park(&event);
+    }));
+    er
 }
 
 /// Finish a pipeline stage: surface parked journal errors, and when tasks
@@ -346,19 +338,20 @@ fn make_observer(shared: &Arc<Shared>) -> TaskObserver {
 /// dead-letter capture — sync the captures, since the error names them,
 /// before failing.
 fn finish_stage<T>(
-    shared: &Shared,
+    writer: &Mutex<Writer>,
     job_id: &str,
     result: Result<T, MrError>,
 ) -> Result<T, DurableError> {
-    if let Some(e) = shared.io_error.lock().take() {
+    let mut writer = writer.lock();
+    if let Some(e) = writer.parked.take() {
         return Err(DurableError::Journal(e));
     }
-    let tasks = std::mem::take(&mut *shared.dead_lettered.lock());
+    let tasks = std::mem::take(&mut writer.dead_lettered);
     match result {
         Ok(v) => Ok(v),
         Err(err) if tasks.is_empty() => Err(DurableError::Run(err)),
         Err(_) => {
-            shared.sync()?;
+            writer.journal.sync()?;
             Err(DurableError::DeadLettered {
                 job_id: job_id.to_string(),
                 tasks,
@@ -420,31 +413,28 @@ fn drive(
     er: &ProgressiveEr,
     ds: &Dataset,
     job_id: &str,
-    shared: &Arc<Shared>,
+    writer: &Mutex<Writer>,
     every: f64,
     first: &[JournalEvent],
     resume: Option<Resume<'_>>,
 ) -> Result<ErRunResult, DurableError> {
-    let outcome = run_jobs(er, ds, job_id, shared, every, first, resume);
-    let synced = shared.sync();
-    outcome.and_then(|result| synced.map(|()| result))
+    let outcome = run_jobs(er, ds, job_id, writer, every, first, resume);
+    let synced = writer.lock().journal.sync();
+    outcome.and_then(|result| synced.map(|()| result).map_err(DurableError::Journal))
 }
 
 fn run_jobs(
     er: &ProgressiveEr,
     ds: &Dataset,
     job_id: &str,
-    shared: &Arc<Shared>,
+    writer: &Mutex<Writer>,
     every: f64,
     first: &[JournalEvent],
     resume: Option<Resume<'_>>,
 ) -> Result<ErRunResult, DurableError> {
     let config = &er.config;
-    let open = || {
-        first
-            .iter()
-            .try_for_each(|event| shared.append(event).map(drop))
-    };
+    let append = |event: &JournalEvent| writer.lock().append_unparked(event);
+    let open = || first.iter().try_for_each(append);
 
     // ---- Statistics job and schedule generation, as on a fresh run ------
     // A resume's job 1 is journaled already, so it runs unobserved, and
@@ -453,7 +443,7 @@ fn run_jobs(
     let job1 = match &resume {
         None => {
             open()?;
-            finish_stage(shared, job_id, run_job1(ds, config))?
+            finish_stage(writer, job_id, run_job1(ds, config))?
         }
         Some(_) => {
             let mut unobserved = config.clone();
@@ -466,14 +456,14 @@ fn run_jobs(
     match &resume {
         None => {
             let task_blocks = schedule.block_order.iter().map(|b| b.len() as u64);
-            shared.append(&JournalEvent::ScheduleGenerated {
+            append(&JournalEvent::ScheduleGenerated {
                 job1_cost,
                 task_blocks: task_blocks.collect(),
                 digest,
             })?;
             // One barrier for everything up to here: the cuts that follow
             // are deltas against this schedule.
-            shared.sync()?;
+            writer.lock().journal.sync()?;
         }
         Some(r) if (r.job1_cost.to_bits(), r.digest) == (job1_cost.to_bits(), digest) => open()?,
         Some(r) => {
@@ -487,12 +477,7 @@ fn run_jobs(
     }
 
     // ---- Resolution job: one pass, cutting checkpoints in-line ---------
-    // Each task's next cut carries the `seq` after those the fold holds.
-    *shared.next_cut_seq.lock() = match &resume {
-        Some(resume) => resume.tasks.iter().map(|task| task.cuts).collect(),
-        None => vec![0; schedule.num_tasks()],
-    };
-    let emit = |event| shared.cut(event);
+    let emit = |event| writer.lock().append_or_park(&event);
     let sink = CutSink { every, emit: &emit };
     let stage = Stage {
         resume: resume.as_ref().map(|resume| resume.tasks),
@@ -500,7 +485,7 @@ fn run_jobs(
         observer: None,
     };
     let outcome = run_job2_stage(ds, config, &schedule, stage);
-    let job2 = finish_stage(shared, job_id, outcome)?;
+    let job2 = finish_stage(writer, job_id, outcome)?;
     let result = er.assemble(ds, job2, job1_cost, job1.counters);
 
     let mut entries: Vec<(String, u64)> = result
@@ -509,8 +494,8 @@ fn run_jobs(
         .map(|(k, v)| (k.to_string(), v))
         .collect();
     entries.sort();
-    shared.append(&JournalEvent::CountersSnapshot { entries })?;
-    shared.append(&JournalEvent::JobFinished {
+    append(&JournalEvent::CountersSnapshot { entries })?;
+    append(&JournalEvent::JobFinished {
         duplicates: result.duplicates.len() as u64,
         total_cost: result.total_cost,
     })?;
@@ -527,13 +512,6 @@ fn check_every(every: f64) -> Result<(), DurableError> {
     }
 }
 
-/// Install the journaling observer on a copy of the pipeline.
-fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
-    let mut er = er.clone();
-    er.config.observer = Some(make_observer(shared));
-    er
-}
-
 /// Run the pipeline durably: journal every lifecycle event to `store`
 /// under `job_id`, checkpoint the resolution job on the
 /// [`DurableOptions::checkpoint_every`] grid, and return the final result —
@@ -546,10 +524,16 @@ fn with_observer(er: &ProgressiveEr, shared: &Arc<Shared>) -> ProgressiveEr {
 /// needs to rebuild the configuration for [`resume_durable`] and to check
 /// it was handed the same dataset.
 ///
+/// # Errors
+///
 /// A `params` entry under one of those three keys, and a configuration with
 /// more blocking families than a dominance list holds, are refused
 /// ([`MrError::InvalidConfig`]) before the journal is created, as is a
-/// cluster with no machines ([`MrError::InvalidCluster`]).
+/// cluster with no machines ([`MrError::InvalidCluster`]). A log of another
+/// format version is refused with [`JournalError::UnsupportedVersion`], and
+/// a log that holds any byte past its header with
+/// [`JournalError::BadState`], before anything is appended: a job id names
+/// one run, which only [`resume_durable`] and [`reprocess_dlq`] continue.
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -577,17 +561,22 @@ pub fn run_durable(
     }
     DomList::check_capacity(er.config.families.len())?;
     er.config.cluster().check(job_id)?;
-    let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
-    journal.set_kill_after(opts.kill_after_events);
-    let shared = Shared::new(journal, 0);
-    let er = with_observer(er, &shared);
+    let writer = Writer::open(store, job_id, opts, JournalState::default())?;
+    if store.read(job_id)?.len() > MAGIC.len() {
+        return Err(JournalError::BadState(format!(
+            "job '{job_id}' already has a journal: a job id names one run, which only a \
+             resume or a dead-letter reprocess continues"
+        ))
+        .into());
+    }
+    let er = with_observer(er, &writer);
     let own = checked.map(|(key, value)| (key.to_string(), value));
     let started = JournalEvent::JobStarted {
         job_id: job_id.to_string(),
         params: params.iter().cloned().chain(own).collect(),
     };
     let every = opts.checkpoint_every;
-    drive(&er, ds, job_id, &shared, every, &[started], None)
+    drive(&er, ds, job_id, &writer, every, &[started], None)
 }
 
 /// The `dataset` parameter: the entity count and an FxHash of every
@@ -607,19 +596,6 @@ fn dataset_digest(ds: &Dataset) -> String {
     format!("{} entities, fxhash {:016x}", ds.entities.len(), h.finish())
 }
 
-/// Recover a job's journal and fold it to the resume state, truncating any
-/// torn tail so new records never land behind garbage.
-fn recover_state(
-    store: &Arc<dyn JournalStore>,
-    job_id: &str,
-) -> Result<JournalState, DurableError> {
-    let rec = recover(store, job_id)?;
-    if !rec.report.clean() {
-        store.truncate_log(job_id, rec.report.valid_bytes)?;
-    }
-    Ok(JournalState::replay(&rec.events))
-}
-
 /// Recover, fold, and run the job on from what the journal holds: the
 /// body of [`resume_durable`] and, with `drain_dlq`, of [`reprocess_dlq`].
 fn redrive(
@@ -630,7 +606,12 @@ fn redrive(
     opts: &DurableOptions,
     drain_dlq: bool,
 ) -> Result<ErRunResult, DurableError> {
-    let state = recover_state(store, job_id)?;
+    let rec = recover(store, job_id)?;
+    if !rec.report.clean() {
+        // So new records never land behind garbage.
+        store.truncate_log(job_id, rec.report.valid_bytes)?;
+    }
+    let state = JournalState::replay(&rec.events);
     let bad_state = |why: String| DurableError::Journal(JournalError::BadState(why));
     if state.job_id.is_none() {
         return Err(bad_state(format!(
@@ -666,10 +647,8 @@ fn redrive(
     check_every(every)?;
     DomList::check_capacity(er.config.families.len())?;
     let resume = journaled_resume(&state, cut_on, er.config.machines)?;
-    let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
-    journal.set_kill_after(opts.kill_after_events);
-    let shared = Shared::new(journal, state.next_dlq_seq);
-    let mut er = with_observer(er, &shared);
+    let writer = Writer::open(store, job_id, opts, state.clone())?;
+    let mut er = with_observer(er, &writer);
     let mut drained = Vec::new();
     if drain_dlq {
         // The captured tasks re-enter the attempt loop without the fault
@@ -682,7 +661,7 @@ fn redrive(
                 .map(|entry| JournalEvent::DlqDrained { seq: entry.seq }),
         );
     }
-    drive(&er, ds, job_id, &shared, every, &drained, resume)
+    drive(&er, ds, job_id, &writer, every, &drained, resume)
 }
 
 /// Resume a durable job in a fresh process from nothing but its journal

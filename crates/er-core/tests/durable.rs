@@ -1325,7 +1325,9 @@ fn an_exhausted_dead_letter_sequence_is_a_typed_error() {
 /// at its end, one crashed in mid-reduce: the retries re-emit the dead
 /// attempts' records, none is appended twice, and the run ends in the
 /// fault-free duplicates (re-execution delays the retried tasks' events, so
-/// only the clock readings differ).
+/// only the clock readings differ). At one worker thread the writer is
+/// called by one task at a time; at two and eight, concurrently, and its one
+/// lock must still append each task's records in line.
 #[test]
 fn a_retried_attempt_does_not_journal_its_cuts_twice() {
     let ds = dataset();
@@ -1335,21 +1337,92 @@ fn a_retried_attempt_does_not_journal_its_cuts_twice() {
     let task1_clocks = cut_clocks(&healthy, 1);
     assert!(task1_clocks.len() >= 3, "task 1 cuts {task1_clocks:?}");
 
-    let mut faulty = small_pipeline();
-    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 1).with_abort(
-        TaskKind::Reduce,
-        1,
-        1,
-        task1_clocks[1] + 1.0,
-    ));
-    let store = MemStore::shared();
-    let run = run_durable(&faulty, &ds, &store, "job-retry", &[], &opts(EVERY)).unwrap();
-    assert_eq!(run.counters.get("task_retries"), 2);
-    assert_eq!(ResultFingerprint::of(&run).duplicates, golden.duplicates);
+    for threads in [1, 2, 8] {
+        let mut faulty = threaded_pipeline(threads);
+        faulty.config.faults = Some(FaultPlan::fail_reduce(0, 1).with_abort(
+            TaskKind::Reduce,
+            1,
+            1,
+            task1_clocks[1] + 1.0,
+        ));
+        let store = MemStore::shared();
+        let run = run_durable(&faulty, &ds, &store, "job-retry", &[], &opts(EVERY)).unwrap();
+        assert_eq!(run.counters.get("task_retries"), 2, "{threads} thread(s)");
+        assert_eq!(ResultFingerprint::of(&run).duplicates, golden.duplicates);
 
-    let events = recover(&store, "job-retry").unwrap().events;
-    assert_cuts_unique_and_ordered(&events);
-    assert_eq!(cuts_by_task(&events), cuts_by_task(&healthy));
+        let events = recover(&store, "job-retry").unwrap().events;
+        assert_cuts_unique_and_ordered(&events);
+        assert_eq!(
+            cuts_by_task(&events),
+            cuts_by_task(&healthy),
+            "{threads} thread(s)"
+        );
+    }
+}
+
+/// A job id names one run. A second fresh run on a journaled id would
+/// append its records behind the first run's — here a second capture under
+/// dead-letter `seq` 0, which a reprocess would then drain twice — so it is
+/// refused with the typed journal error, and the log keeps its one capture.
+#[test]
+fn a_second_fresh_run_on_a_journaled_job_id_is_refused() {
+    let ds = PubGen::new(600, 417).generate();
+    let mut faulty = small_pipeline();
+    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 9));
+    let store = MemStore::shared();
+    let o = DurableOptions::default();
+    let first = run_durable(&faulty, &ds, &store, "job-twice", &[], &o);
+    assert!(
+        matches!(first, Err(DurableError::DeadLettered { .. })),
+        "{first:?}"
+    );
+    let before = store.read("job-twice").unwrap();
+
+    let second = run_durable(&faulty, &ds, &store, "job-twice", &[], &o);
+    let Err(DurableError::Journal(JournalError::BadState(why))) = second else {
+        panic!("a second run on a journaled job id was not refused: {second:?}");
+    };
+    assert!(why.contains("names one run"), "{why}");
+    assert_eq!(store.read("job-twice").unwrap(), before);
+    let events = recover(&store, "job-twice").unwrap().events;
+    let captures: Vec<u32> = events
+        .iter()
+        .filter_map(|(_, e)| match e {
+            JournalEvent::DeadLettered { seq, .. } => Some(*seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(captures, [0]);
+    assert_eq!(JournalState::replay(&events).dlq.len(), 1);
+}
+
+/// A fresh run on a log with a torn tail would append behind the garbage,
+/// where no recovery reads it; it is refused, the bytes stay as they were,
+/// and the resume that truncates the tail first ends in the fault-free run.
+#[test]
+fn a_fresh_run_on_a_torn_journal_is_refused() {
+    let ds = PubGen::new(600, 417).generate();
+    let er = small_pipeline();
+    let o = DurableOptions::default();
+    let full = MemStore::shared();
+    let golden = ResultFingerprint::of(&run_durable(&er, &ds, &full, "job-torn", &[], &o).unwrap());
+    let bytes = full.read("job-torn").unwrap();
+    let torn = &bytes[..bytes.len() - 3];
+    let store = store_holding("job-torn", torn);
+    let rec = recover(&store, "job-torn").unwrap();
+    assert!(rec.report.torn_tail && !rec.report.corrupt);
+
+    let refused = run_durable(&er, &ds, &store, "job-torn", &[], &o);
+    let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
+        let duplicates = refused.map(|run| run.duplicates.len());
+        panic!("a fresh run on a torn journal was not refused: {duplicates:?}");
+    };
+    assert!(why.contains("names one run"), "{why}");
+    assert_eq!(store.read("job-torn").unwrap(), torn);
+
+    let resumed = resume_durable(&er, &ds, &store, "job-torn", &o).unwrap();
+    assert_eq!(ResultFingerprint::of(&resumed), golden);
+    assert!(recover(&store, "job-torn").unwrap().report.clean());
 }
 
 /// CI's exhaustive sweep (`cargo test --release -p pper-er --test durable --

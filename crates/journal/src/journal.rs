@@ -15,7 +15,8 @@
 //! for a fresh process to reconstruct the run and continue (the job-1 cost
 //! and schedule digest a regenerated schedule must match, and per reduce
 //! task the fold of its checkpoint-cut deltas), and the source of the job's
-//! live dead-letter queue.
+//! live dead-letter queue. [`JournalState::apply`] is the one rule of that
+//! fold, for the reader's [`JournalState::replay`] and the durable writer.
 
 use std::sync::Arc;
 
@@ -219,7 +220,7 @@ pub struct TaskProgress {
 
 /// The fold of a job's event stream: everything a fresh process needs to
 /// know to list, resume, or reprocess the job.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct JournalState {
     /// Job id from `JobStarted` (None if the log predates it — unresumable).
     pub job_id: Option<String>,
@@ -241,8 +242,8 @@ pub struct JournalState {
     pub dlq: Vec<DlqEntry>,
     /// Next dead-letter sequence number to assign: one past the largest
     /// journaled, so `u32::MAX + 1` once a capture took the last `u32` — a
-    /// journal is outside input, and the writer refuses that value with
-    /// [`JournalError::BadState`] rather than wrap.
+    /// journal is outside input, and [`JournalState::capture_seq`] refuses
+    /// that value with [`JournalError::BadState`] rather than wrap.
     pub next_dlq_seq: u64,
 }
 
@@ -250,82 +251,109 @@ impl JournalState {
     /// Fold an event stream (as produced by [`recover`]) into a state.
     pub fn replay(events: &[(u64, JournalEvent)]) -> Self {
         let mut st = Self::default();
-        for (_, ev) in events {
-            match ev {
-                JournalEvent::JobStarted { job_id, params } => {
-                    st.job_id = Some(job_id.clone());
-                    st.params = params.clone();
-                }
-                JournalEvent::ScheduleGenerated {
-                    job1_cost,
-                    task_blocks,
-                    digest,
-                } => {
-                    // Watermarks index into the schedule they were cut
-                    // against: a new schedule starts every task over.
-                    st.schedule = Some((*job1_cost, *digest));
-                    st.tasks = task_blocks
-                        .iter()
-                        .map(|&blocks| TaskProgress {
-                            blocks,
-                            ..TaskProgress::default()
-                        })
-                        .collect();
-                }
-                JournalEvent::TaskFinished { .. } => st.tasks_finished += 1,
-                JournalEvent::CheckpointCut {
-                    task,
-                    seq,
-                    blocks_done,
-                    clock,
-                    duplicates,
-                } => {
-                    // A task's records are appended in `seq` order and
-                    // never twice; one that is not the next in line (a
-                    // repeat, a gap, an unknown task) carries nothing the
-                    // deterministic re-execution will not produce again.
-                    let next = usize::try_from(*task)
-                        .ok()
-                        .and_then(|task| st.tasks.get_mut(task))
-                        .filter(|progress| progress.cuts == *seq);
-                    if let Some(progress) = next {
-                        progress.cuts += 1;
-                        progress.blocks_done = *blocks_done;
-                        progress.clock = *clock;
-                        progress.duplicates.extend_from_slice(duplicates);
-                    }
-                }
-                JournalEvent::CountersSnapshot { entries } => {
-                    st.counters = entries.clone();
-                }
-                JournalEvent::DeadLettered {
-                    seq,
-                    job,
-                    kind,
-                    index,
-                    attempts,
-                    failures,
-                } => {
-                    st.dlq.push(DlqEntry {
-                        seq: *seq,
-                        job: job.clone(),
-                        kind: *kind,
-                        index: *index,
-                        attempts: *attempts,
-                        failures: failures.clone(),
-                    });
-                    st.next_dlq_seq = st.next_dlq_seq.max(u64::from(*seq) + 1);
-                }
-                JournalEvent::DlqDrained { seq } => {
-                    st.dlq.retain(|e| e.seq != *seq);
-                }
-                JournalEvent::JobFinished {
-                    duplicates,
-                    total_cost,
-                } => st.finished = Some((*duplicates, *total_cost)),
-            }
+        for (_, event) in events {
+            st.apply(event);
         }
         st
+    }
+
+    /// Whether [`JournalState::apply`] folds `event` in: all but a
+    /// `CheckpointCut` not next in line for its task (a repeat, a gap, an
+    /// unknown task), which carries nothing the deterministic re-execution
+    /// will not produce again.
+    pub fn takes(&self, event: &JournalEvent) -> bool {
+        match event {
+            JournalEvent::CheckpointCut { task, seq, .. } => usize::try_from(*task)
+                .ok()
+                .and_then(|task| self.tasks.get(task))
+                .is_some_and(|progress| progress.cuts == *seq),
+            _ => true,
+        }
+    }
+
+    /// Fold one event in; false, leaving the state as it was, for one it
+    /// does not [take](JournalState::takes).
+    pub fn apply(&mut self, event: &JournalEvent) -> bool {
+        if !self.takes(event) {
+            return false;
+        }
+        match event {
+            JournalEvent::JobStarted { job_id, params } => {
+                self.job_id = Some(job_id.clone());
+                self.params = params.clone();
+            }
+            JournalEvent::ScheduleGenerated {
+                job1_cost,
+                task_blocks,
+                digest,
+            } => {
+                // Watermarks index into the schedule they were cut against:
+                // a new schedule starts every task over.
+                self.schedule = Some((*job1_cost, *digest));
+                self.tasks = task_blocks
+                    .iter()
+                    .map(|&blocks| TaskProgress {
+                        blocks,
+                        ..TaskProgress::default()
+                    })
+                    .collect();
+            }
+            JournalEvent::TaskFinished { .. } => self.tasks_finished += 1,
+            JournalEvent::CheckpointCut {
+                task,
+                blocks_done,
+                clock,
+                duplicates,
+                ..
+            } => {
+                let progress = usize::try_from(*task)
+                    .ok()
+                    .and_then(|task| self.tasks.get_mut(task));
+                if let Some(progress) = progress {
+                    progress.cuts += 1;
+                    progress.blocks_done = *blocks_done;
+                    progress.clock = *clock;
+                    progress.duplicates.extend_from_slice(duplicates);
+                }
+            }
+            JournalEvent::CountersSnapshot { entries } => {
+                self.counters = entries.clone();
+            }
+            JournalEvent::DeadLettered {
+                seq,
+                job,
+                kind,
+                index,
+                attempts,
+                failures,
+            } => {
+                self.dlq.push(DlqEntry {
+                    seq: *seq,
+                    job: job.clone(),
+                    kind: *kind,
+                    index: *index,
+                    attempts: *attempts,
+                    failures: failures.clone(),
+                });
+                self.next_dlq_seq = self.next_dlq_seq.max(u64::from(*seq) + 1);
+            }
+            JournalEvent::DlqDrained { seq } => {
+                self.dlq.retain(|e| e.seq != *seq);
+            }
+            JournalEvent::JobFinished {
+                duplicates,
+                total_cost,
+            } => self.finished = Some((*duplicates, *total_cost)),
+        }
+        true
+    }
+
+    /// The `seq` the job's next dead-letter capture carries, or
+    /// [`JournalError::BadState`] once a capture has taken the last `u32`.
+    pub fn capture_seq(&self) -> Result<u32, JournalError> {
+        u32::try_from(self.next_dlq_seq).map_err(|_| {
+            JournalError::BadState("the job has used every dead-letter sequence number".into())
+        })
     }
 
     /// How far the checkpoint cuts reach over all reduce tasks, as the one
@@ -652,6 +680,15 @@ mod tests {
                 ..TaskProgress::default()
             }
         );
+
+        // The rule the writer appends by: `apply` refuses the same records
+        // one at a time, and takes the next in line.
+        let mut st = fold(&[schedule.clone(), t0[0].clone()]);
+        for noise in [t0[0].clone(), cut(0, 2, 4, (9, 9)), cut(3, 0, 1, (9, 9))] {
+            assert!(!st.takes(&noise) && !st.apply(&noise), "{noise:?}");
+        }
+        assert!(st.takes(&t0[1]) && st.apply(&t0[1]));
+        assert_eq!(st.tasks[0], one.tasks[0]);
 
         // Cuts before any schedule have nothing to index into; a second
         // schedule voids the cuts taken against the first.

@@ -100,18 +100,19 @@ pub fn block_additional_cost(n: usize) -> f64 {
 ///
 /// Returns 0.0 for an empty task list. `slots` is clamped to at least 1.
 pub fn virtual_makespan(task_costs: &[f64], slots: usize) -> f64 {
-    let slots = slots.max(1);
-    if task_costs.is_empty() {
-        return 0.0;
-    }
-    let mut loads = vec![0.0f64; slots.min(task_costs.len())];
-    for &c in task_costs {
-        // Dispatch to the least-loaded slot: equivalent to "first slot to
-        // free up", which is what a work-conserving scheduler does.
-        let idx = least_loaded(&loads);
-        loads[idx] += c;
-    }
-    loads.iter().cloned().fold(0.0, f64::max)
+    makespan(&list_schedule_starts(task_costs, slots), task_costs)
+}
+
+/// Completion time of a phase whose tasks start at `starts` (as
+/// [`list_schedule_starts`] places them): the latest start + cost. Each sum
+/// is the slot load the dispatch loop computes, and under non-negative
+/// costs a slot's last one is its largest, so this is the maximum slot load.
+pub(crate) fn makespan(starts: &[f64], task_costs: &[f64]) -> f64 {
+    starts
+        .iter()
+        .zip(task_costs)
+        .map(|(start, cost)| start + cost)
+        .fold(0.0, f64::max)
 }
 
 /// Per-slot start offsets for tasks dispatched with list scheduling.
@@ -124,23 +125,14 @@ pub fn list_schedule_starts(task_costs: &[f64], slots: usize) -> Vec<f64> {
     let mut loads = vec![0.0f64; slots.min(task_costs.len().max(1))];
     let mut starts = Vec::with_capacity(task_costs.len());
     for &c in task_costs {
-        let idx = least_loaded(&loads);
+        // The least-loaded slot, first on ties: the one that frees up first
+        // under in-order dispatch.
+        let by_load = |a: &usize, b: &usize| loads[*a].total_cmp(&loads[*b]);
+        let idx = (0..loads.len()).min_by(by_load).unwrap_or(0);
         starts.push(loads[idx]);
         loads[idx] += c;
     }
     starts
-}
-
-/// Index of the smallest load, first on ties (the slot that frees up first
-/// under in-order dispatch). Returns 0 for an empty slice.
-fn least_loaded(loads: &[f64]) -> usize {
-    let mut idx = 0;
-    for i in 1..loads.len() {
-        if loads[i].total_cmp(&loads[idx]).is_lt() {
-            idx = i;
-        }
-    }
-    idx
 }
 
 #[cfg(test)]

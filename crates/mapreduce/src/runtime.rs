@@ -5,7 +5,7 @@
 //! claimed one index at a time, [`crate::exec`]), so wall-clock parallelism is
 //! real; but the *reported* phase durations come from the per-task virtual
 //! clocks combined with list scheduling over the simulated cluster's slots
-//! ([`crate::cost::virtual_makespan`]). This separation lets a laptop
+//! ([`crate::cost::list_schedule_starts`]). This separation lets a laptop
 //! faithfully reproduce curves for a 25-machine cluster.
 //!
 //! ## Fault tolerance
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::cost::{
-    list_schedule_starts, virtual_makespan, EMIT_PER_RECORD, JOB_STARTUP, READ_PER_ENTITY,
+    list_schedule_starts, makespan, EMIT_PER_RECORD, JOB_STARTUP, READ_PER_ENTITY,
     SHUFFLE_PER_RECORD, TASK_STARTUP,
 };
 use crate::counters::Counters;
@@ -50,12 +50,16 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
-    fn new(task_costs: Vec<f64>, slots: usize) -> Self {
-        let makespan = virtual_makespan(&task_costs, slots);
-        Self {
+    /// The phase on `slots` slots, and each task's start under list
+    /// scheduling in task order.
+    fn scheduled(task_costs: Vec<f64>, slots: usize) -> (Self, Vec<f64>) {
+        let starts = list_schedule_starts(&task_costs, slots);
+        let makespan = makespan(&starts, &task_costs);
+        let phase = Self {
             task_costs,
             makespan,
-        }
+        };
+        (phase, starts)
     }
 }
 
@@ -506,7 +510,7 @@ where
     }
     let wall_map = started.elapsed();
     let shuffle_records: u64 = map_outputs.iter().map(|m| m.records).sum();
-    let map_phase = PhaseReport::new(map_costs, cfg.cluster.map_slots());
+    let (map_phase, _) = PhaseReport::scheduled(map_costs, cfg.cluster.map_slots());
 
     // ---- Shuffle ---------------------------------------------------------
     // Map tasks already bucketed their records per reduce partition; the
@@ -557,14 +561,14 @@ where
     let wall_reduce = started.elapsed().saturating_sub(wall_map + wall_shuffle);
 
     let reduce_costs: Vec<f64> = reduce_runs.iter().map(|r| r.cost).collect();
-    let reduce_phase = PhaseReport::new(reduce_costs.clone(), cfg.cluster.reduce_slots());
+    let (reduce_phase, reduce_starts) =
+        PhaseReport::scheduled(reduce_costs, cfg.cluster.reduce_slots());
     // Shuffle-skew counter: max/mean of the reduce-task virtual costs, in
     // thousandths so it fits the u64 counter space (1000 = perfectly even).
     counters.add(
         "shuffle_skew_milli",
-        (max_mean_ratio(&reduce_costs) * 1000.0).round() as u64,
+        (max_mean_ratio(&reduce_phase.task_costs) * 1000.0).round() as u64,
     );
-    let reduce_starts = list_schedule_starts(&reduce_costs, cfg.cluster.reduce_slots());
     let reduce_base = JOB_STARTUP + map_phase.makespan;
 
     let mut timeline = map_events;

@@ -181,23 +181,15 @@ impl FaultShared {
     }
 }
 
-/// Map a planned [`FaultKind`] to the typed fault it surfaces as.
+/// Map a planned [`FaultKind`] to the typed fault it surfaces as: the
+/// class, detail and disk-full marker of [`planned_io_error`], recovered by
+/// [`IoFault::classify`].
 fn planned_fault(kind: &FaultKind, op: IoOp, path: &Path) -> IoFault {
-    match kind {
-        FaultKind::Transient { .. } => IoFault::transient(op, path, "transient fault (injected)"),
-        FaultKind::ShortWrite { .. } => IoFault::transient(op, path, "short write (injected)"),
-        FaultKind::Enospc => IoFault::disk_full(op, path, "ENOSPC (injected)"),
-        FaultKind::PermissionDenied => IoFault::permanent(op, path, "EACCES (injected)"),
-        FaultKind::FsyncFail => IoFault::permanent(op, path, "fsync failed (injected)"),
-        FaultKind::TornRename => IoFault::permanent(op, path, "torn rename (injected)"),
-        FaultKind::MmapFail => IoFault::permanent(op, path, "mmap failed (injected)"),
-        FaultKind::CorruptRead => IoFault::corrupt(op, path, "bit flip (injected)"),
-    }
+    IoFault::classify(op, path, &planned_io_error(kind))
 }
 
-/// The same mapping as an injected `io::Error`, for [`VfsFile`] methods
-/// whose signatures speak `io::Result`; [`IoFault::classify`] recovers the
-/// planned class from the payload.
+/// A planned [`FaultKind`] as an injected `io::Error`, for [`VfsFile`]
+/// methods whose signatures speak `io::Result`.
 fn planned_io_error(kind: &FaultKind) -> io::Error {
     let (class, detail, disk_full) = match kind {
         FaultKind::Transient { .. } => (FaultClass::Transient, "transient fault (injected)", false),

@@ -78,10 +78,11 @@ USAGE:
   pper help
 
 Durable mode journals every job event under --journal DIR (fsync'd in
-groups, and before anything is reported); `resume` continues a killed job
-bit-identically in a fresh process, `dlq` lists or reprocesses tasks that
-exhausted their attempt budget, and `jobs` lists every job with how far its
-checkpoints reach.";
+groups, and before anything is reported), and a job id names one run:
+`run --durable` refuses an id whose journal already holds records.
+`resume` continues a killed job bit-identically in a fresh process, `dlq`
+lists or reprocesses tasks that exhausted their attempt budget, and `jobs`
+lists every job with how far its checkpoints reach.";
 
 #[derive(Default)]
 struct Opts {
