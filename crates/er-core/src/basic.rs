@@ -31,7 +31,7 @@
 
 use pper_blocking::{BlockingFamily, BlockingKey};
 use pper_datagen::{Dataset, Entity, EntityId};
-use pper_mapreduce::cost::{block_additional_cost, JOB_STARTUP, READ_PER_ENTITY, RESOLVE_PAIR};
+use pper_mapreduce::cost::{block_additional_cost, JOB_STARTUP, KEY_PER_ENTITY, RESOLVE_PAIR};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{MechanismKind, PairSource, StopRule, StopState};
 use pper_simil::{PreparedCache, PreparedRule, SimScratch};
@@ -108,7 +108,7 @@ impl<'d> Mapper for BasicMapper<'d> {
     ) {
         let entity = *entity;
         for (f, family) in self.families.iter().enumerate() {
-            ctx.charge(READ_PER_ENTITY * 0.25);
+            ctx.charge(KEY_PER_ENTITY);
             out.emit(
                 (BlockingKey::of(&family.levels[0], entity), f as u8),
                 entity,

@@ -5,59 +5,52 @@
 //! job, schedule generation, resolution job — appending to the job's
 //! [`pper_journal`] log as it goes. The schedule itself is never journaled:
 //! `ScheduleGenerated` holds job 1's cost and the schedule's
-//! [`digest`](pper_schedule::Schedule::digest). The resolution job then
-//! cuts its checkpoints *in-line*:
-//! this module installs a [`CutSink`] on the job's one [`Stage`], and every
-//! reduce task, as its own clock crosses the `checkpoint_every` grid (and at
-//! its last block), hands over a delta — blocks done, clock, and the
-//! duplicates found since its previous cut — which is appended as a
-//! `CheckpointCut` record before the task moves on. That grid is the one α
-//! grid of the pipeline: §III-B's per-task α-incremental result files, made
-//! the unit of recovery (see [`crate::job2`], "Durable execution"). Every task
-//! completion (with its attempt history) and every attempt-budget
-//! exhaustion (as a `DeadLettered` record) is journaled through the
-//! runtime's [`TaskObserver`] hook. A healthy run executes each job exactly
-//! once and its counters are the uninterrupted run's.
+//! [`digest`](pper_schedule::Schedule::digest). The resolution job cuts its
+//! checkpoints *in-line*: through the [`CutSink`] on its one [`Stage`],
+//! every reduce task, as its own clock crosses the `checkpoint_every` grid
+//! (and at its last block), hands over a delta — blocks done, clock, and
+//! the duplicates found since its previous cut — appended as a
+//! `CheckpointCut` record before the task moves on: §III-B's per-task
+//! α-incremental result files, made the unit of recovery (see
+//! [`crate::job2`], "Durable execution"). Every task completion and every
+//! attempt-budget exhaustion (a `DeadLettered` record) is journaled through
+//! the runtime's [`TaskObserver`] hook. A healthy run executes each job
+//! exactly once and its counters are the uninterrupted run's.
 //!
 //! Appended is not yet synced. [`JobJournal`] syncs by itself once a byte
 //! budget of records has accumulated; this module adds a barrier only where
 //! something starts to rest on the records: after `ScheduleGenerated`,
-//! before the resolution job cuts against that schedule (one barrier for
-//! the whole statistics job); before a dead-letter capture is reported; and
-//! on every return of [`run_durable`], [`resume_durable`] and
-//! [`reprocess_dlq`], `Ok` or `Err`. A killed process loses nothing past
-//! the record it was writing; a machine crash loses at most the unsynced
-//! tail, which the resumed stage re-executes. A sync that fails ends the
-//! run with the typed journal error — it is never retried.
+//! before the resolution job cuts against that schedule; before a
+//! dead-letter capture is reported; and on every return of [`run_durable`],
+//! [`resume_durable`] and [`reprocess_dlq`], `Ok` or `Err`. A sync that
+//! fails ends the run with the typed journal error — it is never retried.
 //!
-//! Every record goes through one writer behind one lock, which appends by
-//! the reader's rule, [`JournalState::apply`]: it holds the fold of the log
-//! (empty for a fresh run, the recovered one for a resume), skips a record
-//! the fold does not take, and folds in each record it appends, so each
-//! task's next cut and the next dead-letter `seq` are the fold's. A job id
-//! names one run: [`run_durable`] refuses a log that already holds records.
+//! Opening the log is [`pper_journal`]'s, with one read per entry point:
+//! [`run_durable`] starts it ([`JobJournal::start`] refuses a log that
+//! holds records — a job id names one run), and a resume or reprocess
+//! reopens it ([`JobJournal::reopen`] cuts a torn tail off). Every record
+//! then goes through one writer behind one lock, which appends by the
+//! reader's rule, [`JournalState::apply`]: it holds the fold of the log
+//! (empty for a fresh run, the recovered one for a resume, whose
+//! duplicates the resumed stage holds instead), skips a record the fold
+//! does not take, and folds in each record it appends, so each task's next
+//! cut and the next dead-letter `seq` are the fold's.
 //!
 //! [`resume_durable`] reconstructs the run in a fresh process from nothing
-//! but the journal (plus the dataset file named in the `JobStarted`
-//! parameters). Three parameters are in every journal, and a resume refuses
-//! one without them with [`JournalError::BadState`]: `machines`, the machine
-//! count the cuts were taken on; `checkpoint_every`, the grid the resumed
-//! run keeps cutting on (taken from the journal, not from
-//! [`DurableOptions`]); and `dataset`, the entity count and content hash —
-//! a resume against another dataset is refused. The schedule is a pure
-//! function of the dataset and the parameters, so a resume regenerates it
-//! as a fresh run does: it runs the statistics job (unobserved — its
-//! records are in the journal) and schedule generation, and appends nothing
-//! until the job-1 cost, bit for bit, and the schedule digest equal the
-//! journaled ones; a mismatch is [`MrError::Checkpoint`]. One more
-//! resolution stage resumes the fold against the regenerated schedule (a
-//! task with no cut starts from scratch; with no schedule journaled the run
-//! goes on as a fresh one) — still cutting in-line, so a resumed run can be
-//! killed and resumed again — to the bit-identical final result: same
-//! duplicates, curve, timeline, and total virtual cost as the uninterrupted
-//! run. A task's deltas depend only on its own deterministic execution, so
-//! the records a retried attempt re-emits are not taken again, and the fold
-//! never depends on how the worker threads interleaved their appends.
+//! but the journal and the dataset. It refuses, with
+//! [`JournalError::BadState`], a journal without the three parameters every
+//! journal holds — `machines`, `checkpoint_every` (the grid the resumed run
+//! keeps cutting on, not [`DurableOptions`]'s), `dataset` — or journaled
+//! against another dataset. The schedule is a pure function of the dataset
+//! and the parameters, so a resume re-runs the statistics job (unobserved:
+//! its records are in the journal) and schedule generation, and appends
+//! nothing until the job-1 cost, bit for bit, and the schedule digest equal
+//! the journaled ones ([`MrError::Checkpoint`] otherwise). One more
+//! resolution stage resumes the fold — still cutting in-line, so it can be
+//! killed and resumed again — to the bit-identical final result. A task's
+//! deltas depend only on its own deterministic execution, so the records a
+//! retried attempt re-emits are not taken again, and the fold never depends
+//! on how the worker threads interleaved their appends.
 //!
 //! Tasks that exhaust their attempt budget are captured into the journal's
 //! dead-letter queue with full failure history; [`reprocess_dlq`] drains
@@ -69,8 +62,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pper_datagen::Dataset;
 use pper_journal::{
-    recover, AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore,
-    TaskClass, TaskProgress, MAGIC,
+    AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore, TaskClass,
+    TaskProgress,
 };
 use pper_mapreduce::fxhash::FxHasher;
 use pper_mapreduce::{MrError, TaskEvent, TaskKind, TaskObserver};
@@ -78,7 +71,7 @@ use pper_schedule::DomList;
 use serde::{Deserialize, Serialize};
 
 use crate::job1::run_job1;
-use crate::job2::{run_job2_stage, CutSink, Stage};
+use crate::job2::{check_faults, check_grid, run_job2_stage, CutSink, Stage};
 use crate::pipeline::{ErRunResult, ProgressiveEr};
 
 /// Knobs for a durable run.
@@ -215,22 +208,16 @@ struct Writer {
 }
 
 impl Writer {
-    /// Open the job's journal to append behind `fold`, the fold of what it
-    /// already holds.
-    fn open(
-        store: &Arc<dyn JournalStore>,
-        job_id: &str,
-        opts: &DurableOptions,
-        fold: JournalState,
-    ) -> Result<Arc<Mutex<Self>>, JournalError> {
-        let mut journal = JobJournal::create(Arc::clone(store), job_id)?;
-        journal.set_kill_after(opts.kill_after_events);
-        Ok(Arc::new(Mutex::new(Self {
+    /// Append to the opened `journal` behind `fold`, the fold of what it
+    /// already holds, killing the process after the `kill`-th append.
+    fn open(mut journal: JobJournal, kill: Option<u64>, fold: JournalState) -> Arc<Mutex<Self>> {
+        journal.set_kill_after(kill);
+        Arc::new(Mutex::new(Self {
             journal,
             fold,
             parked: None,
             dead_lettered: Vec::new(),
-        })))
+        }))
     }
 
     /// The one append: a record the fold does not take — a cut that is not
@@ -360,55 +347,21 @@ fn finish_stage<T>(
     }
 }
 
-/// What a resume starts the resolution job from: the job-1 cost and
-/// schedule digest the regenerated ones must equal, and the journal's fold
-/// of each task's checkpoint cuts.
-struct Resume<'s> {
+/// What a resume starts the resolution job from, once the journal holds a
+/// schedule: the job-1 cost and schedule digest the regenerated ones must
+/// equal, and the journal's fold of each task's checkpoint cuts.
+struct Resume {
     job1_cost: f64,
     digest: u64,
-    tasks: &'s [TaskProgress],
+    tasks: Vec<TaskProgress>,
 }
 
-/// The [`Resume`] a job's journal holds, or `None` before the schedule was
-/// journaled — there is nothing to resume yet. The cuts are tied to the
-/// machine count `cut_on` that the `JobStarted` parameters record (the wave
-/// layout decides the global timeline): a resume configured for another one
-/// is refused.
-fn journaled_resume<'s>(
-    state: &'s JournalState,
-    cut_on: &str,
-    machines: usize,
-) -> Result<Option<Resume<'s>>, MrError> {
-    let Some((job1_cost, digest)) = state.schedule else {
-        return Ok(None);
-    };
-    let cut_on: usize = cut_on.parse().map_err(|_| {
-        MrError::Checkpoint(format!("journaled machines '{cut_on}' is not a count"))
-    })?;
-    if cut_on != machines {
-        return Err(MrError::Checkpoint(format!(
-            "checkpoint was cut on {cut_on} machines but resume is configured for {machines}"
-        )));
-    }
-    Ok(Some(Resume {
-        job1_cost,
-        digest,
-        tasks: &state.tasks,
-    }))
-}
-
-/// Drive the pipeline to completion, journaling as it goes. `first` opens
-/// this process's stretch of the log (`JobStarted`, or the `DlqDrained`
-/// records of a reprocess), ahead of the first record a stage appends.
-///
-/// `resume` is what the journal holds to resume from; `None` runs as a
-/// fresh run does. The `er` passed here must already have the journaling
-/// observer installed.
-///
-/// Once a durable entry point has a journal to append to, every exit is
-/// this function's, and it syncs on all of them: a result, and an error a
-/// caller may act on by resuming, is reported only once the records it
-/// rests on are on disk.
+/// Drive the pipeline, with the journaling observer installed in `er`, to
+/// completion from `resume` (`None` runs as a fresh run does). `first`
+/// opens this process's stretch of the log (`JobStarted`, or a reprocess's
+/// `DlqDrained` records) ahead of the first record a stage appends. Every
+/// exit of an entry point with a journal is this function's, and it syncs
+/// on each: nothing is reported before the records it rests on are on disk.
 fn drive(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -416,7 +369,7 @@ fn drive(
     writer: &Mutex<Writer>,
     every: f64,
     first: &[JournalEvent],
-    resume: Option<Resume<'_>>,
+    resume: Option<Resume>,
 ) -> Result<ErRunResult, DurableError> {
     let outcome = run_jobs(er, ds, job_id, writer, every, first, resume);
     let synced = writer.lock().journal.sync();
@@ -430,7 +383,7 @@ fn run_jobs(
     writer: &Mutex<Writer>,
     every: f64,
     first: &[JournalEvent],
-    resume: Option<Resume<'_>>,
+    resume: Option<Resume>,
 ) -> Result<ErRunResult, DurableError> {
     let config = &er.config;
     let append = |event: &JournalEvent| writer.lock().append_unparked(event);
@@ -480,7 +433,7 @@ fn run_jobs(
     let emit = |event| writer.lock().append_or_park(&event);
     let sink = CutSink { every, emit: &emit };
     let stage = Stage {
-        resume: resume.as_ref().map(|resume| resume.tasks),
+        resume: resume.as_ref().map(|resume| resume.tasks.as_slice()),
         cuts: Some(&sink),
         observer: None,
     };
@@ -502,16 +455,6 @@ fn run_jobs(
     Ok(result)
 }
 
-fn check_every(every: f64) -> Result<(), DurableError> {
-    if every.is_finite() && every > 0.0 {
-        Ok(())
-    } else {
-        Err(DurableError::Run(MrError::Checkpoint(format!(
-            "checkpoint_every must be finite and positive, got {every}"
-        ))))
-    }
-}
-
 /// Run the pipeline durably: journal every lifecycle event to `store`
 /// under `job_id`, checkpoint the resolution job on the
 /// [`DurableOptions::checkpoint_every`] grid, and return the final result —
@@ -528,8 +471,11 @@ fn check_every(every: f64) -> Result<(), DurableError> {
 ///
 /// A `params` entry under one of those three keys, and a configuration with
 /// more blocking families than a dominance list holds, are refused
-/// ([`MrError::InvalidConfig`]) before the journal is created, as is a
-/// cluster with no machines ([`MrError::InvalidCluster`]). A log of another
+/// ([`MrError::InvalidConfig`]) before the journal is created, as are a
+/// grid spacing that is not finite and positive ([`MrError::Checkpoint`]),
+/// a cluster with no machines ([`MrError::InvalidCluster`]) and a fault
+/// plan the resolution job cannot run ([`MrError::InvalidFaultPlan`]). A
+/// log of another
 /// format version is refused with [`JournalError::UnsupportedVersion`], and
 /// a log that holds any byte past its header with
 /// [`JournalError::BadState`], before anything is appended: a job id names
@@ -542,7 +488,7 @@ pub fn run_durable(
     params: &[(String, String)],
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
-    check_every(opts.checkpoint_every)?;
+    check_grid(opts.checkpoint_every)?;
     // What a resume checks. Rust's float Display is shortest-round-trip, so
     // the grid spacing survives the string trip exactly.
     let checked = [
@@ -561,14 +507,9 @@ pub fn run_durable(
     }
     DomList::check_capacity(er.config.families.len())?;
     er.config.cluster().check(job_id)?;
-    let writer = Writer::open(store, job_id, opts, JournalState::default())?;
-    if store.read(job_id)?.len() > MAGIC.len() {
-        return Err(JournalError::BadState(format!(
-            "job '{job_id}' already has a journal: a job id names one run, which only a \
-             resume or a dead-letter reprocess continues"
-        ))
-        .into());
-    }
+    check_faults(ds, &er.config)?;
+    let journal = JobJournal::start(Arc::clone(store), job_id)?;
+    let writer = Writer::open(journal, opts.kill_after_events, JournalState::default());
     let er = with_observer(er, &writer);
     let own = checked.map(|(key, value)| (key.to_string(), value));
     let started = JournalEvent::JobStarted {
@@ -596,7 +537,7 @@ fn dataset_digest(ds: &Dataset) -> String {
     format!("{} entities, fxhash {:016x}", ds.entities.len(), h.finish())
 }
 
-/// Recover, fold, and run the job on from what the journal holds: the
+/// Reopen, fold, and run the job on from what the journal holds: the
 /// body of [`resume_durable`] and, with `drain_dlq`, of [`reprocess_dlq`].
 fn redrive(
     er: &ProgressiveEr,
@@ -606,12 +547,8 @@ fn redrive(
     opts: &DurableOptions,
     drain_dlq: bool,
 ) -> Result<ErRunResult, DurableError> {
-    let rec = recover(store, job_id)?;
-    if !rec.report.clean() {
-        // So new records never land behind garbage.
-        store.truncate_log(job_id, rec.report.valid_bytes)?;
-    }
-    let state = JournalState::replay(&rec.events);
+    let (journal, recovered) = JobJournal::reopen(Arc::clone(store), job_id)?;
+    let mut state = JournalState::replay(&recovered.events);
     let bad_state = |why: String| DurableError::Journal(JournalError::BadState(why));
     if state.job_id.is_none() {
         return Err(bad_state(format!(
@@ -644,22 +581,45 @@ fn redrive(
             "journaled checkpoint_every '{every}' is not a number"
         ))
     })?;
-    check_every(every)?;
+    check_grid(every)?;
     DomList::check_capacity(er.config.families.len())?;
-    let resume = journaled_resume(&state, cut_on, er.config.machines)?;
-    let writer = Writer::open(store, job_id, opts, state.clone())?;
+    let cut_on: usize = cut_on.parse().map_err(|_| {
+        MrError::Checkpoint(format!("journaled machines '{cut_on}' is not a count"))
+    })?;
+    let dlq = if drain_dlq { &state.dlq[..] } else { &[] };
+    let drained: Vec<_> = dlq
+        .iter()
+        .map(|e| JournalEvent::DlqDrained { seq: e.seq })
+        .collect();
+    // Cuts are tied to the machine count they were cut on (the wave layout
+    // decides the global timeline). The duplicates move into the resume:
+    // the writer's fold takes a cut by its task's count of cuts alone.
+    let machines = er.config.machines;
+    let resume = match state.schedule {
+        None => None,
+        Some(_) if cut_on != machines => {
+            return Err(MrError::Checkpoint(format!(
+                "checkpoint was cut on {cut_on} machines but resume is configured for {machines}"
+            ))
+            .into())
+        }
+        Some((job1_cost, digest)) => Some(Resume {
+            job1_cost,
+            digest,
+            tasks: (state.tasks.iter_mut())
+                .map(|task| TaskProgress {
+                    duplicates: std::mem::take(&mut task.duplicates),
+                    ..*task
+                })
+                .collect(),
+        }),
+    };
+    let writer = Writer::open(journal, opts.kill_after_events, state);
     let mut er = with_observer(er, &writer);
-    let mut drained = Vec::new();
     if drain_dlq {
         // The captured tasks re-enter the attempt loop without the fault
         // that killed them (the operational fix a DLQ exists for).
         er.config.faults = None;
-        drained.extend(
-            state
-                .dlq
-                .iter()
-                .map(|entry| JournalEvent::DlqDrained { seq: entry.seq }),
-        );
     }
     drive(&er, ds, job_id, &writer, every, &drained, resume)
 }

@@ -31,7 +31,7 @@ use pper_blocking::{
     BlockingFamily, BlockingKey, DatasetStats, OlpScratch, Signatures, Tree, TreeStats,
 };
 use pper_datagen::{Dataset, Entity, EntityId};
-use pper_mapreduce::cost::READ_PER_ENTITY;
+use pper_mapreduce::cost::{KEY_PER_ENTITY, READ_PER_ENTITY};
 use pper_mapreduce::prelude::*;
 
 use crate::config::ErConfig;
@@ -102,8 +102,7 @@ impl Mapper for AnnotateMapper<'_> {
 
     fn map(&self, entity: &Entity, ctx: &mut TaskContext, out: &mut Emitter<Job1Key, EntityId>) {
         for (f, family) in self.families.iter().enumerate() {
-            // Key extraction is a char-scan: charge it like an entity read.
-            ctx.charge(READ_PER_ENTITY * 0.25);
+            ctx.charge(KEY_PER_ENTITY);
             let key = RootKey(BlockingKey::of(&family.levels[0], entity));
             out.emit((f as u8, key), entity.id);
         }

@@ -85,7 +85,9 @@ use std::sync::Arc;
 use pper_blocking::BlockingFamily;
 use pper_datagen::{Dataset, Entity, EntityId};
 use pper_journal::{JournalEvent, TaskProgress};
-use pper_mapreduce::cost::{block_additional_cost, sort_cost, READ_PER_ENTITY, RESOLVE_PAIR};
+use pper_mapreduce::cost::{
+    block_additional_cost, sort_cost, KEY_PER_ENTITY, READ_PER_ENTITY, RESOLVE_PAIR, SCHEDULE_SORTS,
+};
 use pper_mapreduce::fxhash::{FxHashMap, FxHashSet};
 use pper_mapreduce::prelude::*;
 use pper_progressive::{LevelPolicy, MechanismKind, PairSource, StopState};
@@ -114,14 +116,14 @@ impl<'d> Mapper for RouteMapper<'d> {
         // Every map task generates the progressive schedule from the
         // gathered statistics (§III-B). The dominant term is sorting SL.
         let total_blocks: usize = self.schedule.trees.iter().map(|t| t.nodes.len()).sum();
-        ctx.charge(sort_cost(total_blocks) * 2.0);
+        ctx.charge(sort_cost(total_blocks) * SCHEDULE_SORTS);
         ctx.counters.incr("job2_schedules_generated");
     }
 
     fn map(&self, entity: &&'d Entity, ctx: &mut TaskContext, out: &mut Emitter<u64, Routed<'d>>) {
         let entity = *entity;
         self.locator.route(entity, |tree, list| {
-            ctx.charge(READ_PER_ENTITY * 0.25);
+            ctx.charge(KEY_PER_ENTITY);
             out.emit(tree as u64, (entity, list));
         });
     }
@@ -721,6 +723,34 @@ fn check_fold(schedule: &Schedule, entities: usize, tasks: &[TaskProgress]) -> R
     Ok(())
 }
 
+/// The runtime configuration of the resolution job: the pipeline's, with
+/// its fault plan.
+fn job_config(config: &ErConfig) -> JobConfig {
+    let mut cfg = config.job_config("pper-job2-resolution");
+    cfg.faults = config.faults.clone();
+    cfg
+}
+
+/// Refuse a fault plan the resolution job on `ds` cannot run
+/// ([`MrError::InvalidFaultPlan`]) by the rule the runtime applies when the
+/// job starts — so a caller can refuse it before job 1 runs.
+pub(crate) fn check_faults(ds: &Dataset, config: &ErConfig) -> Result<(), MrError> {
+    job_config(config).check_faults(ds.len())
+}
+
+/// Refuse a checkpoint grid whose spacing `every` is not finite and
+/// positive ([`MrError::Checkpoint`]).
+pub(crate) fn check_grid(every: f64) -> Result<(), MrError> {
+    if every.is_finite() && every > 0.0 {
+        Ok(())
+    } else {
+        Err(MrError::Checkpoint(format!(
+            "the checkpoint grid's spacing (checkpoint_every) must be finite and positive, \
+             got {every}"
+        )))
+    }
+}
+
 /// Run the second job against `schedule` with `stage` installed. A resumed
 /// job runs the schedule its fold was cut against — the watermarks index
 /// into it.
@@ -772,17 +802,10 @@ pub fn run_job2_stage(
         check_fold(schedule, ds.len(), tasks)?;
     }
     if let Some(sink) = stage.cuts {
-        if !(sink.every.is_finite() && sink.every > 0.0) {
-            return Err(MrError::Checkpoint(format!(
-                "checkpoint grid spacing must be finite and positive, got {}",
-                sink.every
-            )));
-        }
+        check_grid(sink.every)?;
     }
 
-    let mut cfg = config.job_config("pper-job2-resolution");
-    cfg.faults = config.faults.clone();
-
+    let cfg = job_config(config);
     let reducer = ResolveReducer::new(config, schedule, stage);
     let mapper = RouteMapper {
         schedule,

@@ -11,7 +11,7 @@ use pper_schedule::{generate_schedule, DomList, EstimationContext, Schedule};
 
 use crate::config::ErConfig;
 use crate::job1::run_job1;
-use crate::job2::{run_job2, Job2Result};
+use crate::job2::{check_faults, run_job2, Job2Result};
 use crate::metrics::RecallCurve;
 
 /// Result of one ER run (ours or a baseline) — everything the experiment
@@ -108,9 +108,12 @@ impl ProgressiveEr {
     /// in each map task's setup; computed once here and shared, §III-B),
     /// then the resolution job from its first block. A configuration with
     /// more blocking families than a dominance list holds is refused with
-    /// [`MrError::InvalidConfig`] before the statistics job starts.
+    /// [`MrError::InvalidConfig`], and a fault plan the resolution job
+    /// cannot run with [`MrError::InvalidFaultPlan`], before the statistics
+    /// job starts.
     pub fn try_run(&self, ds: &Dataset) -> Result<ErRunResult, MrError> {
         DomList::check_capacity(self.config.families.len())?;
+        check_faults(ds, &self.config)?;
         let job1 = run_job1(ds, &self.config)?;
         let schedule = Arc::new(self.generate_schedule(ds, &job1.stats));
         let job2 = run_job2(ds, &self.config, schedule)?;

@@ -6,12 +6,17 @@
 //! counts, and the final recall are invariant. Exhausting the budget must
 //! fail the job loudly instead of silently corrupting results.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use pper_datagen::{Dataset, PubGen};
-use pper_er::{BasicApproach, BasicConfig, ErConfig, ErRunResult, ProgressiveEr};
+use pper_er::{
+    run_durable, BasicApproach, BasicConfig, DurableError, DurableOptions, ErConfig, ErRunResult,
+    ProgressiveEr,
+};
+use pper_journal::MemStore;
 use pper_mapreduce::faults::MAX_ATTEMPTS;
-use pper_mapreduce::{FaultPlan, MrError, TaskKind};
+use pper_mapreduce::{FaultPlan, MrError, TaskKind, TaskObserver};
 use proptest::prelude::*;
 
 fn dataset() -> &'static Dataset {
@@ -146,14 +151,41 @@ fn exhausting_the_attempt_budget_fails_the_job() {
     }
 }
 
+/// A fault plan aimed at a task the resolution job does not have is
+/// refused before the statistics job runs a task, and before a durable run
+/// creates its journal: a run that could never finish leaves nothing behind.
 #[test]
 fn out_of_range_fault_plans_are_rejected_upfront() {
-    match run_pipeline(Some(FaultPlan::fail_reduce(99, 1))) {
+    let mut config = ErConfig::citeseer(2);
+    config.faults = Some(FaultPlan::fail_reduce(99, 1));
+    let tasks = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&tasks);
+    config.observer = Some(TaskObserver::new(move |_| {
+        seen.fetch_add(1, Ordering::SeqCst);
+    }));
+    let er = ProgressiveEr::new(config);
+    match er.try_run(dataset()) {
         Err(MrError::InvalidFaultPlan(msg)) => {
             assert!(msg.contains("99"), "message should name the index: {msg}")
         }
         other => panic!("expected InvalidFaultPlan, got {other:?}"),
     }
+    assert_eq!(tasks.load(Ordering::SeqCst), 0, "a task ran");
+
+    let store = MemStore::shared();
+    let opts = DurableOptions::default();
+    let refused = run_durable(&er, dataset(), &store, "faults", &[], &opts);
+    assert!(
+        matches!(
+            refused,
+            Err(DurableError::Run(MrError::InvalidFaultPlan(_)))
+        ),
+        "{refused:?}"
+    );
+    assert!(
+        store.list_jobs().unwrap().is_empty(),
+        "a journal was created"
+    );
 }
 
 #[test]

@@ -84,7 +84,7 @@ fn journal_of<'e>(
     events: impl IntoIterator<Item = &'e JournalEvent>,
 ) -> Arc<dyn JournalStore> {
     let store = MemStore::shared();
-    let mut journal = JobJournal::create(Arc::clone(&store), job).unwrap();
+    let mut journal = JobJournal::start(Arc::clone(&store), job).unwrap();
     for event in events {
         journal.append(event).unwrap();
     }
@@ -904,7 +904,80 @@ fn resume_of_empty_journal_is_an_error() {
     let ds = dataset();
     let store = MemStore::shared();
     let err = resume_durable(&er, &ds, &store, "job-none", &opts(EVERY));
-    assert!(err.is_err(), "no journal should not resume");
+    assert!(
+        matches!(err, Err(DurableError::Journal(JournalError::NotFound(_)))),
+        "no journal should not resume: {err:?}"
+    );
+    assert!(
+        store.list_jobs().unwrap().is_empty(),
+        "a journal was created"
+    );
+}
+
+/// The checkpoint grid's spacing must be finite and positive, by one rule
+/// wherever it is read: `run_durable` refuses another before the journal
+/// exists; a resume refuses a journaled one, or one that is not a number,
+/// before anything is appended; and job 2 refuses a cut sink's before any
+/// task runs.
+#[test]
+fn a_grid_spacing_that_is_not_finite_and_positive_is_refused() {
+    let ds = dataset();
+    let er = small_pipeline();
+    for every in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let store = MemStore::shared();
+        let refused = run_durable(&er, &ds, &store, "job-grid", &[], &opts(every));
+        let Err(DurableError::Run(MrError::Checkpoint(why))) = refused else {
+            panic!("spacing {every} was not refused: {refused:?}");
+        };
+        assert!(why.contains("checkpoint_every"), "{why}");
+        assert!(store.list_jobs().unwrap().is_empty(), "{every}");
+    }
+
+    let (events, _) = finished_journal(&er, &ds, "job-grid");
+    let mut killed = killed_mid_reduce(&events);
+    for every in ["0", "abc"] {
+        if let JournalEvent::JobStarted { params, .. } = &mut killed[0] {
+            let (_, value) = params
+                .iter_mut()
+                .find(|(k, _)| k == "checkpoint_every")
+                .unwrap();
+            *value = every.to_string();
+        }
+        let store = journal_of("job-grid", &killed);
+        let before = store.read("job-grid").unwrap();
+        let why = match resume_durable(&er, &ds, &store, "job-grid", &opts(EVERY)) {
+            Err(DurableError::Run(MrError::Checkpoint(why))) if every == "0" => why,
+            Err(DurableError::Journal(JournalError::BadState(why))) if every == "abc" => why,
+            other => panic!("a journaled spacing '{every}' was not refused: {other:?}"),
+        };
+        assert!(why.contains("checkpoint_every"), "{why}");
+        assert_eq!(store.read("job-grid").unwrap(), before, "{every}");
+    }
+
+    let job1 = run_job1(&ds, &er.config).unwrap();
+    let schedule = er.generate_schedule(&ds, &job1.stats);
+    let mut observed = er.config.clone();
+    let tasks = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&tasks);
+    observed.observer = Some(pper_mapreduce::TaskObserver::new(move |_| {
+        seen.fetch_add(1, Ordering::SeqCst);
+    }));
+    let emit = |cut: JournalEvent| panic!("a refused sink was handed {cut:?}");
+    let sink = CutSink {
+        every: 0.0,
+        emit: &emit,
+    };
+    let stage = Stage {
+        cuts: Some(&sink),
+        ..Stage::default()
+    };
+    let refused = run_job2_stage(&ds, &observed, &schedule, stage);
+    assert!(
+        matches!(refused, Err(MrError::Checkpoint(_))),
+        "{:?}",
+        refused.map(|job2| job2.duplicates.len())
+    );
+    assert_eq!(tasks.load(Ordering::SeqCst), 0, "a task ran");
 }
 
 /// A journal pins the dataset it was written against: a resume handed a
@@ -1495,6 +1568,76 @@ impl JournalStore for SyncLog {
     fn list_jobs(&self) -> Result<Vec<String>, JournalError> {
         self.inner.list_jobs()
     }
+}
+
+/// A `MemStore` that counts the reads of its logs.
+#[derive(Default)]
+struct ReadCount {
+    inner: MemStore,
+    reads: AtomicU64,
+}
+
+impl ReadCount {
+    /// The reads since the last call.
+    fn take(&self) -> u64 {
+        self.reads.swap(0, Ordering::SeqCst)
+    }
+}
+
+impl JournalStore for ReadCount {
+    fn append(&self, job: &str, bytes: &[u8]) -> Result<u64, JournalError> {
+        self.inner.append(job, bytes)
+    }
+
+    fn read(&self, job: &str) -> Result<Vec<u8>, JournalError> {
+        self.reads.fetch_add(1, Ordering::SeqCst);
+        self.inner.read(job)
+    }
+
+    fn sync(&self, job: &str) -> Result<(), JournalError> {
+        self.inner.sync(job)
+    }
+
+    fn truncate_log(&self, job: &str, len: u64) -> Result<(), JournalError> {
+        self.inner.truncate_log(job, len)
+    }
+
+    fn list_jobs(&self) -> Result<Vec<String>, JournalError> {
+        self.inner.list_jobs()
+    }
+}
+
+/// Each durable entry point reads the job's log once: `pper-journal` opens
+/// it, checking a new run's header or recovering a resumed run's records
+/// (and cutting a torn tail off) in that one read.
+#[test]
+fn each_entry_point_reads_the_log_once() {
+    let ds = PubGen::new(600, 417).generate();
+    let er = small_pipeline();
+    let counted = Arc::new(ReadCount::default());
+    let store: Arc<dyn JournalStore> = Arc::<ReadCount>::clone(&counted);
+    let golden =
+        ResultFingerprint::of(&run_durable(&er, &ds, &store, "run", &[], &opts(EVERY)).unwrap());
+    assert_eq!(counted.take(), 1, "run_durable");
+
+    let (events, bytes) = finished_journal(&er, &ds, "resume");
+    let kill = events[killed_mid_reduce(&events).len()].0 as usize;
+    store.append("resume", &bytes[..kill - 2]).unwrap();
+    let resumed = resume_durable(&er, &ds, &store, "resume", &opts(EVERY)).unwrap();
+    assert_eq!(ResultFingerprint::of(&resumed), golden);
+    assert_eq!(counted.take(), 1, "resume_durable of a torn log");
+
+    let mut faulty = small_pipeline();
+    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
+    let dead = run_durable(&faulty, &ds, &store, "dlq", &[], &opts(EVERY));
+    assert!(
+        matches!(dead, Err(DurableError::DeadLettered { .. })),
+        "{dead:?}"
+    );
+    counted.take();
+    let reprocessed = reprocess_dlq(&faulty, &ds, &store, "dlq", &opts(EVERY)).unwrap();
+    assert_eq!(ResultFingerprint::of(&reprocessed), golden);
+    assert_eq!(counted.take(), 1, "reprocess_dlq");
 }
 
 /// `JobJournal`'s private sync budget: the unsynced bytes at which an

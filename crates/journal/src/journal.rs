@@ -10,7 +10,9 @@
 //! therefore lose at most one budget of records, as a torn or garbage tail
 //! behind a valid prefix. [`recover`] is the read side: it parses the
 //! longest valid record prefix (tolerating that tail) and decodes it to
-//! `(offset, event)` pairs.
+//! `(offset, event)` pairs. A log is opened with one read, by
+//! [`JobJournal::start`] for a new run and by [`JobJournal::reopen`] to
+//! continue one (cutting an unclean tail back to the valid prefix).
 //! [`JournalState`] folds that stream into "where was this job" — enough
 //! for a fresh process to reconstruct the run and continue (the job-1 cost
 //! and schedule digest a regenerated schedule must match, and per reduce
@@ -60,28 +62,54 @@ impl std::fmt::Debug for JobJournal {
 }
 
 impl JobJournal {
-    /// Open (creating if absent) the journal for `job_id`.
-    ///
-    /// A brand-new journal gets the magic header written and synced before
-    /// this returns; an existing one has its header validated so appending
-    /// to a foreign, corrupt or other-version file fails fast.
-    pub fn create(store: Arc<dyn JournalStore>, job_id: &str) -> Result<Self, JournalError> {
+    /// Start `job_id`'s journal with one read of its log. An absent or empty
+    /// log gets the magic header, synced; any other has its header checked
+    /// (`BadHeader`, `UnsupportedVersion`) and is refused, untouched, with
+    /// [`JournalError::BadState`] if it holds a byte past it: a job id names
+    /// one run, which only [`JobJournal::reopen`] continues.
+    pub fn start(store: Arc<dyn JournalStore>, job_id: &str) -> Result<Self, JournalError> {
         match store.read(job_id) {
-            Ok(bytes) if !bytes.is_empty() => frame::check_header(&bytes)?,
+            Ok(bytes) if !bytes.is_empty() => {
+                frame::check_header(&bytes)?;
+                if bytes.len() > MAGIC.len() {
+                    return Err(JournalError::BadState(format!(
+                        "job '{job_id}' already has a journal: a job id names one run, which \
+                         only a resume or a dead-letter reprocess continues"
+                    )));
+                }
+            }
             Ok(_) | Err(JournalError::NotFound(_)) => {
                 store.append(job_id, &MAGIC)?;
                 store.sync(job_id)?;
             }
             Err(e) => return Err(e),
         }
-        Ok(Self {
+        Ok(Self::appending(store, job_id))
+    }
+
+    /// Reopen `job_id`'s journal to continue it with one read of its log:
+    /// the handle and what [`recover`] returns, with an unclean tail cut back
+    /// to the valid prefix. An absent log is [`JournalError::NotFound`].
+    pub fn reopen(
+        store: Arc<dyn JournalStore>,
+        job_id: &str,
+    ) -> Result<(Self, RecoveredJournal), JournalError> {
+        let recovered = decode(&store.read(job_id)?)?;
+        if !recovered.report.clean() {
+            store.truncate_log(job_id, recovered.report.valid_bytes)?;
+        }
+        Ok((Self::appending(store, job_id), recovered))
+    }
+
+    fn appending(store: Arc<dyn JournalStore>, job_id: &str) -> Self {
+        Self {
             store,
             job_id: job_id.to_string(),
             events_appended: 0,
             kill_after: None,
             unsynced: 0,
             sync_failed: None,
-        })
+        }
     }
 
     /// Conformance-harness hook: once the `n`-th event is appended, the log
@@ -146,8 +174,8 @@ impl JobJournal {
     }
 }
 
-/// Result of [`recover`]: the decoded event stream plus what the frame
-/// layer had to drop to get there.
+/// Result of [`recover`] and [`JobJournal::reopen`]: the decoded event
+/// stream plus what the frame layer had to drop to get there.
 #[derive(Debug)]
 pub struct RecoveredJournal {
     /// `(byte offset of the record, event)` in append order.
@@ -165,8 +193,12 @@ pub fn recover(
     store: &Arc<dyn JournalStore>,
     job_id: &str,
 ) -> Result<RecoveredJournal, JournalError> {
-    let bytes = store.read(job_id)?;
-    let (frames, mut report) = frame::read_frames(&bytes)?;
+    decode(&store.read(job_id)?)
+}
+
+/// [`recover`] of a log already read.
+fn decode(bytes: &[u8]) -> Result<RecoveredJournal, JournalError> {
+    let (frames, mut report) = frame::read_frames(bytes)?;
     let mut events = Vec::with_capacity(frames.len());
     for (offset, payload) in frames {
         match JournalEvent::decode(payload) {
@@ -384,6 +416,7 @@ mod tests {
     use super::*;
     use crate::event::{AttemptFailure, TaskClass};
     use crate::store::MemStore;
+    use pper_vfs::{IoFault, IoOp};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn mem() -> Arc<dyn JournalStore> {
@@ -393,7 +426,7 @@ mod tests {
     #[test]
     fn append_recover_round_trip() {
         let store = mem();
-        let mut j = JobJournal::create(Arc::clone(&store), "rt").unwrap();
+        let mut j = JobJournal::start(Arc::clone(&store), "rt").unwrap();
         let ev1 = JournalEvent::JobStarted {
             job_id: "rt".into(),
             params: vec![("machines".into(), "2".into())],
@@ -435,10 +468,11 @@ mod tests {
         fn read(&self, job: &str) -> Result<Vec<u8>, JournalError> {
             self.inner.read(job)
         }
-        fn sync(&self, _job: &str) -> Result<(), JournalError> {
+        fn sync(&self, job: &str) -> Result<(), JournalError> {
             let n = self.syncs.fetch_add(1, Ordering::SeqCst);
             if n == self.fail_at {
-                return Err(JournalError::Store("sync failed".into()));
+                let path = std::path::Path::new(job);
+                return Err(IoFault::permanent(IoOp::Fsync, path, "sync failed").into());
             }
             Ok(())
         }
@@ -457,8 +491,8 @@ mod tests {
             fail_at,
         });
         let store: Arc<dyn JournalStore> = Arc::<CountingStore>::clone(&counted);
-        let journal = JobJournal::create(store, "grouped").unwrap();
-        assert_eq!(counted.syncs(), 1, "the header is synced by create");
+        let journal = JobJournal::start(store, "grouped").unwrap();
+        assert_eq!(counted.syncs(), 1, "the header is synced by start");
         (counted, journal)
     }
 
@@ -500,21 +534,41 @@ mod tests {
     }
 
     #[test]
-    fn create_is_idempotent_and_validates_header() {
+    fn start_refuses_a_journaled_id_and_validates_header() {
         let store = mem();
         {
-            let mut j = JobJournal::create(Arc::clone(&store), "idem").unwrap();
+            let mut j = JobJournal::start(Arc::clone(&store), "idem").unwrap();
             j.append(&JournalEvent::DlqDrained { seq: 0 }).unwrap();
         }
-        // Re-opening appends after existing events, never rewrites the header.
-        let mut j2 = JobJournal::create(Arc::clone(&store), "idem").unwrap();
+        // A job id names one run: starting it again is refused, the log
+        // untouched; reopening appends after the existing events.
+        let before = store.read("idem").unwrap();
+        let refused = JobJournal::start(Arc::clone(&store), "idem").unwrap_err();
+        assert!(matches!(&refused, JournalError::BadState(why) if why.contains("names one run")));
+        assert_eq!(store.read("idem").unwrap(), before);
+        let (mut j2, rec) = JobJournal::reopen(Arc::clone(&store), "idem").unwrap();
+        assert_eq!(rec.events.len(), 1);
         j2.append(&JournalEvent::DlqDrained { seq: 1 }).unwrap();
         let rec = recover(&store, "idem").unwrap();
         assert_eq!(rec.events.len(), 2);
+        // A header-only log holds no record: a run may start on it.
+        store.append("bare", &MAGIC).unwrap();
+        JobJournal::start(Arc::clone(&store), "bare").unwrap();
+        assert_eq!(store.read("bare").unwrap(), MAGIC);
+        // An absent log cannot be reopened, and reopening creates nothing.
+        assert_eq!(
+            JobJournal::reopen(Arc::clone(&store), "ghost").unwrap_err(),
+            JournalError::NotFound("ghost".into())
+        );
+        assert_eq!(store.list_jobs().unwrap(), ["bare", "idem"]);
         // A log that is not a journal is rejected.
         store.append("alien", b"not a journal at all").unwrap();
         assert!(matches!(
-            JobJournal::create(Arc::clone(&store), "alien"),
+            JobJournal::start(Arc::clone(&store), "alien"),
+            Err(JournalError::BadHeader(_))
+        ));
+        assert!(matches!(
+            JobJournal::reopen(Arc::clone(&store), "alien"),
             Err(JournalError::BadHeader(_))
         ));
         // So is a journal of another format version — typed, by both ends:
@@ -530,7 +584,11 @@ mod tests {
                 supported: 5,
             };
             assert_eq!(
-                JobJournal::create(Arc::clone(&store), &job).unwrap_err(),
+                JobJournal::start(Arc::clone(&store), &job).unwrap_err(),
+                unsupported
+            );
+            assert_eq!(
+                JobJournal::reopen(Arc::clone(&store), &job).unwrap_err(),
                 unsupported
             );
             assert_eq!(recover(&store, &job).unwrap_err(), unsupported);
@@ -541,7 +599,7 @@ mod tests {
     fn torn_tail_recovers_prefix() {
         let mstore = Arc::new(MemStore::new());
         let store: Arc<dyn JournalStore> = Arc::<MemStore>::clone(&mstore);
-        let mut j = JobJournal::create(Arc::clone(&store), "torn").unwrap();
+        let mut j = JobJournal::start(Arc::clone(&store), "torn").unwrap();
         j.append(&JournalEvent::DlqDrained { seq: 0 }).unwrap();
         j.append(&JournalEvent::DlqDrained { seq: 1 }).unwrap();
         let full = store.read("torn").unwrap().len();
@@ -553,6 +611,18 @@ mod tests {
             rec.report.dropped_bytes as usize,
             full - 2 - rec.report.valid_bytes as usize
         );
+        // `reopen` recovers the same prefix and cuts the tail off before
+        // the next record is appended.
+        let (mut j, reopened) = JobJournal::reopen(Arc::clone(&store), "torn").unwrap();
+        assert_eq!(reopened.events, rec.events);
+        assert_eq!(reopened.report, rec.report);
+        let valid = rec.report.valid_bytes as usize;
+        assert_eq!(store.read("torn").unwrap().len(), valid);
+        j.append(&JournalEvent::DlqDrained { seq: 2 }).unwrap();
+        let rec = recover(&store, "torn").unwrap();
+        assert!(rec.report.clean());
+        assert_eq!(rec.events.len(), 2);
+        assert_eq!(rec.events[1].0 as usize, valid);
     }
 
     #[test]
@@ -570,7 +640,7 @@ mod tests {
     #[test]
     fn state_replay_tracks_dlq() {
         let store = mem();
-        let mut j = JobJournal::create(Arc::clone(&store), "state").unwrap();
+        let mut j = JobJournal::start(Arc::clone(&store), "state").unwrap();
         j.append(&JournalEvent::JobStarted {
             job_id: "state".into(),
             params: vec![("dataset".into(), "ds.jsonl".into())],

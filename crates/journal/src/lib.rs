@@ -19,7 +19,9 @@
 //! * `store` — the [`JournalStore`] trait with an in-memory
 //!   implementation for tests ([`MemStore`]) and a file-per-job
 //!   implementation for real runs ([`FileStore`]).
-//! * `journal` — the [`JobJournal`] writer, which owns the sync policy
+//! * `journal` — the [`JobJournal`] writer, which opens a job's log
+//!   ([`JobJournal::start`] for a new run, [`JobJournal::reopen`] to
+//!   continue one, each with one read) and owns the sync policy
 //!   (a record is acknowledged once a sync covers it: every 128 KiB, and
 //!   whenever the runner asks; with an optional kill-after-N-events crash
 //!   hook for conformance harnesses),
@@ -65,13 +67,9 @@ pub use store::{FileStore, JournalStore, MemStore};
 /// Everything that can go wrong reading or writing a journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
-    /// The backing store failed (I/O error, unwritable directory, ...).
-    Store(String),
-    /// A typed storage fault from the VFS layer. Unlike [`Store`], the
-    /// class (transient / permanent / corrupt, plus a disk-full marker) is
-    /// machine-readable, so recovery policies can branch on it.
-    ///
-    /// [`Store`]: JournalError::Store
+    /// The backing store failed: a typed storage fault from the VFS layer,
+    /// whose class (transient / permanent / corrupt, plus a disk-full
+    /// marker) is machine-readable, so recovery policies can branch on it.
     Fault(pper_vfs::IoFault),
     /// No journal exists for the requested job id.
     NotFound(String),
@@ -98,7 +96,6 @@ pub enum JournalError {
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JournalError::Store(m) => write!(f, "journal store error: {m}"),
             JournalError::Fault(fault) => write!(f, "journal storage fault: {fault}"),
             JournalError::NotFound(job) => write!(f, "no journal for job '{job}'"),
             JournalError::BadJobId(job) => write!(

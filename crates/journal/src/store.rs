@@ -40,9 +40,9 @@ pub trait JournalStore: Send + Sync {
     /// Force appended bytes to stable storage (no-op for memory stores).
     fn sync(&self, job: &str) -> Result<(), JournalError>;
 
-    /// Cut the job's log back to `len` bytes. Recovery uses this to drop a
-    /// torn tail before new records are appended behind it; `len` past the
-    /// current end is a no-op.
+    /// Cut the job's log back to `len` bytes. [`crate::JobJournal::reopen`]
+    /// uses this to drop a torn tail before new records are appended behind
+    /// it; `len` past the current end is a no-op.
     fn truncate_log(&self, job: &str, len: u64) -> Result<(), JournalError>;
 
     /// Every job id with a log, sorted.

@@ -127,7 +127,7 @@ proptest! {
     ) {
         let mstore = Arc::new(MemStore::new());
         let store: Arc<dyn JournalStore> = Arc::<MemStore>::clone(&mstore);
-        let mut j = JobJournal::create(Arc::clone(&store), "trunc").expect("create");
+        let mut j = JobJournal::start(Arc::clone(&store), "trunc").expect("start");
         let mut appended = Vec::new();
         for (i, sel) in sels.iter().enumerate() {
             let ev = build_event(*sel, format!("{s1}-{i}"), nums, vec![]);
@@ -167,7 +167,7 @@ proptest! {
     ) {
         let mstore = Arc::new(MemStore::new());
         let store: Arc<dyn JournalStore> = Arc::<MemStore>::clone(&mstore);
-        let mut j = JobJournal::create(Arc::clone(&store), "corrupt").expect("create");
+        let mut j = JobJournal::start(Arc::clone(&store), "corrupt").expect("start");
         let mut appended = Vec::new();
         for sel in &sels {
             let ev = build_event(*sel, "job".into(), (7, 9, 11), vec![]);
@@ -278,7 +278,7 @@ fn realistic_sequence_truncation_sweep() {
     ];
     let mstore = Arc::new(MemStore::new());
     let store: Arc<dyn JournalStore> = Arc::<MemStore>::clone(&mstore);
-    let mut j = JobJournal::create(Arc::clone(&store), "sweep").unwrap();
+    let mut j = JobJournal::start(Arc::clone(&store), "sweep").unwrap();
     let mut ends = Vec::new(); // byte length after each append
     for ev in &events {
         j.append(ev).unwrap();

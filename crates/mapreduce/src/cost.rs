@@ -63,6 +63,13 @@ pub const RESOLVE_PAIR: f64 = 1.0;
 pub const SORT_PER_ENTITY: f64 = 0.05;
 /// Per-entity cost of reading/deserializing an entity inside a task.
 pub const READ_PER_ENTITY: f64 = 0.02;
+/// Per-entity cost of extracting one blocking key in a mapper: a char scan,
+/// a quarter of an entity read.
+pub const KEY_PER_ENTITY: f64 = READ_PER_ENTITY * 0.25;
+/// Sorts of the scheduled block list each map task of the resolution job
+/// charges to generate the schedule from the gathered statistics (§III-B;
+/// sorting dominates), in units of [`sort_cost`].
+pub const SCHEDULE_SORTS: f64 = 2.0;
 /// Per-record cost of emitting a key-value pair from a mapper (serialization
 /// plus shuffle buffering).
 pub const EMIT_PER_RECORD: f64 = 0.02;

@@ -132,6 +132,27 @@ impl JobConfig {
     pub fn reduce_tasks(&self) -> usize {
         self.cluster.reduce_slots().max(1)
     }
+
+    /// `(map tasks, reduce tasks)` of a run over `inputs` records: no more
+    /// map tasks than records, and at least one.
+    pub(crate) fn task_counts(&self, inputs: usize) -> (usize, usize) {
+        (self.map_tasks().min(inputs).max(1), self.reduce_tasks())
+    }
+
+    /// Validate the fault plan against the task counts of a run over
+    /// `inputs` records ([`MrError::InvalidFaultPlan`]): every referenced
+    /// task index must exist (a fault aimed at a task the job does not have
+    /// is a configuration bug, not a no-op) and every fault must be
+    /// well-formed. Attempt exhaustion is *not* pre-checked — it surfaces
+    /// through the attempt loop itself, like a real cluster.
+    pub fn check_faults(&self, inputs: usize) -> Result<(), MrError> {
+        let Some(plan) = &self.faults else {
+            return Ok(());
+        };
+        let (num_map, num_reduce) = self.task_counts(inputs);
+        plan.validate(num_map, num_reduce)
+            .map_err(|msg| MrError::InvalidFaultPlan(format!("job '{}': {msg}", self.name)))
+    }
 }
 
 /// Per-task state handed to user code: the virtual clock, counters and the

@@ -331,19 +331,6 @@ struct MapTaskOutput<K, V> {
     records: u64,
 }
 
-/// Validate a fault plan against the task counts before launching: every
-/// referenced task index must exist (a fault aimed at a task the job does
-/// not have is a configuration bug, not a no-op) and every fault must be
-/// well-formed. Attempt exhaustion is *not* pre-checked — it surfaces
-/// through the attempt loop itself, like a real cluster.
-fn check_fault_plan(cfg: &JobConfig, num_map: usize, num_reduce: usize) -> Result<(), MrError> {
-    let Some(plan) = &cfg.faults else {
-        return Ok(());
-    };
-    plan.validate(num_map, num_reduce)
-        .map_err(|msg| MrError::InvalidFaultPlan(format!("job '{}': {msg}", cfg.name)))
-}
-
 /// Run a job: map, route each record to [`Mapper::partition`]'s reduce
 /// task, group in memory, reduce.
 pub fn run_job<M, R>(
@@ -455,9 +442,8 @@ where
                   scheduling and costs run entirely on virtual time"
     )]
     let started = Instant::now();
-    let num_map = cfg.map_tasks().min(inputs.len()).max(1);
-    let num_reduce = cfg.reduce_tasks();
-    check_fault_plan(cfg, num_map, num_reduce)?;
+    cfg.check_faults(inputs.len())?;
+    let (num_map, num_reduce) = cfg.task_counts(inputs.len());
     let threads = cfg
         .worker_threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()));

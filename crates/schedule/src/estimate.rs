@@ -6,7 +6,7 @@
 //! change (a sub-tree split) reproduces the paper's split-update equations,
 //! because those are just Eq. 2–5 re-evaluated on the new structure.
 
-use pper_mapreduce::cost::block_additional_cost;
+use pper_mapreduce::cost::{block_additional_cost, RESOLVE_PAIR};
 use pper_progressive::LevelPolicy;
 
 use crate::plan::PlanTree;
@@ -33,8 +33,8 @@ pub fn window_pairs(n: usize, window: usize) -> u64 {
 /// Eq. (5) for a root block of `size` entities, `cov` of whose pairs are
 /// covered, above descendants whose `CostP` sums to `desc_costp`:
 /// `(full, Cost)`, where `full` is the windowed resolution's pair count
-/// scaled by the covered-pair ratio and `Cost = CostA + CostF − desc_costp`,
-/// floored at `CostA`.
+/// scaled by the covered-pair ratio, `CostF = full · RESOLVE_PAIR` and
+/// `Cost = CostA + CostF − desc_costp`, floored at `CostA`.
 pub(crate) fn root_cost(
     size: usize,
     cov: u64,
@@ -49,7 +49,10 @@ pub(crate) fn root_cost(
     };
     let full = window_pairs(size, ctx.policy.window_root) as f64 * cov_ratio;
     let cost_a = block_additional_cost(size);
-    (full, (cost_a + full - desc_costp).max(cost_a))
+    (
+        full,
+        (cost_a + full * RESOLVE_PAIR - desc_costp).max(cost_a),
+    )
 }
 
 /// Recompute `Dup`, `Dis`, `Cost` and `Util` for every node of `tree`,
@@ -60,7 +63,7 @@ pub(crate) fn root_cost(
 /// * `Dis(X) = min(Th(X), Remain(X))`,
 ///   `Remain(X) = Cov(X) − d(X) − Σ_desc Dis(desc)` — Eq. (4);
 /// * non-root: `Cost(X) = CostA(X) + CostP(X)` — Eq. (3), with
-///   `CostP(X) = (Dup(X) + Dis(X)) · resolve_pair`;
+///   `CostP(X) = (Dup(X) + Dis(X)) · RESOLVE_PAIR`;
 /// * root: `Cost(X) = CostA(X) + CostF(X) − Σ_desc CostP(desc)` — Eq. (5),
 ///   where `CostF` is the full windowed resolution cost scaled by the
 ///   block's covered-pair ratio (uncovered pairs are skipped by the
@@ -115,7 +118,7 @@ pub fn recompute_tree(tree: &mut PlanTree, ctx: &EstimationContext) {
             let desc_dis: f64 = desc.iter().map(|&i| tree.nodes[i].dis).sum();
             let remain = (node.cov as f64 - d[idx] - desc_dis).max(0.0);
             dis = (ctx.policy.termination(node.size) as f64).min(remain);
-            costp[idx] = dup + dis;
+            costp[idx] = (dup + dis) * RESOLVE_PAIR;
             cost = block_additional_cost(node.size) + costp[idx];
         }
 

@@ -404,7 +404,7 @@ fn resume_of_a_deleted_mechanism_is_refused() {
 
     // The killed run's records, re-journaled as the old build wrote them.
     let store: Arc<dyn JournalStore> = FileStore::shared(&journal).unwrap();
-    let mut old = JobJournal::create(Arc::clone(&store), "hierarchy").unwrap();
+    let mut old = JobJournal::start(Arc::clone(&store), "hierarchy").unwrap();
     for (_, event) in recover(&store, "sn").unwrap().events {
         let event = match event {
             JournalEvent::JobStarted { job_id, mut params } => {
