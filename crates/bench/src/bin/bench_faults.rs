@@ -22,7 +22,7 @@ use std::io::Write;
 use pper_bench::ExpOptions;
 use pper_datagen::PubGen;
 use pper_er::{resume_durable, run_durable, DurableOptions, ErConfig, ErRunResult, ProgressiveEr};
-use pper_journal::{recover, JournalEvent, JournalState, MemStore};
+use pper_journal::{recover, JobJournal, JournalEvent, MemStore};
 use pper_mapreduce::{FaultPlan, TaskKind};
 
 #[derive(Debug, serde::Serialize)]
@@ -124,12 +124,12 @@ fn main() -> std::io::Result<()> {
     killed
         .append("faults", &log[..events[killed_after_event].0 as usize])
         .expect("journal prefix");
-    let state = JournalState::replay(&events[..killed_after_event]);
+    let reopened = JobJournal::reopen(killed, "faults").expect("killed journal");
     eprintln!(
         "  killed after event {killed_after_event}: {}",
-        state.progress()
+        reopened.state.progress()
     );
-    let resumed = resume_durable(&er, &ds, &killed, "faults", &durable).expect("resume run");
+    let resumed = resume_durable(&er, &ds, reopened, &durable).expect("resume run");
     assert_eq!(
         resumed.duplicates, clean.duplicates,
         "resume must reproduce the duplicate set exactly"

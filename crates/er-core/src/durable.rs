@@ -1,60 +1,42 @@
 //! Durable job execution: journal every lifecycle event, checkpoint on a
-//! fixed virtual-cost grid, and resume or reprocess in a *fresh process*.
+//! fixed virtual-cost grid, and resume or reprocess in a *fresh process*
+//! (DESIGN.md, "Durable job journal").
 //!
-//! [`run_durable`] runs the pipeline once, start to finish — statistics
-//! job, schedule generation, resolution job — appending to the job's
-//! [`pper_journal`] log as it goes. The schedule itself is never journaled:
-//! `ScheduleGenerated` holds job 1's cost and the schedule's
-//! [`digest`](pper_schedule::Schedule::digest). The resolution job cuts its
-//! checkpoints *in-line*: through the [`CutSink`] on its one [`Stage`],
-//! every reduce task, as its own clock crosses the `checkpoint_every` grid
-//! (and at its last block), hands over a delta — blocks done, clock, and
-//! the duplicates found since its previous cut — appended as a
-//! `CheckpointCut` record before the task moves on: §III-B's per-task
-//! α-incremental result files, made the unit of recovery (see
-//! [`crate::job2`], "Durable execution"). Every task completion and every
-//! attempt-budget exhaustion (a `DeadLettered` record) is journaled through
-//! the runtime's [`TaskObserver`] hook. A healthy run executes each job
-//! exactly once and its counters are the uninterrupted run's.
+//! [`run_durable`] runs the pipeline once — statistics job, schedule
+//! generation, resolution job — appending to the job's [`pper_journal`]
+//! log as it goes. `ScheduleGenerated` holds job 1's cost and the
+//! schedule's [`digest`](pper_schedule::Schedule::digest), never the
+//! schedule. Through the [`CutSink`] on its one [`Stage`], every reduce
+//! task of the resolution job appends a `CheckpointCut` delta (blocks done,
+//! clock, the duplicates found since its previous cut) each time its own
+//! clock crosses the `checkpoint_every` grid, and at its last block:
+//! §III-B's per-task α-incremental result files, made the unit of recovery.
+//! Task completions and dead-letter captures are journaled through the
+//! runtime's [`TaskObserver`] hook. [`JobJournal`] syncs by itself once a
+//! byte budget has accumulated; this module adds a barrier behind
+//! `ScheduleGenerated`, before a dead-letter capture is reported, and on
+//! every return of an entry point. A failed sync is never retried.
 //!
-//! Appended is not yet synced. [`JobJournal`] syncs by itself once a byte
-//! budget of records has accumulated; this module adds a barrier only where
-//! something starts to rest on the records: after `ScheduleGenerated`,
-//! before the resolution job cuts against that schedule; before a
-//! dead-letter capture is reported; and on every return of [`run_durable`],
-//! [`resume_durable`] and [`reprocess_dlq`], `Ok` or `Err`. A sync that
-//! fails ends the run with the typed journal error — it is never retried.
+//! One read per process: [`run_durable`] starts the log
+//! ([`JobJournal::start`] refuses one that holds records — a job id names
+//! one run); the caller of [`resume_durable`] or [`reprocess_dlq`] reopens
+//! it ([`JobJournal::reopen`] folds it and cuts a torn tail off) and moves
+//! the [`Reopened`] value in. Every record goes through one writer behind
+//! one lock that appends by the reader's rule, [`JournalState::apply`]: it
+//! holds the fold (whose recovered duplicates move into the resumed stage),
+//! skips a record the fold does not take, and folds in each one it appends.
+//! A finished job's fold takes nothing, so its resume appends nothing.
 //!
-//! Opening the log is [`pper_journal`]'s, with one read per entry point:
-//! [`run_durable`] starts it ([`JobJournal::start`] refuses a log that
-//! holds records — a job id names one run), and a resume or reprocess
-//! reopens it ([`JobJournal::reopen`] cuts a torn tail off). Every record
-//! then goes through one writer behind one lock, which appends by the
-//! reader's rule, [`JournalState::apply`]: it holds the fold of the log
-//! (empty for a fresh run, the recovered one for a resume, whose
-//! duplicates the resumed stage holds instead), skips a record the fold
-//! does not take, and folds in each record it appends, so each task's next
-//! cut and the next dead-letter `seq` are the fold's.
-//!
-//! [`resume_durable`] reconstructs the run in a fresh process from nothing
-//! but the journal and the dataset. It refuses, with
-//! [`JournalError::BadState`], a journal without the three parameters every
-//! journal holds — `machines`, `checkpoint_every` (the grid the resumed run
-//! keeps cutting on, not [`DurableOptions`]'s), `dataset` — or journaled
-//! against another dataset. The schedule is a pure function of the dataset
-//! and the parameters, so a resume re-runs the statistics job (unobserved:
-//! its records are in the journal) and schedule generation, and appends
-//! nothing until the job-1 cost, bit for bit, and the schedule digest equal
-//! the journaled ones ([`MrError::Checkpoint`] otherwise). One more
-//! resolution stage resumes the fold — still cutting in-line, so it can be
-//! killed and resumed again — to the bit-identical final result. A task's
-//! deltas depend only on its own deterministic execution, so the records a
-//! retried attempt re-emits are not taken again, and the fold never depends
-//! on how the worker threads interleaved their appends.
-//!
-//! Tasks that exhaust their attempt budget are captured into the journal's
-//! dead-letter queue with full failure history; [`reprocess_dlq`] drains
-//! them back into the attempt loop.
+//! A resume refuses, with [`JournalError::BadState`], a journal without
+//! `machines`, `checkpoint_every` or `dataset`, or journaled against
+//! another dataset. It re-runs job 1 (unobserved) and schedule generation,
+//! appends nothing until job 1's cost and the schedule digest equal the
+//! journaled ones ([`MrError::Checkpoint`] otherwise), and resumes every
+//! task from its cuts, still cutting, to the bit-identical result. A
+//! task's deltas depend only on its own deterministic execution, so a
+//! retried attempt's are not taken again and the thread interleaving never
+//! shows. [`reprocess_dlq`] drains the dead-letter queue back into the
+//! attempt loop.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -62,8 +44,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pper_datagen::Dataset;
 use pper_journal::{
-    AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore, TaskClass,
-    TaskProgress,
+    AttemptFailure, JobJournal, JournalError, JournalEvent, JournalState, JournalStore, Reopened,
+    TaskClass, TaskProgress,
 };
 use pper_mapreduce::fxhash::FxHasher;
 use pper_mapreduce::{MrError, TaskEvent, TaskKind, TaskObserver};
@@ -197,7 +179,7 @@ impl ResultFingerprint {
 /// and the callbacks it installs (the task observer and the cut sink).
 struct Writer {
     journal: JobJournal,
-    /// The fold of the log: recovered, then extended by each append.
+    /// The fold of the log: reopened, then extended by each append.
     fold: JournalState,
     /// First journal error hit inside a callback (callbacks cannot return
     /// errors through the runtime, so they park them here).
@@ -220,10 +202,10 @@ impl Writer {
         }))
     }
 
-    /// The one append: a record the fold does not take — a cut that is not
-    /// next in line, re-emitted by a retried attempt or behind a failed
-    /// append — is skipped; any other is appended and, once written, folded
-    /// in.
+    /// The one append: a record the fold does not take — a cut not next in
+    /// line, re-emitted by a retried attempt or behind a failed append, or
+    /// any record of a finished job — is skipped; any other is appended and
+    /// folded in once written.
     fn append(&mut self, event: &JournalEvent) -> Result<(), JournalError> {
         if self.fold.takes(event) {
             self.journal.append(event)?;
@@ -474,12 +456,11 @@ fn run_jobs(
 /// ([`MrError::InvalidConfig`]) before the journal is created, as are a
 /// grid spacing that is not finite and positive ([`MrError::Checkpoint`]),
 /// a cluster with no machines ([`MrError::InvalidCluster`]) and a fault
-/// plan the resolution job cannot run ([`MrError::InvalidFaultPlan`]). A
-/// log of another
-/// format version is refused with [`JournalError::UnsupportedVersion`], and
-/// a log that holds any byte past its header with
-/// [`JournalError::BadState`], before anything is appended: a job id names
-/// one run, which only [`resume_durable`] and [`reprocess_dlq`] continue.
+/// plan the resolution job cannot run ([`MrError::InvalidFaultPlan`]). A log
+/// of another format version is refused with
+/// [`JournalError::UnsupportedVersion`], and one that holds any byte past
+/// its header with [`JournalError::BadState`], before anything is appended:
+/// a job id names one run, which only a resume or a reprocess continues.
 pub fn run_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
@@ -537,18 +518,19 @@ fn dataset_digest(ds: &Dataset) -> String {
     format!("{} entities, fxhash {:016x}", ds.entities.len(), h.finish())
 }
 
-/// Reopen, fold, and run the job on from what the journal holds: the
-/// body of [`resume_durable`] and, with `drain_dlq`, of [`reprocess_dlq`].
+/// Run the job on from what the reopened journal holds: the body of
+/// [`resume_durable`] and, with `drain_dlq`, of [`reprocess_dlq`].
 fn redrive(
     er: &ProgressiveEr,
     ds: &Dataset,
-    store: &Arc<dyn JournalStore>,
-    job_id: &str,
+    reopened: Reopened,
     opts: &DurableOptions,
     drain_dlq: bool,
 ) -> Result<ErRunResult, DurableError> {
-    let (journal, recovered) = JobJournal::reopen(Arc::clone(store), job_id)?;
-    let mut state = JournalState::replay(&recovered.events);
+    let Reopened {
+        journal, mut state, ..
+    } = reopened;
+    let job_id = journal.job_id().to_string();
     let bad_state = |why: String| DurableError::Journal(JournalError::BadState(why));
     if state.job_id.is_none() {
         return Err(bad_state(format!(
@@ -614,44 +596,48 @@ fn redrive(
                 .collect(),
         }),
     };
+    // The captured tasks re-enter the attempt loop without their fault (the
+    // fix a DLQ exists for); a finished job is replayed as it finished, so
+    // without faults once a reprocess has finished it.
+    let fault_free = drain_dlq || (state.finished.is_some() && state.next_dlq_seq > 0);
     let writer = Writer::open(journal, opts.kill_after_events, state);
     let mut er = with_observer(er, &writer);
-    if drain_dlq {
-        // The captured tasks re-enter the attempt loop without the fault
-        // that killed them (the operational fix a DLQ exists for).
+    if fault_free {
         er.config.faults = None;
     }
-    drive(&er, ds, job_id, &writer, every, &drained, resume)
+    drive(&er, ds, &job_id, &writer, every, &drained, resume)
 }
 
-/// Resume a durable job in a fresh process from nothing but its journal
-/// (and the dataset): the statistics job and schedule generation re-run,
-/// and once the schedule matches the journaled digest every reduce task of
-/// the resolution job picks up at its own latest checkpoint cut (if the
-/// kill landed before the schedule was journaled, the run goes on as a
+/// Resume a durable job in a fresh process from nothing but its journal,
+/// reopened by the caller ([`JobJournal::reopen`], the process's one read
+/// of the log), and the dataset: the statistics job and schedule generation
+/// re-run, and once the schedule matches the journaled digest every reduce
+/// task of the resolution job picks up at its own latest checkpoint cut (if
+/// the kill landed before the schedule was journaled, the run goes on as a
 /// fresh one). The final result is bit-identical to the uninterrupted run;
 /// the resumed run keeps cutting checkpoints and can itself be killed and
-/// resumed.
+/// resumed. A finished job is answered the same way, replayed from its
+/// cuts under the faults of the process that finished it (none after a
+/// reprocess), and its log is left as it was. The result's counters are
+/// this process's, not the job's.
 pub fn resume_durable(
     er: &ProgressiveEr,
     ds: &Dataset,
-    store: &Arc<dyn JournalStore>,
-    job_id: &str,
+    reopened: Reopened,
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
-    redrive(er, ds, store, job_id, opts, false)
+    redrive(er, ds, reopened, opts, false)
 }
 
-/// Drain the job's dead-letter queue back into the attempt loop: append a
-/// `DlqDrained` record per captured task, clear the fault injection from
-/// the configuration, and run the job on from its checkpoint cuts. With the
-/// fault gone the result equals the fault-free run bit for bit.
+/// Drain the reopened job's dead-letter queue back into the attempt loop:
+/// append a `DlqDrained` record per captured task, clear the fault
+/// injection from the configuration, and run the job on from its cuts.
+/// With the fault gone the result equals the fault-free run bit for bit.
 pub fn reprocess_dlq(
     er: &ProgressiveEr,
     ds: &Dataset,
-    store: &Arc<dyn JournalStore>,
-    job_id: &str,
+    reopened: Reopened,
     opts: &DurableOptions,
 ) -> Result<ErRunResult, DurableError> {
-    redrive(er, ds, store, job_id, opts, true)
+    redrive(er, ds, reopened, opts, true)
 }

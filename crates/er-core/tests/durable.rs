@@ -72,6 +72,28 @@ fn finished_journal(er: &ProgressiveEr, ds: &Dataset, job: &str) -> (Events, Vec
     (rec.events, store.read(job).unwrap())
 }
 
+/// Reopen `job`'s log and resume it: a resuming process's one read.
+fn resume(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    store: &Arc<dyn JournalStore>,
+    job: &str,
+    opts: &DurableOptions,
+) -> Result<ErRunResult, DurableError> {
+    resume_durable(er, ds, JobJournal::reopen(Arc::clone(store), job)?, opts)
+}
+
+/// Reopen `job`'s log and reprocess its dead-letter queue.
+fn reprocess(
+    er: &ProgressiveEr,
+    ds: &Dataset,
+    store: &Arc<dyn JournalStore>,
+    job: &str,
+    opts: &DurableOptions,
+) -> Result<ErRunResult, DurableError> {
+    reprocess_dlq(er, ds, JobJournal::reopen(Arc::clone(store), job)?, opts)
+}
+
 fn store_holding(job: &str, bytes: &[u8]) -> Arc<dyn JournalStore> {
     let store = MemStore::shared();
     store.append(job, bytes).unwrap();
@@ -111,8 +133,8 @@ fn resume_from(
     what: &str,
 ) -> Arc<dyn JournalStore> {
     let store = store_holding(job, bytes);
-    let outcome = resume_durable(er, ds, &store, job, &opts(EVERY))
-        .map(|resumed| ResultFingerprint::of(&resumed));
+    let outcome =
+        resume(er, ds, &store, job, &opts(EVERY)).map(|resumed| ResultFingerprint::of(&resumed));
     if outcome.as_ref().ok() != Some(golden) {
         let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("durable-sweeps");
         std::fs::create_dir_all(&dir).unwrap();
@@ -137,7 +159,7 @@ fn refused_checkpoint(
 ) -> String {
     let store = journal_of("job-refused", killed);
     let before = store.read("job-refused").unwrap();
-    let refused = resume_durable(er, ds, &store, "job-refused", &opts(EVERY));
+    let refused = resume(er, ds, &store, "job-refused", &opts(EVERY));
     assert_eq!(store.read("job-refused").unwrap(), before, "{what}");
     match refused {
         Err(DurableError::Run(MrError::Checkpoint(why))) => why,
@@ -536,6 +558,10 @@ fn every_journal_prefix_resumes_bit_identically() {
         for (i, &cut) in boundaries.iter().enumerate() {
             let what = format!("{threads} thread(s), boundary {i} (byte {cut})");
             let store = resume_from(&er, &ds, "job-sweep", &bytes[..cut], &golden, &what);
+            if cut == bytes.len() {
+                // A finished job is answered and its log takes nothing more.
+                assert_eq!(store.read("job-sweep").unwrap(), bytes, "{what}");
+            }
             let after = recover(&store, "job-sweep").unwrap();
             assert!(after.report.clean(), "{what}");
             assert!(matches!(
@@ -673,7 +699,7 @@ fn resume_counters_count_what_the_cuts_held() {
     assert!(blocks_held > 0 && blocks_held < blocks);
 
     let store = store_holding("job-counted", &bytes[..events[kill].0 as usize]);
-    let resumed = resume_durable(&er, &ds, &store, "job-counted", &opts(EVERY)).unwrap();
+    let resumed = resume(&er, &ds, &store, "job-counted", &opts(EVERY)).unwrap();
     assert_eq!(ResultFingerprint::of(&resumed), golden);
     assert_eq!(
         resumed.counters.get("job2_blocks_skipped_resumed"),
@@ -755,7 +781,7 @@ fn replay_rebuilds_the_resolved_pair_sets_across_a_watermark() {
                 );
                 let bytes = killed_with_one_task_behind(&events, "job-replay", task, seq + 1);
                 let store = store_holding("job-replay", &bytes);
-                let resumed = resume_durable(&er, &ds, &store, "job-replay", &opts(EVERY))
+                let resumed = resume(&er, &ds, &store, "job-replay", &opts(EVERY))
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(ResultFingerprint::of(&resumed), golden, "{what}");
                 let count = |name| resumed.counters.get(name);
@@ -845,7 +871,7 @@ fn a_fold_its_replay_contradicts_is_refused() {
         duplicates.retain(|dup| *dup != gone);
     }
     let spoilt = journal_of("job-contradicted", &spoilt);
-    let refused = resume_durable(&er, &ds, &spoilt, "job-contradicted", &opts(EVERY));
+    let refused = resume(&er, &ds, &spoilt, "job-contradicted", &opts(EVERY));
     assert!(
         matches!(&refused, Err(DurableError::Run(MrError::Checkpoint(why)))
             if why.starts_with(&format!("task {task}: "))),
@@ -903,7 +929,7 @@ fn resume_of_empty_journal_is_an_error() {
     let er = small_pipeline();
     let ds = dataset();
     let store = MemStore::shared();
-    let err = resume_durable(&er, &ds, &store, "job-none", &opts(EVERY));
+    let err = resume(&er, &ds, &store, "job-none", &opts(EVERY));
     assert!(
         matches!(err, Err(DurableError::Journal(JournalError::NotFound(_)))),
         "no journal should not resume: {err:?}"
@@ -945,7 +971,7 @@ fn a_grid_spacing_that_is_not_finite_and_positive_is_refused() {
         }
         let store = journal_of("job-grid", &killed);
         let before = store.read("job-grid").unwrap();
-        let why = match resume_durable(&er, &ds, &store, "job-grid", &opts(EVERY)) {
+        let why = match resume(&er, &ds, &store, "job-grid", &opts(EVERY)) {
             Err(DurableError::Run(MrError::Checkpoint(why))) if every == "0" => why,
             Err(DurableError::Journal(JournalError::BadState(why))) if every == "abc" => why,
             other => panic!("a journaled spacing '{every}' was not refused: {other:?}"),
@@ -999,7 +1025,7 @@ fn a_resume_against_another_dataset_is_refused() {
     edited.entities[7].attrs[0].push('x');
     for other in [PubGen::new(600, 417).generate(), edited] {
         let store = store_holding("job-pinned", half);
-        let refused = resume_durable(&er, &other, &store, "job-pinned", &opts(EVERY));
+        let refused = resume(&er, &other, &store, "job-pinned", &opts(EVERY));
         let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
             panic!("a resume against another dataset was not refused");
         };
@@ -1028,7 +1054,7 @@ fn a_journal_without_a_required_parameter_is_refused() {
         }
         let store = journal_of("job-params", &killed);
         let before = store.read("job-params").unwrap();
-        let refused = resume_durable(&er, &ds, &store, "job-params", &opts(EVERY));
+        let refused = resume(&er, &ds, &store, "job-params", &opts(EVERY));
         let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
             panic!("a journal without '{key}' was not refused: {refused:?}");
         };
@@ -1229,7 +1255,7 @@ fn too_many_families_are_refused_before_any_job() {
     let cuts = cut_positions(&events);
     let killed = &bytes[..events[cuts[cuts.len() / 2] + 1].0 as usize];
     let store = store_holding("job-wide", killed);
-    let refused = resume_durable(&er, &ds, &store, "job-wide", &opts(EVERY));
+    let refused = resume(&er, &ds, &store, "job-wide", &opts(EVERY));
     assert!(
         matches!(refused, Err(DurableError::Run(MrError::InvalidConfig(_)))),
         "{refused:?}"
@@ -1255,8 +1281,8 @@ fn a_version_1_journal_is_unsupported() {
             )
         };
         let o = opts(EVERY);
-        assert!(unsupported(resume_durable(&er, &ds, &store, "job-old", &o)));
-        assert!(unsupported(reprocess_dlq(&er, &ds, &store, "job-old", &o)));
+        assert!(unsupported(resume(&er, &ds, &store, "job-old", &o)));
+        assert!(unsupported(reprocess(&er, &ds, &store, "job-old", &o)));
         assert!(unsupported(run_durable(
             &er,
             &ds,
@@ -1339,7 +1365,7 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
 
         // Drain the queue with the fault gone: bit-identical to fault-free,
         // picking the dead task up at its last cut.
-        let reprocessed = reprocess_dlq(&faulty, &ds, &store, "job-dlq", &opts(EVERY)).unwrap();
+        let reprocessed = reprocess(&faulty, &ds, &store, "job-dlq", &opts(EVERY)).unwrap();
         assert_eq!(ResultFingerprint::of(&reprocessed), golden);
         assert_eq!(
             reprocessed.counters.get("job2_blocks_skipped_resumed"),
@@ -1355,7 +1381,36 @@ fn dlq_captures_exhausted_task_and_reprocesses() {
         assert!(state.finished.is_some());
 
         // A second reprocess has nothing to drain.
-        assert!(reprocess_dlq(&faulty, &ds, &store, "job-dlq", &opts(EVERY)).is_err());
+        assert!(reprocess(&faulty, &ds, &store, "job-dlq", &opts(EVERY)).is_err());
+
+        // A resume of the job the reprocess finished answers it as the
+        // reprocess ran, without the fault: no capture the log would not
+        // hold, and not a byte more in the log.
+        let log = store.read("job-dlq").unwrap();
+        let answered = resume(&faulty, &ds, &store, "job-dlq", &opts(EVERY)).unwrap();
+        assert_eq!(ResultFingerprint::of(&answered), golden);
+        assert_eq!(store.read("job-dlq").unwrap(), log);
+    }
+}
+
+/// A job finished under faults below the attempt budget is answered as it
+/// ran: the retries' delay stays on its clock, and its log takes nothing
+/// more, resume after resume.
+#[test]
+fn a_finished_job_is_answered_as_it_ran() {
+    let ds = dataset();
+    let clean = ResultFingerprint::of(&small_pipeline().try_run(&ds).unwrap());
+    let mut faulty = small_pipeline();
+    faulty.config.faults = Some(FaultPlan::fail_reduce(0, 2));
+    let store = MemStore::shared();
+    let run = run_durable(&faulty, &ds, &store, "job-done", &[], &opts(EVERY)).unwrap();
+    let run = ResultFingerprint::of(&run);
+    assert_ne!(run, clean, "the retries show on the clock");
+    let log = store.read("job-done").unwrap();
+    for again in 0..2 {
+        let answered = resume(&faulty, &ds, &store, "job-done", &opts(EVERY)).unwrap();
+        assert_eq!(ResultFingerprint::of(&answered), run, "resume {again}");
+        assert_eq!(store.read("job-done").unwrap(), log, "resume {again}");
     }
 }
 
@@ -1387,7 +1442,7 @@ fn an_exhausted_dead_letter_sequence_is_a_typed_error() {
     assert_eq!(state.next_dlq_seq, u64::from(u32::MAX) + 1);
     assert_eq!(state.dlq.len(), 1);
 
-    let refused = resume_durable(&faulty, &ds, &crafted, "job-seq", &opts(EVERY));
+    let refused = resume(&faulty, &ds, &crafted, "job-seq", &opts(EVERY));
     let Err(DurableError::Journal(JournalError::BadState(why))) = refused else {
         panic!("an exhausted sequence was not refused: {refused:?}");
     };
@@ -1493,7 +1548,7 @@ fn a_fresh_run_on_a_torn_journal_is_refused() {
     assert!(why.contains("names one run"), "{why}");
     assert_eq!(store.read("job-torn").unwrap(), torn);
 
-    let resumed = resume_durable(&er, &ds, &store, "job-torn", &o).unwrap();
+    let resumed = resume(&er, &ds, &store, "job-torn", &o).unwrap();
     assert_eq!(ResultFingerprint::of(&resumed), golden);
     assert!(recover(&store, "job-torn").unwrap().report.clean());
 }
@@ -1607,9 +1662,28 @@ impl JournalStore for ReadCount {
     }
 }
 
+/// What `pper resume` and `pper dlq --reprocess` do in their process:
+/// reopen the log, rebuild the pipeline from its journaled parameters, and
+/// move the reopened journal and its fold into the library.
+fn as_the_cli_does(
+    ds: &Dataset,
+    store: &Arc<dyn JournalStore>,
+    job: &str,
+    reprocess: bool,
+) -> Result<ErRunResult, DurableError> {
+    let reopened = JobJournal::reopen(Arc::clone(store), job)?;
+    let machines = reopened.state.param("machines").unwrap().parse().unwrap();
+    let er = ProgressiveEr::new(ErConfig::citeseer(machines));
+    match reprocess {
+        false => resume_durable(&er, ds, reopened, &opts(EVERY)),
+        true => reprocess_dlq(&er, ds, reopened, &opts(EVERY)),
+    }
+}
+
 /// Each durable entry point reads the job's log once: `pper-journal` opens
 /// it, checking a new run's header or recovering a resumed run's records
-/// (and cutting a torn tail off) in that one read.
+/// (and cutting a torn tail off) in that one read — in the CLI's process
+/// too, which reads the parameters from the fold it hands on.
 #[test]
 fn each_entry_point_reads_the_log_once() {
     let ds = PubGen::new(600, 417).generate();
@@ -1623,9 +1697,13 @@ fn each_entry_point_reads_the_log_once() {
     let (events, bytes) = finished_journal(&er, &ds, "resume");
     let kill = events[killed_mid_reduce(&events).len()].0 as usize;
     store.append("resume", &bytes[..kill - 2]).unwrap();
-    let resumed = resume_durable(&er, &ds, &store, "resume", &opts(EVERY)).unwrap();
+    let resumed = resume(&er, &ds, &store, "resume", &opts(EVERY)).unwrap();
     assert_eq!(ResultFingerprint::of(&resumed), golden);
     assert_eq!(counted.take(), 1, "resume_durable of a torn log");
+    store.append("cli", &bytes[..kill - 2]).unwrap();
+    let resumed = as_the_cli_does(&ds, &store, "cli", false).unwrap();
+    assert_eq!(ResultFingerprint::of(&resumed), golden);
+    assert_eq!(counted.take(), 1, "pper resume of a torn log");
 
     let mut faulty = small_pipeline();
     faulty.config.faults = Some(FaultPlan::fail_reduce(0, 4));
@@ -1635,9 +1713,15 @@ fn each_entry_point_reads_the_log_once() {
         "{dead:?}"
     );
     counted.take();
-    let reprocessed = reprocess_dlq(&faulty, &ds, &store, "dlq", &opts(EVERY)).unwrap();
+    let reprocessed = reprocess(&faulty, &ds, &store, "dlq", &opts(EVERY)).unwrap();
     assert_eq!(ResultFingerprint::of(&reprocessed), golden);
     assert_eq!(counted.take(), 1, "reprocess_dlq");
+    let dead = run_durable(&faulty, &ds, &store, "cli-dlq", &[], &opts(EVERY));
+    assert!(dead.is_err());
+    counted.take();
+    let reprocessed = as_the_cli_does(&ds, &store, "cli-dlq", true).unwrap();
+    assert_eq!(ResultFingerprint::of(&reprocessed), golden);
+    assert_eq!(counted.take(), 1, "pper dlq --reprocess");
 }
 
 /// `JobJournal`'s private sync budget: the unsynced bytes at which an
@@ -1714,7 +1798,7 @@ fn syncs_are_grouped_and_cover_everything_a_return_reports() {
         let kill = events[cuts[cuts.len() / 2] + 1].0 as usize;
         let (log, store) = SyncLog::shared();
         store.append(job, &bytes[..kill]).unwrap();
-        let resumed = resume_durable(&er, &ds, &store, job, &opts(EVERY)).unwrap();
+        let resumed = resume(&er, &ds, &store, job, &opts(EVERY)).unwrap();
         assert_eq!(ResultFingerprint::of(&resumed), golden);
         log.assert_fully_synced(job, "resume_durable returned");
 
@@ -1782,7 +1866,7 @@ fn a_failed_sync_is_a_typed_error_and_the_log_left_behind_resumes() {
             // The header's own sync: the log holds no job yet.
             run_durable(&er, &ds, &plain, job, &[], &opts(EVERY))
         } else {
-            resume_durable(&er, &ds, &plain, job, &opts(EVERY))
+            resume(&er, &ds, &plain, job, &opts(EVERY))
         };
         assert_eq!(ResultFingerprint::of(&rerun.unwrap()), golden, "sync {nth}");
         nth += 1;
@@ -1836,7 +1920,7 @@ fn a_power_cut_at_any_sync_reexecutes_the_lost_tail_exactly_once() {
             let state = JournalState::replay(&held.events);
             let (blocks_held, _, duplicates_held) = checkpointed(&state);
 
-            let resumed = resume_durable(&er, &ds, &store, job, &opts(EVERY)).unwrap();
+            let resumed = resume(&er, &ds, &store, job, &opts(EVERY)).unwrap();
             assert_eq!(ResultFingerprint::of(&resumed), golden, "{what}");
             let count = |name| resumed.counters.get(name);
             assert_eq!(count("job2_blocks_skipped_resumed"), blocks_held, "{what}");
@@ -1858,6 +1942,11 @@ fn a_power_cut_at_any_sync_reexecutes_the_lost_tail_exactly_once() {
 
             let after = recover(&store, job).unwrap();
             assert!(after.report.clean(), "{what}");
+            if len == bytes.len() {
+                // The whole log survived: the job is finished, and its
+                // resume cuts the zeros off and appends nothing.
+                assert_eq!(store.read(job).unwrap(), bytes, "{what}");
+            }
             assert_cuts_unique_and_ordered(&after.events);
             assert_eq!(cuts_by_task(&after.events), cuts_by_task(&events), "{what}");
             counters.push(counters_of(&resumed));

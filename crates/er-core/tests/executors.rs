@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use pper_datagen::PubGen;
 use pper_er::prelude::*;
-use pper_journal::{recover, JournalStore, MemStore};
+use pper_journal::{recover, JobJournal, JournalStore, MemStore};
 use pper_mapreduce::{FaultPlan, ShuffleSpillConfig};
 
 const THREADS: &[usize] = &[1, 2, 8];
@@ -125,6 +125,7 @@ fn durable_run_and_cross_thread_count_resume_identical() {
     let replay: Arc<dyn JournalStore> = MemStore::shared();
     replay.append("job-exec-kill", &bytes[..cut]).unwrap();
     let wider = ProgressiveEr::new(config(8));
-    let resumed = resume_durable(&wider, &ds, &replay, "job-exec-kill", &opts).unwrap();
+    let reopened = JobJournal::reopen(replay, "job-exec-kill").unwrap();
+    let resumed = resume_durable(&wider, &ds, reopened, &opts).unwrap();
     assert_eq!(ResultFingerprint::of(&resumed), golden);
 }

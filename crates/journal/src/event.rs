@@ -128,7 +128,9 @@ pub enum JournalEvent {
         /// in discovery order.
         duplicates: Vec<(f64, u32, u32)>,
     },
-    /// Counters snapshot (sorted key order) at a stable point.
+    /// Counters snapshot (sorted key order), appended once, before
+    /// `JobFinished`: the counts of the process that finished the job, not
+    /// the job's over every process that ran it.
     CountersSnapshot {
         /// `(counter name, value)` pairs in sorted name order.
         entries: Vec<(String, u64)>,

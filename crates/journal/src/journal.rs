@@ -3,22 +3,18 @@
 //! [`JobJournal`] is the write side: it frames and appends events through a
 //! [`JournalStore`] and owns the one sync policy. An appended record is
 //! *written* — a killed process loses nothing past the record it was
-//! writing — and it is *acknowledged* only once a sync has covered it:
-//! [`JobJournal::append`] syncs by itself whenever 128 KiB (`SYNC_BUDGET`)
-//! have gone unsynced, and the runner calls [`JobJournal::sync`] before it
-//! reports anything that rests on the records. A machine crash can
-//! therefore lose at most one budget of records, as a torn or garbage tail
-//! behind a valid prefix. [`recover`] is the read side: it parses the
-//! longest valid record prefix (tolerating that tail) and decodes it to
-//! `(offset, event)` pairs. A log is opened with one read, by
-//! [`JobJournal::start`] for a new run and by [`JobJournal::reopen`] to
-//! continue one (cutting an unclean tail back to the valid prefix).
-//! [`JournalState`] folds that stream into "where was this job" — enough
-//! for a fresh process to reconstruct the run and continue (the job-1 cost
-//! and schedule digest a regenerated schedule must match, and per reduce
-//! task the fold of its checkpoint-cut deltas), and the source of the job's
-//! live dead-letter queue. [`JournalState::apply`] is the one rule of that
-//! fold, for the reader's [`JournalState::replay`] and the durable writer.
+//! writing — and *acknowledged* once a sync covers it: [`JobJournal::append`]
+//! syncs by itself every 128 KiB (`SYNC_BUDGET`), and the runner calls
+//! [`JobJournal::sync`] before it reports anything that rests on the
+//! records; a machine crash loses at most one budget, as a torn or garbage
+//! tail. A log is opened with one read: [`JobJournal::start`] for a new
+//! run, [`JobJournal::reopen`] to continue one (folding each record as it
+//! decodes it, and cutting an unclean tail back to the valid prefix).
+//! [`recover`] decodes that prefix to `(offset, event)` pairs for whatever
+//! only reads a log, and writes nothing. [`JournalState`] is the fold —
+//! the job-1 cost and schedule digest, each reduce task's cut deltas, the
+//! live dead-letter queue — and [`JournalState::apply`] its one rule, for
+//! the reader and the writer alike; a finished job's log takes nothing more.
 
 use std::sync::Arc;
 
@@ -87,18 +83,27 @@ impl JobJournal {
         Ok(Self::appending(store, job_id))
     }
 
-    /// Reopen `job_id`'s journal to continue it with one read of its log:
-    /// the handle and what [`recover`] returns, with an unclean tail cut back
-    /// to the valid prefix. An absent log is [`JournalError::NotFound`].
-    pub fn reopen(
-        store: Arc<dyn JournalStore>,
-        job_id: &str,
-    ) -> Result<(Self, RecoveredJournal), JournalError> {
-        let recovered = decode(&store.read(job_id)?)?;
-        if !recovered.report.clean() {
-            store.truncate_log(job_id, recovered.report.valid_bytes)?;
+    /// Reopen `job_id`'s journal to continue it with one read of its log,
+    /// folding each record as it is decoded; an unclean tail is cut back to
+    /// the valid prefix. An absent log is [`JournalError::NotFound`].
+    pub fn reopen(store: Arc<dyn JournalStore>, job_id: &str) -> Result<Reopened, JournalError> {
+        let mut state = JournalState::default();
+        let report = decode(&store.read(job_id)?, |_, event| {
+            state.apply(&event);
+        })?;
+        if !report.clean() {
+            store.truncate_log(job_id, report.valid_bytes)?;
         }
-        Ok((Self::appending(store, job_id), recovered))
+        Ok(Reopened {
+            journal: Self::appending(store, job_id),
+            state,
+            report,
+        })
+    }
+
+    /// The job whose log this handle appends to.
+    pub fn job_id(&self) -> &str {
+        &self.job_id
     }
 
     fn appending(store: Arc<dyn JournalStore>, job_id: &str) -> Self {
@@ -174,8 +179,20 @@ impl JobJournal {
     }
 }
 
-/// Result of [`recover`] and [`JobJournal::reopen`]: the decoded event
-/// stream plus what the frame layer had to drop to get there.
+/// What [`JobJournal::reopen`] returns: the handle, appending behind the
+/// valid prefix, the fold of that prefix, and what was dropped past it.
+#[derive(Debug)]
+pub struct Reopened {
+    /// The append-side handle.
+    pub journal: JobJournal,
+    /// The fold of every record the log holds.
+    pub state: JournalState,
+    /// Torn-tail / corruption report from the frame layer.
+    pub report: RecoveryReport,
+}
+
+/// Result of [`recover`]: the decoded event stream plus what the frame
+/// layer had to drop to get there.
 #[derive(Debug)]
 pub struct RecoveredJournal {
     /// `(byte offset of the record, event)` in append order.
@@ -185,6 +202,7 @@ pub struct RecoveredJournal {
 }
 
 /// Read and decode a job's journal, recovering the longest valid prefix.
+/// It never writes: nothing that only reads a log cuts its tail.
 ///
 /// A record whose checksum matches but whose payload fails to decode stops
 /// the prefix there (marked corrupt) rather than erroring: recovery always
@@ -193,16 +211,23 @@ pub fn recover(
     store: &Arc<dyn JournalStore>,
     job_id: &str,
 ) -> Result<RecoveredJournal, JournalError> {
-    decode(&store.read(job_id)?)
+    let mut events = Vec::new();
+    let report = decode(&store.read(job_id)?, |offset, event| {
+        events.push((offset, event));
+    })?;
+    Ok(RecoveredJournal { events, report })
 }
 
-/// [`recover`] of a log already read.
-fn decode(bytes: &[u8]) -> Result<RecoveredJournal, JournalError> {
+/// Hand each event of the valid prefix of a log already read to `each`, in
+/// append order, and report how the prefix ended.
+fn decode(
+    bytes: &[u8],
+    mut each: impl FnMut(u64, JournalEvent),
+) -> Result<RecoveryReport, JournalError> {
     let (frames, mut report) = frame::read_frames(bytes)?;
-    let mut events = Vec::with_capacity(frames.len());
     for (offset, payload) in frames {
         match JournalEvent::decode(payload) {
-            Ok(ev) => events.push((offset, ev)),
+            Ok(event) => each(offset, event),
             Err(_) => {
                 // Checksummed but undecodable: schema damage. Keep the
                 // prefix before it, report everything from here as dropped.
@@ -213,7 +238,7 @@ fn decode(bytes: &[u8]) -> Result<RecoveredJournal, JournalError> {
             }
         }
     }
-    Ok(RecoveredJournal { events, report })
+    Ok(report)
 }
 
 /// One task sitting in the dead-letter queue.
@@ -252,7 +277,7 @@ pub struct TaskProgress {
 
 /// The fold of a job's event stream: everything a fresh process needs to
 /// know to list, resume, or reprocess the job.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalState {
     /// Job id from `JobStarted` (None if the log predates it — unresumable).
     pub job_id: Option<String>,
@@ -268,7 +293,8 @@ pub struct JournalState {
     pub finished: Option<(u64, f64)>,
     /// Count of `TaskFinished` events seen.
     pub tasks_finished: u64,
-    /// Latest counters snapshot, if any.
+    /// The counters snapshot: the counts of the process that finished the
+    /// job, not the job's over every process that ran it.
     pub counters: Vec<(String, u64)>,
     /// Live dead-letter queue: captured minus drained.
     pub dlq: Vec<DlqEntry>,
@@ -289,11 +315,15 @@ impl JournalState {
         st
     }
 
-    /// Whether [`JournalState::apply`] folds `event` in: all but a
-    /// `CheckpointCut` not next in line for its task (a repeat, a gap, an
-    /// unknown task), which carries nothing the deterministic re-execution
-    /// will not produce again.
+    /// Whether [`JournalState::apply`] folds `event` in: nothing once the
+    /// job has finished (its log is the record of one run, and that run is
+    /// over), and before that all but a `CheckpointCut` not next in line
+    /// for its task (a repeat, a gap, an unknown task), which carries
+    /// nothing the deterministic re-execution will not produce again.
     pub fn takes(&self, event: &JournalEvent) -> bool {
+        if self.finished.is_some() {
+            return false;
+        }
         match event {
             JournalEvent::CheckpointCut { task, seq, .. } => usize::try_from(*task)
                 .ok()
@@ -546,9 +576,12 @@ mod tests {
         let refused = JobJournal::start(Arc::clone(&store), "idem").unwrap_err();
         assert!(matches!(&refused, JournalError::BadState(why) if why.contains("names one run")));
         assert_eq!(store.read("idem").unwrap(), before);
-        let (mut j2, rec) = JobJournal::reopen(Arc::clone(&store), "idem").unwrap();
-        assert_eq!(rec.events.len(), 1);
-        j2.append(&JournalEvent::DlqDrained { seq: 1 }).unwrap();
+        let mut j2 = JobJournal::reopen(Arc::clone(&store), "idem").unwrap();
+        assert!(j2.report.clean());
+        assert_eq!(j2.report.valid_bytes as usize, before.len());
+        j2.journal
+            .append(&JournalEvent::DlqDrained { seq: 1 })
+            .unwrap();
         let rec = recover(&store, "idem").unwrap();
         assert_eq!(rec.events.len(), 2);
         // A header-only log holds no record: a run may start on it.
@@ -613,16 +646,135 @@ mod tests {
         );
         // `reopen` recovers the same prefix and cuts the tail off before
         // the next record is appended.
-        let (mut j, reopened) = JobJournal::reopen(Arc::clone(&store), "torn").unwrap();
-        assert_eq!(reopened.events, rec.events);
+        let mut reopened = JobJournal::reopen(Arc::clone(&store), "torn").unwrap();
+        assert_eq!(reopened.state, JournalState::replay(&rec.events));
         assert_eq!(reopened.report, rec.report);
         let valid = rec.report.valid_bytes as usize;
         assert_eq!(store.read("torn").unwrap().len(), valid);
-        j.append(&JournalEvent::DlqDrained { seq: 2 }).unwrap();
+        let next = JournalEvent::DlqDrained { seq: 2 };
+        reopened.journal.append(&next).unwrap();
         let rec = recover(&store, "torn").unwrap();
         assert!(rec.report.clean());
         assert_eq!(rec.events.len(), 2);
         assert_eq!(rec.events[1].0 as usize, valid);
+
+        // Over a whole job's log, at every record boundary and behind it a
+        // torn record or a zero-filled (corrupt) tail: `reopen`'s fold is
+        // the fold of what `recover` reads, and the log is cut back to it.
+        let whole = journal_of("whole", &a_whole_job());
+        let bytes = whole.read("whole").unwrap();
+        let events = recover(&whole, "whole").unwrap().events;
+        let mut ends: Vec<usize> = events.iter().map(|&(off, _)| off as usize).collect();
+        ends.push(bytes.len());
+        for (i, &end) in ends.iter().enumerate() {
+            let next = ends.get(i + 1).map_or(end, |&n| n);
+            let torn = &bytes[..(end + next) / 2];
+            let zeroed = [&bytes[..end], &[0; 64][..]].concat();
+            for (tail, image) in [
+                ("clean", &bytes[..end]),
+                ("torn", torn),
+                ("zeroed", &zeroed),
+            ] {
+                let what = format!("{i} records, {tail} tail");
+                let store = mem();
+                store.append("job", image).unwrap();
+                let recovered = recover(&store, "job").unwrap();
+                let reopened = JobJournal::reopen(Arc::clone(&store), "job").unwrap();
+                assert_eq!(recovered.events.len(), i, "{what}");
+                assert_eq!(
+                    reopened.state,
+                    JournalState::replay(&recovered.events),
+                    "{what}"
+                );
+                assert_eq!(reopened.report, recovered.report, "{what}");
+                assert_eq!(store.read("job").unwrap(), &bytes[..end], "{what}");
+            }
+        }
+    }
+
+    /// A store holding the synced records of `events` under `job`.
+    fn journal_of(job: &str, events: &[JournalEvent]) -> Arc<dyn JournalStore> {
+        let store = mem();
+        let mut journal = JobJournal::start(Arc::clone(&store), job).unwrap();
+        for event in events {
+            journal.append(event).unwrap();
+        }
+        journal.sync().unwrap();
+        store
+    }
+
+    /// One of every record a job's log holds, in a run's order: a capture
+    /// and its drain, two tasks' cuts, and the end of the job.
+    fn a_whole_job() -> Vec<JournalEvent> {
+        let task_finished = JournalEvent::TaskFinished {
+            job: "j2".into(),
+            kind: TaskClass::Reduce,
+            index: 0,
+            attempts: 2,
+            cost: 40.0,
+            wasted: 2.5,
+            failures: vec![],
+        };
+        vec![
+            JournalEvent::JobStarted {
+                job_id: "whole".into(),
+                params: vec![("machines".into(), "2".into())],
+            },
+            JournalEvent::ScheduleGenerated {
+                job1_cost: 50.0,
+                task_blocks: vec![5, 3],
+                digest: 7,
+            },
+            cut(0, 0, 2, (1, 2)),
+            cut(1, 0, 1, (5, 6)),
+            JournalEvent::DeadLettered {
+                seq: 0,
+                job: "j2".into(),
+                kind: TaskClass::Reduce,
+                index: 1,
+                attempts: 4,
+                failures: vec![],
+            },
+            JournalEvent::DlqDrained { seq: 0 },
+            cut(0, 1, 5, (3, 4)),
+            cut(1, 1, 3, (7, 8)),
+            task_finished,
+            JournalEvent::CountersSnapshot {
+                entries: vec![("pairs_compared".into(), 9)],
+            },
+            JournalEvent::JobFinished {
+                duplicates: 4,
+                total_cost: 600.0,
+            },
+        ]
+    }
+
+    /// A finished job's log takes nothing more: a resume of it appends
+    /// nothing, and a log a resume extended all the same (as builds before
+    /// this rule did) folds to its first `CountersSnapshot` and
+    /// `JobFinished`.
+    #[test]
+    fn a_finished_fold_takes_nothing_more() {
+        let job = a_whole_job();
+        let finished = fold(&job);
+        assert_eq!(finished.finished, Some((4, 600.0)));
+        assert_eq!(finished.counters, [("pairs_compared".to_string(), 9)]);
+        assert_eq!(finished.tasks_finished, 1);
+        let again = [
+            job[8].clone(),
+            cut(0, 2, 5, (9, 9)),
+            JournalEvent::CountersSnapshot { entries: vec![] },
+            JournalEvent::JobFinished {
+                duplicates: 4,
+                total_cost: 700.0,
+            },
+        ];
+        let mut st = finished.clone();
+        for event in &again {
+            assert!(!st.takes(event) && !st.apply(event), "{event:?}");
+        }
+        assert_eq!(st, finished);
+        assert_eq!(fold(&[&job[..], &again[..]].concat()), finished);
     }
 
     #[test]

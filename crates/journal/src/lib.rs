@@ -61,7 +61,9 @@ mod store;
 
 pub use event::{AttemptFailure, JournalEvent, TaskClass};
 pub use frame::{RecoveryReport, MAGIC};
-pub use journal::{recover, DlqEntry, JobJournal, JournalState, RecoveredJournal, TaskProgress};
+pub use journal::{
+    recover, DlqEntry, JobJournal, JournalState, RecoveredJournal, Reopened, TaskProgress,
+};
 pub use store::{FileStore, JournalStore, MemStore};
 
 /// Everything that can go wrong reading or writing a journal.

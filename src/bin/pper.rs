@@ -22,7 +22,7 @@ use pper::er::{
     reprocess_dlq, resume_durable, run_durable, BasicApproach, BasicConfig, DurableOptions,
     ErConfig, ErRunResult, MechanismKind, ProgressiveEr, ResultFingerprint,
 };
-use pper::journal::{recover, FileStore, JournalState, JournalStore};
+use pper::journal::{recover, FileStore, JobJournal, JournalState, JournalStore, RecoveryReport};
 use pper::mapreduce::{ExecutorKind, FaultPlan};
 use pper::schedule::TreeScheduler;
 
@@ -43,7 +43,8 @@ fn main() -> ExitCode {
         "gen" => cmd_gen(&opts),
         "run" => cmd_run(&opts),
         "basic" => cmd_basic(&opts),
-        "resume" => cmd_resume(&opts),
+        "resume" => cmd_continue(&opts, false),
+        "dlq" if opts.reprocess => cmd_continue(&opts, true),
         "dlq" => cmd_dlq(&opts),
         "jobs" => cmd_jobs(&opts),
         "help" | "--help" | "-h" => {
@@ -80,9 +81,10 @@ USAGE:
 Durable mode journals every job event under --journal DIR (fsync'd in
 groups, and before anything is reported), and a job id names one run:
 `run --durable` refuses an id whose journal already holds records.
-`resume` continues a killed job bit-identically in a fresh process, `dlq`
-lists or reprocesses tasks that exhausted their attempt budget, and `jobs`
-lists every job with how far its checkpoints reach.";
+`resume` continues a killed job bit-identically in a fresh process and
+answers a finished one without writing to its log, `dlq` lists or
+reprocesses tasks that exhausted their attempt budget, and `jobs` lists
+every job with how far its checkpoints reach.";
 
 #[derive(Default)]
 struct Opts {
@@ -191,7 +193,8 @@ fn config_for(ds: &Dataset, machines: usize) -> Result<ErConfig, String> {
     }
 }
 
-fn print_curve(result: &pper::er::ErRunResult) {
+/// `whose` labels the comparison counts: a resumed run's are its process's.
+fn print_curve(result: &ErRunResult, whose: &str) {
     println!("\n{:>14} {:>10}", "cost", "recall");
     for (cost, recall) in result.curve.sample(result.total_cost, 12) {
         println!("{cost:>14.0} {recall:>10.3}");
@@ -204,33 +207,37 @@ fn print_curve(result: &pper::er::ErRunResult) {
         result.overhead_cost
     );
     println!(
-        "comparisons {}  redundant skips {}  duplicates {}",
+        "{whose}comparisons {}  {whose}redundant skips {}  duplicates {}",
         result.counters.get("pairs_compared"),
         result.counters.get("pairs_skipped_redundant"),
         result.duplicates.len()
     );
 }
 
-/// Build the run configuration from CLI-shaped settings. `resume` and
-/// `dlq` feed journaled `JobStarted` parameters through the same path, so
-/// a fresh process reconstructs the exact configuration of the original
-/// run.
+/// Build the run configuration from `run`'s parameters, the ones a durable
+/// run journals in `JobStarted`: `resume` and `dlq --reprocess` feed the
+/// journaled ones through the same path, so a fresh process reconstructs
+/// the exact configuration of the original run.
 fn build_run_config(
     ds: &Dataset,
     machines: usize,
-    mechanism: Option<&str>,
-    scheduler: Option<&str>,
-    fail_reduce: Option<&str>,
+    params: &[(String, String)],
 ) -> Result<ErConfig, String> {
+    let param = |key: &str| {
+        params
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
     let mut config = config_for(ds, machines)?;
-    if let Some(m) = mechanism {
+    if let Some(m) = param("mechanism") {
         config.mechanism = match m {
             "sn" => MechanismKind::Sn,
             "psnm" => MechanismKind::Psnm,
             other => return Err(format!("unknown mechanism '{other}'")),
         };
     }
-    if let Some(s) = scheduler {
+    if let Some(s) = param("scheduler") {
         config.schedule.scheduler = match s {
             "ours" => TreeScheduler::Progressive,
             "nosplit" => TreeScheduler::NoSplit,
@@ -238,7 +245,7 @@ fn build_run_config(
             other => return Err(format!("unknown scheduler '{other}'")),
         };
     }
-    if let Some(spec) = fail_reduce {
+    if let Some(spec) = param("fail_reduce") {
         let (idx, n) = spec
             .split_once(':')
             .ok_or_else(|| format!("--fail-reduce wants IDX:N, got '{spec}'"))?;
@@ -277,69 +284,48 @@ fn durable_options(opts: &Opts) -> DurableOptions {
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let ds = load(opts.data.as_deref())?;
     let machines = opts.machines.unwrap_or(4);
-    let config = build_run_config(
-        &ds,
-        machines,
-        opts.mechanism.as_deref(),
-        opts.scheduler.as_deref(),
-        opts.fail_reduce.as_deref(),
-    )?;
+    // Everything `pper resume` needs to rebuild this exact configuration in
+    // a fresh process (`run_durable` adds the machine count).
+    let given = [
+        ("data", &opts.data),
+        ("mechanism", &opts.mechanism),
+        ("scheduler", &opts.scheduler),
+        ("fail_reduce", &opts.fail_reduce),
+    ];
+    let params: Vec<(String, String)> = (given.into_iter())
+        .filter_map(|(key, value)| Some((key.to_string(), value.clone()?)))
+        .collect();
+    let er = ProgressiveEr::new(build_run_config(&ds, machines, &params)?);
     println!(
         "dataset {} ({} entities, {} true pairs); μ = {machines}, mechanism {}, scheduler {:?}",
         ds.name,
         ds.len(),
         ds.truth.total_duplicate_pairs(),
-        config.mechanism.name(),
-        config.schedule.scheduler,
+        er.config.mechanism.name(),
+        er.config.schedule.scheduler,
     );
 
     let result = if opts.durable {
         let (store, job_id) = open_journal(opts)?;
-        // Record everything `pper resume` needs to rebuild this exact
-        // configuration in a fresh process (`run_durable` adds the machine
-        // count).
-        let mut params: Vec<(String, String)> = Vec::new();
-        if let Some(data) = opts.data.as_deref() {
-            params.push(("data".into(), data.to_string()));
-        }
-        for (key, val) in [
-            ("mechanism", opts.mechanism.as_deref()),
-            ("scheduler", opts.scheduler.as_deref()),
-            ("fail_reduce", opts.fail_reduce.as_deref()),
-        ] {
-            if let Some(v) = val {
-                params.push((key.into(), v.to_string()));
-            }
-        }
         let dopts = durable_options(opts);
-        let er = ProgressiveEr::new(config);
         run_durable(&er, &ds, &store, &job_id, &params, &dopts).map_err(|e| e.to_string())?
     } else {
-        ProgressiveEr::new(config)
-            .try_run(&ds)
-            .map_err(|e| e.to_string())?
+        er.try_run(&ds).map_err(|e| e.to_string())?
     };
-    print_curve(&result);
+    print_curve(&result, "");
     write_result_out(opts, &result)
 }
 
-/// Recover a job's journal (dropping any torn tail from a mid-append kill)
-/// and fold the surviving events into the resume state.
-fn recover_job(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String, JournalState), String> {
-    let (store, job_id) = open_journal(opts)?;
-    let rec = recover(&store, &job_id).map_err(|e| e.to_string())?;
-    if !rec.report.clean() {
-        eprintln!(
-            "journal recovery: dropped {} trailing byte(s){}",
-            rec.report.dropped_bytes,
-            if rec.report.torn_tail {
-                " (torn record from a mid-append kill)"
-            } else {
-                " (corruption)"
-            }
-        );
+/// Say what opening a job's log dropped behind its valid prefix.
+fn note_dropped(report: &RecoveryReport) {
+    if !report.clean() {
+        let why = match report.torn_tail {
+            true => "torn record from a mid-append kill",
+            false => "corruption",
+        };
+        let dropped = report.dropped_bytes;
+        eprintln!("journal recovery: dropped {dropped} trailing byte(s) ({why})");
     }
-    Ok((store, job_id, JournalState::replay(&rec.events)))
 }
 
 /// Rebuild the dataset and pipeline a journaled job ran with, from its
@@ -347,70 +333,68 @@ fn recover_job(opts: &Opts) -> Result<(Arc<dyn JournalStore>, String, JournalSta
 /// dataset files).
 fn rebuild_pipeline(opts: &Opts, state: &JournalState) -> Result<(Dataset, ProgressiveEr), String> {
     let ds = load(opts.data.as_deref().or_else(|| state.param("data")))?;
-    let machines = parse(
-        state
-            .param("machines")
-            .ok_or("journal has no 'machines' parameter")?,
-    )?;
+    let machines = state.param("machines");
+    let machines = machines.ok_or("journal has no 'machines' parameter")?;
     // Journals written before the second dispatch backend was retired
     // carry its name; it selects nothing now but is still outside input.
     if let Some(e) = state.param("executor") {
         ExecutorKind::parse(e)?;
     }
-    let config = build_run_config(
-        &ds,
-        machines,
-        state.param("mechanism"),
-        state.param("scheduler"),
-        state.param("fail_reduce"),
-    )?;
+    let config = build_run_config(&ds, parse(machines)?, &state.params)?;
     Ok((ds, ProgressiveEr::new(config)))
 }
 
-fn cmd_resume(opts: &Opts) -> Result<(), String> {
-    let (store, job_id, state) = recover_job(opts)?;
-    let (ds, er) = rebuild_pipeline(opts, &state)?;
-    println!(
-        "resuming job '{job_id}': {} task event(s) journaled; {}",
-        state.tasks_finished,
-        state.progress()
-    );
-    let dopts = durable_options(opts);
-    let result = resume_durable(&er, &ds, &store, &job_id, &dopts).map_err(|e| e.to_string())?;
-    print_curve(&result);
+/// `pper resume`, and with `reprocess` `pper dlq --reprocess`: reopen the
+/// job's log (the process's one read of it), rebuild the pipeline from its
+/// parameters, and move the reopened journal and its fold into the library.
+fn cmd_continue(opts: &Opts, reprocess: bool) -> Result<(), String> {
+    let (store, job_id) = open_journal(opts)?;
+    let reopened = JobJournal::reopen(store, &job_id).map_err(|e| e.to_string())?;
+    note_dropped(&reopened.report);
+    let state = &reopened.state;
+    let (ds, er) = rebuild_pipeline(opts, state)?;
+    let go = if reprocess {
+        let tasks = state.dlq.len();
+        println!(
+            "job '{job_id}': reprocessing {tasks} dead-lettered task(s), fault injection cleared"
+        );
+        reprocess_dlq
+    } else {
+        let doing = match state.finished {
+            Some(_) => "answering finished",
+            None => "resuming",
+        };
+        let (events, progress) = (state.tasks_finished, state.progress());
+        println!("{doing} job '{job_id}': {events} task event(s) journaled; {progress}");
+        resume_durable
+    };
+    let result = go(&er, &ds, reopened, &durable_options(opts)).map_err(|e| e.to_string())?;
+    print_curve(&result, "this process's ");
     write_result_out(opts, &result)
 }
 
 fn cmd_dlq(opts: &Opts) -> Result<(), String> {
-    let (store, job_id, state) = recover_job(opts)?;
-    if !opts.reprocess {
-        if state.dlq.is_empty() {
-            println!("job '{job_id}': dead-letter queue is empty");
-            return Ok(());
-        }
-        println!("job '{job_id}': {} dead-lettered task(s)", state.dlq.len());
-        for entry in &state.dlq {
-            println!(
-                "  #{} {}-{} after {} attempt(s); last error: {}",
-                entry.seq,
-                entry.kind.name(),
-                entry.index,
-                entry.attempts,
-                entry.failures.last().map_or("<none>", |f| f.error.as_str())
-            );
-            println!("     job: {}", entry.job);
-        }
+    let (store, job_id) = open_journal(opts)?;
+    let rec = recover(&store, &job_id).map_err(|e| e.to_string())?;
+    note_dropped(&rec.report);
+    let state = JournalState::replay(&rec.events);
+    if state.dlq.is_empty() {
+        println!("job '{job_id}': dead-letter queue is empty");
         return Ok(());
     }
-    let (ds, er) = rebuild_pipeline(opts, &state)?;
-    println!(
-        "job '{job_id}': reprocessing {} dead-lettered task(s) with fault injection cleared",
-        state.dlq.len()
-    );
-    let dopts = durable_options(opts);
-    let result = reprocess_dlq(&er, &ds, &store, &job_id, &dopts).map_err(|e| e.to_string())?;
-    print_curve(&result);
-    write_result_out(opts, &result)
+    println!("job '{job_id}': {} dead-lettered task(s)", state.dlq.len());
+    for entry in &state.dlq {
+        println!(
+            "  #{} {}-{} after {} attempt(s); last error: {}",
+            entry.seq,
+            entry.kind.name(),
+            entry.index,
+            entry.attempts,
+            entry.failures.last().map_or("<none>", |f| f.error.as_str())
+        );
+        println!("     job: {}", entry.job);
+    }
+    Ok(())
 }
 
 /// One line per job under `--journal DIR`: where it stands and how far its
@@ -458,6 +442,6 @@ fn cmd_basic(opts: &Opts) -> Result<(), String> {
     let result = BasicApproach::new(er, basic)
         .run(&ds)
         .map_err(|e| e.to_string())?;
-    print_curve(&result);
+    print_curve(&result, "");
     Ok(())
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use pper::datagen::{BookGen, Dataset};
 use pper::er::prelude::*;
-use pper::journal::{recover, JournalState, JournalStore, MemStore};
+use pper::journal::{recover, JobJournal, JournalStore, MemStore};
 use pper::mapreduce::{
     ExecutorKind, FaultKind, FaultPlan, FaultVfs, IoFaultPlan, IoOp, MrError, ShuffleSpillConfig,
     TaskKind, Vfs,
@@ -74,7 +74,8 @@ fn durable_runs_end_in_the_uninterrupted_fingerprint() {
         assert!(cuts.len() >= 4, "the run cuts checkpoints: {cuts:?}");
         for kill in [2, cuts[0] + 1, cuts[cuts.len() / 2] + 1, events.len() - 2] {
             let prefix = killed_after(&store, "smoke", kill);
-            let resumed = resume_durable(&er, &ds, &prefix, "smoke", &DURABLE).unwrap();
+            let reopened = JobJournal::reopen(prefix, "smoke").unwrap();
+            let resumed = resume_durable(&er, &ds, reopened, &DURABLE).unwrap();
             assert_eq!(
                 ResultFingerprint::of(&resumed),
                 golden,
@@ -103,16 +104,17 @@ fn backend_and_thread_count_reach_no_observable() {
     }
 
     // A journal whose `JobStarted` recorded a retired backend still
-    // resumes: the name parses as the cursor pool.
+    // resumes: the name parses as the cursor pool. The parameters are read
+    // from the reopened fold and the fold moves into the resume, as `pper
+    // resume` does it.
     for retired in ["chunked:4", "stealing"] {
         let store = MemStore::shared();
         let params = [("executor".to_string(), retired.to_string())];
         run_durable(&pipeline(), &ds, &store, "old", &params, &DURABLE).unwrap();
-        let killed = killed_after(&store, "old", 5);
-        let state = JournalState::replay(&recover(&killed, "old").unwrap().events);
-        let recorded = ExecutorKind::parse(state.param("executor").unwrap()).unwrap();
+        let reopened = JobJournal::reopen(killed_after(&store, "old", 5), "old").unwrap();
+        let recorded = ExecutorKind::parse(reopened.state.param("executor").unwrap()).unwrap();
         assert_eq!(recorded, ExecutorKind::Cursor, "{retired}");
-        let resumed = resume_durable(&configured(2), &ds, &killed, "old", &DURABLE).unwrap();
+        let resumed = resume_durable(&configured(2), &ds, reopened, &DURABLE).unwrap();
         assert_eq!(ResultFingerprint::of(&resumed), golden, "{retired}");
     }
 }

@@ -5,7 +5,8 @@
 //! in-line, that N-th event can be a cut appended by a reduce task in
 //! mid-run), resume each aborted job with `pper resume` in a fresh process,
 //! and require the resumed result fingerprint to match the uninterrupted
-//! golden run byte for byte.
+//! golden run byte for byte. Past the last event the job is finished, and
+//! two resumes of it answer it without adding a byte to its log.
 //!
 //! Also covers the process-level dead-letter round trip: a run whose
 //! reduce task exhausts its attempt budget dead-letters it, `pper dlq`
@@ -141,24 +142,39 @@ fn kill_at_every_event_boundary_resumes_bit_identically() {
         assert!(rec.report.clean(), "kill point {n}: journal not clean");
         assert_eq!(rec.events.len(), n, "kill point {n}: durable event count");
 
-        let out_path = dir.join(format!("resumed-{n}.json"));
-        let out = out_path.to_str().unwrap();
-        run_ok(&[
-            "resume",
-            "--journal",
-            journal,
-            "--job-id",
-            &job,
-            "--data",
-            data,
-            "--result-out",
-            out,
-        ]);
-        let resumed = std::fs::read(&out_path).unwrap();
-        assert_eq!(
-            resumed, golden,
-            "kill point {n}: resumed fingerprint diverged from golden"
-        );
+        // The last kill point is past `JobFinished`: that process never
+        // wrote its result, and a resume (twice, here) answers the finished
+        // job without a byte more in its log.
+        let finished = n == total_events;
+        let log = store.read(&job).unwrap();
+        let resumes = if finished { 2 } else { 1 };
+        for again in 0..resumes {
+            let out_path = dir.join(format!("resumed-{n}-{again}.json"));
+            let out = out_path.to_str().unwrap();
+            run_ok(&[
+                "resume",
+                "--journal",
+                journal,
+                "--job-id",
+                &job,
+                "--data",
+                data,
+                "--result-out",
+                out,
+            ]);
+            let resumed = std::fs::read(&out_path).unwrap();
+            assert_eq!(
+                resumed, golden,
+                "kill point {n}: resumed fingerprint diverged from golden"
+            );
+            if finished {
+                assert_eq!(
+                    store.read(&job).unwrap(),
+                    log,
+                    "resume {again} of a finished job"
+                );
+            }
+        }
     }
 }
 
